@@ -38,10 +38,12 @@ type baseline struct {
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
 
-// benchLine matches one -benchmem result row:
+// benchLine matches one -benchmem result row; metrics a benchmark reports
+// itself (b.ReportMetric) sit between ns/op and B/op:
 //
 //	BenchmarkSearch-8   300   86475 ns/op   25084 B/op   488 allocs/op
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+[\d.]+ ns/op\s+(\d+) B/op\s+(\d+) allocs/op`)
+//	BenchmarkSolve-8     20   9e+06 ns/op   510.3 ns/node   316236 B/op   3496 allocs/op
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+[\d.e+]+ ns/op\s+(?:[\d.e+-]+ \S+\s+)*?(\d+) B/op\s+(\d+) allocs/op`)
 
 var pkgLine = regexp.MustCompile(`^pkg:\s+(\S+)`)
 

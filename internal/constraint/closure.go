@@ -19,62 +19,94 @@ import (
 //	RelEq(r,r'), Unique(r,a)           => Unique(r',a); same for NotNull;
 //	AttrsEq(a,a'), Unique(r,a)         => Unique(r,a'); same for NotNull;
 //	RelEq / AttrsEq congruence on every RefAttrs argument.
+//
+// A set's closure is computed once and kept with the set (sets do not change
+// once built), so the relaxation search's implication test and the verifier
+// that then probes the same set share one computation; it is released with
+// the set.
 func Closure(s *Set) *Set {
-	out := NewSet(s.Items()...)
-	for changed := true; changed; {
-		changed = false
-		before := out.Len()
+	if cl := s.closure.Load(); cl != nil {
+		return cl
+	}
+	// A closure is typically up to twice its generators; sizing for that
+	// spares the index its growth steps.
+	out := &Set{items: make([]C, 0, 2*len(s.items)), index: make(map[C]bool, 2*len(s.items))}
+	for _, c := range s.items {
+		out.add(c)
+	}
+	orbits := map[C]struct{}{}
+	var subs []C
+	for before := -1; out.Len() != before; {
+		before = out.Len()
 
-		relEq := equivClasses(out, RelEq, template.KRel)
-		attrsEq := equivClasses(out, AttrsEq, template.KAttrs)
-		predEq := equivClasses(out, PredEq, template.KPred)
-		funcEq := equivClasses(out, AggrEq, template.KFunc)
-
-		// Transitivity of the equivalences.
-		addEquivPairs(out, relEq, RelEq)
-		addEquivPairs(out, attrsEq, AttrsEq)
-		addEquivPairs(out, predEq, PredEq)
-		addEquivPairs(out, funcEq, AggrEq)
+		// Equivalence classes by the kind of symbol they partition.
+		var cls [template.KFunc + 1]classes
+		for _, e := range equivKinds {
+			cls[e.sym] = equivClasses(out, e.kind)
+			// Transitivity of the equivalences.
+			for _, members := range cls[e.sym] {
+				for i := range members {
+					for j := i + 1; j < len(members); j++ {
+						out.add(New(e.kind, members[i], members[j]))
+					}
+				}
+			}
+		}
+		// a_r1 == a_r2 when r1 == r2.
+		cls[template.KAttrsOf] = make(classes, len(cls[template.KRel]))
+		for i, members := range cls[template.KRel] {
+			for _, r := range members {
+				cls[template.KAttrsOf][i] = append(cls[template.KAttrsOf][i], template.AttrsOf(r))
+			}
+		}
 
 		// Congruence: rewrite each constraint's symbols across their
-		// equivalence classes.
-		variants := func(s template.Sym) []template.Sym {
-			switch s.Kind {
-			case template.KRel:
-				return classOf(relEq, s)
-			case template.KAttrs:
-				return classOf(attrsEq, s)
-			case template.KAttrsOf:
-				// a_r1 == a_r2 when r1 == r2.
-				var out []template.Sym
-				for _, r := range classOf(relEq, template.Sym{Kind: template.KRel, ID: s.ID}) {
-					out = append(out, template.AttrsOf(r))
+		// equivalence classes, first argument slowest. Constraints that
+		// differ only within classes have the same variants; the first of
+		// them adds them all.
+		clear(orbits)
+		for ci, n := 0, len(out.items); ci < n; ci++ {
+			c := out.items[ci]
+			arity := c.Kind.Arity()
+			var variants [4][]template.Sym
+			orbit := C{Kind: c.Kind}
+			for i := 0; i < arity; i++ {
+				variants[i] = c.Syms[i : i+1] // alone, unless in a class
+				if k := cls[c.Syms[i].Kind].index(c.Syms[i]); k >= 0 {
+					variants[i] = cls[c.Syms[i].Kind][k]
 				}
-				return out
-			case template.KPred:
-				return classOf(predEq, s)
-			case template.KFunc:
-				return classOf(funcEq, s)
+				orbit.Syms[i] = variants[i][0]
 			}
-			return []template.Sym{s}
-		}
-		for _, c := range out.Items() {
-			n := c.Kind.arity()
-			var rec func(i int, syms []template.Sym)
-			rec = func(i int, syms []template.Sym) {
-				if i == n {
-					out.add(New(c.Kind, syms...))
-					return
+			orbit = orbit.canonical()
+			if _, ok := orbits[orbit]; ok {
+				continue
+			}
+			orbits[orbit] = struct{}{}
+			var at [4]int
+			for more := true; more; {
+				v := C{Kind: c.Kind}
+				for i := 0; i < arity; i++ {
+					v.Syms[i] = variants[i][at[i]]
 				}
-				for _, v := range variants(c.Syms[i]) {
-					rec(i+1, append(syms[:i:i], v))
+				out.add(v.canonical())
+				more = false
+				for i := arity - 1; i >= 0 && !more; i-- {
+					if at[i]++; at[i] < len(variants[i]) {
+						more = true
+					} else {
+						at[i] = 0
+					}
 				}
 			}
-			rec(0, make([]template.Sym, n))
 		}
 
 		// SubAttrs transitivity.
-		subs := out.ByKind(SubAttrs)
+		subs = subs[:0]
+		for _, c := range out.items {
+			if c.Kind == SubAttrs {
+				subs = append(subs, c)
+			}
+		}
 		for _, c1 := range subs {
 			for _, c2 := range subs {
 				if c1.Syms[1] == c2.Syms[0] && c1.Syms[0] != c2.Syms[1] {
@@ -82,11 +114,9 @@ func Closure(s *Set) *Set {
 				}
 			}
 		}
-
-		if out.Len() != before {
-			changed = true
-		}
 	}
+	out.closure.Store(out)
+	s.closure.Store(out)
 	return out
 }
 
@@ -105,83 +135,69 @@ func IsClosedUnder(s *Set, c C) bool {
 	return Implies(s.Without(c), c)
 }
 
-type equiv map[template.Sym][]template.Sym
+// equivKinds pairs each equality kind with the kind of symbol it relates.
+var equivKinds = [...]struct {
+	kind Kind
+	sym  template.SymKind
+}{{RelEq, template.KRel}, {AttrsEq, template.KAttrs}, {PredEq, template.KPred}, {AggrEq, template.KFunc}}
 
-func equivClasses(s *Set, k Kind, symKind template.SymKind) equiv {
-	parent := map[template.Sym]template.Sym{}
-	var find func(x template.Sym) template.Sym
-	find = func(x template.Sym) template.Sym {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		root := find(p)
-		parent[x] = root
-		return root
-	}
-	union := func(a, b template.Sym) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, c := range s.ByKind(k) {
-		union(c.Syms[0], c.Syms[1])
-	}
-	classes := equiv{}
-	for x := range parent {
-		root := find(x)
-		classes[root] = append(classes[root], x)
-	}
-	// Index every member by itself for O(1) lookup.
-	byMember := equiv{}
-	for _, members := range classes {
-		for _, m := range members {
-			byMember[m] = members
-		}
-	}
-	_ = symKind
-	return byMember
-}
+// classes are the equivalence classes one equality kind induces on the
+// symbols it mentions, members in symbol order. There are a handful of
+// symbols per kind, so lookups scan.
+type classes [][]template.Sym
 
-func classOf(e equiv, s template.Sym) []template.Sym {
-	if members, ok := e[s]; ok {
-		return members
-	}
-	return []template.Sym{s}
-}
-
-func addEquivPairs(out *Set, e equiv, k Kind) {
-	seen := map[template.Sym]bool{}
-	for m, members := range e {
-		if seen[m] {
+func equivClasses(s *Set, k Kind) classes {
+	var cls classes
+	for _, c := range s.items {
+		if c.Kind != k {
 			continue
 		}
-		for _, x := range members {
-			seen[x] = true
+		a, b := cls.index(c.Syms[0]), cls.index(c.Syms[1])
+		switch {
+		case a < 0 && b < 0 && c.Syms[0] == c.Syms[1]:
+			cls = append(cls, []template.Sym{c.Syms[0]})
+		case a < 0 && b < 0:
+			cls = append(cls, []template.Sym{c.Syms[0], c.Syms[1]})
+		case a < 0:
+			cls[b] = append(cls[b], c.Syms[0])
+		case b < 0:
+			cls[a] = append(cls[a], c.Syms[1])
+		case a != b:
+			cls[a] = append(cls[a], cls[b]...)
+			cls[b] = cls[len(cls)-1]
+			cls = cls[:len(cls)-1]
 		}
-		for i := 0; i < len(members); i++ {
-			for j := i + 1; j < len(members); j++ {
-				out.add(New(k, members[i], members[j]))
+	}
+	for _, members := range cls {
+		for i := 1; i < len(members); i++ {
+			for j := i; j > 0 && less(members[j], members[j-1]); j-- {
+				members[j], members[j-1] = members[j-1], members[j]
 			}
 		}
 	}
+	return cls
+}
+
+// index returns the class holding s, or -1.
+func (cls classes) index(s template.Sym) int {
+	for i, members := range cls {
+		for _, m := range members {
+			if m == s {
+				return i
+			}
+		}
+	}
+	return -1
 }
 
 // UnionFind builds the union-find representative mapping for one equivalence
 // kind; exported for the verifier's symbol unification step (§5.1).
 func UnionFind(s *Set, k Kind) map[template.Sym]template.Sym {
-	e := equivClasses(s, k, 0)
 	rep := map[template.Sym]template.Sym{}
-	for m, members := range e {
-		best := m
-		for _, x := range members {
-			if less(x, best) {
-				best = x
-			}
+	for _, members := range equivClasses(s, k) {
+		for _, m := range members {
+			rep[m] = members[0]
 		}
-		rep[m] = best
 	}
 	return rep
 }

@@ -7,7 +7,9 @@ package constraint
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"wetune/internal/template"
 )
@@ -49,8 +51,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// arity returns the number of symbol arguments per kind.
-func (k Kind) arity() int {
+// Arity returns the number of symbol arguments per kind.
+func (k Kind) Arity() int {
 	switch k {
 	case RefAttrs:
 		return 4
@@ -59,7 +61,7 @@ func (k Kind) arity() int {
 	}
 }
 
-// C is one constraint: Kind applied to Syms[:Kind.arity()].
+// C is one constraint: Kind applied to Syms[:Kind.Arity()].
 type C struct {
 	Kind Kind
 	Syms [4]template.Sym
@@ -70,7 +72,12 @@ type C struct {
 func New(k Kind, syms ...template.Sym) C {
 	c := C{Kind: k}
 	copy(c.Syms[:], syms)
-	switch k {
+	return c.canonical()
+}
+
+// canonical orders the arguments of a symmetric kind.
+func (c C) canonical() C {
+	switch c.Kind {
 	case RelEq, AttrsEq, PredEq, AggrEq:
 		if less(c.Syms[1], c.Syms[0]) {
 			c.Syms[0], c.Syms[1] = c.Syms[1], c.Syms[0]
@@ -86,29 +93,44 @@ func less(a, b template.Sym) bool {
 	return a.ID < b.ID
 }
 
+// Rename maps every argument through m; symbols m does not mention stay.
+func (c C) Rename(m map[template.Sym]template.Sym) C {
+	for i := range c.Syms[:c.Kind.Arity()] {
+		if to, ok := m[c.Syms[i]]; ok {
+			c.Syms[i] = to
+		}
+	}
+	return c.canonical()
+}
+
 // Args returns the constraint's symbol arguments (length = the kind's arity).
 func (c C) Args() []template.Sym {
-	return append([]template.Sym(nil), c.Syms[:c.Kind.arity()]...)
+	return append([]template.Sym(nil), c.Syms[:c.Kind.Arity()]...)
 }
 
 func (c C) String() string {
-	n := c.Kind.arity()
-	parts := make([]string, n)
-	for i := 0; i < n; i++ {
-		parts[i] = c.Syms[i].String()
+	// Memo and cache keys are built from this; it avoids fmt.
+	b := make([]byte, 0, 32)
+	b = append(b, c.Kind.String()...)
+	for i, s := range c.Syms[:c.Kind.Arity()] {
+		b = append(b, "(,,,"[i])
+		b = append(b, s.Kind.String()...)
+		b = strconv.AppendInt(b, int64(s.ID), 10)
 	}
-	return fmt.Sprintf("%s(%s)", c.Kind, strings.Join(parts, ","))
+	return string(append(b, ')'))
 }
 
-// Set is an immutable-ish ordered set of constraints.
+// Set is an ordered set of constraints, immutable once built.
 type Set struct {
 	items []C
 	index map[C]bool
+	// closure memoizes Closure(s); concurrent first calls store equal sets.
+	closure atomic.Pointer[Set]
 }
 
 // NewSet builds a set from the given constraints, deduplicating.
 func NewSet(cs ...C) *Set {
-	s := &Set{index: map[C]bool{}}
+	s := &Set{items: make([]C, 0, len(cs)), index: make(map[C]bool, len(cs))}
 	for _, c := range cs {
 		s.add(c)
 	}
@@ -133,7 +155,7 @@ func (s *Set) Has(c C) bool { return s.index[c] }
 
 // Without returns a new set with c removed.
 func (s *Set) Without(c C) *Set {
-	out := NewSet()
+	out := &Set{items: make([]C, 0, len(s.items)), index: make(map[C]bool, len(s.items))}
 	for _, it := range s.items {
 		if it != c {
 			out.add(it)

@@ -184,7 +184,7 @@ func TestEnumerateCounts(t *testing.T) {
 	}
 	for _, c := range cs.Items() {
 		found := false
-		for i := 0; i < c.Kind.arity(); i++ {
+		for i := 0; i < c.Kind.Arity(); i++ {
 			s := c.Syms[i]
 			if srcSyms[s] {
 				found = true
@@ -195,6 +195,23 @@ func TestEnumerateCounts(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("useless constraint enumerated: %v", c)
+		}
+	}
+}
+
+// BenchmarkClosure closes the candidate set C* of the size-2 pair
+// Sel(InSub) => InSub(Sel, ·) — every equality present, so every class is as
+// large and every orbit as wide as size 2 gets. Each iteration closes a fresh
+// copy: a set keeps its closure once computed.
+func BenchmarkClosure(b *testing.B) {
+	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
+	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
+	cstar := Enumerate(src, dest).Items()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if Closure(NewSet(cstar...)).Len() < len(cstar) {
+			b.Fatal("closure lost constraints")
 		}
 	}
 }

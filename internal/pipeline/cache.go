@@ -169,11 +169,12 @@ func (fp *fingerprinter) assign(s template.Sym) {
 }
 
 func (fp *fingerprinter) key(cs *constraint.Set) string {
+	items := cs.Items()
 	// Symbols occurring only in constraints (possible for abstracted plan
 	// pairs) get canonical IDs in sorted order, deterministically.
 	var extra []template.Sym
-	for _, c := range cs.Items() {
-		for _, s := range c.Args() {
+	for _, c := range items {
+		for _, s := range c.Syms[:c.Kind.Arity()] {
 			if _, ok := fp.m[s]; !ok {
 				extra = append(extra, s)
 			}
@@ -190,14 +191,8 @@ func (fp *fingerprinter) key(cs *constraint.Set) string {
 			fp.assign(s)
 		}
 	}
-	canon := constraint.NewSet()
-	for _, c := range cs.Items() {
-		args := c.Args()
-		mapped := make([]template.Sym, len(args))
-		for i, s := range args {
-			mapped[i] = fp.m[s]
-		}
-		canon = canon.Union(constraint.NewSet(constraint.New(c.Kind, mapped...)))
+	for i, c := range items {
+		items[i] = c.Rename(fp.m)
 	}
-	return fp.prefix + "|" + canon.Key()
+	return fp.prefix + "|" + constraint.NewSet(items...).Key()
 }

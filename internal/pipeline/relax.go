@@ -37,24 +37,7 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	}
 	ct.pairsTried.Add(1)
 	reg.Counter(metricPairsTried).Inc()
-	prover := opts.Prover
-	if opts.PairProver != nil {
-		prover = opts.PairProver(src, dest)
-	}
-	s := &relaxer{
-		ctx: ctx, src: src, dest: dest,
-		prover: prover,
-		budget: opts.MaxProverCallsPerPair,
-		memo:   map[string]bool{},
-		prune:  !opts.DisablePruning,
-		cache:  opts.Cache,
-		ns:     opts.CacheNamespace,
-		ct:     ct,
-		reg:    reg,
-	}
-	if s.cache != nil {
-		s.fp = newFingerprinter(src, dest)
-	}
+	s := newRelaxer(ctx, src, dest, opts, ct, reg)
 	seen := map[string]bool{}
 	var rules []Rule
 	// C* contains mutually conflicting attribute-source choices
@@ -87,6 +70,26 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	return rules
 }
 
+// newRelaxer sets up the relaxation of one pair.
+func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct *counters, reg *obs.Registry) *relaxer {
+	prover := opts.Prover
+	if opts.PairProver != nil {
+		prover = opts.PairProver(src, dest)
+	}
+	return &relaxer{
+		ctx: ctx, src: src, dest: dest,
+		prover: prover,
+		budget: opts.MaxProverCallsPerPair,
+		memo:   map[string]bool{},
+		prune:  !opts.DisablePruning,
+		cache:  opts.Cache,
+		ns:     opts.CacheNamespace,
+		fp:     newFingerprinter(src, dest),
+		ct:     ct,
+		reg:    reg,
+	}
+}
+
 type relaxer struct {
 	ctx       context.Context
 	src, dest *template.Node
@@ -109,7 +112,9 @@ type relaxer struct {
 // prover-call count but never the search trajectory — warm and cold runs
 // discover byte-identical rule sets.
 func (s *relaxer) prove(cs *constraint.Set) bool {
-	key := cs.Key()
+	// The fingerprint renames the pair's symbols one-to-one, so within the
+	// pair it identifies the set: one key serves the memo and the cache.
+	key := s.fp.key(cs)
 	if v, ok := s.memo[key]; ok {
 		return v
 	}
@@ -126,7 +131,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	defer sp.End()
 	var fpKey string
 	if s.cache != nil {
-		fpKey = s.ns + s.fp.key(cs)
+		fpKey = s.ns + key
 		if v, ok := s.cache.Get(fpKey); ok {
 			s.ct.cacheHits.Add(1)
 			s.reg.Counter(metricCacheHits).Inc()
@@ -198,27 +203,10 @@ func (s *relaxer) minimize(cstar *constraint.Set, order int) (*constraint.Set, b
 	return cur, true
 }
 
-// RenameApart offsets dest's symbol IDs above src's so that the pair shares
-// no symbols; constraints tie them back together.
+// RenameApart is template.RenameApart, kept for the callers that prepare
+// pairs for RunPair.
 func RenameApart(src, dest *template.Node) *template.Node {
-	max := map[template.SymKind]int{}
-	for _, s := range src.Symbols() {
-		k := s.Kind
-		if k == template.KAttrsOf {
-			k = template.KRel
-		}
-		if s.ID >= max[k] {
-			max[k] = s.ID + 1
-		}
-	}
-	m := map[template.Sym]template.Sym{}
-	for _, s := range dest.Symbols() {
-		if s.Kind == template.KAttrsOf {
-			continue
-		}
-		m[s] = template.Sym{Kind: s.Kind, ID: s.ID + max[s.Kind]}
-	}
-	return dest.Substitute(m)
+	return template.RenameApart(src, dest)
 }
 
 // sourceVariants splits C* into non-conflicting starting sets: for each
@@ -276,14 +264,14 @@ func sourceVariants(cstar *constraint.Set, src, dest *template.Node) []*constrai
 		return choices[i].attr.ID < choices[j].attr.ID
 	})
 	// Base set: everything except attribute-source SubAttrs.
-	base := constraint.NewSet()
+	var base []constraint.C
 	for _, c := range cstar.Items() {
 		if c.Kind == constraint.SubAttrs && c.Syms[1].Kind == template.KAttrsOf {
 			continue
 		}
-		base = base.Union(constraint.NewSet(c))
+		base = append(base, c)
 	}
-	variants := []*constraint.Set{base}
+	variants := []*constraint.Set{constraint.NewSet(base...)}
 	for _, ch := range choices {
 		var next []*constraint.Set
 		for _, v := range variants {
@@ -332,14 +320,14 @@ func filterRefAttrs(cs *constraint.Set, src, dest *template.Node) *constraint.Se
 			}
 		})
 	}
-	out := constraint.NewSet()
+	var kept []constraint.C
 	for _, c := range cs.Items() {
 		if c.Kind == constraint.RefAttrs && !hinted[[2]template.Sym{c.Syms[1], c.Syms[3]}] {
 			continue
 		}
-		out = out.Union(constraint.NewSet(c))
+		kept = append(kept, c)
 	}
-	return out
+	return constraint.NewSet(kept...)
 }
 
 // trivialRule reports that the destination is identical to the source after

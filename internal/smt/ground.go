@@ -3,7 +3,6 @@ package smt
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"wetune/internal/fol"
 	"wetune/internal/template"
@@ -19,58 +18,60 @@ import (
 // every branch conflicts. Sat/Unknown answers may be imprecise (they reject a
 // rule, which is the conservative direction).
 //
-// All formulas reaching the grounder are canonical pool nodes, so the atom
-// index keys on pointers and the tuple-term universe is registered once per
-// decide() as a dense int32 numbering: each DPLL node's congruence closure is
-// a union-find over small integer arrays instead of string-keyed maps.
+// All formulas reaching the grounder are canonical pool nodes. decide()
+// resolves them once: atoms and tuple terms get dense numbers, the formula
+// and the integer atoms' terms are compiled to flat node arrays (compile.go),
+// and one congruence closure (cc.go) follows the assignment with an undo
+// trail. A DPLL node then costs one pass over integer arrays; nothing is
+// looked up by pointer or rebuilt from the assignment.
 type grounder struct {
-	solver   *solver
-	atoms    []fol.Formula
-	atomIdx  map[fol.Formula]int
-	propN    int
-	unknown  bool
-	nodes    int
-	needAtom int
+	solver  *solver
+	atoms   []fol.Formula
+	atomIdx map[fol.Formula]int
+	propN   int
+	unknown bool
+	nodes   int
+	// needAtom and condOK are evalCond's out-parameters (compile.go);
+	// degreeOverflow is evalPoly's: a monomial outgrew its packing.
+	needAtom       int
+	condOK         bool
+	degreeOverflow bool
+
+	// assign holds the partial assignment by atom id: evalOpen, evalTrue or
+	// evalFalse. open is eval's out-parameter: the first undecided atom met.
+	assign  []int8
+	open    int
+	sawOpen bool
+
+	// The compiled formula and integer terms; root is the formula's node.
+	prog []node
+	kids []int32
+	root int32
+	// done marks the root conjuncts settled under the current assignment
+	// (see evalRoot); settled lists them in the order they were marked.
+	done    []bool
+	settled []int32
+	// atomEq[id] holds the term numbers of a tuple-equality atom (-1, -1
+	// otherwise); atomCC[id] marks atoms the congruence closure checks.
+	atomEq   [][2]int32
+	atomCC   []bool
+	intAtoms []intAtom
 
 	// Ground tuple-term universe, built by buildUniverse after atom
 	// collection. Index i describes g.terms[i]; keys holds the pool's
-	// canonical strings (the only thing ever sorted or compared for
-	// representative choice, keeping verdicts independent of registration
-	// order); child links a TAttr to its argument term (-1 otherwise).
+	// canonical strings, whose order alone picks class representatives
+	// (keeping verdicts independent of registration order).
 	terms   []uexpr.Tuple
 	termIdx map[uexpr.Tuple]int32
 	keys    []string
-	child   []int32
-	// attrGroups lists TAttr term indexes grouped by attribute symbol for the
-	// congruence fixpoint; groups ordered by symbol, members by key.
-	attrGroups [][]int32
-	// eqAtoms / predAtoms precompute, in atom order, the per-assignment work
-	// of buildCC: tuple equalities to union/check and predicate (or IsNull,
-	// encoded as the reserved symbol p-1) applications to check congruence of.
-	eqAtoms   []eqAtomRec
-	predAtoms []predAtomRec
-
-	// Scratch reused across the many buildCC calls of one decide().
-	parentBuf  []int32
-	predValBuf map[predKey]int
-}
-
-type eqAtomRec struct {
-	id   int
-	l, r int32
-}
-
-type predAtomRec struct {
-	id  int
-	sym template.Sym
-	t   int32
+	cc      ccState
+	th      theoryScratch
 }
 
 // decide preprocesses away embedded quantifiers and runs DPLL.
 func (g *grounder) decide(f fol.Formula) Result {
 	g.atomIdx = map[fol.Formula]int{}
 	g.termIdx = map[uexpr.Tuple]int32{}
-	g.predValBuf = map[predKey]int{}
 	pool := g.solver.groundTerms([]fol.Formula{f})
 	if len(pool) == 0 {
 		pool = []uexpr.Tuple{g.solver.freshSkolem()}
@@ -85,8 +86,9 @@ func (g *grounder) decide(f fol.Formula) Result {
 		return Unknown
 	}
 	g.buildUniverse()
-	assign := make([]int, len(g.atoms)) // 0 unknown, 1 true, -1 false
-	res := g.dpll(all, assign)
+	g.compileAll(all)
+	g.assign = make([]int8, len(g.atoms))
+	res := g.dpll()
 	if res == Unsat && g.unknown {
 		return Unknown
 	}
@@ -346,54 +348,68 @@ func walkAtomConds(f fol.Formula, fn func(fol.Formula)) {
 }
 
 // buildUniverse registers every tuple term reachable from the collected atoms
-// (children included) under a dense numbering and precomputes the structures
-// buildCC re-derives per assignment: attribute-congruence groups and the
-// equality/predicate atoms in atom order. Terms reaching the theory solver
-// later (ITE evaluation) are always subterms of collected atoms, so the
-// universe is complete by construction.
+// (children included) under a dense numbering and hands the congruence
+// closure its static structure: key ranks, attribute-congruence groups and
+// the equality/predicate atoms in atom order. Terms reaching the theory
+// solver later (ITE evaluation) are always subterms of collected atoms, so
+// the universe is complete by construction.
 func (g *grounder) buildUniverse() {
 	for _, a := range g.atoms {
 		walkFormulaTuples(a, func(t uexpr.Tuple) { g.termID(t) })
 	}
-	g.child = make([]int32, len(g.terms))
-	byAttr := map[template.Sym][]int32{}
+	// Attribute applications grouped by symbol, and rank[t], the position of
+	// t's key in sorted order: comparing ranks is comparing keys.
+	n := len(g.terms)
+	child, order := make([]int32, n), make([]int32, n)
+	var groups [][]int32
+	groupOf := map[template.Sym]int{}
 	for i, t := range g.terms {
-		g.child[i] = -1
+		child[i], order[i] = -1, int32(i)
 		if ta, ok := t.(*uexpr.TAttr); ok {
-			g.child[i] = g.termIdx[ta.T]
-			byAttr[ta.Attrs] = append(byAttr[ta.Attrs], int32(i))
+			child[i] = g.termIdx[ta.T]
+			gi, seen := groupOf[ta.Attrs]
+			if !seen {
+				gi, groupOf[ta.Attrs] = len(groups), len(groups)
+				groups = append(groups, nil)
+			}
+			groups[gi] = append(groups[gi], int32(i))
 		}
 	}
-	// Congruence groups ordered by symbol and, within a group, by canonical
-	// key. (The fixpoint's outcome — classes plus min-key representatives —
-	// is independent of this order; fixing it anyway keeps runs replayable.)
-	syms := make([]template.Sym, 0, len(byAttr))
-	for s := range byAttr {
-		syms = append(syms, s)
+	sort.Slice(order, func(i, j int) bool { return g.keys[order[i]] < g.keys[order[j]] })
+	rank := make([]int32, n)
+	for r, t := range order {
+		rank[t] = int32(r)
 	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].Kind != syms[j].Kind {
-			return syms[i].Kind < syms[j].Kind
+	var eqs []ccEq
+	var preds []ccPred
+	predIdx := map[template.Sym]int32{}
+	g.atomEq = make([][2]int32, len(g.atoms))
+	g.atomCC = make([]bool, len(g.atoms))
+	addPred := func(id int, sym template.Sym, t uexpr.Tuple) {
+		si, ok := predIdx[sym]
+		if !ok {
+			si = int32(len(predIdx))
+			predIdx[sym] = si
 		}
-		return syms[i].ID < syms[j].ID
-	})
-	g.attrGroups = make([][]int32, 0, len(syms))
-	for _, s := range syms {
-		grp := byAttr[s]
-		sort.Slice(grp, func(i, j int) bool { return g.keys[grp[i]] < g.keys[grp[j]] })
-		g.attrGroups = append(g.attrGroups, grp)
+		preds = append(preds, ccPred{atom: int32(id), sym: si, t: g.termID(t)})
 	}
 	for id, a := range g.atoms {
+		g.atomEq[id] = [2]int32{-1, -1}
+		g.atomCC[id] = true
 		switch x := a.(type) {
 		case *fol.TupleEq:
-			g.eqAtoms = append(g.eqAtoms, eqAtomRec{id: id, l: g.termID(x.L), r: g.termID(x.R)})
+			g.atomEq[id] = [2]int32{g.termID(x.L), g.termID(x.R)}
+			eqs = append(eqs, ccEq{atom: int32(id), l: g.atomEq[id][0], r: g.atomEq[id][1]})
 		case *fol.PredApp:
-			g.predAtoms = append(g.predAtoms, predAtomRec{id: id, sym: x.Pred, t: g.termID(x.T)})
+			addPred(id, x.Pred, x.T)
 		case *fol.IsNull:
-			g.predAtoms = append(g.predAtoms, predAtomRec{
-				id: id, sym: template.Sym{Kind: template.KPred, ID: -1}, t: g.termID(x.T)})
+			// IsNull is congruent like a predicate of its own.
+			addPred(id, template.Sym{Kind: template.KPred, ID: -1}, x.T)
+		default:
+			g.atomCC[id] = false
 		}
 	}
+	g.cc.init(rank, child, groups, eqs, preds, len(predIdx))
 }
 
 // termID returns the dense index of a canonical tuple term, registering it
@@ -416,114 +432,52 @@ func (g *grounder) termID(t uexpr.Tuple) int32 {
 	return i
 }
 
-const (
-	evalFalse = -1
-	evalTrue  = 1
-	evalOpen  = 0
-)
-
-// eval evaluates the formula under a partial assignment; openAtom receives an
-// arbitrary undecided atom id when the result is open.
-func (g *grounder) eval(f fol.Formula, assign []int, openAtom *int) int {
-	switch x := f.(type) {
-	case *fol.TrueF:
-		return evalTrue
-	case *fol.FalseF:
-		return evalFalse
-	case *fol.And:
-		res := evalTrue
-		for _, h := range x.Fs {
-			switch g.eval(h, assign, openAtom) {
-			case evalFalse:
-				return evalFalse
-			case evalOpen:
-				res = evalOpen
-			}
-		}
-		return res
-	case *fol.Or:
-		res := evalFalse
-		for _, h := range x.Fs {
-			switch g.eval(h, assign, openAtom) {
-			case evalTrue:
-				return evalTrue
-			case evalOpen:
-				res = evalOpen
-			}
-		}
-		return res
-	case *fol.Not:
-		return -g.eval(x.F, assign, openAtom)
-	case *fol.Implies:
-		// L => R evaluated as !L or R, without materializing the disjunction.
-		lv := g.eval(x.L, assign, openAtom)
-		if lv == evalFalse {
-			return evalTrue
-		}
-		rv := g.eval(x.R, assign, openAtom)
-		if rv == evalTrue {
-			return evalTrue
-		}
-		if lv == evalOpen || rv == evalOpen {
-			return evalOpen
-		}
-		return evalFalse
-	default:
-		id := g.atomID(x)
-		v := assign[id]
-		if v == evalOpen && openAtom != nil && *openAtom < 0 {
-			*openAtom = id
-		}
-		return v
-	}
-}
-
-func (g *grounder) dpll(f fol.Formula, assign []int) Result {
+// dpll searches below the current assignment. The congruence closure always
+// describes the assignment on entry: every equality/predicate literal is
+// asserted when its atom is assigned and retracted when the branch returns,
+// and a branch value the closure refutes is never descended into.
+func (g *grounder) dpll() Result {
 	g.nodes++
 	g.solver.stats.Nodes++
 	if g.nodes > g.solver.opts.MaxNodes || g.solver.expired() {
 		g.unknown = true
 		return Unknown
 	}
-	open := -1
-	switch g.eval(f, assign, &open) {
+	g.open = -1
+	switch g.evalRoot() {
 	case evalFalse:
 		return Unsat
 	case evalTrue:
 		g.needAtom = -1
-		if g.theoryConsistent(assign) {
-			if g.needAtom >= 0 && assign[g.needAtom] == evalOpen {
-				// An integer literal could not be evaluated because an ITE
-				// condition atom is unassigned; branch on it for precision.
-				open = g.needAtom
-				break
-			}
+		if !g.theoryConsistent() {
+			return Unsat
+		}
+		if g.needAtom < 0 || g.assign[g.needAtom] != evalOpen {
 			return Sat
 		}
-		return Unsat
+		// An integer literal could not be evaluated because an ITE
+		// condition atom is unassigned; branch on it for precision.
+		g.open = g.needAtom
 	}
+	open := g.open
 	if open < 0 {
 		// Shouldn't happen: open formula without an open atom.
 		g.unknown = true
 		return Unknown
 	}
 	sawUnknown := false
-	eqAtom := false
-	switch g.atoms[open].(type) {
-	case *fol.TupleEq, *fol.PredApp, *fol.IsNull:
-		eqAtom = true
-	}
 	g.solver.stats.Decisions++
-	for _, v := range []int{evalTrue, evalFalse} {
-		assign[open] = v
+	for _, v := range [2]int8{evalTrue, evalFalse} {
+		g.assign[open] = v
+		mark, settled := len(g.cc.trail), len(g.settled)
 		// Cheap early conflict detection on equality literals.
-		if eqAtom && g.quickEqConflict(assign) {
-			assign[open] = evalOpen
-			g.solver.stats.Backtracks++
-			continue
+		res := Unsat
+		if !g.atomCC[open] || g.assertCC(open, v) {
+			res = g.dpll()
 		}
-		res := g.dpll(f, assign)
-		assign[open] = evalOpen
+		g.cc.undo(mark)
+		g.unsettle(settled)
+		g.assign[open] = evalOpen
 		if res == Sat {
 			return Sat
 		}
@@ -538,469 +492,11 @@ func (g *grounder) dpll(f fol.Formula, assign []int) Result {
 	return Unsat
 }
 
-// quickEqConflict runs the congruence-closure check only.
-func (g *grounder) quickEqConflict(assign []int) bool {
-	_, ok := g.buildCC(assign)
-	return !ok
-}
-
-// --- theory: congruence closure over tuples ---
-
-// ccState is a union-find over the grounder's dense term universe. The
-// representative of a class is always the member with the smallest canonical
-// key string — a registration-order-independent choice, so class names (used
-// in monomial variables) are deterministic.
-type ccState struct {
-	g      *grounder
-	parent []int32
-}
-
-func (c *ccState) find(i int32) int32 {
-	// Terms are registered before any ccState exists (buildUniverse covers
-	// every atom subterm), but grow defensively if that invariant ever slips:
-	// a late term simply joins as a singleton class.
-	for int32(len(c.parent)) <= i {
-		c.parent = append(c.parent, int32(len(c.parent)))
+// assertCC adds the literal atom=v to the congruence closure and reports
+// whether the assignment is still consistent with it.
+func (g *grounder) assertCC(atom int, v int8) bool {
+	if eq := g.atomEq[atom]; v == evalTrue && eq[0] >= 0 {
+		g.cc.merge(eq[0], eq[1])
 	}
-	for c.parent[i] != i {
-		c.parent[i] = c.parent[c.parent[i]] // path halving
-		i = c.parent[i]
-	}
-	return i
-}
-
-func (c *ccState) union(a, b int32) {
-	ra, rb := c.find(a), c.find(b)
-	if ra == rb {
-		return
-	}
-	if c.g.keys[ra] < c.g.keys[rb] {
-		c.parent[rb] = ra
-	} else {
-		c.parent[ra] = rb
-	}
-}
-
-// newCC returns a fresh union-find over the current universe, reusing the
-// grounder's scratch array (at most one ccState is live per DPLL node).
-func (g *grounder) newCC() *ccState {
-	n := len(g.terms)
-	if cap(g.parentBuf) < n {
-		g.parentBuf = make([]int32, n)
-	}
-	p := g.parentBuf[:n]
-	for i := range p {
-		p[i] = int32(i)
-	}
-	return &ccState{g: g, parent: p}
-}
-
-type predKey struct {
-	sym   template.Sym
-	class int32
-}
-
-// buildCC constructs the congruence closure from positive tuple-equality
-// literals and checks negative ones; ok=false signals a conflict.
-func (g *grounder) buildCC(assign []int) (*ccState, bool) {
-	cc := g.newCC()
-	// Union positive equalities.
-	for _, ea := range g.eqAtoms {
-		if assign[ea.id] == evalTrue {
-			cc.union(ea.l, ea.r)
-		}
-	}
-	// Congruence: a(t1) ~ a(t2) when t1 ~ t2, grouped by attribute symbol.
-	for changed := true; changed; {
-		changed = false
-		for _, group := range g.attrGroups {
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					if cc.find(g.child[group[i]]) == cc.find(g.child[group[j]]) &&
-						cc.find(group[i]) != cc.find(group[j]) {
-						cc.union(group[i], group[j])
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	// Check negative equalities.
-	for _, ea := range g.eqAtoms {
-		if assign[ea.id] == evalFalse && cc.find(ea.l) == cc.find(ea.r) {
-			return cc, false
-		}
-	}
-	// Predicate / IsNull congruence: same class, same symbol => same truth.
-	predVal := g.predValBuf
-	clear(predVal)
-	for _, pa := range g.predAtoms {
-		if assign[pa.id] == evalOpen {
-			continue
-		}
-		k := predKey{sym: pa.sym, class: cc.find(pa.t)}
-		if prev, ok := predVal[k]; ok && prev != assign[pa.id] {
-			return cc, false
-		}
-		predVal[k] = assign[pa.id]
-	}
-	return cc, true
-}
-
-// --- theory: integer monomial analysis ---
-
-// poly is a canonical polynomial: a multiset of monomials; each monomial a
-// sorted list of variable keys. nil monomial list = the constant 0.
-type poly struct {
-	monos [][]string
-}
-
-func (g *grounder) theoryConsistent(assign []int) bool {
-	cc, ok := g.buildCC(assign)
-	if !ok {
-		return false
-	}
-	// Gather assigned integer literals.
-	var lits []intLit
-	for id, a := range g.atoms {
-		if assign[id] == evalOpen {
-			continue
-		}
-		switch a.(type) {
-		case *fol.IntEq, *fol.IntGt0, *fol.IntLe1:
-			lits = append(lits, intLit{atom: a, val: assign[id]})
-		}
-	}
-	if len(lits) == 0 {
-		return true
-	}
-	// Evaluate polynomials; unresolved ITE conditions make the literal
-	// unusable (skipping it is conservative).
-	var evs []evaledLit
-	varSet := map[string]bool{}
-	for _, lit := range lits {
-		var l, r *poly
-		ok := true
-		switch x := lit.atom.(type) {
-		case *fol.IntEq:
-			l = g.evalPoly(x.L, assign, cc, &ok)
-			r = g.evalPoly(x.R, assign, cc, &ok)
-		case *fol.IntGt0:
-			l = g.evalPoly(x.T, assign, cc, &ok)
-		case *fol.IntLe1:
-			l = g.evalPoly(x.T, assign, cc, &ok)
-		}
-		if !ok {
-			continue
-		}
-		evs = append(evs, evaledLit{lit: lit, l: l, r: r})
-		for _, p := range []*poly{l, r} {
-			if p == nil {
-				continue
-			}
-			for _, m := range p.monos {
-				for _, v := range m {
-					varSet[v] = true
-				}
-			}
-		}
-	}
-	vars := make([]string, 0, len(varSet))
-	for v := range varSet {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	if len(vars) > 14 {
-		g.unknown = true
-		return true // too many variables to case-split; assume consistent
-	}
-	// Caps: variables whose poly is literally that single variable and that
-	// carry a positive IntLe1.
-	capped := map[string]bool{}
-	for _, ev := range evs {
-		if _, isLe := ev.lit.atom.(*fol.IntLe1); isLe && ev.lit.val == evalTrue {
-			if len(ev.l.monos) == 1 && len(ev.l.monos[0]) == 1 {
-				capped[ev.l.monos[0][0]] = true
-			}
-		}
-	}
-	// Enumerate zero / positive assignments.
-	n := len(vars)
-	for mask := 0; mask < (1 << n); mask++ {
-		if mask&1023 == 1023 && g.solver.expired() {
-			g.unknown = true
-			return true // give up on this split; treated like a timeout
-		}
-		positive := map[string]bool{}
-		for i, v := range vars {
-			if mask&(1<<i) != 0 {
-				positive[v] = true
-			}
-		}
-		if g.intAssignConsistent(evs, positive, capped) {
-			return true
-		}
-	}
-	return false
-}
-
-// countPos counts monomials whose variables are all positive.
-func countPos(p *poly, positive map[string]bool) int {
-	count := 0
-	for _, m := range p.monos {
-		all := true
-		for _, v := range m {
-			if !positive[v] {
-				all = false
-				break
-			}
-		}
-		if all {
-			count++
-		}
-	}
-	return count
-}
-
-// monoAllCapped reports whether every positive monomial consists solely of
-// capped (<=1) variables, bounding the polynomial by the monomial count.
-func polyCappedBy(p *poly, positive, capped map[string]bool) (int, bool) {
-	count := 0
-	for _, m := range p.monos {
-		all := true
-		for _, v := range m {
-			if !positive[v] {
-				all = false
-				break
-			}
-		}
-		if !all {
-			continue
-		}
-		count++
-		for _, v := range m {
-			if !capped[v] {
-				return count, false
-			}
-		}
-	}
-	return count, true
-}
-
-func monoKey(m []string) string {
-	if len(m) == 0 {
-		return "1" // the constant-1 monomial must not collide with "no monomials"
-	}
-	return strings.Join(m, "*")
-}
-
-func polyKey(p *poly) string {
-	strs := make([]string, len(p.monos))
-	for i, m := range p.monos {
-		strs[i] = monoKey(m)
-	}
-	sort.Strings(strs)
-	if len(strs) == 0 {
-		return "0"
-	}
-	return strings.Join(strs, "+")
-}
-
-// positivePolyKey canonicalizes a polynomial restricted to its positive
-// monomials under the current variable assignment.
-func positivePolyKey(p *poly, positive map[string]bool) string {
-	var strs []string
-	for _, m := range p.monos {
-		all := true
-		for _, v := range m {
-			if !positive[v] {
-				all = false
-				break
-			}
-		}
-		if all {
-			strs = append(strs, monoKey(m))
-		}
-	}
-	sort.Strings(strs)
-	if len(strs) == 0 {
-		return "0"
-	}
-	return strings.Join(strs, "+")
-}
-
-// intLit is an assigned integer atom.
-type intLit struct {
-	atom fol.Formula
-	val  int
-}
-
-// evaledLit pairs an integer literal with its evaluated polynomial sides
-// (r is nil for Gt0/Le1).
-type evaledLit struct {
-	lit  intLit
-	l, r *poly
-}
-
-// intAssignConsistent checks all evaluated integer literals under one
-// zero/positive variable assignment. Conflicts reported here are genuine
-// (they hold for every concrete valuation compatible with the assignment).
-func (g *grounder) intAssignConsistent(evs []evaledLit, positive, capped map[string]bool) bool {
-	for _, ev := range evs {
-		switch ev.lit.atom.(type) {
-		case *fol.IntGt0:
-			count := countPos(ev.l, positive)
-			if ev.lit.val == evalTrue && count == 0 {
-				return false
-			}
-			if ev.lit.val == evalFalse && count > 0 {
-				return false // every positive monomial is >= 1
-			}
-		case *fol.IntLe1:
-			count, allCapped := polyCappedBy(ev.l, positive, capped)
-			if ev.lit.val == evalTrue && count >= 2 {
-				return false
-			}
-			if ev.lit.val == evalFalse {
-				if count == 0 {
-					return false
-				}
-				if count == 1 && allCapped {
-					return false // bounded by 1, cannot be >= 2
-				}
-			}
-		case *fol.IntEq:
-			lc := countPos(ev.l, positive)
-			rc := countPos(ev.r, positive)
-			lk := positivePolyKey(ev.l, positive)
-			rk := positivePolyKey(ev.r, positive)
-			if ev.lit.val == evalTrue {
-				if (lc == 0) != (rc == 0) {
-					return false
-				}
-				// Identical positive parts are always equal; different
-				// positive parts may still be equal for some valuation, so
-				// no conflict is derived there.
-			} else {
-				if lc == 0 && rc == 0 {
-					return false // 0 != 0 is false
-				}
-				if lk == rk {
-					return false // identical polynomials are always equal
-				}
-				// Distinct non-zero polynomials can differ unless both are
-				// capped singletons forced to the same value; conservatively
-				// allow.
-			}
-		}
-	}
-	return true
-}
-
-// evalPoly evaluates an integer term to a canonical polynomial; *ok is set
-// false when an ITE condition atom is unassigned.
-func (g *grounder) evalPoly(t fol.Term, assign []int, cc *ccState, ok *bool) *poly {
-	switch x := t.(type) {
-	case *fol.IntConst:
-		p := &poly{}
-		for i := 0; i < x.N; i++ {
-			p.monos = append(p.monos, []string{})
-		}
-		return p
-	case *fol.RelApp:
-		v := x.Rel.String() + "@" + g.keys[cc.find(g.termID(x.T))]
-		return &poly{monos: [][]string{{v}}}
-	case *fol.ITE:
-		cv := g.evalCond(x.Cond, assign, cc, ok)
-		if !*ok {
-			return &poly{}
-		}
-		if cv {
-			return g.evalPoly(x.Then, assign, cc, ok)
-		}
-		return g.evalPoly(x.Else, assign, cc, ok)
-	case *fol.MulT:
-		acc := &poly{monos: [][]string{{}}}
-		for _, f := range x.Fs {
-			fp := g.evalPoly(f, assign, cc, ok)
-			if !*ok {
-				return &poly{}
-			}
-			acc = mulPoly(acc, fp)
-		}
-		return acc
-	case *fol.AddT:
-		acc := &poly{}
-		for _, f := range x.Ts {
-			fp := g.evalPoly(f, assign, cc, ok)
-			if !*ok {
-				return &poly{}
-			}
-			acc.monos = append(acc.monos, fp.monos...)
-		}
-		return acc
-	}
-	panic(fmt.Sprintf("smt: evalPoly on %T", t))
-}
-
-func mulPoly(a, b *poly) *poly {
-	out := &poly{}
-	for _, ma := range a.monos {
-		for _, mb := range b.monos {
-			m := append(append([]string{}, ma...), mb...)
-			sort.Strings(m)
-			out.monos = append(out.monos, m)
-		}
-	}
-	return out
-}
-
-// evalCond evaluates an atom-level condition under the assignment.
-func (g *grounder) evalCond(f fol.Formula, assign []int, cc *ccState, ok *bool) bool {
-	switch x := f.(type) {
-	case *fol.TrueF:
-		return true
-	case *fol.FalseF:
-		return false
-	case *fol.And:
-		for _, h := range x.Fs {
-			if !g.evalCond(h, assign, cc, ok) {
-				return false
-			}
-		}
-		return true
-	case *fol.Or:
-		for _, h := range x.Fs {
-			if g.evalCond(h, assign, cc, ok) {
-				return true
-			}
-		}
-		return false
-	case *fol.Not:
-		return !g.evalCond(x.F, assign, cc, ok)
-	case *fol.TupleEq:
-		// Equalities decided by CC when derivable, else by the atom value.
-		if cc.find(g.termID(x.L)) == cc.find(g.termID(x.R)) {
-			return true
-		}
-		id, known := g.atomIdx[f]
-		if known && assign[id] != evalOpen {
-			return assign[id] == evalTrue
-		}
-		if known && g.needAtom < 0 {
-			g.needAtom = id
-		}
-		*ok = false
-		return false
-	default:
-		id, known := g.atomIdx[f]
-		if known && assign[id] != evalOpen {
-			return assign[id] == evalTrue
-		}
-		if known && g.needAtom < 0 {
-			g.needAtom = id
-		}
-		*ok = false
-		return false
-	}
+	return !g.cc.conflict(g.assign)
 }

@@ -1,10 +1,12 @@
 package smt
 
 import (
+	"context"
 	"testing"
 
 	"wetune/internal/constraint"
 	"wetune/internal/fol"
+	"wetune/internal/obs"
 	"wetune/internal/template"
 	"wetune/internal/uexpr"
 )
@@ -201,9 +203,26 @@ func TestBudgetExhaustionReturnsUnknown(t *testing.T) {
 			&fol.PredApp{Pred: psym(i + 100), T: v(i + 100)},
 		))
 	}
-	res, _ := Solve(fol.MkAnd(fs...), Options{MaxNodes: 2, InstRounds: 1, MaxTermDepth: 2})
+	reg := obs.NewRegistry()
+	res, st := Solve(fol.MkAnd(fs...), Options{MaxNodes: 2, InstRounds: 1, MaxTermDepth: 2, Metrics: reg})
 	if res == Unsat {
 		t.Fatal("budget exhaustion must not report unsat")
+	}
+	if st.TimedOut || reg.Counter(metricUnknownBudget).Value() != 1 || reg.Counter(metricUnknownDeadline).Value() != 0 {
+		t.Errorf("budget-caused unknown: TimedOut=%v budget=%d deadline=%d", st.TimedOut,
+			reg.Counter(metricUnknownBudget).Value(), reg.Counter(metricUnknownDeadline).Value())
+	}
+
+	// The same search stopped by the clock says so.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, st = Solve(fol.MkAnd(fs...), Options{MaxNodes: 1 << 20, InstRounds: 1, MaxTermDepth: 2, Ctx: ctx, Metrics: reg})
+	if res != Unknown || !st.TimedOut || reg.Counter(metricUnknownDeadline).Value() != 1 {
+		t.Errorf("clock-caused unknown: %s TimedOut=%v deadline=%d", res, st.TimedOut,
+			reg.Counter(metricUnknownDeadline).Value())
+	}
+	if total := reg.Counter(metricOutcome + "unknown").Value(); total != 2 {
+		t.Errorf("smt_outcome_unknown = %d, want both causes counted", total)
 	}
 }
 

@@ -96,6 +96,11 @@ type Stats struct {
 	// backtracks per decision is thrashing in the theory solver.
 	Decisions  int
 	Backtracks int
+	// TimedOut reports that the clock — Options.Deadline or a cancelled
+	// Options.Ctx — stopped part of the search. Unlike the node budget, the
+	// clock depends on the machine and its load: an Unknown with TimedOut set
+	// may be a proof on a faster run.
+	TimedOut bool
 }
 
 // Metric names recorded by the solver (see internal/obs and DESIGN.md).
@@ -105,12 +110,18 @@ const (
 	metricBacktracks   = "smt_backtracks"
 	metricInstances    = "smt_instances"
 	metricOutcome      = "smt_outcome_" // + sat|unsat|unknown
+	// Every unknown is also counted by cause: _deadline when the clock cut
+	// the search (Stats.TimedOut), _budget when a structural bound did
+	// (MaxNodes, the atom, instance and case-split caps).
+	metricUnknownBudget   = metricOutcome + "unknown_budget"
+	metricUnknownDeadline = metricOutcome + "unknown_deadline"
 )
 
 // Solve decides satisfiability of a closed formula. Every call records its
 // duration, outcome and DPLL effort in the metrics registry; Unknown covers
 // both node-budget and wall-clock "timeouts" (the paper's dominant cost, so
-// the timeout counter is the first thing to check when a run stalls).
+// the timeout counters are the first thing to check when a run stalls), split
+// by cause in smt_outcome_unknown_budget / _deadline.
 func Solve(f fol.Formula, opts Options) (Result, Stats) {
 	return run(f, opts, false)
 }
@@ -143,6 +154,11 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	res, st := s.solve(nf)
 	reg.Histogram(metricProofSeconds).Observe(time.Since(s.start))
 	reg.Counter(metricOutcome + res.String()).Inc()
+	if res == Unknown && st.TimedOut {
+		reg.Counter(metricUnknownDeadline).Inc()
+	} else if res == Unknown {
+		reg.Counter(metricUnknownBudget).Inc()
+	}
 	reg.Counter(metricDecisions).Add(int64(st.Decisions))
 	reg.Counter(metricBacktracks).Add(int64(st.Backtracks))
 	reg.Counter(metricInstances).Add(int64(st.Instances))
@@ -175,11 +191,15 @@ type solver struct {
 	start      time.Time
 }
 
+// expired reports whether the clock has run out, and records that it was the
+// clock that stopped the search.
 func (s *solver) expired() bool {
-	if s.opts.Ctx != nil && s.opts.Ctx.Err() != nil {
+	if (s.opts.Ctx != nil && s.opts.Ctx.Err() != nil) ||
+		(s.opts.Deadline > 0 && time.Since(s.start) > s.opts.Deadline) {
+		s.stats.TimedOut = true
 		return true
 	}
-	return s.opts.Deadline > 0 && time.Since(s.start) > s.opts.Deadline
+	return false
 }
 
 func (s *solver) freshSkolem() uexpr.Tuple {

@@ -318,3 +318,26 @@ func (n *Node) Substitute(m map[Sym]Sym) *Node {
 	}
 	return &cp
 }
+
+// RenameApart offsets dest's symbol IDs above src's so that the pair shares
+// no symbols; constraints tie them back together.
+func RenameApart(src, dest *Node) *Node {
+	max := map[SymKind]int{}
+	for _, s := range src.Symbols() {
+		k := s.Kind
+		if k == KAttrsOf {
+			k = KRel
+		}
+		if s.ID >= max[k] {
+			max[k] = s.ID + 1
+		}
+	}
+	m := map[Sym]Sym{}
+	for _, s := range dest.Symbols() {
+		if s.Kind == KAttrsOf {
+			continue
+		}
+		m[s] = Sym{Kind: s.Kind, ID: s.ID + max[s.Kind]}
+	}
+	return dest.Substitute(m)
+}

@@ -216,32 +216,18 @@ func buildEnv(cl *constraint.Set, reps map[template.Sym]template.Sym) *uexpr.Env
 // baked into the templates by substitution) with symbols mapped to
 // representatives, deduplicated.
 func residualConstraints(cl *constraint.Set, reps map[template.Sym]template.Sym) *constraint.Set {
-	out := constraint.NewSet()
+	var out []constraint.C
 	for _, c := range cl.Items() {
 		switch c.Kind {
 		case constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq:
 			continue
 		}
-		n := 2
-		if c.Kind == constraint.RefAttrs {
-			n = 4
-		}
-		syms := make([]template.Sym, n)
-		for i := 0; i < n; i++ {
-			syms[i] = applyRep(reps, c.Syms[i])
-		}
 		// AttrsOf symbols cannot appear in the FOL encoding of Unique /
 		// NotNull / RefAttrs positions meaningfully; they do occur in
 		// SubAttrs second positions and translate fine.
-		out2 := constraint.New(c.Kind, syms...)
-		_ = out2
-		out = addTo(out, constraint.New(c.Kind, syms...))
+		out = append(out, c.Rename(reps))
 	}
-	return out
-}
-
-func addTo(s *constraint.Set, c constraint.C) *constraint.Set {
-	return s.Union(constraint.NewSet(c))
+	return constraint.NewSet(out...)
 }
 
 // String renders a rule for diagnostics.
