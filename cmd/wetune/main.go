@@ -35,7 +35,7 @@
 //	                                            tree, and the per-rule why-not funnel; the
 //	                                            applied chain and costs match wetune rewrite
 //	wetune serve [-addr :8080] [-workers N] [-queue N] [-timeout 10s]
-//	             [-max-body N] [-result-cache N] [-plan-cache N] [-cache-shards N]
+//	             [-max-body N] [-result-cache N] [-plan-cache N]
 //	                                            run the rewrite-as-a-service daemon over the
 //	                                            demo schema plus every workload app schema:
 //	                                            POST /v1/rewrite, POST /v1/explain,
@@ -89,11 +89,10 @@
 //	                                            calls, cache hit rate); -json appends the
 //	                                            entry to -out (default BENCH_discover.json)
 //	wetune bench rewrite [-json] [-name NAME]   run the fixed rewrite workload (app corpus +
-//	        [-out FILE] [-engine E]             Calcite suite) and measure it (ns/query,
+//	        [-out FILE]                         Calcite suite) and measure it (ns/query,
 //	                                            allocs/query, rule attempts, index pruning,
-//	                                            memo hits); -engine greedy measures the
-//	                                            retained pre-index loop; -json appends the
-//	                                            entry to -out (default BENCH_rewrite.json)
+//	                                            memo hits); -json appends the entry to -out
+//	                                            (default BENCH_rewrite.json)
 //
 // Exit codes are uniform across subcommands and distinguish failure from
 // success-with-truncation:
@@ -484,7 +483,7 @@ func cmdExplain(args []string) int {
 		return exitUsage
 	}
 	opt := wetune.NewOptimizer(wetune.BuiltinRules(), demoSchema())
-	res, err := opt.ExplainSQL(*query)
+	res, err := opt.ExplainSQL(context.Background(), *query)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return exitError
@@ -683,25 +682,19 @@ func cmdBenchDiscover(args []string) int {
 // cmdBenchRewrite measures the fixed rewrite workload (app corpus + Calcite
 // suite) once and prints the measurement as JSON. With -json the entry is
 // also appended to -out, so the before/after trajectory of an engine change
-// can be committed; -engine greedy measures the retained pre-index loop for
-// comparison.
+// can be committed.
 func cmdBenchRewrite(args []string) int {
 	fs := newFlagSet("bench rewrite")
 	appendOut := fs.Bool("json", false, "append the measurement to the -out trajectory file")
 	name := fs.String("name", "run", "label recorded with the measurement")
 	out := fs.String("out", "BENCH_rewrite.json", "trajectory file used by -json")
-	engine := fs.String("engine", "search", "rewrite engine: search (indexed best-first) or greedy (retained baseline)")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {
 		return exitUsage
 	}
 	defer of.start()()
 
-	entry, err := bench.RunRewrite(*name, *engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench rewrite:", err)
-		return exitError
-	}
+	entry := bench.RunRewrite(*name)
 	if *appendOut {
 		if _, err := bench.AppendRewriteJSON(*out, entry); err != nil {
 			fmt.Fprintln(os.Stderr, "bench rewrite:", err)

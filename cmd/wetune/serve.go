@@ -36,7 +36,6 @@ func cmdServe(args []string) int {
 	maxBody := fs.Int64("max-body", 1<<20, "request body limit in bytes (413 beyond)")
 	resultCache := fs.Int("result-cache", 0, "per-app query→result LRU size (0 = default, negative disables)")
 	planCache := fs.Int("plan-cache", 0, "per-app normalized-SQL→plan LRU size, the second cache tier (0 = default, negative disables)")
-	cacheShards := fs.Int("cache-shards", 0, "shard count for both cache tiers (0 = scaled to GOMAXPROCS; rounded up to a power of two)")
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
 	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full → reduced → greedy → cache-only, reported per response in X-WeTune-Service-Level) and per-app circuit breakers")
 	degradeSample := fs.Duration("degrade-sample", 0, "degradation controller sampling period (0 = the 100ms default)")
@@ -56,7 +55,6 @@ func cmdServe(args []string) int {
 		MaxBodyBytes:    *maxBody,
 		ResultCacheSize: *resultCache,
 		PlanCacheSize:   *planCache,
-		CacheShards:     *cacheShards,
 		Degradation: server.DegradationConfig{
 			Disabled:    !*degrade,
 			SampleEvery: *degradeSample,

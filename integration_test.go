@@ -37,7 +37,7 @@ func TestIntegrationRewritesPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", app.Name, q.Tag, err)
 			}
-			out, applied := rw.Explore(p, 8, 5)
+			out, applied, _ := rw.Search(p, rewrite.ExploreOptions(8, 5))
 			checked++
 			if len(applied) == 0 {
 				continue

@@ -151,7 +151,8 @@ func Rules(perApp int) *Report {
 			continue
 		}
 		rw := rewriters[it.App]
-		_, applied, _, prov := rw.SearchProvenance(p, rewrite.Options{})
+		prov := new(rewrite.Provenance)
+		_, applied, _ := rw.Search(p, rewrite.Options{Provenance: prov})
 		rep.Queries++
 		if len(applied) > 0 {
 			rep.Rewritten++

@@ -1,11 +1,12 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"wetune/internal/datagen"
 	"wetune/internal/engine"
-	"wetune/internal/enum"
+	"wetune/internal/pipeline"
 	"wetune/internal/plan"
 	"wetune/internal/rewrite"
 	"wetune/internal/rules"
@@ -21,12 +22,13 @@ func AblationConstraintPruning() *Report {
 	templates := template.Enumerate(template.EnumOptions{MaxSize: 2})
 	run := func(disable bool) (int64, int64, time.Duration) {
 		start := time.Now()
-		res := enum.Search(enum.Options{
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		defer cancel()
+		res := pipeline.Run(ctx, pipeline.Options{
 			Templates:      templates,
-			Prover:         enum.AlgebraicProver,
+			PairProver:     pipeline.AlgebraicPairProver,
 			DisablePruning: disable,
 			Workers:        2,
-			Deadline:       20 * time.Second,
 		})
 		return res.Stats.ProverCalls, res.Stats.RulesFound, time.Since(start)
 	}
@@ -96,8 +98,8 @@ func AblationRewriteSearch() *Report {
 		if err != nil {
 			continue
 		}
-		o1, a1 := sizeOnly.Rewrite(p)
-		o2, a2 := costGuided.Rewrite(p)
+		o1, a1, _ := sizeOnly.Search(p, rewrite.Options{})
+		o2, a2, _ := costGuided.Search(p, rewrite.Options{})
 		sizeCost += db.EstimateCost(o1)
 		guidedCost += db.EstimateCost(o2)
 		applied1 += len(a1)

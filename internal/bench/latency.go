@@ -67,11 +67,11 @@ func WorkloadsLatency(scale, queriesPerApp int, reps int) *Report {
 				continue
 			}
 			base := rewrite.EliminateOrderBy(p)
-			wOut, wApplied := wetune.Rewrite(p)
+			wOut, wApplied, _ := wetune.Search(p, rewrite.Options{})
 			if len(wApplied) == 0 || plan.Fingerprint(wOut) == plan.Fingerprint(base) {
 				continue
 			}
-			mOut, _ := mssql.Rewrite(p)
+			mOut, _, _ := mssql.Search(p, rewrite.Options{})
 			if plan.Size(mOut) <= plan.Size(wOut) {
 				continue // baseline reaches it too: not a missed rewrite
 			}
@@ -204,7 +204,7 @@ func CaseStudy(rows int) *Report {
 	rw.DB = db
 
 	start := time.Now()
-	out, applied := rw.Explore(p, 12, 6)
+	out, applied, _ := rw.Search(p, rewrite.ExploreOptions(12, 6))
 	rewriteTime := time.Since(start)
 
 	start = time.Now()

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"strings"
 
 	"wetune/internal/obs"
@@ -18,7 +19,7 @@ import (
 func DiscoveryMetrics(maxSize int) *Report {
 	r := NewReport("Discovery observability metrics")
 	reg := obs.NewRegistry()
-	res := pipeline.Run(nil, pipeline.Options{
+	res := pipeline.Run(context.Background(), pipeline.Options{
 		Templates: template.Enumerate(template.EnumOptions{MaxSize: maxSize}),
 		Prover:    pipeline.AlgebraicProver,
 		Cache:     pipeline.NewProofCache(),

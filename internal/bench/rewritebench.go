@@ -25,7 +25,7 @@ import (
 type RewriteBench struct {
 	Name   string `json:"name"`
 	Date   string `json:"date"`
-	Engine string `json:"engine"` // "search" (indexed best-first) or "greedy" (retained baseline)
+	Engine string `json:"engine"` // "search"; the pre-index-greedy history entry says "greedy"
 
 	Queries   int `json:"queries"`
 	Rewritten int `json:"rewritten"`
@@ -37,8 +37,8 @@ type RewriteBench struct {
 	AllocsPerQuery uint64 `json:"allocs_per_query"`
 	AllocBytes     uint64 `json:"alloc_bytes"`
 
-	// Search-engine effort counters (registry deltas; zero for greedy, which
-	// predates the index and the counters).
+	// Search effort counters (registry deltas; zero in the pre-index-greedy
+	// history entry, which predates the index and the counters).
 	RuleAttempts int64 `json:"rule_attempts"`
 	IndexPruned  int64 `json:"index_pruned"`
 	ShapePruned  int64 `json:"shape_pruned"`
@@ -47,13 +47,9 @@ type RewriteBench struct {
 	OutputSHA256 string `json:"output_sha256"`
 }
 
-// RunRewrite executes the fixed rewrite workload once with the given engine
-// ("search" or "greedy") and measures it. Allocation counts are process-wide
-// Mallocs deltas around the run.
-func RunRewrite(name, engine string) (RewriteBench, error) {
-	if engine != "search" && engine != "greedy" {
-		return RewriteBench{}, fmt.Errorf("unknown engine %q (want search or greedy)", engine)
-	}
+// RunRewrite executes the fixed rewrite workload once and measures it.
+// Allocation counts are process-wide Mallocs deltas around the run.
+func RunRewrite(name string) RewriteBench {
 	const perApp = 100
 	schemas, items := workload.RewriteCorpus(perApp)
 	rewriters := map[string]*rewrite.Rewriter{}
@@ -65,7 +61,7 @@ func RunRewrite(name, engine string) (RewriteBench, error) {
 	for i, it := range items {
 		p, err := plan.BuildSQL(it.SQL, schemas[it.App])
 		if err != nil {
-			continue // unplannable queries are skipped by every engine alike
+			continue // unplannable queries are skipped
 		}
 		plans[i] = p
 		queries++
@@ -87,14 +83,7 @@ func RunRewrite(name, engine string) (RewriteBench, error) {
 		if plans[i] == nil {
 			continue
 		}
-		rw := rewriters[it.App]
-		var out plan.Node
-		var applied []rewrite.Applied
-		if engine == "greedy" {
-			out, applied = rw.GreedyRewrite(plans[i])
-		} else {
-			out, applied = rw.Rewrite(plans[i])
-		}
+		out, applied, _ := rewriters[it.App].Search(plans[i], rewrite.Options{})
 		if len(applied) > 0 {
 			rewritten++
 		}
@@ -106,7 +95,7 @@ func RunRewrite(name, engine string) (RewriteBench, error) {
 	b := RewriteBench{
 		Name:         name,
 		Date:         time.Now().UTC().Format("2006-01-02"),
-		Engine:       engine,
+		Engine:       "search",
 		Queries:      queries,
 		Rewritten:    rewritten,
 		WallNS:       wall.Nanoseconds(),
@@ -122,7 +111,7 @@ func RunRewrite(name, engine string) (RewriteBench, error) {
 		b.NsPerQuery = b.WallNS / int64(queries)
 		b.AllocsPerQuery = b.Allocs / uint64(queries)
 	}
-	return b, nil
+	return b
 }
 
 // AppendRewriteJSON appends entry to the JSON array in path (created if

@@ -29,8 +29,8 @@ func Table1() *Report {
 			r.Printf("%s: plan error: %v", c.name, err)
 			continue
 		}
-		base, _ := existing.Explore(p, 12, 6)
-		ideal, applied := wetune.Explore(p, 12, 6)
+		base, _, _ := existing.Search(p, rewrite.ExploreOptions(12, 6))
+		ideal, applied, _ := wetune.Search(p, rewrite.ExploreOptions(12, 6))
 		r.Printf("%s original:  %s", c.name, c.q)
 		r.Printf("%s existing:  %s", c.name, plan.ToSQLString(base))
 		r.Printf("%s wetune:    %s  (rules %v)", c.name, plan.ToSQLString(ideal), ruleNos(applied))
@@ -88,7 +88,7 @@ func issueFixed(rs []rules.Rule, is workload.Issue) bool {
 		return false
 	}
 	rw := rewrite.NewRewriter(rs, is.Schema)
-	out, applied := rw.Explore(orig, 10, 6)
+	out, applied, _ := rw.Search(orig, rewrite.ExploreOptions(10, 6))
 	return len(applied) > 0 && plan.Size(out) <= plan.Size(desired)
 }
 
@@ -119,12 +119,12 @@ func AppRewrites(perApp int) *Report {
 				continue
 			}
 			base := rewrite.EliminateOrderBy(p)
-			wOut, wApplied := wetune.Rewrite(p)
+			wOut, wApplied, _ := wetune.Search(p, rewrite.Options{})
 			if len(wApplied) == 0 || plan.Fingerprint(wOut) == plan.Fingerprint(base) {
 				continue
 			}
 			wetuneRewrites++
-			mOut, mApplied := mssql.Rewrite(p)
+			mOut, mApplied, _ := mssql.Search(p, rewrite.Options{})
 			if len(mApplied) == 0 || plan.Fingerprint(mOut) == plan.Fingerprint(base) ||
 				plan.Size(mOut) > plan.Size(wOut) {
 				beyond++
@@ -157,12 +157,12 @@ func CalciteRewrites() *Report {
 				continue
 			}
 			base := rewrite.EliminateOrderBy(p)
-			wOut, wApplied := wetune.Rewrite(p)
+			wOut, wApplied, _ := wetune.Search(p, rewrite.Options{})
 			if len(wApplied) == 0 || plan.Fingerprint(wOut) == plan.Fingerprint(base) {
 				continue
 			}
 			rewritten++
-			mOut, mApplied := mssql.Rewrite(p)
+			mOut, mApplied, _ := mssql.Search(p, rewrite.Options{})
 			if len(mApplied) == 0 || plan.Size(mOut) > plan.Size(wOut) {
 				beyond++
 			}

@@ -1,10 +1,11 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"wetune/internal/constraint"
-	"wetune/internal/enum"
+	"wetune/internal/pipeline"
 	"wetune/internal/plan"
 	"wetune/internal/rules"
 	"wetune/internal/spes"
@@ -29,11 +30,7 @@ func RuleDiscovery(maxSize int) *Report {
 	r.Printf("paper: 3113 distinct templates at size <= 4 (with the authors' filters)")
 
 	start := time.Now()
-	res := enum.Search(enum.Options{
-		Templates: template.Enumerate(template.EnumOptions{MaxSize: maxSize}),
-		Prover:    enum.AlgebraicProver,
-		Deadline:  45 * time.Second,
-	})
+	res := discoverAlgebraic(maxSize)
 	elapsed := time.Since(start)
 	r.Printf("discovery at size <= %d: %d rules from %d pairs (%d skipped), %d prover calls, %.2fs",
 		maxSize, len(res.Rules), res.Stats.PairsTried, res.Stats.PairsSkipped,
@@ -45,6 +42,17 @@ func RuleDiscovery(maxSize int) *Report {
 	r.Metric("rules_found", float64(len(res.Rules)))
 	r.Metric("prover_calls", float64(res.Stats.ProverCalls))
 	return r
+}
+
+// discoverAlgebraic runs the discovery pipeline over every template of at most
+// maxSize operators with the algebraic prover, bounded to 45 s of wall clock.
+func discoverAlgebraic(maxSize int) *pipeline.Result {
+	ctx, cancel := context.WithTimeout(context.Background(), 45*time.Second)
+	defer cancel()
+	return pipeline.Run(ctx, pipeline.Options{
+		Templates:  template.Enumerate(template.EnumOptions{MaxSize: maxSize}),
+		PairProver: pipeline.AlgebraicPairProver,
+	})
 }
 
 // Table7Verification reproduces Table 7's Verifier column: which of the 35
@@ -122,11 +130,7 @@ func VerifierComparison(discoverySize int) *Report {
 	r.Metric("both_pairs", float64(both))
 
 	// SPES over rules the built-in verifier discovered.
-	res := enum.Search(enum.Options{
-		Templates: template.Enumerate(template.EnumOptions{MaxSize: discoverySize}),
-		Prover:    enum.AlgebraicProver,
-		Deadline:  45 * time.Second,
-	})
+	res := discoverAlgebraic(discoverySize)
 	spesProved, icFail, tableFail, otherFail := 0, 0, 0, 0
 	for _, rule := range res.Rules {
 		ok, reason := spes.VerifyRule(rule.Src, rule.Dest, rule.Constraints)

@@ -158,7 +158,7 @@ func runIteration(seed int64, iter int, ruleSet []rules.Rule, rows int) ([]*Mism
 	// compose rules in ways no single-step candidate exercises, and the
 	// search's own machinery (memo, frontier ranking, index pruning) must not
 	// change results either.
-	final, applied := rw.Rewrite(src)
+	final, applied, _ := rw.Search(src, rewrite.Options{})
 	if len(applied) > 0 {
 		got, err := db.Execute(final, nil)
 		last := ruleByNo(ruleSet, applied[len(applied)-1].RuleNo)

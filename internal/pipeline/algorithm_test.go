@@ -1,6 +1,7 @@
-package enum
+package pipeline
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,14 +10,13 @@ import (
 	"wetune/internal/template"
 )
 
-func r(id int) template.Sym { return template.Sym{Kind: template.KRel, ID: id} }
-func a(id int) template.Sym { return template.Sym{Kind: template.KAttrs, ID: id} }
-func p(id int) template.Sym { return template.Sym{Kind: template.KPred, ID: id} }
+// Algorithm 1 (§4.3) on Run/RunPair: what the relaxation search finds, not
+// how the pipeline schedules it (pipeline_test.go covers that).
 
-func TestSearchPairFindsFigure2Rule(t *testing.T) {
-	src := template.InSub(a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))), template.Input(r(2)))
-	dest := template.InSub(a(2), template.Input(r(3)), template.Input(r(4)))
-	rules := SearchPair(src, dest, Options{Prover: AlgebraicProver, MaxProverCallsPerPair: 2000, MaxConstraints: 60})
+func TestRunPairFindsFigure2Rule(t *testing.T) {
+	src := template.InSub(asym(0), template.InSub(asym(1), template.Input(rsym(0)), template.Input(rsym(1))), template.Input(rsym(2)))
+	dest := template.InSub(asym(2), template.Input(rsym(3)), template.Input(rsym(4)))
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 2000, MaxConstraints: 60})
 	if len(rules) == 0 {
 		t.Fatal("no rules found for the Figure 2 pair")
 	}
@@ -25,9 +25,9 @@ func TestSearchPairFindsFigure2Rule(t *testing.T) {
 	found := false
 	for _, rule := range rules {
 		cl := constraint.Closure(rule.Constraints)
-		if cl.Has(constraint.New(constraint.RelEq, r(1), r(2))) &&
-			cl.Has(constraint.New(constraint.RelEq, r(0), r(3))) &&
-			cl.Has(constraint.New(constraint.AttrsEq, a(0), a(1))) {
+		if cl.Has(constraint.New(constraint.RelEq, rsym(1), rsym(2))) &&
+			cl.Has(constraint.New(constraint.RelEq, rsym(0), rsym(3))) &&
+			cl.Has(constraint.New(constraint.AttrsEq, asym(0), asym(1))) {
 			found = true
 		}
 	}
@@ -39,12 +39,12 @@ func TestSearchPairFindsFigure2Rule(t *testing.T) {
 	}
 }
 
-func TestSearchPairMostRelaxed(t *testing.T) {
+func TestRunPairMostRelaxed(t *testing.T) {
 	// Sel(Sel(r)) -> Sel(r'): the most relaxed set must not force
 	// constraints beyond symbol identification.
-	src := template.Sel(p(0), a(0), template.Sel(p(1), a(1), template.Input(r(0))))
-	dest := template.Sel(p(2), a(2), template.Input(r(1)))
-	rules := SearchPair(src, dest, Options{Prover: AlgebraicProver, MaxProverCallsPerPair: 3000, MaxConstraints: 60})
+	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
+	dest := template.Sel(psym(2), asym(2), template.Input(rsym(1)))
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 3000, MaxConstraints: 60})
 	if len(rules) == 0 {
 		t.Fatal("no rules for idempotent selection pair")
 	}
@@ -60,22 +60,21 @@ func TestSearchPairMostRelaxed(t *testing.T) {
 	}
 }
 
-func TestSearchPairRejectsUnprovablePair(t *testing.T) {
+func TestRunPairRejectsUnprovablePair(t *testing.T) {
 	// Proj(r) vs Dedup(r): never equivalent under any constraint set we
 	// enumerate (Dedup changes multiplicities; Proj does not dedup).
-	src := template.Proj(a(0), template.Input(r(0)))
-	dest := template.Dedup(template.Input(r(1)))
-	rules := SearchPair(src, dest, Options{Prover: AlgebraicProver, MaxProverCallsPerPair: 500})
+	src := template.Proj(asym(0), template.Input(rsym(0)))
+	dest := template.Dedup(template.Input(rsym(1)))
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 500})
 	if len(rules) != 0 {
 		t.Fatalf("found %d bogus rules", len(rules))
 	}
 }
 
-func TestSearchSmallSweep(t *testing.T) {
-	templates := template.Enumerate(template.EnumOptions{MaxSize: 1})
-	res := Search(Options{
-		Templates:             templates,
-		Prover:                AlgebraicProver,
+func TestRunSmallSweep(t *testing.T) {
+	res := Run(context.Background(), Options{
+		Templates:             size1Templates(),
+		PairProver:            AlgebraicPairProver,
 		MaxProverCallsPerPair: 200,
 		Workers:               2,
 	})
@@ -90,34 +89,20 @@ func TestSearchSmallSweep(t *testing.T) {
 		if !rule.Dest.NotMoreOpsThan(rule.Src) {
 			t.Errorf("rule violates simplicity: %s => %s", rule.Src, rule.Dest)
 		}
-		if !AlgebraicProver(rule.Src, rule.Dest, rule.Constraints) {
+		if !AlgebraicProver(context.Background(), rule.Src, rule.Dest, rule.Constraints) {
 			t.Errorf("reported rule does not verify: %s => %s under %s",
 				rule.Src, rule.Dest, rule.Constraints)
 		}
 	}
 }
 
-func TestSearchDeterministic(t *testing.T) {
-	templates := template.Enumerate(template.EnumOptions{MaxSize: 1})
-	r1 := Search(Options{Templates: templates, Prover: AlgebraicProver, Workers: 4})
-	r2 := Search(Options{Templates: templates, Prover: AlgebraicProver, Workers: 1})
-	if len(r1.Rules) != len(r2.Rules) {
-		t.Fatalf("rule counts differ across worker counts: %d vs %d", len(r1.Rules), len(r2.Rules))
-	}
-	for i := range r1.Rules {
-		if r1.Rules[i].Constraints.Key() != r2.Rules[i].Constraints.Key() {
-			t.Fatalf("rule %d differs", i)
-		}
-	}
-}
-
 func TestPruningReducesProverCalls(t *testing.T) {
-	src := template.Sel(p(0), a(0), template.Sel(p(1), a(1), template.Input(r(0))))
-	dest := template.Sel(p(2), a(2), template.Input(r(1)))
-
-	var withPruning, withoutPruning Stats
-	searchPair(src, dest, Options{Prover: AlgebraicProver, MaxProverCallsPerPair: 5000, MaxConstraints: 90, DeletionOrders: 3}, &withPruning)
-	searchPair(src, dest, Options{Prover: AlgebraicProver, MaxProverCallsPerPair: 5000, MaxConstraints: 90, DeletionOrders: 3, DisablePruning: true}, &withoutPruning)
+	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
+	dest := template.Sel(psym(2), asym(2), template.Input(rsym(1)))
+	opts := Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 5000, MaxConstraints: 90, DeletionOrders: 3}
+	_, withPruning := RunPair(context.Background(), src, dest, opts)
+	opts.DisablePruning = true
+	_, withoutPruning := RunPair(context.Background(), src, dest, opts)
 	if withPruning.ProverCalls >= withoutPruning.ProverCalls {
 		t.Fatalf("pruning should reduce prover calls: %d vs %d",
 			withPruning.ProverCalls, withoutPruning.ProverCalls)
@@ -126,32 +111,33 @@ func TestPruningReducesProverCalls(t *testing.T) {
 }
 
 func TestDestCovered(t *testing.T) {
-	src := template.Proj(a(0), template.Input(r(0)))
-	dest := template.Proj(a(1), template.Input(r(1)))
+	src := template.Proj(asym(0), template.Input(rsym(0)))
+	dest := template.Proj(asym(1), template.Input(rsym(1)))
 	// Fully tied: covered.
 	cs := constraint.NewSet(
-		constraint.New(constraint.RelEq, r(0), r(1)),
-		constraint.New(constraint.AttrsEq, a(0), a(1)),
+		constraint.New(constraint.RelEq, rsym(0), rsym(1)),
+		constraint.New(constraint.AttrsEq, asym(0), asym(1)),
 	)
-	if !destCovered(src, dest, cs) {
+	if !DestCovered(src, dest, cs) {
 		t.Error("fully tied destination reported uncovered")
 	}
 	// Missing the attrs tie: uncovered.
-	cs2 := constraint.NewSet(constraint.New(constraint.RelEq, r(0), r(1)))
-	if destCovered(src, dest, cs2) {
+	cs2 := constraint.NewSet(constraint.New(constraint.RelEq, rsym(0), rsym(1)))
+	if DestCovered(src, dest, cs2) {
 		t.Error("untied attrs symbol reported covered")
 	}
 }
 
-// TestSearchRediscoversTable7Rules checks the paper's central claim at small
+// TestRunRediscoversTable7Rules checks the paper's central claim at small
 // scale: the automatic search re-finds known useful rules. Rule 2
 // (Dedup(Proj(r)) = Proj(r) under Unique) and rule 3 (idempotent selection)
 // are size <= 2 shapes the sweep must surface.
-func TestSearchRediscoversTable7Rules(t *testing.T) {
-	res := Search(Options{
-		Templates: template.Enumerate(template.EnumOptions{MaxSize: 2}),
-		Prover:    AlgebraicProver,
-		Deadline:  60 * time.Second,
+func TestRunRediscoversTable7Rules(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	res := Run(ctx, Options{
+		Templates:  template.Enumerate(template.EnumOptions{MaxSize: 2}),
+		PairProver: AlgebraicPairProver,
 	})
 	foundRule2, foundRule3 := false, false
 	for _, rule := range res.Rules {

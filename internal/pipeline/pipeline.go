@@ -11,8 +11,8 @@
 // that enumeration, rule reduction and repeated runs reuse verdicts instead
 // of re-invoking the U-expression/FOL/SMT chain.
 //
-// internal/enum's Search/SearchPair, wetune.Discover and the CLI are thin
-// adapters over Run. Determinism contract: with the same options and an
+// wetune.Discover, the CLI and the evaluation harness all call Run.
+// Determinism contract: with the same options and an
 // uncancelled context, the discovered rule set is identical across runs,
 // worker counts, and cache temperatures (a warm cache lowers prover calls but
 // never alters the search trajectory).
@@ -78,14 +78,6 @@ func AlgebraicProver(ctx context.Context, src, dest *template.Node, cs *constrai
 	opts.Context = ctx
 	opts.SkipSMT = true
 	return verify.VerifyOpts(src, dest, cs, opts).Outcome == verify.Verified
-}
-
-// LegacyProver adapts a context-unaware prover. Such provers are still
-// cancelled between calls, just not mid-proof.
-func LegacyProver(p func(src, dest *template.Node, cs *constraint.Set) bool) Prover {
-	return func(_ context.Context, src, dest *template.Node, cs *constraint.Set) bool {
-		return p(src, dest, cs)
-	}
 }
 
 // PairProverFactory builds a prover specialized to one template pair. The
@@ -426,7 +418,7 @@ func Run(ctx context.Context, opts Options) *Result {
 
 // RunPair runs the constraint relaxation stage for a single, pre-renamed
 // template pair (the destination's symbols must be distinct from the
-// source's). Used by enum.SearchPair and targeted tests.
+// source's). Used by targeted tests and per-pair tracing.
 func RunPair(ctx context.Context, src, dest *template.Node, opts Options) ([]Rule, Stats) {
 	opts.fill()
 	if ctx == nil {

@@ -125,19 +125,27 @@ func TestWarmCacheSameRulesFewerProverCalls(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkersAndCaches: worker count and cache temperature
-// must not change the discovered rule set.
+// must not change the discovered rule set, with the per-call prover and with
+// the per-pair prover production runs use.
 func TestDeterministicAcrossWorkersAndCaches(t *testing.T) {
 	templates := size1Templates()
-	base := Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Workers: 1})
-	for _, workers := range []int{2, 8} {
-		got := Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Workers: workers})
-		bk, gk := ruleKeys(base.Rules), ruleKeys(got.Rules)
-		if len(bk) != len(gk) {
-			t.Fatalf("workers=%d: rule counts differ: %d vs %d", workers, len(bk), len(gk))
-		}
-		for i := range bk {
-			if bk[i] != gk[i] {
-				t.Fatalf("workers=%d: rule %d differs", workers, i)
+	for name, opts := range map[string]Options{
+		"Prover":     {Templates: templates, Prover: AlgebraicProver},
+		"PairProver": {Templates: templates, PairProver: AlgebraicPairProver},
+	} {
+		opts.Workers = 1
+		base := Run(context.Background(), opts)
+		for _, workers := range []int{2, 4, 8} {
+			opts.Workers = workers
+			got := Run(context.Background(), opts)
+			bk, gk := ruleKeys(base.Rules), ruleKeys(got.Rules)
+			if len(bk) != len(gk) {
+				t.Fatalf("%s workers=%d: rule counts differ: %d vs %d", name, workers, len(bk), len(gk))
+			}
+			for i := range bk {
+				if bk[i] != gk[i] {
+					t.Fatalf("%s workers=%d: rule %d differs", name, workers, i)
+				}
 			}
 		}
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"wetune/internal/plan"
-	"wetune/internal/rules"
 	"wetune/internal/sql"
 	"wetune/internal/template"
 )
@@ -15,17 +14,10 @@ type Matcher struct {
 	Schema *sql.Schema
 }
 
-// Apply tries to apply the rule at the root of fragment n. It returns the
-// replacement fragment, or ok=false when the rule does not match there.
-// Callers on a hot path should compile the rule once and use ApplyCompiled;
-// Apply compiles per invocation.
-func (m *Matcher) Apply(rule rules.Rule, n plan.Node) (plan.Node, bool) {
-	return m.ApplyCompiled(CompileRule(rule), n)
-}
-
-// ApplyCompiled tries to apply a pre-compiled rule at the root of fragment n.
-// The compiled form carries the constraint closure resolved once at compile
-// time, so matching allocates only the per-attempt bindings.
+// ApplyCompiled tries to apply a pre-compiled rule at the root of fragment n,
+// returning the replacement fragment, or ok=false when the rule does not
+// match there. The compiled form carries the constraint closure resolved once
+// at compile time, so matching allocates only the per-attempt bindings.
 func (m *Matcher) ApplyCompiled(cr *CompiledRule, n plan.Node) (plan.Node, bool) {
 	b := newBinding()
 	if !m.match(cr.Rule.Src, n, b) {

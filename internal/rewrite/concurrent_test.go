@@ -25,7 +25,7 @@ func TestConcurrentRewrites(t *testing.T) {
 	want := make([]string, len(queries))
 	for i, q := range queries {
 		plans[i] = mustPlan(t, q, schema)
-		out, _ := rw.Rewrite(plans[i])
+		out, _, _ := rw.Search(plans[i], Options{})
 		want[i] = plan.ToSQLString(out)
 	}
 
@@ -39,7 +39,7 @@ func TestConcurrentRewrites(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				i := (g + it) % len(plans)
-				out, _ := rw.Rewrite(plans[i])
+				out, _, _ := rw.Search(plans[i], Options{})
 				if got := plan.ToSQLString(out); got != want[i] {
 					select {
 					case errs <- errMismatch(queries[i], want[i], got):
@@ -64,9 +64,9 @@ func TestConcurrentRewrites(t *testing.T) {
 func TestConcurrentLazyIndexBuild(t *testing.T) {
 	schema := gitlabSchema()
 	base := newRW(t)
-	rw := &Rewriter{Rules: base.Rules, Schema: schema, MaxSteps: 10}
+	rw := &Rewriter{Rules: base.Rules, Schema: schema}
 	p := mustPlan(t, q0, schema)
-	want, _ := base.Rewrite(p)
+	want, _, _ := base.Search(p, Options{})
 	wantSQL := plan.ToSQLString(want)
 
 	var wg sync.WaitGroup
@@ -75,7 +75,7 @@ func TestConcurrentLazyIndexBuild(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, _ := rw.Rewrite(p)
+			out, _, _ := rw.Search(p, Options{})
 			if got := plan.ToSQLString(out); got != wantSQL {
 				select {
 				case errs <- errMismatch(q0, wantSQL, got):

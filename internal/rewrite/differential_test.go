@@ -77,7 +77,7 @@ func TestSearchEquivalentToGreedyOnWorkloads(t *testing.T) {
 		planned++
 		rw := rwFor(it.schema)
 		gOut, _ := rw.GreedyRewrite(p)
-		sOut, _ := rw.Rewrite(p)
+		sOut, _, _ := rw.Search(p, rewrite.Options{})
 		gSQL, sSQL := plan.ToSQLString(gOut), plan.ToSQLString(sOut)
 		if gSQL == sSQL {
 			identical++

@@ -7,10 +7,9 @@ import (
 // This file retains the pre-index greedy rewriting loop exactly as it was
 // before the indexed search engine replaced it: every rule is attempted at
 // every plan position each step, one strictly-improving rewrite path is
-// followed, and the loop stops silently at MaxSteps. It exists as the
-// reference for differential tests (the new engine must produce identical or
-// strictly cheaper plans) and as the baseline engine for
-// `wetune bench rewrite`.
+// followed, and the loop stops silently after ten steps. It is test-only: the
+// reference for the differential tests (Search must produce identical or
+// strictly cheaper plans).
 
 // GreedyRewrite greedily rewrites p with the retained pre-index loop,
 // returning the final plan and the applied rule sequence. ORDER BY
@@ -18,10 +17,7 @@ import (
 func (rw *Rewriter) GreedyRewrite(p plan.Node) (plan.Node, []Applied) {
 	cur := EliminateOrderBy(p)
 	var applied []Applied
-	steps := rw.MaxSteps
-	if steps <= 0 {
-		steps = 10
-	}
+	const steps = 10
 	seen := map[string]bool{plan.Fingerprint(cur): true}
 	for step := 0; step < steps; step++ {
 		best := rw.pickBest(cur, rw.greedyCandidates(cur), seen)
@@ -44,7 +40,7 @@ func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 	for _, rule := range rw.Rules {
 		for _, path := range nodePaths(p) {
 			frag := nodeAt(p, path)
-			repl, ok := m.Apply(rule, frag)
+			repl, ok := m.ApplyCompiled(CompileRule(rule), frag)
 			if !ok {
 				continue
 			}
@@ -88,4 +84,19 @@ func (rw *Rewriter) pickBest(cur plan.Node, cands []Candidate, seen map[string]b
 		}
 	}
 	return best
+}
+
+// nodePaths lists every root-to-node child-index path of p in pre-order (the
+// order searchCtx.nodePathsInto reproduces from pooled storage).
+func nodePaths(p plan.Node) [][]int {
+	var out [][]int
+	var rec func(n plan.Node, path []int)
+	rec = func(n plan.Node, path []int) {
+		out = append(out, append([]int{}, path...))
+		for i, c := range n.Children() {
+			rec(c, append(path, i))
+		}
+	}
+	rec(p, nil)
+	return out
 }

@@ -10,9 +10,9 @@ import (
 // state, every candidate with the reason it did or did not survive, the
 // chosen step chain with per-step costs, and a per-rule why-not accounting.
 // It answers "why was this query rewritten this way" and "why did rule N
-// never apply" without re-running the search. Recording is opt-in
-// (SearchProvenance); the always-on flight recorder captures the cheap
-// aggregate trail instead.
+// never apply" without re-running the search. Recording is opt-in: point
+// Options.Provenance at a zero Provenance and Search fills it; the always-on
+// flight recorder captures the cheap aggregate trail instead.
 type Provenance struct {
 	InitialSize int     `json:"initial_size"`
 	InitialCost float64 `json:"initial_cost"`
@@ -112,13 +112,13 @@ type RuleWhyNot struct {
 	Fired       int    `json:"fired"`
 }
 
-// newProvenance seeds the why-not table with every rule in the index.
-func newProvenance(idx *RuleIndex) *Provenance {
-	p := &Provenance{whyNot: map[int]*RuleWhyNot{}}
+// reset clears any earlier search's record and seeds the why-not table with
+// every rule in the index.
+func (p *Provenance) reset(idx *RuleIndex) {
+	*p = Provenance{whyNot: map[int]*RuleWhyNot{}}
 	for _, cr := range idx.Rules() {
 		p.whyNot[cr.Rule.No] = &RuleWhyNot{RuleNo: cr.Rule.No, RuleName: cr.Rule.Name}
 	}
-	return p
 }
 
 func (p *Provenance) rule(no int) *RuleWhyNot {

@@ -24,7 +24,8 @@ func TestProvenanceMatchesSearch(t *testing.T) {
 	for _, q := range queries {
 		p := mustPlan(t, q, schema)
 		out0, applied0, stats0 := rw.Search(p, Options{})
-		out1, applied1, stats1, prov := rw.SearchProvenance(p, Options{})
+		prov := new(Provenance)
+		out1, applied1, stats1 := rw.Search(p, Options{Provenance: prov})
 		if plan.Fingerprint(out0) != plan.Fingerprint(out1) {
 			t.Fatalf("%q: provenance run returned a different plan", q)
 		}
@@ -68,7 +69,8 @@ func TestProvenanceMatchesSearch(t *testing.T) {
 func TestProvenanceAccounting(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, applied, stats, prov := rw.SearchProvenance(p, Options{})
+	prov := new(Provenance)
+	_, applied, stats := rw.Search(p, Options{Provenance: prov})
 	if len(applied) == 0 {
 		t.Fatal("q0 should be rewritten")
 	}
@@ -139,7 +141,8 @@ func TestProvenanceAccounting(t *testing.T) {
 func TestProvenanceRendering(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, applied, _, prov := rw.SearchProvenance(p, Options{})
+	prov := new(Provenance)
+	_, applied, _ := rw.Search(p, Options{Provenance: prov})
 	tree := prov.RenderTree()
 	if !strings.Contains(tree, "* input") {
 		t.Fatalf("tree missing marked root:\n%s", tree)
@@ -166,7 +169,8 @@ func TestProvenanceRendering(t *testing.T) {
 func TestProvenanceFrontierDrop(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, _, stats, prov := rw.SearchProvenance(p, Options{MaxFrontier: 1})
+	prov := new(Provenance)
+	_, _, stats := rw.Search(p, Options{MaxFrontier: 1, Provenance: prov})
 	if !stats.Truncated || stats.TruncatedBy != "frontier" {
 		t.Skipf("q0 did not stress the frontier budget: %+v", stats)
 	}
@@ -188,7 +192,7 @@ func TestSearchFeedsJournal(t *testing.T) {
 	before := j.Written()
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, _, stats := rw.RewriteWithStats(p)
+	_, _, stats := rw.Search(p, Options{})
 	if j.Written() == before {
 		t.Fatal("search recorded no journal events")
 	}

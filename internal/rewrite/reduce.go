@@ -42,8 +42,8 @@ func reducible(r rules.Rule, all, rest []rules.Rule) bool {
 
 	full := NewRewriter(all, schema)
 	without := NewRewriter(rest, schema)
-	gotFull, appliedFull := full.Rewrite(probe)
-	gotRest, _ := without.Rewrite(probe)
+	gotFull, appliedFull, _ := full.Search(probe, Options{})
+	gotRest, _, _ := without.Search(probe, Options{})
 	if len(appliedFull) == 0 {
 		// The rule does not even fire on its own probe (constraints depend
 		// on data-specific facts the probe schema cannot encode); keep it.

@@ -17,7 +17,7 @@ func TestRewriteAggDropInnerProj(t *testing.T) {
 	    FROM (SELECT project_id, title, id FROM labels) AS d
 	    WHERE d.project_id > 2 GROUP BY d.project_id`, rw.Schema)
 	before := plan.OpCounts(p)[plan.KProj]
-	out, _ := rw.Rewrite(p)
+	out, _, _ := rw.Search(p, Options{})
 	after := plan.OpCounts(out)[plan.KProj]
 	// Whether rule 33 fires depends on the Derived wrapper; the plan must at
 	// minimum not grow and must stay valid SQL.
@@ -35,7 +35,7 @@ func TestRewriteSelfJoinEliminationRule16(t *testing.T) {
 	// Rule 16: self join on the primary key collapses.
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT n.id FROM notes AS n INNER JOIN notes AS m ON n.id = m.id`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KJoin] != 0 {
 		t.Fatalf("self join not eliminated (applied %v): %s", applied, plan.ToSQLString(out))
 	}
@@ -45,7 +45,7 @@ func TestRewriteSelfJoinOnNonKeyStays(t *testing.T) {
 	// Join on a non-unique column must not be eliminated.
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT n.id FROM notes AS n INNER JOIN notes AS m ON n.commit_id = m.commit_id`, rw.Schema)
-	out, _ := rw.Rewrite(p)
+	out, _, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KJoin] == 0 {
 		t.Fatalf("non-key self join wrongly eliminated: %s", plan.ToSQLString(out))
 	}
@@ -54,7 +54,7 @@ func TestRewriteSelfJoinOnNonKeyStays(t *testing.T) {
 func TestExploreNoOpQueryReturnsOriginal(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, "SELECT title FROM labels WHERE project_id = 5", rw.Schema)
-	out, applied := rw.Explore(p, 8, 4)
+	out, applied, _ := rw.Search(p, ExploreOptions(8, 4))
 	if len(applied) != 0 {
 		t.Fatalf("rules applied to an un-rewritable query: %v", applied)
 	}
@@ -68,7 +68,7 @@ func TestExploreBeamTermination(t *testing.T) {
 	// return something at least as small.
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.title FROM labels INNER JOIN notes ON labels.id = notes.id`, rw.Schema)
-	out, _ := rw.Explore(p, 16, 6)
+	out, _, _ := rw.Search(p, ExploreOptions(16, 6))
 	if plan.Size(out) > plan.Size(p) {
 		t.Fatal("explore returned a larger plan")
 	}
@@ -115,7 +115,7 @@ func TestRelocationRefusedWithoutUnique(t *testing.T) {
 	schema := gitlabSchema()
 	p := mustPlan(t, `SELECT id FROM notes WHERE type = 'D' AND id IN (SELECT id FROM notes WHERE commit_id = 7)`, schema)
 	rw := NewRewriter([]rules.Rule{mustByNo(t, 24), mustByNo(t, 27), weak}, schema)
-	out, applied := rw.Explore(p, 12, 6)
+	out, applied, _ := rw.Search(p, ExploreOptions(12, 6))
 	for _, a := range applied {
 		if a.RuleNo == 103 {
 			t.Fatalf("weakened rule 103 applied: %s", plan.ToSQLString(out))

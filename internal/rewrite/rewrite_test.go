@@ -74,7 +74,7 @@ func TestRewriteRedundantInSub(t *testing.T) {
 	p := mustPlan(t, `SELECT * FROM labels
 	    WHERE id IN (SELECT id FROM labels WHERE project_id = 10)
 	      AND id IN (SELECT id FROM labels WHERE project_id = 10)`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if len(applied) == 0 {
 		t.Fatal("no rules applied")
 	}
@@ -88,7 +88,7 @@ func TestRewriteTable1Q3(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT id FROM notes WHERE type = 'D'
 	     AND id IN (SELECT id FROM notes WHERE commit_id = 7)`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KInSub] != 0 {
 		t.Fatalf("IN-subquery survived: %s (applied %v)", plan.ToSQLString(out), applied)
 	}
@@ -105,7 +105,7 @@ func TestRewriteTable1Q0(t *testing.T) {
 	p := mustPlan(t, `SELECT * FROM labels WHERE id IN (
 	        SELECT id FROM labels WHERE id IN (
 	          SELECT id FROM labels WHERE project_id = 10) ORDER BY title ASC)`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KSort] != 0 {
 		t.Fatalf("ORDER BY survived: %s", plan.ToSQLString(out))
 	}
@@ -119,7 +119,7 @@ func TestRewriteJoinElimination(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT issues.title FROM issues
 	     INNER JOIN projects ON issues.project_id = projects.id`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KJoin] != 0 {
 		t.Fatalf("join not eliminated (applied %v): %s", applied, plan.ToSQLString(out))
 	}
@@ -130,7 +130,7 @@ func TestRewriteJoinEliminationNeedsFK(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.title FROM labels
 	     INNER JOIN projects ON labels.project_id = projects.id`, rw.Schema)
-	out, _ := rw.Rewrite(p)
+	out, _, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KJoin] == 0 {
 		t.Fatalf("join wrongly eliminated: %s", plan.ToSQLString(out))
 	}
@@ -141,7 +141,7 @@ func TestRewriteLeftJoinElimination(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.title FROM labels
 	     LEFT JOIN projects ON labels.project_id = projects.id`, rw.Schema)
-	out, applied := rw.Rewrite(p)
+	out, applied, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KJoin] != 0 {
 		t.Fatalf("left join not eliminated (applied %v): %s", applied, plan.ToSQLString(out))
 	}
@@ -151,13 +151,13 @@ func TestRewriteDedupOnUniqueKey(t *testing.T) {
 	// Rule 2: DISTINCT over the primary key is a no-op.
 	rw := newRW(t)
 	p := mustPlan(t, "SELECT DISTINCT id FROM labels", rw.Schema)
-	out, _ := rw.Rewrite(p)
+	out, _, _ := rw.Search(p, Options{})
 	if plan.OpCounts(out)[plan.KDedup] != 0 {
 		t.Fatalf("Dedup survived: %s", plan.ToSQLString(out))
 	}
 	// DISTINCT on a non-unique column must stay.
 	p2 := mustPlan(t, "SELECT DISTINCT title FROM labels", rw.Schema)
-	out2, _ := rw.Rewrite(p2)
+	out2, _, _ := rw.Search(p2, Options{})
 	if plan.OpCounts(out2)[plan.KDedup] != 1 {
 		t.Fatalf("Dedup wrongly removed: %s", plan.ToSQLString(out2))
 	}
@@ -188,7 +188,7 @@ func TestRewritePreservesResults(t *testing.T) {
 	rw.DB = db
 	for _, q := range queries {
 		orig := mustPlan(t, q, schema)
-		rewritten, applied := rw.Rewrite(orig)
+		rewritten, applied, _ := rw.Search(orig, Options{})
 		r1, err := db.Execute(orig, nil)
 		if err != nil {
 			t.Fatalf("exec orig %q: %v", q, err)
@@ -228,8 +228,8 @@ func TestEliminateOrderBy(t *testing.T) {
 func TestCandidatesDoNotLoop(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT issues.title FROM issues INNER JOIN projects ON issues.project_id = projects.id`, rw.Schema)
-	out, applied := rw.Rewrite(p)
-	if len(applied) > rw.MaxSteps {
+	out, applied, _ := rw.Search(p, Options{})
+	if len(applied) > (Options{}).withDefaults().MaxSteps {
 		t.Fatalf("rewrite did not terminate: %d steps", len(applied))
 	}
 	_ = out

@@ -30,20 +30,19 @@ type Candidate struct {
 }
 
 // Rewriter drives WeTune's rewrite engine (§6): rules are compiled once into
-// an immutable shape-keyed index, and each Rewrite/Search call runs the
-// cost-guided best-first search over rewritten plans with per-call scratch
-// (bindings, memo, frontier).
+// an immutable shape-keyed index, and each Search call runs the cost-guided
+// best-first search over rewritten plans with per-call scratch (bindings,
+// memo, frontier).
 //
-// Concurrency contract: configure the Rewriter first (Rules/Schema/DB/
-// MaxSteps), then share it — Rewrite, Search, Explore and Candidates are safe
-// to call from concurrent goroutines as long as no field is mutated
-// afterwards. The compiled rule index is built once on first use (or eagerly
-// by NewRewriter) and never mutated.
+// Concurrency contract: configure the Rewriter first (Rules/Schema/DB), then
+// share it — Search and Candidates are safe to call from concurrent
+// goroutines as long as no field is mutated afterwards. The compiled rule
+// index is built once on first use (or eagerly by NewRewriter) and never
+// mutated.
 type Rewriter struct {
-	Rules    []rules.Rule
-	Schema   *sql.Schema
-	DB       *engine.DB // optional: enables cost-based ranking
-	MaxSteps int
+	Rules  []rules.Rule
+	Schema *sql.Schema
+	DB     *engine.DB // optional: enables cost-based ranking
 
 	idxOnce sync.Once
 	idx     *RuleIndex
@@ -52,7 +51,7 @@ type Rewriter struct {
 // NewRewriter builds a rewriter over the given rule set, compiling the rule
 // index eagerly.
 func NewRewriter(rs []rules.Rule, schema *sql.Schema) *Rewriter {
-	rw := &Rewriter{Rules: rs, Schema: schema, MaxSteps: 10}
+	rw := &Rewriter{Rules: rs, Schema: schema}
 	rw.ruleIndex()
 	return rw
 }
@@ -80,67 +79,14 @@ func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
 	return out
 }
 
-// Rewrite rewrites p with the default search budgets, returning the final
-// plan and the applied rule sequence. It explores multiple rewrite orderings
-// (including equal-size enabler steps) and picks the min-cost plan; use
-// RewriteWithStats to observe the search effort and budget truncation.
-func (rw *Rewriter) Rewrite(p plan.Node) (plan.Node, []Applied) {
-	out, applied, _ := rw.Search(p, Options{MaxSteps: rw.MaxSteps})
-	return out, applied
-}
-
-// RewriteWithStats is Rewrite exposing the search Stats.
-func (rw *Rewriter) RewriteWithStats(p plan.Node) (plan.Node, []Applied, Stats) {
-	return rw.Search(p, Options{MaxSteps: rw.MaxSteps})
-}
-
-// Explore implements the paper's §8.4 flow on the indexed search engine:
-// iteratively generate rewritten queries (including equal-size "enabler"
-// steps like predicate pull-up and column switches), then pick the best final
-// query by the cost estimator. beam bounds the frontier and depth the chain
-// length.
-func (rw *Rewriter) Explore(p plan.Node, beam, depth int) (plan.Node, []Applied) {
-	out, applied, _ := rw.ExploreWithStats(p, beam, depth)
-	return out, applied
-}
-
-// ExploreWithStats is Explore exposing the search Stats.
-func (rw *Rewriter) ExploreWithStats(p plan.Node, beam, depth int) (plan.Node, []Applied, Stats) {
-	return rw.Search(p, exploreOptions(beam, depth))
-}
-
-// ExploreProvenance is Explore recording full derivation provenance (see
-// SearchProvenance). It uses exactly the budgets ExploreWithStats uses for
-// the same beam/depth, so the plan, applied chain and costs are identical —
-// the contract `wetune explain` relies on to stay byte-consistent with
-// OptimizeSQLResult.
-func (rw *Rewriter) ExploreProvenance(p plan.Node, beam, depth int) (plan.Node, []Applied, Stats, *Provenance) {
-	return rw.SearchProvenance(p, exploreOptions(beam, depth))
-}
-
-// ExploreOptions maps the §8.4 beam/depth parameterization onto Search
-// budgets — exactly the budgets Explore/ExploreWithStats use for the same
-// beam and depth. Callers that need an extra wall-clock bound (a serving
-// deadline) set Deadline on the result and call Search directly; the
-// node/frontier/step budgets stay identical, so an unexpired deadline
-// returns byte-identical results to ExploreWithStats.
-func ExploreOptions(beam, depth int) Options { return exploreOptions(beam, depth) }
-
-// GreedyOptions returns the budgets of a single-path greedy descent on the
-// indexed search engine: a frontier of one (always follow the best candidate
-// of each expansion), at most three steps, and a node budget of a few
-// expansions. This is the degraded serving level named "greedy" — it keeps
-// the rule index and memo of Search rather than reviving the retained
-// pre-index GreedyRewrite loop, which re-matches every rule at every node and
-// is ~100x slower per query than an indexed search (the opposite of what a
-// load-shedding tier wants).
-func GreedyOptions() Options {
-	return Options{MaxSteps: 3, MaxFrontier: 1, MaxNodes: 8}
-}
-
-// exploreOptions maps the §8.4 beam/depth parameterization onto Search
-// budgets.
-func exploreOptions(beam, depth int) Options {
+// ExploreOptions maps the paper's §8.4 flow — iteratively generate rewritten
+// queries (including equal-size "enabler" steps like predicate pull-up and
+// column switches), then pick the best final query by the cost estimator —
+// onto Search budgets: beam bounds the frontier and depth the chain length.
+// Callers that need an extra wall-clock bound (a serving deadline) set
+// Deadline on the result; the node/frontier/step budgets stay identical, so
+// an unexpired deadline returns byte-identical results.
+func ExploreOptions(beam, depth int) Options {
 	if beam <= 0 {
 		beam = 8
 	}
@@ -154,6 +100,16 @@ func exploreOptions(beam, depth int) Options {
 	}
 }
 
+// GreedyOptions returns the budgets of a single-path descent: a frontier of
+// one (always follow the best candidate of each expansion), at most three
+// steps, and a node budget of a few expansions. This is the degraded serving
+// level named "greedy": a load-shedding tier wants bounded, near-constant
+// work per query, and these budgets give it on the same indexed, memoized
+// Search every other level runs.
+func GreedyOptions() Options {
+	return Options{MaxSteps: 3, MaxFrontier: 1, MaxNodes: 8}
+}
+
 func (rw *Rewriter) cost(p plan.Node) float64 {
 	if rw.DB != nil {
 		return rw.DB.EstimateCost(p)
@@ -162,19 +118,6 @@ func (rw *Rewriter) cost(p plan.Node) float64 {
 }
 
 // --- tree paths ---
-
-func nodePaths(p plan.Node) [][]int {
-	var out [][]int
-	var rec func(n plan.Node, path []int)
-	rec = func(n plan.Node, path []int) {
-		out = append(out, append([]int{}, path...))
-		for i, c := range n.Children() {
-			rec(c, append(path, i))
-		}
-	}
-	rec(p, nil)
-	return out
-}
 
 func nodeAt(p plan.Node, path []int) plan.Node {
 	cur := p

@@ -36,6 +36,13 @@ type Options struct {
 	// Because elimination is idempotent, results are byte-identical to a
 	// fresh parse either way.
 	SkipOrderByElim bool
+	// Provenance, when non-nil, is overwritten with the search's full
+	// derivation record: every explored state, every candidate with its
+	// fate, the chosen step chain with per-step costs, and the per-rule
+	// why-not funnel. It only observes — the plan, applied chain and Stats
+	// are identical to a search without it (ranking and budgets never look
+	// at it).
+	Provenance *Provenance
 }
 
 func (o Options) withDefaults() Options {
@@ -196,10 +203,9 @@ func (sc *searchCtx) inBucket(kind plan.Kind) map[int]bool {
 }
 
 // nodePathsInto fills sc.scratch.paths with every root-to-node child-index
-// path of p in pre-order, the order nodePaths produced. Path storage comes
-// from the scratch arena; the slices are only valid until the next expand,
-// which is fine — everything that escapes (Candidate.Path, provenance) is
-// copied.
+// path of p in pre-order. Path storage comes from the scratch arena; the
+// slices are only valid until the next expand, which is fine — everything
+// that escapes (Candidate.Path, provenance) is copied.
 func (sc *searchCtx) nodePathsInto(p plan.Node) [][]int {
 	s := sc.scratch
 	s.paths = s.paths[:0]
@@ -335,30 +341,17 @@ func truncCode(by string) int64 {
 	return journal.TruncNodes
 }
 
-// Search runs the cost-guided rewrite search: a best-first frontier over
-// derived plans ranked by (operator count, estimated cost), a fingerprint-
-// keyed visited memo so no derived plan is expanded twice, and explicit
-// step/frontier/node budgets. Equal-rank candidates are ordered by (rule
-// number, position), making the result deterministic and independent of the
-// rule-set ordering. ORDER BY elimination (§7) runs first, as in the greedy
-// engine. The returned Stats also land in the default metrics registry, and
-// the aggregate event trail (expansions, prunes, attempts, matches,
-// candidates, memo hits, truncation) in the default flight recorder.
+// Search runs the cost-guided rewrite search (§6 matching driven by the §8.4
+// explore-then-pick-cheapest loop): a best-first frontier over derived plans
+// ranked by (operator count, estimated cost), a fingerprint-keyed visited
+// memo so no derived plan is expanded twice, and explicit step/frontier/node
+// budgets. Equal-rank candidates are ordered by (rule number, position),
+// making the result deterministic and independent of the rule-set ordering.
+// ORDER BY elimination (§7) runs first unless opts.SkipOrderByElim. The
+// returned Stats also land in the default metrics registry, and the aggregate
+// event trail (expansions, prunes, attempts, matches, candidates, memo hits,
+// truncation) in the default flight recorder.
 func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Stats) {
-	out, applied, stats, _ := rw.searchImpl(p, opts, nil)
-	return out, applied, stats
-}
-
-// SearchProvenance is Search additionally recording the full derivation:
-// every explored state, every candidate with its fate, the chosen step chain
-// with per-step costs, and the per-rule why-not funnel. The plan, applied
-// chain and Stats are identical to Search's for the same input and options
-// (provenance only observes; it never changes ranking or budgets).
-func (rw *Rewriter) SearchProvenance(p plan.Node, opts Options) (plan.Node, []Applied, Stats, *Provenance) {
-	return rw.searchImpl(p, opts, newProvenance(rw.ruleIndex()))
-}
-
-func (rw *Rewriter) searchImpl(p plan.Node, opts Options, prov *Provenance) (plan.Node, []Applied, Stats, *Provenance) {
 	opts = opts.withDefaults()
 	if faultinject.Fire(faultinject.SearchStarve) {
 		// Injected budget starvation: the search expands only the start
@@ -368,9 +361,13 @@ func (rw *Rewriter) searchImpl(p plan.Node, opts Options, prov *Provenance) (pla
 	}
 	scratch := searchScratchPool.Get().(*searchScratch)
 	defer scratch.release()
+	prov := opts.Provenance
 	sc := &searchCtx{
 		rw: rw, idx: rw.ruleIndex(), m: &Matcher{Schema: rw.Schema},
 		jr: journal.Default(), prov: prov, scratch: scratch,
+	}
+	if prov != nil {
+		prov.reset(sc.idx)
 	}
 
 	start := p
@@ -532,7 +529,7 @@ func (rw *Rewriter) searchImpl(p plan.Node, opts Options, prov *Provenance) (pla
 		prov.finish(best.id)
 	}
 	sc.flushObs()
-	return best.plan, best.path, sc.stats, prov
+	return best.plan, best.path, sc.stats
 }
 
 // flushObs threads the search stats into the default metrics registry.

@@ -31,8 +31,8 @@ func TestSearchDeterministicAcrossRuleOrder(t *testing.T) {
 	}
 	for _, q := range queries {
 		p := mustPlan(t, q, schema)
-		fOut, fApplied := fwd.Rewrite(p)
-		rOut, rApplied := rev.Rewrite(p)
+		fOut, fApplied, _ := fwd.Search(p, Options{})
+		rOut, rApplied, _ := rev.Search(p, Options{})
 		if plan.Fingerprint(fOut) != plan.Fingerprint(rOut) {
 			t.Fatalf("%q: result depends on rule-set order:\n  fwd: %s\n  rev: %s",
 				q, plan.ToSQLString(fOut), plan.ToSQLString(rOut))
@@ -53,10 +53,10 @@ func TestSearchDeterministicAcrossRuleOrder(t *testing.T) {
 func TestSearchRepeatedRunsIdentical(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	out0, applied0, stats0 := rw.RewriteWithStats(p)
+	out0, applied0, stats0 := rw.Search(p, Options{})
 	sql0 := plan.ToSQLString(out0)
 	for i := 0; i < 10; i++ {
-		out, applied, stats := rw.RewriteWithStats(p)
+		out, applied, stats := rw.Search(p, Options{})
 		if s := plan.ToSQLString(out); s != sql0 {
 			t.Fatalf("run %d: SQL differs:\n  %s\n  %s", i, sql0, s)
 		}
@@ -74,7 +74,7 @@ func TestSearchRepeatedRunsIdentical(t *testing.T) {
 func TestSearchTruncatedBySteps(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, fullApplied, fullStats := rw.RewriteWithStats(p)
+	_, fullApplied, fullStats := rw.Search(p, Options{})
 	if len(fullApplied) < 2 {
 		t.Fatalf("q0 needs a multi-step chain for this test, got %v", fullApplied)
 	}
@@ -108,7 +108,7 @@ func TestSearchTruncatedByNodes(t *testing.T) {
 func TestSearchStatsPopulated(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	out, applied, stats := rw.RewriteWithStats(p)
+	out, applied, stats := rw.Search(p, Options{})
 	if len(applied) == 0 {
 		t.Fatal("q0 should be rewritten")
 	}
@@ -142,7 +142,7 @@ func TestSearchNoWorseThanGreedy(t *testing.T) {
 	for _, q := range queries {
 		p := mustPlan(t, q, schema)
 		gOut, _ := rw.GreedyRewrite(p)
-		sOut, _ := rw.Rewrite(p)
+		sOut, _, _ := rw.Search(p, Options{})
 		if plan.Size(sOut) > plan.Size(gOut) {
 			t.Fatalf("%q: search (%d ops) worse than greedy (%d ops):\n  search: %s\n  greedy: %s",
 				q, plan.Size(sOut), plan.Size(gOut), plan.ToSQLString(sOut), plan.ToSQLString(gOut))

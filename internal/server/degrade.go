@@ -10,55 +10,23 @@ import (
 	"wetune/internal/obs/journal"
 )
 
-// ServiceLevel is one rung of the serving degradation ladder. Under overload
-// the load controller steps the level down (full → reduced → greedy →
-// cache_only), trading rewrite quality for bounded latency instead of letting
-// queue waits and deadline truncations climb; when load drops it steps back
-// up. Every /v1/rewrite response reports the level it was served at in the
-// X-WeTune-Service-Level header.
-type ServiceLevel int32
+// ServiceLevel is one rung of the serving degradation ladder: the optimizer's
+// effort scale, used directly. Under overload the load controller steps the
+// level down (full → reduced → greedy → cache_only), trading rewrite quality
+// for bounded latency instead of letting queue waits and deadline truncations
+// climb; when load drops it steps back up. Every /v1/rewrite response reports
+// the level it was served at (its String) in the X-WeTune-Service-Level
+// header.
+type ServiceLevel = wetune.RewriteMode
 
+// The ladder's rungs, top to floor (see the wetune.Mode* constants for what
+// each one spends).
 const (
-	// LevelFull is normal operation: the full-effort search (beam 12,
-	// depth 6).
-	LevelFull ServiceLevel = iota
-	// LevelReduced halves the search budgets (beam 6, depth 3).
-	LevelReduced
-	// LevelGreedy follows a single best-first path for at most three steps.
-	LevelGreedy
-	// LevelCacheOnly answers from the result cache or passes queries through
-	// unchanged — the floor: one cache lookup per request, no parse, no
-	// search.
-	LevelCacheOnly
+	LevelFull      = wetune.ModeFull
+	LevelReduced   = wetune.ModeReduced
+	LevelGreedy    = wetune.ModeGreedy
+	LevelCacheOnly = wetune.ModeCacheOnly
 )
-
-// String names the level as reported in the X-WeTune-Service-Level header.
-func (l ServiceLevel) String() string {
-	switch l {
-	case LevelFull:
-		return "full"
-	case LevelReduced:
-		return "reduced"
-	case LevelGreedy:
-		return "greedy"
-	case LevelCacheOnly:
-		return "cache_only"
-	}
-	return "unknown"
-}
-
-// mode maps the level onto the optimizer effort scale.
-func (l ServiceLevel) mode() wetune.RewriteMode {
-	switch l {
-	case LevelReduced:
-		return wetune.ModeReduced
-	case LevelGreedy:
-		return wetune.ModeGreedy
-	case LevelCacheOnly:
-		return wetune.ModeCacheOnly
-	}
-	return wetune.ModeFull
-}
 
 // DegradationConfig tunes the load controller. The zero value enables the
 // controller with production defaults; set Disabled to serve every request at

@@ -124,6 +124,34 @@ func TestDeadlineDuringSearch504(t *testing.T) {
 	}
 }
 
+// TestExplainDeadlineDuringSearch504 is the /v1/explain twin: the request
+// deadline reaches the explain search too, and a truncated explanation is
+// answered like a truncated rewrite — 504 with the partial result, its
+// Truncated stats and the provenance of the search that did run.
+func TestExplainDeadlineDuringSearch504(t *testing.T) {
+	s, _, _ := newTestServer(t, func(c *Config) {
+		c.beforeRewrite = func(string) { time.Sleep(20 * time.Millisecond) }
+	})
+	rec := do(s, http.MethodPost, "/v1/explain",
+		`{"sql": "SELECT DISTINCT id FROM labels", "timeout_ms": 5}`)
+	if rec.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d, want 504; body: %s", rec.Code, rec.Body)
+	}
+	var res explainResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stats.Truncated || res.Stats.TruncatedBy != "deadline" {
+		t.Errorf("stats = %+v, want Truncated by deadline", res.Stats)
+	}
+	if res.Output == "" {
+		t.Error("a deadline-truncated explain must still return the best SQL found")
+	}
+	if res.Provenance == nil || len(res.Provenance.Nodes) == 0 {
+		t.Error("a deadline-truncated explain must still carry its provenance")
+	}
+}
+
 // TestQueueWait504 checks the other 504 path: the deadline expires while the
 // request is queued behind busy workers (admitted, but never gets a slot).
 func TestQueueWait504(t *testing.T) {

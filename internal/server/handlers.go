@@ -297,14 +297,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
 			return
 		}
-		status := http.StatusOK
-		if res.Stats.TruncatedBy == "deadline" {
-			// The deadline cut the search: the result is still correct SQL
-			// (the best plan found in time) but the contract is explicit —
-			// 504, with the Truncated stats attached.
-			status = http.StatusGatewayTimeout
-		}
-		writeJSON(w, status, rewriteResponse{App: rq[0].app, RewriteResult: res})
+		writeJSON(w, resultStatus(res), rewriteResponse{App: rq[0].app, RewriteResult: res})
 		return
 	}
 
@@ -346,6 +339,17 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
+// resultStatus is the status a single rewrite or explanation is answered
+// with: 200, or 504 when the deadline cut the search. The result is still
+// correct SQL (the best plan found in time) but the contract is explicit —
+// 504, with the Truncated stats attached.
+func resultStatus(res *wetune.RewriteResult) int {
+	if res.Stats.TruncatedBy == "deadline" {
+		return http.StatusGatewayTimeout
+	}
+	return http.StatusOK
+}
+
 // resolvedApp is one query's app resolution: a shared Optimizer or the error
 // to report in its slot.
 type resolvedApp struct {
@@ -363,19 +367,18 @@ type resolvedApp struct {
 // from cache counts as a success and closes the breaker, letting the next
 // miss re-open it if searches still truncate).
 func (s *Server) rewriteOne(ctx context.Context, rz resolvedApp, sqlText string, level ServiceLevel) (*wetune.RewriteResult, error) {
-	mode := level.mode()
 	br := s.breakerFor(rz.app)
 	var probe bool
 	if br != nil {
 		forced, p := br.admit(time.Now())
 		probe = p
 		if forced {
-			mode = wetune.ModeCacheOnly
+			level = LevelCacheOnly
 		}
 	}
-	res, err := rz.opt.OptimizeSQLResultMode(ctx, sqlText, mode)
+	res, err := rz.opt.OptimizeSQLResultMode(ctx, sqlText, level)
 	if br != nil {
-		searched := err == nil && !res.Cached && mode != wetune.ModeCacheOnly
+		searched := err == nil && !res.Cached && level != LevelCacheOnly
 		trunc := searched && res.Stats.TruncatedBy == "deadline"
 		if probe || searched {
 			br.observe(trunc, probe, time.Now())
@@ -443,7 +446,9 @@ func (s *Server) runBatchItem(ctx context.Context, i int, q rewriteQuery, rz res
 // handleExplain is POST /v1/explain: one query's full derivation record via
 // Optimizer.ExplainSQL. Explain always runs a real bounded search (it never
 // reads the result cache), so its latency is the uncached rewrite latency
-// plus provenance recording.
+// plus provenance recording. The request deadline reaches the search as on
+// /v1/rewrite, and a deadline-truncated explain is answered the same way:
+// 504 with the partial result (and its provenance) attached.
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req rewriteRequest
 	if !s.decodeBody(w, r, &req) {
@@ -475,12 +480,12 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.beforeRewrite != nil {
 		s.cfg.beforeRewrite(req.SQL)
 	}
-	res, err := opt.ExplainSQL(req.SQL)
+	res, err := opt.ExplainSQL(ctx, req.SQL)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
 		return
 	}
-	writeJSON(w, http.StatusOK, explainResponse{App: app, ExplainResult: res})
+	writeJSON(w, resultStatus(&res.RewriteResult), explainResponse{App: app, ExplainResult: res})
 }
 
 // ruleInfo is one served rule in /v1/rules.

@@ -80,9 +80,6 @@ type Config struct {
 	// shapes without re-parsing (0 = a serving default of 2048, negative
 	// disables).
 	PlanCacheSize int
-	// CacheShards overrides the shard count of both cache tiers (0 = a
-	// default scaled to GOMAXPROCS; values round up to a power of two).
-	CacheShards int
 	// Registry receives the server metrics (default obs.Default; note the
 	// rewrite engine's own counters always land in obs.Default).
 	Registry *obs.Registry
@@ -209,10 +206,10 @@ func New(cfg Config) (*Server, error) {
 	for app, schema := range cfg.Schemas {
 		opt := wetune.NewOptimizer(cfg.Rules, schema)
 		if cfg.ResultCacheSize >= 0 {
-			opt.EnableResultCacheShards(orDefault(cfg.ResultCacheSize, servingCacheSize), cfg.CacheShards)
+			opt.EnableResultCache(orDefault(cfg.ResultCacheSize, servingCacheSize))
 		}
 		if cfg.PlanCacheSize >= 0 {
-			opt.EnablePlanCacheShards(orDefault(cfg.PlanCacheSize, servingCacheSize), cfg.CacheShards)
+			opt.EnablePlanCache(orDefault(cfg.PlanCacheSize, servingCacheSize))
 		}
 		s.opts[app] = opt
 		s.apps = append(s.apps, app)

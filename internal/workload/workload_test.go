@@ -100,7 +100,7 @@ func TestIssueStudyCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 			rw := rewrite.NewRewriter(rs, is.Schema)
-			out, applied := rw.Rewrite(orig)
+			out, applied, _ := rw.Search(orig, rewrite.Options{})
 			if len(applied) > 0 && plan.Size(out) <= plan.Size(desired) {
 				fixed++
 			}

@@ -102,11 +102,13 @@ func Table7Rules() []Rule { return rules.Table7() }
 // Optimizer rewrites queries with a rule set over a schema.
 //
 // Concurrency contract: configure the Optimizer fully (NewOptimizer, UseDB,
-// EnableResultCache) before sharing it; afterwards Optimize, OptimizeSQL,
-// OptimizeSQLResult and PlanSQL are safe to call from concurrent goroutines.
-// The compiled rule set and its shape index are immutable shared state; all
-// per-call scratch (bindings, memo, frontier) lives in per-call contexts, and
-// the optional result cache is internally synchronized.
+// EnableResultCache, EnablePlanCache) before sharing it; afterwards every
+// other method — Optimize, OptimizeSQL, OptimizeSQLResult,
+// OptimizeSQLResultContext, OptimizeSQLResultMode, ExplainSQL, PlanSQL,
+// ResultCacheStats, PlanCacheStats — is safe to call from concurrent
+// goroutines. The compiled rule set and its shape index are immutable shared
+// state; all per-call scratch (bindings, memo, frontier) lives in per-call
+// contexts, and both optional cache tiers are internally synchronized.
 type Optimizer struct {
 	rw        *rewrite.Rewriter
 	cache     *rewrite.ResultCache
@@ -132,13 +134,6 @@ func (o *Optimizer) EnableResultCache(n int) {
 	o.cache = rewrite.NewResultCache(n)
 }
 
-// EnableResultCacheShards is EnableResultCache with an explicit shard count
-// for the underlying sharded LRU (0 picks the default, which scales with
-// GOMAXPROCS).
-func (o *Optimizer) EnableResultCacheShards(n, shards int) {
-	o.cache = rewrite.NewResultCacheShards(n, shards)
-}
-
 // EnablePlanCache turns on the second cache tier: a normalized-query →
 // search-ready-plan LRU (n entries; n <= 0 picks a default). It serves the
 // result-cache misses: a repeated query shape whose result was evicted (or
@@ -148,12 +143,6 @@ func (o *Optimizer) EnableResultCacheShards(n, shards int) {
 // search's start state. Call before sharing the Optimizer across goroutines.
 func (o *Optimizer) EnablePlanCache(n int) {
 	o.planCache = rewrite.NewPlanCache(n)
-}
-
-// EnablePlanCacheShards is EnablePlanCache with an explicit shard count
-// (0 picks the default).
-func (o *Optimizer) EnablePlanCacheShards(n, shards int) {
-	o.planCache = rewrite.NewPlanCacheShards(n, shards)
 }
 
 // Applied describes one rewrite step.
@@ -186,8 +175,7 @@ type RewriteResult struct {
 type RewriteMode int
 
 const (
-	// ModeFull is the normal effort level: ExploreOptions(12, 6), identical
-	// to OptimizeSQLResultContext's behavior before modes existed.
+	// ModeFull is the normal effort level: ExploreOptions(12, 6).
 	ModeFull RewriteMode = iota
 	// ModeReduced halves the search budgets (beam 6, depth 3): most
 	// single-rule rewrites still land, long enabler chains may not.
@@ -234,12 +222,13 @@ func (m RewriteMode) searchOptions() rewrite.Options {
 // sequence applied (empty when no rule helps). It explores rewrite chains
 // like the paper's §8.4 flow and picks the best final query.
 func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
-	return o.rw.Explore(p, 12, 6)
+	out, applied, _ := o.rw.Search(p, ModeFull.searchOptions())
+	return out, applied
 }
 
 // OptimizeSQL parses, plans, optimizes and renders back to SQL.
 func (o *Optimizer) OptimizeSQL(query string) (rewritten string, applied []Applied, err error) {
-	res, err := o.OptimizeSQLResult(query)
+	res, err := o.rewriteSQL(context.Background(), query, ModeFull, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -251,7 +240,7 @@ func (o *Optimizer) OptimizeSQL(query string) (rewritten string, applied []Appli
 // chain, cost before and after, and search stats. When the result cache is
 // enabled (EnableResultCache) results are keyed by the query text.
 func (o *Optimizer) OptimizeSQLResult(query string) (*RewriteResult, error) {
-	return o.OptimizeSQLResultContext(context.Background(), query)
+	return o.rewriteSQL(context.Background(), query, ModeFull, nil)
 }
 
 // OptimizeSQLResultContext is OptimizeSQLResult honoring the context's
@@ -264,7 +253,7 @@ func (o *Optimizer) OptimizeSQLResult(query string) (*RewriteResult, error) {
 // the same. Deadline-truncated results are never stored in the result cache
 // — a slow client's partial answer must not be replayed to a patient one.
 func (o *Optimizer) OptimizeSQLResultContext(ctx context.Context, query string) (*RewriteResult, error) {
-	return o.OptimizeSQLResultMode(ctx, query, ModeFull)
+	return o.rewriteSQL(ctx, query, ModeFull, nil)
 }
 
 // OptimizeSQLResultMode is OptimizeSQLResultContext at an explicit effort
@@ -274,83 +263,99 @@ func (o *Optimizer) OptimizeSQLResultContext(ctx context.Context, query string) 
 // the full search. ModeCacheOnly never parses: a result-cache miss passes the
 // query through unchanged with zero-value stats, which is always correct SQL.
 func (o *Optimizer) OptimizeSQLResultMode(ctx context.Context, query string, mode RewriteMode) (*RewriteResult, error) {
-	modeName := ""
-	if mode != ModeFull {
-		modeName = mode.String()
+	return o.rewriteSQL(ctx, query, mode, nil)
+}
+
+// rewriteSQL is the one path from query text to rewritten SQL; every
+// OptimizeSQL* method and ExplainSQL is a call into it. Its stages, in order:
+//
+//  1. normalize — the cache key (skipped when no cache tier will be used)
+//  2. result-cache probe — a hit is the answer; ModeCacheOnly stops here
+//  3. plan-cache get, or on a miss: parse + plan build, ORDER-BY elimination
+//     (§7), plan-cache put
+//  4. search — §6 rule matching under the mode's §8.4 budgets and the
+//     context's deadline
+//  5. print — the chosen plan back to SQL
+//  6. result-cache put — full-effort, non-deadline-truncated results only
+//
+// A non-nil prov asks for the search's derivation record (ExplainSQL). An
+// explanation must describe a real search, not a memo, so it skips stages 2
+// and 6; everything else — budgets, plan cache, deadline — is the same, which
+// is what keeps an explanation identical to the rewrite it explains.
+func (o *Optimizer) rewriteSQL(ctx context.Context, query string, mode RewriteMode, prov *Provenance) (*RewriteResult, error) {
+	resultCache := o.cache
+	if prov != nil {
+		resultCache = nil
 	}
 	// Both cache tiers key on the normalized text, so "SELECT 1" and
 	// "select  1 ;"-style formatting variants share entries... but only the
 	// whitespace/terminator kind of variant — normalization never rewrites
 	// tokens (see sql.NormalizeQuery).
 	key := query
-	if o.cache != nil || o.planCache != nil {
+	if resultCache != nil || o.planCache != nil {
 		key = sql.NormalizeQuery(query)
 	}
-	if o.cache != nil {
-		if hit, ok := o.cache.Get(key); ok {
-			return &RewriteResult{
-				Input:      query,
-				Output:     hit.SQL,
-				Applied:    hit.Applied,
-				CostBefore: hit.CostBefore,
-				CostAfter:  hit.CostAfter,
-				Stats:      hit.Stats,
-				Cached:     true,
-				Mode:       modeName,
-			}, nil
+
+	// found is the outcome in the form the result cache stores it: a hit, the
+	// pass-through of ModeCacheOnly, or what the search below produces.
+	var found rewrite.CachedResult
+	cached := false
+	if resultCache != nil {
+		found, cached = resultCache.Get(key)
+	}
+	switch {
+	case cached:
+	case mode == ModeCacheOnly:
+		found.SQL = query
+	default:
+		// The search's start state is the post-elimination plan, which is
+		// also what the plan cache holds: elimination mutates ORDER-BY clauses
+		// inside predicate subqueries, so it must run exactly once, before
+		// the plan is shared.
+		var start plan.Node
+		if o.planCache != nil {
+			start, _ = o.planCache.Get(key)
 		}
-	}
-	if mode == ModeCacheOnly {
-		return &RewriteResult{Input: query, Output: query, Mode: modeName}, nil
-	}
-	opts := mode.searchOptions()
-	if dl, ok := ctx.Deadline(); ok {
-		opts.Deadline = dl
-	}
-	var p plan.Node
-	if o.planCache != nil {
-		// Plan-cache tier: a hit skips parse + plan build + ORDER-BY
-		// elimination. Cached plans are stored post-elimination (elimination
-		// mutates the tree and so must run before the plan is shared); the
-		// search therefore must not run it again. Elimination is idempotent,
-		// so the fill path can also skip it in the search — results are
-		// byte-identical to the uncached path either way.
-		opts.SkipOrderByElim = true
-		cached, ok := o.planCache.Get(key)
-		if !ok {
+		if start == nil {
 			built, err := plan.BuildSQL(query, o.rw.Schema)
 			if err != nil {
 				return nil, err
 			}
-			cached = rewrite.EliminateOrderBy(built)
-			o.planCache.Put(key, cached)
+			start = rewrite.EliminateOrderBy(built)
+			if o.planCache != nil {
+				o.planCache.Put(key, start)
+			}
 		}
-		p = cached
-	} else {
-		built, err := plan.BuildSQL(query, o.rw.Schema)
-		if err != nil {
-			return nil, err
+		opts := mode.searchOptions()
+		opts.SkipOrderByElim = true
+		opts.Provenance = prov
+		if dl, ok := ctx.Deadline(); ok {
+			opts.Deadline = dl
 		}
-		p = built
+		out, applied, stats := o.rw.Search(start, opts)
+		found = rewrite.CachedResult{
+			SQL:        plan.ToSQLString(out),
+			Applied:    applied,
+			Stats:      stats,
+			CostBefore: stats.InitialCost,
+			CostAfter:  stats.FinalCost,
+		}
+		if resultCache != nil && mode == ModeFull && stats.TruncatedBy != "deadline" {
+			resultCache.Put(key, found)
+		}
 	}
-	out, applied, stats := o.rw.Search(p, opts)
+
 	res := &RewriteResult{
 		Input:      query,
-		Output:     plan.ToSQLString(out),
-		Applied:    applied,
-		CostBefore: stats.InitialCost,
-		CostAfter:  stats.FinalCost,
-		Stats:      stats,
-		Mode:       modeName,
+		Output:     found.SQL,
+		Applied:    found.Applied,
+		CostBefore: found.CostBefore,
+		CostAfter:  found.CostAfter,
+		Stats:      found.Stats,
+		Cached:     cached,
 	}
-	if o.cache != nil && mode == ModeFull && stats.TruncatedBy != "deadline" {
-		o.cache.Put(key, rewrite.CachedResult{
-			SQL:        res.Output,
-			Applied:    res.Applied,
-			Stats:      res.Stats,
-			CostBefore: res.CostBefore,
-			CostAfter:  res.CostAfter,
-		})
+	if mode != ModeFull {
+		res.Mode = mode.String()
 	}
 	return res, nil
 }
@@ -367,31 +372,21 @@ type ExplainResult struct {
 	Provenance *Provenance `json:"provenance"`
 }
 
-// ExplainSQL parses, plans and optimizes like OptimizeSQLResult, but records
-// the full derivation: why each applied rule was chosen (per-step node path
-// and cost delta), what the search rejected and why, and how far every other
-// rule got before a gate stopped it. The embedded RewriteResult is computed
-// with the same budgets as OptimizeSQLResult, so Output, Applied and the
+// ExplainSQL parses, plans and optimizes like OptimizeSQLResultContext, but
+// records the full derivation: why each applied rule was chosen (per-step
+// node path and cost delta), what the search rejected and why, and how far
+// every other rule got before a gate stopped it. The embedded RewriteResult
+// comes from the same path with the same budgets, so Output, Applied and the
 // costs are identical to what OptimizeSQL would return for the same query.
 // ExplainSQL never reads or populates the result cache (an explanation must
 // describe a real search, not a memo).
-func (o *Optimizer) ExplainSQL(query string) (*ExplainResult, error) {
-	p, err := plan.BuildSQL(query, o.rw.Schema)
+func (o *Optimizer) ExplainSQL(ctx context.Context, query string) (*ExplainResult, error) {
+	prov := new(Provenance)
+	res, err := o.rewriteSQL(ctx, query, ModeFull, prov)
 	if err != nil {
 		return nil, err
 	}
-	out, applied, stats, prov := o.rw.ExploreProvenance(p, 12, 6)
-	return &ExplainResult{
-		RewriteResult: RewriteResult{
-			Input:      query,
-			Output:     plan.ToSQLString(out),
-			Applied:    applied,
-			CostBefore: stats.InitialCost,
-			CostAfter:  stats.FinalCost,
-			Stats:      stats,
-		},
-		Provenance: prov,
-	}, nil
+	return &ExplainResult{RewriteResult: *res, Provenance: prov}, nil
 }
 
 // CacheStats reports result-cache traffic: hits, misses, hit rate, entries.

@@ -1,45 +1,87 @@
 package wetune
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
 	"wetune/internal/workload"
 )
 
-// TestExplainMatchesOptimizeWorkload pins the explain contract across the
-// full evaluation corpus: for every plannable query, ExplainSQL must report
-// exactly the rewrite OptimizeSQLResult performs — same output SQL, same
-// applied chain, same costs and search stats — with the provenance steps
-// index-aligned to the applied chain. An explanation that disagrees with the
-// optimizer it explains is worse than none.
+// TestExplainMatchesOptimizeWorkload pins "one rewrite path" across the full
+// evaluation corpus, with and without both cache tiers: for every plannable
+// query, every entry point — OptimizeSQL, OptimizeSQLResult,
+// OptimizeSQLResultContext, OptimizeSQLResultMode(ModeFull), ExplainSQL, and
+// Optimize over PlanSQL's plan — must report the same output SQL and applied
+// chain, and ExplainSQL the same costs and search stats as the rewrite it
+// explains, with the provenance steps index-aligned to the applied chain. An
+// explanation that disagrees with the optimizer it explains is worse than
+// none.
 func TestExplainMatchesOptimizeWorkload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-workload sweep")
 	}
+	for _, caches := range []bool{false, true} {
+		name := "no-cache"
+		if caches {
+			name = "both-cache-tiers"
+		}
+		t.Run(name, func(t *testing.T) { explainMatchesOptimize(t, caches) })
+	}
+}
+
+func explainMatchesOptimize(t *testing.T, caches bool) {
+	ctx := context.Background()
 	schemas, items := workload.RewriteCorpus(100)
 	opts := map[string]*Optimizer{}
 	for app, schema := range schemas {
-		opts[app] = NewOptimizer(BuiltinRules(), schema)
+		o := NewOptimizer(BuiltinRules(), schema)
+		if caches {
+			o.EnableResultCache(0)
+			o.EnablePlanCache(0)
+		}
+		opts[app] = o
 	}
 	queries, rewritten := 0, 0
 	for _, it := range items {
 		o := opts[it.App]
 		res, err := o.OptimizeSQLResult(it.SQL)
 		if err != nil {
-			continue // unplannable queries fail identically on both paths
-		}
-		ex, err := o.ExplainSQL(it.SQL)
-		if err != nil {
-			t.Fatalf("%s: OptimizeSQLResult planned but ExplainSQL errored: %v", it.SQL, err)
+			continue // unplannable queries fail identically on every path
 		}
 		queries++
-		if ex.Output != res.Output {
-			t.Fatalf("%s:\nexplain output:  %s\noptimize output: %s", it.SQL, ex.Output, res.Output)
+		planned := func(entry string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: OptimizeSQLResult planned but %s errored: %v", it.SQL, entry, err)
+			}
 		}
-		if !reflect.DeepEqual(ex.Applied, res.Applied) {
-			t.Fatalf("%s: applied chains differ:\nexplain:  %+v\noptimize: %+v", it.SQL, ex.Applied, res.Applied)
+		same := func(entry, output string, applied []Applied) {
+			t.Helper()
+			if output != res.Output {
+				t.Fatalf("%s:\n%s output: %s\nOptimizeSQLResult output: %s", it.SQL, entry, output, res.Output)
+			}
+			if !reflect.DeepEqual(applied, res.Applied) {
+				t.Fatalf("%s: applied chains differ:\n%s: %+v\nOptimizeSQLResult: %+v", it.SQL, entry, applied, res.Applied)
+			}
 		}
+		out, applied, err := o.OptimizeSQL(it.SQL)
+		planned("OptimizeSQL", err)
+		same("OptimizeSQL", out, applied)
+		viaCtx, err := o.OptimizeSQLResultContext(ctx, it.SQL)
+		planned("OptimizeSQLResultContext", err)
+		same("OptimizeSQLResultContext", viaCtx.Output, viaCtx.Applied)
+		viaMode, err := o.OptimizeSQLResultMode(ctx, it.SQL, ModeFull)
+		planned("OptimizeSQLResultMode", err)
+		same("OptimizeSQLResultMode", viaMode.Output, viaMode.Applied)
+		p, err := o.PlanSQL(it.SQL)
+		planned("PlanSQL", err)
+		optimized, applied := o.Optimize(p)
+		same("Optimize", PlanToSQL(optimized), applied)
+
+		ex, err := o.ExplainSQL(ctx, it.SQL)
+		planned("ExplainSQL", err)
+		same("ExplainSQL", ex.Output, ex.Applied)
 		if ex.CostBefore != res.CostBefore || ex.CostAfter != res.CostAfter {
 			t.Fatalf("%s: costs differ: explain %v→%v, optimize %v→%v",
 				it.SQL, ex.CostBefore, ex.CostAfter, res.CostBefore, res.CostAfter)
@@ -70,7 +112,7 @@ func TestExplainMatchesOptimizeWorkload(t *testing.T) {
 	if rewritten == 0 {
 		t.Fatal("no query in the workload was rewritten")
 	}
-	t.Logf("explain agreed with optimize on %d queries (%d rewritten)", queries, rewritten)
+	t.Logf("every entry point agreed on %d queries (%d rewritten)", queries, rewritten)
 }
 
 // TestExplainBypassesResultCache: explanations always describe a real search,
@@ -90,7 +132,7 @@ func TestExplainBypassesResultCache(t *testing.T) {
 	if !res.Cached {
 		t.Fatal("second OptimizeSQLResult should hit the cache")
 	}
-	ex, err := o.ExplainSQL(q)
+	ex, err := o.ExplainSQL(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
