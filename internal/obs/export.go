@@ -61,22 +61,29 @@ func (r *Registry) Snapshot() Snapshot {
 	return snap
 }
 
-// Snapshot summarizes the histogram.
+// Snapshot summarizes the histogram from one read of the bucket counts:
+// Count, the quantiles and Buckets all derive from that single copy, so they
+// agree with each other exactly (Count is the sum of Buckets) however many
+// writers are mid-Observe. Only Sum is a separate counter and may lag the
+// buckets by the observations in flight.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	counts := h.Counts()
 	// Quantiles round to 1µs: interpolation below bucket resolution is noise,
 	// and rounding keeps the JSON rendering stable for golden tests.
-	hs := HistogramSnapshot{
-		Count:      h.Count(),
-		SumSeconds: h.Sum().Seconds(),
-		P50Seconds: h.Quantile(0.50).Round(time.Microsecond).Seconds(),
-		P90Seconds: h.Quantile(0.90).Round(time.Microsecond).Seconds(),
-		P99Seconds: h.Quantile(0.99).Round(time.Microsecond).Seconds(),
+	quantile := func(q float64) float64 {
+		return CountsQuantile(h.bounds, counts, q).Round(time.Microsecond).Seconds()
 	}
-	for i := range h.buckets {
-		c := h.buckets[i].Load()
+	hs := HistogramSnapshot{
+		SumSeconds: h.Sum().Seconds(),
+		P50Seconds: quantile(0.50),
+		P90Seconds: quantile(0.90),
+		P99Seconds: quantile(0.99),
+	}
+	for i, c := range counts {
 		if c == 0 {
 			continue
 		}
+		hs.Count += c
 		le := 0.0
 		if i < len(h.bounds) {
 			le = h.bounds[i].Seconds()

@@ -7,7 +7,9 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wetune/internal/sql"
@@ -75,6 +77,8 @@ func (c ColRef) String() string {
 // Node is a logical plan operator.
 type Node interface {
 	Kind() Kind
+	// Children returns the inputs in a new slice the caller may modify. Code
+	// that only reads them uses NumChildren/Child, which do not allocate.
 	Children() []Node
 	// WithChildren returns a shallow copy with the children replaced.
 	WithChildren(ch []Node) Node
@@ -393,13 +397,60 @@ func colSet(cols []ColRef) map[ColRef]bool {
 	return m
 }
 
+// NumChildren and Child are Children() without the slice: NumChildren(n)
+// inputs, Child(n, i) the i-th of them in Children() order, i in
+// [0, NumChildren(n)). Every traversal on the rewrite path goes through them,
+// because Children() heap-allocates its result on each call.
+func NumChildren(n Node) int {
+	_, _, k := inputs(n)
+	return k
+}
+
+// Child returns the i-th input of n; see NumChildren.
+func Child(n Node, i int) Node {
+	first, second, _ := inputs(n)
+	if i == 0 {
+		return first
+	}
+	return second
+}
+
+// inputs returns the k (at most two) children of n.
+func inputs(n Node) (first, second Node, k int) {
+	switch x := n.(type) {
+	case *Scan:
+		return nil, nil, 0
+	case *Proj:
+		return x.In, nil, 1
+	case *Sel:
+		return x.In, nil, 1
+	case *InSub:
+		return x.In, x.Sub, 2
+	case *Join:
+		return x.L, x.R, 2
+	case *Dedup:
+		return x.In, nil, 1
+	case *Agg:
+		return x.In, nil, 1
+	case *Union:
+		return x.L, x.R, 2
+	case *Sort:
+		return x.In, nil, 1
+	case *Limit:
+		return x.In, nil, 1
+	case *Derived:
+		return x.In, nil, 1
+	}
+	panic(fmt.Sprintf("plan: no child access for %T", n))
+}
+
 // Walk visits n and all descendants in preorder.
 func Walk(n Node, fn func(Node) bool) {
 	if n == nil || !fn(n) {
 		return
 	}
-	for _, c := range n.Children() {
-		Walk(c, fn)
+	for i, k := 0, NumChildren(n); i < k; i++ {
+		Walk(Child(n, i), fn)
 	}
 }
 
@@ -443,121 +494,170 @@ func Size(n Node) int {
 
 // Fingerprint returns a canonical string for structural plan equality.
 func Fingerprint(n Node) string {
-	var b strings.Builder
-	fingerprint(&b, n)
-	return b.String()
+	var buf [256]byte
+	return string(AppendFingerprint(buf[:0], n))
 }
 
-func fingerprint(b *strings.Builder, n Node) {
+// AppendFingerprint appends the text Fingerprint returns for n to dst, so a
+// caller that only compares or probes a map renders into scratch it owns.
+func AppendFingerprint(dst []byte, n Node) []byte { return appendFingerprint(dst, n, nil) }
+
+// AppendBindings appends to dst the distinct table bindings of n's Scan and
+// Derived nodes in first-appearance (preorder) order.
+func AppendBindings(dst []string, n Node) []string {
+	binding, binds := "", false
 	switch x := n.(type) {
 	case *Scan:
-		fmt.Fprintf(b, "Input(%s as %s)", x.Table, x.Binding)
+		binding, binds = x.Binding, true
+	case *Derived:
+		binding, binds = x.Binding, true
+	}
+	if binds && !slices.Contains(dst, binding) {
+		dst = append(dst, binding)
+	}
+	for i, k := 0, NumChildren(n); i < k; i++ {
+		dst = AppendBindings(dst, Child(n, i))
+	}
+	return dst
+}
+
+// AppendAliasFingerprint is AppendFingerprint made insensitive to table
+// aliases: a binding that is bindings[i] — pass AppendBindings(nil, n) — is
+// written "b<i>" wherever the fingerprint names it, so two scans of one table
+// under different aliases get equal bytes. Inside predicate expressions the
+// positional form stops where sql.AppendExprPositional says it does.
+func AppendAliasFingerprint(dst []byte, n Node, bindings []string) []byte {
+	return appendFingerprint(dst, n, bindings)
+}
+
+func appendColRef(dst []byte, c ColRef, bindings []string) []byte {
+	if c.Table != "" {
+		dst = sql.AppendBinding(dst, c.Table, bindings)
+		dst = append(dst, '.')
+	}
+	return append(dst, c.Column...)
+}
+
+func appendFingerprint(dst []byte, n Node, bindings []string) []byte {
+	switch x := n.(type) {
+	case *Scan:
+		dst = append(dst, "Input("...)
+		dst = append(dst, x.Table...)
+		dst = append(dst, " as "...)
+		dst = sql.AppendBinding(dst, x.Binding, bindings)
+		return append(dst, ')')
 	case *Proj:
-		b.WriteString("Proj[")
+		dst = append(dst, "Proj["...)
 		for i, it := range x.Items {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(sql.FormatExpr(it.Expr))
+			dst = sql.AppendExprPositional(dst, it.Expr, bindings)
 			if it.Alias != "" {
-				b.WriteString(" as " + it.Alias)
+				dst = append(dst, " as "...)
+				dst = append(dst, it.Alias...)
 			}
 		}
-		b.WriteString("](")
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *Sel:
-		b.WriteString("Sel[" + sql.FormatExpr(x.Pred) + "](")
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "Sel["...)
+		dst = sql.AppendExprPositional(dst, x.Pred, bindings)
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *InSub:
-		b.WriteString("InSub[")
+		dst = append(dst, "InSub["...)
 		for i, c := range x.Cols {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(c.String())
+			dst = appendColRef(dst, c, bindings)
 		}
-		b.WriteString("](")
-		fingerprint(b, x.In)
-		b.WriteString(",")
-		fingerprint(b, x.Sub)
-		b.WriteString(")")
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
+		dst = append(dst, ',')
+		dst = appendFingerprint(dst, x.Sub, bindings)
 	case *Join:
-		on := ""
+		dst = append(dst, x.JoinKind.String()...)
+		dst = append(dst, '[')
 		if x.On != nil {
-			on = sql.FormatExpr(x.On)
+			dst = sql.AppendExprPositional(dst, x.On, bindings)
 		}
-		fmt.Fprintf(b, "%s[%s](", x.JoinKind, on)
-		fingerprint(b, x.L)
-		b.WriteString(",")
-		fingerprint(b, x.R)
-		b.WriteString(")")
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.L, bindings)
+		dst = append(dst, ',')
+		dst = appendFingerprint(dst, x.R, bindings)
 	case *Dedup:
-		b.WriteString("Dedup(")
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "Dedup("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *Agg:
-		b.WriteString("Agg[")
+		dst = append(dst, "Agg["...)
 		for i, g := range x.GroupBy {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(g.String())
+			dst = appendColRef(dst, g, bindings)
 		}
-		b.WriteString(";")
+		dst = append(dst, ';')
 		for i, it := range x.Items {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(it.Func)
+			dst = append(dst, it.Func...)
 			if it.Star {
-				b.WriteString("(*)")
+				dst = append(dst, "(*)"...)
 			} else if it.Arg != nil {
-				b.WriteString("(" + sql.FormatExpr(it.Arg) + ")")
+				dst = append(dst, '(')
+				if it.Distinct {
+					// COUNT(DISTINCT a) and COUNT(a) are different queries.
+					dst = append(dst, "distinct "...)
+				}
+				dst = sql.AppendExprPositional(dst, it.Arg, bindings)
+				dst = append(dst, ')')
 			}
 		}
 		if x.Having != nil {
-			b.WriteString(";having " + sql.FormatExpr(x.Having))
+			dst = append(dst, ";having "...)
+			dst = sql.AppendExprPositional(dst, x.Having, bindings)
 		}
-		b.WriteString("](")
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *Union:
 		if x.All {
-			b.WriteString("UnionAll(")
+			dst = append(dst, "UnionAll("...)
 		} else {
-			b.WriteString("Union(")
+			dst = append(dst, "Union("...)
 		}
-		fingerprint(b, x.L)
-		b.WriteString(",")
-		fingerprint(b, x.R)
-		b.WriteString(")")
+		dst = appendFingerprint(dst, x.L, bindings)
+		dst = append(dst, ',')
+		dst = appendFingerprint(dst, x.R, bindings)
 	case *Sort:
-		b.WriteString("Sort[")
+		dst = append(dst, "Sort["...)
 		for i, k := range x.Keys {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(k.Col.String())
+			dst = appendColRef(dst, k.Col, bindings)
 			if k.Desc {
-				b.WriteString(" desc")
+				dst = append(dst, " desc"...)
 			}
 		}
-		b.WriteString("](")
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *Limit:
-		fmt.Fprintf(b, "Limit[%d](", x.N)
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "Limit["...)
+		dst = strconv.AppendInt(dst, x.N, 10)
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	case *Derived:
-		fmt.Fprintf(b, "Derived[%s](", x.Binding)
-		fingerprint(b, x.In)
-		b.WriteString(")")
+		dst = append(dst, "Derived["...)
+		dst = sql.AppendBinding(dst, x.Binding, bindings)
+		dst = append(dst, "]("...)
+		dst = appendFingerprint(dst, x.In, bindings)
 	default:
-		fmt.Fprintf(b, "?%T", n)
+		return append(dst, fmt.Sprintf("?%T", n)...)
 	}
+	return append(dst, ')')
 }
 
 // Equal reports structural plan equality via fingerprints.

@@ -55,7 +55,7 @@ func testSchema() *sql.Schema {
 	return s
 }
 
-func build(t *testing.T, q string) Node {
+func build(t testing.TB, q string) Node {
 	t.Helper()
 	n, err := BuildSQL(q, testSchema())
 	if err != nil {

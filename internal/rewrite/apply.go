@@ -9,9 +9,25 @@ import (
 	"wetune/internal/template"
 )
 
-// Matcher matches rule templates against plans and instantiates rewrites.
+// Matcher matches rule templates against plans and instantiates rewrites. The
+// zero value with Schema set is ready; the unexported fields are scratch that
+// attempts reuse, so one Matcher serves one goroutine at a time.
 type Matcher struct {
 	Schema *sql.Schema
+
+	// Scratch of the equivalence checks: the alias-insensitive fingerprints
+	// aliasEqual compares, and the binding lists (plan.AppendBindings) of the
+	// one or two subplans under comparison.
+	fpA, fpB     []byte
+	bindA, bindB []string
+}
+
+// release drops what the scratch references of the last call's query (binding
+// names are slices of its text) and keeps the buffers.
+func (m *Matcher) release() {
+	m.Schema = nil
+	clear(m.bindA[:cap(m.bindA)])
+	clear(m.bindB[:cap(m.bindB)])
 }
 
 // ApplyCompiled tries to apply a pre-compiled rule at the root of fragment n,
@@ -374,8 +390,8 @@ func validate(n plan.Node) error {
 	}
 	var check func(n plan.Node) error
 	check = func(n plan.Node) error {
-		for _, ch := range n.Children() {
-			if err := check(ch); err != nil {
+		for i, k := 0, plan.NumChildren(n); i < k; i++ {
+			if err := check(plan.Child(n, i)); err != nil {
 				return err
 			}
 		}

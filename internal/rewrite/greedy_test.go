@@ -65,7 +65,7 @@ func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 // plans (cycle avoidance for enabler rules like join commutation).
 func (rw *Rewriter) pickBest(cur plan.Node, cands []Candidate, seen map[string]bool) *Candidate {
 	curSize := plan.Size(cur)
-	curCost := rw.cost(cur)
+	curCost := rw.cost(cur, curSize)
 	var best *Candidate
 	bestSize := curSize
 	bestCost := curCost
@@ -75,7 +75,7 @@ func (rw *Rewriter) pickBest(cur plan.Node, cands []Candidate, seen map[string]b
 			continue
 		}
 		size := plan.Size(c.Plan)
-		cost := rw.cost(c.Plan)
+		cost := rw.cost(c.Plan, size)
 		improves := size < bestSize || (size == bestSize && cost < bestCost)
 		if improves {
 			best = c

@@ -6,7 +6,9 @@
 package rewrite
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 
 	"wetune/internal/constraint"
@@ -63,25 +65,24 @@ func (b *binding) clone() *binding {
 	return nb
 }
 
-// aliasFingerprint renders a plan with scan aliases canonicalized, so that
-// two scans of the same table under different aliases compare equal. The
-// plan is structurally rewritten to positional aliases before printing.
-func aliasFingerprint(n plan.Node) string {
-	rename := map[string]string{}
-	plan.Walk(n, func(m plan.Node) bool {
-		switch x := m.(type) {
-		case *plan.Scan:
-			if _, seen := rename[x.Binding]; !seen {
-				rename[x.Binding] = fmt.Sprintf("b%d", len(rename))
-			}
-		case *plan.Derived:
-			if _, seen := rename[x.Binding]; !seen {
-				rename[x.Binding] = fmt.Sprintf("b%d", len(rename))
-			}
-		}
-		return true
-	})
-	return plan.Fingerprint(renameBindings(n, rename))
+// aliasEqual reports whether two subplans are equal up to table aliases: each
+// is fingerprinted into matcher scratch with its Scan/Derived bindings written
+// as their first-appearance positions, so two scans of one table under
+// different aliases compare equal. The bytes are those of
+// plan.Fingerprint(renameBindings(n, binding -> "b<position>")), including
+// that function's blind spot: column qualifiers inside CASE, IN (SELECT …),
+// EXISTS and scalar-subquery predicates are not renamed. That decides which
+// RelEq-bound subplans match; whether they should be renamed is a separate
+// question.
+func (m *Matcher) aliasEqual(a, b plan.Node) bool {
+	m.fpA = m.appendAliasFingerprint(m.fpA[:0], a)
+	m.fpB = m.appendAliasFingerprint(m.fpB[:0], b)
+	return bytes.Equal(m.fpA, m.fpB)
+}
+
+func (m *Matcher) appendAliasFingerprint(dst []byte, n plan.Node) []byte {
+	m.bindA = plan.AppendBindings(m.bindA[:0], n)
+	return plan.AppendAliasFingerprint(dst, n, m.bindA)
 }
 
 // match attempts to bind tpl against n, extending b. Returns false without
@@ -91,7 +92,7 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 	switch tpl.Op {
 	case template.OpInput:
 		if prev, ok := b.rels[tpl.Rel]; ok {
-			return aliasFingerprint(prev) == aliasFingerprint(n)
+			return m.aliasEqual(prev, n)
 		}
 		b.rels[tpl.Rel] = n
 		return true
@@ -220,6 +221,9 @@ func aggItemsKey(items []plan.AggItem) string {
 		arg := "*"
 		if it.Arg != nil {
 			arg = sql.FormatExpr(it.Arg)
+			if it.Distinct {
+				arg = "distinct " + arg
+			}
 		}
 		parts[i] = it.Func + "(" + arg + ")"
 	}
@@ -263,27 +267,17 @@ func predColumns(e sql.Expr) []plan.ColRef {
 	return out
 }
 
-// instanceIndex numbers the table instances (scan/derived bindings) of a
-// subplan in first-appearance order, mirroring aliasFingerprint. Two columns
-// from different scopes denote "the same attribute of the same relation
-// instance" when their aliases sit at the same position — comparison by bare
-// base-table origin would collapse the two instances of a self-joined table.
-func instanceIndex(n plan.Node) map[string]int {
-	idx := map[string]int{}
-	plan.Walk(n, func(m plan.Node) bool {
-		switch x := m.(type) {
-		case *plan.Scan:
-			if _, ok := idx[x.Binding]; !ok {
-				idx[x.Binding] = len(idx)
-			}
-		case *plan.Derived:
-			if _, ok := idx[x.Binding]; !ok {
-				idx[x.Binding] = len(idx)
-			}
-		}
-		return true
-	})
-	return idx
+// instances lists, into matcher scratch, the table instances of two subplans:
+// their plan.AppendBindings lists (scan/derived bindings in first-appearance
+// order), the numbering aliasEqual uses. Two columns from different scopes
+// denote "the same attribute of the same relation instance" when their aliases
+// sit at the same position (slices.Index; -1 for an alias from outside the
+// subplan) — comparison by bare base-table origin would collapse the two
+// instances of a self-joined table.
+func (m *Matcher) instances(a, b plan.Node) (ia, ib []string) {
+	m.bindA = plan.AppendBindings(m.bindA[:0], a)
+	m.bindB = plan.AppendBindings(m.bindB[:0], b)
+	return m.bindA, m.bindB
 }
 
 // attrsEquivalent compares two attribute bindings by the base-table origin of
@@ -294,11 +288,9 @@ func (m *Matcher) attrsEquivalent(a, b attrsBinding) bool {
 	if len(a.cols) != len(b.cols) {
 		return false
 	}
-	ia, ib := instanceIndex(a.owner), instanceIndex(b.owner)
+	ia, ib := m.instances(a.owner, b.owner)
 	for i := range a.cols {
-		p1, known1 := ia[a.cols[i].Table]
-		p2, known2 := ib[b.cols[i].Table]
-		if known1 != known2 || (known1 && p1 != p2) {
+		if slices.Index(ia, a.cols[i].Table) != slices.Index(ib, b.cols[i].Table) {
 			return false
 		}
 		t1, c1, ok1 := plan.Origin(a.owner, a.cols[i])
@@ -323,11 +315,11 @@ func (m *Matcher) attrsEquivalent(a, b attrsBinding) bool {
 // (position) compare equal, while predicates reading the two sides of a
 // self-join — same base table, different instances — do not.
 func (m *Matcher) predsEquivalent(a, b predBinding) bool {
-	return normalizePredString(a.expr, instanceIndex(a.owner)) ==
-		normalizePredString(b.expr, instanceIndex(b.owner))
+	ia, ib := m.instances(a.owner, b.owner)
+	return normalizePredString(a.expr, ia) == normalizePredString(b.expr, ib)
 }
 
-func normalizePredString(e sql.Expr, idx map[string]int) string {
+func normalizePredString(e sql.Expr, bindings []string) string {
 	s := sql.FormatExpr(e)
 	// Replace each `alias.` qualifier with its positional instance number;
 	// aliases outside the scope (e.g. tables local to a subquery) stay as-is.
@@ -346,7 +338,7 @@ func normalizePredString(e sql.Expr, idx map[string]int) string {
 			k--
 		}
 		out.WriteString(s[i:k])
-		if pos, ok := idx[s[k:j]]; ok {
+		if pos := slices.Index(bindings, s[k:j]); pos >= 0 {
 			fmt.Fprintf(&out, "b%d.", pos)
 		} else {
 			out.WriteString(s[k:j])
@@ -397,7 +389,7 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 		case constraint.RelEq:
 			p1, ok1 := b.rels[c.Syms[0]]
 			p2, ok2 := b.rels[c.Syms[1]]
-			if ok1 && ok2 && aliasFingerprint(p1) != aliasFingerprint(p2) {
+			if ok1 && ok2 && !m.aliasEqual(p1, p2) {
 				return false
 			}
 		case constraint.AttrsEq:

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"wetune/internal/engine"
-	"wetune/internal/obs/journal"
 	"wetune/internal/plan"
 	"wetune/internal/rules"
 	"wetune/internal/sql"
@@ -25,8 +24,10 @@ type Candidate struct {
 	Path []int
 
 	// fp is the derived plan's fingerprint, computed once at generation so
-	// the search memo does not fingerprint the same plan twice.
-	fp string
+	// the search memo does not fingerprint the same plan twice. It points
+	// into the search context's byte arena and is nil in what Candidates
+	// returns.
+	fp []byte
 }
 
 // Rewriter drives WeTune's rewrite engine (§6): rules are compiled once into
@@ -67,14 +68,17 @@ func (rw *Rewriter) ruleIndex() *RuleIndex {
 // source template cannot match at a node; attempts and matches land in the
 // default metrics registry (rewrite_rule_attempts / rewrite_rule_matches).
 func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
-	scratch := searchScratchPool.Get().(*searchScratch)
-	defer scratch.release()
-	sc := &searchCtx{
-		rw: rw, idx: rw.ruleIndex(), m: &Matcher{Schema: rw.Schema},
-		jr: journal.Default(), scratch: scratch,
+	sc := newSearchCtx(rw, nil)
+	defer sc.release()
+	// expand fingerprints its candidates into the arena from offset 0, so the
+	// parent's fingerprint has to be a string of its own.
+	cands := sc.expand(p, plan.Fingerprint(p), 0, 0)
+	// The expand output lives in the pooled context; copy it out for the
+	// caller without the fingerprints, which point into the pooled arena.
+	out := append([]Candidate(nil), cands...)
+	for i := range out {
+		out[i].fp = nil
 	}
-	// The expand output lives in pooled scratch; copy it out for the caller.
-	out := append([]Candidate(nil), sc.expand(p, plan.Fingerprint(p), 0, 0)...)
 	sc.flushObs()
 	return out
 }
@@ -110,11 +114,13 @@ func GreedyOptions() Options {
 	return Options{MaxSteps: 3, MaxFrontier: 1, MaxNodes: 8}
 }
 
-func (rw *Rewriter) cost(p plan.Node) float64 {
+// cost ranks a plan of the given plan.Size: the engine's estimate when a
+// database is attached, the operator count otherwise.
+func (rw *Rewriter) cost(p plan.Node, size int) float64 {
 	if rw.DB != nil {
 		return rw.DB.EstimateCost(p)
 	}
-	return float64(plan.Size(p))
+	return float64(size)
 }
 
 // --- tree paths ---
@@ -122,7 +128,7 @@ func (rw *Rewriter) cost(p plan.Node) float64 {
 func nodeAt(p plan.Node, path []int) plan.Node {
 	cur := p
 	for _, i := range path {
-		cur = cur.Children()[i]
+		cur = plan.Child(cur, i)
 	}
 	return cur
 }
@@ -131,10 +137,8 @@ func replaceAt(p plan.Node, path []int, repl plan.Node) plan.Node {
 	if len(path) == 0 {
 		return repl
 	}
-	children := p.Children()
-	newChildren := make([]plan.Node, len(children))
-	copy(newChildren, children)
-	newChildren[path[0]] = replaceAt(children[path[0]], path[1:], repl)
+	newChildren := p.Children() // a fresh slice on every call
+	newChildren[path[0]] = replaceAt(newChildren[path[0]], path[1:], repl)
 	return p.WithChildren(newChildren)
 }
 
@@ -143,7 +147,9 @@ func replaceAt(p plan.Node, path []int, repl plan.Node) plan.Node {
 // the root or feeds a LIMIT through order-preserving operators
 // (Proj/Sel/Dedup/InSub-left). Everything else — sorts inside IN-subqueries,
 // under joins or aggregations — is stripped, as are ORDER BY clauses in
-// predicate-level subqueries without LIMIT.
+// predicate-level subqueries without LIMIT (in place, in the predicate's AST).
+// Operators with nothing eliminated beneath them are returned as they are: a
+// plan without a removable Sort comes back as the same node, unallocated.
 func EliminateOrderBy(p plan.Node) plan.Node {
 	return elimSort(p, true)
 }
@@ -158,81 +164,92 @@ func elimSort(p plan.Node, protected bool) plan.Node {
 		if !protected {
 			return in
 		}
+		if in == x.In {
+			return x
+		}
 		return &plan.Sort{Keys: x.Keys, In: in}
 	case *plan.Limit:
-		return &plan.Limit{N: x.N, In: elimSort(x.In, true)}
-	case *plan.Proj:
-		items := make([]plan.ProjItem, len(x.Items))
-		for i, it := range x.Items {
-			items[i] = plan.ProjItem{Expr: stripSubqueryOrderBy(it.Expr), Alias: it.Alias}
+		if in := elimSort(x.In, true); in != x.In {
+			return &plan.Limit{N: x.N, In: in}
 		}
-		return &plan.Proj{Items: items, In: elimSort(x.In, protected)}
+	case *plan.Proj:
+		for _, it := range x.Items {
+			stripSubqueryOrderBy(it.Expr)
+		}
+		if in := elimSort(x.In, protected); in != x.In {
+			return &plan.Proj{Items: x.Items, In: in}
+		}
 	case *plan.Sel:
-		return &plan.Sel{Pred: stripSubqueryOrderBy(x.Pred), In: elimSort(x.In, protected)}
+		stripSubqueryOrderBy(x.Pred)
+		if in := elimSort(x.In, protected); in != x.In {
+			return &plan.Sel{Pred: x.Pred, In: in}
+		}
 	case *plan.Dedup:
-		return &plan.Dedup{In: elimSort(x.In, protected)}
+		if in := elimSort(x.In, protected); in != x.In {
+			return &plan.Dedup{In: in}
+		}
 	case *plan.InSub:
-		return &plan.InSub{
-			Cols: x.Cols,
-			In:   elimSort(x.In, protected),
-			Sub:  elimSort(x.Sub, false),
+		in, sub := elimSort(x.In, protected), elimSort(x.Sub, false)
+		if in != x.In || sub != x.Sub {
+			return &plan.InSub{Cols: x.Cols, In: in, Sub: sub}
 		}
 	case *plan.Derived:
-		return &plan.Derived{Binding: x.Binding, In: elimSort(x.In, protected)}
+		if in := elimSort(x.In, protected); in != x.In {
+			return &plan.Derived{Binding: x.Binding, In: in}
+		}
 	default:
-		children := p.Children()
-		if len(children) == 0 {
-			return p
+		var newChildren []plan.Node
+		for i, k := 0, plan.NumChildren(p); i < k; i++ {
+			c := plan.Child(p, i)
+			nc := elimSort(c, false)
+			if nc != c && newChildren == nil {
+				newChildren = p.Children()
+			}
+			if newChildren != nil {
+				newChildren[i] = nc
+			}
 		}
-		newChildren := make([]plan.Node, len(children))
-		for i, c := range children {
-			newChildren[i] = elimSort(c, false)
+		if newChildren != nil {
+			return p.WithChildren(newChildren)
 		}
-		return p.WithChildren(newChildren)
 	}
+	return p
 }
 
-// stripSubqueryOrderBy removes ORDER BY clauses from IN/EXISTS subqueries in
-// predicates when no LIMIT depends on them.
-func stripSubqueryOrderBy(e sql.Expr) sql.Expr {
-	if e == nil {
-		return nil
-	}
-	strip := func(s *sql.SelectStmt) {
-		var rec func(s *sql.SelectStmt)
-		rec = func(s *sql.SelectStmt) {
-			if s == nil {
-				return
-			}
-			if s.Limit == nil {
-				s.OrderBy = nil
-			}
-			rec(s.SetLeft)
-			rec(s.SetRight)
-			if w := s.Where; w != nil {
-				sql.WalkExprs(w, func(x sql.Expr) bool {
-					switch q := x.(type) {
-					case *sql.InSubquery:
-						rec(q.Select)
-					case *sql.ExistsExpr:
-						rec(q.Select)
-					}
-					return true
-				})
-			}
-		}
-		rec(s)
-	}
+// stripSubqueryOrderBy removes, in place, ORDER BY clauses from the IN, EXISTS
+// and scalar subqueries of a predicate when no LIMIT depends on them.
+func stripSubqueryOrderBy(e sql.Expr) {
 	sql.WalkExprs(e, func(x sql.Expr) bool {
 		switch q := x.(type) {
 		case *sql.InSubquery:
-			strip(q.Select)
+			stripOrderBy(q.Select)
 		case *sql.ExistsExpr:
-			strip(q.Select)
+			stripOrderBy(q.Select)
 		case *sql.ScalarSubquery:
-			strip(q.Select)
+			stripOrderBy(q.Select)
 		}
 		return true
 	})
-	return e
+}
+
+// stripOrderBy drops the ORDER BY of a LIMIT-less subquery, of both sides of
+// a set operation, and of the IN/EXISTS subqueries in its WHERE clause.
+func stripOrderBy(s *sql.SelectStmt) {
+	if s == nil {
+		return
+	}
+	if s.Limit == nil {
+		s.OrderBy = nil
+	}
+	stripOrderBy(s.SetLeft)
+	stripOrderBy(s.SetRight)
+	sql.WalkExprs(s.Where, func(x sql.Expr) bool {
+		switch q := x.(type) {
+		case *sql.InSubquery:
+			stripOrderBy(q.Select)
+		case *sql.ExistsExpr:
+			stripOrderBy(q.Select)
+		}
+		return true
+	})
 }

@@ -98,7 +98,7 @@ type Stats struct {
 // that produced it.
 type state struct {
 	plan  plan.Node
-	fp    string // plan fingerprint (computed once, reused by the memo)
+	fp    string // plan fingerprint: the visited memo's key, made once on insertion
 	path  []Applied
 	size  int
 	cost  float64
@@ -127,58 +127,71 @@ type rankedCand struct {
 	cost float64
 }
 
-// searchScratch is the allocation pool unit of one search: the visited memo,
-// the frontier backing array, the candidate and rank buffers and the
-// node-path arena all live here and are recycled via searchScratchPool, so a
-// steady-state search allocates only what escapes into its result (the plan,
-// the applied chain, fingerprint strings).
-type searchScratch struct {
+// searchCtx is everything one Search or Candidates call works with, and the
+// unit searchCtxPool recycles: the per-call handles (rewriter, index, stats,
+// flight recorder, optional provenance record) and the scratch that outlives
+// the call — matcher buffers, start state, visited memo, frontier backing
+// array, candidate and rank buffers, the node-path arena and the byte arena
+// candidates are fingerprinted into. Nothing lives on the shared Rewriter, so
+// one Rewriter serves concurrent searches, and a steady-state search allocates
+// only what escapes into its result (derived plans, applied chains) plus one
+// memo key per newly visited state.
+type searchCtx struct {
+	rw    *Rewriter
+	idx   *RuleIndex
+	m     Matcher
+	stats Stats
+	jr    *journal.Journal
+	prov  *Provenance
+	// bucketRules caches, per plan kind, the rule numbers the index keeps for
+	// that kind (provenance-only: attributes index pruning to specific rules).
+	bucketRules map[plan.Kind]map[int]bool
+
+	first    state
 	seen     map[string]bool
 	frontier []*state
 	ranked   []rankedCand
 	cands    []Candidate
 	paths    [][]int
-	pathBuf  []int // current recursion prefix for nodePathsInto
-	arena    []int // backing storage for the per-expand path slices
+	pathBuf  []int  // current recursion prefix for appendPaths
+	arena    []int  // backing storage for the per-expand path slices
+	fpArena  []byte // backing storage for the per-expand candidate fingerprints
 }
 
-var searchScratchPool = sync.Pool{
+var searchCtxPool = sync.Pool{
 	New: func() any {
-		return &searchScratch{seen: make(map[string]bool, 64)}
+		return &searchCtx{seen: make(map[string]bool, 64)}
 	},
 }
 
-// release clears everything that references plans (so pooled scratch never
-// retains a query's tree) and returns the scratch to the pool.
-func (s *searchScratch) release() {
-	clear(s.seen)
-	clear(s.frontier)
-	s.frontier = s.frontier[:0]
-	clear(s.ranked)
-	s.ranked = s.ranked[:0]
-	clear(s.cands)
-	s.cands = s.cands[:0]
-	s.paths = s.paths[:0]
-	s.pathBuf = s.pathBuf[:0]
-	s.arena = s.arena[:0]
-	searchScratchPool.Put(s)
+// newSearchCtx takes a context from the pool and binds it to one call.
+func newSearchCtx(rw *Rewriter, prov *Provenance) *searchCtx {
+	sc := searchCtxPool.Get().(*searchCtx)
+	sc.rw, sc.idx, sc.jr, sc.prov = rw, rw.ruleIndex(), journal.Default(), prov
+	sc.m.Schema = rw.Schema
+	return sc
 }
 
-// searchCtx is the per-call scratch of one Search: matcher, stats, memo,
-// frontier, flight-recorder handle and the optional provenance record all
-// live here, never on the shared Rewriter, so one Rewriter can serve
-// concurrent searches.
-type searchCtx struct {
-	rw      *Rewriter
-	idx     *RuleIndex
-	m       *Matcher
-	stats   Stats
-	jr      *journal.Journal
-	prov    *Provenance
-	scratch *searchScratch
-	// bucketRules caches, per plan kind, the rule numbers the index keeps for
-	// that kind (provenance-only: attributes index pruning to specific rules).
-	bucketRules map[plan.Kind]map[int]bool
+// release clears everything that references the call — plans, binding names,
+// the rewriter, the provenance record — so a pooled context never retains a
+// query's tree, keeps the grown buffers, and returns the context to the pool.
+func (sc *searchCtx) release() {
+	sc.rw, sc.idx, sc.jr, sc.prov, sc.bucketRules = nil, nil, nil, nil, nil
+	sc.stats = Stats{}
+	sc.m.release()
+	sc.first = state{}
+	clear(sc.seen)
+	clear(sc.frontier)
+	sc.frontier = sc.frontier[:0]
+	clear(sc.ranked)
+	sc.ranked = sc.ranked[:0]
+	clear(sc.cands)
+	sc.cands = sc.cands[:0]
+	sc.paths = sc.paths[:0]
+	sc.pathBuf = sc.pathBuf[:0]
+	sc.arena = sc.arena[:0]
+	sc.fpArena = sc.fpArena[:0]
+	searchCtxPool.Put(sc)
 }
 
 // inBucket returns the rule numbers the index retains for fragments of kind.
@@ -202,37 +215,39 @@ func (sc *searchCtx) inBucket(kind plan.Kind) map[int]bool {
 	return m
 }
 
-// nodePathsInto fills sc.scratch.paths with every root-to-node child-index
-// path of p in pre-order. Path storage comes from the scratch arena; the
-// slices are only valid until the next expand, which is fine — everything
-// that escapes (Candidate.Path, provenance) is copied.
+// nodePathsInto fills sc.paths with every root-to-node child-index path of p
+// in pre-order. Path storage comes from the arena; the slices are only valid
+// until the next expand, which is fine — everything that escapes
+// (Candidate.Path, provenance) is copied.
 func (sc *searchCtx) nodePathsInto(p plan.Node) [][]int {
-	s := sc.scratch
-	s.paths = s.paths[:0]
-	s.arena = s.arena[:0]
-	var rec func(n plan.Node)
-	rec = func(n plan.Node) {
-		n0 := len(s.arena)
-		s.arena = append(s.arena, s.pathBuf...)
-		s.paths = append(s.paths, s.arena[n0:len(s.arena):len(s.arena)])
-		for i, c := range n.Children() {
-			s.pathBuf = append(s.pathBuf, i)
-			rec(c)
-			s.pathBuf = s.pathBuf[:len(s.pathBuf)-1]
-		}
+	sc.paths = sc.paths[:0]
+	sc.arena = sc.arena[:0]
+	sc.appendPaths(p)
+	return sc.paths
+}
+
+func (sc *searchCtx) appendPaths(n plan.Node) {
+	n0 := len(sc.arena)
+	sc.arena = append(sc.arena, sc.pathBuf...)
+	sc.paths = append(sc.paths, sc.arena[n0:len(sc.arena):len(sc.arena)])
+	for i, k := 0, plan.NumChildren(n); i < k; i++ {
+		sc.pathBuf = append(sc.pathBuf, i)
+		sc.appendPaths(plan.Child(n, i))
+		sc.pathBuf = sc.pathBuf[:len(sc.pathBuf)-1]
 	}
-	rec(p)
-	return s.paths
 }
 
 // expand generates every single-step rewrite of the plan of node st, in
 // deterministic (position, rule) order, consulting the rule index at each
 // position. Aggregate prune counts, matcher attempts and matches land in the
 // flight recorder; per-rule attribution lands in the provenance record when
-// one is attached. The returned slice is scratch — consumed before the next
-// expand call.
+// one is attached. Each derived plan is fingerprinted once, into the byte
+// arena: compared with the parent's fingerprint fpP to drop no-ops here, and
+// reused by the caller to probe the visited memo. The returned slice and the
+// fingerprints are scratch — consumed before the next expand call.
 func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candidate {
-	out := sc.scratch.cands[:0]
+	out := sc.cands[:0]
+	sc.fpArena = sc.fpArena[:0]
 	var idxPruned, shapePruned int64
 	for _, path := range sc.nodePathsInto(p) {
 		frag := nodeAt(p, path)
@@ -269,9 +284,12 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 					sc.stats.RuleMatches++
 					sc.jr.Record(journal.KindRuleMatch, int32(cr.Rule.No), journal.PackPath(path), 0)
 					np := replaceAt(p, path, repl)
-					fpNP := plan.Fingerprint(np)
-					if fpNP == fpP {
+					fp0 := len(sc.fpArena)
+					sc.fpArena = plan.AppendFingerprint(sc.fpArena, np)
+					fpNP := sc.fpArena[fp0:len(sc.fpArena):len(sc.fpArena)]
+					if string(fpNP) == fpP {
 						// no-op application
+						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).NoOps++
 							sc.prov.Candidates = append(sc.prov.Candidates, ProvCandidate{
@@ -285,6 +303,7 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 					// renames the fragment's output columns can break
 					// references in ENCLOSING operators — re-validate whole.
 					if validate(np) != nil {
+						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).Invalid++
 							sc.prov.Candidates = append(sc.prov.Candidates, ProvCandidate{
@@ -304,7 +323,7 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 			}
 		}
 	}
-	sc.scratch.cands = out
+	sc.cands = out
 	sc.stats.IndexPruned += idxPruned
 	sc.stats.ShapePruned += shapePruned
 	sc.stats.CandidatesSeen += len(out)
@@ -359,13 +378,9 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 		// one expansion — the overload path a chaos run wants to prove safe.
 		opts.MaxNodes = 1
 	}
-	scratch := searchScratchPool.Get().(*searchScratch)
-	defer scratch.release()
 	prov := opts.Provenance
-	sc := &searchCtx{
-		rw: rw, idx: rw.ruleIndex(), m: &Matcher{Schema: rw.Schema},
-		jr: journal.Default(), prov: prov, scratch: scratch,
-	}
+	sc := newSearchCtx(rw, prov)
+	defer sc.release()
 	if prov != nil {
 		prov.reset(sc.idx)
 	}
@@ -374,7 +389,10 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	if !opts.SkipOrderByElim {
 		start = EliminateOrderBy(p)
 	}
-	first := &state{plan: start, fp: plan.Fingerprint(start), size: plan.Size(start), cost: rw.cost(start)}
+	sc.fpArena = plan.AppendFingerprint(sc.fpArena[:0], start)
+	first := &sc.first
+	*first = state{plan: start, fp: string(sc.fpArena), size: plan.Size(start)}
+	first.cost = rw.cost(start, first.size)
 	sc.stats.InitialSize = first.size
 	sc.stats.InitialCost = first.cost
 	if prov != nil {
@@ -386,12 +404,12 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 		})
 	}
 
-	seen := scratch.seen
+	seen := sc.seen
 	seen[first.fp] = true
 	// The frontier lives in the pooled backing array; head indexes the next
 	// state to pop (popping must not re-slice away the array's start, or the
 	// pool would shrink every search).
-	frontier := append(scratch.frontier, first)
+	frontier := append(sc.frontier, first)
 	head := 0
 	best := first
 	seq := 1
@@ -434,27 +452,31 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 		// Deterministic tie-break: candidates of equal (size, cost) enter the
 		// frontier — and thus become the incumbent best — in (rule number,
 		// position) order, regardless of rule-set ordering.
-		rs := scratch.ranked[:0]
+		rs := sc.ranked[:0]
 		for _, c := range cands {
-			rs = append(rs, rankedCand{c: c, size: plan.Size(c.Plan), cost: rw.cost(c.Plan)})
+			size := plan.Size(c.Plan)
+			rs = append(rs, rankedCand{c: c, size: size, cost: rw.cost(c.Plan, size)})
 		}
-		scratch.ranked = rs
-		sort.SliceStable(rs, func(i, j int) bool {
-			a, b := rs[i], rs[j]
-			if a.size != b.size {
-				return a.size < b.size
-			}
-			if a.cost != b.cost {
-				return a.cost < b.cost
-			}
-			if a.c.Rule.No != b.c.Rule.No {
-				return a.c.Rule.No < b.c.Rule.No
-			}
-			return pathLess(a.c.Path, b.c.Path)
-		})
+		sc.ranked = rs
+		if len(rs) > 1 { // most expansions: nothing to order, and no closure to allocate
+			sort.SliceStable(rs, func(i, j int) bool {
+				a, b := rs[i], rs[j]
+				if a.size != b.size {
+					return a.size < b.size
+				}
+				if a.cost != b.cost {
+					return a.cost < b.cost
+				}
+				if a.c.Rule.No != b.c.Rule.No {
+					return a.c.Rule.No < b.c.Rule.No
+				}
+				return pathLess(a.c.Path, b.c.Path)
+			})
+		}
 		for _, r := range rs {
-			fp := r.c.fp
-			if seen[fp] {
+			// Probing with string(bytes) does not allocate; the key string is
+			// made only when the state is new.
+			if seen[string(r.c.fp)] {
 				sc.stats.MemoHits++
 				sc.jr.Record(journal.KindMemoHit, int32(r.c.Rule.No), journal.PackPath(r.c.Path), 0)
 				if prov != nil {
@@ -467,6 +489,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 				}
 				continue
 			}
+			fp := string(r.c.fp)
 			seen[fp] = true
 			ns := &state{
 				plan: r.c.Plan,
@@ -518,7 +541,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 			truncate("frontier")
 		}
 	}
-	scratch.frontier = frontier
+	sc.frontier = frontier
 
 	sc.stats.FinalSize = best.size
 	sc.stats.FinalCost = best.cost

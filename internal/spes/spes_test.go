@@ -104,6 +104,22 @@ func TestVerifyPlansRejectsDifferentPredicates(t *testing.T) {
 	}
 }
 
+// TestVerifyPlansRejectsDistinctAggregate: an aggregate over DISTINCT values
+// is not the aggregate over all values. The verifier compares canonical plan
+// fingerprints, which used to drop the DISTINCT flag and so accepted the pair.
+func TestVerifyPlansRejectsDistinctAggregate(t *testing.T) {
+	for _, f := range []string{"COUNT", "SUM"} {
+		plain := mustPlan(t, "SELECT "+f+"(dept) FROM emp")
+		distinct := mustPlan(t, "SELECT "+f+"(DISTINCT dept) FROM emp")
+		if ok, _ := VerifyPlans(plain, distinct); ok {
+			t.Errorf("%s(dept) verified equivalent to %s(DISTINCT dept)", f, f)
+		}
+		if ok, reason := VerifyPlans(distinct, mustPlan(t, "SELECT "+f+"(DISTINCT dept) FROM emp")); !ok {
+			t.Errorf("%s(DISTINCT dept) must verify against itself: %s", f, reason)
+		}
+	}
+}
+
 func TestVerifyRuleSelProjSwap(t *testing.T) {
 	// Rule 1 of Table 7 is provable by both verifiers: Sel(Proj) = Proj(Sel).
 	src := template.Sel(p(0), a(0), template.Proj(a(1), template.Input(r(0))))

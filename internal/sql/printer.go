@@ -2,128 +2,60 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
-	"strings"
 )
+
+// The printer is append-style, like strconv.AppendInt: AppendSelect and
+// AppendExpr take the destination buffer and return it extended, so a hot
+// caller renders into scratch it owns and compares bytes, and nothing here
+// allocates unless the buffer grows. Format and FormatExpr are the
+// string-returning wrappers over the same code.
+//
+// All of it is one self-recursive function over Node, appendNode, instead of
+// one function per node class. Statements, table expressions and expressions
+// nest in each other, and Go's escape analysis sends a buffer that travels
+// through the results of *mutually* recursive functions (or through a field
+// written via a pointer receiver) to the heap; through one function's own
+// result it stays where the caller put it, which is what lets the wrappers
+// render into a stack buffer.
 
 // Format renders a statement back to SQL text. The output reparses to an
 // equivalent AST (round-trip property, tested).
 func Format(s *SelectStmt) string {
-	var b strings.Builder
-	formatSelect(&b, s)
-	return b.String()
+	var buf [256]byte
+	return string(AppendSelect(buf[:0], s))
 }
 
 // FormatExpr renders one expression.
 func FormatExpr(e Expr) string {
-	var b strings.Builder
-	formatExpr(&b, e, 0)
-	return b.String()
+	var buf [128]byte
+	return string(AppendExpr(buf[:0], e))
 }
 
-func formatSelect(b *strings.Builder, s *SelectStmt) {
-	if s.SetOp != "" {
-		formatSelect(b, s.SetLeft)
-		b.WriteString(" " + s.SetOp + " ")
-		formatSelect(b, s.SetRight)
-		formatOrderLimit(b, s)
-		return
-	}
-	b.WriteString("SELECT ")
-	if s.Distinct {
-		b.WriteString("DISTINCT ")
-	}
-	for i, it := range s.Items {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		switch {
-		case it.Star && it.StarTable != "":
-			b.WriteString(it.StarTable + ".*")
-		case it.Star:
-			b.WriteString("*")
-		default:
-			formatExpr(b, it.Expr, 0)
-			if it.Alias != "" {
-				b.WriteString(" AS " + it.Alias)
-			}
-		}
-	}
-	if s.From != nil {
-		b.WriteString(" FROM ")
-		formatTableExpr(b, s.From)
-	}
-	if s.Where != nil {
-		b.WriteString(" WHERE ")
-		formatExpr(b, s.Where, 0)
-	}
-	if len(s.GroupBy) > 0 {
-		b.WriteString(" GROUP BY ")
-		for i, g := range s.GroupBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			formatExpr(b, g, 0)
-		}
-	}
-	if s.Having != nil {
-		b.WriteString(" HAVING ")
-		formatExpr(b, s.Having, 0)
-	}
-	formatOrderLimit(b, s)
+// AppendSelect appends the text Format returns for s to dst.
+func AppendSelect(dst []byte, s *SelectStmt) []byte { return appendNode(dst, s, 0, nil) }
+
+// AppendExpr appends the text FormatExpr returns for e to dst.
+func AppendExpr(dst []byte, e Expr) []byte { return appendNode(dst, e, 0, nil) }
+
+// AppendExprPositional is AppendExpr with every column qualifier that is a
+// member of bindings written as its position there (see AppendBinding), which
+// makes the text insensitive to how the tables were aliased. Qualifiers inside
+// CASE and inside IN-subquery, EXISTS and scalar-subquery expressions — the
+// tested expression of IN (SELECT …) included — are written verbatim.
+func AppendExprPositional(dst []byte, e Expr, bindings []string) []byte {
+	return appendNode(dst, e, 0, bindings)
 }
 
-func formatOrderLimit(b *strings.Builder, s *SelectStmt) {
-	if len(s.OrderBy) > 0 {
-		b.WriteString(" ORDER BY ")
-		for i, o := range s.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			formatExpr(b, o.Expr, 0)
-			if o.Desc {
-				b.WriteString(" DESC")
-			} else {
-				b.WriteString(" ASC")
-			}
-		}
+// AppendBinding appends a table binding to dst: "b<i>" when it is bindings[i],
+// the binding itself otherwise (always, for nil bindings).
+func AppendBinding(dst []byte, binding string, bindings []string) []byte {
+	if i := slices.Index(bindings, binding); i >= 0 {
+		dst = append(dst, 'b')
+		return strconv.AppendInt(dst, int64(i), 10)
 	}
-	if s.Limit != nil {
-		b.WriteString(" LIMIT " + strconv.FormatInt(*s.Limit, 10))
-	}
-}
-
-func formatTableExpr(b *strings.Builder, t TableExpr) {
-	switch x := t.(type) {
-	case *TableName:
-		b.WriteString(x.Name)
-		if x.Alias != "" {
-			b.WriteString(" AS " + x.Alias)
-		}
-	case *JoinExpr:
-		formatTableExpr(b, x.Left)
-		b.WriteString(" " + x.Kind.String() + " ")
-		if _, nested := x.Rite.(*JoinExpr); nested {
-			b.WriteString("(")
-			formatTableExpr(b, x.Rite)
-			b.WriteString(")")
-		} else {
-			formatTableExpr(b, x.Rite)
-		}
-		if x.On != nil {
-			b.WriteString(" ON ")
-			formatExpr(b, x.On, 0)
-		}
-	case *SubqueryTable:
-		b.WriteString("(")
-		formatSelect(b, x.Select)
-		b.WriteString(")")
-		if x.Alias != "" {
-			b.WriteString(" AS " + x.Alias)
-		}
-	default:
-		fmt.Fprintf(b, "/*unknown table expr %T*/", t)
-	}
+	return append(dst, binding...)
 }
 
 // precedence levels for parenthesization: OR(1) < AND(2) < NOT(3) <
@@ -152,116 +84,230 @@ func exprPrec(e Expr) int {
 	return 8
 }
 
-func formatExpr(b *strings.Builder, e Expr, parentPrec int) {
+// appendNode renders a statement, a table expression or an expression.
+// parentPrec (parenthesization) and bindings (positional qualifiers) matter
+// to expressions only; bindings is passed down only through the expression
+// kinds AppendExprPositional names.
+func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
+	switch x := n.(type) {
+	case *SelectStmt:
+		if x.SetOp != "" {
+			dst = appendNode(dst, x.SetLeft, 0, nil)
+			dst = append(dst, ' ')
+			dst = append(dst, x.SetOp...)
+			dst = append(dst, ' ')
+			dst = appendNode(dst, x.SetRight, 0, nil)
+		} else {
+			dst = append(dst, "SELECT "...)
+			if x.Distinct {
+				dst = append(dst, "DISTINCT "...)
+			}
+			for i, it := range x.Items {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				switch {
+				case it.Star && it.StarTable != "":
+					dst = append(dst, it.StarTable...)
+					dst = append(dst, ".*"...)
+				case it.Star:
+					dst = append(dst, '*')
+				default:
+					dst = appendNode(dst, it.Expr, 0, nil)
+					if it.Alias != "" {
+						dst = append(dst, " AS "...)
+						dst = append(dst, it.Alias...)
+					}
+				}
+			}
+			if x.From != nil {
+				dst = append(dst, " FROM "...)
+				dst = appendNode(dst, x.From, 0, nil)
+			}
+			if x.Where != nil {
+				dst = append(dst, " WHERE "...)
+				dst = appendNode(dst, x.Where, 0, nil)
+			}
+			if len(x.GroupBy) > 0 {
+				dst = append(dst, " GROUP BY "...)
+				for i, g := range x.GroupBy {
+					if i > 0 {
+						dst = append(dst, ", "...)
+					}
+					dst = appendNode(dst, g, 0, nil)
+				}
+			}
+			if x.Having != nil {
+				dst = append(dst, " HAVING "...)
+				dst = appendNode(dst, x.Having, 0, nil)
+			}
+		}
+		if len(x.OrderBy) > 0 {
+			dst = append(dst, " ORDER BY "...)
+			for i, o := range x.OrderBy {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				dst = appendNode(dst, o.Expr, 0, nil)
+				if o.Desc {
+					dst = append(dst, " DESC"...)
+				} else {
+					dst = append(dst, " ASC"...)
+				}
+			}
+		}
+		if x.Limit != nil {
+			dst = append(dst, " LIMIT "...)
+			dst = strconv.AppendInt(dst, *x.Limit, 10)
+		}
+		return dst
+	case *TableName:
+		dst = append(dst, x.Name...)
+		if x.Alias != "" {
+			dst = append(dst, " AS "...)
+			dst = append(dst, x.Alias...)
+		}
+		return dst
+	case *JoinExpr:
+		dst = appendNode(dst, x.Left, 0, nil)
+		dst = append(dst, ' ')
+		dst = append(dst, x.Kind.String()...)
+		dst = append(dst, ' ')
+		if _, nested := x.Rite.(*JoinExpr); nested {
+			dst = append(dst, '(')
+			dst = appendNode(dst, x.Rite, 0, nil)
+			dst = append(dst, ')')
+		} else {
+			dst = appendNode(dst, x.Rite, 0, nil)
+		}
+		if x.On != nil {
+			dst = append(dst, " ON "...)
+			dst = appendNode(dst, x.On, 0, nil)
+		}
+		return dst
+	case *SubqueryTable:
+		dst = append(dst, '(')
+		dst = appendNode(dst, x.Select, 0, nil)
+		dst = append(dst, ')')
+		if x.Alias != "" {
+			dst = append(dst, " AS "...)
+			dst = append(dst, x.Alias...)
+		}
+		return dst
+	}
+
+	e, _ := n.(Expr)
 	prec := exprPrec(e)
 	paren := prec < parentPrec
 	if paren {
-		b.WriteString("(")
+		dst = append(dst, '(')
 	}
 	switch x := e.(type) {
 	case *ColumnRef:
 		if x.Table != "" {
-			b.WriteString(x.Table + "." + x.Column)
-		} else {
-			b.WriteString(x.Column)
+			dst = AppendBinding(dst, x.Table, bindings)
+			dst = append(dst, '.')
 		}
+		dst = append(dst, x.Column...)
 	case *Literal:
-		b.WriteString(x.Val.String())
+		dst = appendValue(dst, x.Val)
 	case *Param:
-		b.WriteString("?")
+		dst = append(dst, '?')
 	case *BinaryExpr:
-		formatExpr(b, x.L, prec)
-		b.WriteString(" " + x.Op + " ")
-		formatExpr(b, x.R, prec+1)
+		dst = appendNode(dst, x.L, prec, bindings)
+		dst = append(dst, ' ')
+		dst = append(dst, x.Op...)
+		dst = append(dst, ' ')
+		dst = appendNode(dst, x.R, prec+1, bindings)
 	case *UnaryExpr:
+		dst = append(dst, x.Op...)
 		if x.Op == "NOT" {
-			b.WriteString("NOT ")
-			formatExpr(b, x.E, prec+1)
-		} else {
-			b.WriteString(x.Op)
-			formatExpr(b, x.E, prec+1)
+			dst = append(dst, ' ')
 		}
+		dst = appendNode(dst, x.E, prec+1, bindings)
 	case *IsNullExpr:
-		formatExpr(b, x.E, 4)
+		dst = appendNode(dst, x.E, 4, bindings)
 		if x.Negated {
-			b.WriteString(" IS NOT NULL")
+			dst = append(dst, " IS NOT NULL"...)
 		} else {
-			b.WriteString(" IS NULL")
+			dst = append(dst, " IS NULL"...)
 		}
 	case *InListExpr:
-		formatExpr(b, x.E, 4)
+		dst = appendNode(dst, x.E, 4, bindings)
 		if x.Negated {
-			b.WriteString(" NOT")
+			dst = append(dst, " NOT"...)
 		}
-		b.WriteString(" IN (")
+		dst = append(dst, " IN ("...)
 		for i, it := range x.List {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			formatExpr(b, it, 0)
+			dst = appendNode(dst, it, 0, bindings)
 		}
-		b.WriteString(")")
+		dst = append(dst, ')')
 	case *InSubquery:
-		formatExpr(b, x.E, 4)
+		dst = appendNode(dst, x.E, 4, nil)
 		if x.Negated {
-			b.WriteString(" NOT")
+			dst = append(dst, " NOT"...)
 		}
-		b.WriteString(" IN (")
-		formatSelect(b, x.Select)
-		b.WriteString(")")
+		dst = append(dst, " IN ("...)
+		dst = appendNode(dst, x.Select, 0, nil)
+		dst = append(dst, ')')
 	case *ExistsExpr:
 		if x.Negated {
-			b.WriteString("NOT ")
+			dst = append(dst, "NOT "...)
 		}
-		b.WriteString("EXISTS (")
-		formatSelect(b, x.Select)
-		b.WriteString(")")
+		dst = append(dst, "EXISTS ("...)
+		dst = appendNode(dst, x.Select, 0, nil)
+		dst = append(dst, ')')
 	case *ScalarSubquery:
-		b.WriteString("(")
-		formatSelect(b, x.Select)
-		b.WriteString(")")
+		dst = append(dst, '(')
+		dst = appendNode(dst, x.Select, 0, nil)
+		dst = append(dst, ')')
 	case *TupleExpr:
-		b.WriteString("(")
+		dst = append(dst, '(')
 		for i, it := range x.Items {
 			if i > 0 {
-				b.WriteString(", ")
+				dst = append(dst, ", "...)
 			}
-			formatExpr(b, it, 0)
+			dst = appendNode(dst, it, 0, bindings)
 		}
-		b.WriteString(")")
+		dst = append(dst, ')')
 	case *FuncCall:
-		b.WriteString(x.Name + "(")
+		dst = append(dst, x.Name...)
+		dst = append(dst, '(')
 		if x.Star {
-			b.WriteString("*")
+			dst = append(dst, '*')
 		} else {
 			if x.Distinct {
-				b.WriteString("DISTINCT ")
+				dst = append(dst, "DISTINCT "...)
 			}
 			for i, a := range x.Args {
 				if i > 0 {
-					b.WriteString(", ")
+					dst = append(dst, ", "...)
 				}
-				formatExpr(b, a, 0)
+				dst = appendNode(dst, a, 0, bindings)
 			}
 		}
-		b.WriteString(")")
+		dst = append(dst, ')')
 	case *CaseExpr:
-		b.WriteString("CASE")
+		dst = append(dst, "CASE"...)
 		for _, w := range x.Whens {
-			b.WriteString(" WHEN ")
-			formatExpr(b, w.Cond, 0)
-			b.WriteString(" THEN ")
-			formatExpr(b, w.Then, 0)
+			dst = append(dst, " WHEN "...)
+			dst = appendNode(dst, w.Cond, 0, nil)
+			dst = append(dst, " THEN "...)
+			dst = appendNode(dst, w.Then, 0, nil)
 		}
 		if x.Else != nil {
-			b.WriteString(" ELSE ")
-			formatExpr(b, x.Else, 0)
+			dst = append(dst, " ELSE "...)
+			dst = appendNode(dst, x.Else, 0, nil)
 		}
-		b.WriteString(" END")
+		dst = append(dst, " END"...)
 	default:
-		fmt.Fprintf(b, "/*unknown expr %T*/", e)
+		dst = append(dst, fmt.Sprintf("/*unknown expr %T*/", n)...)
 	}
 	if paren {
-		b.WriteString(")")
+		dst = append(dst, ')')
 	}
+	return dst
 }

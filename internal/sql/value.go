@@ -224,20 +224,28 @@ func Compare3VL(op string, a, b Value) Bool3 {
 
 // String renders the value as a SQL literal.
 func (v Value) String() string {
+	var buf [64]byte
+	return string(appendValue(buf[:0], v))
+}
+
+// appendValue appends the SQL literal String returns for v to dst.
+func appendValue(dst []byte, v Value) []byte {
 	switch v.Kind {
 	case KindNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case KindInt:
-		return strconv.FormatInt(v.I, 10)
+		return strconv.AppendInt(dst, v.I, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.F, 'g', -1, 64)
 	case KindString:
-		return "'" + v.S + "'"
+		dst = append(dst, '\'')
+		dst = append(dst, v.S...)
+		return append(dst, '\'')
 	case KindBool:
 		if v.B {
-			return "TRUE"
+			return append(dst, "TRUE"...)
 		}
-		return "FALSE"
+		return append(dst, "FALSE"...)
 	}
-	return "?"
+	return append(dst, '?')
 }
