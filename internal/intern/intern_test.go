@@ -185,3 +185,28 @@ func TestMetricsFlush(t *testing.T) {
 		t.Errorf("second flush: intern_hits = %d, want %d", got, hits)
 	}
 }
+
+// TestJunctionHitAllocatesNothing: MkAnd and MkOr flatten into pool-owned
+// scratch, so re-deriving a conjunction or disjunction the pool already holds
+// — what quantifier instantiation does most — is a probe and nothing else.
+func TestJunctionHitAllocatesNothing(t *testing.T) {
+	p := NewPool()
+	a := p.MkPredApp(predSym(0), p.MkVar(1))
+	b := p.MkPredApp(predSym(1), p.MkVar(1))
+	c := p.MkIsNull(p.MkVar(2))
+	and, or := p.MkAnd(a, b, c), p.MkOr(a, b, c)
+	nested := p.MkOr(a, p.MkAnd(b, c))
+	var got [4]fol.Formula
+	allocs := testing.AllocsPerRun(100, func() {
+		got[0] = p.MkAnd(a, p.True(), p.MkAnd(b, c)) // flattens to a, b, c
+		got[1] = p.MkOr(p.MkOr(a, b), p.False(), c)
+		got[2] = p.MkOr(a, p.MkAnd(b, c))
+		got[3] = p.MkAnd(a) // singleton unwrapped
+	})
+	if got != [4]fol.Formula{and, or, nested, a} {
+		t.Errorf("hits returned other nodes: %v", got)
+	}
+	if allocs != 0 {
+		t.Errorf("MkAnd/MkOr of interned operands: %v allocs per run, want 0", allocs)
+	}
+}

@@ -1,0 +1,11 @@
+package smt
+
+// MaxAtoms is the atom cap, for the external tests.
+const MaxAtoms = maxAtoms
+
+// SetGroundedHook installs fn as groundedHook until the returned function is
+// called. Not for parallel tests: the hook is one package variable.
+func SetGroundedHook(fn func(streamed, decided int)) (restore func()) {
+	groundedHook = fn
+	return func() { groundedHook = nil }
+}

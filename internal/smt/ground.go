@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wetune/internal/fol"
@@ -80,9 +81,9 @@ func (g *grounder) decide(f fol.Formula) Result {
 	f = g.prep(f, pool, &defs, 0)
 	all := g.solver.pool.MkAnd(append([]fol.Formula{f}, defs...)...)
 	g.collectAtoms(all)
-	if len(g.atoms) > 400 {
-		// Formula too large for the ground solver; give up like a timeout.
-		g.unknown = true
+	if len(g.atoms) > maxAtoms {
+		// What solve's streamed count missed: atoms under quantifiers.
+		g.giveUp(StopAtoms)
 		return Unknown
 	}
 	g.buildUniverse()
@@ -102,7 +103,7 @@ func (g *grounder) decide(f fol.Formula) Result {
 func (g *grounder) prep(f fol.Formula, pool []uexpr.Tuple, defs *[]fol.Formula, depth int) fol.Formula {
 	p := g.solver.pool
 	if depth > 6 {
-		g.unknown = true
+		g.giveUp(StopDepth)
 		return p.True()
 	}
 	switch x := f.(type) {
@@ -126,29 +127,17 @@ func (g *grounder) prep(f fol.Formula, pool []uexpr.Tuple, defs *[]fol.Formula, 
 	case *fol.Implies:
 		return g.prep(p.MkOr(p.MkNot(x.L), x.R), pool, defs, depth)
 	case *fol.Forall:
-		combos := 1
-		for range x.Vars {
-			combos *= len(pool)
-		}
-		if combos > 1024 {
-			g.unknown = true
-			return p.True()
-		}
-		var insts []fol.Formula
-		var rec func(i int, body fol.Formula)
-		rec = func(i int, body fol.Formula) {
-			if i == len(x.Vars) {
-				insts = append(insts, g.prep(body, pool, defs, depth+1))
-				return
-			}
-			for _, t := range pool {
-				rec(i+1, p.SubstFormula(body, x.Vars[i].ID, t))
-			}
-		}
-		rec(0, x.Body)
 		// Weakening marker: if the pool is non-trivial this is an
 		// approximation of the universal, but conjunction of consequences is
 		// sound for UNSAT.
+		var insts []fol.Formula
+		if !g.solver.eachInstance(x.Vars, x.Body, pool, 1024, func(inst fol.Formula) bool {
+			insts = append(insts, g.prep(inst, pool, defs, depth+1))
+			return true
+		}) {
+			g.giveUp(StopCombinations)
+			return p.True()
+		}
 		return p.MkAnd(insts...)
 	case *fol.Exists:
 		body := x.Body
@@ -188,7 +177,7 @@ func (g *grounder) prepTerm(t fol.Term, pool []uexpr.Tuple, defs *[]fol.Formula,
 		return p.MkAddT(out)
 	case *fol.ITE:
 		cond := x.Cond
-		if hasQuantifier(cond) {
+		if hasQuantifier(cond, false) {
 			prop := g.freshProp()
 			// P => C: strengthen C by skolemizing its existentials.
 			cStr := g.prep(cond, pool, defs, depth+1)
@@ -220,25 +209,12 @@ func (g *grounder) existInstances(f fol.Formula, pool []uexpr.Tuple) []fol.Formu
 		}
 		return out
 	case *fol.Exists:
+		// Over 512 combinations: no instance, a weaker definition of the atom.
 		var out []fol.Formula
-		combos := 1
-		for range x.Vars {
-			combos *= len(pool)
-		}
-		if combos > 512 {
-			return nil
-		}
-		var rec func(i int, body fol.Formula)
-		rec = func(i int, body fol.Formula) {
-			if i == len(x.Vars) {
-				out = append(out, body)
-				return
-			}
-			for _, t := range pool {
-				rec(i+1, g.solver.pool.SubstFormula(body, x.Vars[i].ID, t))
-			}
-		}
-		rec(0, x.Body)
+		g.solver.eachInstance(x.Vars, x.Body, pool, 512, func(inst fol.Formula) bool {
+			out = append(out, inst)
+			return true
+		})
 		return out
 	default:
 		return []fol.Formula{f}
@@ -255,95 +231,106 @@ func (g *grounder) freshProp() fol.Formula {
 		p.MkVar(propSym.ID+g.propN))
 }
 
-func hasQuantifier(f fol.Formula) bool {
-	found := false
-	var rec func(f fol.Formula)
-	rec = func(f fol.Formula) {
-		switch x := f.(type) {
-		case *fol.Forall, *fol.Exists:
-			found = true
-		case *fol.And:
-			for _, h := range x.Fs {
-				rec(h)
-			}
-		case *fol.Or:
-			for _, h := range x.Fs {
-				rec(h)
-			}
-		case *fol.Not:
-			rec(x.F)
-		case *fol.Implies:
-			rec(x.L)
-			rec(x.R)
-		}
+// hasQuantifier reports whether f holds a quantifier in its boolean structure
+// or, with deep set, anywhere: in the ITE conditions of its integer atoms too.
+func hasQuantifier(f fol.Formula, deep bool) bool {
+	has := func(h fol.Formula) bool { return hasQuantifier(h, deep) }
+	switch x := f.(type) {
+	case *fol.Forall, *fol.Exists:
+		return true
+	case *fol.And:
+		return slices.ContainsFunc(x.Fs, has)
+	case *fol.Or:
+		return slices.ContainsFunc(x.Fs, has)
+	case *fol.Not:
+		return has(x.F)
+	case *fol.Implies:
+		return has(x.L) || has(x.R)
 	}
-	rec(f)
+	found := false
+	if deep {
+		walkAtomConds(f, func(c fol.Formula) { found = found || has(c) })
+	}
 	return found
+}
+
+// giveUp marks the search incomplete — Unsat can no longer be reported — and
+// records cause if it is the first bound to fire.
+func (g *grounder) giveUp(cause Stop) {
+	g.unknown = true
+	g.solver.stop(cause)
 }
 
 // --- atom interning and DPLL ---
 
-// atomID returns the dense id of an atom. Atoms are canonical pool nodes, so
-// identity is pointer identity — structurally equal atoms share one id.
-func (g *grounder) atomID(f fol.Formula) int {
-	if id, ok := g.atomIdx[f]; ok {
-		return id
-	}
-	id := len(g.atoms)
-	g.atoms = append(g.atoms, f)
-	g.atomIdx[f] = id
-	return id
+// collectAtoms gives every atom of f a dense id, in formula order. Atoms are
+// canonical pool nodes, so identity is pointer identity — structurally equal
+// atoms share one id.
+func (g *grounder) collectAtoms(f fol.Formula) {
+	walkAtoms(f, func(a fol.Formula) bool {
+		if _, known := g.atomIdx[a]; known {
+			return false
+		}
+		g.atomIdx[a] = len(g.atoms)
+		g.atoms = append(g.atoms, a)
+		return true
+	})
 }
 
-func (g *grounder) collectAtoms(f fol.Formula) {
+// walkAtoms calls visit on the atoms of f outside quantifiers, in formula
+// order; where visit returns true it goes on into the conditions inside the
+// atom, which are formulas of atoms themselves.
+func walkAtoms(f fol.Formula, visit func(fol.Formula) bool) {
 	switch x := f.(type) {
-	case *fol.TrueF, *fol.FalseF:
+	case *fol.TrueF, *fol.FalseF, *fol.Forall, *fol.Exists:
 	case *fol.And:
 		for _, h := range x.Fs {
-			g.collectAtoms(h)
+			walkAtoms(h, visit)
 		}
 	case *fol.Or:
 		for _, h := range x.Fs {
-			g.collectAtoms(h)
+			walkAtoms(h, visit)
 		}
 	case *fol.Not:
-		g.collectAtoms(x.F)
+		walkAtoms(x.F, visit)
 	case *fol.Implies:
-		g.collectAtoms(x.L)
-		g.collectAtoms(x.R)
+		walkAtoms(x.L, visit)
+		walkAtoms(x.R, visit)
 	default:
-		g.atomID(x)
-		// Conditions inside integer atoms are themselves atoms.
-		walkAtomConds(x, func(c fol.Formula) { g.collectAtoms(c) })
+		if visit(x) {
+			walkAtomConds(x, func(c fol.Formula) { walkAtoms(c, visit) })
+		}
 	}
 }
 
+// walkAtomConds calls fn on the ITE conditions inside an integer atom, nested
+// ITEs' included; the conditions' own atoms are fn's business.
 func walkAtomConds(f fol.Formula, fn func(fol.Formula)) {
-	var recT func(t fol.Term)
-	recT = func(t fol.Term) {
-		switch x := t.(type) {
-		case *fol.ITE:
-			fn(x.Cond)
-			recT(x.Then)
-			recT(x.Else)
-		case *fol.MulT:
-			for _, h := range x.Fs {
-				recT(h)
-			}
-		case *fol.AddT:
-			for _, h := range x.Ts {
-				recT(h)
-			}
-		}
-	}
 	switch x := f.(type) {
 	case *fol.IntEq:
-		recT(x.L)
-		recT(x.R)
+		walkTermConds(x.L, fn)
+		walkTermConds(x.R, fn)
 	case *fol.IntGt0:
-		recT(x.T)
+		walkTermConds(x.T, fn)
 	case *fol.IntLe1:
-		recT(x.T)
+		walkTermConds(x.T, fn)
+	}
+}
+
+func walkTermConds(t fol.Term, fn func(fol.Formula)) {
+	switch x := t.(type) {
+	case *fol.ITE:
+		fn(x.Cond)
+		walkTermConds(x.Then, fn)
+		walkTermConds(x.Else, fn)
+	case *fol.MulT:
+		for _, h := range x.Fs {
+			walkTermConds(h, fn)
+		}
+	case *fol.AddT:
+		for _, h := range x.Ts {
+			walkTermConds(h, fn)
+		}
 	}
 }
 
@@ -439,7 +426,11 @@ func (g *grounder) termID(t uexpr.Tuple) int32 {
 func (g *grounder) dpll() Result {
 	g.nodes++
 	g.solver.stats.Nodes++
-	if g.nodes > g.solver.opts.MaxNodes || g.solver.expired() {
+	if g.nodes > g.solver.opts.MaxNodes {
+		g.giveUp(StopNodes)
+		return Unknown
+	}
+	if g.solver.expired() {
 		g.unknown = true
 		return Unknown
 	}

@@ -208,21 +208,26 @@ func TestBudgetExhaustionReturnsUnknown(t *testing.T) {
 	if res == Unsat {
 		t.Fatal("budget exhaustion must not report unsat")
 	}
-	if st.TimedOut || reg.Counter(metricUnknownBudget).Value() != 1 || reg.Counter(metricUnknownDeadline).Value() != 0 {
-		t.Errorf("budget-caused unknown: TimedOut=%v budget=%d deadline=%d", st.TimedOut,
-			reg.Counter(metricUnknownBudget).Value(), reg.Counter(metricUnknownDeadline).Value())
+	unknownBy := func(c Stop) int64 { return reg.Counter(metricUnknownBy + c.String()).Value() }
+	if st.StoppedBy != StopNodes || unknownBy(StopNodes) != 1 || unknownBy(StopDeadline) != 0 {
+		t.Errorf("budget-caused unknown: StoppedBy=%s nodes=%d deadline=%d", st.StoppedBy,
+			unknownBy(StopNodes), unknownBy(StopDeadline))
 	}
 
 	// The same search stopped by the clock says so.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res, st = Solve(fol.MkAnd(fs...), Options{MaxNodes: 1 << 20, InstRounds: 1, MaxTermDepth: 2, Ctx: ctx, Metrics: reg})
-	if res != Unknown || !st.TimedOut || reg.Counter(metricUnknownDeadline).Value() != 1 {
-		t.Errorf("clock-caused unknown: %s TimedOut=%v deadline=%d", res, st.TimedOut,
-			reg.Counter(metricUnknownDeadline).Value())
+	if res != Unknown || st.StoppedBy != StopDeadline || unknownBy(StopDeadline) != 1 {
+		t.Errorf("clock-caused unknown: %s StoppedBy=%s deadline=%d", res, st.StoppedBy, unknownBy(StopDeadline))
 	}
 	if total := reg.Counter(metricOutcome + "unknown").Value(); total != 2 {
 		t.Errorf("smt_outcome_unknown = %d, want both causes counted", total)
+	}
+	for c := StopNone; int(c) < len(stopNames); c++ {
+		if c != StopNodes && c != StopDeadline && unknownBy(c) != 0 {
+			t.Errorf("smt_outcome_unknown_%s = %d, want 0", c, unknownBy(c))
+		}
 	}
 }
 

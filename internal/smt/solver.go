@@ -67,8 +67,9 @@ type Options struct {
 	// per-call Z3 timeout (about 50ms per potential rule on their hardware).
 	Deadline time.Duration
 	// Ctx, when non-nil, is checked in the solver's main loops (DPLL nodes,
-	// instantiation rounds, theory case splits): cancellation interrupts an
-	// in-flight proof with Unknown instead of running to the next boundary.
+	// every 64 quantifier instances, theory case splits): cancellation
+	// interrupts an in-flight proof with Unknown instead of running to the
+	// next boundary.
 	// It also carries the tracing span (if any) the solve attaches to.
 	Ctx context.Context
 	// Metrics is the registry proof durations, outcome counters and DPLL
@@ -86,7 +87,28 @@ func DefaultOptions() Options {
 	return Options{MaxNodes: 200000, InstRounds: 2, MaxTermDepth: 3, Deadline: 2 * time.Second}
 }
 
-// Stats reports solver effort.
+// Stop names a bound of the search.
+type Stop uint8
+
+// The bounds, in no particular order. StopDeadline is the only one that
+// depends on the machine and its load: an Unknown it caused may be a proof on
+// a faster run, the others repeat everywhere.
+const (
+	StopNone         Stop = iota
+	StopAtoms             // more than maxAtoms distinct ground atoms
+	StopNodes             // Options.MaxNodes DPLL nodes
+	StopCombinations      // an embedded universal with over 1024 instances
+	StopDepth             // quantifiers nested deeper than prep follows
+	StopCaseSplit         // an integer check past maxSplitVars or the degree packing
+	StopDeadline          // Options.Deadline or a cancelled Options.Ctx
+)
+
+var stopNames = [...]string{"none", "atoms", "nodes", "combinations", "depth", "case_split", "deadline"}
+
+func (c Stop) String() string { return stopNames[c] }
+
+// Stats reports solver effort. On a call refused for its size (StopAtoms)
+// Instances and Atoms are the values at the moment of refusal.
 type Stats struct {
 	Nodes     int
 	Instances int
@@ -96,11 +118,10 @@ type Stats struct {
 	// backtracks per decision is thrashing in the theory solver.
 	Decisions  int
 	Backtracks int
-	// TimedOut reports that the clock — Options.Deadline or a cancelled
-	// Options.Ctx — stopped part of the search. Unlike the node budget, the
-	// clock depends on the machine and its load: an Unknown with TimedOut set
-	// may be a proof on a faster run.
-	TimedOut bool
+	// StoppedBy is the first bound that cut the search short: the cause of an
+	// Unknown. It can accompany Sat — the model was found in what was left of
+	// the search and may be spurious — but never Unsat.
+	StoppedBy Stop
 }
 
 // Metric names recorded by the solver (see internal/obs and DESIGN.md).
@@ -110,18 +131,16 @@ const (
 	metricBacktracks   = "smt_backtracks"
 	metricInstances    = "smt_instances"
 	metricOutcome      = "smt_outcome_" // + sat|unsat|unknown
-	// Every unknown is also counted by cause: _deadline when the clock cut
-	// the search (Stats.TimedOut), _budget when a structural bound did
-	// (MaxNodes, the atom, instance and case-split caps).
-	metricUnknownBudget   = metricOutcome + "unknown_budget"
-	metricUnknownDeadline = metricOutcome + "unknown_deadline"
+	// Every unknown is also counted by cause, Stats.StoppedBy:
+	// smt_outcome_unknown_atoms, _nodes, ..., _deadline.
+	metricUnknownBy = metricOutcome + "unknown_"
 )
 
 // Solve decides satisfiability of a closed formula. Every call records its
 // duration, outcome and DPLL effort in the metrics registry; Unknown covers
-// both node-budget and wall-clock "timeouts" (the paper's dominant cost, so
-// the timeout counters are the first thing to check when a run stalls), split
-// by cause in smt_outcome_unknown_budget / _deadline.
+// every bound of the search, structural or wall-clock (the paper's dominant
+// cost, so these counters are the first thing to check when a run stalls),
+// split by cause in smt_outcome_unknown_<Stats.StoppedBy>.
 func Solve(f fol.Formula, opts Options) (Result, Stats) {
 	return run(f, opts, false)
 }
@@ -154,16 +173,14 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	res, st := s.solve(nf)
 	reg.Histogram(metricProofSeconds).Observe(time.Since(s.start))
 	reg.Counter(metricOutcome + res.String()).Inc()
-	if res == Unknown && st.TimedOut {
-		reg.Counter(metricUnknownDeadline).Inc()
-	} else if res == Unknown {
-		reg.Counter(metricUnknownBudget).Inc()
+	if res == Unknown {
+		reg.Counter(metricUnknownBy + st.StoppedBy.String()).Inc()
 	}
 	reg.Counter(metricDecisions).Add(int64(st.Decisions))
 	reg.Counter(metricBacktracks).Add(int64(st.Backtracks))
 	reg.Counter(metricInstances).Add(int64(st.Instances))
 	pool.FlushMetrics(reg)
-	sp.SetNote("%s nodes=%d decisions=%d backtracks=%d", res, st.Nodes, st.Decisions, st.Backtracks)
+	sp.SetNote("%s stopped-by=%s nodes=%d decisions=%d backtracks=%d", res, st.StoppedBy, st.Nodes, st.Decisions, st.Backtracks)
 	sp.End()
 	return res, st
 }
@@ -183,12 +200,41 @@ func NNF(p *intern.Pool, f fol.Formula) fol.Formula { return nnfIn(p, f, true) }
 // NegNNF returns the negation of f in negation normal form, interned in p.
 func NegNNF(p *intern.Pool, f fol.Formula) fol.Formula { return nnfIn(p, f, false) }
 
+// maxAtoms is the most distinct atoms a ground formula may have and still be
+// searched; a larger one is refused with Unknown (StopAtoms). solve refuses
+// as soon as the atoms it has streamed pass it, decide when its own count
+// does.
+const maxAtoms = 400
+
+// groundedHook is nil outside tests. A test that sets it (export_test.go)
+// makes solve ground every formula to the end, leaving refusal to decide, and
+// receives the atom count solve streamed beside the one decide refuses on.
+var groundedHook func(streamed, decided int)
+
 type solver struct {
 	opts       Options
 	pool       *intern.Pool
 	skolemBase int
 	stats      Stats
 	start      time.Time
+
+	// solve's instantiation state: the conjuncts split so far into ground
+	// formulas and universal templates, and counted, the distinct
+	// quantifier-free atoms of ground — never more than decide will count
+	// (see countAtoms).
+	ground     []fol.Formula
+	universals []*fol.Forall
+	counted    map[fol.Formula]struct{}
+	seenTerm   map[uexpr.Tuple]struct{} // groundTerms' visited set
+	// enumerated counts eachInstance's yields, for its look at the clock.
+	enumerated int
+}
+
+// stop records cause as what cut the search short, unless a bound already did.
+func (s *solver) stop(cause Stop) {
+	if s.stats.StoppedBy == StopNone {
+		s.stats.StoppedBy = cause
+	}
 }
 
 // expired reports whether the clock has run out, and records that it was the
@@ -196,7 +242,7 @@ type solver struct {
 func (s *solver) expired() bool {
 	if (s.opts.Ctx != nil && s.opts.Ctx.Err() != nil) ||
 		(s.opts.Deadline > 0 && time.Since(s.start) > s.opts.Deadline) {
-		s.stats.TimedOut = true
+		s.stop(StopDeadline)
 		return true
 	}
 	return false
@@ -315,91 +361,117 @@ func (s *solver) skolemize(f fol.Formula) fol.Formula {
 	}
 }
 
-// solve decides a canonical NNF formula.
+// solve decides a canonical NNF formula: it splits the skolemized formula
+// into ground conjuncts and universal templates, instantiates the universals
+// over the ground tuple terms for up to InstRounds rounds, and hands the
+// ground conjunction to a grounder — unless the atoms streamed so far already
+// exceed what the grounder accepts.
 func (s *solver) solve(nf fol.Formula) (Result, Stats) {
-	nf = s.skolemize(nf)
+	s.counted = map[fol.Formula]struct{}{}
+	s.seenTerm = map[uexpr.Tuple]struct{}{}
+	s.split(s.skolemize(nf))
 
-	// Instantiation loop: split into ground part and universal templates;
-	// instantiate universals over the ground tuple universe.
-	ground := []fol.Formula{}
-	var universals []*fol.Forall
-	var split func(g fol.Formula)
-	split = func(g fol.Formula) {
-		switch x := g.(type) {
-		case *fol.And:
-			for _, h := range x.Fs {
-				split(h)
-			}
-		case *fol.Forall:
-			universals = append(universals, x)
-		default:
-			ground = append(ground, x)
-		}
-	}
-	split(nf)
-
+	// The instances of one round, in order: universals as split, each one's
+	// variables outermost first over the key-sorted pool. Universals an
+	// instance uncovers (e.g. Unique's second conjunct after partial
+	// instantiation) wait for the next round.
 	seenInst := map[fol.Formula]bool{}
+	take := func(inst fol.Formula) bool {
+		if seenInst[inst] {
+			return true
+		}
+		seenInst[inst] = true
+		s.split(s.skolemize(inst))
+		s.stats.Instances++
+		return !s.refused()
+	}
 	for round := 0; round < s.opts.InstRounds; round++ {
-		if s.expired() {
+		if s.refused() || s.expired() {
 			return Unknown, s.stats
 		}
-		pool := s.groundTerms(ground)
+		pool := s.groundTerms(s.ground)
 		if len(pool) == 0 {
 			pool = []uexpr.Tuple{s.freshSkolem()}
 		}
-		added := false
-		for _, u := range universals {
-			insts := s.instantiate(u, pool)
-			for _, inst := range insts {
-				if seenInst[inst] {
-					continue
-				}
-				seenInst[inst] = true
-				// The instance may contain nested foralls (e.g. Unique's
-				// second conjunct after partial instantiation) — resplit.
-				inst = s.skolemize(inst)
-				var resplit func(g fol.Formula)
-				resplit = func(g fol.Formula) {
-					switch x := g.(type) {
-					case *fol.And:
-						for _, h := range x.Fs {
-							resplit(h)
-						}
-					case *fol.Forall:
-						universals = append(universals, x)
-					default:
-						ground = append(ground, x)
-					}
-				}
-				resplit(inst)
-				s.stats.Instances++
-				added = true
+		before := s.stats.Instances
+		for _, u := range s.universals { // as of this round: range fixes the length
+			// Over 4096 combinations the universal is left out: a weaker
+			// formula, sound for UNSAT.
+			s.eachInstance(u.Vars, u.Body, pool, 4096, take)
+			if s.stats.StoppedBy != StopNone {
+				return Unknown, s.stats
 			}
 		}
-		if !added {
+		if s.stats.Instances == before {
 			break
 		}
 	}
 
 	// Decide the ground conjunction.
 	g := &grounder{solver: s}
-	res := g.decide(s.pool.MkAnd(ground...))
+	res := g.decide(s.pool.MkAnd(s.ground...))
 	s.stats.Atoms = len(g.atoms)
+	if groundedHook != nil {
+		groundedHook(len(s.counted), len(g.atoms))
+	}
 	return res, s.stats
+}
+
+// refused reports whether the atoms streamed so far already exceed what
+// decide accepts, and records the refusal.
+func (s *solver) refused() bool {
+	if len(s.counted) <= maxAtoms || groundedHook != nil {
+		return false
+	}
+	// Too large for the ground solver; give up like a timeout.
+	s.stop(StopAtoms)
+	s.stats.Atoms = len(s.counted)
+	return true
+}
+
+// split files the conjuncts of g: universals to instantiate, the rest ground.
+func (s *solver) split(g fol.Formula) {
+	switch x := g.(type) {
+	case *fol.And:
+		for _, h := range x.Fs {
+			s.split(h)
+		}
+	case *fol.Forall:
+		s.universals = append(s.universals, x)
+	default:
+		s.ground = append(s.ground, x)
+		s.countAtoms(x)
+	}
+}
+
+// countAtoms adds to s.counted the atoms of f that hold no quantifier and sit
+// under none. The count is a lower bound of decide's: prep is the identity on
+// a quantifier-free atom (hash-consed Mk* of unchanged children returns the
+// same node) and keeps it wherever it stands outside quantifiers (MkAnd/MkOr
+// drop only constants; what prep cuts to true lies under a quantifier), so
+// collectAtoms meets every atom counted here.
+func (s *solver) countAtoms(f fol.Formula) {
+	walkAtoms(f, func(a fol.Formula) bool {
+		if _, ok := s.counted[a]; ok || hasQuantifier(a, true) {
+			return false
+		}
+		s.counted[a] = struct{}{}
+		return true
+	})
 }
 
 // groundTerms collects ground tuple terms (bounded depth) from formulas.
 // After skolemization every TVar is a constant, so every tuple term in the
 // quantifier-free parts is ground by construction.
 func (s *solver) groundTerms(fs []fol.Formula) []uexpr.Tuple {
-	seen := map[uexpr.Tuple]bool{}
+	clear(s.seenTerm)
 	var kept []uexpr.Tuple
 	var addT func(t uexpr.Tuple)
 	addT = func(t uexpr.Tuple) {
-		if seen[t] {
+		if _, ok := s.seenTerm[t]; ok {
 			return
 		}
-		seen[t] = true
+		s.seenTerm[t] = struct{}{}
 		if s.pool.TupleDepth(t) <= s.opts.MaxTermDepth {
 			kept = append(kept, t)
 		}
@@ -422,33 +494,35 @@ func (s *solver) groundTerms(fs []fol.Formula) []uexpr.Tuple {
 	return kept
 }
 
-// instantiate produces all ground instances of a universal formula over the
-// pool (bounded combinations).
-func (s *solver) instantiate(u *fol.Forall, pool []uexpr.Tuple) []fol.Formula {
-	var out []fol.Formula
-	var rec func(i int, body fol.Formula)
-	rec = func(i int, body fol.Formula) {
-		if i == len(u.Vars) {
-			out = append(out, body)
-			return
-		}
-		for _, g := range pool {
-			rec(i+1, s.pool.SubstFormula(body, u.Vars[i].ID, g))
-		}
-	}
-	if len(pool) == 0 {
-		return nil
-	}
-	// Cap combinatorial blowup.
+// eachInstance yields body with vars replaced by every combination of pool
+// terms — first variable outermost, terms in pool order — until yield returns
+// false. More than limit combinations are not started: nothing is yielded and
+// the result is false. Every 64th instance of a solve looks at the clock, and
+// an expired one ends the enumeration (expired has recorded it).
+func (s *solver) eachInstance(vars []*uexpr.TVar, body fol.Formula, pool []uexpr.Tuple, limit int, yield func(fol.Formula) bool) bool {
 	combos := 1
-	for range u.Vars {
-		combos *= len(pool)
+	for range vars {
+		if combos *= len(pool); combos > limit {
+			return false
+		}
 	}
-	if combos > 4096 {
-		return nil
+	s.substAll(vars, body, pool, yield)
+	return true
+}
+
+func (s *solver) substAll(vars []*uexpr.TVar, body fol.Formula, pool []uexpr.Tuple, yield func(fol.Formula) bool) bool {
+	if len(vars) == 0 {
+		if s.enumerated++; s.enumerated&63 == 0 && s.expired() {
+			return false
+		}
+		return yield(body)
 	}
-	rec(0, u.Body)
-	return out
+	for _, t := range pool {
+		if !s.substAll(vars[1:], s.pool.SubstFormula(body, vars[0].ID, t), pool, yield) {
+			return false
+		}
+	}
+	return true
 }
 
 // walkFormulaTuples visits every tuple term in the quantifier-free parts of a

@@ -155,7 +155,7 @@ func (g *grounder) theoryConsistent() bool {
 	}
 	n := len(th.varKeys)
 	if n > maxSplitVars || g.degreeOverflow {
-		g.unknown = true
+		g.giveUp(StopCaseSplit)
 		return true // too much to case-split; assume consistent
 	}
 	// Caps: variables whose poly is literally that single variable and that

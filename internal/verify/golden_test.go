@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bufio"
+	"flag"
 	"fmt"
 	"os"
 	"strconv"
@@ -13,13 +14,29 @@ import (
 	"wetune/internal/template"
 )
 
+const proofGolden = "testdata/size2_proofs.golden"
+
+// updateGolden rewrites the result columns of the table from the replay:
+//
+//	go test ./internal/verify -run TestSize2ProofSearchGolden -update
+//
+// The rows themselves — which sets the relaxation probes, in which order —
+// follow from the verdicts; pipeline's determinism tests pin those.
+var updateGolden = flag.Bool("update", false, "rewrite the result columns of "+proofGolden)
+
 // goldenCall is one row of testdata/size2_proofs.golden.
 type goldenCall struct {
-	line    int
-	items   []int // indexes into constraint.Enumerate(src, dest).Items()
-	outcome string
-	method  string
-	stats   smt.Stats
+	line   int
+	items  []int  // indexes into constraint.Enumerate(src, dest).Items()
+	result string // the columns after " | ", see resultColumns
+	nodes  int
+}
+
+// resultColumns renders a report the way the table records it.
+func resultColumns(rep Report) string {
+	st := rep.Stats
+	return fmt.Sprintf("%s %s %d %d %d %d %d %s", rep.Outcome, rep.Method,
+		st.Nodes, st.Instances, st.Atoms, st.Decisions, st.Backtracks, st.StoppedBy)
 }
 
 type goldenPair struct {
@@ -29,7 +46,7 @@ type goldenPair struct {
 
 func readProofGolden(t *testing.T) []goldenPair {
 	t.Helper()
-	f, err := os.Open("testdata/size2_proofs.golden")
+	f, err := os.Open(proofGolden)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +66,7 @@ func readProofGolden(t *testing.T) []goldenPair {
 		if !ok || len(pairs) == 0 {
 			t.Fatalf("golden line %d: malformed", line)
 		}
-		c := goldenCall{line: line}
+		c := goldenCall{line: line, result: result}
 		for _, s := range strings.FieldsFunc(set, func(r rune) bool { return r == ',' }) {
 			i, err := strconv.Atoi(s)
 			if err != nil {
@@ -57,9 +74,8 @@ func readProofGolden(t *testing.T) []goldenPair {
 			}
 			c.items = append(c.items, i)
 		}
-		st := &c.stats
-		if _, err := fmt.Sscan(result, &c.outcome, &c.method,
-			&st.Nodes, &st.Instances, &st.Atoms, &st.Decisions, &st.Backtracks); err != nil {
+		var outcome, method string
+		if _, err := fmt.Sscan(result, &outcome, &method, &c.nodes); err != nil {
 			t.Fatalf("golden line %d: %v", line, err)
 		}
 		p := &pairs[len(pairs)-1]
@@ -98,10 +114,11 @@ func TestSize2ProofSearchGolden(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.SMT.MaxNodes = 20000
-	if raceEnabled {
+	if raceEnabled || *updateGolden {
 		opts.SMT.Deadline = 0
 	}
 	calls, exhausted := 0, 0
+	replayed := map[int]string{} // golden line -> result columns now
 	for _, gp := range readProofGolden(t) {
 		p, ok := byName[gp.name]
 		if !ok {
@@ -116,8 +133,8 @@ func TestSize2ProofSearchGolden(t *testing.T) {
 			}
 			cs := constraint.NewSet(items...)
 			o := opts
-			if testing.Short() && gc.stats.Nodes >= 2000 {
-				overBudget := gc.stats.Nodes > opts.SMT.MaxNodes
+			if testing.Short() && gc.nodes >= 2000 {
+				overBudget := gc.nodes > opts.SMT.MaxNodes
 				if overBudget {
 					exhausted++
 				}
@@ -129,18 +146,36 @@ func TestSize2ProofSearchGolden(t *testing.T) {
 			}
 			calls++
 			rep := pc.VerifyOpts(cs, o)
-			got := rep.Stats
-			if got.TimedOut {
-				t.Errorf("golden line %d (%s): stopped on the clock after %d nodes", gc.line, gp.name, got.Nodes)
+			if rep.Stats.StoppedBy == smt.StopDeadline {
+				t.Errorf("golden line %d (%s): stopped on the clock after %d nodes", gc.line, gp.name, rep.Stats.Nodes)
 			}
-			got.TimedOut = false
-			if rep.Outcome.String() != gc.outcome || rep.Method.String() != gc.method || got != gc.stats {
-				t.Errorf("golden line %d (%s):\n  want %s/%s %+v\n  got  %s/%s %+v",
-					gc.line, gp.name, gc.outcome, gc.method, gc.stats, rep.Outcome, rep.Method, got)
+			got := resultColumns(rep)
+			replayed[gc.line] = got
+			if got != gc.result && !*updateGolden {
+				t.Errorf("golden line %d (%s):\n  want %s\n  got  %s", gc.line, gp.name, gc.result, got)
 			}
 		}
 	}
 	if !testing.Short() && calls != 1523 {
 		t.Errorf("replayed %d calls, want 1523", calls)
+	}
+	if *updateGolden && !t.Failed() {
+		writeProofGolden(t, replayed)
+	}
+}
+
+// writeProofGolden replaces the result columns of every replayed row.
+func writeProofGolden(t *testing.T, replayed map[int]string) {
+	old, err := os.ReadFile(proofGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(string(old), "\n")
+	for line, result := range replayed {
+		set, _, _ := strings.Cut(lines[line-1], " | ")
+		lines[line-1] = set + " | " + result
+	}
+	if err := os.WriteFile(proofGolden, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
