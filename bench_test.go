@@ -175,7 +175,7 @@ func benchDiscovery(b *testing.B, warm bool) {
 	seed := pipeline.NewProofCache()
 	if warm {
 		pipeline.Run(context.Background(), pipeline.Options{
-			Templates: templates, Prover: pipeline.AlgebraicProver, Cache: seed,
+			Templates: templates, PairProver: pipeline.AlgebraicPairProver, Cache: seed,
 		})
 	}
 	var pairs, calls int64
@@ -186,7 +186,7 @@ func benchDiscovery(b *testing.B, warm bool) {
 			cache = pipeline.NewProofCache() // fresh per iteration: every proof is a miss
 		}
 		res := pipeline.Run(context.Background(), pipeline.Options{
-			Templates: templates, Prover: pipeline.AlgebraicProver, Cache: cache,
+			Templates: templates, PairProver: pipeline.AlgebraicPairProver, Cache: cache,
 		})
 		pairs += res.Stats.PairsTried
 		calls += res.Stats.ProverCalls

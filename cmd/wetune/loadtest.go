@@ -15,9 +15,8 @@ import (
 
 // cmdLoadtest drives POST /v1/rewrite with the fixed rewrite corpus — against
 // a live server (-addr) or an in-process daemon (-inprocess, no sockets) —
-// and reports throughput, exact p50/p90/p99 latency and error counts. With
-// -json the entry is appended to the BENCH_serve.json trajectory. A run that
-// saw transport errors or 5xx responses exits 1.
+// and reports throughput, exact p50/p90/p99 latency and error counts. A run
+// that saw transport errors or non-injected 5xx responses exits 1.
 func cmdLoadtest(args []string) int {
 	fs := newFlagSet("loadtest")
 	addr := fs.String("addr", "http://localhost:8080", "target server base URL")
@@ -28,14 +27,9 @@ func cmdLoadtest(args []string) int {
 	iters := fs.Int64("n", 0, "total request bound (0 = none; the run then stops on -d)")
 	perApp := fs.Int("per-app", 20, "corpus size: queries per application archetype")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout (also sent as timeout_ms so the server budget matches)")
-	asJSON := fs.Bool("json", false, "print the report as JSON and append it to -out")
-	name := fs.String("name", "run", "label recorded with the measurement")
-	out := fs.String("out", "BENCH_serve.json", "trajectory file used by -json")
+	asJSON := fs.Bool("json", false, "print the report as JSON")
 	profile := fs.String("profile", "", "capture a pprof profile during the run: \"cpu\" or \"alloc\" (most useful with -inprocess, where server work runs in this process)")
 	profileOut := fs.String("profile-out", "", "profile output path (default <profile>.pprof)")
-	compare := fs.String("compare", "", "print a before/after delta against an entry of this BENCH_serve.json-format file")
-	compareEntry := fs.String("compare-entry", "", "baseline entry name for -compare (default: the file's last entry)")
-	strict := fs.Bool("strict", false, "fail (exit 1) on a missing, corrupt or empty -compare baseline instead of warning and running without a comparison")
 	retries := fs.Int("retries", 0, "re-issue 429/503 pushback up to N attempts per request with capped exponential backoff honoring Retry-After (0 = no retries; -chaos defaults to 3)")
 	chaos := fs.Bool("chaos", false, "play the default fault-injection schedule during the run (requires -inprocess; injected 5xx are reported separately and do not fail the run)")
 	seed := fs.Int64("seed", 1, "fault-decision and retry-jitter seed (used with -chaos)")
@@ -109,27 +103,6 @@ func cmdLoadtest(args []string) int {
 		}()
 	}
 
-	// Read the comparison baseline before the run: -compare and -out may
-	// name the same trajectory file, and the baseline must be read as of
-	// before this run's append. A broken baseline is a typed failure
-	// (loadgen.TrajectoryError): fatal under -strict — CI must not let a
-	// corrupt trajectory turn the regression gate into a silent no-op —
-	// and a loud warning otherwise.
-	var comparePrev *loadgen.Report
-	if *compare != "" {
-		prev, err := loadgen.ReadTrajectory(*compare)
-		if err == nil {
-			comparePrev, err = loadgen.SelectEntry(*compare, prev, *compareEntry)
-		}
-		if err != nil {
-			if *strict {
-				fmt.Fprintln(os.Stderr, "loadtest:", err)
-				return exitError
-			}
-			fmt.Fprintf(os.Stderr, "loadtest: warning: no comparison baseline: %v\n", err)
-		}
-	}
-
 	var chaosCancel context.CancelFunc
 	if *chaos {
 		var chaosCtx context.Context
@@ -145,7 +118,6 @@ func cmdLoadtest(args []string) int {
 		fmt.Fprintln(os.Stderr, "loadtest:", err)
 		return exitError
 	}
-	rep.Name = *name
 
 	if *profile == "alloc" {
 		f, err := os.Create(profPath)
@@ -165,10 +137,6 @@ func cmdLoadtest(args []string) int {
 	}
 
 	if *asJSON {
-		if _, err := loadgen.AppendJSON(*out, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "loadtest:", err)
-			return exitError
-		}
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "loadtest:", err)
@@ -177,9 +145,6 @@ func cmdLoadtest(args []string) int {
 		fmt.Println(string(data))
 	} else {
 		fmt.Print(rep.Render())
-	}
-	if comparePrev != nil {
-		fmt.Print(loadgen.Compare(comparePrev, rep))
 	}
 	if rep.Errors > 0 {
 		fmt.Fprintf(os.Stderr, "loadtest: %d errors (transport failures or non-injected 5xx)\n", rep.Errors)

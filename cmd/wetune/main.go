@@ -45,25 +45,21 @@
 //	                                            out across the worker pool; -plan-cache sizes
 //	                                            the second cache tier (normalized SQL → plan)
 //	wetune loadtest [-addr URL | -inprocess] [-c N] [-d 5s] [-rate R] [-n N]
-//	                [-per-app N] [-timeout 5s] [-json] [-name NAME] [-out FILE]
-//	                [-profile cpu|alloc] [-profile-out FILE] [-compare FILE]
-//	                [-compare-entry NAME] [-strict] [-retries N] [-chaos] [-seed N]
+//	                [-per-app N] [-timeout 5s] [-json] [-profile cpu|alloc]
+//	                [-profile-out FILE] [-retries N] [-chaos] [-seed N]
 //	                                            drive a server (or an in-process handler)
 //	                                            over the fixed rewrite corpus and report
 //	                                            throughput, p50/p90/p99 latency and error
-//	                                            counts; -json appends the entry to -out
-//	                                            (default BENCH_serve.json); -profile captures
-//	                                            a pprof profile during the run; -compare
-//	                                            prints the delta against an entry of a prior
-//	                                            trajectory file (-compare-entry selects it by
-//	                                            name, default the last); -strict makes a
-//	                                            missing/corrupt baseline fatal; -retries
-//	                                            re-issues 429/503 pushback with backoff;
+//	                                            counts (a smoke and profiling tool; committed
+//	                                            performance numbers come from benchmark/);
+//	                                            -json prints the report as JSON; -profile
+//	                                            captures a pprof profile during the run;
+//	                                            -retries re-issues 429/503 pushback with backoff;
 //	                                            -chaos (with -inprocess) plays the default
 //	                                            fault schedule during the run; exits 1 when
 //	                                            the run saw transport errors or non-injected
 //	                                            5xx responses
-//	wetune soak -inprocess [-d 10s] [-c N] [-seed N] [-json] [-out FILE]
+//	wetune soak -inprocess [-d 10s] [-c N] [-seed N] [-json]
 //	                                            chaos soak: run an in-process server with an
 //	                                            aggressive degradation ladder under load while
 //	                                            the default fault schedule injects cache
@@ -82,17 +78,7 @@
 //	wetune bench [experiment]                   regenerate evaluation artifacts
 //	                                            (table1 study50 discovery table7 apps
 //	                                             calcite latency casestudy verifiers
-//	                                             timeout table6 ablations reduction
-//	                                             metrics | all)
-//	wetune bench discover [-json] [-name NAME]  run the fixed cold-cache discovery workload
-//	        [-out FILE]                         and measure it (ns/op, allocs/op, prover
-//	                                            calls, cache hit rate); -json appends the
-//	                                            entry to -out (default BENCH_discover.json)
-//	wetune bench rewrite [-json] [-name NAME]   run the fixed rewrite workload (app corpus +
-//	        [-out FILE]                         Calcite suite) and measure it (ns/query,
-//	                                            allocs/query, rule attempts, index pruning,
-//	                                            memo hits); -json appends the entry to -out
-//	                                            (default BENCH_rewrite.json)
+//	                                             timeout table6 ablations reduction | all)
 //
 // Exit codes are uniform across subcommands and distinguish failure from
 // success-with-truncation:
@@ -104,7 +90,7 @@
 //	   Stats.Truncated — the output is correct, a larger budget may improve it)
 //
 // Every long-running subcommand (discover, fuzz, rewrite, explain, serve,
-// loadtest, report, bench discover, bench rewrite) also accepts the shared
+// loadtest, soak, report) also accepts the shared
 // observability flags: -metrics FILE dumps the metrics registry as JSON on
 // exit, -debug-addr ADDR serves expvar + pprof live, and -journal FILE dumps
 // the always-on flight recorder (the last ~32k engine events) as JSONL on
@@ -197,7 +183,7 @@ func newFlagSet(name string) *flag.FlagSet {
 
 func cmdDiscover(args []string) int {
 	fs := newFlagSet("discover")
-	size := fs.Int("size", 2, "max template size (paper uses 4; expensive above 2)")
+	size := fs.Int("size", 2, "max template size (2 takes seconds, 3 about 10-12 s with -prover algebraic on 2 vCPUs; the paper uses 4, not measured here)")
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget (interrupts in-flight proofs)")
 	workers := fs.Int("workers", 0, "search workers (0 = GOMAXPROCS)")
 	cacheFile := fs.String("cache", "", "proof-cache file: verdicts load before and persist after, so repeated runs re-prove nothing")
@@ -603,12 +589,6 @@ func cmdBench(args []string) int {
 	if len(args) > 0 {
 		which = args[0]
 	}
-	if which == "discover" {
-		return cmdBenchDiscover(args[1:])
-	}
-	if which == "rewrite" {
-		return cmdBenchRewrite(args[1:])
-	}
 	experiments := []struct {
 		name string
 		run  func() *bench.Report
@@ -626,7 +606,6 @@ func cmdBench(args []string) int {
 		{"table6", bench.Table6Capabilities},
 		{"ablations", nil}, // expanded below
 		{"reduction", bench.RuleReduction},
-		{"metrics", func() *bench.Report { return bench.DiscoveryMetrics(2) }},
 	}
 	ran := false
 	for _, e := range experiments {
@@ -646,66 +625,5 @@ func cmdBench(args []string) int {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
 		return exitUsage
 	}
-	return exitOK
-}
-
-// cmdBenchDiscover measures the fixed cold-cache discovery workload once and
-// prints the measurement as JSON. With -json the entry is also appended to
-// -out, so the before/after trajectory of an optimization can be committed.
-func cmdBenchDiscover(args []string) int {
-	fs := newFlagSet("bench discover")
-	appendOut := fs.Bool("json", false, "append the measurement to the -out trajectory file")
-	name := fs.String("name", "run", "label recorded with the measurement")
-	out := fs.String("out", "BENCH_discover.json", "trajectory file used by -json")
-	of := addObsFlags(fs)
-	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	defer of.start()()
-
-	entry := bench.RunDiscover(*name)
-	if *appendOut {
-		if _, err := bench.AppendDiscoverJSON(*out, entry); err != nil {
-			fmt.Fprintln(os.Stderr, "bench discover:", err)
-			return exitError
-		}
-	}
-	data, err := json.MarshalIndent(entry, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench discover:", err)
-		return exitError
-	}
-	fmt.Println(string(data))
-	return exitOK
-}
-
-// cmdBenchRewrite measures the fixed rewrite workload (app corpus + Calcite
-// suite) once and prints the measurement as JSON. With -json the entry is
-// also appended to -out, so the before/after trajectory of an engine change
-// can be committed.
-func cmdBenchRewrite(args []string) int {
-	fs := newFlagSet("bench rewrite")
-	appendOut := fs.Bool("json", false, "append the measurement to the -out trajectory file")
-	name := fs.String("name", "run", "label recorded with the measurement")
-	out := fs.String("out", "BENCH_rewrite.json", "trajectory file used by -json")
-	of := addObsFlags(fs)
-	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	defer of.start()()
-
-	entry := bench.RunRewrite(*name)
-	if *appendOut {
-		if _, err := bench.AppendRewriteJSON(*out, entry); err != nil {
-			fmt.Fprintln(os.Stderr, "bench rewrite:", err)
-			return exitError
-		}
-	}
-	data, err := json.MarshalIndent(entry, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "bench rewrite:", err)
-		return exitError
-	}
-	fmt.Println(string(data))
 	return exitOK
 }

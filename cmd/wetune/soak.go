@@ -23,7 +23,6 @@ func cmdSoak(args []string) int {
 	conc := fs.Int("c", 0, "concurrent load workers (0 = 2×GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "fault-decision and jitter seed; same seed, same injected-fault decision streams")
 	asJSON := fs.Bool("json", false, "print the soak report as JSON")
-	out := fs.String("out", "", "append the load report to this BENCH_serve.json-format trajectory file")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {
 		return exitUsage
@@ -47,14 +46,7 @@ func cmdSoak(args []string) int {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		return exitError
 	}
-	rep.Load.Name = "chaos-soak"
 
-	if *out != "" {
-		if _, err := loadgen.AppendJSON(*out, rep.Load); err != nil {
-			fmt.Fprintln(os.Stderr, "soak:", err)
-			return exitError
-		}
-	}
 	if *asJSON {
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {

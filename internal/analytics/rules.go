@@ -111,7 +111,7 @@ type Report struct {
 
 // Rules runs the fixed rewrite workload (workload.RewriteCorpus) once with
 // provenance recording and aggregates per-rule effectiveness. perApp <= 0
-// uses the full 100-per-app corpus that `wetune bench rewrite` measures.
+// uses the full 100-per-app corpus whose output TestCorpusOutputGolden pins.
 func Rules(perApp int) *Report {
 	if perApp <= 0 {
 		perApp = 100

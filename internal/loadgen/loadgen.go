@@ -18,7 +18,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -92,7 +91,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 // failures and 5xx responses; 4xx responses (unparsable corpus queries
 // answer 422 by design) count only in Status.
 type Report struct {
-	Name        string  `json:"name"`
 	Date        string  `json:"date"`
 	Target      string  `json:"target"`
 	Concurrency int     `json:"concurrency"`
@@ -420,7 +418,7 @@ func copyDiscard(resp *http.Response) (int64, error) {
 // Render returns the human-readable summary.
 func (r *Report) Render() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "loadtest %s: target=%s concurrency=%d", r.Name, r.Target, r.Concurrency)
+	fmt.Fprintf(&b, "loadtest: target=%s concurrency=%d", r.Target, r.Concurrency)
 	if r.RateRPS > 0 {
 		fmt.Fprintf(&b, " rate=%.0f/s", r.RateRPS)
 	}
@@ -456,114 +454,4 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "  latency: p50=%.2fms p90=%.2fms p99=%.2fms mean=%.2fms max=%.2fms\n",
 		r.P50MS, r.P90MS, r.P99MS, r.MeanMS, r.MaxMS)
 	return b.String()
-}
-
-// TrajectoryError is a typed failure reading a benchmark trajectory file, so
-// callers (the loadtest -compare path in CI) can distinguish a missing or
-// corrupt baseline from a transient problem — and fail loudly instead of
-// silently comparing against nothing.
-type TrajectoryError struct {
-	// Path is the trajectory file.
-	Path string
-	// Reason classifies the failure: "read" (the file could not be read),
-	// "parse" (malformed JSON or not a Report array), "empty" (a valid file
-	// with zero entries), or "entry" (a requested entry name is absent).
-	Reason string
-	// Err is the underlying error, when any.
-	Err error
-}
-
-func (e *TrajectoryError) Error() string {
-	msg := fmt.Sprintf("trajectory %s: %s", e.Path, e.Reason)
-	if e.Err != nil {
-		msg += ": " + e.Err.Error()
-	}
-	return msg
-}
-
-func (e *TrajectoryError) Unwrap() error { return e.Err }
-
-// ReadTrajectory reads a BENCH_serve.json-format trajectory file. Failures
-// are *TrajectoryError (read, parse or empty).
-func ReadTrajectory(path string) ([]Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, &TrajectoryError{Path: path, Reason: "read", Err: err}
-	}
-	var entries []Report
-	if err := json.Unmarshal(data, &entries); err != nil {
-		return nil, &TrajectoryError{Path: path, Reason: "parse", Err: err}
-	}
-	if len(entries) == 0 {
-		return nil, &TrajectoryError{Path: path, Reason: "empty"}
-	}
-	return entries, nil
-}
-
-// SelectEntry picks the comparison baseline from a trajectory: the last entry
-// named name, or the last entry overall when name is "". A missing name is a
-// *TrajectoryError with reason "entry".
-func SelectEntry(path string, entries []Report, name string) (*Report, error) {
-	if name == "" {
-		if len(entries) == 0 {
-			return nil, &TrajectoryError{Path: path, Reason: "empty"}
-		}
-		return &entries[len(entries)-1], nil
-	}
-	for i := len(entries) - 1; i >= 0; i-- {
-		if entries[i].Name == name {
-			return &entries[i], nil
-		}
-	}
-	return nil, &TrajectoryError{Path: path, Reason: "entry", Err: fmt.Errorf("no entry named %q", name)}
-}
-
-// Compare renders the before→after delta between two runs: throughput and
-// latency quantiles with the improvement factor (positive = cur is better).
-func Compare(prev, cur *Report) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "compare %s (baseline) -> %s\n", prev.Name, cur.Name)
-	line := func(label string, pv, cv float64, higherBetter bool) {
-		if pv == 0 {
-			fmt.Fprintf(&b, "  %-12s %10.2f -> %10.2f\n", label, pv, cv)
-			return
-		}
-		factor := cv / pv
-		if !higherBetter && cv != 0 {
-			factor = pv / cv
-		}
-		pct := (cv - pv) / pv * 100
-		fmt.Fprintf(&b, "  %-12s %10.2f -> %10.2f  (%+.1f%%, %.2fx %s)\n",
-			label, pv, cv, pct, factor, map[bool]string{true: "throughput", false: "speedup"}[higherBetter])
-	}
-	line("req/s", prev.ThroughputRPS, cur.ThroughputRPS, true)
-	line("p50 ms", prev.P50MS, cur.P50MS, false)
-	line("p90 ms", prev.P90MS, cur.P90MS, false)
-	line("p99 ms", prev.P99MS, cur.P99MS, false)
-	line("mean ms", prev.MeanMS, cur.MeanMS, false)
-	fmt.Fprintf(&b, "  %-12s %10d -> %10d\n", "errors", prev.Errors, cur.Errors)
-	return b.String()
-}
-
-// AppendJSON appends the report to the JSON array in path (created if
-// missing) and returns the full trajectory — the BENCH_serve.json format.
-func AppendJSON(path string, entry *Report) ([]Report, error) {
-	var entries []Report
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &entries); err != nil {
-			return nil, fmt.Errorf("parse %s: %w", path, err)
-		}
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	entries = append(entries, *entry)
-	data, err := json.MarshalIndent(entries, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return nil, err
-	}
-	return entries, nil
 }

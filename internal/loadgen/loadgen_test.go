@@ -2,9 +2,6 @@ package loadgen
 
 import (
 	"context"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -95,37 +92,5 @@ func TestQuantileExact(t *testing.T) {
 	}
 	if got := quantile(nil, 0.5); got != 0 {
 		t.Errorf("empty quantile = %v, want 0", got)
-	}
-}
-
-// TestAppendJSON checks the BENCH trajectory append: creates the file,
-// appends in order, and round-trips through JSON.
-func TestAppendJSON(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	first := &Report{Name: "a", Requests: 1}
-	second := &Report{Name: "b", Requests: 2}
-	if _, err := AppendJSON(path, first); err != nil {
-		t.Fatal(err)
-	}
-	entries, err := AppendJSON(path, second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 2 || entries[0].Name != "a" || entries[1].Name != "b" {
-		t.Fatalf("entries = %+v", entries)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var onDisk []Report
-	if err := json.Unmarshal(data, &onDisk); err != nil {
-		t.Fatalf("trajectory is not valid JSON: %v", err)
-	}
-	if len(onDisk) != 2 {
-		t.Fatalf("on disk = %d entries, want 2", len(onDisk))
-	}
-	if data[len(data)-1] != '\n' {
-		t.Error("trajectory missing trailing newline")
 	}
 }

@@ -2,10 +2,7 @@ package loadgen
 
 import (
 	"context"
-	"errors"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -155,69 +152,5 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	}
 	if rep.Status["429"] != 1 || rep.Errors != 0 {
 		t.Errorf("status = %v errors = %d, want one 429 and no errors", rep.Status, rep.Errors)
-	}
-}
-
-// TestTrajectoryErrors pins the typed baseline failures: each failure mode
-// carries its reason, so `loadtest -compare -strict` can gate CI on a corrupt
-// trajectory instead of silently skipping the comparison.
-func TestTrajectoryErrors(t *testing.T) {
-	dir := t.TempDir()
-	reasonOf := func(err error) string {
-		t.Helper()
-		var te *TrajectoryError
-		if !errors.As(err, &te) {
-			t.Fatalf("error %v is not a *TrajectoryError", err)
-		}
-		return te.Reason
-	}
-
-	if _, err := ReadTrajectory(filepath.Join(dir, "missing.json")); reasonOf(err) != "read" {
-		t.Errorf("missing file reason = %q, want read", reasonOf(err))
-	}
-
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrajectory(bad); reasonOf(err) != "parse" {
-		t.Errorf("malformed file reason = %q, want parse", reasonOf(err))
-	}
-
-	empty := filepath.Join(dir, "empty.json")
-	if err := os.WriteFile(empty, []byte("[]"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadTrajectory(empty); reasonOf(err) != "empty" {
-		t.Errorf("empty trajectory reason = %q, want empty", reasonOf(err))
-	}
-}
-
-// TestSelectEntry: default is the file's last entry; a name picks the last
-// entry with that name; a miss is a typed "entry" failure.
-func TestSelectEntry(t *testing.T) {
-	entries := []Report{
-		{Name: "x", Requests: 1},
-		{Name: "y", Requests: 2},
-		{Name: "x", Requests: 3},
-	}
-	got, err := SelectEntry("f.json", entries, "")
-	if err != nil || got.Requests != 3 {
-		t.Errorf("default entry = %+v, %v; want the last entry", got, err)
-	}
-	got, err = SelectEntry("f.json", entries, "x")
-	if err != nil || got.Requests != 3 {
-		t.Errorf("entry x = %+v, %v; want the last x", got, err)
-	}
-	got, err = SelectEntry("f.json", entries, "y")
-	if err != nil || got.Requests != 2 {
-		t.Errorf("entry y = %+v, %v", got, err)
-	}
-	var te *TrajectoryError
-	if _, err = SelectEntry("f.json", entries, "z"); !errors.As(err, &te) || te.Reason != "entry" {
-		t.Errorf("missing name error = %v, want reason entry", err)
-	}
-	if _, err = SelectEntry("f.json", nil, ""); !errors.As(err, &te) || te.Reason != "empty" {
-		t.Errorf("no entries error = %v, want reason empty", err)
 	}
 }

@@ -89,7 +89,7 @@ func TestRunSmallSweep(t *testing.T) {
 		if !rule.Dest.NotMoreOpsThan(rule.Src) {
 			t.Errorf("rule violates simplicity: %s => %s", rule.Src, rule.Dest)
 		}
-		if !AlgebraicProver(context.Background(), rule.Src, rule.Dest, rule.Constraints) {
+		if !AlgebraicPairProver(rule.Src, rule.Dest)(context.Background(), rule.Src, rule.Dest, rule.Constraints) {
 			t.Errorf("reported rule does not verify: %s => %s under %s",
 				rule.Src, rule.Dest, rule.Constraints)
 		}

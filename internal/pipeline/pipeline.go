@@ -62,24 +62,6 @@ func (r Rule) String() string {
 // is then discarded, not cached).
 type Prover func(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool
 
-// DefaultProver verifies with the built-in verifier's algebraic path plus a
-// small SMT budget, honoring ctx inside the solver loop.
-func DefaultProver(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool {
-	opts := verify.DefaultOptions()
-	opts.Context = ctx
-	opts.SMT.MaxNodes = 20000
-	return verify.VerifyOpts(src, dest, cs, opts).Outcome == verify.Verified
-}
-
-// AlgebraicProver uses only the algebraic normalization path (fast; used for
-// large sweeps and the ablation comparison).
-func AlgebraicProver(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool {
-	opts := verify.DefaultOptions()
-	opts.Context = ctx
-	opts.SkipSMT = true
-	return verify.VerifyOpts(src, dest, cs, opts).Outcome == verify.Verified
-}
-
 // PairProverFactory builds a prover specialized to one template pair. The
 // relaxation search probes many constraint sets against the same pair, so a
 // factory can hoist the constraint-independent verification work (template
@@ -88,8 +70,9 @@ func AlgebraicProver(ctx context.Context, src, dest *template.Node, cs *constrai
 // ever called from the single worker goroutine owning the pair.
 type PairProverFactory func(src, dest *template.Node) Prover
 
-// DefaultPairProver is DefaultProver hoisted onto a per-pair verification
-// context: same verdicts, with translation/normalization/FOL derivation done
+// DefaultPairProver verifies with the built-in verifier's algebraic path plus
+// a small SMT budget, honoring ctx inside the solver loop, on a per-pair
+// verification context: translation/normalization/FOL derivation are done
 // once per pair instead of once per probe.
 func DefaultPairProver(src, dest *template.Node) Prover {
 	pc := verify.NewPairContext(src, dest)
@@ -101,7 +84,8 @@ func DefaultPairProver(src, dest *template.Node) Prover {
 	}
 }
 
-// AlgebraicPairProver is AlgebraicProver hoisted onto a per-pair context.
+// AlgebraicPairProver uses only the algebraic normalization path (fast; used
+// for large sweeps and the ablation comparison), on a per-pair context.
 func AlgebraicPairProver(src, dest *template.Node) Prover {
 	pc := verify.NewPairContext(src, dest)
 	return func(ctx context.Context, _, _ *template.Node, cs *constraint.Set) bool {
@@ -120,12 +104,8 @@ type Options struct {
 	// MaxTemplateSize bounds enumerated templates when Templates is nil
 	// (default 2; the paper's size-4 run took 36 hours on 120 cores).
 	MaxTemplateSize int
-	// Prover; defaults to DefaultProver. Ignored when PairProver is set.
-	Prover Prover
-	// PairProver, when non-nil, takes precedence over Prover: searchPair
-	// calls it once per template pair and probes the returned Prover. When
-	// both Prover and PairProver are nil, fill() selects DefaultPairProver
-	// (the per-pair-context equivalent of DefaultProver).
+	// PairProver is called once per template pair; the relaxation probes the
+	// Prover it returns. Defaults to DefaultPairProver.
 	PairProver PairProverFactory
 	// MaxProverCallsPerPair bounds the relaxation per template pair. Cache
 	// hits charge the budget too, keeping warm and cold trajectories equal.
@@ -176,7 +156,7 @@ func (o *Options) fill() {
 	if o.MaxTemplateSize <= 0 {
 		o.MaxTemplateSize = 2
 	}
-	if o.Prover == nil && o.PairProver == nil {
+	if o.PairProver == nil {
 		o.PairProver = DefaultPairProver
 	}
 	if o.MaxProverCallsPerPair == 0 {

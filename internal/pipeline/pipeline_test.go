@@ -22,6 +22,11 @@ func size1Templates() []*template.Node {
 	return template.Enumerate(template.EnumOptions{MaxSize: 1})
 }
 
+// fixedProver hands every template pair the same stub prover.
+func fixedProver(p Prover) PairProverFactory {
+	return func(_, _ *template.Node) Prover { return p }
+}
+
 func ruleKeys(rules []Rule) []string {
 	keys := make([]string, len(rules))
 	for i, r := range rules {
@@ -36,7 +41,7 @@ func TestCancelledContextReturnsPromptly(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	res := Run(ctx, Options{Templates: size1Templates(), Prover: AlgebraicProver})
+	res := Run(ctx, Options{Templates: size1Templates(), PairProver: AlgebraicPairProver})
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("cancelled run took %v", elapsed)
 	}
@@ -66,7 +71,7 @@ func TestDeadlineInterruptsInFlightProof(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	res := Run(ctx, Options{Templates: size1Templates(), Prover: slow, Workers: 2})
+	res := Run(ctx, Options{Templates: size1Templates(), PairProver: fixedProver(slow), Workers: 2})
 	elapsed := time.Since(start)
 	if elapsed > 200*time.Millisecond {
 		t.Fatalf("deadline overrun: run took %v with a 50ms budget", elapsed)
@@ -86,7 +91,7 @@ func TestSMTProofInterruptedByContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	RunPair(ctx, src, dest, Options{Prover: DefaultProver})
+	RunPair(ctx, src, dest, Options{PairProver: DefaultPairProver})
 	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
 		t.Fatalf("SMT-backed pair search ignored the deadline: %v", elapsed)
 	}
@@ -98,8 +103,8 @@ func TestSMTProofInterruptedByContext(t *testing.T) {
 func TestWarmCacheSameRulesFewerProverCalls(t *testing.T) {
 	templates := template.Enumerate(template.EnumOptions{MaxSize: 2})
 	cache := NewProofCache()
-	cold := Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Cache: cache})
-	warm := Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Cache: cache})
+	cold := Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache})
+	warm := Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache})
 
 	if warm.Stats.CacheHits == 0 {
 		t.Fatal("warm run reported no cache hits")
@@ -125,27 +130,20 @@ func TestWarmCacheSameRulesFewerProverCalls(t *testing.T) {
 }
 
 // TestDeterministicAcrossWorkersAndCaches: worker count and cache temperature
-// must not change the discovered rule set, with the per-call prover and with
-// the per-pair prover production runs use.
+// must not change the discovered rule set.
 func TestDeterministicAcrossWorkersAndCaches(t *testing.T) {
-	templates := size1Templates()
-	for name, opts := range map[string]Options{
-		"Prover":     {Templates: templates, Prover: AlgebraicProver},
-		"PairProver": {Templates: templates, PairProver: AlgebraicPairProver},
-	} {
-		opts.Workers = 1
-		base := Run(context.Background(), opts)
-		for _, workers := range []int{2, 4, 8} {
-			opts.Workers = workers
-			got := Run(context.Background(), opts)
-			bk, gk := ruleKeys(base.Rules), ruleKeys(got.Rules)
-			if len(bk) != len(gk) {
-				t.Fatalf("%s workers=%d: rule counts differ: %d vs %d", name, workers, len(bk), len(gk))
-			}
-			for i := range bk {
-				if bk[i] != gk[i] {
-					t.Fatalf("%s workers=%d: rule %d differs", name, workers, i)
-				}
+	opts := Options{Templates: size1Templates(), PairProver: AlgebraicPairProver, Workers: 1}
+	base := Run(context.Background(), opts)
+	for _, workers := range []int{2, 4, 8} {
+		opts.Workers = workers
+		got := Run(context.Background(), opts)
+		bk, gk := ruleKeys(base.Rules), ruleKeys(got.Rules)
+		if len(bk) != len(gk) {
+			t.Fatalf("workers=%d: rule counts differ: %d vs %d", workers, len(bk), len(gk))
+		}
+		for i := range bk {
+			if bk[i] != gk[i] {
+				t.Fatalf("workers=%d: rule %d differs", workers, i)
 			}
 		}
 	}
@@ -157,7 +155,7 @@ func TestProgressStages(t *testing.T) {
 	var snaps []Snapshot
 	res := Run(context.Background(), Options{
 		Templates:     size1Templates(),
-		Prover:        AlgebraicProver,
+		PairProver:    AlgebraicPairProver,
 		Progress:      func(s Snapshot) { snaps = append(snaps, s) },
 		ProgressEvery: 1,
 	})
@@ -182,7 +180,7 @@ func TestBudgetChargesCacheHits(t *testing.T) {
 	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
 	dest := RenameApart(src, template.Sel(psym(2), asym(2), template.Input(rsym(1))))
 	cache := NewProofCache()
-	opts := Options{Prover: AlgebraicProver, Cache: cache, MaxProverCallsPerPair: 40}
+	opts := Options{PairProver: AlgebraicPairProver, Cache: cache, MaxProverCallsPerPair: 40}
 	cold, coldStats := RunPair(context.Background(), src, dest, opts)
 	warm, warmStats := RunPair(context.Background(), src, dest, opts)
 	ck, wk := ruleKeys(cold), ruleKeys(warm)
@@ -213,7 +211,7 @@ func TestCancelledVerdictsNotCached(t *testing.T) {
 	templates := size1Templates()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
-	Run(ctx, Options{Templates: templates, Prover: blocking, Cache: cache, Workers: 2})
+	Run(ctx, Options{Templates: templates, PairProver: fixedProver(blocking), Cache: cache, Workers: 2})
 	if calls.Load() == 0 {
 		t.Fatal("prover never ran")
 	}
@@ -228,9 +226,9 @@ func TestCancelledVerdictsNotCached(t *testing.T) {
 func TestMetricsPopulatedAfterRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	res := Run(context.Background(), Options{
-		Templates: size1Templates(),
-		Prover:    AlgebraicProver,
-		Metrics:   reg,
+		Templates:  size1Templates(),
+		PairProver: AlgebraicPairProver,
+		Metrics:    reg,
 	})
 	snap := reg.Snapshot()
 	if h := snap.Histograms["pipeline_stage_templates_seconds"]; h.Count != 1 {
@@ -266,8 +264,8 @@ func TestMetricsPopulatedAfterRun(t *testing.T) {
 func TestWarmRunCacheHitRate(t *testing.T) {
 	templates := size1Templates()
 	cache := NewProofCache()
-	Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Cache: cache, Metrics: obs.NewRegistry()})
-	warm := Run(context.Background(), Options{Templates: templates, Prover: AlgebraicProver, Cache: cache, Metrics: obs.NewRegistry()})
+	Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache, Metrics: obs.NewRegistry()})
+	warm := Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache, Metrics: obs.NewRegistry()})
 	if r := warm.Stats.CacheHitRate(); r <= 0 {
 		t.Errorf("warm run hit rate = %v, want > 0 (hits=%d misses=%d)",
 			r, warm.Stats.CacheHits, warm.Stats.CacheMisses)
@@ -283,11 +281,11 @@ func TestWarmRunCacheHitRate(t *testing.T) {
 func TestTraceSlowEmitsSpanTrees(t *testing.T) {
 	var trees []string
 	Run(context.Background(), Options{
-		Templates: size1Templates(),
-		Prover:    AlgebraicProver,
-		Metrics:   obs.NewRegistry(),
-		TraceSlow: time.Nanosecond,
-		SlowPair:  func(sp *obs.Span) { trees = append(trees, sp.Tree()) },
+		Templates:  size1Templates(),
+		PairProver: AlgebraicPairProver,
+		Metrics:    obs.NewRegistry(),
+		TraceSlow:  time.Nanosecond,
+		SlowPair:   func(sp *obs.Span) { trees = append(trees, sp.Tree()) },
 	})
 	if len(trees) == 0 {
 		t.Fatal("no slow-pair traces emitted at a 1ns threshold")
@@ -310,13 +308,16 @@ func TestTraceSlowEmitsSpanTrees(t *testing.T) {
 // carry a span (hot paths stay span-free by default).
 func TestTraceDisabledNoSpans(t *testing.T) {
 	var sawSpan atomic.Bool
-	probe := func(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool {
-		if obs.FromContext(ctx) != nil {
-			sawSpan.Store(true)
+	probe := func(src, dest *template.Node) Prover {
+		inner := AlgebraicPairProver(src, dest)
+		return func(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool {
+			if obs.FromContext(ctx) != nil {
+				sawSpan.Store(true)
+			}
+			return inner(ctx, src, dest, cs)
 		}
-		return AlgebraicProver(ctx, src, dest, cs)
 	}
-	Run(context.Background(), Options{Templates: size1Templates(), Prover: probe, Metrics: obs.NewRegistry()})
+	Run(context.Background(), Options{Templates: size1Templates(), PairProver: probe, Metrics: obs.NewRegistry()})
 	if sawSpan.Load() {
 		t.Error("prover saw a span although tracing was disabled")
 	}

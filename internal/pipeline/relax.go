@@ -72,13 +72,9 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 
 // newRelaxer sets up the relaxation of one pair.
 func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct *counters, reg *obs.Registry) *relaxer {
-	prover := opts.Prover
-	if opts.PairProver != nil {
-		prover = opts.PairProver(src, dest)
-	}
 	return &relaxer{
 		ctx: ctx, src: src, dest: dest,
-		prover: prover,
+		prover: opts.PairProver(src, dest),
 		budget: opts.MaxProverCallsPerPair,
 		memo:   map[string]bool{},
 		prune:  !opts.DisablePruning,

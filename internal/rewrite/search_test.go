@@ -1,6 +1,9 @@
 package rewrite
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"wetune/internal/plan"
@@ -8,6 +11,31 @@ import (
 )
 
 const q0 = `SELECT * FROM labels WHERE id IN (SELECT id FROM labels WHERE id IN (SELECT id FROM labels WHERE project_id = 10) ORDER BY title ASC)`
+
+// corpusOutputSHA256 pins the rewritten SQL of the whole rewrite corpus:
+// sha256 over plan.ToSQLString(out)+"\n" per plannable query, in corpus order.
+const corpusOutputSHA256 = "d6a98b1aea00dff45e857c6642cd90339ecbe294aca03b008e7f6db1a1affffc"
+
+// TestCorpusOutputGolden: Search with default options over the application
+// corpus plus the Calcite suite, full rule set, produces byte-identical SQL.
+// A hot-path change that moves this hash changed what the engine emits.
+func TestCorpusOutputGolden(t *testing.T) {
+	plans, rws := corpusPlans(t)
+	h := sha256.New()
+	rewritten := 0
+	for i, p := range plans {
+		out, applied, _ := rws[i].Search(p, Options{})
+		if len(applied) > 0 {
+			rewritten++
+		}
+		fmt.Fprintln(h, plan.ToSQLString(out))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	if len(plans) != 2464 || rewritten != 353 || got != corpusOutputSHA256 {
+		t.Errorf("corpus output: %d planned, %d rewritten, sha256 %s; want 2464 planned, 353 rewritten, sha256 %s\nif this change is intended, update the constant and say why in CHANGES.md",
+			len(plans), rewritten, got, corpusOutputSHA256)
+	}
+}
 
 // TestSearchDeterministicAcrossRuleOrder pins the candidate tie-break: when
 // candidates tie on operator count and cost, the (rule number, position) order

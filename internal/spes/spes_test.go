@@ -256,3 +256,37 @@ func TestConcretizeSharedRelationAliases(t *testing.T) {
 		t.Errorf("r1 = r2 should share a table name: %v", tables)
 	}
 }
+
+// TestVerifyPlansAliasInsensitive: the aliases a query chooses decide
+// nothing. Bindings are compared by position in the plan, so an alias that
+// is the tail of another ("u" in "bu"), or that sorts on the other side of
+// its join partner, leaves the normal form alone.
+func TestVerifyPlansAliasInsensitive(t *testing.T) {
+	for _, tc := range []struct{ name, a, b string }{
+		{"alias is a suffix of another",
+			"SELECT u.id FROM emp u JOIN dept bu ON u.dept = bu.id WHERE bu.name = 'x'",
+			"SELECT p.id FROM emp p JOIN dept q ON p.dept = q.id WHERE q.name = 'x'"},
+		{"aliases sort the other way round",
+			"SELECT z.id FROM emp z JOIN dept a ON z.dept = a.id WHERE z.salary = a.id",
+			"SELECT a.id FROM emp a JOIN dept z ON a.dept = z.id WHERE a.salary = z.id"},
+		{"renamed and commuted",
+			"SELECT u.id FROM emp u JOIN dept bu ON u.dept = bu.id WHERE bu.name = 'x'",
+			"SELECT p.id FROM dept q JOIN emp p ON q.id = p.dept WHERE q.name = 'x'"},
+		{"output column in a join equality class",
+			"SELECT u.dept FROM emp u JOIN dept bu ON u.dept = bu.id",
+			"SELECT p.dept FROM emp p JOIN dept q ON p.dept = q.id"},
+		{"self join",
+			"SELECT e.id FROM emp e JOIN emp be ON e.dept = be.id WHERE be.salary > 1",
+			"SELECT x.id FROM emp x JOIN emp y ON x.dept = y.id WHERE y.salary > 1"},
+	} {
+		if ok, reason := VerifyPlans(mustPlan(t, tc.a), mustPlan(t, tc.b)); !ok {
+			t.Errorf("%s: equivalent plans rejected: %s", tc.name, reason)
+		}
+	}
+	// Renaming must not blur which scan a predicate reads.
+	if ok, _ := VerifyPlans(
+		mustPlan(t, "SELECT e.id FROM emp e JOIN emp be ON e.dept = be.id WHERE be.salary > 1"),
+		mustPlan(t, "SELECT x.id FROM emp x JOIN emp y ON x.dept = y.id WHERE x.salary > 1")); ok {
+		t.Error("self join with the filter on the other scan wrongly proved equivalent")
+	}
+}

@@ -60,7 +60,7 @@ func VerifyPlans(a, b plan.Node) (bool, string) {
 			return false, fmt.Sprintf("different output columns: %v vs %v", oa, ob)
 		}
 	}
-	fa, fb := canonFingerprint(na), canonFingerprint(nb)
+	fa, fb := aliasFree(na), aliasFree(nb)
 	if fa == fb {
 		return true, ""
 	}
@@ -86,10 +86,13 @@ func classedOutNames(orig plan.Node, canon plan.Node) []string {
 
 // columnClasses derives column equivalence classes from the equality
 // conjuncts guarding the root of the canonical plan (a Sel directly above an
-// inner-join group applies to every output row). Keys and representatives
-// are qualified names; the representative is the minimal member's bare
-// column name.
+// inner-join group applies to every output row). Keys are qualified names;
+// the representative is the least bare column name among the members, which
+// the aliases in the qualifiers do not influence.
 func columnClasses(n plan.Node) map[string]string {
+	bare := func(qualified string) string {
+		return qualified[strings.LastIndex(qualified, ".")+1:]
+	}
 	var conds []sql.Expr
 	switch x := n.(type) {
 	case *plan.Sel:
@@ -130,7 +133,7 @@ func columnClasses(n plan.Node) map[string]string {
 		rk := sql.FormatExpr(r)
 		ra, rb := find(lk), find(rk)
 		if ra != rb {
-			if ra < rb {
+			if bare(ra) < bare(rb) || bare(ra) == bare(rb) && ra < rb {
 				parent[rb] = ra
 			} else {
 				parent[ra] = rb
@@ -139,13 +142,7 @@ func columnClasses(n plan.Node) map[string]string {
 	}
 	out := map[string]string{}
 	for k := range parent {
-		rep := find(k)
-		// Use the bare column name of the representative.
-		name := rep
-		if i := strings.LastIndex(rep, "."); i >= 0 {
-			name = rep[i+1:]
-		}
-		out[k] = name
+		out[k] = bare(find(k))
 	}
 	return out
 }
@@ -190,10 +187,11 @@ func canonicalize(n plan.Node, isRoot bool) plan.Node {
 		}
 		// Deduplicate + sort conjuncts by their printed form (equality
 		// operands ordered canonically first).
+		bindings := plan.AppendBindings(nil, inner)
 		seen := map[string]sql.Expr{}
 		for _, e := range conj {
-			e = normalizeCond(e)
-			seen[sql.FormatExpr(e)] = e
+			e = normalizeCond(e, bindings)
+			seen[condKey(e, bindings)] = e
 		}
 		keys := make([]string, 0, len(seen))
 		for k := range seen {
@@ -246,7 +244,7 @@ func canonicalize(n plan.Node, isRoot bool) plan.Node {
 	case *plan.Union:
 		l := canonicalize(x.L, false)
 		r := canonicalize(x.R, false)
-		if plan.Fingerprint(l) > plan.Fingerprint(r) {
+		if aliasFree(l) > aliasFree(r) {
 			l, r = r, l
 		}
 		return &plan.Union{All: x.All, L: l, R: r}
@@ -287,9 +285,16 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 		inputs = append(inputs, core)
 	}
 	collect(j)
-	sort.Slice(inputs, func(a, b int) bool {
-		return plan.Fingerprint(inputs[a]) < plan.Fingerprint(inputs[b])
+	// Stable: scans of one table keep their relative order, as their aliases
+	// must not decide it.
+	sort.SliceStable(inputs, func(a, b int) bool {
+		return aliasFree(inputs[a]) < aliasFree(inputs[b])
 	})
+	out := inputs[0]
+	for _, in := range inputs[1:] {
+		out = &plan.Join{JoinKind: sql.InnerJoin, L: out, R: in}
+	}
+	bindings := plan.AppendBindings(nil, out)
 	// Split conditions into column equalities (canonicalized as spanning
 	// chains over their transitive-equality classes, so {a=b, b=c} and
 	// {a=b, a=c} normalize identically) and everything else.
@@ -313,7 +318,7 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 			l, lok := be.L.(*sql.ColumnRef)
 			r, rok := be.R.(*sql.ColumnRef)
 			if lok && rok {
-				lk, rk := sql.FormatExpr(l), sql.FormatExpr(r)
+				lk, rk := condKey(l, bindings), condKey(r, bindings)
 				colExpr[lk], colExpr[rk] = l, r
 				ra, rb := find(lk), find(rk)
 				if ra != rb {
@@ -326,7 +331,7 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 				continue
 			}
 		}
-		others = append(others, normalizeCond(c))
+		others = append(others, normalizeCond(c, bindings))
 	}
 	classes := map[string][]string{}
 	for k := range parent {
@@ -350,7 +355,7 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 	seen := map[string]sql.Expr{}
 	var keys []string
 	for _, c := range others {
-		key := sql.FormatExpr(c)
+		key := condKey(c, bindings)
 		if _, dup := seen[key]; !dup {
 			seen[key] = c
 			keys = append(keys, key)
@@ -361,12 +366,8 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 		sorted = append(sorted, seen[k])
 	}
 	sort.Slice(sorted, func(i, j int) bool {
-		return sql.FormatExpr(sorted[i]) < sql.FormatExpr(sorted[j])
+		return condKey(sorted[i], bindings) < condKey(sorted[j], bindings)
 	})
-	out := inputs[0]
-	for _, in := range inputs[1:] {
-		out = &plan.Join{JoinKind: sql.InnerJoin, L: out, R: in}
-	}
 	if len(sorted) > 0 {
 		// Canonical form: all conditions live in one selection above the
 		// condition-free join chain, so push-down variants converge.
@@ -376,55 +377,26 @@ func canonicalizeJoinGroup(j *plan.Join) plan.Node {
 }
 
 // normalizeCond orders the operands of an equality condition canonically.
-func normalizeCond(e sql.Expr) sql.Expr {
+func normalizeCond(e sql.Expr, bindings []string) sql.Expr {
 	if be, ok := e.(*sql.BinaryExpr); ok && be.Op == "=" {
-		if sql.FormatExpr(be.L) > sql.FormatExpr(be.R) {
+		if condKey(be.L, bindings) > condKey(be.R, bindings) {
 			return &sql.BinaryExpr{Op: "=", L: be.R, R: be.L}
 		}
 	}
 	return e
 }
 
-// canonFingerprint renders a canonicalized plan, normalizing scan aliases so
-// that alias choices do not affect comparison.
-func canonFingerprint(n plan.Node) string {
-	fp := plan.Fingerprint(n)
-	// Alias normalization: repeated scans get suffixed aliases (t0_2 etc.);
-	// map each distinct alias to a positional name in order of appearance.
-	return normalizeAliases(fp)
+// condKey is the text conditions are oriented, deduplicated and sorted by:
+// e with the qualifiers in bindings — the bindings of the plan e guards, in
+// order of appearance — written as positions, so that the aliases a query
+// happened to choose decide nothing.
+func condKey(e sql.Expr, bindings []string) string {
+	return string(sql.AppendExprPositional(nil, e, bindings))
 }
 
-func normalizeAliases(fp string) string {
-	// Replace alias tokens of the form <name>_<n> appearing after " as "
-	// markers with canonical sequence numbers.
-	var out strings.Builder
-	repl := map[string]string{}
-	i := 0
-	for i < len(fp) {
-		j := strings.Index(fp[i:], " as ")
-		if j < 0 {
-			out.WriteString(fp[i:])
-			break
-		}
-		j += i + len(" as ")
-		out.WriteString(fp[i:j])
-		k := j
-		for k < len(fp) && fp[k] != ')' && fp[k] != ',' {
-			k++
-		}
-		alias := fp[j:k]
-		if _, ok := repl[alias]; !ok {
-			repl[alias] = fmt.Sprintf("x%d", len(repl))
-		}
-		out.WriteString(repl[alias])
-		i = k
-	}
-	s := out.String()
-	// Also rewrite column qualifiers that reference renamed aliases.
-	for from, to := range repl {
-		s = strings.ReplaceAll(s, from+".", to+".")
-	}
-	return s
+// aliasFree renders a plan with its own bindings written as positions.
+func aliasFree(n plan.Node) string {
+	return string(plan.AppendAliasFingerprint(nil, n, plan.AppendBindings(nil, n)))
 }
 
 // UsesIntegrityConstraints reports whether the rule's constraint set relies

@@ -16,9 +16,9 @@ type Item struct {
 // RewriteCorpus returns the fixed evaluation corpus in deterministic order —
 // perApp queries for each application archetype plus both sides of every
 // Calcite-suite pair — together with the schema for each App key. This is
-// the workload `wetune bench rewrite`, `wetune report rules` and the
-// explain-consistency tests all iterate, so their numbers are directly
-// comparable.
+// the workload `wetune report rules`, `wetune loadtest`, the output golden
+// (rewrite.TestCorpusOutputGolden) and the explain-consistency tests all
+// iterate, so their numbers are directly comparable.
 func RewriteCorpus(perApp int) (schemas map[string]*sql.Schema, items []Item) {
 	schemas = map[string]*sql.Schema{}
 	for _, a := range Apps() {
