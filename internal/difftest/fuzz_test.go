@@ -66,6 +66,15 @@ func FuzzParserPrinter(f *testing.F) {
 	f.Add("SELECT t.a FROM t WHERE t.a IN (SELECT u.a FROM u WHERE u.b > 0)")
 	f.Add("SELECT COUNT(*) AS n, SUM(t.v) FROM t GROUP BY t.k HAVING COUNT(*) > 1")
 	f.Add("SELECT a FROM t UNION ALL SELECT a FROM u")
+	// The shapes the rewriter once broke (CASE arms, correlated EXISTS, scalar
+	// and IN subqueries, a subquery under a self-named table).
+	const join = "SELECT issues.id FROM issues JOIN projects ON issues.project_id = projects.id WHERE "
+	f.Add(join + "CASE WHEN projects.name = 'x' THEN 1 ELSE 0 END = 1")
+	f.Add(join + "EXISTS (SELECT 1 FROM labels WHERE labels.project_id = projects.id)")
+	f.Add(join + "issues.id = (SELECT MAX(labels.id) FROM labels WHERE labels.project_id = projects.id)")
+	f.Add(join + "issues.id IN (SELECT labels.id FROM labels WHERE labels.project_id = projects.id)")
+	f.Add("SELECT * FROM notes n1 WHERE n1.id IN (SELECT n2.id FROM notes n2 WHERE CASE WHEN n2.type = 'a' THEN 1 ELSE 0 END = 1)")
+	f.Add("SELECT notes.type FROM notes WHERE notes.commit_id IN (SELECT notes.id FROM notes WHERE CASE WHEN notes.type = 'a' THEN 1 ELSE 0 END = 1)")
 	// Pull extra corpus entries from the plan generator so join/derived-table
 	// shapes the grammar supports are represented.
 	rng := rand.New(rand.NewSource(7))

@@ -138,7 +138,8 @@ func (g *genState) wrapSel(t typed) typed {
 }
 
 // genPred draws a random predicate over the subplan's columns. depth bounds
-// AND/OR/NOT nesting.
+// AND/OR/NOT nesting; a leaf may be a CASE comparison or read a related table
+// through a correlated subquery (genCorrelated).
 func (g *genState) genPred(t typed, depth int) sql.Expr {
 	if depth > 0 && g.rng.Intn(3) == 0 {
 		switch g.rng.Intn(3) {
@@ -152,9 +153,22 @@ func (g *genState) genPred(t typed, depth int) sql.Expr {
 	}
 	k := g.rng.Intn(len(t.cols))
 	col := &sql.ColumnRef{Table: t.cols[k].Table, Column: t.cols[k].Column}
-	switch g.rng.Intn(5) {
+	switch g.rng.Intn(7) {
 	case 0:
 		return &sql.IsNullExpr{E: col, Negated: g.rng.Intn(2) == 0}
+	case 5:
+		// A CASE whose condition and arms read the subplan's columns.
+		return &sql.BinaryExpr{Op: g.cmpOp(),
+			L: &sql.CaseExpr{
+				Whens: []sql.CaseWhen{{Cond: g.genPred(t, 0), Then: col}},
+				Else:  &sql.Literal{Val: g.genValue(t.types[k])},
+			},
+			R: &sql.Literal{Val: g.genValue(t.types[k])}}
+	case 6:
+		if e := g.genCorrelated(t); e != nil {
+			return e
+		}
+		fallthrough
 	case 1:
 		// Column-to-column comparison of matching type, when available.
 		for _, j := range g.rng.Perm(len(t.cols)) {
@@ -173,6 +187,40 @@ func (g *genState) genPred(t typed, depth int) sql.Expr {
 	default:
 		return &sql.BinaryExpr{Op: g.cmpOp(), L: col, R: &sql.Literal{Val: g.genValue(t.types[k])}}
 	}
+}
+
+// genCorrelated draws [NOT] EXISTS, or a comparison with a scalar MAX
+// subquery, over a table that a generated foreign key relates to one of the
+// subplan's columns, correlated on that key; nil when no column has one.
+func (g *genState) genCorrelated(t typed) sql.Expr {
+	for _, k := range g.rng.Perm(len(t.cols)) {
+		for _, name := range g.schema.TableNames() {
+			def, _ := g.schema.Table(name)
+			for _, fk := range def.ForeignKeys {
+				table, key := name, fk.Columns[0] // the subplan holds the parent's key: its children
+				if t.cols[k].Column == key {
+					table, key = fk.RefTable, fk.RefColumns[0] // it holds the reference: the parent
+				} else if t.cols[k].Column != fk.RefColumns[0] {
+					continue
+				}
+				alias := fmt.Sprintf("s%d", g.aliasN)
+				g.aliasN++
+				stmt := &sql.SelectStmt{
+					Items: []sql.SelectItem{{Expr: &sql.Literal{Val: sql.NewInt(1)}}},
+					From:  &sql.TableName{Name: table, Alias: alias},
+					Where: &sql.BinaryExpr{Op: "=",
+						L: &sql.ColumnRef{Table: alias, Column: key},
+						R: &sql.ColumnRef{Table: t.cols[k].Table, Column: t.cols[k].Column}},
+				}
+				if g.rng.Intn(2) == 0 {
+					return &sql.ExistsExpr{Select: stmt, Negated: g.rng.Intn(3) == 0}
+				}
+				stmt.Items[0].Expr = &sql.FuncCall{Name: "MAX", Args: []sql.Expr{&sql.ColumnRef{Table: alias, Column: table + "_id"}}}
+				return &sql.BinaryExpr{Op: g.cmpOp(), L: &sql.Literal{Val: g.genValue(sql.TInt)}, R: &sql.ScalarSubquery{Select: stmt}}
+			}
+		}
+	}
+	return nil
 }
 
 func (g *genState) cmpOp() string {

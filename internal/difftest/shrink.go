@@ -184,43 +184,31 @@ func simplerValue(v sql.Value) (sql.Value, bool) {
 // collectLiterals gathers every *sql.Literal reachable from the plan's
 // predicate, projection, and aggregate expressions.
 func collectLiterals(n plan.Node, out map[*sql.Literal]bool) {
+	collect := func(e sql.Expr) {
+		sql.WalkExprs(e, func(x sql.Expr) bool {
+			if lit, ok := x.(*sql.Literal); ok {
+				out[lit] = true
+			}
+			return true
+		})
+	}
 	plan.Walk(n, func(m plan.Node) bool {
 		switch t := m.(type) {
 		case *plan.Sel:
-			collectExprLiterals(t.Pred, out)
+			collect(t.Pred)
 		case *plan.Join:
-			collectExprLiterals(t.On, out)
+			collect(t.On)
 		case *plan.Proj:
 			for _, it := range t.Items {
-				collectExprLiterals(it.Expr, out)
+				collect(it.Expr)
 			}
 		case *plan.Agg:
 			for _, it := range t.Items {
-				collectExprLiterals(it.Arg, out)
+				collect(it.Arg)
 			}
 		}
 		return true
 	})
-}
-
-func collectExprLiterals(e sql.Expr, out map[*sql.Literal]bool) {
-	switch t := e.(type) {
-	case nil:
-	case *sql.Literal:
-		out[t] = true
-	case *sql.BinaryExpr:
-		collectExprLiterals(t.L, out)
-		collectExprLiterals(t.R, out)
-	case *sql.UnaryExpr:
-		collectExprLiterals(t.E, out)
-	case *sql.IsNullExpr:
-		collectExprLiterals(t.E, out)
-	case *sql.InListExpr:
-		collectExprLiterals(t.E, out)
-		for _, le := range t.List {
-			collectExprLiterals(le, out)
-		}
-	}
 }
 
 // dropUnusedTables restricts the schema to tables either plan scans, strips

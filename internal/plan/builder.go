@@ -257,57 +257,16 @@ func (b *builder) inSubLeftCols(e sql.Expr, sc *scope) ([]ColRef, bool) {
 	return nil, false
 }
 
-// correlated reports whether the subquery references columns from sc that
-// its own FROM clause cannot supply.
+// correlated reports whether the subquery reads a column of sc: one of its
+// free column references (sql.FreeColumns — any clause, any nesting depth,
+// unqualified names resolved against its own tables first) resolves there.
 func (b *builder) correlated(sub *sql.SelectStmt, sc *scope) bool {
-	local := map[string]bool{}
-	var collectBindings func(t sql.TableExpr)
-	collectBindings = func(t sql.TableExpr) {
-		switch x := t.(type) {
-		case *sql.TableName:
-			local[x.Binding()] = true
-		case *sql.JoinExpr:
-			collectBindings(x.Left)
-			collectBindings(x.Rite)
-		case *sql.SubqueryTable:
-			local[x.Alias] = true
-		}
-	}
-	if sub.From != nil {
-		collectBindings(sub.From)
-	}
-	outerBindings := map[string]bool{}
-	for s := sc; s != nil; s = s.outer {
-		for _, c := range s.cols {
-			outerBindings[c.Table] = true
-		}
-	}
 	found := false
-	check := func(e sql.Expr) {
-		sql.WalkExprs(e, func(x sql.Expr) bool {
-			if cr, ok := x.(*sql.ColumnRef); ok {
-				if cr.Table != "" && !local[cr.Table] && outerBindings[cr.Table] {
-					found = true
-				}
-			}
-			if in, ok := x.(*sql.InSubquery); ok {
-				if b.correlated(in.Select, sc) {
-					found = true
-				}
-			}
-			if ex, ok := x.(*sql.ExistsExpr); ok {
-				if b.correlated(ex.Select, sc) {
-					found = true
-				}
-			}
-			return true
-		})
-	}
-	check(sub.Where)
-	check(sub.Having)
-	for _, it := range sub.Items {
-		check(it.Expr)
-	}
+	sql.FreeColumns(sub, b.schema, func(c *sql.ColumnRef) {
+		if _, ok, _ := sc.resolve(c.Table, c.Column); ok {
+			found = true
+		}
+	})
 	return found
 }
 
@@ -403,107 +362,44 @@ func (b *builder) buildAgg(in Node, stmt *sql.SelectStmt, sc *scope) (Node, erro
 	return agg, nil
 }
 
-// resolveExpr rewrites column references with their resolved binding and
-// recursively builds any nested subqueries left inside predicates (negated
-// or correlated ones that did not become InSub operators).
+// resolveExpr rewrites column references with their resolved binding.
+// Subqueries left inside predicates (negated or correlated ones that did not
+// become InSub operators) are kept as they are — the engine evaluates them
+// with the current row as the outer context — and so is the tested expression
+// of a kept IN (SELECT …).
 func (b *builder) resolveExpr(e sql.Expr, sc *scope) (sql.Expr, error) {
+	var err error
+	r := exprResolver{sc: sc, err: &err}
+	out := r.resolve(e)
+	return out, err
+}
+
+// exprResolver is resolveExpr's recursion. err points at a variable of its
+// own rather than being a field next to sc: returning a field of the struct
+// would count as returning sc, and every scope would move to the heap.
+type exprResolver struct {
+	sc  *scope
+	err *error // the first column that did not resolve
+}
+
+func (r *exprResolver) resolve(e sql.Expr) sql.Expr {
 	switch x := e.(type) {
-	case nil:
-		return nil, nil
 	case *sql.ColumnRef:
-		col, found, err := sc.resolve(x.Table, x.Column)
+		col, found, err := r.sc.resolve(x.Table, x.Column)
+		if err == nil && !found {
+			err = fmt.Errorf("plan: unknown column %s", ColRef{Table: x.Table, Column: x.Column})
+		}
 		if err != nil {
-			return nil, err
-		}
-		if !found {
-			return nil, fmt.Errorf("plan: unknown column %s", ColRef{Table: x.Table, Column: x.Column})
-		}
-		return &sql.ColumnRef{Table: col.Table, Column: col.Column}, nil
-	case *sql.Literal, *sql.Param:
-		return e, nil
-	case *sql.BinaryExpr:
-		l, err := b.resolveExpr(x.L, sc)
-		if err != nil {
-			return nil, err
-		}
-		r, err := b.resolveExpr(x.R, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.BinaryExpr{Op: x.Op, L: l, R: r}, nil
-	case *sql.UnaryExpr:
-		inner, err := b.resolveExpr(x.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.UnaryExpr{Op: x.Op, E: inner}, nil
-	case *sql.IsNullExpr:
-		inner, err := b.resolveExpr(x.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		return &sql.IsNullExpr{E: inner, Negated: x.Negated}, nil
-	case *sql.InListExpr:
-		inner, err := b.resolveExpr(x.E, sc)
-		if err != nil {
-			return nil, err
-		}
-		list := make([]sql.Expr, len(x.List))
-		for i, it := range x.List {
-			r, err := b.resolveExpr(it, sc)
-			if err != nil {
-				return nil, err
+			if *r.err == nil {
+				*r.err = err
 			}
-			list[i] = r
+			return e
 		}
-		return &sql.InListExpr{E: inner, List: list, Negated: x.Negated}, nil
-	case *sql.TupleExpr:
-		items := make([]sql.Expr, len(x.Items))
-		for i, it := range x.Items {
-			r, err := b.resolveExpr(it, sc)
-			if err != nil {
-				return nil, err
-			}
-			items[i] = r
-		}
-		return &sql.TupleExpr{Items: items}, nil
-	case *sql.FuncCall:
-		args := make([]sql.Expr, len(x.Args))
-		for i, a := range x.Args {
-			r, err := b.resolveExpr(a, sc)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = r
-		}
-		return &sql.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, Star: x.Star}, nil
-	case *sql.InSubquery, *sql.ExistsExpr, *sql.ScalarSubquery:
-		// Subqueries inside predicates are kept as-is; the engine evaluates
-		// them with the current row as the outer context.
-		return e, nil
-	case *sql.CaseExpr:
-		c := &sql.CaseExpr{}
-		for _, w := range x.Whens {
-			cond, err := b.resolveExpr(w.Cond, sc)
-			if err != nil {
-				return nil, err
-			}
-			then, err := b.resolveExpr(w.Then, sc)
-			if err != nil {
-				return nil, err
-			}
-			c.Whens = append(c.Whens, sql.CaseWhen{Cond: cond, Then: then})
-		}
-		if x.Else != nil {
-			els, err := b.resolveExpr(x.Else, sc)
-			if err != nil {
-				return nil, err
-			}
-			c.Else = els
-		}
-		return c, nil
+		return &sql.ColumnRef{Table: col.Table, Column: col.Column}
+	case *sql.InSubquery:
+		return e
 	}
-	return nil, fmt.Errorf("plan: unsupported expression %T", e)
+	return sql.MapChildren(e, r.resolve)
 }
 
 // keysAvailable reports whether every sort key resolves among cols (by exact

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"testing"
 
 	"wetune/internal/sql"
@@ -157,6 +158,35 @@ func TestFingerprintDistinguishesDistinctAggregates(t *testing.T) {
 		}
 		if !Equal(distinct, build(t, "SELECT "+f+"(DISTINCT project_id) FROM labels")) {
 			t.Errorf("%s(DISTINCT a) is not equal to itself", f)
+		}
+	}
+}
+
+// TestAliasFingerprintInsideCaseAndSubqueries decides ROADMAP item 9's last
+// bullet: a qualifier inside a CASE arm, the tested expression of a kept IN
+// (SELECT …) or a correlated reference of an embedded statement that is not
+// written positionally is a bug — two plans that differ only in the alias used
+// there are the same plan up to aliases. Two that read different instances of
+// a self-join there are not.
+func TestAliasFingerprintInsideCaseAndSubqueries(t *testing.T) {
+	alias := func(q string) string {
+		p := build(t, q)
+		return string(AppendAliasFingerprint(nil, p, AppendBindings(nil, p)))
+	}
+	for _, where := range []string{
+		"CASE WHEN %[1]s.commit_id > 0 THEN %[1]s.id ELSE 0 END = 1",
+		"%[1]s.id NOT IN (SELECT labels.id FROM labels)",
+		"EXISTS (SELECT 1 FROM labels WHERE labels.id = %[1]s.commit_id)",
+		"%[2]s.id < (SELECT MAX(labels.id) FROM labels WHERE labels.project_id = %[1]s.commit_id)",
+	} {
+		const from = "SELECT %[1]s.id FROM notes AS %[1]s INNER JOIN notes AS %[2]s ON %[1]s.id = %[2]s.commit_id WHERE "
+		xy, uv := fmt.Sprintf(from+where, "x", "y"), fmt.Sprintf(from+where, "u", "v")
+		if alias(xy) != alias(uv) {
+			t.Errorf("differ only in aliases, fingerprints differ:\n  %s\n  %s", alias(xy), alias(uv))
+		}
+		// The same text reading the other side of the self-join.
+		if other := fmt.Sprintf(from, "x", "y") + fmt.Sprintf(where, "y", "x"); alias(xy) == alias(other) {
+			t.Errorf("read different instances of the self-join, fingerprints equal:\n  %s", alias(other))
 		}
 	}
 }

@@ -249,23 +249,18 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 		}
 		// An equality or IS NOT NULL filter implies non-NULL output.
 		implied := colSet(nil)
+		imply := func(e sql.Expr) {
+			if cr, ok := e.(*sql.ColumnRef); ok {
+				implied[ColRef{Table: cr.Table, Column: cr.Column}] = true
+			}
+		}
 		for _, conj := range sql.SplitConjuncts(x.Pred) {
-			switch e := conj.(type) {
-			case *sql.BinaryExpr:
-				if e.Op == "=" || e.Op == "<" || e.Op == "<=" || e.Op == ">" || e.Op == ">=" {
-					if cr, ok := e.L.(*sql.ColumnRef); ok {
-						implied[ColRef{Table: cr.Table, Column: cr.Column}] = true
-					}
-					if cr, ok := e.R.(*sql.ColumnRef); ok {
-						implied[ColRef{Table: cr.Table, Column: cr.Column}] = true
-					}
-				}
-			case *sql.IsNullExpr:
-				if e.Negated {
-					if cr, ok := e.E.(*sql.ColumnRef); ok {
-						implied[ColRef{Table: cr.Table, Column: cr.Column}] = true
-					}
-				}
+			if e, ok := conj.(*sql.BinaryExpr); ok && (e.Op == "=" || e.Op == "<" || e.Op == "<=" || e.Op == ">" || e.Op == ">=") {
+				imply(e.L)
+				imply(e.R)
+			}
+			if e, ok := conj.(*sql.IsNullExpr); ok && e.Negated {
+				imply(e.E)
 			}
 		}
 		rest := cols[:0:0]

@@ -86,6 +86,101 @@ type Node interface {
 	OutCols() []ColRef
 }
 
+// Transform returns a deep copy of n — node structs, column slices and, through
+// expr, expressions — with every table binding (of Scan and Derived nodes and
+// of every ColRef) passed through binding and every embedded expression through
+// expr. It is the one traversal over "every ColRef and every Expr of every
+// node"; Clone and the rewriter's alias renaming are calls into it.
+func Transform(n Node, binding func(string) string, expr func(sql.Expr) sql.Expr) Node {
+	col := func(c ColRef) ColRef { return ColRef{Table: binding(c.Table), Column: c.Column} }
+	cols := func(cs []ColRef) []ColRef {
+		out := make([]ColRef, len(cs))
+		for i, c := range cs {
+			out[i] = col(c)
+		}
+		return out
+	}
+	in := func(i int) Node { return Transform(Child(n, i), binding, expr) }
+	switch x := n.(type) {
+	case nil:
+		return nil
+	case *Scan:
+		return &Scan{Table: x.Table, Binding: binding(x.Binding), Cols: cols(x.Cols)}
+	case *Derived:
+		return &Derived{Binding: binding(x.Binding), In: in(0)}
+	case *Proj:
+		items := make([]ProjItem, len(x.Items))
+		for i, it := range x.Items {
+			items[i] = ProjItem{Expr: expr(it.Expr), Alias: it.Alias}
+		}
+		return &Proj{Items: items, In: in(0)}
+	case *Sel:
+		return &Sel{Pred: expr(x.Pred), In: in(0)}
+	case *InSub:
+		return &InSub{Cols: cols(x.Cols), In: in(0), Sub: in(1)}
+	case *Join:
+		return &Join{JoinKind: x.JoinKind, On: expr(x.On), L: in(0), R: in(1)}
+	case *Dedup:
+		return &Dedup{In: in(0)}
+	case *Agg:
+		items := make([]AggItem, len(x.Items))
+		for i, it := range x.Items {
+			items[i] = it
+			items[i].Arg = expr(it.Arg)
+		}
+		return &Agg{GroupBy: cols(x.GroupBy), Items: items, Having: expr(x.Having), In: in(0)}
+	case *Union:
+		return &Union{All: x.All, L: in(0), R: in(1)}
+	case *Sort:
+		keys := make([]SortKey, len(x.Keys))
+		for i, k := range x.Keys {
+			keys[i] = SortKey{Col: col(k.Col), Desc: k.Desc}
+		}
+		return &Sort{Keys: keys, In: in(0)}
+	case *Limit:
+		return &Limit{N: x.N, In: in(0)}
+	}
+	panic(fmt.Sprintf("plan: Transform cannot copy %T", n))
+}
+
+// Clone returns a deep copy of a plan: node structs, column slices, and every
+// embedded expression are copied, so mutating the clone — including literal
+// values reached through its predicates — cannot affect the original. Rule
+// application shares untouched subtrees between the input plan and its
+// rewrites; callers that mutate plans (e.g. counterexample shrinking) must
+// clone first.
+func Clone(n Node) Node {
+	return Transform(n, func(b string) string { return b }, sql.CloneExpr)
+}
+
+// FreeColumns lists the free column references of e (sql.MapFreeColumns: its
+// own at any depth plus the correlated references of embedded statements),
+// deduplicated in first-appearance order. It is the attribute list of a
+// selection on e and the set a rewrite must keep resolvable.
+func FreeColumns(e sql.Expr, schema *sql.Schema) []ColRef {
+	var out []ColRef
+	sql.FreeColumns(e, schema, func(cr *sql.ColumnRef) {
+		if c := (ColRef{Table: cr.Table, Column: cr.Column}); !slices.Contains(out, c) {
+			out = append(out, c)
+		}
+	})
+	return out
+}
+
+// SubstituteCols rewrites the free column references of e positionally
+// (from[i] -> to[i]); lists of different lengths substitute nothing.
+func SubstituteCols(e sql.Expr, schema *sql.Schema, from, to []ColRef) sql.Expr {
+	if len(from) != len(to) {
+		return e
+	}
+	return sql.MapFreeColumns(e, schema, func(c *sql.ColumnRef) *sql.ColumnRef {
+		if i := slices.Index(from, ColRef{Table: c.Table, Column: c.Column}); i >= 0 {
+			return &sql.ColumnRef{Table: to[i].Table, Column: to[i].Column}
+		}
+		return c
+	})
+}
+
 // Scan reads a base table (the paper's Input operator).
 type Scan struct {
 	Table   string
@@ -524,8 +619,9 @@ func AppendBindings(dst []string, n Node) []string {
 // AppendAliasFingerprint is AppendFingerprint made insensitive to table
 // aliases: a binding that is bindings[i] — pass AppendBindings(nil, n) — is
 // written "b<i>" wherever the fingerprint names it, so two scans of one table
-// under different aliases get equal bytes. Inside predicate expressions the
-// positional form stops where sql.AppendExprPositional says it does.
+// under different aliases get equal bytes. Predicate expressions are written
+// by sql.AppendExprPositional, CASE arms and the correlated references of
+// embedded statements included.
 func AppendAliasFingerprint(dst []byte, n Node, bindings []string) []byte {
 	return appendFingerprint(dst, n, bindings)
 }

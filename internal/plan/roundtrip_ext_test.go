@@ -4,6 +4,7 @@
 package plan_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -80,47 +81,47 @@ func TestPlanSQLPrintFixedPoint(t *testing.T) {
 // literal in the clone leaves the original untouched (the shrinker relies on
 // this isolation).
 func TestCloneIsDeepAndEquivalent(t *testing.T) {
+	check := func(name string, p plan.Node) {
+		c := plan.Clone(p)
+		if plan.Fingerprint(p) != plan.Fingerprint(c) {
+			t.Fatalf("%s: clone fingerprint differs", name)
+		}
+		before := plan.ToSQLString(p)
+		if !mutateFirstLiteral(c) {
+			return
+		}
+		if plan.ToSQLString(c) == before {
+			t.Fatalf("%s: the mutation did not show in the clone", name)
+		}
+		if after := plan.ToSQLString(p); after != before {
+			t.Fatalf("%s: mutating the clone changed the original:\n  before: %s\n  after:  %s", name, before, after)
+		}
+	}
 	for seed := int64(0); seed < 100; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		schema := difftest.GenSchema(rng)
-		p := difftest.GenPlan(rng, schema)
-		c := plan.Clone(p)
-		if plan.Fingerprint(p) != plan.Fingerprint(c) {
-			t.Fatalf("seed %d: clone fingerprint differs", seed)
-		}
-		before := plan.ToSQLString(p)
-		mutateFirstLiteral(c)
-		if after := plan.ToSQLString(p); after != before {
-			t.Fatalf("seed %d: mutating the clone changed the original:\n  before: %s\n  after:  %s",
-				seed, before, after)
-		}
+		check(fmt.Sprint("seed ", seed), difftest.GenPlan(rng, schema))
 	}
+	// A CASE arm holds the only literal: CloneExpr used to return CASE shared.
+	schema := sql.NewSchema()
+	schema.AddTable(&sql.TableDef{Name: "t", Columns: []sql.Column{{Name: "a", Type: sql.TInt}}})
+	p, err := plan.BuildSQL("SELECT a FROM t WHERE CASE WHEN a IS NULL THEN 7 ELSE a END = a", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("case arm", p)
 }
 
-func mutateFirstLiteral(n plan.Node) {
-	done := false
-	var mutate func(e sql.Expr)
-	mutate = func(e sql.Expr) {
-		if done || e == nil {
-			return
-		}
-		switch x := e.(type) {
-		case *sql.Literal:
-			x.Val = sql.NewInt(-987654)
-			done = true
-		case *sql.BinaryExpr:
-			mutate(x.L)
-			mutate(x.R)
-		case *sql.UnaryExpr:
-			mutate(x.E)
-		case *sql.IsNullExpr:
-			mutate(x.E)
-		case *sql.InListExpr:
-			mutate(x.E)
-			for _, it := range x.List {
-				mutate(it)
+// mutateFirstLiteral overwrites the first literal of a predicate or join
+// condition, if there is one.
+func mutateFirstLiteral(n plan.Node) (done bool) {
+	mutate := func(e sql.Expr) {
+		sql.WalkExprs(e, func(x sql.Expr) bool {
+			if lit, ok := x.(*sql.Literal); ok && !done {
+				lit.Val, done = sql.NewInt(-987654), true
 			}
-		}
+			return !done
+		})
 	}
 	plan.Walk(n, func(m plan.Node) bool {
 		switch x := m.(type) {
@@ -131,4 +132,5 @@ func mutateFirstLiteral(n plan.Node) {
 		}
 		return !done
 	})
+	return done
 }

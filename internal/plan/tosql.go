@@ -80,7 +80,9 @@ func (q *queryParts) finish() *sql.SelectStmt {
 // start with fresh clause slots. When the subtree exposes duplicate column
 // names (a self-join yields two copies of every column), the duplicates get
 // explicit aliases so outer references through the derived alias stay
-// unambiguous.
+// unambiguous. The caller moves the references that pointed at q.outCols over
+// to the result's with SubstituteCols — without a schema: an unqualified name
+// inside an embedded statement keeps resolving by name.
 func (p *sqlPrinter) wrap(q *queryParts) *queryParts {
 	p.aliasN++
 	alias := fmt.Sprintf("q%d", p.aliasN)
@@ -158,7 +160,7 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		if q.compound != nil || q.hasItems() || q.distinct || q.hasOrdering() {
 			before := q.outCols
 			q = p.wrap(q)
-			pred = remapWrapped(pred, before, q.outCols)
+			pred = SubstituteCols(pred, nil, before, q.outCols)
 		}
 		q.where = append(q.where, pred)
 		return q
@@ -183,7 +185,7 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 			left = t
 		}
 		if wrapped {
-			left = remapWrapped(left, before, q.outCols)
+			left = SubstituteCols(left, nil, before, q.outCols)
 		}
 		q.where = append(q.where, &sql.InSubquery{E: left, Select: sub})
 		return q
@@ -194,12 +196,12 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		if l.compound != nil || len(l.where) > 0 || l.hasItems() || l.distinct || l.hasOrdering() {
 			before := x.L.OutCols()
 			l = p.wrap(l)
-			on = remapWrapped(on, before, l.outCols)
+			on = SubstituteCols(on, nil, before, l.outCols)
 		}
 		if r.compound != nil || len(r.where) > 0 || r.hasItems() || r.distinct || r.hasOrdering() {
 			before := x.R.OutCols()
 			r = p.wrap(r)
-			on = remapWrapped(on, before, r.outCols)
+			on = SubstituteCols(on, nil, before, r.outCols)
 		}
 		je := &sql.JoinExpr{Kind: x.JoinKind, Left: l.from, Rite: r.from, On: on}
 		return &queryParts{
@@ -219,7 +221,7 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		for i, it := range x.Items {
 			e := it.Expr
 			if wrapped {
-				e = remapWrapped(e, before, q.outCols)
+				e = SubstituteCols(e, nil, before, q.outCols)
 			}
 			alias := it.Alias
 			if alias == "" {
@@ -257,7 +259,7 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		}
 		remap := func(e sql.Expr) sql.Expr {
 			if wrapped {
-				return remapWrapped(e, before, q.outCols)
+				return SubstituteCols(e, nil, before, q.outCols)
 			}
 			return e
 		}
@@ -308,7 +310,7 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		for _, k := range x.Keys {
 			var e sql.Expr = &sql.ColumnRef{Table: k.Col.Table, Column: k.Col.Column}
 			if wrapped {
-				e = remapWrapped(e, before, q.outCols)
+				e = SubstituteCols(e, nil, before, q.outCols)
 			} else if r, ok := q.rendered[k.Col]; ok {
 				// The key's plan-space column may render under another name
 				// below (Agg/Proj over a wrapped self-join); use the live
@@ -328,57 +330,4 @@ func (p *sqlPrinter) fold(n Node) *queryParts {
 		return q
 	}
 	panic(fmt.Sprintf("plan: ToSQL cannot fold %T", n))
-}
-
-// remapWrapped rewrites column references that pointed at a child's original
-// output columns to the derived-table alias introduced by wrap().
-func remapWrapped(e sql.Expr, before, after []ColRef) sql.Expr {
-	if e == nil || len(before) != len(after) {
-		return e
-	}
-	mapping := map[ColRef]ColRef{}
-	for i := range before {
-		mapping[before[i]] = after[i]
-	}
-	var rec func(e sql.Expr) sql.Expr
-	rec = func(e sql.Expr) sql.Expr {
-		switch x := e.(type) {
-		case *sql.ColumnRef:
-			if nc, ok := mapping[ColRef{Table: x.Table, Column: x.Column}]; ok {
-				return &sql.ColumnRef{Table: nc.Table, Column: nc.Column}
-			}
-			return x
-		case *sql.BinaryExpr:
-			return &sql.BinaryExpr{Op: x.Op, L: rec(x.L), R: rec(x.R)}
-		case *sql.UnaryExpr:
-			return &sql.UnaryExpr{Op: x.Op, E: rec(x.E)}
-		case *sql.IsNullExpr:
-			return &sql.IsNullExpr{E: rec(x.E), Negated: x.Negated}
-		case *sql.InListExpr:
-			out := &sql.InListExpr{E: rec(x.E), Negated: x.Negated}
-			for _, it := range x.List {
-				out.List = append(out.List, rec(it))
-			}
-			return out
-		case *sql.InSubquery:
-			// The subquery keeps its own scope; only the tested expression
-			// lives in the wrapped scope.
-			return &sql.InSubquery{E: rec(x.E), Select: x.Select, Negated: x.Negated}
-		case *sql.TupleExpr:
-			out := &sql.TupleExpr{}
-			for _, it := range x.Items {
-				out.Items = append(out.Items, rec(it))
-			}
-			return out
-		case *sql.FuncCall:
-			out := &sql.FuncCall{Name: x.Name, Star: x.Star, Distinct: x.Distinct}
-			for _, a := range x.Args {
-				out.Args = append(out.Args, rec(a))
-			}
-			return out
-		default:
-			return e
-		}
-	}
-	return rec(e)
 }

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"wetune/internal/plan"
@@ -47,7 +48,7 @@ func (m *Matcher) ApplyCompiled(cr *CompiledRule, n plan.Node) (plan.Node, bool)
 	if err != nil {
 		return nil, false
 	}
-	if err := validate(out); err != nil {
+	if err := validate(out, m.Schema); err != nil {
 		return nil, false
 	}
 	// The replacement must keep the fragment's output arity; column names may
@@ -214,14 +215,14 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 			if srcSym, ok := r.srcAttrsForPred(tpl.Pred); ok && srcSym != tpl.Attrs {
 				if srcA, err2 := r.attrsOf(srcSym); err2 == nil &&
 					len(srcA.cols) == len(destA.cols) {
-					pred = substituteCols(pred, srcA.cols, destA.cols)
+					pred = plan.SubstituteCols(pred, r.m.Schema, srcA.cols, destA.cols)
 				}
 			}
 		}
 		// The predicate may still reference a different occurrence of the
 		// same relation (RelEq-unified symbols carry different aliases);
 		// repair qualifiers by unique column-name match against the input.
-		pred = remapToInput(pred, in)
+		pred = remapToInput(pred, r.m.Schema, in)
 		return &plan.Sel{Pred: pred, In: in}, nil
 	case template.OpInSub:
 		in, err := r.instantiate(tpl.Children[0])
@@ -261,7 +262,7 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 		// IN-subquery turned join over the same base table): rename the right
 		// side apart.
 		var renamed map[string]string
-		rr, renamed = disjoinAliases(l, rr)
+		rr, renamed = disjoinAliases(l, rr, r.m.Schema)
 		arCols := ar.cols
 		if renamed != nil {
 			arCols = make([]plan.ColRef, len(ar.cols))
@@ -332,258 +333,105 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 	return nil, fmt.Errorf("rewrite: cannot instantiate %v", tpl.Op)
 }
 
-// substituteCols rewrites column references positionally (from[i] -> to[i]).
-func substituteCols(e sql.Expr, from, to []plan.ColRef) sql.Expr {
-	mapping := map[plan.ColRef]plan.ColRef{}
-	for i := range from {
-		mapping[from[i]] = to[i]
-	}
-	var rec func(e sql.Expr) sql.Expr
-	rec = func(e sql.Expr) sql.Expr {
-		switch x := e.(type) {
-		case *sql.ColumnRef:
-			if nc, ok := mapping[plan.ColRef{Table: x.Table, Column: x.Column}]; ok {
-				return &sql.ColumnRef{Table: nc.Table, Column: nc.Column}
-			}
-			return x
-		case *sql.BinaryExpr:
-			return &sql.BinaryExpr{Op: x.Op, L: rec(x.L), R: rec(x.R)}
-		case *sql.UnaryExpr:
-			return &sql.UnaryExpr{Op: x.Op, E: rec(x.E)}
-		case *sql.IsNullExpr:
-			return &sql.IsNullExpr{E: rec(x.E), Negated: x.Negated}
-		case *sql.InListExpr:
-			list := make([]sql.Expr, len(x.List))
-			for i, it := range x.List {
-				list[i] = rec(it)
-			}
-			return &sql.InListExpr{E: rec(x.E), List: list, Negated: x.Negated}
-		case *sql.TupleExpr:
-			items := make([]sql.Expr, len(x.Items))
-			for i, it := range x.Items {
-				items[i] = rec(it)
-			}
-			return &sql.TupleExpr{Items: items}
-		case *sql.FuncCall:
-			args := make([]sql.Expr, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = rec(a)
-			}
-			return &sql.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, Star: x.Star}
-		default:
-			return e
+// validate checks that every column reference in the plan — every free column
+// reference of every expression (sql.FreeColumns, the function the matcher
+// binds attribute lists with) — resolves against its operator's input columns,
+// rejecting broken instantiations.
+func validate(n plan.Node, schema *sql.Schema) error {
+	for i, k := 0, plan.NumChildren(n); i < k; i++ {
+		if err := validate(plan.Child(n, i), schema); err != nil {
+			return err
 		}
 	}
-	return rec(e)
-}
-
-// validate checks that every column reference in the plan resolves against
-// its operator's input columns, rejecting broken instantiations.
-func validate(n plan.Node) error {
-	resolvable := func(cols []plan.ColRef, c plan.ColRef) bool {
-		for _, cc := range cols {
-			if cc == c || (cc.Column == c.Column && c.Table == "") {
-				return true
-			}
-		}
-		return false
-	}
-	var check func(n plan.Node) error
-	check = func(n plan.Node) error {
-		for i, k := 0, plan.NumChildren(n); i < k; i++ {
-			if err := check(plan.Child(n, i)); err != nil {
+	switch x := n.(type) {
+	case *plan.Proj:
+		in := x.In.OutCols()
+		for _, it := range x.Items {
+			if err := dangling("projection", it.Expr, schema, in, nil); err != nil {
 				return err
 			}
 		}
-		switch x := n.(type) {
-		case *plan.Proj:
-			in := x.In.OutCols()
-			for _, it := range x.Items {
-				if cr, ok := it.Expr.(*sql.ColumnRef); ok {
-					if !resolvable(in, plan.ColRef{Table: cr.Table, Column: cr.Column}) {
-						return fmt.Errorf("rewrite: dangling projection column %s.%s", cr.Table, cr.Column)
-					}
-				}
-			}
-		case *plan.Sel:
-			in := x.In.OutCols()
-			for _, c := range predColumns(x.Pred) {
-				if !resolvable(in, c) {
-					return fmt.Errorf("rewrite: dangling predicate column %s", c)
-				}
-			}
-		case *plan.InSub:
-			in := x.In.OutCols()
-			for _, c := range x.Cols {
-				if !resolvable(in, c) {
-					return fmt.Errorf("rewrite: dangling IN column %s", c)
-				}
-			}
-			if len(x.Sub.OutCols()) != len(x.Cols) {
-				return fmt.Errorf("rewrite: IN subquery arity mismatch")
-			}
-		case *plan.Join:
-			all := x.OutCols()
-			for _, c := range predColumns(x.On) {
-				if !resolvable(all, c) {
-					return fmt.Errorf("rewrite: dangling join column %s", c)
-				}
-			}
-		case *plan.Agg:
-			in := x.In.OutCols()
-			for _, c := range x.GroupBy {
-				if !resolvable(in, c) {
-					return fmt.Errorf("rewrite: dangling group-by column %s", c)
-				}
-			}
-			for _, it := range x.Items {
-				for _, c := range predColumns(it.Arg) {
-					if !resolvable(in, c) {
-						return fmt.Errorf("rewrite: dangling aggregate column %s", c)
-					}
-				}
-			}
-			for _, c := range predColumns(x.Having) {
-				if !resolvable(in, c) && !resolvable(x.OutCols(), c) {
-					return fmt.Errorf("rewrite: dangling HAVING column %s", c)
-				}
-			}
-		case *plan.Sort:
-			in := x.In.OutCols()
-			for _, k := range x.Keys {
-				if !resolvable(in, k.Col) {
-					return fmt.Errorf("rewrite: dangling sort column %s", k.Col)
-				}
+	case *plan.Sel:
+		return dangling("predicate", x.Pred, schema, x.In.OutCols(), nil)
+	case *plan.InSub:
+		in := x.In.OutCols()
+		for _, c := range x.Cols {
+			if !resolvable(in, c) {
+				return fmt.Errorf("rewrite: dangling IN column %s", c)
 			}
 		}
-		return nil
+		if len(x.Sub.OutCols()) != len(x.Cols) {
+			return fmt.Errorf("rewrite: IN subquery arity mismatch")
+		}
+	case *plan.Join:
+		return dangling("join", x.On, schema, x.OutCols(), nil)
+	case *plan.Agg:
+		in := x.In.OutCols()
+		for _, c := range x.GroupBy {
+			if !resolvable(in, c) {
+				return fmt.Errorf("rewrite: dangling group-by column %s", c)
+			}
+		}
+		for _, it := range x.Items {
+			if err := dangling("aggregate", it.Arg, schema, in, nil); err != nil {
+				return err
+			}
+		}
+		if x.Having != nil {
+			return dangling("HAVING", x.Having, schema, in, x.OutCols())
+		}
+	case *plan.Sort:
+		in := x.In.OutCols()
+		for _, k := range x.Keys {
+			if !resolvable(in, k.Col) {
+				return fmt.Errorf("rewrite: dangling sort column %s", k.Col)
+			}
+		}
 	}
-	return check(n)
+	return nil
 }
 
-// bindingsOf collects the table bindings (aliases) a subplan exposes.
-func bindingsOf(p plan.Node) map[string]bool {
-	out := map[string]bool{}
-	plan.Walk(p, func(n plan.Node) bool {
-		switch x := n.(type) {
-		case *plan.Scan:
-			out[x.Binding] = true
-		case *plan.Derived:
-			out[x.Binding] = true
+func resolvable(cols []plan.ColRef, c plan.ColRef) bool {
+	for _, cc := range cols {
+		if cc == c || (cc.Column == c.Column && c.Table == "") {
+			return true
 		}
-		return true
+	}
+	return false
+}
+
+// dangling returns an error naming the first free column reference of e that
+// resolves in neither column list.
+func dangling(what string, e sql.Expr, schema *sql.Schema, cols, more []plan.ColRef) (err error) {
+	sql.FreeColumns(e, schema, func(cr *sql.ColumnRef) {
+		c := plan.ColRef{Table: cr.Table, Column: cr.Column}
+		if err == nil && !resolvable(cols, c) && !resolvable(more, c) {
+			err = fmt.Errorf("rewrite: dangling %s column %s", what, c)
+		}
 	})
-	return out
+	return err
 }
 
 // renameBindings deep-rewrites a subplan's table bindings and every column
-// reference that uses them. Used when a rule instantiation would place two
-// subplans with clashing aliases under one operator.
-func renameBindings(p plan.Node, rename map[string]string) plan.Node {
-	mapCol := func(c plan.ColRef) plan.ColRef {
-		if nb, ok := rename[c.Table]; ok {
-			return plan.ColRef{Table: nb, Column: c.Column}
+// reference that uses them, the correlated references of embedded statements
+// included (copy-on-write: the original statement stays as it is). Used when a
+// rule instantiation would place two subplans with clashing aliases under one
+// operator.
+func renameBindings(p plan.Node, schema *sql.Schema, rename map[string]string) plan.Node {
+	binding := func(b string) string {
+		if nb, ok := rename[b]; ok {
+			return nb
 		}
-		return c
+		return b
 	}
-	var mapExpr func(e sql.Expr) sql.Expr
-	mapExpr = func(e sql.Expr) sql.Expr {
-		switch x := e.(type) {
-		case nil:
-			return nil
-		case *sql.ColumnRef:
-			if nb, ok := rename[x.Table]; ok {
-				return &sql.ColumnRef{Table: nb, Column: x.Column}
+	return plan.Transform(p, binding, func(e sql.Expr) sql.Expr {
+		return sql.MapFreeColumns(e, schema, func(c *sql.ColumnRef) *sql.ColumnRef {
+			if nb, ok := rename[c.Table]; ok {
+				return &sql.ColumnRef{Table: nb, Column: c.Column}
 			}
-			return x
-		case *sql.BinaryExpr:
-			return &sql.BinaryExpr{Op: x.Op, L: mapExpr(x.L), R: mapExpr(x.R)}
-		case *sql.UnaryExpr:
-			return &sql.UnaryExpr{Op: x.Op, E: mapExpr(x.E)}
-		case *sql.IsNullExpr:
-			return &sql.IsNullExpr{E: mapExpr(x.E), Negated: x.Negated}
-		case *sql.InListExpr:
-			list := make([]sql.Expr, len(x.List))
-			for i, it := range x.List {
-				list[i] = mapExpr(it)
-			}
-			return &sql.InListExpr{E: mapExpr(x.E), List: list, Negated: x.Negated}
-		case *sql.TupleExpr:
-			items := make([]sql.Expr, len(x.Items))
-			for i, it := range x.Items {
-				items[i] = mapExpr(it)
-			}
-			return &sql.TupleExpr{Items: items}
-		case *sql.FuncCall:
-			args := make([]sql.Expr, len(x.Args))
-			for i, a := range x.Args {
-				args[i] = mapExpr(a)
-			}
-			return &sql.FuncCall{Name: x.Name, Args: args, Distinct: x.Distinct, Star: x.Star}
-		default:
-			return e
-		}
-	}
-	var rec func(n plan.Node) plan.Node
-	rec = func(n plan.Node) plan.Node {
-		switch x := n.(type) {
-		case *plan.Scan:
-			if nb, ok := rename[x.Binding]; ok {
-				cols := make([]plan.ColRef, len(x.Cols))
-				for i, c := range x.Cols {
-					cols[i] = plan.ColRef{Table: nb, Column: c.Column}
-				}
-				return &plan.Scan{Table: x.Table, Binding: nb, Cols: cols}
-			}
-			return x
-		case *plan.Derived:
-			nb := x.Binding
-			if r, ok := rename[nb]; ok {
-				nb = r
-			}
-			return &plan.Derived{Binding: nb, In: rec(x.In)}
-		case *plan.Proj:
-			items := make([]plan.ProjItem, len(x.Items))
-			for i, it := range x.Items {
-				items[i] = plan.ProjItem{Expr: mapExpr(it.Expr), Alias: it.Alias}
-			}
-			return &plan.Proj{Items: items, In: rec(x.In)}
-		case *plan.Sel:
-			return &plan.Sel{Pred: mapExpr(x.Pred), In: rec(x.In)}
-		case *plan.InSub:
-			cols := make([]plan.ColRef, len(x.Cols))
-			for i, c := range x.Cols {
-				cols[i] = mapCol(c)
-			}
-			return &plan.InSub{Cols: cols, In: rec(x.In), Sub: rec(x.Sub)}
-		case *plan.Join:
-			return &plan.Join{JoinKind: x.JoinKind, On: mapExpr(x.On), L: rec(x.L), R: rec(x.R)}
-		case *plan.Dedup:
-			return &plan.Dedup{In: rec(x.In)}
-		case *plan.Agg:
-			group := make([]plan.ColRef, len(x.GroupBy))
-			for i, c := range x.GroupBy {
-				group[i] = mapCol(c)
-			}
-			items := make([]plan.AggItem, len(x.Items))
-			for i, it := range x.Items {
-				items[i] = plan.AggItem{Func: it.Func, Arg: mapExpr(it.Arg), Star: it.Star, Distinct: it.Distinct, Alias: it.Alias}
-			}
-			return &plan.Agg{GroupBy: group, Items: items, Having: mapExpr(x.Having), In: rec(x.In)}
-		case *plan.Union:
-			return &plan.Union{All: x.All, L: rec(x.L), R: rec(x.R)}
-		case *plan.Sort:
-			keys := make([]plan.SortKey, len(x.Keys))
-			for i, k := range x.Keys {
-				keys[i] = plan.SortKey{Col: mapCol(k.Col), Desc: k.Desc}
-			}
-			return &plan.Sort{Keys: keys, In: rec(x.In)}
-		case *plan.Limit:
-			return &plan.Limit{N: x.N, In: rec(x.In)}
-		}
-		return n
-	}
-	return rec(p)
+			return c
+		})
+	})
 }
 
 // disjoinAliases renames the right subplan's bindings away from the left's,
@@ -591,25 +439,22 @@ func renameBindings(p plan.Node, rename map[string]string) plan.Node {
 // clashing bindings are processed in sorted order so the generated aliases —
 // and therefore the rewritten SQL — are stable across runs (map iteration
 // order must not leak into output).
-func disjoinAliases(l, r plan.Node) (plan.Node, map[string]string) {
-	taken := bindingsOf(l)
-	rBindings := make([]string, 0, 4)
-	for b := range bindingsOf(r) {
-		rBindings = append(rBindings, b)
-	}
+func disjoinAliases(l, r plan.Node, schema *sql.Schema) (plan.Node, map[string]string) {
+	taken := plan.AppendBindings(nil, l)
+	rBindings := plan.AppendBindings(nil, r)
 	sort.Strings(rBindings)
 	clash := map[string]string{}
 	n := 1
 	for _, b := range rBindings {
-		if !taken[b] {
+		if !slices.Contains(taken, b) {
 			continue
 		}
 		for {
 			candidate := fmt.Sprintf("%s_w%d", b, n)
 			n++
-			if !taken[candidate] {
+			if !slices.Contains(taken, candidate) {
 				clash[b] = candidate
-				taken[candidate] = true
+				taken = append(taken, candidate)
 				break
 			}
 		}
@@ -617,7 +462,7 @@ func disjoinAliases(l, r plan.Node) (plan.Node, map[string]string) {
 	if len(clash) == 0 {
 		return r, nil
 	}
-	return renameBindings(r, clash), clash
+	return renameBindings(r, schema, clash), clash
 }
 
 // remapToInput rewrites column references that do not resolve against the
@@ -625,43 +470,24 @@ func disjoinAliases(l, r plan.Node) (plan.Node, map[string]string) {
 // Sound when the rule's equivalence constraints identify the relations the
 // two aliases denote (RelEq); ambiguous names are left untouched (validate
 // rejects the candidate).
-func remapToInput(e sql.Expr, in plan.Node) sql.Expr {
+func remapToInput(e sql.Expr, schema *sql.Schema, in plan.Node) sql.Expr {
 	out := in.OutCols()
-	resolves := func(c plan.ColRef) bool {
-		for _, cc := range out {
-			if cc == c {
-				return true
+	return sql.MapFreeColumns(e, schema, func(c *sql.ColumnRef) *sql.ColumnRef {
+		if slices.Contains(out, plan.ColRef{Table: c.Table, Column: c.Column}) {
+			return c
+		}
+		sameName := -1
+		for i, oc := range out {
+			if oc.Column == c.Column {
+				if sameName >= 0 {
+					return c // ambiguous
+				}
+				sameName = i
 			}
 		}
-		return false
-	}
-	uniqueByName := func(name string) (plan.ColRef, bool) {
-		var found plan.ColRef
-		count := 0
-		for _, cc := range out {
-			if cc.Column == name {
-				found = cc
-				count++
-			}
+		if sameName < 0 {
+			return c
 		}
-		return found, count == 1
-	}
-	mapping := map[plan.ColRef]plan.ColRef{}
-	for _, c := range predColumns(e) {
-		if resolves(c) {
-			continue
-		}
-		if repl, ok := uniqueByName(c.Column); ok {
-			mapping[c] = repl
-		}
-	}
-	if len(mapping) == 0 {
-		return e
-	}
-	var from, to []plan.ColRef
-	for f, t := range mapping {
-		from = append(from, f)
-		to = append(to, t)
-	}
-	return substituteCols(e, from, to)
+		return &sql.ColumnRef{Table: out[sameName].Table, Column: c.Column}
+	})
 }

@@ -55,7 +55,7 @@ func positionalFingerprint(p plan.Node) string {
 		}
 		return true
 	})
-	return plan.Fingerprint(renameBindings(p, rename))
+	return plan.Fingerprint(renameBindings(p, nil, rename))
 }
 
 func checkAliasFingerprints(t *testing.T, m *Matcher, p plan.Node) (checked int) {
@@ -87,12 +87,13 @@ func TestAliasFingerprintMatchesRenamedFingerprint(t *testing.T) {
 	t.Logf("%d subplans", checked)
 }
 
-// TestAliasFingerprintLeavesOpaqueExpressionsAlone pins the part of the
-// definition the corpus barely exercises: renameBindings returns CASE,
-// IN (SELECT …), EXISTS and scalar-subquery predicates unchanged, so column
-// qualifiers inside them keep their alias while everything around them goes
-// positional. aliasEqual mirrors that exactly.
-func TestAliasFingerprintLeavesOpaqueExpressionsAlone(t *testing.T) {
+// TestAliasFingerprintReachesEveryFreeColumn pins the part of the definition
+// the corpus barely exercises: renameBindings reaches the column qualifiers
+// inside CASE arms, the tested expression of IN (SELECT …) and the correlated
+// references of IN, EXISTS and scalar subqueries, so they go positional like
+// everything around them (a name an embedded FROM re-introduces does not).
+// aliasEqual mirrors that exactly.
+func TestAliasFingerprintReachesEveryFreeColumn(t *testing.T) {
 	schema := gitlabSchema()
 	m := &Matcher{}
 	for _, q := range []string{
@@ -105,13 +106,14 @@ func TestAliasFingerprintLeavesOpaqueExpressionsAlone(t *testing.T) {
 		`SELECT d.commit_id, COUNT(DISTINCT d.id) FROM (SELECT n.id, n.commit_id FROM notes AS n WHERE n.type = 'D') AS d
 			GROUP BY d.commit_id HAVING COUNT(d.id) > 1 ORDER BY d.commit_id DESC LIMIT 5`,
 		`SELECT n.id FROM notes AS n WHERE n.id IN (SELECT l.id FROM labels AS l UNION ALL SELECT p.id FROM projects AS p)`,
+		`SELECT n.id FROM notes AS n WHERE EXISTS (SELECT 1 FROM labels AS n INNER JOIN projects AS p ON p.id = n.project_id WHERE n.id > 3)`,
 	} {
 		checkAliasFingerprints(t, m, mustPlan(t, q, schema))
 	}
 
 	p := mustPlan(t, `SELECT n.id FROM notes AS n WHERE CASE WHEN n.commit_id > 0 THEN 1 ELSE 0 END = 1 AND n.type = 'x'`, schema)
 	got := string(m.appendAliasFingerprint(nil, p))
-	for _, want := range []string{"n.commit_id > 0", "b0.type = 'x'", "Proj[b0.id]", "Input(notes as b0)"} {
+	for _, want := range []string{"b0.commit_id > 0", "b0.type = 'x'", "Proj[b0.id]", "Input(notes as b0)"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("fingerprint %q lacks %q", got, want)
 		}

@@ -7,7 +7,6 @@ package rewrite
 
 import (
 	"bytes"
-	"fmt"
 	"slices"
 	"strings"
 
@@ -69,11 +68,9 @@ func (b *binding) clone() *binding {
 // is fingerprinted into matcher scratch with its Scan/Derived bindings written
 // as their first-appearance positions, so two scans of one table under
 // different aliases compare equal. The bytes are those of
-// plan.Fingerprint(renameBindings(n, binding -> "b<position>")), including
-// that function's blind spot: column qualifiers inside CASE, IN (SELECT …),
-// EXISTS and scalar-subquery predicates are not renamed. That decides which
-// RelEq-bound subplans match; whether they should be renamed is a separate
-// question.
+// plan.Fingerprint(renameBindings(n, binding -> "b<position>")): both reach
+// every free column reference of a predicate, CASE arms and the correlated
+// references of embedded statements included.
 func (m *Matcher) aliasEqual(a, b plan.Node) bool {
 	m.fpA = m.appendAliasFingerprint(m.fpA[:0], a)
 	m.fpB = m.appendAliasFingerprint(m.fpB[:0], b)
@@ -114,7 +111,7 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 		if !ok {
 			return false
 		}
-		cols := predColumns(s.Pred)
+		cols := plan.FreeColumns(s.Pred, m.Schema)
 		if len(cols) == 0 {
 			// Predicates over constants only still match with the input's
 			// first column standing in for the attribute list.
@@ -249,24 +246,6 @@ func (m *Matcher) bindPred(sym template.Sym, pred sql.Expr, owner plan.Node, b *
 	return true
 }
 
-// predColumns lists the column references a predicate reads (outside
-// subqueries), deduplicated in first-appearance order.
-func predColumns(e sql.Expr) []plan.ColRef {
-	var out []plan.ColRef
-	seen := map[plan.ColRef]bool{}
-	sql.WalkExprs(e, func(x sql.Expr) bool {
-		if cr, ok := x.(*sql.ColumnRef); ok {
-			c := plan.ColRef{Table: cr.Table, Column: cr.Column}
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-		return true
-	})
-	return out
-}
-
 // instances lists, into matcher scratch, the table instances of two subplans:
 // their plan.AppendBindings lists (scan/derived bindings in first-appearance
 // order), the numbering aliasEqual uses. Two columns from different scopes
@@ -316,41 +295,9 @@ func (m *Matcher) attrsEquivalent(a, b attrsBinding) bool {
 // self-join — same base table, different instances — do not.
 func (m *Matcher) predsEquivalent(a, b predBinding) bool {
 	ia, ib := m.instances(a.owner, b.owner)
-	return normalizePredString(a.expr, ia) == normalizePredString(b.expr, ib)
-}
-
-func normalizePredString(e sql.Expr, bindings []string) string {
-	s := sql.FormatExpr(e)
-	// Replace each `alias.` qualifier with its positional instance number;
-	// aliases outside the scope (e.g. tables local to a subquery) stay as-is.
-	var out strings.Builder
-	i := 0
-	for i < len(s) {
-		j := strings.IndexByte(s[i:], '.')
-		if j < 0 {
-			out.WriteString(s[i:])
-			break
-		}
-		j += i
-		// Walk back over the identifier before the dot.
-		k := j
-		for k > i && isIdentByte(s[k-1]) {
-			k--
-		}
-		out.WriteString(s[i:k])
-		if pos := slices.Index(bindings, s[k:j]); pos >= 0 {
-			fmt.Fprintf(&out, "b%d.", pos)
-		} else {
-			out.WriteString(s[k:j])
-			out.WriteString(".")
-		}
-		i = j + 1
-	}
-	return out.String()
-}
-
-func isIdentByte(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+	m.fpA = sql.AppendExprPositional(m.fpA[:0], a.expr, ia)
+	m.fpB = sql.AppendExprPositional(m.fpB[:0], b.expr, ib)
+	return bytes.Equal(m.fpA, m.fpB)
 }
 
 // checkConstraints verifies a compiled rule's constraint set against a

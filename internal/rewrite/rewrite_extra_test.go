@@ -77,7 +77,7 @@ func TestExploreBeamTermination(t *testing.T) {
 func TestRenameBindingsDeep(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.id FROM labels INNER JOIN projects ON labels.project_id = projects.id WHERE labels.title = 'x' ORDER BY labels.id ASC`, rw.Schema)
-	renamed := renameBindings(p, map[string]string{"labels": "L"})
+	renamed := renameBindings(p, rw.Schema, map[string]string{"labels": "L"})
 	fp := plan.Fingerprint(renamed)
 	if strings.Contains(fp, "as labels") || !strings.Contains(fp, "as L") {
 		t.Fatalf("rename incomplete: %s", fp)
@@ -139,14 +139,14 @@ func TestValidateRejectsDangling(t *testing.T) {
 		Pred: &sql.BinaryExpr{Op: "=", L: &sql.ColumnRef{Table: "ghost", Column: "x"}, R: &sql.Literal{Val: sql.NewInt(1)}},
 		In:   scan,
 	}
-	if err := validate(bad); err == nil {
+	if err := validate(bad, schema); err == nil {
 		t.Fatal("dangling predicate column accepted")
 	}
 	badProj := &plan.Proj{
 		Items: []plan.ProjItem{{Expr: &sql.ColumnRef{Table: "ghost", Column: "x"}}},
 		In:    scan,
 	}
-	if err := validate(badProj); err == nil {
+	if err := validate(badProj, schema); err == nil {
 		t.Fatal("dangling projection column accepted")
 	}
 }

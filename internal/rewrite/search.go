@@ -302,7 +302,7 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 					// The fragment validated in isolation, but a rewrite that
 					// renames the fragment's output columns can break
 					// references in ENCLOSING operators — re-validate whole.
-					if validate(np) != nil {
+					if validate(np, sc.m.Schema) != nil {
 						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).Invalid++

@@ -15,6 +15,7 @@ import (
 	"wetune"
 	"wetune/internal/obs"
 	"wetune/internal/obs/journal"
+	"wetune/internal/plan"
 	"wetune/internal/sql"
 	"wetune/internal/workload"
 )
@@ -352,5 +353,41 @@ func TestNewValidation(t *testing.T) {
 		DefaultApp: "missing",
 	}); err == nil || !strings.Contains(err.Error(), "missing") {
 		t.Errorf("New with bad DefaultApp: %v", err)
+	}
+}
+
+// TestRewriteAnswerReplans: a predicate that reads a joined table only through
+// a CASE arm keeps the join (rule 8 used to drop it and answer 200 with a
+// dangling projects.name), so what /v1/rewrite answers plans again.
+func TestRewriteAnswerReplans(t *testing.T) {
+	schema, err := sql.ParseDDL(`
+		CREATE TABLE projects (id INT NOT NULL PRIMARY KEY, name VARCHAR(100));
+		CREATE TABLE issues (
+			id INT NOT NULL PRIMARY KEY,
+			project_id INT NOT NULL,
+			FOREIGN KEY (project_id) REFERENCES projects (id)
+		);
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, _ := newTestServer(t, func(c *Config) { c.Schemas = map[string]*sql.Schema{"demo": schema} })
+	for _, where := range []string{
+		"CASE WHEN projects.name = 'x' THEN 1 ELSE 0 END = 1",
+		"issues.id > 3", // the control: here rule 8 does drop the join
+	} {
+		q := "SELECT issues.id FROM issues JOIN projects ON issues.project_id = projects.id WHERE " + where
+		body, _ := json.Marshal(map[string]string{"sql": q})
+		rec := do(s, http.MethodPost, "/v1/rewrite", string(body))
+		var out rewriteResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("status %d, %v; body: %s", rec.Code, err, rec.Body)
+		}
+		if _, err := plan.BuildSQL(out.Output, schema); err != nil {
+			t.Errorf("answer does not re-plan: %v\n  %s", err, out.Output)
+		}
+		if dropped := !strings.Contains(out.Output, "projects"); dropped != (where == "issues.id > 3") {
+			t.Errorf("join dropped = %v for %s\n  %s", dropped, where, out.Output)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package spes
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -411,25 +412,12 @@ func UsesIntegrityConstraints(cs *constraint.Set) bool {
 	return false
 }
 
-// exprReadsOnly reports whether every column reference in e is one of cols.
+// exprReadsOnly reports whether every free column reference of e names, by
+// bare column name, one of cols.
 func exprReadsOnly(e sql.Expr, cols []plan.ColRef) bool {
-	allowed := map[string]bool{}
-	for _, c := range cols {
-		allowed[c.String()] = true
-		allowed[c.Column] = true
-	}
 	ok := true
-	sql.WalkExprs(e, func(x sql.Expr) bool {
-		if cr, is := x.(*sql.ColumnRef); is {
-			key := cr.Column
-			if cr.Table != "" {
-				key = cr.Table + "." + cr.Column
-			}
-			if !allowed[key] && !allowed[cr.Column] {
-				ok = false
-			}
-		}
-		return true
+	sql.FreeColumns(e, nil, func(cr *sql.ColumnRef) {
+		ok = ok && slices.ContainsFunc(cols, func(c plan.ColRef) bool { return c.Column == cr.Column })
 	})
 	return ok
 }

@@ -740,29 +740,6 @@ func (p *parser) parseFuncCall() (Expr, error) {
 	return call, nil
 }
 
-// ScalarSubquery is a subquery used in scalar expression position.
-type ScalarSubquery struct {
-	Select *SelectStmt
-}
-
-func (*ScalarSubquery) node() {}
-func (*ScalarSubquery) expr() {}
-
-// CaseWhen is one WHEN/THEN arm of a CASE expression.
-type CaseWhen struct {
-	Cond Expr
-	Then Expr
-}
-
-// CaseExpr is a searched CASE expression.
-type CaseExpr struct {
-	Whens []CaseWhen
-	Else  Expr
-}
-
-func (*CaseExpr) node() {}
-func (*CaseExpr) expr() {}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -41,11 +41,30 @@ func AppendExpr(dst []byte, e Expr) []byte { return appendNode(dst, e, 0, nil) }
 
 // AppendExprPositional is AppendExpr with every column qualifier that is a
 // member of bindings written as its position there (see AppendBinding), which
-// makes the text insensitive to how the tables were aliased. Qualifiers inside
-// CASE and inside IN-subquery, EXISTS and scalar-subquery expressions — the
-// tested expression of IN (SELECT …) included — are written verbatim.
+// makes the text insensitive to how the tables were aliased. That reaches the
+// correlated references of embedded statements too: inside one, a member of
+// bindings stays positional until a FROM clause re-introduces the name.
 func AppendExprPositional(dst []byte, e Expr, bindings []string) []byte {
 	return appendNode(dst, e, 0, bindings)
+}
+
+// visible returns bindings as a statement whose FROM clause is t sees them:
+// an entry the clause re-introduces is shadowed (blanked in a copy, so the
+// other entries keep their positions). The statement's derived tables are
+// printed under the result as well, although a sibling's alias does not shadow
+// anything for them; between two plans with valid references that can only
+// keep a qualifier verbatim that could have been positional.
+func visible(bindings []string, t TableExpr) []string {
+	out := bindings
+	for i, b := range bindings {
+		if b != "" && supplies(t, nil, b, "") {
+			if &out[0] == &bindings[0] {
+				out = slices.Clone(bindings)
+			}
+			out[i] = ""
+		}
+	}
+	return out
 }
 
 // AppendBinding appends a table binding to dst: "b<i>" when it is bindings[i],
@@ -85,18 +104,18 @@ func exprPrec(e Expr) int {
 }
 
 // appendNode renders a statement, a table expression or an expression.
-// parentPrec (parenthesization) and bindings (positional qualifiers) matter
-// to expressions only; bindings is passed down only through the expression
-// kinds AppendExprPositional names.
+// parentPrec (parenthesization) matters to expressions only; bindings
+// (positional qualifiers, see AppendExprPositional) is passed down everywhere.
 func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 	switch x := n.(type) {
 	case *SelectStmt:
+		bindings = visible(bindings, x.From)
 		if x.SetOp != "" {
-			dst = appendNode(dst, x.SetLeft, 0, nil)
+			dst = appendNode(dst, x.SetLeft, 0, bindings)
 			dst = append(dst, ' ')
 			dst = append(dst, x.SetOp...)
 			dst = append(dst, ' ')
-			dst = appendNode(dst, x.SetRight, 0, nil)
+			dst = appendNode(dst, x.SetRight, 0, bindings)
 		} else {
 			dst = append(dst, "SELECT "...)
 			if x.Distinct {
@@ -113,7 +132,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 				case it.Star:
 					dst = append(dst, '*')
 				default:
-					dst = appendNode(dst, it.Expr, 0, nil)
+					dst = appendNode(dst, it.Expr, 0, bindings)
 					if it.Alias != "" {
 						dst = append(dst, " AS "...)
 						dst = append(dst, it.Alias...)
@@ -122,11 +141,11 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 			}
 			if x.From != nil {
 				dst = append(dst, " FROM "...)
-				dst = appendNode(dst, x.From, 0, nil)
+				dst = appendNode(dst, x.From, 0, bindings)
 			}
 			if x.Where != nil {
 				dst = append(dst, " WHERE "...)
-				dst = appendNode(dst, x.Where, 0, nil)
+				dst = appendNode(dst, x.Where, 0, bindings)
 			}
 			if len(x.GroupBy) > 0 {
 				dst = append(dst, " GROUP BY "...)
@@ -134,12 +153,12 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 					if i > 0 {
 						dst = append(dst, ", "...)
 					}
-					dst = appendNode(dst, g, 0, nil)
+					dst = appendNode(dst, g, 0, bindings)
 				}
 			}
 			if x.Having != nil {
 				dst = append(dst, " HAVING "...)
-				dst = appendNode(dst, x.Having, 0, nil)
+				dst = appendNode(dst, x.Having, 0, bindings)
 			}
 		}
 		if len(x.OrderBy) > 0 {
@@ -148,7 +167,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 				if i > 0 {
 					dst = append(dst, ", "...)
 				}
-				dst = appendNode(dst, o.Expr, 0, nil)
+				dst = appendNode(dst, o.Expr, 0, bindings)
 				if o.Desc {
 					dst = append(dst, " DESC"...)
 				} else {
@@ -169,25 +188,25 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		return dst
 	case *JoinExpr:
-		dst = appendNode(dst, x.Left, 0, nil)
+		dst = appendNode(dst, x.Left, 0, bindings)
 		dst = append(dst, ' ')
 		dst = append(dst, x.Kind.String()...)
 		dst = append(dst, ' ')
 		if _, nested := x.Rite.(*JoinExpr); nested {
 			dst = append(dst, '(')
-			dst = appendNode(dst, x.Rite, 0, nil)
+			dst = appendNode(dst, x.Rite, 0, bindings)
 			dst = append(dst, ')')
 		} else {
-			dst = appendNode(dst, x.Rite, 0, nil)
+			dst = appendNode(dst, x.Rite, 0, bindings)
 		}
 		if x.On != nil {
 			dst = append(dst, " ON "...)
-			dst = appendNode(dst, x.On, 0, nil)
+			dst = appendNode(dst, x.On, 0, bindings)
 		}
 		return dst
 	case *SubqueryTable:
 		dst = append(dst, '(')
-		dst = appendNode(dst, x.Select, 0, nil)
+		dst = appendNode(dst, x.Select, 0, bindings)
 		dst = append(dst, ')')
 		if x.Alias != "" {
 			dst = append(dst, " AS "...)
@@ -246,23 +265,23 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		dst = append(dst, ')')
 	case *InSubquery:
-		dst = appendNode(dst, x.E, 4, nil)
+		dst = appendNode(dst, x.E, 4, bindings)
 		if x.Negated {
 			dst = append(dst, " NOT"...)
 		}
 		dst = append(dst, " IN ("...)
-		dst = appendNode(dst, x.Select, 0, nil)
+		dst = appendNode(dst, x.Select, 0, bindings)
 		dst = append(dst, ')')
 	case *ExistsExpr:
 		if x.Negated {
 			dst = append(dst, "NOT "...)
 		}
 		dst = append(dst, "EXISTS ("...)
-		dst = appendNode(dst, x.Select, 0, nil)
+		dst = appendNode(dst, x.Select, 0, bindings)
 		dst = append(dst, ')')
 	case *ScalarSubquery:
 		dst = append(dst, '(')
-		dst = appendNode(dst, x.Select, 0, nil)
+		dst = appendNode(dst, x.Select, 0, bindings)
 		dst = append(dst, ')')
 	case *TupleExpr:
 		dst = append(dst, '(')
@@ -294,13 +313,13 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		dst = append(dst, "CASE"...)
 		for _, w := range x.Whens {
 			dst = append(dst, " WHEN "...)
-			dst = appendNode(dst, w.Cond, 0, nil)
+			dst = appendNode(dst, w.Cond, 0, bindings)
 			dst = append(dst, " THEN "...)
-			dst = appendNode(dst, w.Then, 0, nil)
+			dst = appendNode(dst, w.Then, 0, bindings)
 		}
 		if x.Else != nil {
 			dst = append(dst, " ELSE "...)
-			dst = appendNode(dst, x.Else, 0, nil)
+			dst = appendNode(dst, x.Else, 0, bindings)
 		}
 		dst = append(dst, " END"...)
 	default:

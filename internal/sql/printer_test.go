@@ -39,14 +39,18 @@ func TestAppendersMatchFormat(t *testing.T) {
 }
 
 // TestAppendExprPositional: members of the binding list print as their
-// position; other qualifiers, and everything inside CASE and subquery
-// expressions, print verbatim.
+// position wherever the expression reads them — CASE arms, the tested
+// expression of IN (SELECT …) and the correlated references of embedded
+// statements included; other qualifiers print verbatim, and so does a member
+// once a FROM clause inside an embedded statement re-introduces its name.
 func TestAppendExprPositional(t *testing.T) {
 	s := MustParse(`SELECT * FROM t AS x, u AS y WHERE x.a = y.b AND z.c IN (1, x.d) AND x.e IN (SELECT x.f FROM v)
-		AND CASE WHEN x.g > 0 THEN y.h ELSE 0 END = 1 AND NOT EXISTS (SELECT 1 FROM w WHERE w.i = y.j) AND F(y.k) IS NULL`)
+		AND CASE WHEN x.g > 0 THEN y.h ELSE 0 END = 1 AND NOT EXISTS (SELECT 1 FROM w WHERE w.i = y.j) AND F(y.k) IS NULL
+		AND y.l = (SELECT MAX(x.m) FROM w AS x INNER JOIN v ON x.n = y.o WHERE EXISTS (SELECT 1 FROM v AS y WHERE y.p = x.q))`)
 	got := string(AppendExprPositional(nil, s.Where, []string{"x", "y"}))
-	want := "b0.a = b1.b AND z.c IN (1, b0.d) AND x.e IN (SELECT x.f FROM v)" +
-		" AND CASE WHEN x.g > 0 THEN y.h ELSE 0 END = 1 AND NOT EXISTS (SELECT 1 FROM w WHERE w.i = y.j) AND F(b1.k) IS NULL"
+	want := "b0.a = b1.b AND z.c IN (1, b0.d) AND b0.e IN (SELECT b0.f FROM v)" +
+		" AND CASE WHEN b0.g > 0 THEN b1.h ELSE 0 END = 1 AND NOT EXISTS (SELECT 1 FROM w WHERE w.i = b1.j) AND F(b1.k) IS NULL" +
+		" AND b1.l = (SELECT MAX(x.m) FROM w AS x INNER JOIN v ON x.n = b1.o WHERE EXISTS (SELECT 1 FROM v AS y WHERE y.p = x.q))"
 	if got != want {
 		t.Errorf("positional:\n got %s\nwant %s", got, want)
 	}

@@ -239,168 +239,84 @@ func substB(b Bool, id int, repl Tuple) Bool {
 	panic(fmt.Sprintf("uexpr: substB on %T", b))
 }
 
-// SubstSyms replaces template symbols per the mapping throughout the
-// expression (used to apply RelEq/AttrsEq/PredEq unification).
-func SubstSyms(e Expr, m map[template.Sym]template.Sym) Expr {
-	sub := func(s template.Sym) template.Sym {
-		if r, ok := m[s]; ok {
-			return r
-		}
-		return s
+// ApplySyms replaces template symbols per the mapping throughout the
+// expression (RelEq/AttrsEq/PredEq unification); the mapping need not be
+// injective. After mapping, each TVar scope is deduplicated preserving first
+// occurrence: scope length is semantically significant to the normalizer (a
+// summation variable ranging over exactly its scope relations simplifies
+// differently than one ranging wider), and Translate builds scopes from
+// template.RelSyms, which dedupes after template substitution; mapping an
+// already-translated expression must reproduce that, so merging two relations
+// into one representative must collapse their scope entries.
+func ApplySyms(e Expr, m map[template.Sym]template.Sym) Expr { return symMap(m).expr(e) }
+
+// ApplySymsTuple is ApplySyms for a tuple term.
+func ApplySymsTuple(t Tuple, m map[template.Sym]template.Sym) Tuple { return symMap(m).tuple(t) }
+
+type symMap map[template.Sym]template.Sym
+
+func (m symMap) sym(s template.Sym) template.Sym {
+	if r, ok := m[s]; ok {
+		return r
 	}
-	var subT func(t Tuple) Tuple
-	subT = func(t Tuple) Tuple {
-		switch x := t.(type) {
-		case *TVar:
-			scope := make([]template.Sym, len(x.Scope))
-			for i, s := range x.Scope {
-				scope[i] = sub(s)
-			}
-			return &TVar{ID: x.ID, Scope: scope}
-		case *TAttr:
-			return &TAttr{Attrs: sub(x.Attrs), T: subT(x.T)}
-		case *TConcat:
-			return &TConcat{L: subT(x.L), R: subT(x.R)}
-		}
-		panic("unreachable")
-	}
-	var rec func(e Expr) Expr
-	rec = func(e Expr) Expr {
-		switch x := e.(type) {
-		case *Rel:
-			return &Rel{Rel: sub(x.Rel), T: subT(x.T)}
-		case *Bracket:
-			switch b := x.B.(type) {
-			case *BEq:
-				return &Bracket{B: &BEq{L: subT(b.L), R: subT(b.R)}}
-			case *BPred:
-				return &Bracket{B: &BPred{Pred: sub(b.Pred), T: subT(b.T)}}
-			case *BIsNull:
-				return &Bracket{B: &BIsNull{T: subT(b.T)}}
-			}
-		case *Not:
-			return &Not{E: rec(x.E)}
-		case *Squash:
-			return &Squash{E: rec(x.E)}
-		case *Sum:
-			vars := make([]*TVar, len(x.Vars))
-			for i, v := range x.Vars {
-				vars[i] = subT(v).(*TVar)
-			}
-			return &Sum{Vars: vars, E: rec(x.E)}
-		case *Mul:
-			fs := make([]Expr, len(x.Fs))
-			for i, f := range x.Fs {
-				fs[i] = rec(f)
-			}
-			return &Mul{Fs: fs}
-		case *Add:
-			ts := make([]Expr, len(x.Ts))
-			for i, t := range x.Ts {
-				ts[i] = rec(t)
-			}
-			return &Add{Ts: ts}
-		case *Const:
-			return x
-		}
-		panic(fmt.Sprintf("uexpr: SubstSyms on %T", e))
-	}
-	return rec(e)
+	return s
 }
 
-// ApplySyms is SubstSyms for non-injective mappings: after mapping, each
-// TVar scope is deduplicated preserving first occurrence. Scope length is
-// semantically significant to the normalizer (a summation variable ranging
-// over exactly its scope relations simplifies differently than one ranging
-// wider), and Translate builds scopes from template.RelSyms, which dedupes
-// after template substitution; mapping an already-translated expression must
-// reproduce that, so merging two relations into one representative must
-// collapse their scope entries. SubstSyms keeps its elementwise behavior for
-// the injective renamings it serves today.
-func ApplySyms(e Expr, m map[template.Sym]template.Sym) Expr {
-	e = SubstSyms(e, m)
-	var recT func(t Tuple) Tuple
-	recT = func(t Tuple) Tuple {
-		switch x := t.(type) {
-		case *TVar:
-			return &TVar{ID: x.ID, Scope: dedupeSyms(x.Scope)}
-		case *TAttr:
-			return &TAttr{Attrs: x.Attrs, T: recT(x.T)}
-		case *TConcat:
-			return &TConcat{L: recT(x.L), R: recT(x.R)}
+func (m symMap) tuple(t Tuple) Tuple {
+	switch x := t.(type) {
+	case *TVar:
+		scope := make([]template.Sym, len(x.Scope))
+		for i, s := range x.Scope {
+			scope[i] = m.sym(s)
 		}
-		panic("unreachable")
+		return &TVar{ID: x.ID, Scope: dedupeSyms(scope)}
+	case *TAttr:
+		return &TAttr{Attrs: m.sym(x.Attrs), T: m.tuple(x.T)}
+	case *TConcat:
+		return &TConcat{L: m.tuple(x.L), R: m.tuple(x.R)}
 	}
-	var rec func(e Expr) Expr
-	rec = func(e Expr) Expr {
-		switch x := e.(type) {
-		case *Rel:
-			return &Rel{Rel: x.Rel, T: recT(x.T)}
-		case *Bracket:
-			switch b := x.B.(type) {
-			case *BEq:
-				return &Bracket{B: &BEq{L: recT(b.L), R: recT(b.R)}}
-			case *BPred:
-				return &Bracket{B: &BPred{Pred: b.Pred, T: recT(b.T)}}
-			case *BIsNull:
-				return &Bracket{B: &BIsNull{T: recT(b.T)}}
-			}
-		case *Not:
-			return &Not{E: rec(x.E)}
-		case *Squash:
-			return &Squash{E: rec(x.E)}
-		case *Sum:
-			vars := make([]*TVar, len(x.Vars))
-			for i, v := range x.Vars {
-				vars[i] = recT(v).(*TVar)
-			}
-			return &Sum{Vars: vars, E: rec(x.E)}
-		case *Mul:
-			fs := make([]Expr, len(x.Fs))
-			for i, f := range x.Fs {
-				fs[i] = rec(f)
-			}
-			return &Mul{Fs: fs}
-		case *Add:
-			ts := make([]Expr, len(x.Ts))
-			for i, t := range x.Ts {
-				ts[i] = rec(t)
-			}
-			return &Add{Ts: ts}
-		case *Const:
-			return x
-		}
-		panic(fmt.Sprintf("uexpr: ApplySyms on %T", e))
-	}
-	return rec(e)
+	panic("unreachable")
 }
 
-// ApplySymsTuple applies a (possibly non-injective) symbol mapping to a tuple
-// term, deduplicating TVar scopes like ApplySyms.
-func ApplySymsTuple(t Tuple, m map[template.Sym]template.Sym) Tuple {
-	sub := func(s template.Sym) template.Sym {
-		if r, ok := m[s]; ok {
-			return r
+func (m symMap) expr(e Expr) Expr {
+	switch x := e.(type) {
+	case *Rel:
+		return &Rel{Rel: m.sym(x.Rel), T: m.tuple(x.T)}
+	case *Bracket:
+		switch b := x.B.(type) {
+		case *BEq:
+			return &Bracket{B: &BEq{L: m.tuple(b.L), R: m.tuple(b.R)}}
+		case *BPred:
+			return &Bracket{B: &BPred{Pred: m.sym(b.Pred), T: m.tuple(b.T)}}
+		case *BIsNull:
+			return &Bracket{B: &BIsNull{T: m.tuple(b.T)}}
 		}
-		return s
-	}
-	var rec func(t Tuple) Tuple
-	rec = func(t Tuple) Tuple {
-		switch x := t.(type) {
-		case *TVar:
-			scope := make([]template.Sym, len(x.Scope))
-			for i, s := range x.Scope {
-				scope[i] = sub(s)
-			}
-			return &TVar{ID: x.ID, Scope: dedupeSyms(scope)}
-		case *TAttr:
-			return &TAttr{Attrs: sub(x.Attrs), T: rec(x.T)}
-		case *TConcat:
-			return &TConcat{L: rec(x.L), R: rec(x.R)}
+	case *Not:
+		return &Not{E: m.expr(x.E)}
+	case *Squash:
+		return &Squash{E: m.expr(x.E)}
+	case *Sum:
+		vars := make([]*TVar, len(x.Vars))
+		for i, v := range x.Vars {
+			vars[i] = m.tuple(v).(*TVar)
 		}
-		panic("unreachable")
+		return &Sum{Vars: vars, E: m.expr(x.E)}
+	case *Mul:
+		fs := make([]Expr, len(x.Fs))
+		for i, f := range x.Fs {
+			fs[i] = m.expr(f)
+		}
+		return &Mul{Fs: fs}
+	case *Add:
+		ts := make([]Expr, len(x.Ts))
+		for i, t := range x.Ts {
+			ts[i] = m.expr(t)
+		}
+		return &Add{Ts: ts}
+	case *Const:
+		return x
 	}
-	return rec(t)
+	panic(fmt.Sprintf("uexpr: ApplySyms on %T", e))
 }
 
 func dedupeSyms(syms []template.Sym) []template.Sym {

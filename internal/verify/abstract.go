@@ -113,32 +113,13 @@ func (ab *abstractor) freshPred(e sql.Expr) template.Sym {
 	return s
 }
 
-func predKey(e sql.Expr) string { return normalizePred(e) }
-
-// normalizePred strips table qualifiers so that aliases do not matter.
-func normalizePred(e sql.Expr) string {
-	s := sql.FormatExpr(e)
-	out := make([]byte, 0, len(s))
-	i := 0
-	for i < len(s) {
-		if s[i] == '.' {
-			// Remove the identifier before the dot.
-			j := len(out)
-			for j > 0 && isIdent(out[j-1]) {
-				j--
-			}
-			out = out[:j]
-			i++
-			continue
-		}
-		out = append(out, s[i])
-		i++
-	}
-	return string(out)
-}
-
-func isIdent(c byte) bool {
-	return c == '_' || c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9'
+// predKey identifies a predicate by its text with the qualifier of every free
+// column reference dropped, so that aliases do not matter: two predicates that
+// read equally named columns compare equal.
+func predKey(e sql.Expr) string {
+	return sql.FormatExpr(sql.MapFreeColumns(e, nil, func(c *sql.ColumnRef) *sql.ColumnRef {
+		return &sql.ColumnRef{Column: c.Column}
+	}))
 }
 
 // lift converts a plan to a template, allocating symbols along the way.
@@ -163,7 +144,7 @@ func (ab *abstractor) lift(n plan.Node) (*template.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols := predCols(x.Pred)
+		cols := plan.FreeColumns(x.Pred, ab.schema)
 		if len(cols) == 0 {
 			cols = x.In.OutCols()[:1]
 		}
@@ -215,22 +196,6 @@ func (ab *abstractor) lift(n plan.Node) (*template.Node, error) {
 	default:
 		return nil, fmt.Errorf("verify: cannot abstract %T", n)
 	}
-}
-
-func predCols(e sql.Expr) []plan.ColRef {
-	var out []plan.ColRef
-	seen := map[plan.ColRef]bool{}
-	sql.WalkExprs(e, func(x sql.Expr) bool {
-		if cr, ok := x.(*sql.ColumnRef); ok {
-			c := plan.ColRef{Table: cr.Table, Column: cr.Column}
-			if !seen[c] {
-				seen[c] = true
-				out = append(out, c)
-			}
-		}
-		return true
-	})
-	return out
 }
 
 // constraints derives the rule's constraint set: equalities between symbols
