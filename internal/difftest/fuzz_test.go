@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -57,8 +58,8 @@ func FuzzRewriteRoundTrip(f *testing.F) {
 
 // FuzzParserPrinter checks that formatting is a fixed point of parsing: any
 // query the parser accepts must re-parse from its formatted form to the same
-// formatted text. Mutated inputs that fail to parse are simply skipped — the
-// interesting corpus members are those that parse.
+// formatted text. A query the parser rejects must be rejected with a
+// *sql.ParseError, which carries the offset; nothing else is checked of it.
 func FuzzParserPrinter(f *testing.F) {
 	f.Add("SELECT * FROM t0")
 	f.Add("SELECT a, b FROM t WHERE a = 1 AND b IS NOT NULL ORDER BY a DESC LIMIT 3")
@@ -82,10 +83,20 @@ func FuzzParserPrinter(f *testing.F) {
 		schema := GenSchema(rng)
 		f.Add(plan.ToSQLString(GenPlan(rng, schema)))
 	}
+	// Identifiers the printer must quote, and lexer errors.
+	f.Add(`SELECT "a b" FROM t`)
+	f.Add(`SELECT "select" FROM t`)
+	f.Add("SELECT \xdc()")
+	f.Add("SELECT 'abc")
+	f.Add("SELECT 'it''s'")
 	f.Fuzz(func(t *testing.T, query string) {
 		stmt, err := sql.Parse(query)
 		if err != nil {
-			t.Skip()
+			var pe *sql.ParseError
+			if !errors.As(err, &pe) {
+				t.Fatalf("Parse(%q) failed without a position: %v", query, err)
+			}
+			return
 		}
 		formatted := sql.Format(stmt)
 		stmt2, err := sql.Parse(formatted)

@@ -155,6 +155,45 @@ func TestCreateIndexErrors(t *testing.T) {
 	}
 }
 
+// TestMixedIntFloatKeys checks that the keys the engine builds from values
+// agree with Equal, under which Int 2 and Float 2.0 are one value: an index
+// lookup with a float finds the int rows a scan finds, and UNION and DISTINCT
+// merge an int with the equal float.
+func TestMixedIntFloatKeys(t *testing.T) {
+	db := seededDB(t)
+	ids := func(q string) []int64 {
+		var out []int64
+		for _, row := range run(t, db, q).Rows {
+			out = append(out, row[0].I)
+		}
+		return out
+	}
+	before := db.Stats.IndexLookups
+	want := ids("SELECT id FROM labels WHERE id + 0 = 2") // not index-served
+	if len(want) != 1 || want[0] != 2 {
+		t.Fatalf("scan rows = %v, want [2]", want)
+	}
+	if db.Stats.IndexLookups != before {
+		t.Fatal("scan predicate was served by the index")
+	}
+	for _, q := range []string{
+		"SELECT id FROM labels WHERE id = 2.0",
+		"SELECT id FROM labels WHERE 2.0 = id",
+		"SELECT id FROM labels WHERE id = 4/2",
+	} {
+		if got := ids(q); len(got) != 1 || got[0] != want[0] {
+			t.Errorf("%s: rows = %v, want %v", q, got, want)
+		}
+	}
+	if db.Stats.IndexLookups == before {
+		t.Fatal("float equality on an indexed column was not index-served")
+	}
+	q := "SELECT id FROM labels WHERE id = 2 UNION SELECT id / 1 FROM labels WHERE id = 2"
+	if n := len(run(t, db, q).Rows); n != 1 {
+		t.Errorf("%s: %d rows, want 1", q, n)
+	}
+}
+
 func TestUnionAllKeepsDuplicatesAcrossArms(t *testing.T) {
 	db := seededDB(t)
 	res := run(t, db, "SELECT title FROM labels WHERE id = 1 UNION ALL SELECT title FROM labels WHERE id = 6")

@@ -2,6 +2,7 @@ package fol
 
 import (
 	"fmt"
+	"slices"
 
 	"wetune/internal/constraint"
 	"wetune/internal/uexpr"
@@ -229,9 +230,9 @@ func termEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
 		vars := append([]*uexpr.TVar{out}, a.Vars...)
 		return &Forall{Vars: vars, Body: body}, nil
 	case len(a.Vars)+1 == len(b.Vars):
-		return unalignedEquation(a, b, out, false)
+		return unalignedEquation(a, b, out)
 	case len(b.Vars)+1 == len(a.Vars):
-		return unalignedEquation(b, a, out, true)
+		return unalignedEquation(b, a, out)
 	}
 	return nil, nil
 }
@@ -261,16 +262,14 @@ func alignVars(a, b *uexpr.Term) *uexpr.Term {
 		idx[i] = i
 	}
 	permuteInts(idx, 0, func(p []int) {
-		// Rename b.Vars[p[i]] -> a.Vars[i].
-		cand := b
-		// Two-phase rename through temporaries to avoid collisions.
-		tmpBase := 1 << 20
+		// Rename b.Vars[p[i]] -> a.Vars[i], all at once.
+		ren := make(map[int]uexpr.Tuple, k)
+		vars := slices.Clone(b.Vars)
 		for i := 0; i < k; i++ {
-			cand = substTermVarLocal(cand, cand.Vars[indexOfVar(cand, b.Vars[p[i]].ID)].ID, &uexpr.TVar{ID: tmpBase + i})
+			ren[b.Vars[p[i]].ID] = a.Vars[i]
+			vars[p[i]] = a.Vars[i]
 		}
-		for i := 0; i < k; i++ {
-			cand = substTermVarLocal(cand, tmpBase+i, a.Vars[i])
-		}
+		cand := &uexpr.Term{Vars: vars, Factors: uexpr.SubstFactors(b.Factors, ren)}
 		score := 0
 		for i := 0; i < k; i++ {
 			if profile(a, a.Vars[i]) == profile(cand, a.Vars[i]) {
@@ -285,37 +284,9 @@ func alignVars(a, b *uexpr.Term) *uexpr.Term {
 	return best
 }
 
-func indexOfVar(t *uexpr.Term, id int) int {
-	for i, v := range t.Vars {
-		if v.ID == id {
-			return i
-		}
-	}
-	return -1
-}
-
-func substTermVarLocal(t *uexpr.Term, id int, nv *uexpr.TVar) *uexpr.Term {
-	vars := make([]*uexpr.TVar, len(t.Vars))
-	for i, v := range t.Vars {
-		if v.ID == id {
-			vars[i] = nv
-		} else {
-			vars[i] = v
-		}
-	}
-	factors := make([]uexpr.Factor, len(t.Factors))
-	for i, f := range t.Factors {
-		factors[i] = uexpr.SubstFactor(f, id, nv)
-	}
-	return &uexpr.Term{Vars: vars, Factors: factors}
-}
-
 // unalignedEquation implements Theorem 5.2: sum_t A(t) = sum_{t,s} B(t,s)
 // where B = g * h with h the factors mentioning the extra variable s.
-// swapped records that the caller passed (a, b) in reverse order; the
-// resulting formula is symmetric so it only matters for reporting.
-func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar, swapped bool) (Formula, error) {
-	_ = swapped
+func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
 	// Try each choice of b's extra variable.
 	for bi, s := range b.Vars {
 		rest := make([]*uexpr.TVar, 0, len(b.Vars)-1)
@@ -346,7 +317,7 @@ func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar, swapped bool) (Formula
 		zero := &IntConst{N: 0}
 		one := &IntConst{N: 1}
 		sP := &uexpr.TVar{ID: s.ID + (1 << 21)}
-		HsP := trMul(substFactors(h, s.ID, sP))
+		HsP := trMul(uexpr.SubstFactors(h, map[int]uexpr.Tuple{s.ID: sP}))
 		sumHZero := &Forall{Vars: []*uexpr.TVar{s}, Body: &IntEq{L: H, R: zero}}
 		sumHOne := &Exists{Vars: []*uexpr.TVar{s}, Body: MkAnd(
 			&IntEq{L: H, R: one},
@@ -363,14 +334,6 @@ func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar, swapped bool) (Formula
 		return &Forall{Vars: vars, Body: body}, nil
 	}
 	return nil, nil
-}
-
-func substFactors(fs []uexpr.Factor, id int, repl uexpr.Tuple) []uexpr.Factor {
-	out := make([]uexpr.Factor, len(fs))
-	for i, f := range fs {
-		out[i] = uexpr.SubstFactor(f, id, repl)
-	}
-	return out
 }
 
 func permuteInts(p []int, i int, fn func([]int)) {

@@ -81,22 +81,27 @@ func TestBadRequests400(t *testing.T) {
 }
 
 // TestUnparsableSQL422 checks the parse failure contract: 422, code
-// invalid_sql, and the parser's byte offset surfaced as "position".
+// invalid_sql, and the parser's byte offset surfaced as "position" — for
+// lexer errors too.
 func TestUnparsableSQL422(t *testing.T) {
 	s, _, _ := newTestServer(t, nil)
-	rec := do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT FROM"}`)
-	if rec.Code != http.StatusUnprocessableEntity {
-		t.Fatalf("status = %d, want 422; body: %s", rec.Code, rec.Body)
-	}
-	e := decodeError(t, rec.Body.String())
-	if e.Code != codeInvalidSQL {
-		t.Errorf("code = %q, want %q", e.Code, codeInvalidSQL)
-	}
-	if e.Position == nil {
-		t.Fatal("parse error lost its position")
-	}
-	if *e.Position != 7 { // "SELECT FROM": the select list is missing at offset 7
-		t.Errorf("position = %d, want 7", *e.Position)
+	for _, body := range []string{
+		`{"sql": "SELECT FROM"}`, // the select list is missing at offset 7
+		`{"sql": "SELECT 'abc"}`, // the unterminated literal starts at offset 7
+	} {
+		rec := do(s, http.MethodPost, "/v1/rewrite", body)
+		if rec.Code != http.StatusUnprocessableEntity {
+			t.Fatalf("%s: status = %d, want 422; body: %s", body, rec.Code, rec.Body)
+		}
+		e := decodeError(t, rec.Body.String())
+		if e.Code != codeInvalidSQL {
+			t.Errorf("%s: code = %q, want %q", body, e.Code, codeInvalidSQL)
+		}
+		if e.Position == nil {
+			t.Errorf("%s: parse error lost its position", body)
+		} else if *e.Position != 7 {
+			t.Errorf("%s: position = %d, want 7", body, *e.Position)
+		}
 	}
 }
 

@@ -3,7 +3,7 @@ package sql
 import (
 	"fmt"
 	"strings"
-	"unicode"
+	"unicode/utf8"
 )
 
 // tokenKind classifies lexer tokens.
@@ -25,14 +25,16 @@ type token struct {
 	pos  int
 }
 
-// keywords maps every case variant's upper-casing to the canonical (interned)
-// keyword string, so classifying a word never allocates: lower/mixed-case
-// input is upper-cased into a stack buffer and the map lookup on string(buf)
-// compiles to a no-copy lookup.
-var keywords = map[string]string{}
+// keywords is an open-addressed table of the canonical (interned) keyword
+// strings at keywordSlot of their keywordCode, so classifying a word never
+// allocates and costs a multiply and a probe or two: the lexer classifies
+// every word it reads and the printer every identifier it prints.
+var keywords [128]struct {
+	code uint64
+	text string
+}
 
-// maxKeywordLen bounds the stack buffer for case folding ("DISTINCT" = 8).
-var maxKeywordLen int
+func keywordSlot(code uint64) int { return int(code * 0x9E3779B97F4A7C15 >> 57) }
 
 func init() {
 	for _, k := range []string{
@@ -45,10 +47,12 @@ func init() {
 		"BETWEEN", "LIKE", "CASE", "WHEN", "THEN",
 		"ELSE", "END",
 	} {
-		keywords[k] = k
-		if len(k) > maxKeywordLen {
-			maxKeywordLen = len(k)
+		code, _ := keywordCode(k)
+		i := keywordSlot(code)
+		for keywords[i].code != 0 {
+			i = (i + 1) % len(keywords)
 		}
+		keywords[i].code, keywords[i].text = code, k
 	}
 }
 
@@ -72,7 +76,7 @@ func lex(src string) ([]token, error) {
 		}
 		c := l.src[l.pos]
 		switch {
-		case isIdentStart(rune(c)):
+		case isIdentStart(c):
 			l.lexWord()
 		case c >= '0' && c <= '9':
 			l.lexNumber()
@@ -117,17 +121,24 @@ func (l *lexer) skipSpace() {
 	}
 }
 
-func isIdentStart(r rune) bool {
-	return unicode.IsLetter(r) || r == '_'
+// Identifiers outside quotes are ASCII: a byte >= 0x80 there is an error,
+// never half of a letter.
+func isIdentStart(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_'
 }
 
-func isIdentPart(r rune) bool {
-	return unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' || r == '$'
+func isIdentPart(c byte) bool {
+	return isIdentStart(c) || '0' <= c && c <= '9' || c == '$'
+}
+
+// errAt is the lexer's *ParseError at byte offset pos.
+func errAt(pos int, format string, args ...any) error {
+	return &ParseError{Offset: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (l *lexer) lexWord() {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(rune(l.src[l.pos])) {
+	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
 		l.pos++
 	}
 	word := l.src[start:l.pos]
@@ -138,25 +149,38 @@ func (l *lexer) lexWord() {
 	}
 }
 
-// keywordLookup classifies word case-insensitively against the keyword table
-// without allocating: ASCII upper-casing goes through a stack buffer and the
-// returned canonical string is the interned table entry, never a fresh copy.
+// keywordLookup classifies word case-insensitively against the keyword table;
+// the returned canonical string is the interned table entry, never a copy.
 func keywordLookup(word string) (string, bool) {
-	if len(word) > maxKeywordLen {
+	code, ok := keywordCode(word)
+	if !ok {
 		return "", false
 	}
-	var buf [16]byte // maxKeywordLen fits comfortably
+	for i := keywordSlot(code); keywords[i].code != 0; i = (i + 1) % len(keywords) {
+		if keywords[i].code == code {
+			return keywords[i].text, true
+		}
+	}
+	return "", false
+}
+
+// keywordCode packs word, upper-cased, into one integer when it is a
+// non-empty run of at most eight ASCII letters, the shape of every keyword
+// ("DISTINCT" is the longest); ok is false for any other word.
+func keywordCode(word string) (code uint64, ok bool) {
+	if word == "" || len(word) > 8 {
+		return 0, false
+	}
 	for i := 0; i < len(word); i++ {
 		c := word[i]
 		if 'a' <= c && c <= 'z' {
 			c -= 'a' - 'A'
 		} else if c > 'Z' || c < 'A' {
-			return "", false // digits/underscore/non-ASCII: never a keyword
+			return 0, false // digits/underscore: never a keyword
 		}
-		buf[i] = c
+		code = code<<8 | uint64(c)
 	}
-	canon, ok := keywords[string(buf[:len(word)])]
-	return canon, ok
+	return code, true
 }
 
 func (l *lexer) lexNumber() {
@@ -195,7 +219,7 @@ func (l *lexer) lexString() error {
 		}
 		l.pos++
 	}
-	return fmt.Errorf("sql: unterminated string literal at offset %d", start)
+	return errAt(start, "unterminated string literal")
 }
 
 // lexStringEscaped resumes a string literal at its first doubled-quote
@@ -220,7 +244,7 @@ func (l *lexer) lexStringEscaped(start int) error {
 		b.WriteByte(c)
 		l.pos++
 	}
-	return fmt.Errorf("sql: unterminated string literal at offset %d", start)
+	return errAt(start, "unterminated string literal")
 }
 
 func (l *lexer) lexQuotedIdent(quote byte) error {
@@ -235,7 +259,7 @@ func (l *lexer) lexQuotedIdent(quote byte) error {
 		}
 		l.pos++
 	}
-	return fmt.Errorf("sql: unterminated quoted identifier at offset %d", start)
+	return errAt(start, "unterminated quoted identifier")
 }
 
 var twoCharSymbols = map[string]bool{"<>": true, "!=": true, "<=": true, ">=": true}
@@ -257,5 +281,6 @@ func (l *lexer) lexSymbol() error {
 		l.pos++
 		return nil
 	}
-	return fmt.Errorf("sql: unexpected character %q at offset %d", c, l.pos)
+	_, size := utf8.DecodeRuneInString(l.src[l.pos:])
+	return errAt(l.pos, "unexpected character %q", l.src[l.pos:l.pos+size])
 }

@@ -1,6 +1,8 @@
 package sql
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -216,6 +218,50 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFormatReparsesToParsed requires printed SQL to parse back to the very
+// statement that was parsed, identifiers that need quoting included, and
+// every lexer error to be a *ParseError at the offending byte.
+func TestFormatReparsesToParsed(t *testing.T) {
+	for _, c := range []struct {
+		q     string
+		errAt int // -1: the query parses
+		msg   string
+	}{
+		{q: `SELECT "a b" FROM t`, errAt: -1},
+		{q: `SELECT "select" FROM t`, errAt: -1},
+		{q: `SELECT "from"."select", "Where" AS "order", "1x" AS "" FROM "from" AS "group by"`, errAt: -1},
+		{q: `SELECT "a b".* FROM "a b" JOIN (SELECT "é" FROM u) AS "d d" ON "a b".k = "d d"."é"`, errAt: -1},
+		{q: "SELECT `a\"b`, \"a`b\", \"f g\"(x), \"\" FROM t", errAt: -1},
+		{q: "SELECT \"\xdc\"() FROM t", errAt: -1},
+		{q: "SELECT 'it''s', '''' FROM t", errAt: -1},
+		{q: "SELECT -0., 1.0, 2.50, 1000000000000000000000.5 FROM t", errAt: -1},
+		{q: "(SELECT a FROM t ORDER BY a LIMIT 1) UNION (SELECT b FROM u UNION ALL SELECT c FROM v)", errAt: -1},
+		{q: "SELECT \xdc()", errAt: 7, msg: `"\xdc"`},
+		{q: "SELECT é FROM t", errAt: 7, msg: `"é"`},
+		{q: "SELECT 'abc", errAt: 7},
+		{q: "SELECT 'it''s", errAt: 7},
+		{q: `SELECT "abc`, errAt: 7},
+		{q: "SELECT a FROM t WHERE a # 1", errAt: 24},
+	} {
+		s, err := Parse(c.q)
+		if c.errAt >= 0 {
+			var pe *ParseError
+			if !errors.As(err, &pe) || pe.Offset != c.errAt || !strings.Contains(pe.Msg, c.msg) {
+				t.Errorf("Parse(%q) = %v, want a *ParseError at offset %d mentioning %s", c.q, err, c.errAt, c.msg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.q, err)
+			continue
+		}
+		out := Format(s)
+		if s2, err := Parse(out); err != nil || !reflect.DeepEqual(s, s2) {
+			t.Errorf("Parse(%q) printed as %q, which reparses differently (err %v)", c.q, out, err)
+		}
+	}
+}
+
 func TestFormatParenthesization(t *testing.T) {
 	s := MustParse("SELECT * FROM t WHERE (a = 1 OR b = 2) AND c = 3")
 	out := Format(s)
@@ -233,5 +279,31 @@ func TestCommentsSkipped(t *testing.T) {
 	s := MustParse("SELECT a -- trailing comment\nFROM t")
 	if len(s.Items) != 1 {
 		t.Fatalf("items = %d", len(s.Items))
+	}
+}
+
+// TestKeywordLookup checks the keyword table: every keyword is found in any
+// case, and words that are not keywords, prefixes and extensions of keywords
+// included, are not.
+func TestKeywordLookup(t *testing.T) {
+	n := 0
+	for _, e := range keywords {
+		if e.code == 0 {
+			continue
+		}
+		n++
+		for _, w := range []string{e.text, strings.ToLower(e.text), strings.ToLower(e.text[:1]) + e.text[1:]} {
+			if got, ok := keywordLookup(w); !ok || got != e.text {
+				t.Errorf("keywordLookup(%q) = %q, %v; want %q", w, got, ok, e.text)
+			}
+		}
+		for _, w := range []string{e.text[1:], e.text + "S", "_" + e.text, e.text + "1"} {
+			if _, ok := keywordLookup(w); ok {
+				t.Errorf("keywordLookup(%q) found a keyword", w)
+			}
+		}
+	}
+	if n != 37 {
+		t.Errorf("keyword table holds %d keywords, want 37", n)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 )
 
 // The printer is append-style, like strconv.AppendInt: AppendSelect and
@@ -74,7 +75,57 @@ func AppendBinding(dst []byte, binding string, bindings []string) []byte {
 		dst = append(dst, 'b')
 		return strconv.AppendInt(dst, int64(i), 10)
 	}
-	return append(dst, binding...)
+	return appendIdent(dst, binding)
+}
+
+// appendIdent appends an identifier, quoted when the lexer would not read it
+// back bare as the same identifier: when it is empty, a keyword, or not an
+// ASCII letter or _ followed by letters, digits, _ and $. The quote is " or,
+// for an identifier holding one, ` — quoted identifiers have no escapes, so
+// no identifier the lexer produced holds both.
+func appendIdent(dst []byte, id string) []byte {
+	bare := id != "" && isIdentStart(id[0])
+	for i := 1; bare && i < len(id); i++ {
+		bare = isIdentPart(id[i])
+	}
+	if bare {
+		if _, kw := keywordLookup(id); !kw {
+			return append(dst, id...)
+		}
+	}
+	q := byte('"')
+	if strings.IndexByte(id, '"') >= 0 {
+		q = '`'
+	}
+	dst = append(dst, q)
+	dst = append(dst, id...)
+	return append(dst, q)
+}
+
+// appendLiteral appends v as text the lexer reads back as v: a float as
+// digits with a point, a string with its quotes doubled. Value.String keeps
+// its own form because the engine keys rows, indexes and DISTINCT on it, and
+// there Int 2 and Float 2.0 must both be "2", as Equal has them.
+func appendLiteral(dst []byte, v Value) []byte {
+	switch v.Kind {
+	case KindFloat:
+		n := len(dst)
+		dst = strconv.AppendFloat(dst, v.F, 'f', -1, 64)
+		if !slices.Contains(dst[n:], '.') {
+			dst = append(dst, ".0"...)
+		}
+		return dst
+	case KindString:
+		dst = append(dst, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				dst = append(dst, '\'')
+			}
+			dst = append(dst, v.S[i])
+		}
+		return append(dst, '\'')
+	}
+	return appendValue(dst, v)
 }
 
 // precedence levels for parenthesization: OR(1) < AND(2) < NOT(3) <
@@ -111,11 +162,23 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 	case *SelectStmt:
 		bindings = visible(bindings, x.From)
 		if x.SetOp != "" {
-			dst = appendNode(dst, x.SetLeft, 0, bindings)
-			dst = append(dst, ' ')
-			dst = append(dst, x.SetOp...)
-			dst = append(dst, ' ')
-			dst = appendNode(dst, x.SetRight, 0, bindings)
+			for i, arm := range [2]*SelectStmt{x.SetLeft, x.SetRight} {
+				if i == 1 {
+					dst = append(dst, ' ')
+					dst = append(dst, x.SetOp...)
+					dst = append(dst, ' ')
+				}
+				// ORDER BY and LIMIT would bind to the whole chain, and the
+				// chain associates to the left: such arms keep parentheses.
+				paren := len(arm.OrderBy) > 0 || arm.Limit != nil || i == 1 && arm.SetOp != ""
+				if paren {
+					dst = append(dst, '(')
+				}
+				dst = appendNode(dst, arm, 0, bindings)
+				if paren {
+					dst = append(dst, ')')
+				}
+			}
 		} else {
 			dst = append(dst, "SELECT "...)
 			if x.Distinct {
@@ -127,7 +190,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 				}
 				switch {
 				case it.Star && it.StarTable != "":
-					dst = append(dst, it.StarTable...)
+					dst = appendIdent(dst, it.StarTable)
 					dst = append(dst, ".*"...)
 				case it.Star:
 					dst = append(dst, '*')
@@ -135,7 +198,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 					dst = appendNode(dst, it.Expr, 0, bindings)
 					if it.Alias != "" {
 						dst = append(dst, " AS "...)
-						dst = append(dst, it.Alias...)
+						dst = appendIdent(dst, it.Alias)
 					}
 				}
 			}
@@ -181,10 +244,10 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		return dst
 	case *TableName:
-		dst = append(dst, x.Name...)
+		dst = appendIdent(dst, x.Name)
 		if x.Alias != "" {
 			dst = append(dst, " AS "...)
-			dst = append(dst, x.Alias...)
+			dst = appendIdent(dst, x.Alias)
 		}
 		return dst
 	case *JoinExpr:
@@ -210,7 +273,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		dst = append(dst, ')')
 		if x.Alias != "" {
 			dst = append(dst, " AS "...)
-			dst = append(dst, x.Alias...)
+			dst = appendIdent(dst, x.Alias)
 		}
 		return dst
 	}
@@ -227,9 +290,9 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 			dst = AppendBinding(dst, x.Table, bindings)
 			dst = append(dst, '.')
 		}
-		dst = append(dst, x.Column...)
+		dst = appendIdent(dst, x.Column)
 	case *Literal:
-		dst = appendValue(dst, x.Val)
+		dst = appendLiteral(dst, x.Val)
 	case *Param:
 		dst = append(dst, '?')
 	case *BinaryExpr:
@@ -293,7 +356,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		dst = append(dst, ')')
 	case *FuncCall:
-		dst = append(dst, x.Name...)
+		dst = appendIdent(dst, x.Name)
 		dst = append(dst, '(')
 		if x.Star {
 			dst = append(dst, '*')

@@ -7,11 +7,18 @@ package uexpr
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"wetune/internal/template"
 )
+
+// The node kinds of the three sorts — Tuple, Bool with the normal-form
+// Factor, and Expr — are declared here and in normalize.go. A new kind must
+// be added to the sort's switch in traverse.go (mapTuple, mapper.factor or
+// mapper.expr), to the printer (renderTuple, renderBool, renderFactor), norm
+// or tupleScope, and to the semantic consumers outside this package:
+// fol.trFactor and boolToFormula, the evaluator in verify/counterexample.go,
+// smt's grounding walks and intern's constructors.
 
 // Tuple is a tuple-sorted term.
 type Tuple interface {
@@ -176,67 +183,11 @@ var (
 
 // --- substitution ---
 
-// SubstTuple replaces tuple variable id with the replacement term throughout.
+// SubstTuple replaces free occurrences of tuple variable id with repl: a Sum
+// binding id keeps its body as it is.
 func SubstTuple(e Expr, id int, repl Tuple) Expr {
-	switch x := e.(type) {
-	case *Rel:
-		return &Rel{Rel: x.Rel, T: substT(x.T, id, repl)}
-	case *Bracket:
-		return &Bracket{B: substB(x.B, id, repl)}
-	case *Not:
-		return &Not{E: SubstTuple(x.E, id, repl)}
-	case *Squash:
-		return &Squash{E: SubstTuple(x.E, id, repl)}
-	case *Sum:
-		for _, v := range x.Vars {
-			if v.ID == id {
-				return x // shadowed
-			}
-		}
-		return &Sum{Vars: x.Vars, E: SubstTuple(x.E, id, repl)}
-	case *Mul:
-		fs := make([]Expr, len(x.Fs))
-		for i, f := range x.Fs {
-			fs[i] = SubstTuple(f, id, repl)
-		}
-		return &Mul{Fs: fs}
-	case *Add:
-		ts := make([]Expr, len(x.Ts))
-		for i, t := range x.Ts {
-			ts[i] = SubstTuple(t, id, repl)
-		}
-		return &Add{Ts: ts}
-	case *Const:
-		return x
-	}
-	panic(fmt.Sprintf("uexpr: SubstTuple on %T", e))
-}
-
-func substT(t Tuple, id int, repl Tuple) Tuple {
-	switch x := t.(type) {
-	case *TVar:
-		if x.ID == id {
-			return repl
-		}
-		return x
-	case *TAttr:
-		return &TAttr{Attrs: x.Attrs, T: substT(x.T, id, repl)}
-	case *TConcat:
-		return &TConcat{L: substT(x.L, id, repl), R: substT(x.R, id, repl)}
-	}
-	panic(fmt.Sprintf("uexpr: substT on %T", t))
-}
-
-func substB(b Bool, id int, repl Tuple) Bool {
-	switch x := b.(type) {
-	case *BEq:
-		return &BEq{L: substT(x.L, id, repl), R: substT(x.R, id, repl)}
-	case *BPred:
-		return &BPred{Pred: x.Pred, T: substT(x.T, id, repl)}
-	case *BIsNull:
-		return &BIsNull{T: substT(x.T, id, repl)}
-	}
-	panic(fmt.Sprintf("uexpr: substB on %T", b))
+	m := mapper{sub: map[int]Tuple{id: repl}}
+	return m.expr(e)
 }
 
 // ApplySyms replaces template symbols per the mapping throughout the
@@ -248,10 +199,16 @@ func substB(b Bool, id int, repl Tuple) Bool {
 // template.RelSyms, which dedupes after template substitution; mapping an
 // already-translated expression must reproduce that, so merging two relations
 // into one representative must collapse their scope entries.
-func ApplySyms(e Expr, m map[template.Sym]template.Sym) Expr { return symMap(m).expr(e) }
+func ApplySyms(e Expr, m map[template.Sym]template.Sym) Expr {
+	sm := mapper{sym: symMap(m).sym}
+	return sm.expr(e)
+}
 
 // ApplySymsTuple is ApplySyms for a tuple term.
-func ApplySymsTuple(t Tuple, m map[template.Sym]template.Sym) Tuple { return symMap(m).tuple(t) }
+func ApplySymsTuple(t Tuple, m map[template.Sym]template.Sym) Tuple {
+	sm := mapper{sym: symMap(m).sym}
+	return sm.arg(t)
+}
 
 type symMap map[template.Sym]template.Sym
 
@@ -260,63 +217,6 @@ func (m symMap) sym(s template.Sym) template.Sym {
 		return r
 	}
 	return s
-}
-
-func (m symMap) tuple(t Tuple) Tuple {
-	switch x := t.(type) {
-	case *TVar:
-		scope := make([]template.Sym, len(x.Scope))
-		for i, s := range x.Scope {
-			scope[i] = m.sym(s)
-		}
-		return &TVar{ID: x.ID, Scope: dedupeSyms(scope)}
-	case *TAttr:
-		return &TAttr{Attrs: m.sym(x.Attrs), T: m.tuple(x.T)}
-	case *TConcat:
-		return &TConcat{L: m.tuple(x.L), R: m.tuple(x.R)}
-	}
-	panic("unreachable")
-}
-
-func (m symMap) expr(e Expr) Expr {
-	switch x := e.(type) {
-	case *Rel:
-		return &Rel{Rel: m.sym(x.Rel), T: m.tuple(x.T)}
-	case *Bracket:
-		switch b := x.B.(type) {
-		case *BEq:
-			return &Bracket{B: &BEq{L: m.tuple(b.L), R: m.tuple(b.R)}}
-		case *BPred:
-			return &Bracket{B: &BPred{Pred: m.sym(b.Pred), T: m.tuple(b.T)}}
-		case *BIsNull:
-			return &Bracket{B: &BIsNull{T: m.tuple(b.T)}}
-		}
-	case *Not:
-		return &Not{E: m.expr(x.E)}
-	case *Squash:
-		return &Squash{E: m.expr(x.E)}
-	case *Sum:
-		vars := make([]*TVar, len(x.Vars))
-		for i, v := range x.Vars {
-			vars[i] = m.tuple(v).(*TVar)
-		}
-		return &Sum{Vars: vars, E: m.expr(x.E)}
-	case *Mul:
-		fs := make([]Expr, len(x.Fs))
-		for i, f := range x.Fs {
-			fs[i] = m.expr(f)
-		}
-		return &Mul{Fs: fs}
-	case *Add:
-		ts := make([]Expr, len(x.Ts))
-		for i, t := range x.Ts {
-			ts[i] = m.expr(t)
-		}
-		return &Add{Ts: ts}
-	case *Const:
-		return x
-	}
-	panic(fmt.Sprintf("uexpr: ApplySyms on %T", e))
 }
 
 func dedupeSyms(syms []template.Sym) []template.Sym {
@@ -328,85 +228,5 @@ func dedupeSyms(syms []template.Sym) []template.Sym {
 			out = append(out, s)
 		}
 	}
-	return out
-}
-
-// TupleVars collects the IDs of tuple variables free in the term.
-func TupleVars(t Tuple) []int {
-	var out []int
-	var rec func(t Tuple)
-	rec = func(t Tuple) {
-		switch x := t.(type) {
-		case *TVar:
-			out = append(out, x.ID)
-		case *TAttr:
-			rec(x.T)
-		case *TConcat:
-			rec(x.L)
-			rec(x.R)
-		}
-	}
-	rec(t)
-	sort.Ints(out)
-	return out
-}
-
-// FreeVars collects the IDs of tuple variables free in the expression.
-func FreeVars(e Expr) map[int]bool {
-	out := map[int]bool{}
-	var recT func(t Tuple, bound map[int]bool)
-	recT = func(t Tuple, bound map[int]bool) {
-		switch x := t.(type) {
-		case *TVar:
-			if !bound[x.ID] {
-				out[x.ID] = true
-			}
-		case *TAttr:
-			recT(x.T, bound)
-		case *TConcat:
-			recT(x.L, bound)
-			recT(x.R, bound)
-		}
-	}
-	var rec func(e Expr, bound map[int]bool)
-	rec = func(e Expr, bound map[int]bool) {
-		switch x := e.(type) {
-		case *Rel:
-			recT(x.T, bound)
-		case *Bracket:
-			switch b := x.B.(type) {
-			case *BEq:
-				recT(b.L, bound)
-				recT(b.R, bound)
-			case *BPred:
-				recT(b.T, bound)
-			case *BIsNull:
-				recT(b.T, bound)
-			}
-		case *Not:
-			rec(x.E, bound)
-		case *Squash:
-			rec(x.E, bound)
-		case *Sum:
-			inner := map[int]bool{}
-			for k := range bound {
-				inner[k] = true
-			}
-			for _, v := range x.Vars {
-				inner[v.ID] = true
-			}
-			rec(x.E, inner)
-		case *Mul:
-			for _, f := range x.Fs {
-				rec(f, bound)
-			}
-		case *Add:
-			for _, t := range x.Ts {
-				rec(t, bound)
-			}
-		case *Const:
-		}
-	}
-	rec(e, map[int]bool{})
 	return out
 }

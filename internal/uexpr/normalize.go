@@ -77,69 +77,34 @@ type SquashNF struct{ NF *NF }
 func Normalize(e Expr, env *Env) *NF {
 	n := &normalizer{env: env, freshID: maxVarID(e) + 1}
 	nf := n.norm(e)
+	canon := nf.Canon()
 	for i := 0; i < 12; i++ {
-		before := nf.canon(env)
 		nf = n.simplify(nf)
-		if nf.canon(env) == before {
+		next := nf.Canon()
+		if next == canon {
 			break
 		}
+		canon = next
 	}
 	return nf
 }
 
 func maxVarID(e Expr) int {
 	max := 0
-	var recT func(t Tuple)
-	recT = func(t Tuple) {
-		switch x := t.(type) {
-		case *TVar:
-			if x.ID > max {
-				max = x.ID
-			}
-		case *TAttr:
-			recT(x.T)
-		case *TConcat:
-			recT(x.L)
-			recT(x.R)
+	see := func(v *TVar) {
+		if v.ID > max {
+			max = v.ID
 		}
 	}
-	var rec func(e Expr)
-	rec = func(e Expr) {
-		switch x := e.(type) {
-		case *Rel:
-			recT(x.T)
-		case *Bracket:
-			switch b := x.B.(type) {
-			case *BEq:
-				recT(b.L)
-				recT(b.R)
-			case *BPred:
-				recT(b.T)
-			case *BIsNull:
-				recT(b.T)
+	m := mapper{
+		tuple: func(t Tuple) Tuple { eachVar(t, see); return t },
+		bind: func(vars []*TVar) {
+			for _, v := range vars {
+				see(v)
 			}
-		case *Not:
-			rec(x.E)
-		case *Squash:
-			rec(x.E)
-		case *Sum:
-			for _, v := range x.Vars {
-				if v.ID > max {
-					max = v.ID
-				}
-			}
-			rec(x.E)
-		case *Mul:
-			for _, f := range x.Fs {
-				rec(f)
-			}
-		case *Add:
-			for _, t := range x.Ts {
-				rec(t)
-			}
-		}
+		},
 	}
-	rec(e)
+	m.expr(e)
 	return max
 }
 
@@ -238,11 +203,11 @@ func (n *normalizer) renameApart(t *Term, other *Term) *Term {
 	for _, v := range other.Vars {
 		used[v.ID] = true
 	}
-	var ren map[int]*TVar
+	var ren map[int]Tuple
 	for _, v := range t.Vars {
 		if used[v.ID] {
 			if ren == nil {
-				ren = map[int]*TVar{}
+				ren = map[int]Tuple{}
 			}
 			if _, ok := ren[v.ID]; !ok {
 				ren[v.ID] = n.fresh(v.Scope)
@@ -255,157 +220,12 @@ func (n *normalizer) renameApart(t *Term, other *Term) *Term {
 	vars := make([]*TVar, len(t.Vars))
 	for i, v := range t.Vars {
 		if nv, ok := ren[v.ID]; ok {
-			vars[i] = nv
+			vars[i] = nv.(*TVar)
 		} else {
 			vars[i] = v
 		}
 	}
-	factors := make([]Factor, len(t.Factors))
-	for i, f := range t.Factors {
-		factors[i] = substFactorTuples(f, ren)
-	}
-	return &Term{Vars: vars, Factors: factors}
-}
-
-// substFactorTuples is substFactorTuple for a simultaneous multi-variable
-// renaming; untouched subtrees are returned as the same pointer.
-func substFactorTuples(f Factor, ren map[int]*TVar) Factor {
-	switch x := f.(type) {
-	case *Rel:
-		if u := substTuples(x.T, ren); u != x.T {
-			return &Rel{Rel: x.Rel, T: u}
-		}
-		return f
-	case *Bracket:
-		switch b := x.B.(type) {
-		case *BEq:
-			l, r := substTuples(b.L, ren), substTuples(b.R, ren)
-			if l != b.L || r != b.R {
-				return &Bracket{B: &BEq{L: l, R: r}}
-			}
-		case *BPred:
-			if u := substTuples(b.T, ren); u != b.T {
-				return &Bracket{B: &BPred{Pred: b.Pred, T: u}}
-			}
-		case *BIsNull:
-			if u := substTuples(b.T, ren); u != b.T {
-				return &Bracket{B: &BIsNull{T: u}}
-			}
-		}
-		return f
-	case *NotNF:
-		if u := substNFTuples(x.NF, ren); u != x.NF {
-			return &NotNF{NF: u}
-		}
-		return f
-	case *SquashNF:
-		if u := substNFTuples(x.NF, ren); u != x.NF {
-			return &SquashNF{NF: u}
-		}
-		return f
-	}
-	panic("unreachable")
-}
-
-func substTuples(t Tuple, ren map[int]*TVar) Tuple {
-	switch x := t.(type) {
-	case *TVar:
-		if nv, ok := ren[x.ID]; ok {
-			return nv
-		}
-		return t
-	case *TAttr:
-		if u := substTuples(x.T, ren); u != x.T {
-			return &TAttr{Attrs: x.Attrs, T: u}
-		}
-		return t
-	case *TConcat:
-		l, r := substTuples(x.L, ren), substTuples(x.R, ren)
-		if l != x.L || r != x.R {
-			return &TConcat{L: l, R: r}
-		}
-		return t
-	}
-	panic("unreachable")
-}
-
-func substNFTuples(nf *NF, ren map[int]*TVar) *NF {
-	out := make([]*Term, len(nf.Terms))
-	changed := false
-	for ti, t := range nf.Terms {
-		eff := ren
-		for _, v := range t.Vars {
-			if _, ok := eff[v.ID]; ok {
-				// A bound variable shadows part of the renaming in this term;
-				// restrict the map (matching the single-variable walker, which
-				// keeps such terms untouched for the shadowed variable).
-				eff = map[int]*TVar{}
-				for id, nv := range ren {
-					eff[id] = nv
-				}
-				for _, w := range t.Vars {
-					delete(eff, w.ID)
-				}
-				break
-			}
-		}
-		out[ti] = t
-		if len(eff) == 0 {
-			continue
-		}
-		factors := make([]Factor, len(t.Factors))
-		fchanged := false
-		for i, f := range t.Factors {
-			factors[i] = substFactorTuples(f, eff)
-			if factors[i] != f {
-				fchanged = true
-			}
-		}
-		if fchanged {
-			out[ti] = &Term{Vars: t.Vars, Factors: factors}
-			changed = true
-		}
-	}
-	if !changed {
-		return nf
-	}
-	return &NF{Terms: out}
-}
-
-func substFactorTuple(f Factor, id int, repl Tuple) Factor {
-	switch x := f.(type) {
-	case *Rel:
-		return &Rel{Rel: x.Rel, T: substT(x.T, id, repl)}
-	case *Bracket:
-		return &Bracket{B: substB(x.B, id, repl)}
-	case *NotNF:
-		return &NotNF{NF: substNFTuple(x.NF, id, repl)}
-	case *SquashNF:
-		return &SquashNF{NF: substNFTuple(x.NF, id, repl)}
-	}
-	panic("unreachable")
-}
-
-func substNFTuple(nf *NF, id int, repl Tuple) *NF {
-	out := &NF{}
-	for _, t := range nf.Terms {
-		for _, v := range t.Vars {
-			if v.ID == id {
-				// Shadowed: keep term as is.
-				out.Terms = append(out.Terms, t)
-				goto next
-			}
-		}
-		{
-			factors := make([]Factor, len(t.Factors))
-			for i, f := range t.Factors {
-				factors[i] = substFactorTuple(f, id, repl)
-			}
-			out.Terms = append(out.Terms, &Term{Vars: t.Vars, Factors: factors})
-		}
-	next:
-	}
-	return out
+	return &Term{Vars: vars, Factors: SubstFactors(t.Factors, ren)}
 }
 
 // notOf builds not(nf) with basic simplifications.
@@ -449,13 +269,9 @@ func (n *normalizer) squashOf(nf *NF) *NF {
 		}
 		// Pull factors independent of the summation variables out of the
 		// squash: ||sum_y m*g|| = ||m|| * ||sum_y g||.
-		bound := map[int]bool{}
-		for _, v := range t.Vars {
-			bound[v.ID] = true
-		}
 		var indep, dep []Factor
 		for _, f := range t.Factors {
-			if factorUsesVars(f, bound) {
+			if factorUses(f, t.Vars...) {
 				dep = append(dep, f)
 			} else {
 				indep = append(indep, f)
@@ -510,47 +326,6 @@ func allTermsConstPositive(nf *NF) bool {
 		}
 	}
 	return true
-}
-
-func factorUsesVars(f Factor, vars map[int]bool) bool {
-	used := false
-	walkFactorTuples(f, func(t Tuple) {
-		for _, id := range TupleVars(t) {
-			if vars[id] {
-				used = true
-			}
-		}
-	})
-	return used
-}
-
-func walkFactorTuples(f Factor, fn func(Tuple)) {
-	switch x := f.(type) {
-	case *Rel:
-		fn(x.T)
-	case *Bracket:
-		switch b := x.B.(type) {
-		case *BEq:
-			fn(b.L)
-			fn(b.R)
-		case *BPred:
-			fn(b.T)
-		case *BIsNull:
-			fn(b.T)
-		}
-	case *NotNF:
-		for _, t := range x.NF.Terms {
-			for _, g := range t.Factors {
-				walkFactorTuples(g, fn)
-			}
-		}
-	case *SquashNF:
-		for _, t := range x.NF.Terms {
-			for _, g := range t.Factors {
-				walkFactorTuples(g, fn)
-			}
-		}
-	}
 }
 
 // tupleString renders a tuple term for syntactic comparison.
@@ -690,23 +465,12 @@ func permute(p []int, i int, fn func([]int)) {
 	}
 }
 
-// canon renders the NF canonically (bound variables alpha-normalized).
-func (nf *NF) canon(env *Env) string { return renderNF(nf, map[int]string{}) }
-
-// Canon is the exported canonical form of a normal form.
+// Canon renders the NF canonically (bound variables alpha-normalized).
 func (nf *NF) Canon() string { return renderNF(nf, map[int]string{}) }
 
 // String renders the NF for debugging.
 func (nf *NF) String() string { return nf.Canon() }
 
-// SubstFactor replaces tuple variable id with repl in a normal-form factor.
-// Exported for the FOL translation layer.
-func SubstFactor(f Factor, id int, repl Tuple) Factor { return substFactorTuple(f, id, repl) }
-
 // FactorUsesVar reports whether the factor mentions the tuple variable.
-func FactorUsesVar(f Factor, id int) bool {
-	return factorUsesVars(f, map[int]bool{id: true})
-}
-
-// RenderFactor renders a factor canonically (for diagnostics and alignment).
-func RenderFactor(f Factor) string { return renderFactor(f, nil) }
+// Exported for the FOL translation layer.
+func FactorUsesVar(f Factor, id int) bool { return factorUses(f, &TVar{ID: id}) }

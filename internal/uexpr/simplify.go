@@ -17,7 +17,7 @@ func (n *normalizer) simplify(nf *NF) *NF {
 		}
 	}
 	for {
-		merged, ok := n.addComplementary(out)
+		merged, ok := n.mergeComplementary(out, false)
 		if !ok {
 			break
 		}
@@ -43,7 +43,7 @@ func (n *normalizer) simplifyTerm(t *Term) (*Term, bool) {
 		case *SquashNF:
 			inner := n.unwrapInnerSquash(n.simplify(x.NF))
 			for {
-				merged, ok := n.squashComplementary(inner)
+				merged, ok := n.mergeComplementary(inner, true)
 				if !ok {
 					break
 				}
@@ -172,13 +172,8 @@ func (n *normalizer) elimEquality(t *Term) (*Term, bool) {
 		}
 		try := func(v Tuple, other Tuple) (*Term, bool) {
 			tv, isVar := v.(*TVar)
-			if !isVar || !bound[tv.ID] {
+			if !isVar || !bound[tv.ID] || mentions(other, tv) {
 				return nil, false
-			}
-			for _, id := range TupleVars(other) {
-				if id == tv.ID {
-					return nil, false
-				}
 			}
 			// Remove the factor, drop the var, substitute everywhere.
 			nt := &Term{}
@@ -187,11 +182,11 @@ func (n *normalizer) elimEquality(t *Term) (*Term, bool) {
 					nt.Vars = append(nt.Vars, w)
 				}
 			}
+			sub := mapper{sub: map[int]Tuple{tv.ID: other}}
 			for fj, g := range t.Factors {
-				if fj == fi {
-					continue
+				if fj != fi {
+					nt.Factors = append(nt.Factors, sub.factor(g))
 				}
-				nt.Factors = append(nt.Factors, substFactorTuple(g, tv.ID, other))
 			}
 			return nt, true
 		}
@@ -209,47 +204,36 @@ func (n *normalizer) elimEquality(t *Term) (*Term, bool) {
 // knows which side supplies a's attributes (SubAttrs(a, a_r)), and
 // a_r(x.y) to the component whose scope is exactly {r}.
 func (n *normalizer) resolveConcatAttrs(t *Term) (*Term, bool) {
-	changed := false
-	mapTuple := func(tt Tuple) Tuple { return n.resolveTuple(tt, &changed) }
-	nt := &Term{Vars: t.Vars}
-	for _, f := range t.Factors {
-		nt.Factors = append(nt.Factors, mapFactorTuples(f, mapTuple))
-	}
-	if changed {
-		return nt, true
-	}
-	return nil, false
+	return mapTerm(t, n.resolveTuple)
 }
 
-func (n *normalizer) resolveTuple(tt Tuple, changed *bool) Tuple {
-	switch x := tt.(type) {
-	case *TVar:
-		return x
-	case *TConcat:
-		return &TConcat{L: n.resolveTuple(x.L, changed), R: n.resolveTuple(x.R, changed)}
-	case *TAttr:
-		inner := n.resolveTuple(x.T, changed)
-		if cc, ok := inner.(*TConcat); ok {
-			var sources map[template.Sym]bool
-			if x.Attrs.Kind == template.KAttrsOf {
-				sources = map[template.Sym]bool{{Kind: template.KRel, ID: x.Attrs.ID}: true}
-			} else {
-				sources = n.env.AttrSource[x.Attrs]
-			}
-			if len(sources) > 0 {
-				if side, ok := pickSide(cc, sources); ok {
-					*changed = true
-					if x.Attrs.Kind == template.KAttrsOf && scopeExactly(side, sources) {
-						// a_r(x) where x ranges exactly over r: identity.
-						return side
-					}
-					return n.resolveTuple(&TAttr{Attrs: x.Attrs, T: side}, changed)
-				}
-			}
-		}
-		return &TAttr{Attrs: x.Attrs, T: inner}
+func (n *normalizer) resolveTuple(tt Tuple) Tuple {
+	tt = mapTuple(tt, n.resolveTuple, nil)
+	x, ok := tt.(*TAttr)
+	if !ok {
+		return tt
 	}
-	panic("unreachable")
+	cc, ok := x.T.(*TConcat)
+	if !ok {
+		return tt
+	}
+	var sources map[template.Sym]bool
+	if x.Attrs.Kind == template.KAttrsOf {
+		sources = map[template.Sym]bool{{Kind: template.KRel, ID: x.Attrs.ID}: true}
+	} else {
+		sources = n.env.AttrSource[x.Attrs]
+	}
+	if len(sources) == 0 {
+		return tt
+	}
+	side, ok := pickSide(cc, sources)
+	if !ok {
+		return tt
+	}
+	if x.Attrs.Kind == template.KAttrsOf && scopeExactly(side, sources) {
+		return side // a_r(x) where x ranges exactly over r: identity.
+	}
+	return n.resolveTuple(&TAttr{Attrs: x.Attrs, T: side})
 }
 
 // pickSide chooses the concat component whose scope covers all source
@@ -271,14 +255,14 @@ func pickSide(cc *TConcat, sources map[template.Sym]bool) (Tuple, bool) {
 	return nil, false
 }
 
+// tupleScope lists the relations the components of a concatenation range
+// over; an attribute projection has none.
 func tupleScope(t Tuple) []template.Sym {
 	switch x := t.(type) {
 	case *TVar:
 		return x.Scope
 	case *TConcat:
 		return append(append([]template.Sym{}, tupleScope(x.L)...), tupleScope(x.R)...)
-	case *TAttr:
-		return nil
 	}
 	return nil
 }
@@ -311,39 +295,6 @@ func scopeExactly(t Tuple, sources map[template.Sym]bool) bool {
 		}
 	}
 	return true
-}
-
-func mapFactorTuples(f Factor, fn func(Tuple) Tuple) Factor {
-	switch x := f.(type) {
-	case *Rel:
-		return &Rel{Rel: x.Rel, T: fn(x.T)}
-	case *Bracket:
-		switch b := x.B.(type) {
-		case *BEq:
-			return &Bracket{B: &BEq{L: fn(b.L), R: fn(b.R)}}
-		case *BPred:
-			return &Bracket{B: &BPred{Pred: b.Pred, T: fn(b.T)}}
-		case *BIsNull:
-			return &Bracket{B: &BIsNull{T: fn(b.T)}}
-		}
-	case *NotNF:
-		return &NotNF{NF: mapNFTuples(x.NF, fn)}
-	case *SquashNF:
-		return &SquashNF{NF: mapNFTuples(x.NF, fn)}
-	}
-	panic("unreachable")
-}
-
-func mapNFTuples(nf *NF, fn func(Tuple) Tuple) *NF {
-	out := &NF{}
-	for _, t := range nf.Terms {
-		nt := &Term{Vars: t.Vars}
-		for _, f := range t.Factors {
-			nt.Factors = append(nt.Factors, mapFactorTuples(f, fn))
-		}
-		out.Terms = append(out.Terms, nt)
-	}
-	return out
 }
 
 // dropTrivialBrackets removes [x = x] factors.
@@ -472,13 +423,7 @@ func matchKeyedSumOpt(nf *NF, allowExtra bool) (*keyedSum, bool) {
 		case *Bracket:
 			if eq, ok := x.B.(*BEq); ok && !foundEq {
 				if attr, tau, ok2 := splitKeyEq(eq, y.ID); ok2 {
-					usesY := false
-					for _, id := range TupleVars(tau) {
-						if id == y.ID {
-							usesY = true
-						}
-					}
-					if !usesY {
+					if !mentions(tau, y) {
 						ks.attrs = attr
 						ks.tau = tau
 						foundEq = true
@@ -491,7 +436,7 @@ func matchKeyedSumOpt(nf *NF, allowExtra bool) (*keyedSum, bool) {
 			}
 			ks.extra = append(ks.extra, f)
 		case *NotNF, *SquashNF:
-			if !allowExtra && factorUsesVars(f, map[int]bool{y.ID: true}) {
+			if !allowExtra && factorUses(f, y) {
 				return nil, false
 			}
 			if _, isSquash := f.(*SquashNF); isSquash && !allowExtra {
@@ -647,7 +592,7 @@ func (n *normalizer) elimIsNullVar(t *Term) (*Term, bool) {
 		occurrences := 0
 		isNullIdx := -1
 		for fi, f := range t.Factors {
-			if factorUsesVars(f, map[int]bool{v.ID: true}) {
+			if factorUses(f, v) {
 				occurrences++
 				if br, ok := f.(*Bracket); ok {
 					if isn, ok := br.B.(*BIsNull); ok {

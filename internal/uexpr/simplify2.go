@@ -88,12 +88,9 @@ func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 			chains = append(chains, &Bracket{B: &BEq{L: c.members[i], R: c.members[i+1]}})
 		}
 	}
-	changed := false
-	rewrite := func(tt Tuple) Tuple { return rewriteTuple(tt, rep, &changed) }
-	nt := &Term{Vars: t.Vars, Factors: chains}
-	for _, f := range rest {
-		nt.Factors = append(nt.Factors, mapFactorTuples(f, rewrite))
-	}
+	m := mapper{tuple: func(tt Tuple) Tuple { return rewriteTuple(tt, rep) }}
+	mapped, _ := m.factors(rest)
+	nt := &Term{Vars: t.Vars, Factors: append(chains, mapped...)}
 	// Only report a change when the resulting factor multiset differs, to
 	// guarantee termination of the rewrite loop.
 	if renderTermFixed(nt, map[int]string{}) == renderTermFixed(t, map[int]string{}) {
@@ -106,33 +103,17 @@ func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 // x.(y.z) becomes (x.y).z. Concatenation is associative on rows, so this is
 // an identity; it aligns the join-association rule's two sides.
 func (n *normalizer) flattenConcats(t *Term) (*Term, bool) {
-	changed := false
 	var flat func(tt Tuple) Tuple
 	flat = func(tt Tuple) Tuple {
-		switch x := tt.(type) {
-		case *TVar:
-			return x
-		case *TAttr:
-			return &TAttr{Attrs: x.Attrs, T: flat(x.T)}
-		case *TConcat:
-			l := flat(x.L)
-			r := flat(x.R)
-			if rc, ok := r.(*TConcat); ok {
-				changed = true
-				return flat(&TConcat{L: &TConcat{L: l, R: rc.L}, R: rc.R})
+		tt = mapTuple(tt, flat, nil)
+		if c, ok := tt.(*TConcat); ok {
+			if rc, ok := c.R.(*TConcat); ok {
+				return flat(&TConcat{L: &TConcat{L: c.L, R: rc.L}, R: rc.R})
 			}
-			return &TConcat{L: l, R: r}
 		}
-		panic("unreachable")
+		return tt
 	}
-	nt := &Term{Vars: t.Vars}
-	for _, f := range t.Factors {
-		nt.Factors = append(nt.Factors, mapFactorTuples(f, flat))
-	}
-	if !changed {
-		return nil, false
-	}
-	return nt, true
+	return mapTerm(t, flat)
 }
 
 // unwrapInnerSquash inlines ||g|| factors when the term lives inside an
@@ -171,77 +152,41 @@ func (n *normalizer) unwrapInnerSquash(nf *NF) *NF {
 	return out
 }
 
-// rewriteTuple replaces maximal subterms found in rep, bottom-up, to a
+// rewriteTuple replaces maximal subterms found in rep, top-down, to a
 // fixpoint bounded by the term depth.
-func rewriteTuple(tt Tuple, rep map[string]Tuple, changed *bool) Tuple {
-	for i := 0; i < 8; i++ {
-		next, c := rewriteTupleOnce(tt, rep)
-		if !c {
-			return tt
+func rewriteTuple(tt Tuple, rep map[string]Tuple) Tuple {
+	var once func(tt Tuple) Tuple
+	once = func(tt Tuple) Tuple {
+		if r, ok := rep[tupleString(tt)]; ok {
+			return r
 		}
-		*changed = true
+		return mapTuple(tt, once, nil)
+	}
+	for i := 0; i < 8; i++ {
+		next := once(tt)
+		if next == tt {
+			break
+		}
 		tt = next
 	}
 	return tt
 }
 
-func rewriteTupleOnce(tt Tuple, rep map[string]Tuple) (Tuple, bool) {
-	if r, ok := rep[tupleString(tt)]; ok {
-		return r, true
-	}
-	switch x := tt.(type) {
-	case *TVar:
-		return x, false
-	case *TAttr:
-		inner, c := rewriteTupleOnce(x.T, rep)
-		if c {
-			return &TAttr{Attrs: x.Attrs, T: inner}, true
-		}
-		return x, false
-	case *TConcat:
-		l, cl := rewriteTupleOnce(x.L, rep)
-		r, cr := rewriteTupleOnce(x.R, rep)
-		if cl || cr {
-			return &TConcat{L: l, R: r}, true
-		}
-		return x, false
-	}
-	panic("unreachable")
-}
-
 // subAttrsCompose applies a1(a2(t)) = a1(t) for SubAttrs(a1, a2) (Table 4).
 func (n *normalizer) subAttrsCompose(t *Term) (*Term, bool) {
-	changed := false
-	fn := func(tt Tuple) Tuple { return n.composeTuple(tt, &changed) }
-	nt := &Term{Vars: t.Vars}
-	for _, f := range t.Factors {
-		nt.Factors = append(nt.Factors, mapFactorTuples(f, fn))
-	}
-	if !changed {
-		return nil, false
-	}
-	return nt, true
+	return mapTerm(t, n.composeTuple)
 }
 
-func (n *normalizer) composeTuple(tt Tuple, changed *bool) Tuple {
-	switch x := tt.(type) {
-	case *TVar:
-		return x
-	case *TConcat:
-		return &TConcat{L: n.composeTuple(x.L, changed), R: n.composeTuple(x.R, changed)}
-	case *TAttr:
-		inner := n.composeTuple(x.T, changed)
-		if ia, ok := inner.(*TAttr); ok {
-			// Projection is idempotent: a(a(t)) = a(t), and composable when
-			// SubAttrs(a1, a2) holds.
-			if x.Attrs == ia.Attrs || n.env.SubPairs[[2]template.Sym{x.Attrs, ia.Attrs}] {
-				*changed = true
-				return n.composeTuple(&TAttr{Attrs: x.Attrs, T: ia.T}, changed)
-			}
+func (n *normalizer) composeTuple(tt Tuple) Tuple {
+	tt = mapTuple(tt, n.composeTuple, nil)
+	if x, ok := tt.(*TAttr); ok {
+		// Projection is idempotent: a(a(t)) = a(t), and composable when
+		// SubAttrs(a1, a2) holds.
+		if ia, ok := x.T.(*TAttr); ok && (x.Attrs == ia.Attrs || n.env.SubPairs[[2]template.Sym{x.Attrs, ia.Attrs}]) {
+			return n.composeTuple(&TAttr{Attrs: x.Attrs, T: ia.T})
 		}
-		return &TAttr{Attrs: x.Attrs, T: inner}
 	}
-	panic("unreachable")
+	return tt
 }
 
 // existsWitness reports whether a keyed sum sum_y r2(y)*[a2(y)=tau] is
@@ -283,7 +228,7 @@ func (n *normalizer) elimKeyedVar(t *Term) (*Term, bool) {
 		extraUse := false
 		var ks keyedSum
 		for fi, f := range t.Factors {
-			if !factorUsesVars(f, map[int]bool{v.ID: true}) {
+			if !factorUses(f, v) {
 				continue
 			}
 			switch x := f.(type) {
@@ -297,13 +242,7 @@ func (n *normalizer) elimKeyedVar(t *Term) (*Term, bool) {
 			case *Bracket:
 				if eq, ok := x.B.(*BEq); ok && eqIdx < 0 {
 					if attrs, tau, ok := splitKeyEq(eq, v.ID); ok {
-						usesV := false
-						for _, id := range TupleVars(tau) {
-							if id == v.ID {
-								usesV = true
-							}
-						}
-						if !usesV {
+						if !mentions(tau, v) {
 							eqIdx = fi
 							ks.attrs = attrs
 							ks.tau = tau
@@ -322,8 +261,8 @@ func (n *normalizer) elimKeyedVar(t *Term) (*Term, bool) {
 		if !n.env.UniqueKey[[2]template.Sym{ks.rel, ks.attrs}] {
 			continue
 		}
-		probe := &Term{Vars: t.Vars, Factors: t.Factors}
-		if !n.existsWitnessForPair(probe, relIdx, eqIdx, &ks) {
+		// r2(v) cannot witness: tau does not mention v.
+		if !n.existsWitness(t, eqIdx, &ks) {
 			continue
 		}
 		// Remove v, the Rel factor and the equality factor.
@@ -341,36 +280,6 @@ func (n *normalizer) elimKeyedVar(t *Term) (*Term, bool) {
 		return nt, true
 	}
 	return nil, false
-}
-
-func (n *normalizer) existsWitnessForPair(t *Term, relIdx, eqIdx int, ks *keyedSum) bool {
-	a1v, ok := ks.tau.(*TAttr)
-	if !ok {
-		return false
-	}
-	arg := tupleString(a1v.T)
-	for fi, f := range t.Factors {
-		if fi == relIdx {
-			continue
-		}
-		r, ok := f.(*Rel)
-		if !ok || tupleString(r.T) != arg {
-			continue
-		}
-		r1 := r.Rel
-		reflexive := r1 == ks.rel && a1v.Attrs == ks.attrs
-		ref := n.env.Ref[[4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}]
-		if !reflexive && !ref {
-			continue
-		}
-		if reflexive {
-			return true
-		}
-		if n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}] || termGuardsNotNull(t, eqIdx, a1v) {
-			return true
-		}
-	}
-	return false
 }
 
 // uniqueRowCollapse applies the second conjunct of Unique(r, a): two rows of
@@ -402,29 +311,21 @@ func (n *normalizer) uniqueRowCollapse(t *Term) (*Term, bool) {
 			if !bound[y.ID] {
 				return nil, false
 			}
-			var relSym template.Sym
 			found := false
 			for _, rf := range relFactors(t)[tupleString(y)] {
 				for _, rx := range relFactors(t)[tupleString(x)] {
-					if rf == rx && n.env.UniqueKey[[2]template.Sym{rf, la.Attrs}] {
-						relSym = rf
-						found = true
-					}
+					found = found || rf == rx && n.env.UniqueKey[[2]template.Sym{rf, la.Attrs}]
 				}
 			}
 			if !found {
 				return nil, false
 			}
-			_ = relSym
 			// Substitute y := x everywhere, drop y.
-			nt := &Term{}
+			nt := &Term{Factors: SubstFactors(t.Factors, map[int]Tuple{y.ID: x})}
 			for _, w := range t.Vars {
 				if w.ID != y.ID {
 					nt.Vars = append(nt.Vars, w)
 				}
-			}
-			for _, g := range t.Factors {
-				nt.Factors = append(nt.Factors, substFactorTuple(g, y.ID, x))
 			}
 			return nt, true
 		}
@@ -456,11 +357,14 @@ func (n *normalizer) dedupUniqueRel(t *Term) (*Term, bool) {
 	return nil, false
 }
 
-// addComplementary merges term pairs C * M and C * not(M) into C when M is a
-// keyed sum bounded by 1 (Unique): M + not(M) = 1. This eliminates the
-// padding arm left by an OUTER JOIN whose right side is keyed (§5.1.1,
-// rules 11-14 of Table 7).
-func (n *normalizer) addComplementary(nf *NF) (*NF, bool) {
+// mergeComplementary merges term pairs C * M and C * not(M) into C, where M
+// is a keyed sum whose inlined form C * M appears as a term: M + not(M) = 1
+// when Unique bounds M by 1. This eliminates the padding arm left by an OUTER
+// JOIN whose right side is keyed (§5.1.1, rules 11-14 of Table 7). Inside a
+// squash (squashed) no Unique is needed: M + not(M) >= 1 always and only the
+// support matters, so ||sum C*M + sum C*not(M)|| = ||sum C|| — OUTER JOIN
+// padding under Dedup (rules 13/14).
+func (n *normalizer) mergeComplementary(nf *NF, squashed bool) (*NF, bool) {
 	for i, tNeg := range nf.Terms {
 		for fi, f := range tNeg.Factors {
 			notF, ok := f.(*NotNF)
@@ -468,7 +372,7 @@ func (n *normalizer) addComplementary(nf *NF) (*NF, bool) {
 				continue
 			}
 			ks, ok := matchKeyedSum(notF.NF)
-			if !ok || !n.env.UniqueKey[[2]template.Sym{ks.rel, ks.attrs}] {
+			if !ok || !squashed && !n.env.UniqueKey[[2]template.Sym{ks.rel, ks.attrs}] {
 				continue
 			}
 			// Candidate merged term: tNeg without the not(...) factor.
@@ -503,50 +407,6 @@ func (n *normalizer) addComplementary(nf *NF) (*NF, bool) {
 	return nil, false
 }
 
-// squashComplementary merges C*M-inlined and C*not(M) term pairs inside a
-// squashed NF, with no Unique requirement: M + not(M) >= 1 always, and under
-// a squash only the support matters, so ||sum C*M + sum C*not(M)|| =
-// ||sum C||. This eliminates OUTER JOIN padding under Dedup (rules 13/14).
-func (n *normalizer) squashComplementary(nf *NF) (*NF, bool) {
-	for i, tNeg := range nf.Terms {
-		for fi, f := range tNeg.Factors {
-			notF, ok := f.(*NotNF)
-			if !ok {
-				continue
-			}
-			ks, ok := matchKeyedSum(notF.NF)
-			if !ok {
-				continue
-			}
-			merged := removeFactor(tNeg, fi)
-			inline := &Term{Vars: []*TVar{ks.v}, Factors: ks.term.Factors}
-			inline = n.renameApart(inline, merged)
-			positive := &Term{
-				Vars:    append(append([]*TVar{}, merged.Vars...), inline.Vars...),
-				Factors: append(append([]Factor{}, merged.Factors...), inline.Factors...),
-			}
-			posCanon := renderTermFixed(n.termSimplified(positive), map[int]string{})
-			for j, tPos := range nf.Terms {
-				if j == i {
-					continue
-				}
-				if renderTermFixed(n.termSimplified(tPos), map[int]string{}) != posCanon {
-					continue
-				}
-				out := &NF{}
-				for k, tk := range nf.Terms {
-					if k != i && k != j {
-						out.Terms = append(out.Terms, tk)
-					}
-				}
-				out.Terms = append(out.Terms, merged)
-				return out, true
-			}
-		}
-	}
-	return nil, false
-}
-
 // termSimplified runs the per-term simplification pipeline on a copy, for
 // comparison purposes.
 func (n *normalizer) termSimplified(t *Term) *Term {
@@ -555,19 +415,4 @@ func (n *normalizer) termSimplified(t *Term) *Term {
 		return &Term{Factors: []Factor{&Bracket{B: &BIsNull{T: &TVar{ID: -1}}}}} // sentinel, never matches
 	}
 	return t2
-}
-
-// sortedSymKeys is a helper for deterministic debugging output.
-func sortedSymKeys(m map[template.Sym]bool) []template.Sym {
-	out := make([]template.Sym, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Kind != out[j].Kind {
-			return out[i].Kind < out[j].Kind
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out
 }

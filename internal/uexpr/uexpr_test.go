@@ -297,17 +297,23 @@ func TestSubstTupleShadowing(t *testing.T) {
 	if got.(*Sum).E.(*Rel).T.(*TVar).ID != 1 {
 		t.Fatal("bound variable must not be substituted")
 	}
-}
 
-func TestFreeVars(t *testing.T) {
-	v0, v1 := &TVar{ID: 0}, &TVar{ID: 1}
-	e := &Mul{Fs: []Expr{
-		&Rel{Rel: r(0), T: v0},
-		&Sum{Vars: []*TVar{v1}, E: &Rel{Rel: r(1), T: v1}},
-	}}
-	fv := FreeVars(e)
-	if !fv[0] || fv[1] {
-		t.Fatalf("free vars = %v, want {0}", fv)
+	// A Term inside a NotNF that rebinds v keeps v, and only v: a
+	// simultaneous substitution still replaces the other variables there.
+	w := &TVar{ID: 2}
+	inner := &NF{Terms: []*Term{{Vars: []*TVar{v}, Factors: []Factor{
+		&Rel{Rel: r(0), T: v},
+		&Bracket{B: &BEq{L: &TAttr{Attrs: a(0), T: v}, R: &TAttr{Attrs: a(0), T: w}}},
+	}}}}
+	fs := []Factor{&Rel{Rel: r(1), T: v}, &NotNF{NF: inner}}
+	out := SubstFactors(fs, map[int]Tuple{1: &TVar{ID: 8}, 2: &TVar{ID: 9}})
+	want := "(not(sum{s0}([a0(s0) = a0(t9)] * r0(s0))) * r1(t8))"
+	if got := renderTermWith(&Term{Factors: out}, nil); got != want {
+		t.Errorf("Term binder: got %s, want %s", got, want)
+	}
+	only := SubstFactors(fs[1:], map[int]Tuple{1: &TVar{ID: 8}})
+	if only[0] != fs[1] {
+		t.Error("a substitution of a rebound variable alone must leave the term as it is")
 	}
 }
 

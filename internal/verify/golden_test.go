@@ -2,14 +2,18 @@ package verify
 
 import (
 	"bufio"
+	"crypto/sha256"
+	"encoding/hex"
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
 	"wetune/internal/constraint"
+	"wetune/internal/rules"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 )
@@ -102,16 +106,7 @@ func readProofGolden(t *testing.T) []goldenPair {
 // the node budget; the others only prepare their closure, so later calls
 // find the context in the recorded state.
 func TestSize2ProofSearchGolden(t *testing.T) {
-	byName := map[string][2]*template.Node{}
-	ts := template.Enumerate(template.EnumOptions{MaxSize: 2})
-	for _, src := range ts {
-		for _, dest := range ts {
-			if dest.NotMoreOpsThan(src) {
-				renamed := template.RenameApart(src, dest)
-				byName[src.String()+" => "+renamed.String()] = [2]*template.Node{src, renamed}
-			}
-		}
-	}
+	byName := size2Pairs()
 	opts := DefaultOptions()
 	opts.SMT.MaxNodes = 20000
 	if raceEnabled || *updateGolden {
@@ -161,6 +156,81 @@ func TestSize2ProofSearchGolden(t *testing.T) {
 	}
 	if *updateGolden && !t.Failed() {
 		writeProofGolden(t, replayed)
+	}
+}
+
+// size2Pairs indexes the size-2 template pairs by the name the table gives them.
+func size2Pairs() map[string][2]*template.Node {
+	byName := map[string][2]*template.Node{}
+	ts := template.Enumerate(template.EnumOptions{MaxSize: 2})
+	for _, src := range ts {
+		for _, dest := range ts {
+			if dest.NotMoreOpsThan(src) {
+				renamed := template.RenameApart(src, dest)
+				byName[src.String()+" => "+renamed.String()] = [2]*template.Node{src, renamed}
+			}
+		}
+	}
+	return byName
+}
+
+// size2NormalFormsSHA256 pins the normalizer's output: the canonical normal
+// forms of both sides of every closure the size-2 replay prepares and of the
+// 35 Table 7 rules. It was recorded before the U-expression traversal was
+// unified; together with the proof table (which depends on factor order
+// through the FOL formulas) it pins both canon text and factor order.
+const size2NormalFormsSHA256 = "eef6814ad004c1cac29028f1ff8a4249e7c33d2d0e4f254dfb874bc67e22b0e2"
+
+// TestSize2NormalFormsGolden prepares every closure the size-2 replay probes
+// (the same PairContext.entry sequence, without the solver) and hashes each
+// pair's memo in table order, entries sorted by closure key, followed by the
+// Table 7 rules' normal forms under their own constraints.
+func TestSize2NormalFormsGolden(t *testing.T) {
+	byName := size2Pairs()
+	h := sha256.New()
+	entries := 0
+	for _, gp := range readProofGolden(t) {
+		p, ok := byName[gp.name]
+		if !ok {
+			t.Fatalf("golden pair %q is not a size-2 pair", gp.name)
+		}
+		pc := NewPairContext(p[0], p[1])
+		if pc.terr != nil {
+			t.Fatalf("golden pair %q does not translate: %v", gp.name, pc.terr)
+		}
+		cstar := constraint.Enumerate(p[0], p[1]).Items()
+		for _, gc := range gp.calls {
+			items := make([]constraint.C, len(gc.items))
+			for i, idx := range gc.items {
+				items[i] = cstar[idx]
+			}
+			pc.entry(constraint.NewSet(items...))
+		}
+		keys := make([]string, 0, len(pc.memo))
+		for key := range pc.memo {
+			keys = append(keys, key)
+		}
+		sort.Strings(keys)
+		entries += len(keys)
+		fmt.Fprintf(h, "pair %s\n", gp.name)
+		for _, key := range keys {
+			e := pc.memo[key]
+			fmt.Fprintf(h, "%s\n%s\n%s\n", key, e.ns.Canon(), e.nd.Canon())
+		}
+	}
+	for _, r := range rules.Table7() {
+		fmt.Fprintf(h, "rule %d\n", r.No)
+		pc := NewPairContext(r.Src, r.Dest)
+		if pc.terr != nil {
+			fmt.Fprintf(h, "unsupported\n")
+			continue
+		}
+		e := pc.entry(r.Constraints)
+		fmt.Fprintf(h, "%s\n%s\n", e.ns.Canon(), e.nd.Canon())
+	}
+	t.Logf("%d size-2 closures", entries)
+	if got := hex.EncodeToString(h.Sum(nil)); got != size2NormalFormsSHA256 {
+		t.Errorf("normal forms hash %s, want %s", got, size2NormalFormsSHA256)
 	}
 }
 
