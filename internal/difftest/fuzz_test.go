@@ -89,6 +89,7 @@ func FuzzParserPrinter(f *testing.F) {
 	f.Add("SELECT \xdc()")
 	f.Add("SELECT 'abc")
 	f.Add("SELECT 'it''s'")
+	f.Add("SELECT * FROM t WHERE a = -9223372036854775808")
 	f.Fuzz(func(t *testing.T, query string) {
 		stmt, err := sql.Parse(query)
 		if err != nil {

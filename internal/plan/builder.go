@@ -12,6 +12,7 @@ import (
 // the shape the paper's templates are defined over.
 func Build(stmt *sql.SelectStmt, schema *sql.Schema) (Node, error) {
 	b := &builder{schema: schema}
+	b.sizeSlab(stmt)
 	return b.buildSelect(stmt, nil)
 }
 
@@ -38,11 +39,89 @@ func BuildSQL(query string, schema *sql.Schema) (Node, error) {
 // execution time).
 func BuildCorrelated(stmt *sql.SelectStmt, schema *sql.Schema, outer []ColRef) (Node, error) {
 	b := &builder{schema: schema}
+	b.sizeSlab(stmt)
 	return b.buildSelect(stmt, &scope{cols: outer})
 }
 
 type builder struct {
 	schema *sql.Schema
+	// slab holds, in one allocation per Build, the column lists of the scans
+	// and the resolved column references (a *ColRef converts to a
+	// *sql.ColumnRef: the two structs are the same). Past its end each is
+	// allocated on its own.
+	slab []ColRef
+}
+
+// sizeSlab sizes the slab for stmt and the statements Build lowers with it.
+// The count is exact but for two cases: a correlated IN subquery, which stays
+// inside its predicate, is counted as if it were lowered, and a star beside
+// other items is expanded outside the slab.
+func (b *builder) sizeSlab(stmt *sql.SelectStmt) {
+	b.slab = make([]ColRef, b.count(stmt))
+}
+
+// count returns the number of columns the tables of s scan plus the number
+// of column references its clauses hold, and the same for the statements
+// nested in it that become plan operators: derived tables, UNION arms and
+// IN subqueries.
+func (b *builder) count(s *sql.SelectStmt) int {
+	if s.SetOp != "" {
+		return b.count(s.SetLeft) + b.count(s.SetRight)
+	}
+	n := 0
+	refs := func(e sql.Expr) {
+		sql.WalkExprs(e, func(e sql.Expr) bool {
+			switch x := e.(type) {
+			case *sql.ColumnRef:
+				n++
+			case *sql.InSubquery:
+				if !x.Negated {
+					n += b.count(x.Select)
+				}
+				return false // the tested expression is not resolved either way
+			}
+			return true
+		})
+	}
+	var from func(t sql.TableExpr)
+	from = func(t sql.TableExpr) {
+		switch x := t.(type) {
+		case *sql.TableName:
+			if def, ok := b.schema.Table(x.Name); ok {
+				n += len(def.Columns)
+			}
+		case *sql.JoinExpr:
+			from(x.Left)
+			from(x.Rite)
+			refs(x.On)
+		case *sql.SubqueryTable:
+			n += b.count(x.Select)
+		}
+	}
+	for _, it := range s.Items {
+		refs(it.Expr)
+	}
+	from(s.From)
+	refs(s.Where)
+	refs(s.Having)
+	return n
+}
+
+// take returns n columns from the slab.
+func (b *builder) take(n int) []ColRef {
+	if len(b.slab) < n {
+		return make([]ColRef, n)
+	}
+	cols := b.slab[:n:n]
+	b.slab = b.slab[n:]
+	return cols
+}
+
+// column returns a resolved column reference from the slab.
+func (b *builder) column(c ColRef) *sql.ColumnRef {
+	r := &b.take(1)[0]
+	*r = c
+	return (*sql.ColumnRef)(r)
 }
 
 // scope tracks the columns visible at the current query level, plus the
@@ -54,20 +133,18 @@ type scope struct {
 
 func (s *scope) resolve(table, column string) (ColRef, bool, error) {
 	for sc := s; sc != nil; sc = sc.outer {
-		var matches []ColRef
+		var match ColRef
+		matches := 0
 		for _, c := range sc.cols {
-			if c.Column != column {
-				continue
+			if c.Column == column && (table == "" || c.Table == table) {
+				match = c
+				matches++
 			}
-			if table != "" && c.Table != table {
-				continue
-			}
-			matches = append(matches, c)
 		}
-		if len(matches) == 1 {
-			return matches[0], true, nil
+		if matches == 1 {
+			return match, true, nil
 		}
-		if len(matches) > 1 {
+		if matches > 1 {
 			return ColRef{}, false, fmt.Errorf("plan: ambiguous column %s", ColRef{Table: table, Column: column})
 		}
 	}
@@ -88,7 +165,7 @@ func (b *builder) buildSelect(stmt *sql.SelectStmt, outer *scope) (Node, error) 
 			return nil, fmt.Errorf("plan: UNION arms have %d vs %d columns", len(l.OutCols()), len(r.OutCols()))
 		}
 		var n Node = &Union{All: stmt.SetOp == "UNION ALL", L: l, R: r}
-		return b.finishOrderLimit(n, stmt, &scope{cols: n.OutCols(), outer: outer})
+		return b.finishOrderLimit(n, stmt, outer)
 	}
 
 	var root Node
@@ -101,16 +178,18 @@ func (b *builder) buildSelect(stmt *sql.SelectStmt, outer *scope) (Node, error) 
 	} else {
 		return nil, fmt.Errorf("plan: SELECT without FROM is not supported")
 	}
+	// Sel and InSub output their input's columns, so one scope serves the
+	// WHERE clause and the clauses over it.
 	sc := &scope{cols: root.OutCols(), outer: outer}
 
 	// WHERE: stack one operator per conjunct, in source order.
-	for _, conj := range sql.SplitConjuncts(stmt.Where) {
+	var conjBuf [8]sql.Expr
+	for _, conj := range sql.AppendConjuncts(conjBuf[:0], stmt.Where) {
 		node, err := b.buildFilter(root, conj, sc)
 		if err != nil {
 			return nil, err
 		}
 		root = node
-		sc = &scope{cols: root.OutCols(), outer: outer}
 	}
 
 	hasAgg := len(stmt.GroupBy) > 0 || stmt.Having != nil
@@ -137,11 +216,14 @@ func (b *builder) buildSelect(stmt *sql.SelectStmt, outer *scope) (Node, error) 
 	if stmt.Distinct {
 		root = &Dedup{In: root}
 	}
-	return b.finishOrderLimit(root, stmt, &scope{cols: root.OutCols(), outer: outer})
+	return b.finishOrderLimit(root, stmt, outer)
 }
 
-func (b *builder) finishOrderLimit(root Node, stmt *sql.SelectStmt, sc *scope) (Node, error) {
+// finishOrderLimit adds the ORDER BY and LIMIT of stmt over root, whose
+// columns the keys resolve against, before outer's.
+func (b *builder) finishOrderLimit(root Node, stmt *sql.SelectStmt, outer *scope) (Node, error) {
 	if len(stmt.OrderBy) > 0 {
+		sc := &scope{cols: root.OutCols(), outer: outer}
 		keys := make([]SortKey, 0, len(stmt.OrderBy))
 		for _, o := range stmt.OrderBy {
 			cr, ok := o.Expr.(*sql.ColumnRef)
@@ -176,7 +258,11 @@ func (b *builder) finishOrderLimit(root Node, stmt *sql.SelectStmt, sc *scope) (
 func (b *builder) buildFrom(t sql.TableExpr, outer *scope) (Node, error) {
 	switch x := t.(type) {
 	case *sql.TableName:
-		return NewScan(b.schema, x.Name, x.Binding())
+		def, err := tableDef(b.schema, x.Name)
+		if err != nil {
+			return nil, err
+		}
+		return newScan(def, x.Name, x.Binding(), b.take(len(def.Columns))), nil
 	case *sql.JoinExpr:
 		l, err := b.buildFrom(x.Left, outer)
 		if err != nil {
@@ -271,14 +357,14 @@ func (b *builder) correlated(sub *sql.SelectStmt, sc *scope) bool {
 }
 
 func (b *builder) buildProjItems(items []sql.SelectItem, sc *scope) ([]ProjItem, error) {
-	var out []ProjItem
+	out := make([]ProjItem, 0, len(items))
 	for _, it := range items {
 		if it.Star {
 			for _, c := range sc.cols {
 				if it.StarTable != "" && c.Table != it.StarTable {
 					continue
 				}
-				out = append(out, ProjItem{Expr: &sql.ColumnRef{Table: c.Table, Column: c.Column}})
+				out = append(out, ProjItem{Expr: b.column(c)})
 			}
 			continue
 		}
@@ -369,7 +455,7 @@ func (b *builder) buildAgg(in Node, stmt *sql.SelectStmt, sc *scope) (Node, erro
 // of a kept IN (SELECT …).
 func (b *builder) resolveExpr(e sql.Expr, sc *scope) (sql.Expr, error) {
 	var err error
-	r := exprResolver{sc: sc, err: &err}
+	r := exprResolver{b: b, sc: sc, err: &err}
 	out := r.resolve(e)
 	return out, err
 }
@@ -378,6 +464,7 @@ func (b *builder) resolveExpr(e sql.Expr, sc *scope) (sql.Expr, error) {
 // own rather than being a field next to sc: returning a field of the struct
 // would count as returning sc, and every scope would move to the heap.
 type exprResolver struct {
+	b   *builder
 	sc  *scope
 	err *error // the first column that did not resolve
 }
@@ -395,7 +482,7 @@ func (r *exprResolver) resolve(e sql.Expr) sql.Expr {
 			}
 			return e
 		}
-		return &sql.ColumnRef{Table: col.Table, Column: col.Column}
+		return r.b.column(col)
 	case *sql.InSubquery:
 		return e
 	}

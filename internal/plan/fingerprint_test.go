@@ -61,8 +61,8 @@ func nodeExprs(n Node) []sql.Expr {
 // TestAppendersMatchStringForms pins "same bytes" over the whole corpus: for
 // every plan and every subplan AppendFingerprint produces Fingerprint's text,
 // for every expression in them AppendExpr produces FormatExpr's, and for every
-// statement (parsed, and printed back from the plan) AppendSelect produces
-// Format's.
+// statement (parsed, and printed from the plan and parsed again) AppendSelect
+// produces Format's.
 func TestAppendersMatchStringForms(t *testing.T) {
 	plans, stmts := corpusPlans(t)
 	var buf []byte
@@ -83,7 +83,7 @@ func TestAppendersMatchStringForms(t *testing.T) {
 			}
 			return true
 		})
-		for _, s := range []*sql.SelectStmt{stmts[i], ToSQL(p)} {
+		for _, s := range []*sql.SelectStmt{stmts[i], sql.MustParse(ToSQLString(p))} {
 			buf = sql.AppendSelect(buf[:0], s)
 			if want := sql.Format(s); string(buf) != want {
 				t.Fatalf("AppendSelect = %q, Format = %q", buf, want)
@@ -225,6 +225,17 @@ func BenchmarkFingerprint(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = Fingerprint(p)
+	}
+}
+
+var buildSink Node
+
+func BenchmarkBuild(b *testing.B) {
+	stmt, schema := sql.MustParse(benchPlanSQL), testSchema()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSink = MustBuild(stmt, schema)
 	}
 }
 

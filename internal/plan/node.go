@@ -191,18 +191,31 @@ type Scan struct {
 // NewScan builds a Scan for table with the given binding, resolving columns
 // against the schema.
 func NewScan(s *sql.Schema, table, binding string) (*Scan, error) {
+	def, err := tableDef(s, table)
+	if err != nil {
+		return nil, err
+	}
+	return newScan(def, table, binding, make([]ColRef, len(def.Columns))), nil
+}
+
+func tableDef(s *sql.Schema, table string) (*sql.TableDef, error) {
 	def, ok := s.Table(table)
 	if !ok {
 		return nil, fmt.Errorf("plan: unknown table %q", table)
 	}
+	return def, nil
+}
+
+// newScan writes the columns of def into cols, one per column, and returns
+// the Scan over them.
+func newScan(def *sql.TableDef, table, binding string, cols []ColRef) *Scan {
 	if binding == "" {
 		binding = table
 	}
-	cols := make([]ColRef, len(def.Columns))
 	for i, c := range def.Columns {
 		cols[i] = ColRef{Table: binding, Column: c.Name}
 	}
-	return &Scan{Table: table, Binding: binding, Cols: cols}, nil
+	return &Scan{Table: table, Binding: binding, Cols: cols}
 }
 
 func (s *Scan) Kind() Kind                  { return KScan }
@@ -329,9 +342,9 @@ func (j *Join) EquiCols() (left, right []ColRef, ok bool) {
 	if j.On == nil {
 		return nil, nil, false
 	}
-	lcols := colSet(j.L.OutCols())
-	rcols := colSet(j.R.OutCols())
-	for _, conj := range sql.SplitConjuncts(j.On) {
+	lcols, rcols := j.L.OutCols(), j.R.OutCols()
+	var conjBuf [8]sql.Expr
+	for _, conj := range sql.AppendConjuncts(conjBuf[:0], j.On) {
 		be, isBin := conj.(*sql.BinaryExpr)
 		if !isBin || be.Op != "=" {
 			return nil, nil, false
@@ -344,10 +357,10 @@ func (j *Join) EquiCols() (left, right []ColRef, ok bool) {
 		a := ColRef{Table: lc.Table, Column: lc.Column}
 		b := ColRef{Table: rc.Table, Column: rc.Column}
 		switch {
-		case lcols[a] && rcols[b]:
+		case slices.Contains(lcols, a) && slices.Contains(rcols, b):
 			left = append(left, a)
 			right = append(right, b)
-		case lcols[b] && rcols[a]:
+		case slices.Contains(lcols, b) && slices.Contains(rcols, a):
 			left = append(left, b)
 			right = append(right, a)
 		default:

@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"strings"
 	"testing"
 
 	"wetune/internal/sql"
@@ -373,16 +372,42 @@ func TestBaseTables(t *testing.T) {
 	}
 }
 
+// TestToSQLWrapsConflictingSlots pins the text of derived tables the printer
+// makes: an operator over a SELECT that already has a later clause, join
+// inputs that are not tables, repeated names of a self-join aliased apart,
+// UNION arms with their own LIMIT, and the numbering (inner before outer,
+// outer input before subquery).
 func TestToSQLWrapsConflictingSlots(t *testing.T) {
-	schema := testSchema()
-	// Sel above Proj must produce a derived-table wrapper.
-	inner := MustBuild(sql.MustParse("SELECT id FROM labels"), schema)
-	sel := &Sel{
-		Pred: &sql.BinaryExpr{Op: ">", L: &sql.ColumnRef{Table: "labels", Column: "id"}, R: &sql.Literal{Val: sql.NewInt(5)}},
-		In:   inner,
+	b := func(q string) Node { return build(t, q) }
+	sel := func(pred string, in Node) Node {
+		return &Sel{Pred: sql.MustParse("SELECT * FROM t WHERE " + pred).Where, In: in}
 	}
-	out := ToSQLString(sel)
-	if !strings.Contains(out, "SELECT") {
-		t.Fatalf("ToSQL output: %s", out)
+	selfJoin := b("SELECT DISTINCT * FROM labels AS a INNER JOIN labels AS b ON a.id = b.project_id")
+	for _, c := range []struct {
+		plan Node
+		want string
+	}{
+		{sel("labels.id > 5", b("SELECT id FROM labels")),
+			"SELECT * FROM (SELECT labels.id FROM labels) AS q1 WHERE q1.id > 5"},
+		{b("SELECT title FROM labels ORDER BY id DESC"),
+			"SELECT q1.title FROM (SELECT * FROM labels ORDER BY id DESC) AS q1"},
+		{sel("a.title = 'x'", selfJoin),
+			"SELECT * FROM (SELECT DISTINCT a.id, a.title, a.project_id, b.id AS id_2, b.title AS title_2, b.project_id AS project_id_2" +
+				" FROM labels AS a INNER JOIN labels AS b ON a.id = b.project_id) AS q1 WHERE q1.title = 'x'"},
+		{&Join{JoinKind: sql.LeftJoin, On: sql.MustParse("SELECT * FROM t WHERE x.id = labels.project_id").Where,
+			L: &Limit{N: 3, In: b("SELECT * FROM labels AS x WHERE x.id > 1")},
+			R: b("SELECT DISTINCT project_id FROM labels")},
+			"SELECT * FROM (SELECT * FROM labels AS x WHERE x.id > 1 LIMIT 3) AS q1 LEFT JOIN (SELECT DISTINCT labels.project_id FROM labels) AS q2" +
+				" ON q1.id = q2.project_id"},
+		{&Limit{N: 5, In: &Union{L: b("SELECT id FROM labels ORDER BY id LIMIT 2"), R: b("SELECT id FROM labels UNION ALL SELECT id FROM projects")}},
+			"(SELECT labels.id FROM labels ORDER BY labels.id ASC LIMIT 2) UNION (SELECT labels.id FROM labels UNION ALL SELECT projects.id FROM projects) LIMIT 5"},
+		{&InSub{Cols: []ColRef{{Table: "labels", Column: "id"}}, In: &Limit{N: 1, In: b("SELECT * FROM labels ORDER BY id")},
+			Sub: b("SELECT project_id FROM labels ORDER BY title LIMIT 4")},
+			"SELECT * FROM (SELECT * FROM labels ORDER BY labels.id ASC LIMIT 1) AS q1 WHERE q1.id IN" +
+				" (SELECT q2.project_id FROM (SELECT * FROM labels ORDER BY title ASC) AS q2 LIMIT 4)"},
+	} {
+		if got := ToSQLString(c.plan); got != c.want {
+			t.Errorf("ToSQLString(%s)\n got %s\nwant %s", Fingerprint(c.plan), got, c.want)
+		}
 	}
 }

@@ -2,332 +2,701 @@ package plan
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"sync"
 
 	"wetune/internal/sql"
 )
 
-// ToSQL renders a logical plan back into a SELECT statement. Plans produced
-// by Build round-trip; plans produced by rewriting may need derived-table
-// wrappers, which the printer inserts automatically.
-func ToSQL(n Node) *sql.SelectStmt {
-	p := &sqlPrinter{}
-	parts := p.fold(n)
-	return parts.finish()
+// ToSQLString renders a logical plan as one SQL statement. It appends the text
+// straight from the plan into a pooled buffer, so the returned string is its
+// only allocation unless the plan needs a derived table the printer names.
+//
+// Every subtree prints as one SELECT: its root and the chain of single-input
+// operators below it (its spine) down to a table, derived table, join or
+// union, each adding its clause. Sel and InSub add a WHERE conjunct, Proj or
+// Agg the select list (Agg also GROUP BY and HAVING), Dedup DISTINCT, Sort
+// ORDER BY keys and Limit LIMIT. An operator whose clause SQL evaluates no
+// later than one the SELECT below it already has (a WHERE over a select list,
+// a LIMIT over a LIMIT) instead makes that SELECT a derived table
+// `(SELECT …) AS qN` and starts a new SELECT over it; see wrapsInput. So does
+// a join for an input that is not a table, derived table or join. Of the
+// plans Build produces only one ordered by a column its select list drops
+// needs such a derived table.
+//
+// Derived tables are numbered bottom-up: those inside an operator's input
+// before the one it makes of the input; for a join, those inside both inputs
+// before the ones it makes of them, left first; for InSub, the outer input's
+// before the subquery's.
+func ToSQLString(n Node) string {
+	bp := sqlBufs.Get().(*[]byte)
+	b := appendSelect((*bp)[:0], n, 0)
+	s := string(b)
+	if cap(b) <= maxPooledSQL {
+		*bp = b[:0]
+		sqlBufs.Put(bp)
+	}
+	return s
 }
 
-// ToSQLString is ToSQL followed by formatting.
-func ToSQLString(n Node) string { return sql.Format(ToSQL(n)) }
+// sqlBufs holds ToSQLString's buffers. A stack buffer would not do: the
+// printer's functions call each other recursively, and a buffer that travels
+// through their results is moved to the heap.
+var sqlBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-type sqlPrinter struct {
-	aliasN int
+// maxPooledSQL bounds the buffers kept for reuse; a longer statement's buffer
+// is left to the garbage collector.
+const maxPooledSQL = 16 << 10
+
+// shape is what the SELECT a subtree prints as holds: the clauses taken, and
+// how many derived tables the subtree introduced.
+type shape struct {
+	compound, where, items, distinct, ordered, limited bool
+	wraps                                              int
 }
 
-// queryParts accumulates the clauses of one SELECT while folding a plan
-// subtree, tracking which slots are already occupied.
-type queryParts struct {
-	from     sql.TableExpr
-	where    []sql.Expr
-	items    []sql.SelectItem
-	groupBy  []sql.Expr
-	having   sql.Expr
-	distinct bool
-	orderBy  []sql.OrderItem
-	limit    *int64
-	compound *sql.SelectStmt // set when the subtree is a UNION
-
-	outCols []ColRef
-	// rendered maps a plan-space output column to the SQL expression that
-	// denotes it in this SELECT's scope. Proj/Agg fill it when a derived-table
-	// wrap renamed the underlying column (plan-space `s1.t0_a` may render as
-	// `q1.t0_a_2`); Sort reads it so ORDER BY keys reference live names.
-	rendered map[ColRef]sql.Expr
-}
-
-func (q *queryParts) renderAs(c ColRef, e sql.Expr) {
-	if q.rendered == nil {
-		q.rendered = map[ColRef]sql.Expr{}
-	}
-	q.rendered[c] = e
-}
-
-func (q *queryParts) hasItems() bool    { return len(q.items) > 0 || len(q.groupBy) > 0 }
-func (q *queryParts) hasOrdering() bool { return len(q.orderBy) > 0 || q.limit != nil }
-
-func (q *queryParts) finish() *sql.SelectStmt {
-	if q.compound != nil {
-		q.compound.OrderBy = q.orderBy
-		q.compound.Limit = q.limit
-		return q.compound
-	}
-	stmt := &sql.SelectStmt{
-		Distinct: q.distinct,
-		From:     q.from,
-		Where:    sql.JoinConjuncts(q.where),
-		GroupBy:  q.groupBy,
-		Having:   q.having,
-		OrderBy:  q.orderBy,
-		Limit:    q.limit,
-	}
-	if len(q.items) == 0 {
-		stmt.Items = []sql.SelectItem{{Star: true}}
-	} else {
-		stmt.Items = q.items
-	}
-	return stmt
-}
-
-// wrap turns accumulated parts into a derived table so further operators can
-// start with fresh clause slots. When the subtree exposes duplicate column
-// names (a self-join yields two copies of every column), the duplicates get
-// explicit aliases so outer references through the derived alias stay
-// unambiguous. The caller moves the references that pointed at q.outCols over
-// to the result's with SubstituteCols — without a schema: an unqualified name
-// inside an embedded statement keeps resolving by name.
-func (p *sqlPrinter) wrap(q *queryParts) *queryParts {
-	p.aliasN++
-	alias := fmt.Sprintf("q%d", p.aliasN)
-	outCols := q.outCols
-	aliased := make([]string, len(outCols))
-	for i, c := range outCols {
-		aliased[i] = c.Column
-	}
-	names := map[string]int{}
-	hasDup := false
-	for _, c := range outCols {
-		names[c.Column]++
-		if names[c.Column] > 1 {
-			hasDup = true
-		}
-	}
-	if hasDup && q.compound == nil {
-		if len(q.items) == 0 && len(q.groupBy) == 0 {
-			// Star select: materialize explicit items so they can be aliased.
-			for _, c := range outCols {
-				q.items = append(q.items, sql.SelectItem{
-					Expr: &sql.ColumnRef{Table: c.Table, Column: c.Column},
-				})
-			}
-		}
-		if len(q.items) == len(outCols) {
-			seen := map[string]int{}
-			for i := range q.items {
-				name := outCols[i].Column
-				seen[name]++
-				if seen[name] > 1 {
-					name = fmt.Sprintf("%s_%d", name, seen[name])
-					q.items[i].Alias = name
-				}
-				aliased[i] = name
-			}
-		}
-	}
-	inner := q.finish()
-	cols := make([]ColRef, len(outCols))
-	for i := range outCols {
-		cols[i] = ColRef{Table: alias, Column: aliased[i]}
-	}
-	out := &queryParts{
-		from:    &sql.SubqueryTable{Select: inner, Alias: alias},
-		outCols: cols,
-	}
-	// Persist the plan-space -> derived-alias mapping so operators that fold
-	// later without triggering their own wrap (Sort, chiefly) can still name
-	// the wrapped columns.
-	for i := range outCols {
-		out.renderAs(outCols[i], &sql.ColumnRef{Table: alias, Column: aliased[i]})
-	}
-	return out
-}
-
-func (p *sqlPrinter) fold(n Node) *queryParts {
-	switch x := n.(type) {
-	case *Scan:
-		tn := &sql.TableName{Name: x.Table}
-		if x.Binding != x.Table {
-			tn.Alias = x.Binding
-		}
-		return &queryParts{from: tn, outCols: x.OutCols()}
-	case *Derived:
-		inner := p.fold(x.In).finish()
-		cols := x.OutCols()
-		return &queryParts{
-			from:    &sql.SubqueryTable{Select: inner, Alias: x.Binding},
-			outCols: cols,
-		}
-	case *Sel:
-		q := p.fold(x.In)
-		pred := x.Pred
-		if q.compound != nil || q.hasItems() || q.distinct || q.hasOrdering() {
-			before := q.outCols
-			q = p.wrap(q)
-			pred = SubstituteCols(pred, nil, before, q.outCols)
-		}
-		q.where = append(q.where, pred)
-		return q
-	case *InSub:
-		q := p.fold(x.In)
-		var before []ColRef
-		wrapped := false
-		if q.compound != nil || q.hasItems() || q.distinct || q.hasOrdering() {
-			before = q.outCols
-			q = p.wrap(q)
-			wrapped = true
-		}
-		sub := p.fold(x.Sub).finish()
-		var left sql.Expr
-		if len(x.Cols) == 1 {
-			left = &sql.ColumnRef{Table: x.Cols[0].Table, Column: x.Cols[0].Column}
-		} else {
-			t := &sql.TupleExpr{}
-			for _, c := range x.Cols {
-				t.Items = append(t.Items, &sql.ColumnRef{Table: c.Table, Column: c.Column})
-			}
-			left = t
-		}
-		if wrapped {
-			left = SubstituteCols(left, nil, before, q.outCols)
-		}
-		q.where = append(q.where, &sql.InSubquery{E: left, Select: sub})
-		return q
-	case *Join:
-		l := p.fold(x.L)
-		r := p.fold(x.R)
-		on := x.On
-		if l.compound != nil || len(l.where) > 0 || l.hasItems() || l.distinct || l.hasOrdering() {
-			before := x.L.OutCols()
-			l = p.wrap(l)
-			on = SubstituteCols(on, nil, before, l.outCols)
-		}
-		if r.compound != nil || len(r.where) > 0 || r.hasItems() || r.distinct || r.hasOrdering() {
-			before := x.R.OutCols()
-			r = p.wrap(r)
-			on = SubstituteCols(on, nil, before, r.outCols)
-		}
-		je := &sql.JoinExpr{Kind: x.JoinKind, Left: l.from, Rite: r.from, On: on}
-		return &queryParts{
-			from:    je,
-			outCols: append(append([]ColRef{}, l.outCols...), r.outCols...),
-		}
-	case *Proj:
-		q := p.fold(x.In)
-		var before []ColRef
-		wrapped := false
-		if q.compound != nil || q.hasItems() || q.distinct || q.hasOrdering() {
-			before = q.outCols
-			q = p.wrap(q)
-			wrapped = true
-		}
-		outs := x.OutCols()
-		for i, it := range x.Items {
-			e := it.Expr
-			if wrapped {
-				e = SubstituteCols(e, nil, before, q.outCols)
-			}
-			alias := it.Alias
-			if alias == "" {
-				// A wrap may have renamed the underlying column (self-join
-				// duplicates get _N suffixes); alias the item back to its
-				// plan-space output name so the output schema stays stable.
-				if cr, ok := e.(*sql.ColumnRef); ok && cr.Column != outs[i].Column {
-					alias = outs[i].Column
-				}
-			}
-			q.items = append(q.items, sql.SelectItem{Expr: e, Alias: alias})
-			if cr, ok := e.(*sql.ColumnRef); ok {
-				q.renderAs(outs[i], cr)
-			} else if alias != "" {
-				q.renderAs(outs[i], &sql.ColumnRef{Column: alias})
-			}
-		}
-		q.outCols = outs
-		return q
+// wrapsInput reports whether the operator n, over an input that prints as a
+// SELECT of shape in, makes that SELECT a derived table instead of adding its
+// clause to it.
+func wrapsInput(n Node, in shape) bool {
+	switch n.(type) {
+	case *Sel, *InSub, *Proj, *Agg:
+		return in.compound || in.items || in.distinct || in.ordered || in.limited
 	case *Dedup:
-		q := p.fold(x.In)
-		if q.compound != nil || q.distinct || q.hasOrdering() {
-			q = p.wrap(q)
+		return in.compound || in.distinct || in.ordered || in.limited
+	case *Sort:
+		return in.ordered || in.limited
+	case *Limit:
+		return in.limited
+	}
+	return false
+}
+
+// joinWraps reports whether a join input that prints as a SELECT of shape in
+// is a derived table rather than the table, derived table or join below it.
+func joinWraps(in shape) bool {
+	return in.compound || in.where || in.items || in.distinct || in.ordered || in.limited
+}
+
+// link is one node of a spine and the shape of the SELECT it prints as.
+type link struct {
+	n Node
+	s shape
+}
+
+// spine appends n and the single-input operators below it, down to the first
+// node that is not one, to sp (empty) with their shapes.
+func spine(sp []link, n Node) []link {
+	for {
+		sp = append(sp, link{n: n})
+		switch n.(type) {
+		case *Sel, *InSub, *Proj, *Agg, *Dedup, *Sort, *Limit:
+			n = Child(n, 0)
+			continue
 		}
-		q.distinct = true
-		return q
+		break
+	}
+	last := len(sp) - 1
+	sp[last].s = sourceShape(sp[last].n)
+	for k := last - 1; k >= 0; k-- {
+		sp[k].s = after(sp[k].n, sp[k+1].s)
+	}
+	return sp
+}
+
+// after returns the shape of the SELECT the single-input operator n prints
+// as over an input of shape in.
+func after(n Node, in shape) shape {
+	s := in
+	if wrapsInput(n, in) {
+		s = shape{wraps: in.wraps + 1}
+	}
+	switch x := n.(type) {
+	case *Sel:
+		s.where = true
+	case *InSub:
+		s.where = true
+		s.wraps += shapeOf(x.Sub).wraps
+	case *Proj:
+		s.items = s.items || len(x.Items) > 0
 	case *Agg:
-		q := p.fold(x.In)
-		var before []ColRef
-		wrapped := false
-		if q.compound != nil || q.hasItems() || q.distinct || q.hasOrdering() {
-			before = q.outCols
-			q = p.wrap(q)
-			wrapped = true
+		s.items = s.items || len(x.GroupBy)+len(x.Items) > 0
+	case *Dedup:
+		s.distinct = true
+	case *Sort:
+		s.ordered = s.ordered || len(x.Keys) > 0
+	case *Limit:
+		s.limited = true
+	}
+	return s
+}
+
+// sourceShape is the shape of the SELECT a table, derived table, join or
+// union prints as.
+func sourceShape(n Node) shape {
+	switch x := n.(type) {
+	case *Derived:
+		return shape{wraps: shapeOf(x.In).wraps}
+	case *Union:
+		return shape{compound: true, wraps: shapeOf(x.L).wraps + shapeOf(x.R).wraps}
+	case *Join:
+		l, r := shapeOf(x.L), shapeOf(x.R)
+		s := shape{wraps: l.wraps + r.wraps}
+		if joinWraps(l) {
+			s.wraps++
 		}
-		remap := func(e sql.Expr) sql.Expr {
-			if wrapped {
-				return SubstituteCols(e, nil, before, q.outCols)
+		if joinWraps(r) {
+			s.wraps++
+		}
+		return s
+	}
+	return shape{}
+}
+
+// shapeOf is the shape of the SELECT n prints as.
+func shapeOf(n Node) shape {
+	switch n.(type) {
+	case *Sel, *InSub, *Proj, *Agg, *Dedup, *Sort, *Limit:
+		return after(n, shapeOf(Child(n, 0)))
+	}
+	return sourceShape(n)
+}
+
+// blockEnd returns the index of the last operator of the SELECT sp[0] prints
+// as: the first that wraps its input, or the spine's source.
+func blockEnd(sp []link) int {
+	j := 0
+	for j < len(sp)-1 && !wrapsInput(sp[j].n, sp[j+1].s) {
+		j++
+	}
+	return j
+}
+
+// appendSelect appends the SELECT n prints as; base derived tables are
+// numbered before n's own.
+func appendSelect(dst []byte, n Node, base int) []byte {
+	var buf [8]link
+	return appendBlock(dst, spine(buf[:0], n), base, nil)
+}
+
+// appendBlock appends the SELECT sp[0] prints as, base as for appendSelect.
+// as is the derived table the caller makes of it, nil if none.
+func appendBlock(dst []byte, sp []link, base int, as *derived) []byte {
+	j := blockEnd(sp)
+	var below *derived // the derived table sp[j] makes of its input
+	if j < len(sp)-1 {
+		below = derivedOf(sp[j+1:], base, base+sp[j+1].s.wraps+1)
+	}
+	// through returns the derived table the expressions of sp[k] read their
+	// columns through: only the operator that made it renames into it.
+	through := func(k int) *derived {
+		if k == j {
+			return below
+		}
+		return nil
+	}
+	if sp[0].s.compound {
+		u := sp[j].n.(*Union)
+		dst = appendArm(dst, u.L, base, false)
+		if u.All {
+			dst = append(dst, " UNION ALL "...)
+		} else {
+			dst = append(dst, " UNION "...)
+		}
+		dst = appendArm(dst, u.R, base+shapeOf(u.L).wraps, true)
+		return appendOrderLimit(dst, sp, j, below)
+	}
+
+	conjuncts, distinct := 0, false
+	for k := 0; k <= j; k++ {
+		switch sp[k].n.(type) {
+		case *Sel, *InSub:
+			conjuncts++
+		case *Dedup:
+			distinct = true
+		}
+	}
+	dst = append(dst, "SELECT "...)
+	if distinct {
+		dst = append(dst, "DISTINCT "...)
+	}
+	dst = appendItems(dst, sp[:j+1], below, as)
+
+	dst = append(dst, " FROM "...)
+	if below != nil {
+		dst = appendDerived(dst, sp[j+1:], base, below)
+	} else {
+		dst = appendSource(dst, sp[j].n, base)
+	}
+
+	if conjuncts > 0 {
+		dst = append(dst, " WHERE "...)
+	}
+	first := true
+	for k := j; k >= 0; k-- { // the lowest operator's conjunct first
+		switch x := sp[k].n.(type) {
+		case *Sel:
+			e := through(k).expr(x.Pred)
+			switch {
+			case conjuncts == 1:
+				dst = sql.AppendExpr(dst, e)
+			case first:
+				dst = sql.AppendOperand(dst, e, "AND", false)
+			default:
+				dst = append(dst, " AND "...)
+				dst = sql.AppendOperand(dst, e, "AND", true)
 			}
-			return e
+		case *InSub: // never parenthesized
+			if !first {
+				dst = append(dst, " AND "...)
+			}
+			dst = appendColumns(dst, x.Cols, through(k))
+			dst = append(dst, " IN ("...)
+			subBase := base + sp[k+1].s.wraps
+			if k == j && below != nil {
+				subBase++
+			}
+			dst = appendSelect(dst, x.Sub, subBase)
+			dst = append(dst, ')')
+		default:
+			continue
 		}
-		outs := x.OutCols()
-		for i, g := range x.GroupBy {
-			gref := remap(&sql.ColumnRef{Table: g.Table, Column: g.Column})
-			q.groupBy = append(q.groupBy, gref)
-			item := sql.SelectItem{Expr: gref}
-			if cr, ok := gref.(*sql.ColumnRef); ok {
-				if cr.Column != outs[i].Column {
-					// Same renaming hazard as Proj: keep the plan-space name.
-					item.Alias = outs[i].Column
+		first = false
+	}
+
+	// GROUP BY lists the keys of every Agg, bottom-up; the topmost Agg sets
+	// HAVING. (Only one Agg of a SELECT has keys or items: the next one up
+	// would wrap it.)
+	var having sql.Expr
+	first = true
+	for k := j; k >= 0; k-- {
+		if agg, ok := sp[k].n.(*Agg); ok {
+			for _, g := range agg.GroupBy {
+				if first {
+					dst = append(dst, " GROUP BY "...)
+					first = false
+				} else {
+					dst = append(dst, ", "...)
 				}
-				q.renderAs(outs[i], cr)
+				dst = appendColumn(dst, through(k).col(g))
 			}
-			q.items = append(q.items, item)
+			having = through(k).expr(agg.Having)
+		}
+	}
+	if having != nil {
+		dst = append(dst, " HAVING "...)
+		dst = sql.AppendExpr(dst, having)
+	}
+	return appendOrderLimit(dst, sp, j, below)
+}
+
+// appendItems appends the select list of the SELECT whose operators are
+// block: the items of its Proj and Agg operators, bottom-up (one at most has
+// any), or a star. below is the derived table its last operator made, if any;
+// as is the derived table the caller makes of the SELECT, which aliases the
+// columns it renames.
+func appendItems(dst []byte, block []link, below, as *derived) []byte {
+	i := 0 // the output column
+	for k := len(block) - 1; k >= 0; k-- {
+		var r *derived
+		if k == len(block)-1 {
+			r = below
+		}
+		dst, i = appendOperatorItems(dst, block[k].n, r, as, i)
+	}
+	if i > 0 {
+		return dst
+	}
+	if as == nil || as.rename == nil {
+		return append(dst, '*')
+	}
+	// A star over repeated names: list the columns to alias them apart.
+	for i, c := range as.cols {
+		dst = itemSep(dst, i)
+		dst = appendColumn(dst, c)
+		dst = as.appendAlias(dst, i, "")
+	}
+	return dst
+}
+
+// appendOperatorItems appends the items of n, if it is a Proj or Agg, as
+// output columns i on, and returns the next output column.
+func appendOperatorItems(dst []byte, n Node, r, as *derived, i int) ([]byte, int) {
+	switch x := n.(type) {
+	case *Proj:
+		for _, it := range x.Items {
+			dst = itemSep(dst, i)
+			e := r.expr(it.Expr)
+			dst = sql.AppendExpr(dst, e)
+			name := it.Alias
+			if c, ok := it.Expr.(*sql.ColumnRef); ok && name == "" {
+				// Keep the plan's name for a column the derived table below renamed.
+				if rc, ok := e.(*sql.ColumnRef); ok && rc.Column != c.Column {
+					name = c.Column
+				}
+			}
+			dst = as.appendAlias(dst, i, name)
+			i++
+		}
+	case *Agg:
+		for _, g := range x.GroupBy {
+			dst = itemSep(dst, i)
+			c := r.col(g)
+			dst = appendColumn(dst, c)
+			name := ""
+			if c.Column != g.Column {
+				name = g.Column
+			}
+			dst = as.appendAlias(dst, i, name)
+			i++
 		}
 		for _, it := range x.Items {
-			f := &sql.FuncCall{Name: it.Func, Star: it.Star, Distinct: it.Distinct}
-			if it.Arg != nil {
-				f.Args = []sql.Expr{remap(it.Arg)}
+			dst = itemSep(dst, i)
+			dst = sql.AppendIdent(dst, it.Func)
+			dst = append(dst, '(')
+			switch {
+			case it.Star:
+				dst = append(dst, '*')
+			case it.Arg != nil:
+				if it.Distinct {
+					dst = append(dst, "DISTINCT "...)
+				}
+				dst = sql.AppendExpr(dst, r.expr(it.Arg))
+			case it.Distinct:
+				dst = append(dst, "DISTINCT "...)
 			}
-			q.items = append(q.items, sql.SelectItem{Expr: f, Alias: it.Alias})
+			dst = append(dst, ')')
+			dst = as.appendAlias(dst, i, it.Alias)
+			i++
 		}
-		q.having = remap(x.Having)
-		q.outCols = outs
-		return q
-	case *Union:
-		l := p.fold(x.L).finish()
-		r := p.fold(x.R).finish()
-		op := "UNION"
-		if x.All {
-			op = "UNION ALL"
-		}
-		return &queryParts{
-			compound: &sql.SelectStmt{SetOp: op, SetLeft: l, SetRight: r},
-			outCols:  x.OutCols(),
-		}
-	case *Sort:
-		q := p.fold(x.In)
-		var before []ColRef
-		wrapped := false
-		if q.hasOrdering() {
-			before = q.outCols
-			q = p.wrap(q)
-			wrapped = true
-		}
-		for _, k := range x.Keys {
-			var e sql.Expr = &sql.ColumnRef{Table: k.Col.Table, Column: k.Col.Column}
-			if wrapped {
-				e = SubstituteCols(e, nil, before, q.outCols)
-			} else if r, ok := q.rendered[k.Col]; ok {
-				// The key's plan-space column may render under another name
-				// below (Agg/Proj over a wrapped self-join); use the live
-				// expression recorded by the fold that renamed it.
-				e = r
-			}
-			q.orderBy = append(q.orderBy, sql.OrderItem{Expr: e, Desc: k.Desc})
-		}
-		return q
-	case *Limit:
-		q := p.fold(x.In)
-		if q.limit != nil {
-			q = p.wrap(q)
-		}
-		n := x.N
-		q.limit = &n
-		return q
 	}
-	panic(fmt.Sprintf("plan: ToSQL cannot fold %T", n))
+	return dst, i
+}
+
+func itemSep(dst []byte, i int) []byte {
+	if i > 0 {
+		dst = append(dst, ", "...)
+	}
+	return dst
+}
+
+// appendAlias appends the alias of output column i: the one d gives it, if
+// any, else name, if any.
+func (d *derived) appendAlias(dst []byte, i int, name string) []byte {
+	if d != nil && d.rename != nil && d.rename[i] != "" {
+		name = d.rename[i]
+	}
+	if name == "" {
+		return dst
+	}
+	dst = append(dst, " AS "...)
+	return sql.AppendIdent(dst, name)
+}
+
+// appendOrderLimit appends the ORDER BY and LIMIT clauses of the SELECT whose
+// operators are sp[:j+1]; below is the derived table sp[j] made, if any.
+func appendOrderLimit(dst []byte, sp []link, j int, below *derived) []byte {
+	first := true
+	for k := j; k >= 0; k-- {
+		s, ok := sp[k].n.(*Sort)
+		if !ok {
+			continue
+		}
+		for _, key := range s.Keys {
+			if first {
+				dst = append(dst, " ORDER BY "...)
+				first = false
+			} else {
+				dst = append(dst, ", "...)
+			}
+			if k == j && below != nil {
+				dst = appendColumn(dst, below.col(key.Col))
+			} else {
+				dst = appendColumn(dst, rendered(sp[:j+1], below, key.Col))
+			}
+			if key.Desc {
+				dst = append(dst, " DESC"...)
+			} else {
+				dst = append(dst, " ASC"...)
+			}
+		}
+	}
+	for k := 0; k <= j; k++ {
+		if l, ok := sp[k].n.(*Limit); ok {
+			dst = append(dst, " LIMIT "...)
+			dst = strconv.AppendInt(dst, l.N, 10)
+		}
+	}
+	return dst
+}
+
+// rendered returns the column a sort key c of the SELECT with operators block
+// names there. Where the select list outputs c it is the item's own column,
+// else c through the derived table below, else c itself; an item over
+// repeated names (a_2) would otherwise not be found under the plan's name.
+func rendered(block []link, below *derived, c ColRef) ColRef {
+	for k, l := range block {
+		var r *derived
+		if k == len(block)-1 {
+			r = below
+		}
+		switch x := l.n.(type) {
+		case *Proj:
+			for i := len(x.Items) - 1; i >= 0; i-- {
+				it := x.Items[i]
+				orig, isCol := it.Expr.(*sql.ColumnRef)
+				key := ColRef{Column: it.Alias}
+				if it.Alias == "" && isCol {
+					key = ColRef{Table: orig.Table, Column: orig.Column}
+				}
+				if key != c || !isCol && it.Alias == "" {
+					continue
+				}
+				if e, ok := r.expr(it.Expr).(*sql.ColumnRef); ok {
+					return ColRef{Table: e.Table, Column: e.Column}
+				}
+				return key
+			}
+		case *Agg:
+			if i := lastIndex(x.GroupBy, c); i >= 0 {
+				return r.col(x.GroupBy[i])
+			}
+		}
+	}
+	if below != nil {
+		if i := lastIndex(below.cols, c); i >= 0 {
+			return below.out[i]
+		}
+	}
+	return c
+}
+
+func lastIndex(cols []ColRef, c ColRef) int {
+	for i := len(cols) - 1; i >= 0; i-- {
+		if cols[i] == c {
+			return i
+		}
+	}
+	return -1
+}
+
+// appendArm appends one arm of a UNION, parenthesized where its own ORDER BY
+// or LIMIT would otherwise bind to the whole chain, or, on the right, where
+// it is a chain itself (the chain associates to the left).
+func appendArm(dst []byte, n Node, base int, right bool) []byte {
+	var buf [8]link
+	sp := spine(buf[:0], n)
+	s := sp[0].s
+	paren := s.ordered || s.limited || right && s.compound
+	if paren {
+		dst = append(dst, '(')
+	}
+	dst = appendBlock(dst, sp, base, nil)
+	if paren {
+		dst = append(dst, ')')
+	}
+	return dst
+}
+
+// appendSource appends a table, derived table or join as a FROM item.
+func appendSource(dst []byte, n Node, base int) []byte {
+	switch x := n.(type) {
+	case *Scan:
+		dst = sql.AppendIdent(dst, x.Table)
+		if x.Binding != x.Table && x.Binding != "" {
+			dst = append(dst, " AS "...)
+			dst = sql.AppendIdent(dst, x.Binding)
+		}
+		return dst
+	case *Derived:
+		dst = append(dst, '(')
+		dst = appendSelect(dst, x.In, base)
+		dst = append(dst, ')')
+		if x.Binding != "" {
+			dst = append(dst, " AS "...)
+			dst = sql.AppendIdent(dst, x.Binding)
+		}
+		return dst
+	case *Join:
+		ld, rd, rBase := joinInputs(x, base)
+		dst = appendJoinInput(dst, x.L, base, ld, false)
+		dst = append(dst, ' ')
+		dst = append(dst, x.JoinKind.String()...)
+		dst = append(dst, ' ')
+		dst = appendJoinInput(dst, x.R, rBase, rd, true)
+		if x.On != nil {
+			on := x.On
+			if ld != nil {
+				on = SubstituteCols(on, nil, x.L.OutCols(), ld.out)
+			}
+			if rd != nil {
+				on = SubstituteCols(on, nil, x.R.OutCols(), rd.out)
+			}
+			dst = append(dst, " ON "...)
+			dst = sql.AppendExpr(dst, on)
+		}
+		return dst
+	}
+	panic(fmt.Sprintf("plan: cannot print %T as SQL", n))
+}
+
+// joinInputs returns the derived tables a join makes of its inputs (nil for
+// an input it joins as it is) and the number its right input's own derived
+// tables start after.
+func joinInputs(x *Join, base int) (ld, rd *derived, rBase int) {
+	l, r := shapeOf(x.L), shapeOf(x.R)
+	rBase = base + l.wraps
+	no := rBase + r.wraps
+	var buf [8]link
+	if joinWraps(l) {
+		no++
+		ld = derivedOf(spine(buf[:0], x.L), base, no)
+	}
+	if joinWraps(r) {
+		no++
+		rd = derivedOf(spine(buf[:0], x.R), rBase, no)
+	}
+	return ld, rd, rBase
+}
+
+// appendJoinInput appends a join input: the derived table d when the join
+// made one of it, otherwise the FROM item of the SELECT it prints as, in
+// parentheses when that is a join on the right.
+func appendJoinInput(dst []byte, n Node, base int, d *derived, right bool) []byte {
+	var buf [8]link
+	sp := spine(buf[:0], n)
+	if d != nil {
+		return appendDerived(dst, sp, base, d)
+	}
+	j := blockEnd(sp)
+	if j < len(sp)-1 {
+		return appendDerived(dst, sp[j+1:], base, derivedOf(sp[j+1:], base, base+sp[j+1].s.wraps+1))
+	}
+	if _, join := sp[j].n.(*Join); join && right {
+		dst = append(dst, '(')
+		dst = appendSource(dst, sp[j].n, base)
+		return append(dst, ')')
+	}
+	return appendSource(dst, sp[j].n, base)
+}
+
+// appendDerived appends the SELECT sp[0] prints as made into the derived
+// table d.
+func appendDerived(dst []byte, sp []link, base int, d *derived) []byte {
+	dst = append(dst, '(')
+	dst = appendBlock(dst, sp, base, d)
+	dst = append(dst, ") AS "...)
+	return sql.AppendIdent(dst, d.alias)
+}
+
+// derived is a SELECT made into the derived table alias. cols are its output
+// columns as the operators over it name them, out the same columns as named
+// outside it. A name the SELECT outputs more than once gets a numbered alias
+// inside (a, a_2, a_3, …), kept in rename; rename is nil when none does.
+type derived struct {
+	alias  string
+	cols   []ColRef
+	out    []ColRef
+	rename []string
+}
+
+// derivedOf describes the derived table number no made of the SELECT sp[0]
+// prints as, whose own derived tables number from base. This is the rare path
+// that allocates.
+func derivedOf(sp []link, base, no int) *derived {
+	d := &derived{alias: "q" + strconv.Itoa(no), cols: outCols(sp, base)}
+	d.out = make([]ColRef, len(d.cols))
+	for i, c := range d.cols {
+		name := c.Column
+		// A UNION's columns are named by its first arm and stay as they are.
+		if k := occurrence(d.cols, i); k > 1 && !sp[0].s.compound {
+			if d.rename == nil {
+				d.rename = make([]string, len(d.cols))
+			}
+			name = c.Column + "_" + strconv.Itoa(k)
+			d.rename[i] = name
+		}
+		d.out[i] = ColRef{Table: d.alias, Column: name}
+	}
+	return d
+}
+
+// occurrence returns how many of cols[:i+1] are named cols[i].Column.
+func occurrence(cols []ColRef, i int) int {
+	k := 0
+	for _, c := range cols[:i+1] {
+		if c.Column == cols[i].Column {
+			k++
+		}
+	}
+	return k
+}
+
+// outCols returns the output columns of the SELECT sp[0] prints as, as the
+// operators over it name them: an operator's own OutCols where it sets them,
+// otherwise those of the SELECT or derived table below it.
+func outCols(sp []link, base int) []ColRef {
+	switch x := sp[0].n.(type) {
+	case *Sel, *InSub, *Dedup, *Sort, *Limit:
+		if wrapsInput(x, sp[1].s) {
+			return derivedOf(sp[1:], base, base+sp[1].s.wraps+1).out
+		}
+		return outCols(sp[1:], base)
+	case *Join:
+		ld, rd, rBase := joinInputs(x, base)
+		var buf [8]link
+		side := func(n Node, d *derived, base int) []ColRef {
+			if d != nil {
+				return d.out
+			}
+			return outCols(spine(buf[:0], n), base)
+		}
+		return append(slices.Clone(side(x.L, ld, base)), side(x.R, rd, rBase)...)
+	}
+	return sp[0].n.OutCols()
+}
+
+// expr renames the free columns of e that d's SELECT outputs to their names
+// outside it; with a nil d it returns e.
+func (d *derived) expr(e sql.Expr) sql.Expr {
+	if d == nil {
+		return e
+	}
+	return SubstituteCols(e, nil, d.cols, d.out)
+}
+
+// col is expr for one column.
+func (d *derived) col(c ColRef) ColRef {
+	if d != nil {
+		if i := slices.Index(d.cols, c); i >= 0 {
+			return d.out[i]
+		}
+	}
+	return c
+}
+
+// appendColumn appends c as the SQL printer writes a column reference.
+func appendColumn(dst []byte, c ColRef) []byte {
+	if c.Table != "" {
+		dst = sql.AppendIdent(dst, c.Table)
+		dst = append(dst, '.')
+	}
+	return sql.AppendIdent(dst, c.Column)
+}
+
+// appendColumns appends the tested columns of an InSub: one column, or a
+// parenthesized list.
+func appendColumns(dst []byte, cols []ColRef, r *derived) []byte {
+	if len(cols) == 1 {
+		return appendColumn(dst, r.col(cols[0]))
+	}
+	dst = append(dst, '(')
+	for i, c := range cols {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendColumn(dst, r.col(c))
+	}
+	return append(dst, ')')
 }

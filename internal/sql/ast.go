@@ -277,14 +277,19 @@ func IsAggregate(e Expr) bool {
 }
 
 // SplitConjuncts flattens a tree of ANDs into the list of conjuncts.
-func SplitConjuncts(e Expr) []Expr {
+func SplitConjuncts(e Expr) []Expr { return AppendConjuncts(nil, e) }
+
+// AppendConjuncts appends the conjuncts of a tree of ANDs to dst, left to
+// right, and returns the extended slice; nothing for a nil e. Into a buffer
+// the caller owns it allocates nothing.
+func AppendConjuncts(dst []Expr, e Expr) []Expr {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if b, ok := e.(*BinaryExpr); ok && b.Op == "AND" {
-		return append(SplitConjuncts(b.L), SplitConjuncts(b.R)...)
+		return AppendConjuncts(AppendConjuncts(dst, b.L), b.R)
 	}
-	return []Expr{e}
+	return append(dst, e)
 }
 
 // JoinConjuncts rebuilds a single expression from conjuncts (nil when empty).

@@ -20,11 +20,11 @@ import (
 // INT; FLOAT/REAL/DOUBLE/DECIMAL/NUMERIC -> FLOAT; BOOLEAN/BOOL -> BOOL;
 // everything else (VARCHAR, TEXT, CHAR, DATE, TIMESTAMP, ...) -> STRING.
 func ParseDDL(src string) (*Schema, error) {
-	toks, err := lex(src)
+	toks, err := lex(nil, src)
 	if err != nil {
 		return nil, err
 	}
-	p := &ddlParser{parser: parser{toks: toks, src: src}}
+	p := &ddlParser{parser: parser{toks: toks, src: src, nodes: new(nodeSlabs)}}
 	schema := NewSchema()
 	for !p.at(tkEOF, "") {
 		if p.accept(tkSymbol, ";") {

@@ -56,69 +56,74 @@ func init() {
 	}
 }
 
-// lexer splits SQL text into tokens.
-type lexer struct {
-	src  string
-	pos  int
-	toks []token
-}
-
-func lex(src string) ([]token, error) {
-	// Presize for the common token density (~1 token per 4 source bytes);
-	// growing a nil slice through append re-copies the prefix several times
-	// per query, which dominated the lexer's allocation profile.
-	l := &lexer{src: src, toks: make([]token, 0, len(src)/4+8)}
+// lex appends the tokens of src, ending with an EOF token, to dst and returns
+// the extended slice. Parse lexes into a buffer on its own stack, so the
+// token slice of a typical query is never allocated; nothing here keeps dst
+// anywhere but in the result.
+//
+// Lexing ends early, with an EOF token, once more than MaxNesting parentheses
+// are open. Every open parenthesis nests the parser one level deeper, so it
+// has refused the statement before it reads that far, and a 1 MiB body of
+// parentheses costs a few hundred tokens instead of a million.
+func lex(dst []token, src string) ([]token, error) {
+	pos, open := 0, 0
 	for {
-		l.skipSpace()
-		if l.pos >= len(l.src) {
-			l.emit(tkEOF, "")
-			return l.toks, nil
+		pos = skipSpace(src, pos)
+		if pos >= len(src) {
+			return append(dst, token{kind: tkEOF, pos: pos}), nil
 		}
-		c := l.src[l.pos]
-		switch {
-		case isIdentStart(c):
-			l.lexWord()
-		case c >= '0' && c <= '9':
-			l.lexNumber()
-		case c == '\'':
-			if err := l.lexString(); err != nil {
-				return nil, err
-			}
-		case c == '"' || c == '`':
-			if err := l.lexQuotedIdent(c); err != nil {
-				return nil, err
-			}
-		case c == '?':
-			l.emit(tkParam, "?")
-			l.pos++
-		default:
-			if err := l.lexSymbol(); err != nil {
-				return nil, err
+		t, end, err := scanToken(src, pos)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(dst, t)
+		pos = end
+		if t.kind == tkSymbol && t.text == ")" {
+			open--
+		} else if t.kind == tkSymbol && t.text == "(" {
+			if open++; open > MaxNesting {
+				return append(dst, token{kind: tkEOF, pos: pos}), nil
 			}
 		}
 	}
 }
 
-func (l *lexer) emit(k tokenKind, text string) {
-	l.toks = append(l.toks, token{kind: k, text: text, pos: l.pos})
+// scanToken reads the token that starts at src[pos] and returns it with the
+// offset just past it.
+func scanToken(src string, pos int) (token, int, error) {
+	c := src[pos]
+	switch {
+	case isIdentStart(c):
+		return scanWord(src, pos)
+	case c >= '0' && c <= '9':
+		return scanNumber(src, pos)
+	case c == '\'':
+		return scanString(src, pos)
+	case c == '"' || c == '`':
+		return scanQuotedIdent(src, pos, c)
+	case c == '?':
+		return token{kind: tkParam, text: "?", pos: pos}, pos + 1, nil
+	}
+	return scanSymbol(src, pos)
 }
 
-func (l *lexer) skipSpace() {
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+func skipSpace(src string, pos int) int {
+	for pos < len(src) {
+		c := src[pos]
 		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-			l.pos++
+			pos++
 			continue
 		}
 		// Line comments.
-		if c == '-' && l.pos+1 < len(l.src) && l.src[l.pos+1] == '-' {
-			for l.pos < len(l.src) && l.src[l.pos] != '\n' {
-				l.pos++
+		if c == '-' && pos+1 < len(src) && src[pos+1] == '-' {
+			for pos < len(src) && src[pos] != '\n' {
+				pos++
 			}
 			continue
 		}
 		break
 	}
+	return pos
 }
 
 // Identifiers outside quotes are ASCII: a byte >= 0x80 there is an error,
@@ -131,22 +136,21 @@ func isIdentPart(c byte) bool {
 	return isIdentStart(c) || '0' <= c && c <= '9' || c == '$'
 }
 
-// errAt is the lexer's *ParseError at byte offset pos.
+// errAt is a *ParseError at byte offset pos.
 func errAt(pos int, format string, args ...any) error {
 	return &ParseError{Offset: pos, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (l *lexer) lexWord() {
-	start := l.pos
-	for l.pos < len(l.src) && isIdentPart(l.src[l.pos]) {
-		l.pos++
+func scanWord(src string, start int) (token, int, error) {
+	end := start
+	for end < len(src) && isIdentPart(src[end]) {
+		end++
 	}
-	word := l.src[start:l.pos]
+	word := src[start:end]
 	if canon, ok := keywordLookup(word); ok {
-		l.toks = append(l.toks, token{kind: tkKeyword, text: canon, pos: start})
-	} else {
-		l.toks = append(l.toks, token{kind: tkIdent, text: word, pos: start})
+		return token{kind: tkKeyword, text: canon, pos: start}, end, nil
 	}
+	return token{kind: tkIdent, text: word, pos: start}, end, nil
 }
 
 // keywordLookup classifies word case-insensitively against the keyword table;
@@ -183,104 +187,84 @@ func keywordCode(word string) (code uint64, ok bool) {
 	return code, true
 }
 
-func (l *lexer) lexNumber() {
-	start := l.pos
+func scanNumber(src string, start int) (token, int, error) {
+	end := start
 	seenDot := false
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	for end < len(src) {
+		c := src[end]
 		if c >= '0' && c <= '9' {
-			l.pos++
+			end++
 			continue
 		}
 		if c == '.' && !seenDot {
 			seenDot = true
-			l.pos++
+			end++
 			continue
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tkNumber, text: l.src[start:l.pos], pos: start})
+	return token{kind: tkNumber, text: src[start:end], pos: start}, end, nil
 }
 
-func (l *lexer) lexString() error {
-	start := l.pos
-	l.pos++ // opening quote
+func scanString(src string, start int) (token, int, error) {
 	// Fast path: scan for the closing quote; a literal with no doubled-quote
 	// escape is sliced straight out of the source, no Builder copy.
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
-		if c == '\'' {
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-				return l.lexStringEscaped(start)
+	for pos := start + 1; pos < len(src); pos++ {
+		if src[pos] == '\'' {
+			if pos+1 < len(src) && src[pos+1] == '\'' {
+				return scanStringEscaped(src, start, pos)
 			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tkString, text: l.src[start+1 : l.pos-1], pos: start})
-			return nil
+			return token{kind: tkString, text: src[start+1 : pos], pos: start}, pos + 1, nil
 		}
-		l.pos++
 	}
-	return errAt(start, "unterminated string literal")
+	return token{}, 0, errAt(start, "unterminated string literal")
 }
 
-// lexStringEscaped resumes a string literal at its first doubled-quote
-// escape (l.pos is on the first of the two quotes); only this rare path
-// pays the Builder copy.
-func (l *lexer) lexStringEscaped(start int) error {
+// scanStringEscaped resumes a string literal at its first doubled-quote
+// escape (src[pos] is the first of the two quotes); only this rare path pays
+// the Builder copy.
+func scanStringEscaped(src string, start, pos int) (token, int, error) {
 	var b strings.Builder
-	b.WriteString(l.src[start+1 : l.pos])
-	for l.pos < len(l.src) {
-		c := l.src[l.pos]
+	b.WriteString(src[start+1 : pos])
+	for pos < len(src) {
+		c := src[pos]
 		if c == '\'' {
 			// a doubled quote escapes a quote.
-			if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
+			if pos+1 < len(src) && src[pos+1] == '\'' {
 				b.WriteByte('\'')
-				l.pos += 2
+				pos += 2
 				continue
 			}
-			l.pos++
-			l.toks = append(l.toks, token{kind: tkString, text: b.String(), pos: start})
-			return nil
+			return token{kind: tkString, text: b.String(), pos: start}, pos + 1, nil
 		}
 		b.WriteByte(c)
-		l.pos++
+		pos++
 	}
-	return errAt(start, "unterminated string literal")
+	return token{}, 0, errAt(start, "unterminated string literal")
 }
 
-func (l *lexer) lexQuotedIdent(quote byte) error {
-	start := l.pos
-	l.pos++
+func scanQuotedIdent(src string, start int, quote byte) (token, int, error) {
 	// No escape sequences inside quoted identifiers: always a source slice.
-	for l.pos < len(l.src) {
-		if l.src[l.pos] == quote {
-			l.pos++
-			l.toks = append(l.toks, token{kind: tkIdent, text: l.src[start+1 : l.pos-1], pos: start})
-			return nil
+	for pos := start + 1; pos < len(src); pos++ {
+		if src[pos] == quote {
+			return token{kind: tkIdent, text: src[start+1 : pos], pos: start}, pos + 1, nil
 		}
-		l.pos++
 	}
-	return errAt(start, "unterminated quoted identifier")
+	return token{}, 0, errAt(start, "unterminated quoted identifier")
 }
 
-var twoCharSymbols = map[string]bool{"<>": true, "!=": true, "<=": true, ">=": true}
-
-func (l *lexer) lexSymbol() error {
-	if l.pos+1 < len(l.src) {
-		two := l.src[l.pos : l.pos+2]
-		if twoCharSymbols[two] {
-			l.emit(tkSymbol, two)
-			l.pos += 2
-			return nil
+func scanSymbol(src string, pos int) (token, int, error) {
+	if pos+1 < len(src) {
+		switch two := src[pos : pos+2]; two {
+		case "<>", "!=", "<=", ">=":
+			return token{kind: tkSymbol, text: two, pos: pos}, pos + 2, nil
 		}
 	}
-	c := l.src[l.pos]
-	switch c {
+	switch src[pos] {
 	case '(', ')', ',', '.', '*', '+', '-', '/', '=', '<', '>', ';':
 		// Slice the source rather than string(c): guaranteed allocation-free.
-		l.emit(tkSymbol, l.src[l.pos:l.pos+1])
-		l.pos++
-		return nil
+		return token{kind: tkSymbol, text: src[pos : pos+1], pos: pos}, pos + 1, nil
 	}
-	_, size := utf8.DecodeRuneInString(l.src[l.pos:])
-	return errAt(l.pos, "unexpected character %q", l.src[l.pos:l.pos+size])
+	_, size := utf8.DecodeRuneInString(src[pos:])
+	return token{}, 0, errAt(pos, "unexpected character %q", src[pos:pos+size])
 }

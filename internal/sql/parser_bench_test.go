@@ -21,11 +21,13 @@ func BenchmarkParse(b *testing.B) {
 	}
 }
 
+// BenchmarkLex lexes into a stack buffer, as Parse does.
 func BenchmarkLex(b *testing.B) {
 	b.ReportAllocs()
+	var buf [64]token
 	for i := 0; i < b.N; i++ {
 		q := benchQueries[i%len(benchQueries)]
-		if _, err := lex(q); err != nil {
+		if _, err := lex(buf[:0], q); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -236,6 +237,11 @@ func TestFormatReparsesToParsed(t *testing.T) {
 		{q: "SELECT 'it''s', '''' FROM t", errAt: -1},
 		{q: "SELECT -0., 1.0, 2.50, 1000000000000000000000.5 FROM t", errAt: -1},
 		{q: "(SELECT a FROM t ORDER BY a LIMIT 1) UNION (SELECT b FROM u UNION ALL SELECT c FROM v)", errAt: -1},
+		// A minus directly before a number is the number's sign, so the one
+		// int64 whose digits alone overflow parses and prints back.
+		{q: "SELECT * FROM t WHERE a = -9223372036854775808 AND b = - - 5 AND c = -(2.5)", errAt: -1},
+		{q: "SELECT -9223372036854775809 FROM t", errAt: 8, msg: "bad number"},
+		{q: "SELECT - -9223372036854775808 FROM t", errAt: 7, msg: "out of range"},
 		{q: "SELECT \xdc()", errAt: 7, msg: `"\xdc"`},
 		{q: "SELECT é FROM t", errAt: 7, msg: `"é"`},
 		{q: "SELECT 'abc", errAt: 7},
@@ -258,6 +264,37 @@ func TestFormatReparsesToParsed(t *testing.T) {
 		out := Format(s)
 		if s2, err := Parse(out); err != nil || !reflect.DeepEqual(s, s2) {
 			t.Errorf("Parse(%q) printed as %q, which reparses differently (err %v)", c.q, out, err)
+		}
+	}
+}
+
+// TestParseMinInt64Literal: -9223372036854775808 is one literal holding
+// math.MinInt64, not a minus over an integer that does not fit.
+func TestParseMinInt64Literal(t *testing.T) {
+	s := MustParse("SELECT * FROM t WHERE a = -9223372036854775808")
+	if lit, ok := s.Where.(*BinaryExpr).R.(*Literal); !ok || lit.Val != NewInt(math.MinInt64) {
+		t.Fatalf("right operand = %#v, want the literal %d", s.Where.(*BinaryExpr).R, int64(math.MinInt64))
+	}
+}
+
+// TestParseNestingBound: a statement nested MaxNesting levels parses; one
+// nested deeper is a *ParseError at the token that goes one level too deep,
+// however much deeper it nests (the lexer stops reading there). A WHERE
+// clause is two levels deep (the statement and the expression), and each
+// parenthesis adds one.
+func TestParseNestingBound(t *testing.T) {
+	const where = "SELECT * FROM t WHERE "
+	nested := func(parens int) string {
+		return where + strings.Repeat("(", parens) + "a = 1" + strings.Repeat(")", parens)
+	}
+	if _, err := Parse(nested(MaxNesting - 2)); err != nil {
+		t.Fatalf("%d levels: %v", MaxNesting, err)
+	}
+	for _, parens := range []int{MaxNesting - 1, 100 * MaxNesting} {
+		_, err := Parse(nested(parens))
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Offset != len(where)+MaxNesting-1 || !strings.Contains(pe.Msg, "nests deeper") {
+			t.Errorf("%d levels: %v, want a *ParseError at offset %d", parens+2, err, len(where)+MaxNesting-1)
 		}
 	}
 }

@@ -40,6 +40,18 @@ func AppendSelect(dst []byte, s *SelectStmt) []byte { return appendNode(dst, s, 
 // AppendExpr appends the text FormatExpr returns for e to dst.
 func AppendExpr(dst []byte, e Expr) []byte { return appendNode(dst, e, 0, nil) }
 
+// AppendOperand appends e as the left (right false) or right operand of the
+// binary operator op, parenthesized exactly where AppendExpr would
+// parenthesize it inside a *BinaryExpr with that operator. Printing a
+// left-deep AND chain operand by operand gives JoinConjuncts' text.
+func AppendOperand(dst []byte, e Expr, op string, right bool) []byte {
+	prec := binaryPrec(op)
+	if right {
+		prec++
+	}
+	return appendNode(dst, e, prec, nil)
+}
+
 // AppendExprPositional is AppendExpr with every column qualifier that is a
 // member of bindings written as its position there (see AppendBinding), which
 // makes the text insensitive to how the tables were aliased. That reaches the
@@ -75,15 +87,15 @@ func AppendBinding(dst []byte, binding string, bindings []string) []byte {
 		dst = append(dst, 'b')
 		return strconv.AppendInt(dst, int64(i), 10)
 	}
-	return appendIdent(dst, binding)
+	return AppendIdent(dst, binding)
 }
 
-// appendIdent appends an identifier, quoted when the lexer would not read it
+// AppendIdent appends an identifier, quoted when the lexer would not read it
 // back bare as the same identifier: when it is empty, a keyword, or not an
 // ASCII letter or _ followed by letters, digits, _ and $. The quote is " or,
 // for an identifier holding one, ` — quoted identifiers have no escapes, so
 // no identifier the lexer produced holds both.
-func appendIdent(dst []byte, id string) []byte {
+func AppendIdent(dst []byte, id string) []byte {
 	bare := id != "" && isIdentStart(id[0])
 	for i := 1; bare && i < len(id); i++ {
 		bare = isIdentPart(id[i])
@@ -133,23 +145,28 @@ func appendLiteral(dst []byte, v Value) []byte {
 func exprPrec(e Expr) int {
 	switch x := e.(type) {
 	case *BinaryExpr:
-		switch x.Op {
-		case "OR":
-			return 1
-		case "AND":
-			return 2
-		case "=", "<>", "<", "<=", ">", ">=", "LIKE":
-			return 4
-		case "+", "-":
-			return 5
-		case "*", "/":
-			return 6
-		}
+		return binaryPrec(x.Op)
 	case *UnaryExpr:
 		if x.Op == "NOT" {
 			return 3
 		}
 		return 7
+	}
+	return 8
+}
+
+func binaryPrec(op string) int {
+	switch op {
+	case "OR":
+		return 1
+	case "AND":
+		return 2
+	case "=", "<>", "<", "<=", ">", ">=", "LIKE":
+		return 4
+	case "+", "-":
+		return 5
+	case "*", "/":
+		return 6
 	}
 	return 8
 }
@@ -190,7 +207,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 				}
 				switch {
 				case it.Star && it.StarTable != "":
-					dst = appendIdent(dst, it.StarTable)
+					dst = AppendIdent(dst, it.StarTable)
 					dst = append(dst, ".*"...)
 				case it.Star:
 					dst = append(dst, '*')
@@ -198,7 +215,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 					dst = appendNode(dst, it.Expr, 0, bindings)
 					if it.Alias != "" {
 						dst = append(dst, " AS "...)
-						dst = appendIdent(dst, it.Alias)
+						dst = AppendIdent(dst, it.Alias)
 					}
 				}
 			}
@@ -244,10 +261,10 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		return dst
 	case *TableName:
-		dst = appendIdent(dst, x.Name)
+		dst = AppendIdent(dst, x.Name)
 		if x.Alias != "" {
 			dst = append(dst, " AS "...)
-			dst = appendIdent(dst, x.Alias)
+			dst = AppendIdent(dst, x.Alias)
 		}
 		return dst
 	case *JoinExpr:
@@ -273,7 +290,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		dst = append(dst, ')')
 		if x.Alias != "" {
 			dst = append(dst, " AS "...)
-			dst = appendIdent(dst, x.Alias)
+			dst = AppendIdent(dst, x.Alias)
 		}
 		return dst
 	}
@@ -290,7 +307,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 			dst = AppendBinding(dst, x.Table, bindings)
 			dst = append(dst, '.')
 		}
-		dst = appendIdent(dst, x.Column)
+		dst = AppendIdent(dst, x.Column)
 	case *Literal:
 		dst = appendLiteral(dst, x.Val)
 	case *Param:
@@ -356,7 +373,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		dst = append(dst, ')')
 	case *FuncCall:
-		dst = appendIdent(dst, x.Name)
+		dst = AppendIdent(dst, x.Name)
 		dst = append(dst, '(')
 		if x.Star {
 			dst = append(dst, '*')
