@@ -555,17 +555,30 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	return best.plan, best.path, sc.stats
 }
 
+// The search counters of the default metrics registry, resolved once: a
+// registry lookup takes the registry's read lock, which concurrent searches
+// would otherwise share on every call.
+var (
+	ruleAttemptsC = obs.Default().Counter("rewrite_rule_attempts")
+	ruleMatchesC  = obs.Default().Counter("rewrite_rule_matches")
+	indexPrunedC  = obs.Default().Counter("rewrite_index_pruned")
+	shapePrunedC  = obs.Default().Counter("rewrite_shape_pruned")
+	searchNodesC  = obs.Default().Counter("rewrite_search_nodes")
+	memoHitsC     = obs.Default().Counter("rewrite_memo_hits")
+	rulesAppliedC = obs.Default().Counter("rewrite_rules_applied")
+	truncatedC    = obs.Default().Counter("rewrite_truncated")
+)
+
 // flushObs threads the search stats into the default metrics registry.
 func (sc *searchCtx) flushObs() {
-	reg := obs.Default()
-	reg.Counter("rewrite_rule_attempts").Add(sc.stats.RuleAttempts)
-	reg.Counter("rewrite_rule_matches").Add(sc.stats.RuleMatches)
-	reg.Counter("rewrite_index_pruned").Add(sc.stats.IndexPruned)
-	reg.Counter("rewrite_shape_pruned").Add(sc.stats.ShapePruned)
-	reg.Counter("rewrite_search_nodes").Add(int64(sc.stats.NodesExplored))
-	reg.Counter("rewrite_memo_hits").Add(int64(sc.stats.MemoHits))
-	reg.Counter("rewrite_rules_applied").Add(int64(sc.stats.Steps))
+	ruleAttemptsC.Add(sc.stats.RuleAttempts)
+	ruleMatchesC.Add(sc.stats.RuleMatches)
+	indexPrunedC.Add(sc.stats.IndexPruned)
+	shapePrunedC.Add(sc.stats.ShapePruned)
+	searchNodesC.Add(int64(sc.stats.NodesExplored))
+	memoHitsC.Add(int64(sc.stats.MemoHits))
+	rulesAppliedC.Add(int64(sc.stats.Steps))
 	if sc.stats.Truncated {
-		reg.Counter("rewrite_truncated").Inc()
+		truncatedC.Inc()
 	}
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"time"
 
 	"wetune/internal/obs"
 )
@@ -17,7 +18,9 @@ import (
 // Stage 2 (acquireWorker) is blocking with a deadline: an admitted request
 // waits for one of the workers execution tokens, charging the wait against
 // its own request deadline — a request that spends its budget queueing
-// reports 504 rather than starting a search it can no longer finish.
+// reports 504 rather than starting a search it can no longer finish. The
+// deadline is a value, not a context timer: a free token is taken without
+// arming anything, and only a request that must wait arms a timer.
 type admission struct {
 	slots chan struct{} // admission slots: held admit → release
 	work  chan struct{} // execution tokens: held acquireWorker → releaseWorker
@@ -56,17 +59,43 @@ func (a *admission) release() {
 	<-a.slots
 }
 
-// acquireWorker blocks for an execution token until ctx expires. Pair with
-// releaseWorker on success.
-func (a *admission) acquireWorker(ctx context.Context) error {
+// takeToken claims an execution token, waiting at most until deadline and
+// no longer than the client stays: ctx is the request's own context, whose
+// cancellation (a dropped connection) ends the wait too. It tries without
+// blocking first, so neither the timer nor ctx's Done channel is made unless
+// the request has to wait.
+func (a *admission) takeToken(ctx context.Context, deadline time.Time) bool {
 	select {
 	case a.work <- struct{}{}:
-		a.inflight.Add(1)
-		a.queued.Add(-1)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+		return true
+	default:
 	}
+	wait := time.Until(deadline)
+	if wait <= 0 {
+		return false
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case a.work <- struct{}{}:
+		return true
+	case <-t.C:
+		return false
+	case <-ctx.Done():
+		return false
+	}
+}
+
+// acquireWorker claims an execution token (see takeToken); false means the
+// deadline passed or the client left first. Pair with releaseWorker on
+// success.
+func (a *admission) acquireWorker(ctx context.Context, deadline time.Time) bool {
+	if !a.takeToken(ctx, deadline) {
+		return false
+	}
+	a.inflight.Add(1)
+	a.queued.Add(-1)
+	return true
 }
 
 // releaseWorker returns the execution token claimed by acquireWorker.
@@ -84,18 +113,16 @@ func (a *admission) releaseWorker() {
 func (a *admission) beginExec() { a.queued.Add(-1) }
 func (a *admission) endExec()   { a.queued.Add(1) }
 
-// acquireItemWorker blocks for an execution token for one batch item until
-// ctx expires. Unlike acquireWorker it leaves the queue gauge alone — the
+// acquireItemWorker claims an execution token for one batch item (see
+// takeToken). Unlike acquireWorker it leaves the queue gauge alone — the
 // owning request's queue accounting is handled once by beginExec/endExec,
 // not per item. Pair with releaseItemWorker.
-func (a *admission) acquireItemWorker(ctx context.Context) error {
-	select {
-	case a.work <- struct{}{}:
-		a.inflight.Add(1)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
+func (a *admission) acquireItemWorker(ctx context.Context, deadline time.Time) bool {
+	if !a.takeToken(ctx, deadline) {
+		return false
 	}
+	a.inflight.Add(1)
+	return true
 }
 
 // releaseItemWorker returns the execution token claimed by acquireItemWorker.

@@ -273,3 +273,30 @@ func TestChaosAllFaultPoints(t *testing.T) {
 		t.Errorf("server_queue_depth = %d after drain, want 0", v)
 	}
 }
+
+// TestEncodeErrorOnRewriteResponses: the encode_error point fires on the
+// single and batch rewrite answers — 500, code internal, and the
+// injected-fault header naming the point.
+func TestEncodeErrorOnRewriteResponses(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	t.Cleanup(func() { s.stopControl() })
+	defer faultinject.Reset()
+	if err := faultinject.Configure(1, faultinject.Fault{Point: faultinject.EncodeError, Rate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range []string{
+		`{"sql": "SELECT DISTINCT id FROM labels"}`,
+		`{"queries": [{"sql": "SELECT DISTINCT id FROM labels"}]}`,
+	} {
+		rec := do(s, http.MethodPost, "/v1/rewrite", body)
+		if rec.Code != http.StatusInternalServerError {
+			t.Fatalf("%s: status = %d, want 500; body: %s", body, rec.Code, rec.Body)
+		}
+		if got := rec.Header().Get("X-WeTune-Injected-Fault"); got != string(faultinject.EncodeError) {
+			t.Errorf("%s: injected-fault header = %q, want %q", body, got, faultinject.EncodeError)
+		}
+		if e := decodeError(t, rec.Body.String()); e.Code != codeInternal {
+			t.Errorf("%s: code = %q, want %q", body, e.Code, codeInternal)
+		}
+	}
+}

@@ -1,14 +1,10 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
-	"sync"
 
-	"wetune/internal/faultinject"
 	"wetune/internal/sql"
 )
 
@@ -26,59 +22,15 @@ type errorBody struct {
 
 // Error codes; the HTTP status carries the class, the code the cause.
 const (
-	codeBadRequest       = "bad_request"        // 400: malformed JSON / missing fields
-	codeUnknownApp       = "unknown_app"        // 400: "app" names no served schema
-	codeTooLarge         = "too_large"          // 413: body or batch over the limit
-	codeInvalidSQL       = "invalid_sql"        // 422: SQL failed to parse or plan
-	codeOverloaded       = "overloaded"         // 429: admission queue full
-	codeInternal         = "internal"           // 500: recovered handler panic
-	codeShuttingDown     = "shutting_down"      // 503: drain in progress
-	codeDeadlineExceeded = "deadline_exceeded"  // 504: deadline spent queueing or searching
+	codeBadRequest       = "bad_request"       // 400: malformed JSON / missing fields
+	codeUnknownApp       = "unknown_app"       // 400: "app" names no served schema
+	codeTooLarge         = "too_large"         // 413: body or batch over the limit
+	codeInvalidSQL       = "invalid_sql"       // 422: SQL failed to parse or plan
+	codeOverloaded       = "overloaded"        // 429: admission queue full
+	codeInternal         = "internal"          // 500: recovered handler panic
+	codeShuttingDown     = "shutting_down"     // 503: drain in progress
+	codeDeadlineExceeded = "deadline_exceeded" // 504: deadline spent queueing or searching
 )
-
-// jsonBufPool recycles response encode buffers across requests; encoding into
-// a buffer first also yields a Content-Length header, so small responses go
-// out in one write instead of chunked transfer encoding.
-var jsonBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// jsonBufMaxPooled caps the buffers the pool retains: a one-off giant explain
-// response must not pin its buffer for the rest of the process.
-const jsonBufMaxPooled = 1 << 20
-
-// writeJSON renders v with status. Marshal failures answer the bare status
-// with no body (nothing has been written yet, but the response shape is
-// unknowable); write failures are ignored — headers are out the door and the
-// connection is the client's problem.
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	// Chaos point: fail a *successful* response's encoding. Gated on
-	// status < 400 so the injected 500's own writeError → writeJSON call
-	// cannot re-inject (it arrives with status 500).
-	if status < 400 && faultinject.Fire(faultinject.EncodeError) {
-		w.Header().Set(injectedFaultHeader, string(faultinject.EncodeError))
-		writeError(w, http.StatusInternalServerError, apiError{
-			Code:    codeInternal,
-			Message: "injected fault: response encoding failed",
-		})
-		return
-	}
-	buf := jsonBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	// Compact encoding, deliberately: indentation costs ~12% of server CPU
-	// (encoding/json.appendIndent) and ~30% of response bytes at serving
-	// rates. Pipe through `jq` for a human view.
-	err := json.NewEncoder(buf).Encode(v)
-	w.Header().Set("Content-Type", "application/json")
-	if err == nil {
-		w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	}
-	w.WriteHeader(status)
-	if err == nil {
-		_, _ = w.Write(buf.Bytes())
-	}
-	if buf.Cap() <= jsonBufMaxPooled {
-		jsonBufPool.Put(buf)
-	}
-}
 
 // writeError renders the uniform error body.
 func writeError(w http.ResponseWriter, status int, e apiError) {

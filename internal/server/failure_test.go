@@ -1,9 +1,11 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -55,7 +57,9 @@ func TestOversizedBatch413(t *testing.T) {
 	}
 }
 
-// TestBadRequests400 sweeps the malformed-request space.
+// TestBadRequests400 sweeps the malformed-request space. A body is exactly
+// one JSON value: nothing, only whitespace, or a second value after the first
+// is malformed, never a request for the first query alone.
 func TestBadRequests400(t *testing.T) {
 	s, _, _ := newTestServer(t, nil)
 	cases := []struct {
@@ -64,6 +68,9 @@ func TestBadRequests400(t *testing.T) {
 	}{
 		{"malformed JSON", `{"sql": `, codeBadRequest},
 		{"empty body", `{}`, codeBadRequest},
+		{"no body", ``, codeBadRequest},
+		{"whitespace-only body", " \n\t ", codeBadRequest},
+		{"trailing second value", `{"sql": "SELECT 1"} {"sql": "SELECT 2"}`, codeBadRequest},
 		{"both sql and queries", `{"sql": "SELECT 1 FROM labels", "queries": [{"sql": "SELECT 1 FROM labels"}]}`, codeBadRequest},
 		{"unknown app", `{"sql": "SELECT id FROM labels", "app": "nope"}`, codeUnknownApp},
 	}
@@ -186,6 +193,43 @@ func TestQueueWait504(t *testing.T) {
 	}
 	if e := decodeError(t, rec.Body.String()); e.Code != codeDeadlineExceeded {
 		t.Errorf("code = %q, want %q", e.Code, codeDeadlineExceeded)
+	}
+	once.Do(func() { close(release) })
+}
+
+// TestClientDisconnectEndsQueueWait: a request queued behind a busy worker
+// stops waiting when its client goes away, long before its deadline — for a
+// single query and for a batch item alike.
+func TestClientDisconnectEndsQueueWait(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	s, _, _ := newTestServer(t, func(c *Config) {
+		c.Workers = 1
+		c.RequestTimeout = time.Minute
+		c.beforeRewrite = func(string) { <-release }
+	})
+	go do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT id FROM labels"}`)
+	waitBusy(t, s, 1)
+
+	for _, body := range []string{
+		`{"sql": "SELECT id FROM labels"}`,
+		`{"queries": [{"sql": "SELECT id FROM labels"}]}`,
+	} {
+		ctx, cancel := context.WithCancel(context.Background())
+		req := httptest.NewRequest(http.MethodPost, "/v1/rewrite", strings.NewReader(body)).WithContext(ctx)
+		done := make(chan struct{})
+		go func() {
+			s.Handler().ServeHTTP(httptest.NewRecorder(), req)
+			close(done)
+		}()
+		time.Sleep(10 * time.Millisecond) // let it reach the worker wait
+		cancel()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: the queued request kept waiting after its client left", body)
+		}
 	}
 	once.Do(func() { close(release) })
 }

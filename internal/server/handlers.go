@@ -17,13 +17,23 @@ import (
 )
 
 // Response headers reporting serving conditions: the degradation-ladder level
-// a /v1/rewrite answer was served at, and the fault point behind an injected
-// (chaos-run) failure — load generators use the latter to separate injected
-// damage from real errors.
+// a /v1/rewrite answer was served at (X-WeTune-Service-Level), and the fault
+// point behind an injected (chaos-run) failure (X-WeTune-Injected-Fault) —
+// load generators use the latter to separate injected damage from real
+// errors. The keys are in canonical form, which is what goes on the wire.
 const (
-	serviceLevelHeader  = "X-WeTune-Service-Level"
-	injectedFaultHeader = "X-WeTune-Injected-Fault"
+	serviceLevelHeader  = "X-Wetune-Service-Level"
+	injectedFaultHeader = "X-Wetune-Injected-Fault"
 )
+
+// serviceLevelValues is the read-only X-WeTune-Service-Level header value of
+// each ladder level, shared by every response served at it.
+var serviceLevelValues = func() (v [LevelCacheOnly + 1][]string) {
+	for l := range v {
+		v[l] = []string{ServiceLevel(l).String()}
+	}
+	return v
+}()
 
 // rewriteQuery is one query of a rewrite/explain request. App selects the
 // schema ("" = the server's default app).
@@ -105,9 +115,8 @@ func (w *statusWriter) status() int {
 // records a flight-recorder anomaly (with stack) instead of killing the
 // process.
 func (s *Server) instrumented(name string, h http.HandlerFunc) http.HandlerFunc {
-	reg := s.cfg.Registry
-	lat := reg.Histogram("server_latency_" + name)
-	reqs := reg.Counter("server_requests_" + name)
+	lat := s.cfg.Registry.Histogram("server_latency_" + name)
+	reqs := s.cfg.Registry.Counter("server_requests_" + name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		reqs.Inc()
@@ -119,7 +128,7 @@ func (s *Server) instrumented(name string, h http.HandlerFunc) http.HandlerFunc 
 					// counted apart from real panics, marked in the response,
 					// and kept out of the anomaly stream (a chaos soak would
 					// otherwise bury real anomalies under scheduled ones).
-					reg.Counter("server_injected_panics").Inc()
+					s.injectedPanics.Inc()
 					if !sw.wrote {
 						sw.Header().Set(injectedFaultHeader, string(inj.Point))
 						writeError(sw, http.StatusInternalServerError, apiError{
@@ -128,7 +137,7 @@ func (s *Server) instrumented(name string, h http.HandlerFunc) http.HandlerFunc 
 						})
 					}
 				} else {
-					reg.Counter("server_panics").Inc()
+					s.panics.Inc()
 					s.cfg.Journal.Anomaly(fmt.Sprintf("server: panic in %s handler: %v\n%s", name, p, debug.Stack()))
 					if !sw.wrote {
 						writeError(sw, http.StatusInternalServerError, apiError{
@@ -141,11 +150,11 @@ func (s *Server) instrumented(name string, h http.HandlerFunc) http.HandlerFunc 
 			lat.Observe(time.Since(start))
 			switch c := sw.status(); {
 			case c >= 500:
-				reg.Counter("server_responses_5xx").Inc()
+				s.responses5xx.Inc()
 			case c >= 400:
-				reg.Counter("server_responses_4xx").Inc()
+				s.responses4xx.Inc()
 			default:
-				reg.Counter("server_responses_2xx").Inc()
+				s.responses2xx.Inc()
 			}
 		}()
 		h(sw, r)
@@ -174,12 +183,18 @@ func (s *Server) guarded(name string, h http.HandlerFunc) http.HandlerFunc {
 	})
 }
 
-// decodeBody decodes the JSON body into v under the body-size limit,
-// answering 413 (too large) or 400 (malformed) itself; ok=false means the
-// response is already written.
+// decodeBody reads the body, under the body-size limit, into pooled scratch
+// and decodes it into v as exactly one JSON value: an empty or whitespace-only
+// body and data after the value are malformed. It answers 413 (too large) or
+// 400 (malformed) itself; ok=false means the response is already written.
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok bool) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	buf := getBuf()
+	defer putBuf(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err == nil {
+		err = json.Unmarshal(buf.Bytes(), v)
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			writeError(w, http.StatusRequestEntityTooLarge, apiError{
@@ -197,38 +212,40 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) (ok b
 	return true
 }
 
-// resolveApp maps a request's app name to its shared Optimizer.
-func (s *Server) resolveApp(app string) (string, *wetune.Optimizer, *apiError) {
+// resolveApp maps a request's app name to its shared Optimizer, or to the
+// error to answer.
+func (s *Server) resolveApp(app string) resolvedApp {
 	if app == "" {
 		app = s.cfg.DefaultApp
 	}
 	if app == "" {
-		return "", nil, &apiError{
+		return resolvedApp{err: &apiError{
 			Code:    codeBadRequest,
 			Message: fmt.Sprintf("\"app\" is required (serving %d apps: %v)", len(s.apps), s.apps),
-		}
+		}}
 	}
 	opt, okApp := s.opts[app]
 	if !okApp {
-		return "", nil, &apiError{
+		return resolvedApp{err: &apiError{
 			Code:    codeUnknownApp,
 			Message: fmt.Sprintf("unknown app %q (serving: %v)", app, s.apps),
-		}
+		}}
 	}
-	return app, opt, nil
+	return resolvedApp{app: app, opt: opt}
 }
 
-// requestContext derives the request's working context: the server timeout,
-// lowered by the request's timeout_ms when given, on top of the client
-// context (so a dropped connection cancels queue waits too).
-func (s *Server) requestContext(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
+// deadline is the request's deadline: the server timeout from now, lowered by
+// the request's timeout_ms when given. It is a value, not a context: the
+// search reads it as a budget, and a worker wait arms a timer on it only when
+// it has to wait (the client context's cancellation ends that wait too).
+func (s *Server) deadline(timeoutMS int64) time.Time {
 	timeout := s.cfg.RequestTimeout
 	if timeoutMS > 0 {
 		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
 			timeout = d
 		}
 	}
-	return context.WithTimeout(r.Context(), timeout)
+	return time.Now().Add(timeout)
 }
 
 // handleRewrite is POST /v1/rewrite: single {"sql": ...} or batch
@@ -254,69 +271,67 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	queries := req.Queries
+	// Resolve the app before taking a worker: an unknown app must not cost a
+	// queue wait.
+	var rz resolvedApp
 	if single {
-		queries = []rewriteQuery{{SQL: req.SQL, App: req.App}}
-	}
-	// Resolve every app before taking a worker: an unknown app must not
-	// cost a queue wait.
-	rq := make([]resolvedApp, len(queries))
-	for i, q := range queries {
-		rq[i].app, rq[i].opt, rq[i].err = s.resolveApp(q.App)
-		if single && rq[i].err != nil {
-			writeError(w, http.StatusBadRequest, *rq[i].err)
+		if rz = s.resolveApp(req.App); rz.err != nil {
+			writeError(w, http.StatusBadRequest, *rz.err)
 			return
 		}
 	}
-
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
+	deadline := s.deadline(req.TimeoutMS)
 
 	// The whole request — every batch item included — is served at the
 	// ladder's current level, reported once in the response header. Level
 	// changes mid-request apply to the next request, not this one.
 	level := s.CurrentServiceLevel()
-	w.Header().Set(serviceLevelHeader, level.String())
+	w.Header()[serviceLevelHeader] = serviceLevelValues[level]
 
-	if single {
-		if err := s.adm.acquireWorker(ctx); err != nil {
-			writeError(w, http.StatusGatewayTimeout, apiError{
-				Code:    codeDeadlineExceeded,
-				Message: "request deadline expired while waiting for a worker",
-			})
-			return
-		}
-		defer s.adm.releaseWorker()
-		q := queries[0]
-		faultinject.MaybePanic(faultinject.HandlerPanic)
-		if s.cfg.beforeRewrite != nil {
-			s.cfg.beforeRewrite(q.SQL)
-		}
-		res, err := s.rewriteOne(ctx, rq[0], q.SQL, level)
-		if err != nil {
-			writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
-			return
-		}
-		writeJSON(w, resultStatus(res), rewriteResponse{App: rq[0].app, RewriteResult: res})
+	if !single {
+		s.rewriteBatch(w, r, req.Queries, deadline, level)
 		return
 	}
-
-	// Batch: items fan out across the worker pool, bounded by Workers lanes.
-	// The request holds its one admission slot throughout; each item claims
-	// an execution token only for the span of its own rewrite, so batch
-	// concurrency comes out of the same Workers bound as single queries and
-	// the admission contract (never more than Workers concurrent rewrites)
-	// is preserved. Items are pulled by an atomic cursor and write results by
-	// index, so response ordering is position-stable regardless of completion
-	// order. Per-item failures (bad app, bad SQL, deadline spent waiting for
-	// a token) are reported in place; the batch itself answers 200 — partial
-	// results are the point of batching.
-	s.batchReqs.Inc()
-	out := batchResponse{Results: make([]batchItem, len(queries))}
-	lanes := s.cfg.Workers
-	if len(queries) < lanes {
-		lanes = len(queries)
+	if !s.adm.acquireWorker(r.Context(), deadline) {
+		writeError(w, http.StatusGatewayTimeout, apiError{
+			Code:    codeDeadlineExceeded,
+			Message: "request deadline expired while waiting for a worker",
+		})
+		return
 	}
+	defer s.adm.releaseWorker()
+	faultinject.MaybePanic(faultinject.HandlerPanic)
+	if s.cfg.beforeRewrite != nil {
+		s.cfg.beforeRewrite(req.SQL)
+	}
+	res, err := s.rewriteOne(deadline, rz, req.SQL, level)
+	if err != nil {
+		writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
+		return
+	}
+	writeJSON(w, resultStatus(res), rewriteResponse{App: rz.app, RewriteResult: res})
+}
+
+// rewriteBatch serves a batch: items fan out across the worker pool, bounded
+// by Workers lanes. The request holds its one admission slot throughout; each
+// item claims an execution token only for the span of its own rewrite, so
+// batch concurrency comes out of the same Workers bound as single queries and
+// the admission contract (never more than Workers concurrent rewrites) is
+// preserved. Items are pulled by an atomic cursor and write results by index,
+// so response ordering is position-stable regardless of completion order.
+// Per-item failures (bad app, bad SQL, deadline spent waiting for a token)
+// are reported in place; the batch itself answers 200 — partial results are
+// the point of batching.
+func (s *Server) rewriteBatch(w http.ResponseWriter, r *http.Request, queries []rewriteQuery, deadline time.Time, level ServiceLevel) {
+	// Resolve every app before taking a worker: an unknown app must not cost
+	// a queue wait.
+	rq := make([]resolvedApp, len(queries))
+	for i, q := range queries {
+		rq[i] = s.resolveApp(q.App)
+	}
+	s.batchReqs.Inc()
+	results := make([]batchItem, len(queries))
+	lanes := min(s.cfg.Workers, len(queries))
 	var next, errCount atomic.Int64
 	var wg sync.WaitGroup
 	s.adm.beginExec()
@@ -329,14 +344,13 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 				if i >= len(queries) {
 					return
 				}
-				s.runBatchItem(ctx, i, queries[i], rq[i], out.Results, &errCount, level)
+				s.runBatchItem(r.Context(), deadline, i, queries[i], rq[i], results, &errCount, level)
 			}
 		}()
 	}
 	wg.Wait()
 	s.adm.endExec()
-	out.Errors = int(errCount.Load())
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, batchResponse{Results: results, Errors: int(errCount.Load())})
 }
 
 // resultStatus is the status a single rewrite or explanation is answered
@@ -351,7 +365,7 @@ func resultStatus(res *wetune.RewriteResult) int {
 }
 
 // resolvedApp is one query's app resolution: a shared Optimizer or the error
-// to report in its slot.
+// to answer (for a batch item, in its slot).
 type resolvedApp struct {
 	app string
 	opt *wetune.Optimizer
@@ -366,7 +380,7 @@ type resolvedApp struct {
 // probe is always reported (the probe slot must be released; a probe answered
 // from cache counts as a success and closes the breaker, letting the next
 // miss re-open it if searches still truncate).
-func (s *Server) rewriteOne(ctx context.Context, rz resolvedApp, sqlText string, level ServiceLevel) (*wetune.RewriteResult, error) {
+func (s *Server) rewriteOne(deadline time.Time, rz resolvedApp, sqlText string, level ServiceLevel) (*wetune.RewriteResult, error) {
 	br := s.breakerFor(rz.app)
 	var probe bool
 	if br != nil {
@@ -376,7 +390,7 @@ func (s *Server) rewriteOne(ctx context.Context, rz resolvedApp, sqlText string,
 			level = LevelCacheOnly
 		}
 	}
-	res, err := rz.opt.OptimizeSQLResultMode(ctx, sqlText, level)
+	res, err := rz.opt.OptimizeSQLResultMode(deadline, sqlText, level)
 	if br != nil {
 		searched := err == nil && !res.Cached && level != LevelCacheOnly
 		trunc := searched && res.Stats.TruncatedBy == "deadline"
@@ -392,16 +406,17 @@ func (s *Server) rewriteOne(ctx context.Context, rz resolvedApp, sqlText string,
 // recorded per item), rewrite, and write the result into the item's slot. A
 // panic is isolated to the item — counted and journaled like a handler panic,
 // answered as an in-place internal error — so one poisoned query cannot take
-// down its batch siblings.
-func (s *Server) runBatchItem(ctx context.Context, i int, q rewriteQuery, rz resolvedApp, results []batchItem, errCount *atomic.Int64, level ServiceLevel) {
+// down its batch siblings. ctx is the client's context: a dropped client ends
+// the token wait.
+func (s *Server) runBatchItem(ctx context.Context, deadline time.Time, i int, q rewriteQuery, rz resolvedApp, results []batchItem, errCount *atomic.Int64, level ServiceLevel) {
 	defer func() {
 		if p := recover(); p != nil {
 			msg := "internal error (panic recovered; see journal anomaly)"
 			if inj, ok := p.(faultinject.Injected); ok {
-				s.cfg.Registry.Counter("server_injected_panics").Inc()
+				s.injectedPanics.Inc()
 				msg = "injected fault: " + inj.Error()
 			} else {
-				s.cfg.Registry.Counter("server_panics").Inc()
+				s.panics.Inc()
 				s.cfg.Journal.Anomaly(fmt.Sprintf("server: panic in batch item %d: %v\n%s", i, p, debug.Stack()))
 			}
 			results[i] = batchItem{App: rz.app, Error: &apiError{
@@ -417,7 +432,7 @@ func (s *Server) runBatchItem(ctx context.Context, i int, q rewriteQuery, rz res
 		return
 	}
 	waitStart := time.Now()
-	if err := s.adm.acquireItemWorker(ctx); err != nil {
+	if !s.adm.acquireItemWorker(ctx, deadline) {
 		results[i] = batchItem{App: rz.app, Error: &apiError{
 			Code:    codeDeadlineExceeded,
 			Message: "request deadline expired before this query ran",
@@ -434,7 +449,7 @@ func (s *Server) runBatchItem(ctx context.Context, i int, q rewriteQuery, rz res
 	if s.cfg.beforeRewrite != nil {
 		s.cfg.beforeRewrite(q.SQL)
 	}
-	res, err := s.rewriteOne(ctx, rz, q.SQL, level)
+	res, err := s.rewriteOne(deadline, rz, q.SQL, level)
 	if err != nil {
 		results[i] = batchItem{App: rz.app, Error: ptr(sqlErr(err))}
 		errCount.Add(1)
@@ -461,14 +476,13 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		})
 		return
 	}
-	app, opt, aerr := s.resolveApp(req.App)
-	if aerr != nil {
-		writeError(w, http.StatusBadRequest, *aerr)
+	rz := s.resolveApp(req.App)
+	if rz.err != nil {
+		writeError(w, http.StatusBadRequest, *rz.err)
 		return
 	}
-	ctx, cancel := s.requestContext(r, req.TimeoutMS)
-	defer cancel()
-	if err := s.adm.acquireWorker(ctx); err != nil {
+	deadline := s.deadline(req.TimeoutMS)
+	if !s.adm.acquireWorker(r.Context(), deadline) {
 		writeError(w, http.StatusGatewayTimeout, apiError{
 			Code:    codeDeadlineExceeded,
 			Message: "request deadline expired while waiting for a worker",
@@ -480,12 +494,14 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.beforeRewrite != nil {
 		s.cfg.beforeRewrite(req.SQL)
 	}
-	res, err := opt.ExplainSQL(ctx, req.SQL)
+	ctx, cancel := context.WithDeadline(r.Context(), deadline)
+	defer cancel()
+	res, err := rz.opt.ExplainSQL(ctx, req.SQL)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
 		return
 	}
-	writeJSON(w, resultStatus(&res.RewriteResult), explainResponse{App: app, ExplainResult: res})
+	writeJSON(w, resultStatus(&res.RewriteResult), explainResponse{App: rz.app, ExplainResult: res})
 }
 
 // ruleInfo is one served rule in /v1/rules.

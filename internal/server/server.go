@@ -133,11 +133,16 @@ type Server struct {
 	adm  *admission
 	mux  http.Handler
 
-	// Batch fan-out metrics, resolved once (registry lookups are off the
-	// per-item hot path).
-	batchReqs  *obs.Counter
-	batchItems *obs.Counter
-	batchWait  *obs.Histogram
+	// Per-request and batch fan-out metrics, resolved once: a registry
+	// lookup takes the registry's read lock, which every request would share.
+	responses2xx   *obs.Counter
+	responses4xx   *obs.Counter
+	responses5xx   *obs.Counter
+	panics         *obs.Counter
+	injectedPanics *obs.Counter
+	batchReqs      *obs.Counter
+	batchItems     *obs.Counter
+	batchWait      *obs.Histogram
 
 	// Degradation ladder (nil when Config.Degradation.Disabled) plus its
 	// controller goroutine's lifecycle, and the per-app circuit breakers.
@@ -195,13 +200,19 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 
+	reg := cfg.Registry
 	s := &Server{
-		cfg:        cfg,
-		opts:       make(map[string]*wetune.Optimizer, len(cfg.Schemas)),
-		adm:        newAdmission(cfg.Workers, cfg.QueueDepth, cfg.Registry),
-		batchReqs:  cfg.Registry.Counter("server_batch_requests"),
-		batchItems: cfg.Registry.Counter("server_batch_items"),
-		batchWait:  cfg.Registry.Histogram("server_batch_item_wait"),
+		cfg:            cfg,
+		opts:           make(map[string]*wetune.Optimizer, len(cfg.Schemas)),
+		adm:            newAdmission(cfg.Workers, cfg.QueueDepth, reg),
+		responses2xx:   reg.Counter("server_responses_2xx"),
+		responses4xx:   reg.Counter("server_responses_4xx"),
+		responses5xx:   reg.Counter("server_responses_5xx"),
+		panics:         reg.Counter("server_panics"),
+		injectedPanics: reg.Counter("server_injected_panics"),
+		batchReqs:      reg.Counter("server_batch_requests"),
+		batchItems:     reg.Counter("server_batch_items"),
+		batchWait:      reg.Histogram("server_batch_item_wait"),
 	}
 	for app, schema := range cfg.Schemas {
 		opt := wetune.NewOptimizer(cfg.Rules, schema)

@@ -228,7 +228,7 @@ func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
 
 // OptimizeSQL parses, plans, optimizes and renders back to SQL.
 func (o *Optimizer) OptimizeSQL(query string) (rewritten string, applied []Applied, err error) {
-	res, err := o.rewriteSQL(context.Background(), query, ModeFull, nil)
+	res, err := o.rewriteSQL(time.Time{}, query, ModeFull, nil)
 	if err != nil {
 		return "", nil, err
 	}
@@ -240,7 +240,7 @@ func (o *Optimizer) OptimizeSQL(query string) (rewritten string, applied []Appli
 // chain, cost before and after, and search stats. When the result cache is
 // enabled (EnableResultCache) results are keyed by the query text.
 func (o *Optimizer) OptimizeSQLResult(query string) (*RewriteResult, error) {
-	return o.rewriteSQL(context.Background(), query, ModeFull, nil)
+	return o.rewriteSQL(time.Time{}, query, ModeFull, nil)
 }
 
 // OptimizeSQLResultContext is OptimizeSQLResult honoring the context's
@@ -253,17 +253,19 @@ func (o *Optimizer) OptimizeSQLResult(query string) (*RewriteResult, error) {
 // the same. Deadline-truncated results are never stored in the result cache
 // — a slow client's partial answer must not be replayed to a patient one.
 func (o *Optimizer) OptimizeSQLResultContext(ctx context.Context, query string) (*RewriteResult, error) {
-	return o.rewriteSQL(ctx, query, ModeFull, nil)
+	deadline, _ := ctx.Deadline()
+	return o.rewriteSQL(deadline, query, ModeFull, nil)
 }
 
 // OptimizeSQLResultMode is OptimizeSQLResultContext at an explicit effort
-// level. Every mode reads the result cache (a memoized full-effort answer is
+// level, with the deadline given as a value (the zero time is none): a caller
+// that owns its clock, like the server, needs no context per call. Every mode reads the result cache (a memoized full-effort answer is
 // at least as good as any degraded search), but only ModeFull results are
 // stored — a degraded answer must not be replayed to a caller entitled to
 // the full search. ModeCacheOnly never parses: a result-cache miss passes the
 // query through unchanged with zero-value stats, which is always correct SQL.
-func (o *Optimizer) OptimizeSQLResultMode(ctx context.Context, query string, mode RewriteMode) (*RewriteResult, error) {
-	return o.rewriteSQL(ctx, query, mode, nil)
+func (o *Optimizer) OptimizeSQLResultMode(deadline time.Time, query string, mode RewriteMode) (*RewriteResult, error) {
+	return o.rewriteSQL(deadline, query, mode, nil)
 }
 
 // rewriteSQL is the one path from query text to rewritten SQL; every
@@ -274,7 +276,7 @@ func (o *Optimizer) OptimizeSQLResultMode(ctx context.Context, query string, mod
 //  3. plan-cache get, or on a miss: parse + plan build, ORDER-BY elimination
 //     (§7), plan-cache put
 //  4. search — §6 rule matching under the mode's §8.4 budgets and the
-//     context's deadline
+//     deadline (the zero time is none)
 //  5. print — the chosen plan back to SQL
 //  6. result-cache put — full-effort, non-deadline-truncated results only
 //
@@ -282,7 +284,7 @@ func (o *Optimizer) OptimizeSQLResultMode(ctx context.Context, query string, mod
 // explanation must describe a real search, not a memo, so it skips stages 2
 // and 6; everything else — budgets, plan cache, deadline — is the same, which
 // is what keeps an explanation identical to the rewrite it explains.
-func (o *Optimizer) rewriteSQL(ctx context.Context, query string, mode RewriteMode, prov *Provenance) (*RewriteResult, error) {
+func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMode, prov *Provenance) (*RewriteResult, error) {
 	resultCache := o.cache
 	if prov != nil {
 		resultCache = nil
@@ -329,9 +331,7 @@ func (o *Optimizer) rewriteSQL(ctx context.Context, query string, mode RewriteMo
 		opts := mode.searchOptions()
 		opts.SkipOrderByElim = true
 		opts.Provenance = prov
-		if dl, ok := ctx.Deadline(); ok {
-			opts.Deadline = dl
-		}
+		opts.Deadline = deadline
 		out, applied, stats := o.rw.Search(start, opts)
 		found = rewrite.CachedResult{
 			SQL:        plan.ToSQLString(out),
@@ -382,7 +382,8 @@ type ExplainResult struct {
 // describe a real search, not a memo).
 func (o *Optimizer) ExplainSQL(ctx context.Context, query string) (*ExplainResult, error) {
 	prov := new(Provenance)
-	res, err := o.rewriteSQL(ctx, query, ModeFull, prov)
+	deadline, _ := ctx.Deadline()
+	res, err := o.rewriteSQL(deadline, query, ModeFull, prov)
 	if err != nil {
 		return nil, err
 	}

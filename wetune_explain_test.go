@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
 	"wetune/internal/workload"
 )
@@ -71,7 +72,7 @@ func explainMatchesOptimize(t *testing.T, caches bool) {
 		viaCtx, err := o.OptimizeSQLResultContext(ctx, it.SQL)
 		planned("OptimizeSQLResultContext", err)
 		same("OptimizeSQLResultContext", viaCtx.Output, viaCtx.Applied)
-		viaMode, err := o.OptimizeSQLResultMode(ctx, it.SQL, ModeFull)
+		viaMode, err := o.OptimizeSQLResultMode(time.Time{}, it.SQL, ModeFull)
 		planned("OptimizeSQLResultMode", err)
 		same("OptimizeSQLResultMode", viaMode.Output, viaMode.Applied)
 		p, err := o.PlanSQL(it.SQL)
