@@ -13,6 +13,12 @@ import (
 	"wetune/internal/uexpr"
 )
 
+// The node kinds below are the formula and integer-term language. A new kind
+// must touch: Mapper.MapFormula or Mapper.MapTerm and the builder interface
+// (traverse.go) with the plain builder there; intern's tag, Mk* constructor
+// and hash; smt's nnfIn, compileAll and, for an atom over tuples,
+// buildUniverse; and its String method.
+
 // Term is an integer-valued term.
 type Term interface {
 	term()
@@ -195,45 +201,45 @@ func (f *FalseF) formula()       {}
 func (f *FalseF) String() string { return "false" }
 
 // MkAnd flattens a conjunction.
-func MkAnd(fs ...Formula) Formula {
-	var out []Formula
-	for _, f := range fs {
-		switch x := f.(type) {
-		case nil:
-		case *TrueF:
-		case *And:
-			out = append(out, x.Fs...)
-		default:
-			out = append(out, f)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return &TrueF{}
-	case 1:
-		return out[0]
-	}
-	return &And{Fs: out}
-}
+func MkAnd(fs ...Formula) Formula { return junction(false, fs) }
 
 // MkOr flattens a disjunction.
-func MkOr(fs ...Formula) Formula {
-	var out []Formula
+func MkOr(fs ...Formula) Formula { return junction(true, fs) }
+
+func junction(or bool, fs []Formula) Formula {
+	switch out := Flatten(nil, or, fs); {
+	case len(out) == 1:
+		return out[0]
+	case len(out) == 0 && or:
+		return &FalseF{}
+	case len(out) == 0:
+		return &TrueF{}
+	case or:
+		return &Or{Fs: out}
+	default:
+		return &And{Fs: out}
+	}
+}
+
+// Flatten appends to dst the operands of the conjunction of fs, or with or
+// set of the disjunction: nil operands and the unit (true, or false) are
+// dropped, and a nested conjunction (disjunction) contributes its operands.
+// It is the one flattening rule of MkAnd, MkOr and their pooled versions.
+func Flatten(dst []Formula, or bool, fs []Formula) []Formula {
 	for _, f := range fs {
-		switch x := f.(type) {
-		case nil:
-		case *FalseF:
-		case *Or:
-			out = append(out, x.Fs...)
+		and, isAnd := f.(*And)
+		disj, isOr := f.(*Or)
+		_, isTrue := f.(*TrueF)
+		_, isFalse := f.(*FalseF)
+		switch {
+		case f == nil, isTrue && !or, isFalse && or:
+		case isAnd && !or:
+			dst = append(dst, and.Fs...)
+		case isOr && or:
+			dst = append(dst, disj.Fs...)
 		default:
-			out = append(out, f)
+			dst = append(dst, f)
 		}
 	}
-	switch len(out) {
-	case 0:
-		return &FalseF{}
-	case 1:
-		return out[0]
-	}
-	return &Or{Fs: out}
+	return dst
 }

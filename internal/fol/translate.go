@@ -181,11 +181,7 @@ func EquationCandidates(src, dest *uexpr.NF, out *uexpr.TVar) ([]Formula, error)
 		var fs []Formula
 		for _, t := range other {
 			body := &IntEq{L: trMul(t.Factors), R: &IntConst{N: 0}}
-			if len(t.Vars) > 0 {
-				fs = append(fs, Formula(&Forall{Vars: append([]*uexpr.TVar{out}, t.Vars...), Body: body}))
-			} else {
-				fs = append(fs, Formula(&Forall{Vars: []*uexpr.TVar{out}, Body: body}))
-			}
+			fs = append(fs, &Forall{Vars: append([]*uexpr.TVar{out}, t.Vars...), Body: body})
 		}
 		return []Formula{MkAnd(fs...)}, nil
 	}
@@ -289,12 +285,7 @@ func alignVars(a, b *uexpr.Term) *uexpr.Term {
 func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
 	// Try each choice of b's extra variable.
 	for bi, s := range b.Vars {
-		rest := make([]*uexpr.TVar, 0, len(b.Vars)-1)
-		for j, v := range b.Vars {
-			if j != bi {
-				rest = append(rest, v)
-			}
-		}
+		rest := slices.Delete(slices.Clone(b.Vars), bi, bi+1)
 		if len(rest) != len(a.Vars) {
 			continue
 		}

@@ -96,24 +96,28 @@ type Pool struct {
 	tInfo map[uexpr.Tuple]*tupleInfo
 	tBuck map[uint64][]uexpr.Tuple
 
-	fHash map[fol.Formula]uint64
-	fBuck map[uint64][]fol.Formula
-
-	mHash map[fol.Term]uint64
-	mBuck map[uint64][]fol.Term
+	f table[fol.Formula]
+	m table[fol.Term]
 
 	trueF  *fol.TrueF
 	falseF *fol.FalseF
 
-	// flat is where MkAnd and MkOr flatten their operands before probing, so
-	// that a hit allocates nothing; a miss copies it into the new node.
+	// flat is where MkAnd and MkOr flatten their operands (fol.Flatten) before
+	// probing, so that a hit allocates nothing; a miss copies it into the new
+	// node.
 	flat []fol.Formula
+
+	// canon rebuilds a node it is given through the pool (Formula, Term);
+	// sub is the pooled substitution (subst.go). Their hooks are method
+	// values made once, here, so mapping allocates only the nodes it makes.
+	canon fol.Mapper
+	sub   subst
 
 	sfMemo map[substKey]fol.Formula
 	smMemo map[substKey]fol.Term
 	stMemo map[substKey]uexpr.Tuple
 
-	hits, nodes               uint64 // lifetime counters
+	hits                      uint64 // lifetime counter; Size counts the nodes
 	flushedHits, flushedNodes uint64 // already reported to obs
 }
 
@@ -122,27 +126,27 @@ func NewPool() *Pool {
 	p := &Pool{
 		tInfo:  map[uexpr.Tuple]*tupleInfo{},
 		tBuck:  map[uint64][]uexpr.Tuple{},
-		fHash:  map[fol.Formula]uint64{},
-		fBuck:  map[uint64][]fol.Formula{},
-		mHash:  map[fol.Term]uint64{},
-		mBuck:  map[uint64][]fol.Term{},
+		f:      table[fol.Formula]{hash: map[fol.Formula]uint64{}, buck: map[uint64][]fol.Formula{}},
+		m:      table[fol.Term]{hash: map[fol.Term]uint64{}, buck: map[uint64][]fol.Term{}},
 		trueF:  &fol.TrueF{},
 		falseF: &fol.FalseF{},
 		sfMemo: map[substKey]fol.Formula{},
 		smMemo: map[substKey]fol.Term{},
 		stMemo: map[substKey]uexpr.Tuple{},
 	}
-	p.fHash[p.trueF] = mix(offset64, 101)
-	p.fHash[p.falseF] = mix(offset64, 102)
-	p.nodes += 2
+	p.canon = fol.Mapper{Formula: p.Formula, Term: p.Term, Tuple: p.Tuple, Copy: true}
+	p.sub = subst{p: p}
+	p.sub.m = fol.Mapper{Formula: p.sub.formula, Term: p.sub.term, Tuple: p.sub.tuple, Bind: p.sub.binds}
+	p.f.hash[p.trueF] = mix(offset64, 101)
+	p.f.hash[p.falseF] = mix(offset64, 102)
 	return p
 }
 
 // Size reports the number of unique nodes in the pool.
-func (p *Pool) Size() int { return len(p.tInfo) + len(p.fHash) + len(p.mHash) }
+func (p *Pool) Size() int { return len(p.tInfo) + len(p.f.hash) + len(p.m.hash) }
 
 // Stats reports lifetime hit and unique-node counts.
-func (p *Pool) Stats() (hits, nodes uint64) { return p.hits, p.nodes }
+func (p *Pool) Stats() (hits, nodes uint64) { return p.hits, uint64(p.Size()) }
 
 // Metric names recorded by FlushMetrics (see internal/obs and DESIGN.md).
 const (
@@ -163,9 +167,9 @@ func (p *Pool) FlushMetrics(reg *obs.Registry) {
 		reg.Counter(MetricHits).Add(int64(d))
 		p.flushedHits = p.hits
 	}
-	if d := p.nodes - p.flushedNodes; d > 0 {
-		reg.Counter(MetricNodes).Add(int64(d))
-		p.flushedNodes = p.nodes
+	if n := uint64(p.Size()); n > p.flushedNodes {
+		reg.Counter(MetricNodes).Add(int64(n - p.flushedNodes))
+		p.flushedNodes = n
 	}
 	reg.Gauge(MetricPoolNodes).Set(int64(p.Size()))
 }
@@ -182,11 +186,8 @@ func (p *Pool) False() fol.Formula { return p.falseF }
 // package comment).
 func (p *Pool) MkVar(id int) uexpr.Tuple {
 	h := mix(mix(offset64, tagTVar), uint64(uint32(id)))
-	for _, c := range p.tBuck[h] {
-		if v, ok := c.(*uexpr.TVar); ok && v.ID == id {
-			p.hits++
-			return c
-		}
+	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { v, ok := c.(*uexpr.TVar); return ok && v.ID == id }); ok {
+		return c
 	}
 	n := &uexpr.TVar{ID: id}
 	p.putTuple(n, h, "t"+strconv.Itoa(id), 0)
@@ -197,11 +198,8 @@ func (p *Pool) MkVar(id int) uexpr.Tuple {
 func (p *Pool) MkAttr(attrs template.Sym, t uexpr.Tuple) uexpr.Tuple {
 	ti := p.tInfo[t]
 	h := mix(symHash(tagTAttr, attrs), ti.hash)
-	for _, c := range p.tBuck[h] {
-		if a, ok := c.(*uexpr.TAttr); ok && a.Attrs == attrs && a.T == t {
-			p.hits++
-			return c
-		}
+	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { a, ok := c.(*uexpr.TAttr); return ok && a.Attrs == attrs && a.T == t }); ok {
+		return c
 	}
 	n := &uexpr.TAttr{Attrs: attrs, T: t}
 	p.putTuple(n, h, attrs.String()+"("+ti.key+")", 1+ti.depth)
@@ -212,11 +210,8 @@ func (p *Pool) MkAttr(attrs template.Sym, t uexpr.Tuple) uexpr.Tuple {
 func (p *Pool) MkConcat(l, r uexpr.Tuple) uexpr.Tuple {
 	li, ri := p.tInfo[l], p.tInfo[r]
 	h := mix(mix(mix(offset64, tagTConcat), li.hash), ri.hash)
-	for _, c := range p.tBuck[h] {
-		if x, ok := c.(*uexpr.TConcat); ok && x.L == l && x.R == r {
-			p.hits++
-			return c
-		}
+	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { x, ok := c.(*uexpr.TConcat); return ok && x.L == l && x.R == r }); ok {
+		return c
 	}
 	depth := li.depth
 	if ri.depth > depth {
@@ -230,10 +225,11 @@ func (p *Pool) MkConcat(l, r uexpr.Tuple) uexpr.Tuple {
 func (p *Pool) putTuple(n uexpr.Tuple, h uint64, key string, depth int) {
 	p.tInfo[n] = &tupleInfo{hash: h, key: key, depth: depth}
 	p.tBuck[h] = append(p.tBuck[h], n)
-	p.nodes++
 }
 
-// Tuple canonicalizes an arbitrary tuple term into the pool.
+// Tuple canonicalizes an arbitrary tuple term into the pool. It keeps its own
+// switch: uexpr.MapTuple hands a node whose children are pooled back as it
+// is, and a canonicaliser must rebuild it all the same.
 func (p *Pool) Tuple(t uexpr.Tuple) uexpr.Tuple {
 	if _, ok := p.tInfo[t]; ok {
 		p.hits++
@@ -259,224 +255,152 @@ func (p *Pool) TupleDepth(t uexpr.Tuple) int { return p.tInfo[t].depth }
 
 // --- formulas ---
 
-func (p *Pool) findF(h uint64, eq func(fol.Formula) bool) fol.Formula {
-	for _, c := range p.fBuck[h] {
-		if eq(c) {
-			p.hits++
-			return c
-		}
-	}
-	return nil
+// table is one sort's hash-consing table: the structural hash of every
+// pooled node, and the pooled nodes under each hash.
+type table[N comparable] struct {
+	hash map[N]uint64
+	buck map[uint64][]N
 }
 
-func (p *Pool) putF(n fol.Formula, h uint64) fol.Formula {
-	p.fHash[n] = h
-	p.fBuck[h] = append(p.fBuck[h], n)
-	p.nodes++
+// find returns the node of bucket that same accepts: the pooled node equal
+// to one being made, whose hash picked the bucket.
+func find[N comparable](p *Pool, bucket []N, same func(N) bool) (N, bool) {
+	for _, c := range bucket {
+		if same(c) {
+			p.hits++
+			return c, true
+		}
+	}
+	var none N
+	return none, false
+}
+
+// put pools n under hash h.
+func (t *table[N]) put(n N, h uint64) N {
+	t.hash[n] = h
+	t.buck[h] = append(t.buck[h], n)
 	return n
+}
+
+// poolF returns the pooled formula equal to n, a node of a kind without
+// slices over pooled children, or pools a copy of n; h is its hash.
+func poolF[N comparable, P interface {
+	*N
+	fol.Formula
+}](p *Pool, h uint64, n N) fol.Formula {
+	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(P); return ok && *x == n }); ok {
+		return c
+	}
+	x := P(new(N))
+	*x = n
+	return p.f.put(x, h)
 }
 
 // MkTupleEq interns l = r. Children must be canonical.
 func (p *Pool) MkTupleEq(l, r uexpr.Tuple) fol.Formula {
-	h := mix(mix(mix(offset64, tagTupleEq), p.tInfo[l].hash), p.tInfo[r].hash)
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.TupleEq)
-		return ok && x.L == l && x.R == r
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.TupleEq{L: l, R: r}, h)
+	return poolF(p, mix(mix(mix(offset64, tagTupleEq), p.tInfo[l].hash), p.tInfo[r].hash), fol.TupleEq{L: l, R: r})
 }
 
 // MkPredApp interns pred(t). t must be canonical.
 func (p *Pool) MkPredApp(pred template.Sym, t uexpr.Tuple) fol.Formula {
-	h := mix(symHash(tagPredApp, pred), p.tInfo[t].hash)
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.PredApp)
-		return ok && x.Pred == pred && x.T == t
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.PredApp{Pred: pred, T: t}, h)
+	return poolF(p, mix(symHash(tagPredApp, pred), p.tInfo[t].hash), fol.PredApp{Pred: pred, T: t})
 }
 
 // MkIsNull interns IsNull(t). t must be canonical.
 func (p *Pool) MkIsNull(t uexpr.Tuple) fol.Formula {
-	h := mix(mix(offset64, tagIsNull), p.tInfo[t].hash)
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.IsNull)
-		return ok && x.T == t
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.IsNull{T: t}, h)
+	return poolF(p, mix(mix(offset64, tagIsNull), p.tInfo[t].hash), fol.IsNull{T: t})
 }
 
 // MkIntEq interns l = r over integer terms. Children must be canonical.
 func (p *Pool) MkIntEq(l, r fol.Term) fol.Formula {
-	h := mix(mix(mix(offset64, tagIntEq), p.mHash[l]), p.mHash[r])
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.IntEq)
-		return ok && x.L == l && x.R == r
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.IntEq{L: l, R: r}, h)
+	return poolF(p, mix(mix(mix(offset64, tagIntEq), p.m.hash[l]), p.m.hash[r]), fol.IntEq{L: l, R: r})
 }
 
 // MkIntGt0 interns t > 0. t must be canonical.
 func (p *Pool) MkIntGt0(t fol.Term) fol.Formula {
-	h := mix(mix(offset64, tagIntGt0), p.mHash[t])
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.IntGt0)
-		return ok && x.T == t
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.IntGt0{T: t}, h)
+	return poolF(p, mix(mix(offset64, tagIntGt0), p.m.hash[t]), fol.IntGt0{T: t})
 }
 
 // MkIntLe1 interns t <= 1. t must be canonical.
 func (p *Pool) MkIntLe1(t fol.Term) fol.Formula {
-	h := mix(mix(offset64, tagIntLe1), p.mHash[t])
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.IntLe1)
-		return ok && x.T == t
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.IntLe1{T: t}, h)
+	return poolF(p, mix(mix(offset64, tagIntLe1), p.m.hash[t]), fol.IntLe1{T: t})
 }
 
 // MkNot interns !f. f must be canonical.
 func (p *Pool) MkNot(f fol.Formula) fol.Formula {
-	h := mix(mix(offset64, tagNot), p.fHash[f])
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.Not)
-		return ok && x.F == f
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.Not{F: f}, h)
+	return poolF(p, mix(mix(offset64, tagNot), p.f.hash[f]), fol.Not{F: f})
 }
 
 // MkImplies interns l => r. Children must be canonical.
 func (p *Pool) MkImplies(l, r fol.Formula) fol.Formula {
-	h := mix(mix(mix(offset64, tagImplies), p.fHash[l]), p.fHash[r])
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.Implies)
-		return ok && x.L == l && x.R == r
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.Implies{L: l, R: r}, h)
+	return poolF(p, mix(mix(mix(offset64, tagImplies), p.f.hash[l]), p.f.hash[r]), fol.Implies{L: l, R: r})
 }
 
-// MkAnd flattens and interns a conjunction with exactly fol.MkAnd's
-// semantics (nil and true dropped, nested conjunctions unwrapped, empty =>
-// true, singleton unwrapped). Elements must be canonical.
-func (p *Pool) MkAnd(fs ...fol.Formula) fol.Formula {
-	out := p.flat[:0]
-	for _, f := range fs {
-		switch x := f.(type) {
-		case nil:
-		case *fol.TrueF:
-		case *fol.And:
-			out = append(out, x.Fs...)
-		default:
-			out = append(out, f)
-		}
-	}
-	p.flat = out[:0]
-	switch len(out) {
-	case 0:
-		return p.trueF
-	case 1:
-		return out[0]
-	}
-	h := mix(mix(offset64, tagAnd), uint64(len(out)))
-	for _, f := range out {
-		h = mix(h, p.fHash[f])
-	}
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.And)
-		return ok && sameFs(x.Fs, out)
-	}); c != nil {
-		return c
-	}
-	return p.putF(&fol.And{Fs: slices.Clone(out)}, h)
-}
+// MkAnd flattens and interns a conjunction with fol.MkAnd's semantics (one
+// rule, fol.Flatten). Elements must be canonical.
+func (p *Pool) MkAnd(fs ...fol.Formula) fol.Formula { return p.junction(false, fs) }
 
-// MkOr flattens and interns a disjunction with exactly fol.MkOr's semantics.
+// MkOr flattens and interns a disjunction with fol.MkOr's semantics.
 // Elements must be canonical.
-func (p *Pool) MkOr(fs ...fol.Formula) fol.Formula {
-	out := p.flat[:0]
-	for _, f := range fs {
-		switch x := f.(type) {
-		case nil:
-		case *fol.FalseF:
-		case *fol.Or:
-			out = append(out, x.Fs...)
-		default:
-			out = append(out, f)
-		}
-	}
+func (p *Pool) MkOr(fs ...fol.Formula) fol.Formula { return p.junction(true, fs) }
+
+func (p *Pool) junction(or bool, fs []fol.Formula) fol.Formula {
+	out := fol.Flatten(p.flat[:0], or, fs)
 	p.flat = out[:0]
-	switch len(out) {
-	case 0:
-		return p.falseF
-	case 1:
+	switch {
+	case len(out) == 1:
 		return out[0]
+	case len(out) == 0 && or:
+		return p.falseF
+	case len(out) == 0:
+		return p.trueF
+	case or:
+		h := hashAll(tagOr, out, p.f.hash)
+		if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(*fol.Or); return ok && slices.Equal(x.Fs, out) }); ok {
+			return c
+		}
+		return p.f.put(&fol.Or{Fs: slices.Clone(out)}, h)
 	}
-	h := mix(mix(offset64, tagOr), uint64(len(out)))
-	for _, f := range out {
-		h = mix(h, p.fHash[f])
-	}
-	if c := p.findF(h, func(c fol.Formula) bool {
-		x, ok := c.(*fol.Or)
-		return ok && sameFs(x.Fs, out)
-	}); c != nil {
+	h := hashAll(tagAnd, out, p.f.hash)
+	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(*fol.And); return ok && slices.Equal(x.Fs, out) }); ok {
 		return c
 	}
-	return p.putF(&fol.Or{Fs: slices.Clone(out)}, h)
+	return p.f.put(&fol.And{Fs: slices.Clone(out)}, h)
 }
 
-func sameFs(a, b []fol.Formula) bool {
-	if len(a) != len(b) {
-		return false
+// hashAll hashes a node of kind tag over the pooled nodes xs.
+func hashAll[N comparable](tag uint64, xs []N, hash map[N]uint64) uint64 {
+	h := mix(mix(offset64, tag), uint64(len(xs)))
+	for _, x := range xs {
+		h = mix(h, hash[x])
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return h
 }
 
 // MkForall interns a universal quantifier. Body must be canonical; vars are
 // canonicalized by ID.
 func (p *Pool) MkForall(vars []*uexpr.TVar, body fol.Formula) fol.Formula {
 	cv, h := p.quantVars(tagForall, vars, body)
-	if c := p.findF(h, func(c fol.Formula) bool {
+	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool {
 		x, ok := c.(*fol.Forall)
-		return ok && x.Body == body && sameVars(x.Vars, cv)
-	}); c != nil {
+		return ok && x.Body == body && slices.Equal(x.Vars, cv)
+	}); ok {
 		return c
 	}
-	return p.putF(&fol.Forall{Vars: cv, Body: body}, h)
+	return p.f.put(&fol.Forall{Vars: cv, Body: body}, h)
 }
 
 // MkExists interns an existential quantifier. Body must be canonical; vars
 // are canonicalized by ID.
 func (p *Pool) MkExists(vars []*uexpr.TVar, body fol.Formula) fol.Formula {
 	cv, h := p.quantVars(tagExists, vars, body)
-	if c := p.findF(h, func(c fol.Formula) bool {
+	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool {
 		x, ok := c.(*fol.Exists)
-		return ok && x.Body == body && sameVars(x.Vars, cv)
-	}); c != nil {
+		return ok && x.Body == body && slices.Equal(x.Vars, cv)
+	}); ok {
 		return c
 	}
-	return p.putF(&fol.Exists{Vars: cv, Body: body}, h)
+	return p.f.put(&fol.Exists{Vars: cv, Body: body}, h)
 }
 
 func (p *Pool) quantVars(tag uint64, vars []*uexpr.TVar, body fol.Formula) ([]*uexpr.TVar, uint64) {
@@ -486,191 +410,73 @@ func (p *Pool) quantVars(tag uint64, vars []*uexpr.TVar, body fol.Formula) ([]*u
 		cv[i] = p.MkVar(v.ID).(*uexpr.TVar)
 		h = mix(h, uint64(uint32(v.ID)))
 	}
-	return cv, mix(h, p.fHash[body])
-}
-
-func sameVars(a, b []*uexpr.TVar) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return cv, mix(h, p.f.hash[body])
 }
 
 // Formula canonicalizes an arbitrary formula into the pool.
 func (p *Pool) Formula(f fol.Formula) fol.Formula {
-	if _, ok := p.fHash[f]; ok {
+	if _, ok := p.f.hash[f]; ok {
 		p.hits++
 		return f
 	}
-	switch x := f.(type) {
-	case *fol.TrueF:
-		return p.trueF
-	case *fol.FalseF:
-		return p.falseF
-	case *fol.TupleEq:
-		return p.MkTupleEq(p.Tuple(x.L), p.Tuple(x.R))
-	case *fol.PredApp:
-		return p.MkPredApp(x.Pred, p.Tuple(x.T))
-	case *fol.IsNull:
-		return p.MkIsNull(p.Tuple(x.T))
-	case *fol.IntEq:
-		return p.MkIntEq(p.Term(x.L), p.Term(x.R))
-	case *fol.IntGt0:
-		return p.MkIntGt0(p.Term(x.T))
-	case *fol.IntLe1:
-		return p.MkIntLe1(p.Term(x.T))
-	case *fol.Not:
-		return p.MkNot(p.Formula(x.F))
-	case *fol.And:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = p.Formula(g)
-		}
-		return p.MkAnd(out...)
-	case *fol.Or:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = p.Formula(g)
-		}
-		return p.MkOr(out...)
-	case *fol.Implies:
-		return p.MkImplies(p.Formula(x.L), p.Formula(x.R))
-	case *fol.Forall:
-		return p.MkForall(x.Vars, p.Formula(x.Body))
-	case *fol.Exists:
-		return p.MkExists(x.Vars, p.Formula(x.Body))
-	}
-	panic("intern: unknown formula type")
+	return p.canon.MapFormula(f, p)
 }
 
 // --- integer terms ---
 
-func (p *Pool) findM(h uint64, eq func(fol.Term) bool) fol.Term {
-	for _, c := range p.mBuck[h] {
-		if eq(c) {
-			p.hits++
-			return c
-		}
+// poolM is poolF for integer terms.
+func poolM[N comparable, P interface {
+	*N
+	fol.Term
+}](p *Pool, h uint64, n N) fol.Term {
+	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(P); return ok && *x == n }); ok {
+		return c
 	}
-	return nil
-}
-
-func (p *Pool) putM(n fol.Term, h uint64) fol.Term {
-	p.mHash[n] = h
-	p.mBuck[h] = append(p.mBuck[h], n)
-	p.nodes++
-	return n
+	x := P(new(N))
+	*x = n
+	return p.m.put(x, h)
 }
 
 // MkRelApp interns rel(t). t must be canonical.
 func (p *Pool) MkRelApp(rel template.Sym, t uexpr.Tuple) fol.Term {
-	h := mix(symHash(tagRelApp, rel), p.tInfo[t].hash)
-	if c := p.findM(h, func(c fol.Term) bool {
-		x, ok := c.(*fol.RelApp)
-		return ok && x.Rel == rel && x.T == t
-	}); c != nil {
-		return c
-	}
-	return p.putM(&fol.RelApp{Rel: rel, T: t}, h)
+	return poolM(p, mix(symHash(tagRelApp, rel), p.tInfo[t].hash), fol.RelApp{Rel: rel, T: t})
 }
 
 // MkIntConst interns the integer constant n.
 func (p *Pool) MkIntConst(n int) fol.Term {
-	h := mix(mix(offset64, tagIntConst), uint64(uint32(n)))
-	if c := p.findM(h, func(c fol.Term) bool {
-		x, ok := c.(*fol.IntConst)
-		return ok && x.N == n
-	}); c != nil {
-		return c
-	}
-	return p.putM(&fol.IntConst{N: n}, h)
+	return poolM(p, mix(mix(offset64, tagIntConst), uint64(uint32(n))), fol.IntConst{N: n})
 }
 
 // MkITE interns ite(cond, then, else). Children must be canonical.
 func (p *Pool) MkITE(cond fol.Formula, then, els fol.Term) fol.Term {
-	h := mix(mix(mix(mix(offset64, tagITE), p.fHash[cond]), p.mHash[then]), p.mHash[els])
-	if c := p.findM(h, func(c fol.Term) bool {
-		x, ok := c.(*fol.ITE)
-		return ok && x.Cond == cond && x.Then == then && x.Else == els
-	}); c != nil {
-		return c
-	}
-	return p.putM(&fol.ITE{Cond: cond, Then: then, Else: els}, h)
+	h := mix(mix(mix(mix(offset64, tagITE), p.f.hash[cond]), p.m.hash[then]), p.m.hash[els])
+	return poolM(p, h, fol.ITE{Cond: cond, Then: then, Else: els})
 }
 
 // MkMulT interns a product. Elements must be canonical; no flattening (the
 // fol layer never flattens products either).
 func (p *Pool) MkMulT(fs []fol.Term) fol.Term {
-	h := mix(mix(offset64, tagMulT), uint64(len(fs)))
-	for _, f := range fs {
-		h = mix(h, p.mHash[f])
-	}
-	if c := p.findM(h, func(c fol.Term) bool {
-		x, ok := c.(*fol.MulT)
-		return ok && sameMs(x.Fs, fs)
-	}); c != nil {
+	h := hashAll(tagMulT, fs, p.m.hash)
+	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(*fol.MulT); return ok && slices.Equal(x.Fs, fs) }); ok {
 		return c
 	}
-	return p.putM(&fol.MulT{Fs: fs}, h)
+	return p.m.put(&fol.MulT{Fs: fs}, h)
 }
 
 // MkAddT interns a sum. Elements must be canonical.
 func (p *Pool) MkAddT(ts []fol.Term) fol.Term {
-	h := mix(mix(offset64, tagAddT), uint64(len(ts)))
-	for _, t := range ts {
-		h = mix(h, p.mHash[t])
-	}
-	if c := p.findM(h, func(c fol.Term) bool {
-		x, ok := c.(*fol.AddT)
-		return ok && sameMs(x.Ts, ts)
-	}); c != nil {
+	h := hashAll(tagAddT, ts, p.m.hash)
+	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(*fol.AddT); return ok && slices.Equal(x.Ts, ts) }); ok {
 		return c
 	}
-	return p.putM(&fol.AddT{Ts: ts}, h)
-}
-
-func sameMs(a, b []fol.Term) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return p.m.put(&fol.AddT{Ts: ts}, h)
 }
 
 // Term canonicalizes an arbitrary integer term into the pool.
 func (p *Pool) Term(t fol.Term) fol.Term {
-	if _, ok := p.mHash[t]; ok {
+	if _, ok := p.m.hash[t]; ok {
 		p.hits++
 		return t
 	}
-	switch x := t.(type) {
-	case *fol.RelApp:
-		return p.MkRelApp(x.Rel, p.Tuple(x.T))
-	case *fol.IntConst:
-		return p.MkIntConst(x.N)
-	case *fol.ITE:
-		return p.MkITE(p.Formula(x.Cond), p.Term(x.Then), p.Term(x.Else))
-	case *fol.MulT:
-		out := make([]fol.Term, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = p.Term(g)
-		}
-		return p.MkMulT(out)
-	case *fol.AddT:
-		out := make([]fol.Term, len(x.Ts))
-		for i, g := range x.Ts {
-			out[i] = p.Term(g)
-		}
-		return p.MkAddT(out)
-	}
-	panic("intern: unknown term type")
+	return p.canon.MapTerm(t, p)
 }

@@ -2,6 +2,7 @@ package intern
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"wetune/internal/fol"
@@ -208,5 +209,265 @@ func TestJunctionHitAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Errorf("MkAnd/MkOr of interned operands: %v allocs per run, want 0", allocs)
+	}
+}
+
+// TestPooledIdentityMapAllocatesNothing: a deep walk over a pooled formula,
+// rebuilding through the pool, returns the input pointer and allocates
+// nothing; so does a substitution the memo already holds.
+func TestPooledIdentityMapAllocatesNothing(t *testing.T) {
+	p := NewPool()
+	f := randFormula(rand.New(rand.NewSource(1)), p, 4)
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(g fol.Formula) fol.Formula { return m.MapFormula(g, p) },
+		Term:    func(u fol.Term) fol.Term { return m.MapTerm(u, p) },
+		Tuple:   func(u uexpr.Tuple) uexpr.Tuple { return u },
+	}
+	repl := p.MkVar(9)
+	p.SubstFormula(f, 1, repl)
+	allocs := testing.AllocsPerRun(100, func() {
+		if m.MapFormula(f, p) != f {
+			t.Fatal("identity map copied the formula")
+		}
+		p.SubstFormula(f, 1, repl)
+	})
+	if allocs != 0 {
+		t.Errorf("pooled identity map: %v allocs per run, want 0", allocs)
+	}
+}
+
+// refSubstFormula is the substitution the traversal replaced, with its
+// per-kind switches and without the memo: it rebuilds every changed node
+// through the pool and stops at a quantifier that binds id.
+func refSubstFormula(p *Pool, f fol.Formula, id int, repl uexpr.Tuple) fol.Formula {
+	sf := func(g fol.Formula) fol.Formula { return refSubstFormula(p, g, id, repl) }
+	sm := func(u fol.Term) fol.Term { return refSubstTerm(p, u, id, repl) }
+	st := func(u uexpr.Tuple) uexpr.Tuple { return refSubstTuple(p, u, id, repl) }
+	fs := func(gs []fol.Formula) []fol.Formula {
+		out := make([]fol.Formula, len(gs))
+		for i, g := range gs {
+			out[i] = sf(g)
+		}
+		return out
+	}
+	binds := func(vs []*uexpr.TVar) bool {
+		for _, v := range vs {
+			if v.ID == id {
+				return true
+			}
+		}
+		return false
+	}
+	switch x := f.(type) {
+	case *fol.TrueF, *fol.FalseF:
+		return f
+	case *fol.TupleEq:
+		return p.MkTupleEq(st(x.L), st(x.R))
+	case *fol.PredApp:
+		return p.MkPredApp(x.Pred, st(x.T))
+	case *fol.IsNull:
+		return p.MkIsNull(st(x.T))
+	case *fol.IntEq:
+		return p.MkIntEq(sm(x.L), sm(x.R))
+	case *fol.IntGt0:
+		return p.MkIntGt0(sm(x.T))
+	case *fol.IntLe1:
+		return p.MkIntLe1(sm(x.T))
+	case *fol.Not:
+		return p.MkNot(sf(x.F))
+	case *fol.And:
+		return p.MkAnd(fs(x.Fs)...)
+	case *fol.Or:
+		return p.MkOr(fs(x.Fs)...)
+	case *fol.Implies:
+		return p.MkImplies(sf(x.L), sf(x.R))
+	case *fol.Forall:
+		if binds(x.Vars) {
+			return f
+		}
+		return p.MkForall(x.Vars, sf(x.Body))
+	case *fol.Exists:
+		if binds(x.Vars) {
+			return f
+		}
+		return p.MkExists(x.Vars, sf(x.Body))
+	}
+	panic("unknown formula")
+}
+
+func refSubstTerm(p *Pool, t fol.Term, id int, repl uexpr.Tuple) fol.Term {
+	ts := func(us []fol.Term) []fol.Term {
+		out := make([]fol.Term, len(us))
+		for i, u := range us {
+			out[i] = refSubstTerm(p, u, id, repl)
+		}
+		return out
+	}
+	switch x := t.(type) {
+	case *fol.RelApp:
+		return p.MkRelApp(x.Rel, refSubstTuple(p, x.T, id, repl))
+	case *fol.IntConst:
+		return t
+	case *fol.ITE:
+		return p.MkITE(refSubstFormula(p, x.Cond, id, repl),
+			refSubstTerm(p, x.Then, id, repl), refSubstTerm(p, x.Else, id, repl))
+	case *fol.MulT:
+		return p.MkMulT(ts(x.Fs))
+	case *fol.AddT:
+		return p.MkAddT(ts(x.Ts))
+	}
+	panic("unknown term")
+}
+
+func refSubstTuple(p *Pool, t uexpr.Tuple, id int, repl uexpr.Tuple) uexpr.Tuple {
+	switch x := t.(type) {
+	case *uexpr.TVar:
+		if x.ID == id {
+			return repl
+		}
+		return t
+	case *uexpr.TAttr:
+		return p.MkAttr(x.Attrs, refSubstTuple(p, x.T, id, repl))
+	case *uexpr.TConcat:
+		return p.MkConcat(refSubstTuple(p, x.L, id, repl), refSubstTuple(p, x.R, id, repl))
+	}
+	panic("unknown tuple")
+}
+
+// randTuple, randTerm and randFormula build random pooled nodes over the
+// variables t1..t3; quantifiers bind them too, so nested binders shadow.
+func randTuple(rng *rand.Rand, p *Pool, depth int) uexpr.Tuple {
+	switch k := rng.Intn(4); {
+	case depth <= 0 || k < 2:
+		return p.MkVar(1 + rng.Intn(3))
+	case k == 2:
+		return p.MkAttr(attrsSym(rng.Intn(2)), randTuple(rng, p, depth-1))
+	default:
+		return p.MkConcat(randTuple(rng, p, depth-1), randTuple(rng, p, depth-1))
+	}
+}
+
+func randTerm(rng *rand.Rand, p *Pool, depth int) fol.Term {
+	if depth <= 0 {
+		return p.MkRelApp(relSym(rng.Intn(2)), randTuple(rng, p, 1))
+	}
+	switch rng.Intn(5) {
+	case 0:
+		return p.MkRelApp(relSym(rng.Intn(2)), randTuple(rng, p, 2))
+	case 1:
+		return p.MkIntConst(rng.Intn(2))
+	case 2:
+		return p.MkITE(randFormula(rng, p, depth-1), randTerm(rng, p, depth-1), randTerm(rng, p, depth-1))
+	case 3:
+		return p.MkMulT([]fol.Term{randTerm(rng, p, depth-1), randTerm(rng, p, depth-1)})
+	default:
+		return p.MkAddT([]fol.Term{randTerm(rng, p, depth-1), randTerm(rng, p, depth-1)})
+	}
+}
+
+func randFormula(rng *rand.Rand, p *Pool, depth int) fol.Formula {
+	if depth <= 0 {
+		return p.MkTupleEq(randTuple(rng, p, 2), randTuple(rng, p, 2))
+	}
+	sub := func() fol.Formula { return randFormula(rng, p, depth-1) }
+	vars := func() []*uexpr.TVar {
+		return []*uexpr.TVar{{ID: 1 + rng.Intn(3)}, {ID: 1 + rng.Intn(3)}}[:1+rng.Intn(2)]
+	}
+	switch rng.Intn(14) {
+	case 0:
+		return p.True()
+	case 1:
+		return p.False()
+	case 2:
+		return p.MkTupleEq(randTuple(rng, p, 2), randTuple(rng, p, 2))
+	case 3:
+		return p.MkPredApp(predSym(rng.Intn(2)), randTuple(rng, p, 2))
+	case 4:
+		return p.MkIsNull(randTuple(rng, p, 2))
+	case 5:
+		return p.MkIntEq(randTerm(rng, p, depth-1), randTerm(rng, p, depth-1))
+	case 6:
+		return p.MkIntGt0(randTerm(rng, p, depth-1))
+	case 7:
+		return p.MkIntLe1(randTerm(rng, p, depth-1))
+	case 8:
+		return p.MkNot(sub())
+	case 9:
+		return p.MkAnd(sub(), sub(), sub())
+	case 10:
+		return p.MkOr(sub(), sub())
+	case 11:
+		return p.MkImplies(sub(), sub())
+	case 12:
+		return p.MkForall(vars(), sub())
+	default:
+		return p.MkExists(vars(), p.MkForall(vars(), sub()))
+	}
+}
+
+// TestPropSubstMatchesReference: over random pooled formulas, quantifiers
+// that shadow included, the substitution over the traversal returns exactly
+// the node the per-kind reference builds, hands unchanged formulas back as
+// themselves, and every result is canonical.
+func TestPropSubstMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	p := NewPool()
+	shadowed, unchanged := 0, 0
+	for i := 0; i < 2000; i++ {
+		f := randFormula(rng, p, 1+rng.Intn(5))
+		id := 1 + rng.Intn(3)
+		repl := randTuple(rng, p, 2)
+		got := p.SubstFormula(f, id, repl)
+		if want := refSubstFormula(p, f, id, repl); got != want {
+			t.Fatalf("subst t%d := %s in\n  %s\ngot  %s\nwant %s", id, repl, f, got, want)
+		}
+		if p.Formula(got) != got || p.Formula(plainCopy(got)) != got {
+			t.Fatalf("result %s is not canonical", got)
+		}
+		if got == f {
+			unchanged++
+		}
+		if q, ok := f.(*fol.Exists); ok && q.Vars[0].ID == id {
+			shadowed++
+		}
+	}
+	if shadowed == 0 || unchanged == 0 {
+		t.Errorf("property saw %d shadowing binders and %d unchanged results, want both", shadowed, unchanged)
+	}
+}
+
+// plainCopy rebuilds f as plain fol nodes sharing nothing with the pool.
+func plainCopy(f fol.Formula) fol.Formula {
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(g fol.Formula) fol.Formula { return m.MapFormula(g, nil) },
+		Term:    func(u fol.Term) fol.Term { return m.MapTerm(u, nil) },
+		Tuple: func(u uexpr.Tuple) uexpr.Tuple {
+			return uexpr.MapTuple(u, func(c uexpr.Tuple) uexpr.Tuple { return c }, nil)
+		},
+		Copy: true,
+	}
+	return m.MapFormula(f, nil)
+}
+
+// TestPooledMapIsCanonical: a pooled map that changes children returns pool
+// nodes — what canonicalising a plain copy of the result gives back.
+func TestPooledMapIsCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	p := NewPool()
+	v9 := p.MkVar(9)
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(g fol.Formula) fol.Formula { return m.MapFormula(g, p) },
+		Term:    func(u fol.Term) fol.Term { return m.MapTerm(u, p) },
+		Tuple:   func(uexpr.Tuple) uexpr.Tuple { return v9 },
+	}
+	for i := 0; i < 500; i++ {
+		f := randFormula(rng, p, 1+rng.Intn(4))
+		r := m.MapFormula(f, p)
+		if p.Formula(r) != r || p.Formula(plainCopy(r)) != r {
+			t.Fatalf("map result %s is not canonical", r)
+		}
 	}
 }

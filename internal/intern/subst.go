@@ -1,7 +1,10 @@
 package intern
 
 import (
+	"slices"
+
 	"wetune/internal/fol"
+	"wetune/internal/template"
 	"wetune/internal/uexpr"
 )
 
@@ -10,215 +13,76 @@ import (
 // returned as the same pointer, and every (node, var, replacement) triple is
 // memoized on pointer identity — quantifier instantiation re-derives the same
 // instances across rounds, so the memo converts the second round's work into
-// map hits.
+// map hits. The structure is fol's and uexpr's copy-on-write traversals; what
+// is the pool's is the memo, the rebuilding through its constructors and the
+// rule at a variable.
+
+// subst is the substitution of variable id by repl in flight. Its mapper's
+// hooks are method values made once per pool, in NewPool: a substitution
+// runs on this struct, not on closures made per node.
+type subst struct {
+	p    *Pool
+	id   int
+	repl uexpr.Tuple
+	m    fol.Mapper
+}
+
+func (s *subst) formula(f fol.Formula) fol.Formula { return s.p.SubstFormula(f, s.id, s.repl) }
+func (s *subst) term(t fol.Term) fol.Term          { return s.p.SubstTerm(t, s.id, s.repl) }
+func (s *subst) tuple(t uexpr.Tuple) uexpr.Tuple   { return s.p.SubstTupleVar(t, s.id, s.repl) }
+
+// binds is the binder rule: a quantifier over the variable hides its body.
+func (s *subst) binds(vars []*uexpr.TVar) bool {
+	return slices.ContainsFunc(vars, func(v *uexpr.TVar) bool { return v.ID == s.id })
+}
 
 // SubstFormula substitutes tuple variable id with the canonical ground term
 // repl everywhere in the canonical formula f, including inside integer terms
 // and ITE conditions.
 func (p *Pool) SubstFormula(f fol.Formula, id int, repl uexpr.Tuple) fol.Formula {
 	k := substKey{node: f, id: id, repl: repl}
-	if r, ok := p.sfMemo[k]; ok {
-		return r
+	r, ok := p.sfMemo[k]
+	if !ok {
+		p.sub.id, p.sub.repl = id, repl
+		r = p.sub.m.MapFormula(f, p)
+		p.sfMemo[k] = r
 	}
-	r := p.substFormula(f, id, repl)
-	p.sfMemo[k] = r
 	return r
-}
-
-func (p *Pool) substFormula(f fol.Formula, id int, repl uexpr.Tuple) fol.Formula {
-	switch x := f.(type) {
-	case *fol.TrueF, *fol.FalseF:
-		return f
-	case *fol.TupleEq:
-		l, r := p.SubstTupleVar(x.L, id, repl), p.SubstTupleVar(x.R, id, repl)
-		if l == x.L && r == x.R {
-			return f
-		}
-		return p.MkTupleEq(l, r)
-	case *fol.PredApp:
-		t := p.SubstTupleVar(x.T, id, repl)
-		if t == x.T {
-			return f
-		}
-		return p.MkPredApp(x.Pred, t)
-	case *fol.IsNull:
-		t := p.SubstTupleVar(x.T, id, repl)
-		if t == x.T {
-			return f
-		}
-		return p.MkIsNull(t)
-	case *fol.IntEq:
-		l, r := p.SubstTerm(x.L, id, repl), p.SubstTerm(x.R, id, repl)
-		if l == x.L && r == x.R {
-			return f
-		}
-		return p.MkIntEq(l, r)
-	case *fol.IntGt0:
-		t := p.SubstTerm(x.T, id, repl)
-		if t == x.T {
-			return f
-		}
-		return p.MkIntGt0(t)
-	case *fol.IntLe1:
-		t := p.SubstTerm(x.T, id, repl)
-		if t == x.T {
-			return f
-		}
-		return p.MkIntLe1(t)
-	case *fol.Not:
-		g := p.SubstFormula(x.F, id, repl)
-		if g == x.F {
-			return f
-		}
-		return p.MkNot(g)
-	case *fol.And:
-		out, changed := p.substFs(x.Fs, id, repl)
-		if !changed {
-			return f
-		}
-		return p.MkAnd(out...)
-	case *fol.Or:
-		out, changed := p.substFs(x.Fs, id, repl)
-		if !changed {
-			return f
-		}
-		return p.MkOr(out...)
-	case *fol.Implies:
-		l, r := p.SubstFormula(x.L, id, repl), p.SubstFormula(x.R, id, repl)
-		if l == x.L && r == x.R {
-			return f
-		}
-		return p.MkImplies(l, r)
-	case *fol.Forall:
-		for _, v := range x.Vars {
-			if v.ID == id {
-				return f // shadowed
-			}
-		}
-		body := p.SubstFormula(x.Body, id, repl)
-		if body == x.Body {
-			return f
-		}
-		return p.MkForall(x.Vars, body)
-	case *fol.Exists:
-		for _, v := range x.Vars {
-			if v.ID == id {
-				return f // shadowed
-			}
-		}
-		body := p.SubstFormula(x.Body, id, repl)
-		if body == x.Body {
-			return f
-		}
-		return p.MkExists(x.Vars, body)
-	}
-	panic("intern: SubstFormula on unknown type")
-}
-
-func (p *Pool) substFs(fs []fol.Formula, id int, repl uexpr.Tuple) ([]fol.Formula, bool) {
-	changed := false
-	out := make([]fol.Formula, len(fs))
-	for i, g := range fs {
-		out[i] = p.SubstFormula(g, id, repl)
-		if out[i] != g {
-			changed = true
-		}
-	}
-	return out, changed
 }
 
 // SubstTerm substitutes tuple variable id with repl in a canonical integer
 // term.
 func (p *Pool) SubstTerm(t fol.Term, id int, repl uexpr.Tuple) fol.Term {
 	k := substKey{node: t, id: id, repl: repl}
-	if r, ok := p.smMemo[k]; ok {
-		return r
+	r, ok := p.smMemo[k]
+	if !ok {
+		p.sub.id, p.sub.repl = id, repl
+		r = p.sub.m.MapTerm(t, p)
+		p.smMemo[k] = r
 	}
-	r := p.substTerm(t, id, repl)
-	p.smMemo[k] = r
 	return r
-}
-
-func (p *Pool) substTerm(t fol.Term, id int, repl uexpr.Tuple) fol.Term {
-	switch x := t.(type) {
-	case *fol.RelApp:
-		u := p.SubstTupleVar(x.T, id, repl)
-		if u == x.T {
-			return t
-		}
-		return p.MkRelApp(x.Rel, u)
-	case *fol.IntConst:
-		return t
-	case *fol.ITE:
-		c := p.SubstFormula(x.Cond, id, repl)
-		th := p.SubstTerm(x.Then, id, repl)
-		el := p.SubstTerm(x.Else, id, repl)
-		if c == x.Cond && th == x.Then && el == x.Else {
-			return t
-		}
-		return p.MkITE(c, th, el)
-	case *fol.MulT:
-		changed := false
-		out := make([]fol.Term, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = p.SubstTerm(g, id, repl)
-			if out[i] != g {
-				changed = true
-			}
-		}
-		if !changed {
-			return t
-		}
-		return p.MkMulT(out)
-	case *fol.AddT:
-		changed := false
-		out := make([]fol.Term, len(x.Ts))
-		for i, g := range x.Ts {
-			out[i] = p.SubstTerm(g, id, repl)
-			if out[i] != g {
-				changed = true
-			}
-		}
-		if !changed {
-			return t
-		}
-		return p.MkAddT(out)
-	}
-	panic("intern: SubstTerm on unknown type")
 }
 
 // SubstTupleVar substitutes tuple variable id with repl in a canonical tuple
 // term.
 func (p *Pool) SubstTupleVar(t uexpr.Tuple, id int, repl uexpr.Tuple) uexpr.Tuple {
 	k := substKey{node: t, id: id, repl: repl}
-	if r, ok := p.stMemo[k]; ok {
-		return r
+	r, ok := p.stMemo[k]
+	if !ok {
+		r = repl
+		if v, isVar := t.(*uexpr.TVar); !isVar || v.ID != id {
+			p.sub.id, p.sub.repl = id, repl
+			r = uexpr.MapTuple(t, p.sub.m.Tuple, p.mkTuple)
+		}
+		p.stMemo[k] = r
 	}
-	var r uexpr.Tuple
-	switch x := t.(type) {
-	case *uexpr.TVar:
-		if x.ID == id {
-			r = repl
-		} else {
-			r = t
-		}
-	case *uexpr.TAttr:
-		u := p.SubstTupleVar(x.T, id, repl)
-		if u == x.T {
-			r = t
-		} else {
-			r = p.MkAttr(x.Attrs, u)
-		}
-	case *uexpr.TConcat:
-		l, rr := p.SubstTupleVar(x.L, id, repl), p.SubstTupleVar(x.R, id, repl)
-		if l == x.L && rr == x.R {
-			r = t
-		} else {
-			r = p.MkConcat(l, rr)
-		}
-	default:
-		panic("intern: SubstTupleVar on unknown type")
-	}
-	p.stMemo[k] = r
 	return r
+}
+
+// mkTuple is uexpr.MapTuple's rebuild through the pool.
+func (p *Pool) mkTuple(attrs template.Sym, l, r uexpr.Tuple) uexpr.Tuple {
+	if r == nil {
+		return p.MkAttr(attrs, l)
+	}
+	return p.MkConcat(l, r)
 }

@@ -6,6 +6,14 @@ import (
 	"wetune/internal/sql"
 )
 
+// MaxNodes bounds the operators of a plan Build lowers, as Size counts them;
+// a larger plan is an error. The rewrite search validates every candidate
+// against the whole plan at every operator, so its work grows with the cube
+// of the plan's size: a WHERE of 2,000 conjuncts, one Sel each, held a server
+// worker for over a minute. The largest plan of the 2,464-query rewrite
+// corpus has 6 operators; the bound is 32 times that, like sql.MaxNesting.
+const MaxNodes = 6 * 32
+
 // Build lowers a parsed SELECT statement into a logical plan tree against the
 // given schema. Conjunctions in WHERE become stacked Sel operators, and each
 // non-negated, uncorrelated IN-subquery conjunct becomes an InSub operator —
@@ -13,7 +21,16 @@ import (
 func Build(stmt *sql.SelectStmt, schema *sql.Schema) (Node, error) {
 	b := &builder{schema: schema}
 	b.sizeSlab(stmt)
-	return b.buildSelect(stmt, nil)
+	return bounded(b.buildSelect(stmt, nil))
+}
+
+// bounded passes on a lowered plan unless it has more than MaxNodes
+// operators.
+func bounded(n Node, err error) (Node, error) {
+	if err == nil && Size(n) > MaxNodes {
+		return nil, fmt.Errorf("plan: %d operators, more than the %d a plan may have", Size(n), MaxNodes)
+	}
+	return n, err
 }
 
 // MustBuild is Build that panics on error; for static tables in tests.
@@ -40,7 +57,7 @@ func BuildSQL(query string, schema *sql.Schema) (Node, error) {
 func BuildCorrelated(stmt *sql.SelectStmt, schema *sql.Schema, outer []ColRef) (Node, error) {
 	b := &builder{schema: schema}
 	b.sizeSlab(stmt)
-	return b.buildSelect(stmt, &scope{cols: outer})
+	return bounded(b.buildSelect(stmt, &scope{cols: outer}))
 }
 
 type builder struct {

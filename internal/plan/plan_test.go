@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"strings"
 	"testing"
 
 	"wetune/internal/sql"
@@ -75,6 +76,20 @@ func TestBuildSimpleSelect(t *testing.T) {
 	}
 	if _, ok := sel.In.(*Scan); !ok {
 		t.Fatalf("grandchild = %T, want Scan", sel.In)
+	}
+}
+
+// TestBuildRefusesOverMaxNodes: a WHERE of MaxNodes conjuncts lowers to
+// MaxNodes Sel operators; one more conjunct is an error.
+func TestBuildRefusesOverMaxNodes(t *testing.T) {
+	where := func(n int) string {
+		return "SELECT * FROM labels WHERE " + strings.TrimSuffix(strings.Repeat("id = 1 AND ", n), " AND ")
+	}
+	if n := build(t, where(MaxNodes)); Size(n) != MaxNodes {
+		t.Fatalf("Size = %d, want %d", Size(n), MaxNodes)
+	}
+	if _, err := BuildSQL(where(MaxNodes+1), testSchema()); err == nil || !strings.Contains(err.Error(), "more than the 192") {
+		t.Fatalf("err = %v, want the operator limit", err)
 	}
 }
 

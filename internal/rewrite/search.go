@@ -22,7 +22,9 @@ type Options struct {
 	// MaxNodes bounds the total number of states expanded (default 512).
 	MaxNodes int
 	// Deadline, when non-zero, is a wall-clock budget checked before every
-	// expansion: a search past its deadline stops and returns the best plan
+	// expansion and every rule attempt within one (each candidate is
+	// validated against the whole plan, so one expansion of a large plan
+	// takes long): a search past its deadline stops and returns the best plan
 	// found so far with Truncated set and TruncatedBy = "deadline". This is
 	// how a server's per-request deadline reaches into the search loop —
 	// the request never blocks on an unbounded frontier, it degrades to the
@@ -142,7 +144,10 @@ type searchCtx struct {
 	m     Matcher
 	stats Stats
 	jr    *journal.Journal
-	prov  *Provenance
+	// deadline is Options.Deadline; late records that expand stopped at it.
+	deadline time.Time
+	late     bool
+	prov     *Provenance
 	// bucketRules caches, per plan kind, the rule numbers the index keeps for
 	// that kind (provenance-only: attributes index pruning to specific rules).
 	bucketRules map[plan.Kind]map[int]bool
@@ -177,7 +182,7 @@ func newSearchCtx(rw *Rewriter, prov *Provenance) *searchCtx {
 // query's tree, keeps the grown buffers, and returns the context to the pool.
 func (sc *searchCtx) release() {
 	sc.rw, sc.idx, sc.jr, sc.prov, sc.bucketRules = nil, nil, nil, nil, nil
-	sc.stats = Stats{}
+	sc.stats, sc.deadline, sc.late = Stats{}, time.Time{}, false
 	sc.m.release()
 	sc.first = state{}
 	clear(sc.seen)
@@ -249,6 +254,7 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 	out := sc.cands[:0]
 	sc.fpArena = sc.fpArena[:0]
 	var idxPruned, shapePruned int64
+positions:
 	for _, path := range sc.nodePathsInto(p) {
 		frag := nodeAt(p, path)
 		kind := frag.Kind()
@@ -269,6 +275,10 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 					continue
 				}
 				for _, cr := range g.rules {
+					if sc.pastDeadline() {
+						sc.late = true
+						break positions
+					}
 					sc.stats.RuleAttempts++
 					sc.jr.Record(journal.KindRuleAttempt, int32(cr.Rule.No), journal.PackPath(path), 0)
 					if sc.prov != nil {
@@ -337,6 +347,11 @@ func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candid
 	return out
 }
 
+// pastDeadline reports whether the search has a deadline and it has passed.
+func (sc *searchCtx) pastDeadline() bool {
+	return !sc.deadline.IsZero() && !time.Now().Before(sc.deadline)
+}
+
 // pathLess compares candidate positions lexicographically.
 func pathLess(a, b []int) bool {
 	for i := 0; i < len(a) && i < len(b); i++ {
@@ -381,6 +396,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	prov := opts.Provenance
 	sc := newSearchCtx(rw, prov)
 	defer sc.release()
+	sc.deadline = opts.Deadline
 	if prov != nil {
 		prov.reset(sc.idx)
 	}
@@ -423,7 +439,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	}
 
 	for head < len(frontier) {
-		if !opts.Deadline.IsZero() && !time.Now().Before(opts.Deadline) {
+		if sc.pastDeadline() {
 			truncate("deadline")
 			break
 		}
@@ -449,6 +465,12 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 		}
 
 		cands := sc.expand(st.plan, st.fp, st.id, st.depth)
+		if sc.late {
+			// The expansion stopped part way: the search ends with the best
+			// plan enqueued before it.
+			truncate("deadline")
+			break
+		}
 		// Deterministic tie-break: candidates of equal (size, cost) enter the
 		// frontier — and thus become the incumbent best — in (rule number,
 		// position) order, regardless of rule-set ordering.

@@ -21,7 +21,7 @@ import (
 )
 
 // testSchema is the demo-style schema the conformance tests serve.
-func testSchema(t *testing.T) *sql.Schema {
+func testSchema(t testing.TB) *sql.Schema {
 	t.Helper()
 	s, err := sql.ParseDDL(`
 		CREATE TABLE labels (
@@ -42,7 +42,7 @@ func testSchema(t *testing.T) *sql.Schema {
 
 // newTestServer builds a server over the demo-style schema with an isolated
 // registry and journal so assertions never race other tests.
-func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *obs.Registry, *journal.Journal) {
+func newTestServer(t testing.TB, mutate func(*Config)) (*Server, *obs.Registry, *journal.Journal) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	jr := journal.New(1 << 12)

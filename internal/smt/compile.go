@@ -56,7 +56,9 @@ const (
 	intLe1
 )
 
-// compileAll compiles the formula and every integer atom into g.prog.
+// compileAll compiles the formula and every integer atom into g.prog. It
+// keeps its own switches: each kind compiles to an op of its own, and an
+// implication to the disjunction it means.
 func (g *grounder) compileAll(f fol.Formula) {
 	memo := map[any]int32{} // formula or term -> node
 	rels := map[template.Sym]int32{}

@@ -1,8 +1,6 @@
 package smt
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"wetune/internal/fol"
@@ -44,6 +42,11 @@ type grounder struct {
 	open    int
 	sawOpen bool
 
+	// inst is the ground tuple terms quantifiers are instantiated over; defs
+	// the defining clauses of the propositions prepTerm introduces.
+	inst []uexpr.Tuple
+	defs []fol.Formula
+
 	// The compiled formula and integer terms; root is the formula's node.
 	prog []node
 	kids []int32
@@ -73,13 +76,12 @@ type grounder struct {
 func (g *grounder) decide(f fol.Formula) Result {
 	g.atomIdx = map[fol.Formula]int{}
 	g.termIdx = map[uexpr.Tuple]int32{}
-	pool := g.solver.groundTerms([]fol.Formula{f})
-	if len(pool) == 0 {
-		pool = []uexpr.Tuple{g.solver.freshSkolem()}
+	g.inst = g.solver.groundTerms([]fol.Formula{f})
+	if len(g.inst) == 0 {
+		g.inst = []uexpr.Tuple{g.solver.freshSkolem()}
 	}
-	var defs []fol.Formula
-	f = g.prep(f, pool, &defs, 0)
-	all := g.solver.pool.MkAnd(append([]fol.Formula{f}, defs...)...)
+	f = g.prep(f, 0)
+	all := g.solver.pool.MkAnd(append([]fol.Formula{f}, g.defs...)...)
 	g.collectAtoms(all)
 	if len(g.atoms) > maxAtoms {
 		// What solve's streamed count missed: atoms under quantifiers.
@@ -97,128 +99,91 @@ func (g *grounder) decide(f fol.Formula) Result {
 }
 
 // prep eliminates quantifiers from a positive-context NNF formula:
-// Forall -> finite conjunction of instances (weaker: sound for UNSAT);
-// Exists -> skolem constant (equisatisfiable); ITE conditions containing
-// quantifiers -> fresh propositional atom with sound defining clauses.
-func (g *grounder) prep(f fol.Formula, pool []uexpr.Tuple, defs *[]fol.Formula, depth int) fol.Formula {
+// Forall -> finite conjunction of instances over g.inst (weaker: sound for
+// UNSAT); Exists -> skolem constant (equisatisfiable); ITE conditions
+// containing quantifiers -> fresh propositional atom with sound defining
+// clauses in g.defs (prepTerm). Everything else is prepped child by child.
+func (g *grounder) prep(f fol.Formula, depth int) fol.Formula {
 	p := g.solver.pool
 	if depth > 6 {
 		g.giveUp(StopDepth)
 		return p.True()
 	}
-	switch x := f.(type) {
-	case *fol.TrueF, *fol.FalseF:
-		return x
-	case *fol.And:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, h := range x.Fs {
-			out[i] = g.prep(h, pool, defs, depth)
-		}
-		return p.MkAnd(out...)
-	case *fol.Or:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, h := range x.Fs {
-			out[i] = g.prep(h, pool, defs, depth)
-		}
-		return p.MkOr(out...)
-	case *fol.Not:
-		// NNF: negation only wraps atoms; atoms may still carry ITE terms.
-		return p.MkNot(g.prep(x.F, pool, defs, depth))
-	case *fol.Implies:
-		return g.prep(p.MkOr(p.MkNot(x.L), x.R), pool, defs, depth)
-	case *fol.Forall:
+	if x, ok := f.(*fol.Forall); ok {
 		// Weakening marker: if the pool is non-trivial this is an
 		// approximation of the universal, but conjunction of consequences is
 		// sound for UNSAT.
 		var insts []fol.Formula
-		if !g.solver.eachInstance(x.Vars, x.Body, pool, 1024, func(inst fol.Formula) bool {
-			insts = append(insts, g.prep(inst, pool, defs, depth+1))
+		if !g.solver.eachInstance(x.Vars, x.Body, g.inst, 1024, func(inst fol.Formula) bool {
+			insts = append(insts, g.prep(inst, depth+1))
 			return true
 		}) {
 			g.giveUp(StopCombinations)
 			return p.True()
 		}
 		return p.MkAnd(insts...)
-	case *fol.Exists:
+	}
+	if x, ok := f.(*fol.Exists); ok {
 		body := x.Body
 		for _, v := range x.Vars {
 			body = p.SubstFormula(body, v.ID, g.solver.freshSkolem())
 		}
-		return g.prep(body, pool, defs, depth+1)
-	case *fol.IntEq:
-		return p.MkIntEq(g.prepTerm(x.L, pool, defs, depth), g.prepTerm(x.R, pool, defs, depth))
-	case *fol.IntGt0:
-		return p.MkIntGt0(g.prepTerm(x.T, pool, defs, depth))
-	case *fol.IntLe1:
-		return p.MkIntLe1(g.prepTerm(x.T, pool, defs, depth))
-	default:
-		return f // tuple/pred/isnull atoms
+		return g.prep(body, depth+1)
 	}
+	if x, ok := f.(*fol.Implies); ok {
+		return g.prep(p.MkOr(p.MkNot(x.L), x.R), depth)
+	}
+	m := fol.Mapper{
+		Formula: func(h fol.Formula) fol.Formula { return g.prep(h, depth) },
+		Term:    func(t fol.Term) fol.Term { return g.prepTerm(t, depth) },
+	}
+	return m.MapFormula(f, p)
 }
 
 // prepTerm rewrites ITE conditions that contain quantifiers into fresh
-// propositional atoms with sound defining clauses (see package comment).
-func (g *grounder) prepTerm(t fol.Term, pool []uexpr.Tuple, defs *[]fol.Formula, depth int) fol.Term {
+// propositional atoms with sound defining clauses (see package comment), and
+// preps every other child.
+func (g *grounder) prepTerm(t fol.Term, depth int) fol.Term {
 	p := g.solver.pool
-	switch x := t.(type) {
-	case *fol.RelApp, *fol.IntConst:
-		return t
-	case *fol.MulT:
-		out := make([]fol.Term, len(x.Fs))
-		for i, h := range x.Fs {
-			out[i] = g.prepTerm(h, pool, defs, depth)
+	if x, ok := t.(*fol.ITE); ok && hasQuantifier(x.Cond, false) {
+		prop := g.freshProp()
+		// P => C: strengthen C by skolemizing its existentials.
+		cStr := g.prep(x.Cond, depth+1)
+		g.defs = append(g.defs, p.MkOr(p.MkNot(prop), cStr))
+		// C => P, approximated instance-wise over the pool.
+		for _, inst := range g.existInstances(x.Cond) {
+			instP := g.prep(inst, depth+1)
+			g.defs = append(g.defs, p.MkOr(p.MkNot(instP), prop))
 		}
-		return p.MkMulT(out)
-	case *fol.AddT:
-		out := make([]fol.Term, len(x.Ts))
-		for i, h := range x.Ts {
-			out[i] = g.prepTerm(h, pool, defs, depth)
-		}
-		return p.MkAddT(out)
-	case *fol.ITE:
-		cond := x.Cond
-		if hasQuantifier(cond, false) {
-			prop := g.freshProp()
-			// P => C: strengthen C by skolemizing its existentials.
-			cStr := g.prep(cond, pool, defs, depth+1)
-			*defs = append(*defs, p.MkOr(p.MkNot(prop), cStr))
-			// C => P, approximated instance-wise over the pool.
-			for _, inst := range g.existInstances(cond, pool) {
-				instP := g.prep(inst, pool, defs, depth+1)
-				*defs = append(*defs, p.MkOr(p.MkNot(instP), prop))
-			}
-			cond = prop
-		} else {
-			cond = g.prep(cond, pool, defs, depth)
-		}
-		return p.MkITE(cond,
-			g.prepTerm(x.Then, pool, defs, depth),
-			g.prepTerm(x.Else, pool, defs, depth))
+		return p.MkITE(prop, g.prepTerm(x.Then, depth), g.prepTerm(x.Else, depth))
 	}
-	panic(fmt.Sprintf("smt: prepTerm on %T", t))
+	m := fol.Mapper{
+		Formula: func(h fol.Formula) fol.Formula { return g.prep(h, depth) },
+		Term:    func(u fol.Term) fol.Term { return g.prepTerm(u, depth) },
+	}
+	return m.MapTerm(t, p)
 }
 
 // existInstances instantiates the top-level existentials of a condition over
-// the pool (each instance implies the condition).
-func (g *grounder) existInstances(f fol.Formula, pool []uexpr.Tuple) []fol.Formula {
-	switch x := f.(type) {
-	case *fol.Or:
-		var out []fol.Formula
+// the pool (each instance implies the condition): a disjunction's operands
+// each, an existential's body over every combination of g.inst.
+func (g *grounder) existInstances(f fol.Formula) (out []fol.Formula) {
+	if x, ok := f.(*fol.Or); ok {
 		for _, h := range x.Fs {
-			out = append(out, g.existInstances(h, pool)...)
+			out = append(out, g.existInstances(h)...)
 		}
 		return out
-	case *fol.Exists:
-		// Over 512 combinations: no instance, a weaker definition of the atom.
-		var out []fol.Formula
-		g.solver.eachInstance(x.Vars, x.Body, pool, 512, func(inst fol.Formula) bool {
-			out = append(out, inst)
-			return true
-		})
-		return out
-	default:
+	}
+	x, ok := f.(*fol.Exists)
+	if !ok {
 		return []fol.Formula{f}
 	}
+	// Over 512 combinations: no instance, a weaker definition of the atom.
+	g.solver.eachInstance(x.Vars, x.Body, g.inst, 512, func(inst fol.Formula) bool {
+		out = append(out, inst)
+		return true
+	})
+	return out
 }
 
 var propSym = template.Sym{Kind: template.KPred, ID: 1 << 22}
@@ -234,23 +199,16 @@ func (g *grounder) freshProp() fol.Formula {
 // hasQuantifier reports whether f holds a quantifier in its boolean structure
 // or, with deep set, anywhere: in the ITE conditions of its integer atoms too.
 func hasQuantifier(f fol.Formula, deep bool) bool {
-	has := func(h fol.Formula) bool { return hasQuantifier(h, deep) }
-	switch x := f.(type) {
-	case *fol.Forall, *fol.Exists:
-		return true
-	case *fol.And:
-		return slices.ContainsFunc(x.Fs, has)
-	case *fol.Or:
-		return slices.ContainsFunc(x.Fs, has)
-	case *fol.Not:
-		return has(x.F)
-	case *fol.Implies:
-		return has(x.L) || has(x.R)
-	}
 	found := false
-	if deep {
-		walkAtomConds(f, func(c fol.Formula) { found = found || has(c) })
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(h fol.Formula) fol.Formula { m.MapFormula(h, nil); return h },
+		Bind:    func([]*uexpr.TVar) bool { found = true; return true },
 	}
+	if deep {
+		m.Term = func(t fol.Term) fol.Term { m.MapTerm(t, nil); return t }
+	}
+	m.MapFormula(f, nil)
 	return found
 }
 
@@ -279,59 +237,32 @@ func (g *grounder) collectAtoms(f fol.Formula) {
 
 // walkAtoms calls visit on the atoms of f outside quantifiers, in formula
 // order; where visit returns true it goes on into the conditions inside the
-// atom, which are formulas of atoms themselves.
+// atom, which are formulas of atoms themselves. An atom is a formula with
+// tuple or term arguments: f is one when the walk meets such an argument.
 func walkAtoms(f fol.Formula, visit func(fol.Formula) bool) {
-	switch x := f.(type) {
-	case *fol.TrueF, *fol.FalseF, *fol.Forall, *fol.Exists:
-	case *fol.And:
-		for _, h := range x.Fs {
-			walkAtoms(h, visit)
+	entered := 0 // f as an atom: 0 not yet visited, 1 go on inside, -1 not
+	atom := func() bool {
+		if entered == 0 {
+			entered = -1
+			if visit(f) {
+				entered = 1
+			}
 		}
-	case *fol.Or:
-		for _, h := range x.Fs {
-			walkAtoms(h, visit)
-		}
-	case *fol.Not:
-		walkAtoms(x.F, visit)
-	case *fol.Implies:
-		walkAtoms(x.L, visit)
-		walkAtoms(x.R, visit)
-	default:
-		if visit(x) {
-			walkAtomConds(x, func(c fol.Formula) { walkAtoms(c, visit) })
-		}
+		return entered > 0
 	}
-}
-
-// walkAtomConds calls fn on the ITE conditions inside an integer atom, nested
-// ITEs' included; the conditions' own atoms are fn's business.
-func walkAtomConds(f fol.Formula, fn func(fol.Formula)) {
-	switch x := f.(type) {
-	case *fol.IntEq:
-		walkTermConds(x.L, fn)
-		walkTermConds(x.R, fn)
-	case *fol.IntGt0:
-		walkTermConds(x.T, fn)
-	case *fol.IntLe1:
-		walkTermConds(x.T, fn)
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(h fol.Formula) fol.Formula { walkAtoms(h, visit); return h },
+		Term: func(t fol.Term) fol.Term {
+			if atom() {
+				m.MapTerm(t, nil)
+			}
+			return t
+		},
+		Tuple: func(t uexpr.Tuple) uexpr.Tuple { atom(); return t },
+		Bind:  func([]*uexpr.TVar) bool { return true },
 	}
-}
-
-func walkTermConds(t fol.Term, fn func(fol.Formula)) {
-	switch x := t.(type) {
-	case *fol.ITE:
-		fn(x.Cond)
-		walkTermConds(x.Then, fn)
-		walkTermConds(x.Else, fn)
-	case *fol.MulT:
-		for _, h := range x.Fs {
-			walkTermConds(h, fn)
-		}
-	case *fol.AddT:
-		for _, h := range x.Ts {
-			walkTermConds(h, fn)
-		}
-	}
+	m.MapFormula(f, nil)
 }
 
 // buildUniverse registers every tuple term reachable from the collected atoms
@@ -342,7 +273,7 @@ func walkTermConds(t fol.Term, fn func(fol.Formula)) {
 // the universe is complete by construction.
 func (g *grounder) buildUniverse() {
 	for _, a := range g.atoms {
-		walkFormulaTuples(a, func(t uexpr.Tuple) { g.termID(t) })
+		walkTuples(a, func(t uexpr.Tuple) { g.termID(t) })
 	}
 	// Attribute applications grouped by symbol, and rank[t], the position of
 	// t's key in sorted order: comparing ranks is comparing keys.
@@ -383,6 +314,8 @@ func (g *grounder) buildUniverse() {
 	for id, a := range g.atoms {
 		g.atomEq[id] = [2]int32{-1, -1}
 		g.atomCC[id] = true
+		// Atom classification: each kind the closure decides is its own
+		// kind of fact, so this keeps a switch of its own.
 		switch x := a.(type) {
 		case *fol.TupleEq:
 			g.atomEq[id] = [2]int32{g.termID(x.L), g.termID(x.R)}
@@ -405,13 +338,7 @@ func (g *grounder) termID(t uexpr.Tuple) int32 {
 	if i, ok := g.termIdx[t]; ok {
 		return i
 	}
-	switch x := t.(type) {
-	case *uexpr.TAttr:
-		g.termID(x.T)
-	case *uexpr.TConcat:
-		g.termID(x.L)
-		g.termID(x.R)
-	}
+	uexpr.MapTuple(t, func(c uexpr.Tuple) uexpr.Tuple { g.termID(c); return c }, nil)
 	i := int32(len(g.terms))
 	g.terms = append(g.terms, t)
 	g.keys = append(g.keys, g.solver.pool.TupleKey(t))

@@ -255,110 +255,79 @@ func (s *solver) freshSkolem() uexpr.Tuple {
 }
 
 // nnfIn pushes negations to atoms, interning every node in p.
-// positive=false means the formula is negated.
+// positive=false means the formula is negated. It keeps its own switch: a
+// negation turns each connective and quantifier into its dual, which is not a
+// map of children. (true is the empty conjunction, false the empty
+// disjunction.)
 func nnfIn(p *intern.Pool, f fol.Formula, positive bool) fol.Formula {
+	all := func(fs []fol.Formula) []fol.Formula {
+		out := make([]fol.Formula, len(fs))
+		for i, g := range fs {
+			out[i] = nnfIn(p, g, positive)
+		}
+		return out
+	}
 	switch x := f.(type) {
 	case *fol.TrueF:
-		if positive {
-			return p.True()
-		}
-		return p.False()
+		return junction(p, !positive)
 	case *fol.FalseF:
-		if positive {
-			return p.False()
-		}
-		return p.True()
+		return junction(p, positive)
 	case *fol.Not:
 		return nnfIn(p, x.F, !positive)
 	case *fol.And:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = nnfIn(p, g, positive)
-		}
-		if positive {
-			return p.MkAnd(out...)
-		}
-		return p.MkOr(out...)
+		return junction(p, !positive, all(x.Fs)...)
 	case *fol.Or:
-		out := make([]fol.Formula, len(x.Fs))
-		for i, g := range x.Fs {
-			out[i] = nnfIn(p, g, positive)
-		}
-		if positive {
-			return p.MkOr(out...)
-		}
-		return p.MkAnd(out...)
+		return junction(p, positive, all(x.Fs)...)
 	case *fol.Implies:
-		if positive {
-			return p.MkOr(nnfIn(p, x.L, false), nnfIn(p, x.R, true))
-		}
-		return p.MkAnd(nnfIn(p, x.L, true), nnfIn(p, x.R, false))
+		return junction(p, positive, nnfIn(p, x.L, !positive), nnfIn(p, x.R, positive))
 	case *fol.Forall:
-		body := nnfIn(p, x.Body, positive)
-		if positive {
-			return p.MkForall(x.Vars, body)
-		}
-		return p.MkExists(x.Vars, body)
+		return quantifier(p, positive, x.Vars, nnfIn(p, x.Body, positive))
 	case *fol.Exists:
-		body := nnfIn(p, x.Body, positive)
-		if positive {
-			return p.MkExists(x.Vars, body)
-		}
-		return p.MkForall(x.Vars, body)
-	default:
-		// Atom (possibly containing ITE conditions, handled at ground level).
-		a := p.Formula(f)
-		if positive {
-			return a
-		}
-		return p.MkNot(a)
+		return quantifier(p, !positive, x.Vars, nnfIn(p, x.Body, positive))
 	}
+	// Atom (possibly containing ITE conditions, handled at ground level).
+	a := p.Formula(f)
+	if positive {
+		return a
+	}
+	return p.MkNot(a)
+}
+
+// junction is the pooled disjunction of fs, or with or unset the conjunction.
+func junction(p *intern.Pool, or bool, fs ...fol.Formula) fol.Formula {
+	if or {
+		return p.MkOr(fs...)
+	}
+	return p.MkAnd(fs...)
+}
+
+// quantifier is the pooled universal over vars, or with forall unset the
+// existential.
+func quantifier(p *intern.Pool, forall bool, vars []*uexpr.TVar, body fol.Formula) fol.Formula {
+	if forall {
+		return p.MkForall(vars, body)
+	}
+	return p.MkExists(vars, body)
 }
 
 // skolemize replaces existential variables with fresh constants. Because the
 // input is NNF and we instantiate universals with ground terms before
-// re-skolemizing, plain constants per quantifier instance suffice.
+// re-skolemizing, plain constants per quantifier instance suffice. Universals
+// are kept, to be instantiated later (their inner existentials are skolemized
+// per instance); the rest is skolemized child formula by child formula.
 func (s *solver) skolemize(f fol.Formula) fol.Formula {
-	switch x := f.(type) {
-	case *fol.Exists:
+	if x, ok := f.(*fol.Exists); ok {
 		body := x.Body
 		for _, v := range x.Vars {
 			body = s.pool.SubstFormula(body, v.ID, s.freshSkolem())
 		}
 		return s.skolemize(body)
-	case *fol.And:
-		out := make([]fol.Formula, len(x.Fs))
-		changed := false
-		for i, g := range x.Fs {
-			out[i] = s.skolemize(g)
-			if out[i] != g {
-				changed = true
-			}
-		}
-		if !changed {
-			return f
-		}
-		return s.pool.MkAnd(out...)
-	case *fol.Or:
-		out := make([]fol.Formula, len(x.Fs))
-		changed := false
-		for i, g := range x.Fs {
-			out[i] = s.skolemize(g)
-			if out[i] != g {
-				changed = true
-			}
-		}
-		if !changed {
-			return f
-		}
-		return s.pool.MkOr(out...)
-	case *fol.Forall:
-		// Keep; instantiated later. (Inner existentials are skolemized per
-		// instance.)
-		return x
-	default:
+	}
+	if _, ok := f.(*fol.Forall); ok {
 		return f
 	}
+	m := fol.Mapper{Formula: s.skolemize}
+	return m.MapFormula(f, s.pool)
 }
 
 // solve decides a canonical NNF formula: it splits the skolemized formula
@@ -431,17 +400,17 @@ func (s *solver) refused() bool {
 
 // split files the conjuncts of g: universals to instantiate, the rest ground.
 func (s *solver) split(g fol.Formula) {
-	switch x := g.(type) {
-	case *fol.And:
-		for _, h := range x.Fs {
-			s.split(h)
-		}
-	case *fol.Forall:
-		s.universals = append(s.universals, x)
-	default:
-		s.ground = append(s.ground, x)
-		s.countAtoms(x)
+	if u, ok := g.(*fol.Forall); ok {
+		s.universals = append(s.universals, u)
+		return
 	}
+	if _, ok := g.(*fol.And); ok {
+		m := fol.Mapper{Formula: func(h fol.Formula) fol.Formula { s.split(h); return h }}
+		m.MapFormula(g, nil)
+		return
+	}
+	s.ground = append(s.ground, g)
+	s.countAtoms(g)
 }
 
 // countAtoms adds to s.counted the atoms of f that hold no quantifier and sit
@@ -475,16 +444,10 @@ func (s *solver) groundTerms(fs []fol.Formula) []uexpr.Tuple {
 		if s.pool.TupleDepth(t) <= s.opts.MaxTermDepth {
 			kept = append(kept, t)
 		}
-		switch x := t.(type) {
-		case *uexpr.TAttr:
-			addT(x.T)
-		case *uexpr.TConcat:
-			addT(x.L)
-			addT(x.R)
-		}
+		uexpr.MapTuple(t, func(c uexpr.Tuple) uexpr.Tuple { addT(c); return c }, nil)
 	}
 	for _, f := range fs {
-		walkFormulaTuples(f, addT)
+		walkTuples(f, addT)
 	}
 	// Deterministic order: sort by the cached canonical key, byte-identical
 	// to the historical string sort, independent of interning history.
@@ -525,59 +488,16 @@ func (s *solver) substAll(vars []*uexpr.TVar, body fol.Formula, pool []uexpr.Tup
 	return true
 }
 
-// walkFormulaTuples visits every tuple term in the quantifier-free parts of a
-// formula (skipping quantified subformulas, whose variables are not ground).
-func walkFormulaTuples(f fol.Formula, fn func(uexpr.Tuple)) {
-	switch x := f.(type) {
-	case *fol.TrueF, *fol.FalseF:
-	case *fol.TupleEq:
-		fn(x.L)
-		fn(x.R)
-	case *fol.PredApp:
-		fn(x.T)
-	case *fol.IsNull:
-		fn(x.T)
-	case *fol.IntEq:
-		walkTermTuples(x.L, fn)
-		walkTermTuples(x.R, fn)
-	case *fol.IntGt0:
-		walkTermTuples(x.T, fn)
-	case *fol.IntLe1:
-		walkTermTuples(x.T, fn)
-	case *fol.Not:
-		walkFormulaTuples(x.F, fn)
-	case *fol.And:
-		for _, g := range x.Fs {
-			walkFormulaTuples(g, fn)
-		}
-	case *fol.Or:
-		for _, g := range x.Fs {
-			walkFormulaTuples(g, fn)
-		}
-	case *fol.Implies:
-		walkFormulaTuples(x.L, fn)
-		walkFormulaTuples(x.R, fn)
-	case *fol.Forall, *fol.Exists:
-		// Skip: not ground.
+// walkTuples visits every tuple argument in the quantifier-free parts of a
+// formula, ITE conditions included (quantified subformulas are skipped: their
+// variables are not ground).
+func walkTuples(f fol.Formula, fn func(uexpr.Tuple)) {
+	var m fol.Mapper
+	m = fol.Mapper{
+		Formula: func(h fol.Formula) fol.Formula { m.MapFormula(h, nil); return h },
+		Term:    func(t fol.Term) fol.Term { m.MapTerm(t, nil); return t },
+		Tuple:   func(t uexpr.Tuple) uexpr.Tuple { fn(t); return t },
+		Bind:    func([]*uexpr.TVar) bool { return true },
 	}
-}
-
-func walkTermTuples(t fol.Term, fn func(uexpr.Tuple)) {
-	switch x := t.(type) {
-	case *fol.RelApp:
-		fn(x.T)
-	case *fol.IntConst:
-	case *fol.ITE:
-		walkFormulaTuples(x.Cond, fn)
-		walkTermTuples(x.Then, fn)
-		walkTermTuples(x.Else, fn)
-	case *fol.MulT:
-		for _, g := range x.Fs {
-			walkTermTuples(g, fn)
-		}
-	case *fol.AddT:
-		for _, g := range x.Ts {
-			walkTermTuples(g, fn)
-		}
-	}
+	m.MapFormula(f, nil)
 }

@@ -208,7 +208,7 @@ func (n *normalizer) resolveConcatAttrs(t *Term) (*Term, bool) {
 }
 
 func (n *normalizer) resolveTuple(tt Tuple) Tuple {
-	tt = mapTuple(tt, n.resolveTuple, nil)
+	tt = MapTuple(tt, n.resolveTuple, nil)
 	x, ok := tt.(*TAttr)
 	if !ok {
 		return tt

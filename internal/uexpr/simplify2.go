@@ -105,7 +105,7 @@ func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 func (n *normalizer) flattenConcats(t *Term) (*Term, bool) {
 	var flat func(tt Tuple) Tuple
 	flat = func(tt Tuple) Tuple {
-		tt = mapTuple(tt, flat, nil)
+		tt = MapTuple(tt, flat, nil)
 		if c, ok := tt.(*TConcat); ok {
 			if rc, ok := c.R.(*TConcat); ok {
 				return flat(&TConcat{L: &TConcat{L: c.L, R: rc.L}, R: rc.R})
@@ -160,7 +160,7 @@ func rewriteTuple(tt Tuple, rep map[string]Tuple) Tuple {
 		if r, ok := rep[tupleString(tt)]; ok {
 			return r
 		}
-		return mapTuple(tt, once, nil)
+		return MapTuple(tt, once, nil)
 	}
 	for i := 0; i < 8; i++ {
 		next := once(tt)
@@ -178,7 +178,7 @@ func (n *normalizer) subAttrsCompose(t *Term) (*Term, bool) {
 }
 
 func (n *normalizer) composeTuple(tt Tuple) Tuple {
-	tt = mapTuple(tt, n.composeTuple, nil)
+	tt = MapTuple(tt, n.composeTuple, nil)
 	if x, ok := tt.(*TAttr); ok {
 		// Projection is idempotent: a(a(t)) = a(t), and composable when
 		// SubAttrs(a1, a2) holds.

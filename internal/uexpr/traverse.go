@@ -16,10 +16,11 @@ import (
 
 // mapTuple applies fn to the children of t and sym to t's own symbols — a
 // TAttr's attribute list, a TVar's scope — and returns t itself when nothing
-// changed, otherwise a copy holding the results. A nil sym keeps the symbols.
-// Rewrites of whole tuple terms are recursions over mapTuple: bottom-up ones
-// map the children first and then apply their rule to the result.
-func mapTuple(t Tuple, fn func(Tuple) Tuple, sym func(template.Sym) template.Sym) Tuple {
+// changed, otherwise a copy holding the results, made by mk (nil makes plain
+// nodes). A nil sym keeps the symbols. Rewrites of whole tuple terms are
+// recursions over mapTuple: bottom-up ones map the children first and then
+// apply their rule to the result.
+func mapTuple(t Tuple, fn func(Tuple) Tuple, sym func(template.Sym) template.Sym, mk func(attrs template.Sym, l, r Tuple) Tuple) Tuple {
 	switch x := t.(type) {
 	case *TVar:
 		if sym != nil {
@@ -35,14 +36,28 @@ func mapTuple(t Tuple, fn func(Tuple) Tuple, sym func(template.Sym) template.Sym
 			attrs = sym(attrs)
 		}
 		if in := fn(x.T); in != x.T || attrs != x.Attrs {
+			if mk != nil {
+				return mk(attrs, in, nil)
+			}
 			return &TAttr{Attrs: attrs, T: in}
 		}
 	case *TConcat:
 		if l, r := fn(x.L), fn(x.R); l != x.L || r != x.R {
+			if mk != nil {
+				return mk(template.Sym{}, l, r)
+			}
 			return &TConcat{L: l, R: r}
 		}
 	}
 	return t
+}
+
+// MapTuple applies fn to the children of t and returns t itself when none
+// changed. Otherwise mk makes the copy: mk(attrs, l, nil) for an attribute
+// list applied to l, mk(zero, l, r) for a concatenation. A walk passes an fn
+// that returns its argument and needs no mk.
+func MapTuple(t Tuple, fn func(Tuple) Tuple, mk func(attrs template.Sym, l, r Tuple) Tuple) Tuple {
+	return mapTuple(t, fn, nil, mk)
 }
 
 // eachVar calls fn on every variable occurrence in t, left to right.
@@ -51,7 +66,7 @@ func eachVar(t Tuple, fn func(*TVar)) {
 		fn(v)
 		return
 	}
-	mapTuple(t, func(c Tuple) Tuple { eachVar(c, fn); return c }, nil)
+	MapTuple(t, func(c Tuple) Tuple { eachVar(c, fn); return c }, nil)
 }
 
 // mentions reports whether one of vars occurs in t.
@@ -109,7 +124,7 @@ func (m *mapper) arg(t Tuple) Tuple {
 	return t
 }
 
-func (m *mapper) symbols(t Tuple) Tuple { return mapTuple(t, m.symbols, m.sym) }
+func (m *mapper) symbols(t Tuple) Tuple { return mapTuple(t, m.symbols, m.sym, nil) }
 
 func (m *mapper) substitute(t Tuple) Tuple {
 	if v, ok := t.(*TVar); ok {
@@ -117,7 +132,7 @@ func (m *mapper) substitute(t Tuple) Tuple {
 			return r
 		}
 	}
-	return mapTuple(t, m.substitute, nil)
+	return MapTuple(t, m.substitute, nil)
 }
 
 func (m *mapper) hides(id int) bool {
@@ -152,7 +167,7 @@ func (m *mapper) binderVar(v *TVar) *TVar {
 	if m.sym == nil {
 		return v
 	}
-	return mapTuple(v, nil, m.sym).(*TVar)
+	return mapTuple(v, nil, m.sym, nil).(*TVar)
 }
 
 // factor maps a normal-form factor, descending into the normal form under a
