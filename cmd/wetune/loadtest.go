@@ -23,7 +23,7 @@ func cmdLoadtest(args []string) int {
 	inprocess := fs.Bool("inprocess", false, "drive an in-process server handler instead of -addr (no network; isolates the daemon from the socket stack)")
 	conc := fs.Int("c", 8, "concurrent workers (closed loop: each issues its next request when the previous answers)")
 	dur := fs.Duration("d", 5*time.Second, "run duration")
-	rate := fs.Float64("rate", 0, "target requests/second across all workers (0 = closed loop, as fast as responses return)")
+	rate := fs.Float64("rate", 0, "offered requests/second across all workers; request k is due at start+k/rate and its latency counts from then (0 = closed loop, as fast as responses return)")
 	iters := fs.Int64("n", 0, "total request bound (0 = none; the run then stops on -d)")
 	perApp := fs.Int("per-app", 20, "corpus size: queries per application archetype")
 	timeout := fs.Duration("timeout", 5*time.Second, "per-request timeout (also sent as timeout_ms so the server budget matches)")

@@ -37,7 +37,7 @@ func cmdServe(args []string) int {
 	resultCache := fs.Int("result-cache", 0, "per-app query→result LRU size (0 = default, negative disables)")
 	planCache := fs.Int("plan-cache", 0, "per-app normalized-SQL→plan LRU size, the second cache tier (0 = default, negative disables)")
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
-	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full → reduced → greedy → cache-only, reported per response in X-WeTune-Service-Level) and per-app circuit breakers")
+	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full ↔ cache-only on the windowed rewrite p99, reported per response in X-WeTune-Service-Level) and per-app circuit breakers")
 	degradeSample := fs.Duration("degrade-sample", 0, "degradation controller sampling period (0 = the 100ms default)")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {

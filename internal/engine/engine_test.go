@@ -198,6 +198,34 @@ func TestCorrelatedExists(t *testing.T) {
 	}
 }
 
+// TestSubqueryExecsPerStatement pins when a subquery's result is reused: an
+// EXISTS that reads no outer column runs once per statement, a correlated one
+// once per outer row.
+func TestSubqueryExecsPerStatement(t *testing.T) {
+	db := NewDB(gitlabSchema())
+	for i := int64(1); i <= 50; i++ {
+		db.MustInsert("labels", Row{sql.NewInt(i), sql.NewString("bug"), sql.NewInt(i%5 + 1)})
+	}
+	for i := int64(1); i <= 5; i++ {
+		db.MustInsert("projects", Row{sql.NewInt(i), sql.NewString("proj")})
+	}
+	for _, c := range []struct {
+		q     string
+		execs int64
+	}{
+		{"SELECT labels.id FROM labels WHERE EXISTS (SELECT 1 FROM projects WHERE projects.id = 3)", 1},
+		{"SELECT labels.id FROM labels WHERE EXISTS (SELECT 1 FROM projects WHERE projects.id = labels.project_id)", 50},
+	} {
+		before := db.Stats.SubqueryExecs
+		if res := run(t, db, c.q); len(res.Rows) != 50 {
+			t.Errorf("%s: %d rows, want 50", c.q, len(res.Rows))
+		}
+		if got := db.Stats.SubqueryExecs - before; got != c.execs {
+			t.Errorf("%s: %d subquery executions, want %d", c.q, got, c.execs)
+		}
+	}
+}
+
 func TestNotInWithNulls(t *testing.T) {
 	db := seededDB(t)
 	// NOT IN over a set containing NULL yields no rows (three-valued logic).

@@ -237,9 +237,10 @@ func (ex *executor) subqueryResult(stmt *sql.SelectStmt, env *rowEnv) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	// Cache only when the subquery does not read outer columns: re-planning
-	// against a nil scope succeeding means it is self-contained.
-	if _, selfErr := plan.Build(stmt, ex.db.Schema); selfErr == nil {
+	// Cache only when the subquery reads no outer column.
+	correlated := false
+	sql.FreeColumns(stmt, ex.db.Schema, func(*sql.ColumnRef) { correlated = true })
+	if !correlated {
 		ex.subCache[stmt] = res
 	}
 	return res, nil

@@ -6,8 +6,12 @@
 // worker pool hold up under sustained load.
 //
 // Closed loop means each worker issues its next request as soon as the
-// previous one answers (back-to-back, concurrency = open requests); an
-// optional Rate turns it into a paced loop with the same concurrency bound.
+// previous one answers (back-to-back, concurrency = open requests). An
+// optional Rate paces the run instead: request k is due at start + k/Rate,
+// the next free worker sends it then (or at once, when the run is behind),
+// and its latency counts from when it was due, so a server that cannot keep
+// up shows it in the latency quantiles rather than in requests quietly never
+// sent.
 package loadgen
 
 import (
@@ -44,7 +48,8 @@ type Options struct {
 	// then stops on Duration).
 	Iterations int64
 	// Rate paces the run at this many requests/second across all workers
-	// (0 = closed loop, as fast as responses return).
+	// (0 = closed loop, as fast as responses return). Latency then counts
+	// from each request's due time, not from when a worker got to it.
 	Rate float64
 	// PerApp sizes the corpus (queries per application archetype; default 20).
 	PerApp int
@@ -184,32 +189,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		defer cancel()
 	}
 
-	// Optional pacing: one filler goroutine drips tokens at Rate; workers
-	// block on the token channel before each request.
-	var tokens chan struct{}
-	if opts.Rate > 0 {
-		tokens = make(chan struct{}, opts.Concurrency)
-		interval := time.Duration(float64(time.Second) / opts.Rate)
-		if interval <= 0 {
-			interval = time.Nanosecond
-		}
-		go func() {
-			tick := time.NewTicker(interval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-runCtx.Done():
-					return
-				case <-tick.C:
-					select {
-					case tokens <- struct{}{}:
-					default: // workers saturated; drop the token
-					}
-				}
-			}
-		}()
-	}
-
 	retry := opts.Retry.withDefaults()
 
 	type workerStats struct {
@@ -220,8 +199,7 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 		retries  int64
 		injected int64
 	}
-	var issued atomic.Int64
-	var next atomic.Int64
+	var next atomic.Int64 // the next request to send, in send order
 	stats := make([]workerStats, opts.Concurrency)
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -235,18 +213,18 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 				if runCtx.Err() != nil {
 					return
 				}
-				if opts.Iterations > 0 && issued.Add(1) > opts.Iterations {
+				k := next.Add(1) - 1
+				if opts.Iterations > 0 && k >= opts.Iterations {
 					return
 				}
-				if tokens != nil {
-					select {
-					case <-runCtx.Done():
+				body := bodies[int(k%int64(len(bodies)))]
+				t0 := time.Now()
+				if opts.Rate > 0 {
+					t0 = start.Add(time.Duration(float64(k) / opts.Rate * float64(time.Second)))
+					if !sleepUntil(runCtx, t0) {
 						return
-					case <-tokens:
 					}
 				}
-				body := bodies[int(next.Add(1)-1)%len(bodies)]
-				t0 := time.Now()
 				var resp *http.Response
 				var err error
 				for attempt := 1; ; attempt++ {
@@ -378,15 +356,22 @@ func backoffSleep(ctx context.Context, rng *uint64, p RetryPolicy, attempt int, 
 	if wait > 0 {
 		wait += time.Duration(*rng % uint64(wait/2+1))
 	}
+	return sleepUntil(ctx, time.Now().Add(wait))
+}
+
+// sleepUntil waits until t, at once when t has passed. Returns false when the
+// run ended first.
+func sleepUntil(ctx context.Context, t time.Time) bool {
+	wait := time.Until(t)
 	if wait <= 0 {
 		return ctx.Err() == nil
 	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
+	timer := time.NewTimer(wait)
+	defer timer.Stop()
 	select {
 	case <-ctx.Done():
 		return false
-	case <-t.C:
+	case <-timer.C:
 		return true
 	}
 }
@@ -423,7 +408,11 @@ func (r *Report) Render() string {
 		fmt.Fprintf(&b, " rate=%.0f/s", r.RateRPS)
 	}
 	fmt.Fprintf(&b, " duration=%.1fs\n", float64(r.DurationMS)/1e3)
-	fmt.Fprintf(&b, "  requests: %d (%.0f req/s), errors: %d", r.Requests, r.ThroughputRPS, r.Errors)
+	fmt.Fprintf(&b, "  requests: %d (%.0f req/s", r.Requests, r.ThroughputRPS)
+	if r.RateRPS > 0 {
+		fmt.Fprintf(&b, " of %.0f/s offered", r.RateRPS)
+	}
+	fmt.Fprintf(&b, "), errors: %d", r.Errors)
 	if r.Retries > 0 {
 		fmt.Fprintf(&b, ", retries: %d", r.Retries)
 	}

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"context"
+	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -62,6 +64,34 @@ func TestRunInProcess(t *testing.T) {
 	}
 	if rep.Render() == "" {
 		t.Error("empty render")
+	}
+}
+
+// TestRunPacedCountsFromDueTime offers twice what one worker can serve: a
+// 5ms handler paced at 400/s. The run achieves about 200/s, and since every
+// request is measured from when it was due, the growing backlog shows in the
+// median instead of the handler's 5ms alone.
+func TestRunPacedCountsFromDueTime(t *testing.T) {
+	rep, err := Run(context.Background(), Options{
+		Handler: http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			time.Sleep(5 * time.Millisecond)
+		}),
+		Concurrency: 1,
+		Rate:        400,
+		Duration:    500 * time.Millisecond,
+		PerApp:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ThroughputRPS < 100 || rep.ThroughputRPS > 250 {
+		t.Errorf("achieved %.0f req/s, want about 200", rep.ThroughputRPS)
+	}
+	if rep.P50MS < 25 {
+		t.Errorf("p50 = %.1fms, want well above the handler's 5ms", rep.P50MS)
+	}
+	if !strings.Contains(rep.Render(), "400/s offered") {
+		t.Errorf("report does not show the offered rate:\n%s", rep.Render())
 	}
 }
 

@@ -213,21 +213,14 @@ func RunSoak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 		RequestTimeout: 2 * time.Second,
 		Registry:       reg,
 		Degradation: server.DegradationConfig{
-			// Aggressive thresholds so a short soak exercises the full
-			// ladder: sample fast, degrade after 2 hot ticks, call 5ms "hot"
-			// (the corpus rewrites in µs; only injected stalls reach it).
-			// The queue thresholds are pushed out of the way — a closed-loop
-			// generator over a small worker pool keeps a steady fraction of
-			// the tiny admission queue occupied, which would otherwise block
-			// recovery for the whole run; the soak's ladder is driven by the
-			// latency signal alone.
-			SampleEvery:   20 * time.Millisecond,
-			DegradeAfter:  2,
-			RecoverAfter:  5,
-			HighP99:       5 * time.Millisecond,
-			LowP99:        2 * time.Millisecond,
-			HighQueueFrac: 0.9,
-			LowQueueFrac:  0.5,
+			// Aggressive thresholds so a short soak exercises the ladder:
+			// sample fast, degrade after 2 hot ticks, call 5ms "hot" (the
+			// corpus rewrites in µs; only injected stalls reach it).
+			SampleEvery:  20 * time.Millisecond,
+			DegradeAfter: 2,
+			RecoverAfter: 5,
+			HighP99:      5 * time.Millisecond,
+			LowP99:       2 * time.Millisecond,
 		},
 	})
 	if err != nil {

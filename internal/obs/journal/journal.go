@@ -68,8 +68,7 @@ const (
 	// index within the batch.
 	KindBatchItem
 	// KindServiceLevel: the serving degradation ladder changed level.
-	// A = level stepped from, B = level stepped to (0 full, 1 reduced,
-	// 2 greedy, 3 cache-only).
+	// A = level stepped from, B = level stepped to (0 full, 1 cache-only).
 	KindServiceLevel
 	// KindBreaker: a per-app circuit breaker transitioned. A = new state
 	// (0 closed, 1 open, 2 half-open), B = consecutive deadline

@@ -104,16 +104,6 @@ func ExploreOptions(beam, depth int) Options {
 	}
 }
 
-// GreedyOptions returns the budgets of a single-path descent: a frontier of
-// one (always follow the best candidate of each expansion), at most three
-// steps, and a node budget of a few expansions. This is the degraded serving
-// level named "greedy": a load-shedding tier wants bounded, near-constant
-// work per query, and these budgets give it on the same indexed, memoized
-// Search every other level runs.
-func GreedyOptions() Options {
-	return Options{MaxSteps: 3, MaxFrontier: 1, MaxNodes: 8}
-}
-
 // cost ranks a plan of the given plan.Size: the engine's estimate when a
 // database is attached, the operator count otherwise.
 func (rw *Rewriter) cost(p plan.Node, size int) float64 {

@@ -32,8 +32,8 @@ func TestServiceLevelHeaderIdle(t *testing.T) {
 
 // TestLadderDegradesAndRecoversUnderLoad drives the ladder end to end through
 // the real controller: slow rewrites push the windowed p99 over the hot
-// threshold, the ladder steps down, and once the load (and the slowness)
-// stops it walks back to full.
+// threshold, the ladder steps down to cache_only, and once the load (and the
+// slowness) stops it steps back to full.
 func TestLadderDegradesAndRecoversUnderLoad(t *testing.T) {
 	var slow atomic.Bool
 	slow.Store(true)
@@ -45,10 +45,6 @@ func TestLadderDegradesAndRecoversUnderLoad(t *testing.T) {
 			RecoverAfter: 3,
 			HighP99:      2 * time.Millisecond,
 			LowP99:       time.Millisecond,
-			// Latency-driven only: park the queue thresholds so the tiny
-			// test queue cannot block recovery.
-			HighQueueFrac: 0.99,
-			LowQueueFrac:  0.98,
 		}
 		c.beforeRewrite = func(string) {
 			if slow.Load() {
@@ -176,13 +172,11 @@ func TestChaosAllFaultPoints(t *testing.T) {
 	s, reg, _ := newTestServer(t, func(c *Config) {
 		c.Workers = 4
 		c.Degradation = DegradationConfig{
-			SampleEvery:   5 * time.Millisecond,
-			DegradeAfter:  2,
-			RecoverAfter:  2,
-			HighP99:       5 * time.Millisecond,
-			LowP99:        time.Millisecond,
-			HighQueueFrac: 0.99,
-			LowQueueFrac:  0.98,
+			SampleEvery:  5 * time.Millisecond,
+			DegradeAfter: 2,
+			RecoverAfter: 2,
+			HighP99:      5 * time.Millisecond,
+			LowP99:       time.Millisecond,
 		}
 	})
 	defer faultinject.Reset()

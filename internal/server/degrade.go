@@ -10,21 +10,19 @@ import (
 	"wetune/internal/obs/journal"
 )
 
-// ServiceLevel is one rung of the serving degradation ladder: the optimizer's
-// effort scale, used directly. Under overload the load controller steps the
-// level down (full → reduced → greedy → cache_only), trading rewrite quality
-// for bounded latency instead of letting queue waits and deadline truncations
-// climb; when load drops it steps back up. Every /v1/rewrite response reports
-// the level it was served at (its String) in the X-WeTune-Service-Level
-// header.
+// ServiceLevel is the serving degradation ladder's state: the optimizer's
+// rewrite mode, used directly. When the windowed rewrite p99 stays high the
+// load controller steps the level from full down to cache_only, answering
+// from the result cache or with the query unchanged, instead of letting queue
+// waits and deadline truncations climb; when the p99 falls it steps back up.
+// A full admission queue is not the ladder's business: admission answers it
+// with 429. Every /v1/rewrite response reports the level it was served at
+// (its String) in the X-WeTune-Service-Level header.
 type ServiceLevel = wetune.RewriteMode
 
-// The ladder's rungs, top to floor (see the wetune.Mode* constants for what
-// each one spends).
+// The ladder's two levels.
 const (
 	LevelFull      = wetune.ModeFull
-	LevelReduced   = wetune.ModeReduced
-	LevelGreedy    = wetune.ModeGreedy
 	LevelCacheOnly = wetune.ModeCacheOnly
 )
 
@@ -35,30 +33,21 @@ type DegradationConfig struct {
 	// Disabled turns the controller (and the per-app circuit breakers) off.
 	Disabled bool
 	// SampleEvery is the controller's sampling period (default 100ms). Each
-	// tick samples queue depth and the rewrite-latency p99 over the tick.
+	// tick samples the rewrite-latency p99 over the tick.
 	SampleEvery time.Duration
 	// DegradeAfter is how many consecutive hot samples step the level down
-	// one rung (default 3: degrade fast, ~300ms of sustained overload).
+	// to cache_only (default 3: degrade fast, ~300ms of sustained overload).
 	DegradeAfter int
 	// RecoverAfter is how many consecutive cool samples step the level back
-	// up one rung (default 10: recover slow, so a recovering server does not
+	// up to full (default 10: recover slow, so a recovering server does not
 	// oscillate against the load that degraded it — classic hysteresis).
 	RecoverAfter int
-	// HighQueueFrac: a sample is hot when the admission queue holds at least
-	// this fraction of its capacity (default 0.5).
-	HighQueueFrac float64
-	// LowQueueFrac: a sample is cool only when the queue is at or below this
-	// fraction (default 0.1).
-	LowQueueFrac float64
-	// HighP99: a sample is also hot when the windowed rewrite p99 reaches
-	// this (default RequestTimeout/4).
+	// HighP99: a sample is hot when the windowed rewrite p99 reaches this
+	// (default RequestTimeout/4).
 	HighP99 time.Duration
-	// LowP99: a sample is cool only when the windowed p99 is at or below
-	// this (default RequestTimeout/16).
+	// LowP99: a sample is cool when the windowed p99 is at or below this
+	// (default RequestTimeout/16).
 	LowP99 time.Duration
-	// Floor is the deepest level the ladder may reach (default
-	// LevelCacheOnly).
-	Floor ServiceLevel
 	// BreakerThreshold opens an app's circuit breaker after this many
 	// consecutive deadline-truncated searches (default 5).
 	BreakerThreshold int
@@ -77,20 +66,11 @@ func (c DegradationConfig) withDefaults(reqTimeout time.Duration) DegradationCon
 	if c.RecoverAfter <= 0 {
 		c.RecoverAfter = 10
 	}
-	if c.HighQueueFrac <= 0 {
-		c.HighQueueFrac = 0.5
-	}
-	if c.LowQueueFrac <= 0 {
-		c.LowQueueFrac = 0.1
-	}
 	if c.HighP99 <= 0 {
 		c.HighP99 = reqTimeout / 4
 	}
 	if c.LowP99 <= 0 {
 		c.LowP99 = reqTimeout / 16
-	}
-	if c.Floor <= 0 || c.Floor > LevelCacheOnly {
-		c.Floor = LevelCacheOnly
 	}
 	if c.BreakerThreshold <= 0 {
 		c.BreakerThreshold = 5
@@ -99,13 +79,6 @@ func (c DegradationConfig) withDefaults(reqTimeout time.Duration) DegradationCon
 		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
-}
-
-// loadSample is one controller observation: the admission queue's fill
-// fraction and the rewrite-endpoint p99 over the last sampling window.
-type loadSample struct {
-	queueFrac float64
-	p99       time.Duration
 }
 
 // ladder is the hysteresis state machine. observe is called from a single
@@ -118,9 +91,9 @@ type ladder struct {
 	// Streak counters, controller-goroutine-only.
 	hot, cool int
 
-	levelG            *obs.Gauge
+	levelG             *obs.Gauge
 	transC, degC, recC *obs.Counter
-	jnl               *journal.Journal
+	jnl                *journal.Journal
 }
 
 func newLadder(cfg DegradationConfig, reg *obs.Registry, jnl *journal.Journal) *ladder {
@@ -139,37 +112,30 @@ func newLadder(cfg DegradationConfig, reg *obs.Registry, jnl *journal.Journal) *
 // current returns the level handlers must serve at right now.
 func (l *ladder) current() ServiceLevel { return ServiceLevel(l.level.Load()) }
 
-// observe feeds one sample through the hysteresis machine. A sample is hot
-// when either pressure signal crosses its high threshold, cool only when both
-// are at or below their low thresholds, and neutral in between — neutral
-// samples reset both streaks, so a level change always reflects an unbroken
-// run of agreement. Degrading takes DegradeAfter consecutive hot samples per
-// rung; recovering takes RecoverAfter consecutive cool samples per rung
-// (streaks reset at each step, so a fall to the floor and a climb back are
-// both gradual).
-func (l *ladder) observe(s loadSample) {
-	hot := s.queueFrac >= l.cfg.HighQueueFrac || s.p99 >= l.cfg.HighP99
-	cool := s.queueFrac <= l.cfg.LowQueueFrac && s.p99 <= l.cfg.LowP99
+// observe feeds one windowed rewrite p99 through the hysteresis machine. A
+// sample is hot at or above HighP99, cool at or below LowP99 and neutral in
+// between — a neutral sample resets both streaks, so a level change always
+// reflects an unbroken run of agreement. DegradeAfter consecutive hot samples
+// step full down to cache_only; RecoverAfter consecutive cool samples step
+// it back up.
+func (l *ladder) observe(p99 time.Duration) {
 	switch {
-	case hot:
+	case p99 >= l.cfg.HighP99:
 		l.hot++
 		l.cool = 0
-	case cool:
+	case p99 <= l.cfg.LowP99:
 		l.cool++
 		l.hot = 0
 	default:
 		l.hot, l.cool = 0, 0
 	}
-	cur := l.current()
-	if l.hot >= l.cfg.DegradeAfter && cur < l.cfg.Floor {
-		l.step(cur, cur+1)
+	switch cur := l.current(); {
+	case cur == LevelFull && l.hot >= l.cfg.DegradeAfter:
+		l.step(cur, LevelCacheOnly)
 		l.degC.Inc()
-		l.hot = 0
-	}
-	if l.cool >= l.cfg.RecoverAfter && cur > LevelFull {
-		l.step(cur, cur-1)
+	case cur == LevelCacheOnly && l.cool >= l.cfg.RecoverAfter:
+		l.step(cur, LevelFull)
 		l.recC.Inc()
-		l.cool = 0
 	}
 }
 
@@ -304,10 +270,10 @@ func (b *breaker) snapshot() (state int64, consec int) {
 	return b.state, b.consec
 }
 
-// controlLoop is the load controller goroutine: every SampleEvery it samples
-// the admission queue's fill fraction and the rewrite p99 over the tick
-// (bucket-count deltas of the cumulative latency histogram, ranked by
-// obs.CountsQuantile) and feeds the ladder. It exits when ctrlStop closes.
+// controlLoop is the load controller goroutine: every SampleEvery it feeds
+// the ladder the rewrite p99 over the tick (bucket-count deltas of the
+// cumulative latency histogram, ranked by obs.CountsQuantile). It exits when
+// ctrlStop closes.
 func (s *Server) controlLoop() {
 	defer close(s.ctrlDone)
 	tick := time.NewTicker(s.cfg.Degradation.SampleEvery)
@@ -316,7 +282,6 @@ func (s *Server) controlLoop() {
 	bounds := lat.Bounds()
 	prev := lat.Counts()
 	delta := make([]int64, len(prev))
-	capacity := float64(s.cfg.Workers + s.cfg.QueueDepth)
 	for {
 		select {
 		case <-s.ctrlStop:
@@ -327,10 +292,7 @@ func (s *Server) controlLoop() {
 				delta[i] = cur[i] - prev[i]
 			}
 			prev = cur
-			s.lad.observe(loadSample{
-				queueFrac: float64(s.adm.queued.Value()) / capacity,
-				p99:       obs.CountsQuantile(bounds, delta, 0.99),
-			})
+			s.lad.observe(obs.CountsQuantile(bounds, delta, 0.99))
 		}
 	}
 }

@@ -1,6 +1,11 @@
 package server
 
 import (
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,30 +21,31 @@ func ladderHarness(t *testing.T, cfg DegradationConfig) (*ladder, *obs.Registry)
 	return newLadder(cfg.withDefaults(time.Second), reg, journal.New(1<<8)), reg
 }
 
-// Samples for the default thresholds (HighQueueFrac 0.5, LowQueueFrac 0.1,
-// HighP99 250ms, LowP99 62.5ms for a 1s request timeout): hot crosses a high
-// threshold, cool is below both lows, neutral is between.
-var (
-	hotSample     = loadSample{queueFrac: 0.9, p99: 0}
-	hotP99Sample  = loadSample{queueFrac: 0, p99: time.Second}
-	coolSample    = loadSample{queueFrac: 0, p99: 0}
-	neutralSample = loadSample{queueFrac: 0.3, p99: 0}
+// p99 samples for the default thresholds of a 1s request timeout (HighP99
+// 250ms, LowP99 62.5ms): hot reaches the high threshold, cool is at or below
+// the low one, neutral is between.
+const (
+	hotP99     = time.Second
+	coolP99    = time.Millisecond
+	neutralP99 = 100 * time.Millisecond
 )
 
-// feed replays a sample script: 'H' hot (queue), 'P' hot (p99), 'C' cool,
-// 'N' neutral.
+// feed replays a sample script: 'H' hot, 'P' exactly HighP99, 'C' cool, 'L'
+// exactly LowP99, 'N' neutral.
 func feed(t *testing.T, l *ladder, script string) {
 	t.Helper()
 	for _, c := range script {
 		switch c {
 		case 'H':
-			l.observe(hotSample)
+			l.observe(hotP99)
 		case 'P':
-			l.observe(hotP99Sample)
+			l.observe(l.cfg.HighP99)
 		case 'C':
-			l.observe(coolSample)
+			l.observe(coolP99)
+		case 'L':
+			l.observe(l.cfg.LowP99)
 		case 'N':
-			l.observe(neutralSample)
+			l.observe(neutralP99)
 		default:
 			t.Fatalf("bad script rune %q", c)
 		}
@@ -47,13 +53,14 @@ func feed(t *testing.T, l *ladder, script string) {
 }
 
 // TestLadderHysteresis is the table-driven transition test: each case replays
-// a sample script through a fresh ladder and pins the resulting level and
+// a p99 script through a fresh ladder and pins the resulting level and
 // transition counts against the hysteresis contract (DegradeAfter=3
-// consecutive hot samples per rung down, RecoverAfter=10 consecutive cool
-// samples per rung up, neutral resets both streaks, streaks reset at each
-// step).
+// consecutive hot samples step full down to cache_only, RecoverAfter=10
+// consecutive cool samples step it back up, a neutral sample resets both
+// streaks).
 func TestLadderHysteresis(t *testing.T) {
-	cool10 := "CCCCCCCCCC"
+	cool9 := "CCCCCCCCC"
+	cool10 := cool9 + "C"
 	cases := []struct {
 		name      string
 		script    string
@@ -63,19 +70,18 @@ func TestLadderHysteresis(t *testing.T) {
 	}{
 		{"idle stays full", "NNCCNN", LevelFull, 0, 0},
 		{"one short of degrade", "HH", LevelFull, 0, 0},
-		{"third hot degrades", "HHH", LevelReduced, 1, 0},
-		{"p99 alone degrades", "PPP", LevelReduced, 1, 0},
+		{"third hot degrades", "HHH", LevelCacheOnly, 1, 0},
+		{"p99 alone degrades", "PPP", LevelCacheOnly, 1, 0},
 		{"neutral resets hot streak", "HHNHH", LevelFull, 0, 0},
 		{"cool resets hot streak", "HHCHH", LevelFull, 0, 0},
-		{"streak resets at each rung", "HHHHH", LevelReduced, 1, 0},
-		{"two rungs", "HHHHHH", LevelGreedy, 2, 0},
-		{"three rungs to the floor", "HHHHHHHHH", LevelCacheOnly, 3, 0},
-		{"floor clamps", "HHHHHHHHHHHHHHH", LevelCacheOnly, 3, 0},
-		{"nine cools do not recover", "HHH" + "CCCCCCCCC", LevelReduced, 1, 0},
+		{"floor clamps", "HHHHHHHHHHHHHHH", LevelCacheOnly, 1, 0},
+		{"streak resets at each rung", "HHH" + cool10 + "HH", LevelFull, 1, 1},
+		{"nine cools do not recover", "HHH" + cool9, LevelCacheOnly, 1, 0},
 		{"ten cools recover one rung", "HHH" + cool10, LevelFull, 1, 1},
-		{"neutral resets cool streak", "HHH" + "CCCCCCCCC" + "N" + cool10, LevelFull, 1, 1},
-		{"hot resets cool streak", "HHHHHH" + "CCCCCCCCC" + "H" + cool10, LevelReduced, 2, 1},
-		{"full recovery from floor", "HHHHHHHHH" + cool10 + cool10 + cool10, LevelFull, 3, 3},
+		{"low p99 is cool", "HHH" + "LLLLLLLLLL", LevelFull, 1, 1},
+		{"neutral resets cool streak", "HHH" + cool9 + "N" + cool9, LevelCacheOnly, 1, 0},
+		{"hot resets cool streak", "HHH" + cool9 + "H" + cool9, LevelCacheOnly, 1, 0},
+		{"full recovery from floor", "HHHHHH" + cool10 + "HHH" + cool10, LevelFull, 2, 2},
 		{"cool at full is a no-op", cool10 + cool10, LevelFull, 0, 0},
 	}
 	for _, tc := range cases {
@@ -101,23 +107,11 @@ func TestLadderHysteresis(t *testing.T) {
 	}
 }
 
-// TestLadderFloorConfig: a configured floor above cache_only stops the
-// descent there.
-func TestLadderFloorConfig(t *testing.T) {
-	l, _ := ladderHarness(t, DegradationConfig{Floor: LevelReduced})
-	feed(t, l, "HHHHHHHHHHHH")
-	if got := l.current(); got != LevelReduced {
-		t.Errorf("level = %v, want %v (the configured floor)", got, LevelReduced)
-	}
-}
-
 // TestLadderLevelStrings pins the header vocabulary; clients and the soak
 // harness match on these strings.
 func TestLadderLevelStrings(t *testing.T) {
 	want := map[ServiceLevel]string{
 		LevelFull:      "full",
-		LevelReduced:   "reduced",
-		LevelGreedy:    "greedy",
 		LevelCacheOnly: "cache_only",
 	}
 	for lvl, s := range want {
@@ -127,6 +121,47 @@ func TestLadderLevelStrings(t *testing.T) {
 	}
 	if ServiceLevel(99).String() != "unknown" {
 		t.Errorf("out-of-range level = %q, want unknown", ServiceLevel(99).String())
+	}
+}
+
+// TestClosedLoopLoadIsServedAtFull: at the default config, eight closed-loop
+// clients keep the admission queue busy while the rewrite p99 stays far below
+// the hot threshold, so every 200 is a full rewrite. A busy queue is
+// admission's business (429), not a reason to stop rewriting.
+func TestClosedLoopLoadIsServedAtFull(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	t.Cleanup(func() { s.stopControl() })
+	var next, answered, unrewritten atomic.Int64
+	stop := time.Now().Add(time.Second)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(stop) {
+				q := fmt.Sprintf(`{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = %d"}`, next.Add(1))
+				rec := do(s, http.MethodPost, "/v1/rewrite", q)
+				if rec.Code != http.StatusOK {
+					continue
+				}
+				answered.Add(1)
+				var res struct {
+					Applied []json.RawMessage `json:"applied"`
+					Mode    string            `json:"mode"`
+				}
+				err := json.Unmarshal(rec.Body.Bytes(), &res)
+				if err != nil || rec.Header().Get("X-WeTune-Service-Level") != "full" || res.Mode != "" || len(res.Applied) == 0 {
+					unrewritten.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if answered.Load() == 0 {
+		t.Fatal("no request was answered 200")
+	}
+	if n := unrewritten.Load(); n > 0 {
+		t.Errorf("%d of %d 200s were not full rewrites", n, answered.Load())
 	}
 }
 

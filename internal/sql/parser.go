@@ -108,7 +108,7 @@ func (p *parser) sizeSlabs() {
 			}
 		case tkString:
 			lits++
-		case tkKeyword:
+		case tkKeyword, tkSymbol:
 			switch t.text {
 			case "TRUE", "FALSE":
 				lits++
@@ -116,19 +116,13 @@ func (p *parser) sizeSlabs() {
 				if prev.text != "IS" && (prev.text != "NOT" || prev2.text != "IS") {
 					lits++
 				}
-			case "AND", "OR", "LIKE":
-				bins++
 			case "BETWEEN": // a BETWEEN b AND c is a >= b AND a <= c; its AND counts on its own
 				bins += 2
 			}
-		case tkSymbol:
-			switch t.text {
-			case "=", "<>", "!=", "<", "<=", ">", ">=", "+", "/":
+			// A minus or a star is binary after an operand; otherwise it is a
+			// sign or a star.
+			if _, prec := binaryOp(t.text); prec > 0 && (endsOperand(prev) || t.text != "-" && t.text != "*") {
 				bins++
-			case "-", "*": // binary after an operand; otherwise unary minus or a star
-				if endsOperand(prev) {
-					bins++
-				}
 			}
 		}
 		prev2, prev = prev, t
@@ -532,81 +526,98 @@ func (p *parser) parseTablePrimary(name *TableName) (TableExpr, error) {
 	return name, nil
 }
 
-// Expression grammar, loosest to tightest: OR, AND, NOT, predicate
-// (comparison/IN/IS/LIKE/BETWEEN), additive, multiplicative, unary, primary.
+// Expressions are parsed by precedence climbing over binaryOp's levels. NOT
+// and the predicates (a comparison, LIKE, IN, IS, BETWEEN, EXISTS) sit
+// between AND and the arithmetic operators, and a predicate is complete: only
+// AND or OR may follow one, so neither a = b = c nor EXISTS (…) + 1 parses.
 
 func (p *parser) parseExpr() (Expr, error) {
 	if err := p.enter(); err != nil {
 		return nil, err
 	}
 	defer p.leave()
-	return p.parseOr()
+	return p.parseBinary(precOr)
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	left, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tkKeyword, "OR") {
-		right, err := p.parseAnd()
+// parseBinary parses an expression whose binary operators bind at least as
+// tightly as level minPrec. lvl is the level of what is parsed so far, precNot
+// once that is a predicate: an operator binding more tightly than lvl may not
+// take it as its left operand, since the right operand that ended with it
+// stopped short of that operator for a reason.
+func (p *parser) parseBinary(minPrec int) (Expr, error) {
+	var left Expr
+	lvl := precPrimary
+	switch {
+	case minPrec <= precNot && p.at(tkKeyword, "NOT"):
+		if err := p.enter(); err != nil {
+			return nil, err
+		}
+		p.idx++
+		e, err := p.parseBinary(precNot)
+		p.leave()
 		if err != nil {
 			return nil, err
 		}
-		left = p.binary("OR", left, right)
-	}
-	return left, nil
-}
-
-func (p *parser) parseAnd() (Expr, error) {
-	left, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for p.accept(tkKeyword, "AND") {
-		right, err := p.parseNot()
+		left, lvl = &UnaryExpr{Op: "NOT", E: e}, precNot
+	case minPrec <= precCmp:
+		e, done, err := p.parsePredicate()
 		if err != nil {
 			return nil, err
 		}
-		left = p.binary("AND", left, right)
+		left = e
+		if done {
+			lvl = precNot
+		}
+	default:
+		e, err := p.parseUnary()
+		if err != nil {
+			return nil, err
+		}
+		left = e
 	}
-	return left, nil
+	for {
+		t := p.cur()
+		if t.kind != tkSymbol && t.kind != tkKeyword {
+			return left, nil
+		}
+		op, prec := binaryOp(t.text)
+		if prec < minPrec || prec > lvl {
+			return left, nil
+		}
+		p.idx++
+		right, err := p.parseBinary(prec + 1)
+		if err != nil {
+			return nil, err
+		}
+		left, lvl = p.binary(op, left, right), prec
+		if prec == precCmp {
+			lvl = precNot
+		}
+	}
 }
 
-func (p *parser) parseNot() (Expr, error) {
-	if !p.at(tkKeyword, "NOT") {
-		return p.parsePredicate()
-	}
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	defer p.leave()
-	p.idx++
-	e, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	return &UnaryExpr{Op: "NOT", E: e}, nil
-}
-
-func (p *parser) parsePredicate() (Expr, error) {
+// parsePredicate parses EXISTS, or an arithmetic operand together with the
+// IN, IS, BETWEEN or NOT LIKE that follows it, and reports whether it parsed
+// a complete predicate. A comparison or LIKE after the operand is left to
+// parseBinary.
+func (p *parser) parsePredicate() (Expr, bool, error) {
 	if p.at(tkKeyword, "EXISTS") {
 		p.idx++
 		if _, err := p.expect(tkSymbol, "("); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		sel, err := p.parseSelectCompound()
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &ExistsExpr{Select: sel}, nil
+		return &ExistsExpr{Select: sel}, true, nil
 	}
-	left, err := p.parseAdditive()
+	left, err := p.parseBinary(precAdd)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	negated := false
 	if p.at(tkKeyword, "NOT") && (p.peek().text == "IN" || p.peek().text == "LIKE" || p.peek().text == "BETWEEN") {
@@ -616,23 +627,23 @@ func (p *parser) parsePredicate() (Expr, error) {
 	switch {
 	case p.accept(tkKeyword, "IN"):
 		if _, err := p.expect(tkSymbol, "("); err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if p.at(tkKeyword, "SELECT") {
 			sel, err := p.parseSelectCompound()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			if _, err := p.expect(tkSymbol, ")"); err != nil {
-				return nil, err
+				return nil, false, err
 			}
-			return &InSubquery{E: left, Select: sel, Negated: negated}, nil
+			return &InSubquery{E: left, Select: sel, Negated: negated}, true, nil
 		}
 		var list []Expr
 		for {
 			e, err := p.parseExpr()
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			list = append(list, e)
 			if !p.accept(tkSymbol, ",") {
@@ -640,102 +651,40 @@ func (p *parser) parsePredicate() (Expr, error) {
 			}
 		}
 		if _, err := p.expect(tkSymbol, ")"); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &InListExpr{E: left, List: list, Negated: negated}, nil
+		return &InListExpr{E: left, List: list, Negated: negated}, true, nil
 	case p.accept(tkKeyword, "IS"):
 		neg := p.accept(tkKeyword, "NOT")
 		if _, err := p.expect(tkKeyword, "NULL"); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		return &IsNullExpr{E: left, Negated: neg}, nil
-	case p.accept(tkKeyword, "LIKE"):
-		right, err := p.parseAdditive()
+		return &IsNullExpr{E: left, Negated: neg}, true, nil
+	case negated && p.accept(tkKeyword, "LIKE"):
+		right, err := p.parseBinary(precAdd)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		e := Expr(p.binary("LIKE", left, right))
-		if negated {
-			e = &UnaryExpr{Op: "NOT", E: e}
-		}
-		return e, nil
+		return &UnaryExpr{Op: "NOT", E: p.binary("LIKE", left, right)}, true, nil
 	case p.accept(tkKeyword, "BETWEEN"):
-		lo, err := p.parseAdditive()
+		lo, err := p.parseBinary(precAdd)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		if _, err := p.expect(tkKeyword, "AND"); err != nil {
-			return nil, err
+			return nil, false, err
 		}
-		hi, err := p.parseAdditive()
+		hi, err := p.parseBinary(precAdd)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		e := Expr(p.binary("AND", p.binary(">=", left, lo), p.binary("<=", left, hi)))
 		if negated {
 			e = &UnaryExpr{Op: "NOT", E: e}
 		}
-		return e, nil
+		return e, true, nil
 	}
-	for _, op := range []string{"=", "<>", "!=", "<=", ">=", "<", ">"} {
-		if p.accept(tkSymbol, op) {
-			right, err := p.parseAdditive()
-			if err != nil {
-				return nil, err
-			}
-			if op == "!=" {
-				op = "<>"
-			}
-			return p.binary(op, left, right), nil
-		}
-	}
-	return left, nil
-}
-
-func (p *parser) parseAdditive() (Expr, error) {
-	left, err := p.parseMultiplicative()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tkSymbol, "+"):
-			op = "+"
-		case p.accept(tkSymbol, "-"):
-			op = "-"
-		default:
-			return left, nil
-		}
-		right, err := p.parseMultiplicative()
-		if err != nil {
-			return nil, err
-		}
-		left = p.binary(op, left, right)
-	}
-}
-
-func (p *parser) parseMultiplicative() (Expr, error) {
-	left, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		var op string
-		switch {
-		case p.accept(tkSymbol, "*"):
-			op = "*"
-		case p.accept(tkSymbol, "/"):
-			op = "/"
-		default:
-			return left, nil
-		}
-		right, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		left = p.binary(op, left, right)
-	}
+	return left, false, nil
 }
 
 func (p *parser) parseUnary() (Expr, error) {

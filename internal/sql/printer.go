@@ -45,7 +45,7 @@ func AppendExpr(dst []byte, e Expr) []byte { return appendNode(dst, e, 0, nil) }
 // parenthesize it inside a *BinaryExpr with that operator. Printing a
 // left-deep AND chain operand by operand gives JoinConjuncts' text.
 func AppendOperand(dst []byte, e Expr, op string, right bool) []byte {
-	prec := binaryPrec(op)
+	_, prec := binaryOp(op)
 	if right {
 		prec++
 	}
@@ -140,35 +140,51 @@ func appendLiteral(dst []byte, v Value) []byte {
 	return appendValue(dst, v)
 }
 
-// precedence levels for parenthesization: OR(1) < AND(2) < NOT(3) <
-// comparison(4) < additive(5) < multiplicative(6).
+// Precedence levels, loosest to tightest. The parser climbs them and the
+// printer parenthesizes by them.
+const (
+	precOr = 1 + iota
+	precAnd
+	precNot
+	precCmp // comparisons and LIKE; IN, IS and BETWEEN bind alike
+	precAdd
+	precMul
+	precUnary
+	precPrimary
+)
+
+// binaryOp returns the canonical spelling and the precedence level of the
+// binary operator written text, or level 0 when text is no binary operator.
+func binaryOp(text string) (string, int) {
+	switch text {
+	case "OR":
+		return text, precOr
+	case "AND":
+		return text, precAnd
+	case "=", "<>", "<", "<=", ">", ">=", "LIKE":
+		return text, precCmp
+	case "!=":
+		return "<>", precCmp
+	case "+", "-":
+		return text, precAdd
+	case "*", "/":
+		return text, precMul
+	}
+	return "", 0
+}
+
 func exprPrec(e Expr) int {
 	switch x := e.(type) {
 	case *BinaryExpr:
-		return binaryPrec(x.Op)
+		_, prec := binaryOp(x.Op)
+		return prec
 	case *UnaryExpr:
 		if x.Op == "NOT" {
-			return 3
+			return precNot
 		}
-		return 7
+		return precUnary
 	}
-	return 8
-}
-
-func binaryPrec(op string) int {
-	switch op {
-	case "OR":
-		return 1
-	case "AND":
-		return 2
-	case "=", "<>", "<", "<=", ">", ">=", "LIKE":
-		return 4
-	case "+", "-":
-		return 5
-	case "*", "/":
-		return 6
-	}
-	return 8
+	return precPrimary
 }
 
 // appendNode renders a statement, a table expression or an expression.
@@ -325,14 +341,14 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		dst = appendNode(dst, x.E, prec+1, bindings)
 	case *IsNullExpr:
-		dst = appendNode(dst, x.E, 4, bindings)
+		dst = appendNode(dst, x.E, precCmp, bindings)
 		if x.Negated {
 			dst = append(dst, " IS NOT NULL"...)
 		} else {
 			dst = append(dst, " IS NULL"...)
 		}
 	case *InListExpr:
-		dst = appendNode(dst, x.E, 4, bindings)
+		dst = appendNode(dst, x.E, precCmp, bindings)
 		if x.Negated {
 			dst = append(dst, " NOT"...)
 		}
@@ -345,7 +361,7 @@ func appendNode(dst []byte, n Node, parentPrec int, bindings []string) []byte {
 		}
 		dst = append(dst, ')')
 	case *InSubquery:
-		dst = appendNode(dst, x.E, 4, bindings)
+		dst = appendNode(dst, x.E, precCmp, bindings)
 		if x.Negated {
 			dst = append(dst, " NOT"...)
 		}

@@ -163,30 +163,23 @@ type RewriteResult struct {
 	// Cached reports that the result came from the Optimizer's result cache;
 	// Stats then describes the original (cached) search, not new work.
 	Cached bool `json:"cached,omitempty"`
-	// Mode names the degraded effort level that produced the result
-	// ("reduced", "greedy", "cache_only"). Empty for a full-effort rewrite,
-	// so the common case serializes exactly as before modes existed.
+	// Mode is "cache_only" when the result was answered without a search,
+	// from the result cache or as the input unchanged. Empty for a
+	// full-effort rewrite.
 	Mode string `json:"mode,omitempty"`
 }
 
-// RewriteMode selects how much search effort a rewrite spends. The serving
-// layer's degradation ladder steps down this scale under overload; library
-// callers can use it directly to trade result quality for latency.
+// RewriteMode selects whether a rewrite may search. The serving layer's
+// degradation ladder switches between the two under overload; library callers
+// can use ModeCacheOnly directly to bound a rewrite's cost to one lookup.
 type RewriteMode int
 
 const (
-	// ModeFull is the normal effort level: ExploreOptions(12, 6).
+	// ModeFull parses, plans and searches under ExploreOptions(12, 6).
 	ModeFull RewriteMode = iota
-	// ModeReduced halves the search budgets (beam 6, depth 3): most
-	// single-rule rewrites still land, long enabler chains may not.
-	ModeReduced
-	// ModeGreedy follows only the best candidate of each expansion for at
-	// most three steps (rewrite.GreedyOptions) — bounded, near-constant
-	// work per query on the indexed engine.
-	ModeGreedy
 	// ModeCacheOnly answers from the result cache or passes the query
 	// through unchanged. It never parses or searches, so its cost is one
-	// cache lookup — the serving floor under extreme overload.
+	// cache lookup — the serving floor under overload.
 	ModeCacheOnly
 )
 
@@ -196,33 +189,21 @@ func (m RewriteMode) String() string {
 	switch m {
 	case ModeFull:
 		return "full"
-	case ModeReduced:
-		return "reduced"
-	case ModeGreedy:
-		return "greedy"
 	case ModeCacheOnly:
 		return "cache_only"
 	}
 	return "unknown"
 }
 
-// searchOptions maps a mode onto search budgets. ModeCacheOnly never
-// searches and has no options.
-func (m RewriteMode) searchOptions() rewrite.Options {
-	switch m {
-	case ModeReduced:
-		return rewrite.ExploreOptions(6, 3)
-	case ModeGreedy:
-		return rewrite.GreedyOptions()
-	}
-	return rewrite.ExploreOptions(12, 6)
-}
+// searchOptions are the budgets of every search: the paper's §8.4 flow with a
+// frontier of 12 and chains of up to 6 steps.
+func searchOptions() rewrite.Options { return rewrite.ExploreOptions(12, 6) }
 
 // Optimize rewrites a logical plan, returning the improved plan and the rule
 // sequence applied (empty when no rule helps). It explores rewrite chains
 // like the paper's §8.4 flow and picks the best final query.
 func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
-	out, applied, _ := o.rw.Search(p, ModeFull.searchOptions())
+	out, applied, _ := o.rw.Search(p, searchOptions())
 	return out, applied
 }
 
@@ -257,12 +238,10 @@ func (o *Optimizer) OptimizeSQLResultContext(ctx context.Context, query string) 
 	return o.rewriteSQL(deadline, query, ModeFull, nil)
 }
 
-// OptimizeSQLResultMode is OptimizeSQLResultContext at an explicit effort
-// level, with the deadline given as a value (the zero time is none): a caller
-// that owns its clock, like the server, needs no context per call. Every mode reads the result cache (a memoized full-effort answer is
-// at least as good as any degraded search), but only ModeFull results are
-// stored — a degraded answer must not be replayed to a caller entitled to
-// the full search. ModeCacheOnly never parses: a result-cache miss passes the
+// OptimizeSQLResultMode is OptimizeSQLResultContext in the given mode, with
+// the deadline given as a value (the zero time is none): a caller that owns
+// its clock, like the server, needs no context per call. Both modes read the
+// result cache. ModeCacheOnly never parses: a result-cache miss passes the
 // query through unchanged with zero-value stats, which is always correct SQL.
 func (o *Optimizer) OptimizeSQLResultMode(deadline time.Time, query string, mode RewriteMode) (*RewriteResult, error) {
 	return o.rewriteSQL(deadline, query, mode, nil)
@@ -275,10 +254,10 @@ func (o *Optimizer) OptimizeSQLResultMode(deadline time.Time, query string, mode
 //  2. result-cache probe — a hit is the answer; ModeCacheOnly stops here
 //  3. plan-cache get, or on a miss: parse + plan build, ORDER-BY elimination
 //     (§7), plan-cache put
-//  4. search — §6 rule matching under the mode's §8.4 budgets and the
-//     deadline (the zero time is none)
+//  4. search — §6 rule matching under the §8.4 budgets of searchOptions and
+//     the deadline (the zero time is none)
 //  5. print — the chosen plan back to SQL
-//  6. result-cache put — full-effort, non-deadline-truncated results only
+//  6. result-cache put — results the deadline did not truncate only
 //
 // A non-nil prov asks for the search's derivation record (ExplainSQL). An
 // explanation must describe a real search, not a memo, so it skips stages 2
@@ -328,7 +307,7 @@ func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMod
 				o.planCache.Put(key, start)
 			}
 		}
-		opts := mode.searchOptions()
+		opts := searchOptions()
 		opts.SkipOrderByElim = true
 		opts.Provenance = prov
 		opts.Deadline = deadline
@@ -340,7 +319,7 @@ func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMod
 			CostBefore: stats.InitialCost,
 			CostAfter:  stats.FinalCost,
 		}
-		if resultCache != nil && mode == ModeFull && stats.TruncatedBy != "deadline" {
+		if resultCache != nil && stats.TruncatedBy != "deadline" {
 			resultCache.Put(key, found)
 		}
 	}
@@ -354,7 +333,7 @@ func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMod
 		Stats:      found.Stats,
 		Cached:     cached,
 	}
-	if mode != ModeFull {
+	if mode == ModeCacheOnly {
 		res.Mode = mode.String()
 	}
 	return res, nil
