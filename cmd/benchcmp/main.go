@@ -89,10 +89,16 @@ func run() int {
 	}
 
 	if *update {
-		out, err := json.MarshalIndent(baseline{
+		// The note says why the pins are what they are; a re-pin keeps it.
+		next := baseline{
 			Note:       "allocs/op baselines for cmd/benchcmp; regenerate with: go test -bench . -benchmem -run '^$' <pkgs> | go run ./cmd/benchcmp -update",
 			Benchmarks: got,
-		}, "", "  ")
+		}
+		var old baseline
+		if data, err := os.ReadFile(*baselinePath); err == nil && json.Unmarshal(data, &old) == nil && old.Note != "" {
+			next.Note = old.Note
+		}
+		out, err := json.MarshalIndent(next, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "benchcmp:", err)
 			return 2

@@ -1,6 +1,8 @@
 package constraint
 
 import (
+	"sync"
+
 	"wetune/internal/template"
 )
 
@@ -29,20 +31,19 @@ func Closure(s *Set) *Set {
 		return cl
 	}
 	// A closure is typically up to twice its generators; sizing for that
-	// spares the index its growth steps.
-	out := newSet(2 * len(s.items))
-	for _, c := range s.items {
-		out.add(c)
+	// spares the table its growth steps.
+	out := newSet(2 * s.Len())
+	for i := range s.words {
+		out.add(s.At(i))
 	}
-	orbits := newIndex(0)
-	var subs []C
+	sc := closureScratches.Get().(*closureScratch)
+	defer closureScratches.Put(sc)
+	cls, orbits := &sc.cls, sc.orbits
 	for before := -1; out.Len() != before; {
 		before = out.Len()
 
-		// Equivalence classes by the kind of symbol they partition.
-		var cls [template.KFunc + 1]classes
 		for _, e := range equivKinds {
-			cls[e.sym] = equivClasses(out, e.kind)
+			cls[e.sym] = equivClasses(cls[e.sym], out, e.kind)
 			// Transitivity of the equivalences.
 			for _, members := range cls[e.sym] {
 				for i := range members {
@@ -53,20 +54,22 @@ func Closure(s *Set) *Set {
 			}
 		}
 		// a_r1 == a_r2 when r1 == r2.
-		cls[template.KAttrsOf] = make(classes, len(cls[template.KRel]))
-		for i, members := range cls[template.KRel] {
+		ar := cls[template.KAttrsOf][:0]
+		for _, members := range cls[template.KRel] {
+			ar = ar.open()
 			for _, r := range members {
-				cls[template.KAttrsOf][i] = append(cls[template.KAttrsOf][i], template.AttrsOf(r))
+				ar[len(ar)-1] = append(ar[len(ar)-1], template.AttrsOf(r))
 			}
 		}
+		cls[template.KAttrsOf] = ar
 
 		// Congruence: rewrite each constraint's symbols across their
 		// equivalence classes, first argument slowest. Constraints that
 		// differ only within classes have the same variants; the first of
 		// them adds them all.
 		orbits.clear()
-		for ci, n := 0, len(out.items); ci < n; ci++ {
-			c := out.items[ci]
+		for ci, n := 0, out.Len(); ci < n; ci++ {
+			c := out.At(ci)
 			arity := c.Kind.Arity()
 			var variants [4][]template.Sym
 			orbit := C{Kind: c.Kind}
@@ -77,9 +80,10 @@ func Closure(s *Set) *Set {
 				}
 				orbit.Syms[i] = variants[i][0]
 			}
-			if !orbits.insert(orbit.canonical()) {
+			if orbit = orbit.canonical(); orbits.Has(orbit) {
 				continue
 			}
+			orbits.add(orbit)
 			var at [4]int
 			for more := true; more; {
 				v := C{Kind: c.Kind}
@@ -99,16 +103,17 @@ func Closure(s *Set) *Set {
 		}
 
 		// SubAttrs transitivity.
-		subs = subs[:0]
-		for _, c := range out.items {
-			if c.Kind == SubAttrs {
-				subs = append(subs, c)
+		sc.subs = sc.subs[:0]
+		for i := range out.words {
+			if out.kindAt(i) == SubAttrs {
+				c := out.At(i)
+				sc.subs = append(sc.subs, [2]template.Sym{c.Syms[0], c.Syms[1]})
 			}
 		}
-		for _, c1 := range subs {
-			for _, c2 := range subs {
-				if c1.Syms[1] == c2.Syms[0] && c1.Syms[0] != c2.Syms[1] {
-					out.add(New(SubAttrs, c1.Syms[0], c2.Syms[1]))
+		for _, c1 := range sc.subs {
+			for _, c2 := range sc.subs {
+				if c1[1] == c2[0] && c1[0] != c2[1] {
+					out.add(New(SubAttrs, c1[0], c2[1]))
 				}
 			}
 		}
@@ -117,6 +122,18 @@ func Closure(s *Set) *Set {
 	s.closure.Store(out)
 	return out
 }
+
+// closureScratch is what a Closure call works in besides its result: the
+// equivalence classes by the kind of symbol they partition, the orbits met
+// and the arguments of the SubAttrs members. Calls take it from a pool and
+// every round overwrites it, so that a closure allocates only its result.
+type closureScratch struct {
+	cls    [template.KFunc + 1]classes
+	orbits *Set
+	subs   [][2]template.Sym
+}
+
+var closureScratches = sync.Pool{New: func() any { return &closureScratch{orbits: newSet(0)} }}
 
 // Implies reports whether the closure of s contains c.
 func Implies(s *Set, c C) bool {
@@ -144,26 +161,31 @@ var equivKinds = [...]struct {
 // symbols per kind, so lookups scan.
 type classes [][]template.Sym
 
-func equivClasses(s *Set, k Kind) classes {
-	var cls classes
-	for _, c := range s.items {
-		if c.Kind != k {
+// equivClasses returns the classes kind k induces on s, in the storage of
+// cls, which it overwrites.
+func equivClasses(cls classes, s *Set, k Kind) classes {
+	cls = cls[:0]
+	for i := range s.words {
+		if s.kindAt(i) != k {
 			continue
 		}
+		c := s.At(i)
 		a, b := cls.index(c.Syms[0]), cls.index(c.Syms[1])
 		switch {
 		case a < 0 && b < 0 && c.Syms[0] == c.Syms[1]:
-			cls = append(cls, []template.Sym{c.Syms[0]})
+			cls = cls.open(c.Syms[0])
 		case a < 0 && b < 0:
-			cls = append(cls, []template.Sym{c.Syms[0], c.Syms[1]})
+			cls = cls.open(c.Syms[0], c.Syms[1])
 		case a < 0:
 			cls[b] = append(cls[b], c.Syms[0])
 		case b < 0:
 			cls[a] = append(cls[a], c.Syms[1])
 		case a != b:
+			last := len(cls) - 1
 			cls[a] = append(cls[a], cls[b]...)
-			cls[b] = cls[len(cls)-1]
-			cls = cls[:len(cls)-1]
+			// The last class takes b's place; b's storage goes past the end.
+			cls[b], cls[last] = cls[last], cls[b]
+			cls = cls[:last]
 		}
 	}
 	for _, members := range cls {
@@ -174,6 +196,17 @@ func equivClasses(s *Set, k Kind) classes {
 		}
 	}
 	return cls
+}
+
+// open appends a class holding members, in the storage past the end if
+// there is some. Every slot up to cap(cls) holds storage of its own.
+func (cls classes) open(members ...template.Sym) classes {
+	if n := len(cls); n < cap(cls) {
+		cls = cls[:n+1]
+		cls[n] = append(cls[n][:0], members...)
+		return cls
+	}
+	return append(cls, append(make([]template.Sym, 0, 4), members...))
 }
 
 // index returns the class holding s, or -1.
@@ -192,7 +225,7 @@ func (cls classes) index(s template.Sym) int {
 // kind; exported for the verifier's symbol unification step (§5.1).
 func UnionFind(s *Set, k Kind) map[template.Sym]template.Sym {
 	rep := map[template.Sym]template.Sym{}
-	for _, members := range equivClasses(s, k) {
+	for _, members := range equivClasses(nil, s, k) {
 		for _, m := range members {
 			rep[m] = members[0]
 		}

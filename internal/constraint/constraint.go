@@ -5,8 +5,9 @@
 package constraint
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -108,21 +109,24 @@ func (c C) Args() []template.Sym {
 	return append([]template.Sym(nil), c.Syms[:c.Kind.Arity()]...)
 }
 
-func (c C) String() string {
-	// Memo and cache keys are built from this; it avoids fmt.
-	b := make([]byte, 0, 32)
+func (c C) String() string { return string(c.appendTo(make([]byte, 0, 32))) }
+
+// appendTo appends the text String returns; memo and cache keys are built
+// from it, so it avoids fmt.
+func (c C) appendTo(b []byte) []byte {
 	b = append(b, c.Kind.String()...)
 	for i, s := range c.Syms[:c.Kind.Arity()] {
 		b = append(b, "(,,,"[i])
 		b = append(b, s.Kind.String()...)
 		b = strconv.AppendInt(b, int64(s.ID), 10)
 	}
-	return string(append(b, ')'))
+	return append(b, ')')
 }
 
 // packed squeezes c into one word — 3 bits of kind, then 3 of kind and 12 of
 // ID per symbol — so that distinct constraints have distinct words. ok is
-// false when a field does not fit (an ID past 4095, say).
+// false when a field does not fit (an ID past 4095, say). Bit 63 of a packed
+// word is always clear.
 func (c C) packed() (key uint64, ok bool) {
 	key = uint64(c.Kind)
 	ok = key < 8
@@ -133,56 +137,30 @@ func (c C) packed() (key uint64, ok bool) {
 	return key, ok
 }
 
-// index is a membership table of constraints: packed holds the word of every
-// member that has one — in practice all of them — so that a probe hashes 8
-// bytes, not the 72 of a C; wide holds the others whole.
-type index struct {
-	packed map[uint64]struct{}
-	wide   map[C]struct{}
-}
-
-func newIndex(capacity int) index {
-	return index{packed: make(map[uint64]struct{}, capacity)}
-}
-
-// insert adds c and reports whether it was absent. (Probe, then assign: an
-// assignment alone would grow a full small map even for a key it holds.)
-func (ix *index) insert(c C) bool {
-	if key, ok := c.packed(); ok {
-		if _, dup := ix.packed[key]; dup {
-			return false
-		}
-		ix.packed[key] = struct{}{}
-		return true
+// unpack is the inverse of packed.
+func unpack(w uint64) C {
+	c := C{Kind: Kind(w >> 60)}
+	for i := range c.Syms {
+		f := w >> (45 - 15*i)
+		c.Syms[i] = template.Sym{Kind: template.SymKind(f >> 12 & 7), ID: int(f & (1<<12 - 1))}
 	}
-	if _, dup := ix.wide[c]; dup {
-		return false
-	}
-	if ix.wide == nil {
-		ix.wide = map[C]struct{}{}
-	}
-	ix.wide[c] = struct{}{}
-	return true
+	return c
 }
 
-func (ix *index) has(c C) bool {
-	if key, ok := c.packed(); ok {
-		_, in := ix.packed[key]
-		return in
-	}
-	_, in := ix.wide[c]
-	return in
-}
+// tag is bit 63, which no packed word sets. In a set's words it marks a
+// member that does not pack, tag|i standing for wide[i]; in its table it
+// marks an occupied slot, tag|w holding the packed word w.
+const tag = 1 << 63
 
-func (ix *index) clear() {
-	clear(ix.packed)
-	clear(ix.wide)
-}
-
-// Set is an ordered set of constraints, immutable once built.
+// Set is an ordered set of constraints, immutable once built. Its members
+// are words: the packed word of each member, in insertion order, beside an
+// open-addressed table of those words for membership. A member that does not
+// pack — an ID past 4095 or negative, a kind past 7, in practice never — is
+// kept whole in wide and looked up there by a scan.
 type Set struct {
-	items []C
-	index index
+	words []uint64
+	table []uint64 // linear probing, at most half full; 0 is an empty slot
+	wide  []C
 	// closure memoizes Closure(s); concurrent first calls store equal sets.
 	closure atomic.Pointer[Set]
 }
@@ -196,61 +174,186 @@ func NewSet(cs ...C) *Set {
 	return s
 }
 
+// newSet returns an empty set with room for capacity members, words and
+// table in one allocation.
 func newSet(capacity int) *Set {
-	return &Set{items: make([]C, 0, capacity), index: newIndex(capacity)}
+	n := tableSize(capacity)
+	buf := make([]uint64, capacity+n)
+	return &Set{words: buf[:0:capacity], table: buf[capacity:]}
 }
 
-func (s *Set) add(c C) {
-	if s.index.insert(c) {
-		s.items = append(s.items, c)
+// tableSize is the table length for n members: a power of two, at least 2n.
+func tableSize(n int) int {
+	size := 8
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// home is the slot where probing for w starts (Fibonacci hashing).
+func home(w uint64, mask int) int { return int((w*0x9e3779b97f4a7c15)>>32) & mask }
+
+// find returns the table slot holding w, or the empty slot where it belongs.
+func (s *Set) find(w uint64) (slot int, in bool) {
+	mask := len(s.table) - 1
+	for i := home(w, mask); ; i = (i + 1) & mask {
+		switch s.table[i] {
+		case 0:
+			return i, false
+		case w | tag:
+			return i, true
+		}
 	}
 }
 
+func (s *Set) add(c C) {
+	if w, ok := c.packed(); ok {
+		s.addWord(w)
+	} else if !slices.Contains(s.wide, c) {
+		s.words = append(s.words, tag|uint64(len(s.wide)))
+		s.wide = append(s.wide, c)
+	}
+}
+
+// addWord adds the packed member w unless it is present.
+func (s *Set) addWord(w uint64) {
+	i, in := s.find(w)
+	if in {
+		return
+	}
+	if 2*(len(s.words)-len(s.wide)+1) > len(s.table) {
+		s.rehash(2 * len(s.table))
+		i, _ = s.find(w)
+	}
+	s.table[i] = w | tag
+	s.words = append(s.words, w)
+}
+
+// rehash moves the packed members into a table of the given size.
+func (s *Set) rehash(size int) {
+	s.table = make([]uint64, size)
+	for _, w := range s.words {
+		if w&tag == 0 {
+			i, _ := s.find(w)
+			s.table[i] = w | tag
+		}
+	}
+}
+
+// At returns the i-th member in insertion order, 0 <= i < Len().
+func (s *Set) At(i int) C {
+	w := s.words[i]
+	if w&tag != 0 {
+		return s.wide[w&^tag]
+	}
+	return unpack(w)
+}
+
+// kindAt returns the kind of the i-th member without decoding the rest.
+func (s *Set) kindAt(i int) Kind {
+	w := s.words[i]
+	if w&tag != 0 {
+		return s.wide[w&^tag].Kind
+	}
+	return Kind(w >> 60)
+}
+
 // Items returns the constraints in insertion order.
-func (s *Set) Items() []C { return append([]C(nil), s.items...) }
+func (s *Set) Items() []C {
+	out := make([]C, len(s.words))
+	for i := range out {
+		out[i] = s.At(i)
+	}
+	return out
+}
 
 // Len returns the number of constraints.
-func (s *Set) Len() int { return len(s.items) }
+func (s *Set) Len() int { return len(s.words) }
 
 // Has reports membership.
-func (s *Set) Has(c C) bool { return s.index.has(c) }
+func (s *Set) Has(c C) bool {
+	if w, ok := c.packed(); ok {
+		_, in := s.find(w)
+		return in
+	}
+	return slices.Contains(s.wide, c)
+}
 
 // Without returns a new set with c removed.
 func (s *Set) Without(c C) *Set {
-	out := newSet(len(s.items))
-	for _, it := range s.items {
-		if it != c {
-			out.add(it)
+	out := newSet(len(s.words))
+	for i := range s.words {
+		if m := s.At(i); m != c {
+			out.add(m)
 		}
 	}
 	return out
 }
 
+// clear empties s, keeping its storage.
+func (s *Set) clear() {
+	s.words, s.wide = s.words[:0], s.wide[:0]
+	clear(s.table)
+}
+
 // Union returns a new set with all constraints of both sets.
 func (s *Set) Union(o *Set) *Set {
-	out := NewSet(s.items...)
-	for _, it := range o.items {
-		out.add(it)
+	out := newSet(len(s.words) + len(o.words))
+	for i := range s.words {
+		out.add(s.At(i))
+	}
+	for i := range o.words {
+		out.add(o.At(i))
 	}
 	return out
 }
 
 // Key is a canonical string identifying the set's contents, independent of
-// insertion order. Used for memoization in the rule search.
-func (s *Set) Key() string {
-	strs := make([]string, len(s.items))
-	for i, c := range s.items {
-		strs[i] = c.String()
+// insertion order: the members' strings, sorted, joined by ";". Used for
+// memoization in the rule search.
+func (s *Set) Key() string { return s.RenamedKey("", nil) }
+
+// RenamedKey is prefix followed by the Key of the set {c.Rename(m) : c in s}.
+// It renders every member once into scratch and writes the result string
+// from there, so it allocates that string and, for large sets, the scratch.
+func (s *Set) RenamedKey(prefix string, m map[template.Sym]template.Sym) string {
+	type span struct{ from, to int }
+	var bufArr [2048]byte
+	var spanArr [128]span
+	buf, spans := bufArr[:0], spanArr[:0]
+	for i := range s.words {
+		c := s.At(i)
+		if m != nil {
+			c = c.Rename(m)
+		}
+		from := len(buf)
+		buf = c.appendTo(buf)
+		spans = append(spans, span{from, len(buf)})
 	}
-	sort.Strings(strs)
-	return strings.Join(strs, ";")
+	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(buf[a.from:a.to], buf[b.from:b.to]) })
+	var out strings.Builder
+	out.Grow(len(prefix) + len(buf) + len(spans))
+	out.WriteString(prefix)
+	for k, sp := range spans {
+		text := buf[sp.from:sp.to]
+		if k > 0 {
+			// Renaming can merge members: a set holds each once.
+			if prev := spans[k-1]; m != nil && bytes.Equal(text, buf[prev.from:prev.to]) {
+				continue
+			}
+			out.WriteByte(';')
+		}
+		out.Write(text)
+	}
+	return out.String()
 }
 
 // ByKind returns the constraints of one kind.
 func (s *Set) ByKind(k Kind) []C {
 	var out []C
-	for _, c := range s.items {
-		if c.Kind == k {
+	for i := range s.words {
+		if c := s.At(i); c.Kind == k {
 			out = append(out, c)
 		}
 	}
@@ -258,9 +361,12 @@ func (s *Set) ByKind(k Kind) []C {
 }
 
 func (s *Set) String() string {
-	strs := make([]string, len(s.items))
-	for i, c := range s.items {
-		strs[i] = c.String()
+	b := []byte{'{'}
+	for i := range s.words {
+		if i > 0 {
+			b = append(b, ", "...)
+		}
+		b = s.At(i).appendTo(b)
 	}
-	return "{" + strings.Join(strs, ", ") + "}"
+	return string(append(b, '}'))
 }

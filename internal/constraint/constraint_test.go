@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"wetune/internal/template"
@@ -288,4 +289,109 @@ func TestSetAgainstMapModel(t *testing.T) {
 		}
 		check("receiver afterwards", s, m, probes)
 	}
+}
+
+// TestClosureOverWideSymbols: a set whose symbols do not fit a packed word
+// closes like the same set renamed into the packed range and renamed back.
+// Some wide IDs share their low 12 bits with a narrow ID of the same set, so
+// a closure that truncated an ID would merge two symbols and derive more.
+func TestClosureOverWideSymbols(t *testing.T) {
+	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
+	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
+	cstar := Enumerate(src, dest).Items()
+	// IDs 0 and 1 stay; 2 shares its low bits with 0, 3 with 1 (negative).
+	wideID := map[int]int{0: 0, 1: 1, 2: 1 << 12, 3: -(1 << 12) + 1}
+	toWide, toNarrow := map[template.Sym]template.Sym{}, map[template.Sym]template.Sym{}
+	for k := template.KRel; k <= template.KFunc; k++ {
+		for id, wide := range wideID {
+			n, w := template.Sym{Kind: k, ID: id}, template.Sym{Kind: k, ID: wide}
+			toWide[n], toNarrow[w] = w, n
+		}
+	}
+	rename := func(s *Set, m map[template.Sym]template.Sym) *Set {
+		out := NewSet()
+		for _, c := range s.Items() {
+			out.add(c.Rename(m))
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(30))
+	for trial := 0; trial < 200; trial++ {
+		var cs []C
+		for _, c := range cstar {
+			if trial == 0 || rng.Intn(3) == 0 {
+				cs = append(cs, c.Rename(toWide))
+			}
+		}
+		wide := NewSet(cs...)
+		if len(wide.wide) == 0 && trial == 0 {
+			t.Fatal("no member of the wide set is wide: the test checks nothing")
+		}
+		got, want := Closure(wide), rename(Closure(rename(wide, toNarrow)), toWide)
+		if got.Len() != want.Len() {
+			t.Fatalf("trial %d: closure of %v has %d members, renamed closure %d", trial, wide, got.Len(), want.Len())
+		}
+		for _, c := range want.Items() {
+			if !got.Has(c) {
+				t.Fatalf("trial %d: closure of %v misses %v", trial, wide, c)
+			}
+		}
+	}
+}
+
+// TestSetAllocations: Items is one allocation (the rewrite path calls it per
+// matched candidate), Key and RenamedKey allocate only their string, and
+// Without one block of words and table.
+func TestSetAllocations(t *testing.T) {
+	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
+	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
+	s := NewSet(Enumerate(src, dest).Items()[:60]...)
+	c := s.At(30)
+	m := map[template.Sym]template.Sym{a(0): a(3), a(3): a(0)}
+	for name, want := range map[string]struct {
+		allocs float64
+		f      func()
+	}{
+		"Items":      {1, func() { _ = s.Items() }},
+		"Key":        {1, func() { _ = s.Key() }},
+		"RenamedKey": {1, func() { _ = s.RenamedKey("x|", m) }},
+		"Without":    {2, func() { _ = s.Without(c) }},
+	} {
+		if got := testing.AllocsPerRun(50, want.f); got != want.allocs {
+			t.Errorf("%s: %v allocations, want %v", name, got, want.allocs)
+		}
+	}
+}
+
+// TestClosureConcurrent: closures computed at once on several goroutines,
+// which share the pooled working storage, equal those computed one at a
+// time.
+func TestClosureConcurrent(t *testing.T) {
+	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
+	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
+	cstar := Enumerate(src, dest).Items()
+	rng := rand.New(rand.NewSource(40))
+	sets := make([][]C, 40)
+	want := make([]string, len(sets))
+	for i := range sets {
+		for _, c := range cstar {
+			if rng.Intn(2) == 0 {
+				sets[i] = append(sets[i], c)
+			}
+		}
+		want[i] = Closure(NewSet(sets[i]...)).Key()
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range sets {
+				if got := Closure(NewSet(sets[i]...)).Key(); got != want[i] {
+					t.Errorf("set %d: concurrent closure differs", i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -11,8 +11,8 @@
 //   - Children-canonical: every constructor requires (and every canonicalizer
 //     guarantees) that child nodes are themselves pool nodes, which makes
 //     parent deduplication a shallow comparison of child pointers.
-//   - Nodes are immutable once interned; substitution builds new canonical
-//     nodes and memoizes on (node, var, replacement) pointer keys.
+//   - Nodes are immutable once interned; substitution rebuilds changed nodes
+//     through the constructors, so its results are canonical too.
 //   - Tuple nodes carry their canonical key string (byte-identical to the
 //     solver's historical tupleKey format) and depth, computed once per unique
 //     node. Every ordering decision in the solver keeps sorting by these
@@ -84,13 +84,6 @@ type tupleInfo struct {
 	depth int
 }
 
-// substKey memoizes substitution results on pointer identity.
-type substKey struct {
-	node any
-	id   int
-	repl uexpr.Tuple
-}
-
 // Pool is a hash-consing arena. The zero value is not usable; call NewPool.
 type Pool struct {
 	tInfo map[uexpr.Tuple]*tupleInfo
@@ -113,10 +106,6 @@ type Pool struct {
 	canon fol.Mapper
 	sub   subst
 
-	sfMemo map[substKey]fol.Formula
-	smMemo map[substKey]fol.Term
-	stMemo map[substKey]uexpr.Tuple
-
 	hits                      uint64 // lifetime counter; Size counts the nodes
 	flushedHits, flushedNodes uint64 // already reported to obs
 }
@@ -130,9 +119,6 @@ func NewPool() *Pool {
 		m:      table[fol.Term]{hash: map[fol.Term]uint64{}, buck: map[uint64][]fol.Term{}},
 		trueF:  &fol.TrueF{},
 		falseF: &fol.FalseF{},
-		sfMemo: map[substKey]fol.Formula{},
-		smMemo: map[substKey]fol.Term{},
-		stMemo: map[substKey]uexpr.Tuple{},
 	}
 	p.canon = fol.Mapper{Formula: p.Formula, Term: p.Term, Tuple: p.Tuple, Copy: true}
 	p.sub = subst{p: p}

@@ -151,9 +151,9 @@ func TestSubstFormula(t *testing.T) {
 	if p.SubstFormula(q, 3, v9) != q {
 		t.Fatalf("substitution must not cross a binder for the same id")
 	}
-	// Memoized: same (node, id, repl) is a map hit returning the same value.
+	// Repeated: hash-consing hands back the node the first call made.
 	if p.SubstFormula(f, 3, v9) != got {
-		t.Fatalf("memoized substitution returned a different node")
+		t.Fatalf("repeated substitution returned a different node")
 	}
 }
 
@@ -214,7 +214,8 @@ func TestJunctionHitAllocatesNothing(t *testing.T) {
 
 // TestPooledIdentityMapAllocatesNothing: a deep walk over a pooled formula,
 // rebuilding through the pool, returns the input pointer and allocates
-// nothing; so does a substitution the memo already holds.
+// nothing; so does a substitution that changes nothing (variable 1 occurs
+// only bound in it).
 func TestPooledIdentityMapAllocatesNothing(t *testing.T) {
 	p := NewPool()
 	f := randFormula(rand.New(rand.NewSource(1)), p, 4)

@@ -134,7 +134,7 @@ func Fingerprint(src, dest *template.Node, cs *constraint.Set) string {
 type fingerprinter struct {
 	m      map[template.Sym]template.Sym
 	next   map[template.SymKind]int
-	prefix string
+	prefix string // both templates renamed, then "|"
 }
 
 func newFingerprinter(src, dest *template.Node) *fingerprinter {
@@ -148,7 +148,7 @@ func newFingerprinter(src, dest *template.Node) *fingerprinter {
 	for _, s := range dest.Symbols() {
 		fp.assign(s)
 	}
-	fp.prefix = src.Substitute(fp.m).String() + "=>" + dest.Substitute(fp.m).String()
+	fp.prefix = src.Substitute(fp.m).String() + "=>" + dest.Substitute(fp.m).String() + "|"
 	return fp
 }
 
@@ -169,11 +169,11 @@ func (fp *fingerprinter) assign(s template.Sym) {
 }
 
 func (fp *fingerprinter) key(cs *constraint.Set) string {
-	items := cs.Items()
 	// Symbols occurring only in constraints (possible for abstracted plan
 	// pairs) get canonical IDs in sorted order, deterministically.
 	var extra []template.Sym
-	for _, c := range items {
+	for i := 0; i < cs.Len(); i++ {
+		c := cs.At(i)
 		for _, s := range c.Syms[:c.Kind.Arity()] {
 			if _, ok := fp.m[s]; !ok {
 				extra = append(extra, s)
@@ -191,8 +191,5 @@ func (fp *fingerprinter) key(cs *constraint.Set) string {
 			fp.assign(s)
 		}
 	}
-	for i, c := range items {
-		items[i] = c.Rename(fp.m)
-	}
-	return fp.prefix + "|" + constraint.NewSet(items...).Key()
+	return cs.RenamedKey(fp.prefix, fp.m)
 }

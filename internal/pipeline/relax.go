@@ -316,8 +316,9 @@ func filterRefAttrs(cs *constraint.Set, src, dest *template.Node) *constraint.Se
 			}
 		})
 	}
-	var kept []constraint.C
-	for _, c := range cs.Items() {
+	kept := make([]constraint.C, 0, cs.Len())
+	for i := 0; i < cs.Len(); i++ {
+		c := cs.At(i)
 		if c.Kind == constraint.RefAttrs && !hinted[[2]template.Sym{c.Syms[1], c.Syms[3]}] {
 			continue
 		}

@@ -15,7 +15,7 @@ import (
 // The node kinds of the three sorts — Tuple, Bool with the normal-form
 // Factor, and Expr — are declared here and in normalize.go. A new kind must
 // be added to the sort's switch in traverse.go (mapTuple, mapper.factor or
-// mapper.expr), to the printer (renderTuple, renderBool, renderFactor), norm
+// mapper.expr), to the printer (renderer.tuple, bool and factor), norm
 // or tupleScope, and to the semantic consumers outside this package:
 // fol.trFactor and boolToFormula, the evaluator in verify/counterexample.go,
 // smt's grounding walks and intern's constructors.

@@ -1,9 +1,11 @@
 package uexpr
 
 import (
+	"bytes"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
+	"strconv"
+	"sync"
 
 	"wetune/internal/template"
 )
@@ -329,128 +331,249 @@ func allTermsConstPositive(nf *NF) bool {
 }
 
 // tupleString renders a tuple term for syntactic comparison.
-func tupleString(t Tuple) string { return renderTuple(t, nil) }
+func tupleString(t Tuple) string {
+	r := newRenderer()
+	r.tuple(t)
+	return r.done()
+}
 
-func renderTuple(t Tuple, names map[int]string) string {
+// renderFactor renders a factor, the bound variables of nested terms
+// alpha-normalized.
+func renderFactor(f Factor) string {
+	r := newRenderer()
+	r.factor(f)
+	return r.done()
+}
+
+// renderTermFixed renders a term canonically: its bound variables get the
+// names that make the text least.
+func renderTermFixed(t *Term) string {
+	r := newRenderer()
+	r.termFixed(t)
+	return r.done()
+}
+
+// Canon renders the NF canonically (bound variables alpha-normalized).
+func (nf *NF) Canon() string {
+	r := newRenderer()
+	r.nf(nf)
+	return r.done()
+}
+
+// String renders the NF for debugging.
+func (nf *NF) String() string { return nf.Canon() }
+
+// A renderer appends the text of normal forms to one buffer. Sorted lists —
+// the terms of a sum, the factors and variables of a term, the sides of an
+// equality — are rendered part after part at the end of the buffer and then
+// put in order in place; the spans of the parts of every list in progress
+// share one stack. names holds the bound variables being renamed, innermost
+// last: a term pushes its own while it renders and pops them after.
+// Renderers are pooled, so that a rendering allocates only its string.
+type renderer struct {
+	buf   []byte
+	spans []span
+	names []binding
+	perms []int  // the permutations of every term in progress, innermost last
+	tmp   []byte // where a list is put in order
+}
+
+type span struct{ from, to int }
+
+// binding names variable id s<n>.
+type binding struct{ id, n int }
+
+var renderers = sync.Pool{New: func() any { return new(renderer) }}
+
+func newRenderer() *renderer { return renderers.Get().(*renderer) }
+
+// done returns the text rendered and the renderer to the pool.
+func (r *renderer) done() string {
+	s := string(r.buf)
+	r.buf = r.buf[:0]
+	renderers.Put(r)
+	return s
+}
+
+func (r *renderer) sym(s template.Sym) {
+	r.buf = append(r.buf, s.Kind.String()...)
+	r.buf = strconv.AppendInt(r.buf, int64(s.ID), 10)
+}
+
+// variable renders v as s<n> by the innermost binding of it, or as t<ID>.
+func (r *renderer) variable(v *TVar) {
+	prefix, n := byte('t'), v.ID
+	for i := len(r.names) - 1; i >= 0; i-- {
+		if r.names[i].id == v.ID {
+			prefix, n = 's', r.names[i].n
+			break
+		}
+	}
+	r.buf = append(r.buf, prefix)
+	r.buf = strconv.AppendInt(r.buf, int64(n), 10)
+}
+
+// part ends a list element that began at from.
+func (r *renderer) part(from int) { r.spans = append(r.spans, span{from, len(r.buf)}) }
+
+// sortParts puts the parts pushed since base, which start at from, in
+// ascending byte order joined by sep, and pops them.
+func (r *renderer) sortParts(from, base int, sep string) {
+	parts := r.spans[base:]
+	slices.SortFunc(parts, func(a, b span) int { return bytes.Compare(r.buf[a.from:a.to], r.buf[b.from:b.to]) })
+	r.tmp = r.tmp[:0]
+	for i, p := range parts {
+		if i > 0 {
+			r.tmp = append(r.tmp, sep...)
+		}
+		r.tmp = append(r.tmp, r.buf[p.from:p.to]...)
+	}
+	r.buf = append(r.buf[:from], r.tmp...)
+	r.spans = r.spans[:base]
+}
+
+func (r *renderer) tuple(t Tuple) {
 	switch x := t.(type) {
 	case *TVar:
-		if names != nil {
-			if nm, ok := names[x.ID]; ok {
-				return nm
-			}
-		}
-		return fmt.Sprintf("t%d", x.ID)
+		r.variable(x)
 	case *TAttr:
-		return fmt.Sprintf("%s(%s)", x.Attrs, renderTuple(x.T, names))
+		r.sym(x.Attrs)
+		r.buf = append(r.buf, '(')
+		r.tuple(x.T)
+		r.buf = append(r.buf, ')')
 	case *TConcat:
-		return fmt.Sprintf("(%s.%s)", renderTuple(x.L, names), renderTuple(x.R, names))
+		r.buf = append(r.buf, '(')
+		r.tuple(x.L)
+		r.buf = append(r.buf, '.')
+		r.tuple(x.R)
+		r.buf = append(r.buf, ')')
+	default:
+		panic("unreachable")
 	}
-	panic("unreachable")
 }
 
-func renderBool(b Bool, names map[int]string) string {
+func (r *renderer) bool(b Bool) {
 	switch x := b.(type) {
 	case *BEq:
-		l, r := renderTuple(x.L, names), renderTuple(x.R, names)
-		if l > r {
-			l, r = r, l
-		}
-		return l + " = " + r
+		from, base := len(r.buf), len(r.spans)
+		r.tuple(x.L)
+		r.part(from)
+		r.tuple(x.R)
+		r.part(r.spans[base].to)
+		r.sortParts(from, base, " = ")
 	case *BPred:
-		return fmt.Sprintf("%s(%s)", x.Pred, renderTuple(x.T, names))
+		r.sym(x.Pred)
+		r.buf = append(r.buf, '(')
+		r.tuple(x.T)
+		r.buf = append(r.buf, ')')
 	case *BIsNull:
-		return fmt.Sprintf("IsNull(%s)", renderTuple(x.T, names))
+		r.buf = append(r.buf, "IsNull("...)
+		r.tuple(x.T)
+		r.buf = append(r.buf, ')')
+	default:
+		panic("unreachable")
 	}
-	panic("unreachable")
 }
 
-func renderFactor(f Factor, names map[int]string) string {
+func (r *renderer) factor(f Factor) {
 	switch x := f.(type) {
 	case *Rel:
-		return fmt.Sprintf("%s(%s)", x.Rel, renderTuple(x.T, names))
+		r.sym(x.Rel)
+		r.buf = append(r.buf, '(')
+		r.tuple(x.T)
+		r.buf = append(r.buf, ')')
 	case *Bracket:
-		return "[" + renderBool(x.B, names) + "]"
+		r.buf = append(r.buf, '[')
+		r.bool(x.B)
+		r.buf = append(r.buf, ']')
 	case *NotNF:
-		return "not(" + renderNF(x.NF, names) + ")"
+		r.buf = append(r.buf, "not("...)
+		r.nf(x.NF)
+		r.buf = append(r.buf, ')')
 	case *SquashNF:
-		return "||" + renderNF(x.NF, names) + "||"
+		r.buf = append(r.buf, "||"...)
+		r.nf(x.NF)
+		r.buf = append(r.buf, "||"...)
+	default:
+		panic("unreachable")
 	}
-	panic("unreachable")
 }
 
-func renderNF(nf *NF, names map[int]string) string {
+func (r *renderer) nf(nf *NF) {
 	if len(nf.Terms) == 0 {
-		return "0"
+		r.buf = append(r.buf, '0')
+		return
 	}
-	parts := make([]string, len(nf.Terms))
-	for i, t := range nf.Terms {
-		parts[i] = renderTermFixed(t, names)
+	from, base := len(r.buf), len(r.spans)
+	for _, t := range nf.Terms {
+		start := len(r.buf)
+		r.termFixed(t)
+		r.part(start)
 	}
-	sort.Strings(parts)
-	return strings.Join(parts, " + ")
+	r.sortParts(from, base, " + ")
 }
 
-// renderTermFixed renders a term under a fixed outer naming, choosing the
-// minimal renaming for the term's own bound variables by permutation.
-func renderTermFixed(t *Term, outer map[int]string) string {
+// termFixed renders a term under the names bound outside it, choosing the
+// least renaming of its own bound variables by permutation.
+func (r *renderer) termFixed(t *Term) {
 	k := len(t.Vars)
 	if k == 0 {
-		return renderTermWith(t, outer)
+		r.termWith(t)
+		return
+	}
+	outer, base := len(r.names), len(r.perms)
+	defer func() { r.names, r.perms = r.names[:outer], r.perms[:base] }()
+	for i, v := range t.Vars {
+		r.names = append(r.names, binding{v.ID, i})
+		r.perms = append(r.perms, i)
 	}
 	if k > 5 {
-		// Too many variables to permute; fall back to positional naming.
-		names := cloneNames(outer)
-		for i, v := range t.Vars {
-			names[v.ID] = fmt.Sprintf("s%d", i)
-		}
-		return renderTermWith(t, names)
+		// Too many variables to permute; keep the positional naming.
+		r.termWith(t)
+		return
 	}
-	best := ""
-	perm := make([]int, k)
-	for i := range perm {
-		perm[i] = i
-	}
-	permute(perm, 0, func(p []int) {
-		names := cloneNames(outer)
-		for i, v := range t.Vars {
-			names[v.ID] = fmt.Sprintf("s%d", p[i])
+	// The least rendering so far is buf[from:best]; each permutation renders
+	// after it and either moves down over it or is dropped.
+	from, best := len(r.buf), -1
+	permute(r.perms[base:], 0, func(p []int) {
+		for i := range p {
+			r.names[outer+i].n = p[i]
 		}
-		s := renderTermWith(t, names)
-		if best == "" || s < best {
-			best = s
+		at := len(r.buf)
+		r.termWith(t)
+		switch {
+		case best < 0:
+			best = len(r.buf)
+		case bytes.Compare(r.buf[at:], r.buf[from:best]) < 0:
+			best = from + copy(r.buf[from:], r.buf[at:])
 		}
+		r.buf = r.buf[:best]
 	})
-	return best
 }
 
-func renderTermWith(t *Term, names map[int]string) string {
-	fs := make([]string, len(t.Factors))
-	for i, f := range t.Factors {
-		fs[i] = renderFactor(f, names)
-	}
-	sort.Strings(fs)
-	vars := make([]string, len(t.Vars))
-	for i, v := range t.Vars {
-		nm := names[v.ID]
-		if nm == "" {
-			nm = v.String()
+// termWith renders a term under the names bound now: "sum{vars}" when it
+// binds any, then its factors, both lists sorted.
+func (r *renderer) termWith(t *Term) {
+	if len(t.Vars) > 0 {
+		r.buf = append(r.buf, "sum{"...)
+		from, base := len(r.buf), len(r.spans)
+		for _, v := range t.Vars {
+			start := len(r.buf)
+			r.variable(v)
+			r.part(start)
 		}
-		vars[i] = nm
+		r.sortParts(from, base, ",")
+		r.buf = append(r.buf, '}')
 	}
-	sort.Strings(vars)
-	prefix := ""
-	if len(vars) > 0 {
-		prefix = "sum{" + strings.Join(vars, ",") + "}"
+	r.buf = append(r.buf, '(')
+	from, base := len(r.buf), len(r.spans)
+	for _, f := range t.Factors {
+		start := len(r.buf)
+		r.factor(f)
+		r.part(start)
 	}
-	return prefix + "(" + strings.Join(fs, " * ") + ")"
-}
-
-func cloneNames(m map[int]string) map[int]string {
-	out := make(map[int]string, len(m)+4)
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
+	r.sortParts(from, base, " * ")
+	r.buf = append(r.buf, ')')
 }
 
 func permute(p []int, i int, fn func([]int)) {
@@ -464,12 +587,6 @@ func permute(p []int, i int, fn func([]int)) {
 		p[i], p[j] = p[j], p[i]
 	}
 }
-
-// Canon renders the NF canonically (bound variables alpha-normalized).
-func (nf *NF) Canon() string { return renderNF(nf, map[int]string{}) }
-
-// String renders the NF for debugging.
-func (nf *NF) String() string { return nf.Canon() }
 
 // FactorUsesVar reports whether the factor mentions the tuple variable.
 // Exported for the FOL translation layer.

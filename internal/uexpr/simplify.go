@@ -624,7 +624,7 @@ func (n *normalizer) dedupIdempotent(t *Term) (*Term, bool) {
 	for fi, f := range t.Factors {
 		switch f.(type) {
 		case *Bracket, *NotNF, *SquashNF:
-			key := renderFactor(f, nil)
+			key := renderFactor(f)
 			if seen[key] {
 				return removeFactor(t, fi), true
 			}

@@ -93,7 +93,7 @@ func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 	nt := &Term{Vars: t.Vars, Factors: append(chains, mapped...)}
 	// Only report a change when the resulting factor multiset differs, to
 	// guarantee termination of the rewrite loop.
-	if renderTermFixed(nt, map[int]string{}) == renderTermFixed(t, map[int]string{}) {
+	if renderTermFixed(nt) == renderTermFixed(t) {
 		return nil, false
 	}
 	return nt, true
@@ -384,12 +384,12 @@ func (n *normalizer) mergeComplementary(nf *NF, squashed bool) (*NF, bool) {
 				Vars:    append(append([]*TVar{}, merged.Vars...), inline.Vars...),
 				Factors: append(append([]Factor{}, merged.Factors...), inline.Factors...),
 			}
-			posCanon := renderTermFixed(n.termSimplified(positive), map[int]string{})
+			posCanon := renderTermFixed(n.termSimplified(positive))
 			for j, tPos := range nf.Terms {
 				if j == i {
 					continue
 				}
-				if renderTermFixed(n.termSimplified(tPos), map[int]string{}) != posCanon {
+				if renderTermFixed(n.termSimplified(tPos)) != posCanon {
 					continue
 				}
 				// Merge: drop both, add the merged term.

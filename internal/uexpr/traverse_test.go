@@ -44,7 +44,7 @@ func allKinds() (Expr, []Factor) {
 func dump(fs []Factor) string {
 	parts := make([]string, len(fs))
 	for i, f := range fs {
-		parts[i] = renderFactor(f, nil)
+		parts[i] = renderFactor(f)
 	}
 	return strings.Join(parts, " * ")
 }

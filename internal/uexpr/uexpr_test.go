@@ -308,7 +308,7 @@ func TestSubstTupleShadowing(t *testing.T) {
 	fs := []Factor{&Rel{Rel: r(1), T: v}, &NotNF{NF: inner}}
 	out := SubstFactors(fs, map[int]Tuple{1: &TVar{ID: 8}, 2: &TVar{ID: 9}})
 	want := "(not(sum{s0}([a0(s0) = a0(t9)] * r0(s0))) * r1(t8))"
-	if got := renderTermWith(&Term{Factors: out}, nil); got != want {
+	if got := renderTermFixed(&Term{Factors: out}); got != want {
 		t.Errorf("Term binder: got %s, want %s", got, want)
 	}
 	only := SubstFactors(fs[1:], map[int]Tuple{1: &TVar{ID: 8}})

@@ -185,8 +185,8 @@ func applyRep(reps map[template.Sym]template.Sym, s template.Sym) template.Sym {
 // set, with all symbols mapped to representatives.
 func buildEnv(cl *constraint.Set, reps map[template.Sym]template.Sym) *uexpr.Env {
 	env := uexpr.EmptyEnv()
-	for _, c := range cl.Items() {
-		switch c.Kind {
+	for i := 0; i < cl.Len(); i++ {
+		switch c := cl.At(i); c.Kind {
 		case constraint.SubAttrs:
 			a1 := applyRep(reps, c.Syms[0])
 			a2 := applyRep(reps, c.Syms[1])
@@ -216,8 +216,9 @@ func buildEnv(cl *constraint.Set, reps map[template.Sym]template.Sym) *uexpr.Env
 // baked into the templates by substitution) with symbols mapped to
 // representatives, deduplicated.
 func residualConstraints(cl *constraint.Set, reps map[template.Sym]template.Sym) *constraint.Set {
-	var out []constraint.C
-	for _, c := range cl.Items() {
+	out := make([]constraint.C, 0, cl.Len())
+	for i := 0; i < cl.Len(); i++ {
+		c := cl.At(i)
 		switch c.Kind {
 		case constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq:
 			continue
