@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"wetune/internal/constraint"
+	"wetune/internal/smt"
 	"wetune/internal/template"
 )
 
@@ -18,11 +19,19 @@ import (
 // candidate rule reached from enumeration, rule reduction, or a repeated CLI
 // run reuses the verdict instead of re-invoking the U-expression/FOL/SMT
 // chain. All methods are safe for concurrent use.
+//
+// A rule the cache does not know may still pose an SMT goal that an earlier
+// prover call solved: another constraint set with the same closure, or
+// another template pair with the same normal forms. The cache also owns the
+// smt.Memo that answers those, attached to every pair's context, so each
+// distinct goal is solved once for as long as the verdicts live. The memo is
+// not persisted by SaveFile.
 type ProofCache struct {
 	mu     sync.RWMutex
 	m      map[string]bool
 	hits   atomic.Int64
 	misses atomic.Int64
+	memo   smt.Memo
 }
 
 // NewProofCache returns an empty cache.

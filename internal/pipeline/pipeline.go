@@ -119,8 +119,10 @@ type Options struct {
 	Workers int
 	// DisablePruning turns off the implication pruning (ablation benchmark).
 	DisablePruning bool
-	// Cache shares proof verdicts across stages and runs; nil uses a fresh
-	// private cache (verdicts still dedupe isomorphic pairs within the run).
+	// Cache shares proof verdicts, and the SMT goals solved on the way to
+	// them, across stages and runs; nil uses a fresh private cache (verdicts
+	// still dedupe isomorphic pairs, and solves repeated goals, within the
+	// run).
 	Cache *ProofCache
 	// CacheNamespace prefixes every cache key. Provers of different strength
 	// must not share verdicts (an algebraic "false" would mask an SMT-provable
@@ -248,13 +250,13 @@ type counters struct {
 
 func (c *counters) snapshot() Stats {
 	st := Stats{
-		Templates:       c.templates,
-		TemplateElapsed: c.templateElapsed,
-		PairsGenerated:  c.pairsGenerated.Load(),
-		PairsTried:      c.pairsTried.Load(),
-		PairsSkipped:    c.pairsSkipped.Load(),
-		ProverCalls:     c.proverCalls.Load(),
-		CacheHits:       c.cacheHits.Load(),
+		Templates:            c.templates,
+		TemplateElapsed:      c.templateElapsed,
+		PairsGenerated:       c.pairsGenerated.Load(),
+		PairsTried:           c.pairsTried.Load(),
+		PairsSkipped:         c.pairsSkipped.Load(),
+		ProverCalls:          c.proverCalls.Load(),
+		CacheHits:            c.cacheHits.Load(),
 		CacheMisses:          c.cacheMisses.Load(),
 		RulesFound:           c.rulesFound.Load(),
 		RulesCrossCheckedOut: c.crossCheckedOut.Load(),

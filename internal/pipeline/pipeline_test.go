@@ -149,6 +149,42 @@ func TestDeterministicAcrossWorkersAndCaches(t *testing.T) {
 	}
 }
 
+// TestDeterministicAcrossWorkersWithSMTMemo: with the SMT-backed prover, the
+// run's memo answers repeated goals on whichever worker poses them second,
+// and worker count still changes neither the rules nor the call counts.
+func TestDeterministicAcrossWorkersWithSMTMemo(t *testing.T) {
+	opts := Options{Templates: template.Enumerate(template.EnumOptions{MaxSize: 2})[:10], PairProver: DefaultPairProver}
+	memoHits := obs.Default().Counter("smt_memo_hits")
+	var base *Result
+	for _, workers := range []int{1, 2, 4} {
+		opts.Workers = workers
+		before := memoHits.Value()
+		got := Run(context.Background(), opts)
+		if memoHits.Value() == before {
+			t.Errorf("workers=%d: no SMT goal was answered from the memo", workers)
+		}
+		if base == nil {
+			base = got
+			continue
+		}
+		if strings.Join(ruleStrings(got.Rules), "\n") != strings.Join(ruleStrings(base.Rules), "\n") {
+			t.Errorf("workers=%d: rules differ from workers=1", workers)
+		}
+		if got.Stats.ProverCalls != base.Stats.ProverCalls || got.Stats.CacheHits != base.Stats.CacheHits {
+			t.Errorf("workers=%d: %d prover calls, %d cache hits; workers=1 made %d and %d", workers,
+				got.Stats.ProverCalls, got.Stats.CacheHits, base.Stats.ProverCalls, base.Stats.CacheHits)
+		}
+	}
+}
+
+func ruleStrings(rules []Rule) []string {
+	out := make([]string, len(rules))
+	for i, r := range rules {
+		out[i] = r.String()
+	}
+	return out
+}
+
 // TestProgressStages: progress snapshots arrive, start at the template stage,
 // and end with "done" carrying the final counters.
 func TestProgressStages(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"wetune/internal/faultinject"
 	"wetune/internal/obs"
 	"wetune/internal/obs/journal"
+	"wetune/internal/smt"
 	"wetune/internal/template"
 )
 
@@ -37,7 +38,7 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	}
 	ct.pairsTried.Add(1)
 	reg.Counter(metricPairsTried).Inc()
-	s := newRelaxer(ctx, src, dest, opts, ct, reg)
+	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, reg)
 	seen := map[string]bool{}
 	var rules []Rule
 	// C* contains mutually conflicting attribute-source choices

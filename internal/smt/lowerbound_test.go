@@ -18,8 +18,9 @@ import (
 const size2RulesSHA256 = "7791c19a8b68e59da2076c7c9987f84cf4a5050057f9eed77e1f4307601945b6"
 
 // TestStreamedAtomCountIsLowerBound checks the lemma early refusal rests on,
-// over every solver call of the size-2 discovery run (the run
-// verify/testdata/size2_proofs.golden records): with refusal left to decide,
+// over every distinct goal of the size-2 discovery run (the run
+// verify/testdata/size2_proofs.golden records; the run's memo answers the
+// repeats without grounding them again): with refusal left to decide,
 // the atoms solve streamed never outnumber the atoms decide counts, so a
 // formula solve refuses is one decide would have refused. The same run is the
 // tier-1 golden for the discovered rule set (69 rules, size2RulesSHA256).

@@ -134,13 +134,17 @@ const (
 	// Every unknown is also counted by cause, Stats.StoppedBy:
 	// smt_outcome_unknown_atoms, _nodes, ..., _deadline.
 	metricUnknownBy = metricOutcome + "unknown_"
+	metricMemoHits  = "smt_memo_hits"
 )
 
 // Solve decides satisfiability of a closed formula. Every call records its
-// duration, outcome and DPLL effort in the metrics registry; Unknown covers
-// every bound of the search, structural or wall-clock (the paper's dominant
-// cost, so these counters are the first thing to check when a run stalls),
-// split by cause in smt_outcome_unknown_<Stats.StoppedBy>.
+// outcome in the metrics registry, and every call that searches its duration
+// and DPLL effort; Unknown covers every bound of the search, structural or
+// wall-clock (the paper's dominant cost, so these counters are the first
+// thing to check when a run stalls), split by cause in
+// smt_outcome_unknown_<Stats.StoppedBy>. A call whose Options.Ctx carries a
+// Memo that has the goal returns what the stored solve returned, without a
+// search, and counts in smt_memo_hits.
 func Solve(f fol.Formula, opts Options) (Result, Stats) {
 	return run(f, opts, false)
 }
@@ -163,19 +167,34 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	if pool == nil {
 		pool = intern.NewPool()
 	}
-	s := &solver{opts: opts, pool: pool, skolemBase: 1 << 24, start: time.Now()}
+	start := time.Now()
 	var nf fol.Formula
 	if isNNF {
 		nf = pool.Formula(f)
 	} else {
 		nf = nnfIn(pool, f, true)
 	}
-	res, st := s.solve(nf)
-	reg.Histogram(metricProofSeconds).Observe(time.Since(s.start))
-	reg.Counter(metricOutcome + res.String()).Inc()
-	if res == Unknown {
-		reg.Counter(metricUnknownBy + st.StoppedBy.String()).Inc()
+	memo := memoOf(opts.Ctx)
+	var key memoKey
+	if memo != nil {
+		k, e, hit := memo.lookup(nf, opts)
+		if hit {
+			reg.Counter(metricMemoHits).Inc()
+			countOutcome(reg, e.res, e.st)
+			pool.FlushMetrics(reg)
+			sp.SetNote("%s stopped-by=%s (memo)", e.res, e.st.StoppedBy)
+			sp.End()
+			return e.res, e.st
+		}
+		key = k
 	}
+	s := &solver{opts: opts, pool: pool, skolemBase: 1 << 24, start: start}
+	res, st := s.solve(nf)
+	if memo != nil {
+		memo.store(key, res, st)
+	}
+	reg.Histogram(metricProofSeconds).Observe(time.Since(start))
+	countOutcome(reg, res, st)
 	reg.Counter(metricDecisions).Add(int64(st.Decisions))
 	reg.Counter(metricBacktracks).Add(int64(st.Backtracks))
 	reg.Counter(metricInstances).Add(int64(st.Instances))
@@ -183,6 +202,14 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	sp.SetNote("%s stopped-by=%s nodes=%d decisions=%d backtracks=%d", res, st.StoppedBy, st.Nodes, st.Decisions, st.Backtracks)
 	sp.End()
 	return res, st
+}
+
+// countOutcome counts one answer, and an Unknown by its cause.
+func countOutcome(reg *obs.Registry, res Result, st Stats) {
+	reg.Counter(metricOutcome + res.String()).Inc()
+	if res == Unknown {
+		reg.Counter(metricUnknownBy + st.StoppedBy.String()).Inc()
+	}
 }
 
 // ProveValid reports whether hypotheses => goal is valid, by checking

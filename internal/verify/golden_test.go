@@ -2,6 +2,7 @@ package verify
 
 import (
 	"bufio"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"flag"
@@ -156,6 +157,54 @@ func TestSize2ProofSearchGolden(t *testing.T) {
 	}
 	if *updateGolden && !t.Failed() {
 		writeProofGolden(t, replayed)
+	}
+}
+
+// TestSize2ProofSearchGoldenThroughMemo replays every row of the table, as
+// TestSize2ProofSearchGolden does, but through one smt.Memo shared by all
+// pairs, the way a discovery run's proof cache shares it. Every row must
+// keep its recorded columns, whether its goals were solved or answered from
+// the memo, and the replay, single-threaded and without a deadline, makes
+// exactly 461 solves and answers 361 goals from the memo.
+func TestSize2ProofSearchGoldenThroughMemo(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays the node-budget searches in full")
+	}
+	byName := size2Pairs()
+	memo := new(smt.Memo)
+	opts := DefaultOptions()
+	opts.SMT.MaxNodes = 20000
+	opts.SMT.Deadline = 0
+	opts.Context = smt.WithMemo(context.Background(), memo)
+	// Calls and memo hits per stop class of the call's last solve.
+	calls, hits := map[smt.Stop]int{}, map[smt.Stop]int{}
+	for _, gp := range readProofGolden(t) {
+		p := byName[gp.name]
+		pc := NewPairContext(p[0], p[1])
+		cstar := constraint.Enumerate(p[0], p[1]).Items()
+		for _, gc := range gp.calls {
+			items := make([]constraint.C, len(gc.items))
+			for i, idx := range gc.items {
+				items[i] = cstar[idx]
+			}
+			hits0, misses0, _ := memo.Counts()
+			rep := pc.VerifyOpts(constraint.NewSet(items...), opts)
+			if got := resultColumns(rep); got != gc.result {
+				t.Errorf("golden line %d (%s):\n  want %s\n  got  %s", gc.line, gp.name, gc.result, got)
+			}
+			if h, m, _ := memo.Counts(); h+m > hits0+misses0 {
+				calls[rep.Stats.StoppedBy]++
+				hits[rep.Stats.StoppedBy] += h - hits0
+			}
+		}
+	}
+	for c := smt.StopNone; c <= smt.StopDeadline; c++ {
+		if calls[c] > 0 {
+			t.Logf("stopped-by %s: %d of %d calls answered from the memo", c, hits[c], calls[c])
+		}
+	}
+	if h, m, _ := memo.Counts(); h != 361 || m != 461 {
+		t.Errorf("memo answered %d goals and missed %d, want 361 and 461", h, m)
 	}
 }
 

@@ -20,10 +20,12 @@ import (
 //
 // A context is NOT safe for concurrent use — it is owned by the single
 // pipeline worker processing its pair. Verdicts are identical to calling the
-// package-level VerifyOpts per probe: preparation is cached, but every SMT
-// decision is re-run, and nothing in the preparation depends on probe order
-// (memo keys are constraint closures; all solver orderings sort by canonical
-// strings, not pool history).
+// package-level VerifyOpts per probe: nothing in the preparation depends on
+// probe order (memo keys are constraint closures; all solver orderings sort
+// by canonical strings, not pool history). The context solves every goal it
+// poses; a goal some earlier call already solved is answered without a
+// search only when Options.Context carries an smt.Memo, which is how the
+// discovery pipeline shares solves across closures and pairs.
 type PairContext struct {
 	src, dest *template.Node
 	pool      *intern.Pool
