@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"slices"
 	"sync"
 
 	"wetune/internal/template"
@@ -43,7 +44,7 @@ func Closure(s *Set) *Set {
 		before = out.Len()
 
 		for _, e := range equivKinds {
-			cls[e.sym] = equivClasses(cls[e.sym], out, e.kind)
+			cls[e.sym] = equivClasses(cls[e.sym][:0], out, e.kind)
 			// Transitivity of the equivalences.
 			for _, members := range cls[e.sym] {
 				for i := range members {
@@ -161,10 +162,10 @@ var equivKinds = [...]struct {
 // symbols per kind, so lookups scan.
 type classes [][]template.Sym
 
-// equivClasses returns the classes kind k induces on s, in the storage of
-// cls, which it overwrites.
+// equivClasses appends the classes kind k induces on s to cls, in the storage
+// past its end if there is some. Classes already in cls hold symbols of other
+// kinds, which k's members never equal.
 func equivClasses(cls classes, s *Set, k Kind) classes {
-	cls = cls[:0]
 	for i := range s.words {
 		if s.kindAt(i) != k {
 			continue
@@ -221,14 +222,84 @@ func (cls classes) index(s template.Sym) int {
 	return -1
 }
 
-// UnionFind builds the union-find representative mapping for one equivalence
-// kind; exported for the verifier's symbol unification step (§5.1).
-func UnionFind(s *Set, k Kind) map[template.Sym]template.Sym {
-	rep := map[template.Sym]template.Sym{}
-	for _, members := range equivClasses(nil, s, k) {
-		for _, m := range members {
-			rep[m] = members[0]
+// Unification is the symbol unification of §5.1: the classes into which the
+// RelEq, AttrsEq, PredEq and AggrEq members of a closure partition the
+// symbols, plus, for each relation class, the class of its relations' a_r —
+// equal relations have equal attributes, so a_r follows r. Members are in
+// symbol order and the first is the class's representative. The verifier,
+// the SPES concretiser, discovery's coverage and triviality filters and the
+// rewriter's resolver all read symbol classes from here.
+type Unification struct {
+	cl      *Set
+	classes classes
+}
+
+// Unify unifies the symbols of cs's closure.
+func Unify(cs *Set) Unification {
+	u := Unification{cl: Closure(cs)}
+	for _, e := range equivKinds {
+		u.classes = equivClasses(u.classes, u.cl, e.kind)
+	}
+	for _, members := range u.classes {
+		if members[0].Kind != template.KRel {
+			continue
+		}
+		ar := make([]template.Sym, len(members))
+		for i, r := range members {
+			ar[i] = template.AttrsOf(r)
+		}
+		u.classes = append(u.classes, ar)
+	}
+	return u
+}
+
+// Rep returns s's representative; a symbol no equality mentions is its own.
+func (u Unification) Rep(s template.Sym) template.Sym {
+	if i := u.classes.index(s); i >= 0 {
+		return u.classes[i][0]
+	}
+	return s
+}
+
+// Members returns s's class, or nil when no equality mentions s. The slice is
+// shared and must not be modified.
+func (u Unification) Members(s template.Sym) []template.Sym {
+	if i := u.classes.index(s); i >= 0 {
+		return u.classes[i]
+	}
+	return nil
+}
+
+// Reps maps every symbol that is not its class's representative to the
+// representative: the renaming template.Node.Substitute, uexpr.ApplySyms and
+// C.Rename take.
+func (u Unification) Reps() map[template.Sym]template.Sym {
+	reps := map[template.Sym]template.Sym{}
+	for _, members := range u.classes {
+		for _, m := range members[1:] {
+			reps[m] = members[0]
 		}
 	}
-	return rep
+	return reps
+}
+
+// Sources returns the relations attribute list a reads from: the
+// representative of each r with SubAttrs(x, a_r) in the closure and Rep(x) ==
+// Rep(a), each once, in closure order.
+func (u Unification) Sources(a template.Sym) []template.Sym {
+	rep := u.Rep(a)
+	var out []template.Sym
+	for i := range u.cl.words {
+		if u.cl.kindAt(i) != SubAttrs {
+			continue
+		}
+		c := u.cl.At(i)
+		if c.Syms[1].Kind != template.KAttrsOf || u.Rep(c.Syms[0]) != rep {
+			continue
+		}
+		if r := u.Rep(template.Sym{Kind: template.KRel, ID: c.Syms[1].ID}); !slices.Contains(out, r) {
+			out = append(out, r)
+		}
+	}
+	return out
 }

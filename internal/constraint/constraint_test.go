@@ -1,6 +1,7 @@
 package constraint
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -14,6 +15,10 @@ import (
 func r(id int) template.Sym { return template.Sym{Kind: template.KRel, ID: id} }
 func a(id int) template.Sym { return template.Sym{Kind: template.KAttrs, ID: id} }
 func p(id int) template.Sym { return template.Sym{Kind: template.KPred, ID: id} }
+func f(id int) template.Sym { return template.Sym{Kind: template.KFunc, ID: id} }
+
+// ar is relation r's implicit all-attributes symbol a_r.
+func ar(id int) template.Sym { return template.AttrsOf(r(id)) }
 
 func TestNewCanonicalizesSymmetricKinds(t *testing.T) {
 	c1 := New(RelEq, r(2), r(1))
@@ -161,14 +166,59 @@ func TestImpliesAndIsClosedUnder(t *testing.T) {
 	}
 }
 
-func TestUnionFindRepresentatives(t *testing.T) {
-	s := NewSet(New(PredEq, p(0), p(1)), New(PredEq, p(1), p(2)))
-	rep := UnionFind(s, PredEq)
-	if rep[p(0)] != rep[p(1)] || rep[p(1)] != rep[p(2)] {
-		t.Fatalf("reps differ: %v", rep)
+// TestUnification: each equality kind's classes list their members in symbol
+// order and the least one represents them; a_r follows r; a symbol no
+// equality mentions is its own representative with no class; Sources follows
+// the closure's order, not the symbols'; Reps holds no identity entry.
+func TestUnification(t *testing.T) {
+	u := Unify(NewSet(
+		New(RelEq, r(2), r(1)),
+		New(AttrsEq, a(3), a(1)),
+		New(AttrsEq, a(1), a(2)),
+		New(PredEq, p(1), p(0)),
+		New(AggrEq, f(2), f(1)),
+		New(SubAttrs, a(3), ar(2)),
+		New(SubAttrs, a(2), ar(0)),
+		New(SubAttrs, a(4), ar(0)),
+	))
+	for _, tc := range []struct {
+		sym, rep template.Sym
+		members  []template.Sym
+	}{
+		{r(2), r(1), []template.Sym{r(1), r(2)}},
+		{r(1), r(1), []template.Sym{r(1), r(2)}},
+		{a(2), a(1), []template.Sym{a(1), a(2), a(3)}},
+		{p(1), p(0), []template.Sym{p(0), p(1)}},
+		{f(2), f(1), []template.Sym{f(1), f(2)}},
+		{ar(2), ar(1), []template.Sym{ar(1), ar(2)}},
+		{r(0), r(0), nil},
+		{ar(0), ar(0), nil},
+		{a(4), a(4), nil},
+	} {
+		if got := u.Rep(tc.sym); got != tc.rep {
+			t.Errorf("Rep(%v) = %v, want %v", tc.sym, got, tc.rep)
+		}
+		if got := u.Members(tc.sym); !slices.Equal(got, tc.members) {
+			t.Errorf("Members(%v) = %v, want %v", tc.sym, got, tc.members)
+		}
 	}
-	if rep[p(2)] != p(0) {
-		t.Fatalf("canonical rep should be the least symbol, got %v", rep[p(2)])
+	for _, tc := range []struct {
+		attrs template.Sym
+		want  []template.Sym
+	}{
+		{a(2), []template.Sym{r(1), r(0)}},
+		{a(4), []template.Sym{r(0)}},
+		{a(0), nil},
+	} {
+		if got := u.Sources(tc.attrs); !slices.Equal(got, tc.want) {
+			t.Errorf("Sources(%v) = %v, want %v", tc.attrs, got, tc.want)
+		}
+	}
+	want := map[template.Sym]template.Sym{
+		r(2): r(1), ar(2): ar(1), a(2): a(1), a(3): a(1), p(1): p(0), f(2): f(1),
+	}
+	if got := u.Reps(); !maps.Equal(got, want) {
+		t.Errorf("Reps() = %v, want %v", got, want)
 	}
 }
 

@@ -118,13 +118,17 @@ func TestDestCovered(t *testing.T) {
 		constraint.New(constraint.RelEq, rsym(0), rsym(1)),
 		constraint.New(constraint.AttrsEq, asym(0), asym(1)),
 	)
-	if !DestCovered(src, dest, cs) {
+	if !DestCovered(src, dest, constraint.Unify(cs)) {
 		t.Error("fully tied destination reported uncovered")
 	}
 	// Missing the attrs tie: uncovered.
 	cs2 := constraint.NewSet(constraint.New(constraint.RelEq, rsym(0), rsym(1)))
-	if DestCovered(src, dest, cs2) {
+	if DestCovered(src, dest, constraint.Unify(cs2)) {
 		t.Error("untied attrs symbol reported covered")
+	}
+	// The destination's symbols represent their classes: still covered.
+	if !DestCovered(dest, src, constraint.Unify(cs)) {
+		t.Error("destination symbols that are their class's representative reported uncovered")
 	}
 }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"slices"
 	"sort"
 	"time"
 
@@ -26,19 +27,15 @@ import (
 // RenameApart). Cancelling ctx aborts between prover calls and interrupts the
 // in-flight proof; the rules found so far are returned.
 func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct *counters) []Rule {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.Default()
-	}
 	cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest)
 	if cstar.Len() > opts.MaxConstraints {
 		ct.pairsSkipped.Add(1)
-		reg.Counter(metricPairsSkipped).Inc()
+		opts.Metrics.Counter(metricPairsSkipped).Inc()
 		return nil
 	}
 	ct.pairsTried.Add(1)
-	reg.Counter(metricPairsTried).Inc()
-	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, reg)
+	opts.Metrics.Counter(metricPairsTried).Inc()
+	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics)
 	seen := map[string]bool{}
 	var rules []Rule
 	// C* contains mutually conflicting attribute-source choices
@@ -59,10 +56,7 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 				continue
 			}
 			seen[key] = true
-			if !DestCovered(src, dest, minimal) {
-				continue
-			}
-			if trivialRule(src, dest, minimal) {
+			if u := constraint.Unify(minimal); !DestCovered(src, dest, u) || trivialRule(src, dest, u) {
 				continue
 			}
 			rules = append(rules, Rule{Src: src, Dest: dest, Constraints: minimal})
@@ -126,21 +120,18 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	s.calls++
 	ctx, sp := obs.ChildSpan(s.ctx, "prove")
 	defer sp.End()
-	var fpKey string
-	if s.cache != nil {
-		fpKey = s.ns + key
-		if v, ok := s.cache.Get(fpKey); ok {
-			s.ct.cacheHits.Add(1)
-			s.reg.Counter(metricCacheHits).Inc()
-			journal.Default().Record(journal.KindCacheHit, -1, journal.CacheProof, 0)
-			s.memo[key] = v
-			sp.SetNote("cache-hit %v (%d constraints)", v, cs.Len())
-			return v
-		}
-		s.ct.cacheMisses.Add(1)
-		s.reg.Counter(metricCacheMisses).Inc()
-		journal.Default().Record(journal.KindCacheMiss, -1, journal.CacheProof, 0)
+	fpKey := s.ns + key
+	if v, ok := s.cache.Get(fpKey); ok {
+		s.ct.cacheHits.Add(1)
+		s.reg.Counter(metricCacheHits).Inc()
+		journal.Default().Record(journal.KindCacheHit, -1, journal.CacheProof, 0)
+		s.memo[key] = v
+		sp.SetNote("cache-hit %v (%d constraints)", v, cs.Len())
+		return v
 	}
+	s.ct.cacheMisses.Add(1)
+	s.reg.Counter(metricCacheMisses).Inc()
+	journal.Default().Record(journal.KindCacheMiss, -1, journal.CacheProof, 0)
 	s.ct.proverCalls.Add(1)
 	faultinject.Stall(faultinject.ProverStall)
 	begin := time.Now()
@@ -159,9 +150,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		s.exhausted = true
 		return false
 	}
-	if s.cache != nil {
-		s.cache.Put(fpKey, v)
-	}
+	s.cache.Put(fpKey, v)
 	s.memo[key] = v
 	return v
 }
@@ -330,61 +319,22 @@ func filterRefAttrs(cs *constraint.Set, src, dest *template.Node) *constraint.Se
 
 // trivialRule reports that the destination is identical to the source after
 // symbol unification — applying it would be a no-op.
-func trivialRule(src, dest *template.Node, cs *constraint.Set) bool {
-	cl := constraint.Closure(cs)
-	reps := map[template.Sym]template.Sym{}
-	for _, kind := range []constraint.Kind{
-		constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq,
-	} {
-		for sym, rep := range constraint.UnionFind(cl, kind) {
-			if sym != rep {
-				reps[sym] = rep
-			}
-		}
-	}
+func trivialRule(src, dest *template.Node, u constraint.Unification) bool {
+	reps := u.Reps()
 	return src.Substitute(reps).String() == dest.Substitute(reps).String()
 }
 
 // DestCovered checks that every symbol of the destination template is either
-// shared with the source or tied to a source symbol by an equivalence
-// constraint — otherwise the rewrite could not instantiate the destination.
-func DestCovered(src, dest *template.Node, cs *constraint.Set) bool {
-	srcSyms := map[template.Sym]bool{}
-	for _, sy := range src.Symbols() {
-		srcSyms[sy] = true
-	}
-	cl := constraint.Closure(cs)
-	reps := map[constraint.Kind]map[template.Sym]template.Sym{
-		constraint.RelEq:   constraint.UnionFind(cl, constraint.RelEq),
-		constraint.AttrsEq: constraint.UnionFind(cl, constraint.AttrsEq),
-		constraint.PredEq:  constraint.UnionFind(cl, constraint.PredEq),
-		constraint.AggrEq:  constraint.UnionFind(cl, constraint.AggrEq),
-	}
-	kindFor := map[template.SymKind]constraint.Kind{
-		template.KRel:   constraint.RelEq,
-		template.KAttrs: constraint.AttrsEq,
-		template.KPred:  constraint.PredEq,
-		template.KFunc:  constraint.AggrEq,
-	}
+// shared with the source or unified with a source symbol — otherwise the
+// rewrite could not instantiate the destination.
+func DestCovered(src, dest *template.Node, u constraint.Unification) bool {
+	srcSyms := src.Symbols()
 	for _, sy := range dest.Symbols() {
-		if srcSyms[sy] || sy.Kind == template.KAttrsOf {
+		if sy.Kind == template.KAttrsOf || slices.Contains(srcSyms, sy) {
 			continue
 		}
-		rep, ok := reps[kindFor[sy.Kind]][sy]
-		if !ok {
-			return false
-		}
-		covered := false
-		for ss := range srcSyms {
-			if ss.Kind != sy.Kind {
-				continue
-			}
-			if r2, ok := reps[kindFor[sy.Kind]][ss]; ok && r2 == rep {
-				covered = true
-				break
-			}
-		}
-		if !covered {
+		rep := u.Rep(sy)
+		if !slices.ContainsFunc(srcSyms, func(ss template.Sym) bool { return ss.Kind == sy.Kind && u.Rep(ss) == rep }) {
 			return false
 		}
 	}

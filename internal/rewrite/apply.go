@@ -71,7 +71,7 @@ func (r *resolver) rel(sym template.Sym) (plan.Node, error) {
 	if p, ok := r.b.rels[sym]; ok {
 		return p, nil
 	}
-	for _, s := range r.cr.reps[sym] {
+	for _, s := range r.cr.classes.Members(sym) {
 		if p, ok := r.b.rels[s]; ok {
 			return p, nil
 		}
@@ -83,7 +83,7 @@ func (r *resolver) attrsOf(sym template.Sym) (attrsBinding, error) {
 	if a, ok := r.b.attrs[sym]; ok {
 		return r.relocate(sym, a), nil
 	}
-	for _, s := range r.cr.reps[sym] {
+	for _, s := range r.cr.classes.Members(sym) {
 		if a, ok := r.b.attrs[s]; ok {
 			return r.relocate(sym, a), nil
 		}
@@ -152,7 +152,7 @@ func (r *resolver) pred(sym template.Sym) (sql.Expr, error) {
 	if p, ok := r.b.preds[sym]; ok {
 		return p.expr, nil
 	}
-	for _, s := range r.cr.reps[sym] {
+	for _, s := range r.cr.classes.Members(sym) {
 		if p, ok := r.b.preds[s]; ok {
 			return p.expr, nil
 		}
@@ -164,7 +164,7 @@ func (r *resolver) aggItems(sym template.Sym) ([]plan.AggItem, error) {
 	if f, ok := r.b.funcs[sym]; ok {
 		return f, nil
 	}
-	for _, s := range r.cr.reps[sym] {
+	for _, s := range r.cr.classes.Members(sym) {
 		if f, ok := r.b.funcs[s]; ok {
 			return f, nil
 		}

@@ -27,9 +27,10 @@ type CompiledRule struct {
 	// rules with equal keys share one structural precheck per plan fragment.
 	shapeKey string
 
-	// reps maps each template symbol to its equivalence-class members under
-	// the rule's equality constraints (RelEq/AttrsEq/PredEq/AggrEq closure).
-	reps map[template.Sym][]template.Sym
+	// classes unifies the rule's symbols under its equality constraints; the
+	// resolver and the constraint check take the first bound member of a
+	// symbol's class.
+	classes constraint.Unification
 
 	// predAttrs maps each predicate symbol to the attribute symbol paired
 	// with it in the source template (destination-side column remapping).
@@ -49,7 +50,7 @@ func CompileRule(r rules.Rule) *CompiledRule {
 	cr := &CompiledRule{
 		Rule:      r,
 		shapeKey:  shapeKeyOf(r.Src),
-		reps:      equivalenceMembers(r.Constraints),
+		classes:   constraint.Unify(r.Constraints),
 		predAttrs: map[template.Sym]template.Sym{},
 	}
 	cr.rootKind, cr.anyRoot = rootKindOf(r.Src.Op)
@@ -60,14 +61,14 @@ func CompileRule(r rules.Rule) *CompiledRule {
 			}
 		}
 	})
-	cr.relocTarget = relocTargets(r, cr.reps)
+	cr.relocTarget = relocTargets(r, cr.classes)
 	return cr
 }
 
 // relocTargets precomputes the SubAttrs(a, a_r) relocation targets that the
 // resolver may honor: only those whose relation symbol carries a Unique
 // constraint somewhere in its RelEq class qualify (see resolver.relocate).
-func relocTargets(r rules.Rule, reps map[template.Sym][]template.Sym) map[template.Sym][]template.Sym {
+func relocTargets(r rules.Rule, classes constraint.Unification) map[template.Sym][]template.Sym {
 	uniqueRels := map[template.Sym]bool{}
 	for _, c := range r.Constraints.Items() {
 		if c.Kind == constraint.Unique {
@@ -78,7 +79,7 @@ func relocTargets(r rules.Rule, reps map[template.Sym][]template.Sym) map[templa
 		if uniqueRels[rel] {
 			return true
 		}
-		for _, m := range reps[rel] {
+		for _, m := range classes.Members(rel) {
 			if uniqueRels[m] {
 				return true
 			}

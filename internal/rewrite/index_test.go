@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"maps"
+	"slices"
 	"testing"
 
 	"wetune/internal/plan"
@@ -114,26 +116,26 @@ func TestIndexedCandidatesMatchGreedy(t *testing.T) {
 	}
 }
 
-// TestCompileRuleDeterministic verifies compiling the same rule twice yields
-// identical shape keys and relocation targets (compilation feeds the shared
-// immutable index, so it must not depend on map iteration order).
+// TestCompileRuleDeterministic verifies compiling the same rule repeatedly
+// yields identical shape keys, relocation targets and symbol classes in the
+// same member order (compilation feeds the shared immutable index, so it must
+// not depend on map iteration order; the resolver and the constraint check
+// take a class's first bound member).
 func TestCompileRuleDeterministic(t *testing.T) {
 	for _, r := range rules.All() {
-		a, b := CompileRule(r), CompileRule(r)
-		if a.shapeKey != b.shapeKey {
-			t.Fatalf("rule %d: shape keys differ across compilations", r.No)
-		}
-		if len(a.relocTarget) != len(b.relocTarget) {
-			t.Fatalf("rule %d: relocation target counts differ", r.No)
-		}
-		for sym, targets := range a.relocTarget {
-			bt := b.relocTarget[sym]
-			if len(bt) != len(targets) {
-				t.Fatalf("rule %d: relocation targets differ for %v", r.No, sym)
+		a := CompileRule(r)
+		syms := append(r.Src.Symbols(), r.Dest.Symbols()...)
+		for range 50 {
+			b := CompileRule(r)
+			if a.shapeKey != b.shapeKey {
+				t.Fatalf("rule %d: shape keys differ across compilations", r.No)
 			}
-			for i := range targets {
-				if targets[i] != bt[i] {
-					t.Fatalf("rule %d: relocation target order differs for %v", r.No, sym)
+			if !maps.EqualFunc(a.relocTarget, b.relocTarget, slices.Equal) {
+				t.Fatalf("rule %d: relocation targets differ across compilations", r.No)
+			}
+			for _, sym := range syms {
+				if !slices.Equal(a.classes.Members(sym), b.classes.Members(sym)) {
+					t.Fatalf("rule %d: class of %v is %v, then %v", r.No, sym, a.classes.Members(sym), b.classes.Members(sym))
 				}
 			}
 		}

@@ -308,12 +308,11 @@ func (m *Matcher) predsEquivalent(a, b predBinding) bool {
 // relation-level facts (Unique/NotNull/RefAttrs).
 func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 	rule := cr.Rule
-	reps := cr.reps
 	relOf := func(sym template.Sym) (plan.Node, bool) {
 		if p, ok := b.rels[sym]; ok {
 			return p, true
 		}
-		for _, s := range reps[sym] {
+		for _, s := range cr.classes.Members(sym) {
 			if p, ok := b.rels[s]; ok {
 				return p, true
 			}
@@ -324,7 +323,7 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 		if a, ok := b.attrs[sym]; ok {
 			return a, true
 		}
-		for _, s := range reps[sym] {
+		for _, s := range cr.classes.Members(sym) {
 			if a, ok := b.attrs[s]; ok {
 				return a, true
 			}
@@ -461,26 +460,6 @@ func colsSubset(a, b []plan.ColRef) bool {
 		}
 	}
 	return true
-}
-
-// equivalenceMembers maps each symbol to its equivalence-class members under
-// the rule's equality constraints.
-func equivalenceMembers(cs *constraint.Set) map[template.Sym][]template.Sym {
-	cl := constraint.Closure(cs)
-	members := map[template.Sym][]template.Sym{}
-	for _, kind := range []constraint.Kind{
-		constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq,
-	} {
-		uf := constraint.UnionFind(cl, kind)
-		byRep := map[template.Sym][]template.Sym{}
-		for s, rep := range uf {
-			byRep[rep] = append(byRep[rep], s)
-		}
-		for s, rep := range uf {
-			members[s] = byRep[rep]
-		}
-	}
-	return members
 }
 
 // colsExactlyFrom checks strict membership of every column in the subplan's

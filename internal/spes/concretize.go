@@ -44,13 +44,9 @@ type Ref struct {
 // recorded in the schema (the probing queries of §7 need them; the SPES
 // verifier itself ignores them).
 func Concretize(src, dest *template.Node, cs *constraint.Set) (*Concretized, *Concretized, error) {
-	cl := constraint.Closure(cs)
 	c := &concretizer{
-		cl:       cl,
-		relRep:   constraint.UnionFind(cl, constraint.RelEq),
-		attrRep:  constraint.UnionFind(cl, constraint.AttrsEq),
-		predRep:  constraint.UnionFind(cl, constraint.PredEq),
-		funcRep:  constraint.UnionFind(cl, constraint.AggrEq),
+		cl:       constraint.Closure(cs),
+		u:        constraint.Unify(cs),
 		attrCols: map[template.Sym]string{},
 		relTabs:  map[template.Sym]string{},
 		schema:   sql.NewSchema(),
@@ -78,8 +74,8 @@ func Concretize(src, dest *template.Node, cs *constraint.Set) (*Concretized, *Co
 func (c *concretizer) collectRefs() []Ref {
 	var out []Ref
 	for _, rc := range c.cl.ByKind(constraint.RefAttrs) {
-		child, childCol := c.relTabs[c.rep(rc.Syms[0])], c.attrCols[c.rep(rc.Syms[1])]
-		parent, parentCol := c.relTabs[c.rep(rc.Syms[2])], c.attrCols[c.rep(rc.Syms[3])]
+		child, childCol := c.relTabs[c.u.Rep(rc.Syms[0])], c.attrCols[c.u.Rep(rc.Syms[1])]
+		parent, parentCol := c.relTabs[c.u.Rep(rc.Syms[2])], c.attrCols[c.u.Rep(rc.Syms[3])]
 		ct, ok1 := c.schema.Table(child)
 		pt, ok2 := c.schema.Table(parent)
 		if !ok1 || !ok2 {
@@ -100,35 +96,12 @@ func (c *concretizer) collectRefs() []Ref {
 }
 
 type concretizer struct {
-	cl      *constraint.Set
-	relRep  map[template.Sym]template.Sym
-	attrRep map[template.Sym]template.Sym
-	predRep map[template.Sym]template.Sym
-	funcRep map[template.Sym]template.Sym
+	cl *constraint.Set
+	u  constraint.Unification
 
 	relTabs  map[template.Sym]string // rep rel sym -> table name
 	attrCols map[template.Sym]string // rep attrs sym -> column name
 	schema   *sql.Schema
-}
-
-func (c *concretizer) rep(s template.Sym) template.Sym {
-	var m map[template.Sym]template.Sym
-	switch s.Kind {
-	case template.KRel:
-		m = c.relRep
-	case template.KAttrs:
-		m = c.attrRep
-	case template.KPred:
-		m = c.predRep
-	case template.KFunc:
-		m = c.funcRep
-	default:
-		return s
-	}
-	if r, ok := m[s]; ok {
-		return r
-	}
-	return s
 }
 
 func (c *concretizer) assignNames(src, dest *template.Node) {
@@ -136,12 +109,12 @@ func (c *concretizer) assignNames(src, dest *template.Node) {
 		for _, s := range t.Symbols() {
 			switch s.Kind {
 			case template.KRel:
-				r := c.rep(s)
+				r := c.u.Rep(s)
 				if _, ok := c.relTabs[r]; !ok {
 					c.relTabs[r] = fmt.Sprintf("t%d", r.ID)
 				}
 			case template.KAttrs:
-				a := c.rep(s)
+				a := c.u.Rep(s)
 				if _, ok := c.attrCols[a]; !ok {
 					c.attrCols[a] = fmt.Sprintf("c%d", a.ID)
 				}
@@ -155,11 +128,11 @@ func (c *concretizer) assignNames(src, dest *template.Node) {
 // SubAttrs(b, a). This preserves the subset semantics through concretization
 // (a projection on `a` must keep the columns that any contained list reads).
 func (c *concretizer) colsFor(a template.Sym) []string {
-	aRep := c.rep(a)
+	aRep := c.u.Rep(a)
 	set := map[string]bool{c.attrCols[aRep]: true}
 	for _, sc := range c.cl.ByKind(constraint.SubAttrs) {
-		if sc.Syms[1].Kind == template.KAttrs && c.rep(sc.Syms[1]) == aRep {
-			set[c.attrCols[c.rep(sc.Syms[0])]] = true
+		if sc.Syms[1].Kind == template.KAttrs && c.u.Rep(sc.Syms[1]) == aRep {
+			set[c.attrCols[c.u.Rep(sc.Syms[0])]] = true
 		}
 	}
 	out := make([]string, 0, len(set))
@@ -176,16 +149,10 @@ func (c *concretizer) colsFor(a template.Sym) []string {
 // SubAttrs(a, a_r) in the closed constraint set. Defaults to the first
 // relation when unconstrained (SPES's concretization must pick something).
 func (c *concretizer) ownerOf(a template.Sym, fallback template.Sym) template.Sym {
-	aRep := c.rep(a)
-	for _, sc := range c.cl.ByKind(constraint.SubAttrs) {
-		if c.rep(sc.Syms[0]) != aRep {
-			continue
-		}
-		if sc.Syms[1].Kind == template.KAttrsOf {
-			return c.rep(template.Sym{Kind: template.KRel, ID: sc.Syms[1].ID})
-		}
+	if sources := c.u.Sources(a); len(sources) > 0 {
+		return sources[0]
 	}
-	return c.rep(fallback)
+	return c.u.Rep(fallback)
 }
 
 // buildSchema declares one table per relation class, with a column per
@@ -206,16 +173,16 @@ func (c *concretizer) buildSchema(src, dest *template.Node) {
 		walkOwn = func(n *template.Node) {
 			switch n.Op {
 			case template.OpProj, template.OpInSub:
-				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.rep(n.Attrs))
+				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.u.Rep(n.Attrs))
 			case template.OpSel:
-				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.rep(n.Attrs))
+				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.u.Rep(n.Attrs))
 			case template.OpIJoin, template.OpLJoin, template.OpRJoin:
-				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.rep(n.Attrs))
-				addCol(c.ownerOf(n.Attrs2, c.firstRel(n.Children[1])), c.rep(n.Attrs2))
+				addCol(c.ownerOf(n.Attrs, c.firstRel(n.Children[0])), c.u.Rep(n.Attrs))
+				addCol(c.ownerOf(n.Attrs2, c.firstRel(n.Children[1])), c.u.Rep(n.Attrs2))
 			case template.OpAgg:
 				owner := c.ownerOf(n.Attrs, c.firstRel(n.Children[0]))
-				addCol(owner, c.rep(n.Attrs))
-				addCol(c.ownerOf(n.Attrs2, owner), c.rep(n.Attrs2))
+				addCol(owner, c.u.Rep(n.Attrs))
+				addCol(c.ownerOf(n.Attrs2, owner), c.u.Rep(n.Attrs2))
 			}
 			for _, ch := range n.Children {
 				walkOwn(ch)
@@ -227,20 +194,20 @@ func (c *concretizer) buildSchema(src, dest *template.Node) {
 	unique := map[[2]template.Sym]bool{}
 	notNull := map[[2]template.Sym]bool{}
 	for _, uc := range c.cl.ByKind(constraint.Unique) {
-		unique[[2]template.Sym{c.rep(uc.Syms[0]), c.rep(uc.Syms[1])}] = true
+		unique[[2]template.Sym{c.u.Rep(uc.Syms[0]), c.u.Rep(uc.Syms[1])}] = true
 	}
 	for _, nc := range c.cl.ByKind(constraint.NotNull) {
-		notNull[[2]template.Sym{c.rep(nc.Syms[0]), c.rep(nc.Syms[1])}] = true
+		notNull[[2]template.Sym{c.u.Rep(nc.Syms[0]), c.u.Rep(nc.Syms[1])}] = true
 	}
-	for relRep, tab := range c.relTabs {
+	for rel, tab := range c.relTabs {
 		def := &sql.TableDef{Name: tab}
-		for _, a := range tableCols[relRep] {
+		for _, a := range tableCols[rel] {
 			col := sql.Column{Name: c.attrCols[a], Type: sql.TInt}
-			if notNull[[2]template.Sym{relRep, a}] {
+			if notNull[[2]template.Sym{rel, a}] {
 				col.NotNull = true
 			}
 			def.Columns = append(def.Columns, col)
-			if unique[[2]template.Sym{relRep, a}] {
+			if unique[[2]template.Sym{rel, a}] {
 				def.Uniques = append(def.Uniques, []string{col.Name})
 			}
 		}
@@ -251,8 +218,8 @@ func (c *concretizer) buildSchema(src, dest *template.Node) {
 	}
 	// Foreign keys from RefAttrs (target must be unique to be declarable).
 	for _, rc := range c.cl.ByKind(constraint.RefAttrs) {
-		r1, a1 := c.rep(rc.Syms[0]), c.rep(rc.Syms[1])
-		r2, a2 := c.rep(rc.Syms[2]), c.rep(rc.Syms[3])
+		r1, a1 := c.u.Rep(rc.Syms[0]), c.u.Rep(rc.Syms[1])
+		r2, a2 := c.u.Rep(rc.Syms[2]), c.u.Rep(rc.Syms[3])
 		t1, ok1 := c.schema.Table(c.relTabs[r1])
 		t2ok := unique[[2]template.Sym{r2, a2}]
 		if !ok1 || !t2ok || c.relTabs[r2] == "" {
@@ -273,7 +240,7 @@ func (c *concretizer) firstRel(n *template.Node) template.Sym {
 	if len(rels) == 0 {
 		return template.Sym{Kind: template.KRel}
 	}
-	return c.rep(rels[0])
+	return c.u.Rep(rels[0])
 }
 
 // build lowers a template into a concrete plan. aliasCount disambiguates
@@ -281,7 +248,7 @@ func (c *concretizer) firstRel(n *template.Node) template.Sym {
 func (c *concretizer) build(n *template.Node, aliasCount map[template.Sym]int) (plan.Node, error) {
 	switch n.Op {
 	case template.OpInput:
-		r := c.rep(n.Rel)
+		r := c.u.Rep(n.Rel)
 		tab := c.relTabs[r]
 		aliasCount[r]++
 		alias := tab
@@ -319,7 +286,7 @@ func (c *concretizer) build(n *template.Node, aliasCount map[template.Sym]int) (
 		if err != nil {
 			return nil, err
 		}
-		pred := c.rep(n.Pred)
+		pred := c.u.Rep(n.Pred)
 		// Predicate symbols concretize to an opaque comparison against a
 		// per-symbol marker value, like SPES's user-defined functions.
 		return &plan.Sel{Pred: &sql.BinaryExpr{
@@ -407,7 +374,7 @@ func (c *concretizer) build(n *template.Node, aliasCount map[template.Sym]int) (
 		}
 		// The HAVING predicate symbol concretizes like Sel predicates do,
 		// reading the group-by attribute.
-		pred := c.rep(n.Pred)
+		pred := c.u.Rep(n.Pred)
 		agg.Having = &sql.BinaryExpr{
 			Op: "=",
 			L:  &sql.ColumnRef{Table: g.Table, Column: g.Column},
@@ -430,7 +397,7 @@ func (c *concretizer) build(n *template.Node, aliasCount map[template.Sym]int) (
 
 // colRefFor finds the output column of `in` that realizes attribute symbol a.
 func (c *concretizer) colRefFor(a template.Sym, in plan.Node) (plan.ColRef, error) {
-	return c.colRefNamed(c.attrCols[c.rep(a)], in)
+	return c.colRefNamed(c.attrCols[c.u.Rep(a)], in)
 }
 
 func (c *concretizer) colRefNamed(name string, in plan.Node) (plan.ColRef, error) {

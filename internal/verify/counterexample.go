@@ -61,7 +61,7 @@ func DefaultRefuteOptions() RefuteOptions { return RefuteOptions{Trials: 400, At
 // witness description when the rule is demonstrably incorrect.
 func Refute(src, dest *template.Node, cs *constraint.Set, opts RefuteOptions) (bool, string) {
 	cl := constraint.Closure(cs)
-	reps := buildReps(cl)
+	reps := constraint.Unify(cl).Reps()
 	srcU := src.Substitute(reps)
 	destU := dest.Substitute(reps)
 

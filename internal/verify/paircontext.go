@@ -136,8 +136,9 @@ func (pc *PairContext) entry(cs *constraint.Set) *pairEntry {
 	if e, ok := pc.memo[key]; ok {
 		return e
 	}
-	reps := buildReps(cl)
-	env := buildEnv(cl, reps)
+	u := constraint.Unify(cl)
+	reps := u.Reps()
+	env := buildEnv(cl, u)
 
 	esR := uexpr.ApplySyms(pc.es, reps)
 	edR := uexpr.ApplySyms(pc.ed, reps)

@@ -22,11 +22,12 @@ import (
 // agree on every (pair, constraint set) the search can visit.
 func referenceVerify(src, dest *template.Node, cs *constraint.Set, opts Options) Report {
 	cl := constraint.Closure(cs)
-	reps := buildReps(cl)
+	u := constraint.Unify(cl)
+	reps := u.Reps()
 	srcU := src.Substitute(reps)
 	destU := dest.Substitute(reps)
 
-	env := buildEnv(cl, reps)
+	env := buildEnv(cl, u)
 
 	es, vs, err := uexpr.Translate(srcU)
 	if err != nil {

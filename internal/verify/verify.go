@@ -152,60 +152,29 @@ func instrumented(opts Options, fn func(Options) Report) Report {
 	return rep
 }
 
-// buildReps maps every symbol to its equivalence-class representative under
-// the rule's equality constraints, including the implicit a_r symbols.
-func buildReps(cl *constraint.Set) map[template.Sym]template.Sym {
-	reps := map[template.Sym]template.Sym{}
-	for _, kind := range []constraint.Kind{
-		constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq,
-	} {
-		for s, rep := range constraint.UnionFind(cl, kind) {
-			if s != rep {
-				reps[s] = rep
-			}
-		}
-	}
-	// Relation unification carries the implicit attrs symbols along.
-	for s, rep := range reps {
-		if s.Kind == template.KRel {
-			reps[template.AttrsOf(s)] = template.AttrsOf(rep)
-		}
-	}
-	return reps
-}
-
-func applyRep(reps map[template.Sym]template.Sym, s template.Sym) template.Sym {
-	if r, ok := reps[s]; ok {
-		return r
-	}
-	return s
-}
-
 // buildEnv extracts the normalizer's fact tables from the closed constraint
 // set, with all symbols mapped to representatives.
-func buildEnv(cl *constraint.Set, reps map[template.Sym]template.Sym) *uexpr.Env {
+func buildEnv(cl *constraint.Set, u constraint.Unification) *uexpr.Env {
 	env := uexpr.EmptyEnv()
 	for i := 0; i < cl.Len(); i++ {
 		switch c := cl.At(i); c.Kind {
 		case constraint.SubAttrs:
-			a1 := applyRep(reps, c.Syms[0])
-			a2 := applyRep(reps, c.Syms[1])
+			a1, a2 := u.Rep(c.Syms[0]), u.Rep(c.Syms[1])
 			env.SubPairs[[2]template.Sym{a1, a2}] = true
-			if a2.Kind == template.KAttrsOf {
-				rel := applyRep(reps, template.Sym{Kind: template.KRel, ID: a2.ID})
-				if env.AttrSource[a1] == nil {
-					env.AttrSource[a1] = map[template.Sym]bool{}
+			if a2.Kind == template.KAttrsOf && env.AttrSource[a1] == nil {
+				env.AttrSource[a1] = map[template.Sym]bool{}
+				for _, rel := range u.Sources(a1) {
+					env.AttrSource[a1][rel] = true
 				}
-				env.AttrSource[a1][rel] = true
 			}
 		case constraint.Unique:
-			env.UniqueKey[[2]template.Sym{applyRep(reps, c.Syms[0]), applyRep(reps, c.Syms[1])}] = true
+			env.UniqueKey[[2]template.Sym{u.Rep(c.Syms[0]), u.Rep(c.Syms[1])}] = true
 		case constraint.NotNull:
-			env.NotNull[[2]template.Sym{applyRep(reps, c.Syms[0]), applyRep(reps, c.Syms[1])}] = true
+			env.NotNull[[2]template.Sym{u.Rep(c.Syms[0]), u.Rep(c.Syms[1])}] = true
 		case constraint.RefAttrs:
 			env.Ref[[4]template.Sym{
-				applyRep(reps, c.Syms[0]), applyRep(reps, c.Syms[1]),
-				applyRep(reps, c.Syms[2]), applyRep(reps, c.Syms[3]),
+				u.Rep(c.Syms[0]), u.Rep(c.Syms[1]),
+				u.Rep(c.Syms[2]), u.Rep(c.Syms[3]),
 			}] = true
 		}
 	}

@@ -475,9 +475,9 @@ func VerifySQLPair(q1, q2 string, schema *Schema) (VerifyOutcome, error) {
 // DiscoveryOptions configures rule discovery.
 type DiscoveryOptions struct {
 	// MaxTemplateSize bounds template operators (default 2). Size 3 with the
-	// algebraic prover is 17,425 prover calls and 870 rules in 10–12 s on 2
-	// vCPUs (measured 2026-10-03); the paper's size-4 run took 36 hours on 120
-	// cores and is not measured here.
+	// algebraic prover is 17,425 prover calls and 870 rules in about 5–7 s on
+	// 2 vCPUs; the paper's size-4 run took 36 hours on 120 cores and is not
+	// measured here.
 	MaxTemplateSize int
 	// Budget bounds the wall-clock time (0 = unlimited). An expiring budget
 	// interrupts the proof in flight, not just the next pair boundary.
