@@ -4,6 +4,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"wetune/internal/sql"
 )
 
 // runQuiet invokes run with stdout and stderr redirected, returning the exit
@@ -59,6 +61,7 @@ func TestExitCodes(t *testing.T) {
 		{"rewrite without -q", []string{"rewrite"}, exitUsage},
 		{"rewrite bad flag", []string{"rewrite", "-no-such-flag"}, exitUsage},
 		{"rewrite bad SQL", []string{"rewrite", "-q", "SELECT FROM"}, exitError},
+		{"rewrite over the token bound", []string{"rewrite", "-q", "SELECT id FROM labels WHERE " + strings.Repeat("id = 1 AND ", sql.MaxTokens/4) + "id = 1"}, exitError},
 		{"rewrite ok", []string{"rewrite", "-q", "SELECT DISTINCT id FROM labels"}, exitOK},
 		{"rewrite ok json", []string{"rewrite", "-q", "SELECT DISTINCT id FROM labels", "-json"}, exitOK},
 		{"rewrite expired deadline", []string{"rewrite", "-q", "SELECT DISTINCT id FROM labels", "-deadline", "1ns"}, exitTruncated},

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wetune/internal/sql"
 )
 
 // deadlineSlack is how many times its deadline a request may take to be
@@ -34,7 +36,7 @@ func wideAnd(n, k int) string {
 
 // TestWideConjunctionAnswersInTime: a plan of 2,000 operators, whose search
 // once held a worker for over a minute, is refused as invalid SQL at once
-// (plan.MaxNodes), and a plan just under the bound answers within
+// (sql.MaxTokens; plan.MaxNodes would refuse it next), and a plan just under the bound answers within
 // deadlineSlack times a 50ms timeout_ms: the search looks at the clock before
 // every candidate, not only before every expansion. One expansion of the
 // plan with joins, 174 conjuncts over 16 of them, takes about 600ms on a
@@ -89,6 +91,8 @@ func FuzzHandleRewrite(f *testing.F) {
 		where + "id = " + strings.Repeat("- ", 1000) + "1",
 		where + strings.Repeat(inSub, 1000) + "id = 1" + strings.Repeat(")", 1000),
 		"SELECT * FROM " + strings.Repeat("(", 1000) + "labels" + strings.Repeat(")", 1000),
+		// Past sql.MaxTokens: the lexer stops at the first token over it.
+		where + strings.Repeat("id = 1 AND ", sql.MaxTokens/4) + "id = 1",
 	} {
 		f.Add(`{"sql":"` + sql + `","timeout_ms":50}`)
 	}

@@ -1,5 +1,10 @@
 package smt
 
+import (
+	"cmp"
+	"slices"
+)
+
 // ccState is the congruence closure over the grounder's dense term universe.
 // It is incremental: merge adds one equality and closes under attribute
 // congruence, undo retracts back to a mark, so one closure follows the DPLL
@@ -17,7 +22,11 @@ type ccState struct {
 	rank, child []int32
 	groups      [][]int32
 	eqs         []ccEq
-	preds       []ccPred
+	// preds is ordered by symbol: symbol s's applications are
+	// preds[symAt[s]:symAt[s+1]]. predOf[atom] is the atom's index in preds,
+	// or -1.
+	preds         []ccPred
+	symAt, predOf []int32
 
 	// rep[t] is the representative of t's class; next threads each class as a
 	// circular list; trail records the representative each union retired.
@@ -39,18 +48,33 @@ type (
 	ccPred struct{ atom, sym, t int32 }
 )
 
-func (c *ccState) init(rank, child []int32, groups [][]int32, eqs []ccEq, preds []ccPred, nPredSyms int) {
+func (c *ccState) init(rank, child []int32, groups [][]int32, eqs []ccEq, preds []ccPred, nPredSyms, nAtoms int) {
 	n := len(rank)
-	*c = ccState{rank: rank, child: child, groups: groups, eqs: eqs, preds: preds}
-	c.rep = make([]int32, n)
-	c.next = make([]int32, n)
+	c.rank, c.child, c.groups, c.eqs, c.preds = rank, child, groups, eqs, preds
+	slices.SortStableFunc(preds, func(a, b ccPred) int { return cmp.Compare(a.sym, b.sym) })
+	c.symAt = resize(c.symAt, nPredSyms+1)
+	c.predOf = resize(c.predOf, nAtoms)
+	for i := range c.predOf {
+		c.predOf[i] = -1
+	}
+	for i, p := range preds {
+		c.symAt[p.sym+1]++
+		c.predOf[p.atom] = int32(i)
+	}
+	for s := 1; s <= nPredSyms; s++ {
+		c.symAt[s] += c.symAt[s-1]
+	}
+	c.rep = resize(c.rep, n)
+	c.next = resize(c.next, n)
 	for i := range c.rep {
 		c.rep[i], c.next[i] = int32(i), int32(i)
 	}
-	c.bstamp = make([]int32, n)
-	c.bucket = make([]int32, n)
-	c.pstamp = make([]int32, n*nPredSyms)
-	c.pval = make([]int8, n*nPredSyms)
+	c.trail = c.trail[:0]
+	c.stamp = 0
+	c.bstamp = resize(c.bstamp, n)
+	c.bucket = resize(c.bucket, n)
+	c.pstamp = resize(c.pstamp, n*nPredSyms)
+	c.pval = resize(c.pval, n*nPredSyms)
 }
 
 // union joins the classes of a and b under the smaller-keyed representative.
@@ -135,6 +159,20 @@ func (c *ccState) conflict(assign []int8) bool {
 		if c.pstamp[k] != c.stamp {
 			c.pstamp[k], c.pval[k] = c.stamp, v
 		} else if c.pval[k] != v {
+			return true
+		}
+	}
+	return false
+}
+
+// predConflict reports whether the assigned predicate literal atom disagrees
+// with an assigned application of its symbol to a term of the same class —
+// the one conflict it can add to a closure that had none.
+func (c *ccState) predConflict(atom int32, assign []int8) bool {
+	p := c.preds[c.predOf[atom]]
+	v, class := assign[atom], c.rep[p.t]
+	for _, q := range c.preds[c.symAt[p.sym]:c.symAt[p.sym+1]] {
+		if assign[q.atom] == -v && c.rep[q.t] == class {
 			return true
 		}
 	}

@@ -86,7 +86,7 @@ func randomCC(rng *rand.Rand) (c *ccState, nAtoms int) {
 		nAtoms++
 	}
 	c = &ccState{}
-	c.init(rank, child, groups, eqs, preds, 2)
+	c.init(rank, child, groups, eqs, preds, 2, nAtoms)
 	return c, nAtoms
 }
 

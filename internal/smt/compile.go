@@ -2,6 +2,7 @@ package smt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wetune/internal/fol"
 	"wetune/internal/template"
@@ -12,6 +13,10 @@ import (
 // resolved to dense numbers. Children keep their source order and evaluation
 // keeps the source short-circuit rules, so the first undecided atom a pass
 // meets — the atom DPLL branches on — is a property of the formula alone.
+//
+// The search does not evaluate the whole formula at each node: conjuncts
+// (below) lists, per atom, the root conjuncts that read it, and an assignment
+// re-evaluates only those.
 
 const (
 	evalFalse = -1
@@ -117,9 +122,6 @@ func (g *grounder) compileAll(f fol.Formula) {
 	}
 
 	g.root = compile(f)
-	if r := g.prog[g.root]; r.op == fAnd {
-		g.done = make([]bool, r.b-r.a)
-	}
 	for id, a := range g.atoms {
 		switch x := a.(type) {
 		case *fol.IntEq:
@@ -133,49 +135,179 @@ func (g *grounder) compileAll(f fol.Formula) {
 	g.th.init(len(rels), len(g.terms))
 }
 
-// evalRoot evaluates the whole formula like eval(g.root), skipping what the
-// assignments above this DPLL node already settled: a root conjunct that
-// came out true without reading an undecided atom reads the same values in
-// the same order under every extension of the assignment, so until the
-// search backtracks past this node (unsettle) it can neither turn false nor
-// contribute the atom to branch on.
-func (g *grounder) evalRoot() int8 {
-	nd := g.prog[g.root]
-	if nd.op != fAnd {
-		return g.eval(g.root)
-	}
-	res := int8(evalTrue)
-	for i, k := range g.kids[nd.a:nd.b] {
-		if g.done[i] {
-			continue
-		}
-		g.sawOpen = false
-		switch g.eval(k) {
-		case evalFalse:
-			return evalFalse
-		case evalOpen:
-			res = evalOpen
-		case evalTrue:
-			if !g.sawOpen {
-				g.done[i] = true
-				g.settled = append(g.settled, int32(i))
-			}
-		}
-	}
-	return res
+// conjuncts follows the root conjuncts — the root's operands, or the root
+// alone when it is no conjunction — through the search. eval of a conjunct
+// reads only the atoms under it, so its value and the first undecided atom it
+// meets change only when one of those atoms is assigned or unassigned:
+// assigned re-evaluates just the conjuncts that read the atom, saving their
+// previous state on a trail that undo restores when the search backtracks.
+type conjuncts struct {
+	nodes []int32
+	one   [1]int32 // nodes of a root that is no conjunction
+	// occ[occAt[a]:occAt[a+1]] lists the conjuncts that read atom a.
+	occAt, occ []int32
+	// val and open are each conjunct's value and the first undecided atom its
+	// eval met (-1 for none); openBits marks the conjuncts that met one, and
+	// nFalse and nOpen count the false and the open conjuncts.
+	val           []int8
+	open          []int32
+	openBits      []uint64
+	nFalse, nOpen int
+	trail         []conjSave
+	// stamp marks the nodes a conjunct's walk has met while occ is built.
+	stamp []int32
 }
 
-// unsettle forgets the conjuncts settled since mark.
-func (g *grounder) unsettle(mark int) {
-	for _, i := range g.settled[mark:] {
-		g.done[i] = false
+// conjSave is a conjunct's state before an assignment re-evaluated it.
+type conjSave struct {
+	c, open int32
+	val     int8
+}
+
+// initConjuncts lists the root conjuncts and the atoms each reads, and
+// evaluates them under the empty assignment.
+func (g *grounder) initConjuncts() {
+	cj := g.conj
+	if r := g.prog[g.root]; r.op == fAnd {
+		cj.nodes = g.kids[r.a:r.b]
+	} else {
+		cj.one[0] = g.root
+		cj.nodes = cj.one[:]
 	}
-	g.settled = g.settled[:mark]
+	n := int32(len(cj.nodes))
+	// Count each atom's conjuncts into occAt[a+2]; after the prefix sums
+	// occAt[a+1] is where a's list starts, and filling it moves occAt[a+1]
+	// to where the list ends, which is where a+1's starts.
+	cj.occAt = resize(cj.occAt, len(g.atoms)+2)
+	cj.stamp = resize(cj.stamp, len(g.prog))
+	for c, k := range cj.nodes {
+		g.readers(k, int32(c), int32(c)+1, false)
+	}
+	for i := 1; i < len(cj.occAt); i++ {
+		cj.occAt[i] += cj.occAt[i-1]
+	}
+	cj.occ = resize(cj.occ, int(cj.occAt[len(cj.occAt)-1]))
+	for c, k := range cj.nodes {
+		g.readers(k, int32(c), n+int32(c)+1, true)
+	}
+
+	cj.val = resize(cj.val, int(n))
+	cj.open = resize(cj.open, int(n))
+	cj.openBits = resize(cj.openBits, (int(n)+63)/64)
+	cj.nFalse, cj.nOpen, cj.trail = 0, 0, cj.trail[:0]
+	for c := range n {
+		cj.val[c] = evalTrue // counted nowhere: set has nothing to take back
+		g.evalConjunct(c)
+	}
+}
+
+// readers counts conjunct c once for every atom node n reads (fill unset), or
+// enters it in the atoms' lists (fill set). s stamps the nodes met, so a
+// subformula shared inside the conjunct is walked once.
+func (g *grounder) readers(n, c, s int32, fill bool) {
+	cj := g.conj
+	if cj.stamp[n] == s {
+		return
+	}
+	cj.stamp[n] = s
+	nd := g.prog[n]
+	switch nd.op {
+	case fAtom:
+		if fill {
+			cj.occ[cj.occAt[nd.a+1]] = c
+			cj.occAt[nd.a+1]++
+		} else {
+			cj.occAt[nd.a+2]++
+		}
+	case fNot:
+		g.readers(nd.a, c, s, fill)
+	case fAnd, fOr:
+		for _, k := range g.kids[nd.a:nd.b] {
+			g.readers(k, c, s, fill)
+		}
+	}
+}
+
+// resize returns s with length n and every element zero, reusing its array
+// when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// evalConjunct re-evaluates conjunct c.
+func (g *grounder) evalConjunct(c int32) {
+	g.open = -1
+	g.conj.set(c, g.eval(g.conj.nodes[c]), int32(g.open))
+}
+
+// assigned re-evaluates the conjuncts that read atom, just assigned, saving
+// their state for undo.
+func (g *grounder) assigned(atom int) {
+	cj := g.conj
+	for _, c := range cj.occ[cj.occAt[atom]:cj.occAt[atom+1]] {
+		cj.trail = append(cj.trail, conjSave{c: c, open: cj.open[c], val: cj.val[c]})
+		g.evalConjunct(c)
+	}
+}
+
+// undo restores the conjuncts re-evaluated since the trail had length mark.
+func (cj *conjuncts) undo(mark int) {
+	for i := len(cj.trail) - 1; i >= mark; i-- {
+		s := cj.trail[i]
+		cj.set(s.c, s.val, s.open)
+	}
+	cj.trail = cj.trail[:mark]
+}
+
+// set gives conjunct c its state, keeping the counts and openBits in step.
+func (cj *conjuncts) set(c int32, val int8, open int32) {
+	cj.count(c, -1)
+	cj.val[c], cj.open[c] = val, open
+	cj.count(c, 1)
+	if bit := uint64(1) << (c & 63); open >= 0 {
+		cj.openBits[c>>6] |= bit
+	} else {
+		cj.openBits[c>>6] &^= bit
+	}
+}
+
+func (cj *conjuncts) count(c int32, d int) {
+	switch cj.val[c] {
+	case evalFalse:
+		cj.nFalse += d
+	case evalOpen:
+		cj.nOpen += d
+	}
+}
+
+// evalRoot evaluates the whole formula like eval(g.root), from the state of
+// its conjuncts: false if one is, else open if one is, else true. For an
+// open formula g.open receives the atom a left-to-right pass meets first,
+// the first undecided atom of the first conjunct that met one.
+func (g *grounder) evalRoot() int8 {
+	cj := g.conj
+	switch {
+	case cj.nFalse > 0:
+		return evalFalse
+	case cj.nOpen == 0:
+		return evalTrue
+	}
+	for i, w := range cj.openBits {
+		if w != 0 {
+			g.open = int(cj.open[i<<6+bits.TrailingZeros64(w)])
+			break
+		}
+	}
+	return evalOpen
 }
 
 // eval evaluates a compiled formula under the partial assignment; g.open
-// receives the first undecided atom met when it is still unset, and
-// g.sawOpen is raised by any.
+// receives the first undecided atom met when it is still unset.
 func (g *grounder) eval(n int32) int8 {
 	nd := g.prog[n]
 	switch nd.op {
@@ -185,11 +317,8 @@ func (g *grounder) eval(n int32) int8 {
 		return evalFalse
 	case fAtom:
 		v := g.assign[nd.a]
-		if v == evalOpen {
-			g.sawOpen = true
-			if g.open < 0 {
-				g.open = int(nd.a)
-			}
+		if v == evalOpen && g.open < 0 {
+			g.open = int(nd.a)
 		}
 		return v
 	case fNot:

@@ -9,3 +9,11 @@ func SetGroundedHook(fn func(streamed, decided int)) (restore func()) {
 	groundedHook = fn
 	return func() { groundedHook = nil }
 }
+
+// SetIncrementalHook installs fn as incrementalHook until the returned
+// function is called. Not for parallel tests: the hook is one package
+// variable.
+func SetIncrementalHook(fn func(what string, incremental, full int)) (restore func()) {
+	incrementalHook = fn
+	return func() { incrementalHook = nil }
+}

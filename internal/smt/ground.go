@@ -2,6 +2,7 @@ package smt
 
 import (
 	"sort"
+	"sync"
 
 	"wetune/internal/fol"
 	"wetune/internal/template"
@@ -20,9 +21,12 @@ import (
 // All formulas reaching the grounder are canonical pool nodes. decide()
 // resolves them once: atoms and tuple terms get dense numbers, the formula
 // and the integer atoms' terms are compiled to flat node arrays (compile.go),
-// and one congruence closure (cc.go) follows the assignment with an undo
-// trail. A DPLL node then costs one pass over integer arrays; nothing is
-// looked up by pointer or rebuilt from the assignment.
+// and the root conjuncts' values (compile.go) and one congruence closure
+// (cc.go) follow the assignment with undo trails. A DPLL node costs what its
+// literal changed: the conjuncts that read the atom are re-evaluated, and a
+// congruence conflict is looked for among all literals only when the literal
+// merged classes; nothing is looked up by pointer or rebuilt from the
+// assignment.
 type grounder struct {
 	solver  *solver
 	atoms   []fol.Formula
@@ -38,27 +42,23 @@ type grounder struct {
 
 	// assign holds the partial assignment by atom id: evalOpen, evalTrue or
 	// evalFalse. open is eval's out-parameter: the first undecided atom met.
-	assign  []int8
-	open    int
-	sawOpen bool
+	assign []int8
+	open   int
 
 	// inst is the ground tuple terms quantifiers are instantiated over; defs
 	// the defining clauses of the propositions prepTerm introduces.
 	inst []uexpr.Tuple
 	defs []fol.Formula
 
-	// The compiled formula and integer terms; root is the formula's node.
+	// The compiled formula and integer terms; root is the formula's node,
+	// conj the state of its conjuncts.
 	prog []node
 	kids []int32
 	root int32
-	// done marks the root conjuncts settled under the current assignment
-	// (see evalRoot); settled lists them in the order they were marked.
-	done    []bool
-	settled []int32
+	conj *conjuncts
 	// atomEq[id] holds the term numbers of a tuple-equality atom (-1, -1
-	// otherwise); atomCC[id] marks atoms the congruence closure checks.
+	// otherwise).
 	atomEq   [][2]int32
-	atomCC   []bool
 	intAtoms []intAtom
 
 	// Ground tuple-term universe, built by buildUniverse after atom
@@ -68,9 +68,20 @@ type grounder struct {
 	terms   []uexpr.Tuple
 	termIdx map[uexpr.Tuple]int32
 	keys    []string
-	cc      ccState
+	cc      *ccState
 	th      theoryScratch
 }
+
+// searchScratch holds what decide() sizes for the search alone, the
+// congruence closure and the root conjuncts' state. Solves take it from a
+// pool and size its arrays anew, so that a solve allocates them only when
+// its formula outgrows the last one's.
+type searchScratch struct {
+	cc   ccState
+	conj conjuncts
+}
+
+var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // decide preprocesses away embedded quantifiers and runs DPLL.
 func (g *grounder) decide(f fol.Formula) Result {
@@ -88,9 +99,13 @@ func (g *grounder) decide(f fol.Formula) Result {
 		g.giveUp(StopAtoms)
 		return Unknown
 	}
+	sc := searchScratches.Get().(*searchScratch)
+	defer searchScratches.Put(sc)
+	g.cc, g.conj = &sc.cc, &sc.conj
 	g.buildUniverse()
 	g.compileAll(all)
 	g.assign = make([]int8, len(g.atoms))
+	g.initConjuncts()
 	res := g.dpll()
 	if res == Unsat && g.unknown {
 		return Unknown
@@ -302,7 +317,6 @@ func (g *grounder) buildUniverse() {
 	var preds []ccPred
 	predIdx := map[template.Sym]int32{}
 	g.atomEq = make([][2]int32, len(g.atoms))
-	g.atomCC = make([]bool, len(g.atoms))
 	addPred := func(id int, sym template.Sym, t uexpr.Tuple) {
 		si, ok := predIdx[sym]
 		if !ok {
@@ -313,7 +327,6 @@ func (g *grounder) buildUniverse() {
 	}
 	for id, a := range g.atoms {
 		g.atomEq[id] = [2]int32{-1, -1}
-		g.atomCC[id] = true
 		// Atom classification: each kind the closure decides is its own
 		// kind of fact, so this keeps a switch of its own.
 		switch x := a.(type) {
@@ -325,11 +338,9 @@ func (g *grounder) buildUniverse() {
 		case *fol.IsNull:
 			// IsNull is congruent like a predicate of its own.
 			addPred(id, template.Sym{Kind: template.KPred, ID: -1}, x.T)
-		default:
-			g.atomCC[id] = false
 		}
 	}
-	g.cc.init(rank, child, groups, eqs, preds, len(predIdx))
+	g.cc.init(rank, child, groups, eqs, preds, len(predIdx), len(g.atoms))
 }
 
 // termID returns the dense index of a canonical tuple term, registering it
@@ -346,10 +357,17 @@ func (g *grounder) termID(t uexpr.Tuple) int32 {
 	return i
 }
 
-// dpll searches below the current assignment. The congruence closure always
-// describes the assignment on entry: every equality/predicate literal is
+// incrementalHook is nil outside tests. A test that sets it (export_test.go)
+// has every DPLL node and every congruence assertion recomputed in full, and
+// receives each incremental answer beside the full one: what names the
+// answer ("eval", "branch" or "assertCC").
+var incrementalHook func(what string, incremental, full int)
+
+// dpll searches below the current assignment. The congruence closure and the
+// root conjuncts always describe the assignment on entry: every literal is
 // asserted when its atom is assigned and retracted when the branch returns,
-// and a branch value the closure refutes is never descended into.
+// and a branch value the closure refutes is never descended into — so the
+// literals of every node entered are free of congruence conflicts.
 func (g *grounder) dpll() Result {
 	g.nodes++
 	g.solver.stats.Nodes++
@@ -357,12 +375,19 @@ func (g *grounder) dpll() Result {
 		g.giveUp(StopNodes)
 		return Unknown
 	}
-	if g.solver.expired() {
+	// The clock is read at the first node, so that a search begun past the
+	// deadline stops at once, and at every 64th after it: a node costs
+	// less than reading it.
+	if g.nodes&63 == 1 && g.solver.expired() {
 		g.unknown = true
 		return Unknown
 	}
 	g.open = -1
-	switch g.evalRoot() {
+	val := g.evalRoot()
+	if incrementalHook != nil {
+		g.checkRoot(val)
+	}
+	switch val {
 	case evalFalse:
 		return Unsat
 	case evalTrue:
@@ -387,14 +412,15 @@ func (g *grounder) dpll() Result {
 	g.solver.stats.Decisions++
 	for _, v := range [2]int8{evalTrue, evalFalse} {
 		g.assign[open] = v
-		mark, settled := len(g.cc.trail), len(g.settled)
-		// Cheap early conflict detection on equality literals.
+		mark, conjMark := len(g.cc.trail), len(g.conj.trail)
+		// Cheap early conflict detection on equality and predicate literals.
 		res := Unsat
-		if !g.atomCC[open] || g.assertCC(open, v) {
+		if g.assertCC(open, v) {
+			g.assigned(open)
 			res = g.dpll()
 		}
 		g.cc.undo(mark)
-		g.unsettle(settled)
+		g.conj.undo(conjMark)
 		g.assign[open] = evalOpen
 		if res == Sat {
 			return Sat
@@ -411,10 +437,50 @@ func (g *grounder) dpll() Result {
 }
 
 // assertCC adds the literal atom=v to the congruence closure and reports
-// whether the assignment is still consistent with it.
+// whether the assignment is still consistent with it; a literal the closure
+// does not track is. The assignment without the literal was (see dpll), so
+// unless the literal merged classes it alone can conflict: a negated equality
+// inside one class, or a predicate taking the other value of a congruent
+// application.
 func (g *grounder) assertCC(atom int, v int8) bool {
-	if eq := g.atomEq[atom]; v == evalTrue && eq[0] >= 0 {
+	eq := g.atomEq[atom]
+	if eq[0] < 0 && g.cc.predOf[atom] < 0 {
+		return true
+	}
+	mark := len(g.cc.trail)
+	if v == evalTrue && eq[0] >= 0 {
 		g.cc.merge(eq[0], eq[1])
 	}
-	return !g.cc.conflict(g.assign)
+	var conflict bool
+	switch {
+	case len(g.cc.trail) > mark:
+		conflict = g.cc.conflict(g.assign)
+	case eq[0] >= 0:
+		conflict = v == evalFalse && g.cc.rep[eq[0]] == g.cc.rep[eq[1]]
+	default:
+		conflict = g.cc.predConflict(int32(atom), g.assign)
+	}
+	if incrementalHook != nil {
+		incrementalHook("assertCC", b2i(conflict), b2i(g.cc.conflict(g.assign)))
+	}
+	return !conflict
+}
+
+// checkRoot hands incrementalHook evalRoot's answer beside a full evaluation.
+func (g *grounder) checkRoot(val int8) {
+	open := g.open
+	g.open = -1
+	full := g.eval(g.root)
+	incrementalHook("eval", int(val), int(full))
+	if val == evalOpen {
+		incrementalHook("branch", open, g.open)
+	}
+	g.open = open
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -80,6 +80,35 @@ func randomSatFormula(rng *rand.Rand) fol.Formula {
 	return fol.MkAnd(fs...)
 }
 
+// The state dpll keeps incrementally equals a full recomputation at every
+// node (see incrementalHook), on the random formulas above and on
+// conjunctions of two of them, whose partitions and predicate truths mostly
+// contradict each other.
+func TestPropIncrementalMatchesFull(t *testing.T) {
+	checks := map[string]int{}
+	incrementalHook = func(what string, incremental, full int) {
+		checks[what]++
+		if incremental != full {
+			t.Fatalf("%s #%d: incremental %d, full recomputation %d", what, checks[what], incremental, full)
+		}
+	}
+	defer func() { incrementalHook = nil }()
+	rng := rand.New(rand.NewSource(23))
+	verdicts := map[Result]int{}
+	for trial := 0; trial < 200; trial++ {
+		f := randomSatFormula(rng)
+		if trial%2 == 1 {
+			f = fol.MkAnd(f, randomSatFormula(rng))
+		}
+		res, _ := Solve(f, DefaultOptions())
+		verdicts[res]++
+	}
+	t.Logf("verdicts %v, answers checked %v", verdicts, checks)
+	if verdicts[Sat] == 0 || verdicts[Unsat] == 0 || checks["assertCC"] == 0 || checks["branch"] == 0 {
+		t.Errorf("the formulas did not exercise both verdicts and every check: %v %v", verdicts, checks)
+	}
+}
+
 // Completeness spot-check: blatant propositional contradictions are refuted.
 func TestPropObviousContradictionsUnsat(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

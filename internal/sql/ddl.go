@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -20,7 +21,7 @@ import (
 // INT; FLOAT/REAL/DOUBLE/DECIMAL/NUMERIC -> FLOAT; BOOLEAN/BOOL -> BOOL;
 // everything else (VARCHAR, TEXT, CHAR, DATE, TIMESTAMP, ...) -> STRING.
 func ParseDDL(src string) (*Schema, error) {
-	toks, err := lex(nil, src)
+	toks, err := lex(nil, src, math.MaxInt)
 	if err != nil {
 		return nil, err
 	}

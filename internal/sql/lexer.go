@@ -65,8 +65,12 @@ func init() {
 // are open. Every open parenthesis nests the parser one level deeper, so it
 // has refused the statement before it reads that far, and a 1 MiB body of
 // parentheses costs a few hundred tokens instead of a million.
-func lex(dst []token, src string) ([]token, error) {
-	pos, open := 0, 0
+//
+// It also ends at the first token past limit tokens: the tokens before it
+// are returned, ending with an EOF token at its offset, beside a *ParseError
+// there. Any other error returns no tokens.
+func lex(dst []token, src string, limit int) ([]token, error) {
+	pos, open, n := 0, 0, 0
 	for {
 		pos = skipSpace(src, pos)
 		if pos >= len(src) {
@@ -75,6 +79,9 @@ func lex(dst []token, src string) ([]token, error) {
 		t, end, err := scanToken(src, pos)
 		if err != nil {
 			return nil, err
+		}
+		if n++; n > limit {
+			return append(dst, token{kind: tkEOF, pos: t.pos}), errAt(t.pos, "statement has more than %d tokens", limit)
 		}
 		dst = append(dst, t)
 		pos = end

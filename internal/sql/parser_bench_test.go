@@ -27,7 +27,7 @@ func BenchmarkLex(b *testing.B) {
 	var buf [64]token
 	for i := 0; i < b.N; i++ {
 		q := benchQueries[i%len(benchQueries)]
-		if _, err := lex(buf[:0], q); err != nil {
+		if _, err := lex(buf[:0], q, MaxTokens); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -296,6 +297,37 @@ func TestParseNestingBound(t *testing.T) {
 		if !errors.As(err, &pe) || pe.Offset != len(where)+MaxNesting-1 || !strings.Contains(pe.Msg, "nests deeper") {
 			t.Errorf("%d levels: %v, want a *ParseError at offset %d", parens+2, err, len(where)+MaxNesting-1)
 		}
+	}
+}
+
+// TestParseTokenBound: a statement of MaxTokens tokens parses; one of
+// MaxTokens+1 is a *ParseError at its last token, and so is a far longer one
+// at the same token. An error before the bound is reported rather than the
+// length, so that a statement nested too deeply is refused for its nesting.
+func TestParseTokenBound(t *testing.T) {
+	// "SELECT a" and " FROM t" are two tokens each, every ", a" two more and
+	// a closing ";" one.
+	statement := func(tokens int) string {
+		s := "SELECT a" + strings.Repeat(", a", (tokens-4)/2) + " FROM t"
+		if tokens%2 == 1 {
+			s += ";"
+		}
+		return s
+	}
+	if _, err := Parse(statement(MaxTokens)); err != nil {
+		t.Fatalf("%d tokens: %v", MaxTokens, err)
+	}
+	over := statement(MaxTokens + 1)
+	for _, src := range []string{over, over + strings.Repeat(" a", 100*MaxTokens)} {
+		_, err := Parse(src)
+		var pe *ParseError
+		if !errors.As(err, &pe) || pe.Offset != len(over)-1 || pe.Msg != "statement has more than "+strconv.Itoa(MaxTokens)+" tokens" {
+			t.Errorf("%d bytes: %v, want a *ParseError at offset %d", len(src), err, len(over)-1)
+		}
+	}
+	_, err := Parse("SELECT , " + over)
+	if pe := (*ParseError)(nil); !errors.As(err, &pe) || pe.Offset != len("SELECT ") {
+		t.Errorf("an error before the bound: %v, want it at offset %d", err, len("SELECT "))
 	}
 }
 
