@@ -137,7 +137,7 @@ func (n *normalizer) norm(e Expr) *NF {
 	case *Rel:
 		return &NF{Terms: []*Term{{Factors: []Factor{x}}}}
 	case *Bracket:
-		if eq, ok := x.B.(*BEq); ok && tupleString(eq.L) == tupleString(eq.R) {
+		if eq, ok := x.B.(*BEq); ok && sameTuple(eq.L, eq.R) {
 			return &NF{Terms: []*Term{{}}} // [x = x] = 1
 		}
 		return &NF{Terms: []*Term{{Factors: []Factor{x}}}}
@@ -330,7 +330,26 @@ func allTermsConstPositive(nf *NF) bool {
 	return true
 }
 
-// tupleString renders a tuple term for syntactic comparison.
+// sameTuple reports whether a and b are the same tuple term: variables are
+// equal by ID, their scopes ignored, and attribute lists by symbol. It is the
+// normalizer's one tuple identity; text (tupleString) only puts tuples in
+// order.
+func sameTuple(a, b Tuple) bool {
+	switch x := a.(type) {
+	case *TVar:
+		y, ok := b.(*TVar)
+		return ok && x.ID == y.ID
+	case *TAttr:
+		y, ok := b.(*TAttr)
+		return ok && x.Attrs == y.Attrs && sameTuple(x.T, y.T)
+	case *TConcat:
+		y, ok := b.(*TConcat)
+		return ok && sameTuple(x.L, y.L) && sameTuple(x.R, y.R)
+	}
+	panic("unreachable")
+}
+
+// tupleString renders a tuple term, for ordering tuples.
 func tupleString(t Tuple) string {
 	r := newRenderer()
 	r.tuple(t)

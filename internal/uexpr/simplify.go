@@ -249,7 +249,7 @@ func pickSide(cc *TConcat, sources map[template.Sym]bool) (Tuple, bool) {
 	}
 	// Both sides qualify: safe only when they are the same tuple (e.g. after
 	// a Unique-driven row collapse made x.x).
-	if lOK && rOK && tupleString(cc.L) == tupleString(cc.R) {
+	if lOK && rOK && sameTuple(cc.L, cc.R) {
 		return cc.L, true
 	}
 	return nil, false
@@ -301,7 +301,7 @@ func scopeExactly(t Tuple, sources map[template.Sym]bool) bool {
 func (n *normalizer) dropTrivialBrackets(t *Term) (*Term, bool) {
 	for fi, f := range t.Factors {
 		if br, ok := f.(*Bracket); ok {
-			if eq, ok := br.B.(*BEq); ok && tupleString(eq.L) == tupleString(eq.R) {
+			if eq, ok := br.B.(*BEq); ok && sameTuple(eq.L, eq.R) {
 				return removeFactor(t, fi), true
 			}
 		}
@@ -319,21 +319,10 @@ func removeFactor(t *Term, idx int) *Term {
 	return nt
 }
 
-// relFactors indexes the term's Rel factors by rendered tuple argument.
-func relFactors(t *Term) map[string][]template.Sym {
-	out := map[string][]template.Sym{}
-	for _, f := range t.Factors {
-		if r, ok := f.(*Rel); ok {
-			key := tupleString(r.T)
-			out[key] = append(out[key], r.Rel)
-		}
-	}
-	return out
-}
-
-func hasRelOn(t *Term, r template.Sym, arg string) bool {
-	for _, rs := range relFactors(t)[arg] {
-		if rs == r {
+// relOn reports whether fs has a factor r(arg) for which ok(r) holds.
+func relOn(fs []Factor, arg Tuple, ok func(r template.Sym) bool) bool {
+	for _, f := range fs {
+		if r, isRel := f.(*Rel); isRel && sameTuple(r.T, arg) && ok(r.Rel) {
 			return true
 		}
 	}
@@ -370,13 +359,7 @@ func (n *normalizer) applyNotNull(t *Term) (*Term, bool, bool) {
 // notNullApplies reports whether a factor r(v) in the term guarantees that
 // attr = a(v) is non-NULL via NotNull(r, a).
 func (n *normalizer) notNullApplies(t *Term, attr *TAttr) bool {
-	arg := tupleString(attr.T)
-	for _, r := range relFactors(t)[arg] {
-		if n.env.NotNull[[2]template.Sym{r, attr.Attrs}] {
-			return true
-		}
-	}
-	return false
+	return relOn(t.Factors, attr.T, func(r template.Sym) bool { return n.env.NotNull[[2]template.Sym{r, attr.Attrs}] })
 }
 
 // matchKeyedSum recognizes the shape sum_y( r(y) * [a(y) = tau] *
@@ -527,7 +510,6 @@ func (n *normalizer) applyRefExists(t *Term) (*Term, bool) {
 // termGuardsNotNull reports whether the term (excluding factor skip) contains
 // a not([IsNull(attr)]) factor for the given attribute application.
 func termGuardsNotNull(t *Term, skip int, attr *TAttr) bool {
-	want := tupleString(attr)
 	for i, f := range t.Factors {
 		if i == skip {
 			continue
@@ -548,7 +530,7 @@ func termGuardsNotNull(t *Term, skip int, attr *TAttr) bool {
 		if !ok {
 			continue
 		}
-		if tupleString(isn.T) == want {
+		if sameTuple(isn.T, attr) {
 			return true
 		}
 	}
@@ -573,12 +555,10 @@ func (n *normalizer) antiJoinDead(t *Term) bool {
 		if !ok {
 			continue
 		}
-		arg := tupleString(a1v.T)
-		for _, r1 := range relFactors(t)[arg] {
-			key := [4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}
-			if n.env.Ref[key] && n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}] {
-				return true
-			}
+		if relOn(t.Factors, a1v.T, func(r1 template.Sym) bool {
+			return n.env.Ref[[4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}] && n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}]
+		}) {
+			return true
 		}
 	}
 	return false
@@ -650,7 +630,7 @@ func (n *normalizer) absorbSquashOfPresentFactor(t *Term) (*Term, bool) {
 		if !ok {
 			continue
 		}
-		if hasRelOn(t, r.Rel, tupleString(r.T)) {
+		if relOn(t.Factors, r.T, func(s template.Sym) bool { return s == r.Rel }) {
 			return removeFactor(t, fi), true
 		}
 	}

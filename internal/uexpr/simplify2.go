@@ -11,42 +11,39 @@ import (
 // complementary-terms identity that eliminates OUTER JOIN padding.
 
 // congruenceRewrite uses the term's top-level [tau1 = tau2] brackets as
-// rewrite equations. Every class of equal tuple terms is (a) re-emitted as a
-// canonical chain of equality brackets over its sorted members — any spanning
-// set of equalities over the same class has the same product value, so the
-// replacement is an identity — and (b) used to rewrite every other factor's
-// subterms to the class representative (the minimal member, which prefers
-// structured terms over bare `t` variables lexicographically, making
-// attribute compositions visible to subAttrsCompose).
+// rewrite equations. Every class of equal tuple terms (sameTuple) is (a)
+// re-emitted as a canonical chain of equality brackets over its sorted
+// members — any spanning set of equalities over the same class has the same
+// product value, so the replacement is an identity — and (b) used to rewrite
+// every other factor's subterms to the class representative (the minimal
+// member, which prefers structured terms over bare `t` variables
+// lexicographically, making attribute compositions visible to
+// subAttrsCompose). The occurs check: a member is not rewritten to a
+// representative holding it beneath a concatenation, since [(s0.s1) = s1]
+// would otherwise grow s1 into (s0.(s0.s1)) and so on without end. Beneath a
+// projection it is rewritten: a0(a0(s0)), from [a0(s0) = s0], folds back.
 func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
-	type class struct{ members []Tuple }
-	classIdx := map[string]int{}
-	var classes []*class
+	var classes [][]Tuple
 	lookup := func(tt Tuple) int {
-		key := tupleString(tt)
-		if i, ok := classIdx[key]; ok {
-			return i
+		for i, c := range classes {
+			for _, m := range c {
+				if sameTuple(m, tt) {
+					return i
+				}
+			}
 		}
-		classes = append(classes, &class{members: []Tuple{tt}})
-		classIdx[key] = len(classes) - 1
+		classes = append(classes, []Tuple{tt})
 		return len(classes) - 1
-	}
-	merge := func(a, b int) {
-		if a == b {
-			return
-		}
-		for _, m := range classes[b].members {
-			classIdx[tupleString(m)] = a
-		}
-		classes[a].members = append(classes[a].members, classes[b].members...)
-		classes[b].members = nil
 	}
 	hasEq := false
 	var rest []Factor
 	for _, f := range t.Factors {
 		if br, ok := f.(*Bracket); ok {
 			if eq, ok := br.B.(*BEq); ok {
-				merge(lookup(eq.L), lookup(eq.R))
+				if a, b := lookup(eq.L), lookup(eq.R); a != b {
+					classes[a] = append(classes[a], classes[b]...)
+					classes[b] = nil
+				}
 				hasEq = true
 				continue
 			}
@@ -57,35 +54,27 @@ func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 		return nil, false
 	}
 	// Representatives and canonical chains.
-	rep := map[string]Tuple{}
+	type member struct {
+		t   Tuple
+		key string
+	}
+	var rep [][2]Tuple // member, representative
 	var chains []Factor
 	for _, c := range classes {
-		if len(c.members) < 2 {
+		if len(c) < 2 {
 			continue
 		}
-		sort.Slice(c.members, func(i, j int) bool {
-			return tupleString(c.members[i]) < tupleString(c.members[j])
-		})
-		// Deduplicate members (merge can introduce repeats).
-		uniq := c.members[:0]
-		var last string
-		for _, m := range c.members {
-			key := tupleString(m)
-			if key != last {
-				uniq = append(uniq, m)
-				last = key
+		ms := make([]member, len(c))
+		for i, m := range c {
+			ms[i] = member{m, tupleString(m)}
+		}
+		sort.Slice(ms, func(i, j int) bool { return ms[i].key < ms[j].key })
+		best := ms[0].t
+		for i, m := range ms[1:] {
+			if !occursUnderConcat(m.t, best, false) {
+				rep = append(rep, [2]Tuple{m.t, best})
 			}
-		}
-		c.members = uniq
-		if len(c.members) < 2 {
-			continue
-		}
-		best := c.members[0]
-		for _, m := range c.members[1:] {
-			rep[tupleString(m)] = best
-		}
-		for i := 0; i+1 < len(c.members); i++ {
-			chains = append(chains, &Bracket{B: &BEq{L: c.members[i], R: c.members[i+1]}})
+			chains = append(chains, &Bracket{B: &BEq{L: ms[i].t, R: m.t}})
 		}
 	}
 	m := mapper{tuple: func(tt Tuple) Tuple { return rewriteTuple(tt, rep) }}
@@ -152,13 +141,30 @@ func (n *normalizer) unwrapInnerSquash(nf *NF) *NF {
 	return out
 }
 
-// rewriteTuple replaces maximal subterms found in rep, top-down, to a
-// fixpoint bounded by the term depth.
-func rewriteTuple(tt Tuple, rep map[string]Tuple) Tuple {
+// occursUnderConcat reports whether m occurs in t beneath a concatenation;
+// under says that t itself is beneath one.
+func occursUnderConcat(m, t Tuple, under bool) bool {
+	if under && sameTuple(m, t) {
+		return true
+	}
+	_, concat := t.(*TConcat)
+	found := false
+	MapTuple(t, func(c Tuple) Tuple {
+		found = found || occursUnderConcat(m, c, under || concat)
+		return c
+	}, nil)
+	return found
+}
+
+// rewriteTuple replaces maximal subterms that are members in rep by their
+// representatives, top-down, to a fixpoint bounded by the term depth.
+func rewriteTuple(tt Tuple, rep [][2]Tuple) Tuple {
 	var once func(tt Tuple) Tuple
 	once = func(tt Tuple) Tuple {
-		if r, ok := rep[tupleString(tt)]; ok {
-			return r
+		for _, r := range rep {
+			if sameTuple(tt, r[0]) {
+				return r[1]
+			}
 		}
 		return MapTuple(tt, once, nil)
 	}
@@ -199,24 +205,18 @@ func (n *normalizer) existsWitness(t *Term, skip int, ks *keyedSum) bool {
 	if !ok {
 		return false
 	}
-	arg := tupleString(a1v.T)
-	for _, r1 := range relFactors(t)[arg] {
+	return relOn(t.Factors, a1v.T, func(r1 template.Sym) bool {
 		reflexive := r1 == ks.rel && a1v.Attrs == ks.attrs
-		ref := n.env.Ref[[4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}]
-		if !reflexive && !ref {
-			continue
+		if !reflexive && !n.env.Ref[[4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}] {
+			return false
 		}
 		// Null guard: when the keyed sum carries a not([IsNull(tau)]) guard
 		// internally, a NULL tau makes the sum 0 rather than >= 1, so the
-		// guard must be ensured by the outer term.
-		if len(ks.extra) == 0 && reflexive {
-			return true // witness y = v works regardless of NULLs
-		}
-		if n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}] || termGuardsNotNull(t, skip, a1v) {
-			return true
-		}
-	}
-	return false
+		// guard must be ensured by the outer term. Without one, the witness
+		// y = v of the reflexive case works regardless of NULLs.
+		return len(ks.extra) == 0 && reflexive ||
+			n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}] || termGuardsNotNull(t, skip, a1v)
+	})
 }
 
 // elimKeyedVar removes a bound variable v whose only occurrences are the
@@ -311,13 +311,10 @@ func (n *normalizer) uniqueRowCollapse(t *Term) (*Term, bool) {
 			if !bound[y.ID] {
 				return nil, false
 			}
-			found := false
-			for _, rf := range relFactors(t)[tupleString(y)] {
-				for _, rx := range relFactors(t)[tupleString(x)] {
-					found = found || rf == rx && n.env.UniqueKey[[2]template.Sym{rf, la.Attrs}]
-				}
-			}
-			if !found {
+			if !relOn(t.Factors, y, func(rf template.Sym) bool {
+				return n.env.UniqueKey[[2]template.Sym{rf, la.Attrs}] &&
+					relOn(t.Factors, x, func(rx template.Sym) bool { return rx == rf })
+			}) {
 				return nil, false
 			}
 			// Substitute y := x everywhere, drop y.
@@ -339,20 +336,17 @@ func (n *normalizer) uniqueRowCollapse(t *Term) (*Term, bool) {
 	return nil, false
 }
 
-// dedupUniqueRel removes duplicate r(tau) factors when Unique(r, .) bounds
+// dedupUniqueRel removes a repeated r(tau) factor when Unique(r, .) bounds
 // r's multiplicities by 1 (then r(tau)^2 = r(tau)).
 func (n *normalizer) dedupUniqueRel(t *Term) (*Term, bool) {
-	seen := map[string]bool{}
 	for fi, f := range t.Factors {
 		r, ok := f.(*Rel)
 		if !ok || !n.env.uniqueRel(r.Rel) {
 			continue
 		}
-		key := r.Rel.String() + "@" + tupleString(r.T)
-		if seen[key] {
+		if relOn(t.Factors[:fi], r.T, func(s template.Sym) bool { return s == r.Rel }) {
 			return removeFactor(t, fi), true
 		}
-		seen[key] = true
 	}
 	return nil, false
 }

@@ -11,9 +11,9 @@ import (
 // factor kinds with the Bool kinds of a bracket, and mapper.expr over the
 // expression kinds. Every substitution, renaming, symbol map, variable walk
 // and lemma rewrite of tuples is written on top of them. The printer
-// (renderer.tuple/bool/factor), norm, tupleScope, and the consumers in fol,
-// smt, intern and verify give each kind a meaning and keep their own
-// switches.
+// (renderer.tuple/bool/factor), norm, tupleScope, sameTuple (which compares
+// two tuples), and the consumers in fol, smt, intern and verify give each
+// kind a meaning and keep their own switches.
 
 // mapTuple applies fn to the children of t and sym to t's own symbols — a
 // TAttr's attribute list, a TVar's scope — and returns t itself when nothing

@@ -99,9 +99,7 @@ func readProofGolden(t *testing.T) []goldenPair {
 // the search tree. No call may stop on the wall clock — the table was
 // recorded without a deadline, so a clock-caused Unknown would make verdicts
 // depend on the machine. (Under the race detector's slowdown the deadline is
-// lifted instead of asserted. This file sorts before the fuzzed differential
-// test, whose abandoned pathological cases keep burning CPU in the
-// background — the clock assertion needs the machine to itself.)
+// lifted instead of asserted.)
 //
 // -short replays the calls under 2000 nodes and the first five that exhaust
 // the node budget; the others only prepare their closure, so later calls

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"wetune/internal/constraint"
 	"wetune/internal/fol"
@@ -70,10 +69,6 @@ func referenceVerify(src, dest *template.Node, cs *constraint.Set, opts Options)
 	return Report{Outcome: Rejected, Stats: last, Detail: "SMT could not prove UNSAT"}
 }
 
-// debugProgress prints each fuzz case label as it starts; flip on when
-// hunting a slow or diverging case.
-const debugProgress = false
-
 func propertyOptions(maxNodes int) Options {
 	opts := DefaultOptions()
 	opts.SMT.MaxNodes = maxNodes
@@ -87,9 +82,6 @@ func propertyOptions(maxNodes int) Options {
 
 func checkAgainstReference(t *testing.T, pc *PairContext, src, dest *template.Node, cs *constraint.Set, maxNodes int, label string) {
 	t.Helper()
-	if debugProgress {
-		fmt.Printf("case %s\n", label)
-	}
 	opts := propertyOptions(maxNodes)
 	want := referenceVerify(src, dest, cs, opts)
 	got := pc.VerifyOpts(cs, opts)
@@ -98,46 +90,6 @@ func checkAgainstReference(t *testing.T, pc *PairContext, src, dest *template.No
 			label, cs,
 			want.Outcome, want.Method, want.Detail,
 			got.Outcome, got.Method, got.Detail)
-	}
-}
-
-// fuzzCaseBudget is the wall-clock watchdog per fuzz case. Some random
-// constraint subsets send the (seed) normalizer's rewrite loop into
-// unbounded tuple growth — a pre-existing pathology on inputs the pipeline's
-// own search never generates (it searches down from filtered, non-conflicting
-// closures). Cases that exceed the budget are skipped with a log; the
-// corpus itself stays seed-deterministic.
-const fuzzCaseBudget = 10 * time.Second
-
-// checkWithWatchdog runs checkAgainstReference under fuzzCaseBudget. It
-// reports false when the case was abandoned — the caller must then drop the
-// rest of the cases sharing this PairContext, since the abandoned goroutine
-// may still be using it.
-func checkWithWatchdog(t *testing.T, pc *PairContext, src, dest *template.Node, cs *constraint.Set, maxNodes int, label string) bool {
-	t.Helper()
-	type verdict struct{ want, got Report }
-	done := make(chan verdict, 1)
-	opts := propertyOptions(maxNodes)
-	go func() {
-		want := referenceVerify(src, dest, cs, opts)
-		got := pc.VerifyOpts(cs, opts)
-		done <- verdict{want, got}
-	}()
-	if debugProgress {
-		fmt.Printf("case %s\n", label)
-	}
-	select {
-	case v := <-done:
-		if v.got.Outcome != v.want.Outcome || v.got.Method != v.want.Method {
-			t.Errorf("%s under %s:\n  reference: %s/%s (%s)\n  interned:  %s/%s (%s)",
-				label, cs,
-				v.want.Outcome, v.want.Method, v.want.Detail,
-				v.got.Outcome, v.got.Method, v.got.Detail)
-		}
-		return true
-	case <-time.After(fuzzCaseBudget):
-		t.Logf("skipping %s: exceeded %v (pathological normalization input)", label, fuzzCaseBudget)
-		return false
 	}
 }
 
@@ -152,49 +104,12 @@ func TestPairContextMatchesReferenceOnTable7(t *testing.T) {
 	}
 }
 
-// fuzzSubset draws a random large subset of cstar: the relaxation search
-// walks down from the full closure, so near-complete sets are the
-// distribution the per-pair memo actually sees. Like the pipeline's
-// sourceVariants, it keeps at most one attribute-source choice
-// (SubAttrs(a, a_r)) per attribute symbol — conflicting source assignments
-// are outside the search envelope and can send the normalizer's rewrite
-// loop into unbounded tuple growth.
+// fuzzSubset draws a random large subset of cstar, each constraint kept with
+// probability 3/4: the relaxation search walks down from the full closure, so
+// near-complete sets are the distribution the per-pair memo actually sees.
 func fuzzSubset(rng *rand.Rand, cstar []constraint.C) *constraint.Set {
-	sourceChosen := map[template.Sym]bool{}
-	subKept := map[[2]template.Sym]bool{}
-	refKept := map[[2]template.Sym]bool{}
 	var subset []constraint.C
 	for _, c := range cstar {
-		if c.Kind == constraint.RefAttrs {
-			// At most one FK target per referencing column and no mutual
-			// references — the pipeline's filterRefAttrs keeps only
-			// join-hinted FKs, which satisfy both.
-			from := [2]template.Sym{c.Syms[0], c.Syms[1]}
-			back := [2]template.Sym{c.Syms[2], c.Syms[3]}
-			if refKept[from] || refKept[back] || rng.Intn(2) == 0 {
-				continue
-			}
-			refKept[from] = true
-			subset = append(subset, c)
-			continue
-		}
-		if c.Kind == constraint.SubAttrs {
-			if c.Syms[1].Kind == template.KAttrsOf {
-				// At most one attribute-source choice per attribute.
-				if sourceChosen[c.Syms[0]] || rng.Intn(2) == 0 {
-					continue
-				}
-				sourceChosen[c.Syms[0]] = true
-			} else {
-				// No SubAttrs 2-cycles between plain attribute symbols.
-				if subKept[[2]template.Sym{c.Syms[1], c.Syms[0]}] || rng.Intn(4) == 0 {
-					continue
-				}
-				subKept[[2]template.Sym{c.Syms[0], c.Syms[1]}] = true
-			}
-			subset = append(subset, c)
-			continue
-		}
 		if rng.Intn(4) != 0 {
 			subset = append(subset, c)
 		}
@@ -207,17 +122,9 @@ func fuzzSubset(rng *rand.Rand, cstar []constraint.C) *constraint.Set {
 // pair of size-1 templates, reusing one PairContext per pair so the
 // closure-keyed memo and precomputed NNF skeletons are exercised across
 // several constraint sets — exactly the access pattern of the relaxation
-// search. The seed is fixed, so the corpus is deterministic. (Arbitrary
-// size-2 pairs are excluded on cost, not correctness: the non-interned
-// reference re-normalizes from scratch per call, and degenerate pairs the
-// pipeline's pair filter would never try can take minutes each.)
+// search. The seed is fixed, so the corpus is deterministic, and every case
+// it draws is checked: the normalizer terminates on any constraint subset.
 func TestPairContextMatchesReferenceFuzzed(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fuzzed differential pass is slow")
-	}
-	if raceEnabled {
-		t.Skip("single-threaded differential; race detector adds only slowdown")
-	}
 	rng := rand.New(rand.NewSource(20260806))
 	// Both paths share the node budget, so tightening it below the
 	// pipeline's 20000 keeps the equivalence property while bounding the
@@ -225,41 +132,25 @@ func TestPairContextMatchesReferenceFuzzed(t *testing.T) {
 	const maxNodes = 4000
 	const setsPerPair = 3
 
-	skips := 0
-	const maxSkips = 4 // each skip burns fuzzCaseBudget and leaks a worker
-
 	for _, r := range rules.All() {
-		if skips >= maxSkips {
-			break
-		}
 		pc := NewPairContext(r.Src, r.Dest)
 		cstar := constraint.Enumerate(r.Src, r.Dest).Items()
 		for j := 0; j < setsPerPair; j++ {
-			cs := fuzzSubset(rng, cstar)
 			label := fmt.Sprintf("rule %d (%s) fuzz set %d", r.No, r.Name, j)
-			if !checkWithWatchdog(t, pc, r.Src, r.Dest, cs, maxNodes, label) {
-				skips++
-				break // the abandoned goroutine still owns this pc
-			}
+			checkAgainstReference(t, pc, r.Src, r.Dest, fuzzSubset(rng, cstar), maxNodes, label)
 		}
 	}
 
 	small := template.Enumerate(template.EnumOptions{MaxSize: 1})
 	for i, src := range small {
 		for j, dest := range small {
-			if i == j || skips >= maxSkips {
+			if i == j {
 				continue
 			}
 			pc := NewPairContext(src, dest)
 			cstar := constraint.Enumerate(src, dest).Items()
-			cs := fuzzSubset(rng, cstar)
 			label := fmt.Sprintf("pair (%s => %s)", src, dest)
-			if !checkWithWatchdog(t, pc, src, dest, cs, maxNodes, label) {
-				skips++
-			}
+			checkAgainstReference(t, pc, src, dest, fuzzSubset(rng, cstar), maxNodes, label)
 		}
-	}
-	if skips > 0 {
-		t.Logf("%d fuzz cases skipped on the %v watchdog", skips, fuzzCaseBudget)
 	}
 }
