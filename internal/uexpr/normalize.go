@@ -78,17 +78,32 @@ type SquashNF struct{ NF *NF }
 // rewrite lemmas, applying them to fixpoint.
 func Normalize(e Expr, env *Env) *NF {
 	n := &normalizer{env: env, freshID: maxVarID(e) + 1}
-	nf := n.norm(e)
-	canon := nf.Canon()
-	for i := 0; i < 12; i++ {
-		nf = n.simplify(nf)
-		next := nf.Canon()
-		if next == canon {
-			break
-		}
-		canon = next
-	}
+	nf, _ := n.fixpoint(n.norm(e))
 	return nf
+}
+
+// fixpoint runs simplify rounds on nf until one reports no change, and
+// returns the result and the rounds it ran. On every closure the size-2
+// replay and the Table 7 rules prepare that takes at most two rounds; the
+// cap of 12 is a safety bound.
+func (n *normalizer) fixpoint(nf *NF) (*NF, int) {
+	for round := 1; ; round++ {
+		next, changed := n.simplify(nf)
+		if !changed || round == 12 {
+			return next, round
+		}
+		nf = next
+	}
+}
+
+// normalizeRounds is Normalize, also returning the rounds it ran and the
+// normal form one more round makes of the result, with whether that round
+// reported a change. Tests read it; internal/verify's links to it.
+func normalizeRounds(e Expr, env *Env) (nf *NF, rounds int, again *NF, changed bool) {
+	n := &normalizer{env: env, freshID: maxVarID(e) + 1}
+	nf, rounds = n.fixpoint(n.norm(e))
+	again, changed = n.simplify(nf)
+	return nf, rounds, again, changed
 }
 
 func maxVarID(e Expr) int {
@@ -262,6 +277,11 @@ func (n *normalizer) squashOf(nf *NF) *NF {
 	if len(nf.Terms) == 1 {
 		t := nf.Terms[0]
 		if len(t.Vars) == 0 {
+			if len(t.Factors) == 1 && !n.atMostOne(t.Factors[0]) {
+				// ||r(x)|| without a Unique constraint on r: nothing to
+				// distribute, so nf itself stays under the squash.
+				return &NF{Terms: []*Term{{Factors: []Factor{&SquashNF{NF: nf}}}}}
+			}
 			// ||f1*...*fk|| = ||f1||*...*||fk||.
 			out := &Term{}
 			for _, f := range t.Factors {
@@ -292,19 +312,19 @@ func (n *normalizer) squashOf(nf *NF) *NF {
 	return &NF{Terms: []*Term{{Factors: []Factor{&SquashNF{NF: nf}}}}}
 }
 
+// squashFactor builds ||f||: f itself when f is 0 or 1 everywhere.
 func (n *normalizer) squashFactor(f Factor) Factor {
-	switch x := f.(type) {
-	case *Bracket, *NotNF:
-		return x // already 0/1
-	case *SquashNF:
-		return x
-	case *Rel:
-		if n.env.uniqueRel(x.Rel) {
-			return x // r(t) <= 1 under a Unique constraint
-		}
-		return &SquashNF{NF: &NF{Terms: []*Term{{Factors: []Factor{x}}}}}
+	if n.atMostOne(f) {
+		return f
 	}
-	panic("unreachable")
+	return &SquashNF{NF: &NF{Terms: []*Term{{Factors: []Factor{f}}}}}
+}
+
+// atMostOne reports whether f is 0 or 1 everywhere: a bracket, not(e),
+// ||e||, or r(t) under a Unique constraint on r.
+func (n *normalizer) atMostOne(f Factor) bool {
+	r, ok := f.(*Rel)
+	return !ok || n.env.uniqueRel(r.Rel)
 }
 
 func singleFactor(nf *NF) (Factor, bool) {

@@ -4,149 +4,110 @@ import (
 	"wetune/internal/template"
 )
 
-// simplify applies the per-term rewrite lemmas to a normal form. Each lemma
-// is a proven U-semiring identity, possibly conditioned on constraint facts
-// from the environment; applying them never changes the denotation of the
-// expression under interpretations satisfying the constraints.
-func (n *normalizer) simplify(nf *NF) *NF {
-	out := &NF{}
+// simplify applies the per-term rewrite lemmas to a normal form and reports
+// whether anything changed: a lemma fired, a nested normal form changed, a
+// factor or a term dropped out, or two complementary terms merged. Each
+// lemma is a proven U-semiring identity, possibly conditioned on constraint
+// facts from the environment; applying them never changes the denotation of
+// the expression under interpretations satisfying the constraints.
+func (n *normalizer) simplify(nf *NF) (*NF, bool) {
+	out, changed := &NF{}, false
 	for _, t := range nf.Terms {
-		t2, dead := n.simplifyTerm(t)
-		if !dead {
+		t2, ch := n.simplifyTerm(t)
+		changed = changed || ch
+		if t2 != nil {
 			out.Terms = append(out.Terms, t2)
 		}
 	}
-	for {
-		merged, ok := n.mergeComplementary(out, false)
-		if !ok {
-			break
-		}
-		out = merged
-	}
-	return out
+	out, merged := n.mergeComplementary(out, false)
+	return out, changed || merged
 }
 
+// lemmas are the per-term rewrite lemmas, in the order simplifyTerm applies
+// them. Each returns the rewritten term and true when it fires; a nil term
+// with true says the whole term is 0.
+var lemmas = [...]func(*normalizer, *Term) (*Term, bool){
+	(*normalizer).elimEquality,
+	(*normalizer).resolveConcatAttrs,
+	(*normalizer).dropTrivialBrackets,
+	(*normalizer).applyNotNull,
+	(*normalizer).collapseUniqueSquash,
+	(*normalizer).applyRefExists,
+	(*normalizer).antiJoinDead,
+	(*normalizer).elimIsNullVar,
+	(*normalizer).dedupIdempotent,
+	(*normalizer).absorbSquashOfPresentFactor,
+	(*normalizer).flattenConcats,
+	(*normalizer).congruenceRewrite,
+	(*normalizer).subAttrsCompose,
+	(*normalizer).elimKeyedVar,
+	(*normalizer).uniqueRowCollapse,
+	(*normalizer).dedupUniqueRel,
+}
+
+// simplifyTerm simplifies the normal forms nested in t and then applies the
+// lemmas until none fires. It reports whether anything changed; a nil term is
+// 0.
 func (n *normalizer) simplifyTerm(t *Term) (*Term, bool) {
-	// Recursively simplify nested NFs first.
+	changed := false
 	factors := make([]Factor, 0, len(t.Factors))
 	for _, f := range t.Factors {
 		switch x := f.(type) {
 		case *NotNF:
-			inner := n.simplify(x.NF)
+			inner, ch := n.simplify(x.NF)
 			if len(inner.Terms) == 0 {
+				changed = true
 				continue // not(0) = 1: drop factor
 			}
 			if allTermsConstPositive(inner) {
 				return nil, true // not(positive) = 0: term dies
 			}
+			changed = changed || ch
 			factors = append(factors, &NotNF{NF: inner})
 		case *SquashNF:
-			inner := n.unwrapInnerSquash(n.simplify(x.NF))
-			for {
-				merged, ok := n.mergeComplementary(inner, true)
-				if !ok {
-					break
-				}
-				inner = merged
-			}
+			inner, ch := n.simplify(x.NF)
+			inner, unwrapped := n.unwrapInnerSquash(inner)
+			inner, merged := n.mergeComplementary(inner, true)
 			if len(inner.Terms) == 0 {
 				return nil, true // ||0|| = 0: term dies
 			}
-			if allTermsConstPositive(inner) {
-				continue // ||positive|| = 1: drop factor
-			}
 			// Re-run the squash constructor: the merge may have left a
-			// single-term body that distributes.
-			for _, nt := range n.squashOf(inner).Terms {
-				if len(nt.Vars) != 0 {
-					factors = append(factors, &SquashNF{NF: inner})
-					break
-				}
-				factors = append(factors, nt.Factors...)
+			// single-term body that distributes, or a positive constant,
+			// which drops the factor. A body it leaves whole is no change.
+			fs := n.squashOf(inner).Terms[0].Factors
+			kept := len(fs) == 1
+			if kept {
+				sq, ok := fs[0].(*SquashNF)
+				kept = ok && sq.NF == inner
 			}
+			changed = changed || ch || unwrapped || merged || !kept
+			factors = append(factors, fs...)
 		default:
 			factors = append(factors, f)
 		}
 	}
 	t = &Term{Vars: t.Vars, Factors: factors}
 
-	// The lemma set is terminating in practice, but symbol-heavy candidate
-	// constraint sets (full C* during discovery) can drive pathological
-	// rewrite chains; a hard cap keeps the prover total. Returning early only
-	// under-normalizes, which at worst rejects a provable rule.
+	// The lemmas reach a fixpoint on every closure the size-2 replay and the
+	// Table 7 rules prepare; the cap bounds a chain some unforeseen
+	// constraint set might drive. Stopping early only under-normalizes, which
+	// at worst rejects a provable rule.
 	for iter := 0; iter < 40; iter++ {
-		changed := false
-		if t2, ok := n.elimEquality(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.resolveConcatAttrs(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.dropTrivialBrackets(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, dead, ok := n.applyNotNull(t); ok {
-			if dead {
-				return nil, true
+		fired := false
+		for _, lemma := range lemmas {
+			if t2, ok := lemma(n, t); ok {
+				if t2 == nil {
+					return nil, true
+				}
+				t, fired = t2, true
 			}
-			t = t2
-			changed = true
 		}
-		if t2, ok := n.collapseUniqueSquash(t); ok {
-			t = t2
-			changed = true
+		if !fired {
+			break
 		}
-		if t2, ok := n.applyRefExists(t); ok {
-			t = t2
-			changed = true
-		}
-		if dead := n.antiJoinDead(t); dead {
-			return nil, true
-		}
-		if t2, ok := n.elimIsNullVar(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.dedupIdempotent(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.absorbSquashOfPresentFactor(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.flattenConcats(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.congruenceRewrite(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.subAttrsCompose(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.elimKeyedVar(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.uniqueRowCollapse(t); ok {
-			t = t2
-			changed = true
-		}
-		if t2, ok := n.dedupUniqueRel(t); ok {
-			t = t2
-			changed = true
-		}
-		if !changed {
-			return t, false
-		}
+		changed = true
 	}
-	return t, false
+	return t, changed
 }
 
 func (t *Term) boundSet() map[int]bool {
@@ -331,7 +292,7 @@ func relOn(fs []Factor, arg Tuple, ok func(r template.Sym) bool) bool {
 
 // applyNotNull uses NotNull(r, a): in a term containing the factor r(v),
 // not([IsNull(a(v))]) is 1 (drop) and [IsNull(a(v))] is 0 (term dies).
-func (n *normalizer) applyNotNull(t *Term) (*Term, bool, bool) {
+func (n *normalizer) applyNotNull(t *Term) (*Term, bool) {
 	for fi, f := range t.Factors {
 		// not([IsNull(a(v))]) as NotNF around a single bracket.
 		if nn, ok := f.(*NotNF); ok {
@@ -339,7 +300,7 @@ func (n *normalizer) applyNotNull(t *Term) (*Term, bool, bool) {
 				if br, ok := inner.(*Bracket); ok {
 					if isn, ok := br.B.(*BIsNull); ok {
 						if attr, ok := isn.T.(*TAttr); ok && n.notNullApplies(t, attr) {
-							return removeFactor(t, fi), false, true
+							return removeFactor(t, fi), true
 						}
 					}
 				}
@@ -348,12 +309,12 @@ func (n *normalizer) applyNotNull(t *Term) (*Term, bool, bool) {
 		if br, ok := f.(*Bracket); ok {
 			if isn, ok := br.B.(*BIsNull); ok {
 				if attr, ok := isn.T.(*TAttr); ok && n.notNullApplies(t, attr) {
-					return nil, true, true // [IsNull] = 0 under NotNull
+					return nil, true // [IsNull] = 0 under NotNull
 				}
 			}
 		}
 	}
-	return nil, false, false
+	return nil, false
 }
 
 // notNullApplies reports whether a factor r(v) in the term guarantees that
@@ -537,11 +498,11 @@ func termGuardsNotNull(t *Term, skip int, attr *TAttr) bool {
 	return false
 }
 
-// antiJoinDead reports that the whole term is 0: it contains a factor
+// antiJoinDead finds the whole term 0 (a nil term) when it contains a factor
 // not(sum_y r2(y)*[a2(y)=a1(v)]...) where RefAttrs(r1,a1,r2,a2) and
 // NotNull(r1,a1) hold and the term contains r1(v) — the sum is >= 1 whenever
 // r1(v) > 0, so the negation kills every non-zero assignment.
-func (n *normalizer) antiJoinDead(t *Term) bool {
+func (n *normalizer) antiJoinDead(t *Term) (*Term, bool) {
 	for _, f := range t.Factors {
 		nn, ok := f.(*NotNF)
 		if !ok {
@@ -558,10 +519,10 @@ func (n *normalizer) antiJoinDead(t *Term) bool {
 		if relOn(t.Factors, a1v.T, func(r1 template.Sym) bool {
 			return n.env.Ref[[4]template.Sym{r1, a1v.Attrs, ks.rel, ks.attrs}] && n.env.NotNull[[2]template.Sym{r1, a1v.Attrs}]
 		}) {
-			return true
+			return nil, true
 		}
 	}
-	return false
+	return nil, false
 }
 
 // elimIsNullVar applies sum_y [IsNull(y)] = 1: when a bound variable's only

@@ -21,7 +21,8 @@ import (
 // subAttrsCompose). The occurs check: a member is not rewritten to a
 // representative holding it beneath a concatenation, since [(s0.s1) = s1]
 // would otherwise grow s1 into (s0.(s0.s1)) and so on without end. Beneath a
-// projection it is rewritten: a0(a0(s0)), from [a0(s0) = s0], folds back.
+// projection it is rewritten: [a0(s0) = s0] turns r0(s0) into r0(a0(s0)),
+// and rewriteTuple leaves that representative whole.
 func (n *normalizer) congruenceRewrite(t *Term) (*Term, bool) {
 	var classes [][]Tuple
 	lookup := func(tt Tuple) int {
@@ -108,9 +109,9 @@ func (n *normalizer) flattenConcats(t *Term) (*Term, bool) {
 // unwrapInnerSquash inlines ||g|| factors when the term lives inside an
 // enclosing squash: only the support matters there, and supp(C * ||g||) =
 // supp(C * g). Single-term bodies merge their summation variables into the
-// host term.
-func (n *normalizer) unwrapInnerSquash(nf *NF) *NF {
-	out := &NF{}
+// host term. It reports whether it inlined any.
+func (n *normalizer) unwrapInnerSquash(nf *NF) (*NF, bool) {
+	out, changed := &NF{}, false
 	for _, t := range nf.Terms {
 		cur := t
 		for {
@@ -135,10 +136,11 @@ func (n *normalizer) unwrapInnerSquash(nf *NF) *NF {
 				Vars:    append(append([]*TVar{}, host.Vars...), inline.Vars...),
 				Factors: append(append([]Factor{}, host.Factors...), inline.Factors...),
 			}
+			changed = true
 		}
 		out.Terms = append(out.Terms, cur)
 	}
-	return out
+	return out, changed
 }
 
 // occursUnderConcat reports whether m occurs in t beneath a concatenation;
@@ -157,11 +159,16 @@ func occursUnderConcat(m, t Tuple, under bool) bool {
 }
 
 // rewriteTuple replaces maximal subterms that are members in rep by their
-// representatives, top-down, to a fixpoint bounded by the term depth.
+// representatives, top-down, to a fixpoint bounded by the term depth. It does
+// not descend into a representative: under [a0(s0) = s0] it would rewrite
+// r0(a0(s0)) to r0(a0(a0(s0))), and deeper on every pass.
 func rewriteTuple(tt Tuple, rep [][2]Tuple) Tuple {
 	var once func(tt Tuple) Tuple
 	once = func(tt Tuple) Tuple {
 		for _, r := range rep {
+			if sameTuple(tt, r[1]) {
+				return tt
+			}
 			if sameTuple(tt, r[0]) {
 				return r[1]
 			}
@@ -357,7 +364,8 @@ func (n *normalizer) dedupUniqueRel(t *Term) (*Term, bool) {
 // JOIN whose right side is keyed (§5.1.1, rules 11-14 of Table 7). Inside a
 // squash (squashed) no Unique is needed: M + not(M) >= 1 always and only the
 // support matters, so ||sum C*M + sum C*not(M)|| = ||sum C|| — OUTER JOIN
-// padding under Dedup (rules 13/14).
+// padding under Dedup (rules 13/14). It merges until no pair is left and
+// reports whether it merged any.
 func (n *normalizer) mergeComplementary(nf *NF, squashed bool) (*NF, bool) {
 	for i, tNeg := range nf.Terms {
 		for fi, f := range tNeg.Factors {
@@ -394,19 +402,19 @@ func (n *normalizer) mergeComplementary(nf *NF, squashed bool) (*NF, bool) {
 					}
 				}
 				out.Terms = append(out.Terms, merged)
+				out, _ = n.mergeComplementary(out, squashed)
 				return out, true
 			}
 		}
 	}
-	return nil, false
+	return nf, false
 }
 
 // termSimplified runs the per-term simplification pipeline on a copy, for
-// comparison purposes.
+// comparison purposes only, so what it changes is no change to report.
 func (n *normalizer) termSimplified(t *Term) *Term {
-	t2, dead := n.simplifyTerm(t)
-	if dead {
-		return &Term{Factors: []Factor{&Bracket{B: &BIsNull{T: &TVar{ID: -1}}}}} // sentinel, never matches
+	if t2, _ := n.simplifyTerm(t); t2 != nil {
+		return t2
 	}
-	return t2
+	return &Term{Factors: []Factor{&Bracket{B: &BIsNull{T: &TVar{ID: -1}}}}} // sentinel, never matches
 }

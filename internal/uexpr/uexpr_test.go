@@ -45,13 +45,13 @@ func equalNF(t *testing.T, src, dest *template.Node, env *Env) bool {
 		t.Fatalf("translate dest: %v", err)
 	}
 	ed = SubstTuple(ed, vd.ID, vs)
-	ns := Normalize(es, env)
-	nd := Normalize(ed, env)
-	if ns.Canon() == nd.Canon() {
+	ns := Normalize(es, env).Canon()
+	nd := Normalize(ed, env).Canon()
+	if ns == nd {
 		return true
 	}
-	t.Logf("src : %s", ns.Canon())
-	t.Logf("dest: %s", nd.Canon())
+	t.Logf("src : %s", ns)
+	t.Logf("dest: %s", nd)
 	return false
 }
 
@@ -347,7 +347,7 @@ func TestNormalizeAlphaEquivalence(t *testing.T) {
 		}}}
 	}
 	env := EmptyEnv()
-	if Normalize(mk(1), env).Canon() != Normalize(mk(7), env).Canon() {
+	if c1, c7 := Normalize(mk(1), env).Canon(), Normalize(mk(7), env).Canon(); c1 != c7 {
 		t.Fatal("alpha-equivalent sums render differently")
 	}
 }

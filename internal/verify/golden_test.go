@@ -12,11 +12,13 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	_ "unsafe" // for go:linkname
 
 	"wetune/internal/constraint"
 	"wetune/internal/rules"
 	"wetune/internal/smt"
 	"wetune/internal/template"
+	"wetune/internal/uexpr"
 )
 
 const proofGolden = "testdata/size2_proofs.golden"
@@ -228,14 +230,12 @@ func size2Pairs() map[string][2]*template.Node {
 // through the FOL formulas) it pins both canon text and factor order.
 const size2NormalFormsSHA256 = "eef6814ad004c1cac29028f1ff8a4249e7c33d2d0e4f254dfb874bc67e22b0e2"
 
-// TestSize2NormalFormsGolden prepares every closure the size-2 replay probes
-// (the same PairContext.entry sequence, without the solver) and hashes each
-// pair's memo in table order, entries sorted by closure key, followed by the
-// Table 7 rules' normal forms under their own constraints.
-func TestSize2NormalFormsGolden(t *testing.T) {
+// eachSize2Context prepares every closure the size-2 replay probes (the same
+// PairContext.entry sequence, without the solver) and hands fn each pair's
+// context, in table order.
+func eachSize2Context(t *testing.T, fn func(name string, pc *PairContext)) {
+	t.Helper()
 	byName := size2Pairs()
-	h := sha256.New()
-	entries := 0
 	for _, gp := range readProofGolden(t) {
 		p, ok := byName[gp.name]
 		if !ok {
@@ -253,18 +253,29 @@ func TestSize2NormalFormsGolden(t *testing.T) {
 			}
 			pc.entry(constraint.NewSet(items...))
 		}
+		fn(gp.name, pc)
+	}
+}
+
+// TestSize2NormalFormsGolden hashes the memo of every context
+// eachSize2Context prepares, in table order, entries sorted by closure key,
+// followed by the Table 7 rules' normal forms under their own constraints.
+func TestSize2NormalFormsGolden(t *testing.T) {
+	h := sha256.New()
+	entries := 0
+	eachSize2Context(t, func(name string, pc *PairContext) {
 		keys := make([]string, 0, len(pc.memo))
 		for key := range pc.memo {
 			keys = append(keys, key)
 		}
 		sort.Strings(keys)
 		entries += len(keys)
-		fmt.Fprintf(h, "pair %s\n", gp.name)
+		fmt.Fprintf(h, "pair %s\n", name)
 		for _, key := range keys {
 			e := pc.memo[key]
 			fmt.Fprintf(h, "%s\n%s\n%s\n", key, e.ns.Canon(), e.nd.Canon())
 		}
-	}
+	})
 	for _, r := range rules.Table7() {
 		fmt.Fprintf(h, "rule %d\n", r.No)
 		pc := NewPairContext(r.Src, r.Dest)
@@ -279,6 +290,50 @@ func TestSize2NormalFormsGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != size2NormalFormsSHA256 {
 		t.Errorf("normal forms hash %s, want %s", got, size2NormalFormsSHA256)
 	}
+}
+
+// normalizeRounds is uexpr.Normalize, also returning the simplify rounds it
+// ran and the normal form one more round makes of the result, with whether
+// that round reported a change. The normalizer's rounds are not exported, so
+// the test links to the unexported function.
+//
+//go:linkname normalizeRounds wetune/internal/uexpr.normalizeRounds
+func normalizeRounds(e uexpr.Expr, env *uexpr.Env) (nf *uexpr.NF, rounds int, again *uexpr.NF, changed bool)
+
+// TestNormalizeIsAFixpoint normalizes both sides of every closure the size-2
+// replay prepares and of every Table 7 rule again, and requires Normalize to
+// have stopped at a fixpoint: one more simplify round reports no change and
+// leaves the canonical text as it is. A round that changed the normal form
+// without reporting it, or a term left at the 12-round or the 40-iteration
+// cap, fails here.
+func TestNormalizeIsAFixpoint(t *testing.T) {
+	sides, rounds, most := 0, 0, 0
+	check := func(name string, pc *PairContext, e *pairEntry) {
+		esR, edR, _ := pc.sides(e.reps)
+		env := buildEnv(e.cl, constraint.Unify(e.cl))
+		for i, side := range []uexpr.Expr{esR, edR} {
+			nf, n, again, changed := normalizeRounds(side, env)
+			sides, rounds, most = sides+1, rounds+n, max(most, n)
+			if got, want := nf.Canon(), []*uexpr.NF{e.ns, e.nd}[i].Canon(); got != want {
+				t.Fatalf("%s: normalizeRounds gives %s, Normalize %s", name, got, want)
+			}
+			if changed || again.Canon() != nf.Canon() {
+				t.Errorf("%s: after %d rounds, one more (change reported: %v) takes\n  %s\nto\n  %s",
+					name, n, changed, nf.Canon(), again.Canon())
+			}
+		}
+	}
+	eachSize2Context(t, func(name string, pc *PairContext) {
+		for _, e := range pc.memo {
+			check(name, pc, e)
+		}
+	})
+	for _, r := range rules.Table7() {
+		if pc := NewPairContext(r.Src, r.Dest); pc.terr == nil {
+			check(fmt.Sprintf("rule %d", r.No), pc, pc.entry(r.Constraints))
+		}
+	}
+	t.Logf("%d normalizations, %d simplify rounds, at most %d in one", sides, rounds, most)
 }
 
 // writeProofGolden replaces the result columns of every replayed row.

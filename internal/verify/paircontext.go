@@ -80,9 +80,10 @@ func (pc *PairContext) VerifyOpts(cs *constraint.Set, opts Options) Report {
 	return instrumented(opts, func(o Options) Report { return pc.verify(cs, o) })
 }
 
-// verify mirrors the historical one-shot verifyOpts control flow stage by
-// stage (same outcomes, details and cancellation points), with the
-// constraint-independent work served from the context.
+// verify runs the stages — algebraic comparison, FOL goals, SMT — with the
+// constraint-independent work served from the context. One-shot VerifyOpts
+// is a fresh context's verify, so a verdict never depends on which closures
+// a context prepared before.
 func (pc *PairContext) verify(cs *constraint.Set, opts Options) Report {
 	if cancelled(opts) {
 		return Report{Outcome: Rejected, Detail: "cancelled"}
@@ -126,10 +127,8 @@ func (pc *PairContext) verify(cs *constraint.Set, opts Options) Report {
 }
 
 // entry returns the cached preparation for cs's closure, deriving it on first
-// sight: unify symbols, map the translated U-expressions to representatives
-// (ApplySyms reproduces what translating the substituted templates yields,
-// scope deduplication included), normalize under the constraint environment,
-// and compare canonical forms.
+// sight: unify symbols, map the translated U-expressions to representatives,
+// normalize under the constraint environment, and compare canonical forms.
 func (pc *PairContext) entry(cs *constraint.Set) *pairEntry {
 	cl := constraint.Closure(cs)
 	key := cl.Key()
@@ -139,12 +138,7 @@ func (pc *PairContext) entry(cs *constraint.Set) *pairEntry {
 	u := constraint.Unify(cl)
 	reps := u.Reps()
 	env := buildEnv(cl, u)
-
-	esR := uexpr.ApplySyms(pc.es, reps)
-	edR := uexpr.ApplySyms(pc.ed, reps)
-	vsR := uexpr.ApplySymsTuple(pc.vs, reps).(*uexpr.TVar)
-	edR = uexpr.SubstTuple(edR, pc.vd.ID, vsR)
-
+	esR, edR, vsR := pc.sides(reps)
 	ns := uexpr.Normalize(esR, env)
 	nd := uexpr.Normalize(edR, env)
 
@@ -160,12 +154,22 @@ func (pc *PairContext) entry(cs *constraint.Set) *pairEntry {
 	return e
 }
 
+// sides maps both translated templates to the representatives reps and
+// returns them with the source's output variable, which replaces the
+// destination's. ApplySyms reproduces what translating the substituted
+// templates yields, scope deduplication included.
+func (pc *PairContext) sides(reps map[template.Sym]template.Sym) (esR, edR uexpr.Expr, vsR *uexpr.TVar) {
+	vsR = uexpr.ApplySymsTuple(pc.vs, reps).(*uexpr.TVar)
+	edR = uexpr.SubstTuple(uexpr.ApplySyms(pc.ed, reps), pc.vd.ID, vsR)
+	return uexpr.ApplySyms(pc.es, reps), edR, vsR
+}
+
 // ensureFOL derives the FOL goal skeletons for an entry: the residual
 // constraints become the hypothesis, each equation candidate the goal, and
 // each pair is pre-normalized to NNF in the context's pool so repeat probes
 // (and repeat solver calls) skip straight to grounding. Fresh variables
-// restart at the same base per entry, exactly like the historical per-call
-// derivation, so the formulas are byte-identical to the one-shot path's.
+// restart at one base per entry, so the formulas do not depend on the order
+// the closures are probed in.
 func (pc *PairContext) ensureFOL(e *pairEntry) {
 	if e.folReady {
 		return
