@@ -60,8 +60,8 @@ func DefaultRefuteOptions() RefuteOptions { return RefuteOptions{Trials: 400, At
 // Refute searches for a counterexample to the rule. It returns true with a
 // witness description when the rule is demonstrably incorrect.
 func Refute(src, dest *template.Node, cs *constraint.Set, opts RefuteOptions) (bool, string) {
-	cl := constraint.Closure(cs)
-	reps := constraint.Unify(cl).Reps()
+	u := constraint.Unify(cs)
+	reps := u.Reps()
 	srcU := src.Substitute(reps)
 	destU := dest.Substitute(reps)
 
@@ -109,7 +109,7 @@ func Refute(src, dest *template.Node, cs *constraint.Set, opts RefuteOptions) (b
 		depth = 1
 	}
 
-	residual := residualConstraints(cl, reps)
+	residual := u.Residual()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	for trial := 0; trial < opts.Trials; trial++ {
 		if opts.Context != nil && opts.Context.Err() != nil {

@@ -26,7 +26,7 @@ func referenceVerify(src, dest *template.Node, cs *constraint.Set, opts Options)
 	srcU := src.Substitute(reps)
 	destU := dest.Substitute(reps)
 
-	env := buildEnv(cl, u)
+	env := buildEnv(u)
 
 	es, vs, err := uexpr.Translate(srcU)
 	if err != nil {
@@ -67,6 +67,22 @@ func referenceVerify(src, dest *template.Node, cs *constraint.Set, opts Options)
 		}
 	}
 	return Report{Outcome: Rejected, Stats: last, Detail: "SMT could not prove UNSAT"}
+}
+
+// residualConstraints keeps the non-equality constraints of a closure
+// (equalities are baked into the templates by substitution) with symbols
+// mapped to representatives, deduplicated: the reading of the closure that
+// Unification.Residual gives without building it.
+func residualConstraints(cl *constraint.Set, reps map[template.Sym]template.Sym) *constraint.Set {
+	out := make([]constraint.C, 0, cl.Len())
+	for _, c := range cl.Items() {
+		switch c.Kind {
+		case constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq:
+			continue
+		}
+		out = append(out, c.Rename(reps))
+	}
+	return constraint.NewSet(out...)
 }
 
 func propertyOptions(maxNodes int) Options {

@@ -152,14 +152,15 @@ func instrumented(opts Options, fn func(Options) Report) Report {
 	return rep
 }
 
-// buildEnv extracts the normalizer's fact tables from the closed constraint
-// set, with all symbols mapped to representatives.
-func buildEnv(cl *constraint.Set, u constraint.Unification) *uexpr.Env {
+// buildEnv extracts the normalizer's fact tables from the residual of a
+// unification, whose symbols are representatives already.
+func buildEnv(u constraint.Unification) *uexpr.Env {
 	env := uexpr.EmptyEnv()
-	for i := 0; i < cl.Len(); i++ {
-		switch c := cl.At(i); c.Kind {
+	residual := u.Residual()
+	for i := 0; i < residual.Len(); i++ {
+		switch c := residual.At(i); c.Kind {
 		case constraint.SubAttrs:
-			a1, a2 := u.Rep(c.Syms[0]), u.Rep(c.Syms[1])
+			a1, a2 := c.Syms[0], c.Syms[1]
 			env.SubPairs[[2]template.Sym{a1, a2}] = true
 			if a2.Kind == template.KAttrsOf && env.AttrSource[a1] == nil {
 				env.AttrSource[a1] = map[template.Sym]bool{}
@@ -168,36 +169,14 @@ func buildEnv(cl *constraint.Set, u constraint.Unification) *uexpr.Env {
 				}
 			}
 		case constraint.Unique:
-			env.UniqueKey[[2]template.Sym{u.Rep(c.Syms[0]), u.Rep(c.Syms[1])}] = true
+			env.UniqueKey[[2]template.Sym{c.Syms[0], c.Syms[1]}] = true
 		case constraint.NotNull:
-			env.NotNull[[2]template.Sym{u.Rep(c.Syms[0]), u.Rep(c.Syms[1])}] = true
+			env.NotNull[[2]template.Sym{c.Syms[0], c.Syms[1]}] = true
 		case constraint.RefAttrs:
-			env.Ref[[4]template.Sym{
-				u.Rep(c.Syms[0]), u.Rep(c.Syms[1]),
-				u.Rep(c.Syms[2]), u.Rep(c.Syms[3]),
-			}] = true
+			env.Ref[[4]template.Sym{c.Syms[0], c.Syms[1], c.Syms[2], c.Syms[3]}] = true
 		}
 	}
 	return env
-}
-
-// residualConstraints keeps the non-equality constraints (equalities are
-// baked into the templates by substitution) with symbols mapped to
-// representatives, deduplicated.
-func residualConstraints(cl *constraint.Set, reps map[template.Sym]template.Sym) *constraint.Set {
-	out := make([]constraint.C, 0, cl.Len())
-	for i := 0; i < cl.Len(); i++ {
-		c := cl.At(i)
-		switch c.Kind {
-		case constraint.RelEq, constraint.AttrsEq, constraint.PredEq, constraint.AggrEq:
-			continue
-		}
-		// AttrsOf symbols cannot appear in the FOL encoding of Unique /
-		// NotNull / RefAttrs positions meaningfully; they do occur in
-		// SubAttrs second positions and translate fine.
-		out = append(out, c.Rename(reps))
-	}
-	return constraint.NewSet(out...)
 }
 
 // String renders a rule for diagnostics.
