@@ -563,8 +563,8 @@ func (r *renderer) termFixed(t *Term) {
 	outer, base := len(r.names), len(r.perms)
 	defer func() { r.names, r.perms = r.names[:outer], r.perms[:base] }()
 	for i, v := range t.Vars {
-		r.names = append(r.names, binding{v.ID, i})
-		r.perms = append(r.perms, i)
+		r.names = append(r.names, binding{v.ID, outer + i})
+		r.perms = append(r.perms, outer+i)
 	}
 	if k > 5 {
 		// Too many variables to permute; keep the positional naming.

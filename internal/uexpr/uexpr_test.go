@@ -317,6 +317,24 @@ func TestSubstTupleShadowing(t *testing.T) {
 	}
 }
 
+// TestCanonNamesNestedBindersApart: a binder inside a term is named after
+// the ones in scope, so an inner reference to the outer variable does not
+// read like one to the inner variable.
+func TestCanonNamesNestedBindersApart(t *testing.T) {
+	t1, t2 := &TVar{ID: 1}, &TVar{ID: 2}
+	nf := func(last *TVar) *NF {
+		inner := &NF{Terms: []*Term{{Vars: []*TVar{t2}, Factors: []Factor{&Rel{Rel: r(1), T: t2}, &Rel{Rel: r(2), T: last}}}}}
+		return &NF{Terms: []*Term{{Vars: []*TVar{t1}, Factors: []Factor{&Rel{Rel: r(0), T: t1}, &SquashNF{NF: inner}}}}}
+	}
+	outer, same := nf(t1).Canon(), nf(t2).Canon()
+	if outer == same {
+		t.Errorf("sum_{t1} r0(t1) * ||sum_{t2} r1(t2) * r2(t1)|| and the same with r2(t2) both render %s", outer)
+	}
+	if want := "sum{s0}(r0(s0) * ||sum{s1}(r1(s1) * r2(s0))||)"; outer != want {
+		t.Errorf("got %s, want %s", outer, want)
+	}
+}
+
 func TestNormalizeConstants(t *testing.T) {
 	env := EmptyEnv()
 	if got := Normalize(Zero, env).Canon(); got != "0" {
