@@ -35,15 +35,15 @@
 //	                                            tree, and the per-rule why-not funnel; the
 //	                                            applied chain and costs match wetune rewrite
 //	wetune serve [-addr :8080] [-workers N] [-queue N] [-timeout 10s]
-//	             [-max-body N] [-result-cache N] [-plan-cache N]
+//	             [-max-body N] [-result-cache N]
 //	                                            run the rewrite-as-a-service daemon over the
 //	                                            demo schema plus every workload app schema:
 //	                                            POST /v1/rewrite, POST /v1/explain,
 //	                                            GET /v1/rules, GET /healthz, GET /readyz;
 //	                                            bounded admission (429 on overload), graceful
 //	                                            drain on SIGINT/SIGTERM; batch rewrites fan
-//	                                            out across the worker pool; -plan-cache sizes
-//	                                            the second cache tier (normalized SQL → plan)
+//	                                            out across the worker pool; -result-cache
+//	                                            sizes each app's query→result cache
 //	wetune loadtest [-addr URL | -inprocess] [-c N] [-d 5s] [-rate R] [-n N]
 //	                [-per-app N] [-timeout 5s] [-json] [-profile cpu|alloc]
 //	                [-profile-out FILE] [-retries N] [-chaos] [-seed N]

@@ -12,7 +12,7 @@ import (
 
 // cmdReportServe renders the serving-side view of a metrics registry dump
 // (the JSON written by the shared -metrics flag during a serve or loadtest
-// run): request/response traffic, admission control, the two cache tiers,
+// run): request/response traffic, admission control, the result cache,
 // batch fan-out, and per-endpoint latency.
 func cmdReportServe(args []string) int {
 	fs := newFlagSet("report serve")
@@ -59,17 +59,12 @@ func renderServeReport(snap obs.Snapshot) string {
 	fmt.Fprintf(&b, "  admission: rejected(429)=%d queue_depth=%d inflight=%d\n",
 		c("server_admission_rejected"), snap.Gauges["server_queue_depth"], snap.Gauges["server_inflight"])
 
-	cache := func(label, prefix string) {
-		hits, misses := c(prefix+"_hits"), c(prefix+"_misses")
-		if hits+misses == 0 {
-			fmt.Fprintf(&b, "  %s cache: no traffic\n", label)
-			return
-		}
-		fmt.Fprintf(&b, "  %s cache: %d hits / %d misses (%.1f%% hit rate)\n",
-			label, hits, misses, 100*float64(hits)/float64(hits+misses))
+	if hits, misses := c("rewrite_result_cache_hits"), c("rewrite_result_cache_misses"); hits+misses == 0 {
+		fmt.Fprintln(&b, "  result cache: no traffic")
+	} else {
+		fmt.Fprintf(&b, "  result cache: %d hits / %d misses (%.1f%% hit rate)\n",
+			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
-	cache("result", "rewrite_result_cache")
-	cache("plan", "rewrite_plan_cache")
 
 	fmt.Fprintf(&b, "  batch: %d requests, %d items got a worker\n",
 		c("server_batch_requests"), c("server_batch_items"))

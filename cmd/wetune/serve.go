@@ -35,7 +35,6 @@ func cmdServe(args []string) int {
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request deadline, queue wait included; propagates into the rewrite search budget")
 	maxBody := fs.Int64("max-body", 1<<20, "request body limit in bytes (413 beyond)")
 	resultCache := fs.Int("result-cache", 0, "per-app query→result LRU size (0 = default, negative disables)")
-	planCache := fs.Int("plan-cache", 0, "per-app normalized-SQL→plan LRU size, the second cache tier (0 = default, negative disables)")
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
 	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full ↔ cache-only on the windowed rewrite p99, reported per response in X-WeTune-Service-Level) and per-app circuit breakers")
 	degradeSample := fs.Duration("degrade-sample", 0, "degradation controller sampling period (0 = the 100ms default)")
@@ -54,7 +53,6 @@ func cmdServe(args []string) int {
 		RequestTimeout:  *timeout,
 		MaxBodyBytes:    *maxBody,
 		ResultCacheSize: *resultCache,
-		PlanCacheSize:   *planCache,
 		Degradation: server.DegradationConfig{
 			Disabled:    !*degrade,
 			SampleEvery: *degradeSample,

@@ -133,7 +133,7 @@ func (c *shardedLRU[V]) shard(key string) *lruShard[V] {
 func (c *shardedLRU[V]) get(key string) (V, bool) {
 	sh := c.shard(key)
 	if faultinject.Armed() {
-		// Chaos points for both serving cache tiers: a stalled shard (sleep
+		// Chaos points for the serving cache: a stalled shard (sleep
 		// taken before the shard lock, so the stall slows this lookup, not
 		// every key hashing here) and a failed shard (forced miss, counted
 		// like a real one so hit/miss accounting stays monotone).
@@ -251,8 +251,11 @@ func (c *ResultCache) Len() int { return c.c.len() }
 // See CacheStats for the snapshot-consistency guarantee.
 func (c *ResultCache) Stats() CacheStats { return c.c.stats() }
 
-// PlanCache is the second cache tier of the serving hot path: a bounded,
-// sharded LRU of search-ready plans keyed by normalized SQL text. A hit
+// PlanCache is an optional second cache tier behind the result cache: a
+// bounded, sharded LRU of search-ready plans keyed by normalized SQL text.
+// The serving daemon does not use it; it remains only because the
+// benchmark's per-layer probe calls it, and it is deleted (with
+// Options.SkipOrderByElim) once that probe stops. A hit
 // skips sql.Parse, plan construction AND ORDER-BY elimination — the stored
 // plan is the post-EliminateOrderBy start state, which is what makes
 // concurrent reuse safe: after elimination the rewrite search treats plans

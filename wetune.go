@@ -108,7 +108,9 @@ func Table7Rules() []Rule { return rules.Table7() }
 // ResultCacheStats, PlanCacheStats — is safe to call from concurrent
 // goroutines. The compiled rule set and its shape index are immutable shared
 // state; all per-call scratch (bindings, memo, frontier) lives in per-call
-// contexts, and both optional cache tiers are internally synchronized.
+// contexts, and the optional caches are internally synchronized. The serving
+// daemon enables only the result cache; EnablePlanCache and PlanCacheStats
+// are called only by the benchmark's per-layer probe.
 type Optimizer struct {
 	rw        *rewrite.Rewriter
 	cache     *rewrite.ResultCache
@@ -134,13 +136,19 @@ func (o *Optimizer) EnableResultCache(n int) {
 	o.cache = rewrite.NewResultCache(n)
 }
 
-// EnablePlanCache turns on the second cache tier: a normalized-query →
-// search-ready-plan LRU (n entries; n <= 0 picks a default). It serves the
-// result-cache misses: a repeated query shape whose result was evicted (or
-// was never cacheable, e.g. deadline-truncated) skips sql.Parse, plan
-// construction and ORDER-BY elimination and goes straight to the search.
-// Results are byte-identical to a cold parse — the cached plan is exactly the
-// search's start state. Call before sharing the Optimizer across goroutines.
+// EnablePlanCache turns on a normalized-query → search-ready-plan LRU
+// (n entries; n <= 0 picks a default) behind the result cache: a repeated
+// query text whose result was evicted (or was never cacheable, e.g.
+// deadline-truncated) skips sql.Parse, plan construction and ORDER-BY
+// elimination and goes straight to the search. Results are byte-identical
+// to a cold parse — the cached plan is exactly the search's start state.
+// Call before sharing the Optimizer across goroutines.
+//
+// The serving daemon does not enable it (the tier never hit on a serving
+// workload and kept a plan tree live per miss); its only caller is the
+// benchmark's per-layer probe, and it is deleted together with PlanCacheStats,
+// rewrite.PlanCache and Options.SkipOrderByElim once that probe stops
+// calling it.
 func (o *Optimizer) EnablePlanCache(n int) {
 	o.planCache = rewrite.NewPlanCache(n)
 }
@@ -252,8 +260,9 @@ func (o *Optimizer) OptimizeSQLResultMode(deadline time.Time, query string, mode
 //
 //  1. normalize — the cache key (skipped when no cache tier will be used)
 //  2. result-cache probe — a hit is the answer; ModeCacheOnly stops here
-//  3. plan-cache get, or on a miss: parse + plan build, ORDER-BY elimination
-//     (§7), plan-cache put
+//  3. parse + plan build and ORDER-BY elimination (§7); with EnablePlanCache
+//     (a library option the serving daemon never sets) a plan-cache get
+//     comes first and a put after
 //  4. search — §6 rule matching under the §8.4 budgets of searchOptions and
 //     the deadline (the zero time is none)
 //  5. print — the chosen plan back to SQL
@@ -383,7 +392,8 @@ func (o *Optimizer) ResultCacheStats() (stats CacheStats, ok bool) {
 }
 
 // PlanCacheStats reports the Optimizer's plan-cache traffic. ok is false when
-// EnablePlanCache was never called.
+// EnablePlanCache was never called. Like EnablePlanCache, it remains only for
+// the benchmark's per-layer probe and goes when that probe stops calling it.
 func (o *Optimizer) PlanCacheStats() (stats CacheStats, ok bool) {
 	if o.planCache == nil {
 		return CacheStats{}, false
