@@ -15,21 +15,21 @@ type line struct {
 	Kind string `json:"kind"`
 	Rule *int32 `json:"rule,omitempty"`
 
-	Path    []int   `json:"path,omitempty"`
-	Reason  string  `json:"reason,omitempty"`
-	Count   *int64  `json:"count,omitempty"`
-	Size    *int64  `json:"size,omitempty"`
-	Cost    *f64    `json:"cost,omitempty"`
-	Depth   *int64  `json:"depth,omitempty"`
-	Budget  string  `json:"budget,omitempty"`
-	Proved  *bool   `json:"proved,omitempty"`
-	DurNS   *int64  `json:"dur_ns,omitempty"`
-	Cache   string  `json:"cache,omitempty"`
-	Anomaly string  `json:"anomaly,omitempty"`
-	From    *int64  `json:"from,omitempty"`
-	To      *int64  `json:"to,omitempty"`
-	State   string  `json:"state,omitempty"`
-	Point   *int64  `json:"point,omitempty"`
+	Path    []int  `json:"path,omitempty"`
+	Reason  string `json:"reason,omitempty"`
+	Count   *int64 `json:"count,omitempty"`
+	Size    *int64 `json:"size,omitempty"`
+	Cost    *f64   `json:"cost,omitempty"`
+	Depth   *int64 `json:"depth,omitempty"`
+	Budget  string `json:"budget,omitempty"`
+	Proved  *bool  `json:"proved,omitempty"`
+	DurNS   *int64 `json:"dur_ns,omitempty"`
+	Cache   string `json:"cache,omitempty"`
+	Anomaly string `json:"anomaly,omitempty"`
+	From    *int64 `json:"from,omitempty"`
+	To      *int64 `json:"to,omitempty"`
+	State   string `json:"state,omitempty"`
+	Point   *int64 `json:"point,omitempty"`
 }
 
 // f64 renders non-finite costs as null instead of breaking json.Marshal.

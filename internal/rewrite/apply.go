@@ -68,25 +68,15 @@ type resolver struct {
 }
 
 func (r *resolver) rel(sym template.Sym) (plan.Node, error) {
-	if p, ok := r.b.rels[sym]; ok {
+	if p, ok := bound(r.b.rels, r.cr.classes, sym); ok {
 		return p, nil
-	}
-	for _, s := range r.cr.classes.Members(sym) {
-		if p, ok := r.b.rels[s]; ok {
-			return p, nil
-		}
 	}
 	return nil, fmt.Errorf("rewrite: unbound relation symbol %s", sym)
 }
 
 func (r *resolver) attrsOf(sym template.Sym) (attrsBinding, error) {
-	if a, ok := r.b.attrs[sym]; ok {
+	if a, ok := bound(r.b.attrs, r.cr.classes, sym); ok {
 		return r.relocate(sym, a), nil
-	}
-	for _, s := range r.cr.classes.Members(sym) {
-		if a, ok := r.b.attrs[s]; ok {
-			return r.relocate(sym, a), nil
-		}
 	}
 	return attrsBinding{}, fmt.Errorf("rewrite: unbound attrs symbol %s", sym)
 }
@@ -149,25 +139,15 @@ func (r *resolver) relocate(sym template.Sym, a attrsBinding) attrsBinding {
 }
 
 func (r *resolver) pred(sym template.Sym) (sql.Expr, error) {
-	if p, ok := r.b.preds[sym]; ok {
+	if p, ok := bound(r.b.preds, r.cr.classes, sym); ok {
 		return p.expr, nil
-	}
-	for _, s := range r.cr.classes.Members(sym) {
-		if p, ok := r.b.preds[s]; ok {
-			return p.expr, nil
-		}
 	}
 	return nil, fmt.Errorf("rewrite: unbound predicate symbol %s", sym)
 }
 
 func (r *resolver) aggItems(sym template.Sym) ([]plan.AggItem, error) {
-	if f, ok := r.b.funcs[sym]; ok {
+	if f, ok := bound(r.b.funcs, r.cr.classes, sym); ok {
 		return f, nil
-	}
-	for _, s := range r.cr.classes.Members(sym) {
-		if f, ok := r.b.funcs[s]; ok {
-			return f, nil
-		}
 	}
 	return nil, fmt.Errorf("rewrite: unbound aggregate symbol %s", sym)
 }

@@ -27,9 +27,11 @@ type CompiledRule struct {
 	// rules with equal keys share one structural precheck per plan fragment.
 	shapeKey string
 
-	// classes unifies the rule's symbols under its equality constraints; the
-	// resolver and the constraint check take the first bound member of a
-	// symbol's class.
+	// classes unifies the rule's symbols under its equality constraints and
+	// is the one reading of them: the constraint check requires every bound
+	// symbol to agree with the first bound member of its class, and a symbol
+	// without a binding of its own (in the check and in the resolver) takes
+	// that member's.
 	classes constraint.Unification
 
 	// predAttrs maps each predicate symbol to the attribute symbol paired
@@ -75,24 +77,13 @@ func relocTargets(r rules.Rule, classes constraint.Unification) map[template.Sym
 			uniqueRels[c.Syms[0]] = true
 		}
 	}
-	uniqueOnClass := func(rel template.Sym) bool {
-		if uniqueRels[rel] {
-			return true
-		}
-		for _, m := range classes.Members(rel) {
-			if uniqueRels[m] {
-				return true
-			}
-		}
-		return false
-	}
 	out := map[template.Sym][]template.Sym{}
 	for _, c := range r.Constraints.Items() {
 		if c.Kind != constraint.SubAttrs || c.Syms[1].Kind != template.KAttrsOf {
 			continue
 		}
 		relSym := template.Sym{Kind: template.KRel, ID: c.Syms[1].ID}
-		if uniqueOnClass(relSym) {
+		if _, ok := bound(uniqueRels, classes, relSym); ok {
 			out[c.Syms[0]] = append(out[c.Syms[0]], relSym)
 		}
 	}

@@ -1,8 +1,9 @@
 // Package rewrite applies WeTune rules to concrete query plans (§6, §7): it
 // matches a rule's source template against plan fragments, checks the rule's
-// constraints against schema integrity metadata, instantiates the destination
-// template, and drives a greedy cost-guided rewriting loop. It also houses
-// the ORDER BY elimination and redundant-rule reduction of §7.
+// constraints against schema integrity metadata (its equalities through the
+// rule's unification classes), instantiates the destination template, and
+// runs a cost-guided best-first search over the rewritten plans. It also
+// houses the ORDER BY elimination and redundant-rule reduction of §7.
 package rewrite
 
 import (
@@ -188,7 +189,7 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 			return false
 		}
 		if prev, ok := b.funcs[tpl.Func]; ok {
-			if aggItemsKey(prev) != aggItemsKey(a.Items) {
+			if !aggItemsEqual(prev, a.Items) {
 				return false
 			}
 		} else {
@@ -211,6 +212,8 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 	}
 	return false
 }
+
+func aggItemsEqual(a, b []plan.AggItem) bool { return aggItemsKey(a) == aggItemsKey(b) }
 
 func aggItemsKey(items []plan.AggItem) string {
 	parts := make([]string, len(items))
@@ -301,55 +304,21 @@ func (m *Matcher) predsEquivalent(a, b predBinding) bool {
 }
 
 // checkConstraints verifies a compiled rule's constraint set against a
-// binding. Only the rule's stated constraints are checked (the closure's
-// congruence variants re-express value-side facts across relation instances,
-// which a concrete checker must not take literally); symbols without a direct
-// binding resolve through their pre-compiled equivalence class for the
-// relation-level facts (Unique/NotNull/RefAttrs).
+// binding. The rule's equalities are read through its unification classes:
+// every bound symbol must agree with the first bound member of its class, so
+// an equality stated through a destination-only symbol still relates the
+// source symbols it joins. Of the other constraints only the stated ones are
+// checked (the closure's congruence variants re-express value-side facts
+// across relation instances, which a concrete checker must not take
+// literally); their symbols resolve through the same classes.
 func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
-	rule := cr.Rule
-	relOf := func(sym template.Sym) (plan.Node, bool) {
-		if p, ok := b.rels[sym]; ok {
-			return p, true
-		}
-		for _, s := range cr.classes.Members(sym) {
-			if p, ok := b.rels[s]; ok {
-				return p, true
-			}
-		}
-		return nil, false
+	cls := cr.classes
+	if !agree(b.rels, cls, m.aliasEqual) || !agree(b.attrs, cls, m.attrsEquivalent) ||
+		!agree(b.preds, cls, m.predsEquivalent) || !agree(b.funcs, cls, aggItemsEqual) {
+		return false
 	}
-	attrOf := func(sym template.Sym) (attrsBinding, bool) {
-		if a, ok := b.attrs[sym]; ok {
-			return a, true
-		}
-		for _, s := range cr.classes.Members(sym) {
-			if a, ok := b.attrs[s]; ok {
-				return a, true
-			}
-		}
-		return attrsBinding{}, false
-	}
-	for _, c := range rule.Constraints.Items() {
+	for _, c := range cr.Rule.Constraints.Items() {
 		switch c.Kind {
-		case constraint.RelEq:
-			p1, ok1 := b.rels[c.Syms[0]]
-			p2, ok2 := b.rels[c.Syms[1]]
-			if ok1 && ok2 && !m.aliasEqual(p1, p2) {
-				return false
-			}
-		case constraint.AttrsEq:
-			a1, ok1 := b.attrs[c.Syms[0]]
-			a2, ok2 := b.attrs[c.Syms[1]]
-			if ok1 && ok2 && !m.attrsEquivalent(a1, a2) {
-				return false
-			}
-		case constraint.PredEq:
-			p1, ok1 := b.preds[c.Syms[0]]
-			p2, ok2 := b.preds[c.Syms[1]]
-			if ok1 && ok2 && !m.predsEquivalent(p1, p2) {
-				return false
-			}
 		case constraint.SubAttrs:
 			a1, ok := b.attrs[c.Syms[0]]
 			if !ok {
@@ -372,8 +341,8 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 				}
 			}
 		case constraint.Unique:
-			rel, okRel := relOf(c.Syms[0])
-			a, okAttr := attrOf(c.Syms[1])
+			rel, okRel := bound(b.rels, cls, c.Syms[0])
+			a, okAttr := bound(b.attrs, cls, c.Syms[1])
 			if okRel && okAttr {
 				cols, ok := m.colsInPlan(a, rel)
 				if !ok || !plan.UniqueOn(rel, cols, m.Schema) {
@@ -381,8 +350,8 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 				}
 			}
 		case constraint.NotNull:
-			rel, okRel := relOf(c.Syms[0])
-			a, okAttr := attrOf(c.Syms[1])
+			rel, okRel := bound(b.rels, cls, c.Syms[0])
+			a, okAttr := bound(b.attrs, cls, c.Syms[1])
 			if okRel && okAttr {
 				cols, ok := m.colsInPlan(a, rel)
 				if !ok || !plan.NotNullOn(rel, cols, m.Schema) {
@@ -390,10 +359,10 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 				}
 			}
 		case constraint.RefAttrs:
-			r1, ok1 := relOf(c.Syms[0])
-			a1, ok2 := attrOf(c.Syms[1])
-			r2, ok3 := relOf(c.Syms[2])
-			a2, ok4 := attrOf(c.Syms[3])
+			r1, ok1 := bound(b.rels, cls, c.Syms[0])
+			a1, ok2 := bound(b.attrs, cls, c.Syms[1])
+			r2, ok3 := bound(b.rels, cls, c.Syms[2])
+			a2, ok4 := bound(b.attrs, cls, c.Syms[3])
 			if ok1 && ok2 && ok3 && ok4 {
 				c1, okA := m.colsInPlan(a1, r1)
 				c2, okB := m.colsInPlan(a2, r2)
@@ -401,15 +370,40 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 					return false
 				}
 			}
-		case constraint.AggrEq:
-			f1, ok1 := b.funcs[c.Syms[0]]
-			f2, ok2 := b.funcs[c.Syms[1]]
-			if ok1 && ok2 && aggItemsKey(f1) != aggItemsKey(f2) {
-				return false
+		}
+	}
+	return true
+}
+
+// agree reports whether every symbol bound in m is equivalent to the first
+// bound member of its class.
+func agree[V any](m map[template.Sym]V, cls constraint.Unification, equiv func(a, b V) bool) bool {
+	for s, v := range m {
+		for _, f := range cls.Members(s) {
+			if w, ok := m[f]; ok {
+				if f != s && !equiv(w, v) {
+					return false
+				}
+				break
 			}
 		}
 	}
 	return true
+}
+
+// bound returns sym's binding in m, or else that of the first bound member
+// of its class.
+func bound[V any](m map[template.Sym]V, cls constraint.Unification, sym template.Sym) (V, bool) {
+	if v, ok := m[sym]; ok {
+		return v, true
+	}
+	for _, s := range cls.Members(sym) {
+		if v, ok := m[s]; ok {
+			return v, true
+		}
+	}
+	var zero V
+	return zero, false
 }
 
 // colsInPlan maps an attribute binding into a relation's output columns:

@@ -52,10 +52,10 @@ type ProvStep struct {
 
 // Node fates.
 const (
-	FateExpanded    = "expanded"        // popped and expanded
-	FatePending     = "pending"         // still on the frontier when search ended
+	FateExpanded    = "expanded"         // popped and expanded
+	FatePending     = "pending"          // still on the frontier when search ended
 	FateDropped     = "frontier-dropped" // cut by the frontier budget
-	FateStepsBudget = "steps-budget"    // popped but at the step limit
+	FateStepsBudget = "steps-budget"     // popped but at the step limit
 )
 
 // ProvNode is one search state.

@@ -16,15 +16,16 @@ const q0 = `SELECT * FROM labels WHERE id IN (SELECT id FROM labels WHERE id IN 
 // sha256 over plan.ToSQLString(out)+"\n" per plannable query, in corpus order.
 const corpusOutputSHA256 = "d6a98b1aea00dff45e857c6642cd90339ecbe294aca03b008e7f6db1a1affffc"
 
-// TestCorpusOutputGolden: Search with default options over the application
-// corpus plus the Calcite suite, full rule set, produces byte-identical SQL.
-// A hot-path change that moves this hash changed what the engine emits.
+// TestCorpusOutputGolden: Search under the served budgets (ExploreOptions(12,
+// 6), what every answer is searched with) over the application corpus plus
+// the Calcite suite, full rule set, produces byte-identical SQL. A hot-path
+// change that moves this hash changed what the engine emits.
 func TestCorpusOutputGolden(t *testing.T) {
 	plans, rws := corpusPlans(t)
 	h := sha256.New()
 	rewritten := 0
 	for i, p := range plans {
-		out, applied, _ := rws[i].Search(p, Options{})
+		out, applied, _ := rws[i].Search(p, ExploreOptions(12, 6))
 		if len(applied) > 0 {
 			rewritten++
 		}
