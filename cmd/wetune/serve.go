@@ -36,7 +36,7 @@ func cmdServe(args []string) int {
 	maxBody := fs.Int64("max-body", 1<<20, "request body limit in bytes (413 beyond)")
 	resultCache := fs.Int("result-cache", 0, "per-app query→result LRU size (0 = default, negative disables)")
 	grace := fs.Duration("grace", 15*time.Second, "shutdown grace period for draining in-flight requests")
-	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full ↔ cache-only on the windowed rewrite p99, reported per response in X-WeTune-Service-Level) and per-app circuit breakers")
+	degrade := fs.Bool("degrade", true, "enable the overload degradation ladder (full ↔ cache-only on the windowed rewrite p99, reported per response in X-WeTune-Service-Level)")
 	degradeSample := fs.Duration("degrade-sample", 0, "degradation controller sampling period (0 = the 100ms default)")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {

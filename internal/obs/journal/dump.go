@@ -28,7 +28,6 @@ type line struct {
 	Anomaly string `json:"anomaly,omitempty"`
 	From    *int64 `json:"from,omitempty"`
 	To      *int64 `json:"to,omitempty"`
-	State   string `json:"state,omitempty"`
 	Point   *int64 `json:"point,omitempty"`
 }
 
@@ -110,28 +109,11 @@ func (j *Journal) render(ev Event) line {
 	case KindServiceLevel:
 		l.From = &ev.A
 		l.To = &ev.B
-	case KindBreaker:
-		l.State = breakerStateName(ev.A)
-		l.Count = &ev.B
 	case KindFault:
 		l.Point = &ev.A
 		l.Count = &ev.B
 	}
 	return l
-}
-
-// breakerStateName decodes a KindBreaker payload (the server's breaker
-// states; the journal only names them for the dump).
-func breakerStateName(a int64) string {
-	switch a {
-	case 0:
-		return "closed"
-	case 1:
-		return "open"
-	case 2:
-		return "half_open"
-	}
-	return "unknown"
 }
 
 // WriteJSONL renders the retained events, oldest first, one JSON object per

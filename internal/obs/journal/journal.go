@@ -51,13 +51,13 @@ const (
 	// Rule, A = packed path.
 	KindMemoHit
 	// KindTruncated: a search budget cut the search. A = budget
-	// (TruncSteps, TruncFrontier or TruncNodes).
+	// (TruncSteps, TruncFrontier, TruncNodes or TruncDeadline).
 	KindTruncated
 	// KindProver: one prover call completed. A = verdict (1 = proved),
 	// B = duration in nanoseconds.
 	KindProver
 	// KindCacheHit / KindCacheMiss: a cache lookup. A = cache identity
-	// (CacheProof or CacheResult).
+	// (CacheProof, CacheResult or CachePlan).
 	KindCacheHit
 	KindCacheMiss
 	// KindAnomaly: an instrumented subsystem flagged an anomaly.
@@ -70,10 +70,6 @@ const (
 	// KindServiceLevel: the serving degradation ladder changed level.
 	// A = level stepped from, B = level stepped to (0 full, 1 cache-only).
 	KindServiceLevel
-	// KindBreaker: a per-app circuit breaker transitioned. A = new state
-	// (0 closed, 1 open, 2 half-open), B = consecutive deadline
-	// truncations observed at the transition.
-	KindBreaker
 	// KindFault: a fault-injection point fired. A = the point's index in
 	// faultinject.Points(), B = the point's decision counter at the fire.
 	KindFault
@@ -108,8 +104,6 @@ func (k Kind) String() string {
 		return "batch_item"
 	case KindServiceLevel:
 		return "service_level"
-	case KindBreaker:
-		return "breaker"
 	case KindFault:
 		return "fault"
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"strings"
@@ -97,70 +98,57 @@ func TestLadderDegradesAndRecoversUnderLoad(t *testing.T) {
 	}
 }
 
-// TestBreakerEndToEnd: repeated deadline-truncated searches open the app's
-// breaker (requests answer cache-only passthrough regardless of the ladder),
-// and after the cooldown a successful probe closes it again.
-func TestBreakerEndToEnd(t *testing.T) {
-	var slow atomic.Bool
-	slow.Store(true)
+// TestClientDeadlineLeavesOtherRequestsAlone: one client whose own
+// timeout_ms cuts its searches gets 504s, and nothing else. A fresh request
+// with the default deadline, single or batch, is still a full rewrite served
+// at the level its header reports.
+func TestClientDeadlineLeavesOtherRequestsAlone(t *testing.T) {
 	s, _, _ := newTestServer(t, func(c *Config) {
-		c.Degradation = DegradationConfig{
-			// Ladder effectively off (hour-long sampling); only the breaker acts.
-			SampleEvery:      time.Hour,
-			BreakerThreshold: 2,
-			BreakerCooldown:  50 * time.Millisecond,
-		}
-		c.beforeRewrite = func(string) {
-			if slow.Load() {
+		c.beforeRewrite = func(sqlText string) {
+			if strings.Contains(sqlText, "project_id") {
 				time.Sleep(5 * time.Millisecond)
 			}
 		}
 	})
 	t.Cleanup(func() { s.stopControl() })
-	br := s.breakerFor("demo")
 
-	// Each request's 1ms budget expires during the 5ms pre-rewrite stall, so
-	// the search deadline-truncates and answers 504. A request whose budget
-	// expires before it even reaches the search does not feed the breaker, so
-	// loop until the truncation streak opens it.
-	opened := false
-	for i := 0; i < 50 && !opened; i++ {
-		q := fmt.Sprintf(`{"sql": "SELECT DISTINCT id FROM labels WHERE id = %d", "timeout_ms": 1}`, i)
+	// Each marked request's 1ms budget expires during its 5ms stall, so its
+	// search deadline-truncates and answers 504.
+	for i := 0; i < 5; i++ {
+		q := fmt.Sprintf(`{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = %d", "timeout_ms": 1}`, i)
 		rec := do(s, http.MethodPost, "/v1/rewrite", q)
 		if rec.Code != http.StatusGatewayTimeout {
-			t.Fatalf("request %d: status = %d, want 504; body: %s", i, rec.Code, rec.Body)
+			t.Fatalf("marked request %d: status = %d, want 504; body: %s", i, rec.Code, rec.Body)
 		}
-		state, _ := br.snapshot()
-		opened = state == breakerOpen
-	}
-	if !opened {
-		t.Fatal("breaker never opened under repeated deadline truncations")
 	}
 
-	// While open: forced cache-only — a cache miss passes the query through
-	// unchanged with 200, even though a real search would still truncate.
-	rec := do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT DISTINCT id FROM labels WHERE id = 777777", "timeout_ms": 1}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("forced cache-only status = %d, want 200; body: %s", rec.Code, rec.Body)
+	type answer struct {
+		Output  string            `json:"output"`
+		Applied []json.RawMessage `json:"applied"`
+		Mode    string            `json:"mode"`
 	}
-	if !strings.Contains(rec.Body.String(), `"mode":"cache_only"`) {
-		t.Errorf("forced answer not marked cache_only: %s", rec.Body)
+	check := func(what string, a answer, want string) {
+		t.Helper()
+		if a.Mode != "" || len(a.Applied) == 0 || a.Output != want {
+			t.Errorf("%s: mode %q, %d rules applied, output %q; want a full rewrite", what, a.Mode, len(a.Applied), a.Output)
+		}
 	}
+	rec := do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT DISTINCT id FROM labels WHERE id = 4242"}`)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-WeTune-Service-Level") != "full" {
+		t.Fatalf("fresh request: status = %d, service level %q; body: %s", rec.Code, rec.Header().Get("X-WeTune-Service-Level"), rec.Body)
+	}
+	var single answer
+	if err := json.Unmarshal(rec.Body.Bytes(), &single); err != nil {
+		t.Fatal(err)
+	}
+	check("single", single, "SELECT labels.id FROM labels WHERE labels.id = 4242")
 
-	// After the cooldown a healthy probe closes the breaker and full-effort
-	// service resumes.
-	slow.Store(false)
-	time.Sleep(60 * time.Millisecond)
-	rec = do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT DISTINCT id FROM labels WHERE id = 888888"}`)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("probe status = %d; body: %s", rec.Code, rec.Body)
+	rec = do(s, http.MethodPost, "/v1/rewrite", `{"queries": [{"sql": "SELECT DISTINCT id FROM labels WHERE id = 4243"}]}`)
+	var batch struct{ Results []answer }
+	if err := json.Unmarshal(rec.Body.Bytes(), &batch); err != nil || len(batch.Results) != 1 {
+		t.Fatalf("batch: %v; body: %s", err, rec.Body)
 	}
-	if state, _ := br.snapshot(); state != breakerClosed {
-		t.Fatalf("breaker state = %d after healthy probe, want closed", state)
-	}
-	if strings.Contains(rec.Body.String(), `"mode":"cache_only"`) {
-		t.Error("probe was served cache-only; it must run a real search")
-	}
+	check("batch item", batch.Results[0], "SELECT labels.id FROM labels WHERE labels.id = 4243")
 }
 
 // TestChaosAllFaultPoints is the -race soak: every registered serving-path

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -30,7 +29,7 @@ const (
 // controller with production defaults; set Disabled to serve every request at
 // LevelFull unconditionally.
 type DegradationConfig struct {
-	// Disabled turns the controller (and the per-app circuit breakers) off.
+	// Disabled turns the controller off.
 	Disabled bool
 	// SampleEvery is the controller's sampling period (default 100ms). Each
 	// tick samples the rewrite-latency p99 over the tick.
@@ -48,12 +47,6 @@ type DegradationConfig struct {
 	// LowP99: a sample is cool when the windowed p99 is at or below this
 	// (default RequestTimeout/16).
 	LowP99 time.Duration
-	// BreakerThreshold opens an app's circuit breaker after this many
-	// consecutive deadline-truncated searches (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker forces cache-only answers
-	// before letting one probe request try a real search (default 5s).
-	BreakerCooldown time.Duration
 }
 
 func (c DegradationConfig) withDefaults(reqTimeout time.Duration) DegradationConfig {
@@ -71,12 +64,6 @@ func (c DegradationConfig) withDefaults(reqTimeout time.Duration) DegradationCon
 	}
 	if c.LowP99 <= 0 {
 		c.LowP99 = reqTimeout / 16
-	}
-	if c.BreakerThreshold <= 0 {
-		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 5 * time.Second
 	}
 	return c
 }
@@ -146,130 +133,6 @@ func (l *ladder) step(from, to ServiceLevel) {
 	l.jnl.Record(journal.KindServiceLevel, -1, int64(from), int64(to))
 }
 
-// Circuit breaker states (also the journal.KindBreaker payload encoding).
-const (
-	breakerClosed int64 = iota
-	breakerOpen
-	breakerHalfOpen
-)
-
-// breaker is one app's deadline-truncation circuit breaker. Repeated
-// deadline-truncated searches mean this app's working set currently cannot be
-// searched within the request budget — burning a worker slot per request to
-// prove that again is pure waste. The breaker opens after BreakerThreshold
-// consecutive truncations and forces the app's requests to cache-only; after
-// BreakerCooldown one probe request runs a real search, closing the breaker
-// on success and re-opening it on another truncation (open → half-open →
-// closed/open).
-//
-// Only requests that actually ran a search feed the breaker: cache hits and
-// parse failures say nothing about search health, so they neither extend nor
-// reset the truncation streak.
-type breaker struct {
-	mu       sync.Mutex
-	state    int64
-	consec   int       // consecutive deadline truncations while closed
-	openedAt time.Time // when state last became open
-	probing  bool      // a half-open probe is in flight
-
-	threshold int
-	cooldown  time.Duration
-
-	openedC, closedC *obs.Counter
-	openG            *obs.Gauge
-	jnl              *journal.Journal
-}
-
-func newBreaker(cfg DegradationConfig, reg *obs.Registry, jnl *journal.Journal) *breaker {
-	// openG counts breakers currently not closed: +1 on closed→open, -1 on
-	// half-open→closed; open↔half-open transitions leave it alone.
-	return &breaker{
-		threshold: cfg.BreakerThreshold,
-		cooldown:  cfg.BreakerCooldown,
-		openedC:   reg.Counter("server_breaker_opened"),
-		closedC:   reg.Counter("server_breaker_closed"),
-		openG:     reg.Gauge("server_breaker_open"),
-		jnl:       jnl,
-	}
-}
-
-// admit decides how the breaker treats one incoming request. forced means the
-// request must be served cache-only; probe marks the single half-open trial
-// request whose outcome decides the breaker's fate (the caller must report it
-// via observe even on error paths, or the breaker wedges half-open).
-func (b *breaker) admit(now time.Time) (forced, probe bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return false, false
-	case breakerOpen:
-		if now.Sub(b.openedAt) < b.cooldown {
-			return true, false
-		}
-		b.setState(breakerHalfOpen)
-		b.probing = true
-		return false, true
-	default: // half-open: one probe at a time
-		if b.probing {
-			return true, false
-		}
-		b.probing = true
-		return false, true
-	}
-}
-
-// observe reports a search outcome. Callers must only report requests that
-// ran a real search (not cache hits, not forced cache-only answers), except
-// that a probe must always be reported to release the probe slot.
-func (b *breaker) observe(deadlineTrunc, probe bool, now time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if probe {
-		b.probing = false
-		if deadlineTrunc {
-			b.openedAt = now
-			b.openedC.Inc() // re-open; the gauge already counts this breaker
-			b.setState(breakerOpen)
-		} else {
-			b.consec = 0
-			b.closedC.Inc()
-			b.openG.Add(-1)
-			b.setState(breakerClosed)
-		}
-		return
-	}
-	if b.state != breakerClosed {
-		// A non-probe search raced the breaker opening; its outcome is stale.
-		return
-	}
-	if !deadlineTrunc {
-		b.consec = 0
-		return
-	}
-	b.consec++
-	if b.consec >= b.threshold {
-		b.openedAt = now
-		b.openedC.Inc()
-		b.openG.Add(1)
-		b.setState(breakerOpen)
-	}
-}
-
-// setState records the transition (callers hold mu and have already adjusted
-// the counters the transition implies).
-func (b *breaker) setState(to int64) {
-	b.state = to
-	b.jnl.Record(journal.KindBreaker, -1, to, int64(b.consec))
-}
-
-// snapshot returns the state for tests.
-func (b *breaker) snapshot() (state int64, consec int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state, b.consec
-}
-
 // controlLoop is the load controller goroutine: every SampleEvery it feeds
 // the ladder the rewrite p99 over the tick (bucket-count deltas of the
 // cumulative latency histogram, ranked by obs.CountsQuantile). It exits when
@@ -314,20 +177,4 @@ func (s *Server) CurrentServiceLevel() ServiceLevel {
 		return LevelFull
 	}
 	return s.lad.current()
-}
-
-// breakerFor returns the app's breaker, creating it on first use (nil when
-// degradation is disabled).
-func (s *Server) breakerFor(app string) *breaker {
-	if s.lad == nil {
-		return nil
-	}
-	s.brkMu.Lock()
-	defer s.brkMu.Unlock()
-	b, ok := s.breakers[app]
-	if !ok {
-		b = newBreaker(s.cfg.Degradation, s.cfg.Registry, s.cfg.Journal)
-		s.breakers[app] = b
-	}
-	return b
 }

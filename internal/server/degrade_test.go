@@ -165,159 +165,8 @@ func TestClosedLoopLoadIsServedAtFull(t *testing.T) {
 	}
 }
 
-// breakerHarness builds a breaker with threshold 3 and a 1-minute cooldown
-// over an isolated registry, plus a fixed time base for deterministic clocks.
-func breakerHarness(t *testing.T) (*breaker, *obs.Registry, time.Time) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	cfg := DegradationConfig{BreakerThreshold: 3, BreakerCooldown: time.Minute}.withDefaults(time.Second)
-	return newBreaker(cfg, reg, journal.New(1<<8)), reg, time.Unix(1000, 0)
-}
-
-// TestBreakerOpensAfterConsecutiveTruncations: the streak must be unbroken —
-// one success resets it — and crossing the threshold opens the breaker and
-// moves the gauge.
-func TestBreakerOpensAfterConsecutiveTruncations(t *testing.T) {
-	b, reg, t0 := breakerHarness(t)
-	if forced, probe := b.admit(t0); forced || probe {
-		t.Fatal("closed breaker must admit normally")
-	}
-	b.observe(true, false, t0)
-	b.observe(true, false, t0)
-	b.observe(false, false, t0) // success resets the streak
-	b.observe(true, false, t0)
-	b.observe(true, false, t0)
-	if state, consec := b.snapshot(); state != breakerClosed || consec != 2 {
-		t.Fatalf("state = %d consec = %d, want closed/2 (streak must have reset)", state, consec)
-	}
-	b.observe(true, false, t0)
-	if state, _ := b.snapshot(); state != breakerOpen {
-		t.Fatalf("state = %d, want open after 3 consecutive truncations", state)
-	}
-	if got := reg.Counter("server_breaker_opened").Value(); got != 1 {
-		t.Errorf("server_breaker_opened = %d, want 1", got)
-	}
-	if got := reg.Gauge("server_breaker_open").Value(); got != 1 {
-		t.Errorf("server_breaker_open gauge = %d, want 1", got)
-	}
-}
-
-// openBreaker drives b to open with three truncations at t0.
-func openBreaker(t *testing.T, b *breaker, t0 time.Time) {
-	t.Helper()
-	for i := 0; i < 3; i++ {
-		b.observe(true, false, t0)
-	}
-	if state, _ := b.snapshot(); state != breakerOpen {
-		t.Fatalf("breaker did not open")
-	}
-}
-
-// TestBreakerForcesCacheOnlyDuringCooldown: while open and within cooldown,
-// every request is forced; the first admit past the cooldown becomes the
-// half-open probe and concurrent requests stay forced.
-func TestBreakerForcesCacheOnlyDuringCooldown(t *testing.T) {
-	b, _, t0 := breakerHarness(t)
-	openBreaker(t, b, t0)
-	if forced, probe := b.admit(t0.Add(30 * time.Second)); !forced || probe {
-		t.Errorf("admit within cooldown = (%v, %v), want forced", forced, probe)
-	}
-	if forced, probe := b.admit(t0.Add(time.Minute)); forced || !probe {
-		t.Errorf("admit after cooldown = (%v, %v), want probe", forced, probe)
-	}
-	if state, _ := b.snapshot(); state != breakerHalfOpen {
-		t.Errorf("state after probe admit = %d, want half-open", state)
-	}
-	// One probe at a time: a second request while the probe is in flight is
-	// still forced.
-	if forced, probe := b.admit(t0.Add(61 * time.Second)); !forced || probe {
-		t.Errorf("admit during probe = (%v, %v), want forced", forced, probe)
-	}
-}
-
-// TestBreakerProbeOutcome: a successful probe closes the breaker (gauge back
-// to zero, streak cleared); a truncated probe re-opens it and restarts the
-// cooldown from the probe's time.
-func TestBreakerProbeOutcome(t *testing.T) {
-	t.Run("success closes", func(t *testing.T) {
-		b, reg, t0 := breakerHarness(t)
-		openBreaker(t, b, t0)
-		tProbe := t0.Add(time.Minute)
-		if _, probe := b.admit(tProbe); !probe {
-			t.Fatal("expected the probe slot")
-		}
-		b.observe(false, true, tProbe)
-		if state, consec := b.snapshot(); state != breakerClosed || consec != 0 {
-			t.Errorf("state = %d consec = %d, want closed/0", state, consec)
-		}
-		if got := reg.Gauge("server_breaker_open").Value(); got != 0 {
-			t.Errorf("server_breaker_open gauge = %d, want 0", got)
-		}
-		if got := reg.Counter("server_breaker_closed").Value(); got != 1 {
-			t.Errorf("server_breaker_closed = %d, want 1", got)
-		}
-	})
-	t.Run("truncation re-opens", func(t *testing.T) {
-		b, reg, t0 := breakerHarness(t)
-		openBreaker(t, b, t0)
-		tProbe := t0.Add(time.Minute)
-		if _, probe := b.admit(tProbe); !probe {
-			t.Fatal("expected the probe slot")
-		}
-		b.observe(true, true, tProbe)
-		if state, _ := b.snapshot(); state != breakerOpen {
-			t.Errorf("state = %d, want re-opened", state)
-		}
-		// The cooldown restarts at the failed probe, not the original open.
-		if forced, probe := b.admit(tProbe.Add(30 * time.Second)); !forced || probe {
-			t.Errorf("admit mid-second-cooldown = (%v, %v), want forced", forced, probe)
-		}
-		if forced, probe := b.admit(tProbe.Add(time.Minute)); forced || !probe {
-			t.Errorf("admit after second cooldown = (%v, %v), want a new probe", forced, probe)
-		}
-		// The gauge still counts this breaker exactly once across
-		// open → half-open → open.
-		if got := reg.Gauge("server_breaker_open").Value(); got != 1 {
-			t.Errorf("server_breaker_open gauge = %d, want 1", got)
-		}
-	})
-}
-
-// TestBreakerIgnoresStaleOutcomes: a non-probe search that raced the breaker
-// opening must not disturb the open state or the streak.
-func TestBreakerIgnoresStaleOutcomes(t *testing.T) {
-	b, _, t0 := breakerHarness(t)
-	openBreaker(t, b, t0)
-	b.observe(true, false, t0)  // stale truncation
-	b.observe(false, false, t0) // stale success
-	if state, _ := b.snapshot(); state != breakerOpen {
-		t.Errorf("state = %d, want still open after stale outcomes", state)
-	}
-	if forced, _ := b.admit(t0.Add(time.Second)); !forced {
-		t.Error("stale outcomes must not close an open breaker")
-	}
-}
-
-// TestBreakerPerApp: breakers are per-app lazily created state — opening one
-// app's breaker must not force another app's requests.
-func TestBreakerPerApp(t *testing.T) {
-	s, _, _ := newTestServer(t, func(c *Config) {
-		c.Degradation.BreakerThreshold = 3
-	})
-	t.Cleanup(func() { s.stopControl() })
-	a, b := s.breakerFor("demo"), s.breakerFor("demo")
-	if a != b {
-		t.Error("breakerFor returned distinct breakers for one app")
-	}
-	openBreaker(t, a, time.Unix(1000, 0))
-	other := s.breakerFor("other-app")
-	if forced, _ := other.admit(time.Unix(1000, 0)); forced {
-		t.Error("another app's breaker opened by proxy")
-	}
-}
-
-// TestDegradationDisabled: with the controller off, the level pins to full
-// and no breakers exist.
+// TestDegradationDisabled: with the controller off, the level pins to full,
+// no controller goroutine runs, and requests are served at full.
 func TestDegradationDisabled(t *testing.T) {
 	s, _, _ := newTestServer(t, func(c *Config) {
 		c.Degradation.Disabled = true
@@ -325,7 +174,11 @@ func TestDegradationDisabled(t *testing.T) {
 	if got := s.CurrentServiceLevel(); got != LevelFull {
 		t.Errorf("CurrentServiceLevel = %v, want full", got)
 	}
-	if s.breakerFor("demo") != nil {
-		t.Error("breakerFor should be nil with degradation disabled")
+	if s.lad != nil || s.ctrlStop != nil {
+		t.Error("a disabled controller must build no ladder and start no goroutine")
+	}
+	rec := do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT DISTINCT id FROM labels"}`)
+	if got := rec.Header().Get("X-WeTune-Service-Level"); rec.Code != http.StatusOK || got != "full" {
+		t.Errorf("status = %d, service-level header = %q, want 200 and full", rec.Code, got)
 	}
 }

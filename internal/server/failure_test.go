@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -133,6 +134,33 @@ func TestDeadlineDuringSearch504(t *testing.T) {
 	}
 	if res.Output == "" {
 		t.Error("a deadline-truncated rewrite must still return the best SQL found")
+	}
+}
+
+// TestHugeTimeoutMSKeepsServerTimeout: timeout_ms may lower the server's
+// timeout, never raise it, and no value may overflow into a deadline in the
+// past. From 9,223,372,036,855 ms up, timeout_ms × 1ms no longer fits in a
+// time.Duration; each row must still be a full rewrite on both endpoints.
+func TestHugeTimeoutMSKeepsServerTimeout(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	t.Cleanup(func() { s.stopControl() })
+	for i, ms := range []int64{1000, 9223372036854, 9223372036855, math.MaxInt64} {
+		for _, path := range []string{"/v1/rewrite", "/v1/explain"} {
+			body := fmt.Sprintf(`{"sql": "SELECT DISTINCT id FROM labels WHERE id = %d", "timeout_ms": %d}`, 5000+i, ms)
+			rec := do(s, http.MethodPost, path, body)
+			var res struct {
+				Output  string            `json:"output"`
+				Applied []json.RawMessage `json:"applied"`
+				Mode    string            `json:"mode"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &res); err != nil {
+				t.Fatalf("%s timeout_ms %d: %v; body: %s", path, ms, err, rec.Body)
+			}
+			want := fmt.Sprintf("SELECT labels.id FROM labels WHERE labels.id = %d", 5000+i)
+			if rec.Code != http.StatusOK || res.Mode != "" || len(res.Applied) == 0 || res.Output != want {
+				t.Errorf("%s timeout_ms %d: status %d, mode %q, output %q; want 200 and %q", path, ms, rec.Code, res.Mode, res.Output, want)
+			}
+		}
 	}
 }
 

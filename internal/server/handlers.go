@@ -235,15 +235,15 @@ func (s *Server) resolveApp(app string) resolvedApp {
 }
 
 // deadline is the request's deadline: the server timeout from now, lowered by
-// the request's timeout_ms when given. It is a value, not a context: the
-// search reads it as a budget, and a worker wait arms a timer on it only when
-// it has to wait (the client context's cancellation ends that wait too).
+// the request's timeout_ms when given. timeout_ms is compared in milliseconds
+// before it is converted, so a huge value cannot overflow into a deadline in
+// the past. It is a value, not a context: the search reads it as a budget,
+// and a worker wait arms a timer on it only when it has to wait (the client
+// context's cancellation ends that wait too).
 func (s *Server) deadline(timeoutMS int64) time.Time {
 	timeout := s.cfg.RequestTimeout
-	if timeoutMS > 0 {
-		if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
-			timeout = d
-		}
+	if timeoutMS > 0 && timeoutMS <= timeout.Milliseconds() {
+		timeout = time.Duration(timeoutMS) * time.Millisecond
 	}
 	return time.Now().Add(timeout)
 }
@@ -304,7 +304,7 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.beforeRewrite != nil {
 		s.cfg.beforeRewrite(req.SQL)
 	}
-	res, err := s.rewriteOne(deadline, rz, req.SQL, level)
+	res, err := rz.opt.OptimizeSQLResultMode(deadline, req.SQL, level)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, sqlErr(err))
 		return
@@ -372,35 +372,6 @@ type resolvedApp struct {
 	err *apiError
 }
 
-// rewriteOne runs one query at the given ladder level, filtered through the
-// app's circuit breaker: an open breaker forces the query to cache-only
-// regardless of the ladder, and a half-open breaker's probe outcome decides
-// whether it closes. Only outcomes of real searches feed the breaker — cache
-// hits and parse failures say nothing about search health — except that a
-// probe is always reported (the probe slot must be released; a probe answered
-// from cache counts as a success and closes the breaker, letting the next
-// miss re-open it if searches still truncate).
-func (s *Server) rewriteOne(deadline time.Time, rz resolvedApp, sqlText string, level ServiceLevel) (*wetune.RewriteResult, error) {
-	br := s.breakerFor(rz.app)
-	var probe bool
-	if br != nil {
-		forced, p := br.admit(time.Now())
-		probe = p
-		if forced {
-			level = LevelCacheOnly
-		}
-	}
-	res, err := rz.opt.OptimizeSQLResultMode(deadline, sqlText, level)
-	if br != nil {
-		searched := err == nil && !res.Cached && level != LevelCacheOnly
-		trunc := searched && res.Stats.TruncatedBy == "deadline"
-		if probe || searched {
-			br.observe(trunc, probe, time.Now())
-		}
-	}
-	return res, err
-}
-
 // runBatchItem executes one batch item inside a fan-out lane: wait for an
 // execution token (charged against the request deadline, with the wait
 // recorded per item), rewrite, and write the result into the item's slot. A
@@ -449,7 +420,7 @@ func (s *Server) runBatchItem(ctx context.Context, deadline time.Time, i int, q 
 	if s.cfg.beforeRewrite != nil {
 		s.cfg.beforeRewrite(q.SQL)
 	}
-	res, err := s.rewriteOne(deadline, rz, q.SQL, level)
+	res, err := rz.opt.OptimizeSQLResultMode(deadline, q.SQL, level)
 	if err != nil {
 		results[i] = batchItem{App: rz.app, Error: ptr(sqlErr(err))}
 		errCount.Add(1)

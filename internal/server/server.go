@@ -80,8 +80,8 @@ type Config struct {
 	Registry *obs.Registry
 	// Journal receives anomaly events (default journal.Default).
 	Journal *journal.Journal
-	// Degradation tunes the overload ladder and per-app circuit breakers
-	// (see DegradationConfig; the zero value enables them with defaults).
+	// Degradation tunes the overload ladder (see DegradationConfig; the zero
+	// value enables it with defaults).
 	Degradation DegradationConfig
 
 	// beforeRewrite, when set, runs inside the worker slot before each
@@ -140,13 +140,11 @@ type Server struct {
 	batchWait      *obs.Histogram
 
 	// Degradation ladder (nil when Config.Degradation.Disabled) plus its
-	// controller goroutine's lifecycle, and the per-app circuit breakers.
+	// controller goroutine's lifecycle.
 	lad      *ladder
 	ctrlStop chan struct{}
 	ctrlDone chan struct{}
 	ctrlOnce sync.Once
-	brkMu    sync.Mutex
-	breakers map[string]*breaker
 
 	// drainMu serializes the draining flip against in-flight registration:
 	// requests take the read side to check-and-register, Shutdown takes the
@@ -221,7 +219,6 @@ func New(cfg Config) (*Server, error) {
 
 	if !cfg.Degradation.Disabled {
 		s.lad = newLadder(cfg.Degradation, cfg.Registry, cfg.Journal)
-		s.breakers = make(map[string]*breaker, len(cfg.Schemas))
 		s.ctrlStop = make(chan struct{})
 		s.ctrlDone = make(chan struct{})
 		go s.controlLoop()
