@@ -3,8 +3,10 @@ package difftest
 import (
 	"testing"
 
+	"wetune/internal/constraint"
 	"wetune/internal/obs"
 	"wetune/internal/rules"
+	"wetune/internal/template"
 )
 
 // TestCheckRuleAcceptsDiscoveredRules cross-checks every rule in the shipped
@@ -31,20 +33,69 @@ func TestCheckRuleAcceptsDiscoveredRules(t *testing.T) {
 	t.Logf("cross-check: %d agreed, %d skipped", agreed, skipped)
 }
 
-// TestCheckRuleCatchesBrokenTemplateRule feeds the crosscheck an unsound
-// template pair and requires a Mismatched verdict plus counter movement.
+// TestCheckRuleCatchesBrokenTemplateRule feeds the crosscheck unsound
+// template rules, which must come back Mismatched with an explanation and
+// counter movement, and sound ones, which must come back Agreed. The engine
+// is the only refuter of a rule the verifier rejects, so these are its
+// negative and positive controls.
 func TestCheckRuleCatchesBrokenTemplateRule(t *testing.T) {
+	r := func(id int) template.Sym { return template.Sym{Kind: template.KRel, ID: id} }
+	a := func(id int) template.Sym { return template.Sym{Kind: template.KAttrs, ID: id} }
+	p := func(id int) template.Sym { return template.Sym{Kind: template.KPred, ID: id} }
+	c := constraint.New
+	dedupProj := template.Dedup(template.Proj(a(0), template.Input(r(0))))
+	proj := template.Proj(a(0), template.Input(r(0)))
+	// Rule 6, LEFT JOIN to INNER JOIN, is sound only under RefAttrs.
+	ljoin := template.Join(template.OpLJoin, a(0), a(1), template.Input(r(0)), template.Input(r(1)))
+	ijoin := template.Join(template.OpIJoin, a(2), a(3), template.Input(r(2)), template.Input(r(3)))
 	br := brokenRule()
-	before := obs.Default().Counter("difftest.mismatched").Value()
-	res, detail := CheckRule(br.Src, br.Dest, br.Constraints, 42)
-	if res != Mismatched {
-		t.Fatalf("broken rule passed cross-check: %v (%s)", res, detail)
+	cases := []struct {
+		name      string
+		src, dest *template.Node
+		cs        *constraint.Set
+		want      CheckResult
+	}{
+		{"drop selection under SubAttrs", br.Src, br.Dest, br.Constraints, Mismatched},
+		{"drop selection", template.Sel(p(0), a(0), template.Input(r(0))), template.Input(r(0)),
+			constraint.NewSet(), Mismatched},
+		{"Dedup of Proj without Unique", dedupProj, proj, constraint.NewSet(), Mismatched},
+		{"Dedup of Proj with Unique", dedupProj, proj, constraint.NewSet(c(constraint.Unique, r(0), a(0))), Agreed},
+		{"Figure 2",
+			template.InSub(a(0), template.InSub(a(0), template.Input(r(0)), template.Input(r(1))), template.Input(r(2))),
+			template.InSub(a(1), template.Input(r(3)), template.Input(r(4))),
+			constraint.NewSet(
+				c(constraint.RelEq, r(1), r(2)),
+				c(constraint.RelEq, r(1), r(4)),
+				c(constraint.RelEq, r(0), r(3)),
+				c(constraint.AttrsEq, a(0), a(1)),
+				c(constraint.SubAttrs, a(0), template.AttrsOf(r(0))),
+			), Agreed},
+		{"rule 6 without RefAttrs", ljoin, ijoin,
+			constraint.NewSet(
+				c(constraint.RelEq, r(0), r(2)),
+				c(constraint.RelEq, r(1), r(3)),
+				c(constraint.AttrsEq, a(0), a(2)),
+				c(constraint.AttrsEq, a(1), a(3)),
+				c(constraint.NotNull, r(0), a(0)),
+			), Mismatched},
 	}
-	if got := obs.Default().Counter("difftest.mismatched").Value(); got != before+1 {
-		t.Fatalf("difftest.mismatched counter not incremented: %d -> %d", before, got)
-	}
-	if detail == "" {
-		t.Fatal("expected a diff explanation")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			before := obs.Default().Counter("difftest.mismatched").Value()
+			res, detail := CheckRule(tc.src, tc.dest, tc.cs, 42)
+			if res != tc.want {
+				t.Fatalf("CheckRule = %v, want %v (%s)", res, tc.want, detail)
+			}
+			if tc.want != Mismatched {
+				return
+			}
+			if got := obs.Default().Counter("difftest.mismatched").Value(); got != before+1 {
+				t.Fatalf("difftest.mismatched counter not incremented: %d -> %d", before, got)
+			}
+			if detail == "" {
+				t.Fatal("expected a diff explanation")
+			}
+		})
 	}
 }
 

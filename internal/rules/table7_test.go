@@ -45,10 +45,6 @@ func TestExtraRulesVerify(t *testing.T) {
 		if rep.Outcome != verify.Verified {
 			t.Errorf("extra rule %d (%s) not verified: %v (%s)", r.No, r.Name, rep.Outcome, rep.Detail)
 		}
-		// And refutation must not find a counterexample.
-		if found, witness := verify.Refute(r.Src, r.Dest, r.Constraints, verify.DefaultRefuteOptions()); found {
-			t.Errorf("extra rule %d refuted: %s", r.No, witness)
-		}
 	}
 	if len(All()) != len(Table7())+len(Extra()) {
 		t.Error("All() must combine Table7 and Extra")
@@ -133,9 +129,9 @@ func TestVerifierCoverage(t *testing.T) {
 
 // TestWeakenedRulesNeverVerify drops the integrity constraints from each
 // rule that has them; the weakened rules must never verify (soundness
-// negative controls), and the finite-model search should refute most.
+// negative controls).
 func TestWeakenedRulesNeverVerify(t *testing.T) {
-	weakened, refuted := 0, 0
+	weakened := 0
 	for _, r := range All() {
 		if r.Verifier == "S" {
 			continue // built-in verifier does not cover these anyway
@@ -165,14 +161,11 @@ func TestWeakenedRulesNeverVerify(t *testing.T) {
 		if rep.Outcome == verify.Verified && !axiomCarried[r.No] {
 			t.Errorf("rule %d (%s) verifies WITHOUT its integrity constraints", r.No, r.Name)
 		}
-		if found, _ := verify.Refute(r.Src, r.Dest, stripped, verify.RefuteOptions{Trials: 800, Atoms: 2, Seed: int64(r.No)}); found {
-			refuted++
-		}
 	}
 	if weakened == 0 {
 		t.Fatal("no IC-dependent rules found")
 	}
-	t.Logf("weakened %d IC-dependent rules: 0 verified, %d refuted by finite models", weakened, refuted)
+	t.Logf("weakened %d IC-dependent rules", weakened)
 }
 
 // TestConstraintsAreMinimalish spot-checks that the curated constraint sets

@@ -17,12 +17,12 @@ import (
 // be added to the sort's switch in traverse.go (mapTuple, mapper.factor or
 // mapper.expr), to the printer (renderer.tuple, bool and factor), norm
 // or tupleScope, and to the semantic consumers outside this package:
-// fol.trFactor and boolToFormula, the evaluator in verify/counterexample.go,
-// smt's grounding walks and intern's constructors. A new tuple kind also
-// needs its case in sameTuple, the normalizer's one tuple identity, and a
-// decision in the congruence rewrite's occurs check (occursUnderConcat):
-// whether rewriting a member into a representative that holds it beneath
-// the new kind can grow without end, as beneath a concatenation it does.
+// fol.trFactor and boolToFormula, smt's grounding walks and intern's
+// constructors. A new tuple kind also needs its case in sameTuple, the
+// normalizer's one tuple identity, and a decision in the congruence
+// rewrite's occurs check (occursUnderConcat): whether rewriting a member
+// into a representative that holds it beneath the new kind can grow without
+// end, as beneath a concatenation it does.
 
 // Tuple is a tuple-sorted term.
 type Tuple interface {

@@ -10,9 +10,9 @@
 //     5.1/5.2) and the negated implication is checked for UNSAT with the
 //     mini SMT solver.
 //
-// Like the paper, anything not proven is conservatively rejected; a separate
-// finite-model search can positively refute incorrect rules (used by the
-// §5.1.2 timeout study).
+// Like the paper, anything not proven is conservatively rejected. Whether a
+// rejected rule is actually wrong is decided by running it: see
+// internal/difftest's CheckRule.
 package verify
 
 import (
@@ -36,8 +36,6 @@ const (
 	Verified Outcome = iota
 	// Rejected: not proven (treated as incorrect, like the paper's timeout).
 	Rejected
-	// Refuted: a concrete counterexample witnesses incorrectness.
-	Refuted
 	// Unsupported: the templates use operators the built-in verifier cannot
 	// model (Agg/Union, Table 6).
 	Unsupported
@@ -49,8 +47,6 @@ func (o Outcome) String() string {
 		return "verified"
 	case Rejected:
 		return "rejected"
-	case Refuted:
-		return "refuted"
 	case Unsupported:
 		return "unsupported"
 	}

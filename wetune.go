@@ -418,7 +418,8 @@ const (
 	Verified VerifyOutcome = iota
 	// Rejected: not proven (conservatively treated as incorrect).
 	Rejected
-	// Refuted: a finite counterexample witnesses incorrectness.
+	// Refuted: executing the rule on a populated database gave different
+	// results on its two sides.
 	Refuted
 	// Unsupported: operators outside the built-in verifier's scope.
 	Unsupported
@@ -438,9 +439,15 @@ func (o VerifyOutcome) String() string {
 	return "?"
 }
 
+// defaultCheckSeed seeds the engine's data when VerifyRule refutes a rule and
+// when Discover cross-checks one without an explicit CrossCheckSeed.
+const defaultCheckSeed = 1
+
 // VerifyRule checks a rule with the built-in verifier (§5.1): symbol
 // unification, U-expression normalization under constraint lemmas, then a
-// FOL translation decided by the bundled mini SMT solver.
+// FOL translation decided by the bundled mini SMT solver. A rule it does not
+// prove is Refuted only when internal/difftest's CheckRule finds its two sides
+// returning different bags on a populated database; otherwise it is Rejected.
 func VerifyRule(r Rule) VerifyOutcome {
 	rep := verify.Verify(r.Src, r.Dest, r.Constraints)
 	switch rep.Outcome {
@@ -449,7 +456,7 @@ func VerifyRule(r Rule) VerifyOutcome {
 	case verify.Unsupported:
 		return Unsupported
 	}
-	if found, _ := verify.Refute(r.Src, r.Dest, r.Constraints, verify.DefaultRefuteOptions()); found {
+	if res, _ := difftest.CheckRule(r.Src, r.Dest, r.Constraints, defaultCheckSeed); res == difftest.Mismatched {
 		return Refuted
 	}
 	return Rejected
@@ -605,7 +612,7 @@ func Discover(opts DiscoveryOptions) *DiscoveryResult {
 	if opts.CrossCheck {
 		seed := opts.CrossCheckSeed
 		if seed == 0 {
-			seed = 1
+			seed = defaultCheckSeed
 		}
 		popts.CrossCheck = func(cctx context.Context, r pipeline.Rule) bool {
 			if cctx.Err() != nil {

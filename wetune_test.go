@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"wetune/internal/constraint"
+	"wetune/internal/template"
 )
 
 func demoSchema(t *testing.T) *Schema {
@@ -75,13 +78,32 @@ func TestOptimizerJoinElimination(t *testing.T) {
 }
 
 func TestVerifyRuleAPI(t *testing.T) {
-	for _, r := range Table7Rules() {
-		if r.Verifier == "S" {
-			continue // built-in verifier does not cover SPES-only rules
-		}
-		if got := VerifyRule(r); got != Verified && r.No != 25 {
+	for _, r := range BuiltinRules() {
+		got := VerifyRule(r)
+		switch {
+		case got == Refuted:
+			t.Errorf("library rule %d (%s) refuted", r.No, r.Name)
+		case r.No == 25:
+			// Neither verifier proves rule 25 and the engine agrees with it.
+			if got != Rejected {
+				t.Errorf("rule 25: %v, want %v", got, Rejected)
+			}
+		case r.Verifier == "S":
+			// The built-in verifier does not cover SPES-only rules.
+		case got != Verified:
 			t.Errorf("rule %d: %v", r.No, got)
 		}
+	}
+	// Sel_p(r) => r is wrong, and the engine shows it.
+	r0 := template.Sym{Kind: template.KRel, ID: 0}
+	dropSel := Rule{
+		Name:        "drop-selection",
+		Src:         template.Sel(template.Sym{Kind: template.KPred, ID: 0}, template.Sym{Kind: template.KAttrs, ID: 0}, template.Input(r0)),
+		Dest:        template.Input(r0),
+		Constraints: constraint.NewSet(),
+	}
+	if got := VerifyRule(dropSel); got != Refuted {
+		t.Errorf("Sel_p(r) => r: %v, want %v", got, Refuted)
 	}
 }
 
