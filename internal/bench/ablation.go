@@ -68,9 +68,10 @@ func AblationVerifierPaths() *Report {
 	algOK, algT := run(algOpts)
 	smtOK, smtT := run(smtOpts)
 	bothOK, bothT := run(bothOpts)
-	r.Printf("algebraic only: %2d/35 in %v", algOK, algT)
-	r.Printf("SMT only:       %2d/35 in %v", smtOK, smtT)
-	r.Printf("combined:       %2d/35 in %v", bothOK, bothT)
+	n := len(rules.Table7())
+	r.Printf("algebraic only: %2d/%d in %v", algOK, n, algT)
+	r.Printf("SMT only:       %2d/%d in %v", smtOK, n, smtT)
+	r.Printf("combined:       %2d/%d in %v", bothOK, n, bothT)
 	r.Metric("algebraic", float64(algOK))
 	r.Metric("smt", float64(smtOK))
 	r.Metric("combined", float64(bothOK))

@@ -106,7 +106,7 @@ func TestRewriteGolden(t *testing.T) {
 		`"applied":[{"rule":2,"name":"dedup-unique-proj"}],` +
 		`"cost_before":2,"cost_after":1,` +
 		`"stats":{"nodes_explored":2,"candidates":1,"memo_hits":0,` +
-		`"rule_attempts":1,"rule_matches":1,"index_pruned":156,"shape_pruned":33,` +
+		`"rule_attempts":1,"rule_matches":1,"index_pruned":153,"shape_pruned":31,` +
 		`"initial_size":2,"final_size":1,"initial_cost":2,"final_cost":1,` +
 		`"steps":1,"truncated":false}}` + "\n"
 	if got := rec.Body.String(); got != golden {

@@ -225,12 +225,12 @@ func size2Pairs() map[string][2]*template.Node {
 
 // size2NormalFormsSHA256 pins the normalizer's output: the canonical normal
 // forms of both sides of every closure the size-2 replay prepares and of the
-// 35 Table 7 rules. Together with the proof table (which depends on factor
+// 34 Table 7 rules. Together with the proof table (which depends on factor
 // order through the FOL formulas) it pins both canon text and factor order.
-// It was last re-recorded when Canon began to name a nested term's binders
-// after those in scope (s1 inside s0, not s0 again); no verdict, proof-table
-// row or rule changed with it.
-const size2NormalFormsSHA256 = "d406371af0e8273f7bbb78b55c31da1b4ea1b22ac831b0b63183dc1f9a8013d1"
+// It was last re-recorded when rule 25 left the library: the new value is
+// the previous hash input with its "rule 25" block removed, and no other
+// entry changed.
+const size2NormalFormsSHA256 = "19faf9c7ac6d59ebfb987bd9c0533df6bdb5871da4fc3e98050e8c76b50d1561"
 
 // eachSize2Context prepares every closure the size-2 replay probes (the same
 // PairContext.entry sequence, without the solver) and hands fn each pair's

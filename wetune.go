@@ -91,12 +91,13 @@ func ParseSchema(ddl string) (*Schema, error) { return sql.ParseDDL(ddl) }
 // MustParseSchema is ParseSchema that panics on error.
 func MustParseSchema(ddl string) *Schema { return sql.MustParseDDL(ddl) }
 
-// BuiltinRules returns the 35 useful rules of the paper's Table 7 plus the
-// extra rules this implementation's own discovery pipeline found and
-// verified.
+// BuiltinRules returns the useful rules of the paper's Table 7 that a
+// verifier proves (all but rule 25) plus the extra rules this
+// implementation's own discovery pipeline found and verified.
 func BuiltinRules() []Rule { return rules.All() }
 
-// Table7Rules returns exactly the paper's Table 7.
+// Table7Rules returns the library's rules from the paper's Table 7: 34 of
+// its 35, all but the unproved rule 25.
 func Table7Rules() []Rule { return rules.Table7() }
 
 // Optimizer rewrites queries with a rule set over a schema.
