@@ -183,7 +183,7 @@ func newFlagSet(name string) *flag.FlagSet {
 
 func cmdDiscover(args []string) int {
 	fs := newFlagSet("discover")
-	size := fs.Int("size", 2, "max template size (2 takes seconds, 3 about 5-6 s with -prover algebraic on 2 vCPUs; the paper uses 4, not measured here)")
+	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 9 s with the default -prover full and 6 s with -prover algebraic on 2 vCPUs; the paper uses 4, not measured here)")
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget (interrupts in-flight proofs)")
 	workers := fs.Int("workers", 0, "search workers (0 = GOMAXPROCS)")
 	cacheFile := fs.String("cache", "", "proof-cache file: verdicts load before and persist after, so repeated runs re-prove nothing")
@@ -241,11 +241,19 @@ func cmdDiscover(args []string) int {
 		}
 	}()
 
+	// The budget wraps the Ctrl-C context instead of replacing it, so only
+	// Ctrl-C reaches the watcher above; a run the budget ends saves its cache
+	// on the normal exit path.
+	runCtx := ctx
+	if *budget > 0 {
+		var cancel context.CancelFunc
+		runCtx, cancel = context.WithTimeout(ctx, *budget)
+		defer cancel()
+	}
 	opts := wetune.DiscoveryOptions{
 		MaxTemplateSize: *size,
-		Budget:          *budget,
 		Workers:         *workers,
-		Context:         ctx,
+		Context:         runCtx,
 		TraceSlow:       *traceSlow,
 		CrossCheck:      *crossCheck,
 	}

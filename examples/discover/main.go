@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"time"
@@ -22,9 +23,15 @@ func main() {
 
 	fmt.Printf("enumerating templates up to size %d and searching for rules (budget %v)...\n",
 		*size, *budget)
-	res := wetune.Discover(wetune.DiscoveryOptions{
+	// discover runs one pass under its own budget: the context's timeout.
+	discover := func(opts wetune.DiscoveryOptions) *wetune.DiscoveryResult {
+		ctx, cancel := context.WithTimeout(context.Background(), *budget)
+		defer cancel()
+		opts.Context = ctx
+		return wetune.Discover(opts)
+	}
+	res := discover(wetune.DiscoveryOptions{
 		MaxTemplateSize: *size,
-		Budget:          *budget,
 		Progress: func(p wetune.DiscoveryProgress) {
 			if p.Stage == "done" {
 				fmt.Printf("  stage timings: enumeration %v, total %v\n",
@@ -52,7 +59,7 @@ func main() {
 
 	// A warm re-run over the same template set reuses every verdict from the
 	// shared proof cache: same rules, no prover calls.
-	warm := wetune.Discover(wetune.DiscoveryOptions{MaxTemplateSize: *size, Budget: *budget})
+	warm := discover(wetune.DiscoveryOptions{MaxTemplateSize: *size})
 	fmt.Printf("warm re-run: %d rules, %d prover calls, %d cache hits\n",
 		len(warm.Rules), warm.ProverCalls, warm.CacheHits)
 }

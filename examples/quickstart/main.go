@@ -32,13 +32,13 @@ func main() {
 	         ) ORDER BY title ASC)`
 
 	opt := wetune.NewOptimizer(wetune.BuiltinRules(), schema)
-	rewritten, applied, err := opt.OptimizeSQL(q0)
+	res, err := opt.OptimizeSQLResult(q0)
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("original: ", q0)
-	fmt.Println("rewritten:", rewritten)
-	for _, a := range applied {
+	fmt.Println("rewritten:", res.Output)
+	for _, a := range res.Applied {
 		fmt.Printf("  applied rule %d (%s)\n", a.RuleNo, a.RuleName)
 	}
 

@@ -10,8 +10,10 @@ package wetune
 //     soundness).
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"wetune/internal/datagen"
 	"wetune/internal/difftest"
@@ -37,7 +39,7 @@ func TestIntegrationRewritesPreserveResults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s [%s]: %v", app.Name, q.Tag, err)
 			}
-			out, applied, _ := rw.Search(p, rewrite.ExploreOptions(8, 5))
+			out, applied, _ := rw.Search(p, rewrite.Options{})
 			checked++
 			if len(applied) == 0 {
 				continue
@@ -119,7 +121,9 @@ func TestIntegrationVerifiedPairsAgreeOnData(t *testing.T) {
 func TestIntegrationDiscoveredRulesPreserveResults(t *testing.T) {
 	// Discover rules, then apply each to its own probing query over random
 	// data and compare results.
-	res := Discover(DiscoveryOptions{MaxTemplateSize: 2, Budget: 30 * 1e9})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res := Discover(DiscoveryOptions{MaxTemplateSize: 2, Context: ctx})
 	if len(res.Rules) == 0 {
 		t.Skip("no rules discovered within budget")
 	}

@@ -49,64 +49,21 @@ func WorkloadsLatency(scale, queriesPerApp int, reps int) *Report {
 	if reps <= 0 {
 		reps = 3
 	}
-	type rewritten struct {
-		schemaApp workload.App
-		orig      plan.Node
-		better    plan.Node
-	}
-	// Collect the WeTune-only rewrites, spread across all 20 applications
-	// (at most 3 per app, 48 total).
-	var cands []rewritten
-	for _, app := range workload.Apps() {
-		wetune := rewrite.NewRewriter(workload.WeTuneRules(), app.Schema)
-		mssql := rewrite.NewRewriter(workload.MSSQLRules(), app.Schema)
-		perApp := 0
-		for _, q := range workload.GenerateQueries(app, queriesPerApp) {
-			p, err := plan.BuildSQL(q.SQL, app.Schema)
-			if err != nil {
-				continue
-			}
-			base := rewrite.EliminateOrderBy(p)
-			wOut, wApplied, _ := wetune.Search(p, rewrite.Options{})
-			if len(wApplied) == 0 || plan.Fingerprint(wOut) == plan.Fingerprint(base) {
-				continue
-			}
-			mOut, _, _ := mssql.Search(p, rewrite.Options{})
-			if plan.Size(mOut) <= plan.Size(wOut) {
-				continue // baseline reaches it too: not a missed rewrite
-			}
-			cands = append(cands, rewritten{schemaApp: app, orig: p, better: wOut})
-			perApp++
-			if perApp >= 3 || len(cands) >= 48 {
-				break
-			}
-		}
-		if len(cands) >= 48 {
-			break
-		}
-	}
+	cands := missedRewrites(queriesPerApp)
 	r.Printf("measuring %d baseline-missed rewrites, %d reps each", len(cands), reps)
 
 	for _, spec := range WorkloadsAD(scale) {
 		dbs := map[string]*engine.DB{}
 		var ge10, ge50, ge90, n int
 		for _, c := range cands {
-			db, ok := dbs[c.schemaApp.Name]
+			db, ok := dbs[c.app.Name]
 			if !ok {
-				db = engine.NewDB(c.schemaApp.Schema)
-				if err := datagen.Populate(db, datagen.Options{
-					Rows: spec.Rows, Dist: spec.Dist, Theta: spec.Theta, Seed: 42,
-				}); err != nil {
-					r.Printf("populate %s: %v", c.schemaApp.Name, err)
+				var err error
+				if db, err = workloadDB(c.app, spec); err != nil {
+					r.Printf("populate %s: %v", c.app.Name, err)
 					continue
 				}
-				// Secondary indexes mirror real deployments: foreign keys
-				// are always indexed, and some applications also index
-				// their hot filter columns — those are where the rewrites
-				// unlock an index access path and deliver the paper's
-				// >=90%-reduction cases.
-				indexRealistic(db, c.schemaApp)
-				dbs[c.schemaApp.Name] = db
+				dbs[c.app.Name] = db
 			}
 			origT, newT, ok := timePair(db, c.orig, c.better, reps)
 			if !ok || origT <= 0 {
@@ -136,6 +93,66 @@ func WorkloadsLatency(scale, queriesPerApp int, reps int) *Report {
 	}
 	r.Printf("paper: >=10%% for 50/17/18/30%% (A/B/C/D); >=90%% for 13-21%% on all")
 	return r
+}
+
+// missedRewrite is a query WeTune rewrites and the SQL-Server-like baseline
+// does not reach: its plan and WeTune's rewrite of it.
+type missedRewrite struct {
+	app    workload.App
+	orig   plan.Node
+	better plan.Node
+}
+
+// missedRewrites collects the baseline-missed rewrites among the first
+// queriesPerApp generated queries of each application, at most 3 per app and
+// 48 in all.
+func missedRewrites(queriesPerApp int) []missedRewrite {
+	var cands []missedRewrite
+	for _, app := range workload.Apps() {
+		wetune := rewrite.NewRewriter(workload.WeTuneRules(), app.Schema)
+		mssql := rewrite.NewRewriter(workload.MSSQLRules(), app.Schema)
+		perApp := 0
+		for _, q := range workload.GenerateQueries(app, queriesPerApp) {
+			p, err := plan.BuildSQL(q.SQL, app.Schema)
+			if err != nil {
+				continue
+			}
+			base := rewrite.EliminateOrderBy(p)
+			wOut, wApplied, _ := wetune.Search(p, rewrite.Options{})
+			if len(wApplied) == 0 || plan.Fingerprint(wOut) == plan.Fingerprint(base) {
+				continue
+			}
+			mOut, _, _ := mssql.Search(p, rewrite.Options{})
+			if plan.Size(mOut) <= plan.Size(wOut) {
+				continue // baseline reaches it too: not a missed rewrite
+			}
+			cands = append(cands, missedRewrite{app: app, orig: p, better: wOut})
+			if len(cands) >= 48 {
+				return cands
+			}
+			perApp++
+			if perApp >= 3 {
+				break
+			}
+		}
+	}
+	return cands
+}
+
+// workloadDB populates a database of app under a workload's size and
+// distribution. Secondary indexes mirror real deployments: foreign keys are
+// always indexed, and some applications also index their hot filter columns
+// — those are where the rewrites unlock an index access path and deliver the
+// paper's >=90%-reduction cases.
+func workloadDB(app workload.App, spec WorkloadSpec) (*engine.DB, error) {
+	db := engine.NewDB(app.Schema)
+	if err := datagen.Populate(db, datagen.Options{
+		Rows: spec.Rows, Dist: spec.Dist, Theta: spec.Theta, Seed: 42,
+	}); err != nil {
+		return nil, err
+	}
+	indexRealistic(db, app)
+	return db, nil
 }
 
 // indexRealistic builds hash indexes on foreign-key columns for every app,
@@ -206,7 +223,7 @@ func CaseStudy(rows int) *Report {
 	rw.DB = db
 
 	start := time.Now()
-	out, applied, _ := rw.Search(p, rewrite.ExploreOptions(12, 6))
+	out, applied, _ := rw.Search(p, rewrite.Options{})
 	rewriteTime := time.Since(start)
 
 	start = time.Now()

@@ -29,8 +29,8 @@ func Table1() *Report {
 			r.Printf("%s: plan error: %v", c.name, err)
 			continue
 		}
-		base, _, _ := existing.Search(p, rewrite.ExploreOptions(12, 6))
-		ideal, applied, _ := wetune.Search(p, rewrite.ExploreOptions(12, 6))
+		base, _, _ := existing.Search(p, rewrite.Options{})
+		ideal, applied, _ := wetune.Search(p, rewrite.Options{})
 		r.Printf("%s original:  %s", c.name, c.q)
 		r.Printf("%s existing:  %s", c.name, plan.ToSQLString(base))
 		r.Printf("%s wetune:    %s  (rules %v)", c.name, plan.ToSQLString(ideal), ruleNos(applied))
@@ -88,7 +88,7 @@ func issueFixed(rs []rules.Rule, is workload.Issue) bool {
 		return false
 	}
 	rw := rewrite.NewRewriter(rs, is.Schema)
-	out, applied, _ := rw.Search(orig, rewrite.ExploreOptions(10, 6))
+	out, applied, _ := rw.Search(orig, rewrite.Options{})
 	return len(applied) > 0 && plan.Size(out) <= plan.Size(desired)
 }
 

@@ -16,7 +16,7 @@ import (
 func TestRunPairFindsFigure2Rule(t *testing.T) {
 	src := template.InSub(asym(0), template.InSub(asym(1), template.Input(rsym(0)), template.Input(rsym(1))), template.Input(rsym(2)))
 	dest := template.InSub(asym(2), template.Input(rsym(3)), template.Input(rsym(4)))
-	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 2000, MaxConstraints: 60})
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, maxProverCallsPerPair: 2000, maxConstraints: 60})
 	if len(rules) == 0 {
 		t.Fatal("no rules found for the Figure 2 pair")
 	}
@@ -44,7 +44,7 @@ func TestRunPairMostRelaxed(t *testing.T) {
 	// constraints beyond symbol identification.
 	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
 	dest := template.Sel(psym(2), asym(2), template.Input(rsym(1)))
-	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 3000, MaxConstraints: 60})
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, maxProverCallsPerPair: 3000, maxConstraints: 60})
 	if len(rules) == 0 {
 		t.Fatal("no rules for idempotent selection pair")
 	}
@@ -65,7 +65,7 @@ func TestRunPairRejectsUnprovablePair(t *testing.T) {
 	// enumerate (Dedup changes multiplicities; Proj does not dedup).
 	src := template.Proj(asym(0), template.Input(rsym(0)))
 	dest := template.Dedup(template.Input(rsym(1)))
-	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 500})
+	rules, _ := RunPair(context.Background(), src, dest, Options{PairProver: AlgebraicPairProver, maxProverCallsPerPair: 500})
 	if len(rules) != 0 {
 		t.Fatalf("found %d bogus rules", len(rules))
 	}
@@ -75,7 +75,7 @@ func TestRunSmallSweep(t *testing.T) {
 	res := Run(context.Background(), Options{
 		Templates:             size1Templates(),
 		PairProver:            AlgebraicPairProver,
-		MaxProverCallsPerPair: 200,
+		maxProverCallsPerPair: 200,
 		Workers:               2,
 	})
 	if res.Stats.PairsTried == 0 {
@@ -99,7 +99,7 @@ func TestRunSmallSweep(t *testing.T) {
 func TestPruningReducesProverCalls(t *testing.T) {
 	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
 	dest := template.Sel(psym(2), asym(2), template.Input(rsym(1)))
-	opts := Options{PairProver: AlgebraicPairProver, MaxProverCallsPerPair: 5000, MaxConstraints: 90, DeletionOrders: 3}
+	opts := Options{PairProver: AlgebraicPairProver, maxProverCallsPerPair: 5000, maxConstraints: 90, deletionOrders: 3}
 	_, withPruning := RunPair(context.Background(), src, dest, opts)
 	opts.DisablePruning = true
 	_, withoutPruning := RunPair(context.Background(), src, dest, opts)
@@ -167,4 +167,44 @@ func TestRunRediscoversTable7Rules(t *testing.T) {
 		t.Error("discovery did not re-find rule 3 (sel-idempotent)")
 	}
 	t.Logf("discovered %d rules at size <= 2", len(res.Rules))
+}
+
+// TestSMTRelaxesBeyondAlgebraic pins the two size-3 pairs where the SMT
+// fallback of DefaultPairProver relaxes a rule further than the algebraic
+// path can: both provers make the same 38 calls and find three rules, but
+// only the full prover drops Unique(r0,a0) from the second one. These are
+// the only rules on which the two provers' size-3 listings differ.
+func TestSMTRelaxesBeyondAlgebraic(t *testing.T) {
+	in := func(i int) *template.Node { return template.Input(rsym(i)) }
+	common := []string{
+		"{RelEq(r0,r2), NotNull(r2,a0), Unique(r2,a1), RefAttrs(r2,a0,r1,a1)}",
+		"", // the rule the provers disagree on
+		"{NotNull(r2,a1), Unique(r2,a1), AttrsEq(a0,a1), RelEq(r0,r2), RelEq(r1,r2)}",
+	}
+	want := map[string]string{
+		"algebraic": "{NotNull(r0,a0), Unique(r0,a0), AttrsEq(a0,a1), RelEq(r0,r2), RelEq(r0,r1)}",
+		"full":      "{NotNull(r0,a0), AttrsEq(a0,a1), RelEq(r0,r2), RelEq(r0,r1)}",
+	}
+	provers := map[string]PairProverFactory{"algebraic": AlgebraicPairProver, "full": DefaultPairProver}
+	dest := template.Dedup(in(2))
+	for _, src := range []*template.Node{
+		template.Dedup(template.InSub(asym(0), in(0), template.Proj(asym(1), in(1)))),
+		template.InSub(asym(0), template.Dedup(in(0)), template.Proj(asym(1), in(1))),
+	} {
+		for name, prover := range provers {
+			rules, stats := RunPair(context.Background(), src, dest, Options{PairProver: prover})
+			if stats.ProverCalls != 38 {
+				t.Errorf("%s => %s, %s prover: %d calls, want 38", src, dest, name, stats.ProverCalls)
+			}
+			var got []string
+			for _, r := range rules {
+				got = append(got, r.Constraints.String())
+			}
+			exp := append([]string(nil), common...)
+			exp[1] = want[name]
+			if strings.Join(got, "\n") != strings.Join(exp, "\n") {
+				t.Errorf("%s => %s, %s prover:\n got %q\nwant %q", src, dest, name, got, exp)
+			}
+		}
+	}
 }

@@ -40,7 +40,7 @@ func TestClosureGolden(t *testing.T) {
 			}
 			dest := RenameApart(src, d)
 			cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest)
-			if cstar.Len() > 90 { // Options.MaxConstraints' default
+			if cstar.Len() > defaultMaxConstraints {
 				continue
 			}
 			got = append(got, fmt.Sprintf("pair %s => %s", src, dest))

@@ -96,7 +96,11 @@ func AlgebraicPairProver(src, dest *template.Node) Prover {
 	}
 }
 
-// Options configures a pipeline run.
+// defaultMaxConstraints is the largest C* a pair may have to be searched.
+const defaultMaxConstraints = 90
+
+// Options configures a pipeline run. Its unexported budgets are set only by
+// this package's tests; zero selects the default.
 type Options struct {
 	// Templates to pair; if nil, template.Enumerate(MaxTemplateSize) runs as
 	// the pipeline's first stage.
@@ -107,14 +111,14 @@ type Options struct {
 	// PairProver is called once per template pair; the relaxation probes the
 	// Prover it returns. Defaults to DefaultPairProver.
 	PairProver PairProverFactory
-	// MaxProverCallsPerPair bounds the relaxation per template pair. Cache
-	// hits charge the budget too, keeping warm and cold trajectories equal.
-	MaxProverCallsPerPair int
-	// MaxConstraints skips pairs whose C* is larger.
-	MaxConstraints int
-	// DeletionOrders is the number of different minimization orders tried
-	// (each can surface a different most-relaxed set). Default 3.
-	DeletionOrders int
+	// maxProverCallsPerPair bounds the relaxation per template pair (500).
+	// Cache hits charge it too, keeping warm and cold trajectories equal.
+	maxProverCallsPerPair int
+	// maxConstraints skips pairs whose C* is larger (defaultMaxConstraints).
+	maxConstraints int
+	// deletionOrders is the number of minimization orders tried, each able
+	// to surface a different most-relaxed set (3).
+	deletionOrders int
 	// Workers bounds pair-level parallelism; 0 = GOMAXPROCS.
 	Workers int
 	// DisablePruning turns off the implication pruning (ablation benchmark).
@@ -131,10 +135,9 @@ type Options struct {
 	// (the default) is the historical namespace of the algebraic path.
 	CacheNamespace string
 	// Progress, when set, receives a stats snapshot at every stage boundary
-	// and every ProgressEvery completed pairs. Calls are serialized.
-	Progress func(Snapshot)
-	// ProgressEvery is the pair interval between Progress calls (default 32).
-	ProgressEvery int
+	// and every progressEvery (32) completed pairs. Calls are serialized.
+	Progress      func(Snapshot)
+	progressEvery int
 	// Metrics is the registry the run records into (stage latency histograms,
 	// queue depth, cache hit/miss counters); nil uses obs.Default().
 	Metrics *obs.Registry
@@ -161,20 +164,20 @@ func (o *Options) fill() {
 	if o.PairProver == nil {
 		o.PairProver = DefaultPairProver
 	}
-	if o.MaxProverCallsPerPair == 0 {
-		o.MaxProverCallsPerPair = 500
+	if o.maxProverCallsPerPair == 0 {
+		o.maxProverCallsPerPair = 500
 	}
-	if o.MaxConstraints == 0 {
-		o.MaxConstraints = 90
+	if o.maxConstraints == 0 {
+		o.maxConstraints = defaultMaxConstraints
 	}
-	if o.DeletionOrders == 0 {
-		o.DeletionOrders = 3
+	if o.deletionOrders == 0 {
+		o.deletionOrders = 3
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
-	if o.ProgressEvery <= 0 {
-		o.ProgressEvery = 32
+	if o.progressEvery <= 0 {
+		o.progressEvery = 32
 	}
 	if o.Cache == nil {
 		o.Cache = NewProofCache()
@@ -385,7 +388,7 @@ func Run(ctx context.Context, opts Options) *Result {
 					ct.rulesFound.Add(int64(len(rules)))
 					rulesFound.Add(int64(len(rules)))
 				}
-				if n := completed.Add(1); n%int64(opts.ProgressEvery) == 0 {
+				if n := completed.Add(1); n%int64(opts.progressEvery) == 0 {
 					emit("search")
 				}
 			}

@@ -193,7 +193,7 @@ func TestProgressStages(t *testing.T) {
 		Templates:     size1Templates(),
 		PairProver:    AlgebraicPairProver,
 		Progress:      func(s Snapshot) { snaps = append(snaps, s) },
-		ProgressEvery: 1,
+		progressEvery: 1,
 	})
 	if len(snaps) < 4 {
 		t.Fatalf("expected stage + per-pair snapshots, got %d", len(snaps))
@@ -216,7 +216,7 @@ func TestBudgetChargesCacheHits(t *testing.T) {
 	src := template.Sel(psym(0), asym(0), template.Sel(psym(1), asym(1), template.Input(rsym(0))))
 	dest := RenameApart(src, template.Sel(psym(2), asym(2), template.Input(rsym(1))))
 	cache := NewProofCache()
-	opts := Options{PairProver: AlgebraicPairProver, Cache: cache, MaxProverCallsPerPair: 40}
+	opts := Options{PairProver: AlgebraicPairProver, Cache: cache, maxProverCallsPerPair: 40}
 	cold, coldStats := RunPair(context.Background(), src, dest, opts)
 	warm, warmStats := RunPair(context.Background(), src, dest, opts)
 	ck, wk := ruleKeys(cold), ruleKeys(warm)

@@ -28,14 +28,14 @@ import (
 // in-flight proof; the rules found so far are returned.
 func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct *counters) []Rule {
 	cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest)
-	if cstar.Len() > opts.MaxConstraints {
+	if cstar.Len() > opts.maxConstraints {
 		ct.pairsSkipped.Add(1)
 		opts.Metrics.Counter(metricPairsSkipped).Inc()
 		return nil
 	}
 	ct.pairsTried.Add(1)
 	opts.Metrics.Counter(metricPairsTried).Inc()
-	return newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics).search(cstar, opts.DeletionOrders)
+	return newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics).search(cstar, opts.deletionOrders)
 }
 
 // search relaxes the pair from C* in the given number of deletion orders,
@@ -76,7 +76,7 @@ func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	s := &relaxer{
 		ctx: ctx, src: src, dest: dest,
 		prover:  opts.PairProver(src, dest),
-		budget:  opts.MaxProverCallsPerPair,
+		budget:  opts.maxProverCallsPerPair,
 		memo:    map[string]bool{},
 		implies: constraint.Implies,
 		cache:   opts.Cache,

@@ -91,7 +91,7 @@ func replay(ts []*template.Node, prover PairProverFactory, implies func(*constra
 	eachTriedPair(ts, func(src, dest *template.Node, cstar *constraint.Set) {
 		s := newRelaxer(context.Background(), src, dest, opts, ct, opts.Metrics)
 		s.implies = implies
-		found = append(found, s.search(cstar, opts.DeletionOrders)...)
+		found = append(found, s.search(cstar, opts.deletionOrders)...)
 	})
 	return found
 }
@@ -104,7 +104,7 @@ func eachTriedPair(ts []*template.Node, fn func(src, dest *template.Node, cstar 
 				continue
 			}
 			dest := RenameApart(src, d)
-			if cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest); cstar.Len() <= 90 { // Options.MaxConstraints' default
+			if cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest); cstar.Len() <= defaultMaxConstraints {
 				fn(src, dest, cstar)
 			}
 		}

@@ -35,7 +35,7 @@ func benchPlans(b *testing.B) (*Rewriter, []plan.Node) {
 // the allocation budget this guards is the pooled search scratch.
 func BenchmarkSearch(b *testing.B) {
 	rw, plans := benchPlans(b)
-	opts := ExploreOptions(12, 6)
+	opts := Options{}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -75,7 +75,7 @@ func TestMatcherEnforcesEqualitiesThroughDestinationSymbols(t *testing.T) {
 			if c.library {
 				rs = append(rules.All(), c.rule)
 			}
-			out, applied, _ := NewRewriter(rs, c.schema).Search(mustPlan(t, c.query, c.schema), ExploreOptions(12, 6))
+			out, applied, _ := NewRewriter(rs, c.schema).Search(mustPlan(t, c.query, c.schema), Options{})
 			got := plan.ToSQLString(out)
 			fired := slices.ContainsFunc(applied, func(a Applied) bool { return a.RuleNo == c.rule.No })
 			if c.wrong != "" && (fired || got == c.wrong) {

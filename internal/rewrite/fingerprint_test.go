@@ -150,7 +150,7 @@ func TestCandidatesIndependentOfPooledScratch(t *testing.T) {
 	}
 	want := describe(first)
 	rw.Candidates(other)
-	rw.Search(other, ExploreOptions(12, 6))
+	rw.Search(other, Options{})
 	second := rw.Candidates(p)
 	if got := describe(first); !reflect.DeepEqual(got, want) {
 		t.Errorf("earlier result changed after the pooled context was reused:\n got %q\nwant %q", got, want)
@@ -172,7 +172,7 @@ func TestCandidatesIndependentOfPooledScratch(t *testing.T) {
 func TestSearchAllocBudget(t *testing.T) {
 	rw := newRW(t)
 	p := EliminateOrderBy(mustPlan(t, `SELECT title FROM labels WHERE project_id = 1`, rw.Schema))
-	opts := ExploreOptions(12, 6)
+	opts := Options{}
 	opts.SkipOrderByElim = true
 	if _, applied, stats := rw.Search(p, opts); len(applied) != 0 || stats.RuleAttempts != 0 {
 		t.Fatalf("budget query should attempt no rule: applied %v, %d attempts", applied, stats.RuleAttempts)

@@ -170,7 +170,7 @@ func TestProvenanceFrontierDrop(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
 	prov := new(Provenance)
-	_, _, stats := rw.Search(p, Options{MaxFrontier: 1, Provenance: prov})
+	_, _, stats := rw.Search(p, Options{maxFrontier: 1, Provenance: prov})
 	if !stats.Truncated || stats.TruncatedBy != "frontier" {
 		t.Skipf("q0 did not stress the frontier budget: %+v", stats)
 	}

@@ -54,7 +54,7 @@ func TestRewriteSelfJoinOnNonKeyStays(t *testing.T) {
 func TestExploreNoOpQueryReturnsOriginal(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, "SELECT title FROM labels WHERE project_id = 5", rw.Schema)
-	out, applied, _ := rw.Search(p, ExploreOptions(8, 4))
+	out, applied, _ := rw.Search(p, Options{maxSteps: 4, maxFrontier: 8, maxNodes: 128})
 	if len(applied) != 0 {
 		t.Fatalf("rules applied to an un-rewritable query: %v", applied)
 	}
@@ -68,7 +68,7 @@ func TestExploreBeamTermination(t *testing.T) {
 	// return something at least as small.
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.title FROM labels INNER JOIN notes ON labels.id = notes.id`, rw.Schema)
-	out, _, _ := rw.Search(p, ExploreOptions(16, 6))
+	out, _, _ := rw.Search(p, Options{maxFrontier: 16, maxNodes: 384})
 	if plan.Size(out) > plan.Size(p) {
 		t.Fatal("explore returned a larger plan")
 	}
@@ -115,7 +115,7 @@ func TestRelocationRefusedWithoutUnique(t *testing.T) {
 	schema := gitlabSchema()
 	p := mustPlan(t, `SELECT id FROM notes WHERE type = 'D' AND id IN (SELECT id FROM notes WHERE commit_id = 7)`, schema)
 	rw := NewRewriter([]rules.Rule{mustByNo(t, 24), mustByNo(t, 27), weak}, schema)
-	out, applied, _ := rw.Search(p, ExploreOptions(12, 6))
+	out, applied, _ := rw.Search(p, Options{})
 	for _, a := range applied {
 		if a.RuleNo == 103 {
 			t.Fatalf("weakened rule 103 applied: %s", plan.ToSQLString(out))

@@ -229,7 +229,7 @@ func TestCandidatesDoNotLoop(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT issues.title FROM issues INNER JOIN projects ON issues.project_id = projects.id`, rw.Schema)
 	out, applied, _ := rw.Search(p, Options{})
-	if len(applied) > (Options{}).withDefaults().MaxSteps {
+	if len(applied) > (Options{}).withDefaults().maxSteps {
 		t.Fatalf("rewrite did not terminate: %d steps", len(applied))
 	}
 	_ = out

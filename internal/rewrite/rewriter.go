@@ -83,25 +83,15 @@ func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
 	return out
 }
 
-// ExploreOptions maps the paper's §8.4 flow — iteratively generate rewritten
-// queries (including equal-size "enabler" steps like predicate pull-up and
-// column switches), then pick the best final query by the cost estimator —
-// onto Search budgets: beam bounds the frontier and depth the chain length.
-// Callers that need an extra wall-clock bound (a serving deadline) set
-// Deadline on the result; the node/frontier/step budgets stay identical, so
-// an unexpired deadline returns byte-identical results.
+// ExploreOptions bounds a search by beam (the frontier) and depth (the chain
+// length), with four expansions per frontier slot and step; ExploreOptions(12,
+// 6) searches as the zero Options does, and so does a non-positive argument.
+// It remains only because the benchmark's per-layer probe calls it.
 func ExploreOptions(beam, depth int) Options {
-	if beam <= 0 {
-		beam = 8
+	if beam <= 0 || depth <= 0 {
+		return Options{}
 	}
-	if depth <= 0 {
-		depth = 5
-	}
-	return Options{
-		MaxSteps:    depth,
-		MaxFrontier: beam,
-		MaxNodes:    beam * depth * 4,
-	}
+	return Options{maxSteps: depth, maxFrontier: beam, maxNodes: beam * depth * 4}
 }
 
 // cost ranks a plan of the given plan.Size: the engine's estimate when a

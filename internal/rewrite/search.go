@@ -12,15 +12,26 @@ import (
 	"wetune/internal/plan"
 )
 
-// Options bounds one rewrite search. Zero values select the defaults.
+// The search budgets of the paper's §8.4 flow — iteratively generate
+// rewritten queries (including equal-size "enabler" steps like predicate
+// pull-up and column switches), then pick the best final query by the cost
+// estimator. Every search runs under them: served rewrites, the experiments,
+// the differential oracle and rule reduction.
+const (
+	defaultMaxSteps    = 6
+	defaultMaxFrontier = 12
+	defaultMaxNodes    = defaultMaxFrontier * defaultMaxSteps * 4 // 288
+)
+
+// Options configures one rewrite search; the zero value is the default
+// budgets.
 type Options struct {
-	// MaxSteps bounds the rule-application chain length (default 10).
-	MaxSteps int
-	// MaxFrontier bounds the number of pending states kept between
-	// expansions; the worst states are dropped beyond it (default 64).
-	MaxFrontier int
-	// MaxNodes bounds the total number of states expanded (default 512).
-	MaxNodes int
+	// maxSteps bounds the rule-application chain length, maxFrontier the
+	// pending states kept between expansions (the worst are dropped beyond
+	// it) and maxNodes the states expanded; zero selects the default. Only
+	// this package's tests, ExploreOptions and the SearchStarve fault set
+	// them.
+	maxSteps, maxFrontier, maxNodes int
 	// Deadline, when non-zero, is a wall-clock budget checked before every
 	// expansion and every rule attempt within one (each candidate is
 	// validated against the whole plan, so one expansion of a large plan
@@ -49,14 +60,14 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxSteps <= 0 {
-		o.MaxSteps = 10
+	if o.maxSteps <= 0 {
+		o.maxSteps = defaultMaxSteps
 	}
-	if o.MaxFrontier <= 0 {
-		o.MaxFrontier = 64
+	if o.maxFrontier <= 0 {
+		o.maxFrontier = defaultMaxFrontier
 	}
-	if o.MaxNodes <= 0 {
-		o.MaxNodes = 512
+	if o.maxNodes <= 0 {
+		o.maxNodes = defaultMaxNodes
 	}
 	return o
 }
@@ -392,7 +403,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 		// Injected budget starvation: the search expands only the start
 		// state and truncates by "nodes", degrading to the best candidate of
 		// one expansion — the overload path a chaos run wants to prove safe.
-		opts.MaxNodes = 1
+		opts.maxNodes = 1
 	}
 	prov := opts.Provenance
 	sc := newSearchCtx(rw, prov)
@@ -444,14 +455,14 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 			truncate("deadline")
 			break
 		}
-		if sc.stats.NodesExplored >= opts.MaxNodes {
+		if sc.stats.NodesExplored >= opts.maxNodes {
 			truncate("nodes")
 			break
 		}
 		st := frontier[head]
 		frontier[head] = nil
 		head++
-		if st.depth >= opts.MaxSteps {
+		if st.depth >= opts.maxSteps {
 			// Conservative: the state might have had no candidates, but the
 			// step budget stopped us from finding out.
 			truncate("steps")
@@ -553,14 +564,14 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 			copy(frontier[i+1:], frontier[i:])
 			frontier[i] = ns
 		}
-		if len(frontier)-head > opts.MaxFrontier {
+		if len(frontier)-head > opts.maxFrontier {
 			if prov != nil {
-				for _, dropped := range frontier[head+opts.MaxFrontier:] {
+				for _, dropped := range frontier[head+opts.maxFrontier:] {
 					prov.Nodes[dropped.id].Fate = FateDropped
 				}
 			}
-			clear(frontier[head+opts.MaxFrontier:])
-			frontier = frontier[:head+opts.MaxFrontier]
+			clear(frontier[head+opts.maxFrontier:])
+			frontier = frontier[:head+opts.maxFrontier]
 			truncate("frontier")
 		}
 	}

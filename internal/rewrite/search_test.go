@@ -16,8 +16,8 @@ const q0 = `SELECT * FROM labels WHERE id IN (SELECT id FROM labels WHERE id IN 
 // sha256 over plan.ToSQLString(out)+"\n" per plannable query, in corpus order.
 const corpusOutputSHA256 = "d6a98b1aea00dff45e857c6642cd90339ecbe294aca03b008e7f6db1a1affffc"
 
-// TestCorpusOutputGolden: Search under the served budgets (ExploreOptions(12,
-// 6), what every answer is searched with) over the application corpus plus
+// TestCorpusOutputGolden: Search under the default budgets (Options{}, what
+// every answer is searched with) over the application corpus plus
 // the Calcite suite, full rule set, produces byte-identical SQL. A hot-path
 // change that moves this hash changed what the engine emits.
 func TestCorpusOutputGolden(t *testing.T) {
@@ -25,7 +25,7 @@ func TestCorpusOutputGolden(t *testing.T) {
 	h := sha256.New()
 	rewritten := 0
 	for i, p := range plans {
-		out, applied, _ := rws[i].Search(p, ExploreOptions(12, 6))
+		out, applied, _ := rws[i].Search(p, Options{})
 		if len(applied) > 0 {
 			rewritten++
 		}
@@ -110,15 +110,15 @@ func TestSearchTruncatedBySteps(t *testing.T) {
 	if fullStats.Truncated {
 		t.Fatalf("default budgets should not truncate q0: %+v", fullStats)
 	}
-	_, _, stats := rw.Search(p, Options{MaxSteps: 1})
+	_, _, stats := rw.Search(p, Options{maxSteps: 1})
 	if !stats.Truncated {
-		t.Fatalf("MaxSteps=1 search not reported truncated: %+v", stats)
+		t.Fatalf("maxSteps=1 search not reported truncated: %+v", stats)
 	}
 	if stats.TruncatedBy != "steps" {
 		t.Fatalf("TruncatedBy = %q, want steps", stats.TruncatedBy)
 	}
 	if stats.Steps > 1 {
-		t.Fatalf("applied %d steps under MaxSteps=1", stats.Steps)
+		t.Fatalf("applied %d steps under maxSteps=1", stats.Steps)
 	}
 }
 
@@ -127,9 +127,9 @@ func TestSearchTruncatedBySteps(t *testing.T) {
 func TestSearchTruncatedByNodes(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, _, stats := rw.Search(p, Options{MaxNodes: 1})
+	_, _, stats := rw.Search(p, Options{maxNodes: 1})
 	if !stats.Truncated || stats.TruncatedBy != "nodes" {
-		t.Fatalf("MaxNodes=1 search not reported truncated by nodes: %+v", stats)
+		t.Fatalf("maxNodes=1 search not reported truncated by nodes: %+v", stats)
 	}
 }
 

@@ -27,11 +27,11 @@ func TestOptimizerConcurrentUse(t *testing.T) {
 
 	want := make([]string, len(optimizerWorkload))
 	for i, q := range optimizerWorkload {
-		out, _, err := opt.OptimizeSQL(q)
+		res, err := opt.OptimizeSQLResult(q)
 		if err != nil {
 			t.Fatalf("sequential %q: %v", q, err)
 		}
-		want[i] = out
+		want[i] = res.Output
 	}
 
 	const goroutines = 24

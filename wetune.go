@@ -20,7 +20,8 @@
 //
 //	schema := wetune.MustParseSchema(...)
 //	opt := wetune.NewOptimizer(wetune.BuiltinRules(), schema)
-//	out, applied, _ := opt.OptimizeSQL("SELECT * FROM t WHERE id IN (SELECT id FROM t)")
+//	res, _ := opt.OptimizeSQLResult("SELECT * FROM t WHERE id IN (SELECT id FROM t)")
+//	fmt.Println(res.Output, res.Applied)
 package wetune
 
 import (
@@ -104,8 +105,8 @@ func Table7Rules() []Rule { return rules.Table7() }
 //
 // Concurrency contract: configure the Optimizer fully (NewOptimizer, UseDB,
 // EnableResultCache, EnablePlanCache) before sharing it; afterwards every
-// other method — Optimize, OptimizeSQL, OptimizeSQLResult,
-// OptimizeSQLResultContext, OptimizeSQLResultMode, ExplainSQL, PlanSQL,
+// other method — Optimize, OptimizeSQLResult, OptimizeSQLResultContext,
+// OptimizeSQLResultMode, ExplainSQL, PlanSQL,
 // ResultCacheStats, PlanCacheStats — is safe to call from concurrent
 // goroutines. The compiled rule set and its shape index are immutable shared
 // state; all per-call scratch (bindings, memo, frontier) lives in per-call
@@ -129,8 +130,8 @@ func NewOptimizer(rs []Rule, schema *Schema) *Optimizer {
 func (o *Optimizer) UseDB(db *DB) { o.rw.DB = db }
 
 // EnableResultCache turns on the normalized-query → rewrite-result LRU
-// (n entries; n <= 0 picks a default). Repeated OptimizeSQL calls for the
-// same query shape (modulo whitespace and trailing ';' — see
+// (n entries; n <= 0 picks a default). Repeated OptimizeSQLResult calls for
+// the same query shape (modulo whitespace and trailing ';' — see
 // sql.NormalizeQuery) then skip planning and search entirely. Call before
 // sharing the Optimizer across goroutines.
 func (o *Optimizer) EnableResultCache(n int) {
@@ -184,7 +185,7 @@ type RewriteResult struct {
 type RewriteMode int
 
 const (
-	// ModeFull parses, plans and searches under ExploreOptions(12, 6).
+	// ModeFull parses, plans and searches under the default budgets.
 	ModeFull RewriteMode = iota
 	// ModeCacheOnly answers from the result cache or passes the query
 	// through unchanged. It never parses or searches, so its cost is one
@@ -204,25 +205,12 @@ func (m RewriteMode) String() string {
 	return "unknown"
 }
 
-// searchOptions are the budgets of every search: the paper's §8.4 flow with a
-// frontier of 12 and chains of up to 6 steps.
-func searchOptions() rewrite.Options { return rewrite.ExploreOptions(12, 6) }
-
 // Optimize rewrites a logical plan, returning the improved plan and the rule
 // sequence applied (empty when no rule helps). It explores rewrite chains
 // like the paper's §8.4 flow and picks the best final query.
 func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
-	out, applied, _ := o.rw.Search(p, searchOptions())
+	out, applied, _ := o.rw.Search(p, rewrite.Options{})
 	return out, applied
-}
-
-// OptimizeSQL parses, plans, optimizes and renders back to SQL.
-func (o *Optimizer) OptimizeSQL(query string) (rewritten string, applied []Applied, err error) {
-	res, err := o.rewriteSQL(time.Time{}, query, ModeFull, nil)
-	if err != nil {
-		return "", nil, err
-	}
-	return res.Output, res.Applied, nil
 }
 
 // OptimizeSQLResult parses, plans, optimizes and renders back to SQL,
@@ -257,15 +245,16 @@ func (o *Optimizer) OptimizeSQLResultMode(deadline time.Time, query string, mode
 }
 
 // rewriteSQL is the one path from query text to rewritten SQL; every
-// OptimizeSQL* method and ExplainSQL is a call into it. Its stages, in order:
+// OptimizeSQLResult* method and ExplainSQL is a call into it. Its stages, in
+// order:
 //
 //  1. normalize — the cache key (skipped when no cache tier will be used)
 //  2. result-cache probe — a hit is the answer; ModeCacheOnly stops here
 //  3. parse + plan build and ORDER-BY elimination (§7); with EnablePlanCache
 //     (a library option the serving daemon never sets) a plan-cache get
 //     comes first and a put after
-//  4. search — §6 rule matching under the §8.4 budgets of searchOptions and
-//     the deadline (the zero time is none)
+//  4. search — §6 rule matching under the default §8.4 budgets of
+//     rewrite.Options and the deadline (the zero time is none)
 //  5. print — the chosen plan back to SQL
 //  6. result-cache put — results the deadline did not truncate only
 //
@@ -317,11 +306,9 @@ func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMod
 				o.planCache.Put(key, start)
 			}
 		}
-		opts := searchOptions()
-		opts.SkipOrderByElim = true
-		opts.Provenance = prov
-		opts.Deadline = deadline
-		out, applied, stats := o.rw.Search(start, opts)
+		out, applied, stats := o.rw.Search(start, rewrite.Options{
+			Deadline: deadline, SkipOrderByElim: true, Provenance: prov,
+		})
 		found = rewrite.CachedResult{
 			SQL:        plan.ToSQLString(out),
 			Applied:    applied,
@@ -366,9 +353,9 @@ type ExplainResult struct {
 // node path and cost delta), what the search rejected and why, and how far
 // every other rule got before a gate stopped it. The embedded RewriteResult
 // comes from the same path with the same budgets, so Output, Applied and the
-// costs are identical to what OptimizeSQL would return for the same query.
-// ExplainSQL never reads or populates the result cache (an explanation must
-// describe a real search, not a memo).
+// costs are identical to what OptimizeSQLResult would return for the same
+// query. ExplainSQL never reads or populates the result cache (an
+// explanation must describe a real search, not a memo).
 func (o *Optimizer) ExplainSQL(ctx context.Context, query string) (*ExplainResult, error) {
 	prov := new(Provenance)
 	deadline, _ := ctx.Deadline()
@@ -441,7 +428,7 @@ func (o VerifyOutcome) String() string {
 }
 
 // defaultCheckSeed seeds the engine's data when VerifyRule refutes a rule and
-// when Discover cross-checks one without an explicit CrossCheckSeed.
+// when Discover cross-checks one.
 const defaultCheckSeed = 1
 
 // VerifyRule checks a rule with the built-in verifier (§5.1): symbol
@@ -497,14 +484,12 @@ type DiscoveryOptions struct {
 	// 2 vCPUs; the paper's size-4 run took 36 hours on 120 cores and is not
 	// measured here.
 	MaxTemplateSize int
-	// Budget bounds the wall-clock time (0 = unlimited). An expiring budget
-	// interrupts the proof in flight, not just the next pair boundary.
-	Budget time.Duration
 	// Workers for parallel search (0 = GOMAXPROCS).
 	Workers int
-	// Context cancels discovery early (nil = background). It composes with
-	// Budget: whichever ends first stops the run, which then returns the
-	// rules found so far with partial stats.
+	// Context cancels discovery early (nil = background); give it a timeout
+	// to bound the wall-clock time. Its end interrupts the proof in flight,
+	// not just the next pair boundary, and the run returns the rules found
+	// so far with partial stats.
 	Context context.Context
 	// Progress, when set, receives a per-stage stats snapshot at every stage
 	// boundary and periodically during the search. Calls are serialized.
@@ -532,9 +517,6 @@ type DiscoveryOptions struct {
 	// or the engine is wrong, so it is worth surfacing, never silently
 	// emitting.
 	CrossCheck bool
-	// CrossCheckSeed seeds the cross-check's data generation (0 = a fixed
-	// default, keeping runs deterministic).
-	CrossCheckSeed int64
 }
 
 // DiscoveryStats reports per-stage discovery effort (templates, pairs,
@@ -589,11 +571,6 @@ func Discover(opts DiscoveryOptions) *DiscoveryResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if opts.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
-		defer cancel()
-	}
 	popts := pipeline.Options{
 		MaxTemplateSize: opts.MaxTemplateSize,
 		PairProver:      pipeline.AlgebraicPairProver,
@@ -611,15 +588,11 @@ func Discover(opts DiscoveryOptions) *DiscoveryResult {
 		popts.SlowPair = func(sp *obs.Span) { slow(sp.Tree()) }
 	}
 	if opts.CrossCheck {
-		seed := opts.CrossCheckSeed
-		if seed == 0 {
-			seed = defaultCheckSeed
-		}
 		popts.CrossCheck = func(cctx context.Context, r pipeline.Rule) bool {
 			if cctx.Err() != nil {
 				return true // cancelled runs keep what the verifier accepted
 			}
-			res, _ := difftest.CheckRule(r.Src, r.Dest, r.Constraints, seed)
+			res, _ := difftest.CheckRule(r.Src, r.Dest, r.Constraints, defaultCheckSeed)
 			return res != difftest.Mismatched
 		}
 	}

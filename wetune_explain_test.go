@@ -11,9 +11,9 @@ import (
 
 // TestExplainMatchesOptimizeWorkload pins "one rewrite path" across the full
 // evaluation corpus, with and without both cache tiers: for every plannable
-// query, every entry point — OptimizeSQL, OptimizeSQLResult,
-// OptimizeSQLResultContext, OptimizeSQLResultMode(ModeFull), ExplainSQL, and
-// Optimize over PlanSQL's plan — must report the same output SQL and applied
+// query, every entry point — OptimizeSQLResult, OptimizeSQLResultContext,
+// OptimizeSQLResultMode(ModeFull), ExplainSQL, and Optimize over PlanSQL's
+// plan — must report the same output SQL and applied
 // chain, and ExplainSQL the same costs and search stats as the rewrite it
 // explains, with the provenance steps index-aligned to the applied chain. An
 // explanation that disagrees with the optimizer it explains is worse than
@@ -66,9 +66,6 @@ func explainMatchesOptimize(t *testing.T, caches bool) {
 				t.Fatalf("%s: applied chains differ:\n%s: %+v\nOptimizeSQLResult: %+v", it.SQL, entry, applied, res.Applied)
 			}
 		}
-		out, applied, err := o.OptimizeSQL(it.SQL)
-		planned("OptimizeSQL", err)
-		same("OptimizeSQL", out, applied)
 		viaCtx, err := o.OptimizeSQLResultContext(ctx, it.SQL)
 		planned("OptimizeSQLResultContext", err)
 		same("OptimizeSQLResultContext", viaCtx.Output, viaCtx.Applied)

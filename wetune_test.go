@@ -1,6 +1,7 @@
 package wetune
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -52,29 +53,29 @@ func demoSchema(t *testing.T) *Schema {
 func TestOptimizeSQLEndToEnd(t *testing.T) {
 	schema := demoSchema(t)
 	opt := NewOptimizer(BuiltinRules(), schema)
-	out, applied, err := opt.OptimizeSQL(
+	res, err := opt.OptimizeSQLResult(
 		"SELECT * FROM users WHERE id IN (SELECT id FROM users WHERE plan_id = 3)")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(applied) == 0 {
+	if len(res.Applied) == 0 {
 		t.Fatal("no rules applied")
 	}
-	if strings.Contains(out, "IN (") {
-		t.Fatalf("IN-subquery not eliminated: %s", out)
+	if strings.Contains(res.Output, "IN (") {
+		t.Fatalf("IN-subquery not eliminated: %s", res.Output)
 	}
 }
 
 func TestOptimizerJoinElimination(t *testing.T) {
 	schema := demoSchema(t)
 	opt := NewOptimizer(BuiltinRules(), schema)
-	out, applied, err := opt.OptimizeSQL(
+	res, err := opt.OptimizeSQLResult(
 		"SELECT events.kind FROM events INNER JOIN users ON events.user_id = users.id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(applied) == 0 || strings.Contains(out, "JOIN") {
-		t.Fatalf("FK join not eliminated (applied %v): %s", applied, out)
+	if len(res.Applied) == 0 || strings.Contains(res.Output, "JOIN") {
+		t.Fatalf("FK join not eliminated (applied %v): %s", res.Applied, res.Output)
 	}
 }
 
@@ -156,7 +157,9 @@ func TestVerifySQLPairAPI(t *testing.T) {
 }
 
 func TestDiscoverAPI(t *testing.T) {
-	res := Discover(DiscoveryOptions{MaxTemplateSize: 1, Budget: 20 * time.Second})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	res := Discover(DiscoveryOptions{MaxTemplateSize: 1, Context: ctx})
 	// Earlier tests may have warmed the shared proof cache, in which case
 	// verdicts are cache hits instead of prover calls.
 	if res.Templates == 0 || res.ProverCalls+res.CacheHits == 0 {
@@ -220,11 +223,11 @@ func TestParseSchemaAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := NewOptimizer(BuiltinRules(), schema)
-	out, applied, err := opt.OptimizeSQL("SELECT DISTINCT id FROM t")
+	res, err := opt.OptimizeSQLResult("SELECT DISTINCT id FROM t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(applied) == 0 || strings.Contains(out, "DISTINCT") {
-		t.Fatalf("DISTINCT on pk not eliminated: %s", out)
+	if len(res.Applied) == 0 || strings.Contains(res.Output, "DISTINCT") {
+		t.Fatalf("DISTINCT on pk not eliminated: %s", res.Output)
 	}
 }
