@@ -25,8 +25,8 @@ func TestFrontEndAllocBudget(t *testing.T) {
 		rewritten                     bool
 		parse, build, print, optimize float64
 	}{
-		{"Proj(Sel(Scan))", "SELECT id, email FROM users WHERE plan_id = 3", false, 5, 6, 1, 14},
-		{"InSub", "SELECT * FROM users WHERE id IN (SELECT id FROM users WHERE plan_id = 3)", true, 6, 10, 1, 36},
+		{"Proj(Sel(Scan))", "SELECT id, email FROM users WHERE plan_id = 3", false, 5, 6, 1, 13},
+		{"InSub", "SELECT * FROM users WHERE id IN (SELECT id FROM users WHERE plan_id = 3)", true, 6, 10, 1, 27},
 	} {
 		stmt := sql.MustParse(c.query)
 		p := plan.MustBuild(stmt, schema)

@@ -182,8 +182,14 @@ func TestTable6Capabilities(t *testing.T) {
 func TestAblationVerifierPaths(t *testing.T) {
 	r := AblationVerifierPaths()
 	t.Log("\n" + r.String())
-	if r.Metrics["combined"] < r.Metrics["algebraic"] {
-		t.Error("combined verifier should not be weaker than algebraic alone")
+	// Both equal the built-in count internal/rules/testdata/verdicts.golden
+	// implies for the 34 Table 7 rules, every one proved algebraically. The
+	// SMT-only count runs under a 500 ms deadline per rule, so it depends on
+	// the machine: it is reported, not asserted.
+	for _, name := range []string{"algebraic", "combined"} {
+		if got := r.Metrics[name]; got != 31 {
+			t.Errorf("%s proves %v of 34, want 31", name, got)
+		}
 	}
 }
 

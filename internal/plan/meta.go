@@ -1,6 +1,10 @@
 package plan
 
 import (
+	"slices"
+	"strconv"
+	"strings"
+
 	"wetune/internal/sql"
 )
 
@@ -19,9 +23,9 @@ func Origin(n Node, c ColRef) (table, column string, ok bool) {
 		}
 		return "", "", false
 	case *Proj:
-		for i, out := range x.OutCols() {
-			if out == c {
-				if cr, isCol := x.Items[i].Expr.(*sql.ColumnRef); isCol {
+		for i, it := range x.Items {
+			if isProjCol(it, i, c) {
+				if cr, isCol := it.Expr.(*sql.ColumnRef); isCol {
 					return Origin(x.In, ColRef{Table: cr.Table, Column: cr.Column})
 				}
 				return "", "", false
@@ -47,7 +51,8 @@ func Origin(n Node, c ColRef) (table, column string, ok bool) {
 		if c.Table != x.Binding {
 			return "", "", false
 		}
-		for _, inner := range x.In.OutCols() {
+		var buf [16]ColRef
+		for _, inner := range AppendOutCols(buf[:0], x.In) {
 			if inner.Column == c.Column {
 				return Origin(x.In, inner)
 			}
@@ -64,23 +69,31 @@ func Origin(n Node, c ColRef) (table, column string, ok bool) {
 	return "", "", false
 }
 
-// mapThrough rewrites cols of node n to the corresponding columns of its
-// input, when possible (Proj item lookup, Derived unwrapping). Identity for
-// pass-through operators.
-func mapThrough(n Node, cols []ColRef) ([]ColRef, bool) {
+// isProjCol reports whether c is the output column of the i-th item of a
+// projection (projCol), without rendering a computed item's name.
+func isProjCol(it ProjItem, i int, c ColRef) bool {
+	if _, isCol := it.Expr.(*sql.ColumnRef); isCol || it.Alias != "" {
+		return projCol(it, i) == c
+	}
+	return c.Table == "" && strings.HasPrefix(c.Column, "expr") && c.Column[len("expr"):] == strconv.Itoa(i)
+}
+
+// mapThrough appends to dst the columns of n's input that cols of node n
+// correspond to, when possible (Proj item lookup, Derived unwrapping), and
+// returns what it appended. Pass-through operators return cols itself.
+func mapThrough(dst []ColRef, n Node, cols []ColRef) ([]ColRef, bool) {
+	start := len(dst)
 	switch x := n.(type) {
 	case *Proj:
-		out := x.OutCols()
-		mapped := make([]ColRef, len(cols))
-		for i, c := range cols {
+		for _, c := range cols {
 			found := false
-			for j, o := range out {
-				if o == c {
-					cr, isCol := x.Items[j].Expr.(*sql.ColumnRef)
+			for j, it := range x.Items {
+				if isProjCol(it, j, c) {
+					cr, isCol := it.Expr.(*sql.ColumnRef)
 					if !isCol {
 						return nil, false
 					}
-					mapped[i] = ColRef{Table: cr.Table, Column: cr.Column}
+					dst = append(dst, ColRef{Table: cr.Table, Column: cr.Column})
 					found = true
 					break
 				}
@@ -89,18 +102,18 @@ func mapThrough(n Node, cols []ColRef) ([]ColRef, bool) {
 				return nil, false
 			}
 		}
-		return mapped, true
+		return dst[start:], true
 	case *Derived:
-		inner := x.In.OutCols()
-		mapped := make([]ColRef, len(cols))
-		for i, c := range cols {
+		var buf [16]ColRef
+		inner := AppendOutCols(buf[:0], x.In)
+		for _, c := range cols {
 			if c.Table != x.Binding {
 				return nil, false
 			}
 			found := false
 			for _, o := range inner {
 				if o.Column == c.Column {
-					mapped[i] = o
+					dst = append(dst, o)
 					found = true
 					break
 				}
@@ -109,18 +122,15 @@ func mapThrough(n Node, cols []ColRef) ([]ColRef, bool) {
 				return nil, false
 			}
 		}
-		return mapped, true
+		return dst[start:], true
 	}
 	return cols, true
 }
 
-func sameColSet(a, b []ColRef) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := colSet(a)
-	for _, c := range b {
-		if !set[c] {
+// containsCols reports whether every one of needles is in haystack.
+func containsCols(haystack, needles []ColRef) bool {
+	for _, c := range needles {
+		if !slices.Contains(haystack, c) {
 			return false
 		}
 	}
@@ -140,7 +150,8 @@ func UniqueOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 		if !ok {
 			return false
 		}
-		names := make([]string, 0, len(cols))
+		var buf [8]string
+		names := buf[:0]
 		for _, c := range cols {
 			if c.Table != x.Binding {
 				return false
@@ -148,12 +159,10 @@ func UniqueOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 			names = append(names, c.Column)
 		}
 		return def.IsUnique(names)
-	case *Proj:
-		mapped, ok := mapThrough(x, cols)
-		return ok && UniqueOn(x.In, mapped, schema)
-	case *Derived:
-		mapped, ok := mapThrough(x, cols)
-		return ok && UniqueOn(x.In, mapped, schema)
+	case *Proj, *Derived:
+		var buf [8]ColRef
+		mapped, ok := mapThrough(buf[:0], x, cols)
+		return ok && UniqueOn(Child(x, 0), mapped, schema)
 	case *Sel:
 		return UniqueOn(x.In, cols, schema)
 	case *InSub:
@@ -164,13 +173,14 @@ func UniqueOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 		return UniqueOn(x.In, cols, schema)
 	case *Dedup:
 		// Dedup makes the full output row unique.
-		if sameColSet(cols, x.OutCols()) {
+		var buf [16]ColRef
+		if out := AppendOutCols(buf[:0], x); len(cols) == len(out) && containsCols(cols, out) {
 			return true
 		}
 		return UniqueOn(x.In, cols, schema)
 	case *Agg:
 		// The group-by columns key the output, so any superset of them does.
-		return containsCols(cols, x.GroupBy)
+		return len(x.GroupBy) > 0 && containsCols(cols, x.GroupBy)
 	case *Join:
 		// All cols from one side, that side unique on them, and the other
 		// side contributes at most one match per row (its equi-join columns
@@ -178,14 +188,17 @@ func UniqueOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 		// preserved one, so cols must come from the preserved side: a RIGHT
 		// JOIN emits one NULL-padded left tuple per unmatched right row,
 		// duplicating NULLs in left-side columns (and symmetrically for LEFT).
-		lc, rc, ok := x.EquiCols()
+		var ebuf [16]ColRef
+		equi, ok := x.AppendEquiCols(ebuf[:0])
 		if !ok {
 			return false
 		}
-		lset := colSet(x.L.OutCols())
+		lc, rc := equi[:len(equi)/2], equi[len(equi)/2:]
+		var lbuf [16]ColRef
+		lcols := AppendOutCols(lbuf[:0], x.L)
 		allLeft, allRight := true, true
 		for _, c := range cols {
-			if lset[c] {
+			if slices.Contains(lcols, c) {
 				allRight = false
 			} else {
 				allLeft = false
@@ -204,19 +217,6 @@ func UniqueOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 	return false
 }
 
-func containsCols(haystack, needles []ColRef) bool {
-	if len(needles) == 0 {
-		return false
-	}
-	set := colSet(haystack)
-	for _, n := range needles {
-		if !set[n] {
-			return false
-		}
-	}
-	return true
-}
-
 // NotNullOn reports whether every output row of n has non-NULL values on all
 // of cols. Conservative.
 func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
@@ -229,7 +229,8 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 		if !ok {
 			return false
 		}
-		names := make([]string, 0, len(cols))
+		var buf [8]string
+		names := buf[:0]
 		for _, c := range cols {
 			if c.Table != x.Binding {
 				return false
@@ -237,24 +238,24 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 			names = append(names, c.Column)
 		}
 		return def.IsNotNull(names)
-	case *Proj:
-		mapped, ok := mapThrough(x, cols)
-		return ok && NotNullOn(x.In, mapped, schema)
-	case *Derived:
-		mapped, ok := mapThrough(x, cols)
-		return ok && NotNullOn(x.In, mapped, schema)
+	case *Proj, *Derived:
+		var buf [8]ColRef
+		mapped, ok := mapThrough(buf[:0], x, cols)
+		return ok && NotNullOn(Child(x, 0), mapped, schema)
 	case *Sel:
 		if NotNullOn(x.In, cols, schema) {
 			return true
 		}
 		// An equality or IS NOT NULL filter implies non-NULL output.
-		implied := colSet(nil)
+		var ibuf [8]ColRef
+		implied := ibuf[:0]
 		imply := func(e sql.Expr) {
 			if cr, ok := e.(*sql.ColumnRef); ok {
-				implied[ColRef{Table: cr.Table, Column: cr.Column}] = true
+				implied = append(implied, ColRef{Table: cr.Table, Column: cr.Column})
 			}
 		}
-		for _, conj := range sql.SplitConjuncts(x.Pred) {
+		var conjBuf [8]sql.Expr
+		for _, conj := range sql.AppendConjuncts(conjBuf[:0], x.Pred) {
 			if e, ok := conj.(*sql.BinaryExpr); ok && (e.Op == "=" || e.Op == "<" || e.Op == "<=" || e.Op == ">" || e.Op == ">=") {
 				imply(e.L)
 				imply(e.R)
@@ -263,9 +264,10 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 				imply(e.E)
 			}
 		}
-		rest := cols[:0:0]
+		var rbuf [8]ColRef
+		rest := rbuf[:0]
 		for _, c := range cols {
-			if !implied[c] {
+			if !slices.Contains(implied, c) {
 				rest = append(rest, c)
 			}
 		}
@@ -275,10 +277,10 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 			return true
 		}
 		// The IN-selection columns themselves are non-NULL in the output.
-		rest := cols[:0:0]
-		inCols := colSet(x.Cols)
+		var rbuf [8]ColRef
+		rest := rbuf[:0]
 		for _, c := range cols {
-			if !inCols[c] {
+			if !slices.Contains(x.Cols, c) {
 				rest = append(rest, c)
 			}
 		}
@@ -290,18 +292,14 @@ func NotNullOn(n Node, cols []ColRef, schema *sql.Schema) bool {
 	case *Limit:
 		return NotNullOn(x.In, cols, schema)
 	case *Agg:
-		gset := colSet(x.GroupBy)
-		for _, c := range cols {
-			if !gset[c] {
-				return false
-			}
-		}
-		return NotNullOn(x.In, cols, schema)
+		return containsCols(x.GroupBy, cols) && NotNullOn(x.In, cols, schema)
 	case *Join:
-		lset := colSet(x.L.OutCols())
-		var lcols, rcols []ColRef
+		var buf [16]ColRef
+		lout := AppendOutCols(buf[:0], x.L)
+		var lbuf, rbuf [8]ColRef
+		lcols, rcols := lbuf[:0], rbuf[:0]
 		for _, c := range cols {
-			if lset[c] {
+			if slices.Contains(lout, c) {
 				lcols = append(lcols, c)
 			} else {
 				rcols = append(rcols, c)
@@ -357,23 +355,22 @@ func RefHolds(src Node, srcCols []ColRef, dst Node, dstCols []ColRef, schema *sq
 	if !dstOK {
 		return false
 	}
-	srcTables := make([]string, len(srcCols))
-	srcNames := make([]string, len(srcCols))
-	for i, c := range srcCols {
+	var tbuf, sbuf, dbuf [8]string
+	srcTables, srcNames, dstNames := tbuf[:0], sbuf[:0], dbuf[:0]
+	for _, c := range srcCols {
 		t, col, ok := Origin(src, c)
 		if !ok {
 			return false
 		}
-		srcTables[i] = t
-		srcNames[i] = col
+		srcTables = append(srcTables, t)
+		srcNames = append(srcNames, col)
 	}
-	dstNames := make([]string, len(dstCols))
-	for i, c := range dstCols {
+	for _, c := range dstCols {
 		t, col, ok := Origin(dst, c)
 		if !ok || t != dstTable {
 			return false
 		}
-		dstNames[i] = col
+		dstNames = append(dstNames, col)
 	}
 	// All src cols must come from one table for a single FK to cover them.
 	for i := 1; i < len(srcTables); i++ {

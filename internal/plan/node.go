@@ -153,18 +153,19 @@ func Clone(n Node) Node {
 	return Transform(n, func(b string) string { return b }, sql.CloneExpr)
 }
 
-// FreeColumns lists the free column references of e (sql.MapFreeColumns: its
-// own at any depth plus the correlated references of embedded statements),
-// deduplicated in first-appearance order. It is the attribute list of a
-// selection on e and the set a rewrite must keep resolvable.
-func FreeColumns(e sql.Expr, schema *sql.Schema) []ColRef {
-	var out []ColRef
+// AppendFreeColumns appends to dst the free column references of e
+// (sql.MapFreeColumns: its own at any depth plus the correlated references of
+// embedded statements) that dst does not hold yet, in first-appearance order.
+// From an empty dst it is the attribute list of a selection on e and the set a
+// rewrite must keep resolvable.
+func AppendFreeColumns(dst []ColRef, e sql.Expr, schema *sql.Schema) []ColRef {
+	start := len(dst)
 	sql.FreeColumns(e, schema, func(cr *sql.ColumnRef) {
-		if c := (ColRef{Table: cr.Table, Column: cr.Column}); !slices.Contains(out, c) {
-			out = append(out, c)
+		if c := (ColRef{Table: cr.Table, Column: cr.Column}); !slices.Contains(dst[start:], c) {
+			dst = append(dst, c)
 		}
 	})
-	return out
+	return dst
 }
 
 // SubstituteCols rewrites the free column references of e positionally
@@ -245,38 +246,35 @@ func (p *Proj) WithChildren(ch []Node) Node {
 	return &cp
 }
 
-func (p *Proj) OutCols() []ColRef {
-	out := make([]ColRef, len(p.Items))
-	for i, it := range p.Items {
-		name := it.Alias
-		if name == "" {
-			if c, ok := it.Expr.(*sql.ColumnRef); ok {
-				name = c.Column
-			} else {
-				name = fmt.Sprintf("expr%d", i)
-			}
-		}
-		tbl := ""
-		if c, ok := it.Expr.(*sql.ColumnRef); ok && it.Alias == "" {
-			tbl = c.Table
-		}
-		out[i] = ColRef{Table: tbl, Column: name}
+func (p *Proj) OutCols() []ColRef { return AppendOutCols(make([]ColRef, 0, len(p.Items)), p) }
+
+// projCol is the output column of the i-th item of a projection: its alias,
+// else the column it reads (qualifier kept), else "expr<i>".
+func projCol(it ProjItem, i int) ColRef {
+	c, isCol := it.Expr.(*sql.ColumnRef)
+	switch {
+	case it.Alias != "":
+		return ColRef{Column: it.Alias}
+	case isCol:
+		return ColRef{Table: c.Table, Column: c.Column}
 	}
-	return out
+	return ColRef{Column: "expr" + strconv.Itoa(i)}
 }
 
-// PlainCols returns the projected column refs when every item is a bare
-// column reference (no alias rebinding), which is the shape templates match.
-func (p *Proj) PlainCols() ([]ColRef, bool) {
-	out := make([]ColRef, len(p.Items))
-	for i, it := range p.Items {
+// AppendPlainCols appends to dst the projected column refs when every item is
+// a bare column reference, the attribute list of the template operator
+// Proj_a. ok is false, and dst comes back as it was given, otherwise. Aliases
+// are not read: whether a renamed output matters is the caller's question.
+func (p *Proj) AppendPlainCols(dst []ColRef) ([]ColRef, bool) {
+	start := len(dst)
+	for _, it := range p.Items {
 		c, ok := it.Expr.(*sql.ColumnRef)
 		if !ok {
-			return nil, false
+			return dst[:start], false
 		}
-		out[i] = ColRef{Table: c.Table, Column: c.Column}
+		dst = append(dst, ColRef{Table: c.Table, Column: c.Column})
 	}
-	return out, true
+	return dst, true
 }
 
 // Sel filters its input by a predicate (the paper's Sel_{p,a}).
@@ -339,35 +337,52 @@ func (j *Join) OutCols() []ColRef {
 // it is a pure conjunction of equalities between one left and one right
 // column. ok is false otherwise (including CROSS joins).
 func (j *Join) EquiCols() (left, right []ColRef, ok bool) {
-	if j.On == nil {
+	cols, ok := j.AppendEquiCols(nil)
+	if !ok {
 		return nil, nil, false
 	}
-	lcols, rcols := j.L.OutCols(), j.R.OutCols()
+	k := len(cols) / 2
+	return cols[:k:k], cols[k:], true
+}
+
+// AppendEquiCols is EquiCols into dst: it appends the k left columns and then
+// the k aligned right columns, so the left list is the first half of what it
+// appends. When the ON condition is not such a conjunction, ok is false and
+// dst comes back as it was given.
+func (j *Join) AppendEquiCols(dst []ColRef) ([]ColRef, bool) {
+	if j.On == nil {
+		return dst, false
+	}
+	start := len(dst)
+	// The column lists live on the stack unless they outgrow it.
+	var lbuf, rbuf [16]ColRef
+	lcols, rcols := AppendOutCols(lbuf[:0], j.L), AppendOutCols(rbuf[:0], j.R)
 	var conjBuf [8]sql.Expr
+	var rightBuf [8]ColRef
+	right := rightBuf[:0]
 	for _, conj := range sql.AppendConjuncts(conjBuf[:0], j.On) {
 		be, isBin := conj.(*sql.BinaryExpr)
 		if !isBin || be.Op != "=" {
-			return nil, nil, false
+			return dst[:start], false
 		}
 		lc, lok := be.L.(*sql.ColumnRef)
 		rc, rok := be.R.(*sql.ColumnRef)
 		if !lok || !rok {
-			return nil, nil, false
+			return dst[:start], false
 		}
 		a := ColRef{Table: lc.Table, Column: lc.Column}
 		b := ColRef{Table: rc.Table, Column: rc.Column}
 		switch {
 		case slices.Contains(lcols, a) && slices.Contains(rcols, b):
-			left = append(left, a)
-			right = append(right, b)
 		case slices.Contains(lcols, b) && slices.Contains(rcols, a):
-			left = append(left, b)
-			right = append(right, a)
+			a, b = b, a
 		default:
-			return nil, nil, false
+			return dst[:start], false
 		}
+		dst = append(dst, a)
+		right = append(right, b)
 	}
-	return left, right, len(left) > 0
+	return append(dst, right...), len(right) > 0
 }
 
 // Dedup removes duplicate tuples (the paper's Dedup operator).
@@ -413,13 +428,18 @@ func (a *Agg) WithChildren(ch []Node) Node {
 func (a *Agg) OutCols() []ColRef {
 	out := append([]ColRef{}, a.GroupBy...)
 	for i, it := range a.Items {
-		name := it.Alias
-		if name == "" {
-			name = fmt.Sprintf("%s%d", strings.ToLower(it.Func), i)
-		}
-		out = append(out, ColRef{Column: name})
+		out = append(out, aggCol(it, i))
 	}
 	return out
+}
+
+// aggCol is the output column of the i-th aggregate: its alias, else the
+// lower-case function name and i.
+func aggCol(it AggItem, i int) ColRef {
+	if it.Alias != "" {
+		return ColRef{Column: it.Alias}
+	}
+	return ColRef{Column: fmt.Sprintf("%s%d", strings.ToLower(it.Func), i)}
 }
 
 // Union combines two inputs; without All duplicates are removed.
@@ -497,12 +517,37 @@ func (d *Derived) OutCols() []ColRef {
 	return out
 }
 
-func colSet(cols []ColRef) map[ColRef]bool {
-	m := make(map[ColRef]bool, len(cols))
-	for _, c := range cols {
-		m[c] = true
+// AppendOutCols appends n's output columns — n.OutCols() — to dst. With
+// scratch the caller owns, reading a plan's columns allocates nothing.
+func AppendOutCols(dst []ColRef, n Node) []ColRef {
+	switch x := n.(type) {
+	case *Scan:
+		return append(dst, x.Cols...)
+	case *Proj:
+		for i, it := range x.Items {
+			dst = append(dst, projCol(it, i))
+		}
+		return dst
+	case *Join:
+		return AppendOutCols(AppendOutCols(dst, x.L), x.R)
+	case *Agg:
+		dst = append(dst, x.GroupBy...)
+		for i, it := range x.Items {
+			dst = append(dst, aggCol(it, i))
+		}
+		return dst
+	case *Derived:
+		start := len(dst)
+		dst = AppendOutCols(dst, x.In)
+		for i := start; i < len(dst); i++ {
+			dst[i].Table = x.Binding
+		}
+		return dst
+	case *Union:
+		return AppendOutCols(dst, x.L)
 	}
-	return m
+	// Sel, InSub, Dedup, Sort and Limit output their (first) input's columns.
+	return AppendOutCols(dst, Child(n, 0))
 }
 
 // NumChildren and Child are Children() without the slice: NumChildren(n)

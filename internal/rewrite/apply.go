@@ -16,6 +16,12 @@ import (
 type Matcher struct {
 	Schema *sql.Schema
 
+	// b holds an attempt's bindings, and cols is its column arena: the
+	// attribute lists it binds and the column lists it reads. Both are reset
+	// by the next attempt.
+	b    binding
+	cols []plan.ColRef
+
 	// Scratch of the equivalence checks: the alias-insensitive fingerprints
 	// aliasEqual compares, and the binding lists (plan.AppendBindings) of the
 	// one or two subplans under comparison.
@@ -23,20 +29,26 @@ type Matcher struct {
 	bindA, bindB []string
 }
 
-// release drops what the scratch references of the last call's query (binding
-// names are slices of its text) and keeps the buffers.
+// release drops what the scratch references of the last call's query (plans,
+// and binding names that are slices of its text) and keeps the buffers.
 func (m *Matcher) release() {
 	m.Schema = nil
+	m.b.release()
+	clear(m.cols[:cap(m.cols)])
+	m.cols = m.cols[:0]
 	clear(m.bindA[:cap(m.bindA)])
 	clear(m.bindB[:cap(m.bindB)])
 }
 
 // ApplyCompiled tries to apply a pre-compiled rule at the root of fragment n,
 // returning the replacement fragment, or ok=false when the rule does not
-// match there. The compiled form carries the constraint closure resolved once
-// at compile time, so matching allocates only the per-attempt bindings.
+// match there. The compiled form carries the rule's symbol slots and
+// constraint list, resolved once at compile time, so an attempt that fails
+// allocates nothing of its own.
 func (m *Matcher) ApplyCompiled(cr *CompiledRule, n plan.Node) (plan.Node, bool) {
-	b := newBinding()
+	b := &m.b
+	b.reset(cr)
+	m.cols = m.cols[:0]
 	if !m.match(cr.Rule.Src, n, b) {
 		return nil, false
 	}
@@ -48,12 +60,15 @@ func (m *Matcher) ApplyCompiled(cr *CompiledRule, n plan.Node) (plan.Node, bool)
 	if err != nil {
 		return nil, false
 	}
-	if err := validate(out, m.Schema); err != nil {
+	if err := m.validate(out); err != nil {
 		return nil, false
 	}
 	// The replacement must keep the fragment's output arity; column names may
 	// change only through value-preserving column switches (rules 17/18).
-	if len(out.OutCols()) != len(n.OutCols()) {
+	start := len(m.cols)
+	sameArity := len(m.outCols(out)) == len(m.outCols(n))
+	m.cols = m.cols[:start]
+	if !sameArity {
 		return nil, false
 	}
 	return out, true
@@ -68,14 +83,14 @@ type resolver struct {
 }
 
 func (r *resolver) rel(sym template.Sym) (plan.Node, error) {
-	if p, ok := bound(r.b.rels, r.cr.classes, sym); ok {
+	if p, ok := bound(r.b.rels, r.cr.class, r.cr.slotOf(sym)); ok {
 		return p, nil
 	}
 	return nil, fmt.Errorf("rewrite: unbound relation symbol %s", sym)
 }
 
 func (r *resolver) attrsOf(sym template.Sym) (attrsBinding, error) {
-	if a, ok := bound(r.b.attrs, r.cr.classes, sym); ok {
+	if a, ok := bound(r.b.attrs, r.cr.class, r.cr.slotOf(sym)); ok {
 		return r.relocate(sym, a), nil
 	}
 	return attrsBinding{}, fmt.Errorf("rewrite: unbound attrs symbol %s", sym)
@@ -139,14 +154,17 @@ func (r *resolver) relocate(sym template.Sym, a attrsBinding) attrsBinding {
 }
 
 func (r *resolver) pred(sym template.Sym) (sql.Expr, error) {
-	if p, ok := bound(r.b.preds, r.cr.classes, sym); ok {
+	if p, ok := bound(r.b.preds, r.cr.class, r.cr.slotOf(sym)); ok {
+		if p.expr == noHaving {
+			return &sql.Literal{Val: sql.NewBool(true)}, nil
+		}
 		return p.expr, nil
 	}
 	return nil, fmt.Errorf("rewrite: unbound predicate symbol %s", sym)
 }
 
 func (r *resolver) aggItems(sym template.Sym) ([]plan.AggItem, error) {
-	if f, ok := bound(r.b.funcs, r.cr.classes, sym); ok {
+	if f, ok := bound(r.b.funcs, r.cr.class, r.cr.slotOf(sym)); ok {
 		return f, nil
 	}
 	return nil, fmt.Errorf("rewrite: unbound aggregate symbol %s", sym)
@@ -202,7 +220,7 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 		// The predicate may still reference a different occurrence of the
 		// same relation (RelEq-unified symbols carry different aliases);
 		// repair qualifiers by unique column-name match against the input.
-		pred = remapToInput(pred, r.m.Schema, in)
+		pred = r.m.remapToInput(pred, in)
 		return &plan.Sel{Pred: pred, In: in}, nil
 	case template.OpInSub:
 		in, err := r.instantiate(tpl.Children[0])
@@ -217,7 +235,8 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &plan.InSub{Cols: a.cols, In: in, Sub: sub}, nil
+		// The plan keeps the list, which may live in the attempt's arena.
+		return &plan.InSub{Cols: slices.Clone(a.cols), In: in, Sub: sub}, nil
 	case template.OpIJoin, template.OpLJoin, template.OpRJoin:
 		l, err := r.instantiate(tpl.Children[0])
 		if err != nil {
@@ -242,7 +261,7 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 		// IN-subquery turned join over the same base table): rename the right
 		// side apart.
 		var renamed map[string]string
-		rr, renamed = disjoinAliases(l, rr, r.m.Schema)
+		rr, renamed = r.m.disjoinAliases(l, rr)
 		arCols := ar.cols
 		if renamed != nil {
 			arCols = make([]plan.ColRef, len(ar.cols))
@@ -298,7 +317,7 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 		if lit, ok := having.(*sql.Literal); ok && lit.Val.Kind == sql.KindBool && lit.Val.B {
 			having = nil // the synthetic TRUE placeholder
 		}
-		return &plan.Agg{GroupBy: group.cols, Items: items, Having: having, In: in}, nil
+		return &plan.Agg{GroupBy: slices.Clone(group.cols), Items: items, Having: having, In: in}, nil
 	case template.OpUnion:
 		l, err := r.instantiate(tpl.Children[0])
 		if err != nil {
@@ -316,37 +335,47 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 // validate checks that every column reference in the plan — every free column
 // reference of every expression (sql.FreeColumns, the function the matcher
 // binds attribute lists with) — resolves against its operator's input columns,
-// rejecting broken instantiations.
-func validate(n plan.Node, schema *sql.Schema) error {
+// rejecting broken instantiations. It reads the column lists into the column
+// arena and gives the space back.
+func (m *Matcher) validate(n plan.Node) error {
 	for i, k := 0, plan.NumChildren(n); i < k; i++ {
-		if err := validate(plan.Child(n, i), schema); err != nil {
+		if err := m.validate(plan.Child(n, i)); err != nil {
 			return err
 		}
 	}
+	start := len(m.cols)
+	err := m.validateNode(n)
+	m.cols = m.cols[:start]
+	return err
+}
+
+// validateNode checks n's own column references; validate checks its inputs.
+func (m *Matcher) validateNode(n plan.Node) error {
+	schema := m.Schema
 	switch x := n.(type) {
 	case *plan.Proj:
-		in := x.In.OutCols()
+		in := m.outCols(x.In)
 		for _, it := range x.Items {
 			if err := dangling("projection", it.Expr, schema, in, nil); err != nil {
 				return err
 			}
 		}
 	case *plan.Sel:
-		return dangling("predicate", x.Pred, schema, x.In.OutCols(), nil)
+		return dangling("predicate", x.Pred, schema, m.outCols(x.In), nil)
 	case *plan.InSub:
-		in := x.In.OutCols()
+		in := m.outCols(x.In)
 		for _, c := range x.Cols {
 			if !resolvable(in, c) {
 				return fmt.Errorf("rewrite: dangling IN column %s", c)
 			}
 		}
-		if len(x.Sub.OutCols()) != len(x.Cols) {
+		if len(m.outCols(x.Sub)) != len(x.Cols) {
 			return fmt.Errorf("rewrite: IN subquery arity mismatch")
 		}
 	case *plan.Join:
-		return dangling("join", x.On, schema, x.OutCols(), nil)
+		return dangling("join", x.On, schema, m.outCols(x), nil)
 	case *plan.Agg:
-		in := x.In.OutCols()
+		in := m.outCols(x.In)
 		for _, c := range x.GroupBy {
 			if !resolvable(in, c) {
 				return fmt.Errorf("rewrite: dangling group-by column %s", c)
@@ -358,10 +387,10 @@ func validate(n plan.Node, schema *sql.Schema) error {
 			}
 		}
 		if x.Having != nil {
-			return dangling("HAVING", x.Having, schema, in, x.OutCols())
+			return dangling("HAVING", x.Having, schema, in, m.outCols(x))
 		}
 	case *plan.Sort:
-		in := x.In.OutCols()
+		in := m.outCols(x.In)
 		for _, k := range x.Keys {
 			if !resolvable(in, k.Col) {
 				return fmt.Errorf("rewrite: dangling sort column %s", k.Col)
@@ -418,12 +447,13 @@ func renameBindings(p plan.Node, schema *sql.Schema, rename map[string]string) p
 // returning the rewritten right subplan and the alias mapping applied. The
 // clashing bindings are processed in sorted order so the generated aliases —
 // and therefore the rewritten SQL — are stable across runs (map iteration
-// order must not leak into output).
-func disjoinAliases(l, r plan.Node, schema *sql.Schema) (plan.Node, map[string]string) {
-	taken := plan.AppendBindings(nil, l)
-	rBindings := plan.AppendBindings(nil, r)
+// order must not leak into output). The binding lists are matcher scratch.
+func (m *Matcher) disjoinAliases(l, r plan.Node) (plan.Node, map[string]string) {
+	m.bindA = plan.AppendBindings(m.bindA[:0], l)
+	m.bindB = plan.AppendBindings(m.bindB[:0], r)
+	taken, rBindings := m.bindA, m.bindB
 	sort.Strings(rBindings)
-	clash := map[string]string{}
+	var clash map[string]string
 	n := 1
 	for _, b := range rBindings {
 		if !slices.Contains(taken, b) {
@@ -433,26 +463,32 @@ func disjoinAliases(l, r plan.Node, schema *sql.Schema) (plan.Node, map[string]s
 			candidate := fmt.Sprintf("%s_w%d", b, n)
 			n++
 			if !slices.Contains(taken, candidate) {
+				if clash == nil {
+					clash = map[string]string{}
+				}
 				clash[b] = candidate
 				taken = append(taken, candidate)
 				break
 			}
 		}
 	}
-	if len(clash) == 0 {
+	m.bindA = taken
+	if clash == nil {
 		return r, nil
 	}
-	return renameBindings(r, schema, clash), clash
+	return renameBindings(r, m.Schema, clash), clash
 }
 
 // remapToInput rewrites column references that do not resolve against the
 // input's output columns to the unique input column with the same name.
 // Sound when the rule's equivalence constraints identify the relations the
 // two aliases denote (RelEq); ambiguous names are left untouched (validate
-// rejects the candidate).
-func remapToInput(e sql.Expr, schema *sql.Schema, in plan.Node) sql.Expr {
-	out := in.OutCols()
-	return sql.MapFreeColumns(e, schema, func(c *sql.ColumnRef) *sql.ColumnRef {
+// rejects the candidate). The input's columns are read into the column arena.
+func (m *Matcher) remapToInput(e sql.Expr, in plan.Node) sql.Expr {
+	start := len(m.cols)
+	defer func() { m.cols = m.cols[:start] }()
+	out := m.outCols(in)
+	return sql.MapFreeColumns(e, m.Schema, func(c *sql.ColumnRef) *sql.ColumnRef {
 		if slices.Contains(out, plan.ColRef{Table: c.Table, Column: c.Column}) {
 			return c
 		}

@@ -50,7 +50,7 @@ func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 			}
 			// Re-validate the whole plan: a fragment-local rewrite can break
 			// references in enclosing operators.
-			if validate(np, rw.Schema) != nil {
+			if m.validate(np) != nil {
 				continue
 			}
 			out = append(out, Candidate{Plan: np, Rule: rule, Path: append([]int{}, path...)})

@@ -1,6 +1,7 @@
 package rewrite
 
 import (
+	"slices"
 	"sort"
 
 	"wetune/internal/constraint"
@@ -27,12 +28,20 @@ type CompiledRule struct {
 	// rules with equal keys share one structural precheck per plan fragment.
 	shapeKey string
 
-	// classes unifies the rule's symbols under its equality constraints and
-	// is the one reading of them: the constraint check requires every bound
-	// symbol to agree with the first bound member of its class, and a symbol
-	// without a binding of its own (in the check and in the resolver) takes
-	// that member's.
-	classes constraint.Unification
+	// syms numbers the symbols an attempt binds or reads: an attempt binds
+	// syms[i] into slot i of matcher scratch, so it allocates no map. class[i]
+	// lists, in class order, the slots of the members of syms[i]'s
+	// unification class under the rule's equalities (nil when no equality
+	// mentions it). The classes are the one reading of the equalities: the
+	// constraint check requires every bound symbol to agree with the first
+	// bound member of its class, and a symbol without a binding of its own (in
+	// the check and in the resolver) takes that member's.
+	syms  []template.Sym
+	class [][]int
+
+	// checks is the rule's non-equality constraint list in those slots,
+	// compiled once so an attempt reads no constraint.Set.
+	checks []check
 
 	// predAttrs maps each predicate symbol to the attribute symbol paired
 	// with it in the source template (destination-side column remapping).
@@ -46,16 +55,95 @@ type CompiledRule struct {
 	relocTarget map[template.Sym][]template.Sym
 }
 
+// slotOf returns s's slot, or -1 when the rule never binds or reads s.
+func (cr *CompiledRule) slotOf(s template.Sym) int {
+	for i, x := range cr.syms {
+		if x == s {
+			return i
+		}
+	}
+	return -1
+}
+
+func (cr *CompiledRule) addSym(s template.Sym) int {
+	if i := cr.slotOf(s); i >= 0 {
+		return i
+	}
+	cr.syms = append(cr.syms, s)
+	return len(cr.syms) - 1
+}
+
+// addSyms gives every symbol template n binds a slot, in preorder.
+func (cr *CompiledRule) addSyms(n *template.Node) {
+	switch n.Op {
+	case template.OpInput:
+		cr.addSym(n.Rel)
+	case template.OpProj, template.OpInSub:
+		cr.addSym(n.Attrs)
+	case template.OpSel:
+		cr.addSym(n.Attrs)
+		cr.addSym(n.Pred)
+	case template.OpIJoin, template.OpLJoin, template.OpRJoin:
+		cr.addSym(n.Attrs)
+		cr.addSym(n.Attrs2)
+	case template.OpAgg:
+		cr.addSym(n.Attrs)
+		cr.addSym(n.Attrs2)
+		cr.addSym(n.Func)
+		cr.addSym(n.Pred)
+	}
+	for _, c := range n.Children {
+		cr.addSyms(c)
+	}
+}
+
+// setClasses fills class from the rule's unification, once every symbol has
+// its slot: a member without one can never be bound. The members of a class
+// share one slice.
+func (cr *CompiledRule) setClasses(u constraint.Unification) {
+	cr.class = make([][]int, len(cr.syms))
+	var members []int // one backing array for every class
+	for i, s := range cr.syms {
+		if cr.class[i] != nil {
+			continue // an earlier member filled its class
+		}
+		start := len(members)
+		for _, m := range u.Members(s) {
+			if j := cr.slotOf(m); j >= 0 {
+				members = append(members, j)
+			}
+		}
+		class := members[start:len(members):len(members)]
+		for _, j := range class {
+			cr.class[j] = class
+		}
+	}
+}
+
+// check is one Unique, NotNull, RefAttrs or SubAttrs constraint of a rule,
+// its arguments as slots. A SubAttrs whose second argument is a relation's
+// a_r has ofRel set and that relation's slot as args[1].
+type check struct {
+	kind  constraint.Kind
+	ofRel bool
+	args  [4]int
+}
+
 // CompileRule compiles one rule. The result is immutable and safe to share
 // across concurrent matchers.
 func CompileRule(r rules.Rule) *CompiledRule {
 	cr := &CompiledRule{
 		Rule:      r,
 		shapeKey:  shapeKeyOf(r.Src),
-		classes:   constraint.Unify(r.Constraints),
 		predAttrs: map[template.Sym]template.Sym{},
 	}
 	cr.rootKind, cr.anyRoot = rootKindOf(r.Src.Op)
+	classes := constraint.Unify(r.Constraints)
+	items := r.Constraints.Items()
+	// Source symbols first, then the destination's, then the constraints'.
+	cr.syms = make([]template.Sym, 0, 8)
+	cr.addSyms(r.Src)
+	cr.addSyms(r.Dest)
 	r.Src.Walk(func(n *template.Node) {
 		if n.Op == template.OpSel {
 			if _, ok := cr.predAttrs[n.Pred]; !ok {
@@ -63,27 +151,48 @@ func CompileRule(r rules.Rule) *CompiledRule {
 			}
 		}
 	})
-	cr.relocTarget = relocTargets(r, cr.classes)
+	cr.checks = make([]check, 0, len(items))
+	for _, c := range items {
+		ck := check{kind: c.Kind}
+		switch c.Kind {
+		case constraint.SubAttrs:
+			ck.args[0] = cr.addSym(c.Syms[0])
+			if c.Syms[1].Kind == template.KAttrsOf {
+				ck.ofRel = true
+				ck.args[1] = cr.addSym(template.Sym{Kind: template.KRel, ID: c.Syms[1].ID})
+			} else {
+				ck.args[1] = cr.addSym(c.Syms[1])
+			}
+		case constraint.Unique, constraint.NotNull:
+			ck.args[0], ck.args[1] = cr.addSym(c.Syms[0]), cr.addSym(c.Syms[1])
+		case constraint.RefAttrs:
+			ck.args = [4]int{cr.addSym(c.Syms[0]), cr.addSym(c.Syms[1]), cr.addSym(c.Syms[2]), cr.addSym(c.Syms[3])}
+		default:
+			continue // the equalities are read through the classes
+		}
+		cr.checks = append(cr.checks, ck)
+	}
+	// Every relocation target is the relation of a SubAttrs(a, a_r) above,
+	// so it has its slot already.
+	cr.relocTarget = relocTargets(items, classes)
+	cr.setClasses(classes)
 	return cr
 }
 
 // relocTargets precomputes the SubAttrs(a, a_r) relocation targets that the
 // resolver may honor: only those whose relation symbol carries a Unique
 // constraint somewhere in its RelEq class qualify (see resolver.relocate).
-func relocTargets(r rules.Rule, classes constraint.Unification) map[template.Sym][]template.Sym {
-	uniqueRels := map[template.Sym]bool{}
-	for _, c := range r.Constraints.Items() {
-		if c.Kind == constraint.Unique {
-			uniqueRels[c.Syms[0]] = true
-		}
+func relocTargets(items []constraint.C, classes constraint.Unification) map[template.Sym][]template.Sym {
+	unique := func(rel template.Sym) bool {
+		return slices.ContainsFunc(items, func(c constraint.C) bool { return c.Kind == constraint.Unique && c.Syms[0] == rel })
 	}
 	out := map[template.Sym][]template.Sym{}
-	for _, c := range r.Constraints.Items() {
+	for _, c := range items {
 		if c.Kind != constraint.SubAttrs || c.Syms[1].Kind != template.KAttrsOf {
 			continue
 		}
 		relSym := template.Sym{Kind: template.KRel, ID: c.Syms[1].ID}
-		if _, ok := bound(uniqueRels, classes, relSym); ok {
+		if unique(relSym) || slices.ContainsFunc(classes.Members(relSym), unique) {
 			out[c.Syms[0]] = append(out[c.Syms[0]], relSym)
 		}
 	}
@@ -207,7 +316,7 @@ func NewRuleIndex(rs []rules.Rule) *RuleIndex {
 	}
 	addToGroups := func(groups []*shapeGroup, cr *CompiledRule) []*shapeGroup {
 		for _, g := range groups {
-			if shapeKeyOf(g.shape) == cr.shapeKey {
+			if g.rules[0].shapeKey == cr.shapeKey {
 				g.rules = append(g.rules, cr)
 				return groups
 			}

@@ -2,6 +2,7 @@ package rewrite
 
 import (
 	"maps"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -117,14 +118,13 @@ func TestIndexedCandidatesMatchGreedy(t *testing.T) {
 }
 
 // TestCompileRuleDeterministic verifies compiling the same rule repeatedly
-// yields identical shape keys, relocation targets and symbol classes in the
-// same member order (compilation feeds the shared immutable index, so it must
-// not depend on map iteration order; the resolver and the constraint check
-// take a class's first bound member).
+// yields identical shape keys, relocation targets, symbol slots with their
+// classes in the same member order, and constraint list (compilation feeds the
+// shared immutable index, so it must not depend on map iteration order; the
+// resolver and the constraint check take a class's first bound member).
 func TestCompileRuleDeterministic(t *testing.T) {
 	for _, r := range rules.All() {
 		a := CompileRule(r)
-		syms := append(r.Src.Symbols(), r.Dest.Symbols()...)
 		for range 50 {
 			b := CompileRule(r)
 			if a.shapeKey != b.shapeKey {
@@ -133,10 +133,11 @@ func TestCompileRuleDeterministic(t *testing.T) {
 			if !maps.EqualFunc(a.relocTarget, b.relocTarget, slices.Equal) {
 				t.Fatalf("rule %d: relocation targets differ across compilations", r.No)
 			}
-			for _, sym := range syms {
-				if !slices.Equal(a.classes.Members(sym), b.classes.Members(sym)) {
-					t.Fatalf("rule %d: class of %v is %v, then %v", r.No, sym, a.classes.Members(sym), b.classes.Members(sym))
-				}
+			if !slices.Equal(a.syms, b.syms) || !reflect.DeepEqual(a.class, b.class) {
+				t.Fatalf("rule %d: symbol slots or classes differ across compilations", r.No)
+			}
+			if !slices.Equal(a.checks, b.checks) {
+				t.Fatalf("rule %d: constraint list %v, then %v", r.No, a.checks, b.checks)
 			}
 		}
 	}

@@ -31,39 +31,62 @@ type predBinding struct {
 	owner plan.Node
 }
 
-// binding maps template symbols to concrete plan fragments.
+// slot is one symbol's binding in an attempt.
+type slot[V any] struct {
+	v  V
+	ok bool
+}
+
+// binding maps a rule's symbols, by the slots CompileRule numbered them with,
+// to the plan fragments an attempt bound them to: a symbol's slot is set in
+// the one array its kind binds into. It is matcher scratch: each attempt
+// resets it for its rule and reuses the storage.
 type binding struct {
-	rels  map[template.Sym]plan.Node
-	attrs map[template.Sym]attrsBinding
-	preds map[template.Sym]predBinding
-	funcs map[template.Sym][]plan.AggItem
+	cr    *CompiledRule
+	rels  []slot[plan.Node]
+	attrs []slot[attrsBinding]
+	preds []slot[predBinding]
+	funcs []slot[[]plan.AggItem]
 }
 
-func newBinding() *binding {
-	return &binding{
-		rels:  map[template.Sym]plan.Node{},
-		attrs: map[template.Sym]attrsBinding{},
-		preds: map[template.Sym]predBinding{},
-		funcs: map[template.Sym][]plan.AggItem{},
-	}
+// reset sizes the slots to cr's tables and unbinds them all.
+func (b *binding) reset(cr *CompiledRule) {
+	b.cr = cr
+	n := len(cr.syms)
+	b.rels = resetSlots(b.rels, n)
+	b.attrs = resetSlots(b.attrs, n)
+	b.preds = resetSlots(b.preds, n)
+	b.funcs = resetSlots(b.funcs, n)
 }
 
-func (b *binding) clone() *binding {
-	nb := newBinding()
-	for k, v := range b.rels {
-		nb.rels[k] = v
-	}
-	for k, v := range b.attrs {
-		nb.attrs[k] = v
-	}
-	for k, v := range b.preds {
-		nb.preds[k] = v
-	}
-	for k, v := range b.funcs {
-		nb.funcs[k] = v
-	}
-	return nb
+// release drops every reference the slots hold and keeps the storage.
+func (b *binding) release() {
+	b.cr = nil
+	clear(b.rels[:cap(b.rels)])
+	clear(b.attrs[:cap(b.attrs)])
+	clear(b.preds[:cap(b.preds)])
+	clear(b.funcs[:cap(b.funcs)])
 }
+
+func resetSlots[V any](s []slot[V], n int) []slot[V] {
+	if cap(s) < n {
+		return make([]slot[V], n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// renames reports whether a projection item renames its output column. Proj_a
+// outputs the attributes a under their own names, and a destination rebuilds
+// its projections from attribute lists alone, so a match through an aliased
+// projection would answer with other column names than the query's.
+func renames(it plan.ProjItem) bool { return it.Alias != "" }
+
+// noHaving is the predicate an Agg without HAVING binds its predicate symbol
+// to: TRUE. It is shared by every attempt, so it must not reach a plan: the
+// resolver hands out a copy.
+var noHaving = &sql.Literal{Val: sql.NewBool(true)}
 
 // aliasEqual reports whether two subplans are equal up to table aliases: each
 // is fingerprinted into matcher scratch with its Scan/Derived bindings written
@@ -83,23 +106,23 @@ func (m *Matcher) appendAliasFingerprint(dst []byte, n plan.Node) []byte {
 	return plan.AppendAliasFingerprint(dst, n, m.bindA)
 }
 
-// match attempts to bind tpl against n, extending b. Returns false without
-// mutating b's semantics on failure (b may contain partial bindings; callers
-// pass a clone).
+// match attempts to bind tpl against n, extending b. On failure b holds
+// partial bindings; the next attempt resets it.
 func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 	switch tpl.Op {
 	case template.OpInput:
-		if prev, ok := b.rels[tpl.Rel]; ok {
-			return m.aliasEqual(prev, n)
+		r := &b.rels[b.cr.slotOf(tpl.Rel)]
+		if r.ok {
+			return m.aliasEqual(r.v, n)
 		}
-		b.rels[tpl.Rel] = n
+		*r = slot[plan.Node]{v: n, ok: true}
 		return true
 	case template.OpProj:
 		p, ok := n.(*plan.Proj)
-		if !ok {
+		if !ok || slices.ContainsFunc(p.Items, renames) {
 			return false
 		}
-		cols, plain := p.PlainCols()
+		cols, plain := m.appendCols(p.AppendPlainCols)
 		if !plain {
 			return false
 		}
@@ -112,15 +135,17 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 		if !ok {
 			return false
 		}
-		cols := plan.FreeColumns(s.Pred, m.Schema)
-		if len(cols) == 0 {
+		start := len(m.cols)
+		m.cols = plan.AppendFreeColumns(m.cols, s.Pred, m.Schema)
+		if len(m.cols) == start {
 			// Predicates over constants only still match with the input's
 			// first column standing in for the attribute list.
-			if len(s.In.OutCols()) == 0 {
+			if len(m.outCols(s.In)) == 0 {
 				return false
 			}
-			cols = s.In.OutCols()[:1]
+			m.cols = m.cols[:start+1]
 		}
+		cols := m.cols[start:len(m.cols):len(m.cols)]
 		if !m.bindAttrs(tpl.Attrs, cols, s.In, b) {
 			return false
 		}
@@ -154,10 +179,12 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 		if j.JoinKind != want {
 			return false
 		}
-		lc, rc, ok := j.EquiCols()
+		cols, ok := m.appendCols(j.AppendEquiCols)
 		if !ok {
 			return false
 		}
+		k := len(cols) / 2
+		lc, rc := cols[:k:k], cols[k:]
 		if !m.bindAttrs(tpl.Attrs, lc, j.L, b) || !m.bindAttrs(tpl.Attrs2, rc, j.R, b) {
 			return false
 		}
@@ -176,28 +203,29 @@ func (m *Matcher) match(tpl *template.Node, n plan.Node, b *binding) bool {
 		if !m.bindAttrs(tpl.Attrs, a.GroupBy, a.In, b) {
 			return false
 		}
-		var aggCols []plan.ColRef
+		start := len(m.cols)
 		for _, it := range a.Items {
 			if cr, isCol := it.Arg.(*sql.ColumnRef); isCol {
-				aggCols = append(aggCols, plan.ColRef{Table: cr.Table, Column: cr.Column})
+				m.cols = append(m.cols, plan.ColRef{Table: cr.Table, Column: cr.Column})
 			}
 		}
+		aggCols := m.cols[start:len(m.cols):len(m.cols)]
 		if len(aggCols) == 0 {
 			aggCols = a.GroupBy
 		}
 		if !m.bindAttrs(tpl.Attrs2, aggCols, a.In, b) {
 			return false
 		}
-		if prev, ok := b.funcs[tpl.Func]; ok {
-			if !aggItemsEqual(prev, a.Items) {
+		if f := &b.funcs[b.cr.slotOf(tpl.Func)]; f.ok {
+			if !aggItemsEqual(f.v, a.Items) {
 				return false
 			}
 		} else {
-			b.funcs[tpl.Func] = a.Items
+			*f = slot[[]plan.AggItem]{v: a.Items, ok: true}
 		}
 		having := a.Having
 		if having == nil {
-			having = &sql.Literal{Val: sql.NewBool(true)}
+			having = noHaving
 		}
 		if !m.bindPred(tpl.Pred, having, a.In, b) {
 			return false
@@ -233,20 +261,34 @@ func aggItemsKey(items []plan.AggItem) string {
 // bindAttrs binds an attribute symbol, or checks consistency with an
 // existing binding (same symbol appearing twice means equal attributes).
 func (m *Matcher) bindAttrs(sym template.Sym, cols []plan.ColRef, owner plan.Node, b *binding) bool {
-	if prev, ok := b.attrs[sym]; ok {
-		return m.attrsEquivalent(prev, attrsBinding{cols: cols, owner: owner})
+	nb := attrsBinding{cols: cols, owner: owner}
+	a := &b.attrs[b.cr.slotOf(sym)]
+	if a.ok {
+		return m.attrsEquivalent(a.v, nb)
 	}
-	b.attrs[sym] = attrsBinding{cols: cols, owner: owner}
+	*a = slot[attrsBinding]{v: nb, ok: true}
 	return true
 }
 
 func (m *Matcher) bindPred(sym template.Sym, pred sql.Expr, owner plan.Node, b *binding) bool {
 	nb := predBinding{expr: pred, owner: owner}
-	if prev, ok := b.preds[sym]; ok {
-		return m.predsEquivalent(prev, nb)
+	p := &b.preds[b.cr.slotOf(sym)]
+	if p.ok {
+		return m.predsEquivalent(p.v, nb)
 	}
-	b.preds[sym] = nb
+	*p = slot[predBinding]{v: nb, ok: true}
 	return true
+}
+
+// appendCols runs an Append accessor of the plan package into the attempt's
+// column arena and returns what it appended, capped so that a later append
+// cannot overwrite it. The arena is reset per attempt, so a binding may keep
+// the slice for the attempt; what an instantiated plan keeps is copied.
+func (m *Matcher) appendCols(appendTo func([]plan.ColRef) ([]plan.ColRef, bool)) ([]plan.ColRef, bool) {
+	start := len(m.cols)
+	var ok bool
+	m.cols, ok = appendTo(m.cols)
+	return m.cols[start:len(m.cols):len(m.cols)], ok
 }
 
 // instances lists, into matcher scratch, the table instances of two subplans:
@@ -312,57 +354,51 @@ func (m *Matcher) predsEquivalent(a, b predBinding) bool {
 // across relation instances, which a concrete checker must not take
 // literally); their symbols resolve through the same classes.
 func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
-	cls := cr.classes
-	if !agree(b.rels, cls, m.aliasEqual) || !agree(b.attrs, cls, m.attrsEquivalent) ||
-		!agree(b.preds, cls, m.predsEquivalent) || !agree(b.funcs, cls, aggItemsEqual) {
+	if !agree(b.rels, cr.class, m.aliasEqual) || !agree(b.attrs, cr.class, m.attrsEquivalent) ||
+		!agree(b.preds, cr.class, m.predsEquivalent) || !agree(b.funcs, cr.class, aggItemsEqual) {
 		return false
 	}
-	for _, c := range cr.Rule.Constraints.Items() {
-		switch c.Kind {
+	for _, c := range cr.checks {
+		switch c.kind {
 		case constraint.SubAttrs:
-			a1, ok := b.attrs[c.Syms[0]]
-			if !ok {
+			a1 := b.attrs[c.args[0]]
+			if !a1.ok {
 				continue
 			}
-			if c.Syms[1].Kind == template.KAttrsOf {
-				rel, okRel := b.rels[template.Sym{Kind: template.KRel, ID: c.Syms[1].ID}]
-				if !okRel {
+			if c.ofRel {
+				rel := b.rels[c.args[1]]
+				if !rel.ok {
 					continue
 				}
 				// Strict membership: SubAttrs decides WHICH side supplies the
 				// values, so origin-based relocation would be unsound here
 				// (two instances of one relation carry different rows).
-				if !colsExactlyFrom(a1.cols, rel) {
+				if !m.colsExactlyFrom(a1.v.cols, rel.v) {
 					return false
 				}
-			} else if a2, ok2 := b.attrs[c.Syms[1]]; ok2 {
-				if !colsSubset(a1.cols, a2.cols) {
-					return false
-				}
-			}
-		case constraint.Unique:
-			rel, okRel := bound(b.rels, cls, c.Syms[0])
-			a, okAttr := bound(b.attrs, cls, c.Syms[1])
-			if okRel && okAttr {
-				cols, ok := m.colsInPlan(a, rel)
-				if !ok || !plan.UniqueOn(rel, cols, m.Schema) {
+			} else if a2 := b.attrs[c.args[1]]; a2.ok {
+				if !colsSubset(a1.v.cols, a2.v.cols) {
 					return false
 				}
 			}
-		case constraint.NotNull:
-			rel, okRel := bound(b.rels, cls, c.Syms[0])
-			a, okAttr := bound(b.attrs, cls, c.Syms[1])
+		case constraint.Unique, constraint.NotNull:
+			rel, okRel := bound(b.rels, cr.class, c.args[0])
+			a, okAttr := bound(b.attrs, cr.class, c.args[1])
 			if okRel && okAttr {
 				cols, ok := m.colsInPlan(a, rel)
-				if !ok || !plan.NotNullOn(rel, cols, m.Schema) {
+				if !ok {
+					return false
+				}
+				if c.kind == constraint.Unique && !plan.UniqueOn(rel, cols, m.Schema) ||
+					c.kind == constraint.NotNull && !plan.NotNullOn(rel, cols, m.Schema) {
 					return false
 				}
 			}
 		case constraint.RefAttrs:
-			r1, ok1 := bound(b.rels, cls, c.Syms[0])
-			a1, ok2 := bound(b.attrs, cls, c.Syms[1])
-			r2, ok3 := bound(b.rels, cls, c.Syms[2])
-			a2, ok4 := bound(b.attrs, cls, c.Syms[3])
+			r1, ok1 := bound(b.rels, cr.class, c.args[0])
+			a1, ok2 := bound(b.attrs, cr.class, c.args[1])
+			r2, ok3 := bound(b.rels, cr.class, c.args[2])
+			a2, ok4 := bound(b.attrs, cr.class, c.args[3])
 			if ok1 && ok2 && ok3 && ok4 {
 				c1, okA := m.colsInPlan(a1, r1)
 				c2, okB := m.colsInPlan(a2, r2)
@@ -375,13 +411,16 @@ func (m *Matcher) checkConstraints(cr *CompiledRule, b *binding) bool {
 	return true
 }
 
-// agree reports whether every symbol bound in m is equivalent to the first
-// bound member of its class.
-func agree[V any](m map[template.Sym]V, cls constraint.Unification, equiv func(a, b V) bool) bool {
-	for s, v := range m {
-		for _, f := range cls.Members(s) {
-			if w, ok := m[f]; ok {
-				if f != s && !equiv(w, v) {
+// agree reports whether every bound slot is equivalent to the first bound
+// member of its class.
+func agree[V any](s []slot[V], class [][]int, equiv func(a, b V) bool) bool {
+	for i := range s {
+		if !s[i].ok {
+			continue
+		}
+		for _, f := range class[i] {
+			if s[f].ok {
+				if f != i && !equiv(s[f].v, s[i].v) {
 					return false
 				}
 				break
@@ -391,15 +430,17 @@ func agree[V any](m map[template.Sym]V, cls constraint.Unification, equiv func(a
 	return true
 }
 
-// bound returns sym's binding in m, or else that of the first bound member
-// of its class.
-func bound[V any](m map[template.Sym]V, cls constraint.Unification, sym template.Sym) (V, bool) {
-	if v, ok := m[sym]; ok {
-		return v, true
-	}
-	for _, s := range cls.Members(sym) {
-		if v, ok := m[s]; ok {
-			return v, true
+// bound returns the binding of slot i, or else that of the first bound member
+// of its class; a slot of -1 (a symbol the rule never binds there) is unbound.
+func bound[V any](s []slot[V], class [][]int, i int) (V, bool) {
+	if i >= 0 {
+		if s[i].ok {
+			return s[i].v, true
+		}
+		for _, f := range class[i] {
+			if s[f].ok {
+				return s[f].v, true
+			}
 		}
 	}
 	var zero V
@@ -410,17 +451,18 @@ func bound[V any](m map[template.Sym]V, cls constraint.Unification, sym template
 // exact matches pass through; otherwise columns are relocated by base-table
 // origin (the constraint closure propagates Unique/NotNull/SubAttrs across
 // RelEq-equal relation instances whose aliases differ). ok is false when a
-// column belongs to neither.
+// column belongs to neither. The result is a.cols itself when every column
+// passes through, and lives in the attempt's column arena otherwise.
 func (m *Matcher) colsInPlan(a attrsBinding, p plan.Node) ([]plan.ColRef, bool) {
-	out := p.OutCols()
-	exact := map[plan.ColRef]bool{}
-	for _, c := range out {
-		exact[c] = true
+	start := len(m.cols)
+	out := m.outCols(p)
+	if colsSubset(a.cols, out) {
+		m.cols = m.cols[:start]
+		return a.cols, true
 	}
-	mapped := make([]plan.ColRef, len(a.cols))
-	for i, c := range a.cols {
-		if exact[c] {
-			mapped[i] = c
+	for _, c := range a.cols {
+		if slices.Contains(out, c) {
+			m.cols = append(m.cols, c)
 			continue
 		}
 		t1, col1, ok1 := plan.Origin(a.owner, c)
@@ -431,7 +473,7 @@ func (m *Matcher) colsInPlan(a attrsBinding, p plan.Node) ([]plan.ColRef, bool) 
 		for _, oc := range out {
 			t2, col2, ok2 := plan.Origin(p, oc)
 			if ok2 && t1 == t2 && col1 == col2 {
-				mapped[i] = oc
+				m.cols = append(m.cols, oc)
 				found = true
 				break
 			}
@@ -440,16 +482,13 @@ func (m *Matcher) colsInPlan(a attrsBinding, p plan.Node) ([]plan.ColRef, bool) 
 			return nil, false
 		}
 	}
-	return mapped, true
+	return m.cols[start+len(out) : len(m.cols) : len(m.cols)], true
 }
 
+// colsSubset reports whether every column of a is one of b.
 func colsSubset(a, b []plan.ColRef) bool {
-	set := map[plan.ColRef]bool{}
-	for _, c := range b {
-		set[c] = true
-	}
 	for _, c := range a {
-		if !set[c] {
+		if !slices.Contains(b, c) {
 			return false
 		}
 	}
@@ -458,15 +497,16 @@ func colsSubset(a, b []plan.ColRef) bool {
 
 // colsExactlyFrom checks strict membership of every column in the subplan's
 // outputs.
-func colsExactlyFrom(cols []plan.ColRef, p plan.Node) bool {
-	out := map[plan.ColRef]bool{}
-	for _, c := range p.OutCols() {
-		out[c] = true
-	}
-	for _, c := range cols {
-		if !out[c] {
-			return false
-		}
-	}
-	return true
+func (m *Matcher) colsExactlyFrom(cols []plan.ColRef, p plan.Node) bool {
+	start := len(m.cols)
+	ok := colsSubset(cols, m.outCols(p))
+	m.cols = m.cols[:start]
+	return ok
+}
+
+// outCols appends p's output columns to the column arena and returns them.
+func (m *Matcher) outCols(p plan.Node) []plan.ColRef {
+	start := len(m.cols)
+	m.cols = plan.AppendOutCols(m.cols, p)
+	return m.cols[start:len(m.cols):len(m.cols)]
 }

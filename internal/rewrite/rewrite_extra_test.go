@@ -139,14 +139,14 @@ func TestValidateRejectsDangling(t *testing.T) {
 		Pred: &sql.BinaryExpr{Op: "=", L: &sql.ColumnRef{Table: "ghost", Column: "x"}, R: &sql.Literal{Val: sql.NewInt(1)}},
 		In:   scan,
 	}
-	if err := validate(bad, schema); err == nil {
+	if err := (&Matcher{Schema: schema}).validate(bad); err == nil {
 		t.Fatal("dangling predicate column accepted")
 	}
 	badProj := &plan.Proj{
 		Items: []plan.ProjItem{{Expr: &sql.ColumnRef{Table: "ghost", Column: "x"}}},
 		In:    scan,
 	}
-	if err := validate(badProj, schema); err == nil {
+	if err := (&Matcher{Schema: schema}).validate(badProj); err == nil {
 		t.Fatal("dangling projection column accepted")
 	}
 }

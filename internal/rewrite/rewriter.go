@@ -70,9 +70,8 @@ func (rw *Rewriter) ruleIndex() *RuleIndex {
 func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
 	sc := newSearchCtx(rw, nil)
 	defer sc.release()
-	// expand fingerprints its candidates into the arena from offset 0, so the
-	// parent's fingerprint has to be a string of its own.
-	cands := sc.expand(p, plan.Fingerprint(p), 0, 0)
+	sc.first = state{plan: p}
+	cands := sc.expand(&sc.first)
 	// The expand output lives in the pooled context; copy it out for the
 	// caller without the fingerprints, which point into the pooled arena.
 	out := append([]Candidate(nil), cands...)

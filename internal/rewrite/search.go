@@ -112,7 +112,7 @@ type Stats struct {
 // that produced it.
 type state struct {
 	plan  plan.Node
-	fp    string // plan fingerprint: the visited memo's key, made once on insertion
+	fp    string // plan fingerprint: the visited memo's key, made once (memoKey)
 	path  []Applied
 	size  int
 	cost  float64
@@ -149,7 +149,8 @@ type rankedCand struct {
 // candidates are fingerprinted into. Nothing lives on the shared Rewriter, so
 // one Rewriter serves concurrent searches, and a steady-state search allocates
 // only what escapes into its result (derived plans, applied chains) plus one
-// memo key per newly visited state.
+// memo key per visited state; a search that matches no rule allocates
+// nothing.
 type searchCtx struct {
 	rw    *Rewriter
 	idx   *RuleIndex
@@ -259,10 +260,11 @@ func (sc *searchCtx) appendPaths(n plan.Node) {
 // position. Aggregate prune counts, matcher attempts and matches land in the
 // flight recorder; per-rule attribution lands in the provenance record when
 // one is attached. Each derived plan is fingerprinted once, into the byte
-// arena: compared with the parent's fingerprint fpP to drop no-ops here, and
-// reused by the caller to probe the visited memo. The returned slice and the
-// fingerprints are scratch — consumed before the next expand call.
-func (sc *searchCtx) expand(p plan.Node, fpP string, fromID, depth int) []Candidate {
+// arena: compared with the parent's fingerprint (memoKey) to drop no-ops here,
+// and reused by the caller to probe the visited memo. The returned slice and
+// the fingerprints are scratch — consumed before the next expand call.
+func (sc *searchCtx) expand(st *state) []Candidate {
+	p, fromID, depth := st.plan, st.id, st.depth
 	out := sc.cands[:0]
 	sc.fpArena = sc.fpArena[:0]
 	var idxPruned, shapePruned int64
@@ -309,7 +311,7 @@ positions:
 					fp0 := len(sc.fpArena)
 					sc.fpArena = plan.AppendFingerprint(sc.fpArena, np)
 					fpNP := sc.fpArena[fp0:len(sc.fpArena):len(sc.fpArena)]
-					if string(fpNP) == fpP {
+					if string(fpNP) == sc.memoKey(st) {
 						// no-op application
 						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
@@ -324,7 +326,7 @@ positions:
 					// The fragment validated in isolation, but a rewrite that
 					// renames the fragment's output columns can break
 					// references in ENCLOSING operators — re-validate whole.
-					if validate(np, sc.m.Schema) != nil {
+					if sc.m.validate(np) != nil {
 						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).Invalid++
@@ -357,6 +359,20 @@ positions:
 	}
 	sc.jr.Record(journal.KindExpand, -1, int64(len(out)), int64(depth))
 	return out
+}
+
+// memoKey returns st's fingerprint. Only the start state is created without
+// one: its key is made, and entered in the visited memo, when its first
+// candidate needs comparing against it, so a search whose start state matches
+// no rule neither fingerprints it nor touches the memo. No memo probe can come
+// earlier — the start state's own candidates are compared with its key, not
+// probed.
+func (sc *searchCtx) memoKey(st *state) string {
+	if st.fp == "" {
+		st.fp = plan.Fingerprint(st.plan)
+		sc.seen[st.fp] = true
+	}
+	return st.fp
 }
 
 // pastDeadline reports whether the search has a deadline and it has passed.
@@ -417,9 +433,8 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	if !opts.SkipOrderByElim {
 		start = EliminateOrderBy(p)
 	}
-	sc.fpArena = plan.AppendFingerprint(sc.fpArena[:0], start)
 	first := &sc.first
-	*first = state{plan: start, fp: string(sc.fpArena), size: plan.Size(start)}
+	*first = state{plan: start, size: plan.Size(start)}
 	first.cost = rw.cost(start, first.size)
 	sc.stats.InitialSize = first.size
 	sc.stats.InitialCost = first.cost
@@ -433,7 +448,6 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	}
 
 	seen := sc.seen
-	seen[first.fp] = true
 	// The frontier lives in the pooled backing array; head indexes the next
 	// state to pop (popping must not re-slice away the array's start, or the
 	// pool would shrink every search).
@@ -476,7 +490,7 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 			prov.Nodes[st.id].Fate = FateExpanded
 		}
 
-		cands := sc.expand(st.plan, st.fp, st.id, st.depth)
+		cands := sc.expand(st)
 		if sc.late {
 			// The expansion stopped part way: the search ends with the best
 			// plan enqueued before it.
@@ -605,14 +619,23 @@ var (
 
 // flushObs threads the search stats into the default metrics registry.
 func (sc *searchCtx) flushObs() {
-	ruleAttemptsC.Add(sc.stats.RuleAttempts)
-	ruleMatchesC.Add(sc.stats.RuleMatches)
-	indexPrunedC.Add(sc.stats.IndexPruned)
-	shapePrunedC.Add(sc.stats.ShapePruned)
-	searchNodesC.Add(int64(sc.stats.NodesExplored))
-	memoHitsC.Add(int64(sc.stats.MemoHits))
-	rulesAppliedC.Add(int64(sc.stats.Steps))
+	addCount(ruleAttemptsC, sc.stats.RuleAttempts)
+	addCount(ruleMatchesC, sc.stats.RuleMatches)
+	addCount(indexPrunedC, sc.stats.IndexPruned)
+	addCount(shapePrunedC, sc.stats.ShapePruned)
+	addCount(searchNodesC, int64(sc.stats.NodesExplored))
+	addCount(memoHitsC, int64(sc.stats.MemoHits))
+	addCount(rulesAppliedC, int64(sc.stats.Steps))
 	if sc.stats.Truncated {
 		truncatedC.Inc()
+	}
+}
+
+// addCount adds a non-zero n to c. Most searches attempt no rule, and an
+// atomic add to a counter every concurrent search shares is not free even
+// when it adds nothing.
+func addCount(c *obs.Counter, n int64) {
+	if n != 0 {
+		c.Add(n)
 	}
 }

@@ -4,10 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wetune/internal/plan"
 	"wetune/internal/rules"
+	"wetune/internal/sql"
 )
 
 const q0 = `SELECT * FROM labels WHERE id IN (SELECT id FROM labels WHERE id IN (SELECT id FROM labels WHERE project_id = 10) ORDER BY title ASC)`
@@ -28,6 +30,7 @@ func TestCorpusOutputGolden(t *testing.T) {
 		out, applied, _ := rws[i].Search(p, Options{})
 		if len(applied) > 0 {
 			rewritten++
+			checkOutputNames(t, p, out, rws[i].Schema)
 		}
 		fmt.Fprintln(h, plan.ToSQLString(out))
 	}
@@ -35,6 +38,51 @@ func TestCorpusOutputGolden(t *testing.T) {
 	if len(plans) != 2464 || rewritten != 353 || got != corpusOutputSHA256 {
 		t.Errorf("corpus output: %d planned, %d rewritten, sha256 %s; want 2464 planned, 353 rewritten, sha256 %s\nif this change is intended, update the constant and say why in CHANGES.md",
 			len(plans), rewritten, got, corpusOutputSHA256)
+	}
+}
+
+// checkOutputNames fails the test when the printed rewrite of in answers
+// with other column names than in does: a client reads its columns by name.
+func checkOutputNames(t *testing.T, in, out plan.Node, schema *sql.Schema) {
+	t.Helper()
+	printed := plan.ToSQLString(out)
+	back, err := plan.BuildSQL(printed, schema)
+	if err != nil {
+		t.Errorf("rewrite %q does not plan: %v", printed, err)
+		return
+	}
+	names := func(p plan.Node) (out []string) {
+		for _, c := range p.OutCols() {
+			out = append(out, c.Column)
+		}
+		return out
+	}
+	if got, want := names(back), names(in); !slices.Equal(got, want) {
+		t.Errorf("%s rewritten to %s renames the output columns %v to %v", plan.ToSQLString(in), printed, want, got)
+	}
+}
+
+// TestRewriteKeepsOutputNames: a projection that renames its columns is not
+// the template operator Proj_a, whose output is its attributes as they are,
+// so no rule rebuilds it without the aliases. Rule 2 (dedup-unique-proj) used
+// to answer both aliased queries with `SELECT labels.id FROM labels ...`.
+func TestRewriteKeepsOutputNames(t *testing.T) {
+	rw := newRW(t)
+	for _, c := range []struct {
+		query     string
+		rewritten bool
+	}{
+		{`SELECT DISTINCT id AS x FROM labels`, false},
+		{`SELECT DISTINCT labels.id AS x FROM labels WHERE project_id = 1`, false},
+		{`SELECT DISTINCT id FROM labels`, true},
+		{`SELECT DISTINCT labels.id FROM labels WHERE project_id = 1`, true},
+	} {
+		p := mustPlan(t, c.query, rw.Schema)
+		out, applied, _ := rw.Search(p, Options{})
+		if got := len(applied) > 0; got != c.rewritten {
+			t.Errorf("%q: rewritten %v (%v), want %v", c.query, got, applied, c.rewritten)
+		}
+		checkOutputNames(t, p, out, rw.Schema)
 	}
 }
 

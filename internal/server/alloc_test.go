@@ -43,8 +43,8 @@ func TestHandleRewriteAllocBudget(t *testing.T) {
 		budget float64
 	}{
 		{"result-cache hit", nil, false, 12},
-		{"result-cache miss", nil, true, 40},
-		{"no cache", func(c *Config) { c.ResultCacheSize = -1 }, false, 38},
+		{"result-cache miss", nil, true, 34},
+		{"no cache", func(c *Config) { c.ResultCacheSize = -1 }, false, 32},
 	} {
 		s, _, _ := newTestServer(t, c.mutate)
 		rb := &rewindBody{}

@@ -130,7 +130,7 @@ func (ab *abstractor) lift(n plan.Node) (*template.Node, error) {
 	case *plan.Derived:
 		return ab.lift(x.In)
 	case *plan.Proj:
-		cols, plain := x.PlainCols()
+		cols, plain := x.AppendPlainCols(nil)
 		if !plain {
 			return nil, fmt.Errorf("verify: cannot abstract computed projection")
 		}
@@ -144,7 +144,7 @@ func (ab *abstractor) lift(n plan.Node) (*template.Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		cols := plan.FreeColumns(x.Pred, ab.schema)
+		cols := plan.AppendFreeColumns(nil, x.Pred, ab.schema)
 		if len(cols) == 0 {
 			cols = x.In.OutCols()[:1]
 		}
