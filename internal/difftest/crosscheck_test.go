@@ -1,11 +1,13 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 
 	"wetune/internal/constraint"
 	"wetune/internal/obs"
 	"wetune/internal/rules"
+	"wetune/internal/spes"
 	"wetune/internal/template"
 )
 
@@ -96,6 +98,31 @@ func TestCheckRuleCatchesBrokenTemplateRule(t *testing.T) {
 				t.Fatal("expected a diff explanation")
 			}
 		})
+	}
+}
+
+// TestIllTypedUnionRulesAreRejected: a size-2 discovery with Union
+// templates and SPES as their prover found these two rules. Both concretise
+// their source to SELECT * FROM t0 UNION ALL SELECT t0_2.c0 FROM t0 AS t0_2,
+// whose arms have 2 and 1 columns; SPES proved it and the engine ran it and
+// reported a mismatch. The concretiser now checks its plans, so SPES says no
+// and the oracle skips the rule.
+func TestIllTypedUnionRulesAreRejected(t *testing.T) {
+	r := func(id int) template.Sym { return template.Sym{Kind: template.KRel, ID: id} }
+	releq := func(a, b int) constraint.C { return constraint.New(constraint.RelEq, r(a), r(b)) }
+	src := template.UnionNode(template.Input(r(0)),
+		template.Proj(template.Sym{Kind: template.KAttrs, ID: 0}, template.Input(r(1))))
+	dest := template.UnionNode(template.Input(r(2)), template.Input(r(3)))
+	for _, cs := range []*constraint.Set{
+		constraint.NewSet(releq(0, 3), releq(0, 2), releq(0, 1)),
+		constraint.NewSet(releq(0, 3), releq(1, 2), releq(1, 3)),
+	} {
+		if ok, reason := spes.VerifyRule(src, dest, cs); ok || !strings.Contains(reason, "UNION arms have 2 vs 1 columns") {
+			t.Errorf("%s => %s under %s: SPES says %v (%s), want an ill-formed source", src, dest, cs, ok, reason)
+		}
+		if res, detail := CheckRule(src, dest, cs, 1); res != Skipped {
+			t.Errorf("%s => %s under %s: oracle says %v (%s), want Skipped", src, dest, cs, res, detail)
+		}
 	}
 }
 

@@ -100,6 +100,20 @@ func TestGenPlanExecutes(t *testing.T) {
 	}
 }
 
+// TestGenPlanPassesCheck backs GenPlan's claim that its plans resolve every
+// column reference by construction: every plan of 2,000 seeds passes
+// plan.Check.
+func TestGenPlanPassesCheck(t *testing.T) {
+	for seed := int64(0); seed < 2000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		schema := GenSchema(rng)
+		p := GenPlan(rng, schema)
+		if _, err := plan.Check(nil, p, schema); err != nil {
+			t.Fatalf("seed %d: %s: %v", seed, plan.ToSQLString(p), err)
+		}
+	}
+}
+
 // TestOracleZeroMismatches is the headline property: the discovered rule set
 // never changes query results on any generated database. The CI fuzz smoke
 // job runs the same check for more iterations via `wetune fuzz`.

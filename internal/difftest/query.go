@@ -28,7 +28,8 @@ type typed struct {
 // of base scans (inner/left/right) wrapped in random selections, projections,
 // IN-subqueries, deduplication, aggregation, UNION ALL, and an occasional
 // root-level sort. Every generated plan resolves all column references by
-// construction and executes without error on any database over the schema.
+// construction (it passes plan.Check; TestGenPlanPassesCheck) and executes
+// without error on any database over the schema.
 //
 // LIMIT is deliberately never generated: under bag-semantics comparison a
 // LIMIT over tied sort keys picks an arbitrary subset, which would make the

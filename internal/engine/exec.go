@@ -11,8 +11,13 @@ import (
 )
 
 // Execute runs a logical plan and returns its result rows. params supplies
-// values for `?` placeholders.
+// values for `?` placeholders. A plan that fails plan.Check is an error; the
+// correlated subplans the executor builds per outer row are not checked,
+// because they read that row.
 func (db *DB) Execute(p plan.Node, params []sql.Value) (*Result, error) {
+	if _, err := plan.Check(nil, p, db.Schema); err != nil {
+		return nil, err
+	}
 	ex := &executor{db: db, params: params, subCache: map[*sql.SelectStmt]*Result{}}
 	return ex.exec(p, nil)
 }
@@ -196,14 +201,6 @@ func (ex *executor) exec(p plan.Node, outer *rowEnv) (*Result, error) {
 		pos := make([]int, len(x.Keys))
 		for i, k := range x.Keys {
 			pos[i] = colIndex(in.Cols, k.Col)
-			if pos[i] < 0 {
-				// Sort key may reference a projection alias by bare name.
-				for j, c := range in.Cols {
-					if c.Column == k.Col.Column {
-						pos[i] = j
-					}
-				}
-			}
 			if pos[i] < 0 {
 				return nil, fmt.Errorf("engine: sort key %s not found", k.Col)
 			}

@@ -6,12 +6,13 @@ import (
 	"wetune/internal/sql"
 )
 
-// MaxNodes bounds the operators of a plan Build lowers, as Size counts them;
-// a larger plan is an error. The rewrite search validates every candidate
-// against the whole plan at every operator, so its work grows with the cube
-// of the plan's size: a WHERE of 2,000 conjuncts, one Sel each, held a server
-// worker for over a minute. The largest plan of the 2,464-query rewrite
-// corpus has 6 operators; the bound is 32 times that, like sql.MaxNesting.
+// MaxNodes bounds the operators of a plan, as Size counts them: Build
+// rejects a larger plan and Check reports one. The rewrite search checks
+// every candidate against the whole plan at every operator, so its work
+// grows with the cube of the plan's size: a WHERE of 2,000 conjuncts, one Sel
+// each, held a server worker for over a minute. The largest plan of the
+// 2,464-query rewrite corpus has 6 operators; the bound is 32 times that,
+// like sql.MaxNesting.
 const MaxNodes = 6 * 32
 
 // Build lowers a parsed SELECT statement into a logical plan tree against the
@@ -259,8 +260,8 @@ func (b *builder) finishOrderLimit(root Node, stmt *sql.SelectStmt, outer *scope
 		}
 		// ORDER BY may reference columns the projection discards; in that
 		// case the sort happens below the projection (standard SQL).
-		if proj, isProj := root.(*Proj); isProj && !keysAvailable(keys, root.OutCols()) &&
-			keysAvailable(keys, proj.In.OutCols()) {
+		if proj, isProj := root.(*Proj); isProj && danglingKey(keys, root.OutCols()) >= 0 &&
+			danglingKey(keys, proj.In.OutCols()) < 0 {
 			root = &Proj{Items: proj.Items, In: &Sort{Keys: keys, In: proj.In}}
 		} else {
 			root = &Sort{Keys: keys, In: root}
@@ -504,22 +505,4 @@ func (r *exprResolver) resolve(e sql.Expr) sql.Expr {
 		return e
 	}
 	return sql.MapChildren(e, r.resolve)
-}
-
-// keysAvailable reports whether every sort key resolves among cols (by exact
-// match or by bare column name).
-func keysAvailable(keys []SortKey, cols []ColRef) bool {
-	for _, k := range keys {
-		found := false
-		for _, c := range cols {
-			if c == k.Col || c.Column == k.Col.Column {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }

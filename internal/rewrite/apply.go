@@ -60,7 +60,7 @@ func (m *Matcher) ApplyCompiled(cr *CompiledRule, n plan.Node) (plan.Node, bool)
 	if err != nil {
 		return nil, false
 	}
-	if err := m.validate(out); err != nil {
+	if m.cols, err = plan.Check(m.cols, out, m.Schema); err != nil {
 		return nil, false
 	}
 	// The replacement must keep the fragment's output arity; column names may
@@ -332,95 +332,6 @@ func (r *resolver) instantiate(tpl *template.Node) (plan.Node, error) {
 	return nil, fmt.Errorf("rewrite: cannot instantiate %v", tpl.Op)
 }
 
-// validate checks that every column reference in the plan — every free column
-// reference of every expression (sql.FreeColumns, the function the matcher
-// binds attribute lists with) — resolves against its operator's input columns,
-// rejecting broken instantiations. It reads the column lists into the column
-// arena and gives the space back.
-func (m *Matcher) validate(n plan.Node) error {
-	for i, k := 0, plan.NumChildren(n); i < k; i++ {
-		if err := m.validate(plan.Child(n, i)); err != nil {
-			return err
-		}
-	}
-	start := len(m.cols)
-	err := m.validateNode(n)
-	m.cols = m.cols[:start]
-	return err
-}
-
-// validateNode checks n's own column references; validate checks its inputs.
-func (m *Matcher) validateNode(n plan.Node) error {
-	schema := m.Schema
-	switch x := n.(type) {
-	case *plan.Proj:
-		in := m.outCols(x.In)
-		for _, it := range x.Items {
-			if err := dangling("projection", it.Expr, schema, in, nil); err != nil {
-				return err
-			}
-		}
-	case *plan.Sel:
-		return dangling("predicate", x.Pred, schema, m.outCols(x.In), nil)
-	case *plan.InSub:
-		in := m.outCols(x.In)
-		for _, c := range x.Cols {
-			if !resolvable(in, c) {
-				return fmt.Errorf("rewrite: dangling IN column %s", c)
-			}
-		}
-		if len(m.outCols(x.Sub)) != len(x.Cols) {
-			return fmt.Errorf("rewrite: IN subquery arity mismatch")
-		}
-	case *plan.Join:
-		return dangling("join", x.On, schema, m.outCols(x), nil)
-	case *plan.Agg:
-		in := m.outCols(x.In)
-		for _, c := range x.GroupBy {
-			if !resolvable(in, c) {
-				return fmt.Errorf("rewrite: dangling group-by column %s", c)
-			}
-		}
-		for _, it := range x.Items {
-			if err := dangling("aggregate", it.Arg, schema, in, nil); err != nil {
-				return err
-			}
-		}
-		if x.Having != nil {
-			return dangling("HAVING", x.Having, schema, in, m.outCols(x))
-		}
-	case *plan.Sort:
-		in := m.outCols(x.In)
-		for _, k := range x.Keys {
-			if !resolvable(in, k.Col) {
-				return fmt.Errorf("rewrite: dangling sort column %s", k.Col)
-			}
-		}
-	}
-	return nil
-}
-
-func resolvable(cols []plan.ColRef, c plan.ColRef) bool {
-	for _, cc := range cols {
-		if cc == c || (cc.Column == c.Column && c.Table == "") {
-			return true
-		}
-	}
-	return false
-}
-
-// dangling returns an error naming the first free column reference of e that
-// resolves in neither column list.
-func dangling(what string, e sql.Expr, schema *sql.Schema, cols, more []plan.ColRef) (err error) {
-	sql.FreeColumns(e, schema, func(cr *sql.ColumnRef) {
-		c := plan.ColRef{Table: cr.Table, Column: cr.Column}
-		if err == nil && !resolvable(cols, c) && !resolvable(more, c) {
-			err = fmt.Errorf("rewrite: dangling %s column %s", what, c)
-		}
-	})
-	return err
-}
-
 // renameBindings deep-rewrites a subplan's table bindings and every column
 // reference that uses them, the correlated references of embedded statements
 // included (copy-on-write: the original statement stays as it is). Used when a
@@ -482,7 +393,7 @@ func (m *Matcher) disjoinAliases(l, r plan.Node) (plan.Node, map[string]string) 
 // remapToInput rewrites column references that do not resolve against the
 // input's output columns to the unique input column with the same name.
 // Sound when the rule's equivalence constraints identify the relations the
-// two aliases denote (RelEq); ambiguous names are left untouched (validate
+// two aliases denote (RelEq); ambiguous names are left untouched (plan.Check
 // rejects the candidate). The input's columns are read into the column arena.
 func (m *Matcher) remapToInput(e sql.Expr, in plan.Node) sql.Expr {
 	start := len(m.cols)

@@ -48,9 +48,9 @@ func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 			if plan.Fingerprint(np) == plan.Fingerprint(p) {
 				continue // no-op application
 			}
-			// Re-validate the whole plan: a fragment-local rewrite can break
+			// Check the whole plan: a fragment-local rewrite can break
 			// references in enclosing operators.
-			if m.validate(np) != nil {
+			if _, err := plan.Check(nil, np, rw.Schema); err != nil {
 				continue
 			}
 			out = append(out, Candidate{Plan: np, Rule: rule, Path: append([]int{}, path...)})

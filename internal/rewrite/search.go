@@ -34,7 +34,7 @@ type Options struct {
 	maxSteps, maxFrontier, maxNodes int
 	// Deadline, when non-zero, is a wall-clock budget checked before every
 	// expansion and every rule attempt within one (each candidate is
-	// validated against the whole plan, so one expansion of a large plan
+	// checked against the whole plan, so one expansion of a large plan
 	// takes long): a search past its deadline stops and returns the best plan
 	// found so far with Truncated set and TruncatedBy = "deadline". This is
 	// how a server's per-request deadline reaches into the search loop —
@@ -86,7 +86,7 @@ type Stats struct {
 	// memo — re-derivations that cost nothing instead of a re-expansion.
 	MemoHits int `json:"memo_hits"`
 	// RuleAttempts counts full matcher invocations (post index, post shape
-	// precheck); RuleMatches counts the ones that bound and validated.
+	// precheck); RuleMatches counts the ones that bound and passed plan.Check.
 	RuleAttempts int64 `json:"rule_attempts"`
 	RuleMatches  int64 `json:"rule_matches"`
 	// IndexPruned counts (rule, position) attempts skipped because the rule
@@ -323,10 +323,11 @@ positions:
 						}
 						continue
 					}
-					// The fragment validated in isolation, but a rewrite that
-					// renames the fragment's output columns can break
-					// references in ENCLOSING operators — re-validate whole.
-					if sc.m.validate(np) != nil {
+					// The fragment passed plan.Check in isolation, but a rewrite
+					// that renames the fragment's output columns can break
+					// references in ENCLOSING operators — check it whole.
+					var err error
+					if sc.m.cols, err = plan.Check(sc.m.cols, np, sc.m.Schema); err != nil {
 						sc.fpArena = sc.fpArena[:fp0]
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).Invalid++

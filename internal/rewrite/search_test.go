@@ -21,13 +21,20 @@ const corpusOutputSHA256 = "d6a98b1aea00dff45e857c6642cd90339ecbe294aca03b008e7f
 // TestCorpusOutputGolden: Search under the default budgets (Options{}, what
 // every answer is searched with) over the application corpus plus
 // the Calcite suite, full rule set, produces byte-identical SQL. A hot-path
-// change that moves this hash changed what the engine emits.
+// change that moves this hash changed what the engine emits. Every input and
+// output passes plan.Check: Build does not call it, so this pins that what
+// Build lowers is well-formed.
 func TestCorpusOutputGolden(t *testing.T) {
 	plans, rws := corpusPlans(t)
 	h := sha256.New()
 	rewritten := 0
 	for i, p := range plans {
 		out, applied, _ := rws[i].Search(p, Options{})
+		for _, q := range []plan.Node{p, out} {
+			if _, err := plan.Check(nil, q, rws[i].Schema); err != nil {
+				t.Errorf("%s: %v", plan.ToSQLString(q), err)
+			}
+		}
 		if len(applied) > 0 {
 			rewritten++
 			checkOutputNames(t, p, out, rws[i].Schema)

@@ -42,7 +42,8 @@ type Ref struct {
 // relation (SubAttrs); and the schema is constructed from the attribute
 // usage. Integrity constraints implied by Unique / NotNull / RefAttrs are
 // recorded in the schema (the probing queries of §7 need them; the SPES
-// verifier itself ignores them).
+// verifier itself ignores them). Either plan failing plan.Check is an error,
+// so an ill-typed concretisation is neither proved nor executed.
 func Concretize(src, dest *template.Node, cs *constraint.Set) (*Concretized, *Concretized, error) {
 	c := &concretizer{
 		cl:       constraint.Closure(cs),
@@ -63,6 +64,12 @@ func Concretize(src, dest *template.Node, cs *constraint.Set) (*Concretized, *Co
 	}
 	if err := c.schema.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("spes: generated schema invalid: %w", err)
+	}
+	if _, err := plan.Check(nil, sp, c.schema); err != nil {
+		return nil, nil, fmt.Errorf("spes: concretised source: %w", err)
+	}
+	if _, err := plan.Check(nil, dp, c.schema); err != nil {
+		return nil, nil, fmt.Errorf("spes: concretised destination: %w", err)
 	}
 	refs := c.collectRefs()
 	return &Concretized{Plan: sp, Schema: c.schema, Refs: refs},

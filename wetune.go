@@ -640,7 +640,8 @@ const (
 // the schema's integrity constraints (§8.1's workload generator).
 func Populate(db *DB, opts PopulateOptions) error { return datagen.Populate(db, opts) }
 
-// Execute runs a plan and returns result rows.
+// Execute runs a plan and returns result rows. A plan that is not well
+// formed (plan.Check: a dangling column, unequal union arms, ...) is an error.
 func Execute(db *DB, p Plan, params ...Value) ([]Row, error) {
 	res, err := db.Execute(p, params)
 	if err != nil {
