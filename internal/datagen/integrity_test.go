@@ -171,7 +171,7 @@ func dbFingerprint(db *engine.DB) string {
 		tbl, _ := db.Table(name)
 		fmt.Fprintf(h, "table %s\n", name)
 		for _, row := range tbl.Rows {
-			fmt.Fprintln(h, difftest.RowKey(row))
+			fmt.Fprintln(h, row.Key(nil))
 		}
 	}
 	return fmt.Sprintf("%016x", h.Sum64())

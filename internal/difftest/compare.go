@@ -21,28 +21,18 @@ import (
 	"wetune/internal/engine"
 )
 
-// RowKey renders one row as a canonical string usable as a multiset element.
-func RowKey(r engine.Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		b.WriteString(v.String())
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
 // SortRows orders rows by their canonical key, in place. Engines return rows
 // in operator order; sorting gives the order-insensitive view bag comparisons
 // and golden tests need.
 func SortRows(rows []engine.Row) {
-	sort.Slice(rows, func(i, j int) bool { return RowKey(rows[i]) < RowKey(rows[j]) })
+	sort.Slice(rows, func(i, j int) bool { return rows[i].Key(nil) < rows[j].Key(nil) })
 }
 
 // CanonRows returns the sorted multiset of row keys.
 func CanonRows(rows []engine.Row) []string {
 	keys := make([]string, len(rows))
 	for i, r := range rows {
-		keys[i] = RowKey(r)
+		keys[i] = r.Key(nil)
 	}
 	sort.Strings(keys)
 	return keys
@@ -59,10 +49,10 @@ func BagEqual(a, b []engine.Row) bool {
 	}
 	counts := make(map[string]int, len(a))
 	for _, r := range a {
-		counts[RowKey(r)]++
+		counts[r.Key(nil)]++
 	}
 	for _, r := range b {
-		k := RowKey(r)
+		k := r.Key(nil)
 		counts[k]--
 		if counts[k] < 0 {
 			return false
@@ -79,10 +69,10 @@ func ResultsEqual(a, b *engine.Result) bool { return BagEqual(a.Rows, b.Rows) }
 func DiffBags(a, b []engine.Row) string {
 	counts := map[string]int{}
 	for _, r := range a {
-		counts[RowKey(r)]++
+		counts[r.Key(nil)]++
 	}
 	for _, r := range b {
-		counts[RowKey(r)]--
+		counts[r.Key(nil)]--
 	}
 	var onlyA, onlyB []string
 	for k, n := range counts {

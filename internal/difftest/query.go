@@ -192,7 +192,9 @@ func (g *genState) genPred(t typed, depth int) sql.Expr {
 
 // genCorrelated draws [NOT] EXISTS, or a comparison with a scalar MAX
 // subquery, over a table that a generated foreign key relates to one of the
-// subplan's columns, correlated on that key; nil when no column has one.
+// subplan's columns, correlated on that key; nil when no column has one. A
+// third of them nest an EXISTS that reads both the subquery's row and the
+// subplan's, two levels out.
 func (g *genState) genCorrelated(t typed) sql.Expr {
 	for _, k := range g.rng.Perm(len(t.cols)) {
 		for _, name := range g.schema.TableNames() {
@@ -204,24 +206,39 @@ func (g *genState) genCorrelated(t typed) sql.Expr {
 				} else if t.cols[k].Column != fk.RefColumns[0] {
 					continue
 				}
-				alias := fmt.Sprintf("s%d", g.aliasN)
-				g.aliasN++
-				stmt := &sql.SelectStmt{
-					Items: []sql.SelectItem{{Expr: &sql.Literal{Val: sql.NewInt(1)}}},
-					From:  &sql.TableName{Name: table, Alias: alias},
-					Where: &sql.BinaryExpr{Op: "=",
-						L: &sql.ColumnRef{Table: alias, Column: key},
-						R: &sql.ColumnRef{Table: t.cols[k].Table, Column: t.cols[k].Column}},
+				stmt, alias := g.keyedSubquery(table, key, t.cols[k])
+				pk := table + "_id"
+				if g.rng.Intn(3) == 0 {
+					// Two levels: another row keyed by the same subplan
+					// column, compared with this subquery's row.
+					inner, innerAlias := g.keyedSubquery(table, key, t.cols[k])
+					inner.Where = &sql.BinaryExpr{Op: "AND", L: inner.Where, R: &sql.BinaryExpr{Op: g.cmpOp(),
+						L: &sql.ColumnRef{Table: innerAlias, Column: pk}, R: &sql.ColumnRef{Table: alias, Column: pk}}}
+					stmt.Where = &sql.BinaryExpr{Op: "AND", L: stmt.Where, R: &sql.ExistsExpr{Select: inner}}
 				}
 				if g.rng.Intn(2) == 0 {
 					return &sql.ExistsExpr{Select: stmt, Negated: g.rng.Intn(3) == 0}
 				}
-				stmt.Items[0].Expr = &sql.FuncCall{Name: "MAX", Args: []sql.Expr{&sql.ColumnRef{Table: alias, Column: table + "_id"}}}
+				stmt.Items[0].Expr = &sql.FuncCall{Name: "MAX", Args: []sql.Expr{&sql.ColumnRef{Table: alias, Column: pk}}}
 				return &sql.BinaryExpr{Op: g.cmpOp(), L: &sql.Literal{Val: g.genValue(sql.TInt)}, R: &sql.ScalarSubquery{Select: stmt}}
 			}
 		}
 	}
 	return nil
+}
+
+// keyedSubquery returns SELECT 1 FROM table AS sN WHERE sN.key = outer, with
+// a fresh alias sN.
+func (g *genState) keyedSubquery(table, key string, outer plan.ColRef) (*sql.SelectStmt, string) {
+	alias := fmt.Sprintf("s%d", g.aliasN)
+	g.aliasN++
+	return &sql.SelectStmt{
+		Items: []sql.SelectItem{{Expr: &sql.Literal{Val: sql.NewInt(1)}}},
+		From:  &sql.TableName{Name: table, Alias: alias},
+		Where: &sql.BinaryExpr{Op: "=",
+			L: &sql.ColumnRef{Table: alias, Column: key},
+			R: &sql.ColumnRef{Table: outer.Table, Column: outer.Column}},
+	}, alias
 }
 
 func (g *genState) cmpOp() string {

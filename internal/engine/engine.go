@@ -42,6 +42,7 @@ type ExecStats struct {
 	RowsVisited   int64
 	IndexLookups  int64
 	SubqueryExecs int64
+	SubqueryPlans int64 // predicate subqueries planned: one per statement execution each
 	SortedRows    int64
 }
 
@@ -85,19 +86,49 @@ func (db *DB) CreateIndex(table string, cols []string) error {
 	}
 	ix := &hashIndex{cols: pos, m: map[string][]int{}}
 	for ri, row := range t.Rows {
-		ix.m[indexKey(row, pos)] = append(ix.m[indexKey(row, pos)], ri)
+		k := row.Key(pos)
+		ix.m[k] = append(ix.m[k], ri)
 	}
 	t.indexes[strings.Join(cols, ",")] = ix
 	return nil
 }
 
-func indexKey(row Row, pos []int) string {
+// Key encodes the values of r at pos, or all of r when pos is nil, as one
+// string; values that are Equal encode alike (Int 2 and Float 2.0 both as
+// "2"). Hash indexes, joins, groups, DISTINCT, UNION and IN key rows with
+// it, and difftest compares bags of it.
+func (r Row) Key(pos []int) string {
 	var b strings.Builder
-	for _, p := range pos {
-		b.WriteString(row[p].String())
+	put := func(v sql.Value) {
+		b.WriteString(v.String())
 		b.WriteByte('|')
 	}
+	if pos == nil {
+		for _, v := range r {
+			put(v)
+		}
+	}
+	for _, p := range pos {
+		put(r[p])
+	}
 	return b.String()
+}
+
+// hasNull reports whether r holds NULL at pos, or anywhere when pos is nil.
+func (r Row) hasNull(pos []int) bool {
+	if pos == nil {
+		for _, v := range r {
+			if v.IsNull() {
+				return true
+			}
+		}
+	}
+	for _, p := range pos {
+		if r[p].IsNull() {
+			return true
+		}
+	}
+	return false
 }
 
 // Insert appends a row, maintaining indexes and enforcing NOT NULL and
@@ -123,19 +154,14 @@ func (db *DB) Insert(table string, row Row) error {
 	}
 	ri := len(t.Rows)
 	for key, ix := range t.indexes {
-		k := indexKey(row, ix.cols)
-		if isUniqueIndexOf(t.Def, key) && len(ix.m[k]) > 0 {
+		k := row.Key(ix.cols)
+		if len(ix.m[k]) > 0 && t.Def.IsUnique(strings.Split(key, ",")) {
 			return fmt.Errorf("engine: duplicate key %s on %s(%s)", k, table, key)
 		}
 		ix.m[k] = append(ix.m[k], ri)
 	}
 	t.Rows = append(t.Rows, row)
 	return nil
-}
-
-func isUniqueIndexOf(def *sql.TableDef, key string) bool {
-	cols := strings.Split(key, ",")
-	return def.IsUnique(cols)
 }
 
 // MustInsert is Insert that panics on error (data generators use it).
@@ -153,42 +179,8 @@ func (db *DB) RowCount(table string) int {
 	return 0
 }
 
-// lookup returns row indexes matching key values on cols via an index, and
-// whether an index was available.
-func (t *Table) lookup(cols []string, key string) ([]int, bool) {
-	ix, ok := t.indexes[strings.Join(cols, ",")]
-	if !ok {
-		return nil, false
-	}
-	return ix.m[key], true
-}
-
-// ResultCols pairs executed rows with their column layout.
+// Result pairs executed rows with their column layout.
 type Result struct {
 	Cols []plan.ColRef
 	Rows []Row
-}
-
-// Fingerprint renders a result set as a sorted multiset string, for
-// order-insensitive comparisons in tests.
-func (r *Result) Fingerprint() string {
-	lines := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		var b strings.Builder
-		for _, v := range row {
-			b.WriteString(v.String())
-			b.WriteByte(',')
-		}
-		lines[i] = b.String()
-	}
-	sortStrings(lines)
-	return strings.Join(lines, "\n")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"sort"
 	"testing"
 
 	"wetune/internal/plan"
@@ -46,6 +48,23 @@ func seededDB(t *testing.T) *DB {
 		db.MustInsert("labels", Row{sql.NewInt(i), title, projectID})
 	}
 	return db
+}
+
+// sameBag reports whether a and b hold the same rows, each as often.
+func sameBag(a, b []Row) bool {
+	count := map[string]int{}
+	for _, r := range a {
+		count[r.Key(nil)]++
+	}
+	for _, r := range b {
+		count[r.Key(nil)]--
+	}
+	for _, n := range count {
+		if n != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func run(t *testing.T, db *DB, q string, params ...sql.Value) *Result {
@@ -198,9 +217,9 @@ func TestCorrelatedExists(t *testing.T) {
 	}
 }
 
-// TestSubqueryExecsPerStatement pins when a subquery's result is reused: an
-// EXISTS that reads no outer column runs once per statement, a correlated one
-// once per outer row.
+// TestSubqueryExecsPerStatement pins when a subquery is planned and when its
+// result is reused: each is planned once per statement; an EXISTS that reads
+// no outer column runs once, a correlated one once per outer row.
 func TestSubqueryExecsPerStatement(t *testing.T) {
 	db := NewDB(gitlabSchema())
 	for i := int64(1); i <= 50; i++ {
@@ -216,13 +235,81 @@ func TestSubqueryExecsPerStatement(t *testing.T) {
 		{"SELECT labels.id FROM labels WHERE EXISTS (SELECT 1 FROM projects WHERE projects.id = 3)", 1},
 		{"SELECT labels.id FROM labels WHERE EXISTS (SELECT 1 FROM projects WHERE projects.id = labels.project_id)", 50},
 	} {
-		before := db.Stats.SubqueryExecs
+		before := db.Stats
 		if res := run(t, db, c.q); len(res.Rows) != 50 {
 			t.Errorf("%s: %d rows, want 50", c.q, len(res.Rows))
 		}
-		if got := db.Stats.SubqueryExecs - before; got != c.execs {
+		if got := db.Stats.SubqueryExecs - before.SubqueryExecs; got != c.execs {
 			t.Errorf("%s: %d subquery executions, want %d", c.q, got, c.execs)
 		}
+		if got := db.Stats.SubqueryPlans - before.SubqueryPlans; got != 1 {
+			t.Errorf("%s: %d subquery plans, want 1", c.q, got)
+		}
+	}
+}
+
+// TestHavingAroundAggregates evaluates HAVING conditions in which an
+// aggregate sits under an operator other than AND, OR, NOT, a comparison or
+// arithmetic. seededDB's projects 2–10 have 10 labels each, project 1 and the
+// NULL group 5; each group's labels share one title.
+func TestHavingAroundAggregates(t *testing.T) {
+	db := seededDB(t)
+	projects2to10 := []int64{2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for _, c := range []struct {
+		having string
+		want   []int64 // project ids; -1 stands for the NULL group
+	}{
+		{"COUNT(*) IN (9, 10)", projects2to10},
+		{"-COUNT(*) < -9", projects2to10},
+		{"CASE WHEN COUNT(*) > 9 THEN 1 ELSE 0 END = 1", projects2to10},
+		{"MAX(title) IS NOT NULL", []int64{-1, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10}},
+		{"MAX(title) LIKE 'f%'", []int64{2, 7}},
+	} {
+		t.Run(c.having, func(t *testing.T) {
+			res := run(t, db, "SELECT project_id FROM labels GROUP BY project_id HAVING "+c.having)
+			var got []int64
+			for _, row := range res.Rows {
+				if row[0].IsNull() {
+					got = append(got, -1)
+				} else {
+					got = append(got, row[0].I)
+				}
+			}
+			sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
+			if fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Errorf("groups %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestSubqueryNamesResolveInnermostFirst runs a name visible at two
+// enclosing levels: the unqualified name inside the innermost EXISTS is
+// q.name, the nearer level's, not p.name. In the second query q is the
+// project after p, so the two readings return different bags.
+func TestSubqueryNamesResolveInnermostFirst(t *testing.T) {
+	db := NewDB(gitlabSchema())
+	for i, name := range []string{"a", "b", "c", "d"} {
+		db.MustInsert("projects", Row{sql.NewInt(int64(i + 1)), sql.NewString(name)})
+	}
+	for i, title := range []string{"b", "d"} {
+		db.MustInsert("labels", Row{sql.NewInt(int64(i + 1)), sql.NewString(title), sql.Null})
+	}
+	for _, c := range []struct {
+		join string
+		want []Row
+	}{
+		{"q.id = p.id", []Row{{sql.NewInt(2)}, {sql.NewInt(4)}}},
+		// q.name in (b, d) holds for p = 1, 3; p.name would give p = 2 only.
+		{"q.id = p.id + 1", []Row{{sql.NewInt(1)}, {sql.NewInt(3)}}},
+	} {
+		t.Run(c.join, func(t *testing.T) {
+			q := "SELECT p.id FROM projects p WHERE EXISTS (SELECT 1 FROM projects q WHERE " + c.join +
+				" AND EXISTS (SELECT 1 FROM labels m WHERE m.title = name))"
+			if res := run(t, db, q); !sameBag(res.Rows, c.want) {
+				t.Errorf("rows %v, want %v", res.Rows, c.want)
+			}
+		})
 	}
 }
 
@@ -257,14 +344,6 @@ func TestInsertEnforcesConstraints(t *testing.T) {
 	}
 }
 
-func TestResultFingerprintOrderInsensitive(t *testing.T) {
-	a := &Result{Rows: []Row{{sql.NewInt(1)}, {sql.NewInt(2)}}}
-	b := &Result{Rows: []Row{{sql.NewInt(2)}, {sql.NewInt(1)}}}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("fingerprints differ for same multiset")
-	}
-}
-
 func TestCostEstimatorPrefersSimplerPlans(t *testing.T) {
 	db := seededDB(t)
 	q0 := plan.MustBuild(sql.MustParse(
@@ -295,7 +374,7 @@ func TestExecEquivalenceOriginalVsRewritten(t *testing.T) {
 	        SELECT id FROM labels WHERE id IN (
 	          SELECT id FROM labels WHERE project_id = 10) ORDER BY title ASC)`)
 	rewritten := run(t, db, "SELECT * FROM labels WHERE project_id = 10")
-	if orig.Fingerprint() != rewritten.Fingerprint() {
+	if !sameBag(orig.Rows, rewritten.Rows) {
 		t.Fatal("q0 and q2 disagree")
 	}
 	if len(orig.Rows) == 0 {

@@ -218,30 +218,35 @@ func (ex *executor) evalInSubquery(x *sql.InSubquery, env *rowEnv) (sql.Bool3, e
 	return out, nil
 }
 
-// subqueryResult plans and executes a predicate-level subquery. Uncorrelated
-// subqueries are cached for the duration of the statement.
+// subqueryResult executes a predicate-level subquery. Each one is planned
+// once per statement execution, against the column lists of env's chain,
+// innermost first; one that reads no enclosing row runs once and its result
+// is reused.
 func (ex *executor) subqueryResult(stmt *sql.SelectStmt, env *rowEnv) (*Result, error) {
-	if cached, ok := ex.subCache[stmt]; ok {
-		return cached, nil
+	sub, ok := ex.subs[stmt]
+	if !ok {
+		var scopes [][]plan.ColRef
+		for e := env; e != nil; e = e.parent {
+			scopes = append(scopes, e.cols)
+		}
+		p, correlated, err := plan.BuildCorrelated(stmt, ex.db.Schema, scopes)
+		if err != nil {
+			return nil, fmt.Errorf("engine: subquery: %w", err)
+		}
+		ex.db.Stats.SubqueryPlans++
+		sub = &subquery{plan: p, correlated: correlated}
+		ex.subs[stmt] = sub
 	}
-	var outerCols []plan.ColRef
-	for e := env; e != nil; e = e.parent {
-		outerCols = append(outerCols, e.cols...)
-	}
-	p, err := plan.BuildCorrelated(stmt, ex.db.Schema, outerCols)
-	if err != nil {
-		return nil, fmt.Errorf("engine: subquery: %w", err)
+	if sub.res != nil {
+		return sub.res, nil
 	}
 	ex.db.Stats.SubqueryExecs++
-	res, err := ex.exec(p, env)
+	res, err := ex.exec(sub.plan, env)
 	if err != nil {
 		return nil, err
 	}
-	// Cache only when the subquery reads no outer column.
-	correlated := false
-	sql.FreeColumns(stmt, ex.db.Schema, func(*sql.ColumnRef) { correlated = true })
-	if !correlated {
-		ex.subCache[stmt] = res
+	if !sub.correlated {
+		sub.res = res
 	}
 	return res, nil
 }
@@ -324,7 +329,16 @@ func (ex *executor) evalExpr(e sql.Expr, env *rowEnv) (sql.Value, error) {
 		}
 		return sql.Null, nil
 	case *sql.FuncCall:
-		return sql.Null, fmt.Errorf("engine: function %s outside aggregation context", x.Name)
+		// An aggregate call computes over the group of an aggregate's env
+		// (HAVING); anywhere else it is an error.
+		if !sql.AggregateFuncs[x.Name] || env == nil || env.group == nil {
+			return sql.Null, fmt.Errorf("engine: function %s outside aggregation context", x.Name)
+		}
+		item := plan.AggItem{Func: x.Name, Star: x.Star, Distinct: x.Distinct}
+		if !x.Star && len(x.Args) == 1 {
+			item.Arg = x.Args[0]
+		}
+		return ex.aggValue(item, env)
 	case *sql.IsNullExpr, *sql.InListExpr, *sql.InSubquery, *sql.ExistsExpr, *sql.TupleExpr:
 		b, err := ex.evalBool(e, env)
 		if err != nil {
@@ -333,66 +347,6 @@ func (ex *executor) evalExpr(e sql.Expr, env *rowEnv) (sql.Value, error) {
 		return bool3Value(b), nil
 	}
 	return sql.Null, fmt.Errorf("engine: cannot evaluate %T", e)
-}
-
-// evalExprAgg is evalExpr extended with aggregate calls computed over the
-// supplied group rows (used by HAVING).
-func (ex *executor) evalExprAgg(e sql.Expr, env *rowEnv, rows []Row, cols []plan.ColRef, outer *rowEnv) (sql.Value, error) {
-	switch x := e.(type) {
-	case *sql.FuncCall:
-		if sql.AggregateFuncs[x.Name] {
-			item := plan.AggItem{Func: x.Name, Star: x.Star, Distinct: x.Distinct}
-			if !x.Star && len(x.Args) == 1 {
-				item.Arg = x.Args[0]
-			}
-			return ex.aggValue(item, rows, cols, outer)
-		}
-	case *sql.BinaryExpr:
-		switch x.Op {
-		case "AND", "OR":
-			l, err := ex.evalExprAgg(x.L, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			r, err := ex.evalExprAgg(x.R, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			if x.Op == "AND" {
-				return bool3Value(sql.And3(truth(l), truth(r))), nil
-			}
-			return bool3Value(sql.Or3(truth(l), truth(r))), nil
-		case "=", "<>", "<", "<=", ">", ">=":
-			l, err := ex.evalExprAgg(x.L, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			r, err := ex.evalExprAgg(x.R, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			return bool3Value(sql.Compare3VL(x.Op, l, r)), nil
-		case "+", "-", "*", "/":
-			l, err := ex.evalExprAgg(x.L, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			r, err := ex.evalExprAgg(x.R, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			return arith(x.Op, l, r)
-		}
-	case *sql.UnaryExpr:
-		if x.Op == "NOT" {
-			v, err := ex.evalExprAgg(x.E, env, rows, cols, outer)
-			if err != nil {
-				return sql.Null, err
-			}
-			return bool3Value(sql.Not3(truth(v))), nil
-		}
-	}
-	return ex.evalExpr(e, env)
 }
 
 func arith(op string, l, r sql.Value) (sql.Value, error) {

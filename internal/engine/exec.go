@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"wetune/internal/plan"
 	"wetune/internal/sql"
@@ -12,29 +11,40 @@ import (
 
 // Execute runs a logical plan and returns its result rows. params supplies
 // values for `?` placeholders. A plan that fails plan.Check is an error; the
-// correlated subplans the executor builds per outer row are not checked,
-// because they read that row.
+// subquery plans the executor builds are not checked, because they read
+// enclosing rows.
 func (db *DB) Execute(p plan.Node, params []sql.Value) (*Result, error) {
 	if _, err := plan.Check(nil, p, db.Schema); err != nil {
 		return nil, err
 	}
-	ex := &executor{db: db, params: params, subCache: map[*sql.SelectStmt]*Result{}}
+	ex := &executor{db: db, params: params, subs: map[*sql.SelectStmt]*subquery{}}
 	return ex.exec(p, nil)
 }
 
-// executor carries per-execution state (parameter values, the uncorrelated
-// subquery cache, outer-row context for correlated subqueries).
+// executor carries per-execution state: parameter values and the predicate
+// subqueries planned so far.
 type executor struct {
-	db       *DB
-	params   []sql.Value
-	subCache map[*sql.SelectStmt]*Result
+	db     *DB
+	params []sql.Value
+	subs   map[*sql.SelectStmt]*subquery
 }
 
-// rowEnv resolves column references against the current row and any outer
-// rows (for correlated subqueries).
+// subquery is a predicate subquery planned for one statement execution.
+type subquery struct {
+	plan       plan.Node
+	correlated bool    // it reads an enclosing row
+	res        *Result // an uncorrelated subquery's result, once run
+}
+
+// rowEnv resolves column references against the current row and then the
+// enclosing rows, innermost first. In an aggregate's env, group points at
+// the group's rows and row is the first of them, or NULLs; elsewhere group
+// is nil. (A pointer keeps the struct at 64 bytes: Sel and Proj allocate one
+// per row.)
 type rowEnv struct {
 	cols   []plan.ColRef
 	row    Row
+	group  *[]Row
 	parent *rowEnv
 }
 
@@ -104,23 +114,18 @@ func (ex *executor) exec(p plan.Node, outer *rowEnv) (*Result, error) {
 		ex.db.Stats.SubqueryExecs++
 		set := map[string]bool{}
 		for _, row := range sub.Rows {
-			if rowHasNull(row) {
-				continue
+			if !row.hasNull(nil) {
+				set[row.Key(nil)] = true
 			}
-			set[rowKey(row)] = true
 		}
-		pos := make([]int, len(x.Cols))
-		for i, c := range x.Cols {
-			pos[i] = colIndex(in.Cols, c)
-			if pos[i] < 0 {
-				return nil, fmt.Errorf("engine: IN column %s not found", c)
-			}
+		pos := colIndexes(in.Cols, x.Cols)
+		if pos == nil {
+			return nil, fmt.Errorf("engine: IN columns %v not found", x.Cols)
 		}
 		out := &Result{Cols: in.Cols}
 		for _, row := range in.Rows {
 			ex.db.Stats.RowsVisited++
-			key, null := projKey(row, pos)
-			if !null && set[key] {
+			if !row.hasNull(pos) && set[row.Key(pos)] {
 				out.Rows = append(out.Rows, row)
 			}
 		}
@@ -134,17 +139,8 @@ func (ex *executor) exec(p plan.Node, outer *rowEnv) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		seen := map[string]bool{}
-		out := &Result{Cols: in.Cols}
-		for _, row := range in.Rows {
-			ex.db.Stats.RowsVisited++
-			k := rowKey(row)
-			if !seen[k] {
-				seen[k] = true
-				out.Rows = append(out.Rows, row)
-			}
-		}
-		return out, nil
+		ex.db.Stats.RowsVisited += int64(len(in.Rows))
+		return &Result{Cols: in.Cols, Rows: distinct(in.Rows)}, nil
 
 	case *plan.Proj:
 		in, err := ex.exec(x.In, outer)
@@ -180,16 +176,7 @@ func (ex *executor) exec(p plan.Node, outer *rowEnv) (*Result, error) {
 		}
 		out := &Result{Cols: l.Cols, Rows: append(append([]Row{}, l.Rows...), r.Rows...)}
 		if !x.All {
-			seen := map[string]bool{}
-			dedup := out.Rows[:0]
-			for _, row := range out.Rows {
-				k := rowKey(row)
-				if !seen[k] {
-					seen[k] = true
-					dedup = append(dedup, row)
-				}
-			}
-			out.Rows = dedup
+			out.Rows = distinct(out.Rows)
 		}
 		return out, nil
 
@@ -264,7 +251,8 @@ func (ex *executor) indexedSel(s *plan.Sel, outer *rowEnv) (*Result, bool, error
 	if t == nil {
 		return nil, false, nil
 	}
-	if _, indexed := t.indexes[cr.Column]; !indexed {
+	ix, indexed := t.indexes[cr.Column]
+	if !indexed {
 		return nil, false, nil
 	}
 	v, err := ex.evalExpr(valExpr, outer)
@@ -274,7 +262,7 @@ func (ex *executor) indexedSel(s *plan.Sel, outer *rowEnv) (*Result, bool, error
 	if v.IsNull() {
 		return &Result{Cols: scan.OutCols()}, true, nil
 	}
-	ids, _ := t.lookup([]string{cr.Column}, v.String()+"|")
+	ids := ix.m[Row{v}.Key(nil)]
 	ex.db.Stats.IndexLookups++
 	out := &Result{Cols: scan.OutCols()}
 	for _, ri := range ids {
@@ -295,13 +283,6 @@ func (ex *executor) execJoin(j *plan.Join, outer *rowEnv) (*Result, error) {
 	}
 	cols := append(append([]plan.ColRef{}, l.Cols...), r.Cols...)
 	out := &Result{Cols: cols}
-	nullsFor := func(n int) Row {
-		row := make(Row, n)
-		for i := range row {
-			row[i] = sql.Null
-		}
-		return row
-	}
 	lc, rc, equi := j.EquiCols()
 	if equi && j.JoinKind != sql.CrossJoin {
 		lpos := colIndexes(l.Cols, lc)
@@ -311,23 +292,22 @@ func (ex *executor) execJoin(j *plan.Join, outer *rowEnv) (*Result, error) {
 			build := map[string][]Row{}
 			for _, row := range r.Rows {
 				ex.db.Stats.RowsVisited++
-				key, null := projKey(row, rpos)
-				if null {
-					continue
+				if !row.hasNull(rpos) {
+					key := row.Key(rpos)
+					build[key] = append(build[key], row)
 				}
-				build[key] = append(build[key], row)
 			}
 			rightMatched := map[string]bool{}
 			for _, lrow := range l.Rows {
 				ex.db.Stats.RowsVisited++
-				key, null := projKey(lrow, lpos)
-				matches := build[key]
-				if null {
-					matches = nil
+				var matches []Row
+				key := lrow.Key(lpos)
+				if !lrow.hasNull(lpos) {
+					matches = build[key]
 				}
 				if len(matches) == 0 {
 					if j.JoinKind == sql.LeftJoin {
-						out.Rows = append(out.Rows, append(append(Row{}, lrow...), nullsFor(len(r.Cols))...))
+						out.Rows = append(out.Rows, append(append(Row{}, lrow...), nullRow(len(r.Cols))...))
 					}
 					continue
 				}
@@ -338,9 +318,8 @@ func (ex *executor) execJoin(j *plan.Join, outer *rowEnv) (*Result, error) {
 			}
 			if j.JoinKind == sql.RightJoin {
 				for _, rrow := range r.Rows {
-					key, null := projKey(rrow, rpos)
-					if null || !rightMatched[key] {
-						out.Rows = append(out.Rows, append(nullsFor(len(l.Cols)), rrow...))
+					if rrow.hasNull(rpos) || !rightMatched[rrow.Key(rpos)] {
+						out.Rows = append(out.Rows, append(nullRow(len(l.Cols)), rrow...))
 					}
 				}
 			}
@@ -368,13 +347,13 @@ func (ex *executor) execJoin(j *plan.Join, outer *rowEnv) (*Result, error) {
 			}
 		}
 		if !matched && j.JoinKind == sql.LeftJoin {
-			out.Rows = append(out.Rows, append(append(Row{}, lrow...), nullsFor(len(r.Cols))...))
+			out.Rows = append(out.Rows, append(append(Row{}, lrow...), nullRow(len(r.Cols))...))
 		}
 	}
 	if j.JoinKind == sql.RightJoin {
 		for ri, rrow := range r.Rows {
 			if !rightSeen[ri] {
-				out.Rows = append(out.Rows, append(nullsFor(len(l.Cols)), rrow...))
+				out.Rows = append(out.Rows, append(nullRow(len(l.Cols)), rrow...))
 			}
 		}
 	}
@@ -387,48 +366,44 @@ func (ex *executor) execAgg(a *plan.Agg, outer *rowEnv) (*Result, error) {
 		return nil, err
 	}
 	gpos := colIndexes(in.Cols, a.GroupBy)
-	if gpos == nil && len(a.GroupBy) > 0 {
+	if gpos == nil {
 		return nil, fmt.Errorf("engine: group-by column missing")
 	}
 	groups := map[string][]Row{}
 	var order []string
 	for _, row := range in.Rows {
 		ex.db.Stats.RowsVisited++
-		key := ""
-		if len(gpos) > 0 {
-			key, _ = projKey(row, gpos)
-		}
+		key := row.Key(gpos)
 		if _, ok := groups[key]; !ok {
 			order = append(order, key)
 		}
 		groups[key] = append(groups[key], row)
 	}
 	if len(a.GroupBy) == 0 && len(order) == 0 {
-		order = append(order, "")
-		groups[""] = nil
+		order = append(order, "") // one group, empty
 	}
 	out := &Result{Cols: a.OutCols()}
 	for _, key := range order {
-		rows := groups[key]
-		outRow := make(Row, 0, len(a.GroupBy)+len(a.Items))
-		if len(rows) > 0 {
-			for _, p := range gpos {
-				outRow = append(outRow, rows[0][p])
-			}
+		group := groups[key]
+		env := &rowEnv{cols: in.Cols, group: &group, parent: outer}
+		if len(group) > 0 {
+			env.row = group[0]
 		} else {
-			for range a.GroupBy {
-				outRow = append(outRow, sql.Null)
-			}
+			env.row = nullRow(len(in.Cols))
+		}
+		outRow := make(Row, 0, len(a.GroupBy)+len(a.Items))
+		for _, p := range gpos {
+			outRow = append(outRow, env.row[p])
 		}
 		for _, item := range a.Items {
-			v, err := ex.aggValue(item, rows, in.Cols, outer)
+			v, err := ex.aggValue(item, env)
 			if err != nil {
 				return nil, err
 			}
 			outRow = append(outRow, v)
 		}
 		if a.Having != nil {
-			hv, err := ex.evalHaving(a.Having, a, rows, in.Cols, outer)
+			hv, err := ex.evalBool(a.Having, env)
 			if err != nil {
 				return nil, err
 			}
@@ -441,14 +416,15 @@ func (ex *executor) execAgg(a *plan.Agg, outer *rowEnv) (*Result, error) {
 	return out, nil
 }
 
-func (ex *executor) aggValue(item plan.AggItem, rows []Row, cols []plan.ColRef, outer *rowEnv) (sql.Value, error) {
+// aggValue computes an aggregate over the group of env, an aggregate's env.
+func (ex *executor) aggValue(item plan.AggItem, env *rowEnv) (sql.Value, error) {
 	if item.Star && item.Func == "COUNT" {
-		return sql.NewInt(int64(len(rows))), nil
+		return sql.NewInt(int64(len(*env.group))), nil
 	}
 	var vals []sql.Value
 	seen := map[string]bool{}
-	for _, row := range rows {
-		v, err := ex.evalExpr(item.Arg, &rowEnv{cols: cols, row: row, parent: outer})
+	for _, row := range *env.group {
+		v, err := ex.evalExpr(item.Arg, &rowEnv{cols: env.cols, row: row, parent: env.parent})
 		if err != nil {
 			return sql.Null, err
 		}
@@ -456,7 +432,7 @@ func (ex *executor) aggValue(item plan.AggItem, rows []Row, cols []plan.ColRef, 
 			continue
 		}
 		if item.Distinct {
-			k := v.String()
+			k := Row{v}.Key(nil)
 			if seen[k] {
 				continue
 			}
@@ -507,57 +483,6 @@ func (ex *executor) aggValue(item plan.AggItem, rows []Row, cols []plan.ColRef, 
 	return sql.Null, fmt.Errorf("engine: unknown aggregate %s", item.Func)
 }
 
-// evalHaving evaluates a HAVING expression: aggregate calls compute over the
-// group's rows; plain columns resolve against the group's first row.
-func (ex *executor) evalHaving(e sql.Expr, a *plan.Agg, rows []Row, cols []plan.ColRef, outer *rowEnv) (sql.Bool3, error) {
-	var sample Row
-	if len(rows) > 0 {
-		sample = rows[0]
-	} else {
-		sample = make(Row, len(cols))
-		for i := range sample {
-			sample[i] = sql.Null
-		}
-	}
-	env := &rowEnv{cols: cols, row: sample, parent: outer}
-	v, err := ex.evalExprAgg(e, env, rows, cols, outer)
-	if err != nil {
-		return sql.False3, err
-	}
-	return truth(v), nil
-}
-
-func rowHasNull(r Row) bool {
-	for _, v := range r {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
-func rowKey(r Row) string {
-	var b strings.Builder
-	for _, v := range r {
-		b.WriteString(v.String())
-		b.WriteByte('|')
-	}
-	return b.String()
-}
-
-func projKey(r Row, pos []int) (key string, hasNull bool) {
-	var b strings.Builder
-	for _, p := range pos {
-		v := r[p]
-		if v.IsNull() {
-			hasNull = true
-		}
-		b.WriteString(v.String())
-		b.WriteByte('|')
-	}
-	return b.String(), hasNull
-}
-
 func colIndex(cols []plan.ColRef, c plan.ColRef) int {
 	for i, cc := range cols {
 		if cc == c {
@@ -582,4 +507,26 @@ func colIndexes(cols []plan.ColRef, want []plan.ColRef) []int {
 		}
 	}
 	return out
+}
+
+// distinct returns rows without the repeats of an earlier row, in order.
+func distinct(rows []Row) []Row {
+	seen := map[string]bool{}
+	var out []Row
+	for _, row := range rows {
+		if k := row.Key(nil); !seen[k] {
+			seen[k] = true
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// nullRow returns n NULLs.
+func nullRow(n int) Row {
+	row := make(Row, n)
+	for i := range row {
+		row[i] = sql.Null
+	}
+	return row
 }

@@ -53,12 +53,22 @@ func BuildSQL(query string, schema *sql.Schema) (Node, error) {
 }
 
 // BuildCorrelated lowers a subquery whose free column references may resolve
-// against the supplied outer columns (the engine supplies their values at
-// execution time).
-func BuildCorrelated(stmt *sql.SelectStmt, schema *sql.Schema, outer []ColRef) (Node, error) {
+// against the columns of its enclosing rows, given innermost first; a name
+// resolves at the innermost level that has it. The engine supplies the
+// values at execution time. It also reports whether the subquery reads an
+// enclosing row, in any clause at any nesting depth.
+func BuildCorrelated(stmt *sql.SelectStmt, schema *sql.Schema, outer [][]ColRef) (Node, bool, error) {
+	var sc *scope
+	for i := len(outer) - 1; i >= 0; i-- {
+		sc = &scope{cols: outer[i], outer: sc}
+	}
 	b := &builder{schema: schema}
 	b.sizeSlab(stmt)
-	return bounded(b.buildSelect(stmt, &scope{cols: outer}))
+	n, err := bounded(b.buildSelect(stmt, sc))
+	if err != nil {
+		return nil, false, err
+	}
+	return n, b.correlated(stmt, sc), nil
 }
 
 type builder struct {

@@ -184,6 +184,21 @@ func TestRewritePreservesResults(t *testing.T) {
 		`SELECT DISTINCT id FROM labels`,
 		`SELECT * FROM labels WHERE id IN (SELECT id FROM labels WHERE id IN (SELECT id FROM labels WHERE project_id = 2) ORDER BY title ASC)`,
 	}
+	sameBag := func(a, b []engine.Row) bool {
+		count := map[string]int{}
+		for _, r := range a {
+			count[r.Key(nil)]++
+		}
+		for _, r := range b {
+			count[r.Key(nil)]--
+		}
+		for _, n := range count {
+			if n != 0 {
+				return false
+			}
+		}
+		return true
+	}
 	rw := NewRewriter(rules.All(), schema)
 	rw.DB = db
 	for _, q := range queries {
@@ -197,7 +212,7 @@ func TestRewritePreservesResults(t *testing.T) {
 		if err != nil {
 			t.Fatalf("exec rewritten %q: %v", q, err)
 		}
-		if r1.Fingerprint() != r2.Fingerprint() {
+		if !sameBag(r1.Rows, r2.Rows) {
 			t.Errorf("rewrite changed results for %q (applied %v)\n  orig: %d rows\n  new:  %d rows\n  plan: %s",
 				q, applied, len(r1.Rows), len(r2.Rows), plan.ToSQLString(rewritten))
 		}

@@ -36,7 +36,6 @@ var lemmas = [...]func(*normalizer, *Term) (*Term, bool){
 	(*normalizer).antiJoinDead,
 	(*normalizer).elimIsNullVar,
 	(*normalizer).dedupIdempotent,
-	(*normalizer).absorbSquashOfPresentFactor,
 	(*normalizer).flattenConcats,
 	(*normalizer).congruenceRewrite,
 	(*normalizer).subAttrsCompose,
@@ -570,29 +569,6 @@ func (n *normalizer) dedupIdempotent(t *Term) (*Term, bool) {
 				return removeFactor(t, fi), true
 			}
 			seen[key] = true
-		}
-	}
-	return nil, false
-}
-
-// absorbSquashOfPresentFactor applies e * ||e|| = e: a squash whose body is a
-// single Rel factor already present in the term is redundant.
-func (n *normalizer) absorbSquashOfPresentFactor(t *Term) (*Term, bool) {
-	for fi, f := range t.Factors {
-		sq, ok := f.(*SquashNF)
-		if !ok {
-			continue
-		}
-		inner, ok := singleFactor(sq.NF)
-		if !ok {
-			continue
-		}
-		r, ok := inner.(*Rel)
-		if !ok {
-			continue
-		}
-		if relOn(t.Factors, r.T, func(s template.Sym) bool { return s == r.Rel }) {
-			return removeFactor(t, fi), true
 		}
 	}
 	return nil, false
