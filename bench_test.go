@@ -87,7 +87,7 @@ func BenchmarkCalciteSuiteRewrites(b *testing.B) {
 func BenchmarkWorkloadsAD_Latency(b *testing.B) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {
-		r = bench.WorkloadsLatency(20, 60, 3)
+		r = bench.WorkloadsLatency(20, 60, 21)
 	}
 	logOnce(b, r)
 }
@@ -142,15 +142,6 @@ func BenchmarkAblationVerifierPaths(b *testing.B) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {
 		r = bench.AblationVerifierPaths()
-	}
-	logOnce(b, r)
-}
-
-// BenchmarkAblationRewriteSearch — DESIGN.md ablation 3.
-func BenchmarkAblationRewriteSearch(b *testing.B) {
-	var r *bench.Report
-	for i := 0; i < b.N; i++ {
-		r = bench.AblationRewriteSearch()
 	}
 	logOnce(b, r)
 }

@@ -30,10 +30,10 @@
 //	                                            expired deadline returns the best plan found
 //	                                            so far and exits 3)
 //	wetune explain -q "SELECT ..." [-json]      rewrite one query and render the full
-//	                                            derivation: chosen step chain with per-step
-//	                                            paths and cost deltas, the explored search
-//	                                            tree, and the per-rule why-not funnel; the
-//	                                            applied chain and costs match wetune rewrite
+//	                                            derivation: the search's steps with per-step
+//	                                            paths and size deltas, each step's candidates
+//	                                            not taken, and the per-rule why-not funnel;
+//	                                            the applied chain and costs match wetune rewrite
 //	wetune serve [-addr :8080] [-workers N] [-queue N] [-timeout 10s]
 //	             [-max-body N] [-result-cache N]
 //	                                            run the rewrite-as-a-service daemon over the
@@ -70,7 +70,7 @@
 //	                                            work, clean drain); exits 1 on any violation
 //	wetune report rules [-json] [-per-app N]    run the fixed rewrite workload and report
 //	                                            per-rule effectiveness: fire/win/no-op
-//	                                            counts, cost-delta histograms, and the
+//	                                            counts, size-delta histograms, and the
 //	                                            dead-rule list
 //	wetune report serve -metrics FILE [-json]   render the serving-side view of a metrics
 //	                                            registry dump (responses, admission, both
@@ -86,8 +86,9 @@
 //	0  success
 //	1  runtime error (bad SQL, I/O failure, fuzz mismatch, loadtest 5xx)
 //	2  usage error (unknown subcommand, bad or missing flags)
-//	3  success, but a search budget truncated the rewrite (rewrite/explain:
-//	   Stats.Truncated — the output is correct, a larger budget may improve it)
+//	3  success, but the step budget or a deadline truncated the rewrite
+//	   (rewrite/explain: Stats.Truncated — the output is correct, a larger
+//	   budget may improve it)
 //
 // Every long-running subcommand (discover, fuzz, rewrite, explain, serve,
 // loadtest, soak, report) also accepts the shared
@@ -458,8 +459,9 @@ func cmdRewrite(args []string) int {
 }
 
 // cmdExplain rewrites one query like cmdRewrite but records and renders the
-// full derivation: the chosen step chain with per-step node paths and cost
-// deltas, the explored search tree, and the per-rule why-not funnel. The
+// full derivation: the search's steps with per-step node paths and size
+// deltas, the candidates each step did not take, and the per-rule why-not
+// funnel. The
 // embedded result is computed with the same budgets as `wetune rewrite`, so
 // the applied chain and costs are identical.
 func cmdExplain(args []string) int {
@@ -498,14 +500,8 @@ func cmdExplain(args []string) int {
 	fmt.Println("rewritten:", res.Output)
 	fmt.Printf("cost:      %.1f -> %.1f\n", res.CostBefore, res.CostAfter)
 	prov := res.Provenance
-	if len(prov.Steps) == 0 {
-		fmt.Println("(no rule applied)")
-	} else {
-		fmt.Println("\nderivation:")
-		fmt.Print(prov.RenderSteps())
-	}
-	fmt.Println("\nsearch tree:")
-	fmt.Print(prov.RenderTree())
+	fmt.Println("\nderivation:")
+	fmt.Print(prov.RenderSteps())
 	fmt.Println("\nwhy-not (per-rule funnel):")
 	fmt.Print(prov.RenderWhyNot())
 	if res.Stats.Truncated {
@@ -527,7 +523,7 @@ func cmdReport(args []string) int {
 		return exitUsage
 	}
 	fs := newFlagSet("report rules")
-	asJSON := fs.Bool("json", false, "emit the full report (per-rule funnels, cost-delta histograms, dead list, journal/registry views) as JSON")
+	asJSON := fs.Bool("json", false, "emit the full report (per-rule funnels, size-delta histograms, dead list, journal/registry views) as JSON")
 	perApp := fs.Int("per-app", 100, "queries per application archetype (the bench workload uses 100)")
 	of := addObsFlags(fs)
 	if fs.Parse(args[1:]) != nil {
@@ -607,7 +603,7 @@ func cmdBench(args []string) int {
 		{"table7", bench.Table7Verification},
 		{"apps", func() *bench.Report { return bench.AppRewrites(426) }},
 		{"calcite", bench.CalciteRewrites},
-		{"latency", func() *bench.Report { return bench.WorkloadsLatency(20, 60, 3) }},
+		{"latency", func() *bench.Report { return bench.WorkloadsLatency(20, 60, 21) }},
 		{"casestudy", func() *bench.Report { return bench.CaseStudy(50000) }},
 		{"verifiers", func() *bench.Report { return bench.VerifierComparison(2) }},
 		{"timeout", bench.TimeoutStudy},
@@ -624,7 +620,6 @@ func cmdBench(args []string) int {
 		if e.name == "ablations" {
 			fmt.Println(bench.AblationConstraintPruning())
 			fmt.Println(bench.AblationVerifierPaths())
-			fmt.Println(bench.AblationRewriteSearch())
 			continue
 		}
 		fmt.Println(e.run())

@@ -41,7 +41,6 @@ func main() {
 	q3 := `SELECT id FROM notes WHERE type = 'D' AND id IN (SELECT id FROM notes WHERE commit_id = 7)`
 
 	opt := wetune.NewOptimizer(wetune.BuiltinRules(), schema)
-	opt.UseDB(db)
 	p, err := opt.PlanSQL(q3)
 	if err != nil {
 		panic(err)

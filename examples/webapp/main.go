@@ -21,7 +21,6 @@ func main() {
 	fmt.Println("populated topics/posts/users with 20k rows each (zipfian 1.5)")
 
 	opt := wetune.NewOptimizer(wetune.BuiltinRules(), schema)
-	opt.UseDB(db)
 
 	queries := []string{
 		// Duplicated IN-subquery (rule 4 / Figure 2).

@@ -33,7 +33,6 @@ func TestIntegrationRewritesPreserveResults(t *testing.T) {
 			t.Fatalf("populate %s: %v", app.Name, err)
 		}
 		rw := rewrite.NewRewriter(workload.WeTuneRules(), app.Schema)
-		rw.DB = db
 		for _, q := range workload.GenerateQueries(app, 80) {
 			p, err := plan.BuildSQL(q.SQL, app.Schema)
 			if err != nil {

@@ -2,8 +2,8 @@
 // registry counters across the full evaluation workload into per-rule
 // effectiveness reports (`wetune report rules`). Where the flight recorder
 // answers "what just happened", this package answers "which rules earn their
-// keep": per-rule fire/win/no-op counts, the distribution of cost improvements
-// each rule delivers, and the dead-rule list — rules that never fired on the
+// keep": per-rule fire/win/no-op counts, the distribution of plan-size
+// reductions each rule delivers, and the dead-rule list — rules that never fired on the
 // whole corpus.
 package analytics
 
@@ -19,14 +19,14 @@ import (
 	"wetune/internal/workload"
 )
 
-// DeltaBuckets are the upper bounds (percent cost reduction per fired step)
-// of the per-rule cost-delta histogram; the last bucket is open-ended. A step
-// lands in the first bucket whose bound is >= its reduction, so bucket 0
-// collects steps that fired without improving cost (lateral moves the search
-// kept because a later step paid off).
+// DeltaBuckets are the upper bounds (percent plan-size reduction per fired
+// step) of the per-rule size-delta histogram; the last bucket is open-ended. A
+// step lands in the first bucket whose bound is >= its reduction, so bucket 0
+// collects steps that fired without shrinking the plan (lateral moves the
+// search kept because a later step paid off).
 var DeltaBuckets = []float64{0, 1, 5, 10, 25, 50}
 
-// DeltaHist is a fixed-bucket histogram of per-step relative cost reductions
+// DeltaHist is a fixed-bucket histogram of per-step relative size reductions
 // (percent), plus the moments needed for a summary line.
 type DeltaHist struct {
 	Counts []int64 `json:"counts"` // len(DeltaBuckets)+1, last = >50%
@@ -56,7 +56,7 @@ func (h *DeltaHist) observe(pct float64) {
 	h.Sum += pct
 }
 
-// Mean returns the average percent cost reduction of observed steps.
+// Mean returns the average percent size reduction of observed steps.
 func (h *DeltaHist) Mean() float64 {
 	if h.Count == 0 {
 		return 0
@@ -78,15 +78,17 @@ type RuleStats struct {
 	NoOps       int64 `json:"no_ops"`
 	Invalid     int64 `json:"invalid"`
 	MemoDups    int64 `json:"memo_dups"`
-	Enqueued    int64 `json:"enqueued"`
+	NotChosen   int64 `json:"not_chosen"`
+	Chosen      int64 `json:"chosen"`
 
-	// Fired counts chosen-chain steps; Wins counts fired steps that strictly
-	// reduced cost; Queries counts distinct queries the rule fired on.
+	// Fired counts steps on the chain to the returned plan; Wins counts fired
+	// steps that strictly shrank the plan; Queries counts distinct queries the
+	// rule fired on.
 	Fired   int64 `json:"fired"`
 	Wins    int64 `json:"wins"`
 	Queries int64 `json:"queries"`
 
-	CostDelta DeltaHist `json:"cost_delta"`
+	SizeDelta DeltaHist `json:"size_delta"`
 }
 
 // Report is the full-workload rule-effectiveness report.
@@ -139,7 +141,7 @@ func Rules(perApp int) *Report {
 	stat := func(no int, name string) *RuleStats {
 		s, ok := byRule[no]
 		if !ok {
-			s = &RuleStats{RuleNo: no, RuleName: name, CostDelta: newDeltaHist()}
+			s = &RuleStats{RuleNo: no, RuleName: name, SizeDelta: newDeltaHist()}
 			byRule[no] = s
 		}
 		return s
@@ -166,7 +168,8 @@ func Rules(perApp int) *Report {
 			s.NoOps += int64(w.NoOps)
 			s.Invalid += int64(w.Invalid)
 			s.MemoDups += int64(w.MemoDups)
-			s.Enqueued += int64(w.Enqueued)
+			s.NotChosen += int64(w.NotChosen)
+			s.Chosen += int64(w.Chosen)
 		}
 		seen := map[int]bool{}
 		for _, step := range prov.Steps {
@@ -177,11 +180,11 @@ func Rules(perApp int) *Report {
 				s.Queries++
 			}
 			pct := 0.0
-			if step.CostBefore > 0 && step.CostAfter < step.CostBefore {
-				pct = 100 * (step.CostBefore - step.CostAfter) / step.CostBefore
+			if step.SizeAfter < step.SizeBefore {
+				pct = 100 * float64(step.SizeBefore-step.SizeAfter) / float64(step.SizeBefore)
 				s.Wins++
 			}
-			s.CostDelta.observe(pct)
+			s.SizeDelta.observe(pct)
 		}
 	}
 
@@ -220,14 +223,14 @@ func (r *Report) Render() string {
 	fmt.Fprintf(&b, "rule effectiveness over %d queries (%d rewritten), %d queries/app\n\n",
 		r.Queries, r.Rewritten, r.PerApp)
 	fmt.Fprintf(&b, "%4s  %-34s %6s %6s %6s  %8s %7s  %s\n",
-		"rule", "name", "fired", "wins", "qries", "attempts", "no-ops", "cost-delta% (min/mean/max)")
+		"rule", "name", "fired", "wins", "qries", "attempts", "no-ops", "size-delta% (min/mean/max)")
 	for _, s := range r.Rules {
 		if s.Fired == 0 {
 			continue
 		}
 		fmt.Fprintf(&b, "%4d  %-34s %6d %6d %6d  %8d %7d  %.1f / %.1f / %.1f\n",
 			s.RuleNo, s.RuleName, s.Fired, s.Wins, s.Queries, s.Attempts, s.NoOps,
-			s.CostDelta.Min, s.CostDelta.Mean(), s.CostDelta.Max)
+			s.SizeDelta.Min, s.SizeDelta.Mean(), s.SizeDelta.Max)
 	}
 	fmt.Fprintf(&b, "\ndead rules (never fired): %d of %d\n", len(r.Dead), len(r.Rules))
 	for _, s := range r.Rules {
@@ -238,8 +241,10 @@ func (r *Report) Render() string {
 		switch {
 		case s.NoOps > 0 || s.Invalid > 0 || s.MemoDups > 0:
 			why = fmt.Sprintf("%d no-op, %d invalid, %d memo-dup candidates", s.NoOps, s.Invalid, s.MemoDups)
-		case s.Enqueued > 0:
-			why = fmt.Sprintf("%d candidates enqueued, none on a chosen chain", s.Enqueued)
+		case s.Chosen > 0:
+			why = fmt.Sprintf("%d steps, all after the returned plan", s.Chosen)
+		case s.NotChosen > 0:
+			why = fmt.Sprintf("%d candidates, all outranked", s.NotChosen)
 		case s.MatchFailed > 0:
 			why = fmt.Sprintf("%d attempts, all match-failed", s.MatchFailed)
 		case s.IndexPruned > 0 || s.ShapePruned > 0:

@@ -20,7 +20,7 @@ func TestRulesReport(t *testing.T) {
 
 	// Internal consistency: every fired rule appears before every dead rule
 	// (sorted by fires), wins never exceed fires, queries never exceed fires,
-	// and the cost-delta histogram has exactly one observation per fire.
+	// and the size-delta histogram has exactly one observation per fire.
 	var fired, wins int64
 	deadSet := map[int]bool{}
 	for _, no := range rep.Dead {
@@ -35,21 +35,21 @@ func TestRulesReport(t *testing.T) {
 		if s.Queries > s.Fired {
 			t.Fatalf("rule %d: fired on %d queries but only %d times", s.RuleNo, s.Queries, s.Fired)
 		}
-		if s.CostDelta.Count != s.Fired {
-			t.Fatalf("rule %d: %d delta observations for %d fires", s.RuleNo, s.CostDelta.Count, s.Fired)
+		if s.SizeDelta.Count != s.Fired {
+			t.Fatalf("rule %d: %d delta observations for %d fires", s.RuleNo, s.SizeDelta.Count, s.Fired)
 		}
 		if deadSet[s.RuleNo] != (s.Fired == 0) {
 			t.Fatalf("rule %d: fired=%d but dead=%v", s.RuleNo, s.Fired, deadSet[s.RuleNo])
 		}
-		if s.Fired > s.Enqueued {
-			t.Fatalf("rule %d: %d fires but only %d candidates enqueued", s.RuleNo, s.Fired, s.Enqueued)
+		if s.Fired > s.Chosen {
+			t.Fatalf("rule %d: %d fires but only %d steps chosen", s.RuleNo, s.Fired, s.Chosen)
 		}
 	}
 	if fired == 0 {
 		t.Fatal("no rule fired")
 	}
 	if wins == 0 {
-		t.Fatal("no fire reduced cost — the search should only rewrite when it helps")
+		t.Fatal("no fire shrank a plan — the search should only rewrite when it helps")
 	}
 
 	// The registry saw the same run.
@@ -66,7 +66,7 @@ func TestRulesReport(t *testing.T) {
 func TestRulesReportRender(t *testing.T) {
 	rep := Rules(3)
 	out := rep.Render()
-	for _, want := range []string{"rule effectiveness", "dead rules", "cost-delta%"} {
+	for _, want := range []string{"rule effectiveness", "dead rules", "size-delta%"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}

@@ -4,15 +4,11 @@ import (
 	"context"
 	"time"
 
-	"wetune/internal/datagen"
-	"wetune/internal/engine"
 	"wetune/internal/pipeline"
-	"wetune/internal/plan"
 	"wetune/internal/rewrite"
 	"wetune/internal/rules"
 	"wetune/internal/template"
 	"wetune/internal/verify"
-	"wetune/internal/workload"
 )
 
 // AblationConstraintPruning compares the rule search with and without the
@@ -75,41 +71,6 @@ func AblationVerifierPaths() *Report {
 	r.Metric("algebraic", float64(algOK))
 	r.Metric("smt", float64(smtOK))
 	r.Metric("combined", float64(bothOK))
-	return r
-}
-
-// AblationRewriteSearch compares size-greedy rewriting against cost-guided
-// rewriting (§6's use of the cost estimator).
-func AblationRewriteSearch() *Report {
-	r := NewReport("Ablation: rewrite search guidance")
-	app := workload.Apps()[0]
-	db := engine.NewDB(app.Schema)
-	if err := datagen.Populate(db, datagen.Options{Rows: 5000, Seed: 13}); err != nil {
-		r.Printf("populate: %v", err)
-		return r
-	}
-	sizeOnly := rewrite.NewRewriter(workload.WeTuneRules(), app.Schema)
-	costGuided := rewrite.NewRewriter(workload.WeTuneRules(), app.Schema)
-	costGuided.DB = db
-
-	var sizeCost, guidedCost float64
-	var applied1, applied2 int
-	for _, q := range workload.GenerateQueries(app, 150) {
-		p, err := plan.BuildSQL(q.SQL, app.Schema)
-		if err != nil {
-			continue
-		}
-		o1, a1, _ := sizeOnly.Search(p, rewrite.Options{})
-		o2, a2, _ := costGuided.Search(p, rewrite.Options{})
-		sizeCost += db.EstimateCost(o1)
-		guidedCost += db.EstimateCost(o2)
-		applied1 += len(a1)
-		applied2 += len(a2)
-	}
-	r.Printf("size-greedy:  total estimated cost %12.0f (%d rule applications)", sizeCost, applied1)
-	r.Printf("cost-guided:  total estimated cost %12.0f (%d rule applications)", guidedCost, applied2)
-	r.Metric("size_cost", sizeCost)
-	r.Metric("guided_cost", guidedCost)
 	return r
 }
 

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"wetune/internal/datagen"
@@ -41,20 +42,22 @@ func WorkloadsAD(scale int) []WorkloadSpec {
 
 // WorkloadsLatency reproduces the §8.3 latency matrix: for each workload,
 // the fraction of WeTune-rewritten queries (those the baseline misses) whose
-// latency drops by at least 10%, 50% and 90%.
+// latency drops by at least 10% and 90%, and the median and interquartile
+// range of the per-query reductions. Each query's reduction compares the
+// median of reps timed executions of either plan (0: 21).
 // Paper: >=10% reduction for 50%/17%/18%/30% of queries (A/B/C/D), and
 // 13%-21% of queries see >=90% reduction on every workload.
 func WorkloadsLatency(scale, queriesPerApp int, reps int) *Report {
 	r := NewReport("Workloads A-D (8.3): latency reduction")
 	if reps <= 0 {
-		reps = 3
+		reps = 21
 	}
 	cands := missedRewrites(queriesPerApp)
 	r.Printf("measuring %d baseline-missed rewrites, %d reps each", len(cands), reps)
 
 	for _, spec := range WorkloadsAD(scale) {
 		dbs := map[string]*engine.DB{}
-		var ge10, ge50, ge90, n int
+		var reds []float64
 		for _, c := range cands {
 			db, ok := dbs[c.app.Name]
 			if !ok {
@@ -69,27 +72,28 @@ func WorkloadsLatency(scale, queriesPerApp int, reps int) *Report {
 			if !ok || origT <= 0 {
 				continue
 			}
-			n++
-			red := 1 - float64(newT)/float64(origT)
-			if red >= 0.10 {
-				ge10++
-			}
-			if red >= 0.50 {
-				ge50++
-			}
-			if red >= 0.90 {
-				ge90++
-			}
+			reds = append(reds, 1-float64(newT)/float64(origT))
 		}
-		if n == 0 {
+		if len(reds) == 0 {
 			r.Printf("workload %s (%d rows, %s): no measurements", spec.Name, spec.Rows, spec.Dist)
 			continue
 		}
-		r.Printf("workload %s (%7d rows, %-7s): >=10%% for %3.0f%%, >=50%% for %3.0f%%, >=90%% for %3.0f%% of %d queries",
-			spec.Name, spec.Rows, spec.Dist.String(),
-			100*float64(ge10)/float64(n), 100*float64(ge50)/float64(n), 100*float64(ge90)/float64(n), n)
-		r.Metric("ge10_"+spec.Name, 100*float64(ge10)/float64(n))
-		r.Metric("ge90_"+spec.Name, 100*float64(ge90)/float64(n))
+		share := func(at float64) float64 {
+			n := 0
+			for _, red := range reds {
+				if red >= at {
+					n++
+				}
+			}
+			return 100 * float64(n) / float64(len(reds))
+		}
+		slices.Sort(reds)
+		q1, med, q3 := quantile(reds, 0.25), quantile(reds, 0.5), quantile(reds, 0.75)
+		r.Printf("workload %s (%7d rows, %-7s): >=10%% for %3.0f%%, >=90%% for %3.0f%% of %d queries; median reduction %3.0f%% (IQR %.0f-%.0f%%)",
+			spec.Name, spec.Rows, spec.Dist.String(), share(0.10), share(0.90), len(reds), 100*med, 100*q1, 100*q3)
+		r.Metric("ge10_"+spec.Name, share(0.10))
+		r.Metric("ge90_"+spec.Name, share(0.90))
+		r.Metric("median_"+spec.Name, 100*med)
 	}
 	r.Printf("paper: >=10%% for 50/17/18/30%% (A/B/C/D); >=90%% for 13-21%% on all")
 	return r
@@ -173,23 +177,33 @@ func indexRealistic(db *engine.DB, app workload.App) {
 	}
 }
 
-// timePair measures the best of reps executions of each of two plans. The
+// timePair measures the median of reps executions of each of two plans. The
 // repetitions alternate between the plans, so that a slow spell of the
 // machine — stolen CPU, a neighbouring test package — lands on both.
 func timePair(db *engine.DB, a, b plan.Node, reps int) (ta, tb time.Duration, ok bool) {
-	var best [2]time.Duration
+	var times [2][]time.Duration
 	for i := 0; i < reps; i++ {
 		for j, p := range [2]plan.Node{a, b} {
 			start := time.Now()
 			if _, err := db.Execute(p, nil); err != nil {
 				return 0, 0, false
 			}
-			if d := time.Since(start); i == 0 || d < best[j] {
-				best[j] = d
-			}
+			times[j] = append(times[j], time.Since(start))
 		}
 	}
-	return best[0], best[1], true
+	slices.Sort(times[0])
+	slices.Sort(times[1])
+	return times[0][reps/2], times[1][reps/2], true
+}
+
+// quantile returns the q-quantile of sorted, interpolating between ranks.
+func quantile(sorted []float64, q float64) float64 {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 >= len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + (pos-float64(i))*(sorted[i+1]-sorted[i])
 }
 
 // CaseStudy reproduces §8.4: the end-to-end optimization of Table 1's q3,
@@ -220,7 +234,6 @@ func CaseStudy(rows int) *Report {
 		return r
 	}
 	rw := rewrite.NewRewriter(workload.WeTuneRules(), schema)
-	rw.DB = db
 
 	start := time.Now()
 	out, applied, _ := rw.Search(p, rewrite.Options{})

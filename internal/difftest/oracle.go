@@ -154,10 +154,10 @@ func runIteration(seed int64, iter int, ruleSet []rules.Rule, rows int) ([]*Mism
 		}
 	}
 
-	// Also drive the full best-first search: multi-step rewrite chains can
-	// compose rules in ways no single-step candidate exercises, and the
-	// search's own machinery (memo, frontier ranking, index pruning) must not
-	// change results either.
+	// Also drive the full search: multi-step rewrite chains can compose rules
+	// in ways no single-step candidate exercises, and the search's own
+	// machinery (memo, ranking, index pruning) must not change results
+	// either.
 	final, applied, _ := rw.Search(src, rewrite.Options{})
 	if len(applied) > 0 {
 		got, err := db.Execute(final, nil)

@@ -7,6 +7,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"wetune/internal/plan"
@@ -24,8 +26,9 @@ type Table struct {
 }
 
 type hashIndex struct {
-	cols []int // column positions
-	m    map[string][]int
+	cols   []int // column positions
+	unique bool  // the columns are a primary or declared unique key
+	m      map[string][]int
 }
 
 // DB is an in-memory database instance over a schema.
@@ -84,7 +87,7 @@ func (db *DB) CreateIndex(table string, cols []string) error {
 		}
 		pos[i] = idx
 	}
-	ix := &hashIndex{cols: pos, m: map[string][]int{}}
+	ix := &hashIndex{cols: pos, unique: t.Def.IsUnique(cols), m: map[string][]int{}}
 	for ri, row := range t.Rows {
 		k := row.Key(pos)
 		ix.m[k] = append(ix.m[k], ri)
@@ -94,24 +97,59 @@ func (db *DB) CreateIndex(table string, cols []string) error {
 }
 
 // Key encodes the values of r at pos, or all of r when pos is nil, as one
-// string; values that are Equal encode alike (Int 2 and Float 2.0 both as
-// "2"). Hash indexes, joins, groups, DISTINCT, UNION and IN key rows with
-// it, and difftest compares bags of it.
+// string. Two rows share a key exactly when their values are pairwise equal
+// under SQL's grouping equality: NULL with NULL, and Int 1 with Float 1.0
+// (both encode as "1", as Value.Equal has them equal). Each value is written
+// as a literal followed by '|'; a string is quoted with its quotes doubled,
+// so no string can end early or swallow the separator, and no other kind
+// writes a quote. Hash indexes, joins, groups, DISTINCT, UNION and IN key
+// rows with it, and difftest compares bags of it.
 func (r Row) Key(pos []int) string {
-	var b strings.Builder
-	put := func(v sql.Value) {
-		b.WriteString(v.String())
-		b.WriteByte('|')
-	}
+	var buf [64]byte
+	b := buf[:0]
 	if pos == nil {
 		for _, v := range r {
-			put(v)
+			b = appendKey(b, v)
 		}
 	}
 	for _, p := range pos {
-		put(r[p])
+		b = appendKey(b, r[p])
 	}
-	return b.String()
+	return string(b)
+}
+
+// appendKey appends v's part of a row key.
+func appendKey(b []byte, v sql.Value) []byte {
+	switch v.Kind {
+	case sql.KindNull:
+		b = append(b, "NULL"...)
+	case sql.KindInt:
+		b = strconv.AppendInt(b, v.I, 10)
+	case sql.KindFloat:
+		// An integral float writes as the Int it equals; 2^53 bounds the
+		// integers a float holds exactly.
+		if f := v.F; f == math.Trunc(f) && math.Abs(f) < 1<<53 {
+			b = strconv.AppendInt(b, int64(f), 10)
+		} else {
+			b = strconv.AppendFloat(b, f, 'g', -1, 64)
+		}
+	case sql.KindString:
+		b = append(b, '\'')
+		for i := 0; i < len(v.S); i++ {
+			if v.S[i] == '\'' {
+				b = append(b, '\'')
+			}
+			b = append(b, v.S[i])
+		}
+		b = append(b, '\'')
+	case sql.KindBool:
+		if v.B {
+			b = append(b, "TRUE"...)
+		} else {
+			b = append(b, "FALSE"...)
+		}
+	}
+	return append(b, '|')
 }
 
 // hasNull reports whether r holds NULL at pos, or anywhere when pos is nil.
@@ -152,12 +190,16 @@ func (db *DB) Insert(table string, row Row) error {
 			return fmt.Errorf("engine: NULL in NOT NULL column %s.%s", table, col.Name)
 		}
 	}
-	ri := len(t.Rows)
+	// Every unique index is checked before any index changes, so a rejected
+	// row leaves no entry behind.
 	for key, ix := range t.indexes {
-		k := row.Key(ix.cols)
-		if len(ix.m[k]) > 0 && t.Def.IsUnique(strings.Split(key, ",")) {
+		if k := row.Key(ix.cols); ix.unique && len(ix.m[k]) > 0 {
 			return fmt.Errorf("engine: duplicate key %s on %s(%s)", k, table, key)
 		}
+	}
+	ri := len(t.Rows)
+	for _, ix := range t.indexes {
+		k := row.Key(ix.cols)
 		ix.m[k] = append(ix.m[k], ri)
 	}
 	t.Rows = append(t.Rows, row)

@@ -46,9 +46,9 @@ const (
 	// ProverStall sleeps inside the discovery pipeline's prover call
 	// (pipeline/relax.go), modeling an SMT solver that wedges on one query.
 	ProverStall Point = "prover_stall"
-	// SearchStarve collapses the rewrite search's node budget to 1 for the
+	// SearchStarve collapses the rewrite search's step budget to 1 for the
 	// affected call (rewrite/search.go), modeling budget starvation: the
-	// search truncates immediately and degrades to the best plan seen.
+	// search truncates after one step and degrades to the best plan seen.
 	SearchStarve Point = "search_starve"
 	// CacheSlow sleeps inside a cache-shard lookup (rewrite/cache.go),
 	// modeling a cold or contended shard; it affects both serving cache

@@ -3,7 +3,6 @@ package journal
 import (
 	"encoding/json"
 	"io"
-	"math"
 	"os"
 )
 
@@ -19,7 +18,6 @@ type line struct {
 	Reason  string `json:"reason,omitempty"`
 	Count   *int64 `json:"count,omitempty"`
 	Size    *int64 `json:"size,omitempty"`
-	Cost    *f64   `json:"cost,omitempty"`
 	Depth   *int64 `json:"depth,omitempty"`
 	Budget  string `json:"budget,omitempty"`
 	Proved  *bool  `json:"proved,omitempty"`
@@ -29,17 +27,6 @@ type line struct {
 	From    *int64 `json:"from,omitempty"`
 	To      *int64 `json:"to,omitempty"`
 	Point   *int64 `json:"point,omitempty"`
-}
-
-// f64 renders non-finite costs as null instead of breaking json.Marshal.
-type f64 float64
-
-func (f f64) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		return []byte("null"), nil
-	}
-	return json.Marshal(v)
 }
 
 func pruneReason(a int64) string {
@@ -53,10 +40,6 @@ func budgetName(a int64) string {
 	switch a {
 	case TruncSteps:
 		return "steps"
-	case TruncFrontier:
-		return "frontier"
-	case TruncNodes:
-		return "nodes"
 	case TruncDeadline:
 		return "deadline"
 	}
@@ -88,8 +71,7 @@ func (j *Journal) render(ev Event) line {
 		l.Count = &ev.B
 	case KindCandidate:
 		l.Size = &ev.A
-		c := f64(math.Float64frombits(uint64(ev.B)))
-		l.Cost = &c
+		l.Path = UnpackPath(ev.B)
 	case KindExpand:
 		l.Count = &ev.A
 		l.Depth = &ev.B

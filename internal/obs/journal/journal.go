@@ -1,7 +1,7 @@
 // Package journal is the always-on flight recorder behind the metrics layer:
 // a fixed-size, lock-free ring buffer of typed events recorded from the
-// rewrite search (rule attempted/matched/pruned-with-reason, candidate
-// enqueued/expanded, memo hits, budget truncation), the optimizer result
+// rewrite search (rule attempted/matched/pruned-with-reason, new candidates,
+// states expanded, memo hits, budget truncation), the optimizer result
 // cache, and the discovery pipeline's per-pair prover loop (prover outcome,
 // proof-cache hit/miss).
 //
@@ -41,8 +41,8 @@ const (
 	// KindRulePruned: rules skipped before matching at one plan position.
 	// A = reason (PruneIndex or PruneShape), B = number of rules pruned.
 	KindRulePruned
-	// KindCandidate: a derived plan entered the search frontier.
-	// Rule, A = plan size, B = cost (math.Float64bits).
+	// KindCandidate: a derived plan entered the search's visited memo.
+	// Rule, A = plan size, B = packed path.
 	KindCandidate
 	// KindExpand: one search state was expanded. A = candidates produced,
 	// B = state depth.
@@ -51,7 +51,7 @@ const (
 	// Rule, A = packed path.
 	KindMemoHit
 	// KindTruncated: a search budget cut the search. A = budget
-	// (TruncSteps, TruncFrontier, TruncNodes or TruncDeadline).
+	// (TruncSteps or TruncDeadline).
 	KindTruncated
 	// KindProver: one prover call completed. A = verdict (1 = proved),
 	// B = duration in nanoseconds.
@@ -119,8 +119,6 @@ const (
 // Truncation budgets (KindTruncated.A), matching rewrite.Stats.TruncatedBy.
 const (
 	TruncSteps int64 = iota
-	TruncFrontier
-	TruncNodes
 	TruncDeadline
 )
 

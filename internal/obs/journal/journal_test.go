@@ -134,8 +134,8 @@ func TestWriteJSONLDecodesPayloads(t *testing.T) {
 	j := New(64)
 	j.Record(KindRuleAttempt, 31, PackPath([]int{0, 1}), 0)
 	j.Record(KindRulePruned, -1, PruneShape, 7)
-	j.Record(KindCandidate, 4, 6, int64(math.Float64bits(42.5)))
-	j.Record(KindTruncated, -1, TruncFrontier, 0)
+	j.Record(KindCandidate, 4, 6, PackPath([]int{1, 0}))
+	j.Record(KindTruncated, -1, TruncDeadline, 0)
 	j.Record(KindProver, -1, 1, 12345)
 	j.Record(KindCacheMiss, -1, CacheResult, 0)
 	j.Anomaly("prover disagreement")
@@ -162,10 +162,10 @@ func TestWriteJSONLDecodesPayloads(t *testing.T) {
 	if lines[1]["reason"] != "shape" || lines[1]["count"] != float64(7) {
 		t.Fatalf("line 1 = %v", lines[1])
 	}
-	if lines[2]["cost"] != 42.5 || lines[2]["size"] != float64(6) {
+	if path, _ := lines[2]["path"].([]any); len(path) != 2 || path[0] != float64(1) || lines[2]["size"] != float64(6) {
 		t.Fatalf("line 2 = %v", lines[2])
 	}
-	if lines[3]["budget"] != "frontier" {
+	if lines[3]["budget"] != "deadline" {
 		t.Fatalf("line 3 = %v", lines[3])
 	}
 	if lines[4]["proved"] != true || lines[4]["dur_ns"] != float64(12345) {

@@ -13,7 +13,8 @@ import (
 )
 
 // CachedResult is one memoized end-to-end rewrite outcome, keyed by the input
-// query fingerprint (normalized SQL text at the Optimizer layer).
+// query fingerprint (normalized SQL text at the Optimizer layer). CostBefore
+// and CostAfter are Stats.InitialCost and FinalCost: the plan sizes.
 type CachedResult struct {
 	SQL        string
 	Applied    []Applied

@@ -4,12 +4,12 @@ import (
 	"wetune/internal/plan"
 )
 
-// This file retains the pre-index greedy rewriting loop exactly as it was
-// before the indexed search engine replaced it: every rule is attempted at
-// every plan position each step, one strictly-improving rewrite path is
-// followed, and the loop stops silently after ten steps. It is test-only: the
-// reference for the differential tests (Search must produce identical or
-// strictly cheaper plans).
+// This file retains the pre-index greedy rewriting loop: every rule is
+// attempted at every plan position each step, one strictly-shrinking rewrite
+// path is followed, and the loop stops silently after ten steps. It is
+// test-only: TestIndexedCandidatesMatchGreedy pins the rule index against its
+// candidate enumeration, and TestSearchEquivalentToGreedyOnWorkloads and
+// TestSearchNoWorseThanGreedy pin Search against its result.
 
 // GreedyRewrite greedily rewrites p with the retained pre-index loop,
 // returning the final plan and the applied rule sequence. ORDER BY
@@ -20,7 +20,7 @@ func (rw *Rewriter) GreedyRewrite(p plan.Node) (plan.Node, []Applied) {
 	const steps = 10
 	seen := map[string]bool{plan.Fingerprint(cur): true}
 	for step := 0; step < steps; step++ {
-		best := rw.pickBest(cur, rw.greedyCandidates(cur), seen)
+		best := pickBest(cur, rw.greedyCandidates(cur), seen)
 		if best == nil {
 			break
 		}
@@ -60,27 +60,20 @@ func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 }
 
 // pickBest selects the candidate that most simplifies the plan: smallest
-// operator count, then lowest estimated cost. Candidates that neither shrink
-// the plan nor reduce cost are rejected (termination), as are already-seen
-// plans (cycle avoidance for enabler rules like join commutation).
-func (rw *Rewriter) pickBest(cur plan.Node, cands []Candidate, seen map[string]bool) *Candidate {
-	curSize := plan.Size(cur)
-	curCost := rw.cost(cur, curSize)
+// operator count, the first found among equals. Candidates that do not shrink
+// the plan are rejected (termination), as are already-seen plans (cycle
+// avoidance for enabler rules like join commutation).
+func pickBest(cur plan.Node, cands []Candidate, seen map[string]bool) *Candidate {
 	var best *Candidate
-	bestSize := curSize
-	bestCost := curCost
+	bestSize := plan.Size(cur)
 	for i := range cands {
 		c := &cands[i]
 		if seen[plan.Fingerprint(c.Plan)] {
 			continue
 		}
-		size := plan.Size(c.Plan)
-		cost := rw.cost(c.Plan, size)
-		improves := size < bestSize || (size == bestSize && cost < bestCost)
-		if improves {
+		if size := plan.Size(c.Plan); size < bestSize {
 			best = c
 			bestSize = size
-			bestCost = cost
 		}
 	}
 	return best

@@ -2,7 +2,7 @@
 // matches a rule's source template against plan fragments, checks the rule's
 // constraints against schema integrity metadata (its equalities through the
 // rule's unification classes), instantiates the destination template, and
-// runs a cost-guided best-first search over the rewritten plans. It also
+// runs a greedy descent over the rewritten plans, ranked by size. It also
 // houses the ORDER BY elimination and redundant-rule reduction of §7.
 package rewrite
 

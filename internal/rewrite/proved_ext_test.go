@@ -44,11 +44,17 @@ func TestCorpusRewritesAreProved(t *testing.T) {
 	}
 }
 
+// discoveries holds each size's discovered rules, which two tests read.
+var discoveries = map[int][]rules.Rule{}
+
 // discovered runs one discovery over templates of up to size operators with
 // the algebraic prover and a fresh proof cache, numbered as wetune.Discover
-// numbers its rules.
+// numbers its rules, once per size and test binary.
 func discovered(t *testing.T, size int) []rules.Rule {
 	t.Helper()
+	if rs, ok := discoveries[size]; ok {
+		return rs
+	}
 	res := pipeline.Run(context.Background(), pipeline.Options{
 		MaxTemplateSize: size,
 		PairProver:      pipeline.AlgebraicPairProver,
@@ -64,6 +70,7 @@ func discovered(t *testing.T, size int) []rules.Rule {
 			Src: r.Src, Dest: r.Dest, Constraints: r.Constraints, Verifier: "W"}
 	}
 	t.Logf("size %d: %d discovered rules", size, len(out))
+	discoveries[size] = out
 	return out
 }
 

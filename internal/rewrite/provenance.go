@@ -6,30 +6,30 @@ import (
 	"strings"
 )
 
-// Provenance is the full derivation record of one Search: every explored
-// state, every candidate with the reason it did or did not survive, the
-// chosen step chain with per-step costs, and a per-rule why-not accounting.
-// It answers "why was this query rewritten this way" and "why did rule N
-// never apply" without re-running the search. Recording is opt-in: point
-// Options.Provenance at a zero Provenance and Search fills it; the always-on
-// flight recorder captures the cheap aggregate trail instead.
+// Provenance is the derivation record of one Search: the descent's chain of
+// steps, every candidate of each step that it did not take with the reason
+// why, and a per-rule why-not accounting. It answers "why was this query
+// rewritten this way" and "why did rule N never apply" without re-running
+// the search. Recording is opt-in: point Options.Provenance at a zero
+// Provenance and Search fills it; the always-on flight recorder captures the
+// cheap aggregate trail instead.
 type Provenance struct {
-	InitialSize int     `json:"initial_size"`
-	InitialCost float64 `json:"initial_cost"`
-	FinalSize   int     `json:"final_size"`
-	FinalCost   float64 `json:"final_cost"`
+	InitialSize int `json:"initial_size"`
+	FinalSize   int `json:"final_size"`
 
-	// Steps is the chosen derivation chain, index-aligned with the Applied
+	// Steps is the chain to the returned plan, index-aligned with the Applied
 	// slice Search returns: same rules in the same order, plus the node path
-	// and the size/cost on each side of the step.
+	// and the plan size on each side of the step.
 	Steps []ProvStep `json:"steps"`
 
-	// Nodes are the search states in creation order; Nodes[0] is the input
-	// plan (after ORDER BY elimination).
-	Nodes []ProvNode `json:"nodes"`
+	// Tail is the steps the descent took after the returned plan, none of
+	// which reached a smaller one. Step i of the descent is Steps[i] for
+	// i < len(Steps) and Tail[i-len(Steps)] after.
+	Tail []ProvStep `json:"tail"`
 
-	// Candidates is the rejected-candidate accounting: every candidate the
-	// matcher produced, with its fate.
+	// Candidates is every candidate the matcher produced that the descent did
+	// not step to, with its fate; Step is the index of the state it was
+	// derived from (0: the input plan, i: the plan after descent step i).
 	Candidates []ProvCandidate `json:"candidates"`
 
 	// WhyNot aggregates per rule (every rule in the index, fired or not) how
@@ -39,65 +39,40 @@ type Provenance struct {
 	whyNot map[int]*RuleWhyNot
 }
 
-// ProvStep is one step of the chosen derivation chain.
+// ProvStep is one step of the descent.
 type ProvStep struct {
-	RuleNo     int     `json:"rule"`
-	RuleName   string  `json:"name"`
-	Path       []int   `json:"path"`
-	SizeBefore int     `json:"size_before"`
-	SizeAfter  int     `json:"size_after"`
-	CostBefore float64 `json:"cost_before"`
-	CostAfter  float64 `json:"cost_after"`
-}
-
-// Node fates.
-const (
-	FateExpanded    = "expanded"         // popped and expanded
-	FatePending     = "pending"          // still on the frontier when search ended
-	FateDropped     = "frontier-dropped" // cut by the frontier budget
-	FateStepsBudget = "steps-budget"     // popped but at the step limit
-)
-
-// ProvNode is one search state.
-type ProvNode struct {
-	ID       int     `json:"id"`
-	Parent   int     `json:"parent"` // -1 for the root
-	RuleNo   int     `json:"rule"`   // rule that derived it (-1 for the root)
-	RuleName string  `json:"name,omitempty"`
-	Path     []int   `json:"path,omitempty"`
-	Depth    int     `json:"depth"`
-	Size     int     `json:"size"`
-	Cost     float64 `json:"cost"`
-	Fate     string  `json:"fate"`
-	Best     bool    `json:"best,omitempty"` // on the chosen derivation chain
+	RuleNo     int    `json:"rule"`
+	RuleName   string `json:"name"`
+	Path       []int  `json:"path"`
+	SizeBefore int    `json:"size_before"`
+	SizeAfter  int    `json:"size_after"`
 }
 
 // Candidate fates.
 const (
-	CandEnqueued = "enqueued" // became a search node
-	CandMemoHit  = "memo-hit" // derived plan already visited
-	CandNoOp     = "no-op"    // application left the plan fingerprint unchanged
-	CandInvalid  = "invalid"  // whole-plan re-validation failed after splice
+	CandNotChosen = "not-chosen" // a better-ranked unvisited candidate was stepped to
+	CandMemoHit   = "memo-hit"   // derived plan already visited
+	CandNoOp      = "no-op"      // application left the plan fingerprint unchanged
+	CandInvalid   = "invalid"    // whole-plan re-validation failed after splice
 )
 
-// ProvCandidate is one matcher-produced candidate and its fate.
+// ProvCandidate is one matcher-produced candidate the descent did not take,
+// and its fate. Size is 0 for no-op and invalid candidates.
 type ProvCandidate struct {
-	FromNode int     `json:"from"`
-	RuleNo   int     `json:"rule"`
-	RuleName string  `json:"name"`
-	Path     []int   `json:"path"`
-	Size     int     `json:"size,omitempty"`
-	Cost     float64 `json:"cost,omitempty"`
-	Fate     string  `json:"fate"`
-	Node     int     `json:"node"` // node ID when enqueued, else -1
+	Step     int    `json:"step"`
+	RuleNo   int    `json:"rule"`
+	RuleName string `json:"name"`
+	Path     []int  `json:"path"`
+	Size     int    `json:"size,omitempty"`
+	Fate     string `json:"fate"`
 }
 
 // RuleWhyNot is the per-rule funnel: positions where the index or the shape
 // precheck pruned the rule, matcher attempts and failures, candidates that
-// were no-ops/invalid/already-visited, candidates enqueued, and steps on the
-// chosen chain. A rule with Fired == 0 did not contribute to this query; the
-// first non-zero column walking left to right names the earliest gate that
-// stopped it.
+// were no-ops, invalid, already visited or outranked, steps the descent took
+// with the rule, and steps on the chain to the returned plan. A rule with
+// Fired == 0 did not contribute to this query; its last non-zero column
+// before Fired names the furthest gate it passed.
 type RuleWhyNot struct {
 	RuleNo      int    `json:"rule"`
 	RuleName    string `json:"name"`
@@ -108,7 +83,8 @@ type RuleWhyNot struct {
 	NoOps       int    `json:"no_ops"`
 	Invalid     int    `json:"invalid"`
 	MemoDups    int    `json:"memo_dups"`
-	Enqueued    int    `json:"enqueued"`
+	NotChosen   int    `json:"not_chosen"`
+	Chosen      int    `json:"chosen"`
 	Fired       int    `json:"fired"`
 }
 
@@ -140,29 +116,26 @@ func (p *Provenance) noteIndexPruned(inBucket map[int]bool) {
 	}
 }
 
-// finish freezes the why-not map into the sorted WhyNot slice and marks the
-// chosen chain: best is the final node's ID, parents are followed to the
-// root, and Steps is rebuilt from the marked nodes.
-func (p *Provenance) finish(best int) {
-	chain := []int{}
-	for id := best; id > 0; id = p.Nodes[id].Parent {
-		p.Nodes[id].Best = true
-		chain = append(chain, id)
+// candidate records a ranked candidate of the state at step that the descent
+// did not take: a memo hit or an outranked one.
+func (p *Provenance) candidate(step int, c Candidate, size int, fate string) {
+	w := p.rule(c.Rule.No)
+	if fate == CandMemoHit {
+		w.MemoDups++
+	} else {
+		w.NotChosen++
 	}
-	p.Nodes[0].Best = true
-	for i := len(chain) - 1; i >= 0; i-- {
-		n := p.Nodes[chain[i]]
-		parent := p.Nodes[n.Parent]
-		p.Steps = append(p.Steps, ProvStep{
-			RuleNo:     n.RuleNo,
-			RuleName:   n.RuleName,
-			Path:       n.Path,
-			SizeBefore: parent.Size,
-			SizeAfter:  n.Size,
-			CostBefore: parent.Cost,
-			CostAfter:  n.Cost,
-		})
-		p.rule(n.RuleNo).Fired++
+	p.Candidates = append(p.Candidates, ProvCandidate{
+		Step: step, RuleNo: c.Rule.No, RuleName: c.Rule.Name, Path: c.Path, Size: size, Fate: fate,
+	})
+}
+
+// finish splits the descent's steps at the returned plan, kept steps in, and
+// freezes the why-not map into the sorted WhyNot slice.
+func (p *Provenance) finish(kept int) {
+	p.Steps, p.Tail = p.Steps[:kept:kept], p.Steps[kept:]
+	for _, s := range p.Steps {
+		p.rule(s.RuleNo).Fired++
 	}
 	p.WhyNot = p.WhyNot[:0]
 	for _, w := range p.whyNot {
@@ -171,50 +144,36 @@ func (p *Provenance) finish(best int) {
 	sort.Slice(p.WhyNot, func(i, j int) bool { return p.WhyNot[i].RuleNo < p.WhyNot[j].RuleNo })
 }
 
-// RenderTree renders the explored search graph as an indented tree, the
-// chosen derivation path marked with '*' and each node labelled with the
-// rule, position, size and cost that produced it.
-func (p *Provenance) RenderTree() string {
-	children := map[int][]int{}
-	for _, n := range p.Nodes {
-		if n.Parent >= 0 {
-			children[n.Parent] = append(children[n.Parent], n.ID)
-		}
-	}
-	var b strings.Builder
-	var rec func(id, depth int)
-	rec = func(id, depth int) {
-		n := p.Nodes[id]
-		mark := " "
-		if n.Best {
-			mark = "*"
-		}
-		b.WriteString(strings.Repeat("  ", depth))
-		if n.Parent < 0 {
-			fmt.Fprintf(&b, "%s input  size=%d cost=%.1f\n", mark, n.Size, n.Cost)
-		} else {
-			fmt.Fprintf(&b, "%s rule %d (%s) at %v  size=%d cost=%.1f  [%s]\n",
-				mark, n.RuleNo, n.RuleName, n.Path, n.Size, n.Cost, n.Fate)
-		}
-		for _, c := range children[id] {
-			rec(c, depth+1)
-		}
-	}
-	if len(p.Nodes) > 0 {
-		rec(0, 0)
-	}
-	return b.String()
-}
-
-// RenderSteps renders the chosen derivation chain, one line per step.
+// RenderSteps renders the descent, one line per step, each followed by the
+// candidates of the plan it starts from that it did not take; steps after the
+// returned plan are marked.
 func (p *Provenance) RenderSteps() string {
-	if len(p.Steps) == 0 {
-		return "(no rule applied)\n"
-	}
 	var b strings.Builder
-	for i, s := range p.Steps {
-		fmt.Fprintf(&b, "step %d: rule %d (%s) at %v  size %d -> %d  cost %.1f -> %.1f\n",
-			i+1, s.RuleNo, s.RuleName, s.Path, s.SizeBefore, s.SizeAfter, s.CostBefore, s.CostAfter)
+	fmt.Fprintf(&b, "input  size %d\n", p.InitialSize)
+	steps := append(p.Steps[:len(p.Steps):len(p.Steps)], p.Tail...)
+	for i := 0; i <= len(steps); i++ {
+		for _, c := range p.Candidates {
+			if c.Step != i {
+				continue
+			}
+			fmt.Fprintf(&b, "    %-10s rule %d (%s) at %v", c.Fate, c.RuleNo, c.RuleName, c.Path)
+			if c.Size > 0 {
+				fmt.Fprintf(&b, "  size %d", c.Size)
+			}
+			b.WriteByte('\n')
+		}
+		if i == len(steps) {
+			break
+		}
+		s := steps[i]
+		fmt.Fprintf(&b, "step %d: rule %d (%s) at %v  size %d -> %d", i+1, s.RuleNo, s.RuleName, s.Path, s.SizeBefore, s.SizeAfter)
+		if i >= len(p.Steps) {
+			b.WriteString("  [after the returned plan]")
+		}
+		b.WriteByte('\n')
+	}
+	if len(p.Steps) == 0 {
+		b.WriteString("(no rule applied)\n")
 	}
 	return b.String()
 }
@@ -222,8 +181,10 @@ func (p *Provenance) RenderSteps() string {
 // stage names the earliest funnel gate that stopped a rule that never fired.
 func (w RuleWhyNot) stage() string {
 	switch {
-	case w.Enqueued > 0:
-		return "enqueued but a cheaper plan won"
+	case w.Chosen > 0:
+		return "stepped to only after the returned plan"
+	case w.NotChosen > 0:
+		return "outranked by the candidate stepped to"
 	case w.MemoDups > 0:
 		return "derived only already-visited plans"
 	case w.Invalid > 0:
@@ -254,22 +215,24 @@ func (p *Provenance) RenderWhyNot() string {
 	}
 	rank := func(w RuleWhyNot) int {
 		switch {
-		case w.Enqueued > 0:
+		case w.Chosen > 0:
 			return 0
-		case w.MemoDups > 0:
+		case w.NotChosen > 0:
 			return 1
-		case w.Invalid > 0:
+		case w.MemoDups > 0:
 			return 2
-		case w.NoOps > 0:
+		case w.Invalid > 0:
 			return 3
-		case w.MatchFailed > 0:
+		case w.NoOps > 0:
 			return 4
-		case w.ShapePruned > 0:
+		case w.MatchFailed > 0:
 			return 5
-		case w.IndexPruned > 0:
+		case w.ShapePruned > 0:
 			return 6
+		case w.IndexPruned > 0:
+			return 7
 		}
-		return 7
+		return 8
 	}
 	sort.SliceStable(rest, func(i, j int) bool {
 		if rank(rest[i]) != rank(rest[j]) {
@@ -279,13 +242,13 @@ func (p *Provenance) RenderWhyNot() string {
 	})
 	var b strings.Builder
 	for _, w := range fired {
-		fmt.Fprintf(&b, "rule %3d %-32s FIRED x%d (attempts=%d enqueued=%d)\n",
-			w.RuleNo, w.RuleName, w.Fired, w.Attempts, w.Enqueued)
+		fmt.Fprintf(&b, "rule %3d %-32s FIRED x%d (attempts=%d chosen=%d)\n",
+			w.RuleNo, w.RuleName, w.Fired, w.Attempts, w.Chosen)
 	}
 	for _, w := range rest {
-		fmt.Fprintf(&b, "rule %3d %-32s %s (index-pruned=%d shape-pruned=%d attempts=%d match-failed=%d no-ops=%d invalid=%d memo-dups=%d enqueued=%d)\n",
+		fmt.Fprintf(&b, "rule %3d %-32s %s (index-pruned=%d shape-pruned=%d attempts=%d match-failed=%d no-ops=%d invalid=%d memo-dups=%d not-chosen=%d chosen=%d)\n",
 			w.RuleNo, w.RuleName, w.stage(), w.IndexPruned, w.ShapePruned,
-			w.Attempts, w.MatchFailed, w.NoOps, w.Invalid, w.MemoDups, w.Enqueued)
+			w.Attempts, w.MatchFailed, w.NoOps, w.Invalid, w.MemoDups, w.NotChosen, w.Chosen)
 	}
 	return b.String()
 }

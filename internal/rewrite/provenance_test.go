@@ -45,26 +45,22 @@ func TestProvenanceMatchesSearch(t *testing.T) {
 				t.Fatalf("%q step %d: %+v != applied %+v", q, i, s, applied1[i])
 			}
 		}
-		if len(prov.Steps) > 0 {
-			first, last := prov.Steps[0], prov.Steps[len(prov.Steps)-1]
-			if first.CostBefore != stats1.InitialCost || first.SizeBefore != stats1.InitialSize {
-				t.Fatalf("%q: first step starts at cost %v size %d, stats say %v %d",
-					q, first.CostBefore, first.SizeBefore, stats1.InitialCost, stats1.InitialSize)
+		// The steps chain sizes: each starts where the previous ended, from
+		// the input to the returned plan, and the tail carries on from it.
+		size := stats1.InitialSize
+		for i, st := range append(prov.Steps, prov.Tail...) {
+			if st.SizeBefore != size {
+				t.Fatalf("%q: step %d starts at size %d, want %d", q, i, st.SizeBefore, size)
 			}
-			if last.CostAfter != stats1.FinalCost || last.SizeAfter != stats1.FinalSize {
-				t.Fatalf("%q: last step ends at cost %v size %d, stats say %v %d",
-					q, last.CostAfter, last.SizeAfter, stats1.FinalCost, stats1.FinalSize)
-			}
-			for i := 1; i < len(prov.Steps); i++ {
-				if prov.Steps[i].CostBefore != prov.Steps[i-1].CostAfter {
-					t.Fatalf("%q: step %d cost chain broken", q, i)
-				}
+			size = st.SizeAfter
+			if i == len(prov.Steps)-1 && size != stats1.FinalSize {
+				t.Fatalf("%q: the last kept step ends at size %d, stats say %d", q, size, stats1.FinalSize)
 			}
 		}
 	}
 }
 
-// TestProvenanceAccounting checks the node/candidate/why-not bookkeeping is
+// TestProvenanceAccounting checks the step/candidate/why-not bookkeeping is
 // internally consistent with the search stats.
 func TestProvenanceAccounting(t *testing.T) {
 	rw := newRW(t)
@@ -75,44 +71,43 @@ func TestProvenanceAccounting(t *testing.T) {
 		t.Fatal("q0 should be rewritten")
 	}
 
-	// Every enqueued candidate is a node; nodes = root + enqueued.
-	enq, memo := 0, 0
+	// Every ranked candidate was stepped to, outranked or a memo hit; the
+	// final expansion found nothing new unless the step budget ended the
+	// search first.
+	walked := len(prov.Steps) + len(prov.Tail)
+	memo, notChosen := 0, 0
 	for _, c := range prov.Candidates {
 		switch c.Fate {
-		case CandEnqueued:
-			enq++
-			n := prov.Nodes[c.Node]
-			if n.RuleNo != c.RuleNo || n.Size != c.Size || n.Cost != c.Cost {
-				t.Fatalf("node %d disagrees with its candidate: %+v vs %+v", c.Node, n, c)
-			}
 		case CandMemoHit:
 			memo++
+		case CandNotChosen:
+			notChosen++
 		}
-	}
-	if len(prov.Nodes) != enq+1 {
-		t.Fatalf("%d nodes, want %d enqueued + root", len(prov.Nodes), enq)
+		if c.Step > walked {
+			t.Fatalf("candidate of step %d, the search took %d: %+v", c.Step, walked, c)
+		}
 	}
 	if memo != stats.MemoHits {
 		t.Fatalf("%d memo-hit candidates, stats say %d", memo, stats.MemoHits)
 	}
-
-	// Expanded nodes match NodesExplored.
-	expanded := 0
-	for _, n := range prov.Nodes {
-		if n.Fate == FateExpanded {
-			expanded++
-		}
+	if memo+notChosen+walked != stats.CandidatesSeen {
+		t.Fatalf("%d memo hits + %d not chosen + %d steps, stats say %d candidates", memo, notChosen, walked, stats.CandidatesSeen)
+	}
+	expanded := walked + 1
+	if stats.TruncatedBy == "steps" {
+		expanded = walked
 	}
 	if expanded != stats.NodesExplored {
-		t.Fatalf("%d expanded nodes, stats say %d", expanded, stats.NodesExplored)
+		t.Fatalf("%d steps imply %d expansions, stats say %d", walked, expanded, stats.NodesExplored)
 	}
 
 	// The why-not funnel totals agree with the stats counters.
-	var attempts, matchFailed, fired int
+	var attempts, matchFailed, fired, chosen int
 	for _, w := range prov.WhyNot {
 		attempts += w.Attempts
 		matchFailed += w.MatchFailed
 		fired += w.Fired
+		chosen += w.Chosen
 	}
 	if int64(attempts) != stats.RuleAttempts {
 		t.Fatalf("why-not attempts %d, stats %d", attempts, stats.RuleAttempts)
@@ -120,8 +115,8 @@ func TestProvenanceAccounting(t *testing.T) {
 	if int64(attempts-matchFailed) != stats.RuleMatches {
 		t.Fatalf("why-not matches %d, stats %d", attempts-matchFailed, stats.RuleMatches)
 	}
-	if fired != len(applied) {
-		t.Fatalf("why-not fired %d, applied %d", fired, len(applied))
+	if fired != len(applied) || chosen != walked {
+		t.Fatalf("why-not fired %d, chosen %d; applied %d, steps %d", fired, chosen, len(applied), walked)
 	}
 
 	// Every rule of the index appears in the funnel exactly once.
@@ -143,18 +138,18 @@ func TestProvenanceRendering(t *testing.T) {
 	p := mustPlan(t, q0, gitlabSchema())
 	prov := new(Provenance)
 	_, applied, _ := rw.Search(p, Options{Provenance: prov})
-	tree := prov.RenderTree()
-	if !strings.Contains(tree, "* input") {
-		t.Fatalf("tree missing marked root:\n%s", tree)
-	}
 	steps := prov.RenderSteps()
+	if !strings.HasPrefix(steps, "input  size") {
+		t.Fatalf("steps missing the input line:\n%s", steps)
+	}
 	for _, a := range applied {
 		if !strings.Contains(steps, a.RuleName) {
 			t.Fatalf("steps missing applied rule %s:\n%s", a.RuleName, steps)
 		}
-		if !strings.Contains(tree, a.RuleName) {
-			t.Fatalf("tree missing applied rule %s:\n%s", a.RuleName, tree)
-		}
+	}
+	// One line for the input, each step and each candidate not taken.
+	if got, want := strings.Count(steps, "\n"), 1+len(prov.Steps)+len(prov.Tail)+len(prov.Candidates); got != want {
+		t.Fatalf("steps rendered in %d lines, want %d:\n%s", got, want, steps)
 	}
 	whynot := prov.RenderWhyNot()
 	if !strings.Contains(whynot, "FIRED") {
@@ -162,26 +157,6 @@ func TestProvenanceRendering(t *testing.T) {
 	}
 	if len(strings.Split(strings.TrimSpace(whynot), "\n")) != len(prov.WhyNot) {
 		t.Fatalf("why-not should render one line per rule:\n%s", whynot)
-	}
-}
-
-// TestProvenanceFrontierDrop: states cut by the frontier budget are marked.
-func TestProvenanceFrontierDrop(t *testing.T) {
-	rw := newRW(t)
-	p := mustPlan(t, q0, gitlabSchema())
-	prov := new(Provenance)
-	_, _, stats := rw.Search(p, Options{maxFrontier: 1, Provenance: prov})
-	if !stats.Truncated || stats.TruncatedBy != "frontier" {
-		t.Skipf("q0 did not stress the frontier budget: %+v", stats)
-	}
-	dropped := 0
-	for _, n := range prov.Nodes {
-		if n.Fate == FateDropped {
-			dropped++
-		}
-	}
-	if dropped == 0 {
-		t.Fatal("frontier-truncated search marked no node frontier-dropped")
 	}
 }
 

@@ -53,7 +53,7 @@ func TestRewriteSelfJoinOnNonKeyStays(t *testing.T) {
 func TestExploreNoOpQueryReturnsOriginal(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, "SELECT title FROM labels WHERE project_id = 5", rw.Schema)
-	out, applied, _ := rw.Search(p, Options{maxSteps: 4, maxFrontier: 8, maxNodes: 128})
+	out, applied, _ := rw.Search(p, Options{maxSteps: 4})
 	if len(applied) != 0 {
 		t.Fatalf("rules applied to an un-rewritable query: %v", applied)
 	}
@@ -64,10 +64,10 @@ func TestExploreNoOpQueryReturnsOriginal(t *testing.T) {
 
 func TestExploreBeamTermination(t *testing.T) {
 	// A query where only enabler rules (commute) fire must terminate and
-	// return something at least as small.
+	// return something at least as small, under a long chain budget.
 	rw := newRW(t)
 	p := mustPlan(t, `SELECT labels.title FROM labels INNER JOIN notes ON labels.id = notes.id`, rw.Schema)
-	out, _, _ := rw.Search(p, Options{maxFrontier: 16, maxNodes: 384})
+	out, _, _ := rw.Search(p, Options{maxSteps: 24})
 	if plan.Size(out) > plan.Size(p) {
 		t.Fatal("explore returned a larger plan")
 	}

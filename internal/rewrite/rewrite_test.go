@@ -200,7 +200,6 @@ func TestRewritePreservesResults(t *testing.T) {
 		return true
 	}
 	rw := NewRewriter(rules.All(), schema)
-	rw.DB = db
 	for _, q := range queries {
 		orig := mustPlan(t, q, schema)
 		rewritten, applied, _ := rw.Search(orig, Options{})

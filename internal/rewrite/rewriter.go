@@ -3,7 +3,6 @@ package rewrite
 import (
 	"sync"
 
-	"wetune/internal/engine"
 	"wetune/internal/plan"
 	"wetune/internal/rules"
 	"wetune/internal/sql"
@@ -31,11 +30,10 @@ type Candidate struct {
 }
 
 // Rewriter drives WeTune's rewrite engine (§6): rules are compiled once into
-// an immutable shape-keyed index, and each Search call runs the cost-guided
-// best-first search over rewritten plans with per-call scratch (bindings,
-// memo, frontier).
+// an immutable shape-keyed index, and each Search call runs the greedy
+// descent over rewritten plans with per-call scratch (bindings, memo).
 //
-// Concurrency contract: configure the Rewriter first (Rules/Schema/DB), then
+// Concurrency contract: configure the Rewriter first (Rules/Schema), then
 // share it — Search and Candidates are safe to call from concurrent
 // goroutines as long as no field is mutated afterwards. The compiled rule
 // index is built once on first use (or eagerly by NewRewriter) and never
@@ -43,7 +41,6 @@ type Candidate struct {
 type Rewriter struct {
 	Rules  []rules.Rule
 	Schema *sql.Schema
-	DB     *engine.DB // optional: enables cost-based ranking
 
 	idxOnce sync.Once
 	idx     *RuleIndex
@@ -70,8 +67,8 @@ func (rw *Rewriter) ruleIndex() *RuleIndex {
 func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
 	sc := newSearchCtx(rw, nil)
 	defer sc.release()
-	sc.first = state{plan: p}
-	cands := sc.expand(&sc.first)
+	sc.cur = state{plan: p}
+	cands := sc.expand(&sc.cur)
 	// The expand output lives in the pooled context; copy it out for the
 	// caller without the fingerprints, which point into the pooled arena.
 	out := append([]Candidate(nil), cands...)
@@ -82,24 +79,12 @@ func (rw *Rewriter) Candidates(p plan.Node) []Candidate {
 	return out
 }
 
-// ExploreOptions bounds a search by beam (the frontier) and depth (the chain
-// length), with four expansions per frontier slot and step; ExploreOptions(12,
-// 6) searches as the zero Options does, and so does a non-positive argument.
-// It remains only because the benchmark's per-layer probe calls it.
+// ExploreOptions bounds a search's chain length by depth; a non-positive
+// depth is the default, so ExploreOptions(12, 6) searches as the zero Options
+// does. The beam argument is ignored: the search is a descent, one state per
+// step. It remains only because the benchmark's per-layer probe calls it.
 func ExploreOptions(beam, depth int) Options {
-	if beam <= 0 || depth <= 0 {
-		return Options{}
-	}
-	return Options{maxSteps: depth, maxFrontier: beam, maxNodes: beam * depth * 4}
-}
-
-// cost ranks a plan of the given plan.Size: the engine's estimate when a
-// database is attached, the operator count otherwise.
-func (rw *Rewriter) cost(p plan.Node, size int) float64 {
-	if rw.DB != nil {
-		return rw.DB.EstimateCost(p)
-	}
-	return float64(size)
+	return Options{maxSteps: depth}
 }
 
 // --- tree paths ---

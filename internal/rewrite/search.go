@@ -1,8 +1,7 @@
 package rewrite
 
 import (
-	"math"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,34 +11,26 @@ import (
 	"wetune/internal/plan"
 )
 
-// The search budgets of the paper's §8.4 flow — iteratively generate
-// rewritten queries (including equal-size "enabler" steps like predicate
-// pull-up and column switches), then pick the best final query by the cost
-// estimator. Every search runs under them: served rewrites, the experiments,
-// the differential oracle and rule reduction.
-const (
-	defaultMaxSteps    = 6
-	defaultMaxFrontier = 12
-	defaultMaxNodes    = defaultMaxFrontier * defaultMaxSteps * 4 // 288
-)
+// defaultMaxSteps bounds the descent of the paper's §8.4 flow — apply rules
+// one step at a time, including equal-size "enabler" steps like predicate
+// pull-up and column switches, and keep the smallest plan seen. Every search
+// runs under it: served rewrites, the experiments, the differential oracle and
+// rule reduction.
+const defaultMaxSteps = 6
 
 // Options configures one rewrite search; the zero value is the default
-// budgets.
+// budget.
 type Options struct {
-	// maxSteps bounds the rule-application chain length, maxFrontier the
-	// pending states kept between expansions (the worst are dropped beyond
-	// it) and maxNodes the states expanded; zero selects the default. Only
-	// this package's tests, ExploreOptions and the SearchStarve fault set
-	// them.
-	maxSteps, maxFrontier, maxNodes int
+	// maxSteps bounds the rule-application chain; zero selects the default.
+	// Only this package's tests, ExploreOptions and the SearchStarve fault set
+	// it.
+	maxSteps int
 	// Deadline, when non-zero, is a wall-clock budget checked before every
-	// expansion and every rule attempt within one (each candidate is
-	// checked against the whole plan, so one expansion of a large plan
-	// takes long): a search past its deadline stops and returns the best plan
-	// found so far with Truncated set and TruncatedBy = "deadline". This is
-	// how a server's per-request deadline reaches into the search loop —
-	// the request never blocks on an unbounded frontier, it degrades to the
-	// best rewrite found in time.
+	// step and every rule attempt within one (each candidate is checked
+	// against the whole plan, so one expansion of a large plan takes long): a
+	// search past its deadline stops and returns the smallest plan found so
+	// far with Truncated set and TruncatedBy = "deadline". This is how a
+	// server's per-request deadline reaches into the search loop.
 	Deadline time.Time
 	// SkipOrderByElim declares that the input plan has already been through
 	// EliminateOrderBy and must be used as the start state directly. This is
@@ -50,12 +41,11 @@ type Options struct {
 	// fresh parse either way. It goes with PlanCache, once the benchmark's
 	// per-layer probe no longer calls either.
 	SkipOrderByElim bool
-	// Provenance, when non-nil, is overwritten with the search's full
-	// derivation record: every explored state, every candidate with its
-	// fate, the chosen step chain with per-step costs, and the per-rule
-	// why-not funnel. It only observes — the plan, applied chain and Stats
-	// are identical to a search without it (ranking and budgets never look
-	// at it).
+	// Provenance, when non-nil, is overwritten with the search's derivation
+	// record: the chain of steps, every candidate of each step the descent
+	// did not take with its fate, and the per-rule why-not funnel. It only
+	// observes — the plan, applied chain and Stats are identical to a search
+	// without it.
 	Provenance *Provenance
 }
 
@@ -63,27 +53,21 @@ func (o Options) withDefaults() Options {
 	if o.maxSteps <= 0 {
 		o.maxSteps = defaultMaxSteps
 	}
-	if o.maxFrontier <= 0 {
-		o.maxFrontier = defaultMaxFrontier
-	}
-	if o.maxNodes <= 0 {
-		o.maxNodes = defaultMaxNodes
-	}
 	return o
 }
 
 // Stats reports one search's effort and outcome. Budget exhaustion is never
-// silent: Truncated is set whenever any budget (steps, frontier, nodes) cut
-// the search before the space was exhausted, and TruncatedBy names the first
-// budget hit.
+// silent: Truncated is set whenever the step budget or the deadline cut the
+// search, and TruncatedBy names which.
 type Stats struct {
-	// NodesExplored counts the plan states expanded (candidates generated).
+	// NodesExplored counts the plan states expanded (candidates generated):
+	// the steps of the descent, plus the expansion that ended it.
 	NodesExplored int `json:"nodes_explored"`
 	// CandidatesSeen counts the candidate rewrites produced across all
 	// expansions (before memo dedup).
 	CandidatesSeen int `json:"candidates"`
 	// MemoHits counts derived plans already in the fingerprint-keyed visited
-	// memo — re-derivations that cost nothing instead of a re-expansion.
+	// memo: candidates the descent will not step to again.
 	MemoHits int `json:"memo_hits"`
 	// RuleAttempts counts full matcher invocations (post index, post shape
 	// precheck); RuleMatches counts the ones that bound and passed plan.Check.
@@ -95,7 +79,9 @@ type Stats struct {
 	IndexPruned int64 `json:"index_pruned"`
 	ShapePruned int64 `json:"shape_pruned"`
 	// Initial/Final report the plan the search started from (after ORDER BY
-	// elimination) and the plan it settled on.
+	// elimination) and the plan it settled on. No estimated cost ranks
+	// plans; the cost fields carry the sizes as floats for the callers that
+	// report a cost.
 	InitialSize int     `json:"initial_size"`
 	FinalSize   int     `json:"final_size"`
 	InitialCost float64 `json:"initial_cost"`
@@ -103,53 +89,62 @@ type Stats struct {
 	// Steps is the applied rule-chain length of the returned plan.
 	Steps int `json:"steps"`
 	// Truncated reports that a budget cut the search; TruncatedBy is the
-	// first budget hit: "steps", "frontier" or "nodes".
+	// budget: "steps" or "deadline".
 	Truncated   bool   `json:"truncated"`
 	TruncatedBy string `json:"truncated_by,omitempty"`
 }
 
-// state is one node of the search graph: a derived plan plus the rule chain
-// that produced it.
+// state is the descent's current plan: the plan, its fingerprint, its size
+// and how many steps led to it.
 type state struct {
 	plan  plan.Node
 	fp    string // plan fingerprint: the visited memo's key, made once (memoKey)
-	path  []Applied
 	size  int
-	cost  float64
 	depth int
-	seq   int // insertion sequence: deterministic FIFO among rank ties
-	id    int // provenance node ID (0 unless provenance is recording)
 }
 
-// rankLess orders frontier states: smaller plans first, then cheaper, then
-// first-discovered (seq). The search pops the minimum.
-func rankLess(a, b *state) bool {
-	if a.size != b.size {
-		return a.size < b.size
-	}
-	if a.cost != b.cost {
-		return a.cost < b.cost
-	}
-	return a.seq < b.seq
-}
-
-// rankedCand is one expand output with its rank, in the scratch buffer the
-// candidate sort reuses across expansions.
+// rankedCand is one expand output with its size, in the scratch buffer the
+// candidate ranking reuses across expansions.
 type rankedCand struct {
 	c    Candidate
 	size int
-	cost float64
+}
+
+// rankCands orders candidates by size, then by the depth of their position,
+// deepest first, then by rule number and position; the descent steps to the
+// first one it has not visited. Deepest first rewrites an inner fragment
+// before a size-neutral step reshapes the operators above it: on Table 1's
+// q3, ranking by rule number first steps to a join commutation at the root
+// (rule 22) instead of the filter pull-up below it (rule 27), and the chain of
+// Figure 8 never reaches its join elimination.
+func rankCands(a, b rankedCand) int {
+	if a.size != b.size {
+		return a.size - b.size
+	}
+	if len(a.c.Path) != len(b.c.Path) {
+		return len(b.c.Path) - len(a.c.Path)
+	}
+	if a.c.Rule.No != b.c.Rule.No {
+		return a.c.Rule.No - b.c.Rule.No
+	}
+	if pathLess(a.c.Path, b.c.Path) {
+		return -1
+	}
+	if pathLess(b.c.Path, a.c.Path) {
+		return 1
+	}
+	return 0
 }
 
 // searchCtx is everything one Search or Candidates call works with, and the
 // unit searchCtxPool recycles: the per-call handles (rewriter, index, stats,
 // flight recorder, optional provenance record) and the scratch that outlives
-// the call — matcher buffers, start state, visited memo, frontier backing
-// array, candidate and rank buffers, the node-path arena and the byte arena
+// the call — matcher buffers, current state, visited memo, candidate and
+// rank buffers, the node-path arena and the byte arena
 // candidates are fingerprinted into. Nothing lives on the shared Rewriter, so
 // one Rewriter serves concurrent searches, and a steady-state search allocates
-// only what escapes into its result (derived plans, applied chains) plus one
-// memo key per visited state; a search that matches no rule allocates
+// only what escapes into its result (derived plans, the applied chain) plus
+// one memo key per new candidate; a search that matches no rule allocates
 // nothing.
 type searchCtx struct {
 	rw    *Rewriter
@@ -165,15 +160,14 @@ type searchCtx struct {
 	// that kind (provenance-only: attributes index pruning to specific rules).
 	bucketRules map[plan.Kind]map[int]bool
 
-	first    state
-	seen     map[string]bool
-	frontier []*state
-	ranked   []rankedCand
-	cands    []Candidate
-	paths    [][]int
-	pathBuf  []int  // current recursion prefix for appendPaths
-	arena    []int  // backing storage for the per-expand path slices
-	fpArena  []byte // backing storage for the per-expand candidate fingerprints
+	cur     state
+	seen    map[string]bool
+	ranked  []rankedCand
+	cands   []Candidate
+	paths   [][]int
+	pathBuf []int  // current recursion prefix for appendPaths
+	arena   []int  // backing storage for the per-expand path slices
+	fpArena []byte // backing storage for the per-expand candidate fingerprints
 }
 
 var searchCtxPool = sync.Pool{
@@ -197,10 +191,8 @@ func (sc *searchCtx) release() {
 	sc.rw, sc.idx, sc.jr, sc.prov, sc.bucketRules = nil, nil, nil, nil, nil
 	sc.stats, sc.deadline, sc.late = Stats{}, time.Time{}, false
 	sc.m.release()
-	sc.first = state{}
+	sc.cur = state{}
 	clear(sc.seen)
-	clear(sc.frontier)
-	sc.frontier = sc.frontier[:0]
 	clear(sc.ranked)
 	sc.ranked = sc.ranked[:0]
 	clear(sc.cands)
@@ -255,7 +247,7 @@ func (sc *searchCtx) appendPaths(n plan.Node) {
 	}
 }
 
-// expand generates every single-step rewrite of the plan of node st, in
+// expand generates every single-step rewrite of the plan of state st, in
 // deterministic (position, rule) order, consulting the rule index at each
 // position. Aggregate prune counts, matcher attempts and matches land in the
 // flight recorder; per-rule attribution lands in the provenance record when
@@ -264,7 +256,7 @@ func (sc *searchCtx) appendPaths(n plan.Node) {
 // and reused by the caller to probe the visited memo. The returned slice and
 // the fingerprints are scratch — consumed before the next expand call.
 func (sc *searchCtx) expand(st *state) []Candidate {
-	p, fromID, depth := st.plan, st.id, st.depth
+	p, depth := st.plan, st.depth
 	out := sc.cands[:0]
 	sc.fpArena = sc.fpArena[:0]
 	var idxPruned, shapePruned int64
@@ -317,8 +309,8 @@ positions:
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).NoOps++
 							sc.prov.Candidates = append(sc.prov.Candidates, ProvCandidate{
-								FromNode: fromID, RuleNo: cr.Rule.No, RuleName: cr.Rule.Name,
-								Path: append([]int{}, path...), Fate: CandNoOp, Node: -1,
+								Step: depth, RuleNo: cr.Rule.No, RuleName: cr.Rule.Name,
+								Path: append([]int{}, path...), Fate: CandNoOp,
 							})
 						}
 						continue
@@ -332,8 +324,8 @@ positions:
 						if sc.prov != nil {
 							sc.prov.rule(cr.Rule.No).Invalid++
 							sc.prov.Candidates = append(sc.prov.Candidates, ProvCandidate{
-								FromNode: fromID, RuleNo: cr.Rule.No, RuleName: cr.Rule.Name,
-								Path: append([]int{}, path...), Fate: CandInvalid, Node: -1,
+								Step: depth, RuleNo: cr.Rule.No, RuleName: cr.Rule.Name,
+								Path: append([]int{}, path...), Fate: CandInvalid,
 							})
 						}
 						continue
@@ -391,36 +383,42 @@ func pathLess(a, b []int) bool {
 	return len(a) < len(b)
 }
 
-// truncCode maps Stats.TruncatedBy to the flight-recorder budget code.
-func truncCode(by string) int64 {
-	switch by {
-	case "steps":
-		return journal.TruncSteps
-	case "frontier":
-		return journal.TruncFrontier
-	case "deadline":
-		return journal.TruncDeadline
+// truncate records the budget that cut the search; the first one counts.
+func (sc *searchCtx) truncate(by string) {
+	if sc.stats.Truncated {
+		return
 	}
-	return journal.TruncNodes
+	sc.stats.Truncated = true
+	sc.stats.TruncatedBy = by
+	code := journal.TruncSteps
+	if by == "deadline" {
+		code = journal.TruncDeadline
+	}
+	sc.jr.Record(journal.KindTruncated, -1, code, 0)
 }
 
-// Search runs the cost-guided rewrite search (§6 matching driven by the §8.4
-// explore-then-pick-cheapest loop): a best-first frontier over derived plans
-// ranked by (operator count, estimated cost), a fingerprint-keyed visited
-// memo so no derived plan is expanded twice, and explicit step/frontier/node
-// budgets. Equal-rank candidates are ordered by (rule number, position),
-// making the result deterministic and independent of the rule-set ordering.
-// ORDER BY elimination (§7) runs first unless opts.SkipOrderByElim. The
-// returned Stats also land in the default metrics registry, and the aggregate
-// event trail (expansions, prunes, attempts, matches, candidates, memo hits,
-// truncation) in the default flight recorder.
+// Search runs the rewrite search (§6 matching driven by the §8.4
+// apply-and-keep-the-best loop) as a greedy descent: expand the current plan,
+// rank its candidates (rankCands: operator count first), step to the
+// best-ranked one not in the fingerprint-keyed visited memo, and stop after
+// the step budget or when no unvisited candidate is left. Every candidate
+// enters the memo, not only the one stepped to, so a size-neutral step never
+// leads back to a plan seen before. The smallest plan seen is returned, the
+// earliest among equals. The ranking makes the result deterministic and
+// independent of the rule-set ordering, and the estimated cost plays no part
+// in it: a wider best-first search that breaks size ties by the engine's cost
+// estimate returns the same plans (the test-only reference in
+// reference_test.go). ORDER BY elimination (§7) runs first unless
+// opts.SkipOrderByElim. The returned Stats also land in the default metrics
+// registry, and the aggregate event trail (expansions, prunes, attempts,
+// matches, candidates, memo hits, truncation) in the default flight recorder.
 func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Stats) {
 	opts = opts.withDefaults()
 	if faultinject.Fire(faultinject.SearchStarve) {
-		// Injected budget starvation: the search expands only the start
-		// state and truncates by "nodes", degrading to the best candidate of
-		// one expansion — the overload path a chaos run wants to prove safe.
-		opts.maxNodes = 1
+		// Injected budget starvation: the search takes at most one step and
+		// truncates by "steps" — the overload path a chaos run wants to
+		// prove safe.
+		opts.maxSteps = 1
 	}
 	prov := opts.Provenance
 	sc := newSearchCtx(rw, prov)
@@ -434,174 +432,103 @@ func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Sta
 	if !opts.SkipOrderByElim {
 		start = EliminateOrderBy(p)
 	}
-	first := &sc.first
-	*first = state{plan: start, size: plan.Size(start)}
-	first.cost = rw.cost(start, first.size)
-	sc.stats.InitialSize = first.size
-	sc.stats.InitialCost = first.cost
-	if prov != nil {
-		prov.InitialSize = first.size
-		prov.InitialCost = first.cost
-		prov.Nodes = append(prov.Nodes, ProvNode{
-			ID: 0, Parent: -1, RuleNo: -1, Depth: 0,
-			Size: first.size, Cost: first.cost, Fate: FatePending,
-		})
-	}
-
-	seen := sc.seen
-	// The frontier lives in the pooled backing array; head indexes the next
-	// state to pop (popping must not re-slice away the array's start, or the
-	// pool would shrink every search).
-	frontier := append(sc.frontier, first)
-	head := 0
-	best := first
-	seq := 1
-
-	truncate := func(by string) {
-		if !sc.stats.Truncated {
-			sc.stats.Truncated = true
-			sc.stats.TruncatedBy = by
-			sc.jr.Record(journal.KindTruncated, -1, truncCode(by), 0)
-		}
-	}
-
-	for head < len(frontier) {
+	cur := &sc.cur
+	*cur = state{plan: start, size: plan.Size(start)}
+	sc.stats.InitialSize = cur.size
+	best, bestSize, kept := start, cur.size, 0
+	var chain []Applied
+	for {
 		if sc.pastDeadline() {
-			truncate("deadline")
+			sc.truncate("deadline")
 			break
 		}
-		if sc.stats.NodesExplored >= opts.maxNodes {
-			truncate("nodes")
-			break
-		}
-		st := frontier[head]
-		frontier[head] = nil
-		head++
-		if st.depth >= opts.maxSteps {
+		if cur.depth >= opts.maxSteps {
 			// Conservative: the state might have had no candidates, but the
 			// step budget stopped us from finding out.
-			truncate("steps")
-			if prov != nil {
-				prov.Nodes[st.id].Fate = FateStepsBudget
-			}
-			continue
-		}
-		sc.stats.NodesExplored++
-		if prov != nil {
-			prov.Nodes[st.id].Fate = FateExpanded
-		}
-
-		cands := sc.expand(st)
-		if sc.late {
-			// The expansion stopped part way: the search ends with the best
-			// plan enqueued before it.
-			truncate("deadline")
+			sc.truncate("steps")
 			break
 		}
-		// Deterministic tie-break: candidates of equal (size, cost) enter the
-		// frontier — and thus become the incumbent best — in (rule number,
-		// position) order, regardless of rule-set ordering.
-		rs := sc.ranked[:0]
-		for _, c := range cands {
-			size := plan.Size(c.Plan)
-			rs = append(rs, rankedCand{c: c, size: size, cost: rw.cost(c.Plan, size)})
+		sc.stats.NodesExplored++
+		cands := sc.expand(cur)
+		if sc.late {
+			// The expansion stopped part way: the search ends with the
+			// smallest plan stepped to before it.
+			sc.truncate("deadline")
+			break
 		}
-		sc.ranked = rs
-		if len(rs) > 1 { // most expansions: nothing to order, and no closure to allocate
-			sort.SliceStable(rs, func(i, j int) bool {
-				a, b := rs[i], rs[j]
-				if a.size != b.size {
-					return a.size < b.size
-				}
-				if a.cost != b.cost {
-					return a.cost < b.cost
-				}
-				if a.c.Rule.No != b.c.Rule.No {
-					return a.c.Rule.No < b.c.Rule.No
-				}
-				return pathLess(a.c.Path, b.c.Path)
+		next, key := sc.choose(cands, cur.depth)
+		if next == nil {
+			break
+		}
+		chain = append(chain, Applied{RuleNo: next.c.Rule.No, RuleName: next.c.Rule.Name})
+		if prov != nil {
+			prov.Steps = append(prov.Steps, ProvStep{
+				RuleNo: next.c.Rule.No, RuleName: next.c.Rule.Name, Path: next.c.Path,
+				SizeBefore: cur.size, SizeAfter: next.size,
 			})
+			prov.rule(next.c.Rule.No).Chosen++
 		}
-		for _, r := range rs {
-			// Probing with string(bytes) does not allocate; the key string is
-			// made only when the state is new.
-			if seen[string(r.c.fp)] {
-				sc.stats.MemoHits++
-				sc.jr.Record(journal.KindMemoHit, int32(r.c.Rule.No), journal.PackPath(r.c.Path), 0)
-				if prov != nil {
-					prov.rule(r.c.Rule.No).MemoDups++
-					prov.Candidates = append(prov.Candidates, ProvCandidate{
-						FromNode: st.id, RuleNo: r.c.Rule.No, RuleName: r.c.Rule.Name,
-						Path: r.c.Path, Size: r.size, Cost: r.cost,
-						Fate: CandMemoHit, Node: -1,
-					})
-				}
-				continue
-			}
-			fp := string(r.c.fp)
-			seen[fp] = true
-			ns := &state{
-				plan: r.c.Plan,
-				fp:   fp,
-				path: append(append([]Applied{}, st.path...),
-					Applied{RuleNo: r.c.Rule.No, RuleName: r.c.Rule.Name}),
-				size:  r.size,
-				cost:  r.cost,
-				depth: st.depth + 1,
-				seq:   seq,
-			}
-			seq++
-			sc.jr.Record(journal.KindCandidate, int32(r.c.Rule.No),
-				int64(r.size), int64(math.Float64bits(r.cost)))
-			if prov != nil {
-				ns.id = len(prov.Nodes)
-				prov.Nodes = append(prov.Nodes, ProvNode{
-					ID: ns.id, Parent: st.id,
-					RuleNo: r.c.Rule.No, RuleName: r.c.Rule.Name, Path: r.c.Path,
-					Depth: ns.depth, Size: ns.size, Cost: ns.cost, Fate: FatePending,
-				})
-				prov.rule(r.c.Rule.No).Enqueued++
-				prov.Candidates = append(prov.Candidates, ProvCandidate{
-					FromNode: st.id, RuleNo: r.c.Rule.No, RuleName: r.c.Rule.Name,
-					Path: r.c.Path, Size: r.size, Cost: r.cost,
-					Fate: CandEnqueued, Node: ns.id,
-				})
-			}
-			if ns.size < best.size || (ns.size == best.size && ns.cost < best.cost) {
-				best = ns
-			}
-			// Sorted insert into the live segment keeps the frontier pop-min
-			// and deterministic.
-			i := head + sort.Search(len(frontier)-head, func(i int) bool {
-				return rankLess(ns, frontier[head+i])
-			})
-			frontier = append(frontier, nil)
-			copy(frontier[i+1:], frontier[i:])
-			frontier[i] = ns
-		}
-		if len(frontier)-head > opts.maxFrontier {
-			if prov != nil {
-				for _, dropped := range frontier[head+opts.maxFrontier:] {
-					prov.Nodes[dropped.id].Fate = FateDropped
-				}
-			}
-			clear(frontier[head+opts.maxFrontier:])
-			frontier = frontier[:head+opts.maxFrontier]
-			truncate("frontier")
+		*cur = state{plan: next.c.Plan, fp: key, size: next.size, depth: cur.depth + 1}
+		if cur.size < bestSize {
+			best, bestSize, kept = cur.plan, cur.size, cur.depth
 		}
 	}
-	sc.frontier = frontier
 
-	sc.stats.FinalSize = best.size
-	sc.stats.FinalCost = best.cost
-	sc.stats.Steps = len(best.path)
+	sc.stats.FinalSize = bestSize
+	sc.stats.InitialCost = float64(sc.stats.InitialSize)
+	sc.stats.FinalCost = float64(bestSize)
+	sc.stats.Steps = kept
 	if prov != nil {
-		prov.FinalSize = best.size
-		prov.FinalCost = best.cost
-		prov.finish(best.id)
+		prov.InitialSize = sc.stats.InitialSize
+		prov.FinalSize = bestSize
+		prov.finish(kept)
 	}
 	sc.flushObs()
-	return best.plan, best.path, sc.stats
+	var applied []Applied
+	if kept > 0 {
+		applied = chain[:kept:kept]
+	}
+	return best, applied, sc.stats
+}
+
+// choose ranks the candidates of the state at depth and returns the
+// best-ranked one the search has not visited, with its memo key, entering
+// every unvisited candidate in the memo. It returns nil when every candidate
+// was visited before.
+func (sc *searchCtx) choose(cands []Candidate, depth int) (*rankedCand, string) {
+	rs := sc.ranked[:0]
+	for _, c := range cands {
+		rs = append(rs, rankedCand{c: c, size: plan.Size(c.Plan)})
+	}
+	sc.ranked = rs
+	if len(rs) > 1 {
+		slices.SortFunc(rs, rankCands)
+	}
+	var next *rankedCand
+	var key string
+	for i := range rs {
+		r := &rs[i]
+		fate := CandNotChosen
+		// Probing with string(bytes) does not allocate; the key string is
+		// made only when the plan is new.
+		if sc.seen[string(r.c.fp)] {
+			sc.stats.MemoHits++
+			sc.jr.Record(journal.KindMemoHit, int32(r.c.Rule.No), journal.PackPath(r.c.Path), 0)
+			fate = CandMemoHit
+		} else {
+			fp := string(r.c.fp)
+			sc.seen[fp] = true
+			sc.jr.Record(journal.KindCandidate, int32(r.c.Rule.No), int64(r.size), journal.PackPath(r.c.Path))
+			if next == nil {
+				next, key = r, fp
+				continue
+			}
+		}
+		if sc.prov != nil {
+			sc.prov.candidate(depth, r.c, r.size, fate)
+		}
+	}
+	return next, key
 }
 
 // The search counters of the default metrics registry, resolved once: a

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"wetune/internal/faultinject"
 	"wetune/internal/plan"
 	"wetune/internal/rules"
 	"wetune/internal/sql"
@@ -94,7 +95,7 @@ func TestRewriteKeepsOutputNames(t *testing.T) {
 }
 
 // TestSearchDeterministicAcrossRuleOrder pins the candidate tie-break: when
-// candidates tie on operator count and cost, the (rule number, position) order
+// candidates tie on operator count, the (rule number, position) order
 // decides — so reversing the rule-set ordering must not change the result.
 // This is a regression test for the pre-index engine, whose winner among tied
 // candidates was whichever rule happened to be enumerated first.
@@ -177,14 +178,18 @@ func TestSearchTruncatedBySteps(t *testing.T) {
 	}
 }
 
-// TestSearchTruncatedByNodes: exhausting the node budget with work pending is
-// reported too.
-func TestSearchTruncatedByNodes(t *testing.T) {
+// TestSearchStarveTruncatesBySteps: the SearchStarve fault caps the chain at
+// one step, and the search reports that cut.
+func TestSearchStarveTruncatesBySteps(t *testing.T) {
 	rw := newRW(t)
 	p := mustPlan(t, q0, gitlabSchema())
-	_, _, stats := rw.Search(p, Options{maxNodes: 1})
-	if !stats.Truncated || stats.TruncatedBy != "nodes" {
-		t.Fatalf("maxNodes=1 search not reported truncated by nodes: %+v", stats)
+	if err := faultinject.Set(faultinject.Fault{Point: faultinject.SearchStarve, Rate: 1}); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Clear(faultinject.SearchStarve)
+	_, applied, stats := rw.Search(p, Options{})
+	if !stats.Truncated || stats.TruncatedBy != "steps" || len(applied) > 1 || stats.NodesExplored != 1 {
+		t.Fatalf("starved search: applied %v, stats %+v; want truncated by steps after one expansion", applied, stats)
 	}
 }
 
@@ -252,4 +257,44 @@ func TestPathLess(t *testing.T) {
 			t.Fatalf("pathLess(%v, %v) = %v, want %v", c.a, c.b, got, c.want)
 		}
 	}
+}
+
+// TestMemoStopsSizeNeutralCycles: on Table 1's q3 the descent pulls a filter
+// above a join (rule 27, sel-pullup-from-join), a size-neutral step that rule
+// 28 (sel-pushdown-to-join) undoes. Without the visited memo the descent could
+// step back and forth until the step budget; with it, stepping back is a memo
+// hit and no plan is stepped to twice.
+func TestMemoStopsSizeNeutralCycles(t *testing.T) {
+	rw := newRW(t)
+	p := mustPlan(t, `SELECT id FROM notes WHERE type = 'D' AND id IN (SELECT id FROM notes WHERE commit_id = 7)`, rw.Schema)
+	prov := new(Provenance)
+	_, _, stats := rw.Search(p, Options{maxSteps: 24, Provenance: prov})
+	steps := append(prov.Steps, prov.Tail...)
+	undone := false
+	for _, c := range prov.Candidates {
+		undone = undone || (c.RuleNo == 28 && c.Fate == CandMemoHit)
+	}
+	if !undone || stats.MemoHits == 0 || stats.Truncated {
+		t.Fatalf("want a finished descent whose pushdown back is a memo hit: %d steps, stats %+v", len(steps), stats)
+	}
+	cur := EliminateOrderBy(p)
+	seen := map[string]bool{plan.Fingerprint(cur): true}
+	for i, st := range steps {
+		found := false
+		for _, c := range rw.Candidates(cur) {
+			if c.Rule.No == st.RuleNo && slices.Equal(c.Path, st.Path) {
+				cur, found = c.Plan, true
+				break
+			}
+		}
+		if !found {
+			t.Fatalf("step %d (%+v) does not replay", i, st)
+		}
+		fp := plan.Fingerprint(cur)
+		if seen[fp] {
+			t.Fatalf("step %d (rule %d) returns to an earlier plan: %s", i, st.RuleNo, plan.ToSQLString(cur))
+		}
+		seen[fp] = true
+	}
+	t.Logf("%d steps, %d memo hits", len(steps), stats.MemoHits)
 }

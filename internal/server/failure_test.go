@@ -187,7 +187,7 @@ func TestExplainDeadlineDuringSearch504(t *testing.T) {
 	if res.Output == "" {
 		t.Error("a deadline-truncated explain must still return the best SQL found")
 	}
-	if res.Provenance == nil || len(res.Provenance.Nodes) == 0 {
+	if res.Provenance == nil || len(res.Provenance.WhyNot) == 0 {
 		t.Error("a deadline-truncated explain must still carry its provenance")
 	}
 }

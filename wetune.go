@@ -103,13 +103,13 @@ func Table7Rules() []Rule { return rules.Table7() }
 
 // Optimizer rewrites queries with a rule set over a schema.
 //
-// Concurrency contract: configure the Optimizer fully (NewOptimizer, UseDB,
+// Concurrency contract: configure the Optimizer fully (NewOptimizer,
 // EnableResultCache, EnablePlanCache) before sharing it; afterwards every
 // other method — Optimize, OptimizeSQLResult, OptimizeSQLResultContext,
 // OptimizeSQLResultMode, ExplainSQL, PlanSQL,
 // ResultCacheStats, PlanCacheStats — is safe to call from concurrent
 // goroutines. The compiled rule set and its shape index are immutable shared
-// state; all per-call scratch (bindings, memo, frontier) lives in per-call
+// state; all per-call scratch (bindings, memo) lives in per-call
 // contexts, and the optional caches are internally synchronized. The serving
 // daemon enables only the result cache; EnablePlanCache and PlanCacheStats
 // are called only by the benchmark's per-layer probe.
@@ -119,15 +119,11 @@ type Optimizer struct {
 	planCache *rewrite.PlanCache
 }
 
-// NewOptimizer builds an optimizer. Attach a database with UseDB to enable
-// cost-guided choices.
+// NewOptimizer builds an optimizer. Its search ranks plans by size alone; no
+// database or cost estimate takes part (EstimateCost reports one).
 func NewOptimizer(rs []Rule, schema *Schema) *Optimizer {
 	return &Optimizer{rw: rewrite.NewRewriter(rs, schema)}
 }
-
-// UseDB wires the cost estimator of db into rewrite ranking. Call before
-// sharing the Optimizer across goroutines.
-func (o *Optimizer) UseDB(db *DB) { o.rw.DB = db }
 
 // EnableResultCache turns on the normalized-query → rewrite-result LRU
 // (n entries; n <= 0 picks a default). Repeated OptimizeSQLResult calls for
@@ -163,6 +159,8 @@ type Applied = rewrite.Applied
 type RewriteStats = rewrite.Stats
 
 // RewriteResult is the machine-readable outcome of OptimizeSQLResult.
+// CostBefore and CostAfter are the plan sizes (operator counts) before and
+// after, the measure the search ranks by.
 type RewriteResult struct {
 	Input      string       `json:"input"`
 	Output     string       `json:"output"`
@@ -206,8 +204,8 @@ func (m RewriteMode) String() string {
 }
 
 // Optimize rewrites a logical plan, returning the improved plan and the rule
-// sequence applied (empty when no rule helps). It explores rewrite chains
-// like the paper's §8.4 flow and picks the best final query.
+// sequence applied (empty when no rule helps). It applies rules one step at a
+// time, like the paper's §8.4 flow, and keeps the smallest plan it reaches.
 func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
 	out, applied, _ := o.rw.Search(p, rewrite.Options{})
 	return out, applied
@@ -215,20 +213,19 @@ func (o *Optimizer) Optimize(p Plan) (Plan, []Applied) {
 
 // OptimizeSQLResult parses, plans, optimizes and renders back to SQL,
 // returning the full machine-readable result: input/output SQL, applied rule
-// chain, cost before and after, and search stats. When the result cache is
+// chain, cost (plan size) before and after, and search stats. When the result cache is
 // enabled (EnableResultCache) results are keyed by the query text.
 func (o *Optimizer) OptimizeSQLResult(query string) (*RewriteResult, error) {
 	return o.rewriteSQL(time.Time{}, query, ModeFull, nil)
 }
 
 // OptimizeSQLResultContext is OptimizeSQLResult honoring the context's
-// deadline: the search checks the deadline before every expansion and, past
-// it, returns the best plan found so far with Stats.Truncated set and
+// deadline: the search checks the deadline before every step and, past it,
+// returns the best plan found so far with Stats.Truncated set and
 // Stats.TruncatedBy = "deadline" (never an error — a timed-out rewrite
 // degrades to the input or a partial improvement, both of which are correct
 // SQL). With no deadline, or one that never fires mid-search, the result is
-// byte-identical to OptimizeSQLResult: the node/frontier/step budgets are
-// the same. Deadline-truncated results are never stored in the result cache
+// byte-identical to OptimizeSQLResult: the step budget is the same. Deadline-truncated results are never stored in the result cache
 // — a slow client's partial answer must not be replayed to a patient one.
 func (o *Optimizer) OptimizeSQLResultContext(ctx context.Context, query string) (*RewriteResult, error) {
 	deadline, _ := ctx.Deadline()
@@ -336,9 +333,9 @@ func (o *Optimizer) rewriteSQL(deadline time.Time, query string, mode RewriteMod
 	return res, nil
 }
 
-// Provenance is the full derivation record of one rewrite search: explored
-// states, every candidate with the reason it did or did not survive, the
-// chosen step chain with per-step costs, and the per-rule why-not funnel.
+// Provenance is the derivation record of one rewrite search: the chain of
+// steps with the plan size on each side, every candidate the search did not
+// step to with the reason, and the per-rule why-not funnel.
 type Provenance = rewrite.Provenance
 
 // ExplainResult is OptimizeSQLResult's outcome plus the derivation
@@ -350,7 +347,7 @@ type ExplainResult struct {
 
 // ExplainSQL parses, plans and optimizes like OptimizeSQLResultContext, but
 // records the full derivation: why each applied rule was chosen (per-step
-// node path and cost delta), what the search rejected and why, and how far
+// node path and size delta), what the search rejected and why, and how far
 // every other rule got before a gate stopped it. The embedded RewriteResult
 // comes from the same path with the same budgets, so Output, Applied and the
 // costs are identical to what OptimizeSQLResult would return for the same
@@ -651,7 +648,7 @@ func Execute(db *DB, p Plan, params ...Value) ([]Row, error) {
 }
 
 // EstimateCost returns the engine's cost estimate for a plan (the stand-in
-// for EXPLAIN in §6).
+// for EXPLAIN in §6). The rewrite search does not read it: it ranks by size.
 func EstimateCost(db *DB, p Plan) float64 { return db.EstimateCost(p) }
 
 // ReduceRules removes rules made redundant by compositions of the others

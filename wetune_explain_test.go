@@ -137,8 +137,8 @@ func TestExplainBypassesResultCache(t *testing.T) {
 	if ex.Cached {
 		t.Fatal("ExplainSQL must not be served from the result cache")
 	}
-	if ex.Provenance == nil || len(ex.Provenance.Nodes) == 0 {
-		t.Fatal("ExplainSQL recorded no search nodes")
+	if ex.Provenance == nil || len(ex.Provenance.WhyNot) == 0 {
+		t.Fatal("ExplainSQL recorded no search")
 	}
 	if ex.Output != res.Output || !reflect.DeepEqual(ex.Applied, res.Applied) {
 		t.Fatalf("explain and cached optimize disagree: %q vs %q", ex.Output, res.Output)

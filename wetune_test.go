@@ -180,7 +180,6 @@ func TestDatabaseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := NewOptimizer(BuiltinRules(), schema)
-	opt.UseDB(db)
 	p, err := opt.PlanSQL("SELECT * FROM users WHERE id IN (SELECT id FROM users WHERE plan_id = 2)")
 	if err != nil {
 		t.Fatal(err)
