@@ -1,7 +1,7 @@
 package wetune
 
 // Benchmark harness: one testing.B target per table/figure of the paper's
-// evaluation (§8), per the experiment index in DESIGN.md. Each benchmark
+// evaluation (§8), per DESIGN.md "Per-experiment index". Each benchmark
 // regenerates the artifact via internal/bench and logs the rows the paper
 // reports; b.N iterations repeat the core computation for timing.
 //
@@ -128,7 +128,7 @@ func BenchmarkTable6_Capabilities(b *testing.B) {
 	logOnce(b, r)
 }
 
-// BenchmarkAblationConstraintPruning — DESIGN.md ablation 1.
+// BenchmarkAblationConstraintPruning — DESIGN.md "Ablations", (1).
 func BenchmarkAblationConstraintPruning(b *testing.B) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {
@@ -137,7 +137,7 @@ func BenchmarkAblationConstraintPruning(b *testing.B) {
 	logOnce(b, r)
 }
 
-// BenchmarkAblationVerifierPaths — DESIGN.md ablation 2.
+// BenchmarkAblationVerifierPaths — DESIGN.md "Ablations", (2).
 func BenchmarkAblationVerifierPaths(b *testing.B) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {

@@ -11,7 +11,7 @@ import (
 // made of: MapFormula and MapTerm hold the only structural switches over
 // them, and every substitution, canonicalisation, skolemisation and walk of
 // fol, intern and smt is a local rule over them. Consumers that give each
-// kind a meaning keep a switch of their own (DESIGN.md, "One traversal").
+// kind a meaning keep a switch of their own (DESIGN.md "One traversal, FOL third").
 
 // builder makes formula and term nodes from their parts; a Mapper rebuilds
 // every node it changes through the one it is given. The plain builder (nil)

@@ -134,7 +134,7 @@ func (p *Pool) Size() int { return len(p.tInfo) + len(p.f.hash) + len(p.m.hash) 
 // Stats reports lifetime hit and unique-node counts.
 func (p *Pool) Stats() (hits, nodes uint64) { return p.hits, uint64(p.Size()) }
 
-// Metric names recorded by FlushMetrics (see internal/obs and DESIGN.md).
+// Metric names recorded by FlushMetrics (DESIGN.md "Metric names").
 const (
 	MetricHits      = "intern_hits"
 	MetricNodes     = "intern_nodes"

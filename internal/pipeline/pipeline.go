@@ -31,7 +31,7 @@ import (
 	"wetune/internal/verify"
 )
 
-// Metric names recorded by the pipeline (see internal/obs and DESIGN.md).
+// Metric names recorded by the pipeline (DESIGN.md "Metric names").
 const (
 	metricStageTemplates = "pipeline_stage_templates_seconds"
 	metricPairSeconds    = "pipeline_pair_seconds"

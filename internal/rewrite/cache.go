@@ -229,12 +229,12 @@ type ResultCache struct {
 // NewResultCache builds a cache bounded to ~n entries (n <= 0 defaults to
 // 256) with the default shard count. The per-shard capacity is ceil(n/shards),
 // so the total bound rounds up to a multiple of the shard count.
-func NewResultCache(n int) *ResultCache { return NewResultCacheShards(n, 0) }
+func NewResultCache(n int) *ResultCache { return newResultCacheShards(n, 0) }
 
-// NewResultCacheShards is NewResultCache with an explicit shard count
+// newResultCacheShards is NewResultCache with an explicit shard count
 // (rounded up to a power of two; 0 picks the default, which scales with
 // GOMAXPROCS).
-func NewResultCacheShards(n, shards int) *ResultCache {
+func newResultCacheShards(n, shards int) *ResultCache {
 	return &ResultCache{c: newShardedLRU[CachedResult](n, shards, "rewrite_result_cache", journal.CacheResult)}
 }
 
@@ -269,11 +269,11 @@ type PlanCache struct {
 
 // NewPlanCache builds a plan cache bounded to ~n entries (n <= 0 defaults to
 // 256) with the default shard count.
-func NewPlanCache(n int) *PlanCache { return NewPlanCacheShards(n, 0) }
+func NewPlanCache(n int) *PlanCache { return newPlanCacheShards(n, 0) }
 
-// NewPlanCacheShards is NewPlanCache with an explicit shard count (rounded
+// newPlanCacheShards is NewPlanCache with an explicit shard count (rounded
 // up to a power of two; 0 picks the default).
-func NewPlanCacheShards(n, shards int) *PlanCache {
+func newPlanCacheShards(n, shards int) *PlanCache {
 	return &PlanCache{c: newShardedLRU[plan.Node](n, shards, "rewrite_plan_cache", journal.CachePlan)}
 }
 

@@ -19,7 +19,7 @@ func TestShardedCacheStress(t *testing.T) {
 		iters    = 2000
 		keySpace = 256 // 4x capacity: constant eviction pressure
 	)
-	c := NewResultCacheShards(capacity, shards)
+	c := newResultCacheShards(capacity, shards)
 	keys := make([]string, keySpace)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("query-%d", i)
@@ -71,7 +71,7 @@ func TestShardedCacheStress(t *testing.T) {
 // lookups run — the regression the sharding fix closed (the old
 // implementation read hit/miss counters outside the LRU lock).
 func TestShardedCacheStatsMonotone(t *testing.T) {
-	c := NewResultCacheShards(32, 4)
+	c := newResultCacheShards(32, 4)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -107,7 +107,7 @@ func TestShardedCacheStatsMonotone(t *testing.T) {
 // accounting (the search-level equivalence proof lives in the root package's
 // plan-cache corpus test).
 func TestPlanCacheBasic(t *testing.T) {
-	c := NewPlanCacheShards(2, 1)
+	c := newPlanCacheShards(2, 1)
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("empty cache returned a plan")
 	}

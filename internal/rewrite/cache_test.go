@@ -9,7 +9,7 @@ import (
 func TestResultCacheLRUEviction(t *testing.T) {
 	// One shard: eviction order is the exact global LRU order, which is what
 	// this test pins. (With n shards the LRU bound holds per shard.)
-	c := NewResultCacheShards(2, 1)
+	c := newResultCacheShards(2, 1)
 	c.Put("a", CachedResult{SQL: "A"})
 	c.Put("b", CachedResult{SQL: "B"})
 	if _, ok := c.Get("a"); !ok { // promotes a to MRU

@@ -3,7 +3,7 @@
 // verifier the paper says proves each rule (W = built-in, S = SPES, B = both)
 // and whether Calcite / MS SQL Server already know it. The library holds
 // only rules a verifier proves; testdata/verdicts.golden pins each rule's
-// measured verdicts, and DESIGN.md says why rule 25 is left out.
+// measured verdicts, and DESIGN.md deviation 11 says why rule 25 is left out.
 package rules
 
 import (

@@ -124,7 +124,7 @@ type Stats struct {
 	StoppedBy Stop
 }
 
-// Metric names recorded by the solver (see internal/obs and DESIGN.md).
+// Metric names recorded by the solver (DESIGN.md "Metric names").
 const (
 	metricProofSeconds = "smt_proof_seconds"
 	metricDecisions    = "smt_decisions"

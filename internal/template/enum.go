@@ -14,15 +14,7 @@ type EnumOptions struct {
 	WithAgg bool
 	// WithUnion includes the Union operator (§5.2 SPES extension).
 	WithUnion bool
-	// WithRJoin includes RIGHT JOIN. Off by default: every RJoin template is
-	// the mirror image of an LJoin template, so enumerating both only
-	// duplicates rules.
-	WithRJoin bool
 }
-
-// DefaultEnumOptions matches the paper's configuration for the built-in
-// verifier (size 4, Table 2 operators, no Agg/Union).
-func DefaultEnumOptions() EnumOptions { return EnumOptions{MaxSize: 4} }
 
 // shape is a tree skeleton: 1 = unary node, 2 = binary node.
 type shape struct {
@@ -62,10 +54,9 @@ func (o EnumOptions) unaryOps() []Op {
 }
 
 func (o EnumOptions) binaryOps() []Op {
+	// No OpRJoin: every RJoin template mirrors an LJoin template, so
+	// enumerating both only duplicates rules (DESIGN.md deviation 5).
 	ops := []Op{OpInSub, OpIJoin, OpLJoin}
-	if o.WithRJoin {
-		ops = append(ops, OpRJoin)
-	}
 	if o.WithUnion {
 		ops = append(ops, OpUnion)
 	}

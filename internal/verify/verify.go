@@ -17,7 +17,6 @@ package verify
 
 import (
 	"context"
-	"fmt"
 	"strings"
 
 	"wetune/internal/constraint"
@@ -173,9 +172,4 @@ func buildEnv(u constraint.Unification) *uexpr.Env {
 		}
 	}
 	return env
-}
-
-// String renders a rule for diagnostics.
-func RuleString(src, dest *template.Node, cs *constraint.Set) string {
-	return fmt.Sprintf("%s  =>  %s  under %s", src, dest, cs)
 }

@@ -8,7 +8,7 @@
 // counter-intuitive shapes ORMs generate — that mainstream optimizers miss.
 //
 // This package is the public facade; the machinery lives in internal/
-// packages (see DESIGN.md for the system inventory):
+// packages (DESIGN.md "System inventory" lists them):
 //
 //	Discover       — enumerate templates and search for rules (§4)
 //	VerifyRule     — the built-in U-expression/FOL/SMT verifier (§5.1)
