@@ -20,6 +20,25 @@ func f(id int) template.Sym { return template.Sym{Kind: template.KFunc, ID: id} 
 // ar is relation r's implicit all-attributes symbol a_r.
 func ar(id int) template.Sym { return template.AttrsOf(r(id)) }
 
+// joinInPair is the size-2 pair Sel(IJoin) => InSub(Sel, ·).
+func joinInPair() (src, dest *template.Node) {
+	src = template.Sel(p(0), a(0), template.Join(template.OpIJoin, a(1), a(2), template.Input(r(0)), template.Input(r(1))))
+	dest = template.InSub(a(3), template.Sel(p(1), a(4), template.Input(r(2))), template.Input(r(3)))
+	return src, dest
+}
+
+// joinInCStar is joinInPair's C*, from which the property tests below draw
+// their sets: 105 members of every kind but AggrEq, the last 24 of them
+// RefAttrs between the join's two lists.
+func joinInCStar(tb testing.TB) []C {
+	src, dest := joinInPair()
+	cstar := Enumerate(src, dest).Items()
+	if n := len(NewSet(cstar...).ByKind(RefAttrs)); len(cstar) != 105 || n != 24 {
+		tb.Fatalf("C* of %s => %s: %d members, %d RefAttrs; want 105 and 24", src, dest, len(cstar), n)
+	}
+	return cstar
+}
+
 func TestNewCanonicalizesSymmetricKinds(t *testing.T) {
 	c1 := New(RelEq, r(2), r(1))
 	c2 := New(RelEq, r(1), r(2))
@@ -91,6 +110,19 @@ func TestEnumerateExcludesDestOnly(t *testing.T) {
 	// Cross constraints must exist.
 	if !cs.Has(New(RelEq, r(0), r(1))) || !cs.Has(New(AttrsEq, a(0), a(1))) {
 		t.Error("cross constraints missing")
+	}
+}
+
+// TestEnumerateAtMost: the bounded walk gives up exactly past its limit and
+// otherwise builds Enumerate's set.
+func TestEnumerateAtMost(t *testing.T) {
+	src, dest := joinInPair()
+	cstar := joinInCStar(t)
+	if s := EnumerateAtMost(src, dest, len(cstar)-1); s != nil {
+		t.Errorf("limit %d: got %d members, want nil", len(cstar)-1, s.Len())
+	}
+	if s := EnumerateAtMost(src, dest, len(cstar)); s == nil || !slices.Equal(s.Items(), cstar) {
+		t.Errorf("limit %d: got %v, want C*", len(cstar), s)
 	}
 }
 
@@ -264,13 +296,11 @@ func TestEnumerateCounts(t *testing.T) {
 }
 
 // BenchmarkClosure closes the candidate set C* of the size-2 pair
-// Sel(InSub) => InSub(Sel, ·) — every equality present, so every class is as
+// Sel(IJoin) => InSub(Sel, ·) — every equality present, so every class is as
 // large and every orbit as wide as size 2 gets. Each iteration closes a fresh
 // copy: a set keeps its closure once computed.
 func BenchmarkClosure(b *testing.B) {
-	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
-	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
-	cstar := Enumerate(src, dest).Items()
+	cstar := joinInCStar(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -355,9 +385,7 @@ func TestSetAgainstMapModel(t *testing.T) {
 // Some wide IDs share their low 12 bits with a narrow ID of the same set, so
 // a closure that truncated an ID would merge two symbols and derive more.
 func TestClosureOverWideSymbols(t *testing.T) {
-	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
-	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
-	cstar := Enumerate(src, dest).Items()
+	cstar := joinInCStar(t)
 	// IDs 0 and 1 stay; 2 shares its low bits with 0, 3 with 1 (negative).
 	wideID := map[int]int{0: 0, 1: 1, 2: 1 << 12, 3: -(1 << 12) + 1}
 	toWide, toNarrow := map[template.Sym]template.Sym{}, map[template.Sym]template.Sym{}
@@ -402,9 +430,8 @@ func TestClosureOverWideSymbols(t *testing.T) {
 // matched candidate), Key and RenamedKey allocate only their string, and
 // Without one block of words and table.
 func TestSetAllocations(t *testing.T) {
-	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
-	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
-	s := NewSet(Enumerate(src, dest).Items()[:60]...)
+	cstar := joinInCStar(t)
+	s := NewSet(cstar[len(cstar)-60:]...)
 	c := s.At(30)
 	m := map[template.Sym]template.Sym{a(0): a(3), a(3): a(0)}
 	for name, want := range map[string]struct {
@@ -426,9 +453,7 @@ func TestSetAllocations(t *testing.T) {
 // which share the pooled working storage, equal those computed one at a
 // time.
 func TestClosureConcurrent(t *testing.T) {
-	src := template.Sel(p(0), a(0), template.InSub(a(1), template.Input(r(0)), template.Input(r(1))))
-	dest := template.InSub(a(2), template.Sel(p(1), a(3), template.Input(r(2))), template.Input(r(3)))
-	cstar := Enumerate(src, dest).Items()
+	cstar := joinInCStar(t)
 	rng := rand.New(rand.NewSource(40))
 	sets := make([][]C, 40)
 	want := make([]string, len(sets))

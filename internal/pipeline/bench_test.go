@@ -63,7 +63,7 @@ func BenchmarkMinimize(b *testing.B) {
 	opts.fill()
 	ct := &counters{start: time.Now()}
 	var start *constraint.Set
-	cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest)
+	cstar := constraint.Enumerate(src, dest)
 	for _, v := range sourceVariants(cstar, src, dest) {
 		if real(context.Background(), src, dest, v) {
 			start = v

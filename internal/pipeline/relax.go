@@ -27,8 +27,8 @@ import (
 // RenameApart). Cancelling ctx aborts between prover calls and interrupts the
 // in-flight proof; the rules found so far are returned.
 func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct *counters) []Rule {
-	cstar := filterRefAttrs(constraint.Enumerate(src, dest), src, dest)
-	if cstar.Len() > opts.maxConstraints {
+	cstar := constraint.EnumerateAtMost(src, dest, opts.maxConstraints)
+	if cstar == nil {
 		ct.pairsSkipped.Add(1)
 		opts.Metrics.Counter(metricPairsSkipped).Inc()
 		return nil
@@ -286,46 +286,6 @@ func sourceVariants(cstar *constraint.Set, src, dest *template.Node) []*constrai
 		variants = next
 	}
 	return variants
-}
-
-// filterRefAttrs keeps only RefAttrs candidates whose attribute pair occurs
-// together in a join or IN-subquery of either template (plus symmetric
-// orientations). Unrestricted RefAttrs enumeration is quartic in the symbol
-// count and almost never useful elsewhere.
-func filterRefAttrs(cs *constraint.Set, src, dest *template.Node) *constraint.Set {
-	hinted := map[[2]template.Sym]bool{}
-	addHint := func(a, b template.Sym) {
-		hinted[[2]template.Sym{a, b}] = true
-		hinted[[2]template.Sym{b, a}] = true
-	}
-	for _, t := range []*template.Node{src, dest} {
-		t.Walk(func(n *template.Node) {
-			switch n.Op {
-			case template.OpIJoin, template.OpLJoin, template.OpRJoin:
-				addHint(n.Attrs, n.Attrs2)
-			case template.OpInSub:
-				// Pair the IN attributes with any projection attrs on the
-				// subquery side.
-				n.Children[1].Walk(func(m *template.Node) {
-					if m.Op == template.OpProj {
-						addHint(n.Attrs, m.Attrs)
-					}
-					if m.Op == template.OpInput {
-						addHint(n.Attrs, template.AttrsOf(m.Rel))
-					}
-				})
-			}
-		})
-	}
-	kept := make([]constraint.C, 0, cs.Len())
-	for i := 0; i < cs.Len(); i++ {
-		c := cs.At(i)
-		if c.Kind == constraint.RefAttrs && !hinted[[2]template.Sym{c.Syms[1], c.Syms[3]}] {
-			continue
-		}
-		kept = append(kept, c)
-	}
-	return constraint.NewSet(kept...)
 }
 
 // trivialRule reports that the destination is identical to the source after

@@ -226,23 +226,33 @@ func (n *Node) RelSyms() []Sym {
 	return out
 }
 
-// OpCounts tallies operators by kind (Input excluded).
-func (n *Node) OpCounts() map[Op]int {
-	counts := map[Op]int{}
-	n.Walk(func(m *Node) {
-		if m.Op != OpInput {
-			counts[m.Op]++
-		}
-	})
+// numOps is the number of template operators.
+const numOps = int(OpUnion) + 1
+
+// OpCounts tallies operators by kind (Input excluded), indexed by Op.
+func (n *Node) OpCounts() [numOps]int {
+	var counts [numOps]int
+	n.countOps(&counts)
 	return counts
+}
+
+func (n *Node) countOps(counts *[numOps]int) {
+	if n.Op != OpInput {
+		counts[n.Op]++
+	}
+	for _, c := range n.Children {
+		c.countOps(counts)
+	}
 }
 
 // NotMoreOpsThan reports whether n uses at most as many operators of each
 // type as other — the paper's "q_dest is simpler than q_src" filter (§4.3).
+// Pair generation asks it of every ordered template pair, so it allocates
+// nothing.
 func (n *Node) NotMoreOpsThan(other *Node) bool {
 	a, b := n.OpCounts(), other.OpCounts()
-	for op, cnt := range a {
-		if cnt > b[op] {
+	for op := range a {
+		if a[op] > b[op] {
 			return false
 		}
 	}

@@ -58,6 +58,12 @@ func TestOpCountsAndSimplerFilter(t *testing.T) {
 	if !src.NotMoreOpsThan(src.Clone()) {
 		t.Error("template should not be more complex than itself")
 	}
+	if got := src.OpCounts(); got[OpInSub] != 2 || got[OpInput] != 0 {
+		t.Errorf("OpCounts(%s) = %v, want 2 InSub and no Input", src, got)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { dest.NotMoreOpsThan(src) }); allocs != 0 {
+		t.Errorf("NotMoreOpsThan allocates %v times, want 0", allocs)
+	}
 }
 
 func TestSubstitute(t *testing.T) {
