@@ -41,9 +41,10 @@
 //	                                            POST /v1/rewrite, POST /v1/explain,
 //	                                            GET /v1/rules, GET /healthz, GET /readyz;
 //	                                            bounded admission (429 on overload), graceful
-//	                                            drain on SIGINT/SIGTERM; batch rewrites fan
-//	                                            out across the worker pool; -result-cache
-//	                                            sizes each app's query→result cache
+//	                                            drain on SIGINT/SIGTERM; a batch rewrite
+//	                                            runs its queries in order on one worker;
+//	                                            -result-cache sizes each app's query→result
+//	                                            cache
 //	wetune loadtest [-addr URL | -inprocess] [-c N] [-d 5s] [-rate R] [-n N]
 //	                [-per-app N] [-timeout 5s] [-json] [-profile cpu|alloc]
 //	                [-profile-out FILE] [-retries N] [-chaos] [-seed N]
@@ -74,7 +75,7 @@
 //	                                            dead-rule list
 //	wetune report serve -metrics FILE [-json]   render the serving-side view of a metrics
 //	                                            registry dump (responses, admission, both
-//	                                            cache tiers, batch fan-out, latency)
+//	                                            cache tiers, batches, latency)
 //	wetune bench [experiment]                   regenerate evaluation artifacts
 //	                                            (table1 study50 discovery table7 apps
 //	                                             calcite latency casestudy verifiers
@@ -94,8 +95,8 @@
 // loadtest, soak, report) also accepts the shared
 // observability flags: -metrics FILE dumps the metrics registry as JSON on
 // exit, -debug-addr ADDR serves expvar + pprof live, and -journal FILE dumps
-// the always-on flight recorder (the last ~32k engine events) as JSONL on
-// exit, SIGINT, or recorded anomaly.
+// the always-on flight recorder (the last ~32k cache, prover, anomaly, level
+// and fault events) as JSONL on exit, SIGINT, or recorded anomaly.
 package main
 
 import (
@@ -523,7 +524,7 @@ func cmdReport(args []string) int {
 		return exitUsage
 	}
 	fs := newFlagSet("report rules")
-	asJSON := fs.Bool("json", false, "emit the full report (per-rule funnels, size-delta histograms, dead list, journal/registry views) as JSON")
+	asJSON := fs.Bool("json", false, "emit the full report (per-rule funnels, size-delta histograms, dead list, registry deltas) as JSON")
 	perApp := fs.Int("per-app", 100, "queries per application archetype (the bench workload uses 100)")
 	of := addObsFlags(fs)
 	if fs.Parse(args[1:]) != nil {

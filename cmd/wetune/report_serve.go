@@ -13,7 +13,7 @@ import (
 // cmdReportServe renders the serving-side view of a metrics registry dump
 // (the JSON written by the shared -metrics flag during a serve or loadtest
 // run): request/response traffic, admission control, the result cache,
-// batch fan-out, and per-endpoint latency.
+// batches, and per-endpoint latency.
 func cmdReportServe(args []string) int {
 	fs := newFlagSet("report serve")
 	metricsFile := fs.String("metrics", "", "metrics registry JSON dump from a serve/loadtest run's -metrics flag (required)")
@@ -68,10 +68,6 @@ func renderServeReport(snap obs.Snapshot) string {
 
 	fmt.Fprintf(&b, "  batch: %d requests, %d items got a worker\n",
 		c("server_batch_requests"), c("server_batch_items"))
-	if h, ok := snap.Histograms["server_batch_item_wait"]; ok && h.Count > 0 {
-		fmt.Fprintf(&b, "  batch item queue wait: p50=%.3fms p90=%.3fms p99=%.3fms (n=%d)\n",
-			1e3*h.P50Seconds, 1e3*h.P90Seconds, 1e3*h.P99Seconds, h.Count)
-	}
 
 	var endpoints []string
 	for name := range snap.Histograms {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"wetune/internal/obs"
-	"wetune/internal/obs/journal"
 	"wetune/internal/plan"
 	"wetune/internal/rewrite"
 	"wetune/internal/workload"
@@ -102,10 +101,6 @@ type Report struct {
 	// candidates for the §7 reduction pass or for index tuning.
 	Dead []int `json:"dead"`
 
-	// Journal is the flight-recorder event mix the run produced (event kind →
-	// count), proving the always-on recorder saw the same work the provenance
-	// aggregation did.
-	Journal map[string]int `json:"journal"`
 	// RegistryDeltas are the process-wide obs counters the run added (search
 	// effort as the metrics endpoint would report it).
 	RegistryDeltas map[string]int64 `json:"registry_deltas"`
@@ -133,10 +128,8 @@ func Rules(perApp int) *Report {
 	for _, name := range counters {
 		before[name] = reg.Counter(name).Value()
 	}
-	jr := journal.Default()
-	jseq := jr.Written()
 
-	rep := &Report{PerApp: perApp, Journal: map[string]int{}, RegistryDeltas: map[string]int64{}}
+	rep := &Report{PerApp: perApp, RegistryDeltas: map[string]int64{}}
 	byRule := map[int]*RuleStats{}
 	stat := func(no int, name string) *RuleStats {
 		s, ok := byRule[no]
@@ -208,11 +201,6 @@ func Rules(perApp int) *Report {
 	for _, name := range counters {
 		rep.RegistryDeltas[name] = reg.Counter(name).Value() - before[name]
 	}
-	for _, ev := range jr.Snapshot() {
-		if ev.Seq >= jseq {
-			rep.Journal[ev.Kind.String()]++
-		}
-	}
 	return rep
 }
 
@@ -251,18 +239,6 @@ func (r *Report) Render() string {
 			why = fmt.Sprintf("index-pruned %d, shape-pruned %d times", s.IndexPruned, s.ShapePruned)
 		}
 		fmt.Fprintf(&b, "%4d  %-34s %s\n", s.RuleNo, s.RuleName, why)
-	}
-	if len(r.Journal) > 0 {
-		kinds := make([]string, 0, len(r.Journal))
-		for k := range r.Journal {
-			kinds = append(kinds, k)
-		}
-		sort.Strings(kinds)
-		b.WriteString("\nflight-recorder events this run:")
-		for _, k := range kinds {
-			fmt.Fprintf(&b, " %s=%d", k, r.Journal[k])
-		}
-		b.WriteString("\n")
 	}
 	return b.String()
 }

@@ -56,11 +56,6 @@ func TestRulesReport(t *testing.T) {
 	if rep.RegistryDeltas["rewrite_rule_attempts"] <= 0 {
 		t.Fatalf("registry deltas missing attempts: %v", rep.RegistryDeltas)
 	}
-	// The flight recorder saw it too (the ring may wrap, so only presence of
-	// the high-volume kinds is guaranteed).
-	if rep.Journal["expand"] == 0 || rep.Journal["candidate"] == 0 {
-		t.Fatalf("journal events missing: %v", rep.Journal)
-	}
 }
 
 func TestRulesReportRender(t *testing.T) {

@@ -264,7 +264,7 @@ func (st *pointState) decide(seed uint64) bool {
 	}
 	st.fired.Add(1)
 	st.firedC.Inc()
-	journal.Default().Record(journal.KindFault, -1, st.idx, int64(n))
+	journal.Default().Record(journal.KindFault, st.idx, int64(n))
 	return true
 }
 

@@ -12,14 +12,8 @@ type line struct {
 	Seq  uint64 `json:"seq"`
 	TNS  int64  `json:"t_ns"`
 	Kind string `json:"kind"`
-	Rule *int32 `json:"rule,omitempty"`
 
-	Path    []int  `json:"path,omitempty"`
-	Reason  string `json:"reason,omitempty"`
 	Count   *int64 `json:"count,omitempty"`
-	Size    *int64 `json:"size,omitempty"`
-	Depth   *int64 `json:"depth,omitempty"`
-	Budget  string `json:"budget,omitempty"`
 	Proved  *bool  `json:"proved,omitempty"`
 	DurNS   *int64 `json:"dur_ns,omitempty"`
 	Cache   string `json:"cache,omitempty"`
@@ -27,23 +21,6 @@ type line struct {
 	From    *int64 `json:"from,omitempty"`
 	To      *int64 `json:"to,omitempty"`
 	Point   *int64 `json:"point,omitempty"`
-}
-
-func pruneReason(a int64) string {
-	if a == PruneShape {
-		return "shape"
-	}
-	return "index"
-}
-
-func budgetName(a int64) string {
-	switch a {
-	case TruncSteps:
-		return "steps"
-	case TruncDeadline:
-		return "deadline"
-	}
-	return "unknown"
 }
 
 func cacheName(a int64) string {
@@ -59,24 +36,7 @@ func cacheName(a int64) string {
 // render decodes ev into its JSONL line.
 func (j *Journal) render(ev Event) line {
 	l := line{Seq: ev.Seq, TNS: int64(ev.T), Kind: ev.Kind.String()}
-	if ev.Rule >= 0 {
-		r := ev.Rule
-		l.Rule = &r
-	}
 	switch ev.Kind {
-	case KindRuleAttempt, KindRuleMatch, KindMemoHit:
-		l.Path = UnpackPath(ev.A)
-	case KindRulePruned:
-		l.Reason = pruneReason(ev.A)
-		l.Count = &ev.B
-	case KindCandidate:
-		l.Size = &ev.A
-		l.Path = UnpackPath(ev.B)
-	case KindExpand:
-		l.Count = &ev.A
-		l.Depth = &ev.B
-	case KindTruncated:
-		l.Budget = budgetName(ev.A)
 	case KindProver:
 		p := ev.A == 1
 		l.Proved = &p
@@ -85,9 +45,6 @@ func (j *Journal) render(ev Event) line {
 		l.Cache = cacheName(ev.A)
 	case KindAnomaly:
 		l.Anomaly = j.AnomalyReason(ev.A)
-	case KindBatchItem:
-		l.DurNS = &ev.A
-		l.Count = &ev.B
 	case KindServiceLevel:
 		l.From = &ev.A
 		l.To = &ev.B
@@ -124,8 +81,7 @@ func (j *Journal) DumpFile(path string) error {
 	return f.Close()
 }
 
-// CountByKind tallies the retained events per kind (used by the rule
-// analytics report and tests).
+// CountByKind tallies the retained events per kind.
 func (j *Journal) CountByKind() map[string]int {
 	out := map[string]int{}
 	for _, ev := range j.Snapshot() {

@@ -1,9 +1,10 @@
 // Package journal is the always-on flight recorder behind the metrics layer:
-// a fixed-size, lock-free ring buffer of typed events recorded from the
-// rewrite search (rule attempted/matched/pruned-with-reason, new candidates,
-// states expanded, memo hits, budget truncation), the optimizer result
-// cache, and the discovery pipeline's per-pair prover loop (prover outcome,
-// proof-cache hit/miss).
+// a fixed-size, lock-free ring buffer of typed events that no other record
+// holds — prover outcomes and proof-cache hits and misses from the discovery
+// pipeline, the optimizer's result- and plan-cache lookups, anomalies,
+// serving-level changes and fired fault points. The rewrite search is not
+// here: its record is rewrite.Stats, flushed to the rewrite_* counters, with
+// rewrite.Provenance as its per-rule breakdown on request.
 //
 // Counters answer "how much"; the journal answers "what happened just before
 // this run went wrong" without re-running anything. It is designed to stay on
@@ -33,40 +34,16 @@ type Kind uint8
 
 // Event kinds recorded by the instrumented subsystems.
 const (
-	// KindRuleAttempt: a full matcher invocation. Rule = rule number,
-	// A = packed node path (see PackPath).
-	KindRuleAttempt Kind = iota + 1
-	// KindRuleMatch: the matcher bound and validated. Rule, A = packed path.
-	KindRuleMatch
-	// KindRulePruned: rules skipped before matching at one plan position.
-	// A = reason (PruneIndex or PruneShape), B = number of rules pruned.
-	KindRulePruned
-	// KindCandidate: a derived plan entered the search's visited memo.
-	// Rule, A = plan size, B = packed path.
-	KindCandidate
-	// KindExpand: one search state was expanded. A = candidates produced,
-	// B = state depth.
-	KindExpand
-	// KindMemoHit: a derived plan was already in the visited memo.
-	// Rule, A = packed path.
-	KindMemoHit
-	// KindTruncated: a search budget cut the search. A = budget
-	// (TruncSteps or TruncDeadline).
-	KindTruncated
 	// KindProver: one prover call completed. A = verdict (1 = proved),
 	// B = duration in nanoseconds.
-	KindProver
+	KindProver Kind = iota + 1
 	// KindCacheHit / KindCacheMiss: a cache lookup. A = cache identity
 	// (CacheProof, CacheResult or CachePlan).
 	KindCacheHit
 	KindCacheMiss
 	// KindAnomaly: an instrumented subsystem flagged an anomaly.
-	// A = index into the journal's anomaly-reason table.
+	// A = id of the reason in the journal's anomaly-reason table.
 	KindAnomaly
-	// KindBatchItem: one item of a batch rewrite request got a worker.
-	// A = queue wait in nanoseconds (admission to worker token), B = item
-	// index within the batch.
-	KindBatchItem
 	// KindServiceLevel: the serving degradation ladder changed level.
 	// A = level stepped from, B = level stepped to (0 full, 1 cache-only).
 	KindServiceLevel
@@ -78,20 +55,6 @@ const (
 // String returns the snake_case kind name used in the JSONL dump.
 func (k Kind) String() string {
 	switch k {
-	case KindRuleAttempt:
-		return "rule_attempt"
-	case KindRuleMatch:
-		return "rule_match"
-	case KindRulePruned:
-		return "rule_pruned"
-	case KindCandidate:
-		return "candidate"
-	case KindExpand:
-		return "expand"
-	case KindMemoHit:
-		return "memo_hit"
-	case KindTruncated:
-		return "truncated"
 	case KindProver:
 		return "prover"
 	case KindCacheHit:
@@ -100,8 +63,6 @@ func (k Kind) String() string {
 		return "cache_miss"
 	case KindAnomaly:
 		return "anomaly"
-	case KindBatchItem:
-		return "batch_item"
 	case KindServiceLevel:
 		return "service_level"
 	case KindFault:
@@ -109,18 +70,6 @@ func (k Kind) String() string {
 	}
 	return "unknown"
 }
-
-// Prune reasons (KindRulePruned.A).
-const (
-	PruneIndex int64 = iota // root-kind bucket ruled the rules out
-	PruneShape              // ops-only shape precheck failed
-)
-
-// Truncation budgets (KindTruncated.A), matching rewrite.Stats.TruncatedBy.
-const (
-	TruncSteps int64 = iota
-	TruncDeadline
-)
 
 // Cache identities (KindCacheHit/KindCacheMiss.A).
 const (
@@ -135,7 +84,6 @@ type Event struct {
 	Seq  uint64
 	T    time.Duration // since the journal's epoch (process-local)
 	Kind Kind
-	Rule int32 // rule number, or -1 when not rule-specific
 	A, B int64 // kind-specific payload
 }
 
@@ -144,12 +92,17 @@ type Event struct {
 // readers detect torn reads by re-checking seq. Every field is atomic so the
 // race detector sees only synchronized access.
 type slot struct {
-	seq atomic.Uint64
-	kr  atomic.Int64 // kind in the low 8 bits, rule<<8
-	t   atomic.Int64
-	a   atomic.Int64
-	b   atomic.Int64
+	seq  atomic.Uint64
+	kind atomic.Int64
+	t    atomic.Int64
+	a    atomic.Int64
+	b    atomic.Int64
 }
+
+// anomalyReasonSlots bounds the anomaly-reason table: the journal keeps the
+// reasons of the latest anomalies only, so a client that keeps triggering one
+// (a handler panic stores its stack) cannot grow the process's heap.
+const anomalyReasonSlots = 64
 
 // Journal is the flight recorder. Use New or the process-wide Default.
 type Journal struct {
@@ -157,17 +110,21 @@ type Journal struct {
 	mask    uint64
 	head    atomic.Uint64
 	dropped atomic.Int64
-	off     atomic.Bool
 	epoch   time.Time
 
-	anomalyMu      sync.Mutex
-	anomalyReasons []string
+	anomalyMu sync.Mutex
+	// anomalyReasons holds the reason of anomaly id at id%anomalyReasonSlots;
+	// anomalyNext is the next id.
+	anomalyReasons [anomalyReasonSlots]string
+	anomalyNext    int64
 	anomalySink    func(reason string)
 }
 
 // DefaultSize is the Default journal's slot count: at ~40 bytes per slot the
-// resident cost is ~1.3 MB, and at the rewrite engine's event rate (a few
-// events per query) it holds the trail of the last several thousand queries.
+// resident cost is ~1.3 MB. Each cache lookup, prover call, anomaly, level
+// change or fired fault is one event, so the ring holds the last ≈32,000 of
+// them — a served query costs at most one (its result-cache lookup), a
+// discovery prover call two (its proof-cache miss and its verdict).
 const DefaultSize = 1 << 15
 
 // New builds a journal with capacity rounded up to a power of two (minimum
@@ -183,21 +140,14 @@ func New(size int) *Journal {
 var defaultJournal = New(DefaultSize)
 
 // Default returns the process-wide journal the instrumented packages record
-// into. It is always on; SetEnabled(false) turns recording off for
-// micro-benchmarks that need the last half-percent.
+// into. It is always on.
 func Default() *Journal { return defaultJournal }
-
-// SetEnabled switches recording on or off. The journal ships enabled.
-func (j *Journal) SetEnabled(on bool) { j.off.Store(!on) }
-
-// Enabled reports whether recording is on.
-func (j *Journal) Enabled() bool { return !j.off.Load() }
 
 // Record appends one event. It never blocks: a writer landing on a slot that
 // another writer still owns (the ring wrapped a full lap mid-write) drops the
 // event and counts it in Dropped.
-func (j *Journal) Record(kind Kind, rule int32, a, b int64) {
-	if j == nil || j.off.Load() {
+func (j *Journal) Record(kind Kind, a, b int64) {
+	if j == nil {
 		return
 	}
 	pos := j.head.Add(1) - 1
@@ -212,7 +162,7 @@ func (j *Journal) Record(kind Kind, rule int32, a, b int64) {
 			break
 		}
 	}
-	s.kr.Store(int64(kind) | int64(rule)<<8)
+	s.kind.Store(int64(kind))
 	s.t.Store(int64(time.Since(j.epoch)))
 	s.a.Store(a)
 	s.b.Store(b)
@@ -239,7 +189,7 @@ func (j *Journal) Snapshot() []Event {
 		if s1 == 0 || s1&1 != 0 {
 			continue
 		}
-		kr := s.kr.Load()
+		kind := s.kind.Load()
 		t := s.t.Load()
 		a := s.a.Load()
 		b := s.b.Load()
@@ -249,8 +199,7 @@ func (j *Journal) Snapshot() []Event {
 		out = append(out, Event{
 			Seq:  s1>>1 - 1,
 			T:    time.Duration(t),
-			Kind: Kind(kr & 0xff),
-			Rule: int32(kr >> 8),
+			Kind: Kind(kind),
 			A:    a,
 			B:    b,
 		})
@@ -279,56 +228,30 @@ func (j *Journal) SetAnomalySink(sink func(reason string)) {
 }
 
 // Anomaly records a KindAnomaly event and invokes the registered sink with
-// the reason. The reason string is kept in a side table (the ring itself
-// stores only its index), so the hot path's fixed-size slots are undisturbed.
+// the reason. The reason string is kept in a fixed side table of the latest
+// anomalyReasonSlots reasons (the ring itself stores only its id), so the
+// hot path's fixed-size slots are undisturbed and the table's size is
+// bounded.
 func (j *Journal) Anomaly(reason string) {
 	j.anomalyMu.Lock()
-	id := int64(len(j.anomalyReasons))
-	j.anomalyReasons = append(j.anomalyReasons, reason)
+	id := j.anomalyNext
+	j.anomalyNext++
+	j.anomalyReasons[id%anomalyReasonSlots] = reason
 	sink := j.anomalySink
 	j.anomalyMu.Unlock()
-	j.Record(KindAnomaly, -1, id, 0)
+	j.Record(KindAnomaly, id, 0)
 	if sink != nil {
 		sink(reason)
 	}
 }
 
-// AnomalyReason resolves a KindAnomaly event's A payload.
+// AnomalyReason resolves a KindAnomaly event's A payload; it returns "" for
+// an id the table has since evicted.
 func (j *Journal) AnomalyReason(id int64) string {
 	j.anomalyMu.Lock()
 	defer j.anomalyMu.Unlock()
-	if id < 0 || id >= int64(len(j.anomalyReasons)) {
+	if id < 0 || id >= j.anomalyNext || id < j.anomalyNext-anomalyReasonSlots {
 		return ""
 	}
-	return j.anomalyReasons[id]
-}
-
-// PackPath packs a root-to-node child-index path into an int64 for the
-// fixed-width A payload: 6 bits per step, 10 steps, length in the top bits.
-// Deeper or wider paths saturate (the flight recorder trades exactness at
-// pathological depth for a fixed slot size); UnpackPath reverses it.
-func PackPath(path []int) int64 {
-	n := len(path)
-	if n > 10 {
-		n = 10
-	}
-	v := int64(n)
-	for i := 0; i < n; i++ {
-		c := path[i]
-		if c > 63 {
-			c = 63
-		}
-		v |= int64(c) << uint(4+6*i)
-	}
-	return v
-}
-
-// UnpackPath decodes a PackPath payload.
-func UnpackPath(v int64) []int {
-	n := int(v & 0xf)
-	out := make([]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = int(v >> uint(4+6*i) & 0x3f)
-	}
-	return out
+	return j.anomalyReasons[id%anomalyReasonSlots]
 }

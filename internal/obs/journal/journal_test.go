@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"math"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -15,17 +15,17 @@ import (
 func TestRecordAndSnapshotOrder(t *testing.T) {
 	j := New(64)
 	for i := 0; i < 10; i++ {
-		j.Record(KindRuleAttempt, int32(i), PackPath([]int{i}), 0)
+		j.Record(KindProver, 1, int64(i))
 	}
 	evs := j.Snapshot()
 	if len(evs) != 10 {
 		t.Fatalf("got %d events, want 10", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i) || ev.Rule != int32(i) {
-			t.Fatalf("event %d out of order: seq=%d rule=%d", i, ev.Seq, ev.Rule)
+		if ev.Seq != uint64(i) || ev.B != int64(i) {
+			t.Fatalf("event %d out of order: seq=%d b=%d", i, ev.Seq, ev.B)
 		}
-		if ev.Kind != KindRuleAttempt {
+		if ev.Kind != KindProver {
 			t.Fatalf("event %d kind = %v", i, ev.Kind)
 		}
 	}
@@ -35,7 +35,7 @@ func TestRingOverwritesOldest(t *testing.T) {
 	j := New(64) // rounded to 64 slots
 	n := 200
 	for i := 0; i < n; i++ {
-		j.Record(KindExpand, -1, int64(i), 0)
+		j.Record(KindCacheHit, CacheResult, int64(i))
 	}
 	evs := j.Snapshot()
 	if len(evs) != 64 {
@@ -59,7 +59,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				j.Record(KindCandidate, int32(w), int64(i), int64(math.Float64bits(1.5)))
+				j.Record(KindFault, int64(w), int64(i))
 			}
 		}(w)
 	}
@@ -70,7 +70,7 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				for _, ev := range j.Snapshot() {
-					if ev.Kind != KindCandidate && ev.Kind != 0 {
+					if ev.Kind != KindFault && ev.Kind != 0 {
 						t.Errorf("torn event: %+v", ev)
 						return
 					}
@@ -93,51 +93,13 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 	}
 }
 
-func TestDisabledRecordsNothing(t *testing.T) {
-	j := New(64)
-	j.SetEnabled(false)
-	j.Record(KindExpand, -1, 1, 2)
-	if len(j.Snapshot()) != 0 || j.Written() != 0 {
-		t.Fatal("disabled journal recorded an event")
-	}
-	j.SetEnabled(true)
-	j.Record(KindExpand, -1, 1, 2)
-	if len(j.Snapshot()) != 1 {
-		t.Fatal("re-enabled journal did not record")
-	}
-}
-
-func TestPackPathRoundTrip(t *testing.T) {
-	cases := [][]int{nil, {}, {0}, {1, 2, 3}, {0, 5, 0, 1, 2, 3, 4, 5, 6, 7}}
-	for _, p := range cases {
-		got := UnpackPath(PackPath(p))
-		want := p
-		if want == nil {
-			want = []int{}
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("PackPath(%v) round-tripped to %v", p, got)
-		}
-	}
-	// Saturation: deep paths clamp to 10 steps, wide indexes to 63.
-	deep := make([]int, 14)
-	for i := range deep {
-		deep[i] = 100
-	}
-	got := UnpackPath(PackPath(deep))
-	if len(got) != 10 || got[0] != 63 || got[9] != 63 {
-		t.Fatalf("saturated path = %v", got)
-	}
-}
-
 func TestWriteJSONLDecodesPayloads(t *testing.T) {
 	j := New(64)
-	j.Record(KindRuleAttempt, 31, PackPath([]int{0, 1}), 0)
-	j.Record(KindRulePruned, -1, PruneShape, 7)
-	j.Record(KindCandidate, 4, 6, PackPath([]int{1, 0}))
-	j.Record(KindTruncated, -1, TruncDeadline, 0)
-	j.Record(KindProver, -1, 1, 12345)
-	j.Record(KindCacheMiss, -1, CacheResult, 0)
+	j.Record(KindProver, 1, 12345)
+	j.Record(KindCacheMiss, CacheResult, 0)
+	j.Record(KindCacheHit, CacheProof, 0)
+	j.Record(KindServiceLevel, 0, 1)
+	j.Record(KindFault, 3, 17)
 	j.Anomaly("prover disagreement")
 
 	var buf bytes.Buffer
@@ -153,29 +115,31 @@ func TestWriteJSONLDecodesPayloads(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 7 {
-		t.Fatalf("got %d lines, want 7", len(lines))
+	if len(lines) != 6 {
+		t.Fatalf("got %d lines, want 6", len(lines))
 	}
-	if lines[0]["kind"] != "rule_attempt" || lines[0]["rule"] != float64(31) {
+	if lines[0]["kind"] != "prover" || lines[0]["proved"] != true || lines[0]["dur_ns"] != float64(12345) {
 		t.Fatalf("line 0 = %v", lines[0])
 	}
-	if lines[1]["reason"] != "shape" || lines[1]["count"] != float64(7) {
+	if lines[1]["kind"] != "cache_miss" || lines[1]["cache"] != "result" {
 		t.Fatalf("line 1 = %v", lines[1])
 	}
-	if path, _ := lines[2]["path"].([]any); len(path) != 2 || path[0] != float64(1) || lines[2]["size"] != float64(6) {
+	if lines[2]["kind"] != "cache_hit" || lines[2]["cache"] != "proof" {
 		t.Fatalf("line 2 = %v", lines[2])
 	}
-	if lines[3]["budget"] != "deadline" {
+	if lines[3]["kind"] != "service_level" || lines[3]["from"] != float64(0) || lines[3]["to"] != float64(1) {
 		t.Fatalf("line 3 = %v", lines[3])
 	}
-	if lines[4]["proved"] != true || lines[4]["dur_ns"] != float64(12345) {
+	if lines[4]["kind"] != "fault" || lines[4]["point"] != float64(3) || lines[4]["count"] != float64(17) {
 		t.Fatalf("line 4 = %v", lines[4])
 	}
-	if lines[5]["cache"] != "result" {
+	if lines[5]["kind"] != "anomaly" || lines[5]["anomaly"] != "prover disagreement" {
 		t.Fatalf("line 5 = %v", lines[5])
 	}
-	if lines[6]["anomaly"] != "prover disagreement" {
-		t.Fatalf("line 6 = %v", lines[6])
+	for i, l := range lines {
+		if _, ok := l["rule"]; ok {
+			t.Fatalf("line %d carries a rule field: %v", i, l)
+		}
 	}
 }
 
@@ -187,7 +151,7 @@ func TestAnomalySinkAndDumpFile(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	j.Record(KindExpand, -1, 3, 0)
+	j.Record(KindCacheMiss, CacheProof, 0)
 	j.Anomaly("boom")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -196,19 +160,60 @@ func TestAnomalySinkAndDumpFile(t *testing.T) {
 	if !bytes.Contains(data, []byte(`"anomaly":"boom"`)) {
 		t.Fatalf("dump missing anomaly line:\n%s", data)
 	}
-	if !bytes.Contains(data, []byte(`"kind":"expand"`)) {
+	if !bytes.Contains(data, []byte(`"kind":"cache_miss"`)) {
 		t.Fatalf("dump missing earlier event:\n%s", data)
 	}
 }
 
 func TestCountByKind(t *testing.T) {
 	j := New(64)
-	j.Record(KindExpand, -1, 0, 0)
-	j.Record(KindExpand, -1, 0, 0)
-	j.Record(KindMemoHit, 3, 0, 0)
+	j.Record(KindCacheMiss, CacheProof, 0)
+	j.Record(KindCacheMiss, CacheResult, 0)
+	j.Record(KindProver, 1, 10)
 	got := j.CountByKind()
-	if got["expand"] != 2 || got["memo_hit"] != 1 {
+	if got["cache_miss"] != 2 || got["prover"] != 1 {
 		t.Fatalf("CountByKind = %v", got)
+	}
+}
+
+// TestAnomalyReasonsAreBounded: the reason table keeps only the latest
+// anomalyReasonSlots reasons, so a stream of anomalies (each a handler
+// panic's stack) cannot grow the heap; an evicted id resolves to "".
+func TestAnomalyReasonsAreBounded(t *testing.T) {
+	j := New(256) // the ring keeps every event; only the reason table evicts
+	const n = 3*anomalyReasonSlots + 5
+	stack := strings.Repeat("x", 1024)
+	for i := 0; i < n; i++ {
+		j.Anomaly(fmt.Sprintf("panic %d\n%s", i, stack))
+	}
+	retained := 0
+	for _, r := range j.anomalyReasons {
+		if r != "" {
+			retained += len(r)
+		}
+	}
+	if max := anomalyReasonSlots * (len(stack) + len("panic 999\n")); retained > max {
+		t.Fatalf("reason table holds %d bytes after %d anomalies, bound %d", retained, n, max)
+	}
+	if got, want := j.AnomalyReason(n-1), fmt.Sprintf("panic %d\n%s", n-1, stack); got != want {
+		t.Fatalf("newest reason resolves to %.20q, want %.20q", got, want)
+	}
+	if got := j.AnomalyReason(n - anomalyReasonSlots); !strings.HasPrefix(got, fmt.Sprintf("panic %d\n", n-anomalyReasonSlots)) {
+		t.Fatalf("oldest retained reason resolves to %.20q", got)
+	}
+	for _, id := range []int64{0, n - anomalyReasonSlots - 1, n, -1} {
+		if got := j.AnomalyReason(id); got != "" {
+			t.Fatalf("evicted or unknown id %d resolves to %.20q, want \"\"", id, got)
+		}
+	}
+	// The ring still holds every anomaly event; the dump renders those whose
+	// reason was evicted without one.
+	var buf bytes.Buffer
+	if err := j.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), `"anomaly":"panic`); got != anomalyReasonSlots {
+		t.Fatalf("dump resolves %d anomaly reasons, want %d", got, anomalyReasonSlots)
 	}
 }
 
@@ -216,6 +221,6 @@ func BenchmarkRecord(b *testing.B) {
 	j := New(DefaultSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Record(KindExpand, -1, int64(i), 0)
+		j.Record(KindCacheHit, CacheResult, int64(i))
 	}
 }

@@ -135,14 +135,14 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	if v, ok := s.cache.Get(fpKey); ok {
 		s.ct.cacheHits.Add(1)
 		s.reg.Counter(metricCacheHits).Inc()
-		journal.Default().Record(journal.KindCacheHit, -1, journal.CacheProof, 0)
+		journal.Default().Record(journal.KindCacheHit, journal.CacheProof, 0)
 		s.memo[key] = v
 		sp.SetNote("cache-hit %v (%d constraints)", v, cs.Len())
 		return v
 	}
 	s.ct.cacheMisses.Add(1)
 	s.reg.Counter(metricCacheMisses).Inc()
-	journal.Default().Record(journal.KindCacheMiss, -1, journal.CacheProof, 0)
+	journal.Default().Record(journal.KindCacheMiss, journal.CacheProof, 0)
 	s.ct.proverCalls.Add(1)
 	faultinject.Stall(faultinject.ProverStall)
 	begin := time.Now()
@@ -153,7 +153,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	if v {
 		verdict = 1
 	}
-	journal.Default().Record(journal.KindProver, -1, verdict, int64(dur))
+	journal.Default().Record(journal.KindProver, verdict, int64(dur))
 	sp.SetNote("%v (%d constraints)", v, cs.Len())
 	if s.ctx.Err() != nil {
 		// The proof was interrupted: the conservative "false" must not be

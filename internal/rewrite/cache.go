@@ -144,7 +144,7 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 			sh.misses.Add(1)
 			sh.mu.Unlock()
 			c.missC.Add(1)
-			journal.Default().Record(journal.KindCacheMiss, -1, c.cacheID, 0)
+			journal.Default().Record(journal.KindCacheMiss, c.cacheID, 0)
 			var zero V
 			return zero, false
 		}
@@ -155,7 +155,7 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 		sh.misses.Add(1)
 		sh.mu.Unlock()
 		c.missC.Add(1)
-		journal.Default().Record(journal.KindCacheMiss, -1, c.cacheID, 0)
+		journal.Default().Record(journal.KindCacheMiss, c.cacheID, 0)
 		var zero V
 		return zero, false
 	}
@@ -164,7 +164,7 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 	v := el.Value.(*lruEntry[V]).val
 	sh.mu.Unlock()
 	c.hitC.Add(1)
-	journal.Default().Record(journal.KindCacheHit, -1, c.cacheID, 0)
+	journal.Default().Record(journal.KindCacheHit, c.cacheID, 0)
 	return v, true
 }
 

@@ -11,8 +11,9 @@ import (
 // why, and a per-rule why-not accounting. It answers "why was this query
 // rewritten this way" and "why did rule N never apply" without re-running
 // the search. Recording is opt-in: point Options.Provenance at a zero
-// Provenance and Search fills it; the always-on flight recorder captures the
-// cheap aggregate trail instead.
+// Provenance and Search fills it. Its why-not funnel sums to the search's
+// Stats (the always-on record, flushed to the rewrite_* counters), so it is
+// that record's per-rule breakdown, not a second one.
 type Provenance struct {
 	InitialSize int `json:"initial_size"`
 	FinalSize   int `json:"final_size"`

@@ -102,12 +102,19 @@ func TestProvenanceAccounting(t *testing.T) {
 	}
 
 	// The why-not funnel totals agree with the stats counters.
-	var attempts, matchFailed, fired, chosen int
+	var attempts, matchFailed, fired, chosen, idx, shape, memoDups int
 	for _, w := range prov.WhyNot {
 		attempts += w.Attempts
 		matchFailed += w.MatchFailed
 		fired += w.Fired
 		chosen += w.Chosen
+		idx += w.IndexPruned
+		shape += w.ShapePruned
+		memoDups += w.MemoDups
+	}
+	if int64(idx) != stats.IndexPruned || int64(shape) != stats.ShapePruned || memoDups != stats.MemoHits {
+		t.Fatalf("why-not index %d, shape %d, memo dups %d; stats %d, %d, %d",
+			idx, shape, memoDups, stats.IndexPruned, stats.ShapePruned, stats.MemoHits)
 	}
 	if int64(attempts) != stats.RuleAttempts {
 		t.Fatalf("why-not attempts %d, stats %d", attempts, stats.RuleAttempts)
@@ -160,32 +167,30 @@ func TestProvenanceRendering(t *testing.T) {
 	}
 }
 
-// TestSearchFeedsJournal: one search leaves an event trail in the default
-// flight recorder — expansions, prune aggregates and candidate events.
-func TestSearchFeedsJournal(t *testing.T) {
-	j := journal.Default()
-	before := j.Written()
-	rw := newRW(t)
-	p := mustPlan(t, q0, gitlabSchema())
-	_, _, stats := rw.Search(p, Options{})
-	if j.Written() == before {
-		t.Fatal("search recorded no journal events")
-	}
-	kinds := map[journal.Kind]int{}
-	for _, ev := range j.Snapshot() {
-		if ev.Seq >= before {
-			kinds[ev.Kind]++
+// TestProvenanceIsStatsBrokenDown: over every plannable corpus query, the
+// why-not funnel sums to the search's Stats — provenance is the per-rule
+// breakdown of the one record a search keeps, not a second record — and the
+// search leaves nothing in the flight recorder.
+func TestProvenanceIsStatsBrokenDown(t *testing.T) {
+	plans, rws := corpusPlans(t)
+	before := journal.Default().Written()
+	for i, p := range plans {
+		prov := new(Provenance)
+		_, _, stats := rws[i].Search(p, Options{Provenance: prov})
+		var idx, shape, attempts, memo int64
+		for _, w := range prov.WhyNot {
+			idx += int64(w.IndexPruned)
+			shape += int64(w.ShapePruned)
+			attempts += int64(w.Attempts)
+			memo += int64(w.MemoDups)
+		}
+		if idx != stats.IndexPruned || shape != stats.ShapePruned ||
+			attempts != stats.RuleAttempts || memo != int64(stats.MemoHits) {
+			t.Fatalf("query %d (%s): why-not sums index %d, shape %d, attempts %d, memo %d; stats %+v",
+				i, p, idx, shape, attempts, memo, stats)
 		}
 	}
-	if kinds[journal.KindExpand] != stats.NodesExplored {
-		t.Fatalf("journal has %d expand events, stats say %d nodes",
-			kinds[journal.KindExpand], stats.NodesExplored)
-	}
-	if kinds[journal.KindRuleAttempt] != int(stats.RuleAttempts) {
-		t.Fatalf("journal has %d attempt events, stats say %d",
-			kinds[journal.KindRuleAttempt], stats.RuleAttempts)
-	}
-	if kinds[journal.KindCandidate] == 0 || kinds[journal.KindRulePruned] == 0 {
-		t.Fatalf("journal missing candidate/prune events: %v", kinds)
+	if moved := journal.Default().Written() - before; moved != 0 {
+		t.Fatalf("%d searches wrote %d flight-recorder events, want 0", len(plans), moved)
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"wetune/internal/faultinject"
 	"wetune/internal/obs"
-	"wetune/internal/obs/journal"
 	"wetune/internal/plan"
 )
 
@@ -138,7 +137,7 @@ func rankCands(a, b rankedCand) int {
 
 // searchCtx is everything one Search or Candidates call works with, and the
 // unit searchCtxPool recycles: the per-call handles (rewriter, index, stats,
-// flight recorder, optional provenance record) and the scratch that outlives
+// optional provenance record) and the scratch that outlives
 // the call — matcher buffers, current state, visited memo, candidate and
 // rank buffers, the node-path arena and the byte arena
 // candidates are fingerprinted into. Nothing lives on the shared Rewriter, so
@@ -151,7 +150,6 @@ type searchCtx struct {
 	idx   *RuleIndex
 	m     Matcher
 	stats Stats
-	jr    *journal.Journal
 	// deadline is Options.Deadline; late records that expand stopped at it.
 	deadline time.Time
 	late     bool
@@ -179,7 +177,7 @@ var searchCtxPool = sync.Pool{
 // newSearchCtx takes a context from the pool and binds it to one call.
 func newSearchCtx(rw *Rewriter, prov *Provenance) *searchCtx {
 	sc := searchCtxPool.Get().(*searchCtx)
-	sc.rw, sc.idx, sc.jr, sc.prov = rw, rw.ruleIndex(), journal.Default(), prov
+	sc.rw, sc.idx, sc.prov = rw, rw.ruleIndex(), prov
 	sc.m.Schema = rw.Schema
 	return sc
 }
@@ -188,7 +186,7 @@ func newSearchCtx(rw *Rewriter, prov *Provenance) *searchCtx {
 // the rewriter, the provenance record — so a pooled context never retains a
 // query's tree, keeps the grown buffers, and returns the context to the pool.
 func (sc *searchCtx) release() {
-	sc.rw, sc.idx, sc.jr, sc.prov, sc.bucketRules = nil, nil, nil, nil, nil
+	sc.rw, sc.idx, sc.prov, sc.bucketRules = nil, nil, nil, nil
 	sc.stats, sc.deadline, sc.late = Stats{}, time.Time{}, false
 	sc.m.release()
 	sc.cur = state{}
@@ -249,9 +247,9 @@ func (sc *searchCtx) appendPaths(n plan.Node) {
 
 // expand generates every single-step rewrite of the plan of state st, in
 // deterministic (position, rule) order, consulting the rule index at each
-// position. Aggregate prune counts, matcher attempts and matches land in the
-// flight recorder; per-rule attribution lands in the provenance record when
-// one is attached. Each derived plan is fingerprinted once, into the byte
+// position. Prune counts, matcher attempts and matches land in the search's
+// Stats; per-rule attribution lands in the provenance record when one is
+// attached. Each derived plan is fingerprinted once, into the byte
 // arena: compared with the parent's fingerprint (memoKey) to drop no-ops here,
 // and reused by the caller to probe the visited memo. The returned slice and
 // the fingerprints are scratch — consumed before the next expand call.
@@ -286,7 +284,6 @@ positions:
 						break positions
 					}
 					sc.stats.RuleAttempts++
-					sc.jr.Record(journal.KindRuleAttempt, int32(cr.Rule.No), journal.PackPath(path), 0)
 					if sc.prov != nil {
 						sc.prov.rule(cr.Rule.No).Attempts++
 					}
@@ -298,7 +295,6 @@ positions:
 						continue
 					}
 					sc.stats.RuleMatches++
-					sc.jr.Record(journal.KindRuleMatch, int32(cr.Rule.No), journal.PackPath(path), 0)
 					np := replaceAt(p, path, repl)
 					fp0 := len(sc.fpArena)
 					sc.fpArena = plan.AppendFingerprint(sc.fpArena, np)
@@ -344,13 +340,6 @@ positions:
 	sc.stats.IndexPruned += idxPruned
 	sc.stats.ShapePruned += shapePruned
 	sc.stats.CandidatesSeen += len(out)
-	if idxPruned > 0 {
-		sc.jr.Record(journal.KindRulePruned, -1, journal.PruneIndex, idxPruned)
-	}
-	if shapePruned > 0 {
-		sc.jr.Record(journal.KindRulePruned, -1, journal.PruneShape, shapePruned)
-	}
-	sc.jr.Record(journal.KindExpand, -1, int64(len(out)), int64(depth))
 	return out
 }
 
@@ -390,11 +379,6 @@ func (sc *searchCtx) truncate(by string) {
 	}
 	sc.stats.Truncated = true
 	sc.stats.TruncatedBy = by
-	code := journal.TruncSteps
-	if by == "deadline" {
-		code = journal.TruncDeadline
-	}
-	sc.jr.Record(journal.KindTruncated, -1, code, 0)
 }
 
 // Search runs the rewrite search (§6 matching driven by the §8.4
@@ -409,9 +393,9 @@ func (sc *searchCtx) truncate(by string) {
 // in it: a wider best-first search that breaks size ties by the engine's cost
 // estimate returns the same plans (the test-only reference in
 // reference_test.go). ORDER BY elimination (§7) runs first unless
-// opts.SkipOrderByElim. The returned Stats also land in the default metrics
-// registry, and the aggregate event trail (expansions, prunes, attempts,
-// matches, candidates, memo hits, truncation) in the default flight recorder.
+// opts.SkipOrderByElim. The returned Stats are the search's one record: they
+// also land in the default metrics registry, and opts.Provenance, when set,
+// breaks them down per rule.
 func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Stats) {
 	opts = opts.withDefaults()
 	if faultinject.Fire(faultinject.SearchStarve) {
@@ -513,12 +497,10 @@ func (sc *searchCtx) choose(cands []Candidate, depth int) (*rankedCand, string) 
 		// made only when the plan is new.
 		if sc.seen[string(r.c.fp)] {
 			sc.stats.MemoHits++
-			sc.jr.Record(journal.KindMemoHit, int32(r.c.Rule.No), journal.PackPath(r.c.Path), 0)
 			fate = CandMemoHit
 		} else {
 			fp := string(r.c.fp)
 			sc.seen[fp] = true
-			sc.jr.Record(journal.KindCandidate, int32(r.c.Rule.No), int64(r.size), journal.PackPath(r.c.Path))
 			if next == nil {
 				next, key = r, fp
 				continue

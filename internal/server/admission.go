@@ -18,7 +18,9 @@ import (
 // Stage 2 (acquireWorker) is blocking with a deadline: an admitted request
 // waits for one of the workers execution tokens, charging the wait against
 // its own request deadline — a request that spends its budget queueing
-// reports 504 rather than starting a search it can no longer finish. The
+// reports 504 (a batch: deadline_exceeded in every item) rather than
+// starting a search it can no longer finish. A batch takes one token for all
+// its items. The
 // deadline is a value, not a context timer: a free token is taken without
 // arming anything, and only a request that must wait arms a timer.
 type admission struct {
@@ -59,39 +61,29 @@ func (a *admission) release() {
 	<-a.slots
 }
 
-// takeToken claims an execution token, waiting at most until deadline and
-// no longer than the client stays: ctx is the request's own context, whose
-// cancellation (a dropped connection) ends the wait too. It tries without
-// blocking first, so neither the timer nor ctx's Done channel is made unless
-// the request has to wait.
-func (a *admission) takeToken(ctx context.Context, deadline time.Time) bool {
-	select {
-	case a.work <- struct{}{}:
-		return true
-	default:
-	}
-	wait := time.Until(deadline)
-	if wait <= 0 {
-		return false
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case a.work <- struct{}{}:
-		return true
-	case <-t.C:
-		return false
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// acquireWorker claims an execution token (see takeToken); false means the
-// deadline passed or the client left first. Pair with releaseWorker on
-// success.
+// acquireWorker claims an execution token, waiting at most until deadline
+// and no longer than the client stays: ctx is the request's own context,
+// whose cancellation (a dropped connection) ends the wait too. It tries
+// without blocking first, so neither the timer nor ctx's Done channel is made
+// unless the request has to wait. false means the deadline passed or the
+// client left first. Pair with releaseWorker on success.
 func (a *admission) acquireWorker(ctx context.Context, deadline time.Time) bool {
-	if !a.takeToken(ctx, deadline) {
-		return false
+	select {
+	case a.work <- struct{}{}:
+	default:
+		wait := time.Until(deadline)
+		if wait <= 0 {
+			return false
+		}
+		t := time.NewTimer(wait)
+		defer t.Stop()
+		select {
+		case a.work <- struct{}{}:
+		case <-t.C:
+			return false
+		case <-ctx.Done():
+			return false
+		}
 	}
 	a.inflight.Add(1)
 	a.queued.Add(-1)
@@ -102,31 +94,5 @@ func (a *admission) acquireWorker(ctx context.Context, deadline time.Time) bool 
 func (a *admission) releaseWorker() {
 	a.inflight.Add(-1)
 	a.queued.Add(1) // the admission slot is still held until release
-	<-a.work
-}
-
-// beginExec / endExec bracket a parallel batch: the request leaves the queue
-// gauge for the span of its fan-out (it holds its one admission slot
-// throughout, while its items claim execution tokens individually), then
-// rejoins it just before release's decrement. Keeps server_queue_depth =
-// "admitted requests not currently executing" under both request shapes.
-func (a *admission) beginExec() { a.queued.Add(-1) }
-func (a *admission) endExec()   { a.queued.Add(1) }
-
-// acquireItemWorker claims an execution token for one batch item (see
-// takeToken). Unlike acquireWorker it leaves the queue gauge alone — the
-// owning request's queue accounting is handled once by beginExec/endExec,
-// not per item. Pair with releaseItemWorker.
-func (a *admission) acquireItemWorker(ctx context.Context, deadline time.Time) bool {
-	if !a.takeToken(ctx, deadline) {
-		return false
-	}
-	a.inflight.Add(1)
-	return true
-}
-
-// releaseItemWorker returns the execution token claimed by acquireItemWorker.
-func (a *admission) releaseItemWorker() {
-	a.inflight.Add(-1)
 	<-a.work
 }

@@ -83,8 +83,8 @@ func BenchmarkHandleRewriteCold(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleRewriteBatch measures the parallel batch path: one request
-// carrying 16 queries fanned out across the worker pool.
+// BenchmarkHandleRewriteBatch measures the batch path: one request carrying
+// 16 queries, run in order on the request's one worker token.
 func BenchmarkHandleRewriteBatch(b *testing.B) {
 	s := newBenchServer(b, nil)
 	var buf bytes.Buffer

@@ -225,6 +225,68 @@ func TestQueueWait504(t *testing.T) {
 	once.Do(func() { close(release) })
 }
 
+// TestBatchRunsOnOneToken: a batch takes one execution token for all its
+// items, and when the wait for it fails every item answers in place — a
+// resolvable one deadline_exceeded, an unknown app its own error — under a
+// 200.
+func TestBatchRunsOnOneToken(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	defer once.Do(func() { close(release) })
+	running := make(chan struct{}, 4)
+	s, _, _ := newTestServer(t, func(c *Config) {
+		c.Workers = 2
+		c.QueueDepth = 4
+		c.beforeRewrite = func(string) { running <- struct{}{}; <-release }
+	})
+
+	// A batch of three holds one of the two tokens while its first item runs.
+	batch := make(chan *batchResponse, 1)
+	go func() {
+		rec := do(s, http.MethodPost, "/v1/rewrite",
+			`{"queries": [{"sql": "SELECT id FROM labels"}, {"sql": "SELECT id FROM labels"}, {"sql": "SELECT id FROM labels"}]}`)
+		var out batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Error(err)
+		}
+		batch <- &out
+	}()
+	<-running
+	if got := s.adm.inflight.Value(); got != 1 {
+		t.Fatalf("a running batch holds %d tokens, want 1", got)
+	}
+
+	// A single query takes the other token; the next batch finds none.
+	go do(s, http.MethodPost, "/v1/rewrite", `{"sql": "SELECT id FROM labels"}`)
+	<-running
+	rec := do(s, http.MethodPost, "/v1/rewrite",
+		`{"queries": [{"sql": "SELECT id FROM labels"}, {"sql": "SELECT id FROM labels", "app": "nope"}], "timeout_ms": 10}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d, want 200; body: %s", rec.Code, rec.Body)
+	}
+	var out batchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Results) != 2 || out.Errors != 2 {
+		t.Fatalf("results=%d errors=%d; want 2, 2", len(out.Results), out.Errors)
+	}
+	if e := out.Results[0].Error; e == nil || e.Code != codeDeadlineExceeded {
+		t.Errorf("item 0 error = %+v, want %s", e, codeDeadlineExceeded)
+	}
+	if e := out.Results[1].Error; e == nil || e.Code != codeUnknownApp {
+		t.Errorf("item 1 error = %+v, want %s", e, codeUnknownApp)
+	}
+
+	// Released, the first batch runs its remaining items in order on the
+	// same token and answers all three.
+	once.Do(func() { close(release) })
+	first := <-batch
+	if len(first.Results) != 3 || first.Errors != 0 {
+		t.Fatalf("first batch: results=%d errors=%d; want 3, 0", len(first.Results), first.Errors)
+	}
+}
+
 // TestClientDisconnectEndsQueueWait: a request queued behind a busy worker
 // stops waiting when its client goes away, long before its deadline — for a
 // single query and for a batch item alike.

@@ -7,13 +7,10 @@ import (
 	"fmt"
 	"net/http"
 	"runtime/debug"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"wetune"
 	"wetune/internal/faultinject"
-	"wetune/internal/obs/journal"
 )
 
 // Response headers reporting serving conditions: the degradation-ladder level
@@ -312,45 +309,39 @@ func (s *Server) handleRewrite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resultStatus(res), rewriteResponse{App: rz.app, RewriteResult: res})
 }
 
-// rewriteBatch serves a batch: items fan out across the worker pool, bounded
-// by Workers lanes. The request holds its one admission slot throughout; each
-// item claims an execution token only for the span of its own rewrite, so
-// batch concurrency comes out of the same Workers bound as single queries and
-// the admission contract (never more than Workers concurrent rewrites) is
-// preserved. Items are pulled by an atomic cursor and write results by index,
-// so response ordering is position-stable regardless of completion order.
-// Per-item failures (bad app, bad SQL, deadline spent waiting for a token)
-// are reported in place; the batch itself answers 200 — partial results are
-// the point of batching.
+// rewriteBatch serves a batch: the request takes one execution token with
+// acquireWorker, as a single query does, and runs its items in order in the
+// handler goroutine, so a batch holds one admission slot and one token and
+// the admission contract (never more than Workers concurrent rewrites) holds
+// without per-item bookkeeping. Per-item failures (bad app, bad SQL, a
+// deadline spent waiting for the token) are reported in place; the batch
+// itself answers 200 — partial results are the point of batching.
 func (s *Server) rewriteBatch(w http.ResponseWriter, r *http.Request, queries []rewriteQuery, deadline time.Time, level ServiceLevel) {
-	// Resolve every app before taking a worker: an unknown app must not cost
-	// a queue wait.
-	rq := make([]resolvedApp, len(queries))
-	for i, q := range queries {
-		rq[i] = s.resolveApp(q.App)
-	}
 	s.batchReqs.Inc()
-	results := make([]batchItem, len(queries))
-	lanes := min(s.cfg.Workers, len(queries))
-	var next, errCount atomic.Int64
-	var wg sync.WaitGroup
-	s.adm.beginExec()
-	for l := 0; l < lanes; l++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1) - 1)
-				if i >= len(queries) {
-					return
-				}
-				s.runBatchItem(r.Context(), deadline, i, queries[i], rq[i], results, &errCount, level)
-			}
-		}()
+	worker := s.adm.acquireWorker(r.Context(), deadline)
+	if worker {
+		defer s.adm.releaseWorker()
 	}
-	wg.Wait()
-	s.adm.endExec()
-	writeJSON(w, http.StatusOK, batchResponse{Results: results, Errors: int(errCount.Load())})
+	results := make([]batchItem, len(queries))
+	errCount := 0
+	for i, q := range queries {
+		rz := s.resolveApp(q.App)
+		switch {
+		case rz.err != nil:
+			results[i] = batchItem{App: q.App, Error: rz.err}
+		case !worker:
+			results[i] = batchItem{App: rz.app, Error: &apiError{
+				Code:    codeDeadlineExceeded,
+				Message: "request deadline expired before this query ran",
+			}}
+		default:
+			results[i] = s.runBatchItem(deadline, i, q.SQL, rz, level)
+		}
+		if results[i].Error != nil {
+			errCount++
+		}
+	}
+	writeJSON(w, http.StatusOK, batchResponse{Results: results, Errors: errCount})
 }
 
 // resultStatus is the status a single rewrite or explanation is answered
@@ -372,14 +363,11 @@ type resolvedApp struct {
 	err *apiError
 }
 
-// runBatchItem executes one batch item inside a fan-out lane: wait for an
-// execution token (charged against the request deadline, with the wait
-// recorded per item), rewrite, and write the result into the item's slot. A
-// panic is isolated to the item — counted and journaled like a handler panic,
-// answered as an in-place internal error — so one poisoned query cannot take
-// down its batch siblings. ctx is the client's context: a dropped client ends
-// the token wait.
-func (s *Server) runBatchItem(ctx context.Context, deadline time.Time, i int, q rewriteQuery, rz resolvedApp, results []batchItem, errCount *atomic.Int64, level ServiceLevel) {
+// runBatchItem rewrites item i of a batch in the request's worker and returns
+// its answer. A panic is isolated to the item — counted and journaled like a
+// handler panic, answered as an in-place internal error — so one poisoned
+// query cannot take down its batch siblings.
+func (s *Server) runBatchItem(deadline time.Time, i int, sqlText string, rz resolvedApp, level ServiceLevel) (item batchItem) {
 	defer func() {
 		if p := recover(); p != nil {
 			msg := "internal error (panic recovered; see journal anomaly)"
@@ -390,43 +378,22 @@ func (s *Server) runBatchItem(ctx context.Context, deadline time.Time, i int, q 
 				s.panics.Inc()
 				s.cfg.Journal.Anomaly(fmt.Sprintf("server: panic in batch item %d: %v\n%s", i, p, debug.Stack()))
 			}
-			results[i] = batchItem{App: rz.app, Error: &apiError{
+			item = batchItem{App: rz.app, Error: &apiError{
 				Code:    codeInternal,
 				Message: msg,
 			}}
-			errCount.Add(1)
 		}
 	}()
-	if rz.err != nil {
-		results[i] = batchItem{App: q.App, Error: rz.err}
-		errCount.Add(1)
-		return
-	}
-	waitStart := time.Now()
-	if !s.adm.acquireItemWorker(ctx, deadline) {
-		results[i] = batchItem{App: rz.app, Error: &apiError{
-			Code:    codeDeadlineExceeded,
-			Message: "request deadline expired before this query ran",
-		}}
-		errCount.Add(1)
-		return
-	}
-	defer s.adm.releaseItemWorker()
-	wait := time.Since(waitStart)
-	s.batchWait.Observe(wait)
 	s.batchItems.Inc()
-	s.cfg.Journal.Record(journal.KindBatchItem, -1, wait.Nanoseconds(), int64(i))
 	faultinject.MaybePanic(faultinject.HandlerPanic)
 	if s.cfg.beforeRewrite != nil {
-		s.cfg.beforeRewrite(q.SQL)
+		s.cfg.beforeRewrite(sqlText)
 	}
-	res, err := rz.opt.OptimizeSQLResultMode(deadline, q.SQL, level)
+	res, err := rz.opt.OptimizeSQLResultMode(deadline, sqlText, level)
 	if err != nil {
-		results[i] = batchItem{App: rz.app, Error: ptr(sqlErr(err))}
-		errCount.Add(1)
-		return
+		return batchItem{App: rz.app, Error: ptr(sqlErr(err))}
 	}
-	results[i] = batchItem{App: rz.app, RewriteResult: res}
+	return batchItem{App: rz.app, RewriteResult: res}
 }
 
 // handleExplain is POST /v1/explain: one query's full derivation record via

@@ -128,7 +128,7 @@ type Server struct {
 	adm  *admission
 	mux  http.Handler
 
-	// Per-request and batch fan-out metrics, resolved once: a registry
+	// Per-request and batch metrics, resolved once: a registry
 	// lookup takes the registry's read lock, which every request would share.
 	responses2xx   *obs.Counter
 	responses4xx   *obs.Counter
@@ -137,7 +137,6 @@ type Server struct {
 	injectedPanics *obs.Counter
 	batchReqs      *obs.Counter
 	batchItems     *obs.Counter
-	batchWait      *obs.Histogram
 
 	// Degradation ladder (nil when Config.Degradation.Disabled) plus its
 	// controller goroutine's lifecycle.
@@ -205,7 +204,6 @@ func New(cfg Config) (*Server, error) {
 		injectedPanics: reg.Counter("server_injected_panics"),
 		batchReqs:      reg.Counter("server_batch_requests"),
 		batchItems:     reg.Counter("server_batch_items"),
-		batchWait:      reg.Histogram("server_batch_item_wait"),
 	}
 	for app, schema := range cfg.Schemas {
 		opt := wetune.NewOptimizer(cfg.Rules, schema)
