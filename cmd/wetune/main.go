@@ -185,7 +185,7 @@ func newFlagSet(name string) *flag.FlagSet {
 
 func cmdDiscover(args []string) int {
 	fs := newFlagSet("discover")
-	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 9 s with the default -prover full and 6 s with -prover algebraic on 2 vCPUs; the paper uses 4, not measured here)")
+	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 4.5 s with the default -prover full and 1.5 s with -prover algebraic, 4 about 42 s with -prover algebraic, on 2 vCPUs; the paper uses 4)")
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget (interrupts in-flight proofs)")
 	workers := fs.Int("workers", 0, "search workers (0 = GOMAXPROCS)")
 	cacheFile := fs.String("cache", "", "proof-cache file: verdicts load before and persist after, so repeated runs re-prove nothing")
@@ -282,7 +282,7 @@ func cmdDiscover(args []string) int {
 	}
 	res := wetune.Discover(opts)
 	fmt.Printf("templates: %d; pairs tried: %d (%d skipped); prover calls: %d; cache hits: %d (%.0f%% hit rate); rules: %d; elapsed: %v\n",
-		res.Templates, res.PairsTried, res.Stats.PairsSkipped, res.ProverCalls, res.CacheHits,
+		res.Stats.Templates, res.Stats.PairsTried, res.Stats.PairsSkipped, res.Stats.ProverCalls, res.Stats.CacheHits,
 		100*res.Stats.CacheHitRate(), len(res.Rules), res.Stats.Elapsed.Round(time.Millisecond))
 	if *crossCheck {
 		fmt.Printf("cross-check: %d verifier-accepted rules refuted by the engine oracle and dropped\n",
@@ -499,7 +499,7 @@ func cmdExplain(args []string) int {
 	}
 	fmt.Println("original: ", res.Input)
 	fmt.Println("rewritten:", res.Output)
-	fmt.Printf("cost:      %.1f -> %.1f\n", res.CostBefore, res.CostAfter)
+	fmt.Printf("size:      %d -> %d\n", res.Stats.InitialSize, res.Stats.FinalSize)
 	prov := res.Provenance
 	fmt.Println("\nderivation:")
 	fmt.Print(prov.RenderSteps())

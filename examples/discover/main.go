@@ -41,7 +41,7 @@ func main() {
 		},
 	})
 	fmt.Printf("templates: %d, pairs tried: %d, verifier calls: %d, cache hits: %d\n",
-		res.Templates, res.PairsTried, res.ProverCalls, res.CacheHits)
+		res.Stats.Templates, res.Stats.PairsTried, res.Stats.ProverCalls, res.Stats.CacheHits)
 	fmt.Printf("discovered %d rules:\n\n", len(res.Rules))
 	for i, r := range res.Rules {
 		fmt.Printf("%3d. %s\n  => %s\n     under %s\n\n", i+1, r.Source, r.Destination, r.Constraints)
@@ -61,5 +61,5 @@ func main() {
 	// shared proof cache: same rules, no prover calls.
 	warm := discover(wetune.DiscoveryOptions{MaxTemplateSize: *size})
 	fmt.Printf("warm re-run: %d rules, %d prover calls, %d cache hits\n",
-		len(warm.Rules), warm.ProverCalls, warm.CacheHits)
+		len(warm.Rules), warm.Stats.ProverCalls, warm.Stats.CacheHits)
 }

@@ -115,11 +115,10 @@ func TestMissedRewritesVisitFewerRows(t *testing.T) {
 		}
 		var visited [2]int64
 		for i, p := range [2]plan.Node{c.orig, c.better} {
-			before := db.Stats.RowsVisited
-			if _, err := db.Execute(p, nil); err != nil {
+			var err error
+			if visited[i], err = rowsVisited(db, p); err != nil {
 				t.Fatalf("%s: %v\n%s", c.app.Name, err, plan.ToSQLString(p))
 			}
-			visited[i] = db.Stats.RowsVisited - before
 		}
 		orig, better := visited[0], visited[1]
 		if 10*better <= 9*orig {
@@ -144,11 +143,11 @@ func TestCaseStudy(t *testing.T) {
 	if r.Metrics["rules_applied"] == 0 {
 		t.Error("case study applied no rules")
 	}
-	// The estimate is deterministic; the wall clock of ten executions on a
-	// shared machine is not, so the measured reduction is logged above and
-	// left out of the verdict.
-	if r.Metrics["cost_reduction_pct"] < 10 {
-		t.Errorf("estimated cost reduction %.0f%%; expected a clear win", r.Metrics["cost_reduction_pct"])
+	// Rows visited are deterministic; the wall clock of ten executions on a
+	// shared machine is not, so the measured latency reduction is logged
+	// above and left out of the verdict.
+	if r.Metrics["rows_visited_reduction_pct"] < 10 {
+		t.Errorf("rows visited fell by %.0f%%; expected a clear win", r.Metrics["rows_visited_reduction_pct"])
 	}
 }
 

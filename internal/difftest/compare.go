@@ -61,9 +61,6 @@ func BagEqual(a, b []engine.Row) bool {
 	return true
 }
 
-// ResultsEqual is BagEqual over executed results.
-func ResultsEqual(a, b *engine.Result) bool { return BagEqual(a.Rows, b.Rows) }
-
 // DiffBags explains a bag inequality: rows present in one side but not the
 // other, with multiplicities. Returns "" when the bags are equal.
 func DiffBags(a, b []engine.Row) string {

@@ -1,8 +1,8 @@
 // Package engine is WeTune's execution substrate: an in-memory SQL engine
-// with hash indexes and a cardinality-based cost estimator. It stands in for
-// the MS SQL Server testbed of §8.1 — queries and their rewrites execute on
-// the same storage, so the relative effects of rewrite rules (row visits,
-// operator invocations, subquery re-executions) are directly observable.
+// with hash indexes. It stands in for the MS SQL Server testbed of §8.1 —
+// queries and their rewrites execute on the same storage, so the relative
+// effects of rewrite rules (row visits, operator invocations, subquery
+// re-executions) are directly observable.
 package engine
 
 import (
@@ -36,7 +36,8 @@ type DB struct {
 	Schema *sql.Schema
 	tables map[string]*Table
 
-	// Stats counts work done by the executor, for white-box tests.
+	// Stats counts work done by the executor. RowsVisited is how E8 and the
+	// rewrite tests measure what a rewrite saves.
 	Stats ExecStats
 }
 

@@ -344,29 +344,6 @@ func TestInsertEnforcesConstraints(t *testing.T) {
 	}
 }
 
-func TestCostEstimatorPrefersSimplerPlans(t *testing.T) {
-	db := seededDB(t)
-	q0 := plan.MustBuild(sql.MustParse(
-		"SELECT id FROM labels WHERE id IN (SELECT id FROM labels WHERE project_id = 10) AND id IN (SELECT id FROM labels WHERE project_id = 10)"), db.Schema)
-	q1 := plan.MustBuild(sql.MustParse(
-		"SELECT id FROM labels WHERE id IN (SELECT id FROM labels WHERE project_id = 10)"), db.Schema)
-	q2 := plan.MustBuild(sql.MustParse(
-		"SELECT id FROM labels WHERE project_id = 10"), db.Schema)
-	c0, c1, c2 := db.EstimateCost(q0), db.EstimateCost(q1), db.EstimateCost(q2)
-	if !(c2 < c1 && c1 < c0) {
-		t.Fatalf("cost ordering wrong: q0=%v q1=%v q2=%v", c0, c1, c2)
-	}
-}
-
-func TestCostIndexBeatsScan(t *testing.T) {
-	db := seededDB(t)
-	indexed := plan.MustBuild(sql.MustParse("SELECT title FROM labels WHERE id = 5"), db.Schema)
-	scan := plan.MustBuild(sql.MustParse("SELECT title FROM labels WHERE title = 'bug'"), db.Schema)
-	if db.EstimateCost(indexed) >= db.EstimateCost(scan) {
-		t.Fatal("indexed point query should be cheaper than a scan")
-	}
-}
-
 func TestExecEquivalenceOriginalVsRewritten(t *testing.T) {
 	// The Table 1 q0/q2 pair must produce identical result multisets.
 	db := seededDB(t)

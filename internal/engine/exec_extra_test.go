@@ -110,15 +110,6 @@ func TestEmptyGroupAggregates(t *testing.T) {
 	}
 }
 
-func TestEstimateRows(t *testing.T) {
-	db := seededDB(t)
-	all := plan.MustBuild(sql.MustParse("SELECT * FROM labels"), db.Schema)
-	some := plan.MustBuild(sql.MustParse("SELECT * FROM labels WHERE id = 1"), db.Schema)
-	if db.EstimateRows(all) <= db.EstimateRows(some) {
-		t.Fatal("filtered cardinality should be lower")
-	}
-}
-
 func TestExecErrors(t *testing.T) {
 	db := seededDB(t)
 	// Missing parameter.

@@ -50,20 +50,6 @@ func (p *Pool) SubstFormula(f fol.Formula, id int, repl uexpr.Tuple) fol.Formula
 	return p.sub.m.MapFormula(f, p)
 }
 
-// SubstTerm substitutes tuple variable id with repl in a canonical integer
-// term.
-func (p *Pool) SubstTerm(t fol.Term, id int, repl uexpr.Tuple) fol.Term {
-	p.sub.id, p.sub.repl = id, repl
-	return p.sub.m.MapTerm(t, p)
-}
-
-// SubstTupleVar substitutes tuple variable id with repl in a canonical tuple
-// term.
-func (p *Pool) SubstTupleVar(t uexpr.Tuple, id int, repl uexpr.Tuple) uexpr.Tuple {
-	p.sub.id, p.sub.repl = id, repl
-	return p.sub.tuple(t)
-}
-
 // mkTuple is uexpr.MapTuple's rebuild through the pool.
 func (p *Pool) mkTuple(attrs template.Sym, l, r uexpr.Tuple) uexpr.Tuple {
 	if r == nil {

@@ -14,7 +14,9 @@ import (
 
 // CachedResult is one memoized end-to-end rewrite outcome, keyed by the input
 // query fingerprint (normalized SQL text at the Optimizer layer). CostBefore
-// and CostAfter are Stats.InitialCost and FinalCost: the plan sizes.
+// and CostAfter are Stats.InitialCost and FinalCost: the plan sizes. They
+// stay while the benchmark reads the cost fields, and go with them (see
+// Stats.InitialCost).
 type CachedResult struct {
 	SQL        string
 	Applied    []Applied

@@ -16,14 +16,13 @@ import (
 	"wetune/internal/workload"
 )
 
-// TestSearchMatchesWideReference pins that neither a wider frontier nor the
-// cost estimate decides a rewrite: over the workload suite (400 generated
-// queries per application, which include the rewrite corpus, the Calcite
-// suite and the issue study) and the demo schema's regression queries,
-// Search returns byte-identical SQL to rewrite.WideSearch (frontier 48,
-// chains of 12, size ties broken by the engine's cost estimate over 500
-// generated rows per table), under the library rules and under the library
-// plus a size-2 discovery's rules.
+// TestSearchMatchesWideReference pins that a wider frontier does not decide
+// a rewrite: over the workload suite (400 generated queries per application,
+// which include the rewrite corpus, the Calcite suite and the issue study)
+// and the demo schema's regression queries, Search returns byte-identical
+// SQL to rewrite.WideSearch (frontier 48, chains of 12, size ties by
+// discovery order), under the library rules and under the library plus a
+// size-2 discovery's rules.
 func TestSearchMatchesWideReference(t *testing.T) {
 	type item struct {
 		q      string
@@ -51,18 +50,6 @@ func TestSearchMatchesWideReference(t *testing.T) {
 		items = append(items, item{q, gitlab})
 	}
 
-	costs := map[*sql.Schema]func(plan.Node) float64{}
-	costFor := func(s *sql.Schema) func(plan.Node) float64 {
-		if f, ok := costs[s]; ok {
-			return f
-		}
-		db := engine.NewDB(s)
-		if err := datagen.Populate(db, datagen.Options{Rows: 500, Seed: 1}); err != nil {
-			t.Fatal(err)
-		}
-		costs[s] = db.EstimateCost
-		return db.EstimateCost
-	}
 	plans := make([]plan.Node, len(items))
 	for i, it := range items {
 		p, err := plan.BuildSQL(it.q, it.schema)
@@ -88,7 +75,7 @@ func TestSearchMatchesWideReference(t *testing.T) {
 				rw = rewrite.NewRewriter(set.rules, it.schema)
 				rws[it.schema] = rw
 			}
-			wOut, _, wTrunc := rw.WideSearch(plans[i], costFor(it.schema))
+			wOut, _, wTrunc := rw.WideSearch(plans[i])
 			out, applied, _ := rw.Search(plans[i], rewrite.Options{})
 			if got, want := plan.ToSQLString(out), plan.ToSQLString(wOut); got != want {
 				t.Errorf("%s: %q:\n  search:    %s\n  reference: %s", set.name, it.q, got, want)
@@ -109,7 +96,7 @@ func TestSearchMatchesWideReference(t *testing.T) {
 // engine swap: under default settings, for every plannable query of the full
 // workload suite (application corpus + Calcite suite + issue study), the
 // search engine's rewritten SQL is identical to the greedy loop's — or the
-// plan is strictly cheaper under the engine cost model.
+// plan visits strictly fewer rows on 500 generated rows per table.
 func TestSearchEquivalentToGreedyOnWorkloads(t *testing.T) {
 	type item struct {
 		name   string
@@ -141,7 +128,7 @@ func TestSearchEquivalentToGreedyOnWorkloads(t *testing.T) {
 	}
 
 	rewriters := map[*sql.Schema]*rewrite.Rewriter{}
-	costDBs := map[*sql.Schema]*engine.DB{}
+	dbs := map[*sql.Schema]*engine.DB{}
 	rwFor := func(s *sql.Schema) *rewrite.Rewriter {
 		if rw, ok := rewriters[s]; ok {
 			return rw
@@ -151,15 +138,18 @@ func TestSearchEquivalentToGreedyOnWorkloads(t *testing.T) {
 		return rw
 	}
 	dbFor := func(s *sql.Schema) *engine.DB {
-		if db, ok := costDBs[s]; ok {
+		if db, ok := dbs[s]; ok {
 			return db
 		}
 		db := engine.NewDB(s)
-		costDBs[s] = db
+		if err := datagen.Populate(db, datagen.Options{Rows: 500, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		dbs[s] = db
 		return db
 	}
 
-	planned, identical, cheaper := 0, 0, 0
+	planned, identical, fewer := 0, 0, 0
 	for _, it := range items {
 		p, err := plan.BuildSQL(it.q, it.schema)
 		if err != nil {
@@ -175,17 +165,17 @@ func TestSearchEquivalentToGreedyOnWorkloads(t *testing.T) {
 			continue
 		}
 		db := dbFor(it.schema)
-		gCost, sCost := db.EstimateCost(gOut), db.EstimateCost(sOut)
-		if sCost < gCost {
-			cheaper++
+		gRows, sRows := rowsVisited(t, db, gOut), rowsVisited(t, db, sOut)
+		if sRows < gRows {
+			fewer++
 			continue
 		}
-		t.Fatalf("search diverges from greedy on %q (%s) without being cheaper:\n"+
-			"  greedy (cost %.1f): %s\n  search (cost %.1f): %s",
-			it.q, it.name, gCost, gSQL, sCost, sSQL)
+		t.Fatalf("search diverges from greedy on %q (%s) without visiting fewer rows:\n"+
+			"  greedy (%d rows): %s\n  search (%d rows): %s",
+			it.q, it.name, gRows, gSQL, sRows, sSQL)
 	}
 	if planned == 0 {
 		t.Fatal("workload suite yielded no plannable queries")
 	}
-	t.Logf("differential over %d queries: %d identical, %d strictly cheaper", planned, identical, cheaper)
+	t.Logf("differential over %d queries: %d identical, %d visit strictly fewer rows", planned, identical, fewer)
 }

@@ -77,10 +77,12 @@ type Stats struct {
 	// attempts skipped by the deeper ops-only shape precheck.
 	IndexPruned int64 `json:"index_pruned"`
 	ShapePruned int64 `json:"shape_pruned"`
-	// Initial/Final report the plan the search started from (after ORDER BY
-	// elimination) and the plan it settled on. No estimated cost ranks
-	// plans; the cost fields carry the sizes as floats for the callers that
-	// report a cost.
+	// InitialSize and FinalSize are the operator counts of the plan the
+	// search started from (after ORDER BY elimination) and of the plan it
+	// settled on. InitialCost and FinalCost repeat them as floats because
+	// the benchmark's cost_ratio reads them; they go, with the cost fields
+	// of CachedResult and wetune.RewriteResult, in the benchmark change
+	// that reads the sizes instead (ROADMAP item 32).
 	InitialSize int     `json:"initial_size"`
 	FinalSize   int     `json:"final_size"`
 	InitialCost float64 `json:"initial_cost"`
@@ -389,13 +391,11 @@ func (sc *searchCtx) truncate(by string) {
 // enters the memo, not only the one stepped to, so a size-neutral step never
 // leads back to a plan seen before. The smallest plan seen is returned, the
 // earliest among equals. The ranking makes the result deterministic and
-// independent of the rule-set ordering, and the estimated cost plays no part
-// in it: a wider best-first search that breaks size ties by the engine's cost
-// estimate returns the same plans (the test-only reference in
-// reference_test.go). ORDER BY elimination (§7) runs first unless
-// opts.SkipOrderByElim. The returned Stats are the search's one record: they
-// also land in the default metrics registry, and opts.Provenance, when set,
-// breaks them down per rule.
+// independent of the rule-set ordering, and a wider best-first search returns
+// the same plans (the test-only reference in reference_test.go). ORDER BY
+// elimination (§7) runs first unless opts.SkipOrderByElim. The returned Stats
+// are the search's one record: they also land in the default metrics
+// registry, and opts.Provenance, when set, breaks them down per rule.
 func (rw *Rewriter) Search(p plan.Node, opts Options) (plan.Node, []Applied, Stats) {
 	opts = opts.withDefaults()
 	if faultinject.Fire(faultinject.SearchStarve) {

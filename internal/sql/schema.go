@@ -109,15 +109,6 @@ func (t *TableDef) ColumnIndex(name string) int {
 	return -1
 }
 
-// ColumnNames lists column names in declaration order.
-func (t *TableDef) ColumnNames() []string {
-	out := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
-
 // IsNotNull reports whether every named column is declared NOT NULL (primary
 // key columns are implicitly NOT NULL).
 func (t *TableDef) IsNotNull(cols []string) bool {
