@@ -16,7 +16,8 @@ import (
 // cmdLoadtest drives POST /v1/rewrite with the fixed rewrite corpus — against
 // a live server (-addr) or an in-process daemon (-inprocess, no sockets) —
 // and reports throughput, exact p50/p90/p99 latency and error counts. A run
-// that saw transport errors or non-injected 5xx responses exits 1.
+// that saw transport errors or non-injected 5xx responses exits 1. Chaos runs
+// are `wetune soak`'s.
 func cmdLoadtest(args []string) int {
 	fs := newFlagSet("loadtest")
 	addr := fs.String("addr", "http://localhost:8080", "target server base URL")
@@ -30,19 +31,11 @@ func cmdLoadtest(args []string) int {
 	asJSON := fs.Bool("json", false, "print the report as JSON")
 	profile := fs.String("profile", "", "capture a pprof profile during the run: \"cpu\" or \"alloc\" (most useful with -inprocess, where server work runs in this process)")
 	profileOut := fs.String("profile-out", "", "profile output path (default <profile>.pprof)")
-	retries := fs.Int("retries", 0, "re-issue 429/503 pushback up to N attempts per request with capped exponential backoff honoring Retry-After (0 = no retries; -chaos defaults to 3)")
-	chaos := fs.Bool("chaos", false, "play the default fault-injection schedule during the run (requires -inprocess; injected 5xx are reported separately and do not fail the run)")
-	seed := fs.Int64("seed", 1, "fault-decision and retry-jitter seed (used with -chaos)")
+	retries := fs.Int("retries", 0, "re-issue 429/503 pushback up to N attempts per request with capped exponential backoff honoring Retry-After (0 = no retries)")
+	seed := fs.Int64("seed", 1, "retry-jitter seed")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {
 		return exitUsage
-	}
-	if *chaos && !*inprocess {
-		fmt.Fprintln(os.Stderr, "loadtest: -chaos requires -inprocess (the fault registry lives in this process)")
-		return exitUsage
-	}
-	if *chaos && *retries == 0 {
-		*retries = 3
 	}
 	finish := of.start()
 	defer finish()
@@ -103,17 +96,7 @@ func cmdLoadtest(args []string) int {
 		}()
 	}
 
-	var chaosCancel context.CancelFunc
-	if *chaos {
-		var chaosCtx context.Context
-		chaosCtx, chaosCancel = context.WithCancel(ctx)
-		go loadgen.PlaySchedule(chaosCtx, *seed, loadgen.DefaultSchedule(*dur))
-	}
-
 	rep, err := loadgen.Run(ctx, opts)
-	if chaosCancel != nil {
-		chaosCancel()
-	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "loadtest:", err)
 		return exitError

@@ -5,12 +5,11 @@
 // Usage:
 //
 //	wetune discover [-size N] [-budget 30s] [-workers N] [-cache FILE] [-progress]
-//	                [-metrics FILE] [-debug-addr :6060] [-trace-slow 500ms]
+//	                [-metrics FILE] [-debug-addr :6060]
 //	                                            run rule discovery (Ctrl-C cancels and still
 //	                                            persists -cache; -metrics dumps the registry
 //	                                            as JSON on exit; -debug-addr serves expvar +
-//	                                            pprof live; -trace-slow logs span trees of
-//	                                            pairs slower than the threshold)
+//	                                            pprof live)
 //	wetune rules                                print the Table 7 rule library
 //	wetune verify                               verify the rule library with both verifiers
 //	wetune fuzz [-seed N] [-n N] [-budget 30s] [-rows N] [-repro FILE] [-all]
@@ -47,7 +46,7 @@
 //	                                            cache
 //	wetune loadtest [-addr URL | -inprocess] [-c N] [-d 5s] [-rate R] [-n N]
 //	                [-per-app N] [-timeout 5s] [-json] [-profile cpu|alloc]
-//	                [-profile-out FILE] [-retries N] [-chaos] [-seed N]
+//	                [-profile-out FILE] [-retries N] [-seed N]
 //	                                            drive a server (or an in-process handler)
 //	                                            over the fixed rewrite corpus and report
 //	                                            throughput, p50/p90/p99 latency and error
@@ -56,11 +55,9 @@
 //	                                            -json prints the report as JSON; -profile
 //	                                            captures a pprof profile during the run;
 //	                                            -retries re-issues 429/503 pushback with backoff;
-//	                                            -chaos (with -inprocess) plays the default
-//	                                            fault schedule during the run; exits 1 when
-//	                                            the run saw transport errors or non-injected
+//	                                            exits 1 when the run saw transport errors or
 //	                                            5xx responses
-//	wetune soak -inprocess [-d 10s] [-c N] [-seed N] [-json]
+//	wetune soak [-d 10s] [-c N] [-seed N] [-json]
 //	                                            chaos soak: run an in-process server with an
 //	                                            aggressive degradation ladder under load while
 //	                                            the default fault schedule injects cache
@@ -192,7 +189,6 @@ func cmdDiscover(args []string) int {
 	progress := fs.Bool("progress", false, "print per-stage progress while searching")
 	prover := fs.String("prover", "full", "candidate prover: full (algebraic + SMT fallback) or algebraic (fast path only)")
 	of := addObsFlags(fs)
-	traceSlow := fs.Duration("trace-slow", 0, "log the span tree (pair → prove → verify → smt.solve) of every pair slower than this threshold, e.g. 500ms (0 = off)")
 	crossCheck := fs.Bool("crosscheck", false, "differentially test every verifier-accepted rule against the in-memory engine and drop rules the oracle refutes")
 	if fs.Parse(args) != nil {
 		return exitUsage
@@ -256,7 +252,6 @@ func cmdDiscover(args []string) int {
 		MaxTemplateSize: *size,
 		Workers:         *workers,
 		Context:         runCtx,
-		TraceSlow:       *traceSlow,
 		CrossCheck:      *crossCheck,
 	}
 	switch *prover {
@@ -266,11 +261,6 @@ func cmdDiscover(args []string) int {
 	default:
 		fmt.Fprintf(os.Stderr, "discover: unknown -prover %q (want full or algebraic)\n", *prover)
 		return exitUsage
-	}
-	if *traceSlow > 0 {
-		opts.SlowTrace = func(tree string) {
-			fmt.Fprintf(os.Stderr, "slow pair (>%v):\n%s", *traceSlow, tree)
-		}
 	}
 	if *progress {
 		opts.Progress = func(p wetune.DiscoveryProgress) {

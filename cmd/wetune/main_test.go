@@ -77,10 +77,10 @@ func TestExitCodes(t *testing.T) {
 		{"fuzz replay missing file", []string{"fuzz", "-replay", "/nonexistent/repro.json"}, exitError},
 		{"serve bad flag", []string{"serve", "-no-such-flag"}, exitUsage},
 		{"loadtest bad flag", []string{"loadtest", "-no-such-flag"}, exitUsage},
-		{"loadtest chaos needs inprocess", []string{"loadtest", "-chaos"}, exitUsage},
+		{"loadtest has no -chaos", []string{"loadtest", "-chaos"}, exitUsage},
 		{"loadtest has no -compare", []string{"loadtest", "-compare", "x"}, exitUsage},
 		{"loadtest inprocess ok", []string{"loadtest", "-inprocess", "-n", "1", "-c", "1", "-d", "5s"}, exitOK},
-		{"soak without -inprocess", []string{"soak"}, exitUsage},
+		{"soak has no -inprocess", []string{"soak", "-inprocess"}, exitUsage},
 		{"soak bad flag", []string{"soak", "-no-such-flag"}, exitUsage},
 		{"discover bad prover", []string{"discover", "-prover", "bogus"}, exitUsage},
 	}

@@ -18,17 +18,12 @@ import (
 // CI chaos job.
 func cmdSoak(args []string) int {
 	fs := newFlagSet("soak")
-	inprocess := fs.Bool("inprocess", false, "required: soak an in-process server (the harness owns the server lifecycle; remote targets are not supported)")
 	dur := fs.Duration("d", 10*time.Second, "load-phase duration (the fault schedule scales to it)")
 	conc := fs.Int("c", 0, "concurrent load workers (0 = 2×GOMAXPROCS)")
 	seed := fs.Int64("seed", 1, "fault-decision and jitter seed; same seed, same injected-fault decision streams")
 	asJSON := fs.Bool("json", false, "print the soak report as JSON")
 	of := addObsFlags(fs)
 	if fs.Parse(args) != nil {
-		return exitUsage
-	}
-	if !*inprocess {
-		fmt.Fprintln(os.Stderr, "soak: -inprocess is required (the harness builds and drains its own server)")
 		return exitUsage
 	}
 	finish := of.start()

@@ -1,8 +1,8 @@
 // Package faultinject is the repository's deterministic fault-injection
 // layer: a small registry of named fault points threaded through the rewrite
-// and serving hot paths (prover stall, search-budget starvation, slow or
-// failing cache shards, response-encode failure, injected handler panic)
-// that chaos tests and `wetune soak` arm at runtime.
+// and serving hot paths (search-budget starvation, slow or failing cache
+// shards, response-encode failure, injected handler panic) that chaos tests
+// and `wetune soak` arm at runtime.
 //
 // Design constraints, in order:
 //
@@ -43,16 +43,12 @@ type Point string
 // The fault-point inventory. Each constant documents where the point is
 // threaded and what firing does there.
 const (
-	// ProverStall sleeps inside the discovery pipeline's prover call
-	// (pipeline/relax.go), modeling an SMT solver that wedges on one query.
-	ProverStall Point = "prover_stall"
 	// SearchStarve collapses the rewrite search's step budget to 1 for the
 	// affected call (rewrite/search.go), modeling budget starvation: the
 	// search truncates after one step and degrades to the best plan seen.
 	SearchStarve Point = "search_starve"
 	// CacheSlow sleeps inside a cache-shard lookup (rewrite/cache.go),
-	// modeling a cold or contended shard; it affects both serving cache
-	// tiers (result and plan).
+	// modeling a cold or contended shard of the serving result cache.
 	CacheSlow Point = "cache_slow"
 	// CacheFail forces a cache-shard lookup to miss (rewrite/cache.go),
 	// modeling a flushed or corrupted shard; the miss is counted like a
@@ -72,7 +68,7 @@ const (
 // tests iterate this to prove every registered point can fire and is
 // survivable.
 func Points() []Point {
-	return []Point{ProverStall, SearchStarve, CacheSlow, CacheFail, EncodeError, HandlerPanic}
+	return []Point{SearchStarve, CacheSlow, CacheFail, EncodeError, HandlerPanic}
 }
 
 // index returns the point's position in Points (the journal payload), or -1.
@@ -103,8 +99,8 @@ type Injected struct{ Point Point }
 func (i Injected) Error() string { return fmt.Sprintf("faultinject: injected %s", i.Point) }
 
 // Fault arms one point: Rate is the per-decision fire probability in [0, 1]
-// and Delay the stall duration for sleep-type points (ProverStall,
-// CacheSlow; ignored elsewhere).
+// and Delay the stall duration for the sleep-type point (CacheSlow; ignored
+// elsewhere).
 type Fault struct {
 	Point Point         `json:"point"`
 	Rate  float64       `json:"rate"`

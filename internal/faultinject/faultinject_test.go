@@ -199,22 +199,21 @@ func TestConfigureRejectsBadFaults(t *testing.T) {
 	}
 }
 
-// TestStallSleepsWhenFired: a sleep-type point with rate 1 stalls for its
-// configured delay; ProverStall is exercised here since it sits on the
-// discovery pipeline, outside the serving-path chaos tests.
+// TestStallSleepsWhenFired: the sleep-type point with rate 1 stalls for its
+// configured delay.
 func TestStallSleepsWhenFired(t *testing.T) {
 	defer Reset()
 	const delay = 10 * time.Millisecond
-	if err := Configure(1, Fault{Point: ProverStall, Rate: 1, Delay: delay}); err != nil {
+	if err := Configure(1, Fault{Point: CacheSlow, Rate: 1, Delay: delay}); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	Stall(ProverStall)
+	Stall(CacheSlow)
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Errorf("Stall slept %v, want >= %v", elapsed, delay)
 	}
-	if Fired(ProverStall) != 1 {
-		t.Errorf("Fired(ProverStall) = %d, want 1", Fired(ProverStall))
+	if Fired(CacheSlow) != 1 {
+		t.Errorf("Fired(CacheSlow) = %d, want 1", Fired(CacheSlow))
 	}
 }
 

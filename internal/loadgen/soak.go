@@ -23,13 +23,11 @@ type FaultPhase struct {
 	Fault    faultinject.Fault `json:"fault"`
 }
 
-// DefaultSchedule is the standard chaos script over a run of length d: each
-// serving-path fault point gets its own window, walking the inventory one
-// failure mode at a time, with the last ~15% of the run clean so the
-// degradation ladder's recovery can be asserted. ProverStall is excluded — it
-// sits on the discovery pipeline, not the serving path (the chaos unit tests
-// cover it in-process).
-func DefaultSchedule(d time.Duration) []FaultPhase {
+// defaultSchedule is the standard chaos script over a run of length d: each
+// fault point gets its own window, walking the inventory one failure mode at
+// a time, with the last ~15% of the run clean so the degradation ladder's
+// recovery can be asserted.
+func defaultSchedule(d time.Duration) []FaultPhase {
 	frac := func(f float64) time.Duration { return time.Duration(f * float64(d)) }
 	window := func(from, to float64) (time.Duration, time.Duration) {
 		return frac(from), frac(to - from)
@@ -57,12 +55,11 @@ func DefaultSchedule(d time.Duration) []FaultPhase {
 	}
 }
 
-// PlaySchedule arms and clears the schedule's faults at their offsets
+// playSchedule arms and clears the schedule's faults at their offsets
 // (relative to the call) until every phase has ended or ctx is cancelled.
 // It seeds the fault registry first and disarms everything on return.
-// `wetune loadtest -chaos` and the soak harness both run it alongside a load
-// generator.
-func PlaySchedule(ctx context.Context, seed int64, phases []FaultPhase) {
+// RunSoak runs it alongside the load generator.
+func playSchedule(ctx context.Context, seed int64, phases []FaultPhase) {
 	type event struct {
 		at    time.Duration
 		point faultinject.Point
@@ -108,7 +105,7 @@ type SoakOptions struct {
 	Concurrency int
 	// Seed drives fault decisions and client jitter (default 1).
 	Seed int64
-	// Schedule is the fault script (default DefaultSchedule(Duration); an
+	// Schedule is the fault script (default defaultSchedule(Duration); an
 	// explicitly empty non-nil schedule soaks fault-free).
 	Schedule []FaultPhase
 	// Settle bounds the post-load wait for the ladder to recover to full
@@ -127,7 +124,7 @@ func (o SoakOptions) withDefaults() SoakOptions {
 		o.Seed = 1
 	}
 	if o.Schedule == nil {
-		o.Schedule = DefaultSchedule(o.Duration)
+		o.Schedule = defaultSchedule(o.Duration)
 	}
 	if o.Settle <= 0 {
 		o.Settle = 5 * time.Second
@@ -271,7 +268,7 @@ func RunSoak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 	schedDone := make(chan struct{})
 	go func() {
 		defer close(schedDone)
-		PlaySchedule(schedCtx, opts.Seed, opts.Schedule)
+		playSchedule(schedCtx, opts.Seed, opts.Schedule)
 	}()
 
 	load, err := Run(ctx, Options{

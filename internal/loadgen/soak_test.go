@@ -10,20 +10,19 @@ import (
 	"wetune/internal/faultinject"
 )
 
-// TestDefaultScheduleShape pins the chaos script's contract: serving-path
-// points only (ProverStall lives on the discovery pipeline), every window
-// inside the run, and a clean tail so ladder recovery is assertable.
+// TestDefaultScheduleShape pins the chaos script's contract: every point of
+// the inventory gets a window, every window lies inside the run, and a clean
+// tail keeps ladder recovery assertable.
 func TestDefaultScheduleShape(t *testing.T) {
 	const d = 10 * time.Second
-	phases := DefaultSchedule(d)
+	phases := defaultSchedule(d)
 	if len(phases) == 0 {
 		t.Fatal("empty schedule")
 	}
 	var lastEnd time.Duration
+	scheduled := map[faultinject.Point]bool{}
 	for _, ph := range phases {
-		if ph.Fault.Point == faultinject.ProverStall {
-			t.Error("ProverStall in the serving-path schedule")
-		}
+		scheduled[ph.Fault.Point] = true
 		if ph.Fault.Rate <= 0 || ph.Fault.Rate > 1 {
 			t.Errorf("phase %s rate %v outside (0, 1]", ph.Fault.Point, ph.Fault.Rate)
 		}
@@ -36,6 +35,11 @@ func TestDefaultScheduleShape(t *testing.T) {
 	}
 	if lastEnd > d*85/100 {
 		t.Errorf("last fault clears at %v — the final 15%% of the run must be clean", lastEnd)
+	}
+	for _, pt := range faultinject.Points() {
+		if !scheduled[pt] {
+			t.Errorf("point %q has no window in the schedule", pt)
+		}
 	}
 }
 
@@ -51,7 +55,7 @@ func TestPlayScheduleArmsAndClears(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		PlaySchedule(context.Background(), 1, phases)
+		playSchedule(context.Background(), 1, phases)
 	}()
 	deadline := time.Now().Add(2 * time.Second)
 	for !faultinject.Armed() && time.Now().Before(deadline) {

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -103,77 +102,6 @@ func TestHistogramOverflowBucket(t *testing.T) {
 	snap := h.Snapshot()
 	if len(snap.Buckets) != 1 || snap.Buckets[0].LESeconds != 0 {
 		t.Errorf("overflow bucket not marked with le_seconds=0: %+v", snap.Buckets)
-	}
-}
-
-// TestSpanNesting: spans propagate through context and assemble a tree.
-func TestSpanNesting(t *testing.T) {
-	ctx, root := StartSpan(context.Background(), "pair")
-	cctx, child := StartSpan(ctx, "prove")
-	_, grand := StartSpan(cctx, "smt.solve")
-	grand.SetNote("unsat nodes=%d", 42)
-	grand.End()
-	child.End()
-	root.End()
-
-	if FromContext(cctx) != child {
-		t.Error("context does not carry the innermost started span")
-	}
-	kids := root.Children()
-	if len(kids) != 1 || kids[0] != child {
-		t.Fatalf("root children = %v", kids)
-	}
-	if g := child.Children(); len(g) != 1 || g[0].Name() != "smt.solve" {
-		t.Fatalf("grandchildren = %v", g)
-	}
-	tree := root.Tree()
-	for _, want := range []string{"pair", "\n  prove", "\n    smt.solve", "[unsat nodes=42]"} {
-		if !strings.Contains(tree, want) {
-			t.Errorf("tree missing %q:\n%s", want, tree)
-		}
-	}
-}
-
-// TestChildSpanNoTrace: on an un-traced context ChildSpan is a no-op — nil
-// span, unchanged context, and every method safe.
-func TestChildSpanNoTrace(t *testing.T) {
-	ctx := context.Background()
-	got, sp := ChildSpan(ctx, "prove")
-	if sp != nil {
-		t.Fatal("ChildSpan created a span without a parent trace")
-	}
-	if got != ctx {
-		t.Error("ChildSpan changed the context without a trace")
-	}
-	sp.SetNote("ignored")
-	sp.End()
-	if sp.Tree() != "" || sp.Duration() != 0 || sp.Name() != "" {
-		t.Error("nil span methods not inert")
-	}
-	if _, sp2 := ChildSpan(nil, "prove"); sp2 != nil {
-		t.Error("ChildSpan on nil context created a span")
-	}
-}
-
-// TestConcurrentChildren: parallel workers attaching children to one root
-// must be race-free (run under -race).
-func TestConcurrentChildren(t *testing.T) {
-	ctx, root := StartSpan(context.Background(), "run")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				_, sp := StartSpan(ctx, "pair")
-				sp.End()
-			}
-		}()
-	}
-	wg.Wait()
-	root.End()
-	if got := len(root.Children()); got != 800 {
-		t.Errorf("children = %d, want 800", got)
 	}
 }
 

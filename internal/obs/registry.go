@@ -1,15 +1,15 @@
 // Package obs is the repository's dependency-free observability layer: a
 // concurrent metrics registry (counters, gauges, fixed-bucket latency
-// histograms), lightweight tracing spans propagated via context.Context, and
-// exporters that render the registry as JSON or expvar.
+// histograms) and exporters that render it as JSON or expvar.
 //
-// The discovery pipeline spends hours inside constraint relaxation and SMT
-// proofs; when a run stalls the coarse per-stage counters cannot distinguish
-// one pathological pair from a cold proof cache or solver timeouts. Every hot
-// path (pipeline stages, prover calls, DPLL search, rewrite matching) records
-// into a Registry so the answer is one snapshot away. All types are safe for
-// concurrent use; the hot-path operations (Counter.Add, Gauge.Add,
-// Histogram.Observe) are single atomic updates.
+// The discovery pipeline spends most of its time inside constraint
+// relaxation and SMT proofs; per-pair and per-call latency histograms
+// (pipeline_pair_seconds, pipeline_prover_seconds) and the solver's outcome
+// counters tell one pathological pair from a cold proof cache or solver
+// timeouts. Every hot path (pipeline stages, prover calls, DPLL search,
+// rewrite matching) records into a Registry so the answer is one snapshot
+// away. All types are safe for concurrent use; the hot-path operations
+// (Counter.Add, Gauge.Add, Histogram.Observe) are single atomic updates.
 package obs
 
 import (

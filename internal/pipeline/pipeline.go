@@ -144,13 +144,6 @@ type Options struct {
 	// Metrics is the registry the run records into (stage latency histograms,
 	// queue depth, cache hit/miss counters); nil uses obs.Default().
 	Metrics *obs.Registry
-	// TraceSlow, when > 0, records a span tree per template pair (pair →
-	// prove → verify → smt.solve) and hands trees of pairs slower than the
-	// threshold to SlowPair. Zero disables span recording entirely.
-	TraceSlow time.Duration
-	// SlowPair receives the root span of each pair slower than TraceSlow.
-	// Calls are serialized. Nil drops the trees (histograms still record).
-	SlowPair func(*obs.Span)
 	// CrossCheck, when set, is called for every verifier-accepted rule before
 	// it is emitted; returning false drops the rule. The standard hook is the
 	// differential-testing oracle (difftest.CheckRule via wetune.Discover),
@@ -353,7 +346,6 @@ func Run(ctx context.Context, opts Options) *Result {
 	pairHist := reg.Histogram(metricPairSeconds)
 	rulesFound := reg.Counter(metricRulesFound)
 	var mu sync.Mutex
-	var slowMu sync.Mutex
 	var wg sync.WaitGroup
 	var completed atomic.Int64
 	for w := 0; w < opts.Workers; w++ {
@@ -367,23 +359,10 @@ func Run(ctx context.Context, opts Options) *Result {
 					reg.Counter(metricPairsSkipped).Inc()
 					continue
 				}
-				pctx := ctx
-				var sp *obs.Span
-				if opts.TraceSlow > 0 {
-					pctx, sp = obs.StartSpan(ctx, "pair "+p.src.String()+" => "+p.dest.String())
-				}
 				begin := time.Now()
-				rules := searchPair(pctx, p.src, p.dest, opts, ct)
-				rules = applyCrossCheck(pctx, rules, opts, ct)
+				rules := searchPair(ctx, p.src, p.dest, opts, ct)
+				rules = applyCrossCheck(ctx, rules, opts, ct)
 				pairHist.Observe(time.Since(begin))
-				if sp != nil {
-					sp.SetNote("%d rules", len(rules))
-					if sp.End() >= opts.TraceSlow && opts.SlowPair != nil {
-						slowMu.Lock()
-						opts.SlowPair(sp)
-						slowMu.Unlock()
-					}
-				}
 				if len(rules) > 0 {
 					mu.Lock()
 					res.Rules = append(res.Rules, rules...)
@@ -406,7 +385,7 @@ func Run(ctx context.Context, opts Options) *Result {
 
 // RunPair runs the constraint relaxation stage for a single, pre-renamed
 // template pair (the destination's symbols must be distinct from the
-// source's). Used by targeted tests and per-pair tracing.
+// source's). Used by targeted tests and the benchmark's per-pair timing.
 func RunPair(ctx context.Context, src, dest *template.Node, opts Options) ([]Rule, Stats) {
 	opts.fill()
 	if ctx == nil {

@@ -311,54 +311,6 @@ func TestWarmRunCacheHitRate(t *testing.T) {
 	}
 }
 
-// TestTraceSlowEmitsSpanTrees: with a zero-ish threshold every pair is
-// "slow"; the SlowPair hook must receive span trees whose children include
-// the prove spans.
-func TestTraceSlowEmitsSpanTrees(t *testing.T) {
-	var trees []string
-	Run(context.Background(), Options{
-		Templates:  size1Templates(),
-		PairProver: AlgebraicPairProver,
-		Metrics:    obs.NewRegistry(),
-		TraceSlow:  time.Nanosecond,
-		SlowPair:   func(sp *obs.Span) { trees = append(trees, sp.Tree()) },
-	})
-	if len(trees) == 0 {
-		t.Fatal("no slow-pair traces emitted at a 1ns threshold")
-	}
-	var sawProve bool
-	for _, tree := range trees {
-		if !strings.HasPrefix(tree, "pair ") {
-			t.Fatalf("trace root is not a pair span:\n%s", tree)
-		}
-		if strings.Contains(tree, "  prove") {
-			sawProve = true
-		}
-	}
-	if !sawProve {
-		t.Error("no trace contains a nested prove span")
-	}
-}
-
-// TestTraceDisabledNoSpans: without TraceSlow the prover context must not
-// carry a span (hot paths stay span-free by default).
-func TestTraceDisabledNoSpans(t *testing.T) {
-	var sawSpan atomic.Bool
-	probe := func(src, dest *template.Node) Prover {
-		inner := AlgebraicPairProver(src, dest)
-		return func(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool {
-			if obs.FromContext(ctx) != nil {
-				sawSpan.Store(true)
-			}
-			return inner(ctx, src, dest, cs)
-		}
-	}
-	Run(context.Background(), Options{Templates: size1Templates(), PairProver: probe, Metrics: obs.NewRegistry()})
-	if sawSpan.Load() {
-		t.Error("prover saw a span although tracing was disabled")
-	}
-}
-
 func TestFingerprintCanonicalizesSymbolIDs(t *testing.T) {
 	// The same logical rule written with different symbol IDs.
 	mk := func(r1, r2, a1, a2 int) (src, dest *template.Node, cs *constraint.Set) {

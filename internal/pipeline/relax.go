@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wetune/internal/constraint"
-	"wetune/internal/faultinject"
 	"wetune/internal/obs"
 	"wetune/internal/obs/journal"
 	"wetune/internal/smt"
@@ -129,24 +128,20 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		return false
 	}
 	s.calls++
-	ctx, sp := obs.ChildSpan(s.ctx, "prove")
-	defer sp.End()
 	fpKey := s.ns + key
 	if v, ok := s.cache.Get(fpKey); ok {
 		s.ct.cacheHits.Add(1)
 		s.reg.Counter(metricCacheHits).Inc()
 		journal.Default().Record(journal.KindCacheHit, journal.CacheProof, 0)
 		s.memo[key] = v
-		sp.SetNote("cache-hit %v (%d constraints)", v, cs.Len())
 		return v
 	}
 	s.ct.cacheMisses.Add(1)
 	s.reg.Counter(metricCacheMisses).Inc()
 	journal.Default().Record(journal.KindCacheMiss, journal.CacheProof, 0)
 	s.ct.proverCalls.Add(1)
-	faultinject.Stall(faultinject.ProverStall)
 	begin := time.Now()
-	v := s.prover(ctx, s.src, s.dest, cs)
+	v := s.prover(s.ctx, s.src, s.dest, cs)
 	dur := time.Since(begin)
 	s.reg.Histogram(metricProverSeconds).Observe(dur)
 	verdict := int64(0)
@@ -154,7 +149,6 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		verdict = 1
 	}
 	journal.Default().Record(journal.KindProver, verdict, int64(dur))
-	sp.SetNote("%v (%d constraints)", v, cs.Len())
 	if s.ctx.Err() != nil {
 		// The proof was interrupted: the conservative "false" must not be
 		// memoized anywhere a later, uncancelled run could see it.

@@ -169,7 +169,6 @@ func TestChaosAllFaultPoints(t *testing.T) {
 	})
 	defer faultinject.Reset()
 	if err := faultinject.Configure(1,
-		faultinject.Fault{Point: faultinject.ProverStall, Rate: 1, Delay: time.Millisecond},
 		faultinject.Fault{Point: faultinject.SearchStarve, Rate: 0.5},
 		faultinject.Fault{Point: faultinject.CacheSlow, Rate: 0.3, Delay: 2 * time.Millisecond},
 		faultinject.Fault{Point: faultinject.CacheFail, Rate: 0.5},

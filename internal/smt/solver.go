@@ -70,7 +70,7 @@ type Options struct {
 	// every 64 quantifier instances, theory case splits): cancellation
 	// interrupts an in-flight proof with Unknown instead of running to the
 	// next boundary.
-	// It also carries the tracing span (if any) the solve attaches to.
+	// It also carries the run's solve memo, if any (WithMemo).
 	Ctx context.Context
 	// Metrics is the registry proof durations, outcome counters and DPLL
 	// decision/backtrack counts are recorded in; nil uses obs.Default().
@@ -162,7 +162,6 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	_, sp := obs.ChildSpan(opts.Ctx, "smt.solve")
 	pool := opts.Pool
 	if pool == nil {
 		pool = intern.NewPool()
@@ -182,8 +181,6 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 			reg.Counter(metricMemoHits).Inc()
 			countOutcome(reg, e.res, e.st)
 			pool.FlushMetrics(reg)
-			sp.SetNote("%s stopped-by=%s (memo)", e.res, e.st.StoppedBy)
-			sp.End()
 			return e.res, e.st
 		}
 		key = k
@@ -199,8 +196,6 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	reg.Counter(metricBacktracks).Add(int64(st.Backtracks))
 	reg.Counter(metricInstances).Add(int64(st.Instances))
 	pool.FlushMetrics(reg)
-	sp.SetNote("%s stopped-by=%s nodes=%d decisions=%d backtracks=%d", res, st.StoppedBy, st.Nodes, st.Decisions, st.Backtracks)
-	sp.End()
 	return res, st
 }
 

@@ -213,50 +213,6 @@ func (s *Schema) Validate() error {
 	return nil
 }
 
-// DDL renders the schema as CREATE TABLE statements, mostly for
-// documentation and debugging output.
-func (s *Schema) DDL() string {
-	var b strings.Builder
-	for _, name := range s.order {
-		t := s.Tables[name]
-		fmt.Fprintf(&b, "CREATE TABLE %s (\n", t.Name)
-		for i, c := range t.Columns {
-			fmt.Fprintf(&b, "  %s %s", c.Name, c.Type)
-			if c.NotNull {
-				b.WriteString(" NOT NULL")
-			}
-			if i < len(t.Columns)-1 || len(t.PrimaryKey) > 0 || len(t.Uniques) > 0 || len(t.ForeignKeys) > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString("\n")
-		}
-		if len(t.PrimaryKey) > 0 {
-			fmt.Fprintf(&b, "  PRIMARY KEY (%s)", strings.Join(t.PrimaryKey, ", "))
-			if len(t.Uniques) > 0 || len(t.ForeignKeys) > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString("\n")
-		}
-		for i, u := range t.Uniques {
-			fmt.Fprintf(&b, "  UNIQUE (%s)", strings.Join(u, ", "))
-			if i < len(t.Uniques)-1 || len(t.ForeignKeys) > 0 {
-				b.WriteString(",")
-			}
-			b.WriteString("\n")
-		}
-		for i, fk := range t.ForeignKeys {
-			fmt.Fprintf(&b, "  FOREIGN KEY (%s) REFERENCES %s (%s)",
-				strings.Join(fk.Columns, ", "), fk.RefTable, strings.Join(fk.RefColumns, ", "))
-			if i < len(t.ForeignKeys)-1 {
-				b.WriteString(",")
-			}
-			b.WriteString("\n")
-		}
-		b.WriteString(");\n")
-	}
-	return b.String()
-}
-
 func containsAll(haystack, needles []string) bool {
 	for _, n := range needles {
 		found := false

@@ -208,7 +208,7 @@ func TestSchemaDDL(t *testing.T) {
 		Columns:    []Column{{Name: "id", Type: TInt, NotNull: true}},
 		PrimaryKey: []string{"id"},
 	})
-	ddl := s.DDL()
+	ddl := FormatDDL(s)
 	for _, want := range []string{"CREATE TABLE t", "id INT NOT NULL", "PRIMARY KEY (id)"} {
 		if !contains(ddl, want) {
 			t.Errorf("DDL missing %q:\n%s", want, ddl)

@@ -4,6 +4,7 @@ import (
 	"wetune/internal/constraint"
 	"wetune/internal/fol"
 	"wetune/internal/intern"
+	"wetune/internal/obs"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 	"wetune/internal/uexpr"
@@ -75,10 +76,17 @@ func (pc *PairContext) Verify(cs *constraint.Set) Report {
 	return pc.VerifyOpts(cs, DefaultOptions())
 }
 
-// VerifyOpts checks <src, dest, cs>, recording the same metrics and tracing
-// spans as the package-level VerifyOpts.
+// VerifyOpts checks <src, dest, cs> and counts the verdict
+// (verify_builtin_<outcome>, verify_method_<method>) in the default metrics
+// registry; the package-level VerifyOpts is a fresh context's VerifyOpts.
 func (pc *PairContext) VerifyOpts(cs *constraint.Set, opts Options) Report {
-	return instrumented(opts, func(o Options) Report { return pc.verify(cs, o) })
+	rep := pc.verify(cs, opts)
+	reg := obs.Default()
+	reg.Counter("verify_builtin_" + rep.Outcome.String()).Inc()
+	if rep.Outcome == Verified {
+		reg.Counter("verify_method_" + rep.Method.String()).Inc()
+	}
+	return rep
 }
 
 // verify runs the stages — algebraic comparison, FOL goals, SMT — with the

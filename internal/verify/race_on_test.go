@@ -4,5 +4,5 @@ package verify
 
 // raceEnabled reports whether the race detector is compiled in. Under its
 // slowdown the size-2 proof replay lifts the SMT wall-clock deadline instead
-// of asserting that no call hits it.
+// of asserting that no call hits it, and the allocation budget is skipped.
 const raceEnabled = true

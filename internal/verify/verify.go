@@ -17,10 +17,8 @@ package verify
 
 import (
 	"context"
-	"strings"
 
 	"wetune/internal/constraint"
-	"wetune/internal/obs"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 	"wetune/internal/uexpr"
@@ -110,41 +108,13 @@ func cancelled(opts Options) bool {
 
 // VerifyOpts is Verify with explicit options. Each call increments the
 // per-verdict counters (verify_builtin_<outcome>, verify_method_<method>) in
-// the default metrics registry and, when the context carries a tracing span,
-// attaches a "verify" child span noting the outcome.
+// the default metrics registry.
 //
 // One-shot verification builds a fresh PairContext per call; the relaxation
 // search holds one context per template pair instead (see PairContext), which
 // is where the translation/normalization caching pays off.
 func VerifyOpts(src, dest *template.Node, cs *constraint.Set, opts Options) Report {
-	return instrumented(opts, func(o Options) Report {
-		return NewPairContext(src, dest).verify(cs, o)
-	})
-}
-
-// instrumented wraps a verification stage with the shared span and verdict
-// counters, so the one-shot and per-pair entry points report identically.
-func instrumented(opts Options, fn func(Options) Report) Report {
-	ctx, sp := obs.ChildSpan(opts.Context, "verify")
-	if sp != nil {
-		opts.Context = ctx
-	}
-	rep := fn(opts)
-	reg := obs.Default()
-	reg.Counter("verify_builtin_" + rep.Outcome.String()).Inc()
-	if rep.Outcome == Verified {
-		reg.Counter("verify_method_" + rep.Method.String()).Inc()
-	}
-	note := rep.Outcome.String()
-	if rep.Method != MethodNone {
-		note += "/" + rep.Method.String()
-	}
-	if rep.Detail != "" {
-		note += " " + strings.SplitN(rep.Detail, "\n", 2)[0]
-	}
-	sp.SetNote("%s", note)
-	sp.End()
-	return rep
+	return NewPairContext(src, dest).VerifyOpts(cs, opts)
 }
 
 // buildEnv extracts the normalizer's fact tables from the residual of a

@@ -33,7 +33,6 @@ import (
 	"wetune/internal/datagen"
 	"wetune/internal/difftest"
 	"wetune/internal/engine"
-	"wetune/internal/obs"
 	"wetune/internal/pipeline"
 	"wetune/internal/plan"
 	"wetune/internal/rewrite"
@@ -494,14 +493,6 @@ type DiscoveryOptions struct {
 	// Progress, when set, receives a per-stage stats snapshot at every stage
 	// boundary and periodically during the search. Calls are serialized.
 	Progress func(DiscoveryProgress)
-	// TraceSlow, when > 0, records a timing-span tree per template pair
-	// (pair → prove → verify → smt.solve) and hands the rendered tree of
-	// every pair slower than the threshold to SlowTrace. Zero disables span
-	// recording, which is the default for production sweeps.
-	TraceSlow time.Duration
-	// SlowTrace receives the rendered span tree of each slow pair (see
-	// TraceSlow). Calls are serialized.
-	SlowTrace func(tree string)
 	// UseSMT verifies candidates with the full algebraic+SMT prover instead
 	// of the algebraic-only fast path: slower per pair, proves more rules,
 	// and exercises the solver so smt_* metrics populate. SMT-backed verdicts
@@ -574,15 +565,10 @@ func Discover(opts DiscoveryOptions) *DiscoveryResult {
 		Workers:         opts.Workers,
 		Cache:           pipeline.Shared(),
 		Progress:        opts.Progress,
-		TraceSlow:       opts.TraceSlow,
 	}
 	if opts.UseSMT {
 		popts.PairProver = pipeline.DefaultPairProver
 		popts.CacheNamespace = "smt:"
-	}
-	if opts.SlowTrace != nil {
-		slow := opts.SlowTrace
-		popts.SlowPair = func(sp *obs.Span) { slow(sp.Tree()) }
 	}
 	if opts.CrossCheck {
 		popts.CrossCheck = func(cctx context.Context, r pipeline.Rule) bool {
