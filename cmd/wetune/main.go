@@ -92,8 +92,8 @@
 // loadtest, soak, report) also accepts the shared
 // observability flags: -metrics FILE dumps the metrics registry as JSON on
 // exit, -debug-addr ADDR serves expvar + pprof live, and -journal FILE dumps
-// the always-on flight recorder (the last ~32k cache, prover, anomaly, level
-// and fault events) as JSONL on exit, SIGINT, or recorded anomaly.
+// the always-on flight recorder (the last 256 anomalies and service-level
+// changes) as JSONL on exit, SIGINT, or recorded anomaly.
 package main
 
 import (

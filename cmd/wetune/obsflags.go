@@ -16,7 +16,8 @@ import (
 // shares: -metrics dumps the registry as JSON on exit, -debug-addr serves
 // expvar + pprof live, and -journal dumps the always-on flight recorder as
 // JSONL. The journal additionally dumps on SIGINT and on any recorded
-// anomaly, so a crash or wedge leaves the last ~32k recorded events on disk.
+// anomaly, so a crash or wedge leaves the last anomalies and service-level
+// changes on disk.
 type obsFlags struct {
 	metricsFile string
 	debugAddr   string
@@ -27,7 +28,7 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 	f := &obsFlags{}
 	fs.StringVar(&f.metricsFile, "metrics", "", "write the metrics registry (counters, gauges, histograms) as JSON to FILE on exit")
 	fs.StringVar(&f.debugAddr, "debug-addr", "", "serve expvar (/debug/vars) and pprof (/debug/pprof/) on ADDR, e.g. :6060, while the run is live")
-	fs.StringVar(&f.journalFile, "journal", "", "dump the flight recorder (last ~32k cache, prover, anomaly, level and fault events) as JSONL to FILE on exit, SIGINT, or anomaly")
+	fs.StringVar(&f.journalFile, "journal", "", fmt.Sprintf("dump the flight recorder (the last %d anomalies and service-level changes) as JSONL to FILE on exit, SIGINT, or anomaly", journal.DefaultSize))
 	return f
 }
 
@@ -78,8 +79,8 @@ func (f *obsFlags) start() (finish func()) {
 	return func() {
 		dumpJournal("exit")
 		if f.journalFile != "" {
-			fmt.Fprintf(os.Stderr, "journal written to %s (%d events recorded, %d dropped)\n",
-				f.journalFile, journal.Default().Written(), journal.Default().Dropped())
+			fmt.Fprintf(os.Stderr, "journal written to %s (%d events recorded)\n",
+				f.journalFile, journal.Default().Written())
 		}
 		if f.metricsFile != "" {
 			if err := obs.Default().DumpFile(f.metricsFile); err != nil {

@@ -1,6 +1,6 @@
-// Package analytics aggregates rewrite provenance, flight-recorder events and
-// registry counters across the full evaluation workload into per-rule
-// effectiveness reports (`wetune report rules`). Where the flight recorder
+// Package analytics aggregates rewrite provenance and registry counters
+// across the full evaluation workload into per-rule effectiveness reports
+// (`wetune report rules`). Where the flight recorder
 // answers "what just happened", this package answers "which rules earn their
 // keep": per-rule fire/win/no-op counts, the distribution of plan-size
 // reductions each rule delivers, and the dead-rule list — rules that never fired on the

@@ -56,20 +56,20 @@ var crosscheckVariants = []datagen.Options{
 // marker value lands in every table, preserving foreign-key closure — plus a
 // NULL-heavy row per table.
 //
-// The obs counters difftest.checked / difftest.agreed / difftest.mismatched
-// and the difftest.check_seconds histogram record outcomes.
+// The obs counters difftest_checked / difftest_agreed / difftest_mismatched
+// and the difftest_check_seconds histogram record outcomes.
 func CheckRule(src, dest *template.Node, cs *constraint.Set, seed int64) (CheckResult, string) {
 	start := time.Now()
 	reg := obs.Default()
-	reg.Counter("difftest.checked").Inc()
-	defer func() { reg.Histogram("difftest.check_seconds").Observe(time.Since(start)) }()
+	reg.Counter("difftest_checked").Inc()
+	defer func() { reg.Histogram("difftest_check_seconds").Observe(time.Since(start)) }()
 
 	res, detail := checkRule(src, dest, cs, seed)
 	switch res {
 	case Agreed:
-		reg.Counter("difftest.agreed").Inc()
+		reg.Counter("difftest_agreed").Inc()
 	case Mismatched:
-		reg.Counter("difftest.mismatched").Inc()
+		reg.Counter("difftest_mismatched").Inc()
 		// A verifier/engine disagreement is exactly the moment the flight
 		// recorder exists for: flag it so the journal is dumped with the
 		// events leading up to the refuted rule still in the ring.

@@ -83,7 +83,7 @@ func TestCheckRuleCatchesBrokenTemplateRule(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			before := obs.Default().Counter("difftest.mismatched").Value()
+			before := obs.Default().Counter("difftest_mismatched").Value()
 			res, detail := CheckRule(tc.src, tc.dest, tc.cs, 42)
 			if res != tc.want {
 				t.Fatalf("CheckRule = %v, want %v (%s)", res, tc.want, detail)
@@ -91,8 +91,8 @@ func TestCheckRuleCatchesBrokenTemplateRule(t *testing.T) {
 			if tc.want != Mismatched {
 				return
 			}
-			if got := obs.Default().Counter("difftest.mismatched").Value(); got != before+1 {
-				t.Fatalf("difftest.mismatched counter not incremented: %d -> %d", before, got)
+			if got := obs.Default().Counter("difftest_mismatched").Value(); got != before+1 {
+				t.Fatalf("difftest_mismatched counter not incremented: %d -> %d", before, got)
 			}
 			if detail == "" {
 				t.Fatal("expected a diff explanation")

@@ -21,9 +21,9 @@
 //     handle through every layer; configuration is copy-on-write behind an
 //     atomic pointer, so arming mid-run is race-free against hot-path reads.
 //
-// Every fired fault is counted (obs counter "fault_injected_<point>") and
-// recorded in the flight recorder (journal.KindFault), so a chaos run's
-// injected damage is auditable after the fact.
+// Every fired fault is counted once, in the obs counter
+// "fault_injected_<point>", so a chaos run's injected damage is auditable
+// after the fact.
 package faultinject
 
 import (
@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"wetune/internal/obs"
-	"wetune/internal/obs/journal"
 )
 
 // Point names one registered fault point. The inventory is fixed at compile
@@ -71,7 +70,8 @@ func Points() []Point {
 	return []Point{SearchStarve, CacheSlow, CacheFail, EncodeError, HandlerPanic}
 }
 
-// index returns the point's position in Points (the journal payload), or -1.
+// index returns the point's position in Points, or -1; decide mixes it into
+// the point's decision stream.
 func index(p Point) int64 {
 	for i, q := range Points() {
 		if q == p {
@@ -79,16 +79,6 @@ func index(p Point) int64 {
 		}
 	}
 	return -1
-}
-
-// PointAt resolves a journal.KindFault payload back to its Point ("" when
-// out of range).
-func PointAt(i int64) Point {
-	pts := Points()
-	if i < 0 || i >= int64(len(pts)) {
-		return ""
-	}
-	return pts[i]
 }
 
 // Injected is the panic value raised by MaybePanic: the server's recover
@@ -114,7 +104,6 @@ type pointState struct {
 	threshold uint64 // fire when splitmix64(...)>>11 < threshold (53-bit space)
 	delay     time.Duration
 	calls     atomic.Uint64 // decision index = PRNG stream position
-	fired     atomic.Int64
 	firedC    *obs.Counter
 	idx       int64
 }
@@ -185,7 +174,6 @@ func Set(f Fault) error {
 	if old := p.points[f.Point]; old != nil {
 		// Continue the decision stream; only the config changes.
 		st.calls.Store(old.calls.Load())
-		st.fired.Store(old.fired.Load())
 	}
 	p.points[f.Point] = st
 	publish(p)
@@ -258,9 +246,7 @@ func (st *pointState) decide(seed uint64) bool {
 	if r>>11 >= st.threshold {
 		return false
 	}
-	st.fired.Add(1)
 	st.firedC.Inc()
-	journal.Default().Record(journal.KindFault, st.idx, int64(n))
 	return true
 }
 
@@ -300,13 +286,4 @@ func MaybePanic(pt Point) {
 	if Fire(pt) {
 		panic(Injected{Point: pt})
 	}
-}
-
-// Fired returns how many times pt has fired since it was (last) configured.
-func Fired(pt Point) int64 {
-	st, _ := lookup(pt)
-	if st == nil {
-		return 0
-	}
-	return st.fired.Load()
 }

@@ -4,10 +4,18 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wetune/internal/obs"
 )
 
+// fired reads pt's fault_injected_<point> counter, the one record of its
+// fires; tests compare it before and after.
+func fired(pt Point) int64 {
+	return obs.Default().Counter("fault_injected_" + string(pt)).Value()
+}
+
 // TestInventoryRoundTrip pins the point inventory and the index↔point mapping
-// the journal payload relies on.
+// that gives each point its own decision stream.
 func TestInventoryRoundTrip(t *testing.T) {
 	pts := Points()
 	if len(pts) == 0 {
@@ -19,12 +27,12 @@ func TestInventoryRoundTrip(t *testing.T) {
 			t.Errorf("duplicate point %q", p)
 		}
 		seen[p] = true
-		if got := PointAt(int64(i)); got != p {
-			t.Errorf("PointAt(%d) = %q, want %q", i, got, p)
+		if got := index(p); got != int64(i) {
+			t.Errorf("index(%q) = %d, want %d", p, got, i)
 		}
 	}
-	if PointAt(-1) != "" || PointAt(int64(len(pts))) != "" {
-		t.Error("PointAt out of range should return \"\"")
+	if index("bogus") != -1 {
+		t.Error("index of an unknown point should be -1")
 	}
 }
 
@@ -36,14 +44,15 @@ func TestDisarmedNeverFires(t *testing.T) {
 		t.Fatal("Armed() after Reset")
 	}
 	for _, p := range Points() {
+		before := fired(p)
 		if Fire(p) {
 			t.Errorf("disarmed point %q fired", p)
 		}
-		if Fired(p) != 0 {
-			t.Errorf("disarmed point %q has fired count %d", p, Fired(p))
-		}
 		MaybePanic(p) // must not panic
 		Stall(p)      // must not sleep
+		if got := fired(p) - before; got != 0 {
+			t.Errorf("disarmed point %q counted %d fires", p, got)
+		}
 	}
 }
 
@@ -61,6 +70,7 @@ func TestRateExtremes(t *testing.T) {
 		t.Fatal("Armed() = false after Configure")
 	}
 	const n = 200
+	failBefore, encodeBefore := fired(CacheFail), fired(EncodeError)
 	for i := 0; i < n; i++ {
 		if !Fire(CacheFail) {
 			t.Fatalf("rate-1 point did not fire on decision %d", i)
@@ -69,11 +79,11 @@ func TestRateExtremes(t *testing.T) {
 			t.Fatalf("rate-0 point fired on decision %d", i)
 		}
 	}
-	if got := Fired(CacheFail); got != n {
-		t.Errorf("Fired(CacheFail) = %d, want %d", got, n)
+	if got := fired(CacheFail) - failBefore; got != n {
+		t.Errorf("fault_injected_cache_fail moved %d, want %d", got, n)
 	}
-	if got := Fired(EncodeError); got != 0 {
-		t.Errorf("Fired(EncodeError) = %d, want 0", got)
+	if got := fired(EncodeError) - encodeBefore; got != 0 {
+		t.Errorf("fault_injected_encode_error moved %d, want 0", got)
 	}
 }
 
@@ -105,14 +115,14 @@ func TestDeterministicStreams(t *testing.T) {
 			t.Fatalf("same seed diverged at decision %d", i)
 		}
 	}
-	fired := 0
+	fires := 0
 	for _, f := range first {
 		if f {
-			fired++
+			fires++
 		}
 	}
-	if fired == 0 || fired == n {
-		t.Errorf("rate 0.5 fired %d/%d decisions — stream is degenerate", fired, n)
+	if fires == 0 || fires == n {
+		t.Errorf("rate 0.5 fired %d/%d decisions — stream is degenerate", fires, n)
 	}
 }
 
@@ -121,11 +131,11 @@ func TestDeterministicStreams(t *testing.T) {
 func TestSetPreservesOtherStreams(t *testing.T) {
 	defer Reset()
 	const n = 100
-	// Reference: CacheFail's first 2n decisions under seed 9, uninterrupted.
+	// Reference: CacheFail's first 3n decisions under seed 9, uninterrupted.
 	if err := Configure(9, Fault{Point: CacheFail, Rate: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	ref := drawN(CacheFail, 2*n)
+	ref := drawN(CacheFail, 3*n)
 
 	// Same seed, but re-arm an unrelated point midway through the stream.
 	if err := Configure(9,
@@ -139,19 +149,17 @@ func TestSetPreservesOtherStreams(t *testing.T) {
 		t.Fatal(err)
 	}
 	got = append(got, drawN(CacheFail, n)...)
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("Set of another point disturbed the stream at decision %d", i)
-		}
-	}
 
 	// Re-arming the point itself keeps its stream position too: the next
 	// decision after Set continues where the old config stopped.
-	if err := Set(Fault{Point: CacheFail, Rate: 1}); err != nil {
+	if err := Set(Fault{Point: CacheFail, Rate: 0.5}); err != nil {
 		t.Fatal(err)
 	}
-	if Fired(CacheFail) == 0 {
-		t.Error("Set on the same point reset its fired count")
+	got = append(got, drawN(CacheFail, n)...)
+	for i := range ref {
+		if ref[i] != got[i] {
+			t.Fatalf("Set disturbed the stream at decision %d", i)
+		}
 	}
 }
 
@@ -207,13 +215,14 @@ func TestStallSleepsWhenFired(t *testing.T) {
 	if err := Configure(1, Fault{Point: CacheSlow, Rate: 1, Delay: delay}); err != nil {
 		t.Fatal(err)
 	}
+	before := fired(CacheSlow)
 	start := time.Now()
 	Stall(CacheSlow)
 	if elapsed := time.Since(start); elapsed < delay {
 		t.Errorf("Stall slept %v, want >= %v", elapsed, delay)
 	}
-	if Fired(CacheSlow) != 1 {
-		t.Errorf("Fired(CacheSlow) = %d, want 1", Fired(CacheSlow))
+	if got := fired(CacheSlow) - before; got != 1 {
+		t.Errorf("fault_injected_cache_slow moved %d, want 1", got)
 	}
 }
 
@@ -263,7 +272,6 @@ func TestConcurrentReconfigure(t *testing.T) {
 				}
 				for _, p := range Points() {
 					Fire(p)
-					Fired(p)
 					Armed()
 				}
 			}

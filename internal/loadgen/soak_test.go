@@ -8,11 +8,13 @@ import (
 	"time"
 
 	"wetune/internal/faultinject"
+	"wetune/internal/obs/journal"
 )
 
 // TestDefaultScheduleShape pins the chaos script's contract: every point of
-// the inventory gets a window, every window lies inside the run, and a clean
-// tail keeps ladder recovery assertable.
+// the inventory gets a window, every window lies inside the run, search
+// starvation opens the run (the one stretch where misses are sure to reach
+// the search), and a clean tail keeps ladder recovery assertable.
 func TestDefaultScheduleShape(t *testing.T) {
 	const d = 10 * time.Second
 	phases := defaultSchedule(d)
@@ -20,9 +22,9 @@ func TestDefaultScheduleShape(t *testing.T) {
 		t.Fatal("empty schedule")
 	}
 	var lastEnd time.Duration
-	scheduled := map[faultinject.Point]bool{}
+	scheduled := map[faultinject.Point]FaultPhase{}
 	for _, ph := range phases {
-		scheduled[ph.Fault.Point] = true
+		scheduled[ph.Fault.Point] = ph
 		if ph.Fault.Rate <= 0 || ph.Fault.Rate > 1 {
 			t.Errorf("phase %s rate %v outside (0, 1]", ph.Fault.Point, ph.Fault.Rate)
 		}
@@ -37,9 +39,12 @@ func TestDefaultScheduleShape(t *testing.T) {
 		t.Errorf("last fault clears at %v — the final 15%% of the run must be clean", lastEnd)
 	}
 	for _, pt := range faultinject.Points() {
-		if !scheduled[pt] {
+		if _, ok := scheduled[pt]; !ok {
 			t.Errorf("point %q has no window in the schedule", pt)
 		}
+	}
+	if starve := scheduled[faultinject.SearchStarve]; starve.At != 0 {
+		t.Errorf("search_starve opens at %v, want at the start of the run", starve.At)
 	}
 }
 
@@ -71,11 +76,16 @@ func TestPlayScheduleArmsAndClears(t *testing.T) {
 }
 
 // TestRunSoakShort runs the full chaos soak harness at unit-test scale: the
-// fault schedule plays over live load and every invariant must hold.
+// fault schedule plays over live load, every invariant holds, every point
+// of the inventory fires, and the flight recorder retains every
+// service-level transition of the run (nothing else it records happens at a
+// rate that could push them out).
 func TestRunSoakShort(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second soak")
 	}
+	jnl := journal.Default()
+	before := jnl.Written()
 	rep, err := RunSoak(context.Background(), SoakOptions{Duration: 3 * time.Second})
 	if err != nil {
 		t.Fatal(err)
@@ -86,11 +96,23 @@ func TestRunSoakShort(t *testing.T) {
 	if rep.Load.Requests == 0 {
 		t.Error("soak made no requests")
 	}
-	if len(rep.FaultsFired) == 0 {
-		t.Error("no faults fired — the schedule never armed")
+	for _, pt := range faultinject.Points() {
+		if rep.FaultsFired[string(pt)] == 0 {
+			t.Errorf("point %q never fired: %v", pt, rep.FaultsFired)
+		}
 	}
 	if rep.FinalLevel != "full" {
 		t.Errorf("final level = %q, want full", rep.FinalLevel)
+	}
+	levels := 0
+	for _, ev := range jnl.Snapshot() {
+		if ev.Seq >= before && ev.Kind == journal.KindServiceLevel {
+			levels++
+		}
+	}
+	if written := jnl.Written() - before; int64(levels) != rep.Transitions || written != uint64(levels) {
+		t.Errorf("journal retains %d service-level events of %d written, want all %d server_level_transitions",
+			levels, written, rep.Transitions)
 	}
 }
 

@@ -6,51 +6,25 @@ import (
 	"os"
 )
 
-// line is the JSONL rendering of one event. Kind-specific payloads are
-// decoded into named fields so the dump reads without the packing table.
+// line is the JSONL rendering of one event.
 type line struct {
-	Seq  uint64 `json:"seq"`
-	TNS  int64  `json:"t_ns"`
-	Kind string `json:"kind"`
-
-	Count   *int64 `json:"count,omitempty"`
-	Proved  *bool  `json:"proved,omitempty"`
-	DurNS   *int64 `json:"dur_ns,omitempty"`
-	Cache   string `json:"cache,omitempty"`
+	Seq     uint64 `json:"seq"`
+	TNS     int64  `json:"t_ns"`
+	Kind    string `json:"kind"`
 	Anomaly string `json:"anomaly,omitempty"`
-	From    *int64 `json:"from,omitempty"`
-	To      *int64 `json:"to,omitempty"`
-	Point   *int64 `json:"point,omitempty"`
+	From    *int   `json:"from,omitempty"`
+	To      *int   `json:"to,omitempty"`
 }
 
-func cacheName(a int64) string {
-	switch a {
-	case CacheResult:
-		return "result"
-	case CachePlan:
-		return "plan"
-	}
-	return "proof"
-}
-
-// render decodes ev into its JSONL line.
-func (j *Journal) render(ev Event) line {
+// render converts ev into its JSONL line.
+func render(ev Event) line {
 	l := line{Seq: ev.Seq, TNS: int64(ev.T), Kind: ev.Kind.String()}
 	switch ev.Kind {
-	case KindProver:
-		p := ev.A == 1
-		l.Proved = &p
-		l.DurNS = &ev.B
-	case KindCacheHit, KindCacheMiss:
-		l.Cache = cacheName(ev.A)
 	case KindAnomaly:
-		l.Anomaly = j.AnomalyReason(ev.A)
+		l.Anomaly = ev.Reason
 	case KindServiceLevel:
-		l.From = &ev.A
-		l.To = &ev.B
-	case KindFault:
-		l.Point = &ev.A
-		l.Count = &ev.B
+		l.From = &ev.From
+		l.To = &ev.To
 	}
 	return l
 }
@@ -60,7 +34,7 @@ func (j *Journal) render(ev Event) line {
 func (j *Journal) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range j.Snapshot() {
-		if err := enc.Encode(j.render(ev)); err != nil {
+		if err := enc.Encode(render(ev)); err != nil {
 			return err
 		}
 	}
@@ -79,13 +53,4 @@ func (j *Journal) DumpFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// CountByKind tallies the retained events per kind.
-func (j *Journal) CountByKind() map[string]int {
-	out := map[string]int{}
-	for _, ev := range j.Snapshot() {
-		out[ev.Kind.String()]++
-	}
-	return out
 }

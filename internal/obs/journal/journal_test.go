@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -15,41 +16,45 @@ import (
 func TestRecordAndSnapshotOrder(t *testing.T) {
 	j := New(64)
 	for i := 0; i < 10; i++ {
-		j.Record(KindProver, 1, int64(i))
+		j.ServiceLevel(i, i+1)
 	}
 	evs := j.Snapshot()
 	if len(evs) != 10 {
 		t.Fatalf("got %d events, want 10", len(evs))
 	}
 	for i, ev := range evs {
-		if ev.Seq != uint64(i) || ev.B != int64(i) {
-			t.Fatalf("event %d out of order: seq=%d b=%d", i, ev.Seq, ev.B)
+		if ev.Seq != uint64(i) || ev.From != i || ev.To != i+1 {
+			t.Fatalf("event %d out of order: %+v", i, ev)
 		}
-		if ev.Kind != KindProver {
+		if ev.Kind != KindServiceLevel {
 			t.Fatalf("event %d kind = %v", i, ev.Kind)
 		}
 	}
 }
 
 func TestRingOverwritesOldest(t *testing.T) {
-	j := New(64) // rounded to 64 slots
+	j := New(50)
 	n := 200
 	for i := 0; i < n; i++ {
-		j.Record(KindCacheHit, CacheResult, int64(i))
+		j.ServiceLevel(0, i)
 	}
 	evs := j.Snapshot()
-	if len(evs) != 64 {
-		t.Fatalf("retained %d events, want 64", len(evs))
+	if len(evs) != 50 {
+		t.Fatalf("retained %d events, want 50", len(evs))
 	}
-	if evs[0].Seq != uint64(n-64) || evs[len(evs)-1].Seq != uint64(n-1) {
-		t.Fatalf("retained window [%d,%d], want [%d,%d]",
-			evs[0].Seq, evs[len(evs)-1].Seq, n-64, n-1)
+	for i, ev := range evs {
+		if want := n - 50 + i; ev.Seq != uint64(want) || ev.To != want {
+			t.Fatalf("retained event %d = %+v, want seq %d", i, ev, want)
+		}
 	}
 	if j.Written() != uint64(n) {
 		t.Fatalf("Written = %d, want %d", j.Written(), n)
 	}
 }
 
+// TestConcurrentWritersAndReaders: writers of both kinds and readers share
+// the ring race-cleanly (run under -race), every event is counted, and a
+// snapshot is a contiguous, seq-ordered window of whole events.
 func TestConcurrentWritersAndReaders(t *testing.T) {
 	j := New(1024)
 	var wg sync.WaitGroup
@@ -59,18 +64,27 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				j.Record(KindFault, int64(w), int64(i))
+				if i%2 == 0 {
+					j.ServiceLevel(w, i)
+				} else {
+					j.Anomaly(fmt.Sprintf("writer %d event %d", w, i))
+				}
 			}
 		}(w)
 	}
-	// Concurrent snapshots must be race-clean and internally consistent.
 	for r := 0; r < 4; r++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				for _, ev := range j.Snapshot() {
-					if ev.Kind != KindFault && ev.Kind != 0 {
+				evs := j.Snapshot()
+				for k, ev := range evs {
+					if k > 0 && ev.Seq != evs[k-1].Seq+1 {
+						t.Errorf("snapshot not contiguous at %d: %d then %d", k, evs[k-1].Seq, ev.Seq)
+						return
+					}
+					if ev.Kind == KindAnomaly && !strings.HasPrefix(ev.Reason, "writer ") ||
+						ev.Kind == KindServiceLevel && ev.Reason != "" {
 						t.Errorf("torn event: %+v", ev)
 						return
 					}
@@ -83,24 +97,16 @@ func TestConcurrentWritersAndReaders(t *testing.T) {
 		t.Fatalf("Written = %d, want %d", got, writers*perWriter)
 	}
 	evs := j.Snapshot()
-	if len(evs) != 1024 {
-		t.Fatalf("retained %d, want full ring 1024", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Seq <= evs[i-1].Seq {
-			t.Fatalf("snapshot not seq-ordered at %d: %d then %d", i, evs[i-1].Seq, evs[i].Seq)
-		}
+	if len(evs) != 1024 || evs[len(evs)-1].Seq != writers*perWriter-1 {
+		t.Fatalf("retained %d events ending at seq %d, want the last 1024", len(evs), evs[len(evs)-1].Seq)
 	}
 }
 
 func TestWriteJSONLDecodesPayloads(t *testing.T) {
 	j := New(64)
-	j.Record(KindProver, 1, 12345)
-	j.Record(KindCacheMiss, CacheResult, 0)
-	j.Record(KindCacheHit, CacheProof, 0)
-	j.Record(KindServiceLevel, 0, 1)
-	j.Record(KindFault, 3, 17)
+	j.ServiceLevel(0, 1)
 	j.Anomaly("prover disagreement")
+	j.ServiceLevel(1, 0)
 
 	var buf bytes.Buffer
 	if err := j.WriteJSONL(&buf); err != nil {
@@ -115,112 +121,94 @@ func TestWriteJSONLDecodesPayloads(t *testing.T) {
 		}
 		lines = append(lines, m)
 	}
-	if len(lines) != 6 {
-		t.Fatalf("got %d lines, want 6", len(lines))
+	if len(lines) != 3 {
+		t.Fatalf("got %d lines, want 3", len(lines))
 	}
-	if lines[0]["kind"] != "prover" || lines[0]["proved"] != true || lines[0]["dur_ns"] != float64(12345) {
+	if lines[0]["kind"] != "service_level" || lines[0]["from"] != float64(0) || lines[0]["to"] != float64(1) {
 		t.Fatalf("line 0 = %v", lines[0])
 	}
-	if lines[1]["kind"] != "cache_miss" || lines[1]["cache"] != "result" {
+	if lines[1]["kind"] != "anomaly" || lines[1]["anomaly"] != "prover disagreement" {
 		t.Fatalf("line 1 = %v", lines[1])
 	}
-	if lines[2]["kind"] != "cache_hit" || lines[2]["cache"] != "proof" {
+	if _, ok := lines[1]["from"]; ok {
+		t.Fatalf("anomaly line carries a level: %v", lines[1])
+	}
+	if lines[2]["kind"] != "service_level" || lines[2]["from"] != float64(1) || lines[2]["to"] != float64(0) {
 		t.Fatalf("line 2 = %v", lines[2])
 	}
-	if lines[3]["kind"] != "service_level" || lines[3]["from"] != float64(0) || lines[3]["to"] != float64(1) {
-		t.Fatalf("line 3 = %v", lines[3])
-	}
-	if lines[4]["kind"] != "fault" || lines[4]["point"] != float64(3) || lines[4]["count"] != float64(17) {
-		t.Fatalf("line 4 = %v", lines[4])
-	}
-	if lines[5]["kind"] != "anomaly" || lines[5]["anomaly"] != "prover disagreement" {
-		t.Fatalf("line 5 = %v", lines[5])
-	}
-	for i, l := range lines {
-		if _, ok := l["rule"]; ok {
-			t.Fatalf("line %d carries a rule field: %v", i, l)
-		}
+	if _, ok := lines[2]["anomaly"]; ok {
+		t.Fatalf("level line carries an anomaly: %v", lines[2])
 	}
 }
 
 func TestAnomalySinkAndDumpFile(t *testing.T) {
 	j := New(64)
 	path := filepath.Join(t.TempDir(), "flight.jsonl")
+	long := "boom\n" + strings.Repeat("x", 2*maxReasonBytes)
+	var got string
 	j.SetAnomalySink(func(reason string) {
+		got = reason
 		if err := j.DumpFile(path); err != nil {
 			t.Error(err)
 		}
 	})
-	j.Record(KindCacheMiss, CacheProof, 0)
-	j.Anomaly("boom")
+	j.ServiceLevel(0, 1)
+	j.Anomaly(long)
+	if got != long {
+		t.Fatalf("sink got %d bytes of the reason, want all %d", len(got), len(long))
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("anomaly sink did not dump: %v", err)
 	}
-	if !bytes.Contains(data, []byte(`"anomaly":"boom"`)) {
-		t.Fatalf("dump missing anomaly line:\n%s", data)
+	if !bytes.Contains(data, []byte(`"anomaly":"boom\nxxx`)) {
+		t.Fatalf("dump missing anomaly line:\n%.200s", data)
 	}
-	if !bytes.Contains(data, []byte(`"kind":"cache_miss"`)) {
-		t.Fatalf("dump missing earlier event:\n%s", data)
-	}
-}
-
-func TestCountByKind(t *testing.T) {
-	j := New(64)
-	j.Record(KindCacheMiss, CacheProof, 0)
-	j.Record(KindCacheMiss, CacheResult, 0)
-	j.Record(KindProver, 1, 10)
-	got := j.CountByKind()
-	if got["cache_miss"] != 2 || got["prover"] != 1 {
-		t.Fatalf("CountByKind = %v", got)
+	if !bytes.Contains(data, []byte(`"kind":"service_level"`)) {
+		t.Fatalf("dump missing earlier event:\n%.200s", data)
 	}
 }
 
-// TestAnomalyReasonsAreBounded: the reason table keeps only the latest
-// anomalyReasonSlots reasons, so a stream of anomalies (each a handler
-// panic's stack) cannot grow the heap; an evicted id resolves to "".
+// TestAnomalyReasonsAreBounded: each event keeps at most maxReasonBytes
+// (4 KiB) of its reason, in a copy of its own, so a ring of size events
+// holds at most size × 4 KiB of reasons however many anomalies arrive and
+// however long their reasons are.
 func TestAnomalyReasonsAreBounded(t *testing.T) {
-	j := New(256) // the ring keeps every event; only the reason table evicts
-	const n = 3*anomalyReasonSlots + 5
-	stack := strings.Repeat("x", 1024)
+	const size, n, reasonBytes = 4, 32, 1 << 20
+	j := New(size)
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
 	for i := 0; i < n; i++ {
-		j.Anomaly(fmt.Sprintf("panic %d\n%s", i, stack))
+		// A fresh 1-MiB string per anomaly: a kept substring would pin it.
+		j.Anomaly(fmt.Sprintf("panic %d\n", i) + strings.Repeat("x", reasonBytes))
 	}
-	retained := 0
-	for _, r := range j.anomalyReasons {
-		if r != "" {
-			retained += len(r)
+	evs := j.Snapshot()
+	if len(evs) != size {
+		t.Fatalf("retained %d events, want %d", len(evs), size)
+	}
+	for i, ev := range evs {
+		if !strings.HasPrefix(ev.Reason, fmt.Sprintf("panic %d\n", n-size+i)) || len(ev.Reason) != maxReasonBytes {
+			t.Fatalf("event %d keeps %d bytes starting %.12q, want the first %d of anomaly %d",
+				i, len(ev.Reason), ev.Reason, maxReasonBytes, n-size+i)
 		}
 	}
-	if max := anomalyReasonSlots * (len(stack) + len("panic 999\n")); retained > max {
-		t.Fatalf("reason table holds %d bytes after %d anomalies, bound %d", retained, n, max)
+	// The bound is size × 4 KiB = 16 KiB; one pinned 1-MiB reason breaks it.
+	if grew := int64(heap()) - int64(before); grew > reasonBytes/2 {
+		t.Fatalf("heap grew %d bytes after %d anomalies into a ring of %d, bound %d",
+			grew, n, size, size*maxReasonBytes)
 	}
-	if got, want := j.AnomalyReason(n-1), fmt.Sprintf("panic %d\n%s", n-1, stack); got != want {
-		t.Fatalf("newest reason resolves to %.20q, want %.20q", got, want)
-	}
-	if got := j.AnomalyReason(n - anomalyReasonSlots); !strings.HasPrefix(got, fmt.Sprintf("panic %d\n", n-anomalyReasonSlots)) {
-		t.Fatalf("oldest retained reason resolves to %.20q", got)
-	}
-	for _, id := range []int64{0, n - anomalyReasonSlots - 1, n, -1} {
-		if got := j.AnomalyReason(id); got != "" {
-			t.Fatalf("evicted or unknown id %d resolves to %.20q, want \"\"", id, got)
-		}
-	}
-	// The ring still holds every anomaly event; the dump renders those whose
-	// reason was evicted without one.
-	var buf bytes.Buffer
-	if err := j.WriteJSONL(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(buf.String(), `"anomaly":"panic`); got != anomalyReasonSlots {
-		t.Fatalf("dump resolves %d anomaly reasons, want %d", got, anomalyReasonSlots)
-	}
+	runtime.KeepAlive(j)
 }
 
-func BenchmarkRecord(b *testing.B) {
+func BenchmarkServiceLevel(b *testing.B) {
 	j := New(DefaultSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		j.Record(KindCacheHit, CacheResult, int64(i))
+		j.ServiceLevel(0, i)
 	}
 }

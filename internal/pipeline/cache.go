@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"wetune/internal/constraint"
 	"wetune/internal/smt"
@@ -27,11 +26,9 @@ import (
 // distinct goal is solved once for as long as the verdicts live. The memo is
 // not persisted by SaveFile.
 type ProofCache struct {
-	mu     sync.RWMutex
-	m      map[string]bool
-	hits   atomic.Int64
-	misses atomic.Int64
-	memo   smt.Memo
+	mu   sync.RWMutex
+	m    map[string]bool
+	memo smt.Memo
 }
 
 // NewProofCache returns an empty cache.
@@ -45,16 +42,12 @@ var shared = NewProofCache()
 // reduction and the CLI.
 func Shared() *ProofCache { return shared }
 
-// Get returns the cached verdict for a fingerprint, recording a hit or miss.
+// Get returns the cached verdict for a fingerprint. The caller counts the
+// hit or miss (Stats, pipeline_cache_hits/_misses).
 func (c *ProofCache) Get(key string) (verdict, ok bool) {
 	c.mu.RLock()
 	verdict, ok = c.m[key]
 	c.mu.RUnlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
 	return verdict, ok
 }
 
@@ -73,12 +66,6 @@ func (c *ProofCache) Len() int {
 	defer c.mu.RUnlock()
 	return len(c.m)
 }
-
-// Hits returns the cumulative hit count.
-func (c *ProofCache) Hits() int64 { return c.hits.Load() }
-
-// Misses returns the cumulative miss count.
-func (c *ProofCache) Misses() int64 { return c.misses.Load() }
 
 // SaveFile persists the cache as "verdict fingerprint" lines, so repeated CLI
 // runs can reuse verdicts across processes.

@@ -11,6 +11,7 @@ import (
 
 	"wetune/internal/constraint"
 	"wetune/internal/obs"
+	"wetune/internal/obs/journal"
 	"wetune/internal/template"
 )
 
@@ -99,12 +100,17 @@ func TestSMTProofInterruptedByContext(t *testing.T) {
 
 // TestWarmCacheSameRulesFewerProverCalls: a second run over the same template
 // set reports cache hits and discovers the identical rule set with fewer
-// prover invocations.
+// prover invocations. Neither run writes a flight-recorder event: Stats and
+// the pipeline_* counters are the record of prover calls and cache lookups.
 func TestWarmCacheSameRulesFewerProverCalls(t *testing.T) {
 	templates := template.Enumerate(template.EnumOptions{MaxSize: 2})
 	cache := NewProofCache()
+	before := journal.Default().Written()
 	cold := Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache})
 	warm := Run(context.Background(), Options{Templates: templates, PairProver: AlgebraicPairProver, Cache: cache})
+	if n := journal.Default().Written() - before; n != 0 {
+		t.Errorf("a cold and a warm size-2 run wrote %d journal events, want 0", n)
+	}
 
 	if warm.Stats.CacheHits == 0 {
 		t.Fatal("warm run reported no cache hits")

@@ -8,7 +8,6 @@ import (
 
 	"wetune/internal/constraint"
 	"wetune/internal/obs"
-	"wetune/internal/obs/journal"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 )
@@ -132,23 +131,15 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	if v, ok := s.cache.Get(fpKey); ok {
 		s.ct.cacheHits.Add(1)
 		s.reg.Counter(metricCacheHits).Inc()
-		journal.Default().Record(journal.KindCacheHit, journal.CacheProof, 0)
 		s.memo[key] = v
 		return v
 	}
 	s.ct.cacheMisses.Add(1)
 	s.reg.Counter(metricCacheMisses).Inc()
-	journal.Default().Record(journal.KindCacheMiss, journal.CacheProof, 0)
 	s.ct.proverCalls.Add(1)
 	begin := time.Now()
 	v := s.prover(s.ctx, s.src, s.dest, cs)
-	dur := time.Since(begin)
-	s.reg.Histogram(metricProverSeconds).Observe(dur)
-	verdict := int64(0)
-	if v {
-		verdict = 1
-	}
-	journal.Default().Record(journal.KindProver, verdict, int64(dur))
+	s.reg.Histogram(metricProverSeconds).Observe(time.Since(begin))
 	if s.ctx.Err() != nil {
 		// The proof was interrupted: the conservative "false" must not be
 		// memoized anywhere a later, uncancelled run could see it.

@@ -8,7 +8,6 @@ import (
 
 	"wetune/internal/faultinject"
 	"wetune/internal/obs"
-	"wetune/internal/obs/journal"
 	"wetune/internal/plan"
 )
 
@@ -75,7 +74,6 @@ type shardedLRU[V any] struct {
 	// Cached obs handles: resolving a counter by name costs a registry
 	// RWMutex + map lookup, which is measurable on the per-request hot path.
 	hitC, missC *obs.Counter
-	cacheID     int64 // journal cache identity (CacheResult or CachePlan)
 }
 
 // defaultShardCount picks the shard count when the caller does not:
@@ -89,7 +87,7 @@ func defaultShardCount() int {
 	return s
 }
 
-func newShardedLRU[V any](capacity, shards int, metric string, cacheID int64) *shardedLRU[V] {
+func newShardedLRU[V any](capacity, shards int, metric string) *shardedLRU[V] {
 	if capacity <= 0 {
 		capacity = 256
 	}
@@ -103,11 +101,10 @@ func newShardedLRU[V any](capacity, shards int, metric string, cacheID int64) *s
 	}
 	perShard := (capacity + n - 1) / n
 	c := &shardedLRU[V]{
-		shards:  make([]lruShard[V], n),
-		mask:    uint32(n - 1),
-		hitC:    obs.Default().Counter(metric + "_hits"),
-		missC:   obs.Default().Counter(metric + "_misses"),
-		cacheID: cacheID,
+		shards: make([]lruShard[V], n),
+		mask:   uint32(n - 1),
+		hitC:   obs.Default().Counter(metric + "_hits"),
+		missC:  obs.Default().Counter(metric + "_misses"),
 	}
 	for i := range c.shards {
 		c.shards[i].cap = perShard
@@ -146,7 +143,6 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 			sh.misses.Add(1)
 			sh.mu.Unlock()
 			c.missC.Add(1)
-			journal.Default().Record(journal.KindCacheMiss, c.cacheID, 0)
 			var zero V
 			return zero, false
 		}
@@ -157,7 +153,6 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 		sh.misses.Add(1)
 		sh.mu.Unlock()
 		c.missC.Add(1)
-		journal.Default().Record(journal.KindCacheMiss, c.cacheID, 0)
 		var zero V
 		return zero, false
 	}
@@ -166,7 +161,6 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 	v := el.Value.(*lruEntry[V]).val
 	sh.mu.Unlock()
 	c.hitC.Add(1)
-	journal.Default().Record(journal.KindCacheHit, c.cacheID, 0)
 	return v, true
 }
 
@@ -237,7 +231,7 @@ func NewResultCache(n int) *ResultCache { return newResultCacheShards(n, 0) }
 // (rounded up to a power of two; 0 picks the default, which scales with
 // GOMAXPROCS).
 func newResultCacheShards(n, shards int) *ResultCache {
-	return &ResultCache{c: newShardedLRU[CachedResult](n, shards, "rewrite_result_cache", journal.CacheResult)}
+	return &ResultCache{c: newShardedLRU[CachedResult](n, shards, "rewrite_result_cache")}
 }
 
 // Get looks up key, promoting it to most-recently-used on a hit.
@@ -276,7 +270,7 @@ func NewPlanCache(n int) *PlanCache { return newPlanCacheShards(n, 0) }
 // newPlanCacheShards is NewPlanCache with an explicit shard count (rounded
 // up to a power of two; 0 picks the default).
 func newPlanCacheShards(n, shards int) *PlanCache {
-	return &PlanCache{c: newShardedLRU[plan.Node](n, shards, "rewrite_plan_cache", journal.CachePlan)}
+	return &PlanCache{c: newShardedLRU[plan.Node](n, shards, "rewrite_plan_cache")}
 }
 
 // Get looks up a search-ready plan by normalized query text. The returned

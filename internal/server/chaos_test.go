@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"wetune/internal/faultinject"
+	"wetune/internal/obs"
 )
 
 // TestServiceLevelHeaderIdle: an unloaded server serves at full effort and
@@ -177,6 +178,14 @@ func TestChaosAllFaultPoints(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
+	// A fire's one record is its process-wide fault_injected_<point> counter.
+	fired := func(pt faultinject.Point) int64 {
+		return obs.Default().Counter("fault_injected_" + string(pt)).Value()
+	}
+	firedBefore := map[faultinject.Point]int64{}
+	for _, pt := range faultinject.Points() {
+		firedBefore[pt] = fired(pt)
+	}
 
 	var mu sync.Mutex
 	statuses := map[int]int{}
@@ -220,19 +229,17 @@ func TestChaosAllFaultPoints(t *testing.T) {
 	if unmarked500 > 0 {
 		t.Errorf("%d 500s without the injected-fault header", unmarked500)
 	}
-	for _, pt := range []faultinject.Point{
-		faultinject.CacheSlow, faultinject.CacheFail,
-		faultinject.EncodeError, faultinject.HandlerPanic,
-	} {
-		if faultinject.Fired(pt) == 0 {
+	for _, pt := range faultinject.Points() {
+		if fired(pt) == firedBefore[pt] {
 			t.Errorf("point %q never fired over %d requests", pt, 8*40)
 		}
 	}
 	if got := reg.Counter("server_panics").Value(); got != 0 {
 		t.Errorf("server_panics = %d, want 0 — injected panics leaked into the real-panic counter", got)
 	}
-	if inj := reg.Counter("server_injected_panics").Value(); inj != faultinject.Fired(faultinject.HandlerPanic) {
-		t.Errorf("server_injected_panics = %d, fired = %d", inj, faultinject.Fired(faultinject.HandlerPanic))
+	panics := fired(faultinject.HandlerPanic) - firedBefore[faultinject.HandlerPanic]
+	if inj := reg.Counter("server_injected_panics").Value(); inj != panics {
+		t.Errorf("server_injected_panics = %d, fired = %d", inj, panics)
 	}
 
 	// Disarm, let the ladder settle, and drain: the daemon must be at rest.

@@ -130,7 +130,7 @@ func (l *ladder) step(from, to ServiceLevel) {
 	l.level.Store(int32(to))
 	l.levelG.Set(int64(to))
 	l.transC.Inc()
-	l.jnl.Record(journal.KindServiceLevel, int64(from), int64(to))
+	l.jnl.ServiceLevel(int(from), int(to))
 }
 
 // controlLoop is the load controller goroutine: every SampleEvery it feeds

@@ -447,7 +447,7 @@ func lastAnomaly(jr *journal.Journal) string {
 	events := jr.Snapshot()
 	for i := len(events) - 1; i >= 0; i-- {
 		if events[i].Kind == journal.KindAnomaly {
-			return jr.AnomalyReason(events[i].A)
+			return events[i].Reason
 		}
 	}
 	return ""

@@ -78,7 +78,8 @@ type Config struct {
 	// Registry receives the server metrics (default obs.Default; note the
 	// rewrite engine's own counters always land in obs.Default).
 	Registry *obs.Registry
-	// Journal receives anomaly events (default journal.Default).
+	// Journal receives anomaly and service-level events (default
+	// journal.Default).
 	Journal *journal.Journal
 	// Degradation tunes the overload ladder (see DegradationConfig; the zero
 	// value enables it with defaults).

@@ -118,10 +118,16 @@ func TestRewriteGolden(t *testing.T) {
 // identical request answers from the cache with the same payload plus the
 // cached marker.
 func TestRewriteCachedSecondCall(t *testing.T) {
-	s, _, _ := newTestServer(t, nil)
+	s, _, jr := newTestServer(t, nil)
 	body := `{"sql": "SELECT DISTINCT id FROM labels"}`
+	own, process := jr.Written(), journal.Default().Written()
 	first := do(s, http.MethodPost, "/v1/rewrite", body)
 	second := do(s, http.MethodPost, "/v1/rewrite", body)
+	// A miss and a hit write no flight-recorder event: a request's cache
+	// decision is RewriteResult.Cached and the rewrite_result_cache_* counters.
+	if n, m := jr.Written()-own, journal.Default().Written()-process; n != 0 || m != 0 {
+		t.Errorf("a miss and a hit wrote %d events to the server's journal and %d to the process's, want 0", n, m)
+	}
 	var a, b rewriteResponse
 	if err := json.Unmarshal(first.Body.Bytes(), &a); err != nil {
 		t.Fatal(err)

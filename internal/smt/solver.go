@@ -201,11 +201,26 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 
 // countOutcome counts one answer, and an Unknown by its cause.
 func countOutcome(reg *obs.Registry, res Result, st Stats) {
-	reg.Counter(metricOutcome + res.String()).Inc()
+	reg.Counter(outcomeCounters[res]).Inc()
 	if res == Unknown {
-		reg.Counter(metricUnknownBy + st.StoppedBy.String()).Inc()
+		reg.Counter(unknownByCounters[st.StoppedBy]).Inc()
 	}
 }
+
+// The outcome counters' names, built once rather than per call.
+var (
+	outcomeCounters = [...]string{
+		Unknown: metricOutcome + Unknown.String(),
+		Sat:     metricOutcome + Sat.String(),
+		Unsat:   metricOutcome + Unsat.String(),
+	}
+	unknownByCounters = func() (names [len(stopNames)]string) {
+		for i, stop := range stopNames {
+			names[i] = metricUnknownBy + stop
+		}
+		return names
+	}()
+)
 
 // ProveValid reports whether hypotheses => goal is valid, by checking
 // hypotheses AND NOT goal for unsatisfiability.

@@ -9,7 +9,8 @@ import (
 // TestPairContextVerifyAllocBudget pins the allocations of a warm
 // PairContext.VerifyOpts — the call the relaxation search makes for every
 // candidate set of a pair once the set's closure is prepared. The call formats
-// no trace note, so per-call formatting cannot creep back in unnoticed.
+// no trace note and builds no counter name, so per-call formatting cannot
+// creep back in unnoticed.
 func TestPairContextVerifyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
@@ -30,8 +31,8 @@ func TestPairContextVerifyAllocBudget(t *testing.T) {
 		want   Outcome
 		allocs float64
 	}{
-		{"proved", cs, DefaultOptions(), Verified, 16},
-		{"rejected", constraint.NewSet(weaker...), Options{SkipSMT: true}, Rejected, 12},
+		{"proved", cs, DefaultOptions(), Verified, 14},
+		{"rejected", constraint.NewSet(weaker...), Options{SkipSMT: true}, Rejected, 11},
 	} {
 		pc := NewPairContext(src, dest)
 		if rep := pc.VerifyOpts(tc.cs, tc.opts); rep.Outcome != tc.want {

@@ -82,12 +82,26 @@ func (pc *PairContext) Verify(cs *constraint.Set) Report {
 func (pc *PairContext) VerifyOpts(cs *constraint.Set, opts Options) Report {
 	rep := pc.verify(cs, opts)
 	reg := obs.Default()
-	reg.Counter("verify_builtin_" + rep.Outcome.String()).Inc()
+	reg.Counter(outcomeCounters[rep.Outcome]).Inc()
 	if rep.Outcome == Verified {
-		reg.Counter("verify_method_" + rep.Method.String()).Inc()
+		reg.Counter(methodCounters[rep.Method]).Inc()
 	}
 	return rep
 }
+
+// The verdict counters' names, built once rather than per call.
+var (
+	outcomeCounters = [...]string{
+		Verified:    "verify_builtin_" + Verified.String(),
+		Rejected:    "verify_builtin_" + Rejected.String(),
+		Unsupported: "verify_builtin_" + Unsupported.String(),
+	}
+	methodCounters = [...]string{
+		MethodNone:      "verify_method_" + MethodNone.String(),
+		MethodAlgebraic: "verify_method_" + MethodAlgebraic.String(),
+		MethodSMT:       "verify_method_" + MethodSMT.String(),
+	}
+)
 
 // verify runs the stages — algebraic comparison, FOL goals, SMT — with the
 // constraint-independent work served from the context. One-shot VerifyOpts
