@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	wetune discover [-size N] [-budget 30s] [-workers N] [-cache FILE] [-progress]
+//	wetune discover [-size N] [-budget 30s] [-workers N] [-progress]
 //	                [-metrics FILE] [-debug-addr :6060]
 //	                                            run rule discovery (Ctrl-C cancels and still
-//	                                            persists -cache; -metrics dumps the registry
-//	                                            as JSON on exit; -debug-addr serves expvar +
-//	                                            pprof live)
+//	                                            prints the rules found so far; -metrics dumps
+//	                                            the registry as JSON on exit; -debug-addr
+//	                                            serves expvar + pprof live)
 //	wetune rules                                print the Table 7 rule library
 //	wetune verify                               verify the rule library with both verifiers
 //	wetune fuzz [-seed N] [-n N] [-budget 30s] [-rows N] [-repro FILE] [-all]
@@ -105,14 +105,12 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on the default mux for -debug-addr
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"wetune"
 	"wetune/internal/analytics"
 	"wetune/internal/bench"
 	"wetune/internal/difftest"
-	"wetune/internal/pipeline"
 	"wetune/internal/rules"
 	"wetune/internal/spes"
 	"wetune/internal/verify"
@@ -185,7 +183,6 @@ func cmdDiscover(args []string) int {
 	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 4.5 s with the default -prover full and 1.5 s with -prover algebraic, 4 about 42 s with -prover algebraic, on 2 vCPUs; the paper uses 4)")
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget (interrupts in-flight proofs)")
 	workers := fs.Int("workers", 0, "search workers (0 = GOMAXPROCS)")
-	cacheFile := fs.String("cache", "", "proof-cache file: verdicts load before and persist after, so repeated runs re-prove nothing")
 	progress := fs.Bool("progress", false, "print per-stage progress while searching")
 	prover := fs.String("prover", "full", "candidate prover: full (algebraic + SMT fallback) or algebraic (fast path only)")
 	of := addObsFlags(fs)
@@ -194,54 +191,17 @@ func cmdDiscover(args []string) int {
 		return exitUsage
 	}
 
-	if *cacheFile != "" {
-		if err := pipeline.Shared().LoadFile(*cacheFile); err != nil {
-			fmt.Fprintln(os.Stderr, "cache load:", err)
-			return exitError
-		}
-	}
-	// saveCache is called from the normal exit path AND from the signal
-	// watcher below, so a Ctrl-C mid-search persists the verdicts proven so
-	// far instead of discarding hours of prover work. The mutex keeps the two
-	// paths from interleaving writes; saving twice is harmless (last write
-	// has the most verdicts).
-	var saveMu sync.Mutex
-	saveCache := func(when string) {
-		if *cacheFile == "" {
-			return
-		}
-		saveMu.Lock()
-		defer saveMu.Unlock()
-		if err := pipeline.Shared().SaveFile(*cacheFile); err != nil {
-			fmt.Fprintf(os.Stderr, "cache save (%s): %v\n", when, err)
-			return
-		}
-		if when != "exit" {
-			fmt.Fprintf(os.Stderr, "cache saved to %s (%s)\n", *cacheFile, when)
-		}
-	}
-
 	finish := of.start()
 
-	// Ctrl-C cancels the run; the rules found so far are still printed and
-	// the proof cache is persisted immediately (a second Ctrl-C, after stop()
-	// restores default signal handling, force-kills the process).
+	// Ctrl-C cancels the run and the rules found so far are still printed;
+	// stop() then restores default signal handling, so a second Ctrl-C
+	// force-kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	finished := make(chan struct{})
-	defer close(finished)
-	go func() {
-		select {
-		case <-ctx.Done():
-			saveCache("interrupted")
-			stop()
-		case <-finished:
-		}
-	}()
+	context.AfterFunc(ctx, stop)
 
 	// The budget wraps the Ctrl-C context instead of replacing it, so only
-	// Ctrl-C reaches the watcher above; a run the budget ends saves its cache
-	// on the normal exit path.
+	// Ctrl-C, not the budget, calls stop above.
 	runCtx := ctx
 	if *budget > 0 {
 		var cancel context.CancelFunc
@@ -281,7 +241,6 @@ func cmdDiscover(args []string) int {
 	for i, r := range res.Rules {
 		fmt.Printf("%4d  %s\n      => %s\n      under %s\n", i+1, r.Source, r.Destination, r.Constraints)
 	}
-	saveCache("exit")
 	finish()
 	return exitOK
 }

@@ -3,8 +3,7 @@
 // constraint sets.
 //
 // The run is budgeted and cancellable: the budget interrupts the proof in
-// flight (not just the next pair boundary), and a second pass over the same
-// templates is answered from the shared proof cache without re-proving.
+// flight (not just the next pair boundary).
 package main
 
 import (
@@ -23,15 +22,11 @@ func main() {
 
 	fmt.Printf("enumerating templates up to size %d and searching for rules (budget %v)...\n",
 		*size, *budget)
-	// discover runs one pass under its own budget: the context's timeout.
-	discover := func(opts wetune.DiscoveryOptions) *wetune.DiscoveryResult {
-		ctx, cancel := context.WithTimeout(context.Background(), *budget)
-		defer cancel()
-		opts.Context = ctx
-		return wetune.Discover(opts)
-	}
-	res := discover(wetune.DiscoveryOptions{
+	ctx, cancel := context.WithTimeout(context.Background(), *budget)
+	defer cancel()
+	res := wetune.Discover(wetune.DiscoveryOptions{
 		MaxTemplateSize: *size,
+		Context:         ctx,
 		Progress: func(p wetune.DiscoveryProgress) {
 			if p.Stage == "done" {
 				fmt.Printf("  stage timings: enumeration %v, total %v\n",
@@ -40,8 +35,8 @@ func main() {
 			}
 		},
 	})
-	fmt.Printf("templates: %d, pairs tried: %d, verifier calls: %d, cache hits: %d\n",
-		res.Stats.Templates, res.Stats.PairsTried, res.Stats.ProverCalls, res.Stats.CacheHits)
+	fmt.Printf("templates: %d, pairs tried: %d, verifier calls: %d\n",
+		res.Stats.Templates, res.Stats.PairsTried, res.Stats.ProverCalls)
 	fmt.Printf("discovered %d rules:\n\n", len(res.Rules))
 	for i, r := range res.Rules {
 		fmt.Printf("%3d. %s\n  => %s\n     under %s\n\n", i+1, r.Source, r.Destination, r.Constraints)
@@ -56,10 +51,4 @@ func main() {
 		}
 	}
 	fmt.Printf("re-verification: %d/%d rules verified\n", verified, len(res.Rules))
-
-	// A warm re-run over the same template set reuses every verdict from the
-	// shared proof cache: same rules, no prover calls.
-	warm := discover(wetune.DiscoveryOptions{MaxTemplateSize: *size})
-	fmt.Printf("warm re-run: %d rules, %d prover calls, %d cache hits\n",
-		len(warm.Rules), warm.Stats.ProverCalls, warm.Stats.CacheHits)
 }

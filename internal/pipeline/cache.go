@@ -1,11 +1,7 @@
 package pipeline
 
 import (
-	"bufio"
-	"fmt"
-	"os"
 	"sort"
-	"strings"
 	"sync"
 
 	"wetune/internal/constraint"
@@ -13,18 +9,18 @@ import (
 	"wetune/internal/template"
 )
 
-// ProofCache memoizes verifier verdicts across pipeline stages and runs. It
-// is keyed by the canonical rule fingerprint (see Fingerprint), so the same
-// candidate rule reached from enumeration, rule reduction, or a repeated CLI
-// run reuses the verdict instead of re-invoking the U-expression/FOL/SMT
-// chain. All methods are safe for concurrent use.
+// ProofCache memoizes verifier verdicts within a discovery run. It is keyed
+// by the canonical rule fingerprint (see fingerprint), so isomorphic
+// candidates reached from different template pairs reuse one verdict instead
+// of re-invoking the U-expression/FOL/SMT chain. A caller that owns a cache
+// may pass it to several runs with the same prover; nothing outlives the
+// process. All methods are safe for concurrent use.
 //
 // A rule the cache does not know may still pose an SMT goal that an earlier
 // prover call solved: another constraint set with the same closure, or
 // another template pair with the same normal forms. The cache also owns the
 // smt.Memo that answers those, attached to every pair's context, so each
-// distinct goal is solved once for as long as the verdicts live. The memo is
-// not persisted by SaveFile.
+// distinct goal is solved once for as long as the verdicts live.
 type ProofCache struct {
 	mu   sync.RWMutex
 	m    map[string]bool
@@ -35,12 +31,6 @@ type ProofCache struct {
 func NewProofCache() *ProofCache {
 	return &ProofCache{m: map[string]bool{}}
 }
-
-var shared = NewProofCache()
-
-// Shared returns the process-wide cache used by wetune.Discover, rule
-// reduction and the CLI.
-func Shared() *ProofCache { return shared }
 
 // Get returns the cached verdict for a fingerprint. The caller counts the
 // hit or miss (Stats, pipeline_cache_hits/_misses).
@@ -67,59 +57,12 @@ func (c *ProofCache) Len() int {
 	return len(c.m)
 }
 
-// SaveFile persists the cache as "verdict fingerprint" lines, so repeated CLI
-// runs can reuse verdicts across processes.
-func (c *ProofCache) SaveFile(path string) error {
-	c.mu.RLock()
-	keys := make([]string, 0, len(c.m))
-	for k := range c.m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		v := "0"
-		if c.m[k] {
-			v = "1"
-		}
-		fmt.Fprintf(&b, "%s %s\n", v, k)
-	}
-	c.mu.RUnlock()
-	return os.WriteFile(path, []byte(b.String()), 0o644)
-}
-
-// LoadFile merges persisted verdicts into the cache. A missing file is not an
-// error (first run).
-func (c *ProofCache) LoadFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return err
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for sc.Scan() {
-		line := sc.Text()
-		verdict, key, ok := strings.Cut(line, " ")
-		if !ok || (verdict != "0" && verdict != "1") {
-			continue
-		}
-		c.m[key] = verdict == "1"
-	}
-	return sc.Err()
-}
-
-// Fingerprint is the canonical identity of a candidate rule: both templates
+// fingerprint is the canonical identity of a candidate rule: both templates
 // with symbols renumbered in first-occurrence order (src first, then dest)
 // plus the constraint set under the same renumbering, order-normalized.
 // Structurally identical candidates fingerprint identically regardless of the
 // symbol IDs a particular enumeration assigned.
-func Fingerprint(src, dest *template.Node, cs *constraint.Set) string {
+func fingerprint(src, dest *template.Node, cs *constraint.Set) string {
 	fp := newFingerprinter(src, dest)
 	return fp.key(cs)
 }

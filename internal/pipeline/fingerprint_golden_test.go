@@ -4,8 +4,8 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
-	"os"
-	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"wetune/internal/constraint"
@@ -13,17 +13,18 @@ import (
 	"wetune/internal/verify"
 )
 
-// size2CacheFileSHA256 pins the text of every fingerprint the size-2
-// relaxation computes, as ProofCache.SaveFile writes them: the file a
-// `discover -cache` run leaves behind. A change of Fingerprint's text (of
-// constraint.Set.Key's, say) silently turns every saved cache into misses;
-// this hash was recorded before constraint sets held packed words.
-const size2CacheFileSHA256 = "fc51becf6c86b670930359f1b2a71dc25a614e0d3a5033fa38d1e5fd528c814f"
+// size2FingerprintsSHA256 pins the fingerprint and verdict of every distinct
+// prover call the size-2 relaxation makes, rendered as sorted
+// "<verdict> <fingerprint>" lines. A change of fingerprint's text (of
+// constraint.Set.Key's, say) or of which isomorphic candidates share one
+// key moves it; this hash was recorded before constraint sets held packed
+// words.
+const size2FingerprintsSHA256 = "fc51becf6c86b670930359f1b2a71dc25a614e0d3a5033fa38d1e5fd528c814f"
 
 // TestSize2FingerprintsGolden runs the size-2 discovery with the default
 // prover's verdicts — its SMT node budget, without the wall-clock deadline,
-// so that a slow machine cannot change a verdict — and hashes the saved proof
-// cache: one "verdict fingerprint" line per distinct prover call.
+// so that a slow machine cannot change a verdict — and hashes the run's
+// proof cache: one "verdict fingerprint" line per distinct prover call.
 func TestSize2FingerprintsGolden(t *testing.T) {
 	prover := func(src, dest *template.Node) Prover {
 		pc := verify.NewPairContext(src, dest)
@@ -44,15 +45,20 @@ func TestSize2FingerprintsGolden(t *testing.T) {
 	if len(res.Rules) != 69 || res.Stats.ProverCalls != 1523 {
 		t.Fatalf("size-2 run: %d rules, %d prover calls; want 69 and 1523", len(res.Rules), res.Stats.ProverCalls)
 	}
-	path := filepath.Join(t.TempDir(), "size2.cache")
-	if err := cache.SaveFile(path); err != nil {
-		t.Fatal(err)
+	keys := make([]string, 0, cache.Len())
+	for k := range cache.m {
+		keys = append(keys, k)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	sort.Strings(keys)
+	var b strings.Builder
+	for _, k := range keys {
+		v := "0"
+		if cache.m[k] {
+			v = "1"
+		}
+		fmt.Fprintf(&b, "%s %s\n", v, k)
 	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != size2CacheFileSHA256 {
-		t.Errorf("saved size-2 proof cache hashes to %s, want %s (%d entries)", got, size2CacheFileSHA256, cache.Len())
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(b.String()))); got != size2FingerprintsSHA256 {
+		t.Errorf("size-2 fingerprints and verdicts hash to %s, want %s (%d entries)", got, size2FingerprintsSHA256, len(keys))
 	}
 }

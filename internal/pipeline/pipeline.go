@@ -8,8 +8,8 @@
 // plumbed end to end (a cancelled context interrupts the in-flight SMT proof,
 // not just the next pair boundary), per-stage counters, and a
 // concurrency-safe proof memo cache keyed by canonical rule fingerprint so
-// that enumeration, rule reduction and repeated runs reuse verdicts instead
-// of re-invoking the U-expression/FOL/SMT chain.
+// that isomorphic candidates within a run reuse one verdict instead of
+// re-invoking the U-expression/FOL/SMT chain.
 //
 // wetune.Discover, the CLI and the evaluation harness all call Run.
 // Determinism contract: with the same options and an
@@ -126,17 +126,12 @@ type Options struct {
 	Workers int
 	// DisablePruning turns off the implication pruning (ablation benchmark).
 	DisablePruning bool
-	// Cache shares proof verdicts, and the SMT goals solved on the way to
-	// them, across stages and runs; nil uses a fresh private cache (verdicts
-	// still dedupe isomorphic pairs, and solves repeated goals, within the
-	// run).
+	// Cache holds the run's proof verdicts, and the SMT goals solved on the
+	// way to them; nil uses a fresh private cache (verdicts still dedupe
+	// isomorphic pairs, and solves repeated goals, within the run). A caller
+	// may pass one cache to several runs for warm reuse, but one cache serves
+	// one prover: an algebraic "false" would mask an SMT-provable rule.
 	Cache *ProofCache
-	// CacheNamespace prefixes every cache key. Provers of different strength
-	// must not share verdicts (an algebraic "false" would mask an SMT-provable
-	// rule, and vice versa an SMT "true" would leak into algebraic-only runs),
-	// so callers switching provers set a distinct namespace per prover. Empty
-	// (the default) is the historical namespace of the algebraic path.
-	CacheNamespace string
 	// Progress, when set, receives a stats snapshot at every stage boundary
 	// and every progressEvery (32) completed pairs. Calls are serialized.
 	Progress      func(Snapshot)
@@ -199,8 +194,8 @@ type Stats struct {
 	// CacheMisses is the in-run miss count observed on the ProofCache (the
 	// cache tracks both sides; hits alone cannot give a rate).
 	CacheMisses int64
-	// CacheSize is the cache's current verdict count (includes verdicts
-	// loaded from disk or left by earlier runs of a shared cache).
+	// CacheSize is the cache's current verdict count (includes verdicts left
+	// by earlier runs when the caller passes one cache to several).
 	CacheSize int
 	// Outcome.
 	RulesFound int64
@@ -242,7 +237,7 @@ type counters struct {
 	crossCheckedOut atomic.Int64
 	start           time.Time
 	// cache, when set, contributes its size to snapshots (hit/miss deltas are
-	// tracked per-run in cacheHits/cacheMisses above, so shared caches do not
+	// tracked per-run in cacheHits/cacheMisses above, so a reused cache does not
 	// leak earlier runs' traffic into this run's stats).
 	cache *ProofCache
 }

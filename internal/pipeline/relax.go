@@ -78,7 +78,6 @@ func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct 
 		memo:    map[string]bool{},
 		implies: constraint.Implies,
 		cache:   opts.Cache,
-		ns:      opts.CacheNamespace,
 		fp:      newFingerprinter(src, dest),
 		ct:      ct,
 		reg:     reg,
@@ -100,14 +99,13 @@ type relaxer struct {
 	// implies is the §4.3 implication test, nil when pruning is disabled.
 	implies func(*constraint.Set, constraint.C) bool
 	cache   *ProofCache
-	ns      string
 	fp      *fingerprinter
 	ct      *counters
 	reg     *obs.Registry
 }
 
 // prove decides one candidate constraint set. The per-pair memo and the
-// shared cache both answer without a prover invocation; the budget charges
+// run's proof cache both answer without a prover invocation; the budget charges
 // every logical (non-memo) query either way, so a warm cache changes the
 // prover-call count but never the search trajectory — warm and cold runs
 // discover byte-identical rule sets.
@@ -127,8 +125,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		return false
 	}
 	s.calls++
-	fpKey := s.ns + key
-	if v, ok := s.cache.Get(fpKey); ok {
+	if v, ok := s.cache.Get(key); ok {
 		s.ct.cacheHits.Add(1)
 		s.reg.Counter(metricCacheHits).Inc()
 		s.memo[key] = v
@@ -146,7 +143,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		s.exhausted = true
 		return false
 	}
-	s.cache.Put(fpKey, v)
+	s.cache.Put(key, v)
 	s.memo[key] = v
 	return v
 }

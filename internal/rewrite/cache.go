@@ -4,7 +4,6 @@ import (
 	"container/list"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"wetune/internal/faultinject"
 	"wetune/internal/obs"
@@ -45,18 +44,16 @@ type CacheStats struct {
 	Shards  int     `json:"shards,omitempty"`
 }
 
-// lruShard is one independently locked LRU. The hit/miss counters are
-// atomics written only while mu is held: Stats reads them under the same
-// lock for a consistent per-shard snapshot, while monitoring paths may read
-// them lock-free (each value individually torn-free).
+// lruShard is one independently locked LRU. mu guards the hit/miss counts
+// too, so stats reads a consistent per-shard snapshot.
 type lruShard[V any] struct {
 	mu    sync.Mutex
 	cap   int
 	order *list.List               // front = most recently used
 	items map[string]*list.Element // key → element whose Value is *lruEntry[V]
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	hits   int64
+	misses int64
 }
 
 type lruEntry[V any] struct {
@@ -140,7 +137,7 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 		faultinject.Stall(faultinject.CacheSlow)
 		if faultinject.Fire(faultinject.CacheFail) {
 			sh.mu.Lock()
-			sh.misses.Add(1)
+			sh.misses++
 			sh.mu.Unlock()
 			c.missC.Add(1)
 			var zero V
@@ -150,14 +147,14 @@ func (c *shardedLRU[V]) get(key string) (V, bool) {
 	sh.mu.Lock()
 	el, ok := sh.items[key]
 	if !ok {
-		sh.misses.Add(1)
+		sh.misses++
 		sh.mu.Unlock()
 		c.missC.Add(1)
 		var zero V
 		return zero, false
 	}
 	sh.order.MoveToFront(el)
-	sh.hits.Add(1)
+	sh.hits++
 	v := el.Value.(*lruEntry[V]).val
 	sh.mu.Unlock()
 	c.hitC.Add(1)
@@ -202,8 +199,8 @@ func (c *shardedLRU[V]) stats() CacheStats {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		s.Hits += sh.hits.Load()
-		s.Misses += sh.misses.Load()
+		s.Hits += sh.hits
+		s.Misses += sh.misses
 		s.Entries += sh.order.Len()
 		sh.mu.Unlock()
 	}

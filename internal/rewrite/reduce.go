@@ -1,7 +1,6 @@
 package rewrite
 
 import (
-	"wetune/internal/pipeline"
 	"wetune/internal/plan"
 	"wetune/internal/rules"
 	"wetune/internal/spes"
@@ -64,23 +63,14 @@ func reducible(r rules.Rule, all, rest []rules.Rule) bool {
 }
 
 // provablyEquivalent abstracts the plan pair into a candidate rule and proves
-// it with the algebraic path of the built-in verifier, memoizing the verdict
-// in the shared proof cache under the pair's canonical fingerprint — repeated
-// reductions (and discovery runs that surfaced the same candidate) reuse the
-// verdict instead of re-invoking the verifier.
+// it with the algebraic path of the built-in verifier. Reductions rarely
+// reach it (the probe rewrites usually coincide), so verdicts are not cached.
 func provablyEquivalent(a, b plan.Node, schema *sql.Schema) bool {
 	src, dest, cs, err := verify.AbstractPair(a, b, schema)
 	if err != nil {
 		return false
 	}
-	fp := pipeline.Fingerprint(src, dest, cs)
-	cache := pipeline.Shared()
-	if v, ok := cache.Get(fp); ok {
-		return v
-	}
 	opts := verify.DefaultOptions()
-	opts.SkipSMT = true // reduction probes are hot paths; algebraic only
-	ok := verify.VerifyOpts(src, dest, cs, opts).Outcome == verify.Verified
-	cache.Put(fp, ok)
-	return ok
+	opts.SkipSMT = true // algebraic only: a rule not cheaply proved redundant stays
+	return verify.VerifyOpts(src, dest, cs, opts).Outcome == verify.Verified
 }

@@ -495,9 +495,7 @@ type DiscoveryOptions struct {
 	Progress func(DiscoveryProgress)
 	// UseSMT verifies candidates with the full algebraic+SMT prover instead
 	// of the algebraic-only fast path: slower per pair, proves more rules,
-	// and exercises the solver so smt_* metrics populate. SMT-backed verdicts
-	// live in their own namespace of the shared proof cache, so a cache file
-	// serves both modes without one prover's verdicts masking the other's.
+	// and exercises the solver so smt_* metrics populate.
 	UseSMT bool
 	// CrossCheck differentially tests every verifier-accepted rule against
 	// the in-memory engine (internal/difftest): the rule's templates are
@@ -522,9 +520,8 @@ type DiscoveryProgress = pipeline.Snapshot
 type DiscoveryResult struct {
 	Rules []DiscoveredRule
 	// Stats holds the per-stage breakdown: templates, pairs tried, prover
-	// calls, and cache hits (prover invocations answered by the shared
-	// proof cache; repeated runs over the same template set re-prove
-	// nothing).
+	// calls, and cache hits (prover invocations answered by the run's own
+	// proof cache, which starts empty on every call).
 	Stats DiscoveryStats
 }
 
@@ -552,8 +549,8 @@ func discoveredRuleBase() int {
 // Discover runs the paper's rule generation pipeline (§4) — template
 // enumeration, pairing, constraint enumeration and relaxation, each candidate
 // checked by the built-in verifier — on the staged internal/pipeline engine.
-// Verdicts are memoized in the process-wide proof cache, so repeated runs
-// over the same template set reuse them instead of re-invoking the verifier.
+// Verdicts are memoized in a proof cache private to the call: no verdict
+// outlives the run, so every run proves with the verifier as it is built.
 func Discover(opts DiscoveryOptions) *DiscoveryResult {
 	ctx := opts.Context
 	if ctx == nil {
@@ -563,12 +560,10 @@ func Discover(opts DiscoveryOptions) *DiscoveryResult {
 		MaxTemplateSize: opts.MaxTemplateSize,
 		PairProver:      pipeline.AlgebraicPairProver,
 		Workers:         opts.Workers,
-		Cache:           pipeline.Shared(),
 		Progress:        opts.Progress,
 	}
 	if opts.UseSMT {
 		popts.PairProver = pipeline.DefaultPairProver
-		popts.CacheNamespace = "smt:"
 	}
 	if opts.CrossCheck {
 		popts.CrossCheck = func(cctx context.Context, r pipeline.Rule) bool {

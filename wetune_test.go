@@ -160,10 +160,25 @@ func TestDiscoverAPI(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	res := Discover(DiscoveryOptions{MaxTemplateSize: 1, Context: ctx})
-	// Earlier tests may have warmed the shared proof cache, in which case
-	// verdicts are cache hits instead of prover calls.
-	if res.Stats.Templates == 0 || res.Stats.ProverCalls+res.Stats.CacheHits == 0 {
-		t.Fatal("discovery did not run")
+	if res.Stats.Templates == 0 || res.Stats.ProverCalls == 0 || res.Stats.CacheHits != 0 {
+		t.Fatalf("cold discovery: %d templates, %d prover calls, %d cache hits; want >0, >0, 0",
+			res.Stats.Templates, res.Stats.ProverCalls, res.Stats.CacheHits)
+	}
+	// Each call proves on its own empty cache: a second run in the same
+	// process re-proves everything and finds the same rules.
+	again := Discover(DiscoveryOptions{MaxTemplateSize: 1, Context: ctx})
+	if again.Stats.CacheHits != 0 || again.Stats.ProverCalls != res.Stats.ProverCalls {
+		t.Errorf("second run: %d cache hits, %d prover calls; want 0 and %d",
+			again.Stats.CacheHits, again.Stats.ProverCalls, res.Stats.ProverCalls)
+	}
+	if len(again.Rules) != len(res.Rules) {
+		t.Fatalf("second run found %d rules, first %d", len(again.Rules), len(res.Rules))
+	}
+	for i, d := range res.Rules {
+		if a := again.Rules[i]; a.Source != d.Source || a.Destination != d.Destination || a.Constraints != d.Constraints {
+			t.Errorf("rule %d differs across runs:\n  %s => %s under %s\n  %s => %s under %s",
+				i, d.Source, d.Destination, d.Constraints, a.Source, a.Destination, a.Constraints)
+		}
 	}
 	// Every discovered rule must re-verify.
 	for _, d := range res.Rules {
