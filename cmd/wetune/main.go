@@ -5,11 +5,15 @@
 // Usage:
 //
 //	wetune discover [-size N] [-budget 30s] [-workers N] [-progress]
-//	                [-metrics FILE] [-debug-addr :6060]
+//	                [-prover full|algebraic] [-crosscheck]
+//	                [-metrics FILE] [-debug-addr :6060] [-journal FILE]
 //	                                            run rule discovery (Ctrl-C cancels and still
-//	                                            prints the rules found so far; -metrics dumps
-//	                                            the registry as JSON on exit; -debug-addr
-//	                                            serves expvar + pprof live)
+//	                                            prints the rules found so far; -prover picks
+//	                                            algebraic + SMT or the algebraic path alone;
+//	                                            -crosscheck drops rules the in-memory engine
+//	                                            refutes; -metrics dumps the registry as JSON
+//	                                            on exit; -debug-addr serves expvar + pprof
+//	                                            live; -journal dumps the flight recorder)
 //	wetune rules                                print the Table 7 rule library
 //	wetune verify                               verify the rule library with both verifiers
 //	wetune fuzz [-seed N] [-n N] [-budget 30s] [-rows N] [-repro FILE] [-all]

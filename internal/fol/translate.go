@@ -161,11 +161,12 @@ func existsPos(nf *uexpr.NF) Formula {
 	return MkOr(arms...)
 }
 
-// EquationCandidates builds candidate FOL formulas each of which is a
-// sufficient condition for forall t. src(t) = dest(t). Candidates arise from
-// the different possible alignments of summation variables (Theorem 5.1) and
-// the unaligned-summation form of Theorem 5.2. An empty result with nil error
-// means no Table 5 row applies (footnote 3: the verifier cannot translate).
+// EquationCandidates builds the FOL formulas that are each a sufficient
+// condition for forall t. src(t) = dest(t): the two sides' terms paired in
+// canonical order (uexpr.CanonicalTerms), each pair's summations aligned by
+// Theorem 5.1 or eliminated by Theorem 5.2. It returns one candidate. An
+// empty result with nil error means no Table 5 row applies (footnote 3: the
+// verifier cannot translate).
 func EquationCandidates(src, dest *uexpr.NF, out *uexpr.TVar) ([]Formula, error) {
 	srcTerms, destTerms := src.Terms, dest.Terms
 	// Zero-term sides mean the constant 0.
@@ -188,111 +189,63 @@ func EquationCandidates(src, dest *uexpr.NF, out *uexpr.TVar) ([]Formula, error)
 	if len(srcTerms) != len(destTerms) {
 		return nil, nil // untranslatable shape
 	}
-	// Pair up terms: for small counts try all pairings; the conjunction of
-	// pairwise equalities is a sufficient condition for the sum equality.
-	idx := make([]int, len(destTerms))
-	for i := range idx {
-		idx[i] = i
+	// The conjunction of pairwise equalities is a sufficient condition for
+	// the sum equality.
+	srcTerms, destTerms = uexpr.CanonicalTerms(srcTerms), uexpr.CanonicalTerms(destTerms)
+	fs := make([]Formula, len(srcTerms))
+	for i, st := range srcTerms {
+		f := termEquation(st, destTerms[i], out)
+		if f == nil {
+			return nil, nil
+		}
+		fs[i] = f
 	}
-	var candidates []Formula
-	permuteInts(idx, 0, func(p []int) {
-		var fs []Formula
-		ok := true
-		for i, st := range srcTerms {
-			f, err := termEquation(st, destTerms[p[i]], out)
-			if err != nil || f == nil {
-				ok = false
-				break
-			}
-			fs = append(fs, f)
-		}
-		if ok {
-			candidates = append(candidates, MkAnd(fs...))
-		}
-	})
-	return candidates, nil
+	return []Formula{MkAnd(fs...)}, nil
 }
 
 // termEquation builds a sufficient condition for sum(varsA) mulA =
-// sum(varsB) mulB.
-func termEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
+// sum(varsB) mulB, a's and b's bound variables listed by rank.
+func termEquation(a, b *uexpr.Term, out *uexpr.TVar) Formula {
 	switch {
 	case len(a.Vars) == len(b.Vars):
 		// Theorem 5.1 shape: align variables, then prove pointwise equality.
-		// Any alignment is sound (pointwise equality implies sum equality);
-		// pick the alignment that syntactically matches best.
-		bAligned := alignVars(a, b)
-		body := &IntEq{L: trMul(a.Factors), R: trMul(bAligned.Factors)}
+		// Any alignment is sound (pointwise equality implies sum equality).
+		body := &IntEq{L: trMul(a.Factors), R: trMul(alignVars(a, b))}
 		vars := append([]*uexpr.TVar{out}, a.Vars...)
-		return &Forall{Vars: vars, Body: body}, nil
+		return &Forall{Vars: vars, Body: body}
 	case len(a.Vars)+1 == len(b.Vars):
 		return unalignedEquation(a, b, out)
 	case len(b.Vars)+1 == len(a.Vars):
 		return unalignedEquation(b, a, out)
 	}
-	return nil, nil
+	return nil
 }
 
-// alignVars renames b's variables to a's, choosing the permutation whose
-// relation-factor profile matches a's variables best.
-func alignVars(a, b *uexpr.Term) *uexpr.Term {
-	k := len(a.Vars)
-	if k == 0 {
-		return b
+// alignVars returns b's factors with b's bound variables renamed to a's,
+// rank for rank.
+func alignVars(a, b *uexpr.Term) []uexpr.Factor {
+	if len(a.Vars) == 0 {
+		return b.Factors
 	}
-	profile := func(t *uexpr.Term, v *uexpr.TVar) string {
-		s := ""
-		for _, f := range t.Factors {
-			if r, ok := f.(*uexpr.Rel); ok {
-				if tv, ok := r.T.(*uexpr.TVar); ok && tv.ID == v.ID {
-					s += r.Rel.String() + ";"
-				}
-			}
-		}
-		return s
+	ren := make(map[int]uexpr.Tuple, len(a.Vars))
+	for i, v := range b.Vars {
+		ren[v.ID] = a.Vars[i]
 	}
-	best := b
-	bestScore := -1
-	idx := make([]int, k)
-	for i := range idx {
-		idx[i] = i
-	}
-	permuteInts(idx, 0, func(p []int) {
-		// Rename b.Vars[p[i]] -> a.Vars[i], all at once.
-		ren := make(map[int]uexpr.Tuple, k)
-		vars := slices.Clone(b.Vars)
-		for i := 0; i < k; i++ {
-			ren[b.Vars[p[i]].ID] = a.Vars[i]
-			vars[p[i]] = a.Vars[i]
-		}
-		cand := &uexpr.Term{Vars: vars, Factors: uexpr.SubstFactors(b.Factors, ren)}
-		score := 0
-		for i := 0; i < k; i++ {
-			if profile(a, a.Vars[i]) == profile(cand, a.Vars[i]) {
-				score++
-			}
-		}
-		if score > bestScore {
-			bestScore = score
-			best = cand
-		}
-	})
-	return best
+	return uexpr.SubstFactors(b.Factors, ren)
 }
 
 // unalignedEquation implements Theorem 5.2: sum_t A(t) = sum_{t,s} B(t,s)
 // where B = g * h with h the factors mentioning the extra variable s.
-func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
+func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar) Formula {
 	// Try each choice of b's extra variable.
 	for bi, s := range b.Vars {
-		rest := slices.Delete(slices.Clone(b.Vars), bi, bi+1)
-		if len(rest) != len(a.Vars) {
-			continue
-		}
-		bAligned := alignVars(a, &uexpr.Term{Vars: rest, Factors: b.Factors})
-		// Split bAligned factors into g (no s) and h (mentions s).
+		rest := uexpr.CanonicalTerms([]*uexpr.Term{{
+			Vars:    slices.Delete(slices.Clone(b.Vars), bi, bi+1),
+			Factors: b.Factors,
+		}})[0]
+		// Split the aligned factors into g (no s) and h (mentions s).
 		var g, h []uexpr.Factor
-		for _, f := range bAligned.Factors {
+		for _, f := range alignVars(a, rest) {
 			if uexpr.FactorUsesVar(f, s.ID) {
 				h = append(h, f)
 			} else {
@@ -322,19 +275,7 @@ func unalignedEquation(a, b *uexpr.Term, out *uexpr.TVar) (Formula, error) {
 			MkAnd(&IntEq{L: A, R: G}, MkOr(&IntEq{L: A, R: zero}, sumHOne)),
 		)
 		vars := append([]*uexpr.TVar{out}, a.Vars...)
-		return &Forall{Vars: vars, Body: body}, nil
+		return &Forall{Vars: vars, Body: body}
 	}
-	return nil, nil
-}
-
-func permuteInts(p []int, i int, fn func([]int)) {
-	if i == len(p) {
-		fn(p)
-		return
-	}
-	for j := i; j < len(p); j++ {
-		p[i], p[j] = p[j], p[i]
-		permuteInts(p, i+1, fn)
-		p[i], p[j] = p[j], p[i]
-	}
+	return nil
 }

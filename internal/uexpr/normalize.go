@@ -384,8 +384,8 @@ func renderFactor(f Factor) string {
 	return r.done()
 }
 
-// renderTermFixed renders a term canonically: its bound variables get the
-// names that make the text least.
+// renderTermFixed renders a term canonically: its bound variables are named
+// by rank.
 func renderTermFixed(t *Term) string {
 	r := newRenderer()
 	r.termFixed(t)
@@ -402,25 +402,60 @@ func (nf *NF) Canon() string {
 // String renders the NF for debugging.
 func (nf *NF) String() string { return nf.Canon() }
 
+// CanonicalTerms returns terms in the order Canon renders them, each with
+// its bound variables listed by rank, the order Canon names them s0, s1, ...
+// in (a copy where that differs from Vars). The FOL translation pairs terms
+// and aligns summations by it.
+func CanonicalTerms(terms []*Term) []*Term {
+	r := newRenderer()
+	out := make([]*Term, len(terms))
+	for i, t := range terms {
+		start := len(r.buf)
+		r.rank(t)
+		out[i] = t
+		if !slices.EqualFunc(r.names, t.Vars, func(b binding, v *TVar) bool { return b.v == v }) {
+			out[i] = &Term{Vars: make([]*TVar, len(t.Vars)), Factors: t.Factors}
+			for j, b := range r.names {
+				out[i].Vars[j] = b.v
+			}
+		}
+		r.termWith(t)
+		r.names = r.names[:0]
+		r.part(start)
+	}
+	r.sortStable(0, func(i, j int) { out[i], out[j] = out[j], out[i] })
+	r.spans = r.spans[:0]
+	r.release()
+	return out
+}
+
 // A renderer appends the text of normal forms to one buffer. Sorted lists —
 // the terms of a sum, the factors and variables of a term, the sides of an
 // equality — are rendered part after part at the end of the buffer and then
 // put in order in place; the spans of the parts of every list in progress
-// share one stack. names holds the bound variables being renamed, innermost
+// share one stack. names holds the bound variables being named, innermost
 // last: a term pushes its own while it renders and pops them after.
 // Renderers are pooled, so that a rendering allocates only its string.
 type renderer struct {
 	buf   []byte
 	spans []span
 	names []binding
-	perms []int  // the permutations of every term in progress, innermost last
 	tmp   []byte // where a list is put in order
 }
 
 type span struct{ from, to int }
 
-// binding names variable id s<n>.
-type binding struct{ id, n int }
+// binding names bound variable v s<n>. While a term ranks its variables, n
+// is marked or unnamed.
+type binding struct {
+	v *TVar
+	n int
+}
+
+const (
+	unnamed = -1 // rendered s_
+	marked  = -2 // rendered s*
+)
 
 var renderers = sync.Pool{New: func() any { return new(renderer) }}
 
@@ -429,9 +464,14 @@ func newRenderer() *renderer { return renderers.Get().(*renderer) }
 // done returns the text rendered and the renderer to the pool.
 func (r *renderer) done() string {
 	s := string(r.buf)
+	r.release()
+	return s
+}
+
+// release returns the renderer to the pool.
+func (r *renderer) release() {
 	r.buf = r.buf[:0]
 	renderers.Put(r)
-	return s
 }
 
 func (r *renderer) sym(s template.Sym) {
@@ -439,17 +479,24 @@ func (r *renderer) sym(s template.Sym) {
 	r.buf = strconv.AppendInt(r.buf, int64(s.ID), 10)
 }
 
-// variable renders v as s<n> by the innermost binding of it, or as t<ID>.
+// variable renders v by the innermost binding of it, or as t<ID>.
 func (r *renderer) variable(v *TVar) {
-	prefix, n := byte('t'), v.ID
 	for i := len(r.names) - 1; i >= 0; i-- {
-		if r.names[i].id == v.ID {
-			prefix, n = 's', r.names[i].n
-			break
+		if b := r.names[i]; b.v.ID == v.ID {
+			switch b.n {
+			case unnamed:
+				r.buf = append(r.buf, "s_"...)
+			case marked:
+				r.buf = append(r.buf, "s*"...)
+			default:
+				r.buf = append(r.buf, 's')
+				r.buf = strconv.AppendInt(r.buf, int64(b.n), 10)
+			}
+			return
 		}
 	}
-	r.buf = append(r.buf, prefix)
-	r.buf = strconv.AppendInt(r.buf, int64(n), 10)
+	r.buf = append(r.buf, 't')
+	r.buf = strconv.AppendInt(r.buf, int64(v.ID), 10)
 }
 
 // part ends a list element that began at from.
@@ -469,6 +516,19 @@ func (r *renderer) sortParts(from, base int, sep string) {
 	}
 	r.buf = append(r.buf[:from], r.tmp...)
 	r.spans = r.spans[:base]
+}
+
+// sortStable puts the spans pushed since base in ascending byte order of
+// their text, equal texts in the order pushed, and calls swap(i, j) with
+// their indices whenever it swaps two, so that a list beside them follows.
+func (r *renderer) sortStable(base int, swap func(i, j int)) {
+	parts := r.spans[base:]
+	for i := 1; i < len(parts); i++ {
+		for j := i; j > 0 && bytes.Compare(r.buf[parts[j].from:parts[j].to], r.buf[parts[j-1].from:parts[j-1].to]) < 0; j-- {
+			parts[j], parts[j-1] = parts[j-1], parts[j]
+			swap(j, j-1)
+		}
+	}
 }
 
 func (r *renderer) tuple(t Tuple) {
@@ -552,42 +612,46 @@ func (r *renderer) nf(nf *NF) {
 	r.sortParts(from, base, " + ")
 }
 
-// termFixed renders a term under the names bound outside it, choosing the
-// least renaming of its own bound variables by permutation.
+// termFixed renders a term under the names bound outside it, its own bound
+// variables named by rank.
 func (r *renderer) termFixed(t *Term) {
-	k := len(t.Vars)
-	if k == 0 {
-		r.termWith(t)
+	outer := len(r.names)
+	r.rank(t)
+	r.termWith(t)
+	r.names = r.names[:outer]
+}
+
+// rank pushes bindings for t's bound variables, named s<outer>, s<outer+1>,
+// ... in the order of their signatures. A variable's signature is t rendered
+// with it marked and t's other bound variables unnamed, which no order or
+// naming of t's binders changes; equal signatures keep t.Vars order.
+// The signatures are rendered at the end of the buffer and dropped.
+func (r *renderer) rank(t *Term) {
+	outer, from, base := len(r.names), len(r.buf), len(r.spans)
+	n := outer
+	if len(t.Vars) > 1 {
+		n = unnamed
+	}
+	for _, v := range t.Vars {
+		r.names = append(r.names, binding{v, n})
+	}
+	if len(t.Vars) < 2 {
 		return
 	}
-	outer, base := len(r.names), len(r.perms)
-	defer func() { r.names, r.perms = r.names[:outer], r.perms[:base] }()
-	for i, v := range t.Vars {
-		r.names = append(r.names, binding{v.ID, outer + i})
-		r.perms = append(r.perms, outer+i)
-	}
-	if k > 5 {
-		// Too many variables to permute; keep the positional naming.
+	for i := range t.Vars {
+		// A nested term may grow r.names, so it is indexed afresh.
+		r.names[outer+i].n = marked
+		start := len(r.buf)
 		r.termWith(t)
-		return
+		r.part(start)
+		r.names[outer+i].n = unnamed
 	}
-	// The least rendering so far is buf[from:best]; each permutation renders
-	// after it and either moves down over it or is dropped.
-	from, best := len(r.buf), -1
-	permute(r.perms[base:], 0, func(p []int) {
-		for i := range p {
-			r.names[outer+i].n = p[i]
-		}
-		at := len(r.buf)
-		r.termWith(t)
-		switch {
-		case best < 0:
-			best = len(r.buf)
-		case bytes.Compare(r.buf[at:], r.buf[from:best]) < 0:
-			best = from + copy(r.buf[from:], r.buf[at:])
-		}
-		r.buf = r.buf[:best]
-	})
+	ranked := r.names[outer:]
+	r.sortStable(base, func(i, j int) { ranked[i], ranked[j] = ranked[j], ranked[i] })
+	for i := range ranked {
+		ranked[i].n = outer + i
+	}
+	r.buf, r.spans = r.buf[:from], r.spans[:base]
 }
 
 // termWith renders a term under the names bound now: "sum{vars}" when it
@@ -613,18 +677,6 @@ func (r *renderer) termWith(t *Term) {
 	}
 	r.sortParts(from, base, " * ")
 	r.buf = append(r.buf, ')')
-}
-
-func permute(p []int, i int, fn func([]int)) {
-	if i == len(p) {
-		fn(p)
-		return
-	}
-	for j := i; j < len(p); j++ {
-		p[i], p[j] = p[j], p[i]
-		permute(p, i+1, fn)
-		p[i], p[j] = p[j], p[i]
-	}
 }
 
 // FactorUsesVar reports whether the factor mentions the tuple variable.

@@ -1,6 +1,7 @@
 package uexpr
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -355,17 +356,45 @@ func TestNormalizeConstants(t *testing.T) {
 }
 
 func TestNormalizeAlphaEquivalence(t *testing.T) {
-	// sum_x r(x)*[t=a(x)] with different bound var ids must render equal.
-	mk := func(id int) Expr {
+	out := &TVar{ID: 100}
+	// sum_x r(x)*[t=a(x)], bound as x = t<id>.
+	single := func(id int) Expr {
 		x := &TVar{ID: id}
-		out := &TVar{ID: 100}
 		return &Sum{Vars: []*TVar{x}, E: &Mul{Fs: []Expr{
 			&Rel{Rel: r(0), T: x},
 			&Bracket{B: &BEq{L: out, R: &TAttr{Attrs: a(0), T: x}}},
 		}}}
 	}
+	// A six-table join chain: sum{x0..x5} r0(x0)*...*r5(x5) *
+	// [a0(x0) = t] * [a1(x_{i-1}) = a2(x_i)], its binders listed in order
+	// or reversed.
+	chain := func(reversed bool) Expr {
+		xs := make([]*TVar, 6)
+		fs := make([]Expr, 0, 12)
+		for i := range xs {
+			xs[i] = &TVar{ID: i + 1}
+			fs = append(fs, &Rel{Rel: r(i), T: xs[i]})
+			if i > 0 {
+				fs = append(fs, &Bracket{B: &BEq{L: &TAttr{Attrs: a(1), T: xs[i-1]}, R: &TAttr{Attrs: a(2), T: xs[i]}}})
+			}
+		}
+		fs = append(fs, &Bracket{B: &BEq{L: &TAttr{Attrs: a(0), T: xs[0]}, R: out}})
+		vars := slices.Clone(xs)
+		if reversed {
+			slices.Reverse(vars)
+		}
+		return &Sum{Vars: vars, E: &Mul{Fs: fs}}
+	}
 	env := EmptyEnv()
-	if c1, c7 := Normalize(mk(1), env).Canon(), Normalize(mk(7), env).Canon(); c1 != c7 {
-		t.Fatal("alpha-equivalent sums render differently")
+	for _, c := range []struct {
+		name   string
+		e1, e2 Expr
+	}{
+		{"renamed binder", single(1), single(7)},
+		{"reversed six-binder chain", chain(false), chain(true)},
+	} {
+		if c1, c2 := Normalize(c.e1, env).Canon(), Normalize(c.e2, env).Canon(); c1 != c2 {
+			t.Errorf("%s: alpha-equivalent sums render differently:\n  %s\n  %s", c.name, c1, c2)
+		}
 	}
 }

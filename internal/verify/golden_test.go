@@ -7,7 +7,9 @@ import (
 	"encoding/hex"
 	"flag"
 	"fmt"
+	"math/rand/v2"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -303,6 +305,65 @@ func TestSize2NormalFormsGolden(t *testing.T) {
 	if got := hex.EncodeToString(h.Sum(nil)); got != size2NormalFormsSHA256 {
 		t.Errorf("normal forms hash %s, want %s", got, size2NormalFormsSHA256)
 	}
+}
+
+// TestCanonIgnoresListOrder shuffles every normal form of
+// TestSize2NormalFormsGolden 20 times, seeded: its terms, every term's
+// factors and bound variables, nested terms' included. Each shuffle must keep
+// the form's Canon(), since bound variables are named by rank, not by their
+// place in Term.Vars.
+func TestCanonIgnoresListOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	forms, most := 0, 0
+	check := func(name string, nfs ...*uexpr.NF) {
+		for _, nf := range nfs {
+			forms++
+			want := nf.Canon()
+			for range 20 {
+				if got := shuffleNF(rng, nf, &most).Canon(); got != want {
+					t.Fatalf("%s: shuffled normal form renders\n  %s\nnot\n  %s", name, got, want)
+				}
+			}
+		}
+	}
+	eachSize2Context(t, func(name string, pc *PairContext, _ map[string]*pairEntry) {
+		for _, e := range pc.memo {
+			check(name, e.ns, e.nd)
+		}
+	})
+	for _, r := range rules.Table7() {
+		if pc := NewPairContext(r.Src, r.Dest); pc.terr == nil {
+			e := pc.entry(r.Constraints)
+			check(fmt.Sprintf("rule %d", r.No), e.ns, e.nd)
+		}
+	}
+	t.Logf("%d normal forms, at most %d binders in one term", forms, most)
+}
+
+// shuffleNF copies nf with its terms, every term's factors and bound
+// variables, and those of nested terms, in random order, and raises most to
+// the largest number of binders a term has.
+func shuffleNF(rng *rand.Rand, nf *uexpr.NF, most *int) *uexpr.NF {
+	terms := make([]*uexpr.Term, len(nf.Terms))
+	for i, tm := range nf.Terms {
+		*most = max(*most, len(tm.Vars))
+		factors := make([]uexpr.Factor, len(tm.Factors))
+		for j, f := range tm.Factors {
+			switch x := f.(type) {
+			case *uexpr.NotNF:
+				f = &uexpr.NotNF{NF: shuffleNF(rng, x.NF, most)}
+			case *uexpr.SquashNF:
+				f = &uexpr.SquashNF{NF: shuffleNF(rng, x.NF, most)}
+			}
+			factors[j] = f
+		}
+		vars := slices.Clone(tm.Vars)
+		rng.Shuffle(len(vars), func(a, b int) { vars[a], vars[b] = vars[b], vars[a] })
+		rng.Shuffle(len(factors), func(a, b int) { factors[a], factors[b] = factors[b], factors[a] })
+		terms[i] = &uexpr.Term{Vars: vars, Factors: factors}
+	}
+	rng.Shuffle(len(terms), func(a, b int) { terms[a], terms[b] = terms[b], terms[a] })
+	return &uexpr.NF{Terms: terms}
 }
 
 // normalizeRounds is uexpr.Normalize, also returning the simplify rounds it

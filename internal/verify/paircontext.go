@@ -56,8 +56,8 @@ type pairEntry struct {
 
 	// FOL side, derived lazily (the algebraic fast path usually wins).
 	folReady  bool
-	folDetail string        // non-empty: Rejected with this detail
-	conj      []fol.Formula // per candidate: NNF of hyp AND NOT goal
+	folDetail string      // non-empty: Rejected with this detail
+	conj      fol.Formula // NNF of hyp AND NOT goal
 }
 
 // NewPairContext translates both templates once and returns a context for
@@ -135,18 +135,14 @@ func (pc *PairContext) verify(cs *constraint.Set, opts Options) Report {
 		smtOpts.Ctx = opts.Context
 	}
 	smtOpts.Pool = pc.pool
-	var last smt.Stats
-	for _, goal := range e.conj {
-		if cancelled(opts) {
-			return Report{Outcome: Rejected, Stats: last, Detail: "cancelled"}
-		}
-		res, st := smt.SolveNNF(goal, smtOpts)
-		last = st
-		if res == smt.Unsat {
-			return Report{Outcome: Verified, Method: MethodSMT, Stats: st}
-		}
+	if cancelled(opts) {
+		return Report{Outcome: Rejected, Detail: "cancelled"}
 	}
-	return Report{Outcome: Rejected, Stats: last, Detail: "SMT could not prove UNSAT"}
+	res, st := smt.SolveNNF(e.conj, smtOpts)
+	if res == smt.Unsat {
+		return Report{Outcome: Verified, Method: MethodSMT, Stats: st}
+	}
+	return Report{Outcome: Rejected, Stats: st, Detail: "SMT could not prove UNSAT"}
 }
 
 // entry returns the cached preparation for cs's closure, deriving it on first
@@ -186,9 +182,9 @@ func (pc *PairContext) sides(reps map[template.Sym]template.Sym) (esR, edR uexpr
 	return uexpr.ApplySyms(pc.es, reps), edR, vsR
 }
 
-// ensureFOL derives the FOL goal skeletons for an entry: the residual
-// constraints become the hypothesis, each equation candidate the goal, and
-// each pair is pre-normalized to NNF in the context's pool so repeat probes
+// ensureFOL derives the FOL goal skeleton for an entry: the residual
+// constraints become the hypothesis, the equation's one candidate the goal,
+// and the pair is pre-normalized to NNF in the context's pool so repeat probes
 // (and repeat solver calls) skip straight to grounding. Fresh variables
 // restart at one base per entry, so the formulas do not depend on the order
 // the closures are probed in.
@@ -203,15 +199,12 @@ func (pc *PairContext) ensureFOL(e *pairEntry) {
 		e.folDetail = err.Error()
 		return
 	}
-	candidates, err := fol.EquationCandidates(e.ns, e.nd, e.vsR)
-	if err != nil || len(candidates) == 0 {
+	goals, err := fol.EquationCandidates(e.ns, e.nd, e.vsR)
+	if err != nil || len(goals) == 0 {
 		e.folDetail = "no FOL translation (footnote 3)"
 		return
 	}
-	nhyp := smt.NNF(pc.pool, hyp)
-	for _, goal := range candidates {
-		// Identical to nnf(hyp AND NOT goal): MkAnd flattening commutes with
-		// per-conjunct NNF.
-		e.conj = append(e.conj, pc.pool.MkAnd(nhyp, smt.NegNNF(pc.pool, goal)))
-	}
+	// Identical to nnf(hyp AND NOT goal): MkAnd flattening commutes with
+	// per-conjunct NNF.
+	e.conj = pc.pool.MkAnd(smt.NNF(pc.pool, hyp), smt.NegNNF(pc.pool, goals[0]))
 }

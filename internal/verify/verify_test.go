@@ -4,7 +4,10 @@ import (
 	"testing"
 
 	"wetune/internal/constraint"
+	"wetune/internal/fol"
+	"wetune/internal/rules"
 	"wetune/internal/template"
+	"wetune/internal/uexpr"
 )
 
 func r(id int) template.Sym { return template.Sym{Kind: template.KRel, ID: id} }
@@ -156,5 +159,39 @@ func TestVerifyLJoinToIJoinRule6(t *testing.T) {
 	)
 	if rep2 := Verify(src, dest, cs2); rep2.Outcome == Verified {
 		t.Fatal("rule 6 without RefAttrs must not verify")
+	}
+}
+
+// TestSMTAlignsAndPairsLibraryRules pins the library rules whose SMT goals
+// align more than one binder (Theorem 5.1) or pair two terms per side, which
+// discovery at sizes 2 and 3 never poses. With the algebraic path off, the
+// first group proves by SMT and the second, whose terms are paired in
+// canonical order into one goal, stays rejected.
+func TestSMTAlignsAndPairsLibraryRules(t *testing.T) {
+	opts := DefaultOptions()
+	opts.SkipAlgebraic = true
+	check := func(no int, want Outcome, shape func(ns, nd *uexpr.NF) bool) {
+		rule, ok := rules.ByNo(no)
+		if !ok {
+			t.Fatalf("no rule %d", no)
+		}
+		pc := NewPairContext(rule.Src, rule.Dest)
+		rep := pc.VerifyOpts(rule.Constraints, opts)
+		if rep.Outcome != want || want == Verified && rep.Method != MethodSMT {
+			t.Errorf("rule %d: %v via %v (%s), want %v via SMT", no, rep.Outcome, rep.Method, rep.Detail, want)
+		}
+		e := pc.entry(rule.Constraints)
+		if goals, _ := fol.EquationCandidates(e.ns, e.nd, e.vsR); !shape(e.ns, e.nd) || len(goals) != 1 {
+			t.Errorf("rule %d: %d goals for\n  %s\n  %s", no, len(goals), e.ns, e.nd)
+		}
+	}
+	for _, no := range []int{17, 18, 19, 20, 22, 27, 28, 29} {
+		check(no, Verified, func(ns, nd *uexpr.NF) bool {
+			return len(ns.Terms) == 1 && len(nd.Terms) == 1 &&
+				len(ns.Terms[0].Vars) >= 2 && len(nd.Terms[0].Vars) == len(ns.Terms[0].Vars)
+		})
+	}
+	for _, no := range []int{21, 31, 32} {
+		check(no, Rejected, func(ns, nd *uexpr.NF) bool { return len(ns.Terms) == 2 && len(nd.Terms) == 2 })
 	}
 }
