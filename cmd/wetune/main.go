@@ -8,7 +8,8 @@
 //	                [-prover full|algebraic] [-crosscheck]
 //	                [-metrics FILE] [-debug-addr :6060] [-journal FILE]
 //	                                            run rule discovery (Ctrl-C cancels and still
-//	                                            prints the rules found so far; -prover picks
+//	                                            prints the rules found so far; a run -budget
+//	                                            or Ctrl-C cut says so and exits 3; -prover picks
 //	                                            algebraic + SMT or the algebraic path alone;
 //	                                            -crosscheck drops rules the in-memory engine
 //	                                            refutes; -metrics dumps the registry as JSON
@@ -90,7 +91,9 @@
 //	2  usage error (unknown subcommand, bad or missing flags)
 //	3  success, but the step budget or a deadline truncated the rewrite
 //	   (rewrite/explain: Stats.Truncated — the output is correct, a larger
-//	   budget may improve it)
+//	   budget may improve it), or -budget or Ctrl-C cut discovery short
+//	   (discover: Stats.Cut — the rules are sound, a larger budget may find
+//	   more)
 //
 // Every long-running subcommand (discover, fuzz, rewrite, explain, serve,
 // loadtest, soak, report) also accepts the shared
@@ -103,6 +106,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	_ "expvar" // registers /debug/vars on the default mux for -debug-addr
 	"flag"
 	"fmt"
@@ -184,7 +188,7 @@ func newFlagSet(name string) *flag.FlagSet {
 
 func cmdDiscover(args []string) int {
 	fs := newFlagSet("discover")
-	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 4.5 s with the default -prover full and 1.5 s with -prover algebraic, 4 about 42 s with -prover algebraic, on 2 vCPUs; the paper uses 4)")
+	size := fs.Int("size", 2, "max template size (2 takes under a second; 3 about 3.5 s with the default -prover full and 1.3 s with -prover algebraic; 4 about 48 s with -prover full and 31 s with -prover algebraic, on 2 vCPUs; the paper uses 4)")
 	budget := fs.Duration("budget", 60*time.Second, "wall-clock budget (interrupts in-flight proofs)")
 	workers := fs.Int("workers", 0, "search workers (0 = GOMAXPROCS)")
 	progress := fs.Bool("progress", false, "print per-stage progress while searching")
@@ -246,6 +250,14 @@ func cmdDiscover(args []string) int {
 		fmt.Printf("%4d  %s\n      => %s\n      under %s\n", i+1, r.Source, r.Destination, r.Constraints)
 	}
 	finish()
+	if cut := res.Stats.Cut; cut != nil {
+		how := "interrupt"
+		if errors.Is(cut.Cause, context.DeadlineExceeded) {
+			how = fmt.Sprintf("%v -budget", *budget)
+		}
+		fmt.Printf("(discovery cut by %s: %d pairs unsearched; a longer run may find more rules)\n", how, cut.Unsearched)
+		return exitTruncated
+	}
 	return exitOK
 }
 

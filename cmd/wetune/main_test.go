@@ -83,6 +83,8 @@ func TestExitCodes(t *testing.T) {
 		{"soak has no -inprocess", []string{"soak", "-inprocess"}, exitUsage},
 		{"soak bad flag", []string{"soak", "-no-such-flag"}, exitUsage},
 		{"discover bad prover", []string{"discover", "-prover", "bogus"}, exitUsage},
+		{"discover ok", []string{"discover", "-size", "1", "-prover", "algebraic"}, exitOK},
+		{"discover cut by budget", []string{"discover", "-size", "2", "-budget", "1ns"}, exitTruncated},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,6 +93,18 @@ func TestExitCodes(t *testing.T) {
 				t.Errorf("run(%v) = %d, want %d", tc.args, code, tc.want)
 			}
 		})
+	}
+}
+
+// TestDiscoverCutSaysSo: a discovery its budget cut prints which budget did
+// and how many pairs went unsearched, as a truncated rewrite names its budget.
+func TestDiscoverCutSaysSo(t *testing.T) {
+	code, out := runQuiet(t, "discover", "-size", "2", "-budget", "1ns")
+	if code != exitTruncated {
+		t.Fatalf("code = %d, want %d", code, exitTruncated)
+	}
+	if !strings.Contains(out, "(discovery cut by 1ns -budget: 250 pairs unsearched;") {
+		t.Errorf("cut discovery did not say so:\n%s", out)
 	}
 }
 

@@ -152,7 +152,8 @@ func unpack(w uint64) C {
 // marks an occupied slot, tag|w holding the packed word w.
 const tag = 1 << 63
 
-// Set is an ordered set of constraints, immutable once built. Its members
+// Set is an ordered set of constraints, immutable once built (Without may
+// rebuild a set its caller no longer reads in place). Its members
 // are words: the packed word of each member, in insertion order, beside an
 // open-addressed table of those words for membership. A member that does not
 // pack — an ID past 4095 or negative, a kind past 7, in practice never — is
@@ -280,9 +281,16 @@ func (s *Set) Has(c C) bool {
 	return slices.Contains(s.wide, c)
 }
 
-// Without returns a new set with c removed.
-func (s *Set) Without(c C) *Set {
-	out := newSet(len(s.words))
+// Without returns the set s with c removed. A nil into makes a new set;
+// otherwise the set is built in into, which is overwritten and its storage
+// reused, so into must be a set that nothing reads any more (and not s).
+func (s *Set) Without(c C, into *Set) *Set {
+	out := into
+	if out == nil {
+		out = newSet(len(s.words))
+	} else {
+		out.clear()
+	}
 	for i := range s.words {
 		if m := s.At(i); m != c {
 			out.add(m)
@@ -291,10 +299,11 @@ func (s *Set) Without(c C) *Set {
 	return out
 }
 
-// clear empties s, keeping its storage.
+// clear empties s, keeping its storage and forgetting its closure.
 func (s *Set) clear() {
 	s.words, s.wide = s.words[:0], s.wide[:0]
 	clear(s.table)
+	s.closure.Store(nil)
 }
 
 // Union returns a new set with all constraints of both sets.

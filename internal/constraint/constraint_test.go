@@ -61,7 +61,7 @@ func TestSetBasics(t *testing.T) {
 	if !s.Has(New(RelEq, r(0), r(1))) {
 		t.Error("missing member")
 	}
-	w := s.Without(New(Unique, r(0), a(0)))
+	w := s.Without(New(Unique, r(0), a(0)), nil)
 	if w.Len() != 1 || w.Has(New(Unique, r(0), a(0))) {
 		t.Error("Without failed")
 	}
@@ -181,16 +181,16 @@ func TestClosureAttrsOfUnderRelEq(t *testing.T) {
 func TestImplies(t *testing.T) {
 	s := NewSet(New(RelEq, r(0), r(1)), New(RelEq, r(1), r(2)), New(RelEq, r(0), r(2)))
 	// r0=r2 is implied by the other two.
-	if !Implies(s.Without(New(RelEq, r(0), r(2))), New(RelEq, r(0), r(2))) {
+	if !Implies(s.Without(New(RelEq, r(0), r(2)), nil), New(RelEq, r(0), r(2))) {
 		t.Error("transitively implied member not detected")
 	}
 	// In an equivalence triangle every edge is implied by the other two.
-	if !Implies(s.Without(New(RelEq, r(0), r(1))), New(RelEq, r(0), r(1))) {
+	if !Implies(s.Without(New(RelEq, r(0), r(1)), nil), New(RelEq, r(0), r(1))) {
 		t.Error("triangle edge should be implied by the other two")
 	}
 	// A genuinely independent constraint is not implied.
 	s2 := NewSet(New(RelEq, r(0), r(1)), New(RelEq, r(2), r(3)))
-	if Implies(s2.Without(New(RelEq, r(2), r(3))), New(RelEq, r(2), r(3))) {
+	if Implies(s2.Without(New(RelEq, r(2), r(3)), nil), New(RelEq, r(2), r(3))) {
 		t.Error("independent constraint reported implied")
 	}
 	if Implies(NewSet(), New(RelEq, r(0), r(1))) {
@@ -373,8 +373,18 @@ func TestSetAgainstMapModel(t *testing.T) {
 		s, m := NewSet(cs...), build(cs)
 		check("NewSet", s, m, probes)
 		check("Union", s.Union(NewSet(other...)), build(append(slices.Clone(cs), other...)), probes)
+		// into holds other members and a memoized closure, which rebuilding
+		// it must drop.
+		into := NewSet(other...)
+		Closure(into)
 		for _, c := range probes[:4] {
-			check("Without", s.Without(c), build(slices.DeleteFunc(slices.Clone(cs), func(x C) bool { return x == c })), probes)
+			want := build(slices.DeleteFunc(slices.Clone(cs), func(x C) bool { return x == c }))
+			check("Without", s.Without(c, nil), want, probes)
+			w := s.Without(c, into)
+			check("Without into a used set", w, want, probes)
+			if got, fresh := Closure(w).Key(), Closure(NewSet(w.Items()...)).Key(); got != fresh {
+				t.Fatalf("closure of a rebuilt set is %q, want %q", got, fresh)
+			}
 		}
 		check("receiver afterwards", s, m, probes)
 	}
@@ -428,20 +438,23 @@ func TestClosureOverWideSymbols(t *testing.T) {
 
 // TestSetAllocations: Items is one allocation (the rewrite path calls it per
 // matched candidate), Key and RenamedKey allocate only their string, and
-// Without one block of words and table.
+// Without one block of words and table, or nothing when it rebuilds a set of
+// the same size.
 func TestSetAllocations(t *testing.T) {
 	cstar := joinInCStar(t)
 	s := NewSet(cstar[len(cstar)-60:]...)
 	c := s.At(30)
+	into := s.Without(c, nil)
 	m := map[template.Sym]template.Sym{a(0): a(3), a(3): a(0)}
 	for name, want := range map[string]struct {
 		allocs float64
 		f      func()
 	}{
-		"Items":      {1, func() { _ = s.Items() }},
-		"Key":        {1, func() { _ = s.Key() }},
-		"RenamedKey": {1, func() { _ = s.RenamedKey("x|", m) }},
-		"Without":    {2, func() { _ = s.Without(c) }},
+		"Items":        {1, func() { _ = s.Items() }},
+		"Key":          {1, func() { _ = s.Key() }},
+		"RenamedKey":   {1, func() { _ = s.RenamedKey("x|", m) }},
+		"Without":      {2, func() { _ = s.Without(c, nil) }},
+		"Without into": {0, func() { _ = s.Without(c, into) }},
 	} {
 		if got := testing.AllocsPerRun(50, want.f); got != want.allocs {
 			t.Errorf("%s: %v allocations, want %v", name, got, want.allocs)

@@ -87,7 +87,7 @@ type tupleInfo struct {
 // Pool is a hash-consing arena. The zero value is not usable; call NewPool.
 type Pool struct {
 	tInfo map[uexpr.Tuple]*tupleInfo
-	tBuck map[uint64][]uexpr.Tuple
+	tBuck buckets[uexpr.Tuple]
 
 	f table[fol.Formula]
 	m table[fol.Term]
@@ -114,9 +114,9 @@ type Pool struct {
 func NewPool() *Pool {
 	p := &Pool{
 		tInfo:  map[uexpr.Tuple]*tupleInfo{},
-		tBuck:  map[uint64][]uexpr.Tuple{},
-		f:      table[fol.Formula]{hash: map[fol.Formula]uint64{}, buck: map[uint64][]fol.Formula{}},
-		m:      table[fol.Term]{hash: map[fol.Term]uint64{}, buck: map[uint64][]fol.Term{}},
+		tBuck:  newBuckets[uexpr.Tuple](),
+		f:      table[fol.Formula]{hash: map[fol.Formula]uint64{}, buckets: newBuckets[fol.Formula]()},
+		m:      table[fol.Term]{hash: map[fol.Term]uint64{}, buckets: newBuckets[fol.Term]()},
 		trueF:  &fol.TrueF{},
 		falseF: &fol.FalseF{},
 	}
@@ -171,8 +171,12 @@ func (p *Pool) False() fol.Formula { return p.falseF }
 // MkVar interns the tuple variable with the given ID (scope-free; see the
 // package comment).
 func (p *Pool) MkVar(id int) uexpr.Tuple {
-	h := mix(mix(offset64, tagTVar), uint64(uint32(id)))
-	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { v, ok := c.(*uexpr.TVar); return ok && v.ID == id }); ok {
+	return p.mkVar(mix(mix(offset64, tagTVar), uint64(uint32(id))), id)
+}
+
+// mkVar is MkVar with the hash h given.
+func (p *Pool) mkVar(h uint64, id int) uexpr.Tuple {
+	if c, ok := p.tBuck.find(p, h, func(c uexpr.Tuple) bool { v, ok := c.(*uexpr.TVar); return ok && v.ID == id }); ok {
 		return c
 	}
 	n := &uexpr.TVar{ID: id}
@@ -184,7 +188,7 @@ func (p *Pool) MkVar(id int) uexpr.Tuple {
 func (p *Pool) MkAttr(attrs template.Sym, t uexpr.Tuple) uexpr.Tuple {
 	ti := p.tInfo[t]
 	h := mix(symHash(tagTAttr, attrs), ti.hash)
-	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { a, ok := c.(*uexpr.TAttr); return ok && a.Attrs == attrs && a.T == t }); ok {
+	if c, ok := p.tBuck.find(p, h, func(c uexpr.Tuple) bool { a, ok := c.(*uexpr.TAttr); return ok && a.Attrs == attrs && a.T == t }); ok {
 		return c
 	}
 	n := &uexpr.TAttr{Attrs: attrs, T: t}
@@ -196,7 +200,7 @@ func (p *Pool) MkAttr(attrs template.Sym, t uexpr.Tuple) uexpr.Tuple {
 func (p *Pool) MkConcat(l, r uexpr.Tuple) uexpr.Tuple {
 	li, ri := p.tInfo[l], p.tInfo[r]
 	h := mix(mix(mix(offset64, tagTConcat), li.hash), ri.hash)
-	if c, ok := find(p, p.tBuck[h], func(c uexpr.Tuple) bool { x, ok := c.(*uexpr.TConcat); return ok && x.L == l && x.R == r }); ok {
+	if c, ok := p.tBuck.find(p, h, func(c uexpr.Tuple) bool { x, ok := c.(*uexpr.TConcat); return ok && x.L == l && x.R == r }); ok {
 		return c
 	}
 	depth := li.depth
@@ -210,7 +214,7 @@ func (p *Pool) MkConcat(l, r uexpr.Tuple) uexpr.Tuple {
 
 func (p *Pool) putTuple(n uexpr.Tuple, h uint64, key string, depth int) {
 	p.tInfo[n] = &tupleInfo{hash: h, key: key, depth: depth}
-	p.tBuck[h] = append(p.tBuck[h], n)
+	p.tBuck.add(h, n)
 }
 
 // Tuple canonicalizes an arbitrary tuple term into the pool. It keeps its own
@@ -242,29 +246,58 @@ func (p *Pool) TupleDepth(t uexpr.Tuple) int { return p.tInfo[t].depth }
 // --- formulas ---
 
 // table is one sort's hash-consing table: the structural hash of every
-// pooled node, and the pooled nodes under each hash.
+// pooled node, and the pooled nodes by hash.
 type table[N comparable] struct {
 	hash map[N]uint64
-	buck map[uint64][]N
+	buckets[N]
 }
 
-// find returns the node of bucket that same accepts: the pooled node equal
-// to one being made, whose hash picked the bucket.
-func find[N comparable](p *Pool, bucket []N, same func(N) bool) (N, bool) {
-	for _, c := range bucket {
+// buckets files pooled nodes by structural hash. The first node under a hash
+// is the map value itself; only a true 64-bit collision, which a pool all but
+// never meets, puts a second node in more. A pooled node thus costs one map
+// entry, not an entry and a one-element slice.
+type buckets[N comparable] struct {
+	first map[uint64]N
+	more  map[uint64][]N // made on the first collision
+}
+
+func newBuckets[N comparable]() buckets[N] { return buckets[N]{first: map[uint64]N{}} }
+
+// find returns the node under hash h that same accepts: the pooled node
+// equal to one being made, whose hash is h.
+func (b *buckets[N]) find(p *Pool, h uint64, same func(N) bool) (N, bool) {
+	if c, ok := b.first[h]; ok {
 		if same(c) {
 			p.hits++
 			return c, true
+		}
+		for _, c := range b.more[h] {
+			if same(c) {
+				p.hits++
+				return c, true
+			}
 		}
 	}
 	var none N
 	return none, false
 }
 
+// add files n under hash h.
+func (b *buckets[N]) add(h uint64, n N) {
+	if _, taken := b.first[h]; !taken {
+		b.first[h] = n
+		return
+	}
+	if b.more == nil {
+		b.more = map[uint64][]N{}
+	}
+	b.more[h] = append(b.more[h], n)
+}
+
 // put pools n under hash h.
 func (t *table[N]) put(n N, h uint64) N {
 	t.hash[n] = h
-	t.buck[h] = append(t.buck[h], n)
+	t.add(h, n)
 	return n
 }
 
@@ -274,7 +307,7 @@ func poolF[N comparable, P interface {
 	*N
 	fol.Formula
 }](p *Pool, h uint64, n N) fol.Formula {
-	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(P); return ok && *x == n }); ok {
+	if c, ok := p.f.find(p, h, func(c fol.Formula) bool { x, ok := c.(P); return ok && *x == n }); ok {
 		return c
 	}
 	x := P(new(N))
@@ -342,13 +375,13 @@ func (p *Pool) junction(or bool, fs []fol.Formula) fol.Formula {
 		return p.trueF
 	case or:
 		h := hashAll(tagOr, out, p.f.hash)
-		if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(*fol.Or); return ok && slices.Equal(x.Fs, out) }); ok {
+		if c, ok := p.f.find(p, h, func(c fol.Formula) bool { x, ok := c.(*fol.Or); return ok && slices.Equal(x.Fs, out) }); ok {
 			return c
 		}
 		return p.f.put(&fol.Or{Fs: slices.Clone(out)}, h)
 	}
 	h := hashAll(tagAnd, out, p.f.hash)
-	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool { x, ok := c.(*fol.And); return ok && slices.Equal(x.Fs, out) }); ok {
+	if c, ok := p.f.find(p, h, func(c fol.Formula) bool { x, ok := c.(*fol.And); return ok && slices.Equal(x.Fs, out) }); ok {
 		return c
 	}
 	return p.f.put(&fol.And{Fs: slices.Clone(out)}, h)
@@ -367,7 +400,7 @@ func hashAll[N comparable](tag uint64, xs []N, hash map[N]uint64) uint64 {
 // canonicalized by ID.
 func (p *Pool) MkForall(vars []*uexpr.TVar, body fol.Formula) fol.Formula {
 	cv, h := p.quantVars(tagForall, vars, body)
-	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool {
+	if c, ok := p.f.find(p, h, func(c fol.Formula) bool {
 		x, ok := c.(*fol.Forall)
 		return ok && x.Body == body && slices.Equal(x.Vars, cv)
 	}); ok {
@@ -380,7 +413,7 @@ func (p *Pool) MkForall(vars []*uexpr.TVar, body fol.Formula) fol.Formula {
 // are canonicalized by ID.
 func (p *Pool) MkExists(vars []*uexpr.TVar, body fol.Formula) fol.Formula {
 	cv, h := p.quantVars(tagExists, vars, body)
-	if c, ok := find(p, p.f.buck[h], func(c fol.Formula) bool {
+	if c, ok := p.f.find(p, h, func(c fol.Formula) bool {
 		x, ok := c.(*fol.Exists)
 		return ok && x.Body == body && slices.Equal(x.Vars, cv)
 	}); ok {
@@ -415,7 +448,7 @@ func poolM[N comparable, P interface {
 	*N
 	fol.Term
 }](p *Pool, h uint64, n N) fol.Term {
-	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(P); return ok && *x == n }); ok {
+	if c, ok := p.m.find(p, h, func(c fol.Term) bool { x, ok := c.(P); return ok && *x == n }); ok {
 		return c
 	}
 	x := P(new(N))
@@ -443,7 +476,7 @@ func (p *Pool) MkITE(cond fol.Formula, then, els fol.Term) fol.Term {
 // fol layer never flattens products either).
 func (p *Pool) MkMulT(fs []fol.Term) fol.Term {
 	h := hashAll(tagMulT, fs, p.m.hash)
-	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(*fol.MulT); return ok && slices.Equal(x.Fs, fs) }); ok {
+	if c, ok := p.m.find(p, h, func(c fol.Term) bool { x, ok := c.(*fol.MulT); return ok && slices.Equal(x.Fs, fs) }); ok {
 		return c
 	}
 	return p.m.put(&fol.MulT{Fs: fs}, h)
@@ -452,7 +485,7 @@ func (p *Pool) MkMulT(fs []fol.Term) fol.Term {
 // MkAddT interns a sum. Elements must be canonical.
 func (p *Pool) MkAddT(ts []fol.Term) fol.Term {
 	h := hashAll(tagAddT, ts, p.m.hash)
-	if c, ok := find(p, p.m.buck[h], func(c fol.Term) bool { x, ok := c.(*fol.AddT); return ok && slices.Equal(x.Ts, ts) }); ok {
+	if c, ok := p.m.find(p, h, func(c fol.Term) bool { x, ok := c.(*fol.AddT); return ok && slices.Equal(x.Ts, ts) }); ok {
 		return c
 	}
 	return p.m.put(&fol.AddT{Ts: ts}, h)

@@ -472,3 +472,34 @@ func TestPooledMapIsCanonical(t *testing.T) {
 		}
 	}
 }
+
+// TestHashCollisionInternsDistinctly files two distinct nodes of each
+// bucket kind under one hash: the second goes to the overflow bucket, and
+// each still interns to itself and to nothing else.
+func TestHashCollisionInternsDistinctly(t *testing.T) {
+	p := NewPool()
+	const h = 42
+	v1, v2 := p.varAt(h, 1), p.varAt(h, 2)
+	if v1 == v2 {
+		t.Fatal("distinct variables under one hash interned to one node")
+	}
+	if p.varAt(h, 1) != v1 || p.varAt(h, 2) != v2 {
+		t.Error("a variable under a shared hash did not intern to its node")
+	}
+	a, b := p.predAppAt(h, predSym(1), v1), p.predAppAt(h, predSym(2), v1)
+	if a == b {
+		t.Fatal("distinct formulas under one hash interned to one node")
+	}
+	if p.predAppAt(h, predSym(1), v1) != a || p.predAppAt(h, predSym(2), v1) != b {
+		t.Error("a formula under a shared hash did not intern to its node")
+	}
+	if c := p.predAppAt(h, predSym(3), v1); c == a || c == b {
+		t.Error("a third formula under the shared hash matched an earlier one")
+	}
+	if len(p.tBuck.more[h]) != 1 || len(p.f.more[h]) != 2 {
+		t.Errorf("overflow buckets hold %d tuples and %d formulas, want 1 and 2", len(p.tBuck.more[h]), len(p.f.more[h]))
+	}
+	if hits, nodes := p.Stats(); hits != 4 || nodes != 2+5 {
+		t.Errorf("Stats = %d hits, %d nodes, want 4 and 7 (true and false are pooled too)", hits, nodes)
+	}
+}

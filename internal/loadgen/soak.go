@@ -29,8 +29,9 @@ type FaultPhase struct {
 // recovery can be asserted. Search starvation opens the run: the soak
 // replays a corpus the result cache serves, and only a miss at the full
 // level runs the search, so its window is where the cache is still cold and
-// the ladder has had no reason to step down (a slow run, such as one under
-// the race detector, may hold cache_only for most of the rest).
+// the ladder has had no reason to step down (a slow run may hold cache_only
+// for most of the rest; under the race detector RunSoak stretches the
+// ladder's thresholds for that reason).
 func defaultSchedule(d time.Duration) []FaultPhase {
 	frac := func(f float64) time.Duration { return time.Duration(f * float64(d)) }
 	window := func(from, to float64) (time.Duration, time.Duration) {
@@ -217,12 +218,13 @@ func RunSoak(ctx context.Context, opts SoakOptions) (*SoakReport, error) {
 		Degradation: server.DegradationConfig{
 			// Aggressive thresholds so a short soak exercises the ladder:
 			// sample fast, degrade after 2 hot ticks, call 5ms "hot" (the
-			// corpus rewrites in µs; only injected stalls reach it).
+			// corpus rewrites in µs; only injected stalls reach it). The
+			// race detector's slowdown stretches both lines (ladderScale).
 			SampleEvery:  20 * time.Millisecond,
 			DegradeAfter: 2,
 			RecoverAfter: 5,
-			HighP99:      5 * time.Millisecond,
-			LowP99:       2 * time.Millisecond,
+			HighP99:      ladderScale * 5 * time.Millisecond,
+			LowP99:       ladderScale * 2 * time.Millisecond,
 		},
 	})
 	if err != nil {

@@ -21,6 +21,7 @@ package pipeline
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -59,7 +60,10 @@ func (r Rule) String() string {
 
 // Prover decides whether src and dest are equivalent under cs. Provers must
 // honor ctx: when it is cancelled mid-proof they return promptly (the verdict
-// is then discarded, not cached).
+// is then discarded, not cached). A prover must not keep cs, or anything that
+// reads it, after it returns: the relaxation rebuilds the storage of a set it
+// has asked about into its next candidate (constraint.Set.Without). What a
+// prover derives from cs — a key, a unification — is its own.
 type Prover func(ctx context.Context, src, dest *template.Node, cs *constraint.Set) bool
 
 // PairProverFactory builds a prover specialized to one template pair. The
@@ -106,10 +110,9 @@ type Options struct {
 	// the pipeline's first stage.
 	Templates []*template.Node
 	// MaxTemplateSize bounds enumerated templates when Templates is nil
-	// (default 2). On 2 vCPUs size 3 takes about 1.5 s with
-	// AlgebraicPairProver and 4.5 s with DefaultPairProver, and size 4 about
-	// 42 s with AlgebraicPairProver; the paper's size-4 run took 36 hours on
-	// 120 cores.
+	// (default 2). On 2 vCPUs size 3 takes about 1.3 s with
+	// AlgebraicPairProver and 3.5 s with DefaultPairProver, and size 4 about
+	// 31 s and 48 s; the paper's size-4 run took 36 hours on 120 cores.
 	MaxTemplateSize int
 	// PairProver is called once per template pair; the relaxation probes the
 	// Prover it returns. Defaults to DefaultPairProver.
@@ -203,6 +206,21 @@ type Stats struct {
 	// CrossCheck hook (always 0 when the hook is unset).
 	RulesCrossCheckedOut int64
 	Elapsed              time.Duration
+	// Cut is set when the run's context ended it before every pair was
+	// searched to the end, and nil for a complete run.
+	Cut *Cut
+}
+
+// Cut records that a run's context ended it early: the rules are those
+// found so far, and a longer budget may find more.
+type Cut struct {
+	// Cause is the context's error: context.DeadlineExceeded for a budget,
+	// context.Canceled for a cancellation.
+	Cause error
+	// Unsearched counts the pairs not searched to the end: those never
+	// generated, those dequeued after the context ended, and those whose
+	// relaxation it interrupted.
+	Unsearched int64
 }
 
 // CacheHitRate returns the in-run proof-cache hit rate in [0, 1], or 0 before
@@ -235,6 +253,7 @@ type counters struct {
 	cacheMisses     atomic.Int64
 	rulesFound      atomic.Int64
 	crossCheckedOut atomic.Int64
+	unsearched      atomic.Int64 // Cut.Unsearched
 	start           time.Time
 	// cache, when set, contributes its size to snapshots (hit/miss deltas are
 	// tracked per-run in cacheHits/cacheMisses above, so a reused cache does not
@@ -258,6 +277,16 @@ func (c *counters) snapshot() Stats {
 	}
 	if c.cache != nil {
 		st.CacheSize = c.cache.Len()
+	}
+	return st
+}
+
+// final is the snapshot a run returns: with a Cut when ctx ended it before
+// every pair was searched to the end.
+func (c *counters) final(ctx context.Context) Stats {
+	st := c.snapshot()
+	if n := c.unsearched.Load(); n > 0 && ctx.Err() != nil {
+		st.Cut = &Cut{Cause: ctx.Err(), Unsearched: n}
 	}
 	return st
 }
@@ -318,8 +347,8 @@ func Run(ctx context.Context, opts Options) *Result {
 	pairs := make(chan pair, opts.Workers)
 	go func() {
 		defer close(pairs)
-		for _, src := range templates {
-			for _, dest := range templates {
+		for i, src := range templates {
+			for j, dest := range templates {
 				if !dest.NotMoreOpsThan(src) {
 					continue
 				}
@@ -329,6 +358,7 @@ func Run(ctx context.Context, opts Options) *Result {
 					ct.pairsGenerated.Add(1)
 					queueDepth.Add(1)
 				case <-ctx.Done():
+					ct.unsearched.Add(pairsFrom(templates, i, j))
 					return
 				}
 			}
@@ -351,6 +381,7 @@ func Run(ctx context.Context, opts Options) *Result {
 				queueDepth.Add(-1)
 				if ctx.Err() != nil {
 					ct.pairsSkipped.Add(1)
+					ct.unsearched.Add(1)
 					reg.Counter(metricPairsSkipped).Inc()
 					continue
 				}
@@ -373,9 +404,51 @@ func Run(ctx context.Context, opts Options) *Result {
 	}
 	wg.Wait()
 	sortRules(res.Rules)
-	res.Stats = ct.snapshot()
+	res.Stats = ct.final(ctx)
 	emit("done")
 	return res
+}
+
+// pairsFrom counts the pairs pair generation makes from source templates[i]
+// and destination templates[j] on, in its loop order: what is left when the
+// context stops it there. The filter reads operator counts only, so whole
+// rows are counted by classes of templates with equal counts.
+func pairsFrom(templates []*template.Node, i, j int) int64 {
+	var n int64
+	for _, dest := range templates[j:] {
+		if dest.NotMoreOpsThan(templates[i]) {
+			n++
+		}
+	}
+	type class struct {
+		rep     *template.Node
+		members int64
+		row     int64 // pairs in a row whose source is of the class; -1 until counted
+	}
+	var classes []class
+	of := make([]int, len(templates))
+	for k, t := range templates {
+		c := slices.IndexFunc(classes, func(c class) bool { return t.NotMoreOpsThan(c.rep) && c.rep.NotMoreOpsThan(t) })
+		if c < 0 {
+			c = len(classes)
+			classes = append(classes, class{rep: t, row: -1})
+		}
+		classes[c].members++
+		of[k] = c
+	}
+	for _, k := range of[i+1:] {
+		src := &classes[k]
+		if src.row < 0 {
+			src.row = 0
+			for _, dest := range classes {
+				if dest.rep.NotMoreOpsThan(src.rep) {
+					src.row += dest.members
+				}
+			}
+		}
+		n += src.row
+	}
+	return n
 }
 
 // RunPair runs the constraint relaxation stage for a single, pre-renamed
@@ -390,7 +463,7 @@ func RunPair(ctx context.Context, src, dest *template.Node, opts Options) ([]Rul
 	rules := searchPair(ctx, src, dest, opts, ct)
 	rules = applyCrossCheck(ctx, rules, opts, ct)
 	ct.rulesFound.Add(int64(len(rules)))
-	return rules, ct.snapshot()
+	return rules, ct.final(ctx)
 }
 
 // applyCrossCheck filters verifier-accepted rules through the optional

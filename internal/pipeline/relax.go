@@ -13,10 +13,14 @@ import (
 )
 
 // This file is the constraint-set enumeration/relaxation stage: WeTune's
-// SearchRelaxed (§4.3, Algorithm 1) for one template pair. Provability is
-// monotone in the constraint set (constraints only add hypotheses), so
-// most-relaxed sets are minimal provable subsets of C*; the relaxer performs
-// deletion-based minimization seeded from several deletion orders, with the
+// SearchRelaxed (§4.3, Algorithm 1) for one template pair. The search
+// assumes provability is monotone in the constraint set — constraints only
+// add hypotheses, so semantically it is — and takes most-relaxed sets to be
+// minimal provable subsets of C*. This verifier is not monotone: 136 of
+// 1,005 one-constraint strengthenings of library rules lose their proof
+// (ROADMAP item 30), so a deletion the prover refuses may leave a set whose
+// subsets would still prove. The relaxer performs deletion-based
+// minimization seeded from several deletion orders, with the
 // closure/implication pruning of §4.3 (constraints implied by the rest of the
 // set are removed without a verifier call).
 
@@ -33,7 +37,12 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	}
 	ct.pairsTried.Add(1)
 	opts.Metrics.Counter(metricPairsTried).Inc()
-	return newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics).search(cstar, opts.deletionOrders)
+	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics)
+	rules := s.search(cstar, opts.deletionOrders)
+	if s.interrupted {
+		ct.unsearched.Add(1)
+	}
+	return rules
 }
 
 // search relaxes the pair from C* in the given number of deletion orders,
@@ -95,7 +104,12 @@ type relaxer struct {
 	budget    int
 	calls     int
 	exhausted bool
-	memo      map[string]bool
+	// interrupted records that the context, not the budget, exhausted it.
+	interrupted bool
+	memo        map[string]bool
+	// spare is storage for minimize's next deletion candidate: a set no one
+	// reads any more, never one minimize returned.
+	spare *constraint.Set
 	// implies is the §4.3 implication test, nil when pruning is disabled.
 	implies func(*constraint.Set, constraint.C) bool
 	cache   *ProofCache
@@ -121,7 +135,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		return false
 	}
 	if s.ctx.Err() != nil {
-		s.exhausted = true
+		s.exhausted, s.interrupted = true, true
 		return false
 	}
 	s.calls++
@@ -140,7 +154,7 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 	if s.ctx.Err() != nil {
 		// The proof was interrupted: the conservative "false" must not be
 		// memoized anywhere a later, uncancelled run could see it.
-		s.exhausted = true
+		s.exhausted, s.interrupted = true, true
 		return false
 	}
 	s.cache.Put(key, v)
@@ -165,16 +179,16 @@ func (s *relaxer) minimize(cstar *constraint.Set, order int) (*constraint.Set, b
 		if !cur.Has(c) {
 			continue
 		}
-		without := cur.Without(c)
-		if s.implies != nil && s.implies(without, c) {
-			// Implied member: removal is semantically free (§4.3 closure
-			// pruning) — no verifier call needed.
-			cur = without
-			continue
+		// Each candidate is built in s.spare, the storage of the last one
+		// refused or of the set the last one accepted replaced: nothing reads
+		// those any more, since no prover keeps a set past its call.
+		without := cur.Without(c, s.spare)
+		// Implied member: removal is semantically free (§4.3 closure
+		// pruning) — no verifier call needed.
+		if (s.implies != nil && s.implies(without, c)) || s.prove(without) {
+			cur, without = without, cur
 		}
-		if s.prove(without) {
-			cur = without
-		}
+		s.spare = without
 		if s.exhausted {
 			return nil, false
 		}

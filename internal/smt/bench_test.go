@@ -39,7 +39,8 @@ func firstProbe(b *testing.B, src, dest *template.Node, want func(verify.Report)
 			return func(_ context.Context, _, _ *template.Node, cs *constraint.Set) bool {
 				rep := pc.VerifyOpts(cs, opts)
 				if probe == nil && want(rep) {
-					probe = cs
+					// A prover must not keep cs (pipeline.Prover): copy it.
+					probe = constraint.NewSet(cs.Items()...)
 					cancel()
 				}
 				return rep.Outcome == verify.Verified

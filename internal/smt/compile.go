@@ -5,7 +5,6 @@ import (
 	"math/bits"
 
 	"wetune/internal/fol"
-	"wetune/internal/template"
 )
 
 // The ground formula and the terms of its integer atoms are compiled once per
@@ -65,15 +64,18 @@ const (
 // keeps its own switches: each kind compiles to an op of its own, and an
 // implication to the disjunction it means.
 func (g *grounder) compileAll(f fol.Formula) {
-	memo := map[any]int32{} // formula or term -> node
-	rels := map[template.Sym]int32{}
+	memo, rels := g.memo.m, g.rels.m // formula or term -> node; symbol -> number
 	var compile func(v any) int32
 	operands := func(op nodeOp, n int, at func(int) any) node {
-		ks := make([]int32, n)
-		for i := range ks {
-			ks[i] = compile(at(i))
+		// The operands' nodes wait on g.operands while their own operands
+		// are compiled above them.
+		base := len(g.operands)
+		for i := range n {
+			k := compile(at(i))
+			g.operands = append(g.operands, k)
 		}
-		g.kids = append(g.kids, ks...)
+		g.kids = append(g.kids, g.operands[base:]...)
+		g.operands = g.operands[:base]
 		return node{op: op, a: int32(len(g.kids) - n), b: int32(len(g.kids))}
 	}
 	compile = func(v any) int32 {
@@ -97,7 +99,7 @@ func (g *grounder) compileAll(f fol.Formula) {
 			return compile(g.solver.pool.MkOr(g.solver.pool.MkNot(x.L), x.R))
 		case fol.Formula:
 			nd = node{op: fAtom, a: -1}
-			if id, ok := g.atomIdx[x]; ok {
+			if id, ok := g.atomIdx.m[x]; ok {
 				nd.a = int32(id)
 			}
 		case *fol.IntConst:
@@ -167,7 +169,7 @@ type conjSave struct {
 // initConjuncts lists the root conjuncts and the atoms each reads, and
 // evaluates them under the empty assignment.
 func (g *grounder) initConjuncts() {
-	cj := g.conj
+	cj := &g.conj
 	if r := g.prog[g.root]; r.op == fAnd {
 		cj.nodes = g.kids[r.a:r.b]
 	} else {
@@ -205,7 +207,7 @@ func (g *grounder) initConjuncts() {
 // enters it in the atoms' lists (fill set). s stamps the nodes met, so a
 // subformula shared inside the conjunct is walked once.
 func (g *grounder) readers(n, c, s int32, fill bool) {
-	cj := g.conj
+	cj := &g.conj
 	if cj.stamp[n] == s {
 		return
 	}
@@ -248,7 +250,7 @@ func (g *grounder) evalConjunct(c int32) {
 // assigned re-evaluates the conjuncts that read atom, just assigned, saving
 // their state for undo.
 func (g *grounder) assigned(atom int) {
-	cj := g.conj
+	cj := &g.conj
 	for _, c := range cj.occ[cj.occAt[atom]:cj.occAt[atom+1]] {
 		cj.trail = append(cj.trail, conjSave{c: c, open: cj.open[c], val: cj.val[c]})
 		g.evalConjunct(c)
@@ -290,7 +292,7 @@ func (cj *conjuncts) count(c int32, d int) {
 // open formula g.open receives the atom a left-to-right pass meets first,
 // the first undecided atom of the first conjunct that met one.
 func (g *grounder) evalRoot() int8 {
-	cj := g.conj
+	cj := &g.conj
 	switch {
 	case cj.nFalse > 0:
 		return evalFalse

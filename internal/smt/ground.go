@@ -1,8 +1,8 @@
 package smt
 
 import (
-	"sort"
-	"sync"
+	"slices"
+	"strings"
 
 	"wetune/internal/fol"
 	"wetune/internal/template"
@@ -30,7 +30,7 @@ import (
 type grounder struct {
 	solver  *solver
 	atoms   []fol.Formula
-	atomIdx map[fol.Formula]int
+	atomIdx scratchMap[fol.Formula, int]
 	propN   int
 	unknown bool
 	nodes   int
@@ -51,11 +51,16 @@ type grounder struct {
 	defs []fol.Formula
 
 	// The compiled formula and integer terms; root is the formula's node,
-	// conj the state of its conjuncts.
-	prog []node
-	kids []int32
-	root int32
-	conj *conjuncts
+	// conj the state of its conjuncts. memo, rels and operands are
+	// compileAll's: the node of each formula or term compiled, the dense
+	// number of each relation symbol, and the stack operands are compiled on.
+	prog     []node
+	kids     []int32
+	root     int32
+	conj     conjuncts
+	memo     scratchMap[any, int32]
+	rels     scratchMap[template.Sym, int32]
+	operands []int32
 	// atomEq[id] holds the term numbers of a tuple-equality atom (-1, -1
 	// otherwise).
 	atomEq   [][2]int32
@@ -66,27 +71,46 @@ type grounder struct {
 	// canonical strings, whose order alone picks class representatives
 	// (keeping verdicts independent of registration order).
 	terms   []uexpr.Tuple
-	termIdx map[uexpr.Tuple]int32
+	termIdx scratchMap[uexpr.Tuple, int32]
 	keys    []string
-	cc      *ccState
+	order   []int32 // buildUniverse's terms in key order
+	cc      ccState
 	th      theoryScratch
 }
 
-// searchScratch holds what decide() sizes for the search alone, the
-// congruence closure and the root conjuncts' state. Solves take it from a
-// pool and size its arrays anew, so that a solve allocates them only when
-// its formula outgrows the last one's.
-type searchScratch struct {
-	cc   ccState
-	conj conjuncts
+// release returns g emptied for the next solve (solver.release): the tables
+// reuse keeps, and the closure's, the conjuncts' and the theory's arrays,
+// which the next decide sizes anew (resize) and so never clears past what it
+// uses. Every other field is zero.
+func (g *grounder) release() grounder {
+	g.atomIdx.empty()
+	g.termIdx.empty()
+	g.memo.empty()
+	g.rels.empty()
+	return grounder{
+		atoms:    reuse(g.atoms),
+		atomIdx:  g.atomIdx,
+		assign:   g.assign,
+		defs:     reuse(g.defs),
+		prog:     reuse(g.prog),
+		kids:     reuse(g.kids),
+		conj:     g.conj,
+		memo:     g.memo,
+		rels:     g.rels,
+		operands: reuse(g.operands),
+		atomEq:   g.atomEq,
+		intAtoms: reuse(g.intAtoms),
+		terms:    reuse(g.terms),
+		termIdx:  g.termIdx,
+		keys:     reuse(g.keys),
+		order:    g.order,
+		cc:       g.cc,
+		th:       g.th,
+	}
 }
-
-var searchScratches = sync.Pool{New: func() any { return new(searchScratch) }}
 
 // decide preprocesses away embedded quantifiers and runs DPLL.
 func (g *grounder) decide(f fol.Formula) Result {
-	g.atomIdx = map[fol.Formula]int{}
-	g.termIdx = map[uexpr.Tuple]int32{}
 	g.inst = g.solver.groundTerms([]fol.Formula{f})
 	if len(g.inst) == 0 {
 		g.inst = []uexpr.Tuple{g.solver.freshSkolem()}
@@ -99,12 +123,9 @@ func (g *grounder) decide(f fol.Formula) Result {
 		g.giveUp(StopAtoms)
 		return Unknown
 	}
-	sc := searchScratches.Get().(*searchScratch)
-	defer searchScratches.Put(sc)
-	g.cc, g.conj = &sc.cc, &sc.conj
 	g.buildUniverse()
 	g.compileAll(all)
-	g.assign = make([]int8, len(g.atoms))
+	g.assign = resize(g.assign, len(g.atoms))
 	g.initConjuncts()
 	res := g.dpll()
 	if res == Unsat && g.unknown {
@@ -241,10 +262,10 @@ func (g *grounder) giveUp(cause Stop) {
 // atoms share one id.
 func (g *grounder) collectAtoms(f fol.Formula) {
 	walkAtoms(f, func(a fol.Formula) bool {
-		if _, known := g.atomIdx[a]; known {
+		if _, known := g.atomIdx.m[a]; known {
 			return false
 		}
-		g.atomIdx[a] = len(g.atoms)
+		g.atomIdx.m[a] = len(g.atoms)
 		g.atoms = append(g.atoms, a)
 		return true
 	})
@@ -291,32 +312,35 @@ func (g *grounder) buildUniverse() {
 		walkTuples(a, func(t uexpr.Tuple) { g.termID(t) })
 	}
 	// Attribute applications grouped by symbol, and rank[t], the position of
-	// t's key in sorted order: comparing ranks is comparing keys.
+	// t's key in sorted order: comparing ranks is comparing keys. The arrays
+	// are the last solve's closure's, which init takes back.
 	n := len(g.terms)
-	child, order := make([]int32, n), make([]int32, n)
-	var groups [][]int32
+	child, rank := resize(g.cc.child, n), resize(g.cc.rank, n)
+	g.order = resize(g.order, n)
+	groups := g.cc.groups[:0]
 	groupOf := map[template.Sym]int{}
 	for i, t := range g.terms {
-		child[i], order[i] = -1, int32(i)
+		child[i], g.order[i] = -1, int32(i)
 		if ta, ok := t.(*uexpr.TAttr); ok {
-			child[i] = g.termIdx[ta.T]
+			child[i] = g.termIdx.m[ta.T]
 			gi, seen := groupOf[ta.Attrs]
 			if !seen {
 				gi, groupOf[ta.Attrs] = len(groups), len(groups)
-				groups = append(groups, nil)
+				// A group of an earlier solve lends its array.
+				groups = slices.Grow(groups, 1)[:gi+1]
+				groups[gi] = groups[gi][:0]
 			}
 			groups[gi] = append(groups[gi], int32(i))
 		}
 	}
-	sort.Slice(order, func(i, j int) bool { return g.keys[order[i]] < g.keys[order[j]] })
-	rank := make([]int32, n)
-	for r, t := range order {
+	// Keys are distinct (one pooled term each), so any sort is the one order.
+	slices.SortFunc(g.order, func(a, b int32) int { return strings.Compare(g.keys[a], g.keys[b]) })
+	for r, t := range g.order {
 		rank[t] = int32(r)
 	}
-	var eqs []ccEq
-	var preds []ccPred
+	eqs, preds := g.cc.eqs[:0], g.cc.preds[:0]
 	predIdx := map[template.Sym]int32{}
-	g.atomEq = make([][2]int32, len(g.atoms))
+	g.atomEq = resize(g.atomEq, len(g.atoms))
 	addPred := func(id int, sym template.Sym, t uexpr.Tuple) {
 		si, ok := predIdx[sym]
 		if !ok {
@@ -346,14 +370,14 @@ func (g *grounder) buildUniverse() {
 // termID returns the dense index of a canonical tuple term, registering it
 // (children first) on first sight.
 func (g *grounder) termID(t uexpr.Tuple) int32 {
-	if i, ok := g.termIdx[t]; ok {
+	if i, ok := g.termIdx.m[t]; ok {
 		return i
 	}
 	uexpr.MapTuple(t, func(c uexpr.Tuple) uexpr.Tuple { g.termID(c); return c }, nil)
 	i := int32(len(g.terms))
 	g.terms = append(g.terms, t)
 	g.keys = append(g.keys, g.solver.pool.TupleKey(t))
-	g.termIdx[t] = i
+	g.termIdx.m[t] = i
 	return i
 }
 

@@ -24,7 +24,9 @@ package smt
 
 import (
 	"context"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"wetune/internal/fol"
@@ -157,7 +159,17 @@ func SolveNNF(f fol.Formula, opts Options) (Result, Stats) {
 	return run(f, opts, true)
 }
 
+// run solves on a solver from the pool. A solve that panics leaves its
+// solver unreleased, so it is not put back.
 func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
+	s := solvers.Get().(*solver)
+	res, st := s.run(f, opts, isNNF)
+	solvers.Put(s)
+	return res, st
+}
+
+// run is Solve, or with isNNF set SolveNNF, on s, which it leaves released.
+func (s *solver) run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 	reg := opts.Metrics
 	if reg == nil {
 		reg = obs.Default()
@@ -185,8 +197,9 @@ func run(f fol.Formula, opts Options, isNNF bool) (Result, Stats) {
 		}
 		key = k
 	}
-	s := &solver{opts: opts, pool: pool, skolemBase: 1 << 24, start: start}
+	s.opts, s.pool, s.skolemBase, s.start = opts, pool, 1<<24, start
 	res, st := s.solve(nf)
+	s.release()
 	if memo != nil {
 		memo.store(key, res, st)
 	}
@@ -256,15 +269,80 @@ type solver struct {
 	start      time.Time
 
 	// solve's instantiation state: the conjuncts split so far into ground
-	// formulas and universal templates, and counted, the distinct
+	// formulas and universal templates, counted, the distinct
 	// quantifier-free atoms of ground — never more than decide will count
-	// (see countAtoms).
+	// (see countAtoms) — and seenInst, the instances taken so far.
 	ground     []fol.Formula
 	universals []*fol.Forall
-	counted    map[fol.Formula]struct{}
-	seenTerm   map[uexpr.Tuple]struct{} // groundTerms' visited set
+	counted    scratchMap[fol.Formula, struct{}]
+	seenInst   scratchMap[fol.Formula, struct{}]
+	seenTerm   scratchMap[uexpr.Tuple, struct{}] // groundTerms' visited set
+	kept       []uexpr.Tuple                     // groundTerms' result
 	// enumerated counts eachInstance's yields, for its look at the clock.
 	enumerated int
+
+	g grounder // decides the ground conjunction
+}
+
+// solvers holds solvers between solves. A solver keeps the tables it grew —
+// its own and its grounder's — emptied for the next solve, so that a solve
+// allocates a table only when it outgrows what the last one left (release).
+var solvers = sync.Pool{New: func() any { return new(solver).release() }}
+
+// keepLen is the most entries a table may end a solve with and still be kept
+// for the next: a solve past maxAtoms atoms is refused, so a table this large
+// serves no solve that searches, and is not held on to.
+const keepLen = 8 * maxAtoms
+
+// release empties s for the next solve, keeping the tables that stay
+// (reuse, scratchMap.empty). Every other field returns to its zero value.
+func (s *solver) release() *solver {
+	g := &s.g
+	s.counted.empty()
+	s.seenInst.empty()
+	s.seenTerm.empty()
+	*s = solver{
+		ground:     reuse(s.ground),
+		universals: reuse(s.universals),
+		counted:    s.counted,
+		seenInst:   s.seenInst,
+		seenTerm:   s.seenTerm,
+		kept:       reuse(s.kept),
+		g:          g.release(),
+	}
+	return s
+}
+
+// reuse returns s emptied, or nil when it grew past keepLen. Its elements are
+// cleared, so that a kept slice pins no node of the pool it came from.
+func reuse[T any](s []T) []T {
+	if cap(s) > keepLen {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// scratchMap is a map kept from solve to solve, with the most entries it has
+// held since it was made. Go maps never shrink, and clearing one takes time
+// in proportion to its capacity, which that peak measures.
+type scratchMap[K comparable, V any] struct {
+	m    map[K]V
+	peak int
+}
+
+// empty empties t for its next use. It clears the map when the use that just
+// ended filled it to near its peak. It makes a new one when that use was much
+// smaller than the peak, so a small solve never pays to clear what a large
+// one grew, and when the map holds more than keepLen entries.
+func (t *scratchMap[K, V]) empty() {
+	n := len(t.m)
+	t.peak = max(t.peak, n)
+	if t.m == nil || n > keepLen || t.peak > 8*n+64 {
+		t.m, t.peak = map[K]V{}, 0
+		return
+	}
+	clear(t.m)
 }
 
 // stop records cause as what cut the search short, unless a bound already did.
@@ -373,20 +451,17 @@ func (s *solver) skolemize(f fol.Formula) fol.Formula {
 // ground conjunction to a grounder — unless the atoms streamed so far already
 // exceed what the grounder accepts.
 func (s *solver) solve(nf fol.Formula) (Result, Stats) {
-	s.counted = map[fol.Formula]struct{}{}
-	s.seenTerm = map[uexpr.Tuple]struct{}{}
 	s.split(s.skolemize(nf))
 
 	// The instances of one round, in order: universals as split, each one's
 	// variables outermost first over the key-sorted pool. Universals an
 	// instance uncovers (e.g. Unique's second conjunct after partial
 	// instantiation) wait for the next round.
-	seenInst := map[fol.Formula]bool{}
 	take := func(inst fol.Formula) bool {
-		if seenInst[inst] {
+		if _, seen := s.seenInst.m[inst]; seen {
 			return true
 		}
-		seenInst[inst] = true
+		s.seenInst.m[inst] = struct{}{}
 		s.split(s.skolemize(inst))
 		s.stats.Instances++
 		return !s.refused()
@@ -414,11 +489,12 @@ func (s *solver) solve(nf fol.Formula) (Result, Stats) {
 	}
 
 	// Decide the ground conjunction.
-	g := &grounder{solver: s}
+	g := &s.g
+	g.solver = s
 	res := g.decide(s.pool.MkAnd(s.ground...))
 	s.stats.Atoms = len(g.atoms)
 	if groundedHook != nil {
-		groundedHook(len(s.counted), len(g.atoms))
+		groundedHook(len(s.counted.m), len(g.atoms))
 	}
 	return res, s.stats
 }
@@ -426,12 +502,12 @@ func (s *solver) solve(nf fol.Formula) (Result, Stats) {
 // refused reports whether the atoms streamed so far already exceed what
 // decide accepts, and records the refusal.
 func (s *solver) refused() bool {
-	if len(s.counted) <= maxAtoms || groundedHook != nil {
+	if len(s.counted.m) <= maxAtoms || groundedHook != nil {
 		return false
 	}
 	// Too large for the ground solver; give up like a timeout.
 	s.stop(StopAtoms)
-	s.stats.Atoms = len(s.counted)
+	s.stats.Atoms = len(s.counted.m)
 	return true
 }
 
@@ -458,40 +534,42 @@ func (s *solver) split(g fol.Formula) {
 // collectAtoms meets every atom counted here.
 func (s *solver) countAtoms(f fol.Formula) {
 	walkAtoms(f, func(a fol.Formula) bool {
-		if _, ok := s.counted[a]; ok || hasQuantifier(a, true) {
+		if _, ok := s.counted.m[a]; ok || hasQuantifier(a, true) {
 			return false
 		}
-		s.counted[a] = struct{}{}
+		s.counted.m[a] = struct{}{}
 		return true
 	})
 }
 
 // groundTerms collects ground tuple terms (bounded depth) from formulas.
 // After skolemization every TVar is a constant, so every tuple term in the
-// quantifier-free parts is ground by construction.
+// quantifier-free parts is ground by construction. The result is s.kept,
+// which the next call overwrites.
 func (s *solver) groundTerms(fs []fol.Formula) []uexpr.Tuple {
-	clear(s.seenTerm)
-	var kept []uexpr.Tuple
-	var addT func(t uexpr.Tuple)
-	addT = func(t uexpr.Tuple) {
-		if _, ok := s.seenTerm[t]; ok {
-			return
-		}
-		s.seenTerm[t] = struct{}{}
-		if s.pool.TupleDepth(t) <= s.opts.MaxTermDepth {
-			kept = append(kept, t)
-		}
-		uexpr.MapTuple(t, func(c uexpr.Tuple) uexpr.Tuple { addT(c); return c }, nil)
-	}
+	s.seenTerm.empty()
+	s.kept = s.kept[:0]
 	for _, f := range fs {
-		walkTuples(f, addT)
+		walkTuples(f, s.addTerm)
 	}
 	// Deterministic order: sort by the cached canonical key, byte-identical
 	// to the historical string sort, independent of interning history.
-	sort.Slice(kept, func(i, j int) bool {
-		return s.pool.TupleKey(kept[i]) < s.pool.TupleKey(kept[j])
+	slices.SortFunc(s.kept, func(a, b uexpr.Tuple) int {
+		return strings.Compare(s.pool.TupleKey(a), s.pool.TupleKey(b))
 	})
-	return kept
+	return s.kept
+}
+
+// addTerm enters t and its subterms in groundTerms' result, each once.
+func (s *solver) addTerm(t uexpr.Tuple) {
+	if _, ok := s.seenTerm.m[t]; ok {
+		return
+	}
+	s.seenTerm.m[t] = struct{}{}
+	if s.pool.TupleDepth(t) <= s.opts.MaxTermDepth {
+		s.kept = append(s.kept, t)
+	}
+	uexpr.MapTuple(t, func(c uexpr.Tuple) uexpr.Tuple { s.addTerm(c); return c }, nil)
 }
 
 // eachInstance yields body with vars replaced by every combination of pool

@@ -46,8 +46,8 @@ type theoryScratch struct {
 
 func (th *theoryScratch) init(nRels, nTerms int) {
 	th.nTerms = int32(nTerms)
-	th.varStamp = make([]int32, nRels*nTerms)
-	th.varOf = make([]uint8, nRels*nTerms)
+	th.varStamp = resize(th.varStamp, nRels*nTerms)
+	th.varOf = resize(th.varOf, nRels*nTerms)
 }
 
 // varFor returns the monomial of the variable rel@class, numbering it on

@@ -479,16 +479,17 @@ func VerifySQLPair(q1, q2 string, schema *Schema) (VerifyOutcome, error) {
 // DiscoveryOptions configures rule discovery.
 type DiscoveryOptions struct {
 	// MaxTemplateSize bounds template operators (default 2). Size 3 with the
-	// algebraic prover is 17,425 prover calls and 870 rules in about 1.5 s on
-	// 2 vCPUs (4.5 s with UseSMT); size 4 is 88,647 calls and 4,023 rules in
-	// about 42 s. The paper's size-4 run took 36 hours on 120 cores.
+	// algebraic prover is 17,425 prover calls and 870 rules in about 1.3 s on
+	// 2 vCPUs (3.5 s with UseSMT); size 4 is 88,647 calls and 4,023 rules in
+	// about 31 s (48 s with UseSMT). The paper's size-4 run took 36 hours on
+	// 120 cores.
 	MaxTemplateSize int
 	// Workers for parallel search (0 = GOMAXPROCS).
 	Workers int
 	// Context cancels discovery early (nil = background); give it a timeout
 	// to bound the wall-clock time. Its end interrupts the proof in flight,
 	// not just the next pair boundary, and the run returns the rules found
-	// so far with partial stats.
+	// so far with partial stats whose Cut records it.
 	Context context.Context
 	// Progress, when set, receives a per-stage stats snapshot at every stage
 	// boundary and periodically during the search. Calls are serialized.
@@ -509,7 +510,8 @@ type DiscoveryOptions struct {
 }
 
 // DiscoveryStats reports per-stage discovery effort (templates, pairs,
-// prover calls, cache hits, elapsed).
+// prover calls, cache hits, elapsed) and, in Cut, whether the context ended
+// the run before every pair was searched.
 type DiscoveryStats = pipeline.Stats
 
 // DiscoveryProgress is one progress snapshot: the stage name plus the

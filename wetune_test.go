@@ -160,9 +160,15 @@ func TestDiscoverAPI(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	res := Discover(DiscoveryOptions{MaxTemplateSize: 2, Context: ctx})
-	if res.Stats.ProverCalls == 0 || res.Stats.CacheHits != 0 || len(res.Rules) != 69 {
-		t.Fatalf("cold size-2 discovery: %d prover calls, %d cache hits, %d rules; want >0, 0, 69",
-			res.Stats.ProverCalls, res.Stats.CacheHits, len(res.Rules))
+	if res.Stats.ProverCalls == 0 || res.Stats.CacheHits != 0 || len(res.Rules) != 69 || res.Stats.Cut != nil {
+		t.Fatalf("cold size-2 discovery: %d prover calls, %d cache hits, %d rules, cut %+v; want >0, 0, 69, none",
+			res.Stats.ProverCalls, res.Stats.CacheHits, len(res.Rules), res.Stats.Cut)
+	}
+	// A run whose context ended first says so.
+	expired, stop := context.WithCancel(ctx)
+	stop()
+	if cut := Discover(DiscoveryOptions{MaxTemplateSize: 2, Context: expired}).Stats.Cut; cut == nil || cut.Unsearched != 250 {
+		t.Errorf("cancelled discovery: Cut = %+v, want 250 pairs unsearched", cut)
 	}
 	// Each call proves on its own empty cache: a second run in the same
 	// process re-proves everything and finds the same rules.
