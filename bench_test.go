@@ -14,12 +14,9 @@ package wetune
 // EXPERIMENTS.md for the recorded paper-vs-measured comparison.
 
 import (
-	"context"
 	"testing"
 
 	"wetune/internal/bench"
-	"wetune/internal/pipeline"
-	"wetune/internal/template"
 )
 
 func logOnce(b *testing.B, r *bench.Report) {
@@ -154,44 +151,3 @@ func BenchmarkRuleReduction(b *testing.B) {
 	}
 	logOnce(b, r)
 }
-
-// Discovery-throughput benchmarks: the staged pipeline at MaxTemplateSize=2,
-// reported as pairs/sec and prover-calls/sec. The cold variant proves every
-// constraint set from scratch; the warm variant answers from a pre-populated
-// proof cache, isolating the cache's effect on throughput.
-
-func benchDiscovery(b *testing.B, warm bool) {
-	b.Helper()
-	templates := template.Enumerate(template.EnumOptions{MaxSize: 2})
-	seed := pipeline.NewProofCache()
-	if warm {
-		pipeline.Run(context.Background(), pipeline.Options{
-			Templates: templates, PairProver: pipeline.AlgebraicPairProver, Cache: seed,
-		})
-	}
-	var pairs, calls int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cache := seed
-		if !warm {
-			cache = pipeline.NewProofCache() // fresh per iteration: every proof is a miss
-		}
-		res := pipeline.Run(context.Background(), pipeline.Options{
-			Templates: templates, PairProver: pipeline.AlgebraicPairProver, Cache: cache,
-		})
-		pairs += res.Stats.PairsTried
-		calls += res.Stats.ProverCalls
-	}
-	b.StopTimer()
-	sec := b.Elapsed().Seconds()
-	if sec > 0 {
-		b.ReportMetric(float64(pairs)/sec, "pairs/s")
-		b.ReportMetric(float64(calls)/sec, "prover-calls/s")
-	}
-}
-
-// BenchmarkDiscoveryThroughputCold — staged pipeline, empty proof cache.
-func BenchmarkDiscoveryThroughputCold(b *testing.B) { benchDiscovery(b, false) }
-
-// BenchmarkDiscoveryThroughputWarm — staged pipeline, fully warmed proof cache.
-func BenchmarkDiscoveryThroughputWarm(b *testing.B) { benchDiscovery(b, true) }

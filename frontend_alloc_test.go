@@ -2,6 +2,7 @@ package wetune
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"wetune/internal/plan"
@@ -17,6 +18,9 @@ func TestFrontEndAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	schema := demoSchema(t)
 	opt := NewOptimizer(BuiltinRules(), schema)
 	ctx := context.Background()

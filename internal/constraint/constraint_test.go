@@ -3,6 +3,7 @@ package constraint
 import (
 	"maps"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -295,18 +296,40 @@ func TestEnumerateCounts(t *testing.T) {
 	}
 }
 
+// closeFresh closes a fresh copy of cstar — a set keeps its closure once
+// computed — and reports whether the closure kept every member.
+func closeFresh(cstar []C) bool { return Closure(NewSet(cstar...)).Len() >= len(cstar) }
+
 // BenchmarkClosure closes the candidate set C* of the size-2 pair
 // Sel(IJoin) => InSub(Sel, ·) — every equality present, so every class is as
-// large and every orbit as wide as size 2 gets. Each iteration closes a fresh
-// copy: a set keeps its closure once computed.
+// large and every orbit as wide as size 2 gets.
 func BenchmarkClosure(b *testing.B) {
 	cstar := joinInCStar(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if Closure(NewSet(cstar...)).Len() < len(cstar) {
+		if !closeFresh(cstar) {
 			b.Fatal("closure lost constraints")
 		}
+	}
+}
+
+// TestClosureAllocBudget pins what BenchmarkClosure's op allocates: the new
+// set and the closure it builds, with the working storage taken from the
+// pool.
+func TestClosureAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, and sync.Pool drops scratch under it")
+	}
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cstar := joinInCStar(t)
+	if !closeFresh(cstar) {
+		t.Fatal("closure lost constraints")
+	}
+	if got := testing.AllocsPerRun(20, func() { closeFresh(cstar) }); got != 8 {
+		t.Errorf("Closure of a fresh C*: %v allocations, want 8", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -10,35 +11,37 @@ import (
 	"wetune/internal/template"
 )
 
-// BenchmarkSearchPairCold measures one full cold-cache relaxation search on a
-// fixed template pair — the unit of work the discovery pipeline repeats for
-// every pair. The pair comes from the rule library, so the search is known to
-// reach the SMT prover rather than dying in the algebraic fast path. Each
-// iteration gets a fresh proof cache, so nothing is amortized across
-// iterations.
-func BenchmarkSearchPairCold(b *testing.B) {
+// coldSearch returns one full cold-cache relaxation search on a fixed
+// template pair — the unit of work the discovery pipeline repeats for every
+// pair. The pair comes from the rule library, so the search is known to reach
+// the SMT prover rather than dying in the algebraic fast path. Each call gets
+// a fresh proof cache, so nothing is amortized across calls.
+func coldSearch(tb testing.TB) func() {
+	tb.Helper()
 	r, ok := rules.ByNo(1)
 	if !ok {
-		b.Fatal("rule 1 missing from the library")
+		tb.Fatal("rule 1 missing from the library")
 	}
-	b.ReportAllocs()
-	for n := 0; n < b.N; n++ {
+	search := func() int64 {
 		opts := Options{Cache: NewProofCache()}
 		opts.fill()
 		ct := &counters{start: time.Now(), cache: opts.Cache}
 		searchPair(context.Background(), r.Src, r.Dest, opts, ct)
-		if n == 0 && ct.proverCalls.Load() == 0 {
-			b.Fatal("search made no prover calls; benchmark would measure nothing")
-		}
+		return ct.proverCalls.Load()
 	}
+	if search() == 0 {
+		tb.Fatal("search made no prover calls; it would measure nothing")
+	}
+	return func() { search() }
 }
 
-// BenchmarkMinimize measures the relaxer's own work in one deletion-based
-// minimization — candidate sets, implication tests, memo and cache keys — on
-// the first provable start set of the size-2 pair Sel(InSub) => InSub(Sel, ·).
-// The verdicts are recorded from the real prover once and replayed in call
-// order, so the trajectory is the real one and the prover costs nothing.
-func BenchmarkMinimize(b *testing.B) {
+// minimization returns one deletion-based minimization — candidate sets,
+// implication tests, memo and cache keys — on the first provable start set of
+// the size-2 pair Sel(InSub) => InSub(Sel, ·). The verdicts are recorded from
+// the real prover once and replayed in call order, so the trajectory is the
+// real one and the prover costs nothing.
+func minimization(tb testing.TB) func() {
+	tb.Helper()
 	sym := func(k template.SymKind, id int) template.Sym { return template.Sym{Kind: k, ID: id} }
 	rel := func(id int) *template.Node { return template.Input(sym(template.KRel, id)) }
 	src := template.Sel(sym(template.KPred, 0), sym(template.KAttrs, 0),
@@ -71,19 +74,59 @@ func BenchmarkMinimize(b *testing.B) {
 		}
 	}
 	if start == nil {
-		b.Fatal("no provable start set")
+		tb.Fatal("no provable start set")
 	}
-	minimize := func() {
+	minimize := func() bool {
 		replay = 0
 		opts.Cache = NewProofCache()
-		if _, ok := newRelaxer(context.Background(), src, dest, opts, ct, opts.Metrics).minimize(start, 0); !ok {
-			b.Fatal("minimization ran out of budget")
-		}
+		_, ok := newRelaxer(context.Background(), src, dest, opts, ct, opts.Metrics).minimize(start, 0)
+		return ok
 	}
-	minimize() // records the verdicts
+	if !minimize() { // records the verdicts
+		tb.Fatal("minimization ran out of budget")
+	}
+	return func() { minimize() }
+}
+
+func BenchmarkSearchPairCold(b *testing.B) {
+	search := coldSearch(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		search()
+	}
+}
+
+func BenchmarkMinimize(b *testing.B) {
+	minimize := minimization(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		minimize()
+	}
+}
+
+// TestRelaxationAllocBudget pins what the two benchmarks' ops allocate: a
+// cold searchPair on library rule 1 and one replayed minimization. Both
+// counts are exact; a change to relaxation, the proof cache or the prover
+// underneath moves them and re-pins them here with its reason.
+func TestRelaxationAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own, and sync.Pool drops scratch under it")
+	}
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		name   string
+		op     func(testing.TB) func()
+		allocs float64
+	}{
+		{"searchPair cold (rule 1)", coldSearch, 6507},
+		{"minimize", minimization, 91},
+	} {
+		if got := testing.AllocsPerRun(20, c.op(t)); got != c.allocs {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.allocs)
+		}
 	}
 }

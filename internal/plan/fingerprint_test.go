@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"wetune/internal/sql"
@@ -198,9 +199,25 @@ const benchPlanSQL = `SELECT i.title, p.name FROM issues AS i INNER JOIN project
 	ORDER BY i.id DESC LIMIT 20`
 
 // TestFingerprintAllocBudget: the string wrappers cost the returned string
-// and nothing else while the text fits their stack buffer.
+// and nothing else while the text fits their stack buffer. It also pins
+// BenchmarkBuild's and BenchmarkToSQLString's ops on the same plan: building
+// it from its parsed statement, and printing it.
 func TestFingerprintAllocBudget(t *testing.T) {
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	p := build(t, benchPlanSQL)
+	stmt, schema := sql.MustParse(benchPlanSQL), testSchema()
+	if n := testing.AllocsPerRun(100, func() { buildSink = MustBuild(stmt, schema) }); n != 31 {
+		t.Errorf("Build: %v allocs, want 31", n)
+	}
+	// The printer's buffer is pooled, and sync.Pool drops items under the
+	// race detector.
+	if !raceEnabled {
+		if n := testing.AllocsPerRun(100, func() { benchSink = ToSQLString(p) }); n != 10 {
+			t.Errorf("ToSQLString: %v allocs, want 10", n)
+		}
+	}
 	if n := len(Fingerprint(p)); n > 256 {
 		t.Fatalf("benchmark plan fingerprint grew to %d bytes; the budget below assumes it fits the stack buffer", n)
 	}

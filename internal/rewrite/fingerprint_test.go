@@ -3,6 +3,7 @@ package rewrite
 import (
 	"fmt"
 	"reflect"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -169,20 +170,55 @@ func TestCandidatesIndependentOfPooledScratch(t *testing.T) {
 // on an application's query path — allocates nothing: its start state is
 // fingerprinted and entered in the visited memo only when a rule matches
 // there (22 allocations before the pooled context and byte fingerprints, 1
-// before the lazy start state).
+// before the lazy start state). It also pins the ops of this package's other
+// benchmarks: a search and a candidate step on each of benchPlans, a
+// result-cache hit, and BenchmarkResultCacheParallel's mixed Get/Put
+// operations run on one goroutine (TestShardedCacheStress and the
+// TestConcurrent tests hold the cache to its answers under contention).
 func TestSearchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own, and sync.Pool drops contexts under it")
 	}
-	rw := newRW(t)
-	p := EliminateOrderBy(mustPlan(t, `SELECT title FROM labels WHERE project_id = 1`, rw.Schema))
-	opts := Options{}
-	opts.SkipOrderByElim = true
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rw, p, opts := noAttemptPlan(t)
 	if _, applied, stats := rw.Search(p, opts); len(applied) != 0 || stats.RuleAttempts != 0 {
 		t.Fatalf("budget query should attempt no rule: applied %v, %d attempts", applied, stats.RuleAttempts)
 	}
 	if n := testing.AllocsPerRun(200, func() { rw.Search(p, opts) }); n != 0 {
 		t.Errorf("Search of a non-matching plan: %v allocs, want 0", n)
+	}
+
+	brw, plans := benchPlans(t)
+	c, keys := warmCache()
+	i := 0
+	for _, m := range []struct {
+		name   string
+		allocs float64
+		op     func()
+	}{
+		{"Search of benchPlans", 82, func() {
+			for _, q := range plans {
+				brw.Search(q, Options{})
+			}
+		}},
+		{"Candidates of benchPlans", 33, func() {
+			for _, q := range plans {
+				brw.Candidates(q)
+			}
+		}},
+		{"ResultCache hit", 0, func() { c.Get(keys[0]) }},
+		{"ResultCache mixed Get/Put", 0, func() {
+			if mixedOp(c, keys, i) {
+				t.Fatal("unexpected miss")
+			}
+			i++
+		}},
+	} {
+		if n := testing.AllocsPerRun(200, m.op); n != m.allocs {
+			t.Errorf("%s: %v allocs, want %v", m.name, n, m.allocs)
+		}
 	}
 }
 

@@ -22,9 +22,13 @@ var size3 = flag.Bool("size3", false, "also prove every corpus rewrite under the
 
 // unprovable are the corpus rewrites the per-pair verifier rejects although
 // the engine agrees with them, by input SQL. Both eliminate a join through a
-// foreign key (ijoin-elim, ljoin-elim on emp ⋈ dept): verify.AbstractPair
-// does not carry the schema's key facts into the abstracted rule, so the
-// elimination's side condition is missing from what the verifier sees.
+// foreign key (ijoin-elim, ljoin-elim on emp ⋈ dept). verify.AbstractPair
+// does carry the schema's key facts (Unique, NotNull, RefAttrs). The pairs
+// abstract to rules 7 and 11, each plus AttrsEq(a0,a2), because the output
+// column is the join column. Under that equality, congruence rewrites the
+// output equation [a0(s0) = t] onto [a1(s1) = t], a term over the very tuple
+// the key lemma would eliminate, so the lemma no longer fires. ROADMAP item
+// 34 (lemmas that match modulo equality) is the mend.
 var unprovable = map[string]string{
 	"SELECT emp.deptno FROM emp INNER JOIN dept ON emp.deptno = dept.deptno": "foreign-key inner join elimination",
 	"SELECT emp.deptno FROM emp LEFT JOIN dept ON emp.deptno = dept.deptno":  "foreign-key left join elimination",

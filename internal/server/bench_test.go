@@ -83,10 +83,8 @@ func BenchmarkHandleRewriteCold(b *testing.B) {
 	}
 }
 
-// BenchmarkHandleRewriteBatch measures the batch path: one request carrying
-// 16 queries, run in order on the request's one worker token.
-func BenchmarkHandleRewriteBatch(b *testing.B) {
-	s := newBenchServer(b, nil)
+// batchBody is one batch request carrying 16 queries.
+func batchBody() []byte {
 	var buf bytes.Buffer
 	buf.WriteString(`{"queries": [`)
 	for i := 0; i < 16; i++ {
@@ -96,7 +94,14 @@ func BenchmarkHandleRewriteBatch(b *testing.B) {
 		fmt.Fprintf(&buf, `{"sql": "SELECT DISTINCT id FROM labels WHERE project_id = %d"}`, i)
 	}
 	buf.WriteString(`]}`)
-	body := buf.Bytes()
+	return buf.Bytes()
+}
+
+// BenchmarkHandleRewriteBatch measures the batch path: one request carrying
+// 16 queries, run in order on the request's one worker token.
+func BenchmarkHandleRewriteBatch(b *testing.B) {
+	s := newBenchServer(b, nil)
+	body := batchBody()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -2,6 +2,7 @@ package smt_test
 
 import (
 	"context"
+	"runtime/debug"
 	"testing"
 
 	"wetune/internal/constraint"
@@ -28,7 +29,8 @@ func discoveryOptions() verify.Options {
 // want and returns that probe with the pair context that has seen it: from
 // then on the context serves everything but the solve from its memo, so a
 // repeat of the probe is solver time.
-func firstProbe(b *testing.B, src, dest *template.Node, want func(verify.Report) bool) (*verify.PairContext, *constraint.Set) {
+func firstProbe(tb testing.TB, src, dest *template.Node, want func(verify.Report) bool) (*verify.PairContext, *constraint.Set) {
+	tb.Helper()
 	opts := discoveryOptions()
 	pc := verify.NewPairContext(src, dest)
 	var probe *constraint.Set
@@ -48,21 +50,38 @@ func firstProbe(b *testing.B, src, dest *template.Node, want func(verify.Report)
 		},
 	})
 	if probe == nil {
-		b.Fatal("no probe of the pair is of the wanted kind")
+		tb.Fatal("no probe of the pair is of the wanted kind")
 	}
 	return pc, probe
 }
 
-// BenchmarkSolveBudgetExhausted measures the DPLL(T) node: one op is the
-// first probe of the size-2 pair Sel(InSub) => InSub(Sel, ·) whose SMT search
-// runs into the 20000-node budget — the kind of call that carries discovery's
-// prover time.
-func BenchmarkSolveBudgetExhausted(b *testing.B) {
+// budgetExhaustedProbe is the first probe of the size-2 pair
+// Sel(InSub) => InSub(Sel, ·) whose SMT search runs into the 20000-node
+// budget — the kind of call that carries discovery's prover time.
+func budgetExhaustedProbe(tb testing.TB) (*verify.PairContext, *constraint.Set) {
 	src := template.Sel(pred(0), attrs(0), template.InSub(attrs(1), rel(0), rel(1)))
 	dest := template.InSub(attrs(2), template.Sel(pred(1), attrs(3), rel(2)), rel(3))
-	pc, probe := firstProbe(b, src, dest, func(rep verify.Report) bool {
+	return firstProbe(tb, src, dest, func(rep verify.Report) bool {
 		return rep.Stats.StoppedBy == smt.StopNodes
 	})
+}
+
+// atomCapProbe is the first probe of the size-2 pair Proj(IJoin) => Proj
+// that the atom cap turns away — the heaviest of the run's 214 such calls,
+// 918 instances and 7082 atoms when formulas were grounded in full before
+// being counted. A refused call's cost is all grounding.
+func atomCapProbe(tb testing.TB) (*verify.PairContext, *constraint.Set) {
+	src := template.Proj(attrs(0), template.Join(template.OpIJoin, attrs(1), attrs(2), rel(0), rel(1)))
+	dest := template.Proj(attrs(3), rel(2))
+	return firstProbe(tb, src, dest, func(rep verify.Report) bool {
+		return rep.Stats.StoppedBy == smt.StopAtoms
+	})
+}
+
+// BenchmarkSolveBudgetExhausted measures the DPLL(T) node: one op is a
+// repeat of budgetExhaustedProbe.
+func BenchmarkSolveBudgetExhausted(b *testing.B) {
+	pc, probe := budgetExhaustedProbe(b)
 	opts := discoveryOptions()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -73,17 +92,10 @@ func BenchmarkSolveBudgetExhausted(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(nodes), "ns/node")
 }
 
-// BenchmarkSolveAtomCapRefused measures a refusal: one op is the first probe
-// of the size-2 pair Proj(IJoin) => Proj that the atom cap turns away — the
-// heaviest of the run's 214 such calls, 918 instances and 7082 atoms when
-// formulas were grounded in full before being counted. A refused call's cost
-// is all grounding, which is what this gates.
+// BenchmarkSolveAtomCapRefused measures a refusal: one op is a repeat of
+// atomCapProbe.
 func BenchmarkSolveAtomCapRefused(b *testing.B) {
-	src := template.Proj(attrs(0), template.Join(template.OpIJoin, attrs(1), attrs(2), rel(0), rel(1)))
-	dest := template.Proj(attrs(3), rel(2))
-	pc, probe := firstProbe(b, src, dest, func(rep verify.Report) bool {
-		return rep.Stats.StoppedBy == smt.StopAtoms
-	})
+	pc, probe := atomCapProbe(b)
 	opts := discoveryOptions()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -92,4 +104,31 @@ func BenchmarkSolveAtomCapRefused(b *testing.B) {
 		instances += pc.VerifyOpts(probe, opts).Stats.Instances
 	}
 	b.ReportMetric(float64(instances)/float64(b.N), "instances/op")
+}
+
+// TestSolveAllocBudget pins what the two benchmarks' ops allocate: a repeat
+// of a probe whose search runs out of nodes, and of one the atom cap refuses.
+// The pair context serves everything but the solve from its memo, so these
+// are the solver's allocations on a goal it has seen before.
+func TestSolveAllocBudget(t *testing.T) {
+	if smt.RaceEnabled {
+		t.Skip("the race detector allocates on its own, and sync.Pool drops solvers under it")
+	}
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	opts := discoveryOptions()
+	for _, c := range []struct {
+		name   string
+		probe  func(testing.TB) (*verify.PairContext, *constraint.Set)
+		allocs float64
+	}{
+		{"node budget exhausted", budgetExhaustedProbe, 193},
+		{"atom cap refused", atomCapProbe, 305},
+	} {
+		pc, probe := c.probe(t)
+		if got := testing.AllocsPerRun(20, func() { pc.VerifyOpts(probe, opts) }); got != c.allocs {
+			t.Errorf("%s: %v allocations, want %v", c.name, got, c.allocs)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"wetune/internal/constraint"
@@ -15,6 +16,9 @@ func TestPairContextVerifyAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")
 	}
+	// Collector off while counting: a collection empties the sync.Pools,
+	// and their refill would count.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	src, dest, cs := figure2Rule()
 	// The Figure 2 set without AttrsEq(a0, a1): the two IN columns differ,
 	// so the algebraic forms differ and SkipSMT rejects.
