@@ -39,7 +39,8 @@
 //	                                            not taken, and the per-rule why-not funnel;
 //	                                            the applied chain and costs match wetune rewrite
 //	wetune serve [-addr :8080] [-workers N] [-queue N] [-timeout 10s]
-//	             [-max-body N] [-result-cache N]
+//	             [-max-body N] [-result-cache N] [-grace 15s]
+//	             [-degrade=false] [-degrade-sample D]
 //	                                            run the rewrite-as-a-service daemon over the
 //	                                            demo schema plus every workload app schema:
 //	                                            POST /v1/rewrite, POST /v1/explain,
@@ -48,7 +49,9 @@
 //	                                            drain on SIGINT/SIGTERM; a batch rewrite
 //	                                            runs its queries in order on one worker;
 //	                                            -result-cache sizes each app's query→result
-//	                                            cache
+//	                                            cache; -grace bounds the drain; -degrade=false
+//	                                            turns off the full ↔ cache-only ladder and
+//	                                            -degrade-sample sets its sampling period
 //	wetune loadtest [-addr URL | -inprocess] [-c N] [-d 5s] [-rate R] [-n N]
 //	                [-per-app N] [-timeout 5s] [-json] [-profile cpu|alloc]
 //	                [-profile-out FILE] [-retries N] [-seed N]
@@ -76,8 +79,8 @@
 //	                                            counts, size-delta histograms, and the
 //	                                            dead-rule list
 //	wetune report serve -metrics FILE [-json]   render the serving-side view of a metrics
-//	                                            registry dump (responses, admission, both
-//	                                            cache tiers, batches, latency)
+//	                                            registry dump (responses, admission, the
+//	                                            result cache, batches, latency)
 //	wetune bench [experiment]                   regenerate evaluation artifacts
 //	                                            (table1 study50 discovery table7 apps
 //	                                             calcite latency casestudy verifiers

@@ -66,7 +66,7 @@ func renderServeReport(snap obs.Snapshot) string {
 			hits, misses, 100*float64(hits)/float64(hits+misses))
 	}
 
-	fmt.Fprintf(&b, "  batch: %d requests, %d items got a worker\n",
+	fmt.Fprintf(&b, "  batch: %d requests, %d items run\n",
 		c("server_batch_requests"), c("server_batch_items"))
 
 	var endpoints []string

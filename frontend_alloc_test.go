@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wetune/internal/plan"
+	"wetune/internal/racetest"
 	"wetune/internal/sql"
 )
 
@@ -15,7 +16,7 @@ import (
 // rewrites and for an InSub query a rule rewrites. A regression fails here,
 // not only in the benchmark.
 func TestFrontEndAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

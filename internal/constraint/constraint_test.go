@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"wetune/internal/racetest"
 	"wetune/internal/template"
 )
 
@@ -318,7 +319,7 @@ func BenchmarkClosure(b *testing.B) {
 // set and the closure it builds, with the working storage taken from the
 // pool.
 func TestClosureAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own, and sync.Pool drops scratch under it")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

@@ -5,17 +5,15 @@ import (
 	"math/rand"
 	"testing"
 
-	"wetune/internal/datagen"
-	"wetune/internal/engine"
 	"wetune/internal/plan"
-	"wetune/internal/rewrite"
 	"wetune/internal/rules"
 	"wetune/internal/sql"
 )
 
 // FuzzRewriteRoundTrip is the native-fuzzing entry point of the differential
-// oracle: each input seed drives one full draw-populate-rewrite-compare cycle
-// over the whole rule library. Run bounded in CI
+// oracle: each input seed drives one runIteration — draw, populate, compare
+// every single-step rewrite candidate and the full search's plan under bag
+// semantics — over the whole rule library. Run bounded in CI
 // (`go test -fuzz=FuzzRewriteRoundTrip -fuzztime=20s ./internal/difftest/`);
 // the coverage-guided mutator explores seeds that reach unusual schema/plan
 // shapes.
@@ -25,33 +23,13 @@ func FuzzRewriteRoundTrip(f *testing.F) {
 	}
 	ruleSet := rules.All()
 	f.Fuzz(func(t *testing.T, seed int64) {
-		rng := rand.New(rand.NewSource(seed))
-		schema := GenSchema(rng)
-		variant := dataVariants[int(uint64(seed)%uint64(len(dataVariants)))]
-		variant.Rows = 20
-		variant.Seed = seed
-		variant.DistinctValues = genDistinctValues
-		db := engine.NewDB(schema)
-		if err := datagen.Populate(db, variant); err != nil {
-			t.Fatalf("populate: %v", err)
-		}
-		src := GenPlan(rng, schema)
-		want, err := db.Execute(src, nil)
+		variant := int(uint64(seed) % uint64(len(dataVariants)))
+		mismatches, _, err := runIteration(seed, variant, ruleSet, 20)
 		if err != nil {
-			t.Fatalf("source plan must execute: %v\n%s", err, plan.ToSQLString(src))
+			t.Fatal(err)
 		}
-		rw := rewrite.NewRewriter(ruleSet, schema)
-		for _, c := range rw.Candidates(src) {
-			got, err := db.Execute(c.Plan, nil)
-			if err != nil {
-				t.Fatalf("rule %d (%s): rewritten plan failed to execute: %v\n  source:    %s\n  rewritten: %s",
-					c.Rule.No, c.Rule.Name, err, plan.ToSQLString(src), plan.ToSQLString(c.Plan))
-			}
-			if !BagEqual(want.Rows, got.Rows) {
-				t.Fatalf("rule %d (%s): results disagree\n  source:    %s\n  rewritten: %s\n%s",
-					c.Rule.No, c.Rule.Name, plan.ToSQLString(src), plan.ToSQLString(c.Plan),
-					DiffBags(want.Rows, got.Rows))
-			}
+		for _, m := range mismatches {
+			t.Errorf("rule %d (%s): %s\nrepro: %s", m.RuleNo, m.RuleName, m.Diff, m.Repro.Summary())
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"wetune/internal/constraint"
+	"wetune/internal/racetest"
 	"wetune/internal/rules"
 	"wetune/internal/template"
 )
@@ -111,7 +112,7 @@ func BenchmarkMinimize(b *testing.B) {
 // counts are exact; a change to relaxation, the proof cache or the prover
 // underneath moves them and re-pins them here with its reason.
 func TestRelaxationAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own, and sync.Pool drops scratch under it")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"wetune/internal/racetest"
 	"wetune/internal/sql"
 	"wetune/internal/workload"
 )
@@ -213,7 +214,7 @@ func TestFingerprintAllocBudget(t *testing.T) {
 	}
 	// The printer's buffer is pooled, and sync.Pool drops items under the
 	// race detector.
-	if !raceEnabled {
+	if !racetest.Enabled {
 		if n := testing.AllocsPerRun(100, func() { benchSink = ToSQLString(p) }); n != 10 {
 			t.Errorf("ToSQLString: %v allocs, want 10", n)
 		}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"wetune/internal/plan"
+	"wetune/internal/racetest"
 	"wetune/internal/rules"
 	"wetune/internal/workload"
 )
@@ -176,7 +177,7 @@ func TestCandidatesIndependentOfPooledScratch(t *testing.T) {
 // operations run on one goroutine (TestShardedCacheStress and the
 // TestConcurrent tests hold the cache to its answers under contention).
 func TestSearchAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own, and sync.Pool drops contexts under it")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

@@ -1,6 +1,8 @@
 package rewrite
 
 import (
+	"sync"
+
 	"wetune/internal/plan"
 )
 
@@ -31,16 +33,34 @@ func (rw *Rewriter) GreedyRewrite(p plan.Node) (plan.Node, []Applied) {
 	return cur, applied
 }
 
+// greedyCompiled holds each Rewriter's rules, compiled once in rw.Rules
+// order, for the reference loop.
+var greedyCompiled sync.Map // *Rewriter → []*CompiledRule
+
+// greedyRules returns rw.Rules compiled, compiling them on first use.
+func (rw *Rewriter) greedyRules() []*CompiledRule {
+	if crs, ok := greedyCompiled.Load(rw); ok {
+		return crs.([]*CompiledRule)
+	}
+	crs := make([]*CompiledRule, len(rw.Rules))
+	for i, r := range rw.Rules {
+		crs[i] = CompileRule(r)
+	}
+	greedyCompiled.Store(rw, crs)
+	return crs
+}
+
 // greedyCandidates enumerates every single-step rewrite the pre-index way:
-// all rules × all positions, with the full matcher (and its per-attempt
-// constraint-closure computation) invoked for each combination.
+// all rules × all positions, with the full matcher invoked for each
+// combination.
 func (rw *Rewriter) greedyCandidates(p plan.Node) []Candidate {
 	m := &Matcher{Schema: rw.Schema}
 	var out []Candidate
-	for _, rule := range rw.Rules {
+	for _, cr := range rw.greedyRules() {
+		rule := cr.Rule
 		for _, path := range nodePaths(p) {
 			frag := nodeAt(p, path)
-			repl, ok := m.ApplyCompiled(CompileRule(rule), frag)
+			repl, ok := m.ApplyCompiled(cr, frag)
 			if !ok {
 				continue
 			}

@@ -7,6 +7,8 @@ import (
 	"runtime/debug"
 	"strconv"
 	"testing"
+
+	"wetune/internal/racetest"
 )
 
 // rewindBody is a request body that can be replayed: every run of an
@@ -35,7 +37,7 @@ func (w *nullWriter) WriteHeader(code int)        { w.code = code }
 // queries. The benchmarks read more per op, for their request and recorder;
 // a regression fails here, not only there.
 func TestHandleRewriteAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

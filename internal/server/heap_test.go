@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"runtime"
 	"testing"
+
+	"wetune/internal/racetest"
 )
 
 // TestCachedMissHeapFootprint bounds what a served result-cache miss leaves
@@ -13,7 +15,7 @@ import (
 // cost of the serving cache. A second per-entry tier (a cached plan tree is
 // a dozen objects or more) pushes the figure past the bound.
 func TestCachedMissHeapFootprint(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector keeps shadow state on the heap")
 	}
 	const misses, maxObjectsPerEntry = 2000, 8

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"wetune/internal/racetest"
 	"wetune/internal/sql"
 )
 
@@ -50,7 +51,7 @@ func TestDeepNestingAnswers422(t *testing.T) {
 				t.Errorf("position %d, want within the first %d levels: [%d, %d]", *e.Position, sql.MaxNesting+1, lo, hi)
 			}
 			// Timing is meaningless under the race detector's slowdown.
-			if !raceEnabled && len(body) > 1000000 && took > 50*time.Millisecond {
+			if !racetest.Enabled && len(body) > 1000000 && took > 50*time.Millisecond {
 				t.Errorf("a %d-byte body took %v to refuse, want < 50ms", len(body), took)
 			}
 		})

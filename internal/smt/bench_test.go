@@ -7,6 +7,7 @@ import (
 
 	"wetune/internal/constraint"
 	"wetune/internal/pipeline"
+	"wetune/internal/racetest"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 	"wetune/internal/verify"
@@ -111,7 +112,7 @@ func BenchmarkSolveAtomCapRefused(b *testing.B) {
 // The pair context serves everything but the solve from its memo, so these
 // are the solver's allocations on a goal it has seen before.
 func TestSolveAllocBudget(t *testing.T) {
-	if smt.RaceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own, and sync.Pool drops solvers under it")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

@@ -3,9 +3,6 @@ package smt
 // MaxAtoms is the atom cap, for the external tests.
 const MaxAtoms = maxAtoms
 
-// RaceEnabled is raceEnabled, for the external tests.
-const RaceEnabled = raceEnabled
-
 // SetGroundedHook installs fn as groundedHook until the returned function is
 // called. Not for parallel tests: the hook is one package variable.
 func SetGroundedHook(fn func(streamed, decided int)) (restore func()) {

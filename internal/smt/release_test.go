@@ -9,6 +9,7 @@ import (
 	"wetune/internal/fol"
 	"wetune/internal/intern"
 	"wetune/internal/obs"
+	"wetune/internal/racetest"
 	"wetune/internal/uexpr"
 )
 
@@ -111,7 +112,7 @@ func TestConcurrentSolvesInOwnPools(t *testing.T) {
 // Mapper) for the pool to look up and drop: each of its instances is a
 // disjunction. A table that is grown per solve again shows up here first.
 func TestWarmSolveAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

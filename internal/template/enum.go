@@ -10,10 +10,6 @@ package template
 type EnumOptions struct {
 	// MaxSize bounds the number of operators excluding Input (paper: 4).
 	MaxSize int
-	// WithAgg includes the Agg operator (§5.2 SPES extension).
-	WithAgg bool
-	// WithUnion includes the Union operator (§5.2 SPES extension).
-	WithUnion bool
 }
 
 // shape is a tree skeleton: 1 = unary node, 2 = binary node.
@@ -45,23 +41,15 @@ func enumShapes(n int) []*shape {
 	return out
 }
 
-func (o EnumOptions) unaryOps() []Op {
-	ops := []Op{OpProj, OpSel, OpDedup}
-	if o.WithAgg {
-		ops = append(ops, OpAgg)
-	}
-	return ops
-}
-
-func (o EnumOptions) binaryOps() []Op {
+// The operators enumeration assigns: Table 2's, those uexpr.Translate can
+// give a U-expression. Agg and Union (§5.2) are left out, since both
+// provers refuse them; the paper verifies them only through SPES.
+var (
+	unaryOps = []Op{OpProj, OpSel, OpDedup}
 	// No OpRJoin: every RJoin template mirrors an LJoin template, so
 	// enumerating both only duplicates rules (DESIGN.md deviation 5).
-	ops := []Op{OpInSub, OpIJoin, OpLJoin}
-	if o.WithUnion {
-		ops = append(ops, OpUnion)
-	}
-	return ops
-}
+	binaryOps = []Op{OpInSub, OpIJoin, OpLJoin}
+)
 
 // Enumerate produces every valid template with size 1..MaxSize. Symbols are
 // numbered canonically in preorder, so structurally identical templates are
@@ -70,7 +58,7 @@ func Enumerate(opts EnumOptions) []*Node {
 	var out []*Node
 	for n := 1; n <= opts.MaxSize; n++ {
 		for _, sh := range enumShapes(n) {
-			out = append(out, assign(sh, opts)...)
+			out = append(out, assign(sh)...)
 		}
 	}
 	var valid []*Node
@@ -84,24 +72,24 @@ func Enumerate(opts EnumOptions) []*Node {
 }
 
 // assign fills a skeleton with all compatible operator choices.
-func assign(sh *shape, opts EnumOptions) []*Node {
+func assign(sh *shape) []*Node {
 	if sh == nil {
 		return []*Node{Input(Sym{Kind: KRel})}
 	}
 	var out []*Node
 	if sh.arity == 1 {
-		for _, sub := range assign(sh.children[0], opts) {
-			for _, op := range opts.unaryOps() {
+		for _, sub := range assign(sh.children[0]) {
+			for _, op := range unaryOps {
 				out = append(out, &Node{Op: op, Children: []*Node{sub.Clone()}})
 			}
 		}
 		return out
 	}
-	ls := assign(sh.children[0], opts)
-	rs := assign(sh.children[1], opts)
+	ls := assign(sh.children[0])
+	rs := assign(sh.children[1])
 	for _, l := range ls {
 		for _, r := range rs {
-			for _, op := range opts.binaryOps() {
+			for _, op := range binaryOps {
 				out = append(out, &Node{Op: op, Children: []*Node{l.Clone(), r.Clone()}})
 			}
 		}
@@ -113,10 +101,7 @@ func assign(sh *shape, opts EnumOptions) []*Node {
 //
 //   - Dedup directly above Dedup is a no-op;
 //   - Proj directly above Proj composes into one projection;
-//   - Dedup as the right child of InSub is a no-op (IN ignores duplicates);
-//   - Union arms must be union-compatible, which symbolic enumeration cannot
-//     constrain except by forbidding Dedup directly under Union (subsumed by
-//     Union's own set semantics on at least one arm).
+//   - Dedup as the right child of InSub is a no-op (IN ignores duplicates).
 func Valid(t *Node) bool {
 	ok := true
 	t.Walk(func(n *Node) {
@@ -131,10 +116,6 @@ func Valid(t *Node) bool {
 			}
 		case OpInSub:
 			if n.Children[1].Op == OpDedup {
-				ok = false
-			}
-		case OpUnion:
-			if n.Children[0].Op == OpDedup || n.Children[1].Op == OpDedup {
 				ok = false
 			}
 		}
@@ -164,11 +145,6 @@ func numberSymbols(t *Node) {
 		case OpIJoin, OpLJoin, OpRJoin:
 			n.Attrs = fresh(KAttrs)
 			n.Attrs2 = fresh(KAttrs)
-		case OpAgg:
-			n.Attrs = fresh(KAttrs)
-			n.Attrs2 = fresh(KAttrs)
-			n.Func = fresh(KFunc)
-			n.Pred = fresh(KPred)
 		}
 	})
 }

@@ -163,33 +163,3 @@ func TestEnumerateCanonicalSymbols(t *testing.T) {
 		}
 	}
 }
-
-func TestEnumerateWithExtensions(t *testing.T) {
-	base := len(Enumerate(EnumOptions{MaxSize: 2}))
-	withAgg := len(Enumerate(EnumOptions{MaxSize: 2, WithAgg: true}))
-	withUnion := len(Enumerate(EnumOptions{MaxSize: 2, WithUnion: true}))
-	if withAgg <= base || withUnion <= base {
-		t.Fatalf("extensions should add templates: base=%d agg=%d union=%d", base, withAgg, withUnion)
-	}
-}
-
-func TestAggTemplateSymbols(t *testing.T) {
-	ts := Enumerate(EnumOptions{MaxSize: 1, WithAgg: true})
-	var agg *Node
-	for _, tpl := range ts {
-		if tpl.Op == OpAgg {
-			agg = tpl
-		}
-	}
-	if agg == nil {
-		t.Fatal("no Agg template enumerated")
-	}
-	syms := agg.Symbols()
-	kinds := map[SymKind]int{}
-	for _, s := range syms {
-		kinds[s.Kind]++
-	}
-	if kinds[KAttrs] != 2 || kinds[KFunc] != 1 || kinds[KPred] != 1 {
-		t.Fatalf("Agg symbols = %v", syms)
-	}
-}

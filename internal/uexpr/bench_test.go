@@ -4,6 +4,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"wetune/internal/racetest"
 	"wetune/internal/template"
 )
 
@@ -47,7 +48,7 @@ func BenchmarkNormalize(b *testing.B) {
 // normalizing every translatable size-≤2 template once. The count is exact;
 // a normalizer change that moves it re-pins it here with its reason.
 func TestNormalizeAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,

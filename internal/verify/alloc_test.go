@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wetune/internal/constraint"
+	"wetune/internal/racetest"
 )
 
 // TestPairContextVerifyAllocBudget pins the allocations of a warm
@@ -13,7 +14,7 @@ import (
 // no trace note and builds no counter name, so per-call formatting cannot
 // creep back in unnoticed.
 func TestPairContextVerifyAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if racetest.Enabled {
 		t.Skip("the race detector allocates on its own")
 	}
 	// Collector off while counting: a collection empties the sync.Pools,
