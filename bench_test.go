@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"wetune/internal/bench"
+	"wetune/internal/workload"
 )
 
 func logOnce(b *testing.B, r *bench.Report) {
@@ -65,7 +66,7 @@ func BenchmarkTable7_RuleVerification(b *testing.B) {
 func BenchmarkAppQueryRewrites(b *testing.B) {
 	var r *bench.Report
 	for i := 0; i < b.N; i++ {
-		r = bench.AppRewrites(426)
+		r = bench.AppRewrites(workload.DefaultPerApp)
 	}
 	logOnce(b, r)
 }

@@ -125,6 +125,7 @@ import (
 	"wetune/internal/rules"
 	"wetune/internal/spes"
 	"wetune/internal/verify"
+	"wetune/internal/workload"
 )
 
 // Exit codes (see the package comment's table). exitTruncated is
@@ -235,14 +236,14 @@ func cmdDiscover(args []string) int {
 	}
 	if *progress {
 		opts.Progress = func(p wetune.DiscoveryProgress) {
-			fmt.Fprintf(os.Stderr, "[%s] templates=%d pairs=%d/%d prover=%d cache=%d/%d (%.0f%% hit, %d entries) rules=%d %.1fs\n",
+			fmt.Fprintf(os.Stderr, "[%s] templates=%d pairs=%d/%d prover=%d memo=%d/%d (%.0f%% hit) rules=%d %.1fs\n",
 				p.Stage, p.Stats.Templates, p.Stats.PairsTried, p.Stats.PairsGenerated,
 				p.Stats.ProverCalls, p.Stats.CacheHits, p.Stats.CacheHits+p.Stats.CacheMisses,
-				100*p.Stats.CacheHitRate(), p.Stats.CacheSize, p.Stats.RulesFound, p.Stats.Elapsed.Seconds())
+				100*p.Stats.CacheHitRate(), p.Stats.RulesFound, p.Stats.Elapsed.Seconds())
 		}
 	}
 	res := wetune.Discover(opts)
-	fmt.Printf("templates: %d; pairs tried: %d (%d skipped); prover calls: %d; cache hits: %d (%.0f%% hit rate); rules: %d; elapsed: %v\n",
+	fmt.Printf("templates: %d; pairs tried: %d (%d skipped); prover calls: %d; memo hits: %d (%.0f%% of probes); rules: %d; elapsed: %v\n",
 		res.Stats.Templates, res.Stats.PairsTried, res.Stats.PairsSkipped, res.Stats.ProverCalls, res.Stats.CacheHits,
 		100*res.Stats.CacheHitRate(), len(res.Rules), res.Stats.Elapsed.Round(time.Millisecond))
 	if *crossCheck {
@@ -570,7 +571,7 @@ func cmdBench(args []string) int {
 		{"study50", bench.Study50},
 		{"discovery", func() *bench.Report { return bench.RuleDiscovery(2) }},
 		{"table7", bench.Table7Verification},
-		{"apps", func() *bench.Report { return bench.AppRewrites(426) }},
+		{"apps", func() *bench.Report { return bench.AppRewrites(workload.DefaultPerApp) }},
 		{"calcite", bench.CalciteRewrites},
 		{"latency", func() *bench.Report { return bench.WorkloadsLatency(20, 60, 21) }},
 		{"casestudy", func() *bench.Report { return bench.CaseStudy(50000) }},

@@ -111,7 +111,7 @@ func (c C) Args() []template.Sym {
 
 func (c C) String() string { return string(c.appendTo(make([]byte, 0, 32))) }
 
-// appendTo appends the text String returns; memo and cache keys are built
+// appendTo appends the text String returns; memo keys are built
 // from it, so it avoids fmt.
 func (c C) appendTo(b []byte) []byte {
 	b = append(b, c.Kind.String()...)
@@ -320,40 +320,27 @@ func (s *Set) Union(o *Set) *Set {
 
 // Key is a canonical string identifying the set's contents, independent of
 // insertion order: the members' strings, sorted, joined by ";". Used for
-// memoization in the rule search.
-func (s *Set) Key() string { return s.RenamedKey("", nil) }
-
-// RenamedKey is prefix followed by the Key of the set {c.Rename(m) : c in s}.
-// It renders every member once into scratch and writes the result string
-// from there, so it allocates that string and, for large sets, the scratch.
-func (s *Set) RenamedKey(prefix string, m map[template.Sym]template.Sym) string {
+// memoization in the rule search. It renders every member once into scratch
+// and writes the result string from there, so it allocates that string and,
+// for large sets, the scratch.
+func (s *Set) Key() string {
 	type span struct{ from, to int }
 	var bufArr [2048]byte
 	var spanArr [128]span
 	buf, spans := bufArr[:0], spanArr[:0]
 	for i := range s.words {
-		c := s.At(i)
-		if m != nil {
-			c = c.Rename(m)
-		}
 		from := len(buf)
-		buf = c.appendTo(buf)
+		buf = s.At(i).appendTo(buf)
 		spans = append(spans, span{from, len(buf)})
 	}
 	slices.SortFunc(spans, func(a, b span) int { return bytes.Compare(buf[a.from:a.to], buf[b.from:b.to]) })
 	var out strings.Builder
-	out.Grow(len(prefix) + len(buf) + len(spans))
-	out.WriteString(prefix)
+	out.Grow(len(buf) + len(spans))
 	for k, sp := range spans {
-		text := buf[sp.from:sp.to]
 		if k > 0 {
-			// Renaming can merge members: a set holds each once.
-			if prev := spans[k-1]; m != nil && bytes.Equal(text, buf[prev.from:prev.to]) {
-				continue
-			}
 			out.WriteByte(';')
 		}
-		out.Write(text)
+		out.Write(buf[sp.from:sp.to])
 	}
 	return out.String()
 }

@@ -461,7 +461,7 @@ func TestClosureOverWideSymbols(t *testing.T) {
 }
 
 // TestSetAllocations: Items is one allocation (the rewrite path calls it per
-// matched candidate), Key and RenamedKey allocate only their string, and
+// matched candidate), Key allocates only its string, and
 // Without one block of words and table, or nothing when it rebuilds a set of
 // the same size.
 func TestSetAllocations(t *testing.T) {
@@ -469,14 +469,12 @@ func TestSetAllocations(t *testing.T) {
 	s := NewSet(cstar[len(cstar)-60:]...)
 	c := s.At(30)
 	into := s.Without(c, nil)
-	m := map[template.Sym]template.Sym{a(0): a(3), a(3): a(0)}
 	for name, want := range map[string]struct {
 		allocs float64
 		f      func()
 	}{
 		"Items":        {1, func() { _ = s.Items() }},
 		"Key":          {1, func() { _ = s.Key() }},
-		"RenamedKey":   {1, func() { _ = s.RenamedKey("x|", m) }},
 		"Without":      {2, func() { _ = s.Without(c, nil) }},
 		"Without into": {0, func() { _ = s.Without(c, into) }},
 	} {

@@ -38,9 +38,6 @@ func CanonRows(rows []engine.Row) []string {
 	return keys
 }
 
-// Canon renders rows as one canonical multiset string (order-insensitive).
-func Canon(rows []engine.Row) string { return strings.Join(CanonRows(rows), "\n") }
-
 // BagEqual reports whether two row sets are equal under bag (multiset)
 // semantics: same rows with the same multiplicities, in any order.
 func BagEqual(a, b []engine.Row) bool {

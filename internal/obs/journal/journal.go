@@ -2,7 +2,7 @@
 // a small ring of the two events no counter holds — anomalies, each with its
 // reason, and the serving degradation ladder's level changes. Everything
 // that happens at a rate has a counter instead: prover calls
-// (pipeline.Stats, pipeline_prover_seconds), cache lookups
+// (pipeline.Stats, pipeline_prover_seconds), cache and memo lookups
 // (rewrite_result_cache_*, pipeline_cache_*), fired fault points
 // (fault_injected_<point>) and the rewrite search (rewrite.Stats, with
 // rewrite.Provenance as its per-rule breakdown).

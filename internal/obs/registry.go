@@ -5,7 +5,7 @@
 // The discovery pipeline spends most of its time inside constraint
 // relaxation and SMT proofs; per-pair and per-call latency histograms
 // (pipeline_pair_seconds, pipeline_prover_seconds) and the solver's outcome
-// counters tell one pathological pair from a cold proof cache or solver
+// counters tell one pathological pair from a cold solve memo or solver
 // timeouts. Every hot path (pipeline stages, prover calls, DPLL search,
 // rewrite matching) records into a Registry so the answer is one snapshot
 // away. All types are safe for concurrent use; the hot-path operations

@@ -6,16 +6,15 @@
 //
 // — each running on a bounded worker pool with context.Context cancellation
 // plumbed end to end (a cancelled context interrupts the in-flight SMT proof,
-// not just the next pair boundary), per-stage counters, and a
-// concurrency-safe proof memo cache keyed by canonical rule fingerprint so
-// that isomorphic candidates within a run reuse one verdict instead of
-// re-invoking the U-expression/FOL/SMT chain.
+// not just the next pair boundary) and per-stage counters. The relaxation
+// memoizes each pair's verdicts by constraint-set key, and the run's
+// ProofCache holds the smt.Memo that solves each distinct SMT goal once.
 //
 // wetune.Discover, the CLI and the evaluation harness all call Run.
-// Determinism contract: with the same options and an
-// uncancelled context, the discovered rule set is identical across runs,
-// worker counts, and cache temperatures (a warm cache lowers prover calls but
-// never alters the search trajectory).
+// Determinism contract: with the same options and an uncancelled context,
+// the discovered rule set and the prover-call count are identical across
+// runs, worker counts, and cache temperatures (a warm solve memo answers
+// goals without a search, and a solve's verdict does not depend on it).
 package pipeline
 
 import (
@@ -117,8 +116,8 @@ type Options struct {
 	// PairProver is called once per template pair; the relaxation probes the
 	// Prover it returns. Defaults to DefaultPairProver.
 	PairProver PairProverFactory
-	// maxProverCallsPerPair bounds the relaxation per template pair (500).
-	// Cache hits charge it too, keeping warm and cold trajectories equal.
+	// maxProverCallsPerPair bounds the relaxation per template pair (500);
+	// answers from the pair's memo do not charge it.
 	maxProverCallsPerPair int
 	// maxConstraints skips pairs whose C* is larger (defaultMaxConstraints).
 	maxConstraints int
@@ -129,18 +128,17 @@ type Options struct {
 	Workers int
 	// DisablePruning turns off the implication pruning (ablation benchmark).
 	DisablePruning bool
-	// Cache holds the run's proof verdicts, and the SMT goals solved on the
-	// way to them; nil uses a fresh private cache (verdicts still dedupe
-	// isomorphic pairs, and solves repeated goals, within the run). A caller
-	// may pass one cache to several runs for warm reuse, but one cache serves
-	// one prover: an algebraic "false" would mask an SMT-provable rule.
+	// Cache holds the SMT goals the run's provers solve; nil uses a fresh
+	// private cache (repeated goals are still solved once within the run). A
+	// caller may pass one cache to several runs, which then search no goal
+	// an earlier run solved; rules and prover calls are the same either way.
 	Cache *ProofCache
 	// Progress, when set, receives a stats snapshot at every stage boundary
 	// and every progressEvery (32) completed pairs. Calls are serialized.
 	Progress      func(Snapshot)
 	progressEvery int
 	// Metrics is the registry the run records into (stage latency histograms,
-	// queue depth, cache hit/miss counters); nil uses obs.Default().
+	// queue depth, memo hit and prover-call counters); nil uses obs.Default().
 	Metrics *obs.Registry
 	// CrossCheck, when set, is called for every verifier-accepted rule before
 	// it is emitted; returning false drops the rule. The standard hook is the
@@ -191,15 +189,12 @@ type Stats struct {
 	// Stage 3: constraint enumeration/relaxation.
 	PairsTried   int64
 	PairsSkipped int64
-	// Stage 4: verification (prover calls are cache misses).
+	// Stage 4: verification. CacheHits counts the probes a pair's verdict
+	// memo answered, and CacheMisses those it did not: the prover calls,
+	// always equal to ProverCalls.
 	ProverCalls int64
 	CacheHits   int64
-	// CacheMisses is the in-run miss count observed on the ProofCache (the
-	// cache tracks both sides; hits alone cannot give a rate).
 	CacheMisses int64
-	// CacheSize is the cache's current verdict count (includes verdicts left
-	// by earlier runs when the caller passes one cache to several).
-	CacheSize int
 	// Outcome.
 	RulesFound int64
 	// RulesCrossCheckedOut counts verifier-accepted rules dropped by the
@@ -223,8 +218,8 @@ type Cut struct {
 	Unsearched int64
 }
 
-// CacheHitRate returns the in-run proof-cache hit rate in [0, 1], or 0 before
-// any lookup.
+// CacheHitRate returns the share of probes the verdict memos answered, in
+// [0, 1], or 0 before any probe.
 func (s Stats) CacheHitRate() float64 {
 	total := s.CacheHits + s.CacheMisses
 	if total == 0 {
@@ -249,36 +244,41 @@ type counters struct {
 	pairsTried      atomic.Int64
 	pairsSkipped    atomic.Int64
 	proverCalls     atomic.Int64
-	cacheHits       atomic.Int64
-	cacheMisses     atomic.Int64
+	memoHits        atomic.Int64
 	rulesFound      atomic.Int64
 	crossCheckedOut atomic.Int64
 	unsearched      atomic.Int64 // Cut.Unsearched
 	start           time.Time
-	// cache, when set, contributes its size to snapshots (hit/miss deltas are
-	// tracked per-run in cacheHits/cacheMisses above, so a reused cache does not
-	// leak earlier runs' traffic into this run's stats).
-	cache *ProofCache
+	// The registry's memo-hit and prover-call counters and prover latency,
+	// resolved once per run so that no probe looks a metric up.
+	hits, misses  *obs.Counter
+	proverSeconds *obs.Histogram
+}
+
+func newCounters(reg *obs.Registry) *counters {
+	return &counters{
+		start:         time.Now(),
+		hits:          reg.Counter(metricCacheHits),
+		misses:        reg.Counter(metricCacheMisses),
+		proverSeconds: reg.Histogram(metricProverSeconds),
+	}
 }
 
 func (c *counters) snapshot() Stats {
-	st := Stats{
+	calls := c.proverCalls.Load()
+	return Stats{
 		Templates:            c.templates,
 		TemplateElapsed:      c.templateElapsed,
 		PairsGenerated:       c.pairsGenerated.Load(),
 		PairsTried:           c.pairsTried.Load(),
 		PairsSkipped:         c.pairsSkipped.Load(),
-		ProverCalls:          c.proverCalls.Load(),
-		CacheHits:            c.cacheHits.Load(),
-		CacheMisses:          c.cacheMisses.Load(),
+		ProverCalls:          calls,
+		CacheHits:            c.memoHits.Load(),
+		CacheMisses:          calls,
 		RulesFound:           c.rulesFound.Load(),
 		RulesCrossCheckedOut: c.crossCheckedOut.Load(),
 		Elapsed:              time.Since(c.start),
 	}
-	if c.cache != nil {
-		st.CacheSize = c.cache.Len()
-	}
-	return st
 }
 
 // final is the snapshot a run returns: with a Cut when ctx ended it before
@@ -307,14 +307,13 @@ func Run(ctx context.Context, opts Options) *Result {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ct := &counters{start: time.Now(), cache: opts.Cache}
+	ct := newCounters(opts.Metrics)
 	reg := opts.Metrics
 	// Pre-register the run's counters: metrics are created lazily, and a
 	// zero-valued metric that never appears in the export is indistinguishable
-	// from one that was never wired ("0 cache hits" on a cold run is signal).
+	// from one that was never wired ("0 rules cross-checked out" is signal).
 	for _, name := range []string{
-		metricCacheHits, metricCacheMisses, metricPairsTried,
-		metricPairsSkipped, metricRulesFound, metricRulesXChecked,
+		metricPairsTried, metricPairsSkipped, metricRulesFound, metricRulesXChecked,
 	} {
 		reg.Counter(name)
 	}
@@ -459,7 +458,8 @@ func RunPair(ctx context.Context, src, dest *template.Node, opts Options) ([]Rul
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ct := &counters{start: time.Now(), templates: 2, cache: opts.Cache}
+	ct := newCounters(opts.Metrics)
+	ct.templates = 2
 	rules := searchPair(ctx, src, dest, opts, ct)
 	rules = applyCrossCheck(ctx, rules, opts, ct)
 	ct.rulesFound.Add(int64(len(rules)))

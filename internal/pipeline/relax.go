@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"wetune/internal/constraint"
-	"wetune/internal/obs"
 	"wetune/internal/smt"
 	"wetune/internal/template"
 )
@@ -37,7 +36,7 @@ func searchPair(ctx context.Context, src, dest *template.Node, opts Options, ct 
 	}
 	ct.pairsTried.Add(1)
 	opts.Metrics.Counter(metricPairsTried).Inc()
-	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct, opts.Metrics)
+	s := newRelaxer(smt.WithMemo(ctx, &opts.Cache.memo), src, dest, opts, ct)
 	rules := s.search(cstar, opts.deletionOrders)
 	if s.interrupted {
 		ct.unsearched.Add(1)
@@ -79,17 +78,14 @@ func (s *relaxer) search(cstar *constraint.Set, orders int) []Rule {
 }
 
 // newRelaxer sets up the relaxation of one pair.
-func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct *counters, reg *obs.Registry) *relaxer {
+func newRelaxer(ctx context.Context, src, dest *template.Node, opts Options, ct *counters) *relaxer {
 	s := &relaxer{
 		ctx: ctx, src: src, dest: dest,
 		prover:  opts.PairProver(src, dest),
 		budget:  opts.maxProverCallsPerPair,
 		memo:    map[string]bool{},
 		implies: constraint.Implies,
-		cache:   opts.Cache,
-		fp:      newFingerprinter(src, dest),
 		ct:      ct,
-		reg:     reg,
 	}
 	if opts.DisablePruning {
 		s.implies = nil
@@ -106,28 +102,25 @@ type relaxer struct {
 	exhausted bool
 	// interrupted records that the context, not the budget, exhausted it.
 	interrupted bool
-	memo        map[string]bool
+	// memo holds the pair's verdicts by constraint-set key.
+	memo map[string]bool
 	// spare is storage for minimize's next deletion candidate: a set no one
 	// reads any more, never one minimize returned.
 	spare *constraint.Set
 	// implies is the §4.3 implication test, nil when pruning is disabled.
 	implies func(*constraint.Set, constraint.C) bool
-	cache   *ProofCache
-	fp      *fingerprinter
 	ct      *counters
-	reg     *obs.Registry
 }
 
-// prove decides one candidate constraint set. The per-pair memo and the
-// run's proof cache both answer without a prover invocation; the budget charges
-// every logical (non-memo) query either way, so a warm cache changes the
-// prover-call count but never the search trajectory — warm and cold runs
-// discover byte-identical rule sets.
+// prove decides one candidate constraint set. The pair's memo answers a set
+// asked before without a prover invocation or a charge to the budget; every
+// other query is a prover call. A verdict from an interrupted proof is never
+// memoized.
 func (s *relaxer) prove(cs *constraint.Set) bool {
-	// The fingerprint renames the pair's symbols one-to-one, so within the
-	// pair it identifies the set: one key serves the memo and the cache.
-	key := s.fp.key(cs)
+	key := cs.Key()
 	if v, ok := s.memo[key]; ok {
+		s.ct.memoHits.Add(1)
+		s.ct.hits.Inc()
 		return v
 	}
 	if s.calls >= s.budget {
@@ -139,25 +132,16 @@ func (s *relaxer) prove(cs *constraint.Set) bool {
 		return false
 	}
 	s.calls++
-	if v, ok := s.cache.Get(key); ok {
-		s.ct.cacheHits.Add(1)
-		s.reg.Counter(metricCacheHits).Inc()
-		s.memo[key] = v
-		return v
-	}
-	s.ct.cacheMisses.Add(1)
-	s.reg.Counter(metricCacheMisses).Inc()
 	s.ct.proverCalls.Add(1)
+	s.ct.misses.Inc()
 	begin := time.Now()
 	v := s.prover(s.ctx, s.src, s.dest, cs)
-	s.reg.Histogram(metricProverSeconds).Observe(time.Since(begin))
+	s.ct.proverSeconds.Observe(time.Since(begin))
 	if s.ctx.Err() != nil {
-		// The proof was interrupted: the conservative "false" must not be
-		// memoized anywhere a later, uncancelled run could see it.
+		// The proof was interrupted: its conservative "false" is no verdict.
 		s.exhausted, s.interrupted = true, true
 		return false
 	}
-	s.cache.Put(key, v)
 	s.memo[key] = v
 	return v
 }

@@ -11,7 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"wetune/internal/constraint"
 	"wetune/internal/obs"
@@ -87,10 +86,10 @@ func tableProver(t *testing.T) PairProverFactory {
 func replay(ts []*template.Node, prover PairProverFactory, implies func(*constraint.Set, constraint.C) bool) []Rule {
 	opts := Options{PairProver: prover, Metrics: obs.NewRegistry()}
 	opts.fill()
-	ct := &counters{start: time.Now(), cache: opts.Cache}
+	ct := newCounters(opts.Metrics)
 	var found []Rule
 	eachTriedPair(ts, func(src, dest *template.Node, cstar *constraint.Set) {
-		s := newRelaxer(context.Background(), src, dest, opts, ct, opts.Metrics)
+		s := newRelaxer(context.Background(), src, dest, opts, ct)
 		s.implies = implies
 		found = append(found, s.search(cstar, opts.deletionOrders)...)
 	})

@@ -17,8 +17,8 @@ const size3RulesSHA256 = "50a4d69dc9419f64b3ad50148a856ff08fb180314cb555698d81b4
 
 // TestSize3Discovery pins the size-3 discovery with the algebraic prover:
 // how many pairs it generates, tries and skips at the C* cap, how many
-// prover calls it makes, and the rules it finds. One worker keeps the prover
-// call count exact: two workers can both miss the cache on one fingerprint.
+// prover calls it makes, and the rules it finds. No verdict is shared
+// between pairs, so the worker count moves none of them.
 //
 //	go test ./internal/pipeline -run TestSize3Discovery -size3 -v
 func TestSize3Discovery(t *testing.T) {
@@ -28,7 +28,6 @@ func TestSize3Discovery(t *testing.T) {
 	res := Run(context.Background(), Options{
 		MaxTemplateSize: 3,
 		PairProver:      AlgebraicPairProver,
-		Workers:         1,
 		Metrics:         obs.NewRegistry(),
 	})
 	st := res.Stats

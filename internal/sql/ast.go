@@ -10,12 +10,6 @@ package sql
 // Node is implemented by every AST node.
 type Node interface{ node() }
 
-// Statement is a top-level SQL statement.
-type Statement interface {
-	Node
-	stmt()
-}
-
 // Expr is a scalar or boolean expression.
 type Expr interface {
 	Node
@@ -47,7 +41,6 @@ type SelectStmt struct {
 }
 
 func (*SelectStmt) node() {}
-func (*SelectStmt) stmt() {}
 
 // SelectItem is one projection item: an expression with an optional alias, or
 // a star (possibly table-qualified).

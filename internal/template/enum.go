@@ -61,14 +61,14 @@ func Enumerate(opts EnumOptions) []*Node {
 			out = append(out, assign(sh)...)
 		}
 	}
-	var valid []*Node
+	var kept []*Node
 	for _, t := range out {
-		if Valid(t) {
+		if valid(t) {
 			numberSymbols(t)
-			valid = append(valid, t)
+			kept = append(kept, t)
 		}
 	}
-	return valid
+	return kept
 }
 
 // assign fills a skeleton with all compatible operator choices.
@@ -97,12 +97,12 @@ func assign(sh *shape) []*Node {
 	return out
 }
 
-// Valid filters templates that cannot be valid, non-degenerate SQL:
+// valid filters templates that cannot be valid, non-degenerate SQL:
 //
 //   - Dedup directly above Dedup is a no-op;
 //   - Proj directly above Proj composes into one projection;
 //   - Dedup as the right child of InSub is a no-op (IN ignores duplicates).
-func Valid(t *Node) bool {
+func valid(t *Node) bool {
 	ok := true
 	t.Walk(func(n *Node) {
 		switch n.Op {

@@ -510,7 +510,7 @@ type DiscoveryOptions struct {
 }
 
 // DiscoveryStats reports per-stage discovery effort (templates, pairs,
-// prover calls, cache hits, elapsed) and, in Cut, whether the context ended
+// prover calls, memo hits, elapsed) and, in Cut, whether the context ended
 // the run before every pair was searched.
 type DiscoveryStats = pipeline.Stats
 
@@ -522,8 +522,8 @@ type DiscoveryProgress = pipeline.Snapshot
 type DiscoveryResult struct {
 	Rules []DiscoveredRule
 	// Stats holds the per-stage breakdown: templates, pairs tried, prover
-	// calls, and cache hits (prover invocations answered by the run's own
-	// proof cache, which starts empty on every call).
+	// calls, and cache hits (probes a template pair's verdict memo answered
+	// without a prover call; CacheMisses equals ProverCalls).
 	Stats DiscoveryStats
 }
 
@@ -551,8 +551,9 @@ func discoveredRuleBase() int {
 // Discover runs the paper's rule generation pipeline (§4) — template
 // enumeration, pairing, constraint enumeration and relaxation, each candidate
 // checked by the built-in verifier — on the staged internal/pipeline engine.
-// Verdicts are memoized in a proof cache private to the call: no verdict
-// outlives the run, so every run proves with the verifier as it is built.
+// Verdicts are memoized per template pair and solved SMT goals in a proof
+// cache private to the call: nothing outlives the run, so every run proves
+// with the verifier as it is built.
 func Discover(opts DiscoveryOptions) *DiscoveryResult {
 	ctx := opts.Context
 	if ctx == nil {

@@ -160,9 +160,11 @@ func TestDiscoverAPI(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	res := Discover(DiscoveryOptions{MaxTemplateSize: 2, Context: ctx})
-	if res.Stats.ProverCalls == 0 || res.Stats.CacheHits != 0 || len(res.Rules) != 69 || res.Stats.Cut != nil {
-		t.Fatalf("cold size-2 discovery: %d prover calls, %d cache hits, %d rules, cut %+v; want >0, 0, 69, none",
-			res.Stats.ProverCalls, res.Stats.CacheHits, len(res.Rules), res.Stats.Cut)
+	// CacheHits counts the probes a pair's verdict memo answered; every other
+	// probe is a prover call.
+	if st := res.Stats; st.ProverCalls == 0 || st.CacheHits != 288 || st.CacheMisses != st.ProverCalls || len(res.Rules) != 69 || st.Cut != nil {
+		t.Fatalf("size-2 discovery: %d prover calls, %d memo hits, %d misses, %d rules, cut %+v; want >0, 288, the prover calls, 69, none",
+			st.ProverCalls, st.CacheHits, st.CacheMisses, len(res.Rules), st.Cut)
 	}
 	// A run whose context ended first says so.
 	expired, stop := context.WithCancel(ctx)
@@ -173,9 +175,9 @@ func TestDiscoverAPI(t *testing.T) {
 	// Each call proves on its own empty cache: a second run in the same
 	// process re-proves everything and finds the same rules.
 	again := Discover(DiscoveryOptions{MaxTemplateSize: 2, Context: ctx})
-	if again.Stats.CacheHits != 0 || again.Stats.ProverCalls != res.Stats.ProverCalls {
-		t.Errorf("second run: %d cache hits, %d prover calls; want 0 and %d",
-			again.Stats.CacheHits, again.Stats.ProverCalls, res.Stats.ProverCalls)
+	if again.Stats.CacheHits != res.Stats.CacheHits || again.Stats.ProverCalls != res.Stats.ProverCalls {
+		t.Errorf("second run: %d memo hits, %d prover calls; want %d and %d",
+			again.Stats.CacheHits, again.Stats.ProverCalls, res.Stats.CacheHits, res.Stats.ProverCalls)
 	}
 	if len(again.Rules) != len(res.Rules) {
 		t.Fatalf("second run found %d rules, first %d", len(again.Rules), len(res.Rules))
